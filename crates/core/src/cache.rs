@@ -212,9 +212,10 @@ impl DnsCache {
                         }
                         match &e.template {
                             // The question section must echo *this*
-                            // querier's casing exactly; labels() compares
-                            // raw bytes where name equality would not.
-                            Some((tq, t)) if tq.labels() == name.labels() => {
+                            // querier's casing exactly; the wire forms
+                            // compare raw bytes where name equality would
+                            // not.
+                            Some((tq, t)) if tq.as_wire() == name.as_wire() => {
                                 Some(CachedWire::Positive(t.materialize(txid, rd, remaining)))
                             }
                             Some(_) => {

@@ -46,7 +46,6 @@ struct PendingQuery {
     client_txid: u16,
     qname: dnswire::DnsName,
     qtype: dnswire::RrType,
-    done: bool,
 }
 
 /// In-path response manipulation, as practiced by ad-injecting or
@@ -70,8 +69,9 @@ pub enum Manipulation {
 pub struct RecursiveForwarder {
     resolver: Ipv4Addr,
     cache: Option<DnsCache>,
-    pending: HashMap<(u16, u16), usize>,
-    queries: Vec<PendingQuery>,
+    /// Queries in flight upstream, by `(our port, txid)`. An entry leaves
+    /// when its answer is relayed or its timer fires, whichever is first.
+    pending: HashMap<(u16, u16), PendingQuery>,
     timeout: SimDuration,
     device: Option<DeviceProfile>,
     manipulation: Manipulation,
@@ -92,7 +92,6 @@ impl RecursiveForwarder {
             resolver,
             cache: Some(DnsCache::new(64)),
             pending: HashMap::new(),
-            queries: Vec::new(),
             timeout: SimDuration::from_secs(5),
             device: None,
             manipulation: Manipulation::None,
@@ -203,23 +202,39 @@ impl Host for RecursiveForwarder {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if dgram.dst_port != dnswire::DNS_PORT {
             // Upstream response to one of our ephemeral ports?
-            if let Ok(msg) = Message::decode(&dgram.payload) {
+            if let Ok(mut msg) = Message::decode(&dgram.payload) {
                 if msg.is_response() {
                     let key = (dgram.dst_port, msg.header.id);
-                    if let Some(idx) = self.pending.remove(&key) {
-                        let q = &mut self.queries[idx];
-                        if q.done {
-                            return;
-                        }
-                        q.done = true;
+                    if let Some(q) = self.pending.remove(&key) {
+                        // Relay with the client's original transaction ID,
+                        // from our own address: to the client *we* look
+                        // like the resolver. The decoded message is ours
+                        // to rewrite; the answers are copied only when
+                        // manipulation is about to change them (the cache
+                        // stores what upstream said).
+                        msg.header.id = q.client_txid;
+                        let upstream_answers = match self.manipulation {
+                            Manipulation::None => None,
+                            Manipulation::ReplaceARecords(inject) => {
+                                let upstream = msg.answers.clone();
+                                for r in &mut msg.answers {
+                                    if let dnswire::RData::A(a) = &mut r.rdata {
+                                        *a = inject;
+                                    }
+                                }
+                                Some(upstream)
+                            }
+                        };
+                        let payload = msg.encode().into();
                         // Cache the answer under the client's question.
+                        let answers = upstream_answers.unwrap_or(msg.answers);
                         if let Some(cache) = &mut self.cache {
-                            if !msg.answers.is_empty() {
-                                let min_ttl = msg.answers.iter().map(|r| r.ttl).min().unwrap_or(0);
+                            if !answers.is_empty() {
+                                let min_ttl = answers.iter().map(|r| r.ttl).min().unwrap_or(0);
                                 cache.insert(
-                                    q.qname.clone(),
+                                    q.qname,
                                     q.qtype,
-                                    CachedAnswer::Positive(msg.answers.clone()),
+                                    CachedAnswer::Positive(answers),
                                     min_ttl,
                                     ctx.now(),
                                 );
@@ -229,18 +244,6 @@ impl Host for RecursiveForwarder {
                                 self.hot = None;
                             }
                         }
-                        // Relay with the client's original transaction ID,
-                        // from our own address: to the client *we* look
-                        // like the resolver.
-                        let mut relayed = msg.clone();
-                        relayed.header.id = q.client_txid;
-                        if let Manipulation::ReplaceARecords(inject) = self.manipulation {
-                            for r in &mut relayed.answers {
-                                if let dnswire::RData::A(a) = &mut r.rdata {
-                                    *a = inject;
-                                }
-                            }
-                        }
                         self.stats.relayed += 1;
                         ctx.send_udp(UdpSend {
                             src: None,
@@ -248,7 +251,7 @@ impl Host for RecursiveForwarder {
                             dst: q.client,
                             dst_port: q.client_port,
                             ttl: None,
-                            payload: relayed.encode().into(),
+                            payload,
                         });
                         return;
                     }
@@ -328,16 +331,16 @@ impl Host for RecursiveForwarder {
         // Forward upstream from our own address (the defining rewrite).
         let txid = query.header.id; // keep the ID; our port disambiguates
         let port = self.flow_port(dgram.src, dgram.src_port, txid);
-        self.queries.push(PendingQuery {
-            client: dgram.src,
-            client_port: dgram.src_port,
-            client_txid: query.header.id,
-            qname: q.qname.clone(),
-            qtype: q.qtype,
-            done: false,
-        });
-        let idx = self.queries.len() - 1;
-        self.pending.insert((port, txid), idx);
+        self.pending.insert(
+            (port, txid),
+            PendingQuery {
+                client: dgram.src,
+                client_port: dgram.src_port,
+                client_txid: query.header.id,
+                qname: q.qname,
+                qtype: q.qtype,
+            },
+        );
         self.stats.forwarded += 1;
         ctx.send_udp(UdpSend {
             src: None,
@@ -352,10 +355,9 @@ impl Host for RecursiveForwarder {
 
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
         let key = ((token >> 16) as u16, token as u16);
-        if let Some(idx) = self.pending.remove(&key) {
+        if self.pending.remove(&key).is_some() {
             // Give up silently (stub clients retry on their own), matching
             // typical CPE proxy behaviour.
-            self.queries[idx].done = true;
             self.stats.timeouts += 1;
         }
     }
@@ -697,6 +699,54 @@ mod tests {
             let m = Message::decode(&h.datagrams[0].1.payload).unwrap();
             assert_eq!(m.header.id, 99);
         }
+    }
+
+    #[test]
+    fn pending_table_drains_on_answer_and_on_timeout() {
+        // Regression: every forwarded query used to leave a record behind
+        // for the life of the host, flagged done but never freed.
+        /// Answers transaction IDs below 100, swallows the rest.
+        struct SelectiveResolver(CannedResolver);
+        impl Host for SelectiveResolver {
+            fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+                if dnswire::peek_id(&dgram.payload).is_some_and(|id| id < 100) {
+                    self.0.on_datagram(ctx, dgram);
+                }
+            }
+            netsim::impl_host_downcast!();
+        }
+        let (mut sim, client, fwd, resolver) = three_node_sim();
+        sim.install(fwd, RecursiveForwarder::new(RESOLVER_IP).without_cache());
+        sim.install(resolver, SelectiveResolver(CannedResolver { seen: vec![] }));
+        let answered = 0..5u16;
+        let timed_out = 100..103u16;
+        let script = answered
+            .clone()
+            .chain(timed_out.clone())
+            .map(|txid| {
+                (
+                    SimDuration::from_micros(u64::from(txid)),
+                    UdpSend::new(34000 + txid, FWD_IP, 53, query_bytes(txid)),
+                )
+            })
+            .collect();
+        netsim::testkit::install_script(&mut sim, client, script);
+        sim.run();
+
+        let client_host: &netsim::testkit::ScriptedClient = sim.host_as(client).unwrap();
+        assert_eq!(client_host.datagrams.len(), answered.len());
+        let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+        assert!(f.pending.is_empty(), "left behind: {:?}", f.pending);
+        assert_eq!(
+            f.stats,
+            RecursiveForwarderStats {
+                client_queries: 8,
+                cache_answers: 0,
+                forwarded: 8,
+                relayed: 5,
+                timeouts: 3,
+            }
+        );
     }
 
     #[test]

@@ -287,7 +287,7 @@ impl RecursiveResolver {
     }
 
     /// Deliver a final outcome to a leader task and every coalesced waiter.
-    fn finish(&mut self, ctx: &mut Ctx<'_>, leader_idx: usize, outcome: TaskOutcome) {
+    fn finish(&mut self, ctx: &mut Ctx<'_>, leader_idx: usize, mut outcome: TaskOutcome) {
         let key = {
             let t = &self.tasks[leader_idx];
             (t.qname.clone(), t.qtype)
@@ -297,10 +297,17 @@ impl RecursiveResolver {
         }
         let mut recipients = vec![leader_idx];
         recipients.extend(self.waiters.remove(&leader_idx).unwrap_or_default());
-        for idx in recipients {
-            match &outcome {
+        let last = recipients.len() - 1;
+        for (i, idx) in recipients.into_iter().enumerate() {
+            match &mut outcome {
                 TaskOutcome::Records(records) => {
-                    let records = records.clone();
+                    // The last recipient (usually the only one) takes the
+                    // records themselves.
+                    let records = if i == last {
+                        std::mem::take(records)
+                    } else {
+                        records.clone()
+                    };
                     self.respond_to_client(ctx, idx, move |mut b| {
                         for r in records {
                             b = b.answer(r);
@@ -466,7 +473,7 @@ impl RecursiveResolver {
             // Final answer: cache and relay (to the leader and everyone
             // coalesced behind it).
             let min_ttl = resp.answers.iter().map(|r| r.ttl).min().unwrap_or(0);
-            let records = resp.answers.clone();
+            let records = resp.answers;
             let (qname, qtype) = {
                 let t = &self.tasks[task_idx];
                 (t.qname.clone(), t.qtype)

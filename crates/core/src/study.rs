@@ -61,15 +61,14 @@ pub fn decode_target_name(name: &DnsName) -> Option<Ipv4Addr> {
     if !name.is_subdomain_of(&zone) {
         return None;
     }
-    let labels = name.labels();
-    let extra = labels.len().checked_sub(zone.label_count())?;
-    if extra != 2 {
+    if name.label_count() != zone.label_count() + 2 {
         return None;
     }
-    if !labels[1].eq_ignore_ascii_case(SCAN_LABEL.as_bytes()) {
+    let mut labels = name.labels();
+    let first = std::str::from_utf8(labels.next()?).ok()?;
+    if !labels.next()?.eq_ignore_ascii_case(SCAN_LABEL.as_bytes()) {
         return None;
     }
-    let first = std::str::from_utf8(&labels[0]).ok()?;
     let parts: Vec<&str> = first.split('-').collect();
     if parts.len() != 4 {
         return None;

@@ -4,9 +4,12 @@
 //! transparent-forwarders reproduction: the scanner, the authoritative name
 //! server, recursive resolvers, and both forwarder types. It provides:
 //!
-//! * [`DnsName`] — domain names with full label semantics, case-insensitive
-//!   comparison, and wire encoding/decoding including **message compression**
-//!   (RFC 1035 §4.1.4 pointers), with loop protection on decode.
+//! * [`DnsName`] — domain names with full label semantics and
+//!   case-insensitive comparison, stored as one shared buffer in
+//!   uncompressed wire form (clone is a refcount bump; `==`, hashing and
+//!   ordering never allocate), and wire encoding/decoding including
+//!   **message compression** (RFC 1035 §4.1.4 pointers), with loop
+//!   protection on decode.
 //! * [`Header`] / [`Flags`] — the 12-byte DNS header with all RFC 1035 bits
 //!   plus AD/CD from RFC 4035.
 //! * [`Question`], [`Record`], [`RData`] — question and resource-record
@@ -14,6 +17,15 @@
 //!   SOA, PTR, MX, TXT, OPT).
 //! * [`Message`] — full message encode/decode.
 //! * [`MessageBuilder`] — ergonomic construction of queries and responses.
+//!
+//! The codec is built for the census's cold path, where every message is
+//! seen once and nothing can be cached: encoding compresses against the
+//! bytes already in the output buffer ([`NameOffsets`] — an inline offset
+//! table, no per-suffix keys), decoding assembles each name on the stack
+//! and lets names that are bare pointers share the buffer of the name they
+//! point at ([`DecodedNames`]). The study's 2-A response costs one
+//! allocation to encode and three to decode; `tests/alloc_budget.rs` holds
+//! a budget of two and four, and `tests/golden_wire.rs` pins the bytes.
 //!
 //! The codec is strict on encode (never emits malformed packets) and tolerant
 //! on decode where the paper's measurement method requires it (e.g. responses
@@ -53,7 +65,7 @@ pub use error::WireError;
 pub use fuzz::{run_fuzz, FuzzFailure, FuzzReport};
 pub use header::{Flags, Header, Opcode, Rcode, HEADER_LEN};
 pub use message::{peek_id, peek_qr, Message};
-pub use name::DnsName;
+pub use name::{DecodedNames, DnsName, Labels, NameOffsets};
 pub use question::{QClass, Question};
 pub use rdata::{Class, RData, Record, RrType, SoaData};
 pub use template::ResponseTemplate;

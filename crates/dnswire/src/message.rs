@@ -1,11 +1,11 @@
 //! Whole-message encode/decode (RFC 1035 §4.1).
 
 use crate::error::WireError;
-use crate::header::{Flags, Header};
+use crate::header::{Flags, Header, HEADER_LEN};
+use crate::name::{DecodedNames, NameOffsets};
 use crate::question::Question;
 use crate::rdata::Record;
 use crate::MAX_MESSAGE_LEN;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// A complete DNS message: header plus the four sections.
@@ -45,14 +45,14 @@ impl Message {
         let count = |len: usize, section: &'static str| -> Result<u16, WireError> {
             u16::try_from(len).map_err(|_| WireError::SectionCountOverflow { section, len })
         };
-        let mut buf = Vec::with_capacity(128);
+        let mut buf = Vec::with_capacity(self.uncompressed_len().min(MAX_MESSAGE_LEN));
         let mut header = self.header;
         header.qdcount = count(self.questions.len(), "question")?;
         header.ancount = count(self.answers.len(), "answer")?;
         header.nscount = count(self.authorities.len(), "authority")?;
         header.arcount = count(self.additionals.len(), "additional")?;
         header.encode(&mut buf);
-        let mut offsets: HashMap<String, usize> = HashMap::new();
+        let mut offsets = NameOffsets::default();
         for q in &self.questions {
             q.encode(&mut buf, &mut offsets);
         }
@@ -68,6 +68,20 @@ impl Message {
             return Err(WireError::MessageTooLong(buf.len()));
         }
         Ok(buf)
+    }
+
+    /// Wire length if no name were compressed: what `try_encode` reserves,
+    /// so the buffer is sized once and compression only leaves slack.
+    fn uncompressed_len(&self) -> usize {
+        let questions: usize = self.questions.iter().map(|q| q.qname.wire_len() + 4).sum();
+        let records: usize = self
+            .answers
+            .iter()
+            .chain(&self.authorities)
+            .chain(&self.additionals)
+            .map(|r| r.name.wire_len() + 10 + r.rdata.wire_len())
+            .sum();
+        HEADER_LEN + questions + records
     }
 
     /// Decode a message, requiring the buffer to contain exactly one
@@ -93,6 +107,7 @@ impl Message {
         // 65 535 answers. Preallocate only what the remaining bytes could
         // possibly hold; pathological counts then fail on the first
         // truncated entry having reserved nothing.
+        let mut names = DecodedNames::default();
         let mut questions = Vec::with_capacity(capped_capacity(
             header.qdcount,
             QUESTION_MIN_WIRE_LEN,
@@ -100,12 +115,12 @@ impl Message {
             msg,
         ));
         for _ in 0..header.qdcount {
-            questions.push(Question::decode(msg, &mut pos)?);
+            questions.push(Question::decode(msg, &mut pos, &mut names)?);
         }
         let mut decode_section = |count: u16| -> Result<Vec<Record>, WireError> {
             let mut out = Vec::with_capacity(capped_capacity(count, RECORD_MIN_WIRE_LEN, pos, msg));
             for _ in 0..count {
-                out.push(Record::decode(msg, &mut pos)?);
+                out.push(Record::decode(msg, &mut pos, &mut names)?);
             }
             Ok(out)
         };
@@ -318,11 +333,11 @@ mod tests {
         h.encode(&mut uncompressed);
         for q in &m.questions {
             // encode question but force fresh offsets each time to defeat reuse
-            let mut local = HashMap::new();
+            let mut local = NameOffsets::default();
             q.encode(&mut uncompressed, &mut local);
         }
         for r in &m.answers {
-            let mut local = HashMap::new();
+            let mut local = NameOffsets::default();
             r.encode(&mut uncompressed, &mut local).unwrap();
         }
         assert!(

@@ -1,11 +1,11 @@
-//! Domain names: label storage, textual parsing, wire encoding with
-//! compression, and loop-safe decoding.
+//! Domain names: one flat wire-form buffer per name, textual parsing,
+//! compression against the bytes already written, and loop-safe decoding.
 
 use crate::error::WireError;
-use std::collections::HashMap;
+use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Maximum length of a single label on the wire (RFC 1035 §2.3.4).
 pub const MAX_LABEL_LEN: usize = 63;
@@ -15,28 +15,103 @@ pub const MAX_NAME_LEN: usize = 255;
 /// Budget of compression pointer hops tolerated during decode before we
 /// declare a loop. A valid name can never need more hops than labels.
 const MAX_POINTER_HOPS: usize = 128;
+/// Highest buffer offset a 14-bit compression pointer can name.
+const MAX_POINTER_TARGET: usize = 0x3FFF;
 
 /// A fully-qualified domain name.
 ///
-/// Names are stored as a sequence of raw label byte-strings (DNS labels are
-/// arbitrary octets, not just ASCII). Comparison and hashing are
-/// case-insensitive for ASCII, matching resolver behaviour (RFC 1035 §2.3.3)
-/// — this matters for the study because caches key on names and some CPE
-/// devices randomize query-name case (the "0x20" hack).
+/// A name is one immutable, shared buffer holding its **uncompressed wire
+/// form**: a length octet before each label, the label's raw bytes (DNS
+/// labels are arbitrary octets, not just ASCII), and the terminating zero
+/// octet — `\x0aodns-study\x07example\x00`. The root is the single byte
+/// `\x00`, shared by every root name in the process. Length octets are at
+/// most 63 and therefore never ASCII letters, so the case-insensitive
+/// operations (`==`, hashing, ordering, [`is_subdomain_of`]) work on the
+/// flat bytes directly, and none of them allocates.
 ///
-/// The label sequence is immutable and shared (`Arc`), so cloning a name —
-/// which resolvers do on every cache lookup, pending-query record, and
-/// response build — is a refcount bump, not a per-label reallocation.
-#[derive(Debug, Clone, Eq)]
+/// Comparison and hashing are case-insensitive for ASCII, matching resolver
+/// behaviour (RFC 1035 §2.3.3) — this matters for the study because caches
+/// key on names and some CPE devices randomize query-name case (the "0x20"
+/// hack). The original casing is kept and re-emitted on encode.
+///
+/// Cloning a name — which resolvers do on every cache lookup, pending-query
+/// record, and response build — is a refcount bump. Building one (parse,
+/// decode, [`prepend`], [`parent`]) assembles it on the stack and
+/// allocates exactly once.
+///
+/// [`is_subdomain_of`]: DnsName::is_subdomain_of
+/// [`prepend`]: DnsName::prepend
+/// [`parent`]: DnsName::parent
+#[derive(Clone)]
 pub struct DnsName {
-    labels: Arc<Vec<Vec<u8>>>,
+    /// Invariant: well-formed uncompressed wire form, 1..=255 bytes.
+    wire: Arc<[u8]>,
+}
+
+/// Stack scratch a name is assembled in before its one allocation.
+struct NameBuf {
+    bytes: [u8; MAX_NAME_LEN],
+    /// Wire bytes pushed so far, terminator excluded. Keeps counting past
+    /// the capacity so the overflow error can report the full length.
+    len: usize,
+}
+
+impl NameBuf {
+    fn new() -> Self {
+        NameBuf {
+            bytes: [0; MAX_NAME_LEN],
+            len: 0,
+        }
+    }
+
+    /// Wire length of the name if it ended here.
+    fn wire_len(&self) -> usize {
+        self.len + 1
+    }
+
+    fn push(&mut self, label: &[u8]) -> Result<(), WireError> {
+        if label.is_empty() {
+            return Err(WireError::InvalidLabel);
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(WireError::LabelTooLong(label.len()));
+        }
+        let end = self.len + 1 + label.len();
+        if end < MAX_NAME_LEN {
+            self.bytes[self.len] = label.len() as u8;
+            self.bytes[self.len + 1..end].copy_from_slice(label);
+        }
+        self.len = end;
+        Ok(())
+    }
+
+    fn finish(&self) -> Result<DnsName, WireError> {
+        let wire = self.wire_len();
+        if wire > MAX_NAME_LEN {
+            return Err(WireError::NameTooLong(wire));
+        }
+        // `bytes[len]` is still the zero it was initialised to.
+        Ok(DnsName::from_wire(&self.bytes[..wire]))
+    }
 }
 
 impl DnsName {
     /// The root name (`.`).
     pub fn root() -> Self {
+        static ROOT: OnceLock<Arc<[u8]>> = OnceLock::new();
         DnsName {
-            labels: Arc::new(Vec::new()),
+            wire: ROOT.get_or_init(|| Arc::from(&[0u8][..])).clone(),
+        }
+    }
+
+    /// Wrap bytes already known to be a well-formed uncompressed name.
+    fn from_wire(wire: &[u8]) -> Self {
+        if wire.len() == 1 {
+            Self::root()
+        } else {
+            DnsName {
+                wire: Arc::from(wire),
+            }
         }
     }
 
@@ -49,24 +124,14 @@ impl DnsName {
             return Ok(Self::root());
         }
         let trimmed = s.strip_suffix('.').unwrap_or(s);
-        let mut labels = Vec::new();
+        let mut buf = NameBuf::new();
         for part in trimmed.split('.') {
             if part.is_empty() {
                 return Err(WireError::BadNameSyntax(s.to_string()));
             }
-            if part.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(part.len()));
-            }
-            labels.push(part.as_bytes().to_vec());
+            buf.push(part.as_bytes())?;
         }
-        let name = DnsName {
-            labels: Arc::new(labels),
-        };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        buf.finish()
     }
 
     /// Construct from raw labels. Rejects empty or oversized labels.
@@ -75,140 +140,123 @@ impl DnsName {
         I: IntoIterator<Item = L>,
         L: AsRef<[u8]>,
     {
-        let mut out = Vec::new();
+        let mut buf = NameBuf::new();
         for l in labels {
-            let l = l.as_ref();
-            if l.is_empty() {
-                return Err(WireError::InvalidLabel);
-            }
-            if l.len() > MAX_LABEL_LEN {
-                return Err(WireError::LabelTooLong(l.len()));
-            }
-            out.push(l.to_vec());
+            buf.push(l.as_ref())?;
         }
-        let name = DnsName {
-            labels: Arc::new(out),
-        };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        buf.finish()
     }
 
-    /// The labels of this name, leftmost (most specific) first.
-    pub fn labels(&self) -> &[Vec<u8>] {
-        &self.labels
+    /// The labels of this name, leftmost (most specific) first, borrowed
+    /// from the name's buffer.
+    pub fn labels(&self) -> Labels<'_> {
+        Labels { rest: &self.wire }
+    }
+
+    /// The uncompressed wire form: length-prefixed labels and the
+    /// terminating zero octet, original casing. Comparing two of these is
+    /// the *case-sensitive* equality that `==` deliberately is not.
+    pub fn as_wire(&self) -> &[u8] {
+        &self.wire
     }
 
     /// Number of labels; the root has zero.
     pub fn label_count(&self) -> usize {
-        self.labels.len()
+        self.labels().count()
     }
 
     /// True for the root name.
     pub fn is_root(&self) -> bool {
-        self.labels.is_empty()
+        self.wire.len() == 1
     }
 
     /// Length this name occupies on the wire when encoded without
     /// compression: one length octet per label plus the label bytes, plus the
     /// terminating zero octet.
     pub fn wire_len(&self) -> usize {
-        self.labels.iter().map(|l| l.len() + 1).sum::<usize>() + 1
+        self.wire.len()
     }
 
     /// Returns the parent name (this name minus its leftmost label), or
     /// `None` for the root.
     pub fn parent(&self) -> Option<DnsName> {
-        if self.labels.is_empty() {
-            None
-        } else {
-            Some(DnsName {
-                labels: Arc::new(self.labels[1..].to_vec()),
-            })
-        }
+        let first = self.labels().next()?;
+        Some(Self::from_wire(&self.wire[1 + first.len()..]))
     }
 
     /// `child.is_subdomain_of(parent)` — true when `self` ends with all of
     /// `other`'s labels (every name is a subdomain of the root and of
     /// itself). Used for zone cut / delegation decisions in the resolver.
     pub fn is_subdomain_of(&self, other: &DnsName) -> bool {
-        if other.labels.len() > self.labels.len() {
-            return false;
+        // Drop labels until what is left is no longer than `other`: only a
+        // tail that starts on one of our label boundaries may match, or a
+        // label byte that equals a length octet would pass for one.
+        let mut tail = self.labels();
+        while tail.rest.len() > other.wire.len() {
+            tail.next();
         }
-        let offset = self.labels.len() - other.labels.len();
-        self.labels[offset..]
-            .iter()
-            .zip(other.labels.iter())
-            .all(|(a, b)| eq_ignore_ascii_case(a, b))
+        tail.rest.eq_ignore_ascii_case(&other.wire)
+    }
+
+    /// Offsets of this name's label length octets, leftmost first, and how
+    /// many there are: a 255-byte name holds at most 127 labels.
+    fn label_starts(&self) -> ([u8; MAX_NAME_LEN / 2], usize) {
+        let mut starts = [0u8; MAX_NAME_LEN / 2];
+        let (mut n, mut at) = (0, 0);
+        while self.wire[at] != 0 {
+            starts[n] = at as u8;
+            n += 1;
+            at += 1 + self.wire[at] as usize;
+        }
+        (starts, n)
+    }
+
+    /// The label whose length octet sits at `start`.
+    fn label_at(&self, start: u8) -> &[u8] {
+        let start = start as usize;
+        &self.wire[start + 1..start + 1 + self.wire[start] as usize]
     }
 
     /// Prepend a label, producing `label.self`.
     pub fn prepend(&self, label: &[u8]) -> Result<DnsName, WireError> {
-        if label.is_empty() {
-            return Err(WireError::InvalidLabel);
+        let mut buf = NameBuf::new();
+        buf.push(label)?;
+        for l in self.labels() {
+            buf.push(l)?;
         }
-        if label.len() > MAX_LABEL_LEN {
-            return Err(WireError::LabelTooLong(label.len()));
-        }
-        let mut labels = Vec::with_capacity(self.labels.len() + 1);
-        labels.push(label.to_vec());
-        labels.extend(self.labels.iter().cloned());
-        let name = DnsName {
-            labels: Arc::new(labels),
-        };
-        let wire = name.wire_len();
-        if wire > MAX_NAME_LEN {
-            return Err(WireError::NameTooLong(wire));
-        }
-        Ok(name)
+        buf.finish()
     }
 
     /// Encode without compression, appending to `buf`.
     pub fn encode_uncompressed(&self, buf: &mut Vec<u8>) {
-        for label in self.labels.iter() {
-            buf.push(label.len() as u8);
-            buf.extend_from_slice(label);
-        }
-        buf.push(0);
+        buf.extend_from_slice(&self.wire);
     }
 
     /// Encode with RFC 1035 §4.1.4 compression.
     ///
-    /// `offsets` maps previously-encoded suffixes (lower-cased textual form)
-    /// to their buffer offsets. Any suffix of this name already present is
-    /// replaced by a two-octet pointer; new suffixes that start below offset
-    /// 0x3FFF are recorded for later reuse.
-    pub fn encode_compressed(&self, buf: &mut Vec<u8>, offsets: &mut HashMap<String, usize>) {
-        for i in 0..self.labels.len() {
-            let suffix_key = Self::suffix_key(&self.labels[i..]);
-            if let Some(&off) = offsets.get(&suffix_key) {
-                debug_assert!(off <= 0x3FFF);
-                let pointer = 0xC000u16 | off as u16;
-                buf.extend_from_slice(&pointer.to_be_bytes());
+    /// `offsets` lists where in `buf` (which must hold the message from its
+    /// first byte) earlier names' suffixes start. The longest suffix of
+    /// this name already present is replaced by a two-octet pointer to its
+    /// first occurrence; new suffixes that start at or below offset 0x3FFF
+    /// are recorded for later reuse.
+    pub fn encode_compressed(&self, buf: &mut Vec<u8>, offsets: &mut NameOffsets) {
+        let mut labels = self.labels();
+        loop {
+            let suffix = labels.rest;
+            let Some(label) = labels.next() else {
+                break;
+            };
+            if let Some(off) = offsets.find(buf, suffix) {
+                buf.extend_from_slice(&(0xC000 | off).to_be_bytes());
                 return;
             }
             let here = buf.len();
-            if here <= 0x3FFF {
-                offsets.insert(suffix_key, here);
+            if here <= MAX_POINTER_TARGET {
+                offsets.push(here as u16, suffix.len() as u8);
             }
-            let label = &self.labels[i];
-            buf.push(label.len() as u8);
-            buf.extend_from_slice(label);
+            buf.extend_from_slice(&suffix[..1 + label.len()]);
         }
         buf.push(0);
-    }
-
-    fn suffix_key(labels: &[Vec<u8>]) -> String {
-        let mut key = String::new();
-        for l in labels {
-            for &b in l {
-                key.push(b.to_ascii_lowercase() as char);
-            }
-            key.push('.');
-        }
-        key
     }
 
     /// Decode a name from `msg` starting at `*pos`, following compression
@@ -216,11 +264,28 @@ impl DnsName {
     /// (pointers do not move it further). Pointer loops and forward pointers
     /// are rejected.
     pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let mut labels = Vec::new();
+        Self::decode_shared(msg, pos, &mut DecodedNames::default())
+    }
+
+    /// [`DnsName::decode`] for a name that is one of several in `msg`:
+    /// `names` remembers what this message's earlier names decoded to, so a
+    /// name that is nothing but a pointer to one of them (every answer
+    /// owner of the study's responses) is a refcount bump on the same
+    /// buffer instead of a second copy. Results and errors are identical to
+    /// decoding each name on its own.
+    pub fn decode_shared(
+        msg: &[u8],
+        pos: &mut usize,
+        names: &mut DecodedNames,
+    ) -> Result<Self, WireError> {
+        let mut buf = NameBuf::new();
         let mut cursor = *pos;
         let mut followed_pointer = false;
         let mut hops = 0usize;
-        let mut wire_len = 1usize; // terminating zero
+        // Offset of the first label, for as long as the labels after it
+        // run on without a pointer: where a later pointer to this whole
+        // name will point, at no further hops.
+        let mut origin = None;
 
         loop {
             let len_byte = *msg.get(cursor).ok_or(WireError::Truncated {
@@ -229,27 +294,27 @@ impl DnsName {
             match len_byte & 0xC0 {
                 0x00 => {
                     if len_byte == 0 {
-                        cursor += 1;
                         if !followed_pointer {
-                            *pos = cursor;
+                            *pos = cursor + 1;
                         }
-                        return Ok(DnsName {
-                            labels: Arc::new(labels),
-                        });
+                        let name = buf.finish()?;
+                        if let Some(at) = origin {
+                            names.remember(at, &name);
+                        }
+                        return Ok(name);
                     }
-                    let len = len_byte as usize;
                     let start = cursor + 1;
-                    let end = start + len;
-                    if end > msg.len() {
-                        return Err(WireError::Truncated {
-                            context: "name label",
-                        });
+                    let end = start + len_byte as usize;
+                    let label = msg.get(start..end).ok_or(WireError::Truncated {
+                        context: "name label",
+                    })?;
+                    if buf.len == 0 {
+                        origin = Some(cursor);
                     }
-                    wire_len += len + 1;
-                    if wire_len > MAX_NAME_LEN {
-                        return Err(WireError::NameTooLong(wire_len));
+                    buf.push(label)?;
+                    if buf.wire_len() > MAX_NAME_LEN {
+                        return Err(WireError::NameTooLong(buf.wire_len()));
                     }
-                    labels.push(msg[start..end].to_vec());
                     cursor = end;
                 }
                 0xC0 => {
@@ -271,6 +336,13 @@ impl DnsName {
                     if hops > MAX_POINTER_HOPS {
                         return Err(WireError::CompressionLoop);
                     }
+                    if buf.len > 0 {
+                        origin = None;
+                    } else if let Some(name) = names.at(target) {
+                        // Walking on from `target` would read the same
+                        // pointer-free bytes to the same result.
+                        return Ok(name.clone());
+                    }
                     cursor = target;
                 }
                 other => return Err(WireError::ReservedLabelType(other)),
@@ -279,37 +351,161 @@ impl DnsName {
     }
 }
 
-fn eq_ignore_ascii_case(a: &[u8], b: &[u8]) -> bool {
-    a.len() == b.len()
-        && a.iter()
-            .zip(b.iter())
-            .all(|(x, y)| x.eq_ignore_ascii_case(y))
+/// Borrowing iterator over a name's labels; see [`DnsName::labels`].
+#[derive(Debug, Clone)]
+pub struct Labels<'a> {
+    /// Unvisited tail of the wire form, starting at a length octet.
+    rest: &'a [u8],
+}
+
+impl<'a> Iterator for Labels<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let (&len, tail) = self.rest.split_first()?;
+        if len == 0 {
+            return None;
+        }
+        let (label, rest) = tail.split_at(len as usize);
+        self.rest = rest;
+        Some(label)
+    }
+}
+
+/// How many [`NameOffsets`] entries live inline before the table spills to
+/// the heap. The study's messages register 2–6 suffixes.
+const INLINE_OFFSETS: usize = 8;
+
+/// The compression state of one message being encoded: where each name
+/// suffix written so far starts in the output buffer.
+///
+/// The buffer itself is the dictionary — a candidate suffix is matched by
+/// walking the bytes already written at a recorded offset (following the
+/// pointers the encoder put there), case-insensitively and label by label.
+/// Nothing is keyed on a textual rendering, so labels containing `.` or any
+/// other byte cannot collide, and recording a suffix costs three bytes.
+#[derive(Debug, Clone, Default)]
+pub struct NameOffsets {
+    /// `(buffer offset, uncompressed wire length of the suffix there)`, in
+    /// the order written; the first [`INLINE_OFFSETS`] entries.
+    inline: [(u16, u8); INLINE_OFFSETS],
+    /// Entries beyond the inline ones.
+    spill: Vec<(u16, u8)>,
+    len: usize,
+}
+
+impl NameOffsets {
+    fn push(&mut self, offset: u16, suffix_len: u8) {
+        match self.inline.get_mut(self.len) {
+            Some(slot) => *slot = (offset, suffix_len),
+            None => self.spill.push((offset, suffix_len)),
+        }
+        self.len += 1;
+    }
+
+    /// Offset of the first-written suffix equal to `suffix` (uncompressed
+    /// wire form), if any. The length filter also keeps the walk off the
+    /// half-written suffixes of the name currently being encoded, which
+    /// are always longer than the one being looked up.
+    fn find(&self, buf: &[u8], suffix: &[u8]) -> Option<u16> {
+        self.inline[..self.len.min(INLINE_OFFSETS)]
+            .iter()
+            .chain(&self.spill)
+            .find(|&&(off, len)| len as usize == suffix.len() && written_name_eq(buf, off, suffix))
+            .map(|&(off, _)| off)
+    }
+}
+
+/// Does the (possibly compressed) name written at `buf[at..]` equal
+/// `name`, an uncompressed wire form, ignoring ASCII case?
+fn written_name_eq(buf: &[u8], at: u16, mut name: &[u8]) -> bool {
+    let mut cursor = at as usize;
+    loop {
+        let Some(&len_byte) = buf.get(cursor) else {
+            return false;
+        };
+        if len_byte & 0xC0 == 0xC0 {
+            let Some(&second) = buf.get(cursor + 1) else {
+                return false;
+            };
+            let target = (((len_byte & 0x3F) as usize) << 8) | second as usize;
+            if target >= cursor {
+                return false;
+            }
+            cursor = target;
+            continue;
+        }
+        let end = 1 + len_byte as usize;
+        let (Some(written), Some(wanted)) = (buf.get(cursor..cursor + end), name.get(..end)) else {
+            return false;
+        };
+        if !written.eq_ignore_ascii_case(wanted) {
+            return false;
+        }
+        if len_byte == 0 {
+            return true;
+        }
+        cursor += end;
+        name = &name[end..];
+    }
+}
+
+/// How many names [`DecodedNames`] remembers; later ones are decoded
+/// afresh, which costs an allocation and changes no result.
+const REMEMBERED_NAMES: usize = 8;
+
+/// The pointer-free names one message has yielded so far, by the offset
+/// of their first label; see [`DnsName::decode_shared`].
+#[derive(Debug, Default)]
+pub struct DecodedNames {
+    seen: [Option<(usize, DnsName)>; REMEMBERED_NAMES],
+}
+
+impl DecodedNames {
+    fn remember(&mut self, at: usize, name: &DnsName) {
+        if let Some(slot) = self.seen.iter_mut().find(|slot| slot.is_none()) {
+            *slot = Some((at, name.clone()));
+        }
+    }
+
+    fn at(&self, target: usize) -> Option<&DnsName> {
+        self.seen
+            .iter()
+            .flatten()
+            .find(|(at, _)| *at == target)
+            .map(|(_, name)| name)
+    }
+}
+
+impl fmt::Debug for DnsName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "DnsName({self})")
+    }
 }
 
 impl PartialEq for DnsName {
     fn eq(&self, other: &Self) -> bool {
-        self.labels.len() == other.labels.len()
-            && self
-                .labels
-                .iter()
-                .zip(other.labels.iter())
-                .all(|(a, b)| eq_ignore_ascii_case(a, b))
+        // Length octets are ≤ 63, so never letters: equal-ignoring-case
+        // flat bytes imply identical label boundaries.
+        Arc::ptr_eq(&self.wire, &other.wire) || self.wire.eq_ignore_ascii_case(&other.wire)
     }
 }
 
+impl Eq for DnsName {}
+
 impl Hash for DnsName {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        for label in self.labels.iter() {
-            state.write_usize(label.len());
-            for &b in label {
-                state.write_u8(b.to_ascii_lowercase());
-            }
-        }
+        let mut lower = [0u8; MAX_NAME_LEN];
+        let lower = &mut lower[..self.wire.len()];
+        lower.copy_from_slice(&self.wire);
+        lower.make_ascii_lowercase();
+        // Self-delimiting (length octets, terminator): no length prefix.
+        state.write(lower);
     }
 }
 
 impl PartialOrd for DnsName {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
@@ -317,18 +513,24 @@ impl PartialOrd for DnsName {
 impl Ord for DnsName {
     /// Canonical DNS ordering: compare label sequences right-to-left,
     /// case-insensitively (RFC 4034 §6.1 style, simplified).
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        let a = self.labels.iter().rev();
-        let b = other.labels.iter().rev();
-        for (la, lb) in a.zip(b) {
-            let la: Vec<u8> = la.iter().map(|c| c.to_ascii_lowercase()).collect();
-            let lb: Vec<u8> = lb.iter().map(|c| c.to_ascii_lowercase()).collect();
-            match la.cmp(&lb) {
-                std::cmp::Ordering::Equal => continue,
+    fn cmp(&self, other: &Self) -> Ordering {
+        if Arc::ptr_eq(&self.wire, &other.wire) {
+            return Ordering::Equal;
+        }
+        let (ours, n) = self.label_starts();
+        let (theirs, m) = other.label_starts();
+        for from_right in 1..=n.min(m) {
+            let a = self.label_at(ours[n - from_right]).iter();
+            let b = other.label_at(theirs[m - from_right]).iter();
+            match a
+                .map(u8::to_ascii_lowercase)
+                .cmp(b.map(u8::to_ascii_lowercase))
+            {
+                Ordering::Equal => continue,
                 o => return o,
             }
         }
-        self.labels.len().cmp(&other.labels.len())
+        n.cmp(&m)
     }
 }
 
@@ -336,10 +538,10 @@ impl fmt::Display for DnsName {
     /// Canonical dotted representation with a trailing dot; non-printable
     /// bytes, dots, and backslashes inside labels are escaped as `\DDD`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.labels.is_empty() {
+        if self.is_root() {
             return write!(f, ".");
         }
-        for label in self.labels.iter() {
+        for label in self.labels() {
             for &b in label {
                 if b.is_ascii_graphic() && b != b'.' && b != b'\\' {
                     write!(f, "{}", b as char)?;
@@ -460,7 +662,7 @@ mod tests {
     #[test]
     fn compression_reuses_suffixes() {
         let mut buf = Vec::new();
-        let mut offsets = HashMap::new();
+        let mut offsets = NameOffsets::default();
         let n1 = DnsName::parse("ns1.example.").unwrap();
         let n2 = DnsName::parse("ns2.example.").unwrap();
         n1.encode_compressed(&mut buf, &mut offsets);
@@ -480,7 +682,7 @@ mod tests {
     #[test]
     fn whole_name_pointer() {
         let mut buf = Vec::new();
-        let mut offsets = HashMap::new();
+        let mut offsets = NameOffsets::default();
         let n = DnsName::parse("cache.example.").unwrap();
         n.encode_compressed(&mut buf, &mut offsets);
         let first_len = buf.len();
@@ -546,7 +748,7 @@ mod tests {
     #[test]
     fn decode_advances_pos_past_pointer_not_target() {
         let mut buf = Vec::new();
-        let mut offsets = HashMap::new();
+        let mut offsets = NameOffsets::default();
         DnsName::parse("example.")
             .unwrap()
             .encode_compressed(&mut buf, &mut offsets);
@@ -561,6 +763,40 @@ mod tests {
             pos,
             buf.len(),
             "pos must advance in the original stream only"
+        );
+    }
+
+    #[test]
+    fn decode_shared_agrees_with_standalone_decode() {
+        // "b.c." at 0; "a" + pointer to it at 5; bare pointers to each; a
+        // pointer to a pointer; and a pointer into the middle ("c.").
+        let buf = [
+            1, b'b', 1, b'c', 0, // 0
+            1, b'a', 0xC0, 0, // 5
+            0xC0, 0, // 9
+            0xC0, 5, // 11
+            0xC0, 9, // 13
+            0xC0, 2, // 15
+            0xC0, 15, // 17
+        ];
+        let mut names = DecodedNames::default();
+        for start in [0, 5, 9, 11, 13, 15, 17] {
+            let (mut shared_pos, mut alone_pos) = (start, start);
+            let shared = DnsName::decode_shared(&buf, &mut shared_pos, &mut names).unwrap();
+            let alone = DnsName::decode(&buf, &mut alone_pos).unwrap();
+            assert_eq!(shared.as_wire(), alone.as_wire(), "name at {start}");
+            assert_eq!(shared_pos, alone_pos, "pos after {start}");
+        }
+        // The pointer-free names were decoded once and handed out again.
+        let mut at = |start| {
+            let mut pos = start;
+            DnsName::decode_shared(&buf, &mut pos, &mut names).unwrap()
+        };
+        assert!(Arc::ptr_eq(&at(9).wire, &at(13).wire));
+        assert!(Arc::ptr_eq(&at(15).wire, &at(17).wire));
+        assert!(
+            !Arc::ptr_eq(&at(5).wire, &at(11).wire),
+            "has a pointer inside"
         );
     }
 

@@ -1,9 +1,8 @@
 //! The question section (RFC 1035 §4.1.2).
 
 use crate::error::WireError;
-use crate::name::DnsName;
+use crate::name::{DecodedNames, DnsName, NameOffsets};
 use crate::rdata::RrType;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Query class. The study only ever uses `IN`, but `ANY` (255) appears in
@@ -81,15 +80,20 @@ impl Question {
     }
 
     /// Encode with compression, appending to `buf`.
-    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut HashMap<String, usize>) {
+    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut NameOffsets) {
         self.qname.encode_compressed(buf, offsets);
         buf.extend_from_slice(&self.qtype.to_u16().to_be_bytes());
         buf.extend_from_slice(&self.qclass.to_u16().to_be_bytes());
     }
 
-    /// Decode from `msg` at `pos`, advancing it.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let qname = DnsName::decode(msg, pos)?;
+    /// Decode from `msg` at `pos`, advancing it; `names` is the message's
+    /// [`DnsName::decode_shared`] state.
+    pub fn decode(
+        msg: &[u8],
+        pos: &mut usize,
+        names: &mut DecodedNames,
+    ) -> Result<Self, WireError> {
+        let qname = DnsName::decode_shared(msg, pos, names)?;
         if msg.len() < *pos + 4 {
             return Err(WireError::Truncated {
                 context: "question fixed part",
@@ -127,10 +131,10 @@ mod tests {
     fn question_encode_decode() {
         let q = Question::new(DnsName::parse("odns-study.example.").unwrap(), RrType::A);
         let mut buf = Vec::new();
-        let mut offsets = HashMap::new();
+        let mut offsets = NameOffsets::default();
         q.encode(&mut buf, &mut offsets);
         let mut pos = 0;
-        let back = Question::decode(&buf, &mut pos).unwrap();
+        let back = Question::decode(&buf, &mut pos, &mut DecodedNames::default()).unwrap();
         assert_eq!(back, q);
         assert_eq!(pos, buf.len());
     }
@@ -142,7 +146,7 @@ mod tests {
         buf.extend_from_slice(&[0, 1, 0]); // one byte short
         let mut pos = 0;
         assert!(matches!(
-            Question::decode(&buf, &mut pos),
+            Question::decode(&buf, &mut pos, &mut DecodedNames::default()),
             Err(WireError::Truncated { .. })
         ));
     }

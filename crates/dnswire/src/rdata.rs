@@ -1,8 +1,7 @@
 //! Resource records and typed RDATA (RFC 1035 §3.2, §4.1.3).
 
 use crate::error::WireError;
-use crate::name::DnsName;
-use std::collections::HashMap;
+use crate::name::{DecodedNames, DnsName, NameOffsets};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -193,6 +192,19 @@ impl RData {
         }
     }
 
+    /// Bytes [`RData::encode`] appends (RDATA names are never compressed,
+    /// so this is exact).
+    pub(crate) fn wire_len(&self) -> usize {
+        match self {
+            RData::A(_) => 4,
+            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => n.wire_len(),
+            RData::Soa(soa) => soa.mname.wire_len() + soa.rname.wire_len() + 20,
+            RData::Mx { exchange, .. } => 2 + exchange.wire_len(),
+            RData::Txt(segments) => segments.iter().map(|s| 1 + s.len()).sum(),
+            RData::Opt(data) | RData::Unknown { data, .. } => data.len(),
+        }
+    }
+
     /// Encode just the RDATA (no length prefix), appending to `buf`.
     ///
     /// Names inside RDATA are deliberately encoded **uncompressed**: only
@@ -233,12 +245,14 @@ impl RData {
         Ok(())
     }
 
-    /// Decode RDATA of `rtype` from `msg[*pos..*pos + rdlength]`.
+    /// Decode RDATA of `rtype` from `msg[*pos..*pos + rdlength]`; `names`
+    /// is the message's [`DnsName::decode_shared`] state.
     pub fn decode(
         rtype: RrType,
         msg: &[u8],
         pos: &mut usize,
         rdlength: usize,
+        names: &mut DecodedNames,
     ) -> Result<Self, WireError> {
         let end = *pos + rdlength;
         if end > msg.len() {
@@ -257,12 +271,12 @@ impl RData {
                 *pos += 4;
                 RData::A(Ipv4Addr::new(o[0], o[1], o[2], o[3]))
             }
-            RrType::Ns => RData::Ns(DnsName::decode(msg, pos)?),
-            RrType::Cname => RData::Cname(DnsName::decode(msg, pos)?),
-            RrType::Ptr => RData::Ptr(DnsName::decode(msg, pos)?),
+            RrType::Ns => RData::Ns(DnsName::decode_shared(msg, pos, names)?),
+            RrType::Cname => RData::Cname(DnsName::decode_shared(msg, pos, names)?),
+            RrType::Ptr => RData::Ptr(DnsName::decode_shared(msg, pos, names)?),
             RrType::Soa => {
-                let mname = DnsName::decode(msg, pos)?;
-                let rname = DnsName::decode(msg, pos)?;
+                let mname = DnsName::decode_shared(msg, pos, names)?;
+                let rname = DnsName::decode_shared(msg, pos, names)?;
                 if msg.len() < *pos + 20 {
                     return Err(WireError::Truncated {
                         context: "SOA numbers",
@@ -296,7 +310,7 @@ impl RData {
                 }
                 let preference = u16::from_be_bytes([msg[*pos], msg[*pos + 1]]);
                 *pos += 2;
-                let exchange = DnsName::decode(msg, pos)?;
+                let exchange = DnsName::decode_shared(msg, pos, names)?;
                 RData::Mx {
                     preference,
                     exchange,
@@ -391,11 +405,7 @@ impl Record {
     }
 
     /// Encode with name compression, appending to `buf`.
-    pub fn encode(
-        &self,
-        buf: &mut Vec<u8>,
-        offsets: &mut HashMap<String, usize>,
-    ) -> Result<(), WireError> {
+    pub fn encode(&self, buf: &mut Vec<u8>, offsets: &mut NameOffsets) -> Result<(), WireError> {
         self.name.encode_compressed(buf, offsets);
         buf.extend_from_slice(&self.rtype().to_u16().to_be_bytes());
         buf.extend_from_slice(&self.class.to_u16().to_be_bytes());
@@ -411,9 +421,14 @@ impl Record {
         Ok(())
     }
 
-    /// Decode from `msg` at `pos`, advancing it.
-    pub fn decode(msg: &[u8], pos: &mut usize) -> Result<Self, WireError> {
-        let name = DnsName::decode(msg, pos)?;
+    /// Decode from `msg` at `pos`, advancing it; `names` is the message's
+    /// [`DnsName::decode_shared`] state.
+    pub fn decode(
+        msg: &[u8],
+        pos: &mut usize,
+        names: &mut DecodedNames,
+    ) -> Result<Self, WireError> {
+        let name = DnsName::decode_shared(msg, pos, names)?;
         if msg.len() < *pos + 10 {
             return Err(WireError::Truncated {
                 context: "record fixed part",
@@ -425,7 +440,7 @@ impl Record {
         let rdlength = u16::from_be_bytes([msg[*pos + 8], msg[*pos + 9]]) as usize;
         *pos += 10;
         let rdata_start = *pos;
-        let rdata = RData::decode(rtype, msg, pos, rdlength)?;
+        let rdata = RData::decode(rtype, msg, pos, rdlength, names)?;
         // Structural guarantee, independent of the per-type arms inside
         // `RData::decode`: the record body consumed exactly RDLENGTH
         // bytes. A skewed RDLENGTH (an NS/CNAME name that under- or
@@ -479,10 +494,10 @@ mod tests {
 
     fn roundtrip(r: &Record) -> Record {
         let mut buf = Vec::new();
-        let mut offsets = HashMap::new();
+        let mut offsets = NameOffsets::default();
         r.encode(&mut buf, &mut offsets).unwrap();
         let mut pos = 0;
-        let back = Record::decode(&buf, &mut pos).unwrap();
+        let back = Record::decode(&buf, &mut pos, &mut DecodedNames::default()).unwrap();
         assert_eq!(pos, buf.len());
         back
     }
@@ -510,7 +525,7 @@ mod tests {
         buf.extend_from_slice(&[1, 2, 3, 4, 5]);
         let mut pos = 0;
         assert!(matches!(
-            Record::decode(&buf, &mut pos),
+            Record::decode(&buf, &mut pos, &mut DecodedNames::default()),
             Err(WireError::RdataLengthMismatch { declared: 5, .. })
         ));
     }
@@ -536,7 +551,7 @@ mod tests {
         let buf = skewed(2, 5, &[1, b'a', 0, 0xC0, 0x00]);
         let mut pos = 0;
         assert_eq!(
-            Record::decode(&buf, &mut pos),
+            Record::decode(&buf, &mut pos, &mut DecodedNames::default()),
             Err(WireError::RdataLengthMismatch {
                 declared: 5,
                 consumed: 3,
@@ -552,7 +567,7 @@ mod tests {
         let buf = skewed(5, 2, &[1, b'a', 0]);
         let mut pos = 0;
         assert_eq!(
-            Record::decode(&buf, &mut pos),
+            Record::decode(&buf, &mut pos, &mut DecodedNames::default()),
             Err(WireError::RdataLengthMismatch {
                 declared: 2,
                 consumed: 3,
@@ -567,7 +582,7 @@ mod tests {
         let buf = skewed(15, 4, &[0, 10, 0, 0]);
         let mut pos = 0;
         assert_eq!(
-            Record::decode(&buf, &mut pos),
+            Record::decode(&buf, &mut pos, &mut DecodedNames::default()),
             Err(WireError::RdataLengthMismatch {
                 declared: 4,
                 consumed: 3,
@@ -615,7 +630,7 @@ mod tests {
             rdata: RData::Txt(vec![vec![b'x'; 256]]),
         };
         let mut buf = Vec::new();
-        let mut offsets = HashMap::new();
+        let mut offsets = NameOffsets::default();
         assert!(matches!(
             r.encode(&mut buf, &mut offsets),
             Err(WireError::TxtSegmentTooLong(256))

@@ -112,6 +112,59 @@ fn pointer_games_rejected() {
     assert!(Message::decode(&fwd).is_err());
 }
 
+/// Bug 5 reproducer — compression-key collision: the encoder used to key
+/// suffixes on their dotted lower-case rendering, so the single label
+/// `a.b` followed by `c` and the labels `a`, `b`, `c` shared the key
+/// `"a.b.c."`, and the second name was emitted as a pointer to the first.
+/// The response then re-decoded with its owner turned into the question
+/// name. Suffixes are now matched against the written bytes, label by
+/// label.
+#[test]
+fn dotted_label_does_not_alias_a_label_sequence() {
+    let dotted = DnsName::from_labels([&b"a.b"[..], b"c"]).unwrap();
+    let plain = DnsName::parse("a.b.c.").unwrap();
+    assert_eq!(dotted.to_string(), "a\\046b.c.");
+    assert_ne!(dotted, plain);
+    for (first, second) in [(&dotted, &plain), (&plain, &dotted)] {
+        let query = MessageBuilder::query(1, first.clone(), RrType::A).build();
+        let resp = MessageBuilder::response_to(&query)
+            .answer_a(second.clone(), 60, Ipv4Addr::new(192, 0, 2, 1))
+            .build();
+        let back = Message::decode(&resp.encode()).unwrap();
+        assert_eq!(&back.questions[0].qname, first);
+        assert_eq!(&back.answers[0].name, second, "owner must not alias");
+        assert_ne!(back.questions[0].qname, back.answers[0].name);
+    }
+}
+
+/// Sibling of the above: labels holding the bytes the textual form
+/// escapes (`\`, `.`), bytes ≥ 0x80 and NUL survive a compressed round
+/// trip, sharing the suffix they really share and nothing else.
+#[test]
+fn escaped_and_high_bytes_roundtrip_through_compression() {
+    let zone = DnsName::from_labels([&[0xC3u8, 0xA9, b'\\'][..], &[0xFF, 0x00, b'.']]).unwrap();
+    let www = zone.prepend(b"w\\w.w").unwrap();
+    let lookalike = DnsName::from_labels([&b"w"[..], b"w", b"w"]).unwrap();
+    let query = MessageBuilder::query(2, www.clone(), RrType::A).build();
+    let resp = MessageBuilder::response_to(&query)
+        .answer_a(www.clone(), 60, Ipv4Addr::new(192, 0, 2, 1))
+        .answer_a(zone.clone(), 60, Ipv4Addr::new(192, 0, 2, 2))
+        .answer_a(lookalike.clone(), 60, Ipv4Addr::new(192, 0, 2, 3))
+        .build();
+    let bytes = resp.encode();
+    let back = Message::decode(&bytes).unwrap();
+    assert_eq!(back.questions[0].qname.as_wire(), www.as_wire());
+    let owners: Vec<&[u8]> = back.answers.iter().map(|r| r.name.as_wire()).collect();
+    assert_eq!(owners, [www.as_wire(), zone.as_wire(), lookalike.as_wire()]);
+    // Header, question, then: a bare pointer, a pointer into the question
+    // name, and the look-alike spelled out in full.
+    let fixed = 10 + 4;
+    assert_eq!(
+        bytes.len(),
+        12 + (www.wire_len() + 4) + (2 + fixed) + (2 + fixed) + (lookalike.wire_len() + fixed)
+    );
+}
+
 /// The full quick-mode harness: the fixed corpus plus ≥10k seeded mutants
 /// through the panic/desync/reparse oracle — the acceptance gate.
 #[test]

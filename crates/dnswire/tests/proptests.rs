@@ -7,8 +7,8 @@
 //! 4. names compare case-insensitively in every context.
 
 use dnswire::{
-    Class, DnsName, Flags, Header, Message, Opcode, QClass, Question, RData, Rcode, Record, RrType,
-    SoaData,
+    Class, DnsName, Flags, Header, Message, NameOffsets, Opcode, QClass, Question, RData, Rcode,
+    Record, RrType, SoaData,
 };
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -20,6 +20,44 @@ fn arb_label() -> impl Strategy<Value = Vec<u8>> {
 fn arb_name() -> impl Strategy<Value = DnsName> {
     proptest::collection::vec(arb_label(), 0..=5)
         .prop_filter_map("name too long", |labels| DnsName::from_labels(labels).ok())
+}
+
+/// Names over a tiny alphabet — both cases of a letter, the two bytes the
+/// textual form escapes (`.` and `\`), a high byte, NUL and two bytes that
+/// read as length octets — so that generated names share suffixes, differ
+/// only in case, or differ only in where a label boundary falls.
+fn arb_confusable_name() -> impl Strategy<Value = DnsName> {
+    let byte = prop_oneof![
+        Just(b'a'),
+        Just(b'A'),
+        Just(b'b'),
+        Just(b'.'),
+        Just(b'\\'),
+        Just(0xE9u8),
+        Just(0u8),
+        Just(1u8),
+        Just(2u8),
+    ];
+    let label = proptest::collection::vec(byte, 1..=3);
+    proptest::collection::vec(label, 0..=4).prop_map(|l| DnsName::from_labels(l).unwrap())
+}
+
+fn hash_of(name: &DnsName) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    name.hash(&mut h);
+    h.finish()
+}
+
+/// The label-vector ordering `DnsName::cmp` replaced: lower-cased labels,
+/// rightmost first, then label count.
+fn reference_cmp(a: &DnsName, b: &DnsName) -> std::cmp::Ordering {
+    let key = |n: &DnsName| {
+        let mut labels: Vec<Vec<u8>> = n.labels().map(|l| l.to_ascii_lowercase()).collect();
+        labels.reverse();
+        labels
+    };
+    key(a).cmp(&key(b))
 }
 
 fn arb_rrtype() -> impl Strategy<Value = RrType> {
@@ -183,7 +221,7 @@ proptest! {
         // Encode all names into one buffer with shared compression state;
         // decoding each must give back the original regardless of sharing.
         let mut buf = Vec::new();
-        let mut offsets = std::collections::HashMap::new();
+        let mut offsets = NameOffsets::default();
         let mut starts = Vec::new();
         for n in &names {
             starts.push(buf.len());
@@ -194,6 +232,68 @@ proptest! {
             let back = DnsName::decode(&buf, &mut pos).unwrap();
             prop_assert_eq!(&back, n);
         }
+    }
+
+    #[test]
+    fn compression_roundtrips_confusable_names(
+        names in proptest::collection::vec(arb_confusable_name(), 1..8),
+    ) {
+        // Labels holding `.`, `\`, NUL and high bytes, with suffixes shared
+        // for real: each name must come back as itself (never as a
+        // look-alike whose rendering collides), and compression must never
+        // cost bytes.
+        let mut buf = Vec::new();
+        let mut offsets = NameOffsets::default();
+        let mut starts = Vec::new();
+        for n in &names {
+            starts.push(buf.len());
+            n.encode_compressed(&mut buf, &mut offsets);
+        }
+        let uncompressed: usize = names.iter().map(DnsName::wire_len).sum();
+        prop_assert!(buf.len() <= uncompressed, "{} > {}", buf.len(), uncompressed);
+        let mut seen = dnswire::DecodedNames::default();
+        for (n, &start) in names.iter().zip(&starts) {
+            let mut pos = start;
+            let back = DnsName::decode_shared(&buf, &mut pos, &mut seen).unwrap();
+            prop_assert_eq!(&back, n);
+        }
+    }
+
+    #[test]
+    fn eq_hash_and_cmp_agree(a in arb_confusable_name(), b in arb_confusable_name()) {
+        let label_eq = a.label_count() == b.label_count()
+            && a.labels().zip(b.labels()).all(|(x, y)| x.eq_ignore_ascii_case(y));
+        prop_assert_eq!(a == b, label_eq);
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b));
+            prop_assert_eq!(a.cmp(&b), std::cmp::Ordering::Equal);
+        }
+        prop_assert_eq!(a.cmp(&b), reference_cmp(&a, &b));
+        prop_assert_eq!(a.cmp(&b), b.cmp(&a).reverse());
+    }
+
+    #[test]
+    fn cmp_is_transitive(
+        a in arb_confusable_name(),
+        b in arb_confusable_name(),
+        c in arb_confusable_name(),
+    ) {
+        if a <= b && b <= c {
+            prop_assert!(a <= c);
+        }
+        if a >= b && b >= c {
+            prop_assert!(a >= c);
+        }
+    }
+
+    #[test]
+    fn subdomain_matches_label_suffix(a in arb_confusable_name(), b in arb_confusable_name()) {
+        // A `.`-or-length-valued byte inside a label must not pass for a
+        // label boundary.
+        let (la, lb): (Vec<_>, Vec<_>) = (a.labels().collect(), b.labels().collect());
+        let expected = la.len() >= lb.len()
+            && la[la.len() - lb.len()..].iter().zip(&lb).all(|(x, y)| x.eq_ignore_ascii_case(y));
+        prop_assert_eq!(a.is_subdomain_of(&b), expected);
     }
 
     #[test]
