@@ -30,7 +30,7 @@
 
 use crate::campaign_sweep::SENSOR_SHARD;
 use crate::table::TextTable;
-use inetgen::{GenConfig, Internet, PlantedClass, ShardSpec, ShardWorldCache, ShardedRun};
+use inetgen::{Internet, PlantedClass, ShardSpec, ShardedRun, Worlds};
 use netsim::SimDuration;
 use scanner::attacks::{run_reflections, AttackVector, ReflectionPlan, VictimMeter, VictimTally};
 use scanner::{HoneypotSensor, OdnsClass, SensorKind};
@@ -346,21 +346,16 @@ fn shard_attack_pass(spec: ShardSpec, world: &mut Internet) -> ShardAttackOutput
 }
 
 /// Run the §6 attack experiment sharded `shards` ways and merge into the
-/// [`AttackMatrix`] — invariant in the shard count.
-pub fn run_attacks_sharded(gen_config: &GenConfig, shards: u32) -> AttackMatrix {
-    merge_attack_outputs(inetgen::run_sharded(gen_config, shards, shard_attack_pass))
+/// [`AttackMatrix`] — invariant in the shard count. `worlds` is a
+/// `&GenConfig` or a `&mut ShardWorldCache` ([`inetgen::Worlds`]),
+/// bit-identical either way: a cached world's reset uninstalls the
+/// attacker, meter, and sensors along with all other host state.
+pub fn run_attacks_sharded<'a>(worlds: impl Into<Worlds<'a>>, shards: u32) -> AttackMatrix {
+    merge_attack_outputs(inetgen::run_sharded(worlds, shards, shard_attack_pass))
 }
 
-/// [`run_attacks_sharded`] over a warm [`ShardWorldCache`]: worlds
-/// generate once and reset-reuse afterwards (the reset uninstalls the
-/// attacker, meter, and sensors along with all other host state).
-/// Bit-identical to [`run_attacks_sharded`] with the cache's config.
-pub fn run_attacks_cached(cache: &mut ShardWorldCache, shards: u32) -> AttackMatrix {
-    merge_attack_outputs(cache.run(shards, shard_attack_pass))
-}
-
-/// The deterministic merge both drivers share: cells fold per grid key in
-/// ascending shard order, the sensor row sums.
+/// The deterministic merge: cells fold per grid key in ascending shard
+/// order, the sensor row sums.
 fn merge_attack_outputs(run: ShardedRun<ShardAttackOutput>) -> AttackMatrix {
     let mut matrix = AttackMatrix::default();
     for output in run.outputs {

@@ -35,15 +35,16 @@
 //! — the sharded pipeline is capture-driven like the paper's
 //! dumpcap-based artifact (§A.2).
 
-use crate::census::{campaign_country_counts, census_part, merge_census_parts, Census};
+use crate::census::{campaign_country_counts, merge_census_parts, run_census, Census};
 use crate::pcap_ingest::{campaign_report_from_pcap, census_from_captures, IngestError};
+use crate::sensor_sweep::{merge_campaign_passes, CampaignCapture};
 use crate::table::TextTable;
 use inetgen::build::scanner_addrs::SensorAddrs;
-use inetgen::{Fixtures, GeoDb, Internet, ShardSpec, ShardWorldCache, ShardedRun};
+use inetgen::{Fixtures, GeoDb, Internet, ShardSpec, ShardedRun, Worlds};
 use netsim::{SimDuration, Simulator};
 use scanner::{
-    run_campaign_delayed, run_scan_raw, Campaign, CampaignConfig, CampaignReport, ClassifierConfig,
-    HoneypotSensor, ScanConfig, SensorKind, SensorStats,
+    run_campaign_delayed, Campaign, CampaignConfig, CampaignReport, ClassifierConfig,
+    HoneypotSensor, SensorKind, SensorStats,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -217,7 +218,7 @@ pub struct ShardCaptures {
     /// The transactional scanner's capture (probes + responses).
     pub scan: Vec<u8>,
     /// One capture per campaign pass, in [`Campaign::all`] order.
-    pub campaigns: Vec<(Campaign, Vec<u8>)>,
+    pub campaigns: Vec<CampaignCapture>,
 }
 
 /// Everything the sharded campaign sweep produces.
@@ -350,25 +351,22 @@ pub(crate) fn merge_reports(
     merged
 }
 
-/// One shard's contribution, before the deterministic merge.
-struct ShardOutput {
-    shard: u32,
-    census: Census,
-    campaigns: Vec<(Campaign, CampaignReport, Vec<u8>)>,
-    sensors: SensorTotals,
-    scan_capture: Vec<u8>,
-    addrs: SensorAddrs,
+/// One shard's three tapped campaign passes, with what its sensors
+/// counted — the shard output of the sensor experiment and the campaign
+/// half of the campaign sweep's.
+pub(crate) struct CampaignPasses {
+    pub(crate) campaigns: Vec<(Campaign, CampaignReport, Vec<u8>)>,
+    pub(crate) sensors: SensorTotals,
+    pub(crate) addrs: SensorAddrs,
 }
 
 /// Run the three campaign passes over `targets` from the world's campaign
-/// fixture nodes, tapped, spaced [`CAMPAIGN_EPOCH`] apart. Shared by the
-/// campaign and sensor sweeps (and, inlined, by the unsharded reference
-/// path the determinism tests compare against).
-pub(crate) fn run_campaign_passes(
-    world: &mut Internet,
-    targets: &[Ipv4Addr],
-) -> Vec<(Campaign, CampaignReport, Vec<u8>)> {
-    Campaign::all()
+/// fixture nodes, tapped, spaced [`CAMPAIGN_EPOCH`] apart, then read the
+/// sensors' counters. Shared by the campaign and sensor sweeps (and,
+/// inlined, by the unsharded reference path the determinism tests compare
+/// against).
+pub(crate) fn run_campaign_passes(world: &mut Internet, targets: &[Ipv4Addr]) -> CampaignPasses {
+    let campaigns = Campaign::all()
         .into_iter()
         .enumerate()
         .map(|(i, campaign)| {
@@ -388,7 +386,19 @@ pub(crate) fn run_campaign_passes(
             let capture = world.sim.take_capture(node).expect("campaign tapped");
             (campaign, report, capture)
         })
-        .collect()
+        .collect();
+    CampaignPasses {
+        campaigns,
+        sensors: collect_sensor_totals(&world.sim, &world.fixtures),
+        addrs: world.fixtures.sensor_addrs,
+    }
+}
+
+/// One shard's contribution, before the deterministic merge.
+struct ShardOutput {
+    census: Census,
+    scan_capture: Vec<u8>,
+    passes: CampaignPasses,
 }
 
 fn shard_campaign_pass(
@@ -397,34 +407,26 @@ fn shard_campaign_pass(
     classifier: &ClassifierConfig,
 ) -> ShardOutput {
     install_sensors(world);
-    let addrs = world.fixtures.sensor_addrs;
 
     // The shard's transactional scan, tapped; the records correlate and
     // classify in-worker into this shard's census part, the capture feeds
     // the offline twin.
     let scanner_node = world.fixtures.scanner;
     world.sim.tap(scanner_node);
-    let scan = ScanConfig::new(world.targets.clone());
-    let (probes, responses, _retry) = run_scan_raw(&mut world.sim, scanner_node, scan);
+    let census = run_census(world, classifier);
     let scan_capture = world
         .sim
         .take_capture(scanner_node)
         .expect("scanner tapped");
-    let census = census_part(probes, responses, &world.geo, classifier);
 
     // Campaign passes over the shard partition; the designated shard also
     // probes the sensors.
     let mut targets = world.targets.clone();
-    targets.extend(sensor_targets(spec, addrs));
-    let campaigns = run_campaign_passes(world, &targets);
-
+    targets.extend(sensor_targets(spec, world.fixtures.sensor_addrs));
     ShardOutput {
-        shard: spec.index,
         census,
-        campaigns,
-        sensors: collect_sensor_totals(&world.sim, &world.fixtures),
         scan_capture,
-        addrs,
+        passes: run_campaign_passes(world, &targets),
     }
 }
 
@@ -434,68 +436,51 @@ fn shard_campaign_pass(
 /// [`SENSOR_SHARD`] additionally probing the sensor deployment — then
 /// merge records, reports, counters, and captures in deterministic shard
 /// order.
-pub fn run_campaign_sharded(
-    gen_config: &inetgen::GenConfig,
-    shards: u32,
-    classifier: &ClassifierConfig,
-) -> CampaignSweep {
-    merge_campaign_outputs(inetgen::run_sharded(gen_config, shards, |spec, world| {
-        shard_campaign_pass(spec, world, classifier)
-    }))
-}
-
-/// [`run_campaign_sharded`] over a warm [`ShardWorldCache`]: shard worlds
-/// generate on the first call and reset-reuse afterwards (the reset
+///
+/// `worlds` is a `&GenConfig` or a `&mut ShardWorldCache`
+/// ([`inetgen::Worlds`]), bit-identical either way: a cached world's reset
 /// uninstalls the sensors and clears their limiter state along with all
-/// other host state, so every run starts from the same fresh deployment).
-/// Bit-identical to [`run_campaign_sharded`] with the cache's
-/// configuration.
-pub fn run_campaign_cached(
-    cache: &mut ShardWorldCache,
+/// other host state, so every run starts from the same fresh deployment.
+pub fn run_campaign_sharded<'a>(
+    worlds: impl Into<Worlds<'a>>,
     shards: u32,
     classifier: &ClassifierConfig,
 ) -> CampaignSweep {
-    merge_campaign_outputs(cache.run(shards, |spec, world| {
+    merge_campaign_outputs(inetgen::run_sharded(worlds, shards, |spec, world| {
         shard_campaign_pass(spec, world, classifier)
     }))
 }
 
-/// The deterministic merge both campaign drivers share: census parts
-/// concatenate, reports fold per campaign, sensor counters sum, captures
-/// keep ascending shard order.
+/// The deterministic merge: census parts concatenate, the campaign passes
+/// fold as the sensor experiment's do ([`merge_campaign_passes`]), scan
+/// captures join their shard's campaign captures.
 fn merge_campaign_outputs(run: ShardedRun<ShardOutput>) -> CampaignSweep {
     let mut census_parts = Vec::with_capacity(run.outputs.len());
-    let mut shard_reports = Vec::new();
-    let mut sensors = SensorTotals::default();
-    let mut captures = Vec::with_capacity(run.outputs.len());
-    let mut addrs = None;
+    let mut scan_captures = Vec::with_capacity(run.outputs.len());
+    let mut passes = Vec::with_capacity(run.outputs.len());
     for output in run.outputs {
         census_parts.push(output.census);
-        let mut shard_campaigns = Vec::with_capacity(output.campaigns.len());
-        for (campaign, report, capture) in output.campaigns {
-            shard_reports.push((campaign, report));
-            shard_campaigns.push((campaign, capture));
-        }
-        sensors.absorb(&output.sensors);
-        captures.push(ShardCaptures {
-            shard: output.shard,
-            scan: output.scan_capture,
-            campaigns: shard_campaigns,
-        });
-        addrs.get_or_insert(output.addrs);
+        scan_captures.push(output.scan_capture);
+        passes.push(output.passes);
     }
-    let reports = merge_reports(shard_reports);
-    let sensor_addrs = addrs.expect("at least one shard");
-    let census = merge_census_parts(census_parts);
-    let matrix = DetectionMatrix::from_reports(&reports, sensor_addrs);
+    let merged = merge_campaign_passes(passes);
+    let captures = scan_captures
+        .into_iter()
+        .zip(merged.captures)
+        .map(|(scan, (shard, campaigns))| ShardCaptures {
+            shard,
+            scan,
+            campaigns,
+        })
+        .collect();
     CampaignSweep {
-        census,
-        reports,
-        matrix,
-        sensors,
+        census: merge_census_parts(census_parts),
+        reports: merged.reports,
+        matrix: merged.matrix,
+        sensors: merged.sensors,
         captures,
         geo: run.geo,
-        sensor_addrs,
+        sensor_addrs: merged.sensor_addrs,
     }
 }
 

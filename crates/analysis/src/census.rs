@@ -3,9 +3,10 @@
 //! producing the dataframe every table and figure is computed from
 //! (the paper's `dns-measurement-analysis` artifact).
 
-use inetgen::{GeoDb, Internet, ShardWorldCache};
-use scanner::records::{ProbeRecord, ResponseRecord};
-use scanner::{classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, Transaction, Verdict};
+use inetgen::{GeoDb, Internet, ShardWorldCache, Worlds};
+use scanner::{
+    classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, ScanOutcome, Transaction, Verdict,
+};
 use std::net::Ipv4Addr;
 
 /// One classified probe, enriched with mapping data.
@@ -86,6 +87,17 @@ impl Census {
         }
     }
 
+    /// Build from a correlated scan: classify its transactions and carry
+    /// its unmatched/late/discarded counters over.
+    pub fn from_outcome(outcome: &ScanOutcome, geo: &GeoDb, config: &ClassifierConfig) -> Self {
+        Census {
+            unmatched_responses: outcome.unmatched_responses,
+            late_responses: outcome.late_responses,
+            late_answers_discarded: outcome.late_answers_discarded,
+            ..Census::from_transactions(&outcome.transactions, geo, config)
+        }
+    }
+
     /// Rows classified as `class`.
     pub fn of_class(&self, class: OdnsClass) -> impl Iterator<Item = &CensusRow> {
         self.rows.iter().filter(move |r| r.class() == Some(class))
@@ -162,46 +174,28 @@ impl Census {
 /// classify with `config`. Scanner state lives at the pre-provisioned
 /// fixture node; the simulator's event loop drains completely (probe
 /// pacing + 20 s timeout are simulated time, not wall time).
+///
+/// This is also every sharded experiment's in-worker census pass: raw
+/// responses (payload-bearing, the bulk of a sweep's memory) die here, on
+/// the worker thread; only classified rows cross back. Using the shard's
+/// own [`GeoDb`] is exact, not approximate: countries own disjoint
+/// address regions and a shard generates every prefix its own targets can
+/// fall in, so shard-local lookups equal merged-database lookups for
+/// every probed address (the `0.1 %` coverage gap is a pure per-prefix
+/// hash, independent of partitioning).
 pub fn run_census(internet: &mut Internet, config: &ClassifierConfig) -> Census {
     let scan = census_scan_config(internet);
     let outcome = scanner::run_scan(&mut internet.sim, internet.fixtures.scanner, scan);
-    let mut census = Census::from_transactions(&outcome.transactions, &internet.geo, config);
-    census.unmatched_responses = outcome.unmatched_responses;
-    census.late_responses = outcome.late_responses;
-    census.late_answers_discarded = outcome.late_answers_discarded;
-    census
+    Census::from_outcome(&outcome, &internet.geo, config)
 }
 
-/// Correlate one shard's raw record streams and classify them into that
-/// shard's census part — the single in-worker tail every sharded driver
-/// shares. Raw responses (payload-bearing, the bulk of a sweep's memory)
-/// die here, on the worker thread; only classified rows cross back.
-///
-/// Using the shard's own [`GeoDb`] is exact, not approximate: countries
-/// own disjoint address regions and a shard generates every prefix its
-/// own targets can fall in, so shard-local lookups equal merged-database
-/// lookups for every probed address (the `0.1 %` coverage gap is a pure
-/// per-prefix hash, independent of partitioning).
-pub(crate) fn census_part(
-    probes: Vec<ProbeRecord>,
-    responses: Vec<ResponseRecord>,
-    geo: &GeoDb,
-    config: &ClassifierConfig,
-) -> Census {
-    let outcome = scanner::correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT);
-    let mut part = Census::from_transactions(&outcome.transactions, geo, config);
-    part.unmatched_responses = outcome.unmatched_responses;
-    part.late_responses = outcome.late_responses;
-    part.late_answers_discarded = outcome.late_answers_discarded;
-    part
-}
-
-/// The scan configuration a census world gets: the paper's defaults on a
-/// clean network; on a faulty one, target-keyed tuples — the fault
-/// plane's verdicts hash each probe's flow identity, and only the
-/// target-keyed identity is the same for every shard count, so lossy
-/// censuses stay partition-invariant (see [`scanner::TupleScheme`]).
-fn census_scan_config(world: &Internet) -> ScanConfig {
+/// The scan configuration every in-worker scan of a world gets: the
+/// paper's defaults on a clean network; on a faulty one, target-keyed
+/// tuples — the fault plane's verdicts hash each probe's flow identity,
+/// and only the target-keyed identity is the same for every shard count,
+/// so lossy censuses stay partition-invariant (see
+/// [`scanner::TupleScheme`]).
+pub(crate) fn census_scan_config(world: &Internet) -> ScanConfig {
     let scan = ScanConfig::new(world.targets.clone());
     if world.sim.faults_active() {
         scan.with_target_keyed_tuples()
@@ -210,17 +204,8 @@ fn census_scan_config(world: &Internet) -> ScanConfig {
     }
 }
 
-/// One shard's census experiment: transactional scan, correlated and
-/// classified in-worker against the shard's own lookup database.
-pub(crate) fn census_shard_pass(world: &mut Internet, config: &ClassifierConfig) -> Census {
-    let scan = census_scan_config(world);
-    let (probes, responses, _retry) =
-        scanner::run_scan_raw(&mut world.sim, world.fixtures.scanner, scan);
-    census_part(probes, responses, &world.geo, config)
-}
-
 /// Concatenate per-shard census parts (ascending shard order, which is
-/// how every sharded runner returns its outputs) into the merged census —
+/// how the sharded runner returns its outputs) into the merged census —
 /// row for row what one scanner over the union target list would have
 /// produced, since rows carry no probe index and classification is
 /// per-transaction.
@@ -238,62 +223,37 @@ pub(crate) fn merge_census_parts(parts: Vec<Census>) -> Census {
     merged
 }
 
-/// Run a `shards`-way sharded census: generate one world shard per
-/// partition member, drive every shard's transactional scan on a worker
-/// thread pool, and correlate + classify each shard's records *on its
-/// worker* — only classified census rows survive the shard, so the
-/// merge is a concatenation and peak memory stays per-shard-sized.
+/// Run a `shards`-way sharded census: drive every shard world's
+/// transactional scan on a worker thread pool, and correlate + classify
+/// each shard's records *on its worker* ([`run_census`]) — only
+/// classified census rows survive the shard, so the merge is a
+/// concatenation and peak memory stays per-shard-sized.
 ///
-/// Built on [`inetgen::run_sharded`], the shared sharded experiment
-/// runner: generation *and* scanning happen on the workers — each shard's
-/// simulator lives and dies on one thread — so the wall-clock cost of a
-/// large census divides by the worker count. Classification counts are
-/// independent of `shards`: per-country generation derives only from
-/// `(seed, country)` (see [`inetgen::generate_shard`]), and rows carry
-/// no cross-shard state. `shards = 1` reproduces [`run_census`] over
-/// [`inetgen::generate`] exactly.
-pub fn run_census_sharded(
-    gen_config: &inetgen::GenConfig,
+/// `worlds` is a `&GenConfig` (fresh worlds, generated and dropped on the
+/// workers) or a `&mut ShardWorldCache` (generate once, reset and reuse) —
+/// see [`inetgen::Worlds`]; the census is bit-identical either way.
+/// Classification counts are independent of `shards`: per-country
+/// generation derives only from `(seed, country)` (see
+/// [`inetgen::generate_shard`]), and rows carry no cross-shard state.
+/// `shards = 1` reproduces [`run_census`] over [`inetgen::generate`]
+/// exactly.
+pub fn run_census_sharded<'a>(
+    worlds: impl Into<Worlds<'a>>,
     shards: u32,
     config: &ClassifierConfig,
 ) -> Census {
-    let run = inetgen::run_sharded(gen_config, shards, |_, world| {
-        census_shard_pass(world, config)
-    });
+    let run = inetgen::run_sharded(worlds, shards, |_, world| run_census(world, config));
     merge_census_parts(run.outputs)
 }
 
-/// [`run_census_sharded`] over a warm [`ShardWorldCache`]: the first call
-/// generates the shard worlds, every later call resets and reuses them —
-/// generate once, scan many. Output is bit-identical to
-/// [`run_census_sharded`] with the cache's configuration at any shard
-/// count (the reset restores a world to its exact post-generation state).
+/// [`run_census_sharded`] over a [`ShardWorldCache`], under the name the
+/// repo benchmark calls.
 pub fn run_census_cached(
     cache: &mut ShardWorldCache,
     shards: u32,
     config: &ClassifierConfig,
 ) -> Census {
-    let run = cache.run(shards, |_, world| census_shard_pass(world, config));
-    merge_census_parts(run.outputs)
-}
-
-/// The offline-ingest tail: stream per-shard record collections through
-/// the bounded-memory [`scanner::StreamingMerge`] (the `(port, txid)` key
-/// space restarts per shard) and classify the merged transactions. The
-/// live drivers classify in-worker instead; this path serves capture
-/// replay ([`crate::pcap_ingest::census_from_captures`]), where records
-/// arrive shard-by-shard from pcap bytes and no worker exists.
-pub(crate) fn census_from_shard_records(
-    streams: Vec<scanner::ShardRecords>,
-    geo: &inetgen::GeoDb,
-    config: &ClassifierConfig,
-) -> Census {
-    let outcome = scanner::merge_shard_records(streams, ScanConfig::DEFAULT_TIMEOUT);
-    let mut census = Census::from_transactions(&outcome.transactions, geo, config);
-    census.unmatched_responses = outcome.unmatched_responses;
-    census.late_responses = outcome.late_responses;
-    census.late_answers_discarded = outcome.late_answers_discarded;
-    census
+    run_census_sharded(cache, shards, config)
 }
 
 /// Run a Shadowserver-style campaign pass over the same Internet and

@@ -21,10 +21,10 @@
 //! report are identical for any shard count — and `K = 1` reproduces the
 //! classic unsharded census → trace pipeline bit for bit.
 
-use crate::census::{census_part, merge_census_parts, Census};
+use crate::census::{merge_census_parts, run_census, Census};
 use dnsroute::{DnsRouteConfig, ForwarderPath, SanitizeStats, TraceResult};
-use inetgen::{GeoDb, Internet, ShardWorldCache, ShardedRun};
-use scanner::{ClassifierConfig, ScanConfig};
+use inetgen::{GeoDb, Internet, ShardedRun, Worlds};
+use scanner::ClassifierConfig;
 
 /// Everything a sharded census → DNSRoute++ sweep produces.
 #[derive(Debug)]
@@ -52,22 +52,16 @@ impl ShardedSweep {
     }
 }
 
-/// One shard's §5 experiment: transactional scan → one correlation +
-/// classification pass (producing this shard's census part *and* its
-/// transparent-forwarder targets, in probe order) → DNSRoute++ over those
-/// targets in the same, already warm simulator.
-///
-/// The scan's records are correlated exactly once; the census part the
-/// discovery pass produces is the same rows the merged census lists for
-/// this shard, so nothing is classified twice either.
-pub(crate) fn dnsroute_shard_pass(
+/// One shard's §5 experiment: the census pass ([`run_census`] — this
+/// shard's census part, whose transparent forwarders are the targets, in
+/// probe order) → DNSRoute++ over those targets in the same, already warm
+/// simulator. The scan's records are correlated and classified exactly
+/// once.
+fn dnsroute_shard_pass(
     world: &mut Internet,
     classifier: &ClassifierConfig,
 ) -> (Census, Vec<TraceResult>) {
-    let scan = ScanConfig::new(world.targets.clone());
-    let (probes, responses, _retry) =
-        scanner::run_scan_raw(&mut world.sim, world.fixtures.scanner, scan);
-    let part = census_part(probes, responses, &world.geo, classifier);
+    let part = run_census(world, classifier);
     let traces = dnsroute::run_dnsroute(
         &mut world.sim,
         world.fixtures.scanner,
@@ -76,9 +70,8 @@ pub(crate) fn dnsroute_shard_pass(
     (part, traces)
 }
 
-/// The deterministic merge both sweep drivers share: census parts
-/// concatenate (ascending shard order), traces concatenate in the same
-/// order.
+/// The deterministic merge: census parts concatenate (ascending shard
+/// order), traces concatenate in the same order.
 fn merge_sweep(run: ShardedRun<(Census, Vec<TraceResult>)>) -> ShardedSweep {
     let mut parts = Vec::with_capacity(run.outputs.len());
     let mut traces = Vec::new();
@@ -96,7 +89,10 @@ fn merge_sweep(run: ShardedRun<(Census, Vec<TraceResult>)>) -> ShardedSweep {
 /// Run the full §5 pipeline sharded `shards` ways on a worker-thread
 /// pool: per shard, transactional scan → classify → DNSRoute++ over that
 /// shard's transparent forwarders — then merge census parts and traces in
-/// deterministic shard order.
+/// deterministic shard order. `worlds` is a `&GenConfig` or a
+/// `&mut ShardWorldCache` ([`inetgen::Worlds`]); over a cache a K-sweep
+/// pays world generation once per shard count instead of once per sweep,
+/// with bit-identical output.
 ///
 /// Classification is per-transaction, so the shard-local discovery pass
 /// finds exactly the targets the merged census attributes to that shard;
@@ -104,25 +100,12 @@ fn merge_sweep(run: ShardedRun<(Census, Vec<TraceResult>)>) -> ShardedSweep {
 /// the scan just warmed (routes resolved, resolver caches filled), which
 /// is also how the real study operated: trace the forwarders right after
 /// the census that found them.
-pub fn run_dnsroute_sharded(
-    gen_config: &inetgen::GenConfig,
+pub fn run_dnsroute_sharded<'a>(
+    worlds: impl Into<Worlds<'a>>,
     shards: u32,
     classifier: &ClassifierConfig,
 ) -> ShardedSweep {
-    merge_sweep(inetgen::run_sharded(gen_config, shards, |_, world| {
+    merge_sweep(inetgen::run_sharded(worlds, shards, |_, world| {
         dnsroute_shard_pass(world, classifier)
     }))
-}
-
-/// [`run_dnsroute_sharded`] over a warm [`ShardWorldCache`]: shard worlds
-/// generate on the first call and reset-reuse on every later one, so a
-/// K-sweep pays world generation once per shard count instead of once per
-/// sweep. Bit-identical to [`run_dnsroute_sharded`] with the cache's
-/// configuration.
-pub fn run_dnsroute_cached(
-    cache: &mut ShardWorldCache,
-    shards: u32,
-    classifier: &ClassifierConfig,
-) -> ShardedSweep {
-    merge_sweep(cache.run(shards, |_, world| dnsroute_shard_pass(world, classifier)))
 }

@@ -40,12 +40,10 @@ pub mod sensor_sweep;
 pub mod table;
 
 pub use aggregate::{by_country, figure3_cumulative, rank_by_transparent, CountryStats};
-pub use attack_sweep::{
-    run_attacks_cached, run_attacks_sharded, AmpCell, AttackMatrix, SensorEfficacy,
-};
+pub use attack_sweep::{run_attacks_sharded, AmpCell, AttackMatrix, SensorEfficacy};
 pub use campaign_sweep::{
-    install_sensors, run_campaign_cached, run_campaign_sharded, CampaignSweep, DetectionMatrix,
-    SensorTotals, ShardCaptures, CAMPAIGN_EPOCH, SENSOR_SHARD,
+    install_sensors, run_campaign_sharded, CampaignSweep, DetectionMatrix, SensorTotals,
+    ShardCaptures, CAMPAIGN_EPOCH, SENSOR_SHARD,
 };
 pub use cdf::Cdf;
 pub use census::{
@@ -59,7 +57,7 @@ pub use density::PrefixDensity;
 pub use devices::{
     top_as_summary, top_ases_by_transparent, vendor_summary, TopAsSummary, VendorSummary,
 };
-pub use dnsroute_sweep::{run_dnsroute_cached, run_dnsroute_sharded, ShardedSweep};
+pub use dnsroute_sweep::{run_dnsroute_sharded, ShardedSweep};
 pub use paths::{as_relationship_report, figure6_by_project, ProjectPaths};
 pub use pcap_ingest::{
     campaign_report_from_pcap, census_from_captures, outcome_from_pcap, shard_records_from_pcap,

@@ -16,11 +16,12 @@
 //! ([`campaign_report_from_pcap`]): a campaign's published report is a
 //! pure function of its capture and its processing rules.
 
+use crate::census::Census;
 use netsim::pcap::{read_pcap, PcapError};
 use netsim::wire::{decode, DecodedPacket};
 use netsim::SimDuration;
 use scanner::records::{ProbeRecord, ResponseRecord, ScanOutcome};
-use scanner::{Campaign, CampaignReport, ClassifierConfig, ShardRecords};
+use scanner::{Campaign, CampaignReport, ClassifierConfig, ScanConfig, ShardRecords};
 // detlint::allow(unordered-iter): correlation map mirroring the live
 // CampaignScanner byte for byte; keyed lookups only, never iterated.
 use std::collections::HashMap;
@@ -111,14 +112,15 @@ pub fn census_from_captures<S: AsRef<[u8]>>(
     captures: &[(u32, S)],
     geo: &inetgen::GeoDb,
     classifier: &ClassifierConfig,
-) -> Result<crate::census::Census, IngestError> {
+) -> Result<Census, IngestError> {
     let mut streams = Vec::with_capacity(captures.len());
     for (shard, pcap) in captures {
         streams.push(shard_records_from_pcap(*shard, pcap.as_ref())?);
     }
-    Ok(crate::census::census_from_shard_records(
-        streams, geo, classifier,
-    ))
+    // The bounded-memory streaming merge: the `(port, txid)` key space
+    // restarts per shard, so streams correlate shard by shard.
+    let outcome = scanner::merge_shard_records(streams, ScanConfig::DEFAULT_TIMEOUT);
+    Ok(Census::from_outcome(&outcome, geo, classifier))
 }
 
 /// Replay a campaign's processing rules over its capture, rebuilding the

@@ -20,11 +20,11 @@
 //! invariant under the shard count (a simulator-salted plan would key
 //! faults to per-shard sim seeds and break the K-invariance contract).
 
-use crate::census::Census;
+use crate::census::{census_scan_config, Census};
 use crate::table::TextTable;
 use inetgen::{PlantedClass, ShardWorldCache};
 use netsim::{FaultPlan, RetryPolicy, SimDuration};
-use scanner::{ClassifierConfig, OdnsClass, ScanConfig};
+use scanner::{ClassifierConfig, OdnsClass};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -178,18 +178,10 @@ pub fn run_resilience_sweep(
         for &retries in retry_budgets {
             let plan = sweep_fault_plan(loss, gen_seed);
             let retry = sweep_retry_policy(retries);
-            let run = cache.run(shards, |_, world| {
+            let run = inetgen::run_sharded(&mut *cache, shards, |_, world| {
                 world.sim.set_faults(plan.clone());
-                // Target-keyed tuples give every probe a partition-
-                // invariant flow identity; without them fault verdicts
-                // would hash per-shard indices and break K-invariance.
-                let scan = ScanConfig::new(world.targets.clone())
-                    .with_target_keyed_tuples()
-                    .with_retry(retry);
-                let (probes, responses, retry_stats) =
-                    scanner::run_scan_raw(&mut world.sim, world.fixtures.scanner, scan);
-                let outcome =
-                    scanner::correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT);
+                let scan = census_scan_config(world).with_retry(retry);
+                let outcome = scanner::run_scan(&mut world.sim, world.fixtures.scanner, scan);
                 let answered = outcome.answered_count() as u64;
                 let probes_sent = outcome.transactions.len() as u64;
                 let census =
@@ -204,7 +196,7 @@ pub fn run_resilience_sweep(
                 let mut cell = ResilienceCell {
                     planted_transparent: planted.len() as u64,
                     probes_sent,
-                    retransmits_sent: retry_stats.retransmits_sent,
+                    retransmits_sent: outcome.retry.retransmits_sent,
                     answered,
                     ..ResilienceCell::default()
                 };

@@ -13,10 +13,12 @@
 //! ([`SensorSweep::capture_matrix`]).
 
 use crate::campaign_sweep::{
-    collect_sensor_totals, install_sensors, sensor_targets, DetectionMatrix, SensorTotals,
+    install_sensors, merge_reports, run_campaign_passes, sensor_targets, CampaignPasses,
+    DetectionMatrix, SensorTotals,
 };
 use crate::pcap_ingest::IngestError;
 use inetgen::build::scanner_addrs::SensorAddrs;
+use inetgen::Worlds;
 use scanner::{Campaign, CampaignReport};
 
 /// One campaign pass's capture, labelled with its campaign.
@@ -56,40 +58,40 @@ impl SensorSweep {
 /// world deploys the study stack and the three sensors; the designated
 /// shard's campaign emulations probe the four sensor addresses (tapped,
 /// epoch-spaced); reports, counters, and captures merge in deterministic
-/// shard order.
-pub fn run_sensors_sharded(gen_config: &inetgen::GenConfig, shards: u32) -> SensorSweep {
-    let run = inetgen::run_sharded(gen_config, shards, |spec, world| {
+/// shard order. `worlds` is a `&GenConfig` or a `&mut ShardWorldCache`
+/// ([`inetgen::Worlds`]), bit-identical either way.
+pub fn run_sensors_sharded<'a>(worlds: impl Into<Worlds<'a>>, shards: u32) -> SensorSweep {
+    let run = inetgen::run_sharded(worlds, shards, |spec, world| {
         install_sensors(world);
-        let addrs = world.fixtures.sensor_addrs;
-        let targets = sensor_targets(spec, addrs);
-        let campaigns = crate::campaign_sweep::run_campaign_passes(world, &targets);
-        (
-            spec.index,
-            campaigns,
-            collect_sensor_totals(&world.sim, &world.fixtures),
-            addrs,
-        )
+        let targets = sensor_targets(spec, world.fixtures.sensor_addrs);
+        run_campaign_passes(world, &targets)
     });
+    merge_campaign_passes(run.outputs)
+}
 
+/// Fold per-shard campaign passes (every shard of a partition, ascending)
+/// into merged reports, the Table 3 matrix, summed sensor counters and
+/// per-shard captures — the one merge the sensor experiment and the
+/// campaign sweep share.
+pub(crate) fn merge_campaign_passes(passes: Vec<CampaignPasses>) -> SensorSweep {
     let mut shard_reports = Vec::new();
     let mut sensors = SensorTotals::default();
-    let mut captures = Vec::with_capacity(run.outputs.len());
+    let mut captures = Vec::with_capacity(passes.len());
     let mut addrs = None;
-    for (shard, campaigns, shard_sensors, shard_addrs) in run.outputs {
-        let mut shard_captures = Vec::with_capacity(campaigns.len());
-        for (campaign, report, capture) in campaigns {
+    for (shard, pass) in (0u32..).zip(passes) {
+        let mut shard_captures = Vec::with_capacity(pass.campaigns.len());
+        for (campaign, report, capture) in pass.campaigns {
             shard_reports.push((campaign, report));
             shard_captures.push((campaign, capture));
         }
-        sensors.absorb(&shard_sensors);
+        sensors.absorb(&pass.sensors);
         captures.push((shard, shard_captures));
-        addrs.get_or_insert(shard_addrs);
+        addrs.get_or_insert(pass.addrs);
     }
-    let reports = crate::campaign_sweep::merge_reports(shard_reports);
+    let reports = merge_reports(shard_reports);
     let sensor_addrs = addrs.expect("at least one shard");
-    let matrix = DetectionMatrix::from_reports(&reports, sensor_addrs);
     SensorSweep {
-        matrix,
+        matrix: DetectionMatrix::from_reports(&reports, sensor_addrs),
         reports,
         sensors,
         captures,

@@ -5,7 +5,7 @@
 //! The `hotpath` group additionally emits a machine-readable
 //! `BENCH_simcore.json` (probes/sec, events/sec, route-cache hit rate) so
 //! successive PRs have a perf trajectory to compare against. Set
-//! `HOTPATH_QUICK=1` for a fast CI-friendly run.
+//! `BENCH_QUICK=1` for a fast CI-friendly run.
 
 use bench::{criterion, tiny_world};
 use criterion::{black_box, Criterion};
@@ -128,7 +128,7 @@ const BASELINE_EVENTS_PER_ANSWERED_PROBE: f64 = 3.69;
 // Wall-clock is the measured quantity here (clippy.toml bans it elsewhere).
 #[allow(clippy::disallowed_methods)]
 fn bench_hotpath() {
-    let quick = bench::quick_mode("HOTPATH_QUICK");
+    let quick = bench::quick_mode();
     let scans: u32 = if quick { 200 } else { 2_000 };
     let mut internet: Internet = tiny_world();
     let probes_per_scan = internet.targets.len() as u64;
@@ -232,7 +232,7 @@ fn bench_hotpath() {
 
 fn main() {
     println!("micro-benchmarks: world generation, scan event throughput, routing");
-    let quick = bench::quick_mode("HOTPATH_QUICK");
+    let quick = bench::quick_mode();
     if !quick {
         let mut c = criterion();
         bench_generation(&mut c);

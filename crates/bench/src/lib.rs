@@ -7,7 +7,9 @@
 //! scaled down); the *shape* — who wins, by what factor, where crossovers
 //! fall — is what EXPERIMENTS.md compares.
 
-use inetgen::{CountrySelection, GenConfig, Internet};
+use inetgen::{CountrySelection, GenConfig, Internet, ShardWorldCache};
+use scanner::{ClassifierConfig, OdnsClass};
+use std::time::Instant;
 
 /// The standard bench world: the full country table at 1:500 scale
 /// (≈4.3k ODNS hosts). Deterministic.
@@ -18,15 +20,21 @@ pub fn bench_world() -> Internet {
     })
 }
 
+/// The six headline countries with no dud targets; `scale` trades
+/// population for time.
+pub fn headline_config(scale: u32) -> GenConfig {
+    GenConfig {
+        countries: CountrySelection::Codes(vec!["BRA", "IND", "USA", "TUR", "ARG", "IDN"]),
+        scale,
+        dud_fraction: 0.0,
+        ..GenConfig::default()
+    }
+}
+
 /// A focused world for path experiments: the six headline countries at a
 /// scale that yields hundreds of transparent forwarders.
 pub fn path_world() -> Internet {
-    inetgen::generate(&GenConfig {
-        countries: CountrySelection::Codes(vec!["BRA", "IND", "USA", "TUR", "ARG", "IDN"]),
-        scale: 1_000,
-        dud_fraction: 0.0,
-        ..GenConfig::default()
-    })
+    inetgen::generate(&headline_config(1_000))
 }
 
 /// A dense world where whole-/24 middleboxes materialize (Figure 8 needs
@@ -72,15 +80,308 @@ pub fn bench_artifact_path() -> String {
         .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json").into())
 }
 
-/// Whether a bench's quick mode is requested via its `*_QUICK` switch
-/// (e.g. `BENCH_SIMCORE_QUICK=1`). The single sanctioned env read for
-/// mode switching: quick mode trims iteration counts, never results —
-/// sections it produces are tagged `"mode": "quick"` and kept apart from
-/// full-scale measurements by [`merge_bench_section`].
-pub fn quick_mode(key: &str) -> bool {
+/// Whether quick mode is requested (`BENCH_QUICK=1`). The single
+/// sanctioned env read for mode switching: quick mode trims iteration
+/// counts and world sizes, never results — sections it produces are
+/// tagged `"mode": "quick"` and kept apart from full-scale measurements
+/// by [`merge_bench_section`].
+pub fn quick_mode() -> bool {
     // detlint::allow(env-dependent): harness mode switch, not measured
     // behaviour; quick sections never overwrite full ones.
-    std::env::var_os(key).is_some()
+    std::env::var_os("BENCH_QUICK").is_some()
+}
+
+/// What one sweep of a scaling experiment hands back to the harness.
+struct Sweep {
+    /// Work units the sweep processed — the throughput numerator.
+    units: u64,
+    /// Values of the row's [`ScalingRow::summary`] fields, in order.
+    summary: Vec<u64>,
+    /// Results that must be equal for every shard count and every warm
+    /// rerun — the engine's determinism contract, checked by the harness.
+    invariant: Vec<u64>,
+}
+
+/// One row of the scaling table: everything that distinguishes one
+/// sharded experiment's K-sweep from another's.
+pub struct ScalingRow {
+    /// Section key in `BENCH_simcore.json` (quick runs land at
+    /// `<key>_quick` beside a committed full section).
+    key: &'static str,
+    /// Banner: what is swept, and which part of the paper it scales.
+    banner: [&'static str; 2],
+    /// Label of the swept world's country selection.
+    world: &'static str,
+    /// The swept world at a given scale denominator.
+    config: fn(u32) -> GenConfig,
+    /// Scale of the full run ([`QUICK_SCALE`] in quick mode).
+    full_scale: u32,
+    /// Warm sweeps averaged per shard count in a full run (quick: one).
+    full_reps: u32,
+    /// Fewest units a full run's K=1 sweep must process to be the
+    /// headline it claims to be.
+    full_min_units: u64,
+    /// Name of each sweep row's throughput field (`*_per_second`).
+    throughput: &'static str,
+    /// Names of the section's K=1 summary fields.
+    summary: &'static [&'static str],
+    /// One sweep over the cache's worlds, `shards` ways.
+    run: fn(&mut ShardWorldCache, u32) -> Sweep,
+}
+
+/// One measured shard count of a scaling sweep.
+struct SweepPoint {
+    /// Shard count `K`.
+    shards: u32,
+    /// Units per second of warm sweep.
+    throughput: f64,
+    /// Mean wall time of one warm sweep.
+    warm_sweep_seconds: f64,
+    /// Wall time of the first sweep, which generates the worlds.
+    generate_seconds: f64,
+}
+
+/// Quick mode's world scale: ~200× fewer hosts than the full census, a
+/// few hundred forwarders for the six headline countries — milliseconds
+/// per K, for CI.
+const QUICK_SCALE: u32 = 2_000;
+
+/// The scaling table: the million-target census (full country table, four
+/// unresponsive duds per planted host — the real census's hit rate is far
+/// below 20 %), the §5 DNSRoute++ sweep over every transparent forwarder
+/// its census finds, and the §3 campaign & sensor experiment (one
+/// transactional scan plus three campaign passes per target).
+pub const SCALING: [ScalingRow; 3] = [
+    ScalingRow {
+        key: "census",
+        banner: [
+            "census scaling — 1M+-target sharded census over warm shard worlds",
+            "method of §4.1 at census scale (engine scaling, no paper artifact)",
+        ],
+        world: "full country table",
+        config: |scale| GenConfig {
+            scale,
+            dud_fraction: 4.0,
+            ..GenConfig::default()
+        },
+        full_scale: 10,
+        full_reps: 2,
+        full_min_units: 1_000_000,
+        throughput: "probes_per_second",
+        summary: &["targets", "odns_total", "transparent_forwarders"],
+        run: |cache, shards| {
+            let census = analysis::run_census_sharded(cache, shards, &ClassifierConfig::default());
+            // Target counts may differ by a handful of duds across K
+            // (per-shard flooring); classification counts may not.
+            let targets = census.rows.len() as u64;
+            let odns = census.odns_total() as u64;
+            let transparent = census.count(OdnsClass::TransparentForwarder) as u64;
+            Sweep {
+                units: targets,
+                summary: vec![targets, odns, transparent],
+                invariant: vec![odns, transparent],
+            }
+        },
+    },
+    ScalingRow {
+        key: "dnsroute",
+        banner: [
+            "dnsroute scaling — the sharded parallel DNSRoute++ sweep",
+            "method of §5 at full-coverage scale (engine scaling, no paper artifact)",
+        ],
+        world: "6 headline countries",
+        config: headline_config,
+        full_scale: 100,
+        full_reps: 3,
+        full_min_units: 1,
+        throughput: "traces_per_second",
+        summary: &["traced_forwarders", "sanitized_paths"],
+        run: |cache, shards| {
+            let sweep = analysis::run_dnsroute_sharded(cache, shards, &ClassifierConfig::default());
+            let traced = sweep.traces.len() as u64;
+            let kept = sweep.sanitized().1.kept as u64;
+            Sweep {
+                units: traced,
+                summary: vec![traced, kept],
+                invariant: vec![traced, kept],
+            }
+        },
+    },
+    ScalingRow {
+        key: "campaign",
+        banner: [
+            "campaign scaling — the sharded campaign & sensor experiment engine",
+            "§3 controlled experiment + Table 5 campaign counts at engine scale",
+        ],
+        world: "6 headline countries",
+        config: headline_config,
+        full_scale: 200,
+        full_reps: 3,
+        full_min_units: 1,
+        throughput: "campaign_probes_per_second",
+        summary: &[
+            "campaign_probes",
+            "shadowserver_components",
+            "sensor_rate_limited",
+        ],
+        run: |cache, shards| {
+            let sweep = analysis::run_campaign_sharded(cache, shards, &ClassifierConfig::default());
+            assert_eq!(
+                sweep.matrix,
+                analysis::DetectionMatrix::paper_expected(),
+                "K={shards}: Table 3 must hold"
+            );
+            // Probe volume: three campaign passes over every target (+ the
+            // four sensor addresses in the designated shard).
+            let probes = 3 * (sweep.census.rows.len() as u64 + 4);
+            let counts = sweep.component_counts();
+            let shed = sweep.sensors.rate_limited();
+            Sweep {
+                units: probes,
+                summary: vec![probes, counts[0].1 as u64, shed],
+                // Table 5 component counts and the sensors' shed total.
+                invariant: counts
+                    .iter()
+                    .map(|(_, n)| *n as u64)
+                    .chain([shed])
+                    .collect(),
+            }
+        },
+    },
+];
+
+impl ScalingRow {
+    fn scale(&self, quick: bool) -> u32 {
+        if quick {
+            QUICK_SCALE
+        } else {
+            self.full_scale
+        }
+    }
+
+    fn reps(&self, quick: bool) -> u32 {
+        if quick {
+            1
+        } else {
+            self.full_reps
+        }
+    }
+
+    /// Sweep this row across shard counts over a warm
+    /// [`ShardWorldCache`] and merge its section into the perf artifact.
+    ///
+    /// Worlds generate once per shard count, in a first sweep that also
+    /// warms route caches; the timed region is the warm sweep after it —
+    /// reset worlds, scan, in-worker correlate + classify, merge — the
+    /// unit that repeats in a longitudinal measurement series. The row's
+    /// invariants are asserted equal across every K and every warm
+    /// rerun, so each measured configuration does the same logical work.
+    // Wall-clock is the measured quantity here (clippy.toml bans it elsewhere).
+    #[allow(clippy::disallowed_methods)]
+    pub fn sweep(&self, quick: bool) {
+        let cores = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
+        banner(self.banner[0], self.banner[1]);
+        println!("machine: {cores} worker thread(s) available\n");
+
+        let config = (self.config)(self.scale(quick));
+        let ks: &[u32] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
+        let reps = self.reps(quick);
+        let unit = self.throughput.trim_end_matches("_per_second");
+
+        let mut baseline: Option<(Sweep, f64)> = None;
+        let mut points = Vec::with_capacity(ks.len());
+        for &k in ks {
+            let mut cache = ShardWorldCache::new(config.clone());
+            let t_gen = Instant::now();
+            let first = (self.run)(&mut cache, k);
+            let generate_seconds = t_gen.elapsed().as_secs_f64();
+
+            let t0 = Instant::now();
+            for _ in 0..reps {
+                let warm = (self.run)(&mut cache, k);
+                assert_eq!(warm.invariant, first.invariant, "warm K={k} sweep diverged");
+            }
+            let secs = t0.elapsed().as_secs_f64() / f64::from(reps);
+            let throughput = first.units as f64 / secs;
+
+            let versus = match &baseline {
+                None => {
+                    assert!(
+                        quick || first.units >= self.full_min_units,
+                        "headline sweep must process ≥{} {unit}, got {}",
+                        self.full_min_units,
+                        first.units
+                    );
+                    "[baseline]".to_string()
+                }
+                Some((base, base_secs)) => {
+                    assert_eq!(
+                        first.invariant, base.invariant,
+                        "K={k} changed a K-invariant result"
+                    );
+                    format!("speedup ×{:.2}", base_secs / secs)
+                }
+            };
+            let fields: Vec<String> = self
+                .summary
+                .iter()
+                .zip(&first.summary)
+                .map(|(name, value)| format!("{name} {value}"))
+                .collect();
+            println!(
+                "K={k}: {}, warm sweep {secs:.3}s — {throughput:.0} {unit}/s (gen+first {generate_seconds:.2}s)  {versus}",
+                fields.join(", ")
+            );
+            points.push(SweepPoint {
+                shards: k,
+                throughput,
+                warm_sweep_seconds: secs,
+                generate_seconds,
+            });
+            baseline.get_or_insert((first, secs));
+        }
+        let (base, _) = baseline.expect("at least one K measured");
+
+        let section = self.section(quick, &base.summary, &points);
+        match merge_bench_section(self.key, &section) {
+            Ok(path) => println!("\n{0}: wrote section \"{0}\" to {path}", self.key),
+            Err(e) => eprintln!("{}: could not write artifact: {e}", self.key),
+        }
+    }
+
+    /// Render this row's artifact section — the one formatter behind all
+    /// three `BENCH_simcore.json` scaling sections, in the shape
+    /// [`section_sweeps`], [`scaling_ratio`] and `scaling_gate` read.
+    fn section(&self, quick: bool, summary: &[u64], points: &[SweepPoint]) -> String {
+        let config = (self.config)(self.scale(quick));
+        let mut out = format!(
+            "{{\n    \"bench\": \"scaling/{}\",\n    \"mode\": \"{}\",\n    \"timed_region\": \"warm sweep over cached shard worlds ({} reps)\",\n    \"world\": \"{}, scale {}",
+            self.key,
+            if quick { "quick" } else { "full" },
+            self.reps(quick),
+            self.world,
+            config.scale,
+        );
+        if config.dud_fraction > 0.0 {
+            out.push_str(&format!(", dud_fraction {}", config.dud_fraction));
+        }
+        out.push('"');
+        for (name, value) in self.summary.iter().zip(summary) {
+            out.push_str(&format!(",\n    \"{name}\": {value}"));
+        }
+        out.push_str(",\n    \"sweeps\": [");
+        for (i, p) in points.iter().enumerate() {
+            out.push_str(if i == 0 { "\n      " } else { ",\n      " });
+            out.push_str(&format!(
+                "{{ \"shards\": {}, \"{}\": {:.0}, \"warm_sweep_seconds\": {:.6}, \"generate_seconds\": {:.6} }}",
+                p.shards, self.throughput, p.throughput, p.warm_sweep_seconds, p.generate_seconds
+            ));
+        }
+        out.push_str("\n    ]\n  }");
+        out
+    }
 }
 
 /// Merge one named section into the shared perf artifact.
@@ -298,6 +599,7 @@ pub fn parse_sections(s: &str) -> Option<Vec<(String, String)>> {
 mod tests {
     use super::{
         merge_bench_section_at, parse_sections, scaling_ratio, section_mode, section_sweeps,
+        SweepPoint, SCALING,
     };
 
     fn artifact_keys(path: &str) -> Vec<String> {
@@ -357,6 +659,54 @@ mod tests {
         let sections = parse_sections(&doc).unwrap();
         assert_eq!(artifact_keys(path), ["dnsroute", "dnsroute_quick"]);
         assert!(section_of(&sections, "dnsroute_quick").contains("\"n\": 2"));
+        let _ = std::fs::remove_file(path);
+    }
+
+    /// The table cannot drift from the gate: every row's rendered section
+    /// reads back through the crate's own readers, under the key and with
+    /// the field names of the committed artifact's section.
+    #[test]
+    fn scaling_table_sections_read_back_like_the_committed_ones() {
+        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json");
+        let committed = std::fs::read_to_string(committed).unwrap();
+        let committed = parse_sections(&committed).expect("committed artifact parses");
+
+        let dir = std::env::temp_dir().join("bench_scaling_table_test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("artifact.json");
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+
+        let point = |shards, throughput| SweepPoint {
+            shards,
+            throughput,
+            warm_sweep_seconds: 0.5,
+            generate_seconds: 1.25,
+        };
+        let points = [point(1, 1000.0), point(2, 1250.0)];
+        for row in &SCALING {
+            let summary: Vec<u64> = (1..=row.summary.len() as u64).collect();
+            // Full first, so the quick section lands beside it.
+            for (quick, mode, key) in [
+                (false, "full", row.key.to_string()),
+                (true, "quick", format!("{}_quick", row.key)),
+            ] {
+                merge_bench_section_at(path, row.key, &row.section(quick, &summary, &points))
+                    .unwrap();
+                let doc = std::fs::read_to_string(path).unwrap();
+                let sections = parse_sections(&doc).expect("rendered artifact parses");
+                let section = section_of(&sections, &key);
+                assert_eq!(section_mode(section), Some(mode), "{key}");
+                assert_eq!(section_sweeps(section), [(1, 1000.0), (2, 1250.0)]);
+                assert!((scaling_ratio(section).unwrap() - 1.25).abs() < 1e-9);
+                let reference = section_of(&committed, &key);
+                for name in [row.throughput].iter().chain(row.summary) {
+                    let field = format!("\"{name}\": ");
+                    assert!(section.contains(&field), "{key} lacks {name}");
+                    assert!(reference.contains(&field), "committed {key} lacks {name}");
+                }
+            }
+        }
         let _ = std::fs::remove_file(path);
     }
 

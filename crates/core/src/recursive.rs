@@ -141,7 +141,6 @@ struct Task {
     current_ns: Ipv4Addr,
     referrals: u8,
     retries: u8,
-    done: bool,
 }
 
 /// The recursive resolver host.
@@ -149,14 +148,17 @@ struct Task {
 pub struct RecursiveResolver {
     config: ResolverConfig,
     cache: DnsCache,
-    tasks: Vec<Task>,
-    /// Pending upstream transactions: `(our_port, txid)` → task index.
-    pending: HashMap<(u16, u16), usize>,
+    /// Unanswered client queries by task id; an entry lives from the
+    /// cache miss until [`Self::finish`] answers it, so the table drains.
+    tasks: HashMap<u64, Task>,
+    next_task: u64,
+    /// Pending upstream transactions: `(our_port, txid)` → task id.
+    pending: HashMap<(u16, u16), u64>,
     /// Tasks waiting on another task's in-flight resolution of the same
-    /// `(qname, qtype)`: leader task index → waiter task indices.
-    waiters: HashMap<usize, Vec<usize>>,
-    /// Reverse lookup: `(qname, qtype)` → leader task index.
-    inflight: HashMap<(DnsName, RrType), usize>,
+    /// `(qname, qtype)`: leader task id → waiter task ids.
+    waiters: HashMap<u64, Vec<u64>>,
+    /// Reverse lookup: `(qname, qtype)` → leader task id.
+    inflight: HashMap<(DnsName, RrType), u64>,
     next_port: u16,
     next_txid: u16,
     /// Memo of the last plain `IN` client query decoded: identical
@@ -176,7 +178,8 @@ impl RecursiveResolver {
         RecursiveResolver {
             config,
             cache,
-            tasks: Vec::new(),
+            tasks: HashMap::new(),
+            next_task: 0,
             pending: HashMap::new(),
             waiters: HashMap::new(),
             inflight: HashMap::new(),
@@ -248,6 +251,18 @@ impl RecursiveResolver {
         &mut self.cache
     }
 
+    /// Bookkeeping entries held for unfinished work: open tasks, pending
+    /// upstream transactions, waiter lists, in-flight names. All zero
+    /// once every client query has been answered.
+    pub fn open_entries(&self) -> [usize; 4] {
+        [
+            self.tasks.len(),
+            self.pending.len(),
+            self.waiters.len(),
+            self.inflight.len(),
+        ]
+    }
+
     fn alloc_ids(&mut self) -> (u16, u16) {
         let port = self.next_port;
         self.next_port = if self.next_port >= 65000 {
@@ -261,17 +276,11 @@ impl RecursiveResolver {
     }
 
     fn respond_to_client(
-        &mut self,
         ctx: &mut Ctx<'_>,
-        task_idx: usize,
+        task: Task,
         build: impl FnOnce(MessageBuilder) -> MessageBuilder,
     ) {
-        let task = &mut self.tasks[task_idx];
-        if task.done {
-            return;
-        }
-        task.done = true;
-        let skeleton = MessageBuilder::query(task.client_txid, task.qname.clone(), task.qtype)
+        let skeleton = MessageBuilder::query(task.client_txid, task.qname, task.qtype)
             .recursion_desired(true)
             .build();
         let builder = MessageBuilder::response_to(&skeleton).recursion_available(true);
@@ -286,19 +295,19 @@ impl RecursiveResolver {
         });
     }
 
-    /// Deliver a final outcome to a leader task and every coalesced waiter.
-    fn finish(&mut self, ctx: &mut Ctx<'_>, leader_idx: usize, mut outcome: TaskOutcome) {
-        let key = {
-            let t = &self.tasks[leader_idx];
-            (t.qname.clone(), t.qtype)
-        };
-        if self.inflight.get(&key) == Some(&leader_idx) {
-            self.inflight.remove(&key);
-        }
-        let mut recipients = vec![leader_idx];
-        recipients.extend(self.waiters.remove(&leader_idx).unwrap_or_default());
+    /// Deliver a final outcome to a leader task and every coalesced
+    /// waiter, removing them all from the task table.
+    fn finish(&mut self, ctx: &mut Ctx<'_>, leader: u64, mut outcome: TaskOutcome) {
+        let mut recipients = vec![leader];
+        recipients.extend(self.waiters.remove(&leader).unwrap_or_default());
         let last = recipients.len() - 1;
-        for (i, idx) in recipients.into_iter().enumerate() {
+        for (i, id) in recipients.into_iter().enumerate() {
+            let Some(task) = self.tasks.remove(&id) else {
+                continue;
+            };
+            if id == leader {
+                self.inflight.remove(&(task.qname.clone(), task.qtype));
+            }
             match &mut outcome {
                 TaskOutcome::Records(records) => {
                     // The last recipient (usually the only one) takes the
@@ -308,7 +317,7 @@ impl RecursiveResolver {
                     } else {
                         records.clone()
                     };
-                    self.respond_to_client(ctx, idx, move |mut b| {
+                    Self::respond_to_client(ctx, task, move |mut b| {
                         for r in records {
                             b = b.answer(r);
                         }
@@ -317,19 +326,19 @@ impl RecursiveResolver {
                 }
                 TaskOutcome::Rcode(rcode) => {
                     let rcode = *rcode;
-                    self.respond_to_client(ctx, idx, move |b| b.rcode(rcode));
+                    Self::respond_to_client(ctx, task, move |b| b.rcode(rcode));
                 }
-                TaskOutcome::NoData => self.respond_to_client(ctx, idx, |b| b),
+                TaskOutcome::NoData => Self::respond_to_client(ctx, task, |b| b),
             }
         }
     }
 
-    fn send_upstream(&mut self, ctx: &mut Ctx<'_>, task_idx: usize) {
+    fn send_upstream(&mut self, ctx: &mut Ctx<'_>, id: u64) {
         let (port, txid) = self.alloc_ids();
-        let task = &self.tasks[task_idx];
+        let task = &self.tasks[&id];
         let query = MessageBuilder::query(txid, task.qname.clone(), task.qtype).build();
         let ns = task.current_ns;
-        self.pending.insert((port, txid), task_idx);
+        self.pending.insert((port, txid), id);
         self.stats.upstream_queries += 1;
         ctx.send_udp(UdpSend {
             src: None, // egress uses the node's unicast address, even on anycast PoPs
@@ -434,7 +443,9 @@ impl RecursiveResolver {
             return;
         };
 
-        self.tasks.push(Task {
+        let id = self.next_task;
+        self.next_task += 1;
+        let task = Task {
             client: dgram.src,
             client_port: dgram.src_port,
             client_txid: query.header.id,
@@ -444,43 +455,37 @@ impl RecursiveResolver {
             current_ns: root,
             referrals: 0,
             retries: 0,
-            done: false,
-        });
-        let idx = self.tasks.len() - 1;
-        // Coalesce onto an in-flight resolution for the same name.
+        };
+        self.tasks.insert(id, task);
+        // Coalesce onto an in-flight resolution for the same name (the
+        // entry exists exactly while its leader is unanswered).
         let key = (q.qname.clone(), q.qtype);
         if let Some(&leader) = self.inflight.get(&key) {
-            if !self.tasks[leader].done {
-                self.stats.coalesced += 1;
-                self.waiters.entry(leader).or_default().push(idx);
-                return;
-            }
+            self.stats.coalesced += 1;
+            self.waiters.entry(leader).or_default().push(id);
+            return;
         }
-        self.inflight.insert(key, idx);
-        self.send_upstream(ctx, idx);
+        self.inflight.insert(key, id);
+        self.send_upstream(ctx, id);
     }
 
     fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, resp: Message) {
         let key = (dgram.dst_port, resp.header.id);
-        let Some(task_idx) = self.pending.remove(&key) else {
+        let Some(id) = self.pending.remove(&key) else {
             return; // late or unsolicited; drop
         };
-        if self.tasks[task_idx].done {
+        let Some(task) = self.tasks.get_mut(&id) else {
             return;
-        }
+        };
 
         if !resp.answers.is_empty() {
             // Final answer: cache and relay (to the leader and everyone
             // coalesced behind it).
             let min_ttl = resp.answers.iter().map(|r| r.ttl).min().unwrap_or(0);
             let records = resp.answers;
-            let (qname, qtype) = {
-                let t = &self.tasks[task_idx];
-                (t.qname.clone(), t.qtype)
-            };
             self.cache.insert(
-                qname,
-                qtype,
+                task.qname.clone(),
+                task.qtype,
                 CachedAnswer::Positive(records.clone()),
                 min_ttl,
                 ctx.now(),
@@ -488,20 +493,19 @@ impl RecursiveResolver {
             // The cache changed (insert, possibly an eviction): any
             // replayable answer may now be stale.
             self.hot = None;
-            self.finish(ctx, task_idx, TaskOutcome::Records(records));
+            self.finish(ctx, id, TaskOutcome::Records(records));
             return;
         }
 
         if let Some(referral) = crate::zone::extract_referral(&resp) {
-            let task = &mut self.tasks[task_idx];
             task.referrals += 1;
             if task.referrals > self.config.max_referrals {
                 self.stats.servfail += 1;
-                self.finish(ctx, task_idx, TaskOutcome::Rcode(Rcode::ServFail));
+                self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
                 return;
             }
             task.current_ns = referral.ns_ip;
-            self.send_upstream(ctx, task_idx);
+            self.send_upstream(ctx, id);
             return;
         }
 
@@ -516,26 +520,22 @@ impl RecursiveResolver {
                         _ => None,
                     })
                     .unwrap_or(60);
-                let (qname, qtype) = {
-                    let t = &self.tasks[task_idx];
-                    (t.qname.clone(), t.qtype)
-                };
                 self.cache.insert(
-                    qname,
-                    qtype,
+                    task.qname.clone(),
+                    task.qtype,
                     CachedAnswer::Negative(Rcode::NxDomain),
                     ttl,
                     ctx.now(),
                 );
                 self.hot = None;
-                self.finish(ctx, task_idx, TaskOutcome::Rcode(Rcode::NxDomain));
+                self.finish(ctx, id, TaskOutcome::Rcode(Rcode::NxDomain));
             }
             Rcode::NoError => {
-                self.finish(ctx, task_idx, TaskOutcome::NoData);
+                self.finish(ctx, id, TaskOutcome::NoData);
             }
             _ => {
                 self.stats.servfail += 1;
-                self.finish(ctx, task_idx, TaskOutcome::Rcode(Rcode::ServFail));
+                self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
             }
         }
     }
@@ -588,23 +588,21 @@ impl Host for RecursiveResolver {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let key = decode_timer(token);
-        let Some(task_idx) = self.pending.remove(&key) else {
+        let Some(id) = self.pending.remove(&key) else {
             return; // answered in time
         };
         self.stats.timeouts += 1;
-        let task = &mut self.tasks[task_idx];
-        if task.done {
+        let Some(task) = self.tasks.get_mut(&id) else {
             return;
-        }
+        };
         // Retry the current server with a fresh (port, txid) until the
         // budget runs out, then SERVFAIL everyone waiting.
         if task.retries < self.config.max_retries {
             task.retries += 1;
-            let idx = task_idx;
-            self.send_upstream(ctx, idx);
+            self.send_upstream(ctx, id);
         } else {
             self.stats.servfail += 1;
-            self.finish(ctx, task_idx, TaskOutcome::Rcode(Rcode::ServFail));
+            self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
         }
     }
 

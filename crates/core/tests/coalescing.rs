@@ -9,7 +9,8 @@ use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
-    AuthConfig, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, StudyAuthServer,
+    AuthConfig, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, ResolverStats,
+    StudyAuthServer,
 };
 use std::net::Ipv4Addr;
 
@@ -17,6 +18,8 @@ const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
 const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
 const TLD: Ipv4Addr = Ipv4Addr::new(198, 41, 1, 4);
 const AUTH: Ipv4Addr = Ipv4Addr::new(198, 41, 2, 4);
+/// Delegated the `dead.` zone but runs no server: queries to it time out.
+const DEAD: Ipv4Addr = Ipv4Addr::new(198, 41, 3, 4);
 
 fn world(
     clients: usize,
@@ -26,7 +29,7 @@ fn world(
     netsim::NodeId,
     netsim::NodeId,
 ) {
-    let mut ips = vec![RESOLVER, ROOT, TLD, AUTH];
+    let mut ips = vec![RESOLVER, ROOT, TLD, AUTH, DEAD];
     for i in 0..clients {
         ips.push(Ipv4Addr::new(192, 0, 2, (i + 1) as u8));
     }
@@ -38,6 +41,11 @@ fn world(
         zone: DnsName::parse("example.").unwrap(),
         ns_name: DnsName::parse("a.nic.example.").unwrap(),
         ns_ip: TLD,
+    });
+    root.delegate(Delegation {
+        zone: DnsName::parse("dead.").unwrap(),
+        ns_name: DnsName::parse("ns.dead.").unwrap(),
+        ns_ip: DEAD,
     });
     sim.install(nodes[1], root);
     let mut tld = DelegatingServer::new(DnsName::parse("example.").unwrap());
@@ -52,15 +60,19 @@ fn world(
         nodes[0],
         RecursiveResolver::new(ResolverConfig::open(vec![ROOT])),
     );
-    let clients_nodes = nodes[4..].to_vec();
+    let clients_nodes = nodes[5..].to_vec();
     (sim, clients_nodes, nodes[0], nodes[3])
 }
 
-fn study_query(txid: u16) -> Vec<u8> {
-    MessageBuilder::query(txid, study::study_qname(), RrType::A)
+fn query(txid: u16, qname: DnsName) -> Vec<u8> {
+    MessageBuilder::query(txid, qname, RrType::A)
         .recursion_desired(true)
         .build()
         .encode()
+}
+
+fn study_query(txid: u16) -> Vec<u8> {
+    query(txid, study::study_qname())
 }
 
 #[test]
@@ -189,4 +201,58 @@ fn sequential_queries_hit_cache_not_coalescing() {
     assert_eq!(r.stats.cache_answers, 1);
     let auth_host: &StudyAuthServer = sim.host_as(auth).unwrap();
     assert_eq!(auth_host.stats.queries_received, 1);
+}
+
+/// Every cache-miss query opens a task; answered, SERVFAILed-on-timeout
+/// and coalesced ones alike must leave the resolver's tables empty.
+#[test]
+fn task_table_drains_on_answer_timeout_and_coalescing() {
+    let (mut sim, clients, resolver, _auth) = world(9);
+    let name = |s: &str| DnsName::parse(s).unwrap();
+    let script: [(u64, DnsName); 9] = [
+        // One answered resolution with three clients coalesced behind it.
+        (0, study::study_qname()),
+        (50, study::study_qname()),
+        (100, study::study_qname()),
+        (150, study::study_qname()),
+        // One answered with NXDOMAIN.
+        (0, name("nope.odns-study.example.")),
+        // One served from cache: never opens a task.
+        (5_000_000, study::study_qname()),
+        // Two resolutions that exhaust their retries against the dead
+        // server, one of them with a coalesced waiter.
+        (0, name("host.dead.")),
+        (50, name("host.dead.")),
+        (0, name("other.dead.")),
+    ];
+    for (i, (&c, (at, qname))) in clients.iter().zip(script).enumerate() {
+        install_script(
+            &mut sim,
+            c,
+            vec![(
+                SimDuration::from_micros(at),
+                UdpSend::new(34000, RESOLVER, 53, query(i as u16 + 1, qname)),
+            )],
+        );
+    }
+    sim.run();
+
+    for (i, &c) in clients.iter().enumerate() {
+        let sc: &ScriptedClient = sim.host_as(c).unwrap();
+        assert_eq!(sc.datagrams.len(), 1, "client {i} answered exactly once");
+    }
+    let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
+    assert_eq!(r.open_entries(), [0; 4], "tasks/pending/waiters/inflight");
+    assert_eq!(
+        r.stats,
+        ResolverStats {
+            client_queries: 9,
+            cache_answers: 1,
+            coalesced: 4,
+            refused: 0,
+            upstream_queries: 18,
+            servfail: 2,
+            timeouts: 10,
+        }
+    );
 }

@@ -39,6 +39,6 @@ pub use countries::{
 pub use geodb::{AsnInfo, GeoDb};
 pub use shard::{
     generate_partition, run_sharded, run_sharded_degraded, shard_of_country, DegradedRun,
-    ShardFailure, ShardSpec, ShardWorldCache, ShardedRun,
+    ShardFailure, ShardSpec, ShardWorldCache, ShardedRun, Worlds,
 };
 pub use validate::{check_marginals, Deviation};

@@ -88,51 +88,70 @@ pub struct ShardedRun<T> {
     pub geo: GeoDb,
 }
 
-/// The sharded experiment runner: generate one self-contained world per
+/// Where a sharded run's worlds come from — a value the caller already
+/// holds, converted by `From`: a `&GenConfig` generates a fresh world per
+/// shard that dies on its worker (peak memory = one world per worker), a
+/// `&mut ShardWorldCache` resets and reuses warm ones. Outputs are
+/// bit-identical either way.
+pub enum Worlds<'a> {
+    /// Generate every shard world from this configuration and drop it
+    /// when its experiment returns.
+    Fresh(&'a GenConfig),
+    /// Take warm worlds from this cache (generating the cold ones from
+    /// its configuration) and put them back afterwards.
+    Cached(&'a mut ShardWorldCache),
+}
+
+impl<'a> From<&'a GenConfig> for Worlds<'a> {
+    fn from(config: &'a GenConfig) -> Self {
+        Worlds::Fresh(config)
+    }
+}
+
+impl<'a> From<&'a mut ShardWorldCache> for Worlds<'a> {
+    fn from(cache: &'a mut ShardWorldCache) -> Self {
+        Worlds::Cached(cache)
+    }
+}
+
+/// The sharded experiment runner: acquire one self-contained world per
 /// shard on a worker-thread pool, run `experiment` against it in place,
 /// and hand back the outputs in deterministic shard order plus the merged
 /// [`GeoDb`].
 ///
-/// This is the generate-shard → run-on-worker → deterministic-merge
-/// skeleton every sharded experiment driver shares; the census
-/// (`analysis::run_census_sharded`) and the DNSRoute++ sweep
-/// (`analysis::run_dnsroute_sharded`) both run on it. Each shard's
-/// simulator lives and dies on one worker thread — worker `w` handles
-/// shards `w, w + workers, w + 2·workers, …` — so the wall-clock cost of
-/// a large experiment divides by the worker count while the partition
-/// invariance of [`generate_shard`] keeps results independent of `K`.
+/// This is the acquire-world → run-on-worker → deterministic-merge
+/// skeleton every sharded experiment shares (`analysis::run_*_sharded`
+/// all run on it). Each shard's simulator runs on one worker thread —
+/// worker `w` handles shards `w, w + workers, w + 2·workers, …` — so the
+/// wall-clock cost of a large experiment divides by the worker count
+/// while the partition invariance of [`generate_shard`] keeps results
+/// independent of `K`.
 ///
 /// The experiment closure receives the shard's [`ShardSpec`] and its
-/// fully-generated [`Internet`] (mutable: scans and sweeps drive the
-/// shard's own simulator). Only the closure's output and the shard's geo
-/// database survive the worker; experiment-specific merging (record
+/// [`Internet`] in post-generation state (mutable: scans and sweeps drive
+/// the shard's own simulator). Only the closure's output and the shard's
+/// geo database leave the worker; experiment-specific merging (record
 /// streams, trace concatenation) is the caller's job.
-pub fn run_sharded<T, F>(config: &GenConfig, shards: u32, experiment: F) -> ShardedRun<T>
+///
+/// Panic handling: a panicking shard job is retried exactly once on the
+/// same worker — a transient failure costs one extra world instead of the
+/// whole run. A shard that fails twice is deterministic-broken: every
+/// surviving worker stops picking up new shards at its next boundary (no
+/// burning minutes on worlds for a run that already failed), and the
+/// final panic names the failing shard.
+pub fn run_sharded<'a, T, F>(
+    worlds: impl Into<Worlds<'a>>,
+    shards: u32,
+    experiment: F,
+) -> ShardedRun<T>
 where
     T: Send,
     F: Fn(ShardSpec, &mut Internet) -> T + Sync,
 {
-    let per_shard = drive_shards(shards, |index| {
-        let spec = ShardSpec::new(index, shards);
-        let mut world = generate_shard(config, spec);
-        let output = experiment(spec, &mut world);
-        // The world dies here, on the worker — only the output and the
-        // geo database survive, keeping peak memory at one world per
-        // worker however many shards run.
-        (output, world.geo)
-    });
-    let mut geo: Option<GeoDb> = None;
-    let mut outputs = Vec::with_capacity(per_shard.len());
-    for (_, (output, shard_geo)) in per_shard {
-        match &mut geo {
-            None => geo = Some(shard_geo),
-            Some(merged) => merged.merge(shard_geo),
-        }
-        outputs.push(output);
-    }
+    let run = drive(worlds.into(), shards, FailureMode::FailFast, experiment);
     ShardedRun {
-        outputs,
-        geo: geo.expect("at least one shard"),
+        outputs: run.outputs.into_iter().map(|(_, output)| output).collect(),
+        geo: run.geo,
     }
 }
 
@@ -168,48 +187,25 @@ impl<T> DegradedRun<T> {
     }
 }
 
-/// [`run_sharded`] with graceful degradation: a shard whose job panics is
-/// retried once, and a shard that fails twice is *recorded* rather than
-/// aborting the run — every surviving shard still completes, and the
-/// caller gets partial results plus the failure ledger.
+/// [`run_sharded`] with graceful degradation: a shard that fails twice is
+/// *recorded* rather than aborting the run — every surviving shard still
+/// completes, and the caller gets partial results plus the failure ledger.
 ///
 /// Use this for long campaigns where losing 1 shard of 64 should cost
 /// 1/64th of the census, not the whole night's run. Callers must treat a
 /// [`DegradedRun`] with failures as a *lower bound*: absolute counts are
 /// missing the failed shards' populations (rates within surviving shards
 /// are unaffected, because shards are disjoint by construction).
-pub fn run_sharded_degraded<T, F>(config: &GenConfig, shards: u32, experiment: F) -> DegradedRun<T>
+pub fn run_sharded_degraded<'a, T, F>(
+    worlds: impl Into<Worlds<'a>>,
+    shards: u32,
+    experiment: F,
+) -> DegradedRun<T>
 where
     T: Send,
     F: Fn(ShardSpec, &mut Internet) -> T + Sync,
 {
-    let (per_shard, failures) = drive_shards_inner(shards, FailureMode::Degrade, |index| {
-        let spec = ShardSpec::new(index, shards);
-        let mut world = generate_shard(config, spec);
-        let output = experiment(spec, &mut world);
-        (output, world.geo)
-    });
-    let mut geo: Option<GeoDb> = None;
-    let mut outputs = Vec::with_capacity(per_shard.len());
-    for (shard, (output, shard_geo)) in per_shard {
-        match &mut geo {
-            None => geo = Some(shard_geo),
-            Some(merged) => merged.merge(shard_geo),
-        }
-        outputs.push((shard, output));
-    }
-    // An all-shards-failed run still reports the paper's 99.9 % geo
-    // coverage semantics, not the derived (full-miss) default.
-    let geo = match geo {
-        Some(geo) => geo,
-        None => GeoDb::new(),
-    };
-    DegradedRun {
-        outputs,
-        geo,
-        failures,
-        total_shards: shards,
-    }
+    drive(worlds.into(), shards, FailureMode::Degrade, experiment)
 }
 
 /// A shard whose job failed — panicked twice, once on the original run
@@ -222,51 +218,106 @@ pub struct ShardFailure {
     pub message: String,
 }
 
-/// What a sharded runner does when a shard job fails even after retry.
+/// What the driver does when a shard job fails even after retry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum FailureMode {
     /// Record the first failure, stop every worker at its next boundary,
-    /// and panic after the pool drains (the [`drive_shards`] contract).
+    /// and panic after the pool drains.
     FailFast,
     /// Record every failure and keep the surviving shards running; the
     /// caller receives partial results plus the failure ledger.
     Degrade,
 }
 
-/// The worker pool every sharded runner drives: `job(index)` runs once
-/// per shard (worker `w` handles shards `w, w + workers, …`), and the
-/// collected `(shard, output)` pairs come back sorted by shard index.
-///
-/// Panic handling: a panicking job is retried exactly once on the same
-/// worker — a transient failure (resource blip, once-flaky experiment)
-/// costs one extra world generation instead of the whole run. A shard
-/// that fails twice is deterministic-broken: the first such shard is
-/// recorded, every surviving worker stops picking up new shards at its
-/// next boundary (prompt propagation — no burning minutes generating
-/// worlds for a run that already failed), and the final panic names the
-/// failing shard.
-fn drive_shards<T, F>(shards: u32, job: F) -> Vec<(u32, T)>
+/// The one sharded driver: world acquisition, the worker pool, the
+/// failure policy and the [`GeoDb`] fold, for both world sources.
+fn drive<T, F>(worlds: Worlds<'_>, shards: u32, mode: FailureMode, experiment: F) -> DegradedRun<T>
 where
     T: Send,
-    F: Fn(u32) -> T + Sync,
-{
-    let (per_shard, failures) = drive_shards_inner(shards, FailureMode::FailFast, job);
-    if let Some(ShardFailure { shard, message }) = failures.into_iter().next() {
-        panic!("shard {shard} worker panicked: {message}");
-    }
-    per_shard
-}
-
-fn drive_shards_inner<T, F>(
-    shards: u32,
-    mode: FailureMode,
-    job: F,
-) -> (Vec<(u32, T)>, Vec<ShardFailure>)
-where
-    T: Send,
-    F: Fn(u32) -> T + Sync,
+    F: Fn(ShardSpec, &mut Internet) -> T + Sync,
 {
     assert!(shards >= 1, "a sharded run needs at least one shard");
+    let (config, slots) = match worlds {
+        Worlds::Fresh(config) => (config, None),
+        Worlds::Cached(cache) => {
+            // Shard worlds are partition-specific: a new shard count
+            // starts from empty slots.
+            if cache.slots.len() != shards as usize {
+                cache.slots = (0..shards).map(|_| Mutex::new(None)).collect();
+            }
+            (&cache.config, Some(cache.slots.as_slice()))
+        }
+    };
+    let job = |index: u32| {
+        let spec = ShardSpec::new(index, shards);
+        let slot = slots.map(|slots| &slots[index as usize]);
+        // A warm world comes OUT of its slot for the experiment: no lock
+        // is held while it runs, and a panicking experiment leaves the
+        // slot empty (regenerate next run) instead of poisoned.
+        let warm = slot.and_then(|slot| {
+            slot.lock()
+                .expect("slot lock never held across a job")
+                .take()
+        });
+        let mut world = match warm {
+            Some(mut warm) => {
+                warm.reset();
+                warm
+            }
+            None => generate_shard(config, spec),
+        };
+        let output = experiment(spec, &mut world);
+        let geo = match slot {
+            Some(slot) => {
+                let geo = world.geo.clone();
+                *slot.lock().expect("slot lock never held across a job") = Some(world);
+                geo
+            }
+            // A fresh world dies here, on the worker — only the output
+            // and the geo database survive, keeping peak memory at one
+            // world per worker however many shards run.
+            None => world.geo,
+        };
+        (output, geo)
+    };
+    let (per_shard, failures) = run_pool(shards, mode, job);
+    if mode == FailureMode::FailFast {
+        if let Some(ShardFailure { shard, message }) = failures.first() {
+            panic!("shard {shard} worker panicked: {message}");
+        }
+    }
+
+    let mut geo: Option<GeoDb> = None;
+    let mut outputs = Vec::with_capacity(per_shard.len());
+    for (shard, (output, shard_geo)) in per_shard {
+        match &mut geo {
+            None => geo = Some(shard_geo),
+            Some(merged) => merged.merge(shard_geo),
+        }
+        outputs.push((shard, output));
+    }
+    DegradedRun {
+        outputs,
+        // An all-shards-failed run still reports the paper's 99.9 % geo
+        // coverage semantics, not the derived (full-miss) default.
+        geo: match geo {
+            Some(geo) => geo,
+            None => GeoDb::new(),
+        },
+        failures,
+        total_shards: shards,
+    }
+}
+
+/// The worker pool under [`drive`]: `job(index)` runs once per shard
+/// (worker `w` handles shards `w, w + workers, …`), and the collected
+/// `(shard, output)` pairs come back sorted by shard index, beside the
+/// shards that failed twice.
+fn run_pool<T, F>(shards: u32, mode: FailureMode, job: F) -> (Vec<(u32, T)>, Vec<ShardFailure>)
+where
+    T: Send,
+    F: Fn(u32) -> T + Sync,
+{
     let workers = std::thread::available_parallelism()
         .map(|n| n.get() as u32)
         .unwrap_or(1)
@@ -334,15 +385,15 @@ where
 
 /// Generate-once, scan-many: a cache of warm per-shard worlds.
 ///
-/// The first [`ShardWorldCache::run`] at a shard count generates each
-/// shard's [`Internet`] exactly like [`run_sharded`] would; every later
-/// run at the same count takes the warm world, [`Internet::reset`]s it to
-/// its pre-scan state, and drives the experiment again — skipping world
-/// generation entirely. Repeated sweeps (the scaling benches, parameter
-/// studies, the million-target census) pay generation once instead of
-/// once per sweep, and the reset contract keeps every run bit-identical
-/// to a run over freshly generated worlds (property-tested in
-/// `tests/warm_world_reuse.rs`).
+/// Pass `&mut cache` where [`run_sharded`] takes its worlds: the first run
+/// at a shard count generates each shard's [`Internet`] exactly like a
+/// fresh run would; every later run at the same count takes the warm
+/// world, [`Internet::reset`]s it to its pre-scan state, and drives the
+/// experiment again — skipping world generation entirely. Repeated sweeps
+/// (the scaling bench, parameter studies, the million-target census) pay
+/// generation once instead of once per sweep, and the reset contract
+/// keeps every run bit-identical to a run over freshly generated worlds
+/// (property-tested in `tests/warm_world_reuse.rs`).
 ///
 /// Changing the shard count rebuilds the cache: shard worlds are
 /// partition-specific. A shard whose experiment panics leaves its slot
@@ -350,20 +401,17 @@ where
 /// than reusing one in an unknown state.
 pub struct ShardWorldCache {
     config: GenConfig,
-    count: u32,
+    /// One slot per shard of the cached partition.
     slots: Vec<Mutex<Option<Internet>>>,
-    geo: Option<GeoDb>,
 }
 
 impl ShardWorldCache {
     /// A cache that generates worlds from `config`. No worlds are built
-    /// until the first [`ShardWorldCache::run`].
+    /// until the first run over it.
     pub fn new(config: GenConfig) -> Self {
         ShardWorldCache {
             config,
-            count: 0,
             slots: Vec::new(),
-            geo: None,
         }
     }
 
@@ -383,60 +431,6 @@ impl ShardWorldCache {
     /// Drop every cached world (e.g. to bound memory between phases).
     pub fn clear(&mut self) {
         self.slots.clear();
-        self.count = 0;
-        self.geo = None;
-    }
-
-    /// Run `experiment` over every shard of a `shards`-way partition,
-    /// exactly like [`run_sharded`] — but over cached worlds when warm
-    /// ones exist. Semantics match [`run_sharded`] bit for bit: same
-    /// outputs, same merged geo, same prompt panic propagation.
-    pub fn run<T, F>(&mut self, shards: u32, experiment: F) -> ShardedRun<T>
-    where
-        T: Send,
-        F: Fn(ShardSpec, &mut Internet) -> T + Sync,
-    {
-        assert!(shards >= 1, "a sharded run needs at least one shard");
-        if self.count != shards {
-            self.slots = (0..shards).map(|_| Mutex::new(None)).collect();
-            self.geo = None;
-            self.count = shards;
-        }
-        let need_geo = self.geo.is_none();
-        let config = &self.config;
-        let slots = &self.slots;
-        let per_shard = drive_shards(shards, |index| {
-            // Take the world OUT of its slot for the experiment: no lock
-            // is held while it runs, and a panicking experiment leaves
-            // the slot empty (regenerate next run) instead of poisoned.
-            let taken = slots[index as usize].lock().unwrap().take();
-            let mut world = match taken {
-                Some(mut warm) => {
-                    warm.reset();
-                    warm
-                }
-                None => generate_shard(config, ShardSpec::new(index, shards)),
-            };
-            let output = experiment(ShardSpec::new(index, shards), &mut world);
-            let geo = need_geo.then(|| world.geo.clone());
-            *slots[index as usize].lock().unwrap() = Some(world);
-            (output, geo)
-        });
-        if need_geo {
-            let mut merged: Option<GeoDb> = None;
-            for (_, (_, shard_geo)) in &per_shard {
-                let shard_geo = shard_geo.clone().expect("first run clones every shard geo");
-                match &mut merged {
-                    None => merged = Some(shard_geo),
-                    Some(m) => m.merge(shard_geo),
-                }
-            }
-            self.geo = Some(merged.expect("at least one shard"));
-        }
-        ShardedRun {
-            outputs: per_shard.into_iter().map(|(_, (out, _))| out).collect(),
-            geo: self.geo.clone().expect("merged geo cached above"),
-        }
     }
 }
 
@@ -583,9 +577,9 @@ mod tests {
         };
         let mut cache = ShardWorldCache::new(config.clone());
         let experiment = |_: ShardSpec, world: &mut Internet| world.targets.clone();
-        let cold = cache.run(2, experiment);
+        let cold = run_sharded(&mut cache, 2, experiment);
         assert_eq!(cache.warm_shards(), 2);
-        let warm = cache.run(2, experiment);
+        let warm = run_sharded(&mut cache, 2, experiment);
         assert_eq!(cold.outputs, warm.outputs, "warm rerun matches cold");
         let fresh = run_sharded(&config, 2, experiment);
         assert_eq!(cold.outputs, fresh.outputs, "cache matches run_sharded");
@@ -595,7 +589,7 @@ mod tests {
             assert_eq!(warm.geo.asn_of(*ip), fresh.geo.asn_of(*ip));
         }
         // Count change rebuilds the partition.
-        let three = cache.run(3, experiment);
+        let three = run_sharded(&mut cache, 3, experiment);
         assert_eq!(cache.warm_shards(), 3);
         let total: usize = three.outputs.iter().map(|t| t.len()).sum();
         let total2: usize = cold.outputs.iter().map(|t| t.len()).sum();
@@ -611,9 +605,9 @@ mod tests {
             ..GenConfig::default()
         };
         let mut cache = ShardWorldCache::new(config);
-        let baseline = cache.run(2, |_, world| world.targets.clone());
+        let baseline = run_sharded(&mut cache, 2, |_, world| world.targets.clone());
         let boom = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            cache.run(2, |spec, _world: &mut Internet| {
+            run_sharded(&mut cache, 2, |spec, _world: &mut Internet| {
                 if spec.index == 1 {
                     panic!("mid-experiment failure");
                 }
@@ -622,8 +616,46 @@ mod tests {
         }));
         assert!(boom.is_err());
         assert!(cache.warm_shards() < 2, "failed shard's slot is empty");
-        let after = cache.run(2, |_, world| world.targets.clone());
+        let after = run_sharded(&mut cache, 2, |_, world| world.targets.clone());
         assert_eq!(baseline.outputs, after.outputs, "regenerated identically");
+    }
+
+    #[test]
+    fn degraded_run_over_a_cache_empties_the_failed_slot_only() {
+        let config = GenConfig {
+            countries: crate::CountrySelection::Codes(vec!["MUS", "FSM", "AFG"]),
+            scale: 5_000,
+            dud_fraction: 0.0,
+            ..GenConfig::default()
+        };
+        let healthy = run_sharded(&config, 3, |_, world| world.targets.clone());
+        let mut cache = ShardWorldCache::new(config);
+        let run = run_sharded_degraded(&mut cache, 3, |spec, world| {
+            if spec.index == 1 {
+                panic!("deterministic failure in shard {}", spec.index);
+            }
+            world.targets.clone()
+        });
+        assert_eq!(run.failures.len(), 1, "failed twice, recorded once");
+        assert_eq!(run.failures[0].shard, 1);
+        assert_eq!(cache.warm_shards(), 2, "only the failed slot is empty");
+        let shards: Vec<u32> = run.outputs.iter().map(|(s, _)| *s).collect();
+        assert_eq!(shards, vec![0, 2]);
+        assert_eq!(run.outputs[0].1, healthy.outputs[0]);
+        assert_eq!(run.outputs[1].1, healthy.outputs[2]);
+        let lost = healthy.outputs[1]
+            .iter()
+            .find(|ip| healthy.geo.asn_of(**ip).is_some())
+            .expect("shard 1 has mapped targets");
+        assert_eq!(run.geo.asn_of(*lost), None, "union covers survivors only");
+        // The next run regenerates the failed shard identically, and its
+        // union covers the whole partition again.
+        let after = run_sharded(&mut cache, 3, |_, world| world.targets.clone());
+        assert_eq!(cache.warm_shards(), 3);
+        assert_eq!(after.outputs, healthy.outputs);
+        for ip in healthy.outputs.iter().flatten() {
+            assert_eq!(after.geo.asn_of(*ip), healthy.geo.asn_of(*ip));
+        }
     }
 
     #[test]

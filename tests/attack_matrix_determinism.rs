@@ -8,7 +8,7 @@
 //! limiter's shed totals — is identical for K ∈ {1, 2, 8}, and repeated
 //! runs over a warm [`ShardWorldCache`] reproduce it bit-identically.
 
-use analysis::attack_sweep::{run_attacks_cached, run_attacks_sharded, FLOOD_REPEATS};
+use analysis::attack_sweep::{run_attacks_sharded, FLOOD_REPEATS};
 use inetgen::{CountrySelection, GenConfig, ShardWorldCache};
 use scanner::attacks::AttackVector;
 use scanner::OdnsClass;
@@ -74,8 +74,8 @@ fn warm_cache_reruns_are_bit_identical() {
     let fresh = run_attacks_sharded(&config, 2);
 
     let mut cache = ShardWorldCache::new(config);
-    let first = run_attacks_cached(&mut cache, 2);
-    let second = run_attacks_cached(&mut cache, 2);
+    let first = run_attacks_sharded(&mut cache, 2);
+    let second = run_attacks_sharded(&mut cache, 2);
     assert_eq!(first, fresh, "cold cache run must match the fresh driver");
     assert_eq!(
         second, fresh,

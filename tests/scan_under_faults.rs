@@ -224,12 +224,26 @@ fn lossy_census_is_bit_identical_across_shard_counts_and_warm_reruns() {
             rows
         };
         assert_eq!(rows(&sharded), rows(&baseline), "row drift at K={k}");
+        // The DNSRoute++ and campaign sweeps embed the same census: their
+        // in-worker scans take the same fault-aware configuration.
+        let dnsroute = analysis::run_dnsroute_sharded(&config, k, &classifier);
+        assert_eq!(
+            rows(&dnsroute.census),
+            rows(&baseline),
+            "dnsroute sweep's census drifted at K={k}"
+        );
+        let campaign = analysis::run_campaign_sharded(&config, k, &classifier);
+        assert_eq!(
+            rows(&campaign.census),
+            rows(&baseline),
+            "campaign sweep's census drifted at K={k}"
+        );
     }
 
     // Warm-cache rerun: bit-identical to the cold pass.
     let mut cache = ShardWorldCache::new(config);
-    let cold = analysis::run_census_cached(&mut cache, 2, &classifier);
-    let warm = analysis::run_census_cached(&mut cache, 2, &classifier);
+    let cold = analysis::run_census_sharded(&mut cache, 2, &classifier);
+    let warm = analysis::run_census_sharded(&mut cache, 2, &classifier);
     assert_eq!(cold, warm, "warm lossy rerun must be bit-identical");
     assert_eq!(counts(&cold), counts(&baseline));
 }

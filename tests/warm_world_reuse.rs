@@ -4,9 +4,9 @@
 //! generated `Internet`, resetting it to its post-generation state between
 //! runs instead of rebuilding it. The contract this file pins down: a
 //! cached-and-reset shard world produces **bit-identical** census, trace,
-//! and campaign outputs to a freshly generated one — for K ∈ {1, 2, 8},
-//! across repeated reuses, and across shard-count changes on the same
-//! cache. If a reset ever leaked state (resolver caches aside — routes
+//! campaign, and sensor outputs to a freshly generated one — for
+//! K ∈ {1, 2, 8}, across repeated reuses, and across shard-count changes
+//! on the same cache. If a reset ever leaked state (resolver caches aside — routes
 //! are pure functions of the immutable topology), these comparisons catch
 //! it at full output granularity, timestamps and captures included.
 
@@ -31,12 +31,12 @@ fn cached_census_is_bit_identical_to_fresh_for_every_k() {
     let mut cache = ShardWorldCache::new(config.clone());
     for k in [1u32, 2, 8] {
         let fresh = analysis::run_census_sharded(&config, k, &classifier);
-        let cold = analysis::run_census_cached(&mut cache, k, &classifier);
+        let cold = analysis::run_census_sharded(&mut cache, k, &classifier);
         assert_eq!(cold, fresh, "first cached run diverged at K={k}");
         assert!(fresh.odns_total() > 0, "world must classify components");
         // Second and third runs hit warm worlds (reset, not regenerated).
         for reuse in 1..3 {
-            let warm = analysis::run_census_cached(&mut cache, k, &classifier);
+            let warm = analysis::run_census_sharded(&mut cache, k, &classifier);
             assert_eq!(warm, fresh, "warm reuse {reuse} diverged at K={k}");
         }
         assert_eq!(cache.warm_shards(), k as usize, "all shards cached");
@@ -51,8 +51,8 @@ fn cached_dnsroute_sweep_is_bit_identical_to_fresh() {
         let fresh = analysis::run_dnsroute_sharded(&config, k, &classifier);
         assert!(!fresh.traces.is_empty(), "world must contain forwarders");
         let mut cache = ShardWorldCache::new(config.clone());
-        analysis::run_dnsroute_cached(&mut cache, k, &classifier); // generate
-        let warm = analysis::run_dnsroute_cached(&mut cache, k, &classifier);
+        analysis::run_dnsroute_sharded(&mut cache, k, &classifier); // generate
+        let warm = analysis::run_dnsroute_sharded(&mut cache, k, &classifier);
         assert_eq!(warm.census, fresh.census, "census diverged at K={k}");
         // Full equality including per-hop timestamps: a warm world replays
         // the same event sequence, not merely the same distributions.
@@ -67,8 +67,8 @@ fn cached_campaign_sweep_is_bit_identical_to_fresh() {
     for k in [1u32, 2, 8] {
         let fresh = analysis::run_campaign_sharded(&config, k, &classifier);
         let mut cache = ShardWorldCache::new(config.clone());
-        analysis::run_campaign_cached(&mut cache, k, &classifier); // generate
-        let warm = analysis::run_campaign_cached(&mut cache, k, &classifier);
+        analysis::run_campaign_sharded(&mut cache, k, &classifier); // generate
+        let warm = analysis::run_campaign_sharded(&mut cache, k, &classifier);
         assert_eq!(warm.census, fresh.census, "census diverged at K={k}");
         assert_eq!(warm.reports, fresh.reports, "reports diverged at K={k}");
         assert_eq!(warm.matrix, fresh.matrix, "matrix diverged at K={k}");
@@ -81,6 +81,25 @@ fn cached_campaign_sweep_is_bit_identical_to_fresh() {
             assert_eq!(w.shard, f.shard);
             assert_eq!(w.scan, f.scan, "scan capture diverged at K={k}");
             assert_eq!(w.campaigns, f.campaigns, "campaign captures at K={k}");
+        }
+    }
+}
+
+#[test]
+fn cached_sensor_experiment_is_bit_identical_to_fresh() {
+    let config = test_config();
+    for k in [1u32, 2, 8] {
+        let fresh = analysis::run_sensors_sharded(&config, k);
+        let mut cache = ShardWorldCache::new(config.clone());
+        for warmth in ["cold", "warm"] {
+            let cached = analysis::run_sensors_sharded(&mut cache, k);
+            assert_eq!(cached.matrix, fresh.matrix, "{warmth} matrix at K={k}");
+            assert_eq!(cached.reports, fresh.reports, "{warmth} reports at K={k}");
+            assert_eq!(cached.sensors, fresh.sensors, "{warmth} sensors at K={k}");
+            assert_eq!(
+                cached.captures, fresh.captures,
+                "{warmth} captures at K={k}"
+            );
         }
     }
 }
