@@ -117,8 +117,8 @@ pub fn census_from_captures<S: AsRef<[u8]>>(
     for (shard, pcap) in captures {
         streams.push(shard_records_from_pcap(*shard, pcap.as_ref())?);
     }
-    // The bounded-memory streaming merge: the `(port, txid)` key space
-    // restarts per shard, so streams correlate shard by shard.
+    // The `(port, txid)` key space restarts per shard, so streams
+    // correlate shard by shard.
     let outcome = scanner::merge_shard_records(streams, ScanConfig::DEFAULT_TIMEOUT);
     Ok(Census::from_outcome(&outcome, geo, classifier))
 }

@@ -232,14 +232,7 @@ impl Host for StudyAuthServer {
             _ => {}
         }
         self.stats.responses_sent += 1;
-        ctx.send_udp(UdpSend {
-            src: Some(dgram.dst),
-            src_port: dnswire::DNS_PORT,
-            dst: dgram.src,
-            dst_port: dgram.src_port,
-            ttl: None,
-            payload: response.encode().into(),
-        });
+        ctx.send_udp(UdpSend::reply_to(&dgram, response.encode()));
     }
 
     netsim::impl_host_downcast!();

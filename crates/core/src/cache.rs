@@ -8,9 +8,13 @@
 //! target, polluting caches and evicting legitimate entries — the paper's
 //! argument for response-based probing (§6, "resolvers serving >40k
 //! forwarders would take >40k cache entries").
+//!
+//! [`DnsCache`] is the store; [`ServeCache`] is the serve path the
+//! resolver and the recursive forwarder both answer clients through.
 
-use dnswire::{DnsName, MessageBuilder, Rcode, Record, ResponseTemplate, RrType};
-use netsim::SimTime;
+use crate::memo::{HotWire, QueryMemo};
+use dnswire::{DnsName, Message, MessageBuilder, Rcode, Record, ResponseTemplate, RrType};
+use netsim::{Payload, SimTime};
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -245,12 +249,7 @@ impl DnsCache {
     /// exact: the embedded TTL decays per whole elapsed second, so the
     /// encoding is stable strictly before `expires − remaining·1s`.
     /// `None` for missing, expired, or negative entries. No stats impact.
-    pub fn wire_valid_before(
-        &self,
-        name: &DnsName,
-        rtype: RrType,
-        now: SimTime,
-    ) -> Option<SimTime> {
+    fn wire_valid_before(&self, name: &DnsName, rtype: RrType, now: SimTime) -> Option<SimTime> {
         let key = CacheKey {
             name: name.clone(),
             rtype,
@@ -261,13 +260,6 @@ impl DnsCache {
         }
         let remaining = (e.expires - now).as_micros() / 1_000_000;
         Some(SimTime(e.expires.0 - remaining * 1_000_000))
-    }
-
-    /// Count a hit served from a host-side replay of bytes this cache
-    /// produced (see `core::memo::HotWire`), keeping hit counters
-    /// identical to a per-query [`DnsCache::get_wire`] walk.
-    pub fn record_hot_hit(&mut self) {
-        self.stats.hits += 1;
     }
 
     /// Insert an answer valid for `ttl_secs` starting at `now`.
@@ -321,6 +313,127 @@ impl DnsCache {
         } else {
             Some((now - e.inserted).as_micros() / 1_000_000)
         }
+    }
+}
+
+/// The cached serve path of a host that answers clients from a
+/// [`DnsCache`] — written once for [`crate::RecursiveResolver`] and
+/// [`crate::RecursiveForwarder`].
+///
+/// It owns the cache and its two accelerators, and is the only code that
+/// touches them: a [`QueryMemo`] of the first plain `IN` query decoded
+/// (census probes are byte-identical modulo txid, so later ones skip the
+/// decode) and a [`HotWire`] holding the last answer served through the
+/// memo (replayed as a refcount bump while its bytes stay exact). Every
+/// write goes through [`ServeCache::insert`], which drops the `HotWire` —
+/// a replay cannot outlive the entry it came from — and every client
+/// query performs exactly one counted cache lookup.
+///
+/// What stays with the host: who may be served at all (the resolver's
+/// ACL, checked *before* [`ServeCache::serve_undecoded`]), its own
+/// counters, and what to do on a miss.
+#[derive(Debug)]
+pub struct ServeCache {
+    cache: DnsCache,
+    memo: Option<QueryMemo>,
+    hot: Option<HotWire>,
+}
+
+impl ServeCache {
+    /// An empty serve path over a cache of `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
+        ServeCache {
+            cache: DnsCache::new(capacity),
+            memo: None,
+            hot: None,
+        }
+    }
+
+    /// The cache underneath (read-only: stats, pollution experiments).
+    pub fn cache(&self) -> &DnsCache {
+        &self.cache
+    }
+
+    /// Answer `payload` without decoding it, if it is the memoized query
+    /// (modulo txid) and its answer is a live positive entry. Anything
+    /// else — foreign bytes, a miss, an expired or negative entry — is
+    /// `None` with the cache untouched and uncounted; the host decodes and
+    /// calls [`ServeCache::serve_decoded`], which owns those cases.
+    pub fn serve_undecoded(&mut self, payload: &[u8], now: SimTime) -> Option<Payload> {
+        let memo = self.memo.as_ref()?;
+        let txid = memo.txid_of_match(payload)?;
+        // Replay the previous answer while its bytes are still exact — the
+        // steady state of a census burst, one refcount bump per probe,
+        // counted as the `get_wire` hit it stands in for.
+        if let Some(replay) = self.hot.as_ref().and_then(|h| h.serve(txid, now)) {
+            self.cache.stats.hits += 1;
+            return Some(replay);
+        }
+        // Peek before the counted lookup, so a query this path cannot
+        // answer is counted once (by the decode path), not twice.
+        let valid_before = self
+            .cache
+            .wire_valid_before(memo.qname(), memo.qtype(), now)?;
+        let Some(CachedWire::Positive(bytes)) =
+            self.cache
+                .get_wire(memo.qname(), memo.qtype(), now, txid, memo.rd())
+        else {
+            return None;
+        };
+        let answer: Payload = bytes.into();
+        self.hot = Some(HotWire::new(txid, valid_before, answer.clone()));
+        Some(answer)
+    }
+
+    /// Answer the decoded client `query` (whose wire form is `payload`)
+    /// from cache, positive or negative; `None` on a miss. The first plain
+    /// `IN` query seen becomes the memo. Plain queries are served from
+    /// pre-encoded bytes (txid/RD/TTL patched into the cached template);
+    /// exotic classes/opcodes take the builder path.
+    pub fn serve_decoded(
+        &mut self,
+        payload: &[u8],
+        query: &Message,
+        now: SimTime,
+    ) -> Option<Payload> {
+        if self.memo.is_none() {
+            self.memo = QueryMemo::remember(payload, query);
+        }
+        let q = query.question()?;
+        let respond = || MessageBuilder::response_to(query).recursion_available(true);
+        let response = if query.is_plain_in_query() {
+            let rd = query.header.flags.recursion_desired;
+            match self
+                .cache
+                .get_wire(&q.qname, q.qtype, now, query.header.id, rd)?
+            {
+                CachedWire::Positive(bytes) => return Some(bytes.into()),
+                CachedWire::Negative(rcode) => respond().rcode(rcode),
+            }
+        } else {
+            match self.cache.get(&q.qname, q.qtype, now)? {
+                CachedAnswer::Positive(records) => {
+                    records.into_iter().fold(respond(), MessageBuilder::answer)
+                }
+                CachedAnswer::Negative(rcode) => respond().rcode(rcode),
+            }
+        };
+        Some(response.build().encode().into())
+    }
+
+    /// Insert an answer valid for `ttl_secs` starting at `now`. The cache
+    /// changed (an overwrite, possibly an eviction), so any replayable
+    /// answer may now be stale: it is dropped here, for every caller.
+    pub fn insert(
+        &mut self,
+        name: DnsName,
+        rtype: RrType,
+        answer: CachedAnswer,
+        ttl_secs: u32,
+        now: SimTime,
+    ) {
+        self.hot.take();
+        self.cache.insert(name, rtype, answer, ttl_secs, now);
     }
 }
 
@@ -426,6 +539,61 @@ mod tests {
         let echoed = dnswire::Message::decode(&second).unwrap();
         assert_eq!(echoed.questions[0].qname.to_string(), "ODNS-Study.EXAMPLE.");
         assert_eq!(echoed.header.id, 2);
+    }
+
+    /// One client query the way both hosts drive the serve path:
+    /// undecoded first, decode only when that declines.
+    fn client_query(serve: &mut ServeCache, txid: u16, now: SimTime) -> Option<Payload> {
+        let query = MessageBuilder::query(txid, name("odns-study.example."), RrType::A)
+            .recursion_desired(true)
+            .build();
+        let payload = query.encode();
+        serve
+            .serve_undecoded(&payload, now)
+            .or_else(|| serve.serve_decoded(&payload, &query, now))
+    }
+
+    #[test]
+    fn serve_cache_counts_each_client_query_once() {
+        // Static-naming probes are byte-identical modulo txid, so every
+        // query after the first matches the memo — hit or miss.
+        let mut serve = ServeCache::new(8);
+        let t0 = SimTime::ZERO;
+        for txid in 0..5 {
+            assert!(client_query(&mut serve, txid, t0).is_none());
+        }
+        serve.insert(
+            name("odns-study.example."),
+            RrType::A,
+            CachedAnswer::Positive(vec![a_record("odns-study.example.", 300)]),
+            300,
+            t0,
+        );
+        for txid in 5..12 {
+            assert!(client_query(&mut serve, txid, t0).is_some());
+        }
+        assert_eq!(
+            serve.cache().stats,
+            CacheStats {
+                hits: 7,
+                misses: 5,
+                insertions: 1,
+                ..CacheStats::default()
+            }
+        );
+        // An expired entry is one miss and one expiration.
+        let late = t0 + SimDuration::from_secs(300);
+        assert!(client_query(&mut serve, 12, late).is_none());
+        assert_eq!(
+            serve.cache().stats,
+            CacheStats {
+                hits: 7,
+                misses: 6,
+                insertions: 1,
+                expirations: 1,
+                ..CacheStats::default()
+            }
+        );
     }
 
     #[test]

@@ -109,14 +109,7 @@ impl DeviceProfile {
 pub fn handle_probe(ctx: &mut Ctx<'_>, dgram: &Datagram, profile: Option<&DeviceProfile>) {
     match profile {
         Some(p) if p.answers_on(dgram.dst_port) => {
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: dgram.dst_port,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload: p.banner.as_bytes().into(),
-            });
+            ctx.send_udp(UdpSend::reply_to(dgram, p.banner.as_bytes()));
         }
         _ => ctx.send_port_unreachable(dgram),
     }

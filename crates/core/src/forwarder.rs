@@ -16,10 +16,9 @@
 //! TTL dies — which is exactly the behaviour DNSRoute++ (§5) exploits to
 //! trace the path *behind* it.
 
-use crate::cache::{CachedAnswer, CachedWire, DnsCache};
+use crate::cache::{CachedAnswer, ServeCache};
 use crate::device::DeviceProfile;
-use crate::memo::QueryMemo;
-use dnswire::{Message, MessageBuilder};
+use dnswire::Message;
 use netsim::{Ctx, Datagram, Host, SimDuration, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -68,19 +67,13 @@ pub enum Manipulation {
 #[derive(Debug)]
 pub struct RecursiveForwarder {
     resolver: Ipv4Addr,
-    cache: Option<DnsCache>,
+    cache: Option<ServeCache>,
     /// Queries in flight upstream, by `(our port, txid)`. An entry leaves
     /// when its answer is relayed or its timer fires, whichever is first.
     pending: HashMap<(u16, u16), PendingQuery>,
     timeout: SimDuration,
     device: Option<DeviceProfile>,
     manipulation: Manipulation,
-    /// Memo of the last plain `IN` client query decoded: identical
-    /// probes (modulo txid) skip the decode on the cache-hit path.
-    memo: Option<QueryMemo>,
-    /// The last wire answer served through the memo path, replayed as a
-    /// refcount bump while byte-valid; dropped on any cache insert.
-    hot: Option<crate::memo::HotWire>,
     /// Counters.
     pub stats: RecursiveForwarderStats,
 }
@@ -90,65 +83,12 @@ impl RecursiveForwarder {
     pub fn new(resolver: Ipv4Addr) -> Self {
         RecursiveForwarder {
             resolver,
-            cache: Some(DnsCache::new(64)),
+            cache: Some(ServeCache::new(64)),
             pending: HashMap::new(),
             timeout: SimDuration::from_secs(5),
             device: None,
             manipulation: Manipulation::None,
-            memo: None,
-            hot: None,
             stats: RecursiveForwarderStats::default(),
-        }
-    }
-
-    /// Answer a memo-matched query without decoding it — only the
-    /// positive wire-cache-hit case; anything else falls back to the
-    /// decode path. See [`crate::memo`].
-    fn try_memo_answer(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, txid: u16) -> bool {
-        // Replay the previous answer while its bytes are still exact — the
-        // steady state of a census burst, one refcount bump per probe.
-        if let Some(payload) = self.hot.as_ref().and_then(|h| h.serve(txid, ctx.now())) {
-            if let Some(cache) = &mut self.cache {
-                cache.record_hot_hit();
-            }
-            self.stats.client_queries += 1;
-            self.stats.cache_answers += 1;
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: dnswire::DNS_PORT,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload,
-            });
-            return true;
-        }
-        let (qname, qtype, rd) = {
-            let memo = self.memo.as_ref().expect("caller matched the memo");
-            (memo.qname().clone(), memo.qtype(), memo.rd())
-        };
-        let Some(cache) = &mut self.cache else {
-            return false;
-        };
-        match cache.get_wire(&qname, qtype, ctx.now(), txid, rd) {
-            Some(CachedWire::Positive(bytes)) => {
-                self.stats.client_queries += 1;
-                self.stats.cache_answers += 1;
-                let payload: netsim::Payload = bytes.into();
-                if let Some(vb) = cache.wire_valid_before(&qname, qtype, ctx.now()) {
-                    self.hot = Some(crate::memo::HotWire::new(txid, vb, payload.clone()));
-                }
-                ctx.send_udp(UdpSend {
-                    src: Some(dgram.dst),
-                    src_port: dnswire::DNS_PORT,
-                    dst: dgram.src,
-                    dst_port: dgram.src_port,
-                    ttl: None,
-                    payload,
-                });
-                true
-            }
-            _ => false,
         }
     }
 
@@ -238,10 +178,6 @@ impl Host for RecursiveForwarder {
                                     min_ttl,
                                     ctx.now(),
                                 );
-                                // The cache changed (insert, possibly an
-                                // eviction): any replayable answer may now
-                                // be stale.
-                                self.hot = None;
                             }
                         }
                         self.stats.relayed += 1;
@@ -264,14 +200,16 @@ impl Host for RecursiveForwarder {
 
         // Steady-state fast path: identical probes (modulo txid) skip
         // the decode when the answer is a positive wire-cache hit.
-        if let Some(txid) = self
-            .memo
-            .as_ref()
-            .and_then(|m| m.txid_of_match(&dgram.payload))
+        let now = ctx.now();
+        if let Some(answer) = self
+            .cache
+            .as_mut()
+            .and_then(|c| c.serve_undecoded(&dgram.payload, now))
         {
-            if self.try_memo_answer(ctx, &dgram, txid) {
-                return;
-            }
+            self.stats.client_queries += 1;
+            self.stats.cache_answers += 1;
+            ctx.send_udp(UdpSend::reply_to(&dgram, answer));
+            return;
         }
         let Ok(query) = Message::decode(&dgram.payload) else {
             return;
@@ -279,54 +217,17 @@ impl Host for RecursiveForwarder {
         if query.is_response() || query.question().is_none() {
             return;
         }
-        if self.memo.is_none() {
-            self.memo = QueryMemo::remember(&dgram.payload, &query);
-        }
         self.stats.client_queries += 1;
-        let q = query.question().expect("checked").clone();
-
-        if let Some(cache) = &mut self.cache {
-            // Standard `IN` queries are served from pre-encoded bytes
-            // (txid/RD/TTL patched into the cached template); exotic
-            // classes/opcodes take the builder path.
-            if query.is_plain_in_query() {
-                if let Some(crate::cache::CachedWire::Positive(bytes)) = cache.get_wire(
-                    &q.qname,
-                    q.qtype,
-                    ctx.now(),
-                    query.header.id,
-                    query.header.flags.recursion_desired,
-                ) {
-                    self.stats.cache_answers += 1;
-                    ctx.send_udp(UdpSend {
-                        src: Some(dgram.dst),
-                        src_port: dnswire::DNS_PORT,
-                        dst: dgram.src,
-                        dst_port: dgram.src_port,
-                        ttl: None,
-                        payload: bytes.into(),
-                    });
-                    return;
-                }
-            } else if let Some(CachedAnswer::Positive(records)) =
-                cache.get(&q.qname, q.qtype, ctx.now())
-            {
-                self.stats.cache_answers += 1;
-                let mut b = MessageBuilder::response_to(&query).recursion_available(true);
-                for r in records {
-                    b = b.answer(r);
-                }
-                ctx.send_udp(UdpSend {
-                    src: Some(dgram.dst),
-                    src_port: dnswire::DNS_PORT,
-                    dst: dgram.src,
-                    dst_port: dgram.src_port,
-                    ttl: None,
-                    payload: b.build().encode().into(),
-                });
-                return;
-            }
+        if let Some(answer) = self
+            .cache
+            .as_mut()
+            .and_then(|c| c.serve_decoded(&dgram.payload, &query, now))
+        {
+            self.stats.cache_answers += 1;
+            ctx.send_udp(UdpSend::reply_to(&dgram, answer));
+            return;
         }
+        let q = query.question().expect("checked").clone();
 
         // Forward upstream from our own address (the defining rewrite).
         let txid = query.header.id; // keep the ID; our port disambiguates
@@ -449,7 +350,7 @@ impl Host for TransparentForwarder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dnswire::{DnsName, RrType};
+    use dnswire::{DnsName, MessageBuilder, RrType};
     use netsim::testkit::{playground, Exchange};
     use netsim::{SimConfig, Simulator};
 
@@ -483,14 +384,7 @@ mod tests {
                     Ipv4Addr::new(7, 7, 7, 7),
                 )
                 .build();
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: 53,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload: resp.encode().into(),
-            });
+            ctx.send_udp(UdpSend::reply_to(&dgram, resp.encode()));
             self.seen.push(dgram);
         }
         netsim::impl_host_downcast!();

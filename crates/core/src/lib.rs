@@ -40,7 +40,7 @@ pub mod study;
 pub mod zone;
 
 pub use auth::{AuthConfig, AuthLogEntry, AuthStats, StudyAuthServer};
-pub use cache::{CacheKey, CacheStats, CachedAnswer, CachedWire, DnsCache};
+pub use cache::{CacheKey, CacheStats, CachedAnswer, CachedWire, DnsCache, ServeCache};
 pub use device::{DeviceProfile, Vendor};
 pub use forwarder::{
     Manipulation, RecursiveForwarder, RecursiveForwarderStats, TransparentForwarder,

@@ -11,7 +11,8 @@
 //!
 //! The memo is strictly an accelerator: a non-matching payload, an
 //! ACL-refused client, a negative cache entry, or a cache miss all fall
-//! back to the ordinary decode path, which owns those responses.
+//! back to the ordinary decode path, which owns those responses. Both
+//! types here are held only by [`crate::ServeCache`].
 
 use dnswire::{DnsName, Message, RrType};
 use netsim::{Payload, SimTime};
@@ -77,8 +78,8 @@ impl QueryMemo {
 /// no name hash, no re-encode, no allocation.
 ///
 /// Only valid behind a [`QueryMemo`] byte match (which pins question and
-/// flags), and must be dropped whenever the owning cache changes (insert
-/// or eviction), so a replay can never outlive the entry it came from.
+/// flags), and never across a change of the owning cache (insert or
+/// eviction). [`crate::ServeCache`] is the one holder and enforces both.
 #[derive(Debug, Clone)]
 pub struct HotWire {
     txid: u16,

@@ -15,8 +15,7 @@
 //! authoritative answer, all through the simulated network, with positive
 //! and negative caching.
 
-use crate::cache::{CachedAnswer, CachedWire, DnsCache};
-use crate::memo::QueryMemo;
+use crate::cache::{CachedAnswer, DnsCache, ServeCache};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, RrType};
 use netsim::{Ctx, Datagram, Host, SimDuration, UdpSend};
 use std::collections::HashMap;
@@ -147,7 +146,7 @@ struct Task {
 #[derive(Debug)]
 pub struct RecursiveResolver {
     config: ResolverConfig,
-    cache: DnsCache,
+    cache: ServeCache,
     /// Unanswered client queries by task id; an entry lives from the
     /// cache miss until [`Self::finish`] answers it, so the table drains.
     tasks: HashMap<u64, Task>,
@@ -161,12 +160,6 @@ pub struct RecursiveResolver {
     inflight: HashMap<(DnsName, RrType), u64>,
     next_port: u16,
     next_txid: u16,
-    /// Memo of the last plain `IN` client query decoded: identical
-    /// probes (modulo txid) skip the decode on the cache-hit path.
-    memo: Option<QueryMemo>,
-    /// The last wire answer served through the memo path, replayed as a
-    /// refcount bump while byte-valid; dropped on any cache insert.
-    hot: Option<crate::memo::HotWire>,
     /// Counters.
     pub stats: ResolverStats,
 }
@@ -174,7 +167,7 @@ pub struct RecursiveResolver {
 impl RecursiveResolver {
     /// Build from config.
     pub fn new(config: ResolverConfig) -> Self {
-        let cache = DnsCache::new(config.cache_capacity);
+        let cache = ServeCache::new(config.cache_capacity);
         RecursiveResolver {
             config,
             cache,
@@ -185,70 +178,13 @@ impl RecursiveResolver {
             inflight: HashMap::new(),
             next_port: 1024,
             next_txid: 1,
-            memo: None,
-            hot: None,
             stats: ResolverStats::default(),
-        }
-    }
-
-    /// Answer a memo-matched query without decoding it. Handles only the
-    /// fully-cached happy case — ACL-allowed client, positive wire cache
-    /// hit — and reports whether it did; every other case (refusal,
-    /// negative entry, miss, exotic query) belongs to the decode path.
-    fn try_memo_answer(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, txid: u16) -> bool {
-        if !self.config.acl.allows(dgram.src) {
-            return false;
-        }
-        // Replay the previous answer while its bytes are still exact — the
-        // steady state of a census burst, one refcount bump per probe.
-        if let Some(payload) = self.hot.as_ref().and_then(|h| h.serve(txid, ctx.now())) {
-            self.cache.record_hot_hit();
-            self.stats.client_queries += 1;
-            self.stats.cache_answers += 1;
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: dnswire::DNS_PORT,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload,
-            });
-            return true;
-        }
-        let (qname, qtype, rd) = {
-            let memo = self.memo.as_ref().expect("caller matched the memo");
-            (memo.qname().clone(), memo.qtype(), memo.rd())
-        };
-        match self.cache.get_wire(&qname, qtype, ctx.now(), txid, rd) {
-            Some(CachedWire::Positive(bytes)) => {
-                self.stats.client_queries += 1;
-                self.stats.cache_answers += 1;
-                let payload: netsim::Payload = bytes.into();
-                if let Some(vb) = self.cache.wire_valid_before(&qname, qtype, ctx.now()) {
-                    self.hot = Some(crate::memo::HotWire::new(txid, vb, payload.clone()));
-                }
-                ctx.send_udp(UdpSend {
-                    src: Some(dgram.dst),
-                    src_port: dnswire::DNS_PORT,
-                    dst: dgram.src,
-                    dst_port: dgram.src_port,
-                    ttl: None,
-                    payload,
-                });
-                true
-            }
-            _ => false,
         }
     }
 
     /// Access to the cache (for pollution experiments).
     pub fn cache(&self) -> &DnsCache {
-        &self.cache
-    }
-
-    /// Mutable access to the cache (tests pre-seed entries).
-    pub fn cache_mut(&mut self) -> &mut DnsCache {
-        &mut self.cache
+        self.cache.cache()
     }
 
     /// Bookkeeping entries held for unfinished work: open tasks, pending
@@ -354,76 +290,19 @@ impl RecursiveResolver {
 
     fn handle_client_query(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, query: Message) {
         self.stats.client_queries += 1;
-        let q = query.question().expect("caller checked").clone();
 
         if !self.config.acl.allows(dgram.src) {
             self.stats.refused += 1;
             let resp = MessageBuilder::response_to(&query)
                 .rcode(Rcode::Refused)
                 .build();
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: dnswire::DNS_PORT,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload: resp.encode().into(),
-            });
+            ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
             return;
         }
 
-        // Cache lookup. Standard `IN` queries (the only kind the study's
-        // probes and stubs emit) are served straight from pre-encoded
-        // bytes; anything exotic falls back to the builder path.
-        if query.is_plain_in_query() {
-            if let Some(wire) = self.cache.get_wire(
-                &q.qname,
-                q.qtype,
-                ctx.now(),
-                query.header.id,
-                query.header.flags.recursion_desired,
-            ) {
-                self.stats.cache_answers += 1;
-                let payload = match wire {
-                    CachedWire::Positive(bytes) => bytes.into(),
-                    CachedWire::Negative(rcode) => MessageBuilder::response_to(&query)
-                        .recursion_available(true)
-                        .rcode(rcode)
-                        .build()
-                        .encode()
-                        .into(),
-                };
-                ctx.send_udp(UdpSend {
-                    src: Some(dgram.dst),
-                    src_port: dnswire::DNS_PORT,
-                    dst: dgram.src,
-                    dst_port: dgram.src_port,
-                    ttl: None,
-                    payload,
-                });
-                return;
-            }
-        } else if let Some(answer) = self.cache.get(&q.qname, q.qtype, ctx.now()) {
+        if let Some(answer) = self.cache.serve_decoded(&dgram.payload, &query, ctx.now()) {
             self.stats.cache_answers += 1;
-            let builder = MessageBuilder::response_to(&query).recursion_available(true);
-            let resp = match answer {
-                CachedAnswer::Positive(records) => {
-                    let mut b = builder;
-                    for r in records {
-                        b = b.answer(r);
-                    }
-                    b.build()
-                }
-                CachedAnswer::Negative(rcode) => builder.rcode(rcode).build(),
-            };
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: dnswire::DNS_PORT,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload: resp.encode().into(),
-            });
+            ctx.send_udp(UdpSend::reply_to(dgram, answer));
             return;
         }
 
@@ -432,17 +311,11 @@ impl RecursiveResolver {
                 .rcode(Rcode::ServFail)
                 .build();
             self.stats.servfail += 1;
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: dnswire::DNS_PORT,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload: resp.encode().into(),
-            });
+            ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
             return;
         };
 
+        let q = query.question().expect("caller checked").clone();
         let id = self.next_task;
         self.next_task += 1;
         let task = Task {
@@ -490,9 +363,6 @@ impl RecursiveResolver {
                 min_ttl,
                 ctx.now(),
             );
-            // The cache changed (insert, possibly an eviction): any
-            // replayable answer may now be stale.
-            self.hot = None;
             self.finish(ctx, id, TaskOutcome::Records(records));
             return;
         }
@@ -527,7 +397,6 @@ impl RecursiveResolver {
                     ttl,
                     ctx.now(),
                 );
-                self.hot = None;
                 self.finish(ctx, id, TaskOutcome::Rcode(Rcode::NxDomain));
             }
             Rcode::NoError => {
@@ -554,13 +423,13 @@ impl Host for RecursiveResolver {
         if dgram.dst_port == dnswire::DNS_PORT {
             // Steady-state fast path: a probe byte-identical to the
             // memoized query (modulo txid) skips the decode entirely
-            // when its answer is a positive wire-cache hit.
-            if let Some(txid) = self
-                .memo
-                .as_ref()
-                .and_then(|m| m.txid_of_match(&dgram.payload))
-            {
-                if self.try_memo_answer(ctx, &dgram, txid) {
+            // when its answer is a positive wire-cache hit. The ACL comes
+            // first — refusals belong to the decode path.
+            if self.config.acl.allows(dgram.src) {
+                if let Some(answer) = self.cache.serve_undecoded(&dgram.payload, ctx.now()) {
+                    self.stats.client_queries += 1;
+                    self.stats.cache_answers += 1;
+                    ctx.send_udp(UdpSend::reply_to(&dgram, answer));
                     return;
                 }
             }
@@ -569,9 +438,6 @@ impl Host for RecursiveResolver {
             };
             if msg.is_response() || msg.question().is_none() {
                 return;
-            }
-            if self.memo.is_none() {
-                self.memo = QueryMemo::remember(&dgram.payload, &msg);
             }
             self.handle_client_query(ctx, &dgram, msg);
         } else {

@@ -119,14 +119,7 @@ mod tests {
                 let resp = MessageBuilder::response_to(&q)
                     .answer_a(q.questions[0].qname.clone(), 60, Ipv4Addr::new(5, 5, 5, 5))
                     .build();
-                ctx.send_udp(UdpSend {
-                    src: Some(dgram.dst),
-                    src_port: 53,
-                    dst: dgram.src,
-                    dst_port: dgram.src_port,
-                    ttl: None,
-                    payload: resp.encode().into(),
-                });
+                ctx.send_udp(UdpSend::reply_to(&dgram, resp.encode()));
             }
             netsim::impl_host_downcast!();
         }

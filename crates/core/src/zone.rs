@@ -106,14 +106,7 @@ impl Host for DelegatingServer {
         }
         self.queries_served += 1;
         let response = self.respond(&query);
-        ctx.send_udp(UdpSend {
-            src: Some(dgram.dst),
-            src_port: dnswire::DNS_PORT,
-            dst: dgram.src,
-            dst_port: dgram.src_port,
-            ttl: None,
-            payload: response.encode().into(),
-        });
+        ctx.send_udp(UdpSend::reply_to(&dgram, response.encode()));
     }
 
     netsim::impl_host_downcast!();

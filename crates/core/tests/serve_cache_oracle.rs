@@ -1,0 +1,179 @@
+//! `ServeCache` against an uncached reference.
+//!
+//! The serve path stacks three accelerators on a `DnsCache` (the
+//! `QueryMemo` byte match, the `HotWire` replay, the pre-encoded
+//! `ResponseTemplate`). None of them may ever be observable: for any
+//! interleaving of client queries, clock advances and cache writes, the
+//! bytes a client gets must equal what a host that always decodes, calls
+//! `DnsCache::get` and builds the response with `MessageBuilder` would
+//! send. In particular a `HotWire` replay can never outlive an insert, an
+//! eviction, a TTL-second boundary or a change of query casing.
+
+use dnswire::{DnsName, Message, MessageBuilder, QClass, Rcode, Record, RrType};
+use netsim::{SimDuration, SimTime};
+use odns::{CachedAnswer, DnsCache, ServeCache};
+use proptest::prelude::*;
+use std::net::Ipv4Addr;
+
+const CAPACITY: usize = 4;
+const NAMES: [&str; 2] = ["odns-study.example.", "other.example."];
+
+#[derive(Debug, Clone)]
+enum Op {
+    /// A client query for `NAMES[name]` with 0x20 casing drawn from
+    /// `casing` (one bit per letter); `exotic` asks in class `CH`.
+    Query {
+        name: usize,
+        txid: u16,
+        rd: bool,
+        casing: u32,
+        exotic: bool,
+    },
+    /// Advance the clock (milliseconds, so TTL-second boundaries are
+    /// crossed at arbitrary offsets).
+    Advance(u64),
+    /// Cache a positive or negative answer for `NAMES[name]`.
+    Insert {
+        name: usize,
+        positive: bool,
+        ttl: u32,
+    },
+    /// Insert `CAPACITY` other names, evicting everything older.
+    Evict,
+}
+
+fn op() -> impl Strategy<Value = Op> {
+    // Biased toward one query shape (name 0, RD set, canonical casing,
+    // class `IN`, few txids) so the memo matches and the `HotWire` replays
+    // often enough for the writes and clock steps to land between replays.
+    let query = || {
+        (0usize..4, 0u16..3, 0u8..4, 0u32..4, 0u8..8).prop_map(
+            |(name, txid, rd, casing, exotic)| Op::Query {
+                name: name / 3,
+                txid,
+                rd: rd != 0,
+                casing: if casing == 0 { 0x5A5A } else { 0 },
+                exotic: exotic == 0,
+            },
+        )
+    };
+    prop_oneof![
+        query(),
+        query(),
+        query(),
+        query(),
+        (0u64..=400_000).prop_map(Op::Advance),
+        (0u64..=1_500).prop_map(Op::Advance),
+        (0usize..2, any::<bool>(), 1u32..=600).prop_map(|(name, positive, ttl)| Op::Insert {
+            name,
+            positive,
+            ttl
+        }),
+        Just(Op::Evict),
+    ]
+}
+
+fn cased(name: &str, casing: u32) -> DnsName {
+    let s: String = name
+        .chars()
+        .enumerate()
+        .map(|(i, c)| {
+            if casing >> (i % 32) & 1 == 1 {
+                c.to_ascii_uppercase()
+            } else {
+                c
+            }
+        })
+        .collect();
+    DnsName::parse(&s).unwrap()
+}
+
+/// The reference host: decode, `DnsCache::get`, build.
+fn reference(cache: &mut DnsCache, payload: &[u8], now: SimTime) -> Option<Vec<u8>> {
+    let query = Message::decode(payload).unwrap();
+    let q = query.question()?;
+    let builder = MessageBuilder::response_to(&query).recursion_available(true);
+    let response = match cache.get(&q.qname, q.qtype, now)? {
+        CachedAnswer::Positive(records) => {
+            records.into_iter().fold(builder, MessageBuilder::answer)
+        }
+        CachedAnswer::Negative(rcode) => builder.rcode(rcode),
+    };
+    Some(response.build().encode())
+}
+
+/// The real host's order of calls: undecoded first, decode on decline.
+fn served(serve: &mut ServeCache, payload: &[u8], now: SimTime) -> Option<Vec<u8>> {
+    serve
+        .serve_undecoded(payload, now)
+        .or_else(|| {
+            let query = Message::decode(payload).unwrap();
+            serve.serve_decoded(payload, &query, now)
+        })
+        .map(|p| p.to_vec())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn serve_cache_is_indistinguishable_from_decode_get_build(
+        ops in proptest::collection::vec(op(), 1..120),
+    ) {
+        let mut serve = ServeCache::new(CAPACITY);
+        let mut plain = DnsCache::new(CAPACITY);
+        let mut now = SimTime::ZERO;
+        let mut queries = 0u64;
+        let mut filler = 0u32;
+        for op in ops {
+            match op {
+                Op::Query { name, txid, rd, casing, exotic } => {
+                    let qname = cased(NAMES[name], casing);
+                    let class = if exotic { QClass::Ch } else { QClass::In };
+                    let payload = MessageBuilder::query_class(txid, qname, RrType::A, class)
+                        .recursion_desired(rd)
+                        .build()
+                        .encode();
+                    queries += 1;
+                    prop_assert_eq!(
+                        served(&mut serve, &payload, now),
+                        reference(&mut plain, &payload, now),
+                        "query {} at {:?}", queries, now
+                    );
+                }
+                Op::Advance(ms) => now += SimDuration::from_millis(ms),
+                Op::Insert { name, positive, ttl } => {
+                    let owner = DnsName::parse(NAMES[name]).unwrap();
+                    let answer = if positive {
+                        let addr = Ipv4Addr::new(198, 51, 100, (ttl % 251) as u8);
+                        CachedAnswer::Positive(vec![
+                            Record::a(owner.clone(), ttl, addr),
+                            Record::a(owner.clone(), ttl, Ipv4Addr::new(192, 0, 2, 200)),
+                        ])
+                    } else {
+                        CachedAnswer::Negative(Rcode::NxDomain)
+                    };
+                    serve.insert(owner.clone(), RrType::A, answer.clone(), ttl, now);
+                    plain.insert(owner, RrType::A, answer, ttl, now);
+                }
+                Op::Evict => {
+                    for _ in 0..CAPACITY {
+                        filler += 1;
+                        let owner = DnsName::parse(&format!("f{filler}.filler.example.")).unwrap();
+                        let answer = CachedAnswer::Positive(vec![Record::a(
+                            owner.clone(),
+                            60,
+                            Ipv4Addr::new(10, 0, 0, 1),
+                        )]);
+                        serve.insert(owner.clone(), RrType::A, answer.clone(), 60, now);
+                        plain.insert(owner, RrType::A, answer, 60, now);
+                    }
+                }
+            }
+        }
+        // One counted lookup per client query, on both sides.
+        let stats = serve.cache().stats;
+        prop_assert_eq!(stats.hits + stats.misses, queries);
+        prop_assert_eq!(stats, plain.stats);
+    }
+}

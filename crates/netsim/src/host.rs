@@ -42,6 +42,19 @@ impl UdpSend {
         }
     }
 
+    /// The reply to `dgram`: from the address and port it was sent to,
+    /// back to the address and port it came from, default TTL.
+    pub fn reply_to(dgram: &Datagram, payload: impl Into<Payload>) -> Self {
+        UdpSend {
+            src: Some(dgram.dst),
+            src_port: dgram.dst_port,
+            dst: dgram.src,
+            dst_port: dgram.src_port,
+            ttl: None,
+            payload: payload.into(),
+        }
+    }
+
     /// Effective TTL.
     pub fn effective_ttl(&self) -> u8 {
         self.ttl.unwrap_or(DEFAULT_TTL)

@@ -18,8 +18,9 @@ pub const DEFAULT_TTL: u8 = 64;
 /// Backed by `Arc<[u8]>`: a transparent forwarder relaying a query, an
 /// echo reply, or a fault-injected duplicate clones the handle (one
 /// refcount bump) instead of memcpying the DNS message. Hosts that need
-/// to *modify* bytes copy out with [`Payload::to_vec`] first — payloads
-/// on the wire are immutable, exactly like real packets in flight.
+/// to *modify* bytes copy out with `.to_vec()` (via `Deref<[u8]>`) first
+/// — payloads on the wire are immutable, exactly like real packets in
+/// flight.
 #[derive(Clone)]
 pub struct Payload(Arc<[u8]>);
 

@@ -171,14 +171,7 @@ mod tests {
             // Mutation requires copying out: payloads in flight are shared.
             let mut payload = dgram.payload.to_vec();
             payload.make_ascii_uppercase();
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: dgram.dst_port,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload: payload.into(),
-            });
+            ctx.send_udp(UdpSend::reply_to(&dgram, payload));
         }
         crate::impl_host_downcast!();
     }

@@ -18,6 +18,7 @@
 //! All three emulations probe with real DNS queries through the simulator;
 //! only the *processing* differs.
 
+use crate::pacer::{Due, Pacer, PACE_TOKEN};
 use dnswire::{Message, MessageBuilder, RrType};
 use netsim::{Ctx, Datagram, Host, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
 use odns::study;
@@ -132,49 +133,30 @@ impl CampaignReport {
     }
 }
 
-/// A campaign scanner host.
+/// A campaign scanner host, paced and retransmitted by a `pacer::Pacer`.
 #[derive(Debug)]
 pub struct CampaignScanner {
     config: CampaignConfig,
-    cursor: usize,
+    pacer: Pacer,
     /// `(port, txid)` → probed target, for the connected-socket check.
     sent: HashMap<(u16, u16), Ipv4Addr>,
-    /// Per-probe "response seen" flags (retry bookkeeping only — a
-    /// response stops retransmission regardless of how the campaign's
-    /// pipeline judges it). Empty when retries are disabled.
-    answered: Vec<bool>,
-    /// Per-probe transmission counts. Empty when retries are disabled.
-    attempts_sent: Vec<u8>,
     /// The report being accumulated.
     pub report: CampaignReport,
 }
 
-const PACE_TOKEN: u64 = u64::MAX;
-/// Retry-check tokens: `RETRY_BASE | probe_index` (pacing is matched
-/// first, so `PACE_TOKEN`'s set top bit never collides).
-const RETRY_BASE: u64 = 1 << 63;
-/// Probes paced per batched timer event (campaigns have no per-run burst
-/// knob; the census scanner's `ScanConfig::burst` default matches).
-const PROBE_BURST: u32 = 16;
-
 impl CampaignScanner {
     /// Build from config.
     pub fn new(config: CampaignConfig) -> Self {
-        config.retry.assert_valid();
-        let (answered, attempts_sent) = if config.retry.enabled() {
-            (
-                vec![false; config.targets.len()],
-                vec![0u8; config.targets.len()],
-            )
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let pacer = Pacer::new(
+            config.targets.len(),
+            config.inter_probe_gap,
+            PACE_TOKEN,
+            config.retry,
+        );
         CampaignScanner {
             config,
-            cursor: 0,
+            pacer,
             sent: HashMap::new(),
-            answered,
-            attempts_sent,
             report: CampaignReport::default(),
         }
     }
@@ -186,8 +168,7 @@ impl CampaignScanner {
         )
     }
 
-    /// The campaign's wire query for probe `index` — rebuilt for every
-    /// transmission, byte-identical across attempts.
+    /// The campaign's wire query for a probe with `txid`.
     fn probe_query(txid: u16) -> netsim::Payload {
         MessageBuilder::query(txid, study::study_qname(), RrType::A)
             .recursion_desired(true)
@@ -197,43 +178,16 @@ impl CampaignScanner {
     }
 
     /// Inverse of [`CampaignScanner::probe_tuple`]: mark the probe a
-    /// response maps to as answered, halting its retransmissions.
+    /// response maps to as answered, halting its retransmissions (a
+    /// response stops them however the campaign's pipeline judges it).
     fn note_answer(&mut self, dst_port: u16, payload: &netsim::Payload) {
         let Some(txid) = dnswire::peek_id(payload) else {
             return;
         };
         let index =
             (usize::from(dst_port.wrapping_sub(self.config.base_port)) << 16) | usize::from(txid);
-        if index < self.answered.len()
-            && self.attempts_sent[index] > 0
-            && self.probe_tuple(index) == (dst_port, txid)
-        {
-            self.answered[index] = true;
-        }
-    }
-
-    /// Retry-check for probe `index`: retransmit if still unanswered and
-    /// attempts remain, then arm the next check with backoff.
-    fn on_retry_check(&mut self, ctx: &mut Ctx<'_>, index: usize) {
-        let Some(&sent) = self.attempts_sent.get(index) else {
-            return;
-        };
-        if sent == 0 || self.answered[index] || sent >= self.config.retry.max_attempts {
-            return;
-        }
-        let target = self.config.targets[index];
-        let (port, txid) = self.probe_tuple(index);
-        ctx.send_udp_attempt(
-            UdpSend::new(port, target, dnswire::DNS_PORT, Self::probe_query(txid)),
-            sent,
-        );
-        let now_sent = sent + 1;
-        self.attempts_sent[index] = now_sent;
-        self.report.retransmits_sent += 1;
-        if now_sent < self.config.retry.max_attempts {
-            let delay = self.config.retry.rto_after(now_sent - 1)
-                + self.config.retry.jitter_for(index as u64, now_sent);
-            ctx.set_timer(delay, RETRY_BASE | index as u64);
+        if self.probe_tuple(index) == (dst_port, txid) {
+            self.pacer.answered(index);
         }
     }
 }
@@ -271,57 +225,24 @@ impl Host for CampaignScanner {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == PACE_TOKEN {
-            if self.cursor < self.config.targets.len() {
-                let i = self.cursor;
-                self.cursor += 1;
-                let target = self.config.targets[i];
-                let (port, txid) = self.probe_tuple(i);
-                self.sent.insert((port, txid), target);
-                ctx.send_udp(UdpSend::new(
-                    port,
-                    target,
-                    dnswire::DNS_PORT,
-                    Self::probe_query(txid),
-                ));
-                if self.config.retry.enabled() {
-                    self.attempts_sent[i] = 1;
-                    if self.config.retry.jitter != SimDuration::ZERO {
-                        let delay = self.config.retry.rto_after(0)
-                            + self.config.retry.jitter_for(i as u64, 1);
-                        ctx.set_timer(delay, RETRY_BASE | i as u64);
-                    }
-                }
-                // One batched pacing event per burst of probes; send times
-                // are unchanged (`index · gap` past the campaign start).
-                let burst = PROBE_BURST as usize;
-                let remaining = self.config.targets.len() - self.cursor;
-                let gap = self.config.inter_probe_gap;
-                if remaining > 0 && i.is_multiple_of(burst) {
-                    ctx.set_timer_batch(gap, gap, remaining.min(burst) as u32, PACE_TOKEN, 0);
-                }
-                // Jitter-free retry checks ride the same batching as the
-                // census scanner's: the burst leader arms one batch
-                // covering itself and its burst.
-                if self.config.retry.enabled()
-                    && self.config.retry.jitter == SimDuration::ZERO
-                    && i.is_multiple_of(burst)
-                {
-                    let count = 1 + remaining.min(burst);
-                    ctx.set_timer_batch(
-                        self.config.retry.rto_after(0),
-                        gap,
-                        count as u32,
-                        RETRY_BASE | i as u64,
-                        1,
-                    );
-                }
-            }
+        let Some(due) = self.pacer.due(token) else {
             return;
+        };
+        // The wire query is rebuilt for every transmission, byte-identical
+        // across attempts.
+        let Due { index, attempt } = due;
+        let target = self.config.targets[index];
+        let (port, txid) = self.probe_tuple(index);
+        if attempt == 0 {
+            self.sent.insert((port, txid), target);
+        } else {
+            self.report.retransmits_sent += 1;
         }
-        if token & RETRY_BASE != 0 {
-            self.on_retry_check(ctx, (token ^ RETRY_BASE) as usize);
-        }
+        ctx.send_udp_attempt(
+            UdpSend::new(port, target, dnswire::DNS_PORT, Self::probe_query(txid)),
+            attempt,
+        );
+        self.pacer.sent(ctx, due);
     }
 
     netsim::impl_host_downcast!();

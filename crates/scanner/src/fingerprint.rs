@@ -7,7 +7,10 @@
 //! into vendor attributions — reproducing the "23 % of transparent
 //! forwarders are MikroTik" finding.
 
-use netsim::{Ctx, Datagram, Host, IcmpMessage, NodeId, SimDuration, Simulator, UdpSend};
+use crate::pacer::{Pacer, PACE_TOKEN};
+use netsim::{
+    Ctx, Datagram, Host, IcmpMessage, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend,
+};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
@@ -49,11 +52,12 @@ pub struct HostEvidence {
     pub closed: Vec<u16>,
 }
 
-/// The fingerprint scanner host.
+/// The fingerprint scanner host: one single-shot probe per `(target,
+/// port)` pair, paced by a `pacer::Pacer`.
 #[derive(Debug)]
 pub struct FingerprintScanner {
     config: FingerprintConfig,
-    cursor: usize,
+    pacer: Pacer,
     /// The one-byte wake-up payload every probe sends, shared like the
     /// census probe template: each send is a refcount bump, not a fresh
     /// allocation.
@@ -63,23 +67,21 @@ pub struct FingerprintScanner {
     pub evidence: BTreeMap<Ipv4Addr, HostEvidence>,
 }
 
-const PACE_TOKEN: u64 = u64::MAX;
-/// Probes paced per batched timer event.
-const PROBE_BURST: u32 = 16;
-
 impl FingerprintScanner {
     /// Build from config.
     pub fn new(config: FingerprintConfig) -> Self {
+        let pacer = Pacer::new(
+            config.targets.len() * config.ports.len(),
+            config.gap,
+            PACE_TOKEN,
+            RetryPolicy::none(),
+        );
         FingerprintScanner {
             config,
-            cursor: 0,
+            pacer,
             probe_payload: vec![0x00].into(),
             evidence: BTreeMap::new(),
         }
-    }
-
-    fn total_probes(&self) -> usize {
-        self.config.targets.len() * self.config.ports.len()
     }
 }
 
@@ -107,28 +109,20 @@ impl Host for FingerprintScanner {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token != PACE_TOKEN {
+        let Some(due) = self.pacer.due(token) else {
             return;
-        }
-        if self.cursor < self.total_probes() {
-            let i = self.cursor;
-            self.cursor += 1;
-            let target = self.config.targets[i / self.config.ports.len()];
-            let port = self.config.ports[i % self.config.ports.len()];
-            let src_port = self.config.base_port.wrapping_add((i & 0x3FFF) as u16);
-            ctx.send_udp(UdpSend::new(
-                src_port,
-                target,
-                port,
-                self.probe_payload.clone(),
-            ));
-            let burst = PROBE_BURST as usize;
-            let remaining = self.total_probes() - self.cursor;
-            if remaining > 0 && i.is_multiple_of(burst) {
-                let gap = self.config.gap;
-                ctx.set_timer_batch(gap, gap, remaining.min(burst) as u32, PACE_TOKEN, 0);
-            }
-        }
+        };
+        let i = due.index;
+        let target = self.config.targets[i / self.config.ports.len()];
+        let port = self.config.ports[i % self.config.ports.len()];
+        let src_port = self.config.base_port.wrapping_add((i & 0x3FFF) as u16);
+        ctx.send_udp(UdpSend::new(
+            src_port,
+            target,
+            port,
+            self.probe_payload.clone(),
+        ));
+        self.pacer.sent(ctx, due);
     }
 
     netsim::impl_host_downcast!();

@@ -26,6 +26,7 @@ pub mod attacks;
 pub mod campaigns;
 pub mod classify;
 pub mod fingerprint;
+mod pacer;
 pub mod records;
 pub mod sensors;
 pub mod shard;
@@ -44,7 +45,7 @@ pub use fingerprint::{
 };
 pub use records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 pub use sensors::{sensor_reply_matches, HoneypotSensor, SensorAddresses, SensorKind, SensorStats};
-pub use shard::{merge_shard_records, MergeStats, ShardRecords, StreamingMerge};
+pub use shard::{merge_shard_records, ShardRecords};
 pub use transactional::{
     correlate, correlate_owned, run_scan, run_scan_raw, Correlator, ProbeNaming, ScanConfig,
     TransactionalScanner, TupleScheme,

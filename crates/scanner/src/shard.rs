@@ -57,141 +57,42 @@ impl ShardRecords {
 ///
 /// This is the single offline pass of the sharded census: correlation
 /// runs per shard group (the `(port, txid)` key space restarts per
-/// shard), then transactions concatenate in ascending shard order with
-/// probe indices rebased onto one global range. Input order of the
-/// `shards` vector does not matter.
-pub fn merge_shard_records(shards: Vec<ShardRecords>, timeout: SimDuration) -> ScanOutcome {
-    let mut merge = StreamingMerge::new(timeout);
+/// shard, and one [`Correlator`] keeps its index map across groups), then
+/// transactions concatenate in ascending shard order with probe indices
+/// rebased onto one gap-free global range — exactly the outcome one
+/// scanner over the union target list would produce. Each shard's raw
+/// responses (payload-bearing, the bulk of a census's memory) die as its
+/// group is correlated. Input order of the `shards` vector does not
+/// matter.
+///
+/// Panics on a duplicate shard id — two groups sharing an id would split
+/// one `(port, txid)` key space and quietly mis-correlate, so batched
+/// collection must concatenate a shard's streams before merging.
+pub fn merge_shard_records(mut shards: Vec<ShardRecords>, timeout: SimDuration) -> ScanOutcome {
+    shards.sort_by_key(|s| s.shard);
+    if let Some(pair) = shards.windows(2).find(|w| w[0].shard == w[1].shard) {
+        panic!("duplicate shard id {} in merge", pair[0].shard);
+    }
+    let mut correlator = Correlator::new();
+    let mut merged = ScanOutcome {
+        transactions: Vec::with_capacity(shards.iter().map(|s| s.probes.len()).sum()),
+        ..ScanOutcome::default()
+    };
     for shard in shards {
-        merge.push(shard);
-    }
-    merge.finish().0
-}
-
-/// Memory-accounting summary of a [`StreamingMerge`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MergeStats {
-    /// Shard groups merged.
-    pub shards_merged: u32,
-    /// Peak resident record count (held transactions plus the records of
-    /// the shard being correlated) observed across all pushes.
-    pub peak_resident_records: usize,
-    /// Whether the peak ever crossed the advisory budget.
-    pub budget_exceeded: bool,
-}
-
-/// Incremental, bounded-memory shard merge.
-///
-/// [`merge_shard_records`] is its batch wrapper; the streaming form lets
-/// a sharded driver hand each shard's record streams over *as the shard
-/// finishes*. Every [`StreamingMerge::push`] correlates that shard's
-/// streams immediately — raw responses (payload-bearing, the bulk of a
-/// census's memory) die inside the push, and only correlated
-/// transactions stay resident. The correlation index map is reused
-/// across pushes via [`Correlator`].
-///
-/// The memory budget is advisory: pushes never fail, but the merge
-/// tracks its peak resident record count and flags
-/// [`StreamingMerge::budget_exceeded`] so drivers can see when a
-/// partition is too coarse for the budget they asked for.
-#[derive(Debug)]
-pub struct StreamingMerge {
-    timeout: SimDuration,
-    budget_records: Option<usize>,
-    correlator: Correlator,
-    parts: Vec<(u32, ScanOutcome)>,
-    retry: RetryStats,
-    resident: usize,
-    peak: usize,
-    exceeded: bool,
-}
-
-impl StreamingMerge {
-    /// An empty merge correlating within `timeout`.
-    pub fn new(timeout: SimDuration) -> Self {
-        StreamingMerge {
-            timeout,
-            budget_records: None,
-            correlator: Correlator::new(),
-            parts: Vec::new(),
-            retry: RetryStats::default(),
-            resident: 0,
-            peak: 0,
-            exceeded: false,
-        }
-    }
-
-    /// Set an advisory resident-record budget.
-    pub fn with_budget(mut self, records: usize) -> Self {
-        self.budget_records = Some(records);
-        self.exceeded = self.peak > records;
-        self
-    }
-
-    /// Correlate one shard's record streams into the merge. Panics on a
-    /// duplicate shard id — two groups sharing an id would split one
-    /// `(port, txid)` key space and quietly mis-correlate, so batched
-    /// collection must concatenate a shard's streams before pushing.
-    pub fn push(&mut self, shard: ShardRecords) {
-        assert!(
-            self.parts.iter().all(|(id, _)| *id != shard.shard),
-            "duplicate shard id {} in merge",
-            shard.shard
-        );
-        let incoming = shard.probes.len() + shard.responses.len();
-        self.peak = self.peak.max(self.resident + incoming);
-        if let Some(budget) = self.budget_records {
-            self.exceeded |= self.peak > budget;
-        }
-        self.retry.absorb(&shard.retry);
-        let outcome = self
-            .correlator
-            .correlate(shard.probes, shard.responses, self.timeout);
-        self.resident += outcome.transactions.len();
-        self.parts.push((shard.shard, outcome));
-    }
-
-    /// Whether the advisory budget was ever crossed.
-    pub fn budget_exceeded(&self) -> bool {
-        self.exceeded
-    }
-
-    /// Transactions currently resident (correlated, awaiting the merge).
-    pub fn resident_records(&self) -> usize {
-        self.resident
-    }
-
-    /// Merge the correlated shard groups: ascending shard order, probe
-    /// indices rebased onto one gap-free global range — exactly the
-    /// outcome one scanner over the union target list would produce.
-    pub fn finish(mut self) -> (ScanOutcome, MergeStats) {
-        self.parts.sort_by_key(|(shard, _)| *shard);
-        let stats = MergeStats {
-            shards_merged: self.parts.len() as u32,
-            peak_resident_records: self.peak,
-            budget_exceeded: self.exceeded,
-        };
-        let mut merged = ScanOutcome {
-            transactions: Vec::with_capacity(self.resident),
-            unmatched_responses: 0,
-            late_responses: 0,
-            late_answers_discarded: 0,
-            retry: self.retry,
-        };
-        let mut base = 0usize;
-        for (_, outcome) in self.parts {
-            let shard_probes = outcome.transactions.len();
-            merged.unmatched_responses += outcome.unmatched_responses;
-            merged.late_responses += outcome.late_responses;
-            merged.late_answers_discarded += outcome.late_answers_discarded;
-            for mut t in outcome.transactions {
+        let base = merged.transactions.len();
+        let outcome = correlator.correlate(shard.probes, shard.responses, timeout);
+        merged.retry.absorb(&shard.retry);
+        merged.unmatched_responses += outcome.unmatched_responses;
+        merged.late_responses += outcome.late_responses;
+        merged.late_answers_discarded += outcome.late_answers_discarded;
+        merged
+            .transactions
+            .extend(outcome.transactions.into_iter().map(|mut t| {
                 t.probe.index += base;
-                merged.transactions.push(t);
-            }
-            base += shard_probes;
-        }
-        (merged, stats)
+                t
+            }));
     }
+    merged
 }
 
 #[cfg(test)]
@@ -268,6 +169,7 @@ mod tests {
             assert_eq!(ta.probe.target, tb.probe.target);
             assert_eq!(ta.response_src(), tb.response_src());
         }
+        assert_eq!(a.unmatched_responses, b.unmatched_responses);
     }
 
     #[test]
@@ -283,45 +185,12 @@ mod tests {
     }
 
     #[test]
-    fn streaming_merge_matches_batch_merge() {
-        let shards = vec![shard(0, 3, &[1]), shard(1, 2, &[0]), shard(2, 4, &[2, 3])];
-        let batch = merge_shard_records(shards.clone(), SimDuration::from_secs(20));
-        let mut merge = StreamingMerge::new(SimDuration::from_secs(20));
-        // Arrival order must not matter.
-        for s in shards.into_iter().rev() {
-            merge.push(s);
-        }
-        let (streamed, stats) = merge.finish();
-        assert_eq!(batch.transactions.len(), streamed.transactions.len());
-        for (a, b) in batch.transactions.iter().zip(&streamed.transactions) {
-            assert_eq!(a.probe.index, b.probe.index);
-            assert_eq!(a.probe.target, b.probe.target);
-            assert_eq!(a.response_src(), b.response_src());
-        }
-        assert_eq!(batch.unmatched_responses, streamed.unmatched_responses);
-        assert_eq!(stats.shards_merged, 3);
-        assert!(!stats.budget_exceeded, "no budget set");
-    }
-
-    #[test]
-    fn streaming_merge_tracks_peak_and_budget() {
-        let mut merge = StreamingMerge::new(SimDuration::from_secs(20)).with_budget(4);
-        merge.push(shard(0, 3, &[0, 1])); // peak 5: 3 probes + 2 responses
-        assert!(merge.budget_exceeded());
-        assert_eq!(merge.resident_records(), 3, "responses died in the push");
-        merge.push(shard(1, 1, &[]));
-        let (outcome, stats) = merge.finish();
-        assert_eq!(outcome.transactions.len(), 4);
-        assert_eq!(stats.peak_resident_records, 5);
-        assert!(stats.budget_exceeded);
-    }
-
-    #[test]
     #[should_panic(expected = "duplicate shard id 7")]
     fn streaming_merge_rejects_duplicate_shards() {
-        let mut merge = StreamingMerge::new(SimDuration::from_secs(20));
-        merge.push(shard(7, 1, &[]));
-        merge.push(shard(7, 1, &[]));
+        merge_shard_records(
+            vec![shard(7, 1, &[]), shard(3, 2, &[]), shard(7, 1, &[])],
+            SimDuration::from_secs(20),
+        );
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! forwarders visible: their responses arrive from a *different* address
 //! than the probed one, which only a recorded transaction can reveal.
 
+use crate::pacer::{Due, Pacer, PACE_TOKEN};
 use crate::records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 use dnswire::{MessageBuilder, RrType};
 use netsim::{Ctx, Datagram, Host, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
@@ -78,10 +79,6 @@ pub struct ScanConfig {
     /// the txid advancing once per 65 k block, so the `(port, txid)` tuple
     /// is unique for every in-flight probe.
     pub base_port: u16,
-    /// Probes paced per batched timer event (see `Ctx::set_timer_batch`).
-    /// Send times are exactly `index · inter_probe_gap` regardless of this
-    /// value — it only sets how many queue events the pacing costs.
-    pub burst: u32,
     /// Retransmission policy. The default ([`RetryPolicy::none`]) keeps
     /// the paper's single-shot behavior: no retry state is allocated and
     /// no retry timers are armed.
@@ -94,9 +91,6 @@ impl ScanConfig {
     /// uses this same constant, keeping scan and merge windows aligned.
     pub const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
-    /// Default pacing burst: one queue event per 16 probes.
-    pub const DEFAULT_BURST: u32 = 16;
-
     /// Defaults matching the paper: static naming, 20 s timeout.
     pub fn new(targets: Vec<Ipv4Addr>) -> Self {
         ScanConfig {
@@ -106,7 +100,6 @@ impl ScanConfig {
             inter_probe_gap: SimDuration::from_micros(50),
             timeout: Self::DEFAULT_TIMEOUT,
             base_port: 33_000,
-            burst: Self::DEFAULT_BURST,
             retry: RetryPolicy::none(),
         }
     }
@@ -164,12 +157,13 @@ impl ScanConfig {
     }
 }
 
-/// The scanner host. Drives itself with a pacing timer; all analysis is
-/// post-processing over the recorded probes and responses.
+/// The scanner host. Paced (and, under a [`RetryPolicy`], retransmitted)
+/// by a `pacer::Pacer`; all analysis is post-processing over the recorded
+/// probes and responses.
 #[derive(Debug)]
 pub struct TransactionalScanner {
     config: ScanConfig,
-    cursor: usize,
+    pacer: Pacer,
     /// Pre-encoded probe query for static naming: every probe differs only
     /// in its transaction ID, so the hot send path shares one patched
     /// buffer per txid block instead of building and encoding a fresh
@@ -185,13 +179,6 @@ pub struct TransactionalScanner {
     pub probes: Vec<ProbeRecord>,
     /// Raw response records in arrival order.
     pub responses: Vec<ResponseRecord>,
-    /// Per-probe "first answer seen" flags — retransmission stops the
-    /// moment any response for the probe's `(port, txid)` arrives. Empty
-    /// when retries are disabled (single-shot scans pay nothing).
-    answered: Vec<bool>,
-    /// Per-probe transmission counts (1 after the original send). Empty
-    /// when retries are disabled.
-    attempts_sent: Vec<u8>,
     /// `(port, txid) → probe index`, the inverse the answer path needs
     /// when tuples are target-keyed (the port-walk inverse is arithmetic).
     /// Empty unless retries are enabled under [`TupleScheme::TargetKeyed`].
@@ -200,31 +187,19 @@ pub struct TransactionalScanner {
     pub retry_stats: RetryStats,
 }
 
-/// Timer token used for probe pacing.
-const PACE_TOKEN: u64 = u64::MAX;
-
-/// Retry-check tokens occupy the top-bit half of the token space:
-/// `RETRY_BASE | probe_index`. `PACE_TOKEN` (`u64::MAX`) also has the top
-/// bit set, so pacing is matched first and probe indices stay well below
-/// the ambiguous range.
-const RETRY_BASE: u64 = 1 << 63;
-
 impl TransactionalScanner {
     /// Build from config.
     pub fn new(config: ScanConfig) -> Self {
-        config.retry.assert_valid();
+        let pacer = Pacer::new(
+            config.targets.len(),
+            config.inter_probe_gap,
+            PACE_TOKEN,
+            config.retry,
+        );
         let probes = Vec::with_capacity(config.targets.len());
         let probe_template = match config.naming {
             ProbeNaming::Static => Some(static_probe_template()),
             ProbeNaming::EncodeTarget => None,
-        };
-        let (answered, attempts_sent) = if config.retry.enabled() {
-            (
-                vec![false; config.targets.len()],
-                vec![0u8; config.targets.len()],
-            )
-        } else {
-            (Vec::new(), Vec::new())
         };
         let tuple_index = if config.retry.enabled() && config.tuples == TupleScheme::TargetKeyed {
             config
@@ -238,13 +213,11 @@ impl TransactionalScanner {
         };
         TransactionalScanner {
             config,
-            cursor: 0,
+            pacer,
             probe_template,
             cached_block: None,
             probes,
             responses: Vec::new(),
-            answered,
-            attempts_sent,
             tuple_index,
             retry_stats: RetryStats::default(),
         }
@@ -295,54 +268,28 @@ impl TransactionalScanner {
         }
     }
 
-    fn send_probe(&mut self, ctx: &mut Ctx<'_>, index: usize) {
+    /// Put `due` on the wire: the original send records a
+    /// [`ProbeRecord`]; a retransmission re-sends the *same* `(port, txid)`
+    /// wire bytes without one — correlation sees one transaction per probe.
+    fn transmit(&mut self, ctx: &mut Ctx<'_>, Due { index, attempt }: Due) {
         let target = self.config.targets[index];
         let (port, txid) = self.config.tuple_for(index, target);
         let payload = self.probe_payload(target, txid);
-        self.probes.push(ProbeRecord {
-            index,
-            target,
-            sent_at: ctx.now(),
-            src_port: port,
-            txid,
-        });
-        ctx.send_udp(UdpSend::new(port, target, dnswire::DNS_PORT, payload));
-        if self.config.retry.enabled() {
-            self.attempts_sent[index] = 1;
-            // With jitter every probe's retry check lands at its own
-            // hashed offset, so arm individually; the jitter-free case is
-            // armed in batches by the burst leader (see `on_timer`).
-            if self.config.retry.jitter != SimDuration::ZERO {
-                let delay =
-                    self.config.retry.rto_after(0) + self.config.retry.jitter_for(index as u64, 1);
-                ctx.set_timer(delay, RETRY_BASE | index as u64);
-            }
+        if attempt == 0 {
+            self.probes.push(ProbeRecord {
+                index,
+                target,
+                sent_at: ctx.now(),
+                src_port: port,
+                txid,
+            });
+        } else {
+            self.retry_stats.retransmits_sent += 1;
         }
-    }
-
-    /// A retry-check timer fired for probe `index`: if it is still
-    /// unanswered and attempts remain, retransmit the *same* `(port,
-    /// txid)` wire bytes (no new [`ProbeRecord`] — correlation sees one
-    /// transaction per probe) and arm the next check with backoff.
-    fn on_retry_check(&mut self, ctx: &mut Ctx<'_>, index: usize) {
-        let Some(&sent) = self.attempts_sent.get(index) else {
-            return;
-        };
-        if sent == 0 || self.answered[index] || sent >= self.config.retry.max_attempts {
-            return;
-        }
-        let target = self.config.targets[index];
-        let (port, txid) = self.config.tuple_for(index, target);
-        let payload = self.probe_payload(target, txid);
-        ctx.send_udp_attempt(UdpSend::new(port, target, dnswire::DNS_PORT, payload), sent);
-        let now_sent = sent + 1;
-        self.attempts_sent[index] = now_sent;
-        self.retry_stats.retransmits_sent += 1;
-        if now_sent < self.config.retry.max_attempts {
-            let delay = self.config.retry.rto_after(now_sent - 1)
-                + self.config.retry.jitter_for(index as u64, now_sent);
-            ctx.set_timer(delay, RETRY_BASE | index as u64);
-        }
+        ctx.send_udp_attempt(
+            UdpSend::new(port, target, dnswire::DNS_PORT, payload),
+            attempt,
+        );
     }
 
     /// Mark the probe a response maps to (the inverse of the configured
@@ -366,13 +313,13 @@ impl TransactionalScanner {
                 i
             }
         };
-        if index < self.answered.len()
-            && self.attempts_sent[index] > 0
-            && !self.answered[index]
-            && self.config.tuple_for(index, self.config.targets[index]) == (dst_port, txid)
-        {
-            self.answered[index] = true;
-            self.retry_stats.record_answered(self.attempts_sent[index]);
+        let Some(&target) = self.config.targets.get(index) else {
+            return;
+        };
+        if self.config.tuple_for(index, target) == (dst_port, txid) {
+            if let Some(attempts) = self.pacer.answered(index) {
+                self.retry_stats.record_answered(attempts);
+            }
         }
     }
 }
@@ -391,46 +338,11 @@ impl Host for TransactionalScanner {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if token == PACE_TOKEN {
-            if self.cursor < self.config.targets.len() {
-                let i = self.cursor;
-                self.cursor += 1;
-                self.send_probe(ctx, i);
-                // Batched pacing: a single bootstrap timer fires probe 0;
-                // the first probe of each burst arms one timer batch
-                // covering the rest of the burst. Send times stay exactly
-                // `index · gap`, and any legacy single-timer bootstrap
-                // still drives a full scan.
-                let burst = self.config.burst.max(1) as usize;
-                let remaining = self.config.targets.len() - self.cursor;
-                let gap = self.config.inter_probe_gap;
-                if remaining > 0 && i.is_multiple_of(burst) {
-                    ctx.set_timer_batch(gap, gap, remaining.min(burst) as u32, PACE_TOKEN, 0);
-                }
-                // Jitter-free retries ride the same batching: the burst
-                // leader arms one retry-check batch covering itself and
-                // its burst, each check landing exactly `initial_rto`
-                // after the probe it guards (send times are `index·gap`,
-                // so a stride of `gap` keeps the offsets aligned).
-                if self.config.retry.enabled()
-                    && self.config.retry.jitter == SimDuration::ZERO
-                    && i.is_multiple_of(burst)
-                {
-                    let count = 1 + remaining.min(burst);
-                    ctx.set_timer_batch(
-                        self.config.retry.rto_after(0),
-                        gap,
-                        count as u32,
-                        RETRY_BASE | i as u64,
-                        1,
-                    );
-                }
-            }
+        let Some(due) = self.pacer.due(token) else {
             return;
-        }
-        if token & RETRY_BASE != 0 {
-            self.on_retry_check(ctx, (token ^ RETRY_BASE) as usize);
-        }
+        };
+        self.transmit(ctx, due);
+        self.pacer.sent(ctx, due);
     }
 
     netsim::impl_host_downcast!();

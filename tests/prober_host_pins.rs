@@ -1,0 +1,272 @@
+//! The four index-paced probers (`TransactionalScanner`,
+//! `CampaignScanner`, `FingerprintScanner`, `ReflectionAttacker`) share
+//! one pacing/retry core, `scanner::pacer`. These pins hold each host to
+//! the exact event stream it produced when it carried its own copy:
+//! every `SimStats` field (sends, drops, timers fired/coalesced, queue
+//! events) plus a digest of what the host reports, for one fixed
+//! playground world per mode. The literals were captured on the commit
+//! before the hosts moved onto the pacer.
+
+use netsim::testkit::playground;
+use netsim::{FaultPlan, NodeId, SimConfig, SimDuration, SimStats, Simulator};
+use odns::{
+    AuthConfig, DeviceProfile, RecursiveForwarder, RecursiveResolver, ResolverConfig, StudyNodes,
+    TransparentForwarder, Vendor,
+};
+use scanner::{
+    run_campaign, run_fingerprint_scan, run_reflections, run_scan, AttackVector, Campaign,
+    CampaignConfig, FingerprintConfig, ReflectionPlan, ScanConfig, VictimMeter,
+};
+use std::net::Ipv4Addr;
+
+const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+const VICTIM: Ipv4Addr = Ipv4Addr::new(198, 51, 99, 1);
+const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
+const TLD: Ipv4Addr = Ipv4Addr::new(198, 41, 1, 4);
+const AUTH: Ipv4Addr = Ipv4Addr::new(198, 41, 2, 4);
+const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
+
+/// 37 targets — two full pacing bursts plus a remainder: every third a
+/// transparent forwarder (MikroTik), every third a caching recursive
+/// forwarder (Zyxel CPE), the rest silent.
+fn targets() -> Vec<Ipv4Addr> {
+    (1..=37).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect()
+}
+
+struct World {
+    sim: Simulator,
+    scanner: NodeId,
+    victim: NodeId,
+}
+
+fn world(seed: u64, faults: FaultPlan) -> World {
+    let mut ips = vec![SCANNER, VICTIM, ROOT, TLD, AUTH, RESOLVER];
+    ips.extend(targets());
+    let (topo, nodes) = playground(&ips);
+    let mut sim = Simulator::new(
+        topo,
+        SimConfig {
+            seed,
+            faults,
+            ..SimConfig::default()
+        },
+    );
+    odns::install_study_stack(
+        &mut sim,
+        StudyNodes {
+            root: nodes[2],
+            tld: nodes[3],
+            tld_ip: TLD,
+            auth: nodes[4],
+            auth_ip: AUTH,
+        },
+        AuthConfig::default(),
+    );
+    sim.install(
+        nodes[5],
+        RecursiveResolver::new(ResolverConfig::open(vec![ROOT])),
+    );
+    for (i, node) in nodes[6..].iter().enumerate() {
+        match i % 3 {
+            0 => sim.install(
+                *node,
+                TransparentForwarder::new(RESOLVER).with_device(DeviceProfile::mikrotik()),
+            ),
+            1 => sim.install(
+                *node,
+                RecursiveForwarder::new(RESOLVER)
+                    .with_device(DeviceProfile::with_mgmt(Vendor::Zyxel)),
+            ),
+            _ => {}
+        }
+    }
+    sim.install(nodes[1], VictimMeter::new());
+    World {
+        sim,
+        scanner: nodes[0],
+        victim: nodes[1],
+    }
+}
+
+/// FNV-1a over a value's `Debug` rendering: one comparable number for a
+/// whole outcome/report/evidence map.
+fn digest(value: &impl std::fmt::Debug) -> u64 {
+    format!("{value:?}")
+        .bytes()
+        .fold(0xcbf2_9ce4_8422_2325, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+}
+
+fn lossy() -> FaultPlan {
+    FaultPlan::lossy(0.2)
+}
+
+#[test]
+fn transactional_scan_clean() {
+    let mut w = world(5, FaultPlan::none());
+    let outcome = run_scan(&mut w.sim, w.scanner, ScanConfig::new(targets()));
+    assert_eq!(outcome.answered_count(), 25);
+    assert_eq!(digest(&outcome), 0xd7ad_4379_d460_6d21);
+    assert_eq!(
+        *w.sim.stats(),
+        SimStats {
+            udp_sent: 105,
+            udp_delivered: 105,
+            spoofed_sent: 13,
+            udp_bytes_delivered: 5101,
+            timers_fired: 52,
+            timers_coalesced: 33,
+            events_wheel_scheduled: 124,
+            events_processed: 124,
+            route_cache_hits: 12,
+            route_cache_misses: 93,
+            ..SimStats::default()
+        }
+    );
+}
+
+#[test]
+fn transactional_scan_lossy_with_sweep_retry_policy() {
+    let mut w = world(6, lossy());
+    let cfg = ScanConfig::new(targets()).with_retry(analysis::sweep_retry_policy(2));
+    let outcome = run_scan(&mut w.sim, w.scanner, cfg);
+    assert_eq!(digest(&outcome), 0xdb98_a5a9_f243_e7c7);
+    assert_eq!(
+        *w.sim.stats(),
+        SimStats {
+            udp_sent: 194,
+            udp_delivered: 153,
+            spoofed_sent: 22,
+            dropped_fault: 51,
+            dropped_corrupt: 4,
+            icmp_delivered: 3,
+            duplicates_injected: 14,
+            retransmits_sent: 60,
+            udp_bytes_delivered: 6765,
+            timers_fired: 139,
+            timers_coalesced: 33,
+            events_wheel_scheduled: 262,
+            events_processed: 262,
+            route_cache_hits: 68,
+            route_cache_misses: 78,
+            ..SimStats::default()
+        }
+    );
+}
+
+#[test]
+fn transactional_scan_lossy_target_keyed_with_retry() {
+    let mut w = world(7, lossy());
+    let cfg = ScanConfig::new(targets())
+        .with_target_keyed_tuples()
+        .with_retry(analysis::sweep_retry_policy(2));
+    let outcome = run_scan(&mut w.sim, w.scanner, cfg);
+    assert_eq!(digest(&outcome), 0x5ad9_4c0a_8a4f_6991);
+    assert_eq!(
+        *w.sim.stats(),
+        SimStats {
+            udp_sent: 196,
+            udp_delivered: 158,
+            spoofed_sent: 24,
+            dropped_fault: 42,
+            dropped_corrupt: 1,
+            icmp_delivered: 1,
+            duplicates_injected: 5,
+            retransmits_sent: 58,
+            udp_bytes_delivered: 7154,
+            timers_fired: 137,
+            timers_coalesced: 33,
+            events_wheel_scheduled: 263,
+            events_processed: 263,
+            route_cache_hits: 75,
+            route_cache_misses: 80,
+            ..SimStats::default()
+        }
+    );
+}
+
+#[test]
+fn campaign_lossy_with_jittered_retry() {
+    let mut w = world(8, lossy());
+    let cfg = CampaignConfig::new(Campaign::Censys, targets())
+        .with_retry(analysis::sweep_retry_policy(2));
+    let report = run_campaign(&mut w.sim, w.scanner, cfg);
+    assert_eq!(digest(&report), 0xddd9_6b80_027f_cd77);
+    assert_eq!(
+        *w.sim.stats(),
+        SimStats {
+            udp_sent: 215,
+            udp_delivered: 162,
+            spoofed_sent: 27,
+            dropped_fault: 52,
+            dropped_corrupt: 5,
+            duplicates_injected: 4,
+            retransmits_sent: 64,
+            udp_bytes_delivered: 6993,
+            timers_fired: 141,
+            timers_coalesced: 33,
+            events_wheel_scheduled: 270,
+            events_processed: 270,
+            route_cache_hits: 85,
+            route_cache_misses: 78,
+            ..SimStats::default()
+        }
+    );
+}
+
+#[test]
+fn fingerprint_scan() {
+    let mut w = world(9, FaultPlan::none());
+    let evidence = run_fingerprint_scan(&mut w.sim, w.scanner, FingerprintConfig::new(targets()));
+    assert_eq!(digest(&evidence), 0x4046_1561_e187_c16b);
+    assert_eq!(
+        *w.sim.stats(),
+        SimStats {
+            udp_sent: 149,
+            udp_delivered: 149,
+            icmp_delivered: 37,
+            udp_bytes_delivered: 843,
+            timers_fired: 111,
+            timers_coalesced: 103,
+            events_wheel_scheduled: 194,
+            events_processed: 194,
+            route_cache_hits: 124,
+            route_cache_misses: 62,
+            ..SimStats::default()
+        }
+    );
+}
+
+#[test]
+fn reflection_plans() {
+    let mut w = world(10, FaultPlan::none());
+    let all = targets();
+    let mut late = ReflectionPlan::new(AttackVector::Txt, all[..17].to_vec(), VICTIM, 40_002);
+    late.start_after = SimDuration::from_millis(3);
+    let plans = vec![
+        ReflectionPlan::new(AttackVector::Any, all.clone(), VICTIM, 40_001),
+        late,
+        ReflectionPlan::flood(AttackVector::EdnsAny, &all[..11], 3, VICTIM, 40_003),
+    ];
+    let spends = run_reflections(&mut w.sim, w.scanner, plans);
+    let meter: &VictimMeter = w.sim.host_as(w.victim).unwrap();
+    let seen = (&spends, &meter.tallies);
+    assert_eq!(digest(&seen), 0x3068_10a9_9381_cb15);
+    assert_eq!(
+        *w.sim.stats(),
+        SimStats {
+            udp_sent: 231,
+            udp_delivered: 231,
+            spoofed_sent: 118,
+            udp_bytes_delivered: 17970,
+            timers_fired: 113,
+            timers_coalesced: 78,
+            events_wheel_scheduled: 266,
+            events_processed: 266,
+            route_cache_hits: 138,
+            route_cache_misses: 93,
+            ..SimStats::default()
+        }
+    );
+}
