@@ -2,10 +2,11 @@
 //! throughput, world generation — establishing that an Internet-scale
 //! (1:1) census is compute-feasible.
 //!
-//! The `hotpath` group additionally emits a machine-readable
-//! `BENCH_simcore.json` (probes/sec, events/sec, route-cache hit rate) so
-//! successive PRs have a perf trajectory to compare against. Set
-//! `BENCH_QUICK=1` for a fast CI-friendly run.
+//! The `hotpath` and `routing` groups additionally emit machine-readable
+//! sections of `BENCH_simcore.json` (probes/sec, events/sec, route-cache
+//! hit rate; ns per resolve, routes held) so successive PRs have a perf
+//! trajectory to compare against. Set `BENCH_QUICK=1` for a fast
+//! CI-friendly run of those two.
 
 use bench::{criterion, tiny_world};
 use criterion::{black_box, Criterion};
@@ -70,41 +71,89 @@ fn bench_event_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_route_resolution(c: &mut Criterion) {
-    let internet = tiny_world();
-    let topo = internet.sim.topology();
+/// Route-plane cost of one census, written to the `routing` section of
+/// `BENCH_simcore.json`. The world is census-shaped (full country table,
+/// `scale` 1000) and the legs are the ones a census routes forward: the
+/// scanner to every target, and every forwarder to its resolver. Each
+/// host pair is new, but most legs share an `(src AS, dst AS)` pair.
+///
+/// * `first_census` — a new resolver per pass: every leg is a host pair
+///   never seen before, and each AS pair's segment is built once;
+/// * `later_census` — the same legs again: every segment is cached;
+/// * `routes_held` — AS routes the simulator's resolver holds after one
+///   real census of the world (one per miss), against the legs it routed.
+// Wall-clock is the measured quantity here (clippy.toml bans it elsewhere).
+#[allow(clippy::disallowed_methods)]
+fn bench_routing() {
+    let quick = bench::quick_mode();
+    let passes: u32 = if quick { 20 } else { 200 };
+    let mut internet = inetgen::generate(&GenConfig {
+        scale: 1_000,
+        ..GenConfig::default()
+    });
     let scanner_node = internet.fixtures.scanner;
-    let targets: Vec<_> = internet.targets.iter().take(64).copied().collect();
-    let mut group = c.benchmark_group("routing");
-    group.throughput(criterion::Throughput::Elements(targets.len() as u64));
-    group.bench_function("resolve_64_cold_routes", |b| {
-        b.iter(|| {
-            let mut resolver = netsim::RouteResolver::new();
-            let mut hops = 0usize;
-            for t in &targets {
-                if let Ok(p) = resolver.resolve(topo, scanner_node, *t) {
-                    hops += p.router_hops();
-                }
+    let scanner_legs = internet.targets.iter().map(|t| (scanner_node, *t));
+    let planted = internet.truth.hosts.iter();
+    let forwarder_legs = planted.filter_map(|h| Some((h.node, h.resolver_target?)));
+    let legs: Vec<_> = scanner_legs.chain(forwarder_legs).collect();
+    let topo = internet.sim.topology();
+    let pass = |resolver: &mut netsim::RouteResolver| {
+        let mut hops = 0usize;
+        for (from, to) in &legs {
+            if let Ok(p) = resolver.resolve(topo, *from, *to) {
+                hops += p.router_hops();
             }
-            black_box(hops)
-        })
-    });
-    group.bench_function("resolve_64_warm_routes", |b| {
-        let mut resolver = netsim::RouteResolver::new();
-        for t in &targets {
-            let _ = resolver.resolve(topo, scanner_node, *t);
         }
-        b.iter(|| {
-            let mut hops = 0usize;
-            for t in &targets {
-                if let Ok(p) = resolver.resolve(topo, scanner_node, *t) {
-                    hops += p.router_hops();
-                }
-            }
-            black_box(hops)
-        })
-    });
-    group.finish();
+        black_box(hops)
+    };
+    let ns_per_resolve = |elapsed: std::time::Duration| {
+        elapsed.as_nanos() as f64 / (f64::from(passes) * legs.len() as f64)
+    };
+
+    let t0 = Instant::now();
+    for _ in 0..passes {
+        pass(&mut netsim::RouteResolver::new());
+    }
+    let first_census_ns = ns_per_resolve(t0.elapsed());
+
+    let mut resolver = netsim::RouteResolver::new();
+    pass(&mut resolver);
+    let t0 = Instant::now();
+    for _ in 0..passes {
+        pass(&mut resolver);
+    }
+    let later_census_ns = ns_per_resolve(t0.elapsed());
+    let leg_count = legs.len();
+    let as_pairs = resolver.cache_len();
+
+    let targets = internet.targets.clone();
+    let _ = scanner::run_scan(&mut internet.sim, scanner_node, ScanConfig::new(targets));
+    let stats = internet.sim.stats();
+    let routes_held = stats.route_cache_misses;
+    let resolves_routed = stats.route_cache_hits + stats.route_cache_misses;
+
+    println!(
+        "routing/first_census                     ns/resolve: {first_census_ns:>8.1}  legs: {leg_count}  AS pairs: {as_pairs}"
+    );
+    println!("routing/later_census                     ns/resolve: {later_census_ns:>8.1}");
+    println!(
+        "routing/routes_held                      {routes_held} AS routes after one census ({resolves_routed} resolves routed)"
+    );
+    let section = format!(
+        "{{\n    \"bench\": \"micro_simcore/routing\",\n    \"mode\": \"{}\",\n    \"world\": \"full country table, scale 1000\",\n    \"passes\": {},\n    \"legs\": {},\n    \"leg_as_pairs\": {},\n    \"first_census_ns_per_resolve\": {:.1},\n    \"later_census_ns_per_resolve\": {:.1},\n    \"census_resolves_routed\": {},\n    \"routes_held\": {}\n  }}",
+        if quick { "quick" } else { "full" },
+        passes,
+        leg_count,
+        as_pairs,
+        first_census_ns,
+        later_census_ns,
+        resolves_routed,
+        routes_held,
+    );
+    match bench::merge_bench_section("routing", &section) {
+        Ok(path) => println!("routing: wrote section \"routing\" to {path}"),
+        Err(e) => eprintln!("routing: could not write artifact: {e}"),
+    }
 }
 
 /// Pre-PR reference figures, measured on the machine that landed the
@@ -237,8 +286,8 @@ fn main() {
         let mut c = criterion();
         bench_generation(&mut c);
         bench_event_throughput(&mut c);
-        bench_route_resolution(&mut c);
         c.final_summary();
     }
+    bench_routing();
     bench_hotpath();
 }

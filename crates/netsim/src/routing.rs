@@ -1,4 +1,5 @@
-//! Path computation: AS-level BFS expanded to router-level hop lists.
+//! Path computation: one shared transit segment per AS pair, composed
+//! with the endpoints' access routers per packet.
 //!
 //! A route is resolved once per packet as:
 //!
@@ -7,7 +8,10 @@
 //! AS path, in traversal order] ── [dst access routers, reversed] ── dst host
 //! ```
 //!
-//! TTL expiry is then evaluated arithmetically against the hop list, so a
+//! Only the middle part depends on the AS pair alone, so only it is cached
+//! ([`RouteResolver`]); a [`Path`] borrows it and the two hosts' specs.
+//!
+//! TTL expiry is then evaluated arithmetically against the hop count, so a
 //! 30-probe DNSRoute++ TTL sweep costs no more events than 30 plain sends.
 //! Anycast destinations resolve to the instance whose AS is closest (in AS
 //! hops) to the source AS — the mechanism behind Figure 6's ranking of
@@ -18,7 +22,6 @@ use crate::time::SimDuration;
 use crate::topology::{AsId, IpOwner, NodeId, Topology};
 use std::collections::{HashMap, VecDeque};
 use std::net::Ipv4Addr;
-use std::sync::Arc;
 
 /// Per-router forwarding latency (one way).
 const HOP_LATENCY: SimDuration = SimDuration(1_000);
@@ -36,40 +39,110 @@ pub struct Hop {
     pub latency: SimDuration,
 }
 
-/// A fully resolved unidirectional path.
-#[derive(Debug, Clone)]
-pub struct Path {
-    /// Destination node (for anycast: the selected instance).
-    pub dst_node: NodeId,
-    /// Router hops in order; does not include the destination host.
-    pub hops: Vec<Hop>,
-    /// Total one-way latency source → destination host.
-    pub total_latency: SimDuration,
+/// The part of a route every host pair of one `(src AS, dst AS)` shares:
+/// the AS path and the transit routers crossed along it.
+#[derive(Debug)]
+struct AsRoute {
     /// AS-level path (src AS first, dst AS last).
-    pub as_path: Vec<AsId>,
+    as_path: Vec<AsId>,
+    /// Transit-router hops in traversal order; `latency` is cumulative
+    /// from the segment's entry (the last source access router).
+    hops: Vec<Hop>,
+    /// One-way latency across the whole segment.
+    latency: SimDuration,
 }
 
-impl Path {
+impl AsRoute {
+    /// `None` when the AS graph has no valley-free path `src → dst`.
+    fn build(topo: &Topology, src: AsId, dst: AsId) -> Option<Self> {
+        let as_path = bfs_as_path(topo, src, dst)?;
+        let routers = |as_id: &AsId| topo.as_spec(*as_id).transit_routers.len();
+        let mut hops = Vec::with_capacity(as_path.iter().map(routers).sum());
+        let mut latency = SimDuration::ZERO;
+        for (i, &as_id) in as_path.iter().enumerate() {
+            if i > 0 {
+                latency = latency + AS_CROSS_LATENCY;
+            }
+            for r in &topo.as_spec(as_id).transit_routers {
+                latency = latency + HOP_LATENCY;
+                hops.push(Hop {
+                    ip: *r,
+                    as_id,
+                    latency,
+                });
+            }
+        }
+        Some(AsRoute {
+            as_path,
+            hops,
+            latency,
+        })
+    }
+}
+
+/// A fully resolved unidirectional path: a borrowed view over the source
+/// host's access routers, the cached segment of its AS pair, and the
+/// destination host's access routers. Nothing is allocated per resolve.
+#[derive(Debug, Clone, Copy)]
+pub struct Path<'a> {
+    /// Destination node (for anycast: the selected instance).
+    pub dst_node: NodeId,
+    /// Total one-way latency source → destination host.
+    pub total_latency: SimDuration,
+    /// Source access routers, core-side first: traversed in reverse.
+    src_access: &'a [Ipv4Addr],
+    src_link: SimDuration,
+    /// Destination access routers, traversed as stored.
+    dst_access: &'a [Ipv4Addr],
+    route: &'a AsRoute,
+}
+
+impl<'a> Path<'a> {
     /// Number of IP hops a probe must survive to be *delivered*: each
     /// router decrements once; the destination host does not decrement.
-    /// A packet sent with TTL `t` is delivered iff `t > self.hops.len()`,
-    /// and the remaining TTL on arrival is `t - self.hops.len()`.
+    /// A packet sent with TTL `t` is delivered iff `t > router_hops()`,
+    /// and the remaining TTL on arrival is `t - router_hops()`.
     pub fn router_hops(&self) -> usize {
-        self.hops.len()
+        self.src_access.len() + self.route.hops.len() + self.dst_access.len()
     }
 
-    /// Where a packet with initial TTL `t` dies, if it does: the index of
-    /// the router that drops it and emits Time Exceeded.
-    pub fn expiry_hop(&self, ttl: u8) -> Option<&Hop> {
-        let t = ttl as usize;
-        if t == 0 {
-            return self.hops.first();
-        }
-        if t <= self.hops.len() {
-            Some(&self.hops[t - 1])
+    /// AS-level path (src AS first, dst AS last).
+    pub fn as_path(&self) -> &'a [AsId] {
+        &self.route.as_path
+    }
+
+    /// Router hops in order; does not include the destination host.
+    pub fn hops(&self) -> impl ExactSizeIterator<Item = Hop> + 'a {
+        let path = *self;
+        (0..path.router_hops()).map(move |i| path.hop(i))
+    }
+
+    /// Where a packet with initial TTL `t` dies, if it does: the router
+    /// that drops it and emits Time Exceeded.
+    pub fn expiry_hop(&self, ttl: u8) -> Option<Hop> {
+        // TTL 0 never leaves the first router either.
+        let t = usize::from(ttl).max(1);
+        (t <= self.router_hops()).then(|| self.hop(t - 1))
+    }
+
+    /// The `i`-th router hop, `i < router_hops()`.
+    fn hop(&self, i: usize) -> Hop {
+        let (src_n, seg_n) = (self.src_access.len(), self.route.hops.len());
+        let as_path = &self.route.as_path;
+        let routers = |n: usize| HOP_LATENCY.saturating_mul(n as u64);
+        // Segment latencies are relative to leaving the source's access.
+        let entry = self.src_link + routers(src_n);
+        let (ip, as_id, latency) = if i < src_n {
+            let ip = self.src_access[src_n - 1 - i];
+            (ip, as_path[0], self.src_link + routers(i + 1))
+        } else if let Some(hop) = self.route.hops.get(i - src_n) {
+            (hop.ip, hop.as_id, entry + hop.latency)
         } else {
-            None
-        }
+            let j = i - src_n - seg_n;
+            let latency = entry + self.route.latency + routers(j + 1);
+            (self.dst_access[j], as_path[as_path.len() - 1], latency)
+        };
+        Hop { ip, as_id, latency }
     }
 }
 
@@ -84,26 +157,27 @@ pub enum RouteError {
     Unreachable,
 }
 
-/// Route resolver with layered caches.
+/// Route resolver with three caches, none keyed by host:
 ///
-/// Three layers, innermost first:
+/// * **AS routes** keyed `(src AS, dst AS)` — the AS path plus the
+///   transit-router segment along it. A census probes every host once
+///   but reuses the scanner-AS entry for every target in the same
+///   destination AS, and forwarders consolidated onto few resolvers
+///   share entries the same way;
+/// * **BFS distances** keyed by source AS — one BFS serves every
+///   PoP-proximity query from that AS;
+/// * **anycast selection** keyed `(src AS, service IP)`.
 ///
-/// * **AS paths** keyed `(src AS, dst AS)` — an Internet-wide scan reuses
-///   the scanner-AS entry for every target in the same destination AS;
-/// * **anycast selection** keyed `(src AS, service IP)` — one BFS serves
-///   every PoP-proximity query from the same source AS;
-/// * **full router-level paths** keyed `(src node, dst node)` and returned
-///   as `Arc<Path>` — an N-probe census materializes each unique route
-///   (hop list, latencies, AS path) exactly once; every later packet on
-///   that route borrows the cached hops instead of rebuilding them.
+/// Routing state is O(AS pairs touched), never O(host pairs). A *hit*
+/// found its segment, a *miss* built it; `hits + misses` counts the
+/// successfully routed resolves (failed ones are neither).
 #[derive(Debug, Default)]
 pub struct RouteResolver {
-    as_path_cache: HashMap<(AsId, AsId), Option<Arc<Vec<AsId>>>>,
-    distance_cache: HashMap<AsId, Arc<Vec<Option<u32>>>>,
-    path_cache: HashMap<(NodeId, NodeId), Arc<Path>>,
+    route_cache: HashMap<(AsId, AsId), Option<AsRoute>>,
+    distance_cache: HashMap<AsId, Vec<Option<u32>>>,
     anycast_cache: HashMap<(AsId, Ipv4Addr), Option<NodeId>>,
-    path_hits: u64,
-    path_misses: u64,
+    routed: u64,
+    misses: u64,
 }
 
 impl RouteResolver {
@@ -112,199 +186,110 @@ impl RouteResolver {
         Self::default()
     }
 
-    /// Number of cached AS-path entries.
+    /// Number of cached AS routes. Bounded by the number of distinct
+    /// `(src AS, dst AS)` pairs ever resolved.
     pub fn cache_len(&self) -> usize {
-        self.as_path_cache.len()
+        self.route_cache.len()
     }
 
-    /// Number of cached full router-level paths. Bounded by the number of
-    /// distinct `(src node, dst node)` pairs ever resolved.
-    pub fn path_cache_len(&self) -> usize {
-        self.path_cache.len()
+    /// Cumulative resolves whose AS route was already cached.
+    pub fn cache_hits(&self) -> u64 {
+        self.routed - self.misses
     }
 
-    /// Cumulative full-path cache hits (steady-state resolves that
-    /// performed no hop-list allocation).
-    pub fn path_cache_hits(&self) -> u64 {
-        self.path_hits
-    }
-
-    /// Cumulative full-path cache misses (each materialized one `Path`).
-    pub fn path_cache_misses(&self) -> u64 {
-        self.path_misses
+    /// Cumulative resolves that built their AS route.
+    pub fn cache_misses(&self) -> u64 {
+        self.misses
     }
 
     /// Zero the hit/miss counters while keeping every cached entry.
     /// Routes are a pure function of the immutable topology, so a
-    /// simulator reset keeps the warm caches (that reuse is the point of
-    /// resetting instead of rebuilding) and restarts only the counters.
+    /// simulator reset keeps the caches and restarts only the counters.
     pub fn reset_counters(&mut self) {
-        self.path_hits = 0;
-        self.path_misses = 0;
-    }
-
-    /// Shortest AS path (inclusive of endpoints) via BFS with deterministic
-    /// tie-breaking (adjacency lists are sorted at topology build).
-    pub fn as_path(&mut self, topo: &Topology, src: AsId, dst: AsId) -> Option<Arc<Vec<AsId>>> {
-        if let Some(cached) = self.as_path_cache.get(&(src, dst)) {
-            return cached.clone();
-        }
-        let result = bfs_as_path(topo, src, dst).map(Arc::new);
-        self.as_path_cache.insert((src, dst), result.clone());
-        result
-    }
-
-    /// AS-hop distance between two ASes (0 when identical).
-    pub fn as_distance(&mut self, topo: &Topology, src: AsId, dst: AsId) -> Option<usize> {
-        self.as_path(topo, src, dst).map(|p| p.len() - 1)
+        self.routed = 0;
+        self.misses = 0;
     }
 
     /// BFS distances from `src` to every AS, cached. One BFS serves every
     /// anycast PoP-selection query from the same source AS — the hot path
     /// of an Internet-wide census.
-    pub fn distances_from(&mut self, topo: &Topology, src: AsId) -> Arc<Vec<Option<u32>>> {
-        if let Some(d) = self.distance_cache.get(&src) {
-            return d.clone();
-        }
-        let n = topo.as_count();
-        let mut dist: Vec<Option<u32>> = vec![None; n];
-        if (src.0 as usize) < n {
-            dist[src.0 as usize] = Some(0);
-            let mut queue = VecDeque::new();
-            queue.push_back(src);
-            while let Some(cur) = queue.pop_front() {
-                if cur != src && !provides_transit(topo, cur) {
-                    continue; // valley-free: see bfs_as_path
-                }
-                let d = dist[cur.0 as usize].expect("visited");
-                for &(next, _) in topo.as_neighbors(cur) {
-                    if dist[next.0 as usize].is_none() {
-                        dist[next.0 as usize] = Some(d + 1);
-                        queue.push_back(next);
-                    }
-                }
-            }
-        }
-        let arc = Arc::new(dist);
-        self.distance_cache.insert(src, arc.clone());
-        arc
+    pub fn distances_from(&mut self, topo: &Topology, src: AsId) -> &[Option<u32>] {
+        self.distance_cache
+            .entry(src)
+            .or_insert_with(|| bfs(topo, src, None).0)
     }
 
     /// Select the anycast instance nearest to `src_as` (min AS distance,
-    /// then lowest node id for determinism).
+    /// then lowest node id for determinism), memoized per pair.
     pub fn select_anycast_instance(
         &mut self,
         topo: &Topology,
         src_as: AsId,
         service_ip: Ipv4Addr,
     ) -> Option<NodeId> {
+        if let Some(&cached) = self.anycast_cache.get(&(src_as, service_ip)) {
+            return cached;
+        }
         let group = topo.anycast_group(service_ip)?;
         let distances = self.distances_from(topo, src_as);
-        let mut best: Option<(u32, NodeId)> = None;
-        for &inst in &group.instances {
-            let inst_as = topo.as_of_node(inst);
-            if let Some(d) = distances[inst_as.0 as usize] {
-                let candidate = (d, inst);
-                if best.is_none_or(|b| candidate < b) {
-                    best = Some(candidate);
-                }
-            }
-        }
-        best.map(|(_, n)| n)
+        let reachable = |&inst: &NodeId| Some((distances[topo.as_of_node(inst).0 as usize]?, inst));
+        let nearest = group.instances.iter().filter_map(reachable).min();
+        let selected = nearest.map(|(_, node)| node);
+        self.anycast_cache.insert((src_as, service_ip), selected);
+        selected
     }
 
     /// Resolve the full router-level path from host `src_node` to IP `dst`.
     ///
-    /// Returns a shared handle: the first resolve for a `(src, dst-node)`
-    /// pair builds the hop list; every subsequent resolve is a cache hit
-    /// that clones the `Arc` (no per-packet allocation). Anycast
-    /// destinations are memoized per `(src AS, service IP)` before the
-    /// path lookup, so a warm resolver answers anycast sends from two
+    /// The first resolve for an AS pair builds its segment; every later
+    /// resolve between any two hosts of those ASes borrows it, so a
+    /// never-seen host pair costs one hash probe and no allocation.
+    /// Anycast destinations are memoized per `(src AS, service IP)` before
+    /// the route lookup, so a warm resolver answers anycast sends from two
     /// hash probes.
-    pub fn resolve(
-        &mut self,
-        topo: &Topology,
+    pub fn resolve<'a>(
+        &'a mut self,
+        topo: &'a Topology,
         src_node: NodeId,
         dst: Ipv4Addr,
-    ) -> Result<Arc<Path>, RouteError> {
+    ) -> Result<Path<'a>, RouteError> {
         let src_as = topo.as_of_node(src_node);
         let dst_node = match topo.owner_of_ip(dst) {
             None => return Err(RouteError::NoSuchHost),
             Some(IpOwner::Router(_)) => return Err(RouteError::RouterAddress),
             Some(IpOwner::Host(n)) => n,
-            Some(IpOwner::Anycast) => {
-                let selected = match self.anycast_cache.get(&(src_as, dst)) {
-                    Some(&cached) => cached,
-                    None => {
-                        let selected = self.select_anycast_instance(topo, src_as, dst);
-                        self.anycast_cache.insert((src_as, dst), selected);
-                        selected
-                    }
-                };
-                selected.ok_or(RouteError::Unreachable)?
-            }
+            Some(IpOwner::Anycast) => self
+                .select_anycast_instance(topo, src_as, dst)
+                .ok_or(RouteError::Unreachable)?,
         };
-        if let Some(path) = self.path_cache.get(&(src_node, dst_node)) {
-            self.path_hits += 1;
-            return Ok(Arc::clone(path));
-        }
         let dst_as = topo.as_of_node(dst_node);
-        let as_path = self
-            .as_path(topo, src_as, dst_as)
+        // One map probe per resolve, hit or miss.
+        let mut built = false;
+        let route = self
+            .route_cache
+            .entry((src_as, dst_as))
+            .or_insert_with(|| {
+                built = true;
+                AsRoute::build(topo, src_as, dst_as)
+            })
+            .as_ref()
             .ok_or(RouteError::Unreachable)?;
-        // Counted only once the route is known to materialize, so
-        // `path_misses` equals the number of cached `Path`s exactly —
-        // failed resolves (unreachable AS) count neither hit nor miss.
-        self.path_misses += 1;
-
+        self.routed += 1;
+        self.misses += u64::from(built);
         let src_spec = topo.host_spec(src_node);
         let dst_spec = topo.host_spec(dst_node);
-
-        let mut hops = Vec::new();
-        let mut latency = src_spec.link_latency;
-        // Out through the source's access routers (host-side first).
-        for r in src_spec.access_routers.iter().rev() {
-            latency = latency + HOP_LATENCY;
-            hops.push(Hop {
-                ip: *r,
-                as_id: src_as,
-                latency,
-            });
-        }
-        // Across each AS on the path, through its transit routers.
-        for (i, &as_id) in as_path.iter().enumerate() {
-            if i > 0 {
-                latency = latency + AS_CROSS_LATENCY;
-            }
-            for r in &topo.as_spec(as_id).transit_routers {
-                latency = latency + HOP_LATENCY;
-                hops.push(Hop {
-                    ip: *r,
-                    as_id,
-                    latency,
-                });
-            }
-        }
-        // In through the destination's access routers (core-side first).
-        for r in dst_spec.access_routers.iter() {
-            latency = latency + HOP_LATENCY;
-            hops.push(Hop {
-                ip: *r,
-                as_id: dst_as,
-                latency,
-            });
-        }
-        let total_latency = latency + dst_spec.link_latency;
-
-        let path = Arc::new(Path {
+        let access_n = (src_spec.access_routers.len() + dst_spec.access_routers.len()) as u64;
+        Ok(Path {
             dst_node,
-            hops,
-            total_latency,
-            as_path: as_path.to_vec(),
-        });
-        self.path_cache
-            .insert((src_node, dst_node), Arc::clone(&path));
-        Ok(path)
+            total_latency: src_spec.link_latency
+                + HOP_LATENCY.saturating_mul(access_n)
+                + route.latency
+                + dst_spec.link_latency,
+            src_access: &src_spec.access_routers,
+            src_link: src_spec.link_latency,
+            dst_access: &dst_spec.access_routers,
+            route,
+        })
     }
 }
 
@@ -317,44 +302,54 @@ fn provides_transit(topo: &Topology, a: AsId) -> bool {
     matches!(topo.as_spec(a).kind, crate::topology::AsKind::Transit)
 }
 
-fn bfs_as_path(topo: &Topology, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
-    if src == dst {
-        return Some(vec![src]);
-    }
+/// Valley-free BFS from `src`, in adjacency order (sorted at topology
+/// build, so ties break deterministically), stopping early once `until`
+/// is discovered. Returns every discovered AS's hop distance and BFS-tree
+/// predecessor.
+fn bfs(topo: &Topology, src: AsId, until: Option<AsId>) -> (Vec<Option<u32>>, Vec<Option<AsId>>) {
     let n = topo.as_count();
-    if (src.0 as usize) >= n || (dst.0 as usize) >= n {
-        return None;
-    }
+    let mut dist: Vec<Option<u32>> = vec![None; n];
     let mut prev: Vec<Option<AsId>> = vec![None; n];
-    let mut visited = vec![false; n];
-    visited[src.0 as usize] = true;
-    let mut queue = VecDeque::new();
-    queue.push_back(src);
+    if (src.0 as usize) >= n {
+        return (dist, prev);
+    }
+    dist[src.0 as usize] = Some(0);
+    let mut queue = VecDeque::from([src]);
     while let Some(cur) = queue.pop_front() {
         // The source always forwards its own traffic; everything else on
         // the path must be a transit network.
         if cur != src && !provides_transit(topo, cur) {
             continue;
         }
+        let d = dist[cur.0 as usize].expect("visited");
         for &(next, _) in topo.as_neighbors(cur) {
-            if !visited[next.0 as usize] {
-                visited[next.0 as usize] = true;
+            if dist[next.0 as usize].is_none() {
+                dist[next.0 as usize] = Some(d + 1);
                 prev[next.0 as usize] = Some(cur);
-                if next == dst {
-                    let mut path = vec![dst];
-                    let mut at = dst;
-                    while let Some(p) = prev[at.0 as usize] {
-                        path.push(p);
-                        at = p;
-                    }
-                    path.reverse();
-                    return Some(path);
+                if Some(next) == until {
+                    return (dist, prev);
                 }
                 queue.push_back(next);
             }
         }
     }
-    None
+    (dist, prev)
+}
+
+/// Shortest AS path, inclusive of endpoints.
+fn bfs_as_path(topo: &Topology, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
+    if src == dst {
+        return Some(vec![src]);
+    }
+    let (dist, prev) = bfs(topo, src, Some(dst));
+    // `None`: an AS outside the topology, or one the BFS never reached.
+    dist.get(dst.0 as usize).copied().flatten()?;
+    let mut path = vec![dst];
+    while let Some(p) = prev[path[path.len() - 1].0 as usize] {
+        path.push(p);
+    }
+    path.reverse();
+    Some(path)
 }
 
 #[cfg(test)]
@@ -415,7 +410,7 @@ mod tests {
         let mut r = RouteResolver::new();
         let p = r.resolve(&t, src, dst_ip).unwrap();
         assert_eq!(p.dst_node, dst);
-        let hop_ips: Vec<_> = p.hops.iter().map(|h| h.ip).collect();
+        let hop_ips: Vec<_> = p.hops().map(|h| h.ip).collect();
         assert_eq!(
             hop_ips,
             vec![
@@ -428,7 +423,7 @@ mod tests {
                 ip(10, 3, 9, 1), // dst access
             ]
         );
-        assert_eq!(p.as_path.len(), 4);
+        assert_eq!(p.as_path().len(), 4);
         assert_eq!(p.router_hops(), 7);
     }
 
@@ -450,10 +445,11 @@ mod tests {
         let (t, src, _dst, dst_ip) = chain();
         let mut r = RouteResolver::new();
         let p = r.resolve(&t, src, dst_ip).unwrap();
-        for w in p.hops.windows(2) {
+        let hops: Vec<Hop> = p.hops().collect();
+        for w in hops.windows(2) {
             assert!(w[0].latency < w[1].latency);
         }
-        assert!(p.total_latency > p.hops.last().unwrap().latency);
+        assert!(p.total_latency > hops.last().unwrap().latency);
     }
 
     #[test]
@@ -473,30 +469,49 @@ mod tests {
         for _ in 0..100 {
             let _ = r.resolve(&t, src, dst_ip).unwrap();
         }
-        assert_eq!(r.path_cache_len(), 1, "one (src, dst) pair, one entry");
-        assert_eq!(r.path_cache_misses(), 1);
-        assert_eq!(r.path_cache_hits(), 99);
-        // A second distinct pair adds exactly one entry, repeats add none.
-        let second_dst = t.host_spec(_dst).ip;
-        assert_eq!(second_dst, dst_ip, "chain has one remote host");
+        assert_eq!(r.cache_len(), 1, "one (src AS, dst AS) pair, one entry");
+        assert_eq!(r.cache_misses(), 1);
+        assert_eq!(r.cache_hits(), 99);
+        // The reverse direction is a second AS pair: exactly one more
+        // entry, repeats add none.
         let back = r.resolve(&t, _dst, ip(192, 0, 2, 1)).unwrap();
         assert_eq!(back.dst_node, src);
         for _ in 0..10 {
             let _ = r.resolve(&t, _dst, ip(192, 0, 2, 1)).unwrap();
         }
-        assert_eq!(r.path_cache_len(), 2);
+        assert_eq!(r.cache_len(), 2);
     }
 
+    /// Two host pairs of one AS pair share one segment: the second pair
+    /// is a hit that borrows the first pair's allocation, and only the
+    /// access part of the path differs.
     #[test]
     fn warm_resolve_returns_shared_path() {
-        let (t, src, _dst, dst_ip) = chain();
-        let mut r = RouteResolver::new();
-        let first = r.resolve(&t, src, dst_ip).unwrap();
-        let second = r.resolve(&t, src, dst_ip).unwrap();
-        assert!(
-            Arc::ptr_eq(&first, &second),
-            "cache hit must return the same allocation, not a rebuilt path"
+        let mut b = TopologyBuilder::new();
+        let a0 = b.add_as(as_spec(100, vec![ip(10, 0, 0, 1)]));
+        let a1 = b.add_as(as_spec(101, vec![ip(10, 1, 0, 1)]));
+        b.connect(a0, a1, Relationship::Peer);
+        let src = b.add_host(a0, HostSpec::simple(ip(192, 0, 2, 1)));
+        let _near = b.add_host(a1, HostSpec::simple(ip(203, 0, 113, 1)));
+        let _behind_cpe = b.add_host(
+            a1,
+            HostSpec {
+                access_routers: vec![ip(10, 1, 9, 1)],
+                ..HostSpec::simple(ip(203, 0, 113, 2))
+            },
         );
+        let t = b.build().unwrap();
+        let mut r = RouteResolver::new();
+        let first = r.resolve(&t, src, ip(203, 0, 113, 1)).unwrap();
+        let (first_segment, first_hops) = (first.as_path().as_ptr(), first.router_hops());
+        let second = r.resolve(&t, src, ip(203, 0, 113, 2)).unwrap();
+        assert!(
+            std::ptr::eq(first_segment, second.as_path().as_ptr()),
+            "a known AS pair must borrow the cached segment, not rebuild it"
+        );
+        assert_eq!(second.router_hops(), first_hops + 1);
+        assert_eq!(second.hops().last().unwrap().ip, ip(10, 1, 9, 1));
+        assert_eq!((r.cache_len(), r.cache_misses(), r.cache_hits()), (1, 1, 1));
     }
 
     #[test]
@@ -537,7 +552,7 @@ mod tests {
         let t = b.build().unwrap();
         let mut r = RouteResolver::new();
         let p = r.resolve(&t, src, ip(192, 0, 2, 2)).unwrap();
-        assert_eq!(p.as_path.len(), 1);
+        assert_eq!(p.as_path().len(), 1);
         assert_eq!(p.router_hops(), 1);
     }
 
@@ -573,6 +588,6 @@ mod tests {
         let (t, src, _, _) = chain();
         let mut r = RouteResolver::new();
         let a = t.as_of_node(src);
-        assert_eq!(r.as_distance(&t, a, a), Some(0));
+        assert_eq!(r.distances_from(&t, a)[a.0 as usize], Some(0));
     }
 }

@@ -131,10 +131,10 @@ impl Simulator {
     /// the same bootstrap timers then reproduces a fresh run's event
     /// stream bit for bit — the reuse contract warm shard worlds rely on.
     ///
-    /// The route resolver's caches survive (paths are a pure function of
+    /// The route resolver's caches survive (routes are a pure function of
     /// the immutable topology), so a reset world re-runs without
-    /// re-materializing any hop list. Only `route_cache_hits`/`misses`
-    /// differ from a cold run; event timing and content never do.
+    /// rebuilding any AS route. Only `route_cache_hits`/`misses` differ
+    /// from a cold run; event timing and content never do.
     pub fn reset(&mut self, config: &SimConfig) {
         self.queue.clear();
         for slot in &mut self.hosts {
@@ -266,17 +266,22 @@ impl Simulator {
     /// the queue drains, or the budget is exhausted. Returns `true` if the
     /// queue drained or only events beyond the deadline remain.
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
-        loop {
+        let drained = loop {
             if self.stats.events_processed >= self.max_events {
-                return false;
+                break false;
             }
             let Some((at, _seq, kind)) = self.queue.pop_at_or_before(deadline) else {
-                return true;
+                break true;
             };
             self.now = at;
             self.stats.events_processed += 1;
             self.dispatch(kind, deadline);
-        }
+        };
+        // Packets are only routed inside the loop above, so mirroring the
+        // resolver's counters here keeps `stats()` exact between runs.
+        self.stats.route_cache_hits = self.resolver.cache_hits();
+        self.stats.route_cache_misses = self.resolver.cache_misses();
+        drained
     }
 
     fn dispatch(&mut self, kind: EventKind, deadline: SimTime) {
@@ -463,13 +468,9 @@ impl Simulator {
             return;
         }
 
-        // Warm-cache resolves clone an `Arc<Path>` — hops are borrowed,
-        // never rebuilt, which is what keeps the steady-state send path
-        // free of per-packet hop-list allocations.
-        let resolved = self.resolver.resolve(&self.topo, from, send.dst);
-        self.stats.route_cache_hits = self.resolver.path_cache_hits();
-        self.stats.route_cache_misses = self.resolver.path_cache_misses();
-        let path = match resolved {
+        // The path borrows the resolver's cached segment: nothing is
+        // allocated per packet, however new the host pair.
+        let path = match self.resolver.resolve(&self.topo, from, send.dst) {
             Ok(p) => p,
             Err(RouteError::NoSuchHost) | Err(RouteError::RouterAddress) => {
                 self.stats.record_drop(DropReason::NoSuchHost);
@@ -511,6 +512,7 @@ impl Simulator {
 
         let arrival_ttl = ttl - path.router_hops() as u8;
         let deliver_at = self.now + path.total_latency + verdict.jitter;
+        let dst_node = path.dst_node;
         let dgram = Datagram {
             ttl: arrival_ttl,
             ..dgram_at_send
@@ -522,7 +524,7 @@ impl Simulator {
             self.push(
                 deliver_at + verdict.duplicate_jitter + SimDuration::from_micros(1),
                 EventKind::Udp {
-                    node: path.dst_node,
+                    node: dst_node,
                     dgram: Box::new(dgram.clone()),
                 },
             );
@@ -530,7 +532,7 @@ impl Simulator {
         self.push(
             deliver_at,
             EventKind::Udp {
-                node: path.dst_node,
+                node: dst_node,
                 dgram: Box::new(dgram),
             },
         );
@@ -558,17 +560,11 @@ impl Simulator {
                 dst_port: original.dst_port,
             }),
         };
-        let resolved = self.resolver.resolve(&self.topo, from, original.src);
-        self.stats.route_cache_hits = self.resolver.path_cache_hits();
-        self.stats.route_cache_misses = self.resolver.path_cache_misses();
-        let latency = match resolved {
-            Ok(p) => p.total_latency,
-            Err(_) => {
-                self.stats.icmp_undeliverable += 1;
-                return;
-            }
-        };
-        self.deliver_icmp(icmp, self.now + latency);
+        let routed = self.resolver.resolve(&self.topo, from, original.src);
+        match routed.map(|path| path.total_latency) {
+            Ok(latency) => self.deliver_icmp(icmp, self.now + latency),
+            Err(_) => self.stats.icmp_undeliverable += 1,
+        }
     }
 
     fn deliver_icmp(&mut self, icmp: IcmpMessage, at: SimTime) {
@@ -1019,9 +1015,9 @@ mod tests {
 
     #[test]
     fn steady_state_sends_hit_route_cache_without_rebuilding_paths() {
-        // N sends along one route: the first resolve materializes the hop
-        // list (one miss); every subsequent send must be a cache hit —
-        // i.e. steady-state `process_send` performs no per-packet hop-list
+        // N sends along one route: the first resolve builds the AS pair's
+        // segment (one miss); every subsequent send must be a cache hit —
+        // i.e. steady-state `process_send` performs no per-packet route
         // allocation, the property the zero-allocation hot path rests on.
         let (topo, scanner, server, _a, server_ip) = two_as();
         let mut sim = Simulator::new(topo, SimConfig::default());
@@ -1039,12 +1035,12 @@ mod tests {
         assert_eq!(stats.udp_sent, n);
         assert_eq!(
             stats.route_cache_misses, 1,
-            "exactly one path materialization for one unique route"
+            "exactly one segment built for one AS pair"
         );
         assert_eq!(
             stats.route_cache_hits,
             n - 1,
-            "every steady-state send must borrow the cached path"
+            "every steady-state send must borrow the cached segment"
         );
     }
 

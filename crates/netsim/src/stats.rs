@@ -72,12 +72,13 @@ pub struct SimStats {
     pub events_heap_scheduled: u64,
     /// Total events processed.
     pub events_processed: u64,
-    /// Full-path route-cache hits: sends whose route was served from the
-    /// resolver's `(src node, dst node)` cache with *no* hop-list
-    /// allocation. In steady state (every route warm) this tracks
-    /// `udp_sent` minus one miss per unique route.
+    /// Route-cache hits: resolves whose `(src AS, dst AS)` segment was
+    /// already cached — no allocation, whether or not the host pair was
+    /// seen before. `hits + misses` is the number of successfully routed
+    /// resolves (sends and host-originated ICMP errors).
     pub route_cache_hits: u64,
-    /// Full-path route-cache misses (each materialized one `Path`).
+    /// Route-cache misses: resolves that built their AS pair's segment —
+    /// one per reachable AS pair touched.
     pub route_cache_misses: u64,
 }
 
@@ -92,6 +93,21 @@ impl SimStats {
             DropReason::Fault => self.dropped_fault += 1,
             DropReason::Corrupt => self.dropped_corrupt += 1,
         }
+    }
+
+    /// Packet conservation: every datagram that passed outbound SAV, and
+    /// every injected duplicate, was either delivered or dropped for
+    /// exactly one reason. Holds whenever no UDP event is still queued,
+    /// i.e. after a drained [`crate::Simulator::run`] (SAV drops happen
+    /// before `udp_sent` and are not part of the balance).
+    pub fn conserved(&self) -> bool {
+        self.udp_sent + self.duplicates_injected
+            == self.udp_delivered
+                + self.dropped_no_route
+                + self.dropped_no_such_host
+                + self.dropped_ttl
+                + self.dropped_fault
+                + self.dropped_corrupt
     }
 
     /// Total drops across all reasons.

@@ -129,7 +129,13 @@ impl Exchange {
 
     /// Run to quiescence.
     pub fn run(&mut self) {
-        self.sim.run();
+        if self.sim.run() {
+            let stats = self.sim.stats();
+            assert!(
+                stats.conserved(),
+                "packets leaked or double-counted: {stats}"
+            );
+        }
     }
 
     /// Everything the driver received.

@@ -5,7 +5,9 @@
 //! every `SimStats` field (sends, drops, timers fired/coalesced, queue
 //! events) plus a digest of what the host reports, for one fixed
 //! playground world per mode. The literals were captured on the commit
-//! before the hosts moved onto the pacer.
+//! before the hosts moved onto the pacer; `route_cache_hits`/`_misses`
+//! were re-captured when routes became one segment per AS pair (the
+//! playground is one AS: one miss, the same `hits + misses`).
 
 use netsim::testkit::playground;
 use netsim::{FaultPlan, NodeId, SimConfig, SimDuration, SimStats, Simulator};
@@ -119,8 +121,8 @@ fn transactional_scan_clean() {
             timers_coalesced: 33,
             events_wheel_scheduled: 124,
             events_processed: 124,
-            route_cache_hits: 12,
-            route_cache_misses: 93,
+            route_cache_hits: 104,
+            route_cache_misses: 1,
             ..SimStats::default()
         }
     );
@@ -148,8 +150,8 @@ fn transactional_scan_lossy_with_sweep_retry_policy() {
             timers_coalesced: 33,
             events_wheel_scheduled: 262,
             events_processed: 262,
-            route_cache_hits: 68,
-            route_cache_misses: 78,
+            route_cache_hits: 145,
+            route_cache_misses: 1,
             ..SimStats::default()
         }
     );
@@ -179,8 +181,8 @@ fn transactional_scan_lossy_target_keyed_with_retry() {
             timers_coalesced: 33,
             events_wheel_scheduled: 263,
             events_processed: 263,
-            route_cache_hits: 75,
-            route_cache_misses: 80,
+            route_cache_hits: 154,
+            route_cache_misses: 1,
             ..SimStats::default()
         }
     );
@@ -208,8 +210,8 @@ fn campaign_lossy_with_jittered_retry() {
             timers_coalesced: 33,
             events_wheel_scheduled: 270,
             events_processed: 270,
-            route_cache_hits: 85,
-            route_cache_misses: 78,
+            route_cache_hits: 162,
+            route_cache_misses: 1,
             ..SimStats::default()
         }
     );
@@ -231,8 +233,8 @@ fn fingerprint_scan() {
             timers_coalesced: 103,
             events_wheel_scheduled: 194,
             events_processed: 194,
-            route_cache_hits: 124,
-            route_cache_misses: 62,
+            route_cache_hits: 185,
+            route_cache_misses: 1,
             ..SimStats::default()
         }
     );
@@ -264,8 +266,8 @@ fn reflection_plans() {
             timers_coalesced: 78,
             events_wheel_scheduled: 266,
             events_processed: 266,
-            route_cache_hits: 138,
-            route_cache_misses: 93,
+            route_cache_hits: 230,
+            route_cache_misses: 1,
             ..SimStats::default()
         }
     );
