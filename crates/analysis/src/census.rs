@@ -3,10 +3,12 @@
 //! producing the dataframe every table and figure is computed from
 //! (the paper's `dns-measurement-analysis` artifact).
 
+use crate::table::push_csv_cell;
 use inetgen::{GeoDb, Internet, ShardWorldCache, Worlds};
 use scanner::{
     classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, ScanOutcome, Transaction, Verdict,
 };
+use std::fmt::Write as _;
 use std::net::Ipv4Addr;
 
 /// One classified probe, enriched with mapping data.
@@ -140,33 +142,43 @@ impl Census {
 
     /// Export the full dataframe as CSV — the paper's
     /// `dns-measurement-analysis` artifact produces exactly such a table
-    /// for downstream notebooks.
+    /// for downstream notebooks. Rows are written straight into one
+    /// pre-sized buffer, under [`crate::table::TextTable::to_csv`]'s quoting
+    /// rule.
     pub fn to_csv(&self) -> String {
-        let mut t = crate::table::TextTable::new([
-            "target",
-            "verdict",
-            "class",
-            "response_src",
-            "a_resolver",
-            "asn",
-            "country",
-        ]);
+        /// Longest unquoted row: three dotted quads (45), `classified` +
+        /// the longest class name (31), a 10-digit ASN, a 3-letter
+        /// country, six commas and the newline.
+        const ROW_BYTES: usize = 96;
+        let mut out = String::with_capacity(64 + self.rows.len() * ROW_BYTES);
+        out.push_str("target,verdict,class,response_src,a_resolver,asn,country\n");
         for row in &self.rows {
-            let (verdict, class) = match &row.verdict {
-                Verdict::Classified { class, .. } => ("classified".to_string(), class.to_string()),
-                Verdict::Discarded(reason) => (format!("{reason:?}"), String::new()),
-            };
-            t.row([
-                row.target.to_string(),
-                verdict,
-                class,
-                row.response_src.map(|i| i.to_string()).unwrap_or_default(),
-                row.a_resolver.map(|i| i.to_string()).unwrap_or_default(),
-                row.asn.map(|a| a.to_string()).unwrap_or_default(),
-                row.country.unwrap_or("").to_string(),
-            ]);
+            // `fmt::Write` into a `String` cannot fail.
+            let _ = write!(out, "{},", row.target);
+            match &row.verdict {
+                Verdict::Classified { class, .. } => {
+                    out.push_str("classified,");
+                    push_csv_cell(&mut out, class.name());
+                }
+                Verdict::Discarded(reason) => {
+                    let _ = write!(out, "{reason:?},");
+                }
+            }
+            for ip in [row.response_src, row.a_resolver] {
+                out.push(',');
+                if let Some(ip) = ip {
+                    let _ = write!(out, "{ip}");
+                }
+            }
+            out.push(',');
+            if let Some(asn) = row.asn {
+                let _ = write!(out, "{asn}");
+            }
+            out.push(',');
+            push_csv_cell(&mut out, row.country.unwrap_or(""));
+            out.push('\n');
         }
-        t.to_csv()
+        out
     }
 }
 
@@ -374,5 +386,78 @@ mod tests {
         assert!(lines[1].contains("8.8.8.8"));
         assert!(lines[1].contains("BRA"));
         assert!(lines[2].contains("NoAnswer"));
+    }
+
+    #[test]
+    fn streamed_csv_equals_the_text_table_rendering() {
+        // The reference is the old implementation: one `String` per cell
+        // into a `TextTable`, rendered by its `to_csv`.
+        let reference = |census: &Census| {
+            let mut t = crate::table::TextTable::new([
+                "target",
+                "verdict",
+                "class",
+                "response_src",
+                "a_resolver",
+                "asn",
+                "country",
+            ]);
+            for row in &census.rows {
+                let (verdict, class) = match &row.verdict {
+                    Verdict::Classified { class, .. } => {
+                        ("classified".to_string(), class.to_string())
+                    }
+                    Verdict::Discarded(reason) => (format!("{reason:?}"), String::new()),
+                };
+                t.row([
+                    row.target.to_string(),
+                    verdict,
+                    class,
+                    row.response_src.map(|i| i.to_string()).unwrap_or_default(),
+                    row.a_resolver.map(|i| i.to_string()).unwrap_or_default(),
+                    row.asn.map(|a| a.to_string()).unwrap_or_default(),
+                    row.country.unwrap_or("").to_string(),
+                ]);
+            }
+            t.to_csv()
+        };
+        let ip = |d| Ipv4Addr::new(203, 0, 113, d);
+        let classified = |class, country| CensusRow {
+            target: ip(1),
+            verdict: Verdict::Classified {
+                class,
+                a_resolver: ip(8),
+                response_src: ip(9),
+            },
+            asn: Some(u32::MAX),
+            country,
+            response_src: Some(ip(9)),
+            a_resolver: Some(ip(8)),
+        };
+        let discarded = |reason| CensusRow {
+            target: Ipv4Addr::new(255, 255, 255, 255),
+            verdict: Verdict::Discarded(reason),
+            asn: None,
+            country: None,
+            response_src: None,
+            a_resolver: None,
+        };
+        let census = Census {
+            rows: vec![
+                classified(OdnsClass::TransparentForwarder, Some("BRA")),
+                classified(OdnsClass::RecursiveForwarder, Some("Korea, \"South\"\nKOR")),
+                classified(OdnsClass::RecursiveResolver, None),
+                discarded(Discard::NoResponse),
+                discarded(Discard::Malformed),
+                discarded(Discard::NoAnswer),
+                discarded(Discard::WrongRecordCount),
+                discarded(Discard::ControlRecordViolated),
+            ],
+            ..Census::default()
+        };
+        let csv = census.to_csv();
+        assert_eq!(csv, reference(&census));
+        assert!(csv.contains(",\"Korea, \"\"South\"\"\nKOR\"\n"), "{csv}");
+        assert_eq!(Census::default().to_csv(), reference(&Census::default()));
     }
 }

@@ -67,28 +67,34 @@ impl TextTable {
 
     /// Render as CSV (RFC 4180-style quoting).
     pub fn to_csv(&self) -> String {
-        let esc = |s: &str| -> String {
-            if s.contains(',') || s.contains('"') || s.contains('\n') {
-                format!("\"{}\"", s.replace('"', "\"\""))
-            } else {
-                s.to_string()
-            }
-        };
         let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| esc(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| esc(c)).collect::<Vec<_>>().join(","));
+        for row in std::iter::once(&self.header).chain(&self.rows) {
+            for (i, cell) in row.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
+                }
+                push_csv_cell(&mut out, cell);
+            }
             out.push('\n');
         }
         out
+    }
+}
+
+/// Append `cell` to a CSV line, quoted (RFC 4180 style) if it holds a
+/// comma, a quote or a newline.
+pub(crate) fn push_csv_cell(out: &mut String, cell: &str) {
+    if cell.contains([',', '"', '\n']) {
+        out.push('"');
+        for c in cell.chars() {
+            if c == '"' {
+                out.push('"');
+            }
+            out.push(c);
+        }
+        out.push('"');
+    } else {
+        out.push_str(cell);
     }
 }
 

@@ -45,9 +45,35 @@ pub enum CachedWire {
     Negative(Rcode),
 }
 
+/// What an entry holds: an answer, or the upstream response it will be
+/// decoded from.
+#[derive(Debug, Clone)]
+enum Stored {
+    Answer(CachedAnswer),
+    /// A relayed upstream response exactly as received, cached without
+    /// decoding it (a census never looks the entry up again). The first
+    /// lookup turns it into `Answer(Positive(its answer section))`.
+    Wire(Payload),
+}
+
+impl Stored {
+    /// The answer, decoding a wire-backed entry in place first. `None`
+    /// when those bytes are not a decodable message.
+    fn answer(&mut self) -> Option<&CachedAnswer> {
+        if let Stored::Wire(wire) = self {
+            let answers = Message::decode(wire).ok()?.answers;
+            *self = Stored::Answer(CachedAnswer::Positive(answers));
+        }
+        match self {
+            Stored::Answer(answer) => Some(answer),
+            Stored::Wire(_) => unreachable!("decoded above"),
+        }
+    }
+}
+
 #[derive(Debug, Clone)]
 struct Entry {
-    answer: CachedAnswer,
+    stored: Stored,
     inserted: SimTime,
     expires: SimTime,
     /// Lazily built pre-encoded response for this entry — the hot serve
@@ -56,7 +82,25 @@ struct Entry {
     /// casing the template echoes: name matching is case-insensitive
     /// (0x20 randomization!), so a querier whose casing differs gets a
     /// freshly built response instead of another client's casing.
-    template: Option<(DnsName, Arc<ResponseTemplate>)>,
+    template: Option<Template>,
+}
+
+/// A pre-encoded response and the question name, in its exact casing, that
+/// it echoes.
+type Template = (DnsName, Arc<ResponseTemplate>);
+
+impl Entry {
+    /// What a lookup at `now` serves from: the answer (a wire-backed entry
+    /// is decoded in place first), the template slot, and the whole
+    /// seconds left. `None` once expired, or when the wire bytes do not
+    /// decode.
+    fn live(&mut self, now: SimTime) -> Option<(&CachedAnswer, &mut Option<Template>, u32)> {
+        if now >= self.expires {
+            return None;
+        }
+        let remaining = ((self.expires - now).as_micros() / 1_000_000) as u32;
+        Some((self.stored.answer()?, &mut self.template, remaining))
+    }
 }
 
 /// Counters describing cache effectiveness (Table 2 reproduction).
@@ -95,6 +139,7 @@ impl CacheStats {
 #[derive(Debug)]
 pub struct DnsCache {
     map: HashMap<CacheKey, Entry>,
+    /// The keys of `map`, oldest insert first — each exactly once.
     order: VecDeque<CacheKey>,
     capacity: usize,
     /// Effectiveness counters.
@@ -123,6 +168,20 @@ impl DnsCache {
         self.map.is_empty()
     }
 
+    /// Count a lookup that found an entry it cannot serve — expired, or
+    /// wire-backed with bytes that do not decode — as a miss, and drop the
+    /// entry together with its place in the eviction order, so that a
+    /// later re-insert queues as the new entry it is.
+    fn forget(&mut self, key: &CacheKey, now: SimTime) {
+        self.stats.misses += 1;
+        if self.map.remove(key).is_some_and(|e| now >= e.expires) {
+            self.stats.expirations += 1;
+        }
+        if let Some(at) = self.order.iter().position(|k| k == key) {
+            self.order.remove(at);
+        }
+    }
+
     /// Look up `name`/`rtype` at time `now`. Positive answers come back
     /// with record TTLs rewritten to the *remaining* lifetime — exactly
     /// what a resolver serves from cache, and what Figure 7 observes.
@@ -131,34 +190,27 @@ impl DnsCache {
             name: name.clone(),
             rtype,
         };
-        match self.map.get(&key) {
-            None => {
-                self.stats.misses += 1;
-                None
-            }
-            Some(e) if now >= e.expires => {
-                self.stats.misses += 1;
-                self.stats.expirations += 1;
-                self.map.remove(&key);
-                None
-            }
-            Some(e) => {
-                self.stats.hits += 1;
-                let remaining = (e.expires - now).as_micros() / 1_000_000;
-                Some(match &e.answer {
-                    CachedAnswer::Positive(records) => CachedAnswer::Positive(
-                        records
-                            .iter()
-                            .map(|r| Record {
-                                ttl: remaining as u32,
-                                ..r.clone()
-                            })
-                            .collect(),
-                    ),
-                    CachedAnswer::Negative(rcode) => CachedAnswer::Negative(*rcode),
-                })
-            }
+        let Some(e) = self.map.get_mut(&key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        if let Some((answer, _, remaining)) = e.live(now) {
+            self.stats.hits += 1;
+            return Some(match answer {
+                CachedAnswer::Positive(records) => CachedAnswer::Positive(
+                    records
+                        .iter()
+                        .map(|r| Record {
+                            ttl: remaining,
+                            ..r.clone()
+                        })
+                        .collect(),
+                ),
+                CachedAnswer::Negative(rcode) => CachedAnswer::Negative(*rcode),
+            });
         }
+        self.forget(&key, now);
+        None
     }
 
     /// Serve `name`/`rtype` at `now` directly as wire bytes, for a
@@ -183,79 +235,70 @@ impl DnsCache {
             name: name.clone(),
             rtype,
         };
-        match self.map.get_mut(&key) {
-            None => {
-                self.stats.misses += 1;
-                None
+        let Some(e) = self.map.get_mut(&key) else {
+            self.stats.misses += 1;
+            return None;
+        };
+        if let Some((answer, template, remaining)) = e.live(now) {
+            self.stats.hits += 1;
+            let records = match answer {
+                CachedAnswer::Negative(rcode) => return Some(CachedWire::Negative(*rcode)),
+                CachedAnswer::Positive(records) => records,
+            };
+            let build = |qname: DnsName| {
+                let mut b = MessageBuilder::query(0, qname, rtype)
+                    .recursion_desired(true)
+                    .build();
+                b.header.flags.response = true;
+                b.header.flags.recursion_available = true;
+                b.answers = records.to_vec();
+                b
+            };
+            if template.is_none() {
+                *template = ResponseTemplate::from_message(&build(name.clone()))
+                    .map(|t| (name.clone(), Arc::new(t)));
             }
-            Some(e) if now >= e.expires => {
-                self.stats.misses += 1;
-                self.stats.expirations += 1;
-                self.map.remove(&key);
-                None
-            }
-            Some(e) => {
-                self.stats.hits += 1;
-                let remaining = ((e.expires - now).as_micros() / 1_000_000) as u32;
-                match &e.answer {
-                    CachedAnswer::Negative(rcode) => Some(CachedWire::Negative(*rcode)),
-                    CachedAnswer::Positive(records) => {
-                        let build = |qname: DnsName, answers: &[Record]| {
-                            let mut b = MessageBuilder::query(0, qname, rtype)
-                                .recursion_desired(true)
-                                .build();
-                            b.header.flags.response = true;
-                            b.header.flags.recursion_available = true;
-                            b.answers = answers.to_vec();
-                            b
-                        };
-                        if e.template.is_none() {
-                            let msg = build(key.name.clone(), records);
-                            e.template = ResponseTemplate::from_message(&msg)
-                                .map(|t| (key.name.clone(), Arc::new(t)));
-                        }
-                        match &e.template {
-                            // The question section must echo *this*
-                            // querier's casing exactly; the wire forms
-                            // compare raw bytes where name equality would
-                            // not.
-                            Some((tq, t)) if tq.as_wire() == name.as_wire() => {
-                                Some(CachedWire::Positive(t.materialize(txid, rd, remaining)))
-                            }
-                            Some(_) => {
-                                // Casing differs from the template (0x20
-                                // randomization): build this response the
-                                // slow way rather than leak another
-                                // client's casing.
-                                let mut msg = build(name.clone(), records);
-                                msg.header.id = txid;
-                                msg.header.flags.recursion_desired = rd;
-                                for r in &mut msg.answers {
-                                    r.ttl = remaining;
-                                }
-                                Some(CachedWire::Positive(msg.encode()))
-                            }
-                            // Un-encodable entry (never built by this
-                            // workspace): let the caller take the slow path.
-                            None => None,
-                        }
-                    }
+            return match template {
+                // The question section must echo *this* querier's casing
+                // exactly; the wire forms compare raw bytes where name
+                // equality would not.
+                Some((tq, t)) if tq.as_wire() == name.as_wire() => {
+                    Some(CachedWire::Positive(t.materialize(txid, rd, remaining)))
                 }
-            }
+                Some(_) => {
+                    // Casing differs from the template (0x20
+                    // randomization): build this response the slow way
+                    // rather than leak another client's casing.
+                    let mut msg = build(name.clone());
+                    msg.header.id = txid;
+                    msg.header.flags.recursion_desired = rd;
+                    for r in &mut msg.answers {
+                        r.ttl = remaining;
+                    }
+                    Some(CachedWire::Positive(msg.encode()))
+                }
+                // Un-encodable entry (never built by this workspace): let
+                // the caller take the slow path.
+                None => None,
+            };
         }
+        self.forget(&key, now);
+        None
     }
 
     /// How long the bytes of a positive wire answer served at `now` stay
     /// exact: the embedded TTL decays per whole elapsed second, so the
     /// encoding is stable strictly before `expires − remaining·1s`.
-    /// `None` for missing, expired, or negative entries. No stats impact.
+    /// `None` for missing, expired, or negative entries, and for a
+    /// wire-backed one no lookup has decoded yet (whether it serves at all
+    /// is the counted lookup's to find out). No stats impact.
     fn wire_valid_before(&self, name: &DnsName, rtype: RrType, now: SimTime) -> Option<SimTime> {
         let key = CacheKey {
             name: name.clone(),
             rtype,
         };
         let e = self.map.get(&key)?;
-        if now >= e.expires || !matches!(e.answer, CachedAnswer::Positive(_)) {
+        if now >= e.expires || !matches!(e.stored, Stored::Answer(CachedAnswer::Positive(_))) {
             return None;
         }
         let remaining = (e.expires - now).as_micros() / 1_000_000;
@@ -271,31 +314,30 @@ impl DnsCache {
         ttl_secs: u32,
         now: SimTime,
     ) {
-        let key = CacheKey { name, rtype };
+        self.store(
+            CacheKey { name, rtype },
+            Stored::Answer(answer),
+            ttl_secs,
+            now,
+        );
+    }
+
+    fn store(&mut self, key: CacheKey, stored: Stored, ttl_secs: u32, now: SimTime) {
         if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
-            // Capacity pressure: evict in insertion order, skipping keys
-            // already removed by expiration.
-            while let Some(old) = self.order.pop_front() {
-                if self.map.remove(&old).is_some() {
-                    self.stats.evictions += 1;
-                    break;
-                }
+            // Capacity pressure: evict in insertion order.
+            if let Some(old) = self.order.pop_front() {
+                self.map.remove(&old);
+                self.stats.evictions += 1;
             }
         }
-        let expires = now + netsim::SimDuration::from_secs(u64::from(ttl_secs));
-        if self
-            .map
-            .insert(
-                key.clone(),
-                Entry {
-                    answer,
-                    inserted: now,
-                    expires,
-                    template: None,
-                },
-            )
-            .is_none()
-        {
+        let entry = Entry {
+            stored,
+            inserted: now,
+            expires: now + netsim::SimDuration::from_secs(u64::from(ttl_secs)),
+            template: None,
+        };
+        // An overwrite keeps the key's place in the eviction order.
+        if self.map.insert(key.clone(), entry).is_none() {
             self.order.push_back(key);
         }
         self.stats.insertions += 1;
@@ -325,9 +367,10 @@ impl DnsCache {
 /// (census probes are byte-identical modulo txid, so later ones skip the
 /// decode) and a [`HotWire`] holding the last answer served through the
 /// memo (replayed as a refcount bump while its bytes stay exact). Every
-/// write goes through [`ServeCache::insert`], which drops the `HotWire` —
-/// a replay cannot outlive the entry it came from — and every client
-/// query performs exactly one counted cache lookup.
+/// write goes through [`ServeCache::insert`] or
+/// [`ServeCache::insert_wire`], which drop the `HotWire` — a replay cannot
+/// outlive the entry it came from — and every client query performs
+/// exactly one counted cache lookup.
 ///
 /// What stays with the host: who may be served at all (the resolver's
 /// ACL, checked *before* [`ServeCache::serve_undecoded`]), its own
@@ -434,6 +477,25 @@ impl ServeCache {
     ) {
         self.hot.take();
         self.cache.insert(name, rtype, answer, ttl_secs, now);
+    }
+
+    /// [`ServeCache::insert`] for a positive answer still in the encoded
+    /// upstream `response` it arrived in — what a relay that never decoded
+    /// the datagram has in hand. The entry serves exactly as if
+    /// `CachedAnswer::Positive(answers of response)` had been inserted; the
+    /// decode happens on its first lookup, and bytes that turn out not to
+    /// decode make that lookup a miss.
+    pub fn insert_wire(
+        &mut self,
+        name: DnsName,
+        rtype: RrType,
+        response: Payload,
+        ttl_secs: u32,
+        now: SimTime,
+    ) {
+        self.hot.take();
+        let key = CacheKey { name, rtype };
+        self.cache.store(key, Stored::Wire(response), ttl_secs, now);
     }
 }
 
@@ -594,6 +656,155 @@ mod tests {
                 ..CacheStats::default()
             }
         );
+    }
+
+    /// The study's two-A upstream response as a relay holds it.
+    fn upstream_response(ttl: u32) -> Payload {
+        let query = MessageBuilder::query(9, name("odns-study.example."), RrType::A).build();
+        MessageBuilder::response_to(&query)
+            .answer(a_record("odns-study.example.", ttl))
+            .answer(a_record("odns-study.example.", ttl + 7))
+            .build()
+            .encode()
+            .into()
+    }
+
+    #[test]
+    fn wire_backed_insert_serves_like_the_decoded_one() {
+        let mut wire = ServeCache::new(8);
+        let mut decoded = ServeCache::new(8);
+        let t0 = SimTime::ZERO;
+        let response = upstream_response(300);
+        let answers = Message::decode(&response).unwrap().answers;
+        wire.insert_wire(name("odns-study.example."), RrType::A, response, 300, t0);
+        decoded.insert(
+            name("odns-study.example."),
+            RrType::A,
+            CachedAnswer::Positive(answers),
+            300,
+            t0,
+        );
+        for (txid, secs) in [(1, 0), (2, 0), (3, 42), (4, 299), (5, 300)] {
+            let now = t0 + SimDuration::from_secs(secs);
+            assert_eq!(
+                client_query(&mut wire, txid, now),
+                client_query(&mut decoded, txid, now),
+                "txid {txid} at {secs} s"
+            );
+        }
+        assert_eq!(wire.cache().stats, decoded.cache().stats);
+        assert_eq!(wire.cache().stats.hits, 4);
+    }
+
+    #[test]
+    fn wire_backed_insert_drops_the_replayable_answer() {
+        let mut serve = ServeCache::new(8);
+        let t0 = SimTime::ZERO;
+        let ttl_of = |answer: Option<Payload>| {
+            Message::decode(&answer.expect("hit")).unwrap().answers[0].ttl
+        };
+        serve.insert_wire(
+            name("odns-study.example."),
+            RrType::A,
+            upstream_response(300),
+            300,
+            t0,
+        );
+        // Mid-second, so the served bytes stay exact for a while: decode
+        // path, template path, then the `HotWire` replay.
+        let now = t0 + SimDuration::from_millis(500);
+        for txid in [1, 2, 2] {
+            assert_eq!(ttl_of(client_query(&mut serve, txid, now)), 299);
+        }
+        serve.insert_wire(
+            name("odns-study.example."),
+            RrType::A,
+            upstream_response(50),
+            50,
+            now,
+        );
+        assert_eq!(
+            ttl_of(client_query(&mut serve, 2, now)),
+            50,
+            "no stale replay"
+        );
+    }
+
+    #[test]
+    fn undecodable_wire_entry_is_one_counted_miss_and_gone() {
+        // Sound section structure, but the answer's owner is a forward
+        // compression pointer: `walk_sections` passes it, `decode` does not.
+        let mut bytes = upstream_response(300).to_vec();
+        let owner = bytes.len() - 2 * 16;
+        bytes[owner..owner + 2].copy_from_slice(&[0xC0, 0xFF]);
+        assert!(dnswire::walk_sections(&bytes).is_some());
+        assert!(Message::decode(&bytes).is_err());
+
+        let mut serve = ServeCache::new(8);
+        let t0 = SimTime::ZERO;
+        serve.insert_wire(
+            name("odns-study.example."),
+            RrType::A,
+            bytes.into(),
+            300,
+            t0,
+        );
+        assert_eq!(serve.cache().len(), 1);
+        assert!(client_query(&mut serve, 1, t0).is_none());
+        assert!(serve.cache().is_empty(), "the entry is dropped");
+        assert!(client_query(&mut serve, 2, t0).is_none());
+        assert_eq!(
+            serve.cache().stats,
+            CacheStats {
+                misses: 2,
+                insertions: 1,
+                ..CacheStats::default()
+            }
+        );
+    }
+
+    #[test]
+    fn expired_key_leaves_the_eviction_order() {
+        // Regression: a key expired by a lookup stayed queued, so its
+        // re-insert queued a second copy — the stale one then evicted the
+        // re-inserted (youngest) entry in place of the oldest, and `order`
+        // grew by one per expire/re-insert cycle.
+        let mut c = DnsCache::new(2);
+        let positive = |s: &str| CachedAnswer::Positive(vec![a_record(s, 60)]);
+        let at = |secs| SimTime::ZERO + SimDuration::from_secs(secs);
+        c.insert(
+            name("a.example."),
+            RrType::A,
+            positive("a.example."),
+            10,
+            at(0),
+        );
+        c.insert(
+            name("b.example."),
+            RrType::A,
+            positive("b.example."),
+            600,
+            at(1),
+        );
+        for cycle in 0..3 {
+            let t = at(20 + 20 * cycle);
+            assert_eq!(c.get(&name("a.example."), RrType::A, t), None, "expired");
+            c.insert(name("a.example."), RrType::A, positive("a.example."), 10, t);
+            assert!(c.order.len() <= 2, "order holds {:?}", c.order);
+        }
+        let t = at(65);
+        c.insert(
+            name("c.example."),
+            RrType::A,
+            positive("c.example."),
+            600,
+            t,
+        );
+        assert_eq!(c.stats.evictions, 1);
+        assert!(c.get(&name("b.example."), RrType::A, t).is_none(), "oldest");
+        assert!(c.get(&name("a.example."), RrType::A, t).is_some());
+        assert!(c.get(&name("c.example."), RrType::A, t).is_some());
+        assert_eq!((c.len(), c.order.len()), (2, 2));
     }
 
     #[test]

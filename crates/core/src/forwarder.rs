@@ -15,8 +15,21 @@
 //! it decrements TTL when relaying and emits ICMP Time Exceeded when the
 //! TTL dies — which is exactly the behaviour DNSRoute++ (§5) exploits to
 //! trace the path *behind* it.
+//!
+//! A recursive forwarder that does not manipulate answers is a byte relay,
+//! like the devices it models: the upstream datagram is matched to its
+//! pending query on `(our port, txid)`, checked for section structure by
+//! [`dnswire::walk_sections`] (no decode), and sent on to the client as the
+//! very bytes received — the upstream query kept the client's transaction
+//! ID, so nothing needs patching. One deliberate consequence: a response
+//! with sound structure that [`Message::decode`] would still reject (a
+//! forward compression pointer, a malformed RDATA body) is relayed
+//! untouched, where a decoding proxy would have dropped it. It is never
+//! served from the cache — the entry is decoded on its first lookup, and
+//! bytes that fail there are a counted miss. Only
+//! [`Manipulation::ReplaceARecords`] decodes, because it rewrites.
 
-use crate::cache::{CachedAnswer, ServeCache};
+use crate::cache::ServeCache;
 use crate::device::DeviceProfile;
 use dnswire::Message;
 use netsim::{Ctx, Datagram, Host, SimDuration, UdpSend};
@@ -38,11 +51,12 @@ pub struct RecursiveForwarderStats {
     pub timeouts: u64,
 }
 
+/// A query in flight upstream. Its transaction ID — the client's own,
+/// kept on the upstream leg — is the second half of the pending-table key.
 #[derive(Debug)]
 struct PendingQuery {
     client: Ipv4Addr,
     client_port: u16,
-    client_txid: u16,
     qname: dnswire::DnsName,
     qtype: dnswire::RrType,
 }
@@ -136,65 +150,63 @@ impl RecursiveForwarder {
         }
         port
     }
+
+    /// Relay `dgram` to the client whose pending upstream query it answers
+    /// and cache what upstream said; `false` when it answers none.
+    fn relay_upstream_answer(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) -> bool {
+        if dnswire::peek_qr(&dgram.payload) != Some(true) {
+            return false;
+        }
+        let (txid, min_ttl, payload) = match self.manipulation {
+            Manipulation::None => {
+                let Some(walk) = dnswire::walk_sections(&dgram.payload) else {
+                    return false;
+                };
+                (walk.id, walk.min_answer_ttl, dgram.payload.clone())
+            }
+            Manipulation::ReplaceARecords(inject) => {
+                let Ok(mut msg) = Message::decode(&dgram.payload) else {
+                    return false;
+                };
+                let min_ttl = msg.answers.iter().map(|r| r.ttl).min();
+                for r in &mut msg.answers {
+                    if let dnswire::RData::A(a) = &mut r.rdata {
+                        *a = inject;
+                    }
+                }
+                (msg.header.id, min_ttl, msg.encode().into())
+            }
+        };
+        let Some(q) = self.pending.remove(&(dgram.dst_port, txid)) else {
+            return false;
+        };
+        // Cache what upstream said — never the manipulated copy — under
+        // the client's question.
+        if let (Some(cache), Some(min_ttl)) = (&mut self.cache, min_ttl) {
+            cache.insert_wire(q.qname, q.qtype, dgram.payload.clone(), min_ttl, ctx.now());
+        }
+        // From our own address: to the client *we* look like the resolver.
+        self.stats.relayed += 1;
+        ctx.send_udp(UdpSend {
+            src: None,
+            src_port: dnswire::DNS_PORT,
+            dst: q.client,
+            dst_port: q.client_port,
+            ttl: None,
+            payload,
+        });
+        true
+    }
 }
 
 impl Host for RecursiveForwarder {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if dgram.dst_port != dnswire::DNS_PORT {
-            // Upstream response to one of our ephemeral ports?
-            if let Ok(mut msg) = Message::decode(&dgram.payload) {
-                if msg.is_response() {
-                    let key = (dgram.dst_port, msg.header.id);
-                    if let Some(q) = self.pending.remove(&key) {
-                        // Relay with the client's original transaction ID,
-                        // from our own address: to the client *we* look
-                        // like the resolver. The decoded message is ours
-                        // to rewrite; the answers are copied only when
-                        // manipulation is about to change them (the cache
-                        // stores what upstream said).
-                        msg.header.id = q.client_txid;
-                        let upstream_answers = match self.manipulation {
-                            Manipulation::None => None,
-                            Manipulation::ReplaceARecords(inject) => {
-                                let upstream = msg.answers.clone();
-                                for r in &mut msg.answers {
-                                    if let dnswire::RData::A(a) = &mut r.rdata {
-                                        *a = inject;
-                                    }
-                                }
-                                Some(upstream)
-                            }
-                        };
-                        let payload = msg.encode().into();
-                        // Cache the answer under the client's question.
-                        let answers = upstream_answers.unwrap_or(msg.answers);
-                        if let Some(cache) = &mut self.cache {
-                            if !answers.is_empty() {
-                                let min_ttl = answers.iter().map(|r| r.ttl).min().unwrap_or(0);
-                                cache.insert(
-                                    q.qname,
-                                    q.qtype,
-                                    CachedAnswer::Positive(answers),
-                                    min_ttl,
-                                    ctx.now(),
-                                );
-                            }
-                        }
-                        self.stats.relayed += 1;
-                        ctx.send_udp(UdpSend {
-                            src: None,
-                            src_port: dnswire::DNS_PORT,
-                            dst: q.client,
-                            dst_port: q.client_port,
-                            ttl: None,
-                            payload,
-                        });
-                        return;
-                    }
-                }
+            // An upstream response to one of our ephemeral ports, or else
+            // not DNS business: the fingerprinting surface.
+            if !self.relay_upstream_answer(ctx, &dgram) {
+                crate::device::handle_probe(ctx, &dgram, self.device.as_ref());
             }
-            // Not DNS business: fingerprinting surface.
-            crate::device::handle_probe(ctx, &dgram, self.device.as_ref());
             return;
         }
 
@@ -237,7 +249,6 @@ impl Host for RecursiveForwarder {
             PendingQuery {
                 client: dgram.src,
                 client_port: dgram.src_port,
-                client_txid: query.header.id,
                 qname: q.qname,
                 qtype: q.qtype,
             },
@@ -641,6 +652,106 @@ mod tests {
                 timeouts: 3,
             }
         );
+    }
+
+    /// [`CannedResolver`] with its answer bytes passed through `mangle`.
+    struct ManglingResolver {
+        seen: usize,
+        mangle: fn(&mut Vec<u8>),
+    }
+    impl Host for ManglingResolver {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+            if dgram.dst_port != dnswire::DNS_PORT {
+                return;
+            }
+            self.seen += 1;
+            let query = Message::decode(&dgram.payload).unwrap();
+            let qname = query.questions[0].qname.clone();
+            let mut bytes = MessageBuilder::response_to(&query)
+                .recursion_available(true)
+                .answer_a(qname, 300, Ipv4Addr::new(7, 7, 7, 7))
+                .build()
+                .encode();
+            (self.mangle)(&mut bytes);
+            ctx.send_udp(UdpSend::reply_to(&dgram, bytes));
+        }
+        netsim::impl_host_downcast!();
+    }
+
+    /// Two client queries 10 s apart through a caching forwarder whose
+    /// resolver mangles every answer.
+    fn relay_through_mangling_resolver(
+        mangle: fn(&mut Vec<u8>),
+    ) -> (Simulator, [netsim::NodeId; 3]) {
+        let (mut sim, client, fwd, resolver) = three_node_sim();
+        sim.install(fwd, RecursiveForwarder::new(RESOLVER_IP));
+        sim.install(resolver, ManglingResolver { seen: 0, mangle });
+        let script = [(0, 1), (10, 2)]
+            .map(|(secs, txid)| {
+                (
+                    SimDuration::from_secs(secs),
+                    UdpSend::new(34000 + txid, FWD_IP, 53, query_bytes(txid)),
+                )
+            })
+            .to_vec();
+        netsim::testkit::install_script(&mut sim, client, script);
+        sim.run();
+        (sim, [client, fwd, resolver])
+    }
+
+    #[test]
+    fn upstream_answer_the_walk_rejects_is_not_relayed() {
+        // A matching `(port, txid)` and QR=1, but the body stops two bytes
+        // short of its RDLENGTH: not an answer. It goes where every other
+        // stray datagram goes — the device's closed-port handling — and
+        // the pending query is left to time out.
+        let (sim, nodes) = relay_through_mangling_resolver(|bytes| bytes.truncate(bytes.len() - 2));
+        let client: &netsim::testkit::ScriptedClient = sim.host_as(nodes[0]).unwrap();
+        assert!(client.datagrams.is_empty(), "nothing relayed");
+        let f: &RecursiveForwarder = sim.host_as(nodes[1]).unwrap();
+        assert_eq!(
+            f.stats,
+            RecursiveForwarderStats {
+                client_queries: 2,
+                forwarded: 2,
+                timeouts: 2,
+                ..RecursiveForwarderStats::default()
+            }
+        );
+        assert!(f.pending.is_empty());
+        assert_eq!(
+            sim.stats().icmp_delivered,
+            2,
+            "port unreachable back to the resolver, as for any stray datagram"
+        );
+    }
+
+    #[test]
+    fn upstream_answer_only_a_decoder_would_reject_is_relayed_but_never_served() {
+        // The one deliberate difference to a decoding proxy: sound section
+        // structure with a forward compression pointer as the answer's
+        // owner passes the walk, so the client gets the upstream bytes as
+        // they are. The cache cannot decode them: the next lookup is a
+        // counted miss, and the query goes upstream again.
+        let (sim, nodes) = relay_through_mangling_resolver(|bytes| {
+            let owner = bytes.len() - 16;
+            bytes[owner..owner + 2].copy_from_slice(&[0xC0, 0xFF]);
+        });
+        let client: &netsim::testkit::ScriptedClient = sim.host_as(nodes[0]).unwrap();
+        assert_eq!(client.datagrams.len(), 2);
+        for ((_, d), txid) in client.datagrams.iter().zip([1u16, 2]) {
+            assert!(Message::decode(&d.payload).is_err());
+            let walk = dnswire::walk_sections(&d.payload).expect("sound structure");
+            assert_eq!((walk.id, walk.ancount), (txid, 1));
+            assert_eq!(d.src, FWD_IP);
+        }
+        let resolver: &ManglingResolver = sim.host_as(nodes[2]).unwrap();
+        assert_eq!(resolver.seen, 2, "the second query was not absorbed");
+        let f: &RecursiveForwarder = sim.host_as(nodes[1]).unwrap();
+        assert_eq!((f.stats.relayed, f.stats.cache_answers), (2, 0));
+        let cache = f.cache.as_ref().unwrap().cache();
+        assert_eq!((cache.stats.hits, cache.stats.misses), (0, 2));
+        assert_eq!(cache.len(), 1, "only the second answer, not yet looked up");
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! and negative caching.
 
 use crate::cache::{CachedAnswer, DnsCache, ServeCache};
-use dnswire::{DnsName, Message, MessageBuilder, Rcode, RrType};
+use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType};
 use netsim::{Ctx, Datagram, Host, SimDuration, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -132,6 +132,8 @@ struct Task {
     client: Ipv4Addr,
     client_port: u16,
     client_txid: u16,
+    /// The client's RD bit, echoed in its answer.
+    rd: bool,
     /// The address the client queried (unicast or anycast service IP);
     /// responses are sourced from it.
     service_addr: Ipv4Addr,
@@ -211,61 +213,62 @@ impl RecursiveResolver {
         (port, txid)
     }
 
-    fn respond_to_client(
-        ctx: &mut Ctx<'_>,
-        task: Task,
-        build: impl FnOnce(MessageBuilder) -> MessageBuilder,
-    ) {
-        let skeleton = MessageBuilder::query(task.client_txid, task.qname, task.qtype)
-            .recursion_desired(true)
+    /// The response `task`'s client is owed, before `build` fills it in.
+    fn response_for(task: &Task, build: impl FnOnce(MessageBuilder) -> MessageBuilder) -> Message {
+        let skeleton = MessageBuilder::query(task.client_txid, task.qname.clone(), task.qtype)
+            .recursion_desired(task.rd)
             .build();
-        let builder = MessageBuilder::response_to(&skeleton).recursion_available(true);
-        let response = build(builder).build();
-        ctx.send_udp(UdpSend {
-            src: Some(task.service_addr),
-            src_port: dnswire::DNS_PORT,
-            dst: task.client,
-            dst_port: task.client_port,
-            ttl: None,
-            payload: response.encode().into(),
-        });
+        build(MessageBuilder::response_to(&skeleton).recursion_available(true)).build()
     }
 
     /// Deliver a final outcome to a leader task and every coalesced
     /// waiter, removing them all from the task table.
-    fn finish(&mut self, ctx: &mut Ctx<'_>, leader: u64, mut outcome: TaskOutcome) {
+    fn finish(&mut self, ctx: &mut Ctx<'_>, leader: u64, outcome: TaskOutcome) {
         let mut recipients = vec![leader];
         recipients.extend(self.waiters.remove(&leader).unwrap_or_default());
-        let last = recipients.len() - 1;
-        for (i, id) in recipients.into_iter().enumerate() {
+        // A burst of identical probes coalesces into one resolution with
+        // many recipients: records are encoded once, for the first
+        // recipient, and every later one whose question has the same raw
+        // casing gets those bytes with its own txid and RD patched in.
+        let mut encoded: Option<(DnsName, ResponseTemplate)> = None;
+        for id in recipients {
             let Some(task) = self.tasks.remove(&id) else {
                 continue;
             };
             if id == leader {
                 self.inflight.remove(&(task.qname.clone(), task.qtype));
             }
-            match &mut outcome {
+            let payload = match &outcome {
                 TaskOutcome::Records(records) => {
-                    // The last recipient (usually the only one) takes the
-                    // records themselves.
-                    let records = if i == last {
-                        std::mem::take(records)
-                    } else {
-                        records.clone()
-                    };
-                    Self::respond_to_client(ctx, task, move |mut b| {
-                        for r in records {
-                            b = b.answer(r);
+                    let with_records =
+                        |b: MessageBuilder| records.iter().cloned().fold(b, MessageBuilder::answer);
+                    if encoded.is_none() {
+                        let first = Self::response_for(&task, with_records);
+                        encoded =
+                            ResponseTemplate::from_message(&first).map(|t| (task.qname.clone(), t));
+                    }
+                    match &encoded {
+                        Some((qname, template)) if qname.as_wire() == task.qname.as_wire() => {
+                            template.materialize_ttls_kept(task.client_txid, task.rd)
                         }
-                        b
-                    });
+                        // Another 0x20 casing: this client's response is
+                        // built on its own, echoing its own question.
+                        _ => Self::response_for(&task, with_records).encode(),
+                    }
                 }
                 TaskOutcome::Rcode(rcode) => {
-                    let rcode = *rcode;
-                    Self::respond_to_client(ctx, task, move |b| b.rcode(rcode));
+                    Self::response_for(&task, |b| b.rcode(*rcode)).encode()
                 }
-                TaskOutcome::NoData => Self::respond_to_client(ctx, task, |b| b),
-            }
+                TaskOutcome::NoData => Self::response_for(&task, |b| b).encode(),
+            };
+            ctx.send_udp(UdpSend {
+                src: Some(task.service_addr),
+                src_port: dnswire::DNS_PORT,
+                dst: task.client,
+                dst_port: task.client_port,
+                ttl: None,
+                payload: payload.into(),
+            });
         }
     }
 
@@ -322,6 +325,7 @@ impl RecursiveResolver {
             client: dgram.src,
             client_port: dgram.src_port,
             client_txid: query.header.id,
+            rd: query.header.flags.recursion_desired,
             service_addr: dgram.dst,
             qname: q.qname.clone(),
             qtype: q.qtype,

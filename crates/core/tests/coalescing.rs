@@ -256,3 +256,47 @@ fn task_table_drains_on_answer_timeout_and_coalescing() {
         }
     );
 }
+
+/// The RD bit is the client's: a stub that clears it must see it cleared
+/// in its answer whichever way the resolver comes by that answer — as the
+/// leader of a resolution (a miss), coalesced behind another client's, or
+/// from the cache. The miss and waiter paths used to hard-code RD=1.
+#[test]
+fn rd_bit_is_echoed_on_miss_as_waiter_and_on_hit() {
+    let (mut sim, clients, resolver, _auth) = world(4);
+    let rd0 = |txid| {
+        MessageBuilder::query(txid, study::study_qname(), RrType::A)
+            .recursion_desired(false)
+            .build()
+            .encode()
+    };
+    // (send time µs, payload, RD expected back): an RD=0 leader, an RD=1
+    // and an RD=0 waiter behind it, and an RD=0 cache hit.
+    let script = [
+        (0, rd0(1), false),
+        (50, study_query(2), true),
+        (100, rd0(3), false),
+        (5_000_000, rd0(4), false),
+    ];
+    for (&c, (at, payload, _)) in clients.iter().zip(script.clone()) {
+        install_script(
+            &mut sim,
+            c,
+            vec![(
+                SimDuration::from_micros(at),
+                UdpSend::new(34000, RESOLVER, 53, payload),
+            )],
+        );
+    }
+    sim.run();
+    for (i, (&c, (_, _, rd))) in clients.iter().zip(script).enumerate() {
+        let sc: &ScriptedClient = sim.host_as(c).unwrap();
+        let m = Message::decode(&sc.datagrams[0].1.payload).unwrap();
+        assert_eq!(m.header.flags.recursion_desired, rd, "client {i}");
+        assert_eq!(m.header.id, i as u16 + 1);
+        assert!(m.header.flags.recursion_available);
+        assert_eq!(m.answers.len(), 2);
+    }
+    let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
+    assert_eq!((r.stats.coalesced, r.stats.cache_answers), (2, 1));
+}

@@ -7,7 +7,9 @@
 //! bytes a client gets must equal what a host that always decodes, calls
 //! `DnsCache::get` and builds the response with `MessageBuilder` would
 //! send. In particular a `HotWire` replay can never outlive an insert, an
-//! eviction, a TTL-second boundary or a change of query casing.
+//! eviction, a TTL-second boundary or a change of query casing — and an
+//! answer cached still encoded (`ServeCache::insert_wire`, the relaying
+//! forwarder's door) serves exactly like its decoded records would.
 
 use dnswire::{DnsName, Message, MessageBuilder, QClass, Rcode, Record, RrType};
 use netsim::{SimDuration, SimTime};
@@ -32,10 +34,13 @@ enum Op {
     /// Advance the clock (milliseconds, so TTL-second boundaries are
     /// crossed at arbitrary offsets).
     Advance(u64),
-    /// Cache a positive or negative answer for `NAMES[name]`.
+    /// Cache a positive or negative answer for `NAMES[name]`; a positive
+    /// one goes into the `ServeCache` as the encoded upstream response when
+    /// `wire` is set (the reference always gets the decoded records).
     Insert {
         name: usize,
         positive: bool,
+        wire: bool,
         ttl: u32,
     },
     /// Insert `CAPACITY` other names, evicting everything older.
@@ -64,11 +69,14 @@ fn op() -> impl Strategy<Value = Op> {
         query(),
         (0u64..=400_000).prop_map(Op::Advance),
         (0u64..=1_500).prop_map(Op::Advance),
-        (0usize..2, any::<bool>(), 1u32..=600).prop_map(|(name, positive, ttl)| Op::Insert {
-            name,
-            positive,
-            ttl
-        }),
+        (0usize..2, any::<bool>(), any::<bool>(), 1u32..=600).prop_map(
+            |(name, positive, wire, ttl)| Op::Insert {
+                name,
+                positive,
+                wire,
+                ttl
+            }
+        ),
         Just(Op::Evict),
     ]
 }
@@ -142,18 +150,31 @@ proptest! {
                     );
                 }
                 Op::Advance(ms) => now += SimDuration::from_millis(ms),
-                Op::Insert { name, positive, ttl } => {
+                Op::Insert { name, positive, wire, ttl } => {
                     let owner = DnsName::parse(NAMES[name]).unwrap();
+                    let records = vec![
+                        Record::a(owner.clone(), ttl, Ipv4Addr::new(198, 51, 100, (ttl % 251) as u8)),
+                        Record::a(owner.clone(), ttl, Ipv4Addr::new(192, 0, 2, 200)),
+                    ];
                     let answer = if positive {
-                        let addr = Ipv4Addr::new(198, 51, 100, (ttl % 251) as u8);
-                        CachedAnswer::Positive(vec![
-                            Record::a(owner.clone(), ttl, addr),
-                            Record::a(owner.clone(), ttl, Ipv4Addr::new(192, 0, 2, 200)),
-                        ])
+                        CachedAnswer::Positive(records.clone())
                     } else {
                         CachedAnswer::Negative(Rcode::NxDomain)
                     };
-                    serve.insert(owner.clone(), RrType::A, answer.clone(), ttl, now);
+                    if positive && wire {
+                        // What upstream would have sent a forwarder that
+                        // asked in some other client's casing.
+                        let asked = MessageBuilder::query(0xFEED, cased(NAMES[name], 0xA5), RrType::A)
+                            .build();
+                        let response = records
+                            .into_iter()
+                            .fold(MessageBuilder::response_to(&asked), MessageBuilder::answer)
+                            .build()
+                            .encode();
+                        serve.insert_wire(owner.clone(), RrType::A, response.into(), ttl, now);
+                    } else {
+                        serve.insert(owner.clone(), RrType::A, answer.clone(), ttl, now);
+                    }
                     plain.insert(owner, RrType::A, answer, ttl, now);
                 }
                 Op::Evict => {

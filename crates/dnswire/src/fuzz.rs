@@ -1,10 +1,10 @@
 //! Deterministic structured fuzz harness over [`Message::decode`] /
-//! [`Message::decode_prefix`].
+//! [`Message::decode_prefix`] and [`walk_sections`](crate::walk_sections).
 //!
 //! The *Injection Attacks Reloaded* threat model tunnels parser-confusion
 //! payloads over DNS: truncated bodies, inflated section counts, skewed
 //! RDLENGTH fields, and compression-pointer games. This module replays
-//! exactly those mutation classes against the decoder and checks three
+//! exactly those mutation classes against the decoder and checks four
 //! oracles on every input:
 //!
 //! 1. **no panic** — decoding hostile bytes must fail with a
@@ -14,7 +14,10 @@
 //!    trailing bytes;
 //! 3. **reparse stability** — a successfully decoded message re-encodes
 //!    and decodes back to a structurally identical message (the classic
-//!    smuggling primitive is a payload two parsers read differently).
+//!    smuggling primitive is a payload two parsers read differently);
+//! 4. **walk agreement** — the allocation-free section walk relays stand
+//!    on never panics, accepts every input the decoder accepts, and reads
+//!    the same id, QR bit, ANCOUNT and minimum answer TTL off it.
 //!
 //! Everything is seeded: the corpus is fixed, the mutator RNG is a
 //! [SplitMix64] stream keyed by the caller's seed, and a given
@@ -85,6 +88,10 @@ pub enum FailureKind {
     ReencodeError(WireError),
     /// decode → encode → decode produced a structurally different message.
     ReparseMismatch,
+    /// [`walk_sections`](crate::walk_sections) rejected a message the
+    /// decoder accepts, or read a different id, QR bit, ANCOUNT or minimum
+    /// answer TTL off it.
+    WalkDisagreement,
 }
 
 /// One failing input, with everything needed to replay it.
@@ -371,6 +378,19 @@ fn check(bytes: &[u8]) -> Result<Outcome, FailureKind> {
         .map_err(|_| FailureKind::Panic)?;
     let whole = catch_unwind(AssertUnwindSafe(|| Message::decode(bytes)))
         .map_err(|_| FailureKind::Panic)?;
+    let walk = catch_unwind(AssertUnwindSafe(|| crate::walk_sections(bytes)))
+        .map_err(|_| FailureKind::Panic)?;
+    if let Ok(w) = &whole {
+        let expected = crate::SectionWalk {
+            id: w.header.id,
+            response: w.is_response(),
+            ancount: w.header.ancount,
+            min_answer_ttl: w.answers.iter().map(|r| r.ttl).min(),
+        };
+        if walk != Some(expected) {
+            return Err(FailureKind::WalkDisagreement);
+        }
+    }
     match decoded {
         Err(_) => {
             // decode must reject whatever decode_prefix rejects.

@@ -17,6 +17,8 @@
 //!   SOA, PTR, MX, TXT, OPT).
 //! * [`Message`] — full message encode/decode.
 //! * [`MessageBuilder`] — ergonomic construction of queries and responses.
+//! * [`walk_sections`] — a zero-allocation structural check of an encoded
+//!   message, for relays that pass the bytes on instead of decoding them.
 //!
 //! The codec is built for the census's cold path, where every message is
 //! seen once and nothing can be cached: encoding compresses against the
@@ -55,6 +57,7 @@ mod message;
 mod name;
 mod question;
 mod rdata;
+mod walk;
 
 pub mod builder;
 pub mod fuzz;
@@ -69,6 +72,7 @@ pub use name::{DecodedNames, DnsName, Labels, NameOffsets};
 pub use question::{QClass, Question};
 pub use rdata::{Class, RData, Record, RrType, SoaData};
 pub use template::ResponseTemplate;
+pub use walk::{walk_sections, SectionWalk};
 
 /// Maximum length of a DNS message this crate will encode or decode.
 ///

@@ -6,10 +6,13 @@
 //! records the byte offsets of those fields, so serving the next client is
 //! one buffer copy plus a handful of byte patches — instead of a full
 //! `MessageBuilder` → `Message` → `encode` walk with its name clones and
-//! compression bookkeeping.
+//! compression bookkeeping. A fresh answer fanned out to several waiting
+//! clients differs in the first two only
+//! ([`ResponseTemplate::materialize_ttls_kept`]).
 
 use crate::header::HEADER_LEN;
 use crate::message::Message;
+use crate::walk::skip_name;
 
 /// Bit of the RD flag inside the first flags byte (RFC 1035 §4.1.1).
 const RD_BIT: u8 = 0x01;
@@ -20,23 +23,6 @@ pub struct ResponseTemplate {
     bytes: Vec<u8>,
     /// Byte offsets of each answer-section TTL (big-endian u32).
     ttl_offsets: Vec<usize>,
-}
-
-/// Advance `pos` past an encoded domain name (labels, possibly ending in a
-/// compression pointer).
-fn skip_name(bytes: &[u8], pos: &mut usize) -> Option<()> {
-    loop {
-        let len = *bytes.get(*pos)?;
-        if len == 0 {
-            *pos += 1;
-            return Some(());
-        }
-        if len & 0xC0 == 0xC0 {
-            *pos += 2;
-            return Some(());
-        }
-        *pos += 1 + len as usize;
-    }
 }
 
 impl ResponseTemplate {
@@ -79,16 +65,31 @@ impl ResponseTemplate {
     /// remaining lifetime).
     pub fn materialize(&self, txid: u16, rd: bool, ttl: u32) -> Vec<u8> {
         let mut out = self.bytes.clone();
-        out[0..2].copy_from_slice(&txid.to_be_bytes());
-        if rd {
-            out[2] |= RD_BIT;
-        } else {
-            out[2] &= !RD_BIT;
-        }
+        patch_header(&mut out, txid, rd);
         for &off in &self.ttl_offsets {
             out[off..off + 4].copy_from_slice(&ttl.to_be_bytes());
         }
         out
+    }
+
+    /// [`ResponseTemplate::materialize`] with every TTL left as encoded:
+    /// the response for one of several clients waiting on the same fresh
+    /// (not cache-aged) answer.
+    pub fn materialize_ttls_kept(&self, txid: u16, rd: bool) -> Vec<u8> {
+        let mut out = self.bytes.clone();
+        patch_header(&mut out, txid, rd);
+        out
+    }
+}
+
+/// Overwrite the transaction ID and the RD flag of an encoded message.
+#[inline(always)]
+fn patch_header(out: &mut [u8], txid: u16, rd: bool) {
+    out[0..2].copy_from_slice(&txid.to_be_bytes());
+    if rd {
+        out[2] |= RD_BIT;
+    } else {
+        out[2] &= !RD_BIT;
     }
 }
 
@@ -137,6 +138,16 @@ mod tests {
                 Ipv4Addr::new(192, 0, 2, 200)
             ]
         );
+    }
+
+    #[test]
+    fn ttls_kept_patches_only_txid_and_rd() {
+        let mut resp = response();
+        resp.answers[1].ttl = 50;
+        let template = ResponseTemplate::from_message(&resp).unwrap();
+        resp.header.id = 9;
+        resp.header.flags.recursion_desired = false;
+        assert_eq!(template.materialize_ttls_kept(9, false), resp.encode());
     }
 
     #[test]

@@ -8,6 +8,10 @@
 //! before the hosts moved onto the pacer; `route_cache_hits`/`_misses`
 //! were re-captured when routes became one segment per AS pair (the
 //! playground is one AS: one miss, the same `hits + misses`).
+//!
+//! The last two pins hold the *bytes* clients get from the two caching
+//! hosts — relayed and cache-served by a `RecursiveForwarder`, fanned out
+//! to a leader and its coalesced waiters by a `RecursiveResolver`.
 
 use netsim::testkit::playground;
 use netsim::{FaultPlan, NodeId, SimConfig, SimDuration, SimStats, Simulator};
@@ -270,5 +274,121 @@ fn reflection_plans() {
             route_cache_misses: 1,
             ..SimStats::default()
         }
+    );
+}
+
+/// Scripted stub queries from the scanner node, and the answers that came
+/// back as `(destination port, payload hex)` in arrival order.
+fn stub_exchange(sends: Vec<(u64, Ipv4Addr, u16, Vec<u8>)>) -> Vec<(u16, String)> {
+    let mut w = world(11, FaultPlan::none());
+    let script = sends
+        .into_iter()
+        .map(|(at_us, dst, src_port, payload)| {
+            (
+                SimDuration::from_micros(at_us),
+                netsim::UdpSend::new(src_port, dst, 53, payload),
+            )
+        })
+        .collect();
+    netsim::testkit::install_script(&mut w.sim, w.scanner, script);
+    w.sim.run();
+    let client: &netsim::testkit::ScriptedClient = w.sim.host_as(w.scanner).unwrap();
+    let hex = |bytes: &[u8]| bytes.iter().map(|b| format!("{b:02x}")).collect();
+    client
+        .datagrams
+        .iter()
+        .map(|(_, d)| (d.dst_port, hex(&d.payload)))
+        .collect()
+}
+
+fn stub_query(txid: u16, qname: &str) -> Vec<u8> {
+    dnswire::MessageBuilder::query(
+        txid,
+        dnswire::DnsName::parse(qname).unwrap(),
+        dnswire::RrType::A,
+    )
+    .recursion_desired(true)
+    .build()
+    .encode()
+}
+
+/// `\x0aodns-study\x07example\x00`, as the probes spell it and 0x20-mixed.
+const QNAME_LOWER: &str = "0a6f646e732d7374756479076578616d706c6500";
+const QNAME_MIXED: &str = "0a6f446e532d5374556459074578416d506c4500";
+
+/// The study answer as hex: header (QR RD RA, one question, two answers),
+/// the question as asked, then `A 198.51.100.1` (the resolver's egress as
+/// the authoritative server saw it) and the control record `A 192.0.2.200`,
+/// both owned by a pointer to the question name. Captured on the commit
+/// before `RecursiveForwarder` relayed upstream datagrams unparsed and
+/// `RecursiveResolver` patched one encoding per coalesced recipient: both
+/// hosts decoded, rebuilt and re-encoded a message per client then, and
+/// must send the same bytes now.
+fn study_answer_hex(txid: &str, qname: &str, ttl: &str) -> String {
+    format!(
+        "{txid}81800001000200000000{qname}00010001\
+         c00c00010001{ttl}0004c6336401c00c00010001{ttl}0004c00002c8"
+    )
+}
+
+#[test]
+fn caching_forwarder_relay_and_cache_bytes() {
+    let forwarder = targets()[1];
+    let answers = stub_exchange(vec![
+        // A miss, relayed from the resolver's answer...
+        (
+            0,
+            forwarder,
+            40_001,
+            stub_query(0x1111, "odns-study.example."),
+        ),
+        // ...and ten seconds on a hit, served from the entry that relay left.
+        (
+            10_000_000,
+            forwarder,
+            40_002,
+            stub_query(0x2222, "odns-study.example."),
+        ),
+    ]);
+    assert_eq!(
+        answers,
+        [
+            (40_001, study_answer_hex("1111", QNAME_LOWER, "0000012c")),
+            // Ten of the 300 seconds gone.
+            (40_002, study_answer_hex("2222", QNAME_LOWER, "00000122")),
+        ]
+    );
+}
+
+#[test]
+fn resolver_fan_out_bytes_for_leader_and_waiters() {
+    let answers = stub_exchange(vec![
+        (
+            0,
+            RESOLVER,
+            40_001,
+            stub_query(0xAAAA, "odns-study.example."),
+        ),
+        // Coalesced behind the leader: same casing, then 0x20-mixed casing.
+        (
+            50,
+            RESOLVER,
+            40_002,
+            stub_query(0xBBBB, "odns-study.example."),
+        ),
+        (
+            100,
+            RESOLVER,
+            40_003,
+            stub_query(0xCCCC, "oDnS-StUdY.ExAmPlE."),
+        ),
+    ]);
+    assert_eq!(
+        answers,
+        [
+            (40_001, study_answer_hex("aaaa", QNAME_LOWER, "0000012c")),
+            (40_002, study_answer_hex("bbbb", QNAME_LOWER, "0000012c")),
+            (40_003, study_answer_hex("cccc", QNAME_MIXED, "0000012c")),
+        ]
     );
 }
