@@ -1,6 +1,6 @@
 //! Rendered reproductions: one function per table/figure, producing both
-//! the data and a printable text artifact. Benches and examples call these
-//! to emit the same rows/series the paper reports.
+//! the data and a printable text artifact. `bench::PAPER` and the examples
+//! call these to emit the same rows/series the paper reports.
 
 use crate::aggregate::{by_country, figure3_cumulative, rank_by_transparent};
 use crate::census::Census;

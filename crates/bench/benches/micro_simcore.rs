@@ -1,75 +1,16 @@
-//! Micro-benchmarks of the simulator core: route resolution, event
-//! throughput, world generation — establishing that an Internet-scale
-//! (1:1) census is compute-feasible.
+//! Micro-benchmarks of the simulator core: the route plane over a
+//! census-shaped world and the steady-state scan hot path.
 //!
-//! The `hotpath` and `routing` groups additionally emit machine-readable
-//! sections of `BENCH_simcore.json` (probes/sec, events/sec, route-cache
-//! hit rate; ns per resolve, routes held) so successive PRs have a perf
-//! trajectory to compare against. Set `BENCH_QUICK=1` for a fast
-//! CI-friendly run of those two.
+//! The `hotpath` and `routing` groups emit machine-readable sections of
+//! `BENCH_simcore.json` (probes/sec, events/sec, route-cache hit rate;
+//! ns per resolve, routes held) so successive PRs have a perf trajectory
+//! to compare against. Set `BENCH_QUICK=1` for a fast CI-friendly run.
 
-use bench::{criterion, tiny_world};
-use criterion::{black_box, Criterion};
-use inetgen::{CountrySelection, GenConfig, Internet};
+use bench::tiny_world;
+use inetgen::{GenConfig, Internet};
 use scanner::ScanConfig;
+use std::hint::black_box;
 use std::time::Instant;
-
-fn bench_generation(c: &mut Criterion) {
-    let mut group = c.benchmark_group("generation");
-    group.bench_function("generate_two_country_world", |b| {
-        b.iter(|| {
-            let internet = inetgen::generate(&GenConfig {
-                countries: CountrySelection::Codes(vec!["MUS", "FSM"]),
-                scale: 1_000,
-                dud_fraction: 0.0,
-                ..GenConfig::default()
-            });
-            black_box(internet.truth.hosts.len())
-        })
-    });
-    group.finish();
-}
-
-fn bench_event_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("simcore");
-    // Steady-state probe throughput: one warm world, repeated scans — the
-    // regime of a long census (route caches warm, resolver answers cached,
-    // templates built). A census's cost is N probes through a warm engine,
-    // not N world rebuilds.
-    let mut internet = tiny_world();
-    let probes = internet.targets.len() as u64;
-    // Warm every cache layer before measurement.
-    let _ = scanner::run_scan(
-        &mut internet.sim,
-        internet.fixtures.scanner,
-        ScanConfig::new(internet.targets.clone()),
-    );
-    group.throughput(criterion::Throughput::Elements(probes));
-    group.bench_function("scan_probes_per_second", |b| {
-        b.iter(|| {
-            let outcome = scanner::run_scan(
-                &mut internet.sim,
-                internet.fixtures.scanner,
-                ScanConfig::new(internet.targets.clone()),
-            );
-            black_box(outcome.transactions.len())
-        })
-    });
-    // The historical shape (world rebuilt per scan), kept so the cold-start
-    // cost stays visible alongside the steady-state number.
-    group.bench_function("scan_probes_per_second_cold_world", |b| {
-        b.iter(|| {
-            let mut internet = tiny_world();
-            let outcome = scanner::run_scan(
-                &mut internet.sim,
-                internet.fixtures.scanner,
-                ScanConfig::new(internet.targets.clone()),
-            );
-            black_box(outcome.transactions.len())
-        })
-    });
-    group.finish();
-}
 
 /// Route-plane cost of one census, written to the `routing` section of
 /// `BENCH_simcore.json`. The world is census-shaped (full country table,
@@ -280,14 +221,7 @@ fn bench_hotpath() {
 }
 
 fn main() {
-    println!("micro-benchmarks: world generation, scan event throughput, routing");
-    let quick = bench::quick_mode();
-    if !quick {
-        let mut c = criterion();
-        bench_generation(&mut c);
-        bench_event_throughput(&mut c);
-        c.final_summary();
-    }
+    println!("micro-benchmarks: routing, scan event throughput");
     bench_routing();
     bench_hotpath();
 }

@@ -1,24 +1,21 @@
-//! Shared helpers for the benchmark harness.
+//! The paper's evaluation, regenerated and gated, plus the perf harness.
 //!
-//! Every bench regenerates one table or figure of the paper: it first
-//! prints the reproduced artifact (the same rows/series the paper
-//! reports), then measures the underlying pipeline with criterion.
+//! [`PAPER`] is the paper as a table: one row per table, figure and
+//! design ablation, each rendering the artifact and checking its headline
+//! values against the paper's; the `fidelitygate` binary runs it.
 //! Absolute numbers differ from the paper (the substrate is a simulator,
 //! scaled down); the *shape* — who wins, by what factor, where crossovers
-//! fall — is what EXPERIMENTS.md compares.
+//! fall — is what the rows' bands hold.
+//!
+//! The rest is the `BENCH_simcore.json` harness: the [`SCALING`] table,
+//! the section merger/readers `scaling_gate` uses, and `faultgate`.
+
+pub mod paper;
+pub use paper::PAPER;
 
 use inetgen::{CountrySelection, GenConfig, Internet, ShardWorldCache};
 use scanner::{ClassifierConfig, OdnsClass};
 use std::time::Instant;
-
-/// The standard bench world: the full country table at 1:500 scale
-/// (≈4.3k ODNS hosts). Deterministic.
-pub fn bench_world() -> Internet {
-    inetgen::generate(&GenConfig {
-        scale: 500,
-        ..GenConfig::default()
-    })
-}
 
 /// The six headline countries with no dud targets; `scale` trades
 /// population for time.
@@ -31,20 +28,8 @@ pub fn headline_config(scale: u32) -> GenConfig {
     }
 }
 
-/// A focused world for path experiments: the six headline countries at a
-/// scale that yields hundreds of transparent forwarders.
-pub fn path_world() -> Internet {
-    inetgen::generate(&headline_config(1_000))
-}
-
-/// A dense world where whole-/24 middleboxes materialize (Figure 8 needs
-/// per-country populations in the hundreds).
-pub fn density_world() -> Internet {
-    inetgen::generate(&GenConfig::density_scale())
-}
-
-/// A tiny world for hot-loop measurement (criterion iterations rebuild
-/// worlds, so they must be cheap).
+/// A tiny world for hot-loop measurement: 13 targets, so repeated scans
+/// measure the warm engine rather than the population.
 pub fn tiny_world() -> Internet {
     inetgen::generate(&GenConfig {
         countries: CountrySelection::Codes(vec!["MUS", "FSM"]),
@@ -54,16 +39,8 @@ pub fn tiny_world() -> Internet {
     })
 }
 
-/// Standard criterion settings: small samples, short measurement — the
-/// pipelines under test are seconds-long end-to-end runs.
-pub fn criterion() -> criterion::Criterion {
-    criterion::Criterion::default()
-        .sample_size(10)
-        .measurement_time(std::time::Duration::from_secs(3))
-        .warm_up_time(std::time::Duration::from_millis(500))
-}
-
-/// Print a bench banner.
+/// Print a banner: what is reproduced or measured, and the paper's
+/// reference for it.
 pub fn banner(what: &str, paper: &str) {
     println!("\n================================================================");
     println!("Reproducing {what}");

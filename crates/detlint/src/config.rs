@@ -247,9 +247,9 @@ allow = ["wall-clock"]
 reason = "benchmark harness"
 
 [[policy]]
-path = "vendor/criterion"
-allow = ["wall-clock", "env-dependent"]
-reason = "vendored timing shim"
+path = "vendor/rand"
+allow = ["fault-draw", "env-dependent"]
+reason = "vendored RNG shim"
 "#,
         )
         .unwrap();
@@ -265,10 +265,10 @@ reason = "vendored timing shim"
             .policy_allowing("crates/bench/benches/x.rs", "env-dependent")
             .is_none());
         assert_eq!(
-            cfg.policy_allowing("vendor/criterion/src/lib.rs", "wall-clock")
+            cfg.policy_allowing("vendor/rand/src/lib.rs", "fault-draw")
                 .unwrap()
                 .reason,
-            "vendored timing shim"
+            "vendored RNG shim"
         );
     }
 

@@ -13,8 +13,9 @@
 //!   ~90 % of transparent forwarders; ~25 % of ODNS countries host none.
 //!
 //! Where the paper gives only a figure (no table), values are read off the
-//! plots and reconciled so the global marginals hold; EXPERIMENTS.md
-//! records every such approximation. The *shape* of the distributions is
+//! plots and reconciled so the global marginals hold; `bench::PAPER`
+//! holds what the generated worlds reproduce against the paper's values
+//! and records every known deviation. The *shape* of the distributions is
 //! what the reproduction must preserve, not the absolute counts.
 
 /// World region, used for topology placement.

@@ -111,11 +111,6 @@ impl<'a> Ctx<'a> {
         self.node
     }
 
-    /// The node's primary IP address.
-    pub fn primary_ip(&self) -> Ipv4Addr {
-        self.topo.host_spec(self.node).ip
-    }
-
     /// Read access to the topology (for ACL checks, AS lookups, …).
     pub fn topology(&self) -> &Topology {
         self.topo

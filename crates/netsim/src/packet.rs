@@ -30,12 +30,6 @@ impl Payload {
         static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
         Payload(EMPTY.get_or_init(|| Arc::from(&[][..])).clone())
     }
-
-    /// Number of live handles to these bytes (diagnostics/tests: proves a
-    /// relay shared rather than copied).
-    pub fn handle_count(&self) -> usize {
-        Arc::strong_count(&self.0)
-    }
 }
 
 impl Deref for Payload {

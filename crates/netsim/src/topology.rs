@@ -422,11 +422,6 @@ impl Topology {
         self.anycast.get(&ip)
     }
 
-    /// All anycast groups.
-    pub fn anycast_groups(&self) -> impl Iterator<Item = &AnycastGroup> {
-        self.anycast.values()
-    }
-
     /// Whether `node` may legitimately source packets from `src` —
     /// its own unicast addresses or an anycast address it instantiates.
     /// Everything else is spoofing (and subject to the AS's SAV policy).

@@ -191,14 +191,12 @@ impl Host for HoneypotSensor {
                     },
                 );
                 self.stats.upstream += 1;
-                ctx.send_udp(UdpSend {
-                    src: None,
-                    src_port: port,
-                    dst: self.upstream,
-                    dst_port: dnswire::DNS_PORT,
-                    ttl: None,
-                    payload: dgram.payload.clone(),
-                });
+                ctx.send_udp(UdpSend::new(
+                    port,
+                    self.upstream,
+                    dnswire::DNS_PORT,
+                    dgram.payload.clone(),
+                ));
             }
         }
     }
@@ -263,14 +261,7 @@ mod tests {
                 .answer_a(q.questions[0].qname.clone(), 300, dgram.src)
                 .answer_a(q.questions[0].qname.clone(), 300, study::CONTROL_A)
                 .build();
-            ctx.send_udp(UdpSend {
-                src: Some(dgram.dst),
-                src_port: 53,
-                dst: dgram.src,
-                dst_port: dgram.src_port,
-                ttl: None,
-                payload: resp.encode().into(),
-            });
+            ctx.send_udp(UdpSend::reply_to(&dgram, resp.encode()));
         }
         netsim::impl_host_downcast!();
     }

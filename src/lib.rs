@@ -43,8 +43,9 @@
 //! sweep — [`analysis::run_dnsroute_sharded`] scans *and* traces every
 //! shard world in parallel, each shard owning its own source-port space,
 //! so full-coverage forwarder tracing has no single-world wave limit.
-//! See `examples/` for the full experiment walk-throughs and
-//! `crates/bench/benches/` for the per-table/figure regenerations.
+//! See `examples/` for the full experiment walk-throughs; `cargo run
+//! --release -p bench --bin fidelitygate` regenerates every table and
+//! figure (`bench::PAPER`) and checks it against the paper.
 
 pub use analysis;
 pub use dnsroute;
