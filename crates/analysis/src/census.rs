@@ -3,7 +3,7 @@
 //! producing the dataframe every table and figure is computed from
 //! (the paper's `dns-measurement-analysis` artifact).
 
-use crate::table::push_csv_cell;
+use crate::table::{push_csv_cell, push_ipv4};
 use inetgen::{GeoDb, Internet, ShardWorldCache, Worlds};
 use scanner::{
     classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, ScanOutcome, Transaction, Verdict,
@@ -153,21 +153,22 @@ impl Census {
         let mut out = String::with_capacity(64 + self.rows.len() * ROW_BYTES);
         out.push_str("target,verdict,class,response_src,a_resolver,asn,country\n");
         for row in &self.rows {
-            // `fmt::Write` into a `String` cannot fail.
-            let _ = write!(out, "{},", row.target);
+            push_ipv4(&mut out, row.target);
+            out.push(',');
             match &row.verdict {
                 Verdict::Classified { class, .. } => {
                     out.push_str("classified,");
                     push_csv_cell(&mut out, class.name());
                 }
                 Verdict::Discarded(reason) => {
+                    // `fmt::Write` into a `String` cannot fail.
                     let _ = write!(out, "{reason:?},");
                 }
             }
             for ip in [row.response_src, row.a_resolver] {
                 out.push(',');
                 if let Some(ip) = ip {
-                    let _ = write!(out, "{ip}");
+                    push_ipv4(&mut out, ip);
                 }
             }
             out.push(',');

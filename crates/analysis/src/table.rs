@@ -98,6 +98,24 @@ pub(crate) fn push_csv_cell(out: &mut String, cell: &str) {
     }
 }
 
+/// Append `ip` as a dotted quad — what `write!(out, "{ip}")` appends, minus
+/// the trip through `fmt` once per octet (a census CSV holds up to three
+/// addresses per row).
+pub(crate) fn push_ipv4(out: &mut String, ip: std::net::Ipv4Addr) {
+    for (i, octet) in ip.octets().into_iter().enumerate() {
+        if i > 0 {
+            out.push('.');
+        }
+        if octet >= 100 {
+            out.push(char::from(b'0' + octet / 100));
+        }
+        if octet >= 10 {
+            out.push(char::from(b'0' + octet / 10 % 10));
+        }
+        out.push(char::from(b'0' + octet % 10));
+    }
+}
+
 /// Format a fraction as a percent string with one decimal.
 pub fn pct(numerator: f64, denominator: f64) -> String {
     if denominator == 0.0 {
@@ -110,6 +128,21 @@ pub fn pct(numerator: f64, denominator: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn push_ipv4_matches_display_for_every_octet_in_every_position() {
+        let mut out = String::new();
+        for position in 0..4 {
+            for value in 0..=u8::MAX {
+                let mut octets = [7, 42, 199, 0];
+                octets[position] = value;
+                let ip = std::net::Ipv4Addr::from(octets);
+                out.clear();
+                push_ipv4(&mut out, ip);
+                assert_eq!(out, ip.to_string());
+            }
+        }
+    }
 
     #[test]
     fn renders_aligned_columns() {

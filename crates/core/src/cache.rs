@@ -39,8 +39,9 @@ pub enum CachedAnswer {
 /// A cache hit served on the wire-bytes fast path ([`DnsCache::get_wire`]).
 #[derive(Debug)]
 pub enum CachedWire {
-    /// Fully encoded response: txid and RD patched, TTLs decayed.
-    Positive(Vec<u8>),
+    /// Fully encoded response: txid and RD patched, TTLs decayed; in the
+    /// shared buffer a `Payload` wraps, so sending it copies nothing.
+    Positive(Arc<[u8]>),
     /// Negative result; the caller builds the (rare) error response.
     Negative(Rcode),
 }
@@ -231,6 +232,12 @@ impl DnsCache {
         txid: u16,
         rd: bool,
     ) -> Option<CachedWire> {
+        // A census probes each forwarder once: its cache is empty when the
+        // one query it will ever see arrives, and that miss needs no key.
+        if self.map.is_empty() {
+            self.stats.misses += 1;
+            return None;
+        }
         let key = CacheKey {
             name: name.clone(),
             rtype,
@@ -275,7 +282,7 @@ impl DnsCache {
                     for r in &mut msg.answers {
                         r.ttl = remaining;
                     }
-                    Some(CachedWire::Positive(msg.encode()))
+                    Some(CachedWire::Positive(msg.encode().into()))
                 }
                 // Un-encodable entry (never built by this workspace): let
                 // the caller take the slow path.
@@ -363,14 +370,17 @@ impl DnsCache {
 /// [`crate::RecursiveForwarder`].
 ///
 /// It owns the cache and its two accelerators, and is the only code that
-/// touches them: a [`QueryMemo`] of the first plain `IN` query decoded
+/// touches them: a [`QueryMemo`] of the first plain `IN` query seen
 /// (census probes are byte-identical modulo txid, so later ones skip the
 /// decode) and a [`HotWire`] holding the last answer served through the
 /// memo (replayed as a refcount bump while its bytes stay exact). Every
 /// write goes through [`ServeCache::insert`] or
 /// [`ServeCache::insert_wire`], which drop the `HotWire` — a replay cannot
 /// outlive the entry it came from — and every client query performs
-/// exactly one counted cache lookup.
+/// exactly one counted cache lookup, through one of three doors:
+/// [`ServeCache::serve_undecoded`] first, and when that declines
+/// [`ServeCache::serve_plain`] for a query the host could read without
+/// decoding or [`ServeCache::serve_decoded`] for one it had to decode.
 ///
 /// What stays with the host: who may be served at all (the resolver's
 /// ACL, checked *before* [`ServeCache::serve_undecoded`]), its own
@@ -430,9 +440,9 @@ impl ServeCache {
 
     /// Answer the decoded client `query` (whose wire form is `payload`)
     /// from cache, positive or negative; `None` on a miss. The first plain
-    /// `IN` query seen becomes the memo. Plain queries are served from
-    /// pre-encoded bytes (txid/RD/TTL patched into the cached template);
-    /// exotic classes/opcodes take the builder path.
+    /// `IN` query seen becomes the memo. Plain queries are served as by
+    /// [`ServeCache::serve_plain`]; exotic classes/opcodes take the
+    /// builder path.
     pub fn serve_decoded(
         &mut self,
         payload: &[u8],
@@ -443,25 +453,64 @@ impl ServeCache {
             self.memo = QueryMemo::remember(payload, query);
         }
         let q = query.question()?;
-        let respond = || MessageBuilder::response_to(query).recursion_available(true);
-        let response = if query.is_plain_in_query() {
-            let rd = query.header.flags.recursion_desired;
-            match self
-                .cache
-                .get_wire(&q.qname, q.qtype, now, query.header.id, rd)?
-            {
-                CachedWire::Positive(bytes) => return Some(bytes.into()),
-                CachedWire::Negative(rcode) => respond().rcode(rcode),
+        if query.is_plain_in_query() {
+            let (id, rd) = (query.header.id, query.header.flags.recursion_desired);
+            return self.lookup_plain(id, rd, &q.qname, q.qtype, now);
+        }
+        let respond = MessageBuilder::response_to(query).recursion_available(true);
+        let response = match self.cache.get(&q.qname, q.qtype, now)? {
+            CachedAnswer::Positive(records) => {
+                records.into_iter().fold(respond, MessageBuilder::answer)
             }
-        } else {
-            match self.cache.get(&q.qname, q.qtype, now)? {
-                CachedAnswer::Positive(records) => {
-                    records.into_iter().fold(respond(), MessageBuilder::answer)
-                }
-                CachedAnswer::Negative(rcode) => respond().rcode(rcode),
-            }
+            CachedAnswer::Negative(rcode) => respond.rcode(rcode),
         };
         Some(response.build().encode().into())
+    }
+
+    /// [`ServeCache::serve_decoded`] for a client query the host did not
+    /// have to decode: `payload` is known to be a plain `IN` query with
+    /// transaction ID `id` and RD flag `rd` for `qname`/`qtype` — read off
+    /// it by [`dnswire::view_query`], or byte-equal past the ID to a query
+    /// that decoded to that. Same memo rule, same one counted lookup, same
+    /// bytes; the memo keeps the arriving datagram instead of a copy.
+    pub fn serve_plain(
+        &mut self,
+        payload: &Payload,
+        id: u16,
+        rd: bool,
+        qname: &DnsName,
+        qtype: RrType,
+        now: SimTime,
+    ) -> Option<Payload> {
+        if self.memo.is_none() {
+            self.memo = Some(QueryMemo::of_plain(payload, qname, qtype, rd));
+        }
+        self.lookup_plain(id, rd, qname, qtype, now)
+    }
+
+    /// The counted lookup of a plain `IN` query: positive hits come from
+    /// the entry's pre-encoded template with `id`/`rd`/TTL patched in, a
+    /// negative one is built (the rare path).
+    fn lookup_plain(
+        &mut self,
+        id: u16,
+        rd: bool,
+        qname: &DnsName,
+        qtype: RrType,
+        now: SimTime,
+    ) -> Option<Payload> {
+        match self.cache.get_wire(qname, qtype, now, id, rd)? {
+            CachedWire::Positive(bytes) => Some(bytes.into()),
+            CachedWire::Negative(rcode) => {
+                let query = MessageBuilder::query(id, qname.clone(), qtype)
+                    .recursion_desired(rd)
+                    .build();
+                let response = MessageBuilder::response_to(&query)
+                    .recursion_available(true)
+                    .rcode(rcode);
+                Some(response.build().encode().into())
+            }
+        }
     }
 
     /// Insert an answer valid for `ttl_secs` starting at `now`. The cache

@@ -28,6 +28,11 @@
 //! served from the cache — the entry is decoded on its first lookup, and
 //! bytes that fail there are a counted miss. Only
 //! [`Manipulation::ReplaceARecords`] decodes, because it rewrites.
+//!
+//! The client leg is the same: a plain `IN` query — every census probe —
+//! is admitted from what [`dnswire::view_query`] reads off it (txid, RD,
+//! question) and relayed as the datagram that arrived; only a query that
+//! view declines (`CH`, EDNS, a compressed name) is decoded.
 
 use crate::cache::ServeCache;
 use crate::device::DeviceProfile;
@@ -165,6 +170,7 @@ impl RecursiveForwarder {
                 (walk.id, walk.min_answer_ttl, dgram.payload.clone())
             }
             Manipulation::ReplaceARecords(inject) => {
+                // Rewriting records means re-encoding: the whole message.
                 let Ok(mut msg) = Message::decode(&dgram.payload) else {
                     return false;
                 };
@@ -223,34 +229,44 @@ impl Host for RecursiveForwarder {
             ctx.send_udp(UdpSend::reply_to(&dgram, answer));
             return;
         }
-        let Ok(query) = Message::decode(&dgram.payload) else {
-            return;
+        // The question, from the view when the datagram is the plain shape
+        // and from the decoder when it is anything else; the one counted
+        // cache lookup goes through the matching door.
+        let cache = self.cache.as_mut();
+        let (txid, qname, qtype, answer) = if let Some(view) = dnswire::view_query(&dgram.payload) {
+            let (txid, qname, qtype) = (view.id, view.qname(), view.qtype);
+            let answer = cache
+                .and_then(|c| c.serve_plain(&dgram.payload, txid, view.rd, &qname, qtype, now));
+            (txid, qname, qtype, answer)
+        } else {
+            // `CH TXT`, `ANY` with EDNS, …: class, opcode and the other
+            // sections decide how this is answered.
+            let Ok(query) = Message::decode(&dgram.payload) else {
+                return;
+            };
+            let Some(q) = query.question().filter(|_| !query.is_response()) else {
+                return;
+            };
+            let answer = cache.and_then(|c| c.serve_decoded(&dgram.payload, &query, now));
+            (query.header.id, q.qname.clone(), q.qtype, answer)
         };
-        if query.is_response() || query.question().is_none() {
-            return;
-        }
         self.stats.client_queries += 1;
-        if let Some(answer) = self
-            .cache
-            .as_mut()
-            .and_then(|c| c.serve_decoded(&dgram.payload, &query, now))
-        {
+        if let Some(answer) = answer {
             self.stats.cache_answers += 1;
             ctx.send_udp(UdpSend::reply_to(&dgram, answer));
             return;
         }
-        let q = query.question().expect("checked").clone();
 
-        // Forward upstream from our own address (the defining rewrite).
-        let txid = query.header.id; // keep the ID; our port disambiguates
+        // Forward upstream from our own address (the defining rewrite),
+        // keeping the ID: our port disambiguates.
         let port = self.flow_port(dgram.src, dgram.src_port, txid);
         self.pending.insert(
             (port, txid),
             PendingQuery {
                 client: dgram.src,
                 client_port: dgram.src_port,
-                qname: q.qname,
-                qtype: q.qtype,
+                qname,
+                qtype,
             },
         );
         self.stats.forwarded += 1;

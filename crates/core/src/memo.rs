@@ -4,10 +4,10 @@
 //! except for the two transaction-ID bytes, and a planted forwarder or
 //! resolver sees millions of them. Fully decoding each one (per-label
 //! `Vec` allocations in the name parser) is the dominant host-side
-//! allocation of a sweep. A [`QueryMemo`] remembers the byte tail and the
-//! parsed question of one plain `IN` query; any later payload whose tail
-//! memcmps equal *is* that query modulo txid, so the host can skip the
-//! decode and serve a cached wire answer directly.
+//! allocation of a sweep. A [`QueryMemo`] remembers the bytes and the
+//! parsed question of one plain `IN` query; any later payload that memcmps
+//! equal past the transaction ID *is* that query modulo txid, so the host
+//! can skip the decode and serve a cached wire answer directly.
 //!
 //! The memo is strictly an accelerator: a non-matching payload, an
 //! ACL-refused client, a negative cache entry, or a cache miss all fall
@@ -17,11 +17,13 @@
 use dnswire::{DnsName, Message, RrType};
 use netsim::{Payload, SimTime};
 
-/// A remembered plain `IN` query: its payload tail (everything after the
-/// transaction ID) plus the question fields a cached-wire answer needs.
+/// A remembered plain `IN` query: the datagram it arrived in (compared
+/// from the byte after the transaction ID on) plus the question fields a
+/// cached-wire answer needs.
 #[derive(Debug, Clone)]
 pub struct QueryMemo {
-    tail: Vec<u8>,
+    /// At least a header long.
+    query: Payload,
     qname: DnsName,
     qtype: RrType,
     rd: bool,
@@ -37,18 +39,31 @@ impl QueryMemo {
         }
         let q = query.question()?;
         Some(QueryMemo {
-            tail: payload[2..].to_vec(),
+            query: payload.into(),
             qname: q.qname.clone(),
             qtype: q.qtype,
             rd: query.header.flags.recursion_desired,
         })
     }
 
+    /// Memoize `payload`, a datagram the caller already knows to be a
+    /// plain `IN` query for `qname`/`qtype` with RD flag `rd` (read off it
+    /// by [`dnswire::view_query`], or byte-equal past the transaction ID to
+    /// a query that decoded to that). The datagram is kept, not copied.
+    pub(crate) fn of_plain(payload: &Payload, qname: &DnsName, qtype: RrType, rd: bool) -> Self {
+        QueryMemo {
+            query: payload.clone(),
+            qname: qname.clone(),
+            qtype,
+            rd,
+        }
+    }
+
     /// If `payload` is byte-identical to the memoized query apart from
     /// its transaction ID, return that ID. Everything the memo stores
     /// (question, flags, response bit) then holds for `payload` too.
     pub fn txid_of_match(&self, payload: &[u8]) -> Option<u16> {
-        if payload.len() != self.tail.len() + 2 || payload[2..] != self.tail[..] {
+        if payload.len() != self.query.len() || payload[2..] != self.query[2..] {
             return None;
         }
         Some(u16::from_be_bytes([payload[0], payload[1]]))

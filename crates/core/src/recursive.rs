@@ -17,7 +17,7 @@
 
 use crate::cache::{CachedAnswer, DnsCache, ServeCache};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType};
-use netsim::{Ctx, Datagram, Host, SimDuration, UdpSend};
+use netsim::{Ctx, Datagram, Host, Payload, SimDuration, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -127,18 +127,30 @@ enum TaskOutcome {
     NoData,
 }
 
+/// A client owed an answer: the leader of a resolution, or a waiter
+/// coalesced behind it.
 #[derive(Debug)]
-struct Task {
-    client: Ipv4Addr,
-    client_port: u16,
-    client_txid: u16,
+struct Client {
+    addr: Ipv4Addr,
+    port: u16,
+    txid: u16,
     /// The client's RD bit, echoed in its answer.
     rd: bool,
     /// The address the client queried (unicast or anycast service IP);
     /// responses are sourced from it.
     service_addr: Ipv4Addr,
+    /// The question name in this client's own casing.
     qname: DnsName,
+}
+
+/// One resolution in flight.
+#[derive(Debug)]
+struct Task {
+    leader: Client,
     qtype: RrType,
+    /// Clients that asked the same `(qname, qtype)` while this resolution
+    /// was in flight, in arrival order. They are answered with it.
+    waiters: Vec<Client>,
     current_ns: Ipv4Addr,
     referrals: u8,
     retries: u8,
@@ -149,17 +161,21 @@ struct Task {
 pub struct RecursiveResolver {
     config: ResolverConfig,
     cache: ServeCache,
-    /// Unanswered client queries by task id; an entry lives from the
-    /// cache miss until [`Self::finish`] answers it, so the table drains.
+    /// Resolutions in flight by task id; an entry lives from its leader's
+    /// cache miss until [`Self::finish`] answers it and everyone coalesced
+    /// behind it, so the table drains.
     tasks: HashMap<u64, Task>,
     next_task: u64,
     /// Pending upstream transactions: `(our_port, txid)` → task id.
     pending: HashMap<(u16, u16), u64>,
-    /// Tasks waiting on another task's in-flight resolution of the same
-    /// `(qname, qtype)`: leader task id → waiter task ids.
-    waiters: HashMap<u64, Vec<u64>>,
-    /// Reverse lookup: `(qname, qtype)` → leader task id.
+    /// Reverse lookup: `(qname, qtype)` → task id.
     inflight: HashMap<(DnsName, RrType), u64>,
+    /// The newest resolution in flight whose leader sent a plain `IN`
+    /// query, with that datagram: a later one equal to it past the
+    /// transaction ID is the same question in the same casing with the
+    /// same flags, and joins as a waiter without being decoded. A burst of
+    /// census probes relayed to one resolver is exactly that.
+    newest_plain_leader: Option<(u64, Payload)>,
     next_port: u16,
     next_txid: u16,
     /// Counters.
@@ -176,8 +192,8 @@ impl RecursiveResolver {
             tasks: HashMap::new(),
             next_task: 0,
             pending: HashMap::new(),
-            waiters: HashMap::new(),
             inflight: HashMap::new(),
+            newest_plain_leader: None,
             next_port: 1024,
             next_txid: 1,
             stats: ResolverStats::default(),
@@ -190,13 +206,13 @@ impl RecursiveResolver {
     }
 
     /// Bookkeeping entries held for unfinished work: open tasks, pending
-    /// upstream transactions, waiter lists, in-flight names. All zero
+    /// upstream transactions, coalesced waiters, in-flight names. All zero
     /// once every client query has been answered.
     pub fn open_entries(&self) -> [usize; 4] {
         [
             self.tasks.len(),
             self.pending.len(),
-            self.waiters.len(),
+            self.tasks.values().map(|t| t.waiters.len()).sum(),
             self.inflight.len(),
         ]
     }
@@ -213,61 +229,68 @@ impl RecursiveResolver {
         (port, txid)
     }
 
-    /// The response `task`'s client is owed, before `build` fills it in.
-    fn response_for(task: &Task, build: impl FnOnce(MessageBuilder) -> MessageBuilder) -> Message {
-        let skeleton = MessageBuilder::query(task.client_txid, task.qname.clone(), task.qtype)
-            .recursion_desired(task.rd)
+    /// The response `client` is owed, before `build` fills it in.
+    fn response_for(
+        client: &Client,
+        qtype: RrType,
+        build: impl FnOnce(MessageBuilder) -> MessageBuilder,
+    ) -> Message {
+        let skeleton = MessageBuilder::query(client.txid, client.qname.clone(), qtype)
+            .recursion_desired(client.rd)
             .build();
         build(MessageBuilder::response_to(&skeleton).recursion_available(true)).build()
     }
 
-    /// Deliver a final outcome to a leader task and every coalesced
-    /// waiter, removing them all from the task table.
-    fn finish(&mut self, ctx: &mut Ctx<'_>, leader: u64, outcome: TaskOutcome) {
-        let mut recipients = vec![leader];
-        recipients.extend(self.waiters.remove(&leader).unwrap_or_default());
+    /// Deliver a final outcome to a task's leader and every coalesced
+    /// waiter, removing the task.
+    fn finish(&mut self, ctx: &mut Ctx<'_>, id: u64, outcome: TaskOutcome) {
+        let Some(task) = self.tasks.remove(&id) else {
+            return;
+        };
+        let qtype = task.qtype;
+        self.inflight.remove(&(task.leader.qname.clone(), qtype));
+        if self.newest_plain_leader.as_ref().is_some_and(|l| l.0 == id) {
+            self.newest_plain_leader = None;
+        }
         // A burst of identical probes coalesces into one resolution with
         // many recipients: records are encoded once, for the first
         // recipient, and every later one whose question has the same raw
         // casing gets those bytes with its own txid and RD patched in.
         let mut encoded: Option<(DnsName, ResponseTemplate)> = None;
-        for id in recipients {
-            let Some(task) = self.tasks.remove(&id) else {
-                continue;
+        for client in std::iter::once(task.leader).chain(task.waiters) {
+            let built = |build: &dyn Fn(MessageBuilder) -> MessageBuilder| -> Payload {
+                Self::response_for(&client, qtype, build).encode().into()
             };
-            if id == leader {
-                self.inflight.remove(&(task.qname.clone(), task.qtype));
-            }
             let payload = match &outcome {
                 TaskOutcome::Records(records) => {
                     let with_records =
                         |b: MessageBuilder| records.iter().cloned().fold(b, MessageBuilder::answer);
                     if encoded.is_none() {
-                        let first = Self::response_for(&task, with_records);
-                        encoded =
-                            ResponseTemplate::from_message(&first).map(|t| (task.qname.clone(), t));
+                        let first = Self::response_for(&client, qtype, with_records);
+                        encoded = ResponseTemplate::from_message(&first)
+                            .map(|t| (client.qname.clone(), t));
                     }
                     match &encoded {
-                        Some((qname, template)) if qname.as_wire() == task.qname.as_wire() => {
-                            template.materialize_ttls_kept(task.client_txid, task.rd)
+                        Some((qname, template)) if qname.as_wire() == client.qname.as_wire() => {
+                            template
+                                .materialize_ttls_kept(client.txid, client.rd)
+                                .into()
                         }
                         // Another 0x20 casing: this client's response is
                         // built on its own, echoing its own question.
-                        _ => Self::response_for(&task, with_records).encode(),
+                        _ => built(&with_records),
                     }
                 }
-                TaskOutcome::Rcode(rcode) => {
-                    Self::response_for(&task, |b| b.rcode(*rcode)).encode()
-                }
-                TaskOutcome::NoData => Self::response_for(&task, |b| b).encode(),
+                TaskOutcome::Rcode(rcode) => built(&|b| b.rcode(*rcode)),
+                TaskOutcome::NoData => built(&|b| b),
             };
             ctx.send_udp(UdpSend {
-                src: Some(task.service_addr),
+                src: Some(client.service_addr),
                 src_port: dnswire::DNS_PORT,
-                dst: task.client,
-                dst_port: task.client_port,
+                dst: client.addr,
+                dst_port: client.port,
                 ttl: None,
-                payload: payload.into(),
+                payload,
             });
         }
     }
@@ -275,7 +298,7 @@ impl RecursiveResolver {
     fn send_upstream(&mut self, ctx: &mut Ctx<'_>, id: u64) {
         let (port, txid) = self.alloc_ids();
         let task = &self.tasks[&id];
-        let query = MessageBuilder::query(txid, task.qname.clone(), task.qtype).build();
+        let query = MessageBuilder::query(txid, task.leader.qname.clone(), task.qtype).build();
         let ns = task.current_ns;
         self.pending.insert((port, txid), id);
         self.stats.upstream_queries += 1;
@@ -318,32 +341,84 @@ impl RecursiveResolver {
             return;
         };
 
-        let q = query.question().expect("caller checked").clone();
-        let id = self.next_task;
-        self.next_task += 1;
-        let task = Task {
-            client: dgram.src,
-            client_port: dgram.src_port,
-            client_txid: query.header.id,
+        let q = query.question().expect("caller checked");
+        let client = Client {
+            addr: dgram.src,
+            port: dgram.src_port,
+            txid: query.header.id,
             rd: query.header.flags.recursion_desired,
             service_addr: dgram.dst,
             qname: q.qname.clone(),
+        };
+        let id = self.next_task;
+        self.next_task += 1;
+        // Coalesce onto an in-flight resolution for the same name (the
+        // entry exists exactly while its leader is unanswered).
+        let key = (q.qname.clone(), q.qtype);
+        if let Some(leader) = self.inflight.get(&key) {
+            self.stats.coalesced += 1;
+            let task = self.tasks.get_mut(leader).expect("in flight");
+            task.waiters.push(client);
+            return;
+        }
+        self.inflight.insert(key, id);
+        let task = Task {
+            leader: client,
             qtype: q.qtype,
+            waiters: Vec::new(),
             current_ns: root,
             referrals: 0,
             retries: 0,
         };
         self.tasks.insert(id, task);
-        // Coalesce onto an in-flight resolution for the same name (the
-        // entry exists exactly while its leader is unanswered).
-        let key = (q.qname.clone(), q.qtype);
-        if let Some(&leader) = self.inflight.get(&key) {
-            self.stats.coalesced += 1;
-            self.waiters.entry(leader).or_default().push(id);
-            return;
+        if query.is_plain_in_query() {
+            self.newest_plain_leader = Some((id, dgram.payload.clone()));
         }
-        self.inflight.insert(key, id);
         self.send_upstream(ctx, id);
+    }
+
+    /// Admit `dgram` as a waiter without decoding it, if it is the newest
+    /// plain leader's query again under another transaction ID: `true`
+    /// when the datagram has been dealt with. Everything
+    /// [`Self::handle_client_query`] would have done for it after the ACL
+    /// happens here — the counters, the memo rule and the one counted
+    /// cache lookup ([`ServeCache::serve_plain`]), the task id consumed —
+    /// with txid and RD read off the header and the name shared with the
+    /// leader.
+    fn admit_waiter_undecoded(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) -> bool {
+        let payload = &dgram.payload;
+        let Some((id, query)) = &self.newest_plain_leader else {
+            return false;
+        };
+        if query.len() != payload.len() || query[2..] != payload[2..] {
+            return false;
+        }
+        let task = self.tasks.get_mut(id).expect("cleared with its task");
+        let client = Client {
+            addr: dgram.src,
+            port: dgram.src_port,
+            txid: u16::from_be_bytes([payload[0], payload[1]]),
+            rd: payload[2] & 0x01 != 0,
+            service_addr: dgram.dst,
+            qname: task.leader.qname.clone(),
+        };
+        self.stats.client_queries += 1;
+        if let Some(answer) = self.cache.serve_plain(
+            payload,
+            client.txid,
+            client.rd,
+            &client.qname,
+            task.qtype,
+            ctx.now(),
+        ) {
+            self.stats.cache_answers += 1;
+            ctx.send_udp(UdpSend::reply_to(dgram, answer));
+            return true;
+        }
+        self.next_task += 1;
+        self.stats.coalesced += 1;
+        task.waiters.push(client);
+        true
     }
 
     fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, resp: Message) {
@@ -361,7 +436,7 @@ impl RecursiveResolver {
             let min_ttl = resp.answers.iter().map(|r| r.ttl).min().unwrap_or(0);
             let records = resp.answers;
             self.cache.insert(
-                task.qname.clone(),
+                task.leader.qname.clone(),
                 task.qtype,
                 CachedAnswer::Positive(records.clone()),
                 min_ttl,
@@ -395,7 +470,7 @@ impl RecursiveResolver {
                     })
                     .unwrap_or(60);
                 self.cache.insert(
-                    task.qname.clone(),
+                    task.leader.qname.clone(),
                     task.qtype,
                     CachedAnswer::Negative(Rcode::NxDomain),
                     ttl,
@@ -436,7 +511,14 @@ impl Host for RecursiveResolver {
                     ctx.send_udp(UdpSend::reply_to(&dgram, answer));
                     return;
                 }
+                // Before the answer is cached, the burst's later probes
+                // wait for it: same bytes as the leader's, no decode.
+                if self.admit_waiter_undecoded(ctx, &dgram) {
+                    return;
+                }
             }
+            // A leader, another casing or RD, an exotic class, a refusal:
+            // the whole question and header are needed.
             let Ok(msg) = Message::decode(&dgram.payload) else {
                 return;
             };
@@ -445,7 +527,8 @@ impl Host for RecursiveResolver {
             }
             self.handle_client_query(ctx, &dgram, msg);
         } else {
-            // Traffic to our ephemeral ports: upstream responses.
+            // Traffic to our ephemeral ports: upstream responses, read
+            // whole — answers to cache, referrals and SOA to follow.
             let Ok(msg) = Message::decode(&dgram.payload) else {
                 return;
             };

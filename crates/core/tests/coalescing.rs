@@ -4,13 +4,13 @@
 //! authoritative server — the Table 2 cache-utilization property would be
 //! unmeasurable at scan rates).
 
-use dnswire::{DnsName, Message, MessageBuilder, RrType};
+use dnswire::{DnsName, Message, MessageBuilder, QClass, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
-    AuthConfig, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, ResolverStats,
-    StudyAuthServer,
+    AuthConfig, CacheStats, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig,
+    ResolverStats, StudyAuthServer,
 };
 use std::net::Ipv4Addr;
 
@@ -299,4 +299,86 @@ fn rd_bit_is_echoed_on_miss_as_waiter_and_on_hit() {
     }
     let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
     assert_eq!((r.stats.coalesced, r.stats.cache_answers), (2, 1));
+}
+
+/// A burst behind one leader that mixes what the resolver admits without
+/// decoding (the leader's bytes again, under another txid) with what it
+/// must decode (another 0x20 casing, a cleared RD bit, class `CH`): every
+/// client gets its own txid, casing and RD back, and the counters read
+/// what they read when every waiter was decoded.
+#[test]
+fn mixed_burst_of_undecoded_and_decoded_waiters() {
+    let cased = || DnsName::parse("ODNS-Study.Example.").unwrap();
+    let with = |txid, qname: DnsName, rd, class| {
+        MessageBuilder::query_class(txid, qname, RrType::A, class)
+            .recursion_desired(rd)
+            .build()
+            .encode()
+    };
+    // (payload, casing and RD expected back); txid i + 1, sent 50 µs apart.
+    let burst = [
+        (study_query(1), study::study_qname(), true),
+        (study_query(2), study::study_qname(), true),
+        (with(3, cased(), true, QClass::In), cased(), true),
+        (
+            with(4, study::study_qname(), false, QClass::In),
+            study::study_qname(),
+            false,
+        ),
+        (
+            with(5, study::study_qname(), true, QClass::Ch),
+            study::study_qname(),
+            true,
+        ),
+        (study_query(6), study::study_qname(), true),
+        (with(7, cased(), true, QClass::In), cased(), true),
+    ];
+    let (mut sim, clients, resolver, auth) = world(burst.len());
+    for (i, (&c, (payload, _, _))) in clients.iter().zip(&burst).enumerate() {
+        install_script(
+            &mut sim,
+            c,
+            vec![(
+                SimDuration::from_micros(i as u64 * 50),
+                UdpSend::new(34000 + i as u16, RESOLVER, 53, payload.clone()),
+            )],
+        );
+    }
+    sim.run();
+
+    for (i, (&c, (_, qname, rd))) in clients.iter().zip(&burst).enumerate() {
+        let sc: &ScriptedClient = sim.host_as(c).unwrap();
+        assert_eq!(sc.datagrams.len(), 1, "client {i} answered exactly once");
+        let m = Message::decode(&sc.datagrams[0].1.payload).unwrap();
+        assert_eq!(m.header.id, i as u16 + 1, "client {i}");
+        assert_eq!(m.header.flags.recursion_desired, *rd, "client {i}");
+        assert_eq!(
+            m.questions[0].qname.as_wire(),
+            qname.as_wire(),
+            "client {i}"
+        );
+        assert_eq!(m.answers.len(), 2, "client {i}");
+    }
+    let auth_host: &StudyAuthServer = sim.host_as(auth).unwrap();
+    assert_eq!(auth_host.stats.queries_received, 1);
+    let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
+    assert_eq!(r.open_entries(), [0; 4]);
+    // Pinned from the commit before waiters were admitted undecoded.
+    assert_eq!(
+        r.stats,
+        ResolverStats {
+            client_queries: 7,
+            coalesced: 6,
+            upstream_queries: 3,
+            ..ResolverStats::default()
+        }
+    );
+    assert_eq!(
+        r.cache().stats,
+        CacheStats {
+            misses: 7,
+            insertions: 1,
+            ..CacheStats::default()
+        }
+    );
 }

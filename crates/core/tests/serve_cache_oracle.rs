@@ -9,10 +9,13 @@
 //! send. In particular a `HotWire` replay can never outlive an insert, an
 //! eviction, a TTL-second boundary or a change of query casing — and an
 //! answer cached still encoded (`ServeCache::insert_wire`, the relaying
-//! forwarder's door) serves exactly like its decoded records would.
+//! forwarder's door) serves exactly like its decoded records would. A host
+//! that admits plain queries from `dnswire::view_query` instead of
+//! decoding them (`ServeCache::serve_plain`) is held to the same reference,
+//! bytes and `CacheStats` alike.
 
 use dnswire::{DnsName, Message, MessageBuilder, QClass, Rcode, Record, RrType};
-use netsim::{SimDuration, SimTime};
+use netsim::{Payload, SimDuration, SimTime};
 use odns::{CachedAnswer, DnsCache, ServeCache};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
@@ -121,6 +124,22 @@ fn served(serve: &mut ServeCache, payload: &[u8], now: SimTime) -> Option<Vec<u8
         .map(|p| p.to_vec())
 }
 
+/// [`served`] by a host that decodes only what `dnswire::view_query`
+/// declines: the forwarder's order of calls.
+fn served_by_view(serve: &mut ServeCache, payload: &[u8], now: SimTime) -> Option<Vec<u8>> {
+    let arrived: Payload = payload.into();
+    serve
+        .serve_undecoded(&arrived, now)
+        .or_else(|| match dnswire::view_query(&arrived) {
+            Some(v) => serve.serve_plain(&arrived, v.id, v.rd, &v.qname(), v.qtype, now),
+            None => {
+                let query = Message::decode(&arrived).unwrap();
+                serve.serve_decoded(&arrived, &query, now)
+            }
+        })
+        .map(|p| p.to_vec())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -129,6 +148,7 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..120),
     ) {
         let mut serve = ServeCache::new(CAPACITY);
+        let mut viewing = ServeCache::new(CAPACITY);
         let mut plain = DnsCache::new(CAPACITY);
         let mut now = SimTime::ZERO;
         let mut queries = 0u64;
@@ -143,10 +163,16 @@ proptest! {
                         .build()
                         .encode();
                     queries += 1;
+                    let expected = reference(&mut plain, &payload, now);
                     prop_assert_eq!(
                         served(&mut serve, &payload, now),
-                        reference(&mut plain, &payload, now),
+                        expected.clone(),
                         "query {} at {:?}", queries, now
+                    );
+                    prop_assert_eq!(
+                        served_by_view(&mut viewing, &payload, now),
+                        expected,
+                        "query {} at {:?}, through the view", queries, now
                     );
                 }
                 Op::Advance(ms) => now += SimDuration::from_millis(ms),
@@ -171,9 +197,14 @@ proptest! {
                             .fold(MessageBuilder::response_to(&asked), MessageBuilder::answer)
                             .build()
                             .encode();
-                        serve.insert_wire(owner.clone(), RrType::A, response.into(), ttl, now);
+                        let response: Payload = response.into();
+                        for host in [&mut serve, &mut viewing] {
+                            host.insert_wire(owner.clone(), RrType::A, response.clone(), ttl, now);
+                        }
                     } else {
-                        serve.insert(owner.clone(), RrType::A, answer.clone(), ttl, now);
+                        for host in [&mut serve, &mut viewing] {
+                            host.insert(owner.clone(), RrType::A, answer.clone(), ttl, now);
+                        }
                     }
                     plain.insert(owner, RrType::A, answer, ttl, now);
                 }
@@ -186,15 +217,18 @@ proptest! {
                             60,
                             Ipv4Addr::new(10, 0, 0, 1),
                         )]);
-                        serve.insert(owner.clone(), RrType::A, answer.clone(), 60, now);
+                        for host in [&mut serve, &mut viewing] {
+                            host.insert(owner.clone(), RrType::A, answer.clone(), 60, now);
+                        }
                         plain.insert(owner, RrType::A, answer, 60, now);
                     }
                 }
             }
         }
-        // One counted lookup per client query, on both sides.
+        // One counted lookup per client query, on every side.
         let stats = serve.cache().stats;
         prop_assert_eq!(stats.hits + stats.misses, queries);
         prop_assert_eq!(stats, plain.stats);
+        prop_assert_eq!(viewing.cache().stats, plain.stats);
     }
 }

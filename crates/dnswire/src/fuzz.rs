@@ -1,10 +1,12 @@
 //! Deterministic structured fuzz harness over [`Message::decode`] /
-//! [`Message::decode_prefix`] and [`walk_sections`](crate::walk_sections).
+//! [`Message::decode_prefix`], [`walk_sections`](crate::walk_sections) and
+//! the two views ([`view_query`](crate::view_query),
+//! [`view_answer_a`](crate::view_answer_a)).
 //!
 //! The *Injection Attacks Reloaded* threat model tunnels parser-confusion
 //! payloads over DNS: truncated bodies, inflated section counts, skewed
 //! RDLENGTH fields, and compression-pointer games. This module replays
-//! exactly those mutation classes against the decoder and checks four
+//! exactly those mutation classes against the decoder and checks five
 //! oracles on every input:
 //!
 //! 1. **no panic** — decoding hostile bytes must fail with a
@@ -17,7 +19,14 @@
 //!    smuggling primitive is a payload two parsers read differently);
 //! 4. **walk agreement** — the allocation-free section walk relays stand
 //!    on never panics, accepts every input the decoder accepts, and reads
-//!    the same id, QR bit, ANCOUNT and minimum answer TTL off it.
+//!    the same id, QR bit, ANCOUNT and minimum answer TTL off it;
+//! 5. **view agreement** — the relation runs the other way for the two
+//!    views hosts and the classifier read instead of decoding: neither
+//!    panics, and whenever one returns `Some` the decoder accepts the same
+//!    bytes and agrees on every field (a plain `IN` query with nothing but
+//!    its question, same id, RD, QNAME bytes and QTYPE; same RCODE and A
+//!    addresses). [`FuzzReport`] counts how often each view accepted, so
+//!    a run in which the oracle never fired is visible.
 //!
 //! Everything is seeded: the corpus is fixed, the mutator RNG is a
 //! [SplitMix64] stream keyed by the caller's seed, and a given
@@ -41,6 +50,13 @@ pub const DEFAULT_SEED: u64 = 0x0d15_ea5e_0bad_c0de;
 
 /// Quick-mode iteration count — the acceptance floor for a CI pass.
 pub const QUICK_ITERATIONS: u64 = 10_000;
+
+/// How many inputs of a quick run each view must at least have accepted
+/// for the fifth oracle to mean anything (189 and 215 when this was
+/// written). A view whose shape drifted away from the corpus, or a corpus
+/// that lost its accepted exemplars, fails `wirefuzz` here rather than
+/// passing vacuously.
+pub const QUICK_VIEW_FLOOR: u64 = 100;
 
 /// SplitMix64: the minimal deterministic generator. Hand-rolled so the
 /// wire crate stays dependency-free; statistical quality is irrelevant
@@ -92,6 +108,10 @@ pub enum FailureKind {
     /// decoder accepts, or read a different id, QR bit, ANCOUNT or minimum
     /// answer TTL off it.
     WalkDisagreement,
+    /// [`view_query`](crate::view_query) or
+    /// [`view_answer_a`](crate::view_answer_a) accepted an input the
+    /// decoder rejects, or read a field differently from it.
+    ViewDisagreement,
 }
 
 /// One failing input, with everything needed to replay it.
@@ -117,6 +137,10 @@ pub struct FuzzReport {
     /// Decoded messages whose re-encoding legitimately overflowed the
     /// message size cap (compressed input expanding on re-encode).
     pub reencode_overflow: u64,
+    /// Inputs [`view_query`](crate::view_query) accepted.
+    pub query_views: u64,
+    /// Inputs [`view_answer_a`](crate::view_answer_a) accepted.
+    pub answer_views: u64,
     /// Oracle violations. Empty on a healthy codec.
     pub failures: Vec<FuzzFailure>,
 }
@@ -130,11 +154,14 @@ impl FuzzReport {
     /// One-line summary for logs.
     pub fn summary(&self) -> String {
         format!(
-            "{} inputs: {} decoded, {} rejected, {} reencode-overflow, {} failures",
+            "{} inputs: {} decoded, {} rejected, {} reencode-overflow, \
+             {} query views, {} answer views, {} failures",
             self.inputs,
             self.decode_ok,
             self.decode_err,
             self.reencode_overflow,
+            self.query_views,
+            self.answer_views,
             self.failures.len()
         )
     }
@@ -273,6 +300,75 @@ pub fn seed_corpus() -> Vec<Vec<u8>> {
             .encode(),
     );
 
+    // -- The two views: more of what they accept, and near misses -------
+    // The census probe and the measurement response above are the shapes
+    // `view_query` and `view_answer_a` accept. So are a 0x20-cased stub
+    // query with RD clear, its three-address answer, and a bare REFUSED.
+    let cased = MessageBuilder::query(
+        0xC0DE,
+        DnsName::parse("oDnS-sTuDy.ExAmPlE.").unwrap(),
+        RrType::A,
+    )
+    .build();
+    corpus.push(cased.encode());
+    corpus.push(
+        (1..=3)
+            .fold(MessageBuilder::response_to(&cased), |b, i| {
+                let owner = cased.questions[0].qname.clone();
+                b.answer_a(
+                    owner,
+                    30 * i,
+                    std::net::Ipv4Addr::new(198, 51, 100, i as u8),
+                )
+            })
+            .build()
+            .encode(),
+    );
+    corpus.push(
+        MessageBuilder::response_to(&query)
+            .rcode(crate::header::Rcode::Refused)
+            .build()
+            .encode(),
+    );
+    // Each of these is one step outside, decodable (but for the padded
+    // ones) and declined.
+    let probe = corpus[0].clone();
+    let answer = corpus[3].clone();
+    let with_opt = |bytes: &[u8]| {
+        let mut b = bytes.to_vec();
+        b[11] = 1; // ARCOUNT 1: an empty EDNS0 OPT record
+        b.extend_from_slice(&[0, 0, 41, 0x10, 0, 0, 0, 0, 0, 0, 0]);
+        b
+    };
+    let padded = |bytes: &[u8]| [bytes, &[0]].concat();
+    corpus.extend([
+        with_opt(&probe),
+        padded(&probe),
+        with_opt(&answer),
+        padded(&answer),
+    ]);
+    // The second answer owned by a pointer to `example.` inside the
+    // question instead of to the question itself.
+    let mut elsewhere = answer.clone();
+    let owner = elsewhere.len() - 16;
+    elsewhere[owner + 1] = crate::header::HEADER_LEN as u8 + 11;
+    corpus.push(elsewhere);
+    // A CNAME ahead of the address it leads to.
+    let alias = DnsName::parse("alias.example.").unwrap();
+    corpus.push(
+        MessageBuilder::response_to(&query)
+            .recursion_available(true)
+            .answer(Record {
+                name: name.clone(),
+                class: Class::In,
+                ttl: 60,
+                rdata: RData::Cname(alias.clone()),
+            })
+            .answer_a(alias, 60, std::net::Ipv4Addr::new(192, 0, 2, 200))
+            .build()
+            .encode(),
+    );
+
     // -- Historical-bug reproducers ------------------------------------
     // (1) Skewed RDLENGTH: NS rdata declares 5 bytes, name spans 3 — the
     // Record::decode consumed-exactly check must reject this, or the two
@@ -371,13 +467,52 @@ fn mutate(bytes: &mut Vec<u8>, rng: &mut FuzzRng) {
     }
 }
 
-/// Run every oracle against one input. `Ok(Outcome)` classifies healthy
-/// behaviour; `Err` carries the violated oracle.
-fn check(bytes: &[u8]) -> Result<Outcome, FailureKind> {
+/// Which of the two views accepted an input.
+#[derive(Clone, Copy)]
+struct Accepted {
+    query: bool,
+    answer: bool,
+}
+
+/// The fifth oracle: a view that accepts `bytes` must find `whole`, the
+/// decoder's reading of them, `Ok` and equal field for field.
+fn check_views(bytes: &[u8], whole: &Result<Message, WireError>) -> Result<Accepted, FailureKind> {
+    let query = catch_unwind(AssertUnwindSafe(|| crate::view_query(bytes)))
+        .map_err(|_| FailureKind::Panic)?;
+    let answer = catch_unwind(AssertUnwindSafe(|| crate::view_answer_a(bytes)))
+        .map_err(|_| FailureKind::Panic)?;
+    let agreed = |holds: bool| holds.then_some(()).ok_or(FailureKind::ViewDisagreement);
+    if let Some(view) = &query {
+        let msg = whole.as_ref().map_err(|_| FailureKind::ViewDisagreement)?;
+        let records = msg.answers.len() + msg.authorities.len() + msg.additionals.len();
+        agreed(msg.is_plain_in_query() && records == 0)?;
+        let q = &msg.questions[0];
+        agreed(
+            view.id == msg.header.id
+                && view.rd == msg.header.flags.recursion_desired
+                && view.qname_wire == q.qname.as_wire()
+                && view.qname().as_wire() == q.qname.as_wire()
+                && view.qtype == q.qtype,
+        )?;
+    }
+    if let Some(view) = &answer {
+        let msg = whole.as_ref().map_err(|_| FailureKind::ViewDisagreement)?;
+        agreed(view.rcode == msg.header.flags.rcode && view.addrs().eq(msg.answer_a_addrs()))?;
+    }
+    Ok(Accepted {
+        query: query.is_some(),
+        answer: answer.is_some(),
+    })
+}
+
+/// Run every oracle against one input. `Ok` classifies healthy behaviour
+/// and says which views accepted; `Err` carries the violated oracle.
+fn check(bytes: &[u8]) -> Result<(Outcome, Accepted), FailureKind> {
     let decoded = catch_unwind(AssertUnwindSafe(|| Message::decode_prefix(bytes)))
         .map_err(|_| FailureKind::Panic)?;
     let whole = catch_unwind(AssertUnwindSafe(|| Message::decode(bytes)))
         .map_err(|_| FailureKind::Panic)?;
+    let views = check_views(bytes, &whole)?;
     let walk = catch_unwind(AssertUnwindSafe(|| crate::walk_sections(bytes)))
         .map_err(|_| FailureKind::Panic)?;
     if let Ok(w) = &whole {
@@ -397,7 +532,7 @@ fn check(bytes: &[u8]) -> Result<Outcome, FailureKind> {
             if whole.is_ok() {
                 return Err(FailureKind::PrefixDisagreement);
             }
-            Ok(Outcome::Rejected)
+            Ok((Outcome::Rejected, views))
         }
         Ok((msg, consumed)) => {
             if consumed > bytes.len() {
@@ -421,13 +556,13 @@ fn check(bytes: &[u8]) -> Result<Outcome, FailureKind> {
                 .map_err(|_| FailureKind::Panic)?;
             let bytes2 = match reencoded {
                 Ok(b) => b,
-                Err(WireError::MessageTooLong(_)) => return Ok(Outcome::ReencodeOverflow),
+                Err(WireError::MessageTooLong(_)) => return Ok((Outcome::ReencodeOverflow, views)),
                 Err(e) => return Err(FailureKind::ReencodeError(e)),
             };
             let again = catch_unwind(AssertUnwindSafe(|| Message::decode(&bytes2)))
                 .map_err(|_| FailureKind::Panic)?;
             match again {
-                Ok(m2) if m2 == msg => Ok(Outcome::Decoded),
+                Ok(m2) if m2 == msg => Ok((Outcome::Decoded, views)),
                 _ => Err(FailureKind::ReparseMismatch),
             }
         }
@@ -451,18 +586,28 @@ pub fn run_fuzz(seed: u64, iterations: u64) -> FuzzReport {
 
     let one = |bytes: &[u8], index: u64, report: &mut FuzzReport| {
         report.inputs += 1;
-        match check(bytes) {
-            Ok(Outcome::Decoded) => report.decode_ok += 1,
-            Ok(Outcome::Rejected) => report.decode_err += 1,
-            Ok(Outcome::ReencodeOverflow) => {
+        let outcome = match check(bytes) {
+            Ok((outcome, accepted)) => {
+                report.query_views += u64::from(accepted.query);
+                report.answer_views += u64::from(accepted.answer);
+                outcome
+            }
+            Err(kind) => {
+                report.failures.push(FuzzFailure {
+                    index,
+                    kind,
+                    input_hex: hex(bytes),
+                });
+                return;
+            }
+        };
+        match outcome {
+            Outcome::Decoded => report.decode_ok += 1,
+            Outcome::Rejected => report.decode_err += 1,
+            Outcome::ReencodeOverflow => {
                 report.decode_ok += 1;
                 report.reencode_overflow += 1;
             }
-            Err(kind) => report.failures.push(FuzzFailure {
-                index,
-                kind,
-                input_hex: hex(bytes),
-            }),
         }
     };
 
@@ -505,6 +650,30 @@ mod tests {
     }
 
     #[test]
+    fn corpus_holds_both_view_shapes_and_their_near_misses() {
+        let corpus = seed_corpus();
+        let accepted = |bytes: &Vec<u8>| {
+            (
+                crate::view_query(bytes).is_some(),
+                crate::view_answer_a(bytes).is_some(),
+            )
+        };
+        assert_eq!(accepted(&corpus[0]), (true, false), "the census probe");
+        assert_eq!(accepted(&corpus[3]), (false, true), "its answer");
+        assert_eq!(accepted(&corpus[6]), (true, false), "a 0x20-cased stub");
+        assert_eq!(accepted(&corpus[7]), (false, true), "three addresses");
+        assert_eq!(accepted(&corpus[8]), (false, true), "a bare REFUSED");
+        // OPT, padding (×2 each), an owner elsewhere, a CNAME: declined by
+        // both views, and all but the padded ones decodable.
+        let near_misses = &corpus[9..15];
+        for (i, bytes) in near_misses.iter().enumerate() {
+            assert_eq!(accepted(bytes), (false, false), "near miss {i}");
+        }
+        let decodable = near_misses.iter().filter(|b| Message::decode(b).is_ok());
+        assert_eq!(decodable.count(), 4);
+    }
+
+    #[test]
     fn same_seed_same_report() {
         let a = run_fuzz(7, 500);
         let b = run_fuzz(7, 500);
@@ -517,5 +686,6 @@ mod tests {
         let report = run_fuzz(DEFAULT_SEED, 2_000);
         assert!(report.clean(), "oracle violations: {:?}", report.failures);
         assert!(report.decode_ok > 0 && report.decode_err > 0);
+        assert!(report.query_views > 0 && report.answer_views > 0);
     }
 }

@@ -19,6 +19,9 @@
 //! * [`MessageBuilder`] — ergonomic construction of queries and responses.
 //! * [`walk_sections`] — a zero-allocation structural check of an encoded
 //!   message, for relays that pass the bytes on instead of decoding them.
+//! * [`view_query`] / [`view_answer_a`] — zero-allocation reads of the
+//!   study's one query shape and one answer shape, for hosts and the
+//!   classifier; anything else they decline, and the caller decodes.
 //!
 //! The codec is built for the census's cold path, where every message is
 //! seen once and nothing can be cached: encoding compresses against the
@@ -72,7 +75,7 @@ pub use name::{DecodedNames, DnsName, Labels, NameOffsets};
 pub use question::{QClass, Question};
 pub use rdata::{Class, RData, Record, RrType, SoaData};
 pub use template::ResponseTemplate;
-pub use walk::{walk_sections, SectionWalk};
+pub use walk::{view_answer_a, view_query, walk_sections, AnswerAView, QueryView, SectionWalk};
 
 /// Maximum length of a DNS message this crate will encode or decode.
 ///

@@ -161,6 +161,12 @@ impl Message {
     /// non-response, standard-opcode message with exactly one `IN`
     /// question. Hosts gate their pre-encoded-response fast paths on this
     /// one predicate so the eligibility rule cannot drift between them.
+    ///
+    /// [`view_query`](crate::view_query) is the same rule read off the wire
+    /// without decoding, narrowed to "and the question is all the datagram
+    /// holds": it never returns `Some` for bytes whose decoded message
+    /// fails this predicate. That implication is not kept by care but by
+    /// the fifth oracle of [`crate::fuzz`], which `wirefuzz` runs in CI.
     pub fn is_plain_in_query(&self) -> bool {
         !self.header.flags.response
             && self.header.flags.opcode == crate::header::Opcode::Query

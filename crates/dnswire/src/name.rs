@@ -105,7 +105,7 @@ impl DnsName {
     }
 
     /// Wrap bytes already known to be a well-formed uncompressed name.
-    fn from_wire(wire: &[u8]) -> Self {
+    pub(crate) fn from_wire(wire: &[u8]) -> Self {
         if wire.len() == 1 {
             Self::root()
         } else {

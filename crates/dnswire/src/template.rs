@@ -8,11 +8,14 @@
 //! `MessageBuilder` → `Message` → `encode` walk with its name clones and
 //! compression bookkeeping. A fresh answer fanned out to several waiting
 //! clients differs in the first two only
-//! ([`ResponseTemplate::materialize_ttls_kept`]).
+//! ([`ResponseTemplate::materialize_ttls_kept`]). The copy is made straight
+//! into the shared buffer a datagram payload wraps, so sending it costs no
+//! second one.
 
 use crate::header::HEADER_LEN;
 use crate::message::Message;
 use crate::walk::skip_name;
+use std::sync::Arc;
 
 /// Bit of the RD flag inside the first flags byte (RFC 1035 §4.1.1).
 const RD_BIT: u8 = 0x01;
@@ -63,21 +66,26 @@ impl ResponseTemplate {
     /// copy), then patch the transaction ID, the echoed RD flag, and every
     /// answer TTL to `ttl` (a cache serves all records with the same
     /// remaining lifetime).
-    pub fn materialize(&self, txid: u16, rd: bool, ttl: u32) -> Vec<u8> {
-        let mut out = self.bytes.clone();
-        patch_header(&mut out, txid, rd);
-        for &off in &self.ttl_offsets {
-            out[off..off + 4].copy_from_slice(&ttl.to_be_bytes());
-        }
-        out
+    pub fn materialize(&self, txid: u16, rd: bool, ttl: u32) -> Arc<[u8]> {
+        self.copy_patched(|out| {
+            patch_header(out, txid, rd);
+            for &off in &self.ttl_offsets {
+                out[off..off + 4].copy_from_slice(&ttl.to_be_bytes());
+            }
+        })
     }
 
     /// [`ResponseTemplate::materialize`] with every TTL left as encoded:
     /// the response for one of several clients waiting on the same fresh
     /// (not cache-aged) answer.
-    pub fn materialize_ttls_kept(&self, txid: u16, rd: bool) -> Vec<u8> {
-        let mut out = self.bytes.clone();
-        patch_header(&mut out, txid, rd);
+    pub fn materialize_ttls_kept(&self, txid: u16, rd: bool) -> Arc<[u8]> {
+        self.copy_patched(|out| patch_header(out, txid, rd))
+    }
+
+    /// One copy of the encoded bytes, `patch`ed while still unshared.
+    fn copy_patched(&self, patch: impl FnOnce(&mut [u8])) -> Arc<[u8]> {
+        let mut out: Arc<[u8]> = Arc::from(&self.bytes[..]);
+        patch(Arc::get_mut(&mut out).expect("just made, not yet shared"));
         out
     }
 }
@@ -118,7 +126,7 @@ mod tests {
         let resp = response();
         let template = ResponseTemplate::from_message(&resp).unwrap();
         // Same txid/rd/ttl: byte-identical to the ordinary encode.
-        assert_eq!(template.materialize(77, true, 300), resp.encode());
+        assert_eq!(template.materialize(77, true, 300)[..], resp.encode());
     }
 
     #[test]
@@ -147,7 +155,7 @@ mod tests {
         let template = ResponseTemplate::from_message(&resp).unwrap();
         resp.header.id = 9;
         resp.header.flags.recursion_desired = false;
-        assert_eq!(template.materialize_ttls_kept(9, false), resp.encode());
+        assert_eq!(template.materialize_ttls_kept(9, false)[..], resp.encode());
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! label-vector codec spent 14 allocations decoding and 12 encoding the
 //! 68-byte 2-A response; this file pins what the flat-name codec spends, so
 //! reintroducing per-label or per-suffix allocation fails tier-1 rather
-//! than only drifting a benchmark.
+//! than only drifting a benchmark. The two views that replaced the decode
+//! on the census's own query and answer shape may spend nothing at all.
 //!
 //! The library forbids `unsafe`; this test crate carries the one
 //! `unsafe impl` a counting allocator needs. The count is per thread, so
@@ -88,6 +89,38 @@ fn study_response_encode_stays_within_two_allocations() {
     // The output buffer, sized once; the offset table lives inline.
     assert!(n <= 2, "encode took {n} allocations");
     assert_eq!(bytes.len(), 68);
+}
+
+#[test]
+fn both_views_allocate_nothing() {
+    let response = study_response().encode();
+    let query = MessageBuilder::query(
+        0x2861,
+        DnsName::parse("odns-study.example.").unwrap(),
+        RrType::A,
+    )
+    .recursion_desired(true)
+    .build()
+    .encode();
+    let (n, read) = allocations(|| {
+        let q = dnswire::view_query(&query).expect("the census probe");
+        let a = dnswire::view_answer_a(&response).expect("its answer");
+        let last = a.addrs().last();
+        (q.id, q.rd, q.qname_wire.len(), q.qtype, a.rcode, last)
+    });
+    assert_eq!(n, 0, "the views took {n} allocations");
+    let expected = (
+        0x2861,
+        true,
+        20,
+        RrType::A,
+        dnswire::Rcode::NoError,
+        Some(Ipv4Addr::new(192, 0, 2, 200)),
+    );
+    assert_eq!(read, expected);
+    // Keeping the name is the one allocation a host pays, and only then.
+    let (n, name) = allocations(|| dnswire::view_query(&query).unwrap().qname());
+    assert_eq!((n, name.wire_len()), (1, 20));
 }
 
 #[test]

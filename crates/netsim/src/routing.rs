@@ -54,8 +54,8 @@ struct AsRoute {
 
 impl AsRoute {
     /// `None` when the AS graph has no valley-free path `src → dst`.
-    fn build(topo: &Topology, src: AsId, dst: AsId) -> Option<Self> {
-        let as_path = bfs_as_path(topo, src, dst)?;
+    fn build(topo: &Topology, src: AsId, dst: AsId, bfs: &mut Bfs) -> Option<Self> {
+        let as_path = bfs.as_path(topo, src, dst)?;
         let routers = |as_id: &AsId| topo.as_spec(*as_id).transit_routers.len();
         let mut hops = Vec::with_capacity(as_path.iter().map(routers).sum());
         let mut latency = SimDuration::ZERO;
@@ -176,6 +176,8 @@ pub struct RouteResolver {
     route_cache: HashMap<(AsId, AsId), Option<AsRoute>>,
     distance_cache: HashMap<AsId, Vec<Option<u32>>>,
     anycast_cache: HashMap<(AsId, Ipv4Addr), Option<NodeId>>,
+    /// Working memory of the search behind every route and distance miss.
+    bfs: Bfs,
     routed: u64,
     misses: u64,
 }
@@ -214,9 +216,10 @@ impl RouteResolver {
     /// anycast PoP-selection query from the same source AS — the hot path
     /// of an Internet-wide census.
     pub fn distances_from(&mut self, topo: &Topology, src: AsId) -> &[Option<u32>] {
-        self.distance_cache
-            .entry(src)
-            .or_insert_with(|| bfs(topo, src, None).0)
+        self.distance_cache.entry(src).or_insert_with(|| {
+            self.bfs.run(topo, src, None);
+            self.bfs.dist.clone()
+        })
     }
 
     /// Select the anycast instance nearest to `src_as` (min AS distance,
@@ -270,7 +273,7 @@ impl RouteResolver {
             .entry((src_as, dst_as))
             .or_insert_with(|| {
                 built = true;
-                AsRoute::build(topo, src_as, dst_as)
+                AsRoute::build(topo, src_as, dst_as, &mut self.bfs)
             })
             .as_ref()
             .ok_or(RouteError::Unreachable)?;
@@ -302,54 +305,73 @@ fn provides_transit(topo: &Topology, a: AsId) -> bool {
     matches!(topo.as_spec(a).kind, crate::topology::AsKind::Transit)
 }
 
-/// Valley-free BFS from `src`, in adjacency order (sorted at topology
-/// build, so ties break deterministically), stopping early once `until`
-/// is discovered. Returns every discovered AS's hop distance and BFS-tree
-/// predecessor.
-fn bfs(topo: &Topology, src: AsId, until: Option<AsId>) -> (Vec<Option<u32>>, Vec<Option<AsId>>) {
-    let n = topo.as_count();
-    let mut dist: Vec<Option<u32>> = vec![None; n];
-    let mut prev: Vec<Option<AsId>> = vec![None; n];
-    if (src.0 as usize) >= n {
-        return (dist, prev);
-    }
-    dist[src.0 as usize] = Some(0);
-    let mut queue = VecDeque::from([src]);
-    while let Some(cur) = queue.pop_front() {
-        // The source always forwards its own traffic; everything else on
-        // the path must be a transit network.
-        if cur != src && !provides_transit(topo, cur) {
-            continue;
+/// Valley-free BFS over the AS graph. The three buffers are the
+/// resolver's, cleared and refilled per search: a census meets a new AS
+/// pair every few targets, and three fresh ones each time were the largest
+/// transient allocations of its scan.
+#[derive(Debug, Default)]
+struct Bfs {
+    /// Hop distance of every AS the last search discovered.
+    dist: Vec<Option<u32>>,
+    /// BFS-tree predecessor of each.
+    prev: Vec<Option<AsId>>,
+    queue: VecDeque<AsId>,
+}
+
+impl Bfs {
+    /// Search from `src` in adjacency order (sorted at topology build, so
+    /// ties break deterministically), stopping early once `until` is
+    /// discovered.
+    fn run(&mut self, topo: &Topology, src: AsId, until: Option<AsId>) {
+        let n = topo.as_count();
+        let Bfs { dist, prev, queue } = self;
+        dist.clear();
+        dist.resize(n, None);
+        prev.clear();
+        prev.resize(n, None);
+        queue.clear();
+        if (src.0 as usize) >= n {
+            return;
         }
-        let d = dist[cur.0 as usize].expect("visited");
-        for &(next, _) in topo.as_neighbors(cur) {
-            if dist[next.0 as usize].is_none() {
-                dist[next.0 as usize] = Some(d + 1);
-                prev[next.0 as usize] = Some(cur);
-                if Some(next) == until {
-                    return (dist, prev);
+        dist[src.0 as usize] = Some(0);
+        queue.push_back(src);
+        while let Some(cur) = queue.pop_front() {
+            // The source always forwards its own traffic; everything else
+            // on the path must be a transit network.
+            if cur != src && !provides_transit(topo, cur) {
+                continue;
+            }
+            let d = dist[cur.0 as usize].expect("visited");
+            for &(next, _) in topo.as_neighbors(cur) {
+                if dist[next.0 as usize].is_none() {
+                    dist[next.0 as usize] = Some(d + 1);
+                    prev[next.0 as usize] = Some(cur);
+                    if Some(next) == until {
+                        return;
+                    }
+                    queue.push_back(next);
                 }
-                queue.push_back(next);
             }
         }
     }
-    (dist, prev)
-}
 
-/// Shortest AS path, inclusive of endpoints.
-fn bfs_as_path(topo: &Topology, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
-    if src == dst {
-        return Some(vec![src]);
+    /// Shortest AS path, inclusive of endpoints.
+    fn as_path(&mut self, topo: &Topology, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
+        if src == dst {
+            return Some(vec![src]);
+        }
+        self.run(topo, src, Some(dst));
+        // `None`: an AS outside the topology, or one the search never
+        // reached.
+        let hops = self.dist.get(dst.0 as usize).copied().flatten()?;
+        let mut path = Vec::with_capacity(hops as usize + 1);
+        path.push(dst);
+        while let Some(p) = self.prev[path[path.len() - 1].0 as usize] {
+            path.push(p);
+        }
+        path.reverse();
+        Some(path)
     }
-    let (dist, prev) = bfs(topo, src, Some(dst));
-    // `None`: an AS outside the topology, or one the BFS never reached.
-    dist.get(dst.0 as usize).copied().flatten()?;
-    let mut path = vec![dst];
-    while let Some(p) = prev[path[path.len() - 1].0 as usize] {
-        path.push(p);
-    }
-    path.reverse();
-    Some(path)
 }
 
 #[cfg(test)]

@@ -65,9 +65,12 @@ fn ip(a: u8, b: u8, c: u8, d: u8) -> Ipv4Addr {
 }
 
 const SERVERS: [Ipv4Addr; 2] = [Ipv4Addr::new(203, 0, 113, 1), Ipv4Addr::new(203, 0, 113, 2)];
+/// A host in AS2, for a second AS pair from the same clients.
+const MIDWAY: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 3);
 
 /// Chain AS0 — AS1 — AS2 — AS3 with two clients in AS0 and two servers
 /// (one behind a CPE) in AS3: four host pairs, one AS pair per direction.
+/// One more host sits in AS2.
 fn chain() -> (Topology, [NodeId; 2]) {
     let mut b = TopologyBuilder::new();
     let ases: Vec<_> = (0..4u8)
@@ -94,6 +97,7 @@ fn chain() -> (Topology, [NodeId; 2]) {
             },
         ),
     ];
+    b.add_host(ases[2], HostSpec::simple(MIDWAY));
     b.add_host(ases[3], HostSpec::simple(SERVERS[0]));
     b.add_host(
         ases[3],
@@ -147,8 +151,20 @@ fn new_as_pair_allocates_a_bounded_constant() {
     let (t, clients) = chain();
     let mut r = RouteResolver::new();
     let (n, _) = allocations(|| route(&mut r, &t, clients[0], SERVERS[0]));
-    // The BFS scratch (predecessors, visited, queue), the AS path, the
-    // exactly-sized segment and the map's first table: 7 today.
+    // The resolver's BFS scratch (distances, predecessors, queue), the AS
+    // path, the exactly-sized segment and the map's first table: 6 today.
     assert!((1..=8).contains(&n), "new AS pair took {n} allocations");
     assert_eq!((r.cache_len(), r.cache_misses()), (1, 1));
+}
+
+#[test]
+fn second_new_as_pair_reuses_the_bfs_scratch() {
+    let (t, clients) = chain();
+    let mut r = RouteResolver::new();
+    route(&mut r, &t, clients[0], SERVERS[0]);
+    let (n, _) = allocations(|| route(&mut r, &t, clients[0], MIDWAY));
+    // What the route keeps — its AS path and its segment — and nothing
+    // for the search that found it: 2 today, plus room for the map to grow.
+    assert!((1..=4).contains(&n), "second AS pair took {n} allocations");
+    assert_eq!((r.cache_len(), r.cache_misses()), (2, 2));
 }

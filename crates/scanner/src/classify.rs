@@ -131,33 +131,27 @@ impl ClassifierConfig {
 }
 
 /// Classify one correlated transaction.
+///
+/// The rules read an RCODE and two addresses. A response in the study's
+/// own shape gives them up to [`dnswire::view_answer_a`] without being
+/// decoded; any other (a CNAME chain, an OPT record, uncompressed owners,
+/// garbage) is decoded, so [`Discard::Malformed`] means exactly that
+/// [`dnswire::Message::decode`] failed.
 pub fn classify(t: &Transaction, config: &ClassifierConfig) -> Verdict {
     let Some(response) = &t.response else {
         return Verdict::Discarded(Discard::NoResponse);
     };
-    let Some(msg) = response.message() else {
-        return Verdict::Discarded(Discard::Malformed);
-    };
-    let addrs = msg.answer_a_addrs();
-    if addrs.is_empty() || msg.header.flags.rcode != dnswire::Rcode::NoError {
-        return Verdict::Discarded(Discard::NoAnswer);
-    }
-
-    let a_resolver = if config.strict {
-        if addrs.len() != 2 {
-            return Verdict::Discarded(Discard::WrongRecordCount);
-        }
-        // Dynamic record first, control second (the study zone's layout);
-        // accept either order but the control value must appear exactly
-        // once and unaltered.
-        match (addrs[0] == config.control_a, addrs[1] == config.control_a) {
-            (false, true) => addrs[0],
-            (true, false) => addrs[1],
-            _ => return Verdict::Discarded(Discard::ControlRecordViolated),
-        }
+    let answer = if let Some(view) = dnswire::view_answer_a(&response.payload) {
+        read_answer(view.rcode, view.addrs(), config)
+    } else if let Some(msg) = response.message() {
+        let addrs = msg.answers.iter().filter_map(|r| r.a_addr());
+        read_answer(msg.header.flags.rcode, addrs, config)
     } else {
-        // Relaxed: first A record wins, no control check.
-        addrs[0]
+        Err(Discard::Malformed)
+    };
+    let a_resolver = match answer {
+        Ok(a_resolver) => a_resolver,
+        Err(reason) => return Verdict::Discarded(reason),
     };
 
     let class = if t.probe.target != response.src {
@@ -171,6 +165,33 @@ pub fn classify(t: &Transaction, config: &ClassifierConfig) -> Verdict {
         class,
         a_resolver,
         response_src: response.src,
+    }
+}
+
+/// `A_resolver` out of a response's RCODE and the A addresses of its
+/// answer section (in order), or why the response does not count.
+fn read_answer(
+    rcode: dnswire::Rcode,
+    mut addrs: impl Iterator<Item = Ipv4Addr>,
+    config: &ClassifierConfig,
+) -> Result<Ipv4Addr, Discard> {
+    let Some(first) = addrs.next().filter(|_| rcode == dnswire::Rcode::NoError) else {
+        return Err(Discard::NoAnswer);
+    };
+    if !config.strict {
+        // Relaxed: first A record wins, no control check.
+        return Ok(first);
+    }
+    let (Some(second), None) = (addrs.next(), addrs.next()) else {
+        return Err(Discard::WrongRecordCount);
+    };
+    // Dynamic record first, control second (the study zone's layout);
+    // accept either order but the control value must appear exactly
+    // once and unaltered.
+    match (first == config.control_a, second == config.control_a) {
+        (false, true) => Ok(first),
+        (true, false) => Ok(second),
+        _ => Err(Discard::ControlRecordViolated),
     }
 }
 

@@ -5,6 +5,9 @@
 //! * correlation is insensitive to response arrival order;
 //! * each probe matches at most one response; extras count as unmatched;
 //! * the classifier is total over answered transactions and never panics;
+//! * the classifier, which reads study-shaped responses through
+//!   `dnswire::view_answer_a`, is indistinguishable from one that decodes
+//!   every response — verdict and discard reason, strict and relaxed;
 //! * merging shuffled per-shard record streams never drops or duplicates
 //!   a transaction, and never mixes shards up.
 
@@ -13,9 +16,49 @@ use netsim::{SimDuration, SimTime};
 use proptest::prelude::*;
 use scanner::records::{ProbeRecord, ResponseRecord};
 use scanner::{
-    classify, merge_shard_records, ClassifierConfig, ScanConfig, ShardRecords, TransactionalScanner,
+    classify, merge_shard_records, ClassifierConfig, Discard, OdnsClass, ScanConfig, ShardRecords,
+    Transaction, TransactionalScanner, Verdict,
 };
 use std::net::Ipv4Addr;
+
+/// The §4.1 rules over a fully decoded response: the classifier as it was
+/// before it learned to read the study's answer shape off the wire.
+fn classify_by_decoding(t: &Transaction, config: &ClassifierConfig) -> Verdict {
+    let Some(response) = &t.response else {
+        return Verdict::Discarded(Discard::NoResponse);
+    };
+    let Ok(msg) = dnswire::Message::decode(&response.payload) else {
+        return Verdict::Discarded(Discard::Malformed);
+    };
+    let addrs = msg.answer_a_addrs();
+    if addrs.is_empty() || msg.header.flags.rcode != dnswire::Rcode::NoError {
+        return Verdict::Discarded(Discard::NoAnswer);
+    }
+    let a_resolver = if config.strict {
+        if addrs.len() != 2 {
+            return Verdict::Discarded(Discard::WrongRecordCount);
+        }
+        match (addrs[0] == config.control_a, addrs[1] == config.control_a) {
+            (false, true) => addrs[0],
+            (true, false) => addrs[1],
+            _ => return Verdict::Discarded(Discard::ControlRecordViolated),
+        }
+    } else {
+        addrs[0]
+    };
+    let class = if t.probe.target != response.src {
+        OdnsClass::TransparentForwarder
+    } else if response.src != a_resolver {
+        OdnsClass::RecursiveForwarder
+    } else {
+        OdnsClass::RecursiveResolver
+    };
+    Verdict::Classified {
+        class,
+        a_resolver,
+        response_src: response.src,
+    }
+}
 
 fn response_payload(txid: u16, addrs: &[Ipv4Addr]) -> Vec<u8> {
     let qname = DnsName::parse("odns-study.example.").unwrap();
@@ -210,6 +253,50 @@ proptest! {
         {
             prop_assert_eq!(t.probe.target, *target, "shard {} misplaced", shard);
             prop_assert_eq!(t.response.is_some(), *was_answered);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(1024))]
+
+    #[test]
+    fn classifier_equals_the_decode_only_reference(
+        // 0 = the probed target, 1 = the control record, 2 = a third party.
+        addrs in proptest::collection::vec(0u8..3, 0..4),
+        from_target in any::<bool>(),
+        rcode in 0u8..8,
+        // (kind, where, value): overwrite a byte, flip a bit, cut, pad.
+        mutations in proptest::collection::vec((0u8..6, any::<u16>(), any::<u8>()), 0..3),
+    ) {
+        let target = Ipv4Addr::new(203, 0, 113, 1);
+        let other = Ipv4Addr::new(198, 51, 100, 50);
+        let pick = |a: &u8| [target, odns::study::CONTROL_A, other][usize::from(*a)];
+        let (port, txid) = probe_tuple(0);
+        let mut payload = response_payload(txid, &addrs.iter().map(pick).collect::<Vec<_>>());
+        // Most cases keep NOERROR, so the address rules are reached.
+        payload[3] = (payload[3] & 0xF0) | rcode.saturating_sub(4);
+        for (kind, at, value) in mutations {
+            let at = usize::from(at) % payload.len().max(1);
+            match kind {
+                0 | 1 if !payload.is_empty() => payload[at] = value,
+                2 if !payload.is_empty() => payload[at] ^= 1 << (value % 8),
+                3 => payload.truncate(at),
+                4 => payload.push(value),
+                _ => {}
+            }
+        }
+        let t = Transaction {
+            probe: ProbeRecord { index: 0, target, sent_at: SimTime(0), src_port: port, txid },
+            response: Some(ResponseRecord {
+                received_at: SimTime(1),
+                src: if from_target { target } else { other },
+                dst_port: port,
+                payload: payload.into(),
+            }),
+        };
+        for config in [ClassifierConfig::default(), ClassifierConfig::relaxed()] {
+            prop_assert_eq!(classify(&t, &config), classify_by_decoding(&t, &config));
         }
     }
 }
