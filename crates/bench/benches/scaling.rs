@@ -1,14 +1,33 @@
 //! Shard-count scaling of the three sharded experiment engines — the
 //! million-target census, the DNSRoute++ sweep, and the campaign & sensor
-//! experiment — one K-sweep per row of [`bench::SCALING`], each merged
-//! into its own section of `BENCH_simcore.json` (`census`, `dnsroute`,
-//! `campaign`). Set `BENCH_QUICK=1` for a fast CI-friendly run; its
-//! sections land at `<key>_quick`, never overwriting a committed full
-//! section.
+//! experiment — one K-sweep per row of [`bench::SCALING`], written as one
+//! artifact per run: a full run rewrites `BENCH_simcore.json`, `-- --quick`
+//! (seconds, CI's mode) rewrites `BENCH_simcore_quick.json`.
 
-fn main() {
-    let quick = bench::quick_mode();
-    for row in &bench::SCALING {
-        row.sweep(quick);
+use std::process::ExitCode;
+
+fn main() -> ExitCode {
+    let mut quick = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            // Cargo passes `--bench` to every bench binary it runs.
+            "--bench" => {}
+            "--quick" => quick = true,
+            other => {
+                eprintln!("scaling: unknown argument {other:?}");
+                eprintln!("usage: cargo bench -p bench --bench scaling [-- --quick]");
+                return ExitCode::FAILURE;
+            }
+        }
+    }
+    match bench::run_scaling(quick) {
+        Ok(path) => {
+            println!("\nscaling: wrote {path}");
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("scaling: could not write the artifact — {e}");
+            ExitCode::FAILURE
+        }
     }
 }

@@ -1,138 +1,160 @@
-//! CI gate for shard-count scaling and hot-path throughput regressions.
+//! CI gate for shard-count scaling regressions.
 //!
-//! Compares a freshly measured `BENCH_simcore.json` against a recorded
-//! baseline copy: for every fresh section that carries a `"sweeps"`
-//! scaling curve, the K-scaling ratio (max-K throughput over min-K
-//! throughput) must stay above `floor × baseline_ratio`. The same floor
-//! then gates the steady hot path: the fresh `hotpath_quick` (or
-//! `hotpath`) probes/s must stay above `floor ×` the committed baseline's
-//! probes/s, preferring the baseline section measured the same way —
-//! quick compares against quick, full against full — and falling back
-//! to the other mode only when no like-for-like section was committed.
-//! The floor (default 0.7)
-//! absorbs shared-runner noise; a real collapse — sharded sweeps falling
-//! back to flat, or the event engine regressing to pre-wheel cost — blows
-//! through it.
+//! Compares a freshly measured scaling artifact against a recorded
+//! baseline (in CI: the `BENCH_simcore_quick.json` a quick run just
+//! rewrote against the committed copy): for every row of
+//! [`bench::SCALING`], the section's K-scaling ratio (max-K throughput
+//! over min-K throughput) must stay above `floor × baseline_ratio`. The
+//! floor (default 0.7) absorbs shared-runner noise; a real collapse —
+//! sharded sweeps falling back to flat — blows through it.
 //!
-//! Sections without a baseline counterpart (first run of a new bench) or
-//! without the compared figure are reported and skipped, so adding a
-//! bench never breaks the gate.
+//! Every `SCALING` section must carry a scaling curve on both sides: an
+//! empty, renamed or format-drifted artifact fails the gate instead of
+//! passing it by comparing nothing.
 //!
 //! Usage: `scaling_gate <fresh_artifact> <baseline_artifact> [floor]`
 
-use bench::{hotpath_steady_probes_per_sec, parse_sections, scaling_ratio};
+use bench::{scaling_ratio, SCALING};
 use std::process::ExitCode;
 
-fn load_sections(path: &str) -> Result<Vec<(String, String)>, String> {
-    let doc = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_sections(&doc).ok_or_else(|| format!("{path}: not a schema-2 sectioned artifact"))
+const USAGE: &str = "usage: scaling_gate <fresh_artifact> <baseline_artifact> [floor]";
+
+/// One line per [`SCALING`] row; `Ok` only when every row was compared
+/// and none regressed.
+fn gate(fresh: &str, baseline: &str, floor: f64) -> Result<String, String> {
+    let mut report = String::new();
+    let mut failed = false;
+    for row in &SCALING {
+        let ratios = (
+            scaling_ratio(fresh, row.key),
+            scaling_ratio(baseline, row.key),
+        );
+        let verdict = match ratios {
+            (Some(fresh), Some(base)) if fresh >= floor * base => Ok(format!(
+                "OK — fresh ×{fresh:.2} vs baseline ×{base:.2} (≥ ×{:.2})",
+                floor * base
+            )),
+            (Some(fresh), Some(base)) => Err(format!(
+                "REGRESSION — fresh ×{fresh:.2} < ×{:.2} (floor {floor} of baseline ×{base:.2})",
+                floor * base
+            )),
+            (fresh, _) => Err(format!(
+                "MISSING — no scaling curve in the {} artifact",
+                if fresh.is_none() { "fresh" } else { "baseline" }
+            )),
+        };
+        failed |= verdict.is_err();
+        let (Ok(line) | Err(line)) = verdict;
+        report.push_str(&format!("  {}: {line}\n", row.key));
+    }
+    if failed {
+        return Err(report + "scaling_gate: FAILED — a section regressed or could not be compared");
+    }
+    Ok(report
+        + &format!(
+            "scaling_gate: {} sections compared, none regressed",
+            SCALING.len()
+        ))
+}
+
+fn run(args: &[String]) -> Result<String, String> {
+    let (fresh_path, baseline_path, floor) = match args {
+        [f, b] => (f, b, 0.7),
+        [f, b, floor] => (f, b, floor.parse().map_err(|_| USAGE)?),
+        _ => return Err(USAGE.into()),
+    };
+    let read = |path: &String| std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"));
+    let (fresh, baseline) = (read(fresh_path)?, read(baseline_path)?);
+    println!("scaling gate: fresh {fresh_path} vs baseline {baseline_path} (floor {floor})");
+    gate(&fresh, &baseline, floor)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (fresh_path, baseline_path) = match args.as_slice() {
-        [f, b] | [f, b, _] => (f.as_str(), b.as_str()),
-        _ => {
-            eprintln!("usage: scaling_gate <fresh_artifact> <baseline_artifact> [floor]");
-            return ExitCode::FAILURE;
+    match run(&args) {
+        Ok(report) => {
+            println!("{report}");
+            ExitCode::SUCCESS
         }
-    };
-    let floor: f64 = args
-        .get(2)
-        .map(|s| s.parse().expect("floor must be a number"))
-        .unwrap_or(0.7);
+        Err(report) => {
+            eprintln!("{report}");
+            ExitCode::FAILURE
+        }
+    }
+}
 
-    let fresh = match load_sections(fresh_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scaling_gate: cannot read fresh artifact: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let baseline = match load_sections(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("scaling_gate: cannot read baseline artifact: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
+#[cfg(test)]
+mod tests {
+    use super::{gate, run, SCALING, USAGE};
 
-    println!("scaling gate: fresh {fresh_path} vs baseline {baseline_path} (floor {floor})");
-    let mut compared = 0u32;
-    let mut failed = false;
-    for (key, section) in &fresh {
-        let Some(fresh_ratio) = scaling_ratio(section) else {
-            println!("  {key}: no scaling curve — skipped");
-            continue;
-        };
-        let base_ratio = baseline
-            .iter()
-            .find(|(k, _)| k == key)
-            .and_then(|(_, s)| scaling_ratio(s));
-        let Some(base_ratio) = base_ratio else {
-            println!("  {key}: fresh ratio ×{fresh_ratio:.2}, no baseline — skipped");
-            continue;
-        };
-        compared += 1;
-        let required = floor * base_ratio;
-        if fresh_ratio >= required {
-            println!(
-                "  {key}: OK — fresh ×{fresh_ratio:.2} vs baseline ×{base_ratio:.2} (≥ ×{required:.2})"
-            );
-        } else {
-            failed = true;
-            println!(
-                "  {key}: REGRESSION — fresh ×{fresh_ratio:.2} < ×{required:.2} (floor {floor} of baseline ×{base_ratio:.2})"
-            );
+    /// An artifact whose every section scales ×`ratio` from K=1 to K=2,
+    /// except the keys in `without`, which are absent.
+    fn artifact(ratio: f64, without: &[&str]) -> String {
+        let mut out = String::from("{\n  \"mode\": \"quick\"");
+        for row in SCALING.iter().filter(|row| !without.contains(&row.key)) {
+            out.push_str(&format!(
+                ",\n  \"{}\": {{\n    \"sweeps\": [\n      {{ \"shards\": 1, \"x_per_second\": 1000 }},\n      {{ \"shards\": 2, \"x_per_second\": {} }}\n    ]\n  }}",
+                row.key,
+                1000.0 * ratio,
+            ));
+        }
+        out + "\n}\n"
+    }
+
+    #[test]
+    fn passes_within_the_floor_and_fails_below_it() {
+        let report = gate(&artifact(1.0, &[]), &artifact(1.25, &[]), 0.7).unwrap();
+        assert_eq!(report.matches(": OK").count(), SCALING.len(), "{report}");
+        let report = gate(&artifact(0.8, &[]), &artifact(1.25, &[]), 0.7).unwrap_err();
+        assert_eq!(
+            report.matches("REGRESSION").count(),
+            SCALING.len(),
+            "{report}"
+        );
+    }
+
+    #[test]
+    fn a_section_missing_from_either_side_fails() {
+        let whole = artifact(1.2, &[]);
+        for key in SCALING.each_ref().map(|row| row.key) {
+            let holed = artifact(1.2, &[key]);
+            let report = gate(&holed, &whole, 0.7).unwrap_err();
+            assert!(report.contains(&format!("{key}: MISSING — no scaling curve in the fresh")));
+            let report = gate(&whole, &holed, 0.7).unwrap_err();
+            assert!(report.contains(&format!(
+                "{key}: MISSING — no scaling curve in the baseline"
+            )));
         }
     }
-    // Hot-path throughput gate: prefer the section a CI quick run just
-    // refreshed (`hotpath_quick`), falling back to a full fresh `hotpath`.
-    // The baseline prefers the section measured the same way as the fresh
-    // one — quick mode runs far fewer probes and lands measurably below a
-    // full steady-state number, so quick compares against quick.
-    let steady_of = |sections: &[(String, String)], order: [&str; 2]| {
-        order.iter().find_map(|key| {
-            sections
-                .iter()
-                .find(|(k, _)| k == key)
-                .and_then(|(_, s)| hotpath_steady_probes_per_sec(s))
-                .map(|v| (key.to_string(), v))
-        })
-    };
-    let fresh_hot = steady_of(&fresh, ["hotpath_quick", "hotpath"]);
-    let base_order = match &fresh_hot {
-        Some((key, _)) if key == "hotpath_quick" => ["hotpath_quick", "hotpath"],
-        _ => ["hotpath", "hotpath_quick"],
-    };
-    match (fresh_hot, steady_of(&baseline, base_order)) {
-        (Some((fresh_key, fresh_pps)), Some((base_key, base_pps))) if base_pps > 0.0 => {
-            compared += 1;
-            let required = floor * base_pps;
-            if fresh_pps >= required {
-                println!(
-                    "  hotpath: OK — fresh {fresh_key} {fresh_pps:.0} probes/s vs baseline {base_key} {base_pps:.0} (≥ {required:.0})"
-                );
-            } else {
-                failed = true;
-                println!(
-                    "  hotpath: REGRESSION — fresh {fresh_key} {fresh_pps:.0} probes/s < {required:.0} (floor {floor} of baseline {base_key} {base_pps:.0})"
-                );
-            }
-        }
-        (fresh_hot, _) => {
-            let side = if fresh_hot.is_none() {
-                "fresh"
-            } else {
-                "baseline"
-            };
-            println!("  hotpath: no steady probes/s in {side} artifact — skipped");
+
+    #[test]
+    fn comparing_nothing_fails() {
+        // Empty, not JSON, or the merged-sections layout under its old keys.
+        for stale in [
+            "",
+            "not json",
+            "{\n  \"schema\": 2,\n  \"census_quick\": {}\n}\n",
+        ] {
+            let report = gate(stale, stale, 0.7).unwrap_err();
+            assert_eq!(report.matches("MISSING").count(), SCALING.len(), "{report}");
         }
     }
-    if failed {
-        eprintln!("scaling_gate: throughput regressed");
-        return ExitCode::FAILURE;
+
+    #[test]
+    fn bad_arguments_print_usage_instead_of_panicking() {
+        let args = |list: &[&str]| list.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            run(&args(&["fresh.json", "base.json", "seventy"])),
+            Err(USAGE.into())
+        );
+        assert_eq!(run(&args(&["fresh.json"])), Err(USAGE.into()));
+        assert_eq!(run(&args(&[])), Err(USAGE.into()));
+        let missing = run(&args(&[
+            "/nonexistent/fresh.json",
+            "/nonexistent/base.json",
+        ]));
+        assert!(missing
+            .unwrap_err()
+            .starts_with("/nonexistent/fresh.json: "));
     }
-    println!("scaling_gate: {compared} section(s) compared, none regressed");
-    ExitCode::SUCCESS
 }

@@ -1,4 +1,5 @@
-//! The paper's evaluation, regenerated and gated, plus the perf harness.
+//! The paper's evaluation, regenerated and gated, plus the shard-count
+//! scaling sweeps.
 //!
 //! [`PAPER`] is the paper as a table: one row per table, figure and
 //! design ablation, each rendering the artifact and checking its headline
@@ -7,13 +8,16 @@
 //! scaled down); the *shape* — who wins, by what factor, where crossovers
 //! fall — is what the rows' bands hold.
 //!
-//! The rest is the `BENCH_simcore.json` harness: the [`SCALING`] table,
-//! the section merger/readers `scaling_gate` uses, and `faultgate`.
+//! The rest answers one perf question — does it scale with the shard
+//! count: the [`SCALING`] table, [`run_scaling`] (the one writer of
+//! `BENCH_simcore.json` / `BENCH_simcore_quick.json`) and the reader
+//! `scaling_gate` compares two such files with. How fast, and where the
+//! time went, is the repo benchmark's (`benchmark/`).
 
 pub mod paper;
 pub use paper::PAPER;
 
-use inetgen::{CountrySelection, GenConfig, Internet, ShardWorldCache};
+use inetgen::{CountrySelection, GenConfig, ShardWorldCache};
 use scanner::{ClassifierConfig, OdnsClass};
 use std::time::Instant;
 
@@ -28,17 +32,6 @@ pub fn headline_config(scale: u32) -> GenConfig {
     }
 }
 
-/// A tiny world for hot-loop measurement: 13 targets, so repeated scans
-/// measure the warm engine rather than the population.
-pub fn tiny_world() -> Internet {
-    inetgen::generate(&GenConfig {
-        countries: CountrySelection::Codes(vec!["MUS", "FSM"]),
-        scale: 1_000,
-        dud_fraction: 0.0,
-        ..GenConfig::default()
-    })
-}
-
 /// Print a banner: what is reproduced or measured, and the paper's
 /// reference for it.
 pub fn banner(what: &str, paper: &str) {
@@ -48,24 +41,18 @@ pub fn banner(what: &str, paper: &str) {
     println!("================================================================");
 }
 
-/// Path of the shared perf artifact: `BENCH_simcore.json` at the
-/// workspace root, overridable via `BENCH_SIMCORE_OUT`.
-pub fn bench_artifact_path() -> String {
-    // detlint::allow(env-dependent): the artifact path is harness
-    // plumbing (where results land), not measured behaviour.
-    std::env::var("BENCH_SIMCORE_OUT")
-        .unwrap_or_else(|_| concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json").into())
-}
-
-/// Whether quick mode is requested (`BENCH_QUICK=1`). The single
-/// sanctioned env read for mode switching: quick mode trims iteration
-/// counts and world sizes, never results — sections it produces are
-/// tagged `"mode": "quick"` and kept apart from full-scale measurements
-/// by [`merge_bench_section`].
-pub fn quick_mode() -> bool {
-    // detlint::allow(env-dependent): harness mode switch, not measured
-    // behaviour; quick sections never overwrite full ones.
-    std::env::var_os("BENCH_QUICK").is_some()
+/// The artifact a scaling run writes, at the workspace root: a full run
+/// owns `BENCH_simcore.json`, a quick run `BENCH_simcore_quick.json` (CI's
+/// baseline). Both are committed; neither run reads or touches the other's.
+fn artifact_path(quick: bool) -> &'static str {
+    if quick {
+        concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../BENCH_simcore_quick.json"
+        )
+    } else {
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json")
+    }
 }
 
 /// What one sweep of a scaling experiment hands back to the harness.
@@ -82,9 +69,8 @@ struct Sweep {
 /// One row of the scaling table: everything that distinguishes one
 /// sharded experiment's K-sweep from another's.
 pub struct ScalingRow {
-    /// Section key in `BENCH_simcore.json` (quick runs land at
-    /// `<key>_quick` beside a committed full section).
-    key: &'static str,
+    /// Section key in the artifact.
+    pub key: &'static str,
     /// Banner: what is swept, and which part of the paper it scales.
     banner: [&'static str; 2],
     /// Label of the swept world's country selection.
@@ -110,6 +96,10 @@ pub struct ScalingRow {
 struct SweepPoint {
     /// Shard count `K`.
     shards: u32,
+    /// Worker threads the shards ran on: `min(K, available_parallelism)`,
+    /// the pool `inetgen::run_sharded` sizes. One worker means the row is
+    /// a sequential measurement, whatever its K.
+    workers: u32,
     /// Units per second of warm sweep.
     throughput: f64,
     /// Mean wall time of one warm sweep.
@@ -245,7 +235,7 @@ impl ScalingRow {
     }
 
     /// Sweep this row across shard counts over a warm
-    /// [`ShardWorldCache`] and merge its section into the perf artifact.
+    /// [`ShardWorldCache`] and render its artifact section.
     ///
     /// Worlds generate once per shard count, in a first sweep that also
     /// warms route caches; the timed region is the warm sweep after it —
@@ -255,13 +245,8 @@ impl ScalingRow {
     /// rerun, so each measured configuration does the same logical work.
     // Wall-clock is the measured quantity here (clippy.toml bans it elsewhere).
     #[allow(clippy::disallowed_methods)]
-    pub fn sweep(&self, quick: bool) {
-        let cores = std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1);
+    fn sweep(&self, quick: bool, cores: u32) -> String {
         banner(self.banner[0], self.banner[1]);
-        println!("machine: {cores} worker thread(s) available\n");
-
         let config = (self.config)(self.scale(quick));
         let ks: &[u32] = if quick { &[1, 2] } else { &[1, 2, 4, 8] };
         let reps = self.reps(quick);
@@ -307,12 +292,14 @@ impl ScalingRow {
                 .zip(&first.summary)
                 .map(|(name, value)| format!("{name} {value}"))
                 .collect();
+            let workers = k.min(cores);
             println!(
-                "K={k}: {}, warm sweep {secs:.3}s — {throughput:.0} {unit}/s (gen+first {generate_seconds:.2}s)  {versus}",
+                "K={k} on {workers} worker(s): {}, warm sweep {secs:.3}s — {throughput:.0} {unit}/s (gen+first {generate_seconds:.2}s)  {versus}",
                 fields.join(", ")
             );
             points.push(SweepPoint {
                 shards: k,
+                workers,
                 throughput,
                 warm_sweep_seconds: secs,
                 generate_seconds,
@@ -320,23 +307,17 @@ impl ScalingRow {
             baseline.get_or_insert((first, secs));
         }
         let (base, _) = baseline.expect("at least one K measured");
-
-        let section = self.section(quick, &base.summary, &points);
-        match merge_bench_section(self.key, &section) {
-            Ok(path) => println!("\n{0}: wrote section \"{0}\" to {path}", self.key),
-            Err(e) => eprintln!("{}: could not write artifact: {e}", self.key),
-        }
+        self.section(quick, &base.summary, &points)
     }
 
-    /// Render this row's artifact section — the one formatter behind all
-    /// three `BENCH_simcore.json` scaling sections, in the shape
-    /// [`section_sweeps`], [`scaling_ratio`] and `scaling_gate` read.
+    /// Render this row's artifact section — the one formatter behind
+    /// every section of both artifacts, in the shape [`section_sweeps`],
+    /// [`scaling_ratio`] and `scaling_gate` read.
     fn section(&self, quick: bool, summary: &[u64], points: &[SweepPoint]) -> String {
         let config = (self.config)(self.scale(quick));
         let mut out = format!(
-            "{{\n    \"bench\": \"scaling/{}\",\n    \"mode\": \"{}\",\n    \"timed_region\": \"warm sweep over cached shard worlds ({} reps)\",\n    \"world\": \"{}, scale {}",
+            "{{\n    \"bench\": \"scaling/{}\",\n    \"timed_region\": \"warm sweep over cached shard worlds ({} reps)\",\n    \"world\": \"{}, scale {}",
             self.key,
-            if quick { "quick" } else { "full" },
             self.reps(quick),
             self.world,
             config.scale,
@@ -352,8 +333,8 @@ impl ScalingRow {
         for (i, p) in points.iter().enumerate() {
             out.push_str(if i == 0 { "\n      " } else { ",\n      " });
             out.push_str(&format!(
-                "{{ \"shards\": {}, \"{}\": {:.0}, \"warm_sweep_seconds\": {:.6}, \"generate_seconds\": {:.6} }}",
-                p.shards, self.throughput, p.throughput, p.warm_sweep_seconds, p.generate_seconds
+                "{{ \"shards\": {}, \"workers\": {}, \"{}\": {:.0}, \"warm_sweep_seconds\": {:.6}, \"generate_seconds\": {:.6} }}",
+                p.shards, p.workers, self.throughput, p.throughput, p.warm_sweep_seconds, p.generate_seconds
             ));
         }
         out.push_str("\n    ]\n  }");
@@ -361,82 +342,64 @@ impl ScalingRow {
     }
 }
 
-/// Merge one named section into the shared perf artifact.
-///
-/// The artifact is a flat JSON object of per-bench sections (plus a
-/// `schema` tag). Each bench owns one key and rewrites only its own
-/// section, so the `hotpath` and `dnsroute` measurements can run in any
-/// order — or alone — and the uploaded artifact always carries every
-/// section that has been produced. Returns the path written.
-///
-/// Sections are mode-aware: a `"mode": "quick"` section never overwrites
-/// an existing `"mode": "full"` section at the same key. It lands beside
-/// it, at `<key>_quick` — so a CI quick run can refresh its own data
-/// point every push without ever clobbering the committed full-scale
-/// measurement it is compared against.
-pub fn merge_bench_section(key: &str, section_json: &str) -> std::io::Result<String> {
-    let path = bench_artifact_path();
-    merge_bench_section_at(&path, key, section_json)?;
+/// Run every row of [`SCALING`] and write the mode's whole artifact —
+/// one run, one file, nothing read back. Returns the path written; a
+/// failed write is the caller's error to exit on, or `scaling_gate` would
+/// go on to compare the stale committed file with itself.
+pub fn run_scaling(quick: bool) -> std::io::Result<&'static str> {
+    let cores = std::thread::available_parallelism().map_or(1, |n| n.get() as u32);
+    println!("machine: {cores} worker thread(s) available");
+    let sections: Vec<String> = SCALING.iter().map(|row| row.sweep(quick, cores)).collect();
+    let path = artifact_path(quick);
+    std::fs::write(path, render_artifact(quick, cores, &sections))
+        .map_err(|e| std::io::Error::new(e.kind(), format!("{path}: {e}")))?;
     Ok(path)
 }
 
-/// [`merge_bench_section`] against an explicit artifact path (the public
-/// entry point resolves the path from `BENCH_SIMCORE_OUT`).
-pub fn merge_bench_section_at(path: &str, key: &str, section_json: &str) -> std::io::Result<()> {
-    let mut sections = std::fs::read_to_string(path)
-        .ok()
-        .and_then(|s| parse_sections(&s))
-        .unwrap_or_default();
-    let existing_mode = sections
-        .iter()
-        .find(|(k, _)| k == key)
-        .and_then(|(_, v)| section_mode(v));
-    let target_key = match (section_mode(section_json), existing_mode) {
-        // Quick must not clobber full: land beside it instead.
-        (Some("quick"), Some("full")) => format!("{key}_quick"),
-        _ => key.to_string(),
-    };
-    match sections.iter_mut().find(|(k, _)| *k == target_key) {
-        Some((_, v)) => *v = section_json.to_string(),
-        None => sections.push((target_key, section_json.to_string())),
-    }
-    let mut out = String::from("{\n  \"schema\": 2");
-    for (k, v) in &sections {
-        out.push_str(",\n  \"");
-        out.push_str(k);
-        out.push_str("\": ");
-        out.push_str(v.trim());
+/// One artifact: the run's mode and the machine's `available_parallelism`,
+/// then one section per [`SCALING`] row under the row's key.
+fn render_artifact(quick: bool, cores: u32, sections: &[String]) -> String {
+    let mode = if quick { "quick" } else { "full" };
+    let mut out = format!("{{\n  \"mode\": \"{mode}\",\n  \"available_parallelism\": {cores}");
+    for (row, section) in SCALING.iter().zip(sections) {
+        out.push_str(&format!(",\n  \"{}\": {section}", row.key));
     }
     out.push_str("\n}\n");
-    std::fs::write(path, out)
+    out
 }
 
-/// The `"mode"` tag of a section, if it carries one. Sections are this
-/// crate's own output format, so a targeted scan is exact: the key
-/// appears once, as `"mode": "<value>"`.
-fn section_mode(section: &str) -> Option<&str> {
-    let rest = &section[section.find("\"mode\"")? + "\"mode\"".len()..];
-    let rest = rest.trim_start().strip_prefix(':')?;
-    let rest = rest.trim_start().strip_prefix('"')?;
-    Some(&rest[..rest.find('"')?])
+/// The body of section `key` in an artifact this crate rendered: from the
+/// section's opening brace to the one that balances it (no string in the
+/// format holds a brace).
+fn section_body<'a>(artifact: &'a str, key: &str) -> Option<&'a str> {
+    let head = format!("\"{key}\": {{");
+    let body = &artifact[artifact.find(&head)? + head.len()..];
+    let mut depth = 1u32;
+    for (i, c) in body.char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return Some(&body[..i]);
+        }
+    }
+    None
 }
 
-/// The `"sweeps"` rows of a scaling section, as `(shards, throughput)`
-/// pairs — throughput being each row's first `*_per_second` field. Rows
-/// missing either field are skipped.
-pub fn section_sweeps(section: &str) -> Vec<(u32, f64)> {
+/// The `"sweeps"` rows of an artifact's section `key`, as `(shards,
+/// throughput)` pairs — throughput being each row's `*_per_second` field.
+/// Empty when the section or its sweeps are missing; rows missing either
+/// field are skipped.
+pub fn section_sweeps(artifact: &str, key: &str) -> Vec<(u32, f64)> {
+    let sweeps = section_body(artifact, key).and_then(|section| {
+        let rest = &section[section.find("\"sweeps\"")?..];
+        let open = rest.find('[')?;
+        Some(&rest[open + 1..open + rest[open..].find(']')?])
+    });
     let mut rows = Vec::new();
-    let Some(i) = section.find("\"sweeps\"") else {
-        return rows;
-    };
-    let rest = &section[i..];
-    let Some(open) = rest.find('[') else {
-        return rows;
-    };
-    let Some(close) = rest[open..].find(']') else {
-        return rows;
-    };
-    for chunk in rest[open + 1..open + close].split('{').skip(1) {
+    for chunk in sweeps.unwrap_or("").split('{').skip(1) {
         let obj = chunk.split('}').next().unwrap_or("");
         let shards = obj
             .find("\"shards\"")
@@ -451,23 +414,14 @@ pub fn section_sweeps(section: &str) -> Vec<(u32, f64)> {
     rows
 }
 
-/// A scaling section's K-scaling ratio: max-K throughput over min-K
-/// throughput. `None` unless the section sweeps at least two distinct
-/// shard counts with positive baseline throughput.
-pub fn scaling_ratio(section: &str) -> Option<f64> {
-    let sweeps = section_sweeps(section);
+/// The K-scaling ratio of an artifact's section `key`: max-K throughput
+/// over min-K throughput. `None` unless the section exists and sweeps at
+/// least two distinct shard counts with positive baseline throughput.
+pub fn scaling_ratio(artifact: &str, key: &str) -> Option<f64> {
+    let sweeps = section_sweeps(artifact, key);
     let min = sweeps.iter().min_by_key(|(k, _)| *k)?;
     let max = sweeps.iter().max_by_key(|(k, _)| *k)?;
     (max.0 > min.0 && min.1 > 0.0).then(|| max.1 / min.1)
-}
-
-/// The steady-state throughput of a hotpath section: the
-/// `"probes_per_second"` field inside its `"steady"` object. `None` for
-/// sections without a steady block (e.g. scaling sweeps).
-pub fn hotpath_steady_probes_per_sec(section: &str) -> Option<f64> {
-    let rest = &section[section.find("\"steady\"")?..];
-    let j = rest.find("\"probes_per_second\"")?;
-    number_after_colon(&rest[j..])
 }
 
 fn number_after_colon(s: &str) -> Option<f64> {
@@ -478,268 +432,113 @@ fn number_after_colon(s: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Minimal parser for the artifact's own output format: a top-level JSON
-/// object tagged `"schema": 2` with string keys and balanced-brace
-/// values. Anything unexpected — malformed input *or* the flat schema-1
-/// format, whose top-level keys are measurements rather than sections —
-/// yields `None` and the caller starts a fresh artifact. Public so the
-/// `scaling_gate` binary can compare a fresh artifact against a baseline.
-pub fn parse_sections(s: &str) -> Option<Vec<(String, String)>> {
-    let b = s.as_bytes();
-    let mut i = 0usize;
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-    skip_ws(b, &mut i);
-    if i >= b.len() || b[i] != b'{' {
-        return None;
-    }
-    i += 1;
-    let mut schema_2 = false;
-    let mut sections = Vec::new();
-    loop {
-        skip_ws(b, &mut i);
-        if i < b.len() && b[i] == b'}' {
-            return schema_2.then_some(sections);
-        }
-        if i >= b.len() || b[i] != b'"' {
-            return None;
-        }
-        i += 1;
-        let key_start = i;
-        while i < b.len() && b[i] != b'"' {
-            i += 1;
-        }
-        if i >= b.len() {
-            return None;
-        }
-        let key = s[key_start..i].to_string();
-        i += 1;
-        skip_ws(b, &mut i);
-        if i >= b.len() || b[i] != b':' {
-            return None;
-        }
-        i += 1;
-        skip_ws(b, &mut i);
-        let value_start = i;
-        let mut depth = 0i32;
-        let mut in_str = false;
-        let mut escaped = false;
-        while i < b.len() {
-            let c = b[i];
-            if in_str {
-                if escaped {
-                    escaped = false;
-                } else if c == b'\\' {
-                    escaped = true;
-                } else if c == b'"' {
-                    in_str = false;
-                }
-            } else if c == b'"' {
-                in_str = true;
-            } else if c == b'{' || c == b'[' {
-                depth += 1;
-            } else if c == b'}' || c == b']' {
-                if depth == 0 {
-                    break;
-                }
-                depth -= 1;
-            } else if c == b',' && depth == 0 {
-                break;
-            }
-            i += 1;
-        }
-        if i >= b.len() {
-            return None;
-        }
-        let value = s[value_start..i].trim().to_string();
-        // `schema` is regenerated on every write, not a section — but it
-        // must identify the sectioned format, or the old flat schema-1
-        // keys would leak into the rewritten artifact as bogus sections.
-        if key == "schema" {
-            schema_2 = value == "2";
-        } else {
-            sections.push((key, value));
-        }
-        if b[i] == b',' {
-            i += 1;
-            continue;
-        }
-        // b[i] == b'}' closes the object.
-        return schema_2.then_some(sections);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::{
-        merge_bench_section_at, parse_sections, scaling_ratio, section_mode, section_sweeps,
-        SweepPoint, SCALING,
+        artifact_path, render_artifact, scaling_ratio, section_body, section_sweeps, SweepPoint,
+        SCALING,
     };
 
-    fn artifact_keys(path: &str) -> Vec<String> {
-        let doc = std::fs::read_to_string(path).unwrap();
-        parse_sections(&doc)
-            .expect("artifact parses")
-            .into_iter()
-            .map(|(k, _)| k)
-            .collect()
-    }
-
-    fn section_of<'a>(sections: &'a [(String, String)], key: &str) -> &'a str {
-        &sections.iter().find(|(k, _)| k == key).unwrap().1
-    }
-
-    #[test]
-    fn quick_lands_beside_full_never_on_top_of_it() {
-        let dir = std::env::temp_dir().join("bench_mode_merge_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("artifact.json");
-        let path = path.to_str().unwrap();
-        let _ = std::fs::remove_file(path);
-
-        let full = "{ \"bench\": \"x\", \"mode\": \"full\", \"sweeps\": [] }";
-        let quick = "{ \"bench\": \"x\", \"mode\": \"quick\", \"sweeps\": [] }";
-        let quick2 = "{ \"bench\": \"x\", \"mode\": \"quick\", \"n\": 2 }";
-
-        // A quick section with no full predecessor owns the base key…
-        merge_bench_section_at(path, "dnsroute", quick).unwrap();
-        assert_eq!(artifact_keys(path), ["dnsroute"]);
-        // …and a full run overwrites it there.
-        merge_bench_section_at(path, "dnsroute", full).unwrap();
-        let doc = std::fs::read_to_string(path).unwrap();
-        let sections = parse_sections(&doc).unwrap();
-        assert_eq!(
-            section_mode(section_of(&sections, "dnsroute")),
-            Some("full")
+    /// What every artifact holds, rendered a moment ago or committed:
+    /// its mode, the machine's parallelism, and exactly the [`SCALING`]
+    /// sections — each a curve `scaling_gate` can read, under the row's
+    /// field names, with a worker count beside every throughput.
+    fn assert_well_formed(artifact: &str, quick: bool) {
+        let mode = if quick { "quick" } else { "full" };
+        assert!(
+            artifact.contains(&format!("\n  \"mode\": \"{mode}\"")),
+            "{mode}"
         );
-
-        // Quick after full: the full section survives untouched, the
-        // quick data point lands at `<key>_quick`.
-        merge_bench_section_at(path, "dnsroute", quick).unwrap();
-        let doc = std::fs::read_to_string(path).unwrap();
-        let sections = parse_sections(&doc).unwrap();
-        assert_eq!(
-            section_mode(section_of(&sections, "dnsroute")),
-            Some("full")
+        assert!(
+            artifact.contains("\n  \"available_parallelism\": "),
+            "{mode}"
         );
-        assert_eq!(
-            section_mode(section_of(&sections, "dnsroute_quick")),
-            Some("quick")
-        );
-
-        // Repeated quick runs refresh `<key>_quick` in place.
-        merge_bench_section_at(path, "dnsroute", quick2).unwrap();
-        let doc = std::fs::read_to_string(path).unwrap();
-        let sections = parse_sections(&doc).unwrap();
-        assert_eq!(artifact_keys(path), ["dnsroute", "dnsroute_quick"]);
-        assert!(section_of(&sections, "dnsroute_quick").contains("\"n\": 2"));
-        let _ = std::fs::remove_file(path);
+        let keys: Vec<&str> = artifact
+            .lines()
+            .filter_map(|l| l.strip_prefix("  \"")?.strip_suffix("\": {"))
+            .collect();
+        assert_eq!(keys, SCALING.each_ref().map(|row| row.key), "{mode}");
+        for row in &SCALING {
+            let what = format!("{mode} {}", row.key);
+            let sweeps = section_sweeps(artifact, row.key);
+            assert!(sweeps.len() >= 2, "{what}: {sweeps:?}");
+            assert!(sweeps.iter().all(|(_, t)| *t > 0.0), "{what}: {sweeps:?}");
+            assert!(scaling_ratio(artifact, row.key).is_some(), "{what}");
+            let section = section_body(artifact, row.key).unwrap();
+            for name in row.summary {
+                let field = format!("\"{name}\": ");
+                assert!(section.contains(&field), "{what} lacks {name}");
+            }
+            for name in [row.throughput, "workers"] {
+                let field = format!("\"{name}\": ");
+                assert_eq!(
+                    section.matches(&field).count(),
+                    sweeps.len(),
+                    "{what} {name}"
+                );
+            }
+        }
     }
 
     /// The table cannot drift from the gate: every row's rendered section
-    /// reads back through the crate's own readers, under the key and with
-    /// the field names of the committed artifact's section.
+    /// reads back through the crate's own readers, and passes the checks
+    /// the committed artifacts are held to.
     #[test]
     fn scaling_table_sections_read_back_like_the_committed_ones() {
-        let committed = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_simcore.json");
-        let committed = std::fs::read_to_string(committed).unwrap();
-        let committed = parse_sections(&committed).expect("committed artifact parses");
-
-        let dir = std::env::temp_dir().join("bench_scaling_table_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("artifact.json");
-        let path = path.to_str().unwrap();
-        let _ = std::fs::remove_file(path);
-
         let point = |shards, throughput| SweepPoint {
             shards,
+            workers: shards.min(2),
             throughput,
             warm_sweep_seconds: 0.5,
             generate_seconds: 1.25,
         };
         let points = [point(1, 1000.0), point(2, 1250.0)];
-        for row in &SCALING {
-            let summary: Vec<u64> = (1..=row.summary.len() as u64).collect();
-            // Full first, so the quick section lands beside it.
-            for (quick, mode, key) in [
-                (false, "full", row.key.to_string()),
-                (true, "quick", format!("{}_quick", row.key)),
-            ] {
-                merge_bench_section_at(path, row.key, &row.section(quick, &summary, &points))
-                    .unwrap();
-                let doc = std::fs::read_to_string(path).unwrap();
-                let sections = parse_sections(&doc).expect("rendered artifact parses");
-                let section = section_of(&sections, &key);
-                assert_eq!(section_mode(section), Some(mode), "{key}");
-                assert_eq!(section_sweeps(section), [(1, 1000.0), (2, 1250.0)]);
-                assert!((scaling_ratio(section).unwrap() - 1.25).abs() < 1e-9);
-                let reference = section_of(&committed, &key);
-                for name in [row.throughput].iter().chain(row.summary) {
-                    let field = format!("\"{name}\": ");
-                    assert!(section.contains(&field), "{key} lacks {name}");
-                    assert!(reference.contains(&field), "committed {key} lacks {name}");
-                }
+        for quick in [false, true] {
+            let sections: Vec<String> = SCALING
+                .iter()
+                .map(|row| {
+                    let summary: Vec<u64> = (1..=row.summary.len() as u64).collect();
+                    row.section(quick, &summary, &points)
+                })
+                .collect();
+            let rendered = render_artifact(quick, 2, &sections);
+            assert_well_formed(&rendered, quick);
+            for row in &SCALING {
+                assert_eq!(
+                    section_sweeps(&rendered, row.key),
+                    [(1, 1000.0), (2, 1250.0)]
+                );
+                assert!((scaling_ratio(&rendered, row.key).unwrap() - 1.25).abs() < 1e-9);
             }
         }
-        let _ = std::fs::remove_file(path);
+    }
+
+    #[test]
+    fn both_committed_artifacts_hold_exactly_the_scaling_sections() {
+        for quick in [false, true] {
+            let committed = std::fs::read_to_string(artifact_path(quick)).unwrap();
+            assert_well_formed(&committed, quick);
+        }
     }
 
     #[test]
     fn sweep_rows_and_scaling_ratio_parse() {
-        let section = "{ \"mode\": \"full\", \"sweeps\": [\n  { \"shards\": 1, \"traces_per_second\": 1000, \"elapsed_seconds\": 1.5 },\n  { \"shards\": 8, \"traces_per_second\": 3500, \"elapsed_seconds\": 0.4 }\n] }";
-        assert_eq!(section_sweeps(section), vec![(1, 1000.0), (8, 3500.0)]);
-        assert!((scaling_ratio(section).unwrap() - 3.5).abs() < 1e-9);
-        assert_eq!(section_mode(section), Some("full"));
-        // Degenerate sections yield no ratio rather than a bogus one.
-        assert_eq!(scaling_ratio("{ \"sweeps\": [] }"), None);
+        let artifact = "{\n  \"a\": { \"sweeps\": [\n  { \"shards\": 1, \"traces_per_second\": 1000, \"elapsed_seconds\": 1.5 },\n  { \"shards\": 8, \"traces_per_second\": 3500, \"elapsed_seconds\": 0.4 }\n] },\n  \"empty\": { \"sweeps\": [] },\n  \"bare\": { \"x\": { \"y\": 1 } },\n  \"one\": { \"sweeps\": [ { \"shards\": 2, \"x_per_second\": 5 } ] }\n}";
         assert_eq!(
-            scaling_ratio("{ \"sweeps\": [ { \"shards\": 2, \"x_per_second\": 5 } ] }"),
+            section_sweeps(artifact, "a"),
+            vec![(1, 1000.0), (8, 3500.0)]
+        );
+        assert!((scaling_ratio(artifact, "a").unwrap() - 3.5).abs() < 1e-9);
+        // Degenerate sections yield no ratio rather than a bogus one —
+        // and never the next section's curve.
+        assert_eq!(scaling_ratio(artifact, "empty"), None);
+        assert_eq!(section_sweeps(artifact, "bare"), vec![]);
+        assert_eq!(
+            scaling_ratio(artifact, "one"),
             None,
             "one shard count is not a scaling curve"
         );
-    }
-
-    #[test]
-    fn hotpath_steady_throughput_parses() {
-        use super::hotpath_steady_probes_per_sec;
-        let section = "{ \"mode\": \"full\", \"answered_probes\": 26000, \"steady\": { \"probes_per_second\": 1345946, \"events_per_second\": 3830769 } }";
-        assert!((hotpath_steady_probes_per_sec(section).unwrap() - 1_345_946.0).abs() < 1e-9);
-        // No steady block, or a steady block without the field: no number.
-        assert_eq!(hotpath_steady_probes_per_sec("{ \"sweeps\": [] }"), None);
-        assert_eq!(
-            hotpath_steady_probes_per_sec("{ \"steady\": { \"events_per_second\": 5 } }"),
-            None
-        );
-    }
-
-    #[test]
-    fn sections_roundtrip() {
-        let doc = "{\n  \"schema\": 2,\n  \"hotpath\": {\n    \"probes_per_second\": 1000,\n    \"nested\": { \"a\": [1, 2, 3], \"s\": \"b}r{ace\" }\n  },\n  \"dnsroute\": { \"traces_per_second\": 42.5 }\n}\n";
-        let sections = parse_sections(doc).expect("parses");
-        assert_eq!(sections.len(), 2, "schema dropped: {sections:?}");
-        assert_eq!(sections[0].0, "hotpath");
-        assert!(sections[0].1.contains("\"probes_per_second\": 1000"));
-        assert_eq!(sections[1].0, "dnsroute");
-        assert_eq!(sections[1].1, "{ \"traces_per_second\": 42.5 }");
-    }
-
-    #[test]
-    fn garbage_yields_none() {
-        assert_eq!(parse_sections(""), None);
-        assert_eq!(parse_sections("not json"), None);
-        assert_eq!(parse_sections("{ \"unterminated\": {"), None);
-    }
-
-    #[test]
-    fn flat_schema1_artifact_discarded() {
-        // The pre-section format: top-level keys are measurements. They
-        // must not survive as sections of the rewritten artifact.
-        let old = "{\n  \"schema\": 1,\n  \"bench\": \"micro_simcore/hotpath\",\n  \"steady\": { \"probes_per_second\": 985000 }\n}\n";
-        assert_eq!(parse_sections(old), None);
-        let untagged = "{ \"hotpath\": { \"a\": 1 } }";
-        assert_eq!(parse_sections(untagged), None);
+        assert_eq!(section_sweeps(artifact, "absent"), vec![]);
+        assert_eq!(section_sweeps("{ \"a\": { \"sweeps\": [", "a"), vec![]);
     }
 }
