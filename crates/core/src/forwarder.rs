@@ -37,8 +37,7 @@
 use crate::cache::ServeCache;
 use crate::device::DeviceProfile;
 use dnswire::Message;
-use netsim::{Ctx, Datagram, Host, SimDuration, UdpSend};
-use std::collections::HashMap;
+use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, UdpSend};
 use std::net::Ipv4Addr;
 
 /// Counters for a recursive forwarder.
@@ -89,7 +88,7 @@ pub struct RecursiveForwarder {
     cache: Option<ServeCache>,
     /// Queries in flight upstream, by `(our port, txid)`. An entry leaves
     /// when its answer is relayed or its timer fires, whichever is first.
-    pending: HashMap<(u16, u16), PendingQuery>,
+    pending: IntMap<(u16, u16), PendingQuery>,
     timeout: SimDuration,
     device: Option<DeviceProfile>,
     manipulation: Manipulation,
@@ -103,7 +102,7 @@ impl RecursiveForwarder {
         RecursiveForwarder {
             resolver,
             cache: Some(ServeCache::new(64)),
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             timeout: SimDuration::from_secs(5),
             device: None,
             manipulation: Manipulation::None,

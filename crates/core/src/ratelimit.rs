@@ -5,8 +5,7 @@
 //! DoS "carpet bombs" (attacks sweeping a whole prefix of spoofed victims)
 //! cannot multiply the sensor's output (§3.1).
 
-use netsim::{SimDuration, SimTime, TokenBucket};
-use std::collections::HashMap;
+use netsim::{IntMap, SimDuration, SimTime, TokenBucket};
 use std::net::Ipv4Addr;
 
 /// The covering /24 of an address, as a 24-bit-aligned u32.
@@ -46,7 +45,7 @@ impl LimiterPolicy {
 #[derive(Debug)]
 pub struct PrefixRateLimiter {
     policy: LimiterPolicy,
-    buckets: HashMap<u32, TokenBucket>,
+    buckets: IntMap<u32, TokenBucket>,
     /// Requests admitted.
     pub admitted: u64,
     /// Requests rejected.
@@ -58,7 +57,7 @@ impl PrefixRateLimiter {
     pub fn new(policy: LimiterPolicy) -> Self {
         PrefixRateLimiter {
             policy,
-            buckets: HashMap::new(),
+            buckets: IntMap::default(),
             admitted: 0,
             rejected: 0,
         }

@@ -17,7 +17,7 @@
 
 use crate::cache::{CachedAnswer, DnsCache, ServeCache};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType};
-use netsim::{Ctx, Datagram, Host, Payload, SimDuration, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -164,10 +164,10 @@ pub struct RecursiveResolver {
     /// Resolutions in flight by task id; an entry lives from its leader's
     /// cache miss until [`Self::finish`] answers it and everyone coalesced
     /// behind it, so the table drains.
-    tasks: HashMap<u64, Task>,
+    tasks: IntMap<u64, Task>,
     next_task: u64,
     /// Pending upstream transactions: `(our_port, txid)` → task id.
-    pending: HashMap<(u16, u16), u64>,
+    pending: IntMap<(u16, u16), u64>,
     /// Reverse lookup: `(qname, qtype)` → task id.
     inflight: HashMap<(DnsName, RrType), u64>,
     /// The newest resolution in flight whose leader sent a plain `IN`
@@ -189,9 +189,9 @@ impl RecursiveResolver {
         RecursiveResolver {
             config,
             cache,
-            tasks: HashMap::new(),
+            tasks: IntMap::default(),
             next_task: 0,
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             inflight: HashMap::new(),
             newest_plain_leader: None,
             next_port: 1024,

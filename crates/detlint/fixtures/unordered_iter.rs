@@ -1,6 +1,7 @@
 //! Fixture: hash collections inside an ordered-output module (this file
 //! is designated `[ordered]` by the fixture-local detlint.toml).
 
+use netsim::IntMap;
 use std::collections::{HashMap, HashSet};
 
 fn tally(xs: &[u32]) -> Vec<(u32, usize)> {
@@ -11,4 +12,13 @@ fn tally(xs: &[u32]) -> Vec<(u32, usize)> {
         seen.insert(*x);
     }
     counts.into_iter().collect() // iteration order leaks into the report
+}
+
+fn tally_by_id(xs: &[u32]) -> Vec<(u32, usize)> {
+    // A fixed seed makes this order repeat, not sorted: still a finding.
+    let mut counts: IntMap<u32, usize> = IntMap::default();
+    for x in xs {
+        *counts.entry(*x).or_insert(0) += 1;
+    }
+    counts.into_iter().collect()
 }

@@ -29,7 +29,7 @@ pub const RULES: &[Rule] = &[
     },
     Rule {
         id: "unordered-iter",
-        summary: "HashMap / HashSet inside a designated ordered-output module",
+        summary: "HashMap / HashSet / IntMap inside a designated ordered-output module",
     },
     Rule {
         id: "env-dependent",
@@ -163,8 +163,10 @@ pub fn run_rules(lexed: &Lexed, ordered: bool) -> Vec<RawFinding> {
                     "`.spawn()` outside the sanctioned `inetgen::run_sharded` worker pool".into(),
                 );
             }
-            "HashMap" | "HashSet" | "BTreeMap" | "BTreeSet" => {
-                if ordered && (name == "HashMap" || name == "HashSet") {
+            // `IntMap` is `netsim`'s fixed-seed alias: its order repeats from
+            // run to run but still follows capacity and insertion history.
+            "HashMap" | "HashSet" | "IntMap" | "BTreeMap" | "BTreeSet" => {
+                if ordered && matches!(name, "HashMap" | "HashSet" | "IntMap") {
                     push(
                         "unordered-iter",
                         i,
@@ -382,6 +384,10 @@ mod tests {
         let found = rules_on(src, true);
         assert_eq!(found.len(), 3);
         assert!(found.iter().all(|(r, _)| r == "unordered-iter"));
+        // The fixed-seed alias does not walk past the rule.
+        let alias = "use netsim::IntMap;\nlet m: IntMap<u32, u32> = IntMap::default();";
+        assert!(rules_on(alias, false).is_empty());
+        assert_eq!(rules_on(alias, true).len(), 3);
     }
 
     #[test]

@@ -48,6 +48,9 @@ fn unseeded_rng_fixture_fails() {
 #[test]
 fn unordered_iter_fixture_fails() {
     assert_flags("unordered_iter.rs", "unordered-iter");
+    // `netsim`'s fixed-seed alias must not walk past the rule.
+    let (_, text) = run_on("unordered_iter.rs");
+    assert!(text.contains(" unordered-iter: `IntMap` "), "{text}");
 }
 
 #[test]

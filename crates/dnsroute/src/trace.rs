@@ -19,10 +19,10 @@
 
 use dnswire::{MessageBuilder, RrType};
 use netsim::{
-    Ctx, Datagram, Host, IcmpMessage, NodeId, RetryPolicy, SimDuration, SimTime, Simulator, UdpSend,
+    Ctx, Datagram, Host, IcmpMessage, IntMap, NodeId, RetryPolicy, SimDuration, SimTime, Simulator,
+    UdpSend,
 };
 use odns::study;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// DNSRoute++ configuration.
@@ -183,7 +183,7 @@ struct TargetState {
 pub struct DnsRoutePlusPlus {
     config: DnsRouteConfig,
     states: Vec<TargetState>,
-    port_to_target: HashMap<u16, usize>,
+    port_to_target: IntMap<u16, usize>,
     started: usize,
     /// Per-hop retransmissions sent across the whole sweep.
     pub retransmits_sent: u64,

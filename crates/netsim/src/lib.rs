@@ -50,6 +50,7 @@
 
 mod fault;
 mod host;
+mod intmap;
 mod packet;
 mod retry;
 mod routing;
@@ -66,6 +67,7 @@ pub mod wire;
 
 pub use fault::{mix64, FaultConfig, FaultPlan, FlowKey, FlowVerdict, TokenBucket};
 pub use host::{Ctx, Host, UdpSend};
+pub use intmap::{IntHasher, IntMap};
 pub use packet::{Datagram, IcmpKind, IcmpMessage, Payload, QuotedDatagram, DEFAULT_TTL};
 pub use retry::RetryPolicy;
 pub use routing::{Hop, Path, RouteError, RouteResolver};

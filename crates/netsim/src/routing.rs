@@ -18,9 +18,10 @@
 //! Cloudflare < Google < OpenDNS path lengths: more PoPs means a closer
 //! nearest PoP.
 
+use crate::intmap::IntMap;
 use crate::time::SimDuration;
 use crate::topology::{AsId, IpOwner, NodeId, Topology};
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::net::Ipv4Addr;
 
 /// Per-router forwarding latency (one way).
@@ -173,9 +174,9 @@ pub enum RouteError {
 /// successfully routed resolves (failed ones are neither).
 #[derive(Debug, Default)]
 pub struct RouteResolver {
-    route_cache: HashMap<(AsId, AsId), Option<AsRoute>>,
-    distance_cache: HashMap<AsId, Vec<Option<u32>>>,
-    anycast_cache: HashMap<(AsId, Ipv4Addr), Option<NodeId>>,
+    route_cache: IntMap<(AsId, AsId), Option<AsRoute>>,
+    distance_cache: IntMap<AsId, Vec<Option<u32>>>,
+    anycast_cache: IntMap<(AsId, Ipv4Addr), Option<NodeId>>,
     /// Working memory of the search behind every route and distance miss.
     bfs: Bfs,
     routed: u64,

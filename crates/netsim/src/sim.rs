@@ -44,24 +44,22 @@ impl Default for SimConfig {
     }
 }
 
-/// `TimerBatch` is the batched-pacing carrier: one queue event that fires
-/// `count` evenly-strided timer callbacks. It is also the widest variant,
-/// and makes the enum 40 bytes whether or not the payload-carrying ones
-/// are boxed (unboxed they would be no wider) — so the boxes no longer buy
-/// a smaller queue node, and cost one allocation per packet. They stay
-/// until a ≥ 10-pair ablation on all four benchmark workloads settles it:
-/// the one scratch prototype without them removed 3.65 allocations per
-/// census target but leaned slower on `hotpath_repeat` (ROADMAP, *earn or
-/// delete*).
+/// One queue event. The wheel writes an event once, into an arena node,
+/// and cascades re-link the node instead of moving it, so the payload
+/// variants carry their `Datagram` / `IcmpMessage` inline: a packet costs
+/// the queue no allocation. `TimerBatch` — the batched-pacing carrier, one
+/// queue event that fires `count` evenly-strided timer callbacks — is as
+/// wide as `Udp`, and the two sizes below are what keep a node (event,
+/// time, sequence number, link) inside one cache line.
 #[derive(Debug)]
 enum EventKind {
     Udp {
         node: NodeId,
-        dgram: Box<Datagram>,
+        dgram: Datagram,
     },
     Icmp {
         node: NodeId,
-        icmp: Box<IcmpMessage>,
+        icmp: IcmpMessage,
     },
     Timer {
         node: NodeId,
@@ -75,6 +73,9 @@ enum EventKind {
         token_step: u64,
     },
 }
+
+const _: () = assert!(std::mem::size_of::<EventKind>() == 40);
+const _: () = assert!(crate::wheel::node_bytes::<EventKind>() <= 64);
 
 /// The discrete-event network simulator.
 pub struct Simulator {
@@ -140,7 +141,9 @@ impl Simulator {
     /// The route resolver's caches survive (routes are a pure function of
     /// the immutable topology), so a reset world re-runs without
     /// rebuilding any AS route. Only `route_cache_hits`/`misses` differ
-    /// from a cold run; event timing and content never do.
+    /// from a cold run; event timing and content never do. The queue's
+    /// arena survives too, emptied but not freed, so the replay allocates
+    /// nothing in the queue.
     pub fn reset(&mut self, config: &SimConfig) {
         self.queue.clear();
         for slot in &mut self.hosts {
@@ -296,12 +299,12 @@ impl Simulator {
                 self.stats.udp_delivered += 1;
                 self.stats.udp_bytes_delivered += dgram.payload.len() as u64;
                 self.capture_udp(node, &dgram);
-                self.with_host(node, |host, ctx| host.on_datagram(ctx, *dgram));
+                self.with_host(node, |host, ctx| host.on_datagram(ctx, dgram));
             }
             EventKind::Icmp { node, icmp } => {
                 self.stats.icmp_delivered += 1;
                 self.capture_icmp(node, &icmp);
-                self.with_host(node, |host, ctx| host.on_icmp(ctx, *icmp));
+                self.with_host(node, |host, ctx| host.on_icmp(ctx, icmp));
             }
             EventKind::Timer { node, token } => {
                 self.stats.timers_fired += 1;
@@ -531,7 +534,7 @@ impl Simulator {
                 deliver_at + verdict.duplicate_jitter + SimDuration::from_micros(1),
                 EventKind::Udp {
                     node: dst_node,
-                    dgram: Box::new(dgram.clone()),
+                    dgram: dgram.clone(),
                 },
             );
         }
@@ -539,7 +542,7 @@ impl Simulator {
             deliver_at,
             EventKind::Udp {
                 node: dst_node,
-                dgram: Box::new(dgram),
+                dgram,
             },
         );
     }
@@ -576,13 +579,7 @@ impl Simulator {
     fn deliver_icmp(&mut self, icmp: IcmpMessage, at: SimTime) {
         match self.topo.owner_of_ip(icmp.to) {
             Some(IpOwner::Host(node)) => {
-                self.push(
-                    at,
-                    EventKind::Icmp {
-                        node,
-                        icmp: Box::new(icmp),
-                    },
-                );
+                self.push(at, EventKind::Icmp { node, icmp });
             }
             _ => {
                 // Errors toward spoofed/unassigned sources vanish, exactly

@@ -4,6 +4,7 @@
 //! then immutable for the lifetime of a simulation. Routing (path
 //! computation over this graph) lives in [`crate::routing`].
 
+use crate::intmap::IntMap;
 use crate::time::SimDuration;
 use std::collections::HashMap;
 use std::fmt;
@@ -193,7 +194,7 @@ impl std::error::Error for TopologyError {}
 pub struct TopologyBuilder {
     ases: Vec<AsData>,
     hosts: Vec<HostData>,
-    anycast: HashMap<Ipv4Addr, Vec<NodeId>>,
+    anycast: IntMap<Ipv4Addr, Vec<NodeId>>,
     links: Vec<(AsId, AsId, Relationship)>,
 }
 
@@ -283,7 +284,7 @@ impl TopologyBuilder {
             }
         }
 
-        let mut ip_index: HashMap<Ipv4Addr, IpOwner> = HashMap::new();
+        let mut ip_index: IntMap<Ipv4Addr, IpOwner> = IntMap::default();
         for (i, a) in self.ases.iter().enumerate() {
             for r in &a.spec.transit_routers {
                 if ip_index
@@ -321,7 +322,7 @@ impl TopologyBuilder {
             }
         }
 
-        let mut anycast = HashMap::new();
+        let mut anycast = IntMap::default();
         for (ip, instances) in self.anycast {
             if instances.is_empty() {
                 return Err(TopologyError::EmptyAnycastGroup(ip));
@@ -337,7 +338,7 @@ impl TopologyBuilder {
             anycast.insert(ip, AnycastGroup { ip, instances });
         }
 
-        let asn_to_id: HashMap<u32, AsId> = self
+        let asn_to_id: IntMap<u32, AsId> = self
             .ases
             .iter()
             .enumerate()
@@ -360,9 +361,9 @@ impl TopologyBuilder {
 pub struct Topology {
     pub(crate) ases: Vec<AsData>,
     pub(crate) hosts: Vec<HostData>,
-    anycast: HashMap<Ipv4Addr, AnycastGroup>,
-    ip_index: HashMap<Ipv4Addr, IpOwner>,
-    asn_to_id: HashMap<u32, AsId>,
+    anycast: IntMap<Ipv4Addr, AnycastGroup>,
+    ip_index: IntMap<Ipv4Addr, IpOwner>,
+    asn_to_id: IntMap<u32, AsId>,
     pc_pairs: Vec<(u32, u32)>,
 }
 

@@ -21,6 +21,18 @@
 //! by rewinding the wheel clock to the pushed time; aliased slots that
 //! temporarily hold events from several wheel turns self-heal by lifting
 //! their entries back to the level the rewound clock implies.
+//!
+//! Storage is one arena. A wheel event is written once, by `push`, into a
+//! node of `nodes`; a slot is a singly linked list of node indices
+//! (`heads`, newest first) and popped nodes go on a free list threaded
+//! through the same `next` field, so the arena grows to the peak number of
+//! pending events and then stops. A cascade re-links indices and moves no
+//! event; only an entry lifted past the horizon leaves the arena, for the
+//! overflow heap. Level 0 resolves a slot by scanning its list for the
+//! `(at, seq)` minimum: normally one event time per slot, and a same-µs
+//! burst costs a scan per pop rather than a sorted insert per push (a
+//! sorted list with a tail pointer was measured and was no faster on the
+//! census and slower on the scan hot path).
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -32,6 +44,8 @@ const LEVELS: usize = 6;
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 64;
+/// End of a list: no node has this index.
+const NIL: u32 = u32::MAX;
 
 /// Where [`TimerWheel::push`] stored an event — surfaced so the simulator
 /// can count wheel-vs-heap scheduling in its stats.
@@ -43,11 +57,20 @@ pub enum Placement {
     Heap,
 }
 
+/// One arena cell: a pending event linked into its slot's list, or a free
+/// cell (`item` is `None`) linked into the free list.
 #[derive(Debug)]
-struct Entry<T> {
+struct Node<T> {
     at: u64,
     seq: u64,
-    item: T,
+    next: u32,
+    item: Option<T>,
+}
+
+/// Bytes one pending `T` occupies in the arena — for the simulator's
+/// compile-time check that its event node fits one cache line.
+pub(crate) const fn node_bytes<T>() -> usize {
+    std::mem::size_of::<Node<T>>()
 }
 
 /// Far-future overflow entry, ordered by `(at, seq)` so the heap pops in
@@ -84,8 +107,12 @@ pub struct TimerWheel<T> {
     wheel_now: u64,
     /// Per-level slot-occupancy bitmaps.
     occupied: [u64; LEVELS],
-    /// `LEVELS × SLOTS` buckets, level-major.
-    slots: Vec<Vec<Entry<T>>>,
+    /// First node of each slot's list, level-major; `NIL` when empty.
+    heads: [u32; LEVELS * SLOTS],
+    /// The arena every wheel event lives in, pending or free.
+    nodes: Vec<Node<T>>,
+    /// First free node, the rest threaded through `next`.
+    free: u32,
     /// Events beyond the wheel horizon.
     far: BinaryHeap<Reverse<FarEntry<T>>>,
     len: usize,
@@ -111,12 +138,12 @@ fn level_for(now: u64, at: u64) -> usize {
 impl<T> TimerWheel<T> {
     /// An empty queue with the clock at zero.
     pub fn new() -> Self {
-        let mut slots = Vec::with_capacity(LEVELS * SLOTS);
-        slots.resize_with(LEVELS * SLOTS, Vec::new);
         TimerWheel {
             wheel_now: 0,
             occupied: [0; LEVELS],
-            slots,
+            heads: [NIL; LEVELS * SLOTS],
+            nodes: Vec::new(),
+            free: NIL,
             far: BinaryHeap::new(),
             len: 0,
         }
@@ -132,12 +159,13 @@ impl<T> TimerWheel<T> {
         self.len == 0
     }
 
-    /// Remove every pending event and rewind the clock to zero, keeping
-    /// slot capacity (the warm-world reuse path).
+    /// Remove every pending event and rewind the clock to zero. The arena
+    /// and the overflow heap keep their capacity, so a warm world that
+    /// replays its schedule allocates nothing here.
     pub fn clear(&mut self) {
-        for slot in &mut self.slots {
-            slot.clear();
-        }
+        self.nodes.clear();
+        self.free = NIL;
+        self.heads = [NIL; LEVELS * SLOTS];
         self.occupied = [0; LEVELS];
         self.far.clear();
         self.wheel_now = 0;
@@ -160,10 +188,43 @@ impl<T> TimerWheel<T> {
             self.far.push(Reverse(FarEntry { at, seq, item }));
             return Placement::Heap;
         }
-        let slot = ((at >> (SLOT_BITS * lvl as u32)) & 63) as usize;
-        self.slots[lvl * SLOTS + slot].push(Entry { at, seq, item });
-        self.occupied[lvl] |= 1 << slot;
+        // The event is written once, here; cascades only re-link it.
+        let node = Node {
+            at,
+            seq,
+            next: NIL,
+            item: Some(item),
+        };
+        let n = if self.free == NIL {
+            assert!(self.nodes.len() < NIL as usize, "2^32 pending events");
+            self.nodes.push(node);
+            (self.nodes.len() - 1) as u32
+        } else {
+            let n = self.free;
+            self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
+            n
+        };
+        self.link(n, lvl, at);
         Placement::Wheel
+    }
+
+    /// Put node `n`, due at `at`, at the head of its slot's list on `lvl`.
+    fn link(&mut self, n: u32, lvl: usize, at: u64) {
+        let slot = ((at >> (SLOT_BITS * lvl as u32)) & 63) as usize;
+        let head = &mut self.heads[lvl * SLOTS + slot];
+        self.nodes[n as usize].next = *head;
+        *head = n;
+        self.occupied[lvl] |= 1 << slot;
+    }
+
+    /// Take the event out of node `n` (already unlinked) and put the node
+    /// on the free list.
+    fn release(&mut self, n: u32) -> (SimTime, u64, T) {
+        let node = &mut self.nodes[n as usize];
+        let item = node.item.take().expect("linked nodes hold an event");
+        node.next = self.free;
+        self.free = n;
+        (SimTime(node.at), node.seq, item)
     }
 
     /// Earliest possible event time per the occupancy bitmaps, with the
@@ -200,24 +261,26 @@ impl<T> TimerWheel<T> {
         best
     }
 
-    /// Advance the clock to `bound` and re-place every entry of the slot;
+    /// Advance the clock to `bound` and re-link every node of the slot;
     /// matching-tick entries drop to a strictly lower level, aliased ones
-    /// (later wheel turns) lift to a strictly higher one.
+    /// (later wheel turns) lift to a strictly higher one — past the top
+    /// level, out of the arena and into the overflow heap.
     fn cascade(&mut self, lvl: usize, slot: usize, bound: u64) {
         debug_assert!(bound >= self.wheel_now);
         self.wheel_now = bound;
-        let idx = lvl * SLOTS + slot;
-        let mut entries = std::mem::take(&mut self.slots[idx]);
+        let mut n = std::mem::replace(&mut self.heads[lvl * SLOTS + slot], NIL);
         self.occupied[lvl] &= !(1 << slot);
-        self.len -= entries.len();
-        for e in entries.drain(..) {
-            debug_assert_ne!(level_for(self.wheel_now, e.at), lvl, "cascade must move");
-            self.push(SimTime(e.at), e.seq, e.item);
-        }
-        // The drained slot kept its capacity; hand it back if the bucket
-        // was left unallocated (entries never re-place into their source).
-        if self.slots[idx].capacity() == 0 {
-            self.slots[idx] = entries;
+        while n != NIL {
+            let Node { at, next, .. } = self.nodes[n as usize];
+            let to = level_for(self.wheel_now, at);
+            debug_assert_ne!(to, lvl, "cascade must move");
+            if to < LEVELS {
+                self.link(n, to, at);
+            } else {
+                let (_, seq, item) = self.release(n);
+                self.far.push(Reverse(FarEntry { at, seq, item }));
+            }
+            n = next;
         }
     }
 
@@ -257,15 +320,18 @@ impl<T> TimerWheel<T> {
             }
             // Level 0: the slot normally holds one event time; scan for
             // the `(at, seq)` minimum so aliased entries and same-tick
-            // ties resolve exactly.
-            let v = &self.slots[slot];
-            let mut mi = 0;
-            for (i, e) in v.iter().enumerate().skip(1) {
-                if (e.at, e.seq) < (v[mi].at, v[mi].seq) {
-                    mi = i;
+            // ties resolve exactly, remembering the node before it.
+            let (mut min, mut min_prev) = (self.heads[slot], NIL);
+            let head = &self.nodes[min as usize];
+            let (mut mat, mut mseq) = (head.at, head.seq);
+            let (mut prev, mut n) = (min, head.next);
+            while n != NIL {
+                let node = &self.nodes[n as usize];
+                if (node.at, node.seq) < (mat, mseq) {
+                    (min, min_prev, mat, mseq) = (n, prev, node.at, node.seq);
                 }
+                (prev, n) = (n, node.next);
             }
-            let (mat, mseq) = (v[mi].at, v[mi].seq);
             if mat != bound {
                 // Fully aliased slot (only later-turn events): lift all of
                 // them to the level the current clock implies and retry.
@@ -277,20 +343,71 @@ impl<T> TimerWheel<T> {
                     return Some(self.pop_far());
                 }
             }
-            let e = self.slots[slot].remove(mi);
-            if self.slots[slot].is_empty() {
-                self.occupied[0] &= !(1 << slot);
+            let after = self.nodes[min as usize].next;
+            if min_prev == NIL {
+                self.heads[slot] = after;
+                if after == NIL {
+                    self.occupied[0] &= !(1 << slot);
+                }
+            } else {
+                self.nodes[min_prev as usize].next = after;
             }
             self.len -= 1;
-            debug_assert!(e.at >= self.wheel_now);
-            self.wheel_now = e.at;
-            return Some((SimTime(e.at), e.seq, e.item));
+            debug_assert!(mat >= self.wheel_now);
+            self.wheel_now = mat;
+            return Some(self.release(min));
         }
     }
 
     /// Pop the earliest event unconditionally.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
         self.pop_at_or_before(SimTime(u64::MAX))
+    }
+}
+
+#[cfg(test)]
+impl<T> TimerWheel<T> {
+    /// The arena's structural invariants: an occupied bit exactly where a
+    /// list is non-empty, every node on one list only (a slot's or the
+    /// free list), every linked node holding an event in the slot its time
+    /// maps to, and `len` counting the linked nodes plus the overflow heap.
+    fn check_invariants(&self) {
+        let mut seen = vec![false; self.nodes.len()];
+        let mut visit = |n: u32| {
+            assert!(
+                !std::mem::replace(&mut seen[n as usize], true),
+                "node {n} is on two lists"
+            );
+        };
+        let mut linked = 0;
+        for (i, &head) in self.heads.iter().enumerate() {
+            let (lvl, slot) = (i / SLOTS, i % SLOTS);
+            let bit = self.occupied[lvl] >> slot & 1 == 1;
+            assert_eq!(bit, head != NIL, "occupancy bit of level {lvl} slot {slot}");
+            let mut n = head;
+            while n != NIL {
+                visit(n);
+                let node = &self.nodes[n as usize];
+                assert!(node.item.is_some(), "linked node {n} holds no event");
+                let at_slot = (node.at >> (SLOT_BITS * lvl as u32)) & 63;
+                assert_eq!(at_slot as usize, slot, "node {n} is in the wrong slot");
+                linked += 1;
+                n = node.next;
+            }
+        }
+        let mut free = 0;
+        let mut n = self.free;
+        while n != NIL {
+            visit(n);
+            assert!(
+                self.nodes[n as usize].item.is_none(),
+                "free node {n} holds an event"
+            );
+            free += 1;
+            n = self.nodes[n as usize].next;
+        }
+        assert_eq!(linked + free, self.nodes.len(), "a node is on no list");
+        assert_eq!(self.len, linked + self.far.len());
     }
 }
 
@@ -311,18 +428,28 @@ mod tests {
         }
     }
 
-    /// A randomized event time biased toward the regimes that matter:
+    /// A randomized event time biased toward the regimes that matter —
     /// same-tick ties, near-future scan traffic, cross-slot-boundary
-    /// jumps, and far-future events beyond the 2^36 µs wheel horizon.
-    fn random_at(rng: &mut SmallRng, now: u64) -> u64 {
-        match rng.gen_range(0u32..12) {
+    /// jumps, and far-future events beyond the 2^36 µs wheel horizon — and
+    /// how many events to push at it: one, or rarely a burst of at least
+    /// 256 (a consolidated resolver answering a whole block in one µs).
+    /// A burst on the current tick is linked at level 0 newest-first; one
+    /// further out reaches level 0 through cascades, each of which
+    /// reverses its list, so the minimum scan meets both `seq` orders.
+    fn random_at(rng: &mut SmallRng, now: u64) -> (u64, usize) {
+        if rng.gen_range(0u32..128) == 0 {
+            let ahead = [0, rng.gen_range(64u64..1 << 18)][rng.gen_range(0usize..2)];
+            return (now + ahead, rng.gen_range(256usize..320));
+        }
+        let at = match rng.gen_range(0u32..12) {
             0 => now,                                               // same-tick tie
             1..=5 => now + rng.gen_range(0u64..200),                // burst pacing
             6..=7 => now + rng.gen_range(0u64..100_000),            // RTT scale
             8..=9 => now + rng.gen_range(0u64..30_000_000),         // timeout scale
             10 => now + rng.gen_range((1u64 << 35)..(1u64 << 37)),  // horizon edge
             _ => now + (1u64 << 36) + rng.gen_range(0u64..1 << 20), // overflow
-        }
+        };
+        (at, 1)
     }
 
     #[test]
@@ -334,15 +461,20 @@ mod tests {
             let mut seq = 0u64;
             let mut now = 0u64; // last popped time: the push lower bound
             let mut overflowed = false;
+            let mut bursts = [0usize; 2]; // on the current tick, ahead of it
             for _ in 0..1_500 {
                 for _ in 0..rng.gen_range(0usize..4) {
-                    let at = random_at(&mut rng, now);
-                    if wheel.push(SimTime(at), seq, (at, seq)) == Placement::Heap {
-                        overflowed = true;
+                    let (at, copies) = random_at(&mut rng, now);
+                    bursts[usize::from(at > now)] += usize::from(copies > 1);
+                    for _ in 0..copies {
+                        if wheel.push(SimTime(at), seq, (at, seq)) == Placement::Heap {
+                            overflowed = true;
+                        }
+                        heap.push(Reverse((at, seq)));
+                        seq += 1;
                     }
-                    heap.push(Reverse((at, seq)));
-                    seq += 1;
                 }
+                wheel.check_invariants();
                 for _ in 0..rng.gen_range(0usize..4) {
                     match (wheel.pop(), heap.pop()) {
                         (Some((at, s, item)), Some(Reverse(want))) => {
@@ -353,6 +485,7 @@ mod tests {
                         (None, None) => break,
                         (w, h) => panic!("length diverged: wheel {w:?} vs heap {h:?}"),
                     }
+                    wheel.check_invariants();
                 }
                 assert_eq!(wheel.len(), heap.len());
             }
@@ -362,7 +495,13 @@ mod tests {
             }
             assert!(wheel.pop().is_none());
             assert!(wheel.is_empty());
+            wheel.check_invariants();
             assert!(overflowed, "seed {seed} never exercised the overflow heap");
+            assert!(
+                bursts[0] > 0,
+                "seed {seed} never burst onto the current tick"
+            );
+            assert!(bursts[1] > 0, "seed {seed} never burst through a cascade");
         }
     }
 
@@ -379,11 +518,14 @@ mod tests {
             let mut now = 0u64;
             for _ in 0..1_500 {
                 for _ in 0..rng.gen_range(0usize..4) {
-                    let at = random_at(&mut rng, now);
-                    wheel.push(SimTime(at), seq, seq);
-                    heap.push(Reverse((at, seq)));
-                    seq += 1;
+                    let (at, copies) = random_at(&mut rng, now);
+                    for _ in 0..copies {
+                        wheel.push(SimTime(at), seq, seq);
+                        heap.push(Reverse((at, seq)));
+                        seq += 1;
+                    }
                 }
+                wheel.check_invariants();
                 // A deadline that often lands *before* the next event
                 // (forcing the probe-and-refuse path), sometimes far out.
                 let dl = now + rng.gen_range(0u64..40_000_000);
@@ -398,6 +540,7 @@ mod tests {
                         (None, None) => break,
                         (g, w) => panic!("deadline pop diverged: {g:?} vs {w:?}"),
                     }
+                    wheel.check_invariants();
                 }
             }
             while let Some(Reverse(want)) = heap.pop() {
@@ -436,9 +579,49 @@ mod tests {
         wheel.push(SimTime(1 << 40), 1, 2);
         assert_eq!(wheel.len(), 2);
         wheel.clear();
+        wheel.check_invariants();
         assert!(wheel.is_empty());
         // After clear the clock is back at zero: time-zero pushes pop.
         wheel.push(SimTime(0), 0, 3);
         assert_eq!(wheel.pop().map(|(at, s, v)| (at.0, s, v)), Some((0, 0, 3)));
+    }
+
+    #[test]
+    fn arena_stays_at_peak_pending_and_survives_clear() {
+        // A census-shaped schedule, 10 000 cycles of four pushes (one past
+        // the horizon) and the pops that have come due; returns the most
+        // events the arena ever held.
+        fn drive(wheel: &mut TimerWheel<u64>) -> usize {
+            let (mut seq, mut peak) = (0u64, 0usize);
+            for cycle in 0..10_000u64 {
+                let now = cycle * 800;
+                for at in [
+                    now + 800,
+                    now + 30_000 + (cycle % 97) * 100,
+                    now + 2_000_000,
+                    now + (1 << 37),
+                ] {
+                    wheel.push(SimTime(at), seq, seq);
+                    seq += 1;
+                }
+                peak = peak.max(wheel.len() - wheel.far.len());
+                while wheel.pop_at_or_before(SimTime(now)).is_some() {}
+                if cycle % 500 == 0 {
+                    wheel.check_invariants();
+                }
+            }
+            peak
+        }
+        let mut wheel = TimerWheel::new();
+        let peak = drive(&mut wheel);
+        assert!(peak < 3_000, "the schedule reaches a steady state: {peak}");
+        // Every popped node was reused before the arena grew again.
+        assert!(wheel.nodes.len() <= peak, "{} > {peak}", wheel.nodes.len());
+        let capacity = (wheel.nodes.capacity(), wheel.far.capacity());
+        wheel.clear();
+        wheel.check_invariants();
+        assert_eq!(drive(&mut wheel), peak);
+        assert!(wheel.nodes.len() <= peak);
+        assert_eq!((wheel.nodes.capacity(), wheel.far.capacity()), capacity);
     }
 }

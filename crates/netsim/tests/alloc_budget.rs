@@ -1,6 +1,7 @@
-//! Allocation budget of route resolution: what one routed packet may cost.
+//! Allocation budgets of the per-packet path: what one routed packet, one
+//! queued event and one id-keyed lookup may cost.
 //!
-//! A census probes every host once, so almost every resolve is a
+//! *Routes.* A census probes every host once, so almost every resolve is a
 //! never-seen *host* pair — but, forwarders being consolidated onto few
 //! resolvers, an already-seen *AS* pair. The resolver caches one transit
 //! segment per AS pair and composes the path view per packet; this file
@@ -8,13 +9,21 @@
 //! per-host-pair `Path` creeping back fails tier-1 rather than only
 //! drifting a benchmark.
 //!
+//! *The event loop.* The wheel writes each event into a recycled arena
+//! node and payload events carry their packet inline, so a warmed
+//! simulator delivers datagrams without allocating, and a `reset` world
+//! replays its schedule inside the arena it already has. This is the test
+//! README's "allocation-free in steady state" cites.
+//!
 //! The library forbids `unsafe`; this test crate carries the one
 //! `unsafe impl` a counting allocator needs. The count is per thread, so
 //! the harness's other threads cannot disturb it.
 
+use netsim::wheel::TimerWheel;
 use netsim::{
-    AsKind, AsSpec, CountryCode, HostSpec, NodeId, Relationship, RouteResolver, Topology,
-    TopologyBuilder,
+    AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, IntMap, NodeId, Payload,
+    Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, Topology,
+    TopologyBuilder, UdpSend,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -167,4 +176,121 @@ fn second_new_as_pair_reuses_the_bfs_scratch() {
     // for the search that found it: 2 today, plus room for the map to grow.
     assert!((1..=4).contains(&n), "second AS pair took {n} allocations");
     assert_eq!((r.cache_len(), r.cache_misses()), (2, 2));
+}
+
+/// Sends a datagram back where it came from while it has replies `left`;
+/// a timer serves the first one.
+struct Echo {
+    peer: Ipv4Addr,
+    left: u32,
+}
+
+impl Host for Echo {
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+        if self.left > 0 {
+            self.left -= 1;
+            ctx.send_udp(UdpSend::reply_to(&dgram, dgram.payload.clone()));
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        ctx.send_udp(UdpSend::new(4000, self.peer, 53, Payload::empty()));
+    }
+    netsim::impl_host_downcast!();
+}
+
+/// Install the pair, serve, and run until `bounces` replies have landed;
+/// returns the allocations of scheduling and running (installing boxes two
+/// hosts: the world's cost, not the event loop's).
+fn rally(sim: &mut Simulator, clients: [NodeId; 2], bounces: u32) -> u64 {
+    let peers = [ip(192, 0, 2, 2), ip(192, 0, 2, 1)];
+    for (node, peer) in clients.into_iter().zip(peers) {
+        let left = bounces / 2;
+        sim.install(node, Echo { peer, left });
+    }
+    let (n, drained) = allocations(|| {
+        sim.schedule_timer(clients[0], SimDuration::ZERO, 0);
+        sim.run()
+    });
+    assert!(drained, "the rally ends when the replies run out");
+    n
+}
+
+#[test]
+fn warmed_simulator_bounces_datagrams_without_allocating() {
+    let (t, clients) = chain();
+    let config = SimConfig::default();
+    let mut sim = Simulator::new(t, config.clone());
+    // Warm-up: the route, the action buffer, the arena's one or two nodes
+    // and the shared empty payload.
+    rally(&mut sim, clients, 10);
+    let before = sim.stats().udp_delivered;
+    let n = rally(&mut sim, clients, 1_000);
+    assert_eq!(n, 0, "1 000 bounces took {n} allocations");
+    assert_eq!(sim.stats().udp_delivered - before, 1_001);
+
+    // `reset` keeps the queue's arena (and the routes): the same run on
+    // the reset world allocates nothing from its first event on.
+    sim.reset(&config);
+    let n = rally(&mut sim, clients, 1_000);
+    assert_eq!(n, 0, "the replay after reset took {n} allocations");
+    assert_eq!(sim.stats().udp_delivered, 1_001);
+}
+
+#[test]
+fn cleared_wheel_replays_its_schedule_without_allocating() {
+    // The benchmark kernel's census-shaped schedule, plus one event per
+    // burst beyond the horizon so the overflow heap is in play too.
+    fn drive(wheel: &mut TimerWheel<u64>) -> u64 {
+        let (mut seq, mut popped) = (0u64, 0u64);
+        for burst in 0..5_000u64 {
+            let now = burst * 800;
+            for at in [
+                now + 800,
+                now + 30_000 + (burst % 97) * 100,
+                now + 20_000_000,
+                now + (1 << 37),
+            ] {
+                wheel.push(SimTime(at), seq, seq);
+                seq += 1;
+            }
+            while wheel.pop_at_or_before(SimTime(now)).is_some() {
+                popped += 1;
+            }
+        }
+        popped
+    }
+    let mut wheel = TimerWheel::new();
+    let (cold, popped) = allocations(|| drive(&mut wheel));
+    assert!(cold > 0, "the first pass grows the arena");
+    assert!(wheel.len() > 5_000, "timeouts and far events stay pending");
+    wheel.clear();
+    let (n, again) = allocations(|| drive(&mut wheel));
+    assert_eq!(n, 0, "the replay took {n} allocations");
+    assert_eq!(again, popped);
+}
+
+#[test]
+fn id_keyed_lookups_allocate_nothing() {
+    // Keys as the per-packet tables hold them: addresses (one `u32` to
+    // the hasher), tuples of header fields, and octet arrays — the
+    // `write(&[u8])` path behind a length prefix.
+    let mut by_addr: IntMap<Ipv4Addr, u32> = IntMap::default();
+    let mut by_tuple: IntMap<(u16, u16), u32> = IntMap::default();
+    let mut by_octets: IntMap<[u8; 4], u32> = IntMap::default();
+    for i in 0..1_000u32 {
+        by_addr.insert(Ipv4Addr::from(0x0B00_0000 + i), i);
+        by_tuple.insert((33_000 + i as u16, 0x2861), i);
+        by_octets.insert((0x0B00_0000 + i).to_be_bytes(), i);
+    }
+    let (n, sum) = allocations(|| {
+        (0..1_000u32)
+            .map(|i| {
+                by_addr[&Ipv4Addr::from(0x0B00_0000 + i)]
+                    + by_tuple[&(33_000 + i as u16, 0x2861)]
+                    + by_octets[&(0x0B00_0000 + i).to_be_bytes()]
+            })
+            .sum::<u32>()
+    });
+    assert_eq!(n, 0, "3 000 lookups took {n} allocations");
+    assert_eq!(sum, 3 * (0..1_000).sum::<u32>());
 }

@@ -20,9 +20,9 @@
 
 use crate::pacer::{Due, Pacer, PACE_TOKEN};
 use dnswire::{Message, MessageBuilder, RrType};
-use netsim::{Ctx, Datagram, Host, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
 use odns::study;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
 /// The three campaigns of Table 3.
@@ -139,7 +139,7 @@ pub struct CampaignScanner {
     config: CampaignConfig,
     pacer: Pacer,
     /// `(port, txid)` → probed target, for the connected-socket check.
-    sent: HashMap<(u16, u16), Ipv4Addr>,
+    sent: IntMap<(u16, u16), Ipv4Addr>,
     /// The report being accumulated.
     pub report: CampaignReport,
 }
@@ -156,7 +156,7 @@ impl CampaignScanner {
         CampaignScanner {
             config,
             pacer,
-            sent: HashMap::new(),
+            sent: IntMap::default(),
             report: CampaignReport::default(),
         }
     }

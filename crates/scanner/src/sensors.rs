@@ -17,9 +17,8 @@
 //! as amplifiers.
 
 use dnswire::Message;
-use netsim::{Ctx, Datagram, Host, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, UdpSend};
 use odns::{PrefixRateLimiter, TransparentForwarderStats};
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
 /// Which of the three §3.1 sensor behaviours to run.
@@ -80,7 +79,7 @@ pub struct HoneypotSensor {
     kind: SensorKind,
     upstream: Ipv4Addr,
     limiter: PrefixRateLimiter,
-    pending: HashMap<(u16, u16), PendingUpstream>,
+    pending: IntMap<(u16, u16), PendingUpstream>,
     next_port: u16,
     /// Counters.
     pub stats: SensorStats,
@@ -95,7 +94,7 @@ impl HoneypotSensor {
             kind,
             upstream,
             limiter: PrefixRateLimiter::sensor_default(),
-            pending: HashMap::new(),
+            pending: IntMap::default(),
             next_port: 3000,
             stats: SensorStats::default(),
             relay_stats: TransparentForwarderStats::default(),

@@ -11,9 +11,8 @@
 use crate::pacer::{Due, Pacer, PACE_TOKEN};
 use crate::records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 use dnswire::{MessageBuilder, RrType};
-use netsim::{Ctx, Datagram, Host, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
 use odns::study;
-use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
@@ -182,7 +181,7 @@ pub struct TransactionalScanner {
     /// `(port, txid) → probe index`, the inverse the answer path needs
     /// when tuples are target-keyed (the port-walk inverse is arithmetic).
     /// Empty unless retries are enabled under [`TupleScheme::TargetKeyed`].
-    tuple_index: HashMap<(u16, u16), usize>,
+    tuple_index: IntMap<(u16, u16), usize>,
     /// Live retransmission counters, copied into the outcome.
     pub retry_stats: RetryStats,
 }
@@ -209,7 +208,7 @@ impl TransactionalScanner {
                 .map(|(i, t)| (config.tuple_for(i, *t), i))
                 .collect()
         } else {
-            HashMap::new()
+            IntMap::default()
         };
         TransactionalScanner {
             config,
@@ -384,7 +383,7 @@ pub fn correlate_owned(
 /// callers use [`correlate_owned`], which wraps a fresh instance.
 #[derive(Debug, Default)]
 pub struct Correlator {
-    index: HashMap<(u16, u16), usize>,
+    index: IntMap<(u16, u16), usize>,
 }
 
 impl Correlator {
