@@ -37,7 +37,7 @@
 use crate::cache::ServeCache;
 use crate::device::DeviceProfile;
 use dnswire::Message;
-use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, TimerId, UdpSend};
 use std::net::Ipv4Addr;
 
 /// Counters for a recursive forwarder.
@@ -63,6 +63,8 @@ struct PendingQuery {
     client_port: u16,
     qname: dnswire::DnsName,
     qtype: dnswire::RrType,
+    /// The upstream timeout armed for this query, cancelled by its answer.
+    timeout: TimerId,
 }
 
 /// In-path response manipulation, as practiced by ad-injecting or
@@ -87,7 +89,8 @@ pub struct RecursiveForwarder {
     resolver: Ipv4Addr,
     cache: Option<ServeCache>,
     /// Queries in flight upstream, by `(our port, txid)`. An entry leaves
-    /// when its answer is relayed or its timer fires, whichever is first.
+    /// when its answer is relayed, which cancels its timer, or when that
+    /// timer fires, whichever is first.
     pending: IntMap<(u16, u16), PendingQuery>,
     timeout: SimDuration,
     device: Option<DeviceProfile>,
@@ -185,6 +188,9 @@ impl RecursiveForwarder {
         let Some(q) = self.pending.remove(&(dgram.dst_port, txid)) else {
             return false;
         };
+        // Left armed, the timeout would expire whichever later query came
+        // to reuse this key — the same client's retransmit does.
+        ctx.cancel_timer(q.timeout);
         // Cache what upstream said — never the manipulated copy — under
         // the client's question.
         if let (Some(cache), Some(min_ttl)) = (&mut self.cache, min_ttl) {
@@ -259,15 +265,6 @@ impl Host for RecursiveForwarder {
         // Forward upstream from our own address (the defining rewrite),
         // keeping the ID: our port disambiguates.
         let port = self.flow_port(dgram.src, dgram.src_port, txid);
-        self.pending.insert(
-            (port, txid),
-            PendingQuery {
-                client: dgram.src,
-                client_port: dgram.src_port,
-                qname,
-                qtype,
-            },
-        );
         self.stats.forwarded += 1;
         ctx.send_udp(UdpSend {
             src: None,
@@ -277,7 +274,17 @@ impl Host for RecursiveForwarder {
             ttl: None,
             payload: dgram.payload.clone(),
         });
-        ctx.set_timer(self.timeout, (u64::from(port) << 16) | u64::from(txid));
+        let timeout = ctx.set_timer(self.timeout, (u64::from(port) << 16) | u64::from(txid));
+        self.pending.insert(
+            (port, txid),
+            PendingQuery {
+                client: dgram.src,
+                client_port: dgram.src_port,
+                qname,
+                qtype,
+                timeout,
+            },
+        );
     }
 
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
@@ -667,6 +674,62 @@ mod tests {
                 timeouts: 3,
             }
         );
+    }
+
+    #[test]
+    fn answered_querys_timeout_does_not_expire_a_retransmit_on_the_same_key() {
+        // `flow_port` is a pure function of the client flow, so a client
+        // retransmit lands on the `(port, txid)` its answered first attempt
+        // used. The first attempt's 5 s timeout must be gone by then: left
+        // armed, it fires at t = 5 s and expires the retransmit, whose
+        // answer (t = 6 s) then finds nobody waiting.
+        /// Answers its first query at once and every later one 2 s late.
+        struct SlowingResolver {
+            canned: CannedResolver,
+            held: Vec<Datagram>,
+        }
+        impl Host for SlowingResolver {
+            fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+                let late = if self.held.is_empty() { 0 } else { 2 };
+                ctx.set_timer(SimDuration::from_secs(late), self.held.len() as u64);
+                self.held.push(dgram);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                let dgram = self.held[token as usize].clone();
+                self.canned.on_datagram(ctx, dgram);
+            }
+            netsim::impl_host_downcast!();
+        }
+        let (mut sim, client, fwd, resolver) = three_node_sim();
+        sim.install(fwd, RecursiveForwarder::new(RESOLVER_IP).without_cache());
+        sim.install(
+            resolver,
+            SlowingResolver {
+                canned: CannedResolver { seen: vec![] },
+                held: vec![],
+            },
+        );
+        let script = [0, 4]
+            .map(|secs| {
+                (
+                    SimDuration::from_secs(secs),
+                    UdpSend::new(34000, FWD_IP, 53, query_bytes(42)),
+                )
+            })
+            .to_vec();
+        netsim::testkit::install_script(&mut sim, client, script);
+        assert!(sim.run());
+
+        let upstream: &SlowingResolver = sim.host_as(resolver).unwrap();
+        let ports: Vec<u16> = upstream.canned.seen.iter().map(|d| d.src_port).collect();
+        assert_eq!(ports[0], ports[1], "the retransmit reused the key");
+        let client_host: &netsim::testkit::ScriptedClient = sim.host_as(client).unwrap();
+        assert_eq!(client_host.datagrams.len(), 2);
+        let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+        assert_eq!((f.stats.relayed, f.stats.timeouts), (2, 0));
+        assert!(f.pending.is_empty());
+        assert_eq!(sim.stats().timers_cancelled, 2);
+        assert!(sim.stats().conserved());
     }
 
     /// [`CannedResolver`] with its answer bytes passed through `mangle`.

@@ -17,7 +17,7 @@
 
 use crate::cache::{CachedAnswer, DnsCache, ServeCache};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType};
-use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, TimerId, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -166,8 +166,9 @@ pub struct RecursiveResolver {
     /// behind it, so the table drains.
     tasks: IntMap<u64, Task>,
     next_task: u64,
-    /// Pending upstream transactions: `(our_port, txid)` → task id.
-    pending: IntMap<(u16, u16), u64>,
+    /// Pending upstream transactions: `(our_port, txid)` → task id and the
+    /// transaction's timeout, which its response cancels.
+    pending: IntMap<(u16, u16), (u64, TimerId)>,
     /// Reverse lookup: `(qname, qtype)` → task id.
     inflight: HashMap<(DnsName, RrType), u64>,
     /// The newest resolution in flight whose leader sent a plain `IN`
@@ -300,7 +301,6 @@ impl RecursiveResolver {
         let task = &self.tasks[&id];
         let query = MessageBuilder::query(txid, task.leader.qname.clone(), task.qtype).build();
         let ns = task.current_ns;
-        self.pending.insert((port, txid), id);
         self.stats.upstream_queries += 1;
         ctx.send_udp(UdpSend {
             src: None, // egress uses the node's unicast address, even on anycast PoPs
@@ -310,8 +310,8 @@ impl RecursiveResolver {
             ttl: None,
             payload: query.encode().into(),
         });
-        let token = encode_timer(port, txid);
-        ctx.set_timer(self.config.upstream_timeout, token);
+        let timeout = ctx.set_timer(self.config.upstream_timeout, encode_timer(port, txid));
+        self.pending.insert((port, txid), (id, timeout));
     }
 
     fn handle_client_query(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, query: Message) {
@@ -423,9 +423,10 @@ impl RecursiveResolver {
 
     fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, resp: Message) {
         let key = (dgram.dst_port, resp.header.id);
-        let Some(id) = self.pending.remove(&key) else {
+        let Some((id, timeout)) = self.pending.remove(&key) else {
             return; // late or unsolicited; drop
         };
+        ctx.cancel_timer(timeout);
         let Some(task) = self.tasks.get_mut(&id) else {
             return;
         };
@@ -541,8 +542,8 @@ impl Host for RecursiveResolver {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let key = decode_timer(token);
-        let Some(id) = self.pending.remove(&key) else {
-            return; // answered in time
+        let Some((id, _)) = self.pending.remove(&key) else {
+            return; // answered, with a timeout too far out to cancel
         };
         self.stats.timeouts += 1;
         let Some(task) = self.tasks.get_mut(&id) else {
@@ -605,6 +606,87 @@ mod tests {
         let (p2, _) = r.alloc_ids();
         let (p3, _) = r.alloc_ids();
         assert_eq!((p1, p2, p3), (64999, 65000, 1024));
+    }
+
+    #[test]
+    fn answered_transactions_timeout_does_not_expire_a_later_one_on_the_same_key() {
+        // The forwarder's stale-timeout bug, for this table. `alloc_ids`
+        // walks ports and txids round two coprime cycles (63 977 and
+        // 65 535 long), so a `(port, txid)` key only comes back after
+        // ≈ 4.2 · 10⁹ upstream queries — no run gets there. The test
+        // rewinds both counters by hand instead: the second transaction
+        // reuses the key of the first, answered one, whose 2 s timeout
+        // must not fire into it.
+        use netsim::testkit::{install_script, playground, ScriptedClient};
+        use netsim::{SimConfig, SimTime, Simulator};
+
+        const CLIENT: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
+        const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
+        const UPSTREAM: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 2);
+
+        /// Answers every query with one A record: the first at once, every
+        /// later one 1.5 s late.
+        #[derive(Default)]
+        struct SlowingServer {
+            seen: Vec<Datagram>,
+        }
+        impl Host for SlowingServer {
+            fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+                let late = if self.seen.is_empty() { 0 } else { 1_500 };
+                ctx.set_timer(SimDuration::from_millis(late), self.seen.len() as u64);
+                self.seen.push(dgram);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+                let dgram = &self.seen[token as usize];
+                let query = Message::decode(&dgram.payload).unwrap();
+                let qname = query.questions[0].qname.clone();
+                let resp = MessageBuilder::response_to(&query)
+                    .answer_a(qname, 300, Ipv4Addr::new(7, 7, 7, 7))
+                    .build();
+                ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
+            }
+            netsim::impl_host_downcast!();
+        }
+
+        let (topo, nodes) = playground(&[CLIENT, RESOLVER, UPSTREAM]);
+        let mut sim = Simulator::new(topo, SimConfig::default());
+        sim.install(
+            nodes[1],
+            RecursiveResolver::new(ResolverConfig::open(vec![UPSTREAM])),
+        );
+        sim.install(nodes[2], SlowingServer::default());
+        let script = [(0, "a.example."), (1, "b.example.")]
+            .map(|(secs, name)| {
+                let query = MessageBuilder::query(9, DnsName::parse(name).unwrap(), RrType::A)
+                    .recursion_desired(true)
+                    .build();
+                (
+                    SimDuration::from_secs(secs),
+                    UdpSend::new(34000, RESOLVER, 53, query.encode()),
+                )
+            })
+            .to_vec();
+        install_script(&mut sim, nodes[0], script);
+
+        sim.run_until(SimTime::ZERO + SimDuration::from_millis(500));
+        let r: &mut RecursiveResolver = sim.host_as_mut(nodes[1]).unwrap();
+        assert_eq!((r.stats.upstream_queries, r.pending.len()), (1, 0));
+        (r.next_port, r.next_txid) = (1024, 1);
+        assert!(sim.run());
+
+        let upstream: &SlowingServer = sim.host_as(nodes[2]).unwrap();
+        let keys: Vec<(u16, Option<u16>)> = upstream
+            .seen
+            .iter()
+            .map(|d| (d.src_port, dnswire::peek_id(&d.payload)))
+            .collect();
+        assert_eq!(keys, [(1024, Some(1)); 2], "one query each, same key");
+        let r: &RecursiveResolver = sim.host_as(nodes[1]).unwrap();
+        assert_eq!((r.stats.timeouts, r.stats.servfail), (0, 0));
+        assert_eq!(r.open_entries(), [0; 4]);
+        let client: &ScriptedClient = sim.host_as(nodes[0]).unwrap();
+        assert_eq!(client.datagrams.len(), 2);
+        assert_eq!(sim.stats().timers_cancelled, 2);
     }
 
     // Full end-to-end resolution paths are covered by integration tests in

@@ -1,9 +1,11 @@
 //! The [`Host`] trait — how protocol logic attaches to simulated nodes —
 //! and the per-event [`Ctx`] handed to handlers.
 
-use crate::packet::{Datagram, IcmpMessage, Payload, DEFAULT_TTL};
+use crate::packet::{Datagram, IcmpKind, IcmpMessage, Payload, DEFAULT_TTL};
+use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
+use crate::wheel::TimerId;
 use std::any::Any;
 use std::net::Ipv4Addr;
 
@@ -61,49 +63,21 @@ impl UdpSend {
     }
 }
 
-/// Action buffer collected during one handler invocation and executed by
-/// the simulator afterwards.
-#[derive(Debug)]
-pub(crate) enum Action {
-    SendUdp {
-        send: UdpSend,
-        /// Retransmission attempt (0 = original). Part of the fault-plane
-        /// flow key, so a retransmit's fate re-rolls independently.
-        attempt: u8,
-    },
-    SetTimer {
-        delay: SimDuration,
-        token: u64,
-    },
-    SetTimerBatch {
-        delay: SimDuration,
-        stride: SimDuration,
-        count: u32,
-        token: u64,
-        token_step: u64,
-    },
-    SendPortUnreachable {
-        original: Datagram,
-    },
-    SendTimeExceeded {
-        original: Datagram,
-    },
-}
-
-/// Context passed to every host handler. Sends and timers are buffered and
-/// executed after the handler returns, keeping handlers pure with respect
-/// to the event queue.
+/// Context passed to every host handler: the handler's view of the
+/// simulator while its host is detached from it. Every call acts at once
+/// and in call order — a send is routed and queued, a timer is in the
+/// queue — so [`Ctx::set_timer`] can hand back the handle that
+/// [`Ctx::cancel_timer`] takes. Nothing a handler queues fires before it
+/// returns: the event loop pops the next event only then.
 pub struct Ctx<'a> {
-    pub(crate) now: SimTime,
+    pub(crate) sim: &'a mut Simulator,
     pub(crate) node: NodeId,
-    pub(crate) topo: &'a Topology,
-    pub(crate) actions: Vec<Action>,
 }
 
-impl<'a> Ctx<'a> {
+impl Ctx<'_> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.now
+        self.sim.now()
     }
 
     /// The node this handler runs on.
@@ -113,30 +87,40 @@ impl<'a> Ctx<'a> {
 
     /// Read access to the topology (for ACL checks, AS lookups, …).
     pub fn topology(&self) -> &Topology {
-        self.topo
+        self.sim.topology()
     }
 
-    /// Queue a UDP send (an original transmission, attempt 0).
+    /// Send a UDP datagram (an original transmission, attempt 0).
     pub fn send_udp(&mut self, send: UdpSend) {
-        self.actions.push(Action::SendUdp { send, attempt: 0 });
+        self.sim.process_send(self.node, send, 0);
     }
 
-    /// Queue a UDP send tagged as retransmission attempt `attempt`
+    /// Send a UDP datagram tagged as retransmission attempt `attempt`
     /// (1-based for retries). The attempt number feeds the stateless
     /// fault plane's flow key — a retry's drop/corrupt/jitter decisions
     /// are independent of the original's — and attempts > 0 are counted
     /// in [`crate::SimStats::retransmits_sent`].
     pub fn send_udp_attempt(&mut self, send: UdpSend, attempt: u8) {
-        self.actions.push(Action::SendUdp { send, attempt });
+        self.sim.process_send(self.node, send, attempt);
     }
 
-    /// Queue a timer that fires `delay` from now, delivering `token` to
-    /// [`Host::on_timer`].
-    pub fn set_timer(&mut self, delay: SimDuration, token: u64) {
-        self.actions.push(Action::SetTimer { delay, token });
+    /// Set a timer that fires `delay` from now, delivering `token` to
+    /// [`Host::on_timer`]. The returned handle cancels it; like the host
+    /// that holds it, a handle does not outlive [`Simulator::reset`].
+    pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
+        self.sim.set_timer(self.node, delay, token)
     }
 
-    /// Queue a *batch* of `count` timer callbacks sharing one queue event:
+    /// Cancel a timer this host set: `true` when it was still pending and
+    /// now never fires. `false` when it has fired, was cancelled before, or
+    /// lay beyond the queue's ≈ 19 h wheel horizon — such a timer still
+    /// fires, so an [`Host::on_timer`] must tolerate a token whose work is
+    /// already done.
+    pub fn cancel_timer(&mut self, id: TimerId) -> bool {
+        self.sim.cancel_timer(id)
+    }
+
+    /// Set a *batch* of `count` timer callbacks sharing one queue event:
     /// the `k`-th (0-based) fires at `now + delay + k·stride` delivering
     /// `token + k·token_step` (wrapping) to [`Host::on_timer`]. Callback
     /// times are exactly what `count` individual [`Ctx::set_timer`] calls
@@ -150,41 +134,34 @@ impl<'a> Ctx<'a> {
         token: u64,
         token_step: u64,
     ) {
-        self.actions.push(Action::SetTimerBatch {
-            delay,
-            stride,
-            count,
-            token,
-            token_step,
-        });
+        self.sim
+            .schedule_timer_batch(self.node, delay, stride, count, token, token_step);
     }
 
-    /// Queue an ICMP port-unreachable in response to `original` (what a
+    /// Send an ICMP port-unreachable in response to `original` (what a
     /// host with no listener on the probed port does).
     pub fn send_port_unreachable(&mut self, original: &Datagram) {
-        self.actions.push(Action::SendPortUnreachable {
-            original: original.clone(),
-        });
+        self.sim
+            .process_icmp_error(self.node, original, IcmpKind::PortUnreachable);
     }
 
-    /// Queue an ICMP time-exceeded in response to `original`. A transparent
+    /// Send an ICMP time-exceeded in response to `original`. A transparent
     /// forwarder does this when a query arrives whose remaining TTL does not
     /// survive the relay decrement — "the IP stack of the transparent
     /// forwarder replies when the TTL is exceeded, which stops forwarding"
     /// (§5). This is what makes the forwarder itself visible to DNSRoute++.
     pub fn send_time_exceeded(&mut self, original: &Datagram) {
-        self.actions.push(Action::SendTimeExceeded {
-            original: original.clone(),
-        });
+        self.sim
+            .process_icmp_error(self.node, original, IcmpKind::TimeExceeded);
     }
 }
 
 /// Protocol logic attached to a node.
 ///
-/// Handlers receive a [`Ctx`] for issuing sends and timers. Implementations
-/// must provide `as_any`/`as_any_mut` so results can be extracted after a
-/// run (see [`crate::sim::Simulator::host_as`]); the
-/// [`crate::impl_host_downcast`] macro writes them for you.
+/// Handlers receive a [`Ctx`] for sending, and for setting and cancelling
+/// timers. Implementations must provide `as_any`/`as_any_mut` so results
+/// can be extracted after a run (see [`crate::sim::Simulator::host_as`]);
+/// the [`crate::impl_host_downcast`] macro writes them for you.
 ///
 /// Hosts are `Send` so a fully populated [`crate::Simulator`] can move to
 /// a worker thread — sharded censuses drive one simulator per thread.

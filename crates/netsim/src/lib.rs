@@ -78,3 +78,4 @@ pub use topology::{
     AnycastGroup, AsId, AsKind, AsSpec, CountryCode, HostSpec, IpOwner, NodeId, Relationship,
     Topology, TopologyBuilder, TopologyError,
 };
+pub use wheel::TimerId;

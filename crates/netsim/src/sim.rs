@@ -3,19 +3,20 @@
 //! Events are processed in `(time, sequence)` order from a hierarchical
 //! timer wheel (see [`crate::wheel`]), so two runs with the same topology,
 //! hosts, and seed produce identical traces. Hosts interact only through
-//! [`Ctx`] action buffers, which the simulator turns into routed packet
-//! deliveries, ICMP errors, and timer callbacks — single callbacks or
-//! paced batches that serve a whole probe burst from one queue event.
+//! their handler's [`Ctx`], whose calls the simulator turns at once into
+//! routed packet deliveries, ICMP errors, and timer callbacks — single,
+//! cancellable callbacks or paced batches that serve a whole probe burst
+//! from one queue event.
 
 use crate::fault::{FaultPlan, FlowKey, FlowVerdict};
-use crate::host::{Action, Ctx, Host, UdpSend};
+use crate::host::{Ctx, Host, UdpSend};
 use crate::packet::{Datagram, IcmpKind, IcmpMessage, QuotedDatagram};
 use crate::pcap::PcapWriter;
 use crate::routing::{RouteError, RouteResolver};
 use crate::stats::{DropReason, SimStats};
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{IpOwner, NodeId, Topology};
-use crate::wheel::{Placement, TimerWheel};
+use crate::wheel::{Placement, TimerId, TimerWheel};
 use crate::wire;
 use std::collections::HashMap;
 
@@ -93,10 +94,6 @@ pub struct Simulator {
     stats: SimStats,
     taps: HashMap<NodeId, PcapWriter>,
     ip_ident: u16,
-    /// Reusable action buffer cycled through every [`Ctx`]: taken before a
-    /// handler runs, drained, and returned — one allocation for the whole
-    /// simulation instead of one per event.
-    action_pool: Vec<Action>,
 }
 
 impl Simulator {
@@ -122,7 +119,6 @@ impl Simulator {
             stats: SimStats::default(),
             taps: HashMap::new(),
             ip_ident: 0,
-            action_pool: Vec::new(),
         }
     }
 
@@ -223,8 +219,20 @@ impl Simulator {
 
     /// Schedule a timer on `node` from outside (bootstrap).
     pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
+        self.set_timer(node, delay, token);
+    }
+
+    /// [`Ctx::set_timer`] for the handler running on `node`.
+    pub(crate) fn set_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) -> TimerId {
         let at = self.now + delay;
-        self.push(at, EventKind::Timer { node, token });
+        self.push(at, EventKind::Timer { node, token })
+    }
+
+    /// [`Ctx::cancel_timer`].
+    pub(crate) fn cancel_timer(&mut self, id: TimerId) -> bool {
+        let cancelled = self.queue.cancel(id);
+        self.stats.timers_cancelled += u64::from(cancelled);
+        cancelled
     }
 
     /// Schedule a batch of `count` timer callbacks on `node` from outside
@@ -256,13 +264,15 @@ impl Simulator {
         );
     }
 
-    fn push(&mut self, at: SimTime, kind: EventKind) {
+    fn push(&mut self, at: SimTime, kind: EventKind) -> TimerId {
         let seq = self.seq;
         self.seq += 1;
-        match self.queue.push(at, seq, kind) {
+        let (placement, id) = self.queue.push_cancellable(at, seq, kind);
+        match placement {
             Placement::Wheel => self.stats.events_wheel_scheduled += 1,
             Placement::Heap => self.stats.events_heap_scheduled += 1,
         }
+        id
     }
 
     /// Run until the event queue drains or the event budget is exhausted.
@@ -354,9 +364,8 @@ impl Simulator {
         }
     }
 
-    /// Temporarily detach the host, run `f` with the pooled action buffer,
-    /// reattach, then execute the buffered actions and return the buffer
-    /// to the pool.
+    /// Detach the host, run `f` on it with the rest of the simulator as its
+    /// [`Ctx`], and reattach it.
     fn with_host<F>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(&mut Box<dyn Host>, &mut Ctx<'_>),
@@ -364,56 +373,11 @@ impl Simulator {
         let Some(mut host) = self.hosts[node.0 as usize].take() else {
             return; // hostless node: a traffic sink (e.g. the spoofed victim)
         };
-        let mut ctx = Ctx {
-            now: self.now,
-            node,
-            topo: &self.topo,
-            actions: std::mem::take(&mut self.action_pool),
-        };
-        f(&mut host, &mut ctx);
-        let mut actions = std::mem::take(&mut ctx.actions);
-        drop(ctx);
+        f(&mut host, &mut Ctx { sim: self, node });
         self.hosts[node.0 as usize] = Some(host);
-        for action in actions.drain(..) {
-            match action {
-                Action::SendUdp { send, attempt } => self.process_send(node, send, attempt),
-                Action::SetTimer { delay, token } => {
-                    let at = self.now + delay;
-                    self.push(at, EventKind::Timer { node, token });
-                }
-                Action::SetTimerBatch {
-                    delay,
-                    stride,
-                    count,
-                    token,
-                    token_step,
-                } => {
-                    if count > 0 {
-                        let at = self.now + delay;
-                        self.push(
-                            at,
-                            EventKind::TimerBatch {
-                                node,
-                                token,
-                                count,
-                                stride,
-                                token_step,
-                            },
-                        );
-                    }
-                }
-                Action::SendPortUnreachable { original } => {
-                    self.process_icmp_error(node, original, IcmpKind::PortUnreachable)
-                }
-                Action::SendTimeExceeded { original } => {
-                    self.process_icmp_error(node, original, IcmpKind::TimeExceeded)
-                }
-            }
-        }
-        self.action_pool = actions;
     }
 
-    fn process_send(&mut self, from: NodeId, send: UdpSend, attempt: u8) {
+    pub(crate) fn process_send(&mut self, from: NodeId, send: UdpSend, attempt: u8) {
         let src = send.src.unwrap_or_else(|| self.topo.host_spec(from).ip);
         let spoofed = !self.topo.node_owns_ip(from, src);
         if spoofed {
@@ -550,7 +514,7 @@ impl Simulator {
     /// Emit an ICMP error from `from` toward the source of `original`,
     /// quoting it. Used for both port-unreachable (closed port) and
     /// time-exceeded (transparent forwarder with exhausted relay TTL).
-    fn process_icmp_error(&mut self, from: NodeId, original: Datagram, kind: IcmpKind) {
+    pub(crate) fn process_icmp_error(&mut self, from: NodeId, original: &Datagram, kind: IcmpKind) {
         let icmp = IcmpMessage {
             // Errors are sourced from the address the packet was sent to
             // when the node owns it (a middlebox serving a whole /24 must

@@ -65,6 +65,10 @@ pub struct SimStats {
     /// queue operations batched pacing avoided (a burst of B probes
     /// fires B callbacks from one event: 1 fired + B-1 coalesced).
     pub timers_coalesced: u64,
+    /// Timers cancelled while still pending ([`crate::Ctx::cancel_timer`]
+    /// returned `true`): scheduled, never fired — the timeout of a query
+    /// that was answered, the retry check of a probe that was.
+    pub timers_cancelled: u64,
     /// Events scheduled into the timer wheel (O(1) near-future slots).
     pub events_wheel_scheduled: u64,
     /// Events scheduled into the far-future overflow heap (beyond the
@@ -95,11 +99,13 @@ impl SimStats {
         }
     }
 
-    /// Packet conservation: every datagram that passed outbound SAV, and
-    /// every injected duplicate, was either delivered or dropped for
-    /// exactly one reason. Holds whenever no UDP event is still queued,
-    /// i.e. after a drained [`crate::Simulator::run`] (SAV drops happen
-    /// before `udp_sent` and are not part of the balance).
+    /// Conservation, of packets and of queue events. Every datagram that
+    /// passed outbound SAV, and every injected duplicate, was either
+    /// delivered or dropped for exactly one reason (SAV drops happen before
+    /// `udp_sent` and are not part of the balance); and every event
+    /// scheduled, on the wheel or the overflow heap, was either processed
+    /// or a timer cancelled before it fired. Holds whenever no event is
+    /// still queued, i.e. after a drained [`crate::Simulator::run`].
     pub fn conserved(&self) -> bool {
         self.udp_sent + self.duplicates_injected
             == self.udp_delivered
@@ -108,6 +114,8 @@ impl SimStats {
                 + self.dropped_ttl
                 + self.dropped_fault
                 + self.dropped_corrupt
+            && self.events_wheel_scheduled + self.events_heap_scheduled
+                == self.events_processed + self.timers_cancelled
     }
 
     /// Total drops across all reasons.
@@ -149,13 +157,14 @@ impl fmt::Display for SimStats {
         )?;
         writeln!(
             f,
-            "icmp: delivered={} undeliverable={} | dup={} retx={} timers={} coalesced={} events={}",
+            "icmp: delivered={} undeliverable={} | dup={} retx={} timers={} coalesced={} cancelled={} events={}",
             self.icmp_delivered,
             self.icmp_undeliverable,
             self.duplicates_injected,
             self.retransmits_sent,
             self.timers_fired,
             self.timers_coalesced,
+            self.timers_cancelled,
             self.events_processed
         )?;
         writeln!(

@@ -33,6 +33,13 @@
 //! burst costs a scan per pop rather than a sorted insert per push (a
 //! sorted list with a tail pointer was measured and was no faster on the
 //! census and slower on the scan hot path).
+//!
+//! Cancelling is O(1) and lazy: [`TimerWheel::cancel`] takes the event out
+//! of its node and leaves the emptied node linked, and whichever walks the
+//! list next — a cascade or the level-0 scan — puts it on the free list
+//! instead of re-linking or popping it. An emptied node can therefore keep
+//! an occupancy bit set over a slot with nothing to pop; that only makes
+//! [`TimerWheel::pop_at_or_before`] look there, find nothing and move on.
 
 use crate::time::SimTime;
 use std::cmp::Reverse;
@@ -57,13 +64,31 @@ pub enum Placement {
     Heap,
 }
 
-/// One arena cell: a pending event linked into its slot's list, or a free
-/// cell (`item` is `None`) linked into the free list.
+/// Handle to one pushed event, for [`TimerWheel::cancel`]: the arena cell
+/// it was written into and that cell's generation at the time. A cell's
+/// generation moves on whenever the cell is freed, so the handle of an
+/// event that has popped, or been lifted to the overflow heap, names
+/// nothing — even after the cell is reused. [`TimerWheel::clear`] restarts
+/// every generation: handles do not outlive it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TimerId {
+    node: u32,
+    gen: u32,
+}
+
+/// The handle of an event placed on the overflow heap: not cancellable.
+const UNCANCELLABLE: TimerId = TimerId { node: NIL, gen: 0 };
+
+/// One arena cell: a pending event linked into its slot's list, a cancelled
+/// one (`item` is `None`) still linked there until the next walk over that
+/// list, or a free cell (`item` is `None`) linked into the free list.
 #[derive(Debug)]
 struct Node<T> {
     at: u64,
     seq: u64,
     next: u32,
+    /// How many times this cell has been freed (wrapping).
+    gen: u32,
     item: Option<T>,
 }
 
@@ -176,6 +201,13 @@ impl<T> TimerWheel<T> {
     /// tie-breaker at equal times). Pushing behind the wheel clock is
     /// allowed — the clock rewinds — but never behind the last pop.
     pub fn push(&mut self, at: SimTime, seq: u64, item: T) -> Placement {
+        self.push_cancellable(at, seq, item).0
+    }
+
+    /// [`TimerWheel::push`], also returning the handle that
+    /// [`TimerWheel::cancel`] takes. Only a wheel-placed event can be
+    /// cancelled; the handle of a heap-placed one cancels nothing.
+    pub fn push_cancellable(&mut self, at: SimTime, seq: u64, item: T) -> (Placement, TimerId) {
         let at = at.0;
         if at < self.wheel_now {
             // A deadline-bounded probe cascaded the clock ahead of the
@@ -186,26 +218,44 @@ impl<T> TimerWheel<T> {
         let lvl = level_for(self.wheel_now, at);
         if lvl >= LEVELS {
             self.far.push(Reverse(FarEntry { at, seq, item }));
-            return Placement::Heap;
+            return (Placement::Heap, UNCANCELLABLE);
         }
-        // The event is written once, here; cascades only re-link it.
-        let node = Node {
-            at,
-            seq,
-            next: NIL,
-            item: Some(item),
-        };
-        let n = if self.free == NIL {
+        // The event is written once, here; cascades only re-link it. A
+        // reused cell keeps its generation: freeing it moved it on.
+        let (n, gen) = if self.free == NIL {
             assert!(self.nodes.len() < NIL as usize, "2^32 pending events");
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
+            self.nodes.push(Node {
+                at,
+                seq,
+                next: NIL,
+                gen: 0,
+                item: Some(item),
+            });
+            ((self.nodes.len() - 1) as u32, 0)
         } else {
             let n = self.free;
-            self.free = std::mem::replace(&mut self.nodes[n as usize], node).next;
-            n
+            let cell = &mut self.nodes[n as usize];
+            self.free = cell.next;
+            (cell.at, cell.seq, cell.item) = (at, seq, Some(item));
+            (n, cell.gen)
         };
         self.link(n, lvl, at);
-        Placement::Wheel
+        (Placement::Wheel, TimerId { node: n, gen })
+    }
+
+    /// Remove the pending event `id` was returned for; `false`, and nothing
+    /// changes, when there is none — it has popped, was cancelled before,
+    /// or was placed on the overflow heap. O(1): the node is emptied where
+    /// it is linked and freed by the next walk over its list.
+    pub fn cancel(&mut self, id: TimerId) -> bool {
+        match self.nodes.get_mut(id.node as usize) {
+            Some(node) if node.gen == id.gen && node.item.is_some() => {
+                node.item = None;
+                self.len -= 1;
+                true
+            }
+            _ => false,
+        }
     }
 
     /// Put node `n`, due at `at`, at the head of its slot's list on `lvl`.
@@ -217,14 +267,22 @@ impl<T> TimerWheel<T> {
         self.occupied[lvl] |= 1 << slot;
     }
 
-    /// Take the event out of node `n` (already unlinked) and put the node
-    /// on the free list.
-    fn release(&mut self, n: u32) -> (SimTime, u64, T) {
+    /// Put node `n` (already unlinked and emptied) on the free list, which
+    /// ends the life of every handle to it.
+    fn free_node(&mut self, n: u32) {
         let node = &mut self.nodes[n as usize];
-        let item = node.item.take().expect("linked nodes hold an event");
+        node.gen = node.gen.wrapping_add(1);
         node.next = self.free;
         self.free = n;
-        (SimTime(node.at), node.seq, item)
+    }
+
+    /// Take the event out of node `n` (already unlinked) and free the node.
+    fn release(&mut self, n: u32) -> (SimTime, u64, T) {
+        let node = &mut self.nodes[n as usize];
+        let item = node.item.take().expect("the caller saw an event here");
+        let (at, seq) = (node.at, node.seq);
+        self.free_node(n);
+        (SimTime(at), seq, item)
     }
 
     /// Earliest possible event time per the occupancy bitmaps, with the
@@ -264,17 +322,21 @@ impl<T> TimerWheel<T> {
     /// Advance the clock to `bound` and re-link every node of the slot;
     /// matching-tick entries drop to a strictly lower level, aliased ones
     /// (later wheel turns) lift to a strictly higher one — past the top
-    /// level, out of the arena and into the overflow heap.
+    /// level, out of the arena and into the overflow heap. Cancelled
+    /// nodes go to the free list.
     fn cascade(&mut self, lvl: usize, slot: usize, bound: u64) {
         debug_assert!(bound >= self.wheel_now);
         self.wheel_now = bound;
         let mut n = std::mem::replace(&mut self.heads[lvl * SLOTS + slot], NIL);
         self.occupied[lvl] &= !(1 << slot);
         while n != NIL {
-            let Node { at, next, .. } = self.nodes[n as usize];
+            let node = &self.nodes[n as usize];
+            let (at, next, cancelled) = (node.at, node.next, node.item.is_none());
             let to = level_for(self.wheel_now, at);
-            debug_assert_ne!(to, lvl, "cascade must move");
-            if to < LEVELS {
+            debug_assert!(cancelled || to != lvl, "cascade must move");
+            if cancelled {
+                self.free_node(n);
+            } else if to < LEVELS {
                 self.link(n, to, at);
             } else {
                 let (_, seq, item) = self.release(n);
@@ -320,17 +382,33 @@ impl<T> TimerWheel<T> {
             }
             // Level 0: the slot normally holds one event time; scan for
             // the `(at, seq)` minimum so aliased entries and same-tick
-            // ties resolve exactly, remembering the node before it.
-            let (mut min, mut min_prev) = (self.heads[slot], NIL);
-            let head = &self.nodes[min as usize];
-            let (mut mat, mut mseq) = (head.at, head.seq);
-            let (mut prev, mut n) = (min, head.next);
+            // ties resolve exactly, remembering the node before it and
+            // unlinking the cancelled nodes met on the way.
+            let (mut min, mut min_prev) = (NIL, NIL);
+            let (mut mat, mut mseq) = (u64::MAX, u64::MAX);
+            let (mut prev, mut n) = (NIL, self.heads[slot]);
             while n != NIL {
                 let node = &self.nodes[n as usize];
-                if (node.at, node.seq) < (mat, mseq) {
-                    (min, min_prev, mat, mseq) = (n, prev, node.at, node.seq);
+                let next = node.next;
+                if node.item.is_none() {
+                    if prev == NIL {
+                        self.heads[slot] = next;
+                    } else {
+                        self.nodes[prev as usize].next = next;
+                    }
+                    self.free_node(n);
+                } else {
+                    if min == NIL || (node.at, node.seq) < (mat, mseq) {
+                        (min, min_prev, mat, mseq) = (n, prev, node.at, node.seq);
+                    }
+                    prev = n;
                 }
-                (prev, n) = (n, node.next);
+                n = next;
+            }
+            if min == NIL {
+                // Nothing but cancelled nodes: the slot is empty now.
+                self.occupied[0] &= !(1 << slot);
+                continue;
             }
             if mat != bound {
                 // Fully aliased slot (only later-turn events): lift all of
@@ -369,8 +447,9 @@ impl<T> TimerWheel<T> {
 impl<T> TimerWheel<T> {
     /// The arena's structural invariants: an occupied bit exactly where a
     /// list is non-empty, every node on one list only (a slot's or the
-    /// free list), every linked node holding an event in the slot its time
-    /// maps to, and `len` counting the linked nodes plus the overflow heap.
+    /// free list), every linked node in the slot its time maps to, holding
+    /// an event unless it was cancelled, and `len` counting the linked
+    /// nodes that hold one plus the overflow heap.
     fn check_invariants(&self) {
         let mut seen = vec![false; self.nodes.len()];
         let mut visit = |n: u32| {
@@ -379,7 +458,7 @@ impl<T> TimerWheel<T> {
                 "node {n} is on two lists"
             );
         };
-        let mut linked = 0;
+        let (mut live, mut cancelled) = (0, 0);
         for (i, &head) in self.heads.iter().enumerate() {
             let (lvl, slot) = (i / SLOTS, i % SLOTS);
             let bit = self.occupied[lvl] >> slot & 1 == 1;
@@ -388,10 +467,12 @@ impl<T> TimerWheel<T> {
             while n != NIL {
                 visit(n);
                 let node = &self.nodes[n as usize];
-                assert!(node.item.is_some(), "linked node {n} holds no event");
                 let at_slot = (node.at >> (SLOT_BITS * lvl as u32)) & 63;
                 assert_eq!(at_slot as usize, slot, "node {n} is in the wrong slot");
-                linked += 1;
+                match node.item {
+                    Some(_) => live += 1,
+                    None => cancelled += 1,
+                }
                 n = node.next;
             }
         }
@@ -406,8 +487,9 @@ impl<T> TimerWheel<T> {
             free += 1;
             n = self.nodes[n as usize].next;
         }
-        assert_eq!(linked + free, self.nodes.len(), "a node is on no list");
-        assert_eq!(self.len, linked + self.far.len());
+        let listed = live + cancelled + free;
+        assert_eq!(listed, self.nodes.len(), "a node is on no list");
+        assert_eq!(self.len, live + self.far.len());
     }
 }
 
@@ -416,10 +498,81 @@ mod tests {
     use super::*;
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
 
     /// The reference implementation: the exact `(time, seq)` total order
     /// the simulator ran on before the wheel landed.
     type RefHeap = BinaryHeap<Reverse<(u64, u64)>>;
+
+    /// What a differential test knows of the events it pushed, to cancel
+    /// some of them at random — and to try the handles that must cancel
+    /// nothing.
+    #[derive(Default)]
+    struct Handles {
+        /// Neither popped nor cancelled yet: `seq → (at, id)`.
+        pending: BTreeMap<u64, (u64, TimerId)>,
+        /// Popped or cancelled.
+        spent: Vec<TimerId>,
+        /// Cancels that succeeded, and refused ones of two kinds: the event
+        /// had gone and its cell held a newer one; the event is pending on
+        /// the overflow heap.
+        counts: [usize; 3],
+    }
+
+    impl Handles {
+        fn pushed(&mut self, at: u64, seq: u64, (placement, id): (Placement, TimerId)) {
+            assert_eq!(placement == Placement::Heap, id == UNCANCELLABLE);
+            self.pending.insert(seq, (at, id));
+        }
+
+        fn popped(&mut self, seq: u64) {
+            let (_, id) = self.pending.remove(&seq).expect("popped what was pushed");
+            self.spent.push(id);
+        }
+
+        /// Up to two cancel attempts, each on a random pending event or on
+        /// a random spent handle. Whatever `cancel` returns `true` for
+        /// leaves the reference too; a refusal must change nothing, which
+        /// the pops that follow would notice.
+        fn cancel_some<T>(
+            &mut self,
+            rng: &mut SmallRng,
+            next_seq: u64,
+            wheel: &mut TimerWheel<T>,
+            heap: &mut RefHeap,
+        ) {
+            for _ in 0..rng.gen_range(0usize..3) {
+                let len = wheel.len();
+                // Mostly among the newest pushes: what stays pending for
+                // long is what is parked beyond the horizon.
+                let back = [4, 400, next_seq][rng.gen_range(0usize..3)];
+                let from = next_seq - rng.gen_range(0..=back.min(next_seq));
+                if let (0, Some((&seq, &(at, id)))) =
+                    (rng.gen_range(0u32..2), self.pending.range(from..).next())
+                {
+                    let in_far = wheel.far.iter().any(|Reverse(e)| e.seq == seq);
+                    assert_eq!(wheel.cancel(id), !in_far, "event {seq} at {at}");
+                    if in_far {
+                        self.counts[2] += 1;
+                    } else {
+                        assert!(!wheel.cancel(id), "cancelled twice");
+                        assert_eq!(wheel.len(), len - 1);
+                        heap.retain(|&Reverse(key)| key != (at, seq));
+                        self.popped(seq);
+                        self.counts[0] += 1;
+                    }
+                } else if !self.spent.is_empty() {
+                    let id = self.spent[rng.gen_range(0..self.spent.len())];
+                    let cell = wheel.nodes.get(id.node as usize);
+                    let reused = cell.is_some_and(|node| node.item.is_some());
+                    assert!(!wheel.cancel(id), "cancelled a spent handle");
+                    self.counts[1] += usize::from(reused);
+                }
+                assert_eq!(wheel.len(), heap.len());
+                wheel.check_invariants();
+            }
+        }
+    }
 
     fn ref_pop_at_or_before(heap: &mut RefHeap, dl: u64) -> Option<(u64, u64)> {
         match heap.peek() {
@@ -460,26 +613,27 @@ mod tests {
             let mut heap: RefHeap = BinaryHeap::new();
             let mut seq = 0u64;
             let mut now = 0u64; // last popped time: the push lower bound
-            let mut overflowed = false;
+            let mut handles = Handles::default();
             let mut bursts = [0usize; 2]; // on the current tick, ahead of it
             for _ in 0..1_500 {
                 for _ in 0..rng.gen_range(0usize..4) {
                     let (at, copies) = random_at(&mut rng, now);
                     bursts[usize::from(at > now)] += usize::from(copies > 1);
                     for _ in 0..copies {
-                        if wheel.push(SimTime(at), seq, (at, seq)) == Placement::Heap {
-                            overflowed = true;
-                        }
+                        let placed = wheel.push_cancellable(SimTime(at), seq, (at, seq));
+                        handles.pushed(at, seq, placed);
                         heap.push(Reverse((at, seq)));
                         seq += 1;
                     }
                 }
                 wheel.check_invariants();
+                handles.cancel_some(&mut rng, seq, &mut wheel, &mut heap);
                 for _ in 0..rng.gen_range(0usize..4) {
                     match (wheel.pop(), heap.pop()) {
                         (Some((at, s, item)), Some(Reverse(want))) => {
                             assert_eq!((at.0, s), want, "pop order diverged");
                             assert_eq!(item, want, "payload followed the wrong key");
+                            handles.popped(s);
                             now = at.0;
                         }
                         (None, None) => break,
@@ -496,7 +650,13 @@ mod tests {
             assert!(wheel.pop().is_none());
             assert!(wheel.is_empty());
             wheel.check_invariants();
-            assert!(overflowed, "seed {seed} never exercised the overflow heap");
+            let [cancelled, reused, overflowed] = handles.counts;
+            assert!(cancelled > 100, "seed {seed} cancelled {cancelled} events");
+            assert!(reused > 0, "seed {seed} never tried a reused cell's handle");
+            assert!(
+                overflowed > 0,
+                "seed {seed} never tried a heap-placed handle"
+            );
             assert!(
                 bursts[0] > 0,
                 "seed {seed} never burst onto the current tick"
@@ -516,16 +676,21 @@ mod tests {
             let mut heap: RefHeap = BinaryHeap::new();
             let mut seq = 0u64;
             let mut now = 0u64;
+            let mut handles = Handles::default();
             for _ in 0..1_500 {
                 for _ in 0..rng.gen_range(0usize..4) {
                     let (at, copies) = random_at(&mut rng, now);
                     for _ in 0..copies {
-                        wheel.push(SimTime(at), seq, seq);
+                        let placed = wheel.push_cancellable(SimTime(at), seq, seq);
+                        handles.pushed(at, seq, placed);
                         heap.push(Reverse((at, seq)));
                         seq += 1;
                     }
                 }
                 wheel.check_invariants();
+                // Cancels land between a refused probe, which may have run
+                // the wheel clock ahead, and the pushes that rewind it.
+                handles.cancel_some(&mut rng, seq, &mut wheel, &mut heap);
                 // A deadline that often lands *before* the next event
                 // (forcing the probe-and-refuse path), sometimes far out.
                 let dl = now + rng.gen_range(0u64..40_000_000);
@@ -535,6 +700,7 @@ mod tests {
                     match (got, want) {
                         (Some((at, s, _)), Some(k)) => {
                             assert_eq!((at.0, s), k);
+                            handles.popped(s);
                             now = at.0;
                         }
                         (None, None) => break,
@@ -548,6 +714,8 @@ mod tests {
                 assert_eq!((at.0, s), want);
             }
             assert!(wheel.is_empty());
+            wheel.check_invariants();
+            assert!(handles.counts[0] > 100, "seed {seed}: {:?}", handles.counts);
         }
     }
 
@@ -590,9 +758,11 @@ mod tests {
     fn arena_stays_at_peak_pending_and_survives_clear() {
         // A census-shaped schedule, 10 000 cycles of four pushes (one past
         // the horizon) and the pops that have come due; returns the most
-        // events the arena ever held.
-        fn drive(wheel: &mut TimerWheel<u64>) -> usize {
+        // events the arena ever held. With `cancel`, each cycle's 2 s
+        // timeout is cancelled 40 cycles (32 ms) on — an answered query's.
+        fn drive(wheel: &mut TimerWheel<u64>, cancel: bool) -> usize {
             let (mut seq, mut peak) = (0u64, 0usize);
+            let mut timeouts = std::collections::VecDeque::new();
             for cycle in 0..10_000u64 {
                 let now = cycle * 800;
                 for at in [
@@ -601,8 +771,14 @@ mod tests {
                     now + 2_000_000,
                     now + (1 << 37),
                 ] {
-                    wheel.push(SimTime(at), seq, seq);
+                    let (_, id) = wheel.push_cancellable(SimTime(at), seq, seq);
+                    if cancel && at == now + 2_000_000 {
+                        timeouts.push_back(id);
+                    }
                     seq += 1;
+                }
+                if timeouts.len() > 40 {
+                    assert!(wheel.cancel(timeouts.pop_front().unwrap()));
                 }
                 peak = peak.max(wheel.len() - wheel.far.len());
                 while wheel.pop_at_or_before(SimTime(now)).is_some() {}
@@ -613,15 +789,25 @@ mod tests {
             peak
         }
         let mut wheel = TimerWheel::new();
-        let peak = drive(&mut wheel);
+        let peak = drive(&mut wheel, false);
         assert!(peak < 3_000, "the schedule reaches a steady state: {peak}");
         // Every popped node was reused before the arena grew again.
         assert!(wheel.nodes.len() <= peak, "{} > {peak}", wheel.nodes.len());
         let capacity = (wheel.nodes.capacity(), wheel.far.capacity());
         wheel.clear();
         wheel.check_invariants();
-        assert_eq!(drive(&mut wheel), peak);
+        assert_eq!(drive(&mut wheel, false), peak);
         assert!(wheel.nodes.len() <= peak);
         assert_eq!((wheel.nodes.capacity(), wheel.far.capacity()), capacity);
+
+        // 9 960 cancelled timeouts do not cost 9 960 cells: a cancelled
+        // node is freed by the first walk over its list, no later than it
+        // would have popped, so the arena stays inside what the same
+        // pushes needed uncancelled.
+        let mut wheel = TimerWheel::new();
+        let live_peak = drive(&mut wheel, true);
+        assert!(live_peak < 200, "timeouts no longer pile up: {live_peak}");
+        assert!(wheel.nodes.len() <= peak, "{} > {peak}", wheel.nodes.len());
+        wheel.check_invariants();
     }
 }

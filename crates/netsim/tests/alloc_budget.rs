@@ -10,10 +10,11 @@
 //! drifting a benchmark.
 //!
 //! *The event loop.* The wheel writes each event into a recycled arena
-//! node and payload events carry their packet inline, so a warmed
-//! simulator delivers datagrams without allocating, and a `reset` world
-//! replays its schedule inside the arena it already has. This is the test
-//! README's "allocation-free in steady state" cites.
+//! node, payload events carry their packet inline and a handler's sends
+//! and timers go straight into the queue, so a warmed simulator delivers
+//! datagrams — and sets and cancels timers — without allocating, and a
+//! `reset` world replays its schedule inside the arena it already has.
+//! This is the test README's "allocation-free in steady state" cites.
 //!
 //! The library forbids `unsafe`; this test crate carries the one
 //! `unsafe impl` a counting allocator needs. The count is per thread, so
@@ -22,7 +23,7 @@
 use netsim::wheel::TimerWheel;
 use netsim::{
     AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, IntMap, NodeId, Payload,
-    Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, Topology,
+    Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, TimerId, Topology,
     TopologyBuilder, UdpSend,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -220,8 +221,8 @@ fn warmed_simulator_bounces_datagrams_without_allocating() {
     let (t, clients) = chain();
     let config = SimConfig::default();
     let mut sim = Simulator::new(t, config.clone());
-    // Warm-up: the route, the action buffer, the arena's one or two nodes
-    // and the shared empty payload.
+    // Warm-up: the route, the arena's one or two nodes and the shared
+    // empty payload.
     rally(&mut sim, clients, 10);
     let before = sim.stats().udp_delivered;
     let n = rally(&mut sim, clients, 1_000);
@@ -234,6 +235,52 @@ fn warmed_simulator_bounces_datagrams_without_allocating() {
     let n = rally(&mut sim, clients, 1_000);
     assert_eq!(n, 0, "the replay after reset took {n} allocations");
     assert_eq!(sim.stats().udp_delivered, 1_001);
+}
+
+/// A query loop with nothing lost: every millisecond tick arms a 20 ms
+/// timeout and cancels the one the tick before armed.
+struct Rearm {
+    left: u32,
+    armed: Option<TimerId>,
+}
+
+impl Host for Rearm {
+    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: Datagram) {}
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        assert_eq!(token, 0, "a cancelled timeout fired");
+        if let Some(timeout) = self.armed.take() {
+            assert!(ctx.cancel_timer(timeout));
+        }
+        if self.left > 0 {
+            self.left -= 1;
+            self.armed = Some(ctx.set_timer(SimDuration::from_millis(20), 1));
+            ctx.set_timer(SimDuration::from_millis(1), 0);
+        }
+    }
+    netsim::impl_host_downcast!();
+}
+
+#[test]
+fn warmed_simulator_sets_and_cancels_timers_without_allocating() {
+    let (t, clients) = chain();
+    let mut sim = Simulator::new(t, SimConfig::default());
+    let mut cycles = |left: u32| {
+        sim.install(clients[0], Rearm { left, armed: None });
+        let (n, drained) = allocations(|| {
+            sim.schedule_timer(clients[0], SimDuration::ZERO, 0);
+            sim.run()
+        });
+        assert!(drained);
+        n
+    };
+    // Warm-up: the arena's cells for one tick and the cancelled timeouts
+    // that wait, emptied, for the wheel to walk their slot.
+    cycles(100);
+    let n = cycles(1_000);
+    assert_eq!(n, 0, "1 000 set / cancel cycles took {n} allocations");
+    let stats = sim.stats();
+    assert_eq!((stats.timers_cancelled, stats.timers_fired), (1_100, 1_102));
+    assert!(stats.conserved(), "{stats}");
 }
 
 #[test]

@@ -180,22 +180,22 @@ impl CampaignScanner {
     /// Inverse of [`CampaignScanner::probe_tuple`]: mark the probe a
     /// response maps to as answered, halting its retransmissions (a
     /// response stops them however the campaign's pipeline judges it).
-    fn note_answer(&mut self, dst_port: u16, payload: &netsim::Payload) {
+    fn note_answer(&mut self, ctx: &mut Ctx<'_>, dst_port: u16, payload: &netsim::Payload) {
         let Some(txid) = dnswire::peek_id(payload) else {
             return;
         };
         let index =
             (usize::from(dst_port.wrapping_sub(self.config.base_port)) << 16) | usize::from(txid);
         if self.probe_tuple(index) == (dst_port, txid) {
-            self.pacer.answered(index);
+            self.pacer.answered(ctx, index);
         }
     }
 }
 
 impl Host for CampaignScanner {
-    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dgram: Datagram) {
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if self.config.retry.enabled() {
-            self.note_answer(dgram.dst_port, &dgram.payload);
+            self.note_answer(ctx, dgram.dst_port, &dgram.payload);
         }
         let Ok(msg) = Message::decode(&dgram.payload) else {
             self.report.invalid += 1;

@@ -16,7 +16,7 @@
 //! retry-check timer, then (from the first probe of each burst) one
 //! batched pacing event covering the rest of the burst.
 
-use netsim::{Ctx, RetryPolicy, SimDuration};
+use netsim::{Ctx, RetryPolicy, SimDuration, TimerId};
 
 /// The pacing token of the single-plan probers; whoever installs one
 /// schedules this token once to start it.
@@ -56,6 +56,9 @@ pub(crate) struct Pacer {
     /// "First response seen" per probe: retransmission stops the moment
     /// any response for the probe arrives. Empty when retries are disabled.
     answered: Vec<bool>,
+    /// The retry check armed after each probe's latest transmission, which
+    /// its first response cancels. Empty when retries are disabled.
+    checks: Vec<Option<TimerId>>,
 }
 
 impl Pacer {
@@ -72,6 +75,7 @@ impl Pacer {
             cursor: 0,
             attempts_sent: vec![0; ledger],
             answered: vec![false; ledger],
+            checks: vec![None; ledger],
         }
     }
 
@@ -108,7 +112,7 @@ impl Pacer {
             if transmissions < self.retry.max_attempts {
                 let check = self.retry.rto_after(transmissions - 1)
                     + self.retry.jitter_for(index as u64, transmissions);
-                ctx.set_timer(check, RETRY_BASE | index as u64);
+                self.checks[index] = Some(ctx.set_timer(check, RETRY_BASE | index as u64));
             }
         }
         let remaining = self.total - self.cursor;
@@ -119,15 +123,18 @@ impl Pacer {
     }
 
     /// Record the first response for probe `index`, stopping its
-    /// retransmissions; returns how many transmissions it took. `None`
-    /// for a probe not yet sent, already answered, out of range, or when
-    /// retries are disabled.
-    pub(crate) fn answered(&mut self, index: usize) -> Option<u8> {
+    /// retransmissions — its pending retry check is cancelled; returns how
+    /// many transmissions it took. `None` for a probe not yet sent, already
+    /// answered, out of range, or when retries are disabled.
+    pub(crate) fn answered(&mut self, ctx: &mut Ctx<'_>, index: usize) -> Option<u8> {
         let sent = *self.attempts_sent.get(index)?;
         if sent == 0 || self.answered[index] {
             return None;
         }
         self.answered[index] = true;
+        if let Some(check) = self.checks[index].take() {
+            ctx.cancel_timer(check);
+        }
         Some(sent)
     }
 }
@@ -154,8 +161,9 @@ mod tests {
     }
 
     impl Host for Prober {
-        fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dgram: Datagram) {
-            self.pacer.answered(usize::from(dgram.dst_port - BASE_PORT));
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+            self.pacer
+                .answered(ctx, usize::from(dgram.dst_port - BASE_PORT));
         }
 
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {

@@ -296,7 +296,7 @@ impl TransactionalScanner {
     /// target-keyed tuples) as answered, stopping further retransmissions
     /// and recording the attempt histogram. Only the *first* response
     /// counts; anything later is the correlator's business.
-    fn note_answer(&mut self, dst_port: u16, payload: &netsim::Payload) {
+    fn note_answer(&mut self, ctx: &mut Ctx<'_>, dst_port: u16, payload: &netsim::Payload) {
         let Some(txid) = dnswire::peek_id(payload) else {
             return;
         };
@@ -316,7 +316,7 @@ impl TransactionalScanner {
             return;
         };
         if self.config.tuple_for(index, target) == (dst_port, txid) {
-            if let Some(attempts) = self.pacer.answered(index) {
+            if let Some(attempts) = self.pacer.answered(ctx, index) {
                 self.retry_stats.record_answered(attempts);
             }
         }
@@ -326,7 +326,7 @@ impl TransactionalScanner {
 impl Host for TransactionalScanner {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if self.config.retry.enabled() {
-            self.note_answer(dgram.dst_port, &dgram.payload);
+            self.note_answer(ctx, dgram.dst_port, &dgram.payload);
         }
         self.responses.push(ResponseRecord {
             received_at: ctx.now(),

@@ -7,7 +7,11 @@
 //! playground world per mode. The literals were captured on the commit
 //! before the hosts moved onto the pacer; `route_cache_hits`/`_misses`
 //! were re-captured when routes became one segment per AS pair (the
-//! playground is one AS: one miss, the same `hits + misses`).
+//! playground is one AS: one miss, the same `hits + misses`), and
+//! `timers_fired`/`events_processed` when an answer began to cancel the
+//! timeout or retry check it made pointless (each fell by exactly the
+//! run's `timers_cancelled`: `before_cancellation` holds the sums to
+//! the original literals).
 //!
 //! The last two pins hold the *bytes* clients get from the two caching
 //! hosts — relayed and cache-served by a `RecursiveForwarder`, fanned out
@@ -108,6 +112,15 @@ fn lossy() -> FaultPlan {
     FaultPlan::lossy(0.2)
 }
 
+/// `(timers_fired, events_processed)` as they were while a cancelled timer
+/// still fired, to find its work already done.
+fn before_cancellation(stats: &SimStats) -> (u64, u64) {
+    (
+        stats.timers_fired + stats.timers_cancelled,
+        stats.events_processed + stats.timers_cancelled,
+    )
+}
+
 #[test]
 fn transactional_scan_clean() {
     let mut w = world(5, FaultPlan::none());
@@ -121,15 +134,17 @@ fn transactional_scan_clean() {
             udp_delivered: 105,
             spoofed_sent: 13,
             udp_bytes_delivered: 5101,
-            timers_fired: 52,
+            timers_fired: 37,
             timers_coalesced: 33,
+            timers_cancelled: 15,
             events_wheel_scheduled: 124,
-            events_processed: 124,
+            events_processed: 109,
             route_cache_hits: 104,
             route_cache_misses: 1,
             ..SimStats::default()
         }
     );
+    assert_eq!(before_cancellation(w.sim.stats()), (52, 124));
 }
 
 #[test]
@@ -150,15 +165,17 @@ fn transactional_scan_lossy_with_sweep_retry_policy() {
             duplicates_injected: 14,
             retransmits_sent: 60,
             udp_bytes_delivered: 6765,
-            timers_fired: 139,
+            timers_fired: 113,
             timers_coalesced: 33,
+            timers_cancelled: 26,
             events_wheel_scheduled: 262,
-            events_processed: 262,
+            events_processed: 236,
             route_cache_hits: 145,
             route_cache_misses: 1,
             ..SimStats::default()
         }
     );
+    assert_eq!(before_cancellation(w.sim.stats()), (139, 262));
 }
 
 #[test]
@@ -181,15 +198,17 @@ fn transactional_scan_lossy_target_keyed_with_retry() {
             duplicates_injected: 5,
             retransmits_sent: 58,
             udp_bytes_delivered: 7154,
-            timers_fired: 137,
+            timers_fired: 107,
             timers_coalesced: 33,
+            timers_cancelled: 30,
             events_wheel_scheduled: 263,
-            events_processed: 263,
+            events_processed: 233,
             route_cache_hits: 154,
             route_cache_misses: 1,
             ..SimStats::default()
         }
     );
+    assert_eq!(before_cancellation(w.sim.stats()), (137, 263));
 }
 
 #[test]
@@ -210,15 +229,17 @@ fn campaign_lossy_with_jittered_retry() {
             duplicates_injected: 4,
             retransmits_sent: 64,
             udp_bytes_delivered: 6993,
-            timers_fired: 141,
+            timers_fired: 117,
             timers_coalesced: 33,
+            timers_cancelled: 24,
             events_wheel_scheduled: 270,
-            events_processed: 270,
+            events_processed: 246,
             route_cache_hits: 162,
             route_cache_misses: 1,
             ..SimStats::default()
         }
     );
+    assert_eq!(before_cancellation(w.sim.stats()), (141, 270));
 }
 
 #[test]
@@ -266,15 +287,17 @@ fn reflection_plans() {
             udp_delivered: 231,
             spoofed_sent: 118,
             udp_bytes_delivered: 17970,
-            timers_fired: 113,
+            timers_fired: 87,
             timers_coalesced: 78,
+            timers_cancelled: 26,
             events_wheel_scheduled: 266,
-            events_processed: 266,
+            events_processed: 240,
             route_cache_hits: 230,
             route_cache_misses: 1,
             ..SimStats::default()
         }
     );
+    assert_eq!(before_cancellation(w.sim.stats()), (113, 266));
 }
 
 /// Scripted stub queries from the scanner node, and the answers that came
