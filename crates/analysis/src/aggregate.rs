@@ -41,29 +41,50 @@ impl CountryStats {
 /// byte-identically on every run — merged sharded reports rely on this
 /// (`HashMap` iteration order varies per instance within one process).
 pub fn by_country(census: &Census) -> BTreeMap<Option<&'static str>, CountryStats> {
-    let mut map: BTreeMap<Option<&'static str>, CountryStats> = BTreeMap::new();
-    let mut transparent_asns: BTreeMap<Option<&'static str>, std::collections::BTreeSet<u32>> =
-        BTreeMap::new();
+    // Rows arrive in scan order, countries interleaved. Each is tallied in a
+    // flat table — one slot per country met, `keys[i]` naming `slots[i]`,
+    // kept apart so the per-row scan walks nothing but keys — and the
+    // ordered map is built once, from the slots.
+    let mut keys: Vec<Option<&'static str>> = Vec::new();
+    let mut slots: Vec<(CountryStats, Vec<u32>)> = Vec::new();
     for row in &census.rows {
         let Some(class) = row.class() else { continue };
-        let stats = map.entry(row.country).or_default();
+        let at = slot_of(&mut keys, row.country);
+        if at == slots.len() {
+            slots.push(Default::default());
+        }
+        let (stats, transparent_asns) = &mut slots[at];
         match class {
             OdnsClass::RecursiveResolver => stats.resolvers += 1,
             OdnsClass::RecursiveForwarder => stats.recursive_forwarders += 1,
             OdnsClass::TransparentForwarder => {
                 stats.transparent_forwarders += 1;
-                if let Some(asn) = row.asn {
-                    transparent_asns.entry(row.country).or_default().insert(asn);
-                }
+                transparent_asns.extend(row.asn);
             }
         }
     }
-    for (country, asns) in transparent_asns {
-        if let Some(stats) = map.get_mut(&country) {
-            stats.transparent_asns = asns.len();
-        }
-    }
-    map
+    let tallies = slots.into_iter().map(|(mut stats, mut transparent_asns)| {
+        transparent_asns.sort_unstable();
+        transparent_asns.dedup();
+        stats.transparent_asns = transparent_asns.len();
+        stats
+    });
+    keys.into_iter().zip(tallies).collect()
+}
+
+/// Where `country` sits in `keys`, appended if it is new. A census takes its
+/// codes from the geo database's one `'static` table, so the scan compares
+/// addresses; only a code not found by address is compared by content.
+fn slot_of(keys: &mut Vec<Option<&'static str>>, country: Option<&'static str>) -> usize {
+    let ident = |code: Option<&'static str>| code.map(|s| (s.as_ptr(), s.len()));
+    let wanted = ident(country);
+    keys.iter()
+        .position(|held| ident(*held) == wanted)
+        .or_else(|| keys.iter().position(|held| *held == country))
+        .unwrap_or_else(|| {
+            keys.push(country);
+            keys.len() - 1
+        })
 }
 
 /// Countries ranked by transparent-forwarder count, descending (the
@@ -177,6 +198,23 @@ mod tests {
         assert_eq!(deu.transparent_forwarders, 0);
         assert_eq!(deu.resolvers, 1);
         assert!(m.contains_key(&None), "geo gap bucket");
+    }
+
+    #[test]
+    fn equal_codes_at_different_addresses_share_a_bucket() {
+        // `rows` is `pub`: a hand-built census may spell a country with a
+        // string of its own, which the address scan cannot find.
+        let elsewhere: &'static str = String::from("BRA").leak();
+        assert_ne!(elsewhere.as_ptr(), "BRA".as_ptr());
+        let mut c = census();
+        c.rows
+            .push(row(Some(elsewhere), 652, OdnsClass::TransparentForwarder));
+        c.rows.push(row(None, 998, OdnsClass::RecursiveResolver));
+        let m = by_country(&c);
+        assert_eq!(m.len(), 3, "BRA, DEU and the geo gap: {:?}", m.keys());
+        assert_eq!(m[&Some("BRA")].transparent_forwarders, 10);
+        assert_eq!(m[&Some("BRA")].transparent_asns, 3);
+        assert_eq!(m[&None].total(), 2);
     }
 
     #[test]

@@ -27,6 +27,21 @@ pub struct CacheKey {
     pub rtype: RrType,
 }
 
+impl CacheKey {
+    fn of(name: &DnsName, rtype: RrType) -> Self {
+        CacheKey {
+            name: name.clone(),
+            rtype,
+        }
+    }
+
+    /// Is this the key of `name`/`rtype`? What `==` against
+    /// [`CacheKey::of`] answers, without building that key.
+    fn is(&self, name: &DnsName, rtype: RrType) -> bool {
+        self.rtype == rtype && self.name == *name
+    }
+}
+
 /// A cached outcome: either records or a negative result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CachedAnswer {
@@ -131,6 +146,113 @@ impl CacheStats {
     }
 }
 
+/// The entries of a [`DnsCache`], oldest insert first, and the only code
+/// that keeps them so.
+///
+/// State a host has not needed does not exist: a census asks each forwarder
+/// one question, so its cache holds one entry for as long as it lives. That
+/// entry sits inline; the hash table and the order queue are built when a
+/// second key joins it, and a table that has built them keeps them.
+#[derive(Debug)]
+enum FifoTable {
+    /// At most one entry, which is its own eviction order.
+    Inline(Option<(CacheKey, Entry)>),
+    /// Two keys have been held at once.
+    Spilled {
+        map: HashMap<CacheKey, Entry>,
+        /// The keys of `map`, oldest insert first — each exactly once.
+        order: VecDeque<CacheKey>,
+    },
+}
+
+impl FifoTable {
+    fn len(&self) -> usize {
+        match self {
+            FifoTable::Inline(slot) => usize::from(slot.is_some()),
+            FifoTable::Spilled { map, .. } => map.len(),
+        }
+    }
+
+    fn get(&self, name: &DnsName, rtype: RrType) -> Option<&Entry> {
+        match self {
+            FifoTable::Inline(slot) => slot
+                .as_ref()
+                .filter(|(held, _)| held.is(name, rtype))
+                .map(|(_, entry)| entry),
+            FifoTable::Spilled { map, .. } => map.get(&CacheKey::of(name, rtype)),
+        }
+    }
+
+    fn get_mut(&mut self, name: &DnsName, rtype: RrType) -> Option<&mut Entry> {
+        match self {
+            FifoTable::Inline(slot) => slot
+                .as_mut()
+                .filter(|(held, _)| held.is(name, rtype))
+                .map(|(_, entry)| entry),
+            FifoTable::Spilled { map, .. } => map.get_mut(&CacheKey::of(name, rtype)),
+        }
+    }
+
+    /// Hold `entry` under `key`: a new key queues youngest, an overwrite
+    /// keeps the key's place in the eviction order.
+    fn insert(&mut self, key: CacheKey, entry: Entry) {
+        match self {
+            FifoTable::Inline(slot @ None) => *slot = Some((key, entry)),
+            FifoTable::Inline(Some((held, e))) if *held == key => *e = entry,
+            FifoTable::Inline(slot) => {
+                let (first, first_entry) = slot.take().expect("an empty slot matched above");
+                let mut spilled = FifoTable::Spilled {
+                    map: HashMap::new(),
+                    order: VecDeque::new(),
+                };
+                spilled.insert(first, first_entry);
+                spilled.insert(key, entry);
+                *self = spilled;
+            }
+            FifoTable::Spilled { map, order } => {
+                if map.insert(key.clone(), entry).is_none() {
+                    order.push_back(key);
+                }
+            }
+        }
+    }
+
+    /// Drop the entry for `name`/`rtype` together with its place in the
+    /// eviction order, so that a later re-insert queues as the new entry it
+    /// is.
+    fn remove(&mut self, name: &DnsName, rtype: RrType) -> Option<Entry> {
+        match self {
+            FifoTable::Inline(slot) => slot
+                .take_if(|(held, _)| held.is(name, rtype))
+                .map(|(_, entry)| entry),
+            FifoTable::Spilled { map, order } => {
+                let key = CacheKey::of(name, rtype);
+                let entry = map.remove(&key)?;
+                let at = order.iter().position(|k| *k == key);
+                order.remove(at.expect("every key of `map` is queued"));
+                Some(entry)
+            }
+        }
+    }
+
+    /// Drop the oldest entry.
+    fn pop_oldest(&mut self) -> Option<Entry> {
+        match self {
+            FifoTable::Inline(slot) => slot.take().map(|(_, entry)| entry),
+            FifoTable::Spilled { map, order } => map.remove(&order.pop_front()?),
+        }
+    }
+
+    /// The keys held, oldest insert first.
+    #[cfg(test)]
+    fn order(&self) -> Vec<&CacheKey> {
+        match self {
+            FifoTable::Inline(slot) => slot.iter().map(|(key, _)| key).collect(),
+            FifoTable::Spilled { order, .. } => order.iter().collect(),
+        }
+    }
+}
+
 /// A bounded DNS cache with FIFO eviction.
 ///
 /// Real resolvers use LRU-ish policies; FIFO keeps the simulation
@@ -139,9 +261,7 @@ impl CacheStats {
 /// legitimate entries at the same rate under either policy.
 #[derive(Debug)]
 pub struct DnsCache {
-    map: HashMap<CacheKey, Entry>,
-    /// The keys of `map`, oldest insert first — each exactly once.
-    order: VecDeque<CacheKey>,
+    table: FifoTable,
     capacity: usize,
     /// Effectiveness counters.
     pub stats: CacheStats,
@@ -152,8 +272,7 @@ impl DnsCache {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         DnsCache {
-            map: HashMap::new(),
-            order: VecDeque::new(),
+            table: FifoTable::Inline(None),
             capacity,
             stats: CacheStats::default(),
         }
@@ -161,25 +280,25 @@ impl DnsCache {
 
     /// Current number of live-or-expired entries held.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.table.len()
     }
 
     /// True when no entries are held.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.table.len() == 0
     }
 
     /// Count a lookup that found an entry it cannot serve — expired, or
     /// wire-backed with bytes that do not decode — as a miss, and drop the
-    /// entry together with its place in the eviction order, so that a
-    /// later re-insert queues as the new entry it is.
-    fn forget(&mut self, key: &CacheKey, now: SimTime) {
+    /// entry.
+    fn forget(&mut self, name: &DnsName, rtype: RrType, now: SimTime) {
         self.stats.misses += 1;
-        if self.map.remove(key).is_some_and(|e| now >= e.expires) {
+        if self
+            .table
+            .remove(name, rtype)
+            .is_some_and(|e| now >= e.expires)
+        {
             self.stats.expirations += 1;
-        }
-        if let Some(at) = self.order.iter().position(|k| k == key) {
-            self.order.remove(at);
         }
     }
 
@@ -187,11 +306,7 @@ impl DnsCache {
     /// with record TTLs rewritten to the *remaining* lifetime — exactly
     /// what a resolver serves from cache, and what Figure 7 observes.
     pub fn get(&mut self, name: &DnsName, rtype: RrType, now: SimTime) -> Option<CachedAnswer> {
-        let key = CacheKey {
-            name: name.clone(),
-            rtype,
-        };
-        let Some(e) = self.map.get_mut(&key) else {
+        let Some(e) = self.table.get_mut(name, rtype) else {
             self.stats.misses += 1;
             return None;
         };
@@ -210,7 +325,7 @@ impl DnsCache {
                 CachedAnswer::Negative(rcode) => CachedAnswer::Negative(*rcode),
             });
         }
-        self.forget(&key, now);
+        self.forget(name, rtype, now);
         None
     }
 
@@ -232,17 +347,7 @@ impl DnsCache {
         txid: u16,
         rd: bool,
     ) -> Option<CachedWire> {
-        // A census probes each forwarder once: its cache is empty when the
-        // one query it will ever see arrives, and that miss needs no key.
-        if self.map.is_empty() {
-            self.stats.misses += 1;
-            return None;
-        }
-        let key = CacheKey {
-            name: name.clone(),
-            rtype,
-        };
-        let Some(e) = self.map.get_mut(&key) else {
+        let Some(e) = self.table.get_mut(name, rtype) else {
             self.stats.misses += 1;
             return None;
         };
@@ -289,7 +394,7 @@ impl DnsCache {
                 None => None,
             };
         }
-        self.forget(&key, now);
+        self.forget(name, rtype, now);
         None
     }
 
@@ -300,11 +405,7 @@ impl DnsCache {
     /// wire-backed one no lookup has decoded yet (whether it serves at all
     /// is the counted lookup's to find out). No stats impact.
     fn wire_valid_before(&self, name: &DnsName, rtype: RrType, now: SimTime) -> Option<SimTime> {
-        let key = CacheKey {
-            name: name.clone(),
-            rtype,
-        };
-        let e = self.map.get(&key)?;
+        let e = self.table.get(name, rtype)?;
         if now >= e.expires || !matches!(e.stored, Stored::Answer(CachedAnswer::Positive(_))) {
             return None;
         }
@@ -330,10 +431,10 @@ impl DnsCache {
     }
 
     fn store(&mut self, key: CacheKey, stored: Stored, ttl_secs: u32, now: SimTime) {
-        if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+        let full = self.table.len() >= self.capacity;
+        if full && self.table.get(&key.name, key.rtype).is_none() {
             // Capacity pressure: evict in insertion order.
-            if let Some(old) = self.order.pop_front() {
-                self.map.remove(&old);
+            if self.table.pop_oldest().is_some() {
                 self.stats.evictions += 1;
             }
         }
@@ -343,20 +444,13 @@ impl DnsCache {
             expires: now + netsim::SimDuration::from_secs(u64::from(ttl_secs)),
             template: None,
         };
-        // An overwrite keeps the key's place in the eviction order.
-        if self.map.insert(key.clone(), entry).is_none() {
-            self.order.push_back(key);
-        }
+        self.table.insert(key, entry);
         self.stats.insertions += 1;
     }
 
     /// Age of the entry for `name`/`rtype` at `now`, if present and live.
     pub fn age(&self, name: &DnsName, rtype: RrType, now: SimTime) -> Option<u64> {
-        let key = CacheKey {
-            name: name.clone(),
-            rtype,
-        };
-        let e = self.map.get(&key)?;
+        let e = self.table.get(name, rtype)?;
         if now >= e.expires {
             None
         } else {
@@ -839,7 +933,8 @@ mod tests {
             let t = at(20 + 20 * cycle);
             assert_eq!(c.get(&name("a.example."), RrType::A, t), None, "expired");
             c.insert(name("a.example."), RrType::A, positive("a.example."), 10, t);
-            assert!(c.order.len() <= 2, "order holds {:?}", c.order);
+            let order = c.table.order();
+            assert!(order.len() <= 2, "order holds {order:?}");
         }
         let t = at(65);
         c.insert(
@@ -853,7 +948,248 @@ mod tests {
         assert!(c.get(&name("b.example."), RrType::A, t).is_none(), "oldest");
         assert!(c.get(&name("a.example."), RrType::A, t).is_some());
         assert!(c.get(&name("c.example."), RrType::A, t).is_some());
-        assert_eq!((c.len(), c.order.len()), (2, 2));
+        assert_eq!((c.len(), c.table.order().len()), (2, 2));
+    }
+
+    /// A `HashMap` + `VecDeque` store with no inline slot, as the model
+    /// [`FifoTable`] under a [`DnsCache`] is held to: same capacity rule,
+    /// same counters, same place in the order for an overwrite, keyed by
+    /// lower-cased text so that not even key equality is shared with the
+    /// code under test.
+    struct Reference {
+        map: HashMap<ModelKey, (CachedAnswer, SimTime)>,
+        order: VecDeque<ModelKey>,
+        capacity: usize,
+        stats: CacheStats,
+    }
+
+    type ModelKey = (String, RrType);
+
+    fn model_key(name: &DnsName, rtype: RrType) -> ModelKey {
+        (name.to_string().to_ascii_lowercase(), rtype)
+    }
+
+    impl Reference {
+        fn insert(&mut self, key: ModelKey, answer: CachedAnswer, ttl_secs: u32, now: SimTime) {
+            if self.map.len() >= self.capacity && !self.map.contains_key(&key) {
+                let oldest = self.order.pop_front().expect("capacity is positive");
+                self.map.remove(&oldest);
+                self.stats.evictions += 1;
+            }
+            let expires = now + SimDuration::from_secs(u64::from(ttl_secs));
+            if self.map.insert(key.clone(), (answer, expires)).is_none() {
+                self.order.push_back(key);
+            }
+            self.stats.insertions += 1;
+        }
+
+        /// The counted lookup both `get` and `get_wire` perform.
+        fn get(&mut self, key: &ModelKey, now: SimTime) -> Option<CachedAnswer> {
+            let Some((answer, expires)) = self.map.get(key) else {
+                self.stats.misses += 1;
+                return None;
+            };
+            if now >= *expires {
+                self.stats.misses += 1;
+                self.stats.expirations += 1;
+                self.map.remove(key);
+                self.order.retain(|k| k != key);
+                return None;
+            }
+            self.stats.hits += 1;
+            let remaining = ((*expires - now).as_micros() / 1_000_000) as u32;
+            Some(match answer {
+                CachedAnswer::Positive(records) => CachedAnswer::Positive(
+                    records
+                        .iter()
+                        .map(|r| Record {
+                            ttl: remaining,
+                            ..r.clone()
+                        })
+                        .collect(),
+                ),
+                negative => negative.clone(),
+            })
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum ModelOp {
+        /// Cache a positive (or negative) answer for name `n`, upper-cased
+        /// when `shout`.
+        Insert {
+            n: usize,
+            shout: bool,
+            positive: bool,
+            ttl: u32,
+        },
+        /// `DnsCache::get` for name `n`.
+        Get {
+            n: usize,
+            shout: bool,
+        },
+        /// `DnsCache::get_wire` for name `n`.
+        GetWire {
+            n: usize,
+            shout: bool,
+            txid: u16,
+            rd: bool,
+        },
+        Advance {
+            millis: u64,
+        },
+    }
+
+    /// Takes a table 0 → 1 → 2 → 1 → 0 → 1 entries (two expiries forgotten
+    /// by lookups) before the seeded ops start; at capacity 1 the second
+    /// insert evicts instead, which is the other way to stay inline.
+    const PROLOGUE: [ModelOp; 6] = [
+        ModelOp::Insert {
+            n: 0,
+            shout: false,
+            positive: true,
+            ttl: 1,
+        },
+        ModelOp::Insert {
+            n: 1,
+            shout: false,
+            positive: true,
+            ttl: 1,
+        },
+        ModelOp::Advance { millis: 1_000 },
+        ModelOp::Get { n: 0, shout: false },
+        ModelOp::GetWire {
+            n: 1,
+            shout: true,
+            txid: 9,
+            rd: true,
+        },
+        ModelOp::Insert {
+            n: 0,
+            shout: true,
+            positive: false,
+            ttl: 2,
+        },
+    ];
+
+    fn seeded_op(seed: u64, step: u64) -> ModelOp {
+        let r = netsim::mix64(seed ^ (step << 20));
+        let n = (r >> 8) as usize % 6;
+        let shout = r >> 16 & 1 == 1;
+        match r % 10 {
+            0..=2 => ModelOp::Insert {
+                n,
+                shout,
+                positive: r >> 17 & 7 != 0,
+                ttl: 1 + (r >> 24) as u32 % 4,
+            },
+            3..=4 => ModelOp::Get { n, shout },
+            5..=7 => ModelOp::GetWire {
+                n,
+                shout,
+                txid: (r >> 32) as u16,
+                rd: r >> 17 & 1 == 1,
+            },
+            _ => ModelOp::Advance {
+                millis: (r >> 24) % 2_500,
+            },
+        }
+    }
+
+    #[test]
+    fn fifo_table_matches_the_hashmap_and_vecdeque_model() {
+        for (capacity, seed) in [(1, 11), (2, 12), (2, 13), (64, 14), (64, 15)] {
+            let mut cache = DnsCache::new(capacity);
+            let mut model = Reference {
+                map: HashMap::new(),
+                order: VecDeque::new(),
+                capacity,
+                stats: CacheStats::default(),
+            };
+            let mut now = SimTime::ZERO;
+            let mut occupancy = vec![0];
+            let ops = PROLOGUE
+                .into_iter()
+                .chain((0..2_000).map(|step| seeded_op(seed, step)));
+            for (step, op) in ops.enumerate() {
+                let at = format!("capacity {capacity}, seed {seed}, step {step}: {op:?}");
+                let spelled = |n: usize, shout: bool| {
+                    let text = format!("n{n}.model.example.");
+                    name(&if shout { text.to_uppercase() } else { text })
+                };
+                match op {
+                    ModelOp::Insert {
+                        n,
+                        shout,
+                        positive,
+                        ttl,
+                    } => {
+                        let owner = spelled(n, shout);
+                        let answer = if positive {
+                            let addr = Ipv4Addr::new(198, 51, 100, step as u8);
+                            CachedAnswer::Positive(vec![Record::a(owner.clone(), ttl, addr)])
+                        } else {
+                            CachedAnswer::Negative(Rcode::NxDomain)
+                        };
+                        model.insert(model_key(&owner, RrType::A), answer.clone(), ttl, now);
+                        cache.insert(owner, RrType::A, answer, ttl, now);
+                    }
+                    ModelOp::Get { n, shout } => {
+                        let qname = spelled(n, shout);
+                        let expected = model.get(&model_key(&qname, RrType::A), now);
+                        assert_eq!(cache.get(&qname, RrType::A, now), expected, "{at}");
+                    }
+                    ModelOp::GetWire { n, shout, txid, rd } => {
+                        let qname = spelled(n, shout);
+                        let query = MessageBuilder::query(txid, qname.clone(), RrType::A)
+                            .recursion_desired(rd)
+                            .build();
+                        let respond = MessageBuilder::response_to(&query).recursion_available(true);
+                        let expected = model.get(&model_key(&qname, RrType::A), now).map(
+                            |answer| match answer {
+                                CachedAnswer::Positive(records) => Ok(records
+                                    .into_iter()
+                                    .fold(respond, MessageBuilder::answer)
+                                    .build()
+                                    .encode()),
+                                CachedAnswer::Negative(rcode) => Err(rcode),
+                            },
+                        );
+                        let served = cache
+                            .get_wire(&qname, RrType::A, now, txid, rd)
+                            .map(|wire| match wire {
+                                CachedWire::Positive(bytes) => Ok(bytes.to_vec()),
+                                CachedWire::Negative(rcode) => Err(rcode),
+                            });
+                        assert_eq!(served, expected, "{at}");
+                    }
+                    ModelOp::Advance { millis } => now += SimDuration::from_millis(millis),
+                }
+                assert_eq!(cache.stats, model.stats, "{at}");
+                assert_eq!(cache.len(), model.map.len(), "{at}");
+                let order: Vec<ModelKey> = cache
+                    .table
+                    .order()
+                    .into_iter()
+                    .map(|key| model_key(&key.name, key.rtype))
+                    .collect();
+                assert_eq!(order, Vec::from(model.order.clone()), "{at}");
+                if occupancy.last() != Some(&cache.len()) {
+                    occupancy.push(cache.len());
+                }
+            }
+            let spilled = matches!(cache.table, FifoTable::Spilled { .. });
+            if capacity == 1 {
+                assert!(!spilled, "one entry never needs the heap");
+                assert!(cache.stats.evictions > 100, "{:?}", cache.stats);
+            } else {
+                assert!(spilled);
+                assert_eq!(occupancy[..6], [0, 1, 2, 1, 0, 1], "capacity {capacity}");
+            }
+            let stats = cache.stats;
+            assert!(stats.hits > 100 && stats.expirations > 10, "{stats:?}");
+            assert_eq!(stats.evictions > 0, capacity < 6, "{stats:?}");
+        }
     }
 
     #[test]

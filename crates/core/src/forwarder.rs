@@ -39,6 +39,7 @@ use crate::device::DeviceProfile;
 use dnswire::Message;
 use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, TimerId, UdpSend};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Counters for a recursive forwarder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -55,8 +56,11 @@ pub struct RecursiveForwarderStats {
     pub timeouts: u64,
 }
 
-/// A query in flight upstream. Its transaction ID — the client's own,
-/// kept on the upstream leg — is the second half of the pending-table key.
+/// `(our port, txid)` of a query in flight upstream; the transaction ID is
+/// the client's own, kept on the upstream leg.
+type PendingKey = (u16, u16);
+
+/// A query in flight upstream.
 #[derive(Debug)]
 struct PendingQuery {
     client: Ipv4Addr,
@@ -65,6 +69,57 @@ struct PendingQuery {
     qtype: dnswire::RrType,
     /// The upstream timeout armed for this query, cancelled by its answer.
     timeout: TimerId,
+}
+
+/// Queries in flight upstream. An entry leaves when its answer is relayed,
+/// which cancels its timer, or when that timer fires, whichever is first.
+///
+/// A census asks each forwarder one question, so one query is in flight in
+/// the life of most tables. It sits inline; the hash table is built when a
+/// second joins it, and a table that has built one keeps it.
+#[derive(Debug)]
+enum Pending {
+    Inline(Option<(PendingKey, PendingQuery)>),
+    Spilled(IntMap<PendingKey, PendingQuery>),
+}
+
+impl Pending {
+    fn contains_key(&self, key: PendingKey) -> bool {
+        match self {
+            Pending::Inline(slot) => slot.as_ref().is_some_and(|(held, _)| *held == key),
+            Pending::Spilled(map) => map.contains_key(&key),
+        }
+    }
+
+    fn insert(&mut self, key: PendingKey, query: PendingQuery) {
+        match self {
+            Pending::Inline(slot) if slot.as_ref().is_some_and(|(held, _)| *held != key) => {
+                let mut map = IntMap::default();
+                map.extend(slot.take());
+                map.insert(key, query);
+                *self = Pending::Spilled(map);
+            }
+            Pending::Inline(slot) => *slot = Some((key, query)),
+            Pending::Spilled(map) => {
+                map.insert(key, query);
+            }
+        }
+    }
+
+    fn remove(&mut self, key: PendingKey) -> Option<PendingQuery> {
+        match self {
+            Pending::Inline(slot) => slot.take_if(|(held, _)| *held == key).map(|(_, q)| q),
+            Pending::Spilled(map) => map.remove(&key),
+        }
+    }
+
+    #[cfg(test)]
+    fn is_empty(&self) -> bool {
+        match self {
+            Pending::Inline(slot) => slot.is_none(),
+            Pending::Spilled(map) => map.is_empty(),
+        }
+    }
 }
 
 /// In-path response manipulation, as practiced by ad-injecting or
@@ -88,12 +143,9 @@ pub enum Manipulation {
 pub struct RecursiveForwarder {
     resolver: Ipv4Addr,
     cache: Option<ServeCache>,
-    /// Queries in flight upstream, by `(our port, txid)`. An entry leaves
-    /// when its answer is relayed, which cancels its timer, or when that
-    /// timer fires, whichever is first.
-    pending: IntMap<(u16, u16), PendingQuery>,
+    pending: Pending,
     timeout: SimDuration,
-    device: Option<DeviceProfile>,
+    device: Option<Arc<DeviceProfile>>,
     manipulation: Manipulation,
     /// Counters.
     pub stats: RecursiveForwarderStats,
@@ -105,7 +157,7 @@ impl RecursiveForwarder {
         RecursiveForwarder {
             resolver,
             cache: Some(ServeCache::new(64)),
-            pending: IntMap::default(),
+            pending: Pending::Inline(None),
             timeout: SimDuration::from_secs(5),
             device: None,
             manipulation: Manipulation::None,
@@ -119,9 +171,10 @@ impl RecursiveForwarder {
         self
     }
 
-    /// Attach a device profile (open ports / banners) for fingerprinting.
-    pub fn with_device(mut self, device: DeviceProfile) -> Self {
-        self.device = Some(device);
+    /// Attach a device profile (open ports / banners) for fingerprinting;
+    /// an `Arc` is shared with every other host it was handed to.
+    pub fn with_device(mut self, device: impl Into<Arc<DeviceProfile>>) -> Self {
+        self.device = Some(device.into());
         self
     }
 
@@ -152,7 +205,7 @@ impl RecursiveForwarder {
         // On the rare (port, txid) collision with a query still in flight
         // — or a client retransmit racing its own first attempt — probe
         // linearly so the pending entry is never clobbered.
-        while self.pending.contains_key(&(port, txid)) {
+        while self.pending.contains_key((port, txid)) {
             port = if port >= 65000 { BASE } else { port + 1 };
         }
         port
@@ -185,7 +238,7 @@ impl RecursiveForwarder {
                 (msg.header.id, min_ttl, msg.encode().into())
             }
         };
-        let Some(q) = self.pending.remove(&(dgram.dst_port, txid)) else {
+        let Some(q) = self.pending.remove((dgram.dst_port, txid)) else {
             return false;
         };
         // Left armed, the timeout would expire whichever later query came
@@ -216,7 +269,7 @@ impl Host for RecursiveForwarder {
             // An upstream response to one of our ephemeral ports, or else
             // not DNS business: the fingerprinting surface.
             if !self.relay_upstream_answer(ctx, &dgram) {
-                crate::device::handle_probe(ctx, &dgram, self.device.as_ref());
+                crate::device::handle_probe(ctx, &dgram, self.device.as_deref());
             }
             return;
         }
@@ -289,7 +342,7 @@ impl Host for RecursiveForwarder {
 
     fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
         let key = ((token >> 16) as u16, token as u16);
-        if self.pending.remove(&key).is_some() {
+        if self.pending.remove(key).is_some() {
             // Give up silently (stub clients retry on their own), matching
             // typical CPE proxy behaviour.
             self.stats.timeouts += 1;
@@ -318,7 +371,7 @@ pub struct TransparentForwarderStats {
 #[derive(Debug)]
 pub struct TransparentForwarder {
     resolver: Ipv4Addr,
-    device: Option<DeviceProfile>,
+    device: Option<Arc<DeviceProfile>>,
     /// Counters.
     pub stats: TransparentForwarderStats,
 }
@@ -333,9 +386,10 @@ impl TransparentForwarder {
         }
     }
 
-    /// Attach a device profile (open ports / banners) for fingerprinting.
-    pub fn with_device(mut self, device: DeviceProfile) -> Self {
-        self.device = Some(device);
+    /// Attach a device profile (open ports / banners) for fingerprinting;
+    /// an `Arc` is shared with every other host it was handed to.
+    pub fn with_device(mut self, device: impl Into<Arc<DeviceProfile>>) -> Self {
+        self.device = Some(device.into());
         self
     }
 
@@ -348,7 +402,7 @@ impl TransparentForwarder {
 impl Host for TransparentForwarder {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if dgram.dst_port != dnswire::DNS_PORT {
-            crate::device::handle_probe(ctx, &dgram, self.device.as_ref());
+            crate::device::handle_probe(ctx, &dgram, self.device.as_deref());
             return;
         }
         // Quick sanity check that this is a DNS query; middleboxes that
@@ -730,6 +784,138 @@ mod tests {
         assert!(f.pending.is_empty());
         assert_eq!(sim.stats().timers_cancelled, 2);
         assert!(sim.stats().conserved());
+    }
+
+    /// [`CannedResolver`], except that a transaction ID of 100 or more is
+    /// swallowed the first time it is seen.
+    struct DeafOnceResolver {
+        canned: CannedResolver,
+        swallowed: Vec<u16>,
+    }
+    impl Host for DeafOnceResolver {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+            let txid = dnswire::peek_id(&dgram.payload).unwrap();
+            if txid >= 100 && !self.swallowed.contains(&txid) {
+                self.swallowed.push(txid);
+                self.canned.seen.push(dgram);
+            } else {
+                self.canned.on_datagram(ctx, dgram);
+            }
+        }
+        netsim::impl_host_downcast!();
+    }
+
+    /// Run `scenario` — `(seconds, client port, txid)` queries, none before
+    /// t = 1 s — through a cacheless forwarder whose pending table starts
+    /// `spilled`: behind two queries in flight at once at t = 0, which leave
+    /// it an empty hash table where a new forwarder has its inline slot.
+    /// Returns the forwarder, what the resolver saw of the scenario and what
+    /// the client got for it.
+    fn pending_scenario(
+        spilled: bool,
+        scenario: &[(u64, u16, u16)],
+    ) -> (Simulator, netsim::NodeId, Vec<Datagram>, Vec<Datagram>) {
+        let (mut sim, client, fwd, resolver) = three_node_sim();
+        sim.install(fwd, RecursiveForwarder::new(RESOLVER_IP).without_cache());
+        sim.install(
+            resolver,
+            DeafOnceResolver {
+                canned: CannedResolver { seen: vec![] },
+                swallowed: vec![],
+            },
+        );
+        let before: &[(u64, u16, u16)] = if spilled {
+            &[(0, 33000, 1), (10, 33001, 2)]
+        } else {
+            &[]
+        };
+        let script = before
+            .iter()
+            .map(|&(micros, port, txid)| (SimDuration::from_micros(micros), port, txid))
+            .chain(
+                scenario
+                    .iter()
+                    .map(|&(secs, port, txid)| (SimDuration::from_secs(secs), port, txid)),
+            )
+            .map(|(at, port, txid)| (at, UdpSend::new(port, FWD_IP, 53, query_bytes(txid))))
+            .collect();
+        netsim::testkit::install_script(&mut sim, client, script);
+        assert!(sim.run());
+        assert!(sim.stats().conserved());
+
+        let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+        assert!(f.pending.is_empty(), "left behind: {:?}", f.pending);
+        assert_eq!(f.stats.relayed, f.stats.forwarded - f.stats.timeouts);
+        let upstream: &DeafOnceResolver = sim.host_as(resolver).unwrap();
+        let seen = upstream.canned.seen[before.len()..].to_vec();
+        let client_host: &netsim::testkit::ScriptedClient = sim.host_as(client).unwrap();
+        let got = client_host.datagrams[before.len()..]
+            .iter()
+            .map(|(_, d)| d.clone())
+            .collect();
+        (sim, fwd, seen, got)
+    }
+
+    fn is_spilled(sim: &Simulator, fwd: netsim::NodeId) -> bool {
+        let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+        matches!(f.pending, Pending::Spilled(_))
+    }
+
+    #[test]
+    fn two_queries_in_flight_are_answered_apart_on_both_sides_of_the_spill() {
+        for spilled in [false, true] {
+            let (sim, fwd, seen, got) = pending_scenario(spilled, &[(1, 34000, 7), (1, 34001, 8)]);
+            assert_eq!(seen.len(), 2);
+            let answered: Vec<(u16, u16)> = got
+                .iter()
+                .map(|d| (d.dst_port, dnswire::peek_id(&d.payload).unwrap()))
+                .collect();
+            assert_eq!(answered, [(34000, 7), (34001, 8)], "spilled: {spilled}");
+            assert!(is_spilled(&sim, fwd), "the second query built the table");
+            let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+            assert_eq!(f.stats.timeouts, 0);
+        }
+    }
+
+    #[test]
+    fn retransmit_racing_its_first_attempt_probes_past_it_on_both_sides_of_the_spill() {
+        // Same client flow, same txid, so `flow_port` lands the retransmit on
+        // the `(port, txid)` its first attempt still holds: it must find
+        // that entry — in the inline slot or in the table — and step past.
+        for spilled in [false, true] {
+            let (sim, fwd, seen, got) =
+                pending_scenario(spilled, &[(1, 34000, 42), (1, 34000, 42)]);
+            let ports: Vec<u16> = seen.iter().map(|d| d.src_port).collect();
+            assert_eq!(ports.len(), 2);
+            assert_eq!(ports[1], ports[0] + 1, "spilled: {spilled}");
+            assert_eq!(got.len(), 2, "neither attempt clobbered the other");
+            assert!(got.iter().all(|d| d.dst_port == 34000));
+            assert!(is_spilled(&sim, fwd));
+            let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+            assert_eq!(f.stats.timeouts, 0);
+        }
+    }
+
+    #[test]
+    fn timed_out_key_is_reused_on_both_sides_of_the_spill() {
+        // Swallowed at t = 1 s, expired at t = 6 s, retransmitted at t = 7 s
+        // onto the same `(port, txid)` and answered.
+        for spilled in [false, true] {
+            let (sim, fwd, seen, got) =
+                pending_scenario(spilled, &[(1, 34000, 142), (7, 34000, 142)]);
+            let ports: Vec<u16> = seen.iter().map(|d| d.src_port).collect();
+            assert_eq!(ports.len(), 2);
+            assert_eq!(ports[0], ports[1], "the expired key was free again");
+            assert_eq!(got.len(), 1, "spilled: {spilled}");
+            assert_eq!(dnswire::peek_id(&got[0].payload), Some(142));
+            let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+            assert_eq!(f.stats.timeouts, 1);
+            assert_eq!(
+                is_spilled(&sim, fwd),
+                spilled,
+                "one query at a time never builds the table"
+            );
+        }
     }
 
     /// [`CannedResolver`] with its answer bytes passed through `mangle`.

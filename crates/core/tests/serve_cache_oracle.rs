@@ -140,6 +140,74 @@ fn served_by_view(serve: &mut ServeCache, payload: &[u8], now: SimTime) -> Optio
         .map(|p| p.to_vec())
 }
 
+/// The one step that builds the cache's heap table — a second name joining
+/// the first — between replays: the `HotWire` and the memo must drop and
+/// match exactly as they do on either side of it. Scripted, because the
+/// proptest reaches this step only behind an `Evict`, spilled already.
+#[test]
+fn second_name_arrives_between_replays() {
+    let mut serve = ServeCache::new(CAPACITY);
+    let mut viewing = ServeCache::new(CAPACITY);
+    let mut plain = DnsCache::new(CAPACITY);
+    let mut now = SimTime::ZERO + SimDuration::from_millis(250);
+    let insert = |hosts: [&mut ServeCache; 2], plain: &mut DnsCache, name, octet, ttl, now| {
+        let owner = DnsName::parse(NAMES[name]).unwrap();
+        let records = vec![Record::a(
+            owner.clone(),
+            ttl,
+            Ipv4Addr::new(198, 51, 100, octet),
+        )];
+        let asked = MessageBuilder::query(0xFEED, owner.clone(), RrType::A).build();
+        let response: Payload = MessageBuilder::response_to(&asked)
+            .answer(records[0].clone())
+            .build()
+            .encode()
+            .into();
+        for host in hosts {
+            host.insert_wire(owner.clone(), RrType::A, response.clone(), ttl, now);
+        }
+        plain.insert(owner, RrType::A, CachedAnswer::Positive(records), ttl, now);
+    };
+    let mut queries = 0;
+    let mut ask = |hosts: [&mut ServeCache; 2], plain: &mut DnsCache, name, txid, now| {
+        let payload = MessageBuilder::query(txid, cased(NAMES[name], 0), RrType::A)
+            .recursion_desired(true)
+            .build()
+            .encode();
+        queries += 1;
+        let expected = reference(plain, &payload, now);
+        let [serve, viewing] = hosts;
+        assert_eq!(served(serve, &payload, now), expected, "query {queries}");
+        assert_eq!(served_by_view(viewing, &payload, now), expected);
+        expected.is_some()
+    };
+
+    // One name, held inline: decode, template, then two replays.
+    insert([&mut serve, &mut viewing], &mut plain, 0, 1, 300, now);
+    for txid in [1, 2, 2, 2] {
+        assert!(ask([&mut serve, &mut viewing], &mut plain, 0, txid, now));
+    }
+    // The second name builds the table under a live replay.
+    insert([&mut serve, &mut viewing], &mut plain, 1, 2, 300, now);
+    assert_eq!(serve.cache().len(), 2);
+    for (name, txid) in [(0, 2), (0, 2), (1, 2), (1, 3), (0, 2), (0, 2)] {
+        assert!(ask([&mut serve, &mut viewing], &mut plain, name, txid, now));
+    }
+    // Spilled: an overwrite of the memoized name must not be outlived by
+    // the replay either, nor a TTL-second boundary, nor its expiry.
+    insert([&mut serve, &mut viewing], &mut plain, 0, 3, 2, now);
+    for millis in [0, 0, 800, 0, 1_300] {
+        now += SimDuration::from_millis(millis);
+        let live = ask([&mut serve, &mut viewing], &mut plain, 0, 2, now);
+        assert_eq!(live, millis != 1_300, "expired 2.1 s after the overwrite");
+    }
+    assert_eq!(serve.cache().len(), 1, "the expired entry was forgotten");
+    assert!(ask([&mut serve, &mut viewing], &mut plain, 1, 2, now));
+    assert_eq!(serve.cache().stats, plain.stats);
+    assert_eq!(viewing.cache().stats, plain.stats);
+    assert_eq!(plain.stats.hits + plain.stats.misses, queries);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 

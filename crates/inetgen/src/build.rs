@@ -36,6 +36,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// What kind of ODNS host was planted at an address.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -315,12 +316,12 @@ const TARGET_STREAM: u64 = 0x7A_0000_0000;
 enum HostPlan {
     Transparent {
         resolver: Ipv4Addr,
-        device: Option<DeviceProfile>,
+        device: Option<Arc<DeviceProfile>>,
     },
     Recursive {
         resolver: Ipv4Addr,
         manipulation: Manipulation,
-        device: Option<DeviceProfile>,
+        device: Option<Arc<DeviceProfile>>,
     },
     Resolver,
 }
@@ -366,7 +367,7 @@ fn install_hosts(sim: &mut Simulator, bp: &WorldBlueprint) {
             HostPlan::Transparent { resolver, device } => {
                 let mut fwd = TransparentForwarder::new(*resolver);
                 if let Some(d) = device {
-                    fwd = fwd.with_device(d.clone());
+                    fwd = fwd.with_device(Arc::clone(d));
                 }
                 sim.install(*node, fwd);
             }
@@ -377,7 +378,7 @@ fn install_hosts(sim: &mut Simulator, bp: &WorldBlueprint) {
             } => {
                 let mut fwd = RecursiveForwarder::new(*resolver).with_manipulation(*manipulation);
                 if let Some(d) = device {
-                    fwd = fwd.with_device(d.clone());
+                    fwd = fwd.with_device(Arc::clone(d));
                 }
                 sim.install(*node, fwd);
             }
@@ -676,6 +677,13 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
         .filter(|(i, _)| shard_of_country(*i, spec.count) == spec.index)
         .collect();
 
+    // One profile per vendor, shared by every host that carries it and by
+    // every reinstall of that host.
+    let mikrotik = Arc::new(DeviceProfile::mikrotik());
+    let generic = Arc::new(DeviceProfile::generic());
+    let [zyxel, dlink, huawei] = [Vendor::Zyxel, Vendor::DLink, Vendor::Huawei]
+        .map(|v| Arc::new(DeviceProfile::with_mgmt(v)));
+
     for &(global_index, profile) in &selected {
         truth.countries.push(profile.code);
         // Everything this country draws comes from its own stream and its
@@ -861,7 +869,7 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
                 }
             };
 
-        let pick_vendor = |rng: &mut SmallRng, middlebox: bool| -> Option<DeviceProfile> {
+        let pick_vendor = |rng: &mut SmallRng, middlebox: bool| -> Option<Arc<DeviceProfile>> {
             if !config.with_devices {
                 return None;
             }
@@ -870,17 +878,17 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
             // addresses in middleboxes, 0.36·0.32 ≈ 0.64·0.18 ≈ 11.5 %
             // each side, totalling ≈23 %.
             let mikrotik_p = if middlebox { 0.32 } else { 0.18 };
-            Some(if rng.gen_bool(mikrotik_p) {
-                DeviceProfile::mikrotik()
+            Some(Arc::clone(if rng.gen_bool(mikrotik_p) {
+                &mikrotik
             } else if rng.gen_bool(0.12) {
-                DeviceProfile::with_mgmt(Vendor::Zyxel)
+                &zyxel
             } else if rng.gen_bool(0.1) {
-                DeviceProfile::with_mgmt(Vendor::DLink)
+                &dlink
             } else if rng.gen_bool(0.05) {
-                DeviceProfile::with_mgmt(Vendor::Huawei)
+                &huawei
             } else {
-                DeviceProfile::generic()
-            })
+                &generic
+            }))
         };
 
         let heads_ref = heads;
@@ -1002,7 +1010,7 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
                     _ => pool[rng.gen_range(0..pool.len())],
                 };
                 let device = if config.with_devices && rng.gen_bool(0.05) {
-                    Some(DeviceProfile::mikrotik())
+                    Some(Arc::clone(&mikrotik))
                 } else {
                     None
                 };
