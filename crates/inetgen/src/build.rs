@@ -72,6 +72,9 @@ pub struct PlantedHost {
     pub resolver_target: Option<Ipv4Addr>,
     /// True when the address belongs to a whole-/24 middlebox.
     pub middlebox: bool,
+    /// The address a manipulated forwarder writes into every A record it
+    /// relays (None for every other class).
+    pub injects: Option<Ipv4Addr>,
 }
 
 /// Everything the generator planted.
@@ -165,7 +168,7 @@ pub mod scanner_addrs {
 pub struct Internet {
     /// The simulator, ready to run.
     pub sim: Simulator,
-    /// Reinstall recipe for [`Internet::reset`].
+    /// What [`Internet::reset`] needs besides `truth` to reinstall hosts.
     blueprint: WorldBlueprint,
     /// Standard experiment nodes.
     pub fixtures: Fixtures,
@@ -181,14 +184,14 @@ pub struct Internet {
 impl Internet {
     /// Restore a scanned world to its pre-scan state: the simulator
     /// rewinds (clock, queue, RNG, stats — see [`Simulator::reset`]) and
-    /// every host reinstalls from the generation blueprint. The result
+    /// every host reinstalls from `truth.hosts`. The result
     /// runs any experiment bit-identically to a freshly generated world,
     /// while keeping the expensive topology, route caches, ground truth,
     /// geo database, and target list. This is the generate-once/scan-many
     /// hook [`crate::ShardWorldCache`] relies on.
     pub fn reset(&mut self) {
         self.sim.reset(&self.blueprint.config);
-        install_hosts(&mut self.sim, &self.blueprint);
+        install_hosts(&mut self.sim, &self.blueprint, &self.truth.hosts);
     }
 }
 
@@ -221,89 +224,73 @@ const _: () = assert!(
     "country regions exceed the population pool"
 );
 
-/// Per-country /24 allocator over the country's fixed region.
-struct Allocator {
-    next_block: u32,
-    limit: u32,
-}
-
-impl Allocator {
-    fn for_country(global_index: usize) -> Self {
-        let base = POPULATION_BASE + global_index as u32 * COUNTRY_BLOCK_SPAN * 0x100;
-        let limit = base + COUNTRY_BLOCK_SPAN * 0x100;
-        assert!(
-            limit <= 0x7E00_0000,
-            "country region exceeded the 11/8..125/8 pool"
-        );
-        Allocator {
-            next_block: base,
-            limit,
-        }
-    }
-
-    fn next(&mut self) -> u32 {
-        let b = self.next_block;
-        self.next_block += 0x100;
-        assert!(
-            self.next_block <= self.limit,
-            "population exceeded the country's /24 region"
-        );
-        b
-    }
-}
-
-/// Router-space (10/8) allocator: one /24 block per `take` call, from a
-/// fixed per-owner region so that a country's router addresses never
-/// depend on which other ASes exist in the same topology.
-struct RouterAlloc {
+/// A fixed run of consecutive /24 blocks, handed out one at a time. Each
+/// owner — a country's population, a country's routers, the backbone's
+/// routers — draws from its own run, so its addresses never depend on
+/// which other countries or ASes share the topology.
+struct Blocks {
     next: u32,
     limit: u32,
 }
 
-/// Router blocks reserved for the backbone + fixtures (they use ~20).
+/// Router space is 10/8; its first blocks belong to the backbone and
+/// fixtures (they use ~20).
+const ROUTER_BASE: u32 = 0x0A00_0000;
 const BACKBONE_ROUTER_BLOCKS: u32 = 64;
 
-impl RouterAlloc {
-    fn backbone() -> Self {
-        RouterAlloc {
-            next: 0,
-            limit: BACKBONE_ROUTER_BLOCKS,
+impl Blocks {
+    fn population(global_index: usize) -> Self {
+        let next = POPULATION_BASE + global_index as u32 * COUNTRY_BLOCK_SPAN * 0x100;
+        let limit = next + COUNTRY_BLOCK_SPAN * 0x100;
+        assert!(
+            limit <= 0x7E00_0000,
+            "country region exceeded the 11/8..125/8 pool"
+        );
+        Blocks { next, limit }
+    }
+
+    fn backbone_routers() -> Self {
+        Blocks {
+            next: ROUTER_BASE,
+            limit: ROUTER_BASE + BACKBONE_ROUTER_BLOCKS * 0x100,
         }
     }
 
-    fn for_country(global_index: usize) -> Self {
+    fn country_routers(global_index: usize) -> Self {
         // Regions sized by the country's full-scale AS count — the hard
         // ceiling on how many ASes `scaled_ases` can ever request.
-        let base = BACKBONE_ROUTER_BLOCKS
-            + COUNTRIES[..global_index]
-                .iter()
-                .map(|c| u32::from(c.as_count))
-                .sum::<u32>();
-        let limit = base + u32::from(COUNTRIES[global_index].as_count);
-        assert!(limit <= 0x1_0000, "router space exhausted");
-        RouterAlloc { next: base, limit }
+        let next = ROUTER_BASE + (BACKBONE_ROUTER_BLOCKS + ases_before(global_index)) * 0x100;
+        let limit = next + u32::from(COUNTRIES[global_index].as_count) * 0x100;
+        assert!(limit <= POPULATION_BASE, "router space exhausted");
+        Blocks { next, limit }
     }
 
-    fn take(&mut self, n: usize) -> Vec<Ipv4Addr> {
+    /// Base address of the next free /24.
+    fn next(&mut self) -> u32 {
         let block = self.next;
-        self.next += 1;
-        assert!(self.next <= self.limit, "router region exhausted");
-        (0..n)
-            .map(|i| Ipv4Addr::new(10, (block >> 8) as u8, (block & 0xFF) as u8, (i + 1) as u8))
-            .collect()
+        self.next += 0x100;
+        assert!(self.next <= self.limit, "/24 region exhausted");
+        block
     }
 }
 
-/// First 16-bit ASN for a country's region (again sized by `as_count`).
-fn country_asn16_base(global_index: usize) -> u32 {
-    20_000
-        + COUNTRIES[..global_index]
-            .iter()
-            .map(|c| u32::from(c.as_count))
-            .sum::<u32>()
+/// The first `n` host addresses of a /24, `.1` upward.
+fn hosts_of(block: u32, n: u32) -> impl Iterator<Item = Ipv4Addr> + Clone {
+    (1..=n).map(move |i| Ipv4Addr::from(block + i))
 }
 
-/// 32-bit ASN regions: 10 000 per country, far above any `as_count`.
+/// Full-scale AS count of every country before `global_index`: the offset
+/// of a country's router region and of its 16-bit ASN region.
+fn ases_before(global_index: usize) -> u32 {
+    COUNTRIES[..global_index]
+        .iter()
+        .map(|c| u32::from(c.as_count))
+        .sum()
+}
+
+/// 16-bit ASN regions are sized by `as_count`; 32-bit regions hold 10 000
+/// per country, far above any `as_count`.
+const ASN16_BASE: u32 = 20_000;
 const ASN32_BASE: u32 = 4_200_000_000;
 const ASN32_SPAN: u32 = 10_000;
 
@@ -312,23 +299,9 @@ const ASN32_SPAN: u32 = 10_000;
 const COUNTRY_STREAM: u64 = 0xC0_0000_0000;
 const TARGET_STREAM: u64 = 0x7A_0000_0000;
 
-#[derive(Debug, Clone)]
-enum HostPlan {
-    Transparent {
-        resolver: Ipv4Addr,
-        device: Option<Arc<DeviceProfile>>,
-    },
-    Recursive {
-        resolver: Ipv4Addr,
-        manipulation: Manipulation,
-        device: Option<Arc<DeviceProfile>>,
-    },
-    Resolver,
-}
-
-/// Everything needed to reinstall a shard's hosts onto a reset simulator:
-/// the sim config (for the RNG reseed), the study-stack nodes, the public
-/// resolver nodes, and the full population plan. Kept by [`Internet`] so
+/// What reinstalling a shard's hosts onto a reset simulator needs besides
+/// the ground truth itself: the sim config (for the RNG reseed), the
+/// study-stack nodes and the public resolver nodes. Kept by [`Internet`] so
 /// [`Internet::reset`] can restore a scanned world to its pre-scan state
 /// without regenerating the topology.
 #[derive(Debug, Clone)]
@@ -336,14 +309,14 @@ struct WorldBlueprint {
     config: SimConfig,
     study: StudyNodes,
     project_resolvers: Vec<NodeId>,
-    plans: Vec<(NodeId, HostPlan)>,
 }
 
-/// Install the study stack, public resolvers, and population onto a
-/// simulator that has no hosts yet (fresh or just reset). Shared by first
-/// generation and every [`Internet::reset`], so a reset world is rebuilt
-/// by the exact code path that built it.
-fn install_hosts(sim: &mut Simulator, bp: &WorldBlueprint) {
+/// Install the study stack, public resolvers, and the planted population
+/// onto a simulator that has no hosts yet (fresh or just reset). Shared by
+/// first generation and every [`Internet::reset`], so a reset world is
+/// rebuilt by the exact code path that built it — from the same
+/// [`PlantedHost`] records the analysis reads as ground truth.
+fn install_hosts(sim: &mut Simulator, bp: &WorldBlueprint, planted: &[PlantedHost]) {
     odns::install_study_stack(
         sim,
         bp.study,
@@ -353,43 +326,52 @@ fn install_hosts(sim: &mut Simulator, bp: &WorldBlueprint) {
             ..AuthConfig::default()
         },
     );
+    let resolver = |cache_capacity| {
+        RecursiveResolver::new(ResolverConfig {
+            cache_capacity,
+            ..ResolverConfig::open(vec![ROOT_IP])
+        })
+    };
     for node in &bp.project_resolvers {
-        sim.install(
-            *node,
-            RecursiveResolver::new(ResolverConfig {
-                cache_capacity: 4096,
-                ..ResolverConfig::open(vec![ROOT_IP])
-            }),
-        );
+        sim.install(*node, resolver(4096));
     }
-    for (node, plan) in &bp.plans {
-        match plan {
-            HostPlan::Transparent { resolver, device } => {
-                let mut fwd = TransparentForwarder::new(*resolver);
+    // One profile per vendor, shared by every host that carries it.
+    let devices = Vendor::all().map(|vendor| {
+        Arc::new(match vendor {
+            Vendor::MikroTik => DeviceProfile::mikrotik(),
+            Vendor::GenericCpe => DeviceProfile::generic(),
+            Vendor::DLink | Vendor::Zyxel | Vendor::Huawei => DeviceProfile::with_mgmt(vendor),
+        })
+    });
+    let mut installed = None;
+    for p in planted {
+        // A /24 middlebox is 254 consecutive entries sharing one node.
+        if installed.replace(p.node) == Some(p.node) {
+            continue;
+        }
+        let upstream = || p.resolver_target.expect("a forwarder has an upstream");
+        let device = p.vendor.map(|v| {
+            let shared = devices.iter().find(|d| d.vendor == v);
+            Arc::clone(shared.expect("one profile per vendor"))
+        });
+        match p.class {
+            PlantedClass::RecursiveResolver => sim.install(p.node, resolver(256)),
+            PlantedClass::TransparentForwarder => {
+                let mut fwd = TransparentForwarder::new(upstream());
                 if let Some(d) = device {
-                    fwd = fwd.with_device(Arc::clone(d));
+                    fwd = fwd.with_device(d);
                 }
-                sim.install(*node, fwd);
+                sim.install(p.node, fwd);
             }
-            HostPlan::Recursive {
-                resolver,
-                manipulation,
-                device,
-            } => {
-                let mut fwd = RecursiveForwarder::new(*resolver).with_manipulation(*manipulation);
+            PlantedClass::RecursiveForwarder | PlantedClass::ManipulatedForwarder => {
+                let manipulation = p
+                    .injects
+                    .map_or(Manipulation::None, Manipulation::ReplaceARecords);
+                let mut fwd = RecursiveForwarder::new(upstream()).with_manipulation(manipulation);
                 if let Some(d) = device {
-                    fwd = fwd.with_device(Arc::clone(d));
+                    fwd = fwd.with_device(d);
                 }
-                sim.install(*node, fwd);
-            }
-            HostPlan::Resolver => {
-                sim.install(
-                    *node,
-                    RecursiveResolver::new(ResolverConfig {
-                        cache_capacity: 256,
-                        ..ResolverConfig::open(vec![ROOT_IP])
-                    }),
-                );
+                sim.install(p.node, fwd);
             }
         }
     }
@@ -413,292 +395,382 @@ pub fn generate(config: &GenConfig) -> Internet {
 /// byte-identically no matter the partition — `spec.count = 1` *is* the
 /// classic single-simulator world.
 pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
-    let mut b = TopologyBuilder::new();
-    let mut geo = GeoDb::new();
-    let mut plans: Vec<(NodeId, HostPlan)> = Vec::new();
-    let mut truth = GroundTruth::default();
+    let mut draft = Draft {
+        b: TopologyBuilder::new(),
+        geo: GeoDb::new(),
+        truth: GroundTruth::default(),
+    };
 
-    // ---- Structural backbone -------------------------------------------------
-    // Every AS gets its own /24 of router space inside 10/8 so the geo
-    // database can map any hop to exactly one ASN (DNSRoute++ depends on
-    // this being unambiguous). The backbone draws no randomness: it is
-    // byte-identical in every shard.
-    let mut backbone_routers = RouterAlloc::backbone();
-    let mut make_routers = |n: usize| -> Vec<Ipv4Addr> { backbone_routers.take(n) };
+    // Backbone and fixtures draw no randomness: byte-identical in every
+    // shard.
+    let mut routers = Blocks::backbone_routers();
+    let backbone = backbone(&mut draft, &mut routers);
+    let (fixtures, study) = fixtures(&mut draft, &mut routers, &backbone);
+    for (global_index, profile) in selected_countries(config, spec) {
+        plant_country(&mut draft, config, &backbone, global_index, profile);
+    }
+
+    // The fault plan is salted from the *generation* seed, which is shared
+    // by every shard — per-flow fault verdicts are therefore invariant
+    // under the shard count even though per-shard sim seeds differ.
+    let mut sim_config = SimConfig::for_shard(config.seed, spec.index);
+    sim_config.faults = config.faults.clone().salted(config.seed);
+    let topo = draft.b.build().expect("generated topology is valid");
+    let mut sim = Simulator::new(topo, sim_config.clone());
+
+    // Every shard deploys its own full root → TLD → authoritative stack,
+    // so recursive resolution never crosses shards.
+    let blueprint = WorldBlueprint {
+        config: sim_config,
+        study,
+        project_resolvers: backbone.project_resolvers,
+    };
+    install_hosts(&mut sim, &blueprint, &draft.truth.hosts);
+
+    let targets = scan_targets(config, spec, &draft.truth.hosts);
+    Internet {
+        sim,
+        blueprint,
+        fixtures,
+        truth: draft.truth,
+        geo: draft.geo,
+        targets,
+    }
+}
+
+/// A shard under construction. Topology and lookup database grow
+/// together: whatever adds a network to one registers it in the other.
+struct Draft {
+    b: TopologyBuilder,
+    geo: GeoDb,
+    truth: GroundTruth,
+}
+
+impl Draft {
+    /// Add an AS with `n_routers` transit routers and its registry entry.
+    /// Every AS gets its own /24 of router space inside 10/8, so the geo
+    /// database maps any hop to exactly one ASN (DNSRoute++ depends on
+    /// this being unambiguous).
+    fn add_as(
+        &mut self,
+        routers: &mut Blocks,
+        asn: u32,
+        country: &'static str,
+        kind: AsKind,
+        sav_outbound: bool,
+        n_routers: u32,
+    ) -> AsId {
+        let transit_routers: Vec<Ipv4Addr> = hosts_of(routers.next(), n_routers).collect();
+        for r in &transit_routers {
+            self.geo.add_prefix24(*r, asn);
+        }
+        self.geo.add_asn(asn, country, kind);
+        self.b.add_as(AsSpec {
+            asn,
+            country: CountryCode::new(country),
+            kind,
+            sav_outbound,
+            transit_routers,
+        })
+    }
+
+    /// Add a single-address host and announce its /24 from `asn`.
+    fn add_host(&mut self, as_id: AsId, asn: u32, ip: Ipv4Addr) -> NodeId {
+        self.geo.add_prefix24(ip, asn);
+        self.b.add_host(as_id, HostSpec::simple(ip))
+    }
+}
+
+/// The part of every shard that no country owns.
+struct Backbone {
+    /// Four tier-1 transits, full mesh.
+    tier1: Vec<AsId>,
+    /// One regional transit per [`Region`], indexed by [`Region::index`].
+    regional: Vec<AsId>,
+    google_as: AsId,
+    cloudflare_as: AsId,
+    /// The four public resolver projects' egress nodes.
+    project_resolvers: Vec<NodeId>,
+}
+
+/// Transit mesh and public resolver projects.
+fn backbone(d: &mut Draft, routers: &mut Blocks) -> Backbone {
+    use Relationship::{Peer, ProviderCustomer};
 
     let tier1: Vec<AsId> = (0..4)
-        .map(|i| {
-            b.add_as(AsSpec {
-                asn: 64601 + i,
-                country: CountryCode::new("USA"),
-                kind: AsKind::Transit,
-                sav_outbound: true,
-                transit_routers: make_routers(2),
-            })
-        })
+        .map(|i| d.add_as(routers, 64601 + i, "USA", AsKind::Transit, true, 2))
         .collect();
     for i in 0..tier1.len() {
         for j in (i + 1)..tier1.len() {
-            b.connect(tier1[i], tier1[j], Relationship::Peer);
+            d.b.connect(tier1[i], tier1[j], Peer);
         }
     }
-
-    let regional: Vec<AsId> = Region::all()
-        .iter()
-        .enumerate()
-        .map(|(i, _)| {
-            b.add_as(AsSpec {
-                asn: 64611 + i as u32,
-                country: CountryCode::new("USA"),
-                kind: AsKind::Transit,
-                sav_outbound: true,
-                // Three routers per regional backbone: calibrated so the
-                // Figure 6 means land near the paper's 6.3/7.9/9.3 hops.
-                transit_routers: make_routers(3),
-            })
-        })
+    // Three routers per regional backbone: calibrated so the Figure 6
+    // means land near the paper's 6.3/7.9/9.3 hops.
+    let regional: Vec<AsId> = (0..Region::all().len() as u32)
+        .map(|i| d.add_as(routers, 64611 + i, "USA", AsKind::Transit, true, 3))
         .collect();
     for (i, &r) in regional.iter().enumerate() {
-        b.connect(tier1[i % 4], r, Relationship::ProviderCustomer);
-        b.connect(tier1[(i + 1) % 4], r, Relationship::ProviderCustomer);
+        d.b.connect(tier1[i % 4], r, ProviderCustomer);
+        d.b.connect(tier1[(i + 1) % 4], r, ProviderCustomer);
     }
 
-    // ---- Public resolver projects --------------------------------------------
     // PoP footprint is modeled as peering density: Cloudflare peers with
-    // everything (plus a share of eyeball ASes below), Google with every
-    // regional, Quad9 with a subset, OpenDNS barely — yielding the
-    // Figure 6 path-length ordering Cloudflare < Google < OpenDNS.
-    let google_as = b.add_as(AsSpec {
-        asn: ResolverProject::Google.asn(),
-        country: CountryCode::new("USA"),
-        kind: AsKind::Content,
-        sav_outbound: true,
-        transit_routers: make_routers(2),
-    });
+    // everything (plus a share of eyeball ASes, see `country_ases`),
+    // Google with every regional, Quad9 with a subset, OpenDNS barely —
+    // yielding the Figure 6 path-length ordering Cloudflare < Google <
+    // OpenDNS. Each project is its AS plus one egress node that also
+    // answers the project's anycast service address.
+    let mut project_resolvers = Vec::new();
+    let mut project = |d: &mut Draft, project: ResolverProject, n_routers, egress| {
+        let asn = project.asn();
+        let as_id = d.add_as(routers, asn, "USA", AsKind::Content, true, n_routers);
+        d.geo.add_prefix24(egress, asn);
+        d.geo.add_anycast(project.service_ip(), asn);
+        let spec = HostSpec {
+            link_latency: SimDuration::from_micros(500),
+            ..HostSpec::simple(egress)
+        };
+        let node = d.b.add_host(as_id, spec);
+        d.b.add_anycast_instance(project.service_ip(), node);
+        project_resolvers.push(node);
+        as_id
+    };
+    let google_as = project(d, ResolverProject::Google, 2, Ipv4Addr::new(8, 8, 4, 1));
     for &r in &regional {
-        b.connect(google_as, r, Relationship::Peer);
+        d.b.connect(google_as, r, Peer);
     }
-    b.connect(google_as, tier1[0], Relationship::Peer);
-    b.connect(google_as, tier1[1], Relationship::Peer);
+    d.b.connect(google_as, tier1[0], Peer);
+    d.b.connect(google_as, tier1[1], Peer);
 
-    let cloudflare_as = b.add_as(AsSpec {
-        asn: ResolverProject::Cloudflare.asn(),
-        country: CountryCode::new("USA"),
-        kind: AsKind::Content,
-        sav_outbound: true,
-        transit_routers: make_routers(1),
-    });
+    let cloudflare_as = project(d, ResolverProject::Cloudflare, 1, Ipv4Addr::new(1, 0, 0, 1));
     for &r in regional.iter().chain(&tier1) {
-        b.connect(cloudflare_as, r, Relationship::Peer);
+        d.b.connect(cloudflare_as, r, Peer);
     }
 
-    let quad9_as = b.add_as(AsSpec {
-        asn: ResolverProject::Quad9.asn(),
-        country: CountryCode::new("USA"),
-        kind: AsKind::Content,
-        sav_outbound: true,
-        transit_routers: make_routers(2),
-    });
-    b.connect(
-        quad9_as,
-        regional[Region::Europe.index()],
-        Relationship::Peer,
-    );
-    b.connect(
-        quad9_as,
-        regional[Region::NorthAmerica.index()],
-        Relationship::Peer,
-    );
-    b.connect(quad9_as, tier1[2], Relationship::Peer);
+    let quad9_as = project(d, ResolverProject::Quad9, 2, Ipv4Addr::new(9, 9, 9, 10));
+    d.b.connect(quad9_as, regional[Region::Europe.index()], Peer);
+    d.b.connect(quad9_as, regional[Region::NorthAmerica.index()], Peer);
+    d.b.connect(quad9_as, tier1[2], Peer);
 
-    let opendns_as = b.add_as(AsSpec {
-        asn: ResolverProject::OpenDns.asn(),
-        country: CountryCode::new("USA"),
-        kind: AsKind::Content,
-        sav_outbound: true,
-        transit_routers: make_routers(3),
-    });
-    b.connect(tier1[3], opendns_as, Relationship::ProviderCustomer);
-    b.connect(
-        opendns_as,
-        regional[Region::NorthAmerica.index()],
-        Relationship::Peer,
+    let opendns_as = project(
+        d,
+        ResolverProject::OpenDns,
+        3,
+        Ipv4Addr::new(208, 67, 220, 1),
     );
+    d.b.connect(tier1[3], opendns_as, ProviderCustomer);
+    d.b.connect(opendns_as, regional[Region::NorthAmerica.index()], Peer);
 
-    let project_egress = [
-        (
-            ResolverProject::Google,
-            google_as,
-            Ipv4Addr::new(8, 8, 4, 1),
-        ),
-        (
-            ResolverProject::Cloudflare,
-            cloudflare_as,
-            Ipv4Addr::new(1, 0, 0, 1),
-        ),
-        (ResolverProject::Quad9, quad9_as, Ipv4Addr::new(9, 9, 9, 10)),
-        (
-            ResolverProject::OpenDns,
-            opendns_as,
-            Ipv4Addr::new(208, 67, 220, 1),
-        ),
-    ];
-    let mut project_nodes = Vec::new();
-    for (project, as_id, egress) in project_egress {
-        let node = b.add_host(
-            as_id,
-            HostSpec {
-                ip: egress,
-                extra_ips: vec![],
-                access_routers: vec![],
-                link_latency: SimDuration::from_micros(500),
-            },
-        );
-        b.add_anycast_instance(project.service_ip(), node);
-        project_nodes.push((project, node));
-        geo.add_prefix24(egress, project.asn());
-        geo.add_anycast(project.service_ip(), project.asn());
-        geo.add_asn(project.asn(), "USA", AsKind::Content);
+    Backbone {
+        tier1,
+        regional,
+        google_as,
+        cloudflare_as,
+        project_resolvers,
     }
+}
 
-    // ---- Fixture networks -----------------------------------------------------
-    let scanner_as = b.add_as(AsSpec {
-        asn: 64496,
-        country: CountryCode::new("DEU"),
-        kind: AsKind::Education,
-        sav_outbound: true,
-        transit_routers: make_routers(1),
-    });
-    b.connect(tier1[0], scanner_as, Relationship::ProviderCustomer);
-    b.connect(
-        scanner_as,
-        regional[Region::Europe.index()],
-        Relationship::Peer,
-    );
-    let scanner = b.add_host(scanner_as, HostSpec::simple(SCANNER_IP));
-    let campaign_scanners = [
-        b.add_host(scanner_as, HostSpec::simple(Ipv4Addr::new(192, 0, 2, 11))),
-        b.add_host(scanner_as, HostSpec::simple(Ipv4Addr::new(192, 0, 2, 12))),
-        b.add_host(scanner_as, HostSpec::simple(Ipv4Addr::new(192, 0, 2, 13))),
-    ];
-    geo.add_prefix24(SCANNER_IP, 64496);
-    geo.add_asn(64496, "DEU", AsKind::Education);
+/// Fixture networks: the scanner, the study's name servers, the sensor
+/// network and a victim — nodes only, their hosts are the caller's.
+fn fixtures(d: &mut Draft, routers: &mut Blocks, bb: &Backbone) -> (Fixtures, StudyNodes) {
+    use Relationship::{Peer, ProviderCustomer};
+    let europe = bb.regional[Region::Europe.index()];
 
-    let infra_as = b.add_as(AsSpec {
-        asn: 64500,
-        country: CountryCode::new("DEU"),
-        kind: AsKind::Content,
-        sav_outbound: true,
-        transit_routers: make_routers(1),
-    });
-    b.connect(tier1[0], infra_as, Relationship::ProviderCustomer);
-    b.connect(tier1[1], infra_as, Relationship::ProviderCustomer);
-    let root_node = b.add_host(infra_as, HostSpec::simple(ROOT_IP));
-    let tld_node = b.add_host(infra_as, HostSpec::simple(TLD_IP));
-    let auth_node = b.add_host(infra_as, HostSpec::simple(AUTH_IP));
-    for ip in [ROOT_IP, TLD_IP, AUTH_IP] {
-        geo.add_prefix24(ip, 64500);
-    }
-    geo.add_asn(64500, "DEU", AsKind::Content);
+    let scanner_as = d.add_as(routers, 64496, "DEU", AsKind::Education, true, 1);
+    d.b.connect(bb.tier1[0], scanner_as, ProviderCustomer);
+    d.b.connect(scanner_as, europe, Peer);
+    let scanner = d.add_host(scanner_as, 64496, SCANNER_IP);
+    let campaign_scanners =
+        [11, 12, 13].map(|i| d.add_host(scanner_as, 64496, Ipv4Addr::new(192, 0, 2, i)));
+
+    let infra_as = d.add_as(routers, 64500, "DEU", AsKind::Content, true, 1);
+    d.b.connect(bb.tier1[0], infra_as, ProviderCustomer);
+    d.b.connect(bb.tier1[1], infra_as, ProviderCustomer);
+    let [root, tld, auth] = [ROOT_IP, TLD_IP, AUTH_IP].map(|ip| d.add_host(infra_as, 64500, ip));
 
     // The sensor network of §3.1: no outbound SAV, and a direct IXP
     // peering with Google's AS ("our network peers directly with Google at
     // an IXP, so we are not exposed to filters from upstream providers").
-    let sensor_as = b.add_as(AsSpec {
-        asn: 64497,
-        country: CountryCode::new("DEU"),
-        kind: AsKind::Education,
-        sav_outbound: false,
-        transit_routers: make_routers(1),
-    });
-    b.connect(
-        regional[Region::Europe.index()],
-        sensor_as,
-        Relationship::ProviderCustomer,
-    );
-    b.connect(sensor_as, google_as, Relationship::Peer);
+    let sensor_as = d.add_as(routers, 64497, "DEU", AsKind::Education, false, 1);
+    d.b.connect(europe, sensor_as, ProviderCustomer);
+    d.b.connect(sensor_as, bb.google_as, Peer);
     let sensor_addrs = scanner_addrs::SensorAddrs {
         ip1: Ipv4Addr::new(203, 0, 113, 11),
         ip2: Ipv4Addr::new(203, 0, 113, 22),
         ip3: Ipv4Addr::new(203, 0, 113, 23),
         ip4: Ipv4Addr::new(203, 0, 113, 44),
     };
-    let sensor1 = b.add_host(sensor_as, HostSpec::simple(sensor_addrs.ip1));
-    let sensor2 = b.add_host(
+    let sensor1 = d.add_host(sensor_as, 64497, sensor_addrs.ip1);
+    let sensor2 = d.b.add_host(
         sensor_as,
         HostSpec {
-            ip: sensor_addrs.ip2,
             extra_ips: vec![sensor_addrs.ip3],
-            access_routers: vec![],
-            link_latency: SimDuration::from_millis(2),
+            ..HostSpec::simple(sensor_addrs.ip2)
         },
     );
-    let sensor3 = b.add_host(sensor_as, HostSpec::simple(sensor_addrs.ip4));
-    geo.add_prefix24(sensor_addrs.ip1, 64497);
-    geo.add_asn(64497, "DEU", AsKind::Education);
+    let sensor3 = d.add_host(sensor_as, 64497, sensor_addrs.ip4);
 
-    let victim_as = b.add_as(AsSpec {
-        asn: 64498,
-        country: CountryCode::new("DEU"),
-        kind: AsKind::EyeballIsp,
-        sav_outbound: true,
-        transit_routers: make_routers(1),
-    });
-    b.connect(
-        regional[Region::Europe.index()],
-        victim_as,
-        Relationship::ProviderCustomer,
-    );
-    let victim = b.add_host(victim_as, HostSpec::simple(VICTIM_IP));
-    geo.add_prefix24(VICTIM_IP, 64498);
-    geo.add_asn(64498, "DEU", AsKind::EyeballIsp);
+    let victim_as = d.add_as(routers, 64498, "DEU", AsKind::EyeballIsp, true, 1);
+    d.b.connect(europe, victim_as, ProviderCustomer);
+    let victim = d.add_host(victim_as, 64498, VICTIM_IP);
 
-    // ---- Per-country population ----------------------------------------------
-    // Selection keeps each country's index in the full COUNTRIES table:
-    // that index — not the position within the selection — keys its
-    // address region, ASN region, router region, and RNG stream, so a
-    // country is planted identically whatever subset or shard it is in.
-    let selected: Vec<(usize, &CountryProfile)> = match &config.countries {
-        CountrySelection::All => COUNTRIES.iter().enumerate().collect(),
-        CountrySelection::TopByTransparent(n) => {
-            let mut v: Vec<(usize, &CountryProfile)> = COUNTRIES.iter().enumerate().collect();
-            v.sort_by_key(|(_, c)| std::cmp::Reverse(c.transparent));
-            v.truncate(*n);
-            v
-        }
-        CountrySelection::Codes(codes) => COUNTRIES
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| codes.contains(&c.code))
-            .collect(),
+    let fixtures = Fixtures {
+        scanner,
+        scanner_ip: SCANNER_IP,
+        campaign_scanners,
+        root_ip: ROOT_IP,
+        tld_ip: TLD_IP,
+        auth_ip: AUTH_IP,
+        auth,
+        sensor1,
+        sensor2,
+        sensor3,
+        sensor_addrs,
+        victim,
+        victim_ip: VICTIM_IP,
     };
-    let selected: Vec<(usize, &CountryProfile)> = selected
-        .into_iter()
-        .filter(|(i, _)| shard_of_country(*i, spec.count) == spec.index)
-        .collect();
+    let study = StudyNodes {
+        root,
+        tld,
+        tld_ip: TLD_IP,
+        auth,
+        auth_ip: AUTH_IP,
+    };
+    (fixtures, study)
+}
 
-    // One profile per vendor, shared by every host that carries it and by
-    // every reinstall of that host.
-    let mikrotik = Arc::new(DeviceProfile::mikrotik());
-    let generic = Arc::new(DeviceProfile::generic());
-    let [zyxel, dlink, huawei] = [Vendor::Zyxel, Vendor::DLink, Vendor::Huawei]
-        .map(|v| Arc::new(DeviceProfile::with_mgmt(v)));
+/// The countries this shard plants, each with its index in the full
+/// [`COUNTRIES`] table: that index — not the position within the
+/// selection — keys its address region, ASN region, router region, and RNG
+/// stream, so a country is planted identically whatever subset or shard it
+/// is in.
+fn selected_countries(
+    config: &GenConfig,
+    spec: ShardSpec,
+) -> impl Iterator<Item = (usize, &'static CountryProfile)> + '_ {
+    COUNTRIES.iter().enumerate().filter(move |(i, c)| {
+        let wanted = match &config.countries {
+            CountrySelection::All => true,
+            CountrySelection::Codes(codes) => codes.contains(&c.code),
+        };
+        wanted && shard_of_country(*i, spec.count) == spec.index
+    })
+}
 
-    for &(global_index, profile) in &selected {
-        truth.countries.push(profile.code);
-        // Everything this country draws comes from its own stream and its
-        // own fixed regions — the sharding determinism contract.
-        let mut rng = SmallRng::seed_from_u64(derive_seed(
-            config.seed,
-            COUNTRY_STREAM | global_index as u64,
-        ));
-        let mut alloc = Allocator::for_country(global_index);
-        let mut routers = RouterAlloc::for_country(global_index);
-        let mut asn_counter_32bit = ASN32_BASE + global_index as u32 * ASN32_SPAN;
-        let mut asn_counter_16bit = country_asn16_base(global_index);
-        let n_ases = config.scaled_ases(profile.as_count) as usize;
-        let mut country_ases = Vec::with_capacity(n_ases);
-        for _ in 0..n_ases {
+/// What a planted host does with a query — the part of a [`PlantedHost`]
+/// each population draws for itself.
+#[derive(Clone, Copy, Default)]
+struct Role {
+    upstream: Option<Ipv4Addr>,
+    vendor: Option<Vendor>,
+    injects: Option<Ipv4Addr>,
+}
+
+/// One country mid-planting: its RNG stream, its fixed address region and
+/// the ASes its hosts spread over. Everything a country draws comes from
+/// here — the sharding determinism contract.
+struct Planter<'a> {
+    d: &'a mut Draft,
+    rng: SmallRng,
+    blocks: Blocks,
+    country: &'static str,
+    ases: Vec<(AsId, u32)>,
+    /// Zipf-ish AS weights: the first AS dominates (Table 4's "Top ASN"
+    /// concentration).
+    weights: Vec<f64>,
+    weight_sum: f64,
+}
+
+impl Planter<'_> {
+    fn pick_as(&mut self) -> (AsId, u32) {
+        let mut x = self.rng.gen_range(0.0..self.weight_sum);
+        for (i, w) in self.weights.iter().enumerate() {
+            if x < *w {
+                return self.ases[i];
+            }
+            x -= w;
+        }
+        self.ases[self.ases.len() - 1]
+    }
+
+    /// Plant `n` addresses of `class` in the next free /24 of a weighted
+    /// random AS, each host's [`Role`] drawn by `draw`. A `middlebox`
+    /// block is one node owning all `n` addresses with one role; any other
+    /// block is `n` nodes.
+    fn plant_block(
+        &mut self,
+        n: u32,
+        class: PlantedClass,
+        middlebox: bool,
+        draw: &mut impl FnMut(&mut SmallRng) -> Role,
+    ) {
+        let (as_id, asn) = self.pick_as();
+        let block = self.blocks.next();
+        self.d.geo.add_prefix24(Ipv4Addr::from(block), asn);
+        let ips = hosts_of(block, n);
+        let shared = middlebox.then(|| {
+            let spec = HostSpec {
+                extra_ips: ips.clone().skip(1).collect(),
+                ..HostSpec::simple(Ipv4Addr::from(block + 1))
+            };
+            (self.d.b.add_host(as_id, spec), draw(&mut self.rng))
+        });
+        for ip in ips {
+            let (node, role) = shared.unwrap_or_else(|| {
+                let node = self.d.b.add_host(as_id, HostSpec::simple(ip));
+                (node, draw(&mut self.rng))
+            });
+            self.d.truth.hosts.push(PlantedHost {
+                ip,
+                node,
+                class,
+                country: self.country,
+                asn,
+                vendor: role.vendor,
+                resolver_target: role.upstream,
+                middlebox,
+                injects: role.injects,
+            });
+        }
+    }
+
+    /// Plant `total` addresses block by block, `block_size` deciding from
+    /// what is left how many the next /24 holds. Returns what was planted.
+    fn plant(
+        &mut self,
+        total: u32,
+        class: PlantedClass,
+        middlebox: bool,
+        mut block_size: impl FnMut(&mut SmallRng, u32) -> u32,
+        mut draw: impl FnMut(&mut SmallRng) -> Role,
+    ) -> &[PlantedHost] {
+        let start = self.d.truth.hosts.len();
+        let mut left = total;
+        while left > 0 {
+            let n = block_size(&mut self.rng, left);
+            self.plant_block(n, class, middlebox, &mut draw);
+            left -= n;
+        }
+        &self.d.truth.hosts[start..]
+    }
+}
+
+/// Create a country's ASes under its regional transit, with the peering
+/// that shapes Figure 6.
+fn country_ases(
+    d: &mut Draft,
+    rng: &mut SmallRng,
+    config: &GenConfig,
+    bb: &Backbone,
+    global_index: usize,
+    profile: &CountryProfile,
+) -> Vec<(AsId, u32)> {
+    let mut routers = Blocks::country_routers(global_index);
+    let mut asn_counter_32bit = ASN32_BASE + global_index as u32 * ASN32_SPAN;
+    let mut asn_counter_16bit = ASN16_BASE + ases_before(global_index);
+    (0..config.scaled_ases(profile.as_count))
+        .map(|_| {
             let asn = if rng.gen_bool(0.6) {
                 asn_counter_32bit += 1;
                 asn_counter_32bit
@@ -713,459 +785,254 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
                 79..=85 => AsKind::Content,
                 _ => AsKind::Unclassified,
             };
-            let as_id = b.add_as(AsSpec {
-                asn,
-                country: CountryCode::new(profile.code),
-                kind,
-                // ASes hosting transparent forwarders cannot filter
-                // spoofed egress; model the country's eyeball space as
-                // mostly SAV-free when it hosts transparents.
-                sav_outbound: if profile.transparent > 0 {
-                    false
-                } else {
-                    rng.gen_bool(0.5)
-                },
-                transit_routers: routers.take(1),
-            });
-            b.connect(
-                regional[profile.region.index()],
-                as_id,
-                Relationship::ProviderCustomer,
-            );
+            // ASes hosting transparent forwarders cannot filter spoofed
+            // egress; model the country's eyeball space as mostly SAV-free
+            // when it hosts transparents.
+            let sav_outbound = profile.transparent == 0 && rng.gen_bool(0.5);
+            let as_id = d.add_as(&mut routers, asn, profile.code, kind, sav_outbound, 1);
+            let regional = bb.regional[profile.region.index()];
+            d.b.connect(regional, as_id, Relationship::ProviderCustomer);
             if rng.gen_bool(0.3) {
-                let t = tier1[rng.gen_range(0..tier1.len())];
-                b.connect(t, as_id, Relationship::ProviderCustomer);
+                let t = bb.tier1[rng.gen_range(0..bb.tier1.len())];
+                d.b.connect(t, as_id, Relationship::ProviderCustomer);
             }
             // Cloudflare's IXP omnipresence: direct peering with a share
             // of eyeball networks (drives its short Figure 6 paths).
             if rng.gen_bool(0.35) {
-                b.connect(as_id, cloudflare_as, Relationship::Peer);
+                d.b.connect(as_id, bb.cloudflare_as, Relationship::Peer);
             }
             // Google peers at far fewer IXPs than Cloudflare — the gap
             // behind Figure 6's Cloudflare < Google ordering.
             if rng.gen_bool(0.04) {
-                b.connect(as_id, google_as, Relationship::Peer);
+                d.b.connect(as_id, bb.google_as, Relationship::Peer);
             }
-            geo.add_asn(asn, profile.code, kind);
-            country_ases.push((as_id, asn));
-        }
+            (as_id, asn)
+        })
+        .collect()
+}
 
-        // Zipf-ish AS weights: the first AS dominates (Table 4's "Top ASN"
-        // concentration).
-        let weights: Vec<f64> = (0..country_ases.len())
-            .map(|i| 1.0 / (i as f64 + 1.0).powf(1.1))
-            .collect();
-        let weight_sum: f64 = weights.iter().sum();
-        let pick_as = |rng: &mut SmallRng| -> (AsId, u32) {
-            let mut x = rng.gen_range(0.0..weight_sum);
-            for (i, w) in weights.iter().enumerate() {
-                if x < *w {
-                    return country_ases[i];
-                }
-                x -= w;
-            }
-            country_ases[country_ases.len() - 1]
-        };
-
-        // --- Resolvers (incl. the local "other" pool) ---
-        let n_resolvers = config
-            .scaled(profile.resolvers, &mut rng)
-            .max(u32::from(profile.other.local_resolvers.min(2)));
-        let mut pool = Vec::new();
-        let mut placed = 0u32;
-        while placed < n_resolvers {
-            let (as_id, asn) = pick_as(&mut rng);
-            let block = alloc.next();
-            geo.add_prefix24(Ipv4Addr::from(block), asn);
-            let in_block = (n_resolvers - placed).min(254);
-            for i in 0..in_block {
-                let ip = Ipv4Addr::from(block + i + 1);
-                let node = b.add_host(as_id, HostSpec::simple(ip));
-                plans.push((node, HostPlan::Resolver));
-                truth.hosts.push(PlantedHost {
-                    ip,
-                    node,
-                    class: PlantedClass::RecursiveResolver,
-                    country: profile.code,
-                    asn,
-                    vendor: None,
-                    resolver_target: None,
-                    middlebox: false,
-                });
-                if pool.len() < profile.other.local_resolvers as usize {
-                    pool.push(ip);
-                }
-            }
-            placed += in_block;
+/// Where a transparent forwarder relays to: one of the four projects by
+/// the country's Figure 5 mix, else ("other") a chain head or a local
+/// resolver.
+fn draw_upstream(
+    rng: &mut SmallRng,
+    profile: &CountryProfile,
+    pool: &[Ipv4Addr],
+    heads: &[Ipv4Addr],
+) -> Ipv4Addr {
+    let m = &profile.mix;
+    let mut x = rng.gen_range(0..100u32);
+    for (share, project) in [
+        (m.google, ResolverProject::Google),
+        (m.cloudflare, ResolverProject::Cloudflare),
+        (m.quad9, ResolverProject::Quad9),
+        (m.opendns, ResolverProject::OpenDns),
+    ] {
+        if x < u32::from(share) {
+            return project.service_ip();
         }
-        if pool.is_empty() {
-            // Degenerate scale: fall back to Google so forwarders always
-            // have a live upstream.
-            pool.push(ResolverProject::Google.service_ip());
-        }
-
-        // --- Chain heads: country-local recursive forwarders that relay
-        //     to Google — the "indirect consolidation" hop (Table 4) ---
-        let n_transparent = config.scaled(profile.transparent, &mut rng);
-        let other_share = f64::from(profile.mix.other()) / 100.0;
-        let indirect = f64::from(profile.other.indirect_pct) / 100.0;
-        let expected_chain_clients = (n_transparent as f64 * other_share * indirect).round() as u32;
-        let n_chain_heads = if expected_chain_clients > 0 {
-            (expected_chain_clients / 80).max(1)
-        } else {
-            0
-        };
-        let mut heads = Vec::new();
-        for _ in 0..n_chain_heads {
-            let (as_id, asn) = pick_as(&mut rng);
-            let block = alloc.next();
-            geo.add_prefix24(Ipv4Addr::from(block), asn);
-            let ip = Ipv4Addr::from(block + 1);
-            let node = b.add_host(as_id, HostSpec::simple(ip));
-            plans.push((
-                node,
-                HostPlan::Recursive {
-                    resolver: ResolverProject::Google.service_ip(),
-                    manipulation: Manipulation::None,
-                    device: None,
-                },
-            ));
-            truth.hosts.push(PlantedHost {
-                ip,
-                node,
-                class: PlantedClass::RecursiveForwarder,
-                country: profile.code,
-                asn,
-                vendor: None,
-                resolver_target: Some(ResolverProject::Google.service_ip()),
-                middlebox: false,
-            });
-            heads.push(ip);
-        }
-
-        // --- Transparent forwarders with the Figure 8 density model ---
-        let pick_resolver =
-            |rng: &mut SmallRng, pool: &[Ipv4Addr], heads: &[Ipv4Addr]| -> Ipv4Addr {
-                let x = rng.gen_range(0..100u32);
-                let m = &profile.mix;
-                let g = u32::from(m.google);
-                let c = g + u32::from(m.cloudflare);
-                let q = c + u32::from(m.quad9);
-                let o = q + u32::from(m.opendns);
-                if x < g {
-                    ResolverProject::Google.service_ip()
-                } else if x < c {
-                    ResolverProject::Cloudflare.service_ip()
-                } else if x < q {
-                    ResolverProject::Quad9.service_ip()
-                } else if x < o {
-                    ResolverProject::OpenDns.service_ip()
-                } else if !heads.is_empty()
-                    && rng.gen_range(0..100u32) < u32::from(profile.other.indirect_pct)
-                {
-                    heads[rng.gen_range(0..heads.len())]
-                } else {
-                    pool[rng.gen_range(0..pool.len())]
-                }
-            };
-
-        let pick_vendor = |rng: &mut SmallRng, middlebox: bool| -> Option<Arc<DeviceProfile>> {
-            if !config.with_devices {
-                return None;
-            }
-            // §6: ~23 % MikroTik overall, with half of the MikroTik
-            // population in whole-/24 middlebox deployments: with 36 % of
-            // addresses in middleboxes, 0.36·0.32 ≈ 0.64·0.18 ≈ 11.5 %
-            // each side, totalling ≈23 %.
-            let mikrotik_p = if middlebox { 0.32 } else { 0.18 };
-            Some(Arc::clone(if rng.gen_bool(mikrotik_p) {
-                &mikrotik
-            } else if rng.gen_bool(0.12) {
-                &zyxel
-            } else if rng.gen_bool(0.1) {
-                &dlink
-            } else if rng.gen_bool(0.05) {
-                &huawei
-            } else {
-                &generic
-            }))
-        };
-
-        let heads_ref = heads;
-        // Full /24 middleboxes: 36 % of transparent addresses at full
-        // scale. Probabilistic rounding of the fractional part keeps the
-        // *expected* share on target even when single countries are too
-        // small for a whole middlebox; the hard cap keeps country totals
-        // exact.
-        let mb_expect = (n_transparent as f64 * 0.36) / 254.0;
-        let mut n_middleboxes = mb_expect.floor() as u32;
-        if rng.gen_bool(mb_expect.fract().clamp(0.0, 1.0)) {
-            n_middleboxes += 1;
-        }
-        n_middleboxes = n_middleboxes.min(n_transparent / 254);
-        let mut remaining = n_transparent.saturating_sub(n_middleboxes * 254);
-        for _ in 0..n_middleboxes {
-            let (as_id, asn) = pick_as(&mut rng);
-            let block = alloc.next();
-            geo.add_prefix24(Ipv4Addr::from(block), asn);
-            let primary = Ipv4Addr::from(block + 1);
-            let extras: Vec<Ipv4Addr> = (2..=254).map(|i| Ipv4Addr::from(block + i)).collect();
-            let node = b.add_host(
-                as_id,
-                HostSpec {
-                    ip: primary,
-                    extra_ips: extras.clone(),
-                    access_routers: vec![],
-                    link_latency: SimDuration::from_millis(2),
-                },
-            );
-            let resolver = pick_resolver(&mut rng, &pool, &heads_ref);
-            let device = pick_vendor(&mut rng, true);
-            let vendor = device.as_ref().map(|d| d.vendor);
-            plans.push((node, HostPlan::Transparent { resolver, device }));
-            for ip in std::iter::once(primary).chain(extras) {
-                truth.hosts.push(PlantedHost {
-                    ip,
-                    node,
-                    class: PlantedClass::TransparentForwarder,
-                    country: profile.code,
-                    asn,
-                    vendor,
-                    resolver_target: Some(resolver),
-                    middlebox: true,
-                });
-            }
-        }
-        // Sparse (1..=25 per /24, 26 % of addresses) and medium prefixes.
-        let sparse_budget = (n_transparent as f64 * 0.26).round() as u32;
-        let mut sparse_left = sparse_budget.min(remaining);
-        while sparse_left > 0 {
-            let density = rng.gen_range(1..=25u32).min(sparse_left);
-            let (as_id, asn) = pick_as(&mut rng);
-            let block = alloc.next();
-            geo.add_prefix24(Ipv4Addr::from(block), asn);
-            for i in 0..density {
-                let ip = Ipv4Addr::from(block + i + 1);
-                let node = b.add_host(as_id, HostSpec::simple(ip));
-                let resolver = pick_resolver(&mut rng, &pool, &heads_ref);
-                let device = pick_vendor(&mut rng, false);
-                let vendor = device.as_ref().map(|d| d.vendor);
-                plans.push((node, HostPlan::Transparent { resolver, device }));
-                truth.hosts.push(PlantedHost {
-                    ip,
-                    node,
-                    class: PlantedClass::TransparentForwarder,
-                    country: profile.code,
-                    asn,
-                    vendor,
-                    resolver_target: Some(resolver),
-                    middlebox: false,
-                });
-            }
-            sparse_left -= density;
-            remaining -= density;
-        }
-        while remaining > 0 {
-            let density = rng.gen_range(26..=253u32).min(remaining);
-            let (as_id, asn) = pick_as(&mut rng);
-            let block = alloc.next();
-            geo.add_prefix24(Ipv4Addr::from(block), asn);
-            for i in 0..density {
-                let ip = Ipv4Addr::from(block + i + 1);
-                let node = b.add_host(as_id, HostSpec::simple(ip));
-                let resolver = pick_resolver(&mut rng, &pool, &heads_ref);
-                let device = pick_vendor(&mut rng, false);
-                let vendor = device.as_ref().map(|d| d.vendor);
-                plans.push((node, HostPlan::Transparent { resolver, device }));
-                truth.hosts.push(PlantedHost {
-                    ip,
-                    node,
-                    class: PlantedClass::TransparentForwarder,
-                    country: profile.code,
-                    asn,
-                    vendor,
-                    resolver_target: Some(resolver),
-                    middlebox: false,
-                });
-            }
-            remaining -= density;
-        }
-
-        // --- Recursive forwarders (the 72 % majority) ---
-        let n_recursive = config
-            .scaled(profile.recursive_forwarders(), &mut rng)
-            .saturating_sub(n_chain_heads);
-        let mut left = n_recursive;
-        while left > 0 {
-            let (as_id, asn) = pick_as(&mut rng);
-            let block = alloc.next();
-            geo.add_prefix24(Ipv4Addr::from(block), asn);
-            let in_block = left.min(200);
-            for i in 0..in_block {
-                let ip = Ipv4Addr::from(block + i + 1);
-                let node = b.add_host(as_id, HostSpec::simple(ip));
-                let resolver = match rng.gen_range(0..100) {
-                    0..=39 => ResolverProject::Google.service_ip(),
-                    40..=54 => ResolverProject::Cloudflare.service_ip(),
-                    _ => pool[rng.gen_range(0..pool.len())],
-                };
-                let device = if config.with_devices && rng.gen_bool(0.05) {
-                    Some(Arc::clone(&mikrotik))
-                } else {
-                    None
-                };
-                let vendor = device.as_ref().map(|d| d.vendor);
-                plans.push((
-                    node,
-                    HostPlan::Recursive {
-                        resolver,
-                        manipulation: Manipulation::None,
-                        device,
-                    },
-                ));
-                truth.hosts.push(PlantedHost {
-                    ip,
-                    node,
-                    class: PlantedClass::RecursiveForwarder,
-                    country: profile.code,
-                    asn,
-                    vendor,
-                    resolver_target: Some(resolver),
-                    middlebox: false,
-                });
-            }
-            left -= in_block;
-        }
-
-        // --- Manipulated forwarders (Shadowserver-only hosts) ---
-        let n_manipulated = config.scaled(profile.manipulated(), &mut rng);
-        let mut left = n_manipulated;
-        while left > 0 {
-            let (as_id, asn) = pick_as(&mut rng);
-            let block = alloc.next();
-            geo.add_prefix24(Ipv4Addr::from(block), asn);
-            let in_block = left.min(200);
-            for i in 0..in_block {
-                let ip = Ipv4Addr::from(block + i + 1);
-                let node = b.add_host(as_id, HostSpec::simple(ip));
-                let resolver = pool[rng.gen_range(0..pool.len())];
-                plans.push((
-                    node,
-                    HostPlan::Recursive {
-                        resolver,
-                        manipulation: Manipulation::ReplaceARecords(Ipv4Addr::new(
-                            100,
-                            66,
-                            rng.gen_range(0..255),
-                            rng.gen_range(1..255),
-                        )),
-                        device: None,
-                    },
-                ));
-                truth.hosts.push(PlantedHost {
-                    ip,
-                    node,
-                    class: PlantedClass::ManipulatedForwarder,
-                    country: profile.code,
-                    asn,
-                    vendor: None,
-                    resolver_target: Some(resolver),
-                    middlebox: false,
-                });
-            }
-            left -= in_block;
-        }
+        x -= u32::from(share);
     }
-
-    // Router space in 10/8 belongs to the backbone for geo purposes.
-    geo.add_asn(64601, "USA", AsKind::Transit);
-    geo.add_asn(64602, "USA", AsKind::Transit);
-    geo.add_asn(64603, "USA", AsKind::Transit);
-    geo.add_asn(64604, "USA", AsKind::Transit);
-    for i in 0..6u32 {
-        geo.add_asn(64611 + i, "USA", AsKind::Transit);
+    if !heads.is_empty() && rng.gen_range(0..100u32) < u32::from(profile.other.indirect_pct) {
+        heads[rng.gen_range(0..heads.len())]
+    } else {
+        pool[rng.gen_range(0..pool.len())]
     }
+}
 
-    // ---- Build & install -------------------------------------------------------
-    let topo = b.build().expect("generated topology is valid");
-    // Register router prefixes now that the topology assigned them.
-    for as_idx in 0..topo.as_count() {
-        let spec = topo.as_spec(AsId(as_idx as u32));
-        for r in &spec.transit_routers {
-            geo.add_prefix24(*r, spec.asn);
-        }
+/// The CPE behind a transparent forwarder. §6: ~23 % MikroTik overall,
+/// with half of the MikroTik population in whole-/24 middlebox
+/// deployments: with 36 % of addresses in middleboxes, 0.36·0.32 ≈
+/// 0.64·0.18 ≈ 11.5 % each side, totalling ≈23 %.
+fn draw_cpe(rng: &mut SmallRng, middlebox: bool) -> Vendor {
+    if rng.gen_bool(if middlebox { 0.32 } else { 0.18 }) {
+        Vendor::MikroTik
+    } else if rng.gen_bool(0.12) {
+        Vendor::Zyxel
+    } else if rng.gen_bool(0.1) {
+        Vendor::DLink
+    } else if rng.gen_bool(0.05) {
+        Vendor::Huawei
+    } else {
+        Vendor::GenericCpe
     }
+}
 
-    // The fault plan is salted from the *generation* seed, which is shared
-    // by every shard — per-flow fault verdicts are therefore invariant
-    // under the shard count even though per-shard sim seeds differ.
-    let mut sim_config = SimConfig::for_shard(config.seed, spec.index);
-    sim_config.faults = config.faults.clone().salted(config.seed);
-    let mut sim = Simulator::new(topo, sim_config.clone());
-
-    // Study infrastructure: every shard deploys its own full root → TLD →
-    // authoritative stack, so recursive resolution never crosses shards.
-    // Public resolvers and the population install through the blueprint,
-    // which [`Internet::reset`] replays onto the reset simulator.
-    let blueprint = WorldBlueprint {
-        config: sim_config,
-        study: StudyNodes {
-            root: root_node,
-            tld: tld_node,
-            tld_ip: TLD_IP,
-            auth: auth_node,
-            auth_ip: AUTH_IP,
-        },
-        project_resolvers: project_nodes.iter().map(|(_, n)| *n).collect(),
-        plans,
+/// Plant one country: its ASes, then its resolvers, chain heads,
+/// transparent forwarders (Figure 8's density mixture), recursive
+/// forwarders and manipulated forwarders — in that order, which is the
+/// draw order of the country's RNG stream.
+fn plant_country(
+    d: &mut Draft,
+    config: &GenConfig,
+    bb: &Backbone,
+    global_index: usize,
+    profile: &'static CountryProfile,
+) {
+    d.truth.countries.push(profile.code);
+    let mut rng = SmallRng::seed_from_u64(derive_seed(
+        config.seed,
+        COUNTRY_STREAM | global_index as u64,
+    ));
+    let ases = country_ases(d, &mut rng, config, bb, global_index, profile);
+    let weights: Vec<f64> = (0..ases.len())
+        .map(|i| 1.0 / (i as f64 + 1.0).powf(1.1))
+        .collect();
+    let mut p = Planter {
+        d,
+        rng,
+        blocks: Blocks::population(global_index),
+        country: profile.code,
+        ases,
+        weight_sum: weights.iter().sum(),
+        weights,
     };
-    install_hosts(&mut sim, &blueprint);
+    let google = ResolverProject::Google.service_ip();
 
-    // ---- Scan target list -------------------------------------------------------
-    // Duds and shuffle order draw from a per-shard stream: the shard's
-    // probe order is deterministic, and reordering never changes *which*
-    // hosts are probed — only the offline correlation sees the order.
-    let mut trng = SmallRng::seed_from_u64(derive_seed(
+    // Resolvers; the first few are the local "other" pool.
+    let n_resolvers = config
+        .scaled(profile.resolvers, &mut p.rng)
+        .max(u32::from(profile.other.local_resolvers.min(2)));
+    let mut pool: Vec<Ipv4Addr> = p
+        .plant(
+            n_resolvers,
+            PlantedClass::RecursiveResolver,
+            false,
+            |_, left| left.min(254),
+            |_| Role::default(),
+        )
+        .iter()
+        .map(|h| h.ip)
+        .take(usize::from(profile.other.local_resolvers))
+        .collect();
+    if pool.is_empty() {
+        // Degenerate scale: fall back to Google so forwarders always have
+        // a live upstream.
+        pool.push(google);
+    }
+
+    // Chain heads: country-local recursive forwarders that relay to
+    // Google — the "indirect consolidation" hop (Table 4) — one per /24.
+    let n_transparent = config.scaled(profile.transparent, &mut p.rng);
+    let other_share = f64::from(profile.mix.other()) / 100.0;
+    let indirect = f64::from(profile.other.indirect_pct) / 100.0;
+    let expected_chain_clients = (n_transparent as f64 * other_share * indirect).round() as u32;
+    let n_chain_heads = if expected_chain_clients > 0 {
+        (expected_chain_clients / 80).max(1)
+    } else {
+        0
+    };
+    let relays_to_google = Role {
+        upstream: Some(google),
+        ..Role::default()
+    };
+    let heads: Vec<Ipv4Addr> = p
+        .plant(
+            n_chain_heads,
+            PlantedClass::RecursiveForwarder,
+            false,
+            |_, _| 1,
+            |_| relays_to_google,
+        )
+        .iter()
+        .map(|h| h.ip)
+        .collect();
+
+    // Transparent forwarders. Full /24 middleboxes: 36 % of transparent
+    // addresses at full scale. Probabilistic rounding of the fractional
+    // part keeps the *expected* share on target even when single countries
+    // are too small for a whole middlebox; the hard cap keeps country
+    // totals exact.
+    let mb_expect = (n_transparent as f64 * 0.36) / 254.0;
+    let mut n_middleboxes = mb_expect.floor() as u32;
+    if p.rng.gen_bool(mb_expect.fract().clamp(0.0, 1.0)) {
+        n_middleboxes += 1;
+    }
+    let in_middleboxes = n_middleboxes.min(n_transparent / 254) * 254;
+    // Sparse prefixes (1..=25 per /24) hold 26 % of addresses, medium ones
+    // the rest.
+    let sparse = ((n_transparent as f64 * 0.26).round() as u32).min(n_transparent - in_middleboxes);
+    let medium = n_transparent - in_middleboxes - sparse;
+    let (pool, heads) = (&pool[..], &heads[..]);
+    let cpe = |middlebox| {
+        move |rng: &mut SmallRng| Role {
+            upstream: Some(draw_upstream(rng, profile, pool, heads)),
+            vendor: Some(draw_cpe(rng, middlebox)),
+            ..Role::default()
+        }
+    };
+    let transparent = PlantedClass::TransparentForwarder;
+    p.plant(in_middleboxes, transparent, true, |_, _| 254, cpe(true));
+    let up_to_25 = |rng: &mut SmallRng, left: u32| rng.gen_range(1..=25u32).min(left);
+    p.plant(sparse, transparent, false, up_to_25, cpe(false));
+    let up_to_253 = |rng: &mut SmallRng, left: u32| rng.gen_range(26..=253u32).min(left);
+    p.plant(medium, transparent, false, up_to_253, cpe(false));
+
+    // Recursive forwarders (the 72 % majority), 200 to a /24.
+    let n_recursive = config
+        .scaled(profile.recursive_forwarders(), &mut p.rng)
+        .saturating_sub(n_chain_heads);
+    p.plant(
+        n_recursive,
+        PlantedClass::RecursiveForwarder,
+        false,
+        |_, left| left.min(200),
+        |rng| Role {
+            upstream: Some(match rng.gen_range(0..100) {
+                0..=39 => google,
+                40..=54 => ResolverProject::Cloudflare.service_ip(),
+                _ => pool[rng.gen_range(0..pool.len())],
+            }),
+            vendor: rng.gen_bool(0.05).then_some(Vendor::MikroTik),
+            ..Role::default()
+        },
+    );
+
+    // Manipulated forwarders (Shadowserver-only hosts).
+    let n_manipulated = config.scaled(profile.manipulated(), &mut p.rng);
+    p.plant(
+        n_manipulated,
+        PlantedClass::ManipulatedForwarder,
+        false,
+        |_, left| left.min(200),
+        |rng| Role {
+            upstream: Some(pool[rng.gen_range(0..pool.len())]),
+            injects: Some(Ipv4Addr::new(
+                100,
+                66,
+                rng.gen_range(0..255),
+                rng.gen_range(1..255),
+            )),
+            ..Role::default()
+        },
+    );
+}
+
+/// The shard's scan target list: every planted address plus
+/// `dud_fraction` times as many unresponsive duds, shuffled. Duds and
+/// shuffle order draw from a per-shard stream: the shard's probe order is
+/// deterministic, and reordering never changes *which* hosts are probed —
+/// only the offline correlation sees the order.
+fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) -> Vec<Ipv4Addr> {
+    let mut rng = SmallRng::seed_from_u64(derive_seed(
         config.seed,
         TARGET_STREAM | u64::from(spec.index),
     ));
-    let mut targets: Vec<Ipv4Addr> = truth.hosts.iter().map(|h| h.ip).collect();
+    let mut targets: Vec<Ipv4Addr> = planted.iter().map(|h| h.ip).collect();
     let dud_count = (targets.len() as f64 * config.dud_fraction) as usize;
     for _ in 0..dud_count {
         // 170/8 is never allocated by the generator: guaranteed silence.
         targets.push(Ipv4Addr::new(
             170,
-            trng.gen_range(0..=255),
-            trng.gen_range(0..=255),
-            trng.gen_range(1..=254),
+            rng.gen_range(0..=255),
+            rng.gen_range(0..=255),
+            rng.gen_range(1..=254),
         ));
     }
     // Fisher-Yates with the shard's target RNG: deterministic shuffle.
     for i in (1..targets.len()).rev() {
-        let j = trng.gen_range(0..=i);
+        let j = rng.gen_range(0..=i);
         targets.swap(i, j);
     }
-
-    Internet {
-        sim,
-        blueprint,
-        fixtures: Fixtures {
-            scanner,
-            scanner_ip: SCANNER_IP,
-            campaign_scanners,
-            root_ip: ROOT_IP,
-            tld_ip: TLD_IP,
-            auth_ip: AUTH_IP,
-            auth: auth_node,
-            sensor1,
-            sensor2,
-            sensor3,
-            sensor_addrs,
-            victim,
-            victim_ip: VICTIM_IP,
-        },
-        truth,
-        geo,
-        targets,
-    }
+    targets
 }

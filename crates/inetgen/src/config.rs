@@ -8,9 +8,6 @@ use rand::Rng;
 pub enum CountrySelection {
     /// Everything in the calibration table.
     All,
-    /// The top `n` countries by transparent-forwarder count (plus the
-    /// zero-transparent tail is excluded) — for focused experiments.
-    TopByTransparent(usize),
     /// An explicit list of country codes.
     Codes(Vec<&'static str>),
 }
@@ -32,8 +29,6 @@ pub struct GenConfig {
     /// target list (the real scan probes the whole IPv4 space; almost all
     /// targets never answer).
     pub dud_fraction: f64,
-    /// Attach device profiles (MikroTik et al.) to forwarders.
-    pub with_devices: bool,
     /// Country subset.
     pub countries: CountrySelection,
     /// Fault plane injected into every shard's simulator. The plan is
@@ -49,7 +44,6 @@ impl Default for GenConfig {
             scale: 500,
             as_divisor: 25,
             dud_fraction: 0.10,
-            with_devices: true,
             countries: CountrySelection::All,
             faults: FaultPlan::none(),
         }
