@@ -20,7 +20,7 @@
 //! *re-discover* it through wire-level scanning only.
 
 use crate::config::{CountrySelection, GenConfig};
-use crate::countries::{CountryProfile, Region, COUNTRIES};
+use crate::countries::{by_code, CountryProfile, Region, COUNTRIES};
 use crate::geodb::GeoDb;
 use crate::shard::{shard_of_country, ShardSpec};
 use netsim::shard::derive_seed;
@@ -644,11 +644,20 @@ fn fixtures(d: &mut Draft, routers: &mut Blocks, bb: &Backbone) -> (Fixtures, St
 /// [`COUNTRIES`] table: that index — not the position within the
 /// selection — keys its address region, ASN region, router region, and RNG
 /// stream, so a country is planted identically whatever subset or shard it
-/// is in.
+/// is in. Panics on a code the table does not have: a misspelt selection
+/// must not quietly plant a smaller world.
 fn selected_countries(
     config: &GenConfig,
     spec: ShardSpec,
 ) -> impl Iterator<Item = (usize, &'static CountryProfile)> + '_ {
+    if let CountrySelection::Codes(codes) = &config.countries {
+        for code in codes {
+            assert!(
+                by_code(code).is_some(),
+                "unknown country code {code:?} in CountrySelection::Codes"
+            );
+        }
+    }
     COUNTRIES.iter().enumerate().filter(move |(i, c)| {
         let wanted = match &config.countries {
             CountrySelection::All => true,
@@ -1035,4 +1044,44 @@ fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) ->
         targets.swap(i, j);
     }
     targets
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "unknown country code \"BRX\"")]
+    fn unknown_country_code_is_refused() {
+        let config = GenConfig {
+            countries: CountrySelection::Codes(vec!["MUS", "BRX"]),
+            ..GenConfig::test_small()
+        };
+        let _ = generate(&config);
+    }
+
+    #[test]
+    fn only_manipulated_forwarders_inject_and_only_resolvers_lack_an_upstream() {
+        let world = generate(&GenConfig::test_small());
+        for class in [
+            PlantedClass::TransparentForwarder,
+            PlantedClass::RecursiveForwarder,
+            PlantedClass::RecursiveResolver,
+            PlantedClass::ManipulatedForwarder,
+        ] {
+            assert!(world.truth.count(class) > 0, "no {class:?} planted");
+        }
+        for h in &world.truth.hosts {
+            assert_eq!(
+                h.injects.is_some(),
+                h.class == PlantedClass::ManipulatedForwarder,
+                "{h:?}"
+            );
+            assert_eq!(
+                h.resolver_target.is_none(),
+                h.class == PlantedClass::RecursiveResolver,
+                "{h:?}"
+            );
+        }
+    }
 }
