@@ -34,7 +34,7 @@ use odns::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -1018,7 +1018,7 @@ fn plant_country(
 }
 
 /// The shard's scan target list: every planted address plus
-/// `dud_fraction` times as many unresponsive duds, shuffled. Duds and
+/// `dud_fraction` times as many distinct unresponsive duds, shuffled. Duds and
 /// shuffle order draw from a per-shard stream: the shard's probe order is
 /// deterministic, and reordering never changes *which* hosts are probed —
 /// only the offline correlation sees the order.
@@ -1029,14 +1029,21 @@ fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) ->
     ));
     let mut targets: Vec<Ipv4Addr> = planted.iter().map(|h| h.ip).collect();
     let dud_count = (targets.len() as f64 * config.dud_fraction) as usize;
-    for _ in 0..dud_count {
-        // 170/8 is never allocated by the generator: guaranteed silence.
-        targets.push(Ipv4Addr::new(
+    // 170/8 is never allocated by the generator: guaranteed silence. A dud
+    // drawn twice is drawn again — target-keyed probe tuples are unique
+    // only because targets are — so a world without collisions spends
+    // exactly the draws it always did.
+    let mut duds = HashSet::with_capacity(dud_count);
+    while duds.len() < dud_count {
+        let dud = Ipv4Addr::new(
             170,
             rng.gen_range(0..=255),
             rng.gen_range(0..=255),
             rng.gen_range(1..=254),
-        ));
+        );
+        if duds.insert(dud) {
+            targets.push(dud);
+        }
     }
     // Fisher-Yates with the shard's target RNG: deterministic shuffle.
     for i in (1..targets.len()).rev() {
@@ -1058,6 +1065,23 @@ mod tests {
             ..GenConfig::test_small()
         };
         let _ = generate(&config);
+    }
+
+    /// At the parent of this test 170/8 was drawn without a uniqueness
+    /// check, and a world this size probed some duds twice.
+    #[test]
+    fn scan_targets_are_unique() {
+        let config = GenConfig {
+            seed: 7,
+            scale: 50,
+            dud_fraction: 4.0,
+            ..GenConfig::default()
+        };
+        let world = generate(&config);
+        let planted = world.truth.hosts.len();
+        assert_eq!(world.targets.len(), planted + planted * 4);
+        let distinct: HashSet<_> = world.targets.iter().collect();
+        assert_eq!(distinct.len(), world.targets.len());
     }
 
     #[test]
