@@ -234,8 +234,6 @@ impl Host for StudyAuthServer {
         self.stats.responses_sent += 1;
         ctx.send_udp(UdpSend::reply_to(&dgram, response.encode()));
     }
-
-    netsim::impl_host_downcast!();
 }
 
 #[cfg(test)]

@@ -130,7 +130,6 @@ mod tests {
         fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
             handle_probe(ctx, &dgram, self.0.as_ref());
         }
-        netsim::impl_host_downcast!();
     }
 
     #[test]

@@ -348,8 +348,6 @@ impl Host for RecursiveForwarder {
             self.stats.timeouts += 1;
         }
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// Counters for a transparent forwarder.
@@ -430,8 +428,6 @@ impl Host for TransparentForwarder {
             payload: dgram.payload.clone(),
         });
     }
-
-    netsim::impl_host_downcast!();
 }
 
 #[cfg(test)]
@@ -474,7 +470,6 @@ mod tests {
             ctx.send_udp(UdpSend::reply_to(&dgram, resp.encode()));
             self.seen.push(dgram);
         }
-        netsim::impl_host_downcast!();
     }
 
     fn three_node_sim() -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
@@ -694,7 +689,6 @@ mod tests {
                     self.0.on_datagram(ctx, dgram);
                 }
             }
-            netsim::impl_host_downcast!();
         }
         let (mut sim, client, fwd, resolver) = three_node_sim();
         sim.install(fwd, RecursiveForwarder::new(RESOLVER_IP).without_cache());
@@ -752,7 +746,6 @@ mod tests {
                 let dgram = self.held[token as usize].clone();
                 self.canned.on_datagram(ctx, dgram);
             }
-            netsim::impl_host_downcast!();
         }
         let (mut sim, client, fwd, resolver) = three_node_sim();
         sim.install(fwd, RecursiveForwarder::new(RESOLVER_IP).without_cache());
@@ -802,7 +795,6 @@ mod tests {
                 self.canned.on_datagram(ctx, dgram);
             }
         }
-        netsim::impl_host_downcast!();
     }
 
     /// Run `scenario` — `(seconds, client port, txid)` queries, none before
@@ -939,7 +931,6 @@ mod tests {
             (self.mangle)(&mut bytes);
             ctx.send_udp(UdpSend::reply_to(&dgram, bytes));
         }
-        netsim::impl_host_downcast!();
     }
 
     /// Two client queries 10 s apart through a caching forwarder whose

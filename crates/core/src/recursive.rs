@@ -64,15 +64,16 @@ pub struct ResolverConfig {
     pub acl: AccessPolicy,
     /// Cache capacity in entries.
     pub cache_capacity: usize,
-    /// Timeout per upstream query before retry/SERVFAIL.
-    pub upstream_timeout: SimDuration,
-    /// Maximum referral depth (loop guard).
-    pub max_referrals: u8,
-    /// Total upstream retries per resolution before SERVFAIL. Real
-    /// resolvers persist through several lost legs; a single-retry budget
-    /// makes every coalesced client hostage to two unlucky packets.
-    pub max_retries: u8,
 }
+
+/// Timeout per upstream query before retry/SERVFAIL.
+const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+/// Maximum referral depth (loop guard).
+const MAX_REFERRALS: u8 = 8;
+/// Total upstream retries per resolution before SERVFAIL. Real resolvers
+/// persist through several lost legs; a single-retry budget makes every
+/// coalesced client hostage to two unlucky packets.
+const MAX_RETRIES: u8 = 4;
 
 impl ResolverConfig {
     /// An open resolver with the given roots and sane defaults.
@@ -81,9 +82,6 @@ impl ResolverConfig {
             roots,
             acl: AccessPolicy::Open,
             cache_capacity: 512,
-            upstream_timeout: SimDuration::from_secs(2),
-            max_referrals: 8,
-            max_retries: 4,
         }
     }
 
@@ -310,7 +308,7 @@ impl RecursiveResolver {
             ttl: None,
             payload: query.encode().into(),
         });
-        let timeout = ctx.set_timer(self.config.upstream_timeout, encode_timer(port, txid));
+        let timeout = ctx.set_timer(UPSTREAM_TIMEOUT, encode_timer(port, txid));
         self.pending.insert((port, txid), (id, timeout));
     }
 
@@ -449,7 +447,7 @@ impl RecursiveResolver {
 
         if let Some(referral) = crate::zone::extract_referral(&resp) {
             task.referrals += 1;
-            if task.referrals > self.config.max_referrals {
+            if task.referrals > MAX_REFERRALS {
                 self.stats.servfail += 1;
                 self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
                 return;
@@ -551,7 +549,7 @@ impl Host for RecursiveResolver {
         };
         // Retry the current server with a fresh (port, txid) until the
         // budget runs out, then SERVFAIL everyone waiting.
-        if task.retries < self.config.max_retries {
+        if task.retries < MAX_RETRIES {
             task.retries += 1;
             self.send_upstream(ctx, id);
         } else {
@@ -559,8 +557,6 @@ impl Host for RecursiveResolver {
             self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
         }
     }
-
-    netsim::impl_host_downcast!();
 }
 
 #[cfg(test)]
@@ -645,7 +641,6 @@ mod tests {
                     .build();
                 ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
             }
-            netsim::impl_host_downcast!();
         }
 
         let (topo, nodes) = playground(&[CLIENT, RESOLVER, UPSTREAM]);

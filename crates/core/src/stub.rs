@@ -95,8 +95,6 @@ impl Host for StubClient {
             query.encode(),
         ));
     }
-
-    netsim::impl_host_downcast!();
 }
 
 #[cfg(test)]
@@ -121,7 +119,6 @@ mod tests {
                     .build();
                 ctx.send_udp(UdpSend::reply_to(&dgram, resp.encode()));
             }
-            netsim::impl_host_downcast!();
         }
 
         sim.install(

@@ -108,8 +108,6 @@ impl Host for DelegatingServer {
         let response = self.respond(&query);
         ctx.send_udp(UdpSend::reply_to(&dgram, response.encode()));
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// Referral information extracted from a delegation response.

@@ -432,8 +432,6 @@ impl Host for DnsRoutePlusPlus {
             }
         }
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// Install DNSRoute++ at `node`, run the sweep, and return all traces.

@@ -48,7 +48,6 @@ impl Host for Canned {
             payload: resp.encode().into(),
         });
     }
-    netsim::impl_host_downcast!();
 }
 
 fn as_spec(asn: u32, sav: bool, routers: Vec<Ipv4Addr>) -> AsSpec {
@@ -316,7 +315,6 @@ impl Host for NoiseBurst {
             payload: vec![0x01, 0x02, 0x03].into(),
         });
     }
-    netsim::impl_host_downcast!();
 }
 
 #[test]

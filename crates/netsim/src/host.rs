@@ -159,13 +159,12 @@ impl Ctx<'_> {
 /// Protocol logic attached to a node.
 ///
 /// Handlers receive a [`Ctx`] for sending, and for setting and cancelling
-/// timers. Implementations must provide `as_any`/`as_any_mut` so results
-/// can be extracted after a run (see [`crate::sim::Simulator::host_as`]);
-/// the [`crate::impl_host_downcast`] macro writes them for you.
+/// timers. Hosts are [`Any`] so results can be extracted after a run
+/// (see [`crate::sim::Simulator::host_as`]).
 ///
 /// Hosts are `Send` so a fully populated [`crate::Simulator`] can move to
 /// a worker thread — sharded censuses drive one simulator per thread.
-pub trait Host: Send + 'static {
+pub trait Host: Any + Send {
     /// A UDP datagram arrived for one of this node's addresses.
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram);
 
@@ -178,25 +177,6 @@ pub trait Host: Send + 'static {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
         let _ = (ctx, token);
     }
-
-    /// Downcast support (usually via [`crate::impl_host_downcast`]).
-    fn as_any(&self) -> &dyn Any;
-
-    /// Mutable downcast support.
-    fn as_any_mut(&mut self) -> &mut dyn Any;
-}
-
-/// Implements [`Host::as_any`]/[`Host::as_any_mut`] for a type.
-#[macro_export]
-macro_rules! impl_host_downcast {
-    () => {
-        fn as_any(&self) -> &dyn std::any::Any {
-            self
-        }
-        fn as_any_mut(&mut self) -> &mut dyn std::any::Any {
-            self
-        }
-    };
 }
 
 #[cfg(test)]

@@ -18,6 +18,7 @@ use crate::time::{SimDuration, SimTime};
 use crate::topology::{IpOwner, NodeId, Topology};
 use crate::wheel::{Placement, TimerId, TimerWheel};
 use crate::wire;
+use std::any::Any;
 use std::collections::HashMap;
 
 /// Simulator configuration.
@@ -207,14 +208,14 @@ impl Simulator {
     pub fn host_as<T: Host>(&self, node: NodeId) -> Option<&T> {
         self.hosts[node.0 as usize]
             .as_deref()
-            .and_then(|h| h.as_any().downcast_ref())
+            .and_then(|h| (h as &dyn Any).downcast_ref())
     }
 
     /// Mutably borrow a host's concrete type.
     pub fn host_as_mut<T: Host>(&mut self, node: NodeId) -> Option<&mut T> {
         self.hosts[node.0 as usize]
             .as_deref_mut()
-            .and_then(|h| h.as_any_mut().downcast_mut())
+            .and_then(|h| (h as &mut dyn Any).downcast_mut())
     }
 
     /// Schedule a timer on `node` from outside (bootstrap).
@@ -603,8 +604,6 @@ impl Host for OneShotSender {
             ctx.send_udp(send);
         }
     }
-
-    crate::impl_host_downcast!();
 }
 
 #[cfg(test)]
@@ -635,7 +634,6 @@ mod tests {
             });
             self.received.push(dgram);
         }
-        crate::impl_host_downcast!();
     }
 
     /// Collects everything it hears.
@@ -652,7 +650,6 @@ mod tests {
         fn on_icmp(&mut self, _ctx: &mut Ctx<'_>, icmp: IcmpMessage) {
             self.icmp.push(icmp);
         }
-        crate::impl_host_downcast!();
     }
 
     /// Sends one datagram on timer, then records replies and ICMP.
@@ -672,7 +669,6 @@ mod tests {
         fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
             ctx.send_udp(self.send.clone());
         }
-        crate::impl_host_downcast!();
     }
 
     /// Two ASes, A (scanner, SAV on) — B (server, SAV off), 2 routers total.
@@ -829,7 +825,6 @@ mod tests {
             fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
                 ctx.send_port_unreachable(&dgram);
             }
-            crate::impl_host_downcast!();
         }
         let mut sim = Simulator::new(topo, SimConfig::default());
         sim.install(
@@ -881,7 +876,6 @@ mod tests {
                 vec![token as u8, !token as u8],
             ));
         }
-        crate::impl_host_downcast!();
     }
 
     #[test]

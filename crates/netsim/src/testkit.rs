@@ -75,8 +75,6 @@ impl Host for ScriptedClient {
             ctx.send_udp(send.clone());
         }
     }
-
-    crate::impl_host_downcast!();
 }
 
 /// Install a scripted client at `node` firing `sends` at the given offsets,
@@ -179,7 +177,6 @@ mod tests {
             payload.make_ascii_uppercase();
             ctx.send_udp(UdpSend::reply_to(&dgram, payload));
         }
-        crate::impl_host_downcast!();
     }
 
     #[test]

@@ -196,7 +196,6 @@ impl Host for Echo {
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
         ctx.send_udp(UdpSend::new(4000, self.peer, 53, Payload::empty()));
     }
-    netsim::impl_host_downcast!();
 }
 
 /// Install the pair, serve, and run until `bounces` replies have landed;
@@ -257,7 +256,6 @@ impl Host for Rearm {
             ctx.set_timer(SimDuration::from_millis(1), 0);
         }
     }
-    netsim::impl_host_downcast!();
 }
 
 #[test]

@@ -282,8 +282,6 @@ impl Host for EchoClient {
             ctx.send_udp(send.clone());
         }
     }
-
-    netsim::impl_host_downcast!();
 }
 
 fn arb_fault_config() -> impl Strategy<Value = FaultConfig> {

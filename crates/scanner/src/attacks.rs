@@ -241,8 +241,6 @@ impl Host for ReflectionAttacker {
         });
         state.pacer.sent(ctx, due);
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// What converged on one victim port.
@@ -294,8 +292,6 @@ impl Host for VictimMeter {
         tally.bytes += dgram.payload.len() as u64;
         tally.sources.insert(dgram.src);
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// Install a [`ReflectionAttacker`] on `node`, schedule every plan's
@@ -350,7 +346,6 @@ mod tests {
                 payload: resp.encode().into(),
             });
         }
-        netsim::impl_host_downcast!();
     }
 
     fn world() -> (Simulator, Vec<NodeId>) {

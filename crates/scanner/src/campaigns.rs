@@ -244,8 +244,6 @@ impl Host for CampaignScanner {
         );
         self.pacer.sent(ctx, due);
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// Install and run a campaign pass, returning its report.
@@ -304,7 +302,6 @@ mod tests {
                 payload: resp.encode().into(),
             });
         }
-        netsim::impl_host_downcast!();
     }
 
     fn scenario(campaign: Campaign) -> CampaignReport {

@@ -124,8 +124,6 @@ impl Host for FingerprintScanner {
         ));
         self.pacer.sent(ctx, due);
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// Run a fingerprint pass and return the evidence map.

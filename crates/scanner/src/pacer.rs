@@ -175,8 +175,6 @@ mod tests {
             ctx.send_udp_attempt(UdpSend::new(port, SINK, 9, vec![0]), due.attempt);
             self.pacer.sent(ctx, due);
         }
-
-        netsim::impl_host_downcast!();
     }
 
     /// Echoes probes from even source ports, swallows the rest.
@@ -188,8 +186,6 @@ mod tests {
                 ctx.send_udp(UdpSend::reply_to(&dgram, dgram.payload.clone()));
             }
         }
-
-        netsim::impl_host_downcast!();
     }
 
     /// Run `total` probes under `retry`, plus `extra` stray timer tokens,

@@ -199,8 +199,6 @@ impl Host for HoneypotSensor {
             }
         }
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// The sensor deployment of the controlled experiment: node handles plus
@@ -262,7 +260,6 @@ mod tests {
                 .build();
             ctx.send_udp(UdpSend::reply_to(&dgram, resp.encode()));
         }
-        netsim::impl_host_downcast!();
     }
 
     fn query(txid: u16, dst: Ipv4Addr) -> UdpSend {

@@ -343,8 +343,6 @@ impl Host for TransactionalScanner {
         self.transmit(ctx, due);
         self.pacer.sent(ctx, due);
     }
-
-    netsim::impl_host_downcast!();
 }
 
 /// The offline correlation pass over recorded probe/response streams —
@@ -661,7 +659,6 @@ mod tests {
                 payload: resp.into(),
             });
         }
-        netsim::impl_host_downcast!();
     }
 
     /// Build a lossy playground world with `n` responding targets and run

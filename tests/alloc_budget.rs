@@ -136,7 +136,6 @@ impl Host for Asker {
             ctx.send_udp(UdpSend::new(40_000, *forwarder, 53, self.query.clone()));
         }
     }
-    netsim::impl_host_downcast!();
 }
 
 /// Answers every datagram with the same prebuilt response.
@@ -148,7 +147,6 @@ impl Host for Upstream {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         ctx.send_udp(UdpSend::reply_to(&dgram, self.response.clone()));
     }
-    netsim::impl_host_downcast!();
 }
 
 #[test]
