@@ -25,8 +25,8 @@ use crate::geodb::GeoDb;
 use crate::shard::{shard_of_country, ShardSpec};
 use netsim::shard::derive_seed;
 use netsim::{
-    AsId, AsKind, AsSpec, CountryCode, HostSpec, NodeId, Relationship, SimConfig, SimDuration,
-    Simulator, TopologyBuilder,
+    AsId, AsKind, AsSpec, CountryCode, HostSpec, IntMap, NodeId, Relationship, SimConfig,
+    SimDuration, Simulator, TopologyBuilder,
 };
 use odns::{
     AuthConfig, DeviceProfile, Manipulation, RecursiveForwarder, RecursiveResolver, ResolverConfig,
@@ -34,7 +34,7 @@ use odns::{
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -1033,7 +1033,8 @@ fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) ->
     // drawn twice is drawn again — target-keyed probe tuples are unique
     // only because targets are — so a world without collisions spends
     // exactly the draws it always did.
-    let mut duds = HashSet::with_capacity(dud_count);
+    let mut duds: IntMap<Ipv4Addr, ()> =
+        IntMap::with_capacity_and_hasher(dud_count, Default::default());
     while duds.len() < dud_count {
         let dud = Ipv4Addr::new(
             170,
@@ -1041,7 +1042,7 @@ fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) ->
             rng.gen_range(0..=255),
             rng.gen_range(1..=254),
         );
-        if duds.insert(dud) {
+        if duds.insert(dud, ()).is_none() {
             targets.push(dud);
         }
     }
@@ -1056,6 +1057,7 @@ fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     #[should_panic(expected = "unknown country code \"BRX\"")]

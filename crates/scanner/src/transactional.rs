@@ -56,7 +56,12 @@ pub enum TupleScheme {
     /// flow identity is the same whichever shard probes it, which is what
     /// lets the fault plane's flow-keyed verdicts commute with sharding.
     /// Costs the per-block payload cache (txids no longer arrive in
-    /// blocks), so lossless scans keep the walk.
+    /// blocks). Measured as the only scheme (repo benchmark, seed 7,
+    /// alternated pairs): `census_warm_dud` `ops_per_s` ×0.89 in the
+    /// median, 7 of 8 pairs worse; `census_fresh` ×0.93, 6 of 6 worse;
+    /// `peak_rss_mb` +3–5 %. So lossless scans keep the walk, and the
+    /// census drivers switch to this scheme only when the simulator's
+    /// `faults_active()` says verdicts are being drawn.
     TargetKeyed,
 }
 
@@ -391,9 +396,10 @@ impl Correlator {
     }
 
     /// Below this many probes, matching walks the probe list instead of
-    /// building the hash index: for the small per-scan batches of a warm
-    /// steady-state world, a handful of `(u16, u16)` compares beats
-    /// hashing every tuple twice.
+    /// building the hash index — the small per-scan batches of a warm
+    /// steady-state world. Measured at 0 (always index; repo benchmark,
+    /// seed 7, alternated pairs): `hotpath_repeat` `ops_per_s` ×0.95 in
+    /// the median, 8 of 8 pairs worse. The branch stays.
     const LINEAR_SCAN_MAX: usize = 32;
 
     /// One correlation pass, identical to [`correlate_owned`].
