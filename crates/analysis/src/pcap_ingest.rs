@@ -24,7 +24,7 @@ use scanner::records::{ProbeRecord, ResponseRecord, ScanOutcome};
 use scanner::{Campaign, CampaignReport, ClassifierConfig, ScanConfig, ShardRecords};
 // detlint::allow(unordered-iter): correlation map mirroring the live
 // CampaignScanner byte for byte; keyed lookups only, never iterated.
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::net::Ipv4Addr;
 
 /// Errors during capture ingestion.
@@ -49,13 +49,17 @@ impl std::error::Error for IngestError {}
 /// from the tap's pcap alone.
 ///
 /// Packets that fail IP/UDP decoding are skipped (they would be ICMP or
-/// corruption — dumpcap keeps them too, the analyzer ignores them).
+/// corruption — dumpcap keeps them too, the analyzer ignores them). A
+/// retransmission is not a new probe: the live scanner keeps one
+/// [`ProbeRecord`] per probe, timed at its first send, so a repeated
+/// outgoing `(src_port, txid, dst)` is skipped.
 pub fn streams_from_pcap(
     pcap: &[u8],
 ) -> Result<(Vec<ProbeRecord>, Vec<ResponseRecord>), IngestError> {
     let records = read_pcap(pcap).map_err(IngestError::Pcap)?;
     let mut probes: Vec<ProbeRecord> = Vec::new();
     let mut responses: Vec<ResponseRecord> = Vec::new();
+    let mut sent = BTreeSet::new();
     for rec in &records {
         let Ok(DecodedPacket::Udp(d)) = decode(&rec.data) else {
             continue; // ICMP and malformed frames are not DNS transactions
@@ -65,6 +69,9 @@ pub fn streams_from_pcap(
             let Some(txid) = dnswire::peek_id(&d.payload) else {
                 continue;
             };
+            if !sent.insert((d.src_port, txid, d.dst)) {
+                continue;
+            }
             probes.push(ProbeRecord {
                 index: probes.len(),
                 target: d.dst,
@@ -145,7 +152,11 @@ pub fn campaign_report_from_pcap(
         };
         if d.dst_port == dnswire::DNS_PORT {
             if let Some(txid) = dnswire::peek_id(&d.payload) {
-                sent.insert((d.src_port, txid), d.dst);
+                // A repeated tuple is a retransmission, counted like the
+                // live scanner counts its own.
+                if sent.insert((d.src_port, txid), d.dst).is_some() {
+                    report.retransmits_sent += 1;
+                }
             }
             continue;
         }
@@ -348,5 +359,150 @@ mod tests {
         let report = campaign_report_from_pcap(Campaign::Shadowserver, &w.finish()).unwrap();
         assert_eq!(report.invalid, 2);
         assert!(report.odns.is_empty());
+    }
+
+    /// A campaign target that answers every probe in one scripted way.
+    #[derive(Clone, Copy)]
+    enum Reply {
+        /// The genuine answer, sent twice.
+        Twice,
+        /// The genuine answer from another address.
+        FromElsewhere,
+        /// The probe's txid followed by a truncated header.
+        Undecodable,
+        /// A well-formed response without an A record.
+        Answerless,
+        /// Silence for the first probe, the genuine answer for the second.
+        SecondProbeOnly,
+    }
+
+    struct Scripted {
+        reply: Reply,
+        probes_seen: u32,
+    }
+
+    const ELSEWHERE: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 9);
+
+    impl netsim::Host for Scripted {
+        fn on_datagram(&mut self, ctx: &mut netsim::Ctx<'_>, dgram: Datagram) {
+            self.probes_seen += 1;
+            let query = dnswire::Message::decode(&dgram.payload).expect("campaign probe");
+            let answer = MessageBuilder::response_to(&query)
+                .answer_a(odns::study::study_qname(), 300, dgram.dst)
+                .build()
+                .encode();
+            let mut send = |src: Ipv4Addr, payload: Vec<u8>| {
+                ctx.send_udp(netsim::UdpSend {
+                    src: Some(src),
+                    src_port: dnswire::DNS_PORT,
+                    dst: dgram.src,
+                    dst_port: dgram.src_port,
+                    ttl: None,
+                    payload: payload.into(),
+                });
+            };
+            match self.reply {
+                Reply::Twice => {
+                    send(dgram.dst, answer.clone());
+                    send(dgram.dst, answer);
+                }
+                Reply::FromElsewhere => send(ELSEWHERE, answer),
+                Reply::Undecodable => {
+                    send(dgram.dst, vec![dgram.payload[0], dgram.payload[1], 0xFF])
+                }
+                Reply::Answerless => send(dgram.dst, query.response_skeleton().encode()),
+                Reply::SecondProbeOnly if self.probes_seen == 2 => send(dgram.dst, answer),
+                Reply::SecondProbeOnly => {}
+            }
+        }
+    }
+
+    #[test]
+    fn campaign_replay_equals_the_host_on_every_kind_of_response() {
+        let replies = [
+            Reply::Twice,
+            Reply::FromElsewhere,
+            Reply::Undecodable,
+            Reply::Answerless,
+            Reply::SecondProbeOnly,
+        ];
+        let targets: Vec<Ipv4Addr> = (1..=5).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
+        for campaign in Campaign::all() {
+            let mut ips = vec![SCANNER];
+            ips.extend(&targets);
+            let (topo, nodes) = netsim::testkit::playground(&ips);
+            let mut sim = netsim::Simulator::new(topo, netsim::SimConfig::default());
+            for (node, reply) in nodes[1..].iter().zip(replies) {
+                let host = Scripted {
+                    reply,
+                    probes_seen: 0,
+                };
+                sim.install(*node, host);
+            }
+            sim.tap(nodes[0]);
+            let live = scanner::run_campaign(
+                &mut sim,
+                nodes[0],
+                scanner::CampaignConfig::new(campaign, targets.clone())
+                    .with_retry(netsim::RetryPolicy::retries(1)),
+            );
+            let capture = sim.take_capture(nodes[0]).expect("tapped");
+            let replayed = campaign_report_from_pcap(campaign, &capture).unwrap();
+            assert_eq!(replayed, live, "{campaign}");
+
+            let mismatch_dropped = campaign.sanitizes_source();
+            let mut odns = vec![targets[0], targets[4]];
+            if !mismatch_dropped {
+                odns.push(ELSEWHERE);
+            }
+            assert_eq!(live.odns, odns.into_iter().collect(), "{campaign}");
+            assert_eq!(
+                live.sanitized_out,
+                u64::from(mismatch_dropped),
+                "{campaign}"
+            );
+            assert_eq!(live.invalid, 2, "{campaign}: undecodable + answerless");
+            assert_eq!(
+                live.retransmits_sent, 1,
+                "{campaign}: the silent first probe"
+            );
+        }
+    }
+
+    #[test]
+    fn lossy_retried_capture_census_equals_the_live_census() {
+        // 5 % flow-keyed loss, two retries: the tap holds every
+        // retransmission, the live scanner one record per probe.
+        let config = inetgen::GenConfig {
+            seed: 11,
+            countries: inetgen::CountrySelection::Codes(vec!["BRA", "TUR", "DEU"]),
+            scale: 2_000,
+            faults: crate::sweep_fault_plan(50, 11),
+            ..inetgen::GenConfig::default()
+        };
+        let classifier = ClassifierConfig::default();
+        for k in [1u32, 2] {
+            let run = inetgen::run_sharded(&config, k, |spec, world| {
+                let node = world.fixtures.scanner;
+                world.sim.tap(node);
+                let scan = crate::census::census_scan_config(world)
+                    .with_retry(crate::sweep_retry_policy(2));
+                let outcome = scanner::run_scan(&mut world.sim, node, scan);
+                assert!(outcome.retry.retransmits_sent > 0, "losses must bite");
+                let capture = world.sim.take_capture(node).expect("tapped");
+                let part = Census::from_outcome(&outcome, &world.geo, &classifier);
+                (part, (spec.index, capture))
+            });
+            let (parts, captures): (Vec<_>, Vec<_>) = run.outputs.into_iter().unzip();
+            let live = crate::census::merge_census_parts(parts);
+            let replayed = census_from_captures(&captures, &run.geo, &classifier).unwrap();
+            assert_eq!(
+                replayed.rows.len(),
+                live.rows.len(),
+                "K={k}: one row per probe"
+            );
+            assert_eq!(replayed, live, "K={k}");
+            assert!(live.odns_total() > 0, "world must answer");
+        }
     }
 }
