@@ -303,7 +303,7 @@ impl CampaignSweep {
 
     /// All captures joined into one wireshark-openable pcap stream
     /// (inspection only — analysis must ingest per shard, see
-    /// [`crate::pcap_ingest::shard_records_from_pcap`]).
+    /// [`census_from_captures`]).
     pub fn merged_capture(&self) -> Result<Vec<u8>, netsim::pcap::PcapError> {
         let mut parts: Vec<&[u8]> = Vec::new();
         for c in &self.captures {

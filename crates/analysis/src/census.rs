@@ -365,6 +365,29 @@ mod tests {
     }
 
     #[test]
+    fn counters_are_summed() {
+        let part = |last_octet, unmatched, late, discarded| Census {
+            rows: vec![CensusRow {
+                target: Ipv4Addr::new(203, 0, 113, last_octet),
+                verdict: Verdict::Discarded(Discard::NoResponse),
+                asn: None,
+                country: None,
+                response_src: None,
+                a_resolver: None,
+            }],
+            unmatched_responses: unmatched,
+            late_responses: late,
+            late_answers_discarded: discarded,
+        };
+        let merged = merge_census_parts(vec![part(1, 1, 0, 1), part(2, 0, 2, 3)]);
+        let targets: Vec<u8> = merged.rows.iter().map(|r| r.target.octets()[3]).collect();
+        assert_eq!(targets, vec![1, 2], "parts concatenate in the order given");
+        assert_eq!(merged.unmatched_responses, 1);
+        assert_eq!(merged.late_responses, 2);
+        assert_eq!(merged.late_answers_discarded, 4);
+    }
+
+    #[test]
     fn csv_export_contains_every_row() {
         let target = Ipv4Addr::new(203, 0, 113, 1);
         let resolver = Ipv4Addr::new(8, 8, 8, 8);

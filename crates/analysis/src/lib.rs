@@ -60,8 +60,8 @@ pub use devices::{
 pub use dnsroute_sweep::{run_dnsroute_sharded, ShardedSweep};
 pub use paths::{as_relationship_report, figure6_by_project, ProjectPaths};
 pub use pcap_ingest::{
-    campaign_report_from_pcap, census_from_captures, outcome_from_pcap, shard_records_from_pcap,
-    streams_from_pcap, IngestError,
+    campaign_report_from_pcap, census_from_captures, outcome_from_pcap, streams_from_pcap,
+    IngestError,
 };
 pub use ranking::{table5_ranking, RankingRow};
 pub use resilience::{

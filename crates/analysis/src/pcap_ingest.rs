@@ -7,25 +7,21 @@
 //! else), and correlates them by `(port, TXID)` within the timeout —
 //! independently of the in-memory records the scanner kept.
 //!
-//! The sharded drivers extend this to per-shard taps: every shard's
-//! scanner capture alone rebuilds that shard's record streams
-//! ([`shard_records_from_pcap`]), and the streams merge through the same
-//! offline pass as the live sharded census ([`census_from_captures`]) —
-//! so the whole sharded pipeline is reproducible from its captures, like
-//! the paper's. Campaign emulations replay offline too
-//! ([`campaign_report_from_pcap`]): a campaign's published report is a
-//! pure function of its capture and its processing rules.
+//! The sharded drivers extend this to per-shard taps, and the replay runs
+//! the live code: every shard's scanner capture goes through the stages a
+//! live shard's records do — correlate, classify, merge rows
+//! ([`census_from_captures`]) — and a campaign's capture through the
+//! campaign's own processing rule ([`campaign_report_from_pcap`]). So the
+//! whole sharded pipeline is reproducible from its captures, like the
+//! paper's.
 
-use crate::census::Census;
+use crate::census::{merge_census_parts, Census};
 use netsim::pcap::{read_pcap, PcapError};
 use netsim::wire::{decode, DecodedPacket};
-use netsim::SimDuration;
+use netsim::{Datagram, SimDuration, SimTime};
 use scanner::records::{ProbeRecord, ResponseRecord, ScanOutcome};
-use scanner::{Campaign, CampaignReport, ClassifierConfig, ScanConfig, ShardRecords};
-// detlint::allow(unordered-iter): correlation map mirroring the live
-// CampaignScanner byte for byte; keyed lookups only, never iterated.
-use std::collections::{BTreeSet, HashMap};
-use std::net::Ipv4Addr;
+use scanner::{Campaign, CampaignReport, ClassifierConfig, ScanConfig};
+use std::collections::BTreeSet;
 
 /// Errors during capture ingestion.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,26 +40,33 @@ impl std::fmt::Display for IngestError {
 
 impl std::error::Error for IngestError {}
 
+/// The capture's UDP datagrams with their timestamps, in capture order.
+/// Packets that fail IP/UDP decoding are skipped (they would be ICMP or
+/// corruption — dumpcap keeps them too, the analyzer ignores them).
+fn udp_datagrams(pcap: &[u8]) -> Result<impl Iterator<Item = (SimTime, Datagram)>, IngestError> {
+    let records = read_pcap(pcap).map_err(IngestError::Pcap)?;
+    Ok(records
+        .into_iter()
+        .filter_map(|rec| match decode(&rec.data) {
+            Ok(DecodedPacket::Udp(d)) => Some((rec.ts, d)),
+            _ => None,
+        }))
+}
+
 /// Reconstruct the raw probe/response record streams from capture bytes —
 /// exactly what the live scanner's `run_scan_raw` returns, but computed
 /// from the tap's pcap alone.
 ///
-/// Packets that fail IP/UDP decoding are skipped (they would be ICMP or
-/// corruption — dumpcap keeps them too, the analyzer ignores them). A
-/// retransmission is not a new probe: the live scanner keeps one
+/// A retransmission is not a new probe: the live scanner keeps one
 /// [`ProbeRecord`] per probe, timed at its first send, so a repeated
 /// outgoing `(src_port, txid, dst)` is skipped.
 pub fn streams_from_pcap(
     pcap: &[u8],
 ) -> Result<(Vec<ProbeRecord>, Vec<ResponseRecord>), IngestError> {
-    let records = read_pcap(pcap).map_err(IngestError::Pcap)?;
     let mut probes: Vec<ProbeRecord> = Vec::new();
     let mut responses: Vec<ResponseRecord> = Vec::new();
     let mut sent = BTreeSet::new();
-    for rec in &records {
-        let Ok(DecodedPacket::Udp(d)) = decode(&rec.data) else {
-            continue; // ICMP and malformed frames are not DNS transactions
-        };
+    for (ts, d) in udp_datagrams(pcap)? {
         if d.dst_port == dnswire::DNS_PORT {
             // Outgoing probe (the tap records the scanner's own sends).
             let Some(txid) = dnswire::peek_id(&d.payload) else {
@@ -75,111 +78,70 @@ pub fn streams_from_pcap(
             probes.push(ProbeRecord {
                 index: probes.len(),
                 target: d.dst,
-                sent_at: rec.ts,
+                sent_at: ts,
                 src_port: d.src_port,
                 txid,
             });
         } else {
             responses.push(ResponseRecord {
-                received_at: rec.ts,
+                received_at: ts,
                 src: d.src,
                 dst_port: d.dst_port,
-                payload: d.payload.clone(),
+                payload: d.payload,
             });
         }
     }
     Ok((probes, responses))
 }
 
-/// Reconstruct a [`ScanOutcome`] from raw capture bytes.
+/// Reconstruct a [`ScanOutcome`] from raw capture bytes, through the same
+/// offline pass as the live scanner.
 pub fn outcome_from_pcap(pcap: &[u8], timeout: SimDuration) -> Result<ScanOutcome, IngestError> {
     let (probes, responses) = streams_from_pcap(pcap)?;
-    // Same offline pass as the live scanner and the sharded merge — one
-    // implementation of the matching semantics for all three paths.
     Ok(scanner::correlate_owned(probes, responses, timeout))
 }
 
-/// Rebuild one shard's [`ShardRecords`] from that shard's scanner capture
-/// — the capture-driven twin of the per-shard `run_scan_raw` collection
-/// step. `(port, txid)` tuples restart in every shard, so each capture
-/// must be ingested separately and merged at the record-stream level
-/// (never by concatenating pcaps).
-pub fn shard_records_from_pcap(shard: u32, pcap: &[u8]) -> Result<ShardRecords, IngestError> {
-    let (probes, responses) = streams_from_pcap(pcap)?;
-    Ok(ShardRecords::new(shard, probes, responses))
-}
-
-/// The capture-driven sharded census: rebuild every shard's record
-/// streams from its capture alone and run the identical merge →
-/// correlate → classify tail as the live sharded census. Given the
-/// captures of a [`crate::run_campaign_sharded`] (or any sharded scan
-/// with per-shard scanner taps), the result equals the in-memory census
-/// row for row.
+/// The capture-driven sharded census: every `(shard id, scanner capture)`
+/// goes through what a live shard's records go through — correlate,
+/// classify into a [`Census`] part — and the parts merge in ascending
+/// shard id like [`crate::run_census_sharded`]'s, whatever order
+/// `captures` lists them in. Given the captures of a
+/// [`crate::run_campaign_sharded`] (or any sharded scan with per-shard
+/// scanner taps), the result equals the in-memory census row for row.
+///
+/// `(port, txid)` tuples restart in every shard, so captures are ingested
+/// one by one, never concatenated. Panics on a duplicate shard id: a
+/// shard's capture split in two would correlate each half against its own
+/// probes only and quietly lose the answers that cross the cut.
 pub fn census_from_captures<S: AsRef<[u8]>>(
     captures: &[(u32, S)],
     geo: &inetgen::GeoDb,
     classifier: &ClassifierConfig,
 ) -> Result<Census, IngestError> {
-    let mut streams = Vec::with_capacity(captures.len());
-    for (shard, pcap) in captures {
-        streams.push(shard_records_from_pcap(*shard, pcap.as_ref())?);
+    let mut ordered: Vec<&(u32, S)> = captures.iter().collect();
+    ordered.sort_by_key(|(shard, _)| *shard);
+    if let Some(pair) = ordered.windows(2).find(|w| w[0].0 == w[1].0) {
+        panic!("duplicate shard id {} in merge", pair[0].0);
     }
-    // The `(port, txid)` key space restarts per shard, so streams
-    // correlate shard by shard.
-    let outcome = scanner::merge_shard_records(streams, ScanConfig::DEFAULT_TIMEOUT);
-    Ok(Census::from_outcome(&outcome, geo, classifier))
+    let mut parts = Vec::with_capacity(ordered.len());
+    for (_, pcap) in ordered {
+        let outcome = outcome_from_pcap(pcap.as_ref(), ScanConfig::DEFAULT_TIMEOUT)?;
+        parts.push(Census::from_outcome(&outcome, geo, classifier));
+    }
+    Ok(merge_census_parts(parts))
 }
 
-/// Replay a campaign's processing rules over its capture, rebuilding the
+/// Replay a campaign's processing rule ([`scanner::replay_campaign`], the
+/// live `CampaignScanner`'s own) over its capture, rebuilding the
 /// [`CampaignReport`] it published — the offline proof that a campaign's
 /// feed is a pure function of the traffic it saw plus its (stateless or
-/// connected-socket) pipeline. Mirrors `CampaignScanner::on_datagram`
-/// byte for byte: outgoing port-53 packets register the probe's
-/// `(port, txid) → target`, anything else is processed as a response in
-/// capture order.
+/// connected-socket) pipeline. ICMP never reaches that pipeline.
 pub fn campaign_report_from_pcap(
     campaign: Campaign,
     pcap: &[u8],
 ) -> Result<CampaignReport, IngestError> {
-    let records = read_pcap(pcap).map_err(IngestError::Pcap)?;
-    // detlint::allow(unordered-iter): probe correlation is lookup-only —
-    // responses are processed in capture order, the map is never iterated.
-    let mut sent: HashMap<(u16, u16), Ipv4Addr> = HashMap::new();
-    let mut report = CampaignReport::default();
-    for rec in &records {
-        let Ok(DecodedPacket::Udp(d)) = decode(&rec.data) else {
-            continue; // ICMP never reaches a campaign's response pipeline
-        };
-        if d.dst_port == dnswire::DNS_PORT {
-            if let Some(txid) = dnswire::peek_id(&d.payload) {
-                // A repeated tuple is a retransmission, counted like the
-                // live scanner counts its own.
-                if sent.insert((d.src_port, txid), d.dst).is_some() {
-                    report.retransmits_sent += 1;
-                }
-            }
-            continue;
-        }
-        let Ok(msg) = dnswire::Message::decode(&d.payload) else {
-            report.invalid += 1;
-            continue;
-        };
-        if !msg.is_response() || msg.answer_a_addrs().is_empty() {
-            report.invalid += 1;
-            continue;
-        }
-        if campaign.sanitizes_source() {
-            match sent.get(&(d.dst_port, msg.header.id)) {
-                Some(&target) if target == d.src => {
-                    report.odns.insert(d.src);
-                }
-                _ => report.sanitized_out += 1,
-            }
-        } else {
-            report.odns.insert(d.src);
-        }
-    }
-    Ok(report)
+    let tapped = udp_datagrams(pcap)?.map(|(_, d)| d);
+    Ok(scanner::replay_campaign(campaign, tapped))
 }
 
 #[cfg(test)]
@@ -298,7 +260,11 @@ mod tests {
             Err(IngestError::Pcap(_))
         ));
         assert!(matches!(
-            shard_records_from_pcap(0, &[0u8; 10]),
+            census_from_captures(
+                &[(0, [0u8; 10])],
+                &inetgen::GeoDb::perfect(),
+                &ClassifierConfig::default()
+            ),
             Err(IngestError::Pcap(_))
         ));
         assert!(matches!(
@@ -309,13 +275,90 @@ mod tests {
 
     #[test]
     fn shard_records_rebuilt_with_shard_local_indices() {
-        let records = shard_records_from_pcap(7, &capture()).unwrap();
-        assert_eq!(records.shard, 7);
-        assert_eq!(records.probes.len(), 1);
-        assert_eq!(records.probes[0].index, 0, "indices restart per shard");
-        assert_eq!(records.probes[0].target, TARGET);
-        assert_eq!(records.responses.len(), 1);
-        assert_eq!(records.responses[0].src, RESOLVER);
+        let (probes, responses) = streams_from_pcap(&capture()).unwrap();
+        assert_eq!(probes.len(), 1);
+        assert_eq!(probes[0].index, 0, "indices restart per capture");
+        assert_eq!(probes[0].target, TARGET);
+        assert_eq!(responses.len(), 1);
+        assert_eq!(responses[0].src, RESOLVER);
+    }
+
+    /// One shard's capture: probes to `11.<shard>.0.<i>` for `i < n`, each
+    /// reusing the tuple `(33000, i)` every other shard uses too, and an
+    /// answer from the target itself for every `i` in `answered`.
+    fn shard_capture(shard: u8, n: u8, answered: &[u8]) -> Vec<u8> {
+        let target = |i: u8| Ipv4Addr::new(11, shard, 0, i);
+        let mut w = PcapWriter::new();
+        for i in 0..n {
+            let probe = Datagram {
+                src: SCANNER,
+                dst: target(i),
+                src_port: 33000,
+                dst_port: 53,
+                ttl: 64,
+                payload: query_bytes(i.into()).into(),
+            };
+            w.write(SimTime(i.into()), &encode_udp(&probe, i.into()));
+        }
+        for &i in answered {
+            let resp = Datagram {
+                src: target(i),
+                dst: SCANNER,
+                src_port: 53,
+                dst_port: 33000,
+                ttl: 60,
+                payload: response_bytes(i.into()).into(),
+            };
+            w.write(SimTime(1_000 + u64::from(i)), &encode_udp(&resp, 100));
+        }
+        w.finish()
+    }
+
+    fn census_of(captures: &[(u32, Vec<u8>)]) -> Census {
+        let geo = inetgen::GeoDb::perfect();
+        census_from_captures(captures, &geo, &ClassifierConfig::default()).unwrap()
+    }
+
+    #[test]
+    fn census_from_captures_is_input_order_independent() {
+        let shard = |id: u8, n, answered: &[u8]| (u32::from(id), shard_capture(id, n, answered));
+        let a = census_of(&[shard(0, 2, &[0]), shard(1, 4, &[2]), shard(2, 1, &[])]);
+        let b = census_of(&[shard(2, 1, &[]), shard(0, 2, &[0]), shard(1, 4, &[2])]);
+        assert_eq!(a, b);
+        let targets: Vec<Ipv4Addr> = a.rows.iter().map(|r| r.target).collect();
+        let expected: Vec<Ipv4Addr> = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
+            .map(|(shard, i)| Ipv4Addr::new(11, shard, 0, i))
+            .to_vec();
+        assert_eq!(targets, expected, "ascending shard id, probe order within");
+    }
+
+    #[test]
+    fn colliding_tuples_across_shards_stay_separate() {
+        // Same (port, txid) in both shards — each shard's response must
+        // match its own probe only.
+        let census = census_of(&[
+            (0, shard_capture(0, 1, &[0])),
+            (1, shard_capture(1, 1, &[0])),
+        ]);
+        let answered_by: Vec<_> = census.rows.iter().map(|r| r.response_src).collect();
+        assert_eq!(
+            answered_by,
+            vec![
+                Some(Ipv4Addr::new(11, 0, 0, 0)),
+                Some(Ipv4Addr::new(11, 1, 0, 0))
+            ]
+        );
+        assert_eq!(census.unmatched_responses, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate shard id 7")]
+    fn census_from_captures_rejects_duplicate_shards() {
+        census_of(&[
+            (7, shard_capture(0, 1, &[])),
+            (3, shard_capture(1, 2, &[])),
+            (7, shard_capture(2, 1, &[])),
+        ]);
     }
 
     #[test]

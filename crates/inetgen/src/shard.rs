@@ -130,8 +130,8 @@ impl<'a> From<&'a mut ShardWorldCache> for Worlds<'a> {
 /// The experiment closure receives the shard's [`ShardSpec`] and its
 /// [`Internet`] in post-generation state (mutable: scans and sweeps drive
 /// the shard's own simulator). Only the closure's output and the shard's
-/// geo database leave the worker; experiment-specific merging (record
-/// streams, trace concatenation) is the caller's job.
+/// geo database leave the worker; experiment-specific merging (census
+/// rows, trace concatenation) is the caller's job.
 ///
 /// Panic handling: a panicking shard job is retried exactly once on the
 /// same worker — a transient failure costs one extra world instead of the

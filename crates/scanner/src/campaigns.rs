@@ -133,15 +133,86 @@ impl CampaignReport {
     }
 }
 
+/// A campaign's response-processing rule, written once: the live
+/// [`CampaignScanner`] feeds it packet by packet, [`replay_campaign`] the
+/// datagrams of a capture.
+#[derive(Debug)]
+struct Pipeline {
+    campaign: Campaign,
+    /// `(port, txid)` → probed target, for the connected-socket check.
+    sent: IntMap<(u16, u16), Ipv4Addr>,
+    /// The report being accumulated.
+    report: CampaignReport,
+}
+
+impl Pipeline {
+    fn new(campaign: Campaign) -> Self {
+        Pipeline {
+            campaign,
+            sent: IntMap::default(),
+            report: CampaignReport::default(),
+        }
+    }
+
+    /// A probe went out. A tuple seen before is a retransmission.
+    fn probe(&mut self, port: u16, txid: u16, target: Ipv4Addr) {
+        if self.sent.insert((port, txid), target).is_some() {
+            self.report.retransmits_sent += 1;
+        }
+    }
+
+    /// A datagram from `src` arrived on `dst_port`.
+    fn response(&mut self, src: Ipv4Addr, dst_port: u16, payload: &[u8]) {
+        let Ok(msg) = Message::decode(payload) else {
+            self.report.invalid += 1;
+            return;
+        };
+        if !msg.is_response() || msg.answer_a_addrs().is_empty() {
+            // Campaigns require at least one plausible A record.
+            self.report.invalid += 1;
+            return;
+        }
+        if self.campaign.sanitizes_source() {
+            // Connected-socket semantics: find the probe this response
+            // claims to belong to and require the source to match it.
+            match self.sent.get(&(dst_port, msg.header.id)) {
+                Some(&target) if target == src => {
+                    self.report.odns.insert(src);
+                }
+                _ => self.report.sanitized_out += 1,
+            }
+        } else {
+            // Shadowserver: whoever answers is an ODNS component.
+            self.report.odns.insert(src);
+        }
+    }
+}
+
+/// Replay a campaign's processing rule over the datagrams its node's tap
+/// recorded, in capture order, rebuilding the report it published: a
+/// datagram to port 53 is one of the campaign's own probes, anything else
+/// is processed as a response.
+pub fn replay_campaign(
+    campaign: Campaign,
+    tapped: impl IntoIterator<Item = Datagram>,
+) -> CampaignReport {
+    let mut pipeline = Pipeline::new(campaign);
+    for d in tapped {
+        if d.dst_port != dnswire::DNS_PORT {
+            pipeline.response(d.src, d.dst_port, &d.payload);
+        } else if let Some(txid) = dnswire::peek_id(&d.payload) {
+            pipeline.probe(d.src_port, txid, d.dst);
+        }
+    }
+    pipeline.report
+}
+
 /// A campaign scanner host, paced and retransmitted by a `pacer::Pacer`.
 #[derive(Debug)]
 pub struct CampaignScanner {
     config: CampaignConfig,
     pacer: Pacer,
-    /// `(port, txid)` → probed target, for the connected-socket check.
-    sent: IntMap<(u16, u16), Ipv4Addr>,
-    /// The report being accumulated.
-    pub report: CampaignReport,
+    pipeline: Pipeline,
 }
 
 impl CampaignScanner {
@@ -154,10 +225,9 @@ impl CampaignScanner {
             config.retry,
         );
         CampaignScanner {
+            pipeline: Pipeline::new(config.campaign),
             config,
             pacer,
-            sent: IntMap::default(),
-            report: CampaignReport::default(),
         }
     }
 
@@ -197,31 +267,8 @@ impl Host for CampaignScanner {
         if self.config.retry.enabled() {
             self.note_answer(ctx, dgram.dst_port, &dgram.payload);
         }
-        let Ok(msg) = Message::decode(&dgram.payload) else {
-            self.report.invalid += 1;
-            return;
-        };
-        if !msg.is_response() || msg.answer_a_addrs().is_empty() {
-            // Campaigns require at least one plausible A record.
-            self.report.invalid += 1;
-            return;
-        }
-        if self.config.campaign.sanitizes_source() {
-            // Connected-socket semantics: find the probe this response
-            // claims to belong to and require the source to match it.
-            let key = (dgram.dst_port, msg.header.id);
-            match self.sent.get(&key) {
-                Some(&target) if target == dgram.src => {
-                    self.report.odns.insert(dgram.src);
-                }
-                _ => {
-                    self.report.sanitized_out += 1;
-                }
-            }
-        } else {
-            // Shadowserver: whoever answers is an ODNS component.
-            self.report.odns.insert(dgram.src);
-        }
+        self.pipeline
+            .response(dgram.src, dgram.dst_port, &dgram.payload);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -233,11 +280,7 @@ impl Host for CampaignScanner {
         let Due { index, attempt } = due;
         let target = self.config.targets[index];
         let (port, txid) = self.probe_tuple(index);
-        if attempt == 0 {
-            self.sent.insert((port, txid), target);
-        } else {
-            self.report.retransmits_sent += 1;
-        }
+        self.pipeline.probe(port, txid, target);
         ctx.send_udp_attempt(
             UdpSend::new(port, target, dnswire::DNS_PORT, Self::probe_query(txid)),
             attempt,
@@ -267,6 +310,7 @@ pub fn run_campaign_delayed(
     sim.run();
     sim.host_as::<CampaignScanner>(node)
         .expect("campaign installed")
+        .pipeline
         .report
         .clone()
 }

@@ -29,7 +29,6 @@ pub mod fingerprint;
 mod pacer;
 pub mod records;
 pub mod sensors;
-pub mod shard;
 pub mod transactional;
 
 pub use attacks::{
@@ -37,16 +36,16 @@ pub use attacks::{
     VictimTally,
 };
 pub use campaigns::{
-    run_campaign, run_campaign_delayed, Campaign, CampaignConfig, CampaignReport, CampaignScanner,
+    replay_campaign, run_campaign, run_campaign_delayed, Campaign, CampaignConfig, CampaignReport,
+    CampaignScanner,
 };
 pub use classify::{classify, ClassifierConfig, Discard, OdnsClass, Verdict};
 pub use fingerprint::{
     attribute_vendor, run_fingerprint_scan, FingerprintConfig, FingerprintScanner, HostEvidence,
 };
 pub use records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
-pub use sensors::{sensor_reply_matches, HoneypotSensor, SensorAddresses, SensorKind, SensorStats};
-pub use shard::{merge_shard_records, ShardRecords};
+pub use sensors::{HoneypotSensor, SensorKind, SensorStats};
 pub use transactional::{
-    correlate, correlate_owned, run_scan, run_scan_raw, Correlator, ProbeNaming, ScanConfig,
-    TransactionalScanner, TupleScheme,
+    correlate_owned, run_scan, run_scan_raw, ProbeNaming, ScanConfig, TransactionalScanner,
+    TupleScheme,
 };

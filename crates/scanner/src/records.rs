@@ -102,18 +102,6 @@ impl RetryStats {
         self.answered_on_attempt[slot] += 1;
     }
 
-    /// Fold another scan's counters into this one (shard merge).
-    pub fn absorb(&mut self, other: &RetryStats) {
-        self.retransmits_sent += other.retransmits_sent;
-        for (a, b) in self
-            .answered_on_attempt
-            .iter_mut()
-            .zip(other.answered_on_attempt)
-        {
-            *a += b;
-        }
-    }
-
     /// Probes answered only thanks to a retransmission (attempt ≥ 2).
     pub fn answered_by_retry(&self) -> u64 {
         self.answered_on_attempt[1..].iter().sum()
@@ -238,13 +226,12 @@ mod tests {
     }
 
     #[test]
-    fn retry_stats_histogram_and_merge() {
+    fn retry_stats_histogram() {
         let mut a = RetryStats::default();
         a.record_answered(1);
         a.record_answered(2);
         a.record_answered(2);
         a.record_answered(200); // clamps into the last bucket
-        a.retransmits_sent = 3;
         assert_eq!(a.answered_on_attempt[0], 1);
         assert_eq!(a.answered_on_attempt[1], 2);
         assert_eq!(
@@ -252,12 +239,5 @@ mod tests {
             1
         );
         assert_eq!(a.answered_by_retry(), 3);
-        let mut b = RetryStats::default();
-        b.record_answered(1);
-        b.retransmits_sent = 2;
-        b.absorb(&a);
-        assert_eq!(b.retransmits_sent, 5);
-        assert_eq!(b.answered_on_attempt[0], 2);
-        assert_eq!(b.answered_by_retry(), 3);
     }
 }

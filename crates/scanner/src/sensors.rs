@@ -201,43 +201,6 @@ impl Host for HoneypotSensor {
     }
 }
 
-/// The sensor deployment of the controlled experiment: node handles plus
-/// the four observable addresses of Table 3.
-#[derive(Debug, Clone, Copy)]
-pub struct SensorAddresses {
-    /// Sensor 1's address.
-    pub ip1: Ipv4Addr,
-    /// Sensor 2's receiving address.
-    pub ip2: Ipv4Addr,
-    /// Sensor 2's sending address (same /24 as `ip2`).
-    pub ip3: Ipv4Addr,
-    /// Sensor 3's address.
-    pub ip4: Ipv4Addr,
-}
-
-impl SensorAddresses {
-    /// The default lab addressing: all sensors in `203.0.113.0/24`.
-    pub fn lab_default() -> Self {
-        SensorAddresses {
-            ip1: Ipv4Addr::new(203, 0, 113, 11),
-            ip2: Ipv4Addr::new(203, 0, 113, 22),
-            ip3: Ipv4Addr::new(203, 0, 113, 23),
-            ip4: Ipv4Addr::new(203, 0, 113, 44),
-        }
-    }
-}
-
-/// Self-test helper mirroring the paper's "we confirm the correct
-/// operation of all sensors by sending DNS queries and analyzing replies
-/// at the scanner": returns true when a response for `probed` came back
-/// from `expected_src`.
-pub fn sensor_reply_matches(
-    responses: &[(netsim::SimTime, Datagram)],
-    expected_src: Ipv4Addr,
-) -> bool {
-    responses.iter().any(|(_, d)| d.src == expected_src)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,6 +211,34 @@ mod tests {
 
     const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
     const UPSTREAM: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
+
+    /// The four observable addresses of Table 3, all in `203.0.113.0/24`.
+    struct SensorAddresses {
+        ip1: Ipv4Addr,
+        ip2: Ipv4Addr,
+        ip3: Ipv4Addr,
+        ip4: Ipv4Addr,
+    }
+
+    impl SensorAddresses {
+        fn lab_default() -> Self {
+            SensorAddresses {
+                ip1: Ipv4Addr::new(203, 0, 113, 11),
+                ip2: Ipv4Addr::new(203, 0, 113, 22),
+                ip3: Ipv4Addr::new(203, 0, 113, 23),
+                ip4: Ipv4Addr::new(203, 0, 113, 44),
+            }
+        }
+    }
+
+    /// The paper's sensor self-test: did a response come back from
+    /// `expected_src`?
+    fn sensor_reply_matches(
+        responses: &[(netsim::SimTime, Datagram)],
+        expected_src: Ipv4Addr,
+    ) -> bool {
+        responses.iter().any(|(_, d)| d.src == expected_src)
+    }
 
     struct Canned;
     impl Host for Canned {

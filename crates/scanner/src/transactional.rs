@@ -108,12 +108,6 @@ impl ScanConfig {
         }
     }
 
-    /// Switch to the query-encoding method (Table 2 comparison).
-    pub fn with_query_encoding(mut self) -> Self {
-        self.naming = ProbeNaming::EncodeTarget;
-        self
-    }
-
     /// Switch to target-keyed tuples ([`TupleScheme::TargetKeyed`]) — the
     /// scheme lossy-world experiments need for shard-count-invariant
     /// fault verdicts.
@@ -250,7 +244,11 @@ impl TransactionalScanner {
     /// scan itself. The first matching response within the window wins;
     /// later matches count as duplicates/late.
     pub fn outcome(&self) -> ScanOutcome {
-        let mut outcome = correlate(&self.probes, &self.responses, self.config.timeout);
+        let mut outcome = correlate_owned(
+            self.probes.clone(),
+            self.responses.clone(),
+            self.config.timeout,
+        );
         outcome.retry = self.retry_stats;
         outcome
     }
@@ -351,50 +349,20 @@ impl Host for TransactionalScanner {
 }
 
 /// The offline correlation pass over recorded probe/response streams —
-/// the paper's post-processing, as a pure function so sharded censuses
-/// can run it over merged record streams (see [`crate::shard`]).
+/// the paper's post-processing, as a pure function: the live scanner, every
+/// shard's in-worker census pass and pcap ingestion all run this one
+/// implementation of the matching semantics.
 ///
 /// Matching is by `(dst_port, txid)`; the first response inside the
 /// timeout window wins, later matches count as duplicates, and responses
-/// past the window count as late. Borrowing wrapper over
-/// [`correlate_owned`] for callers that keep their records (the live
-/// scanner's [`TransactionalScanner::outcome`]).
-pub fn correlate(
-    probes: &[ProbeRecord],
-    responses: &[ResponseRecord],
-    timeout: SimDuration,
-) -> ScanOutcome {
-    correlate_owned(probes.to_vec(), responses.to_vec(), timeout)
-}
-
-/// [`correlate`] taking ownership: probes and matched response payloads
-/// move into the resulting transactions with no copying. The variant the
-/// sharded merge and pcap ingestion use — record streams are the bulk of
-/// a census's memory.
+/// past the window count as late. Takes ownership: probes and matched
+/// response payloads move into the resulting transactions with no copying
+/// — record streams are the bulk of a census's memory.
 pub fn correlate_owned(
     probes: Vec<ProbeRecord>,
     responses: Vec<ResponseRecord>,
     timeout: SimDuration,
 ) -> ScanOutcome {
-    Correlator::new().correlate(probes, responses, timeout)
-}
-
-/// Reusable correlation scratch. Correlation's only side allocation is
-/// the `(port, txid) → probe` index map; a `Correlator` keeps that map's
-/// capacity across calls, so a sharded merge correlating K shard groups
-/// back to back allocates the map once instead of K times. One-shot
-/// callers use [`correlate_owned`], which wraps a fresh instance.
-#[derive(Debug, Default)]
-pub struct Correlator {
-    index: IntMap<(u16, u16), usize>,
-}
-
-impl Correlator {
-    /// An empty scratch; capacity grows on first use.
-    pub fn new() -> Self {
-        Correlator::default()
-    }
-
     /// Below this many probes, matching walks the probe list instead of
     /// building the hash index — the small per-scan batches of a warm
     /// steady-state world. Measured at 0 (always index; repo benchmark,
@@ -402,70 +370,63 @@ impl Correlator {
     /// the median, 8 of 8 pairs worse. The branch stays.
     const LINEAR_SCAN_MAX: usize = 32;
 
-    /// One correlation pass, identical to [`correlate_owned`].
-    pub fn correlate(
-        &mut self,
-        probes: Vec<ProbeRecord>,
-        responses: Vec<ResponseRecord>,
-        timeout: SimDuration,
-    ) -> ScanOutcome {
-        let linear = probes.len() <= Self::LINEAR_SCAN_MAX;
-        if !linear {
-            self.index.clear();
-            self.index.reserve(probes.len());
-            for (i, p) in probes.iter().enumerate() {
-                self.index.insert((p.src_port, p.txid), i);
-            }
+    // Correlation's only side allocation: `(port, txid) → probe`.
+    let mut index: IntMap<(u16, u16), usize> = IntMap::default();
+    let linear = probes.len() <= LINEAR_SCAN_MAX;
+    if !linear {
+        index.reserve(probes.len());
+        for (i, p) in probes.iter().enumerate() {
+            index.insert((p.src_port, p.txid), i);
         }
-        let mut transactions: Vec<Transaction> = probes
-            .into_iter()
-            .map(|p| Transaction {
-                probe: p,
-                response: None,
-            })
-            .collect();
-        let mut unmatched = 0usize;
-        let mut late = 0usize;
-        let mut superseded = 0usize;
-        for r in responses {
-            let Some(txid) = dnswire::peek_id(&r.payload) else {
-                unmatched += 1;
-                continue;
-            };
-            // Like the index (whose inserts overwrite), a duplicate
-            // `(port, txid)` tuple resolves to the *last* matching probe.
-            let found = if linear {
-                transactions
-                    .iter()
-                    .rposition(|t| t.probe.src_port == r.dst_port && t.probe.txid == txid)
-            } else {
-                self.index.get(&(r.dst_port, txid)).copied()
-            };
-            let Some(probe_idx) = found else {
-                unmatched += 1;
-                continue;
-            };
-            let t = &mut transactions[probe_idx];
-            if r.received_at - t.probe.sent_at > timeout {
-                late += 1;
-                continue;
-            }
-            if t.response.is_some() {
-                // A second answer for an already-answered tuple: a wire
-                // duplicate, or the answer to a superseded retransmission
-                // attempt. Deduplicated — the first response stands.
-                superseded += 1;
-                continue;
-            }
-            t.response = Some(r);
+    }
+    let mut transactions: Vec<Transaction> = probes
+        .into_iter()
+        .map(|p| Transaction {
+            probe: p,
+            response: None,
+        })
+        .collect();
+    let mut unmatched = 0usize;
+    let mut late = 0usize;
+    let mut superseded = 0usize;
+    for r in responses {
+        let Some(txid) = dnswire::peek_id(&r.payload) else {
+            unmatched += 1;
+            continue;
+        };
+        // Like the index (whose inserts overwrite), a duplicate
+        // `(port, txid)` tuple resolves to the *last* matching probe.
+        let found = if linear {
+            transactions
+                .iter()
+                .rposition(|t| t.probe.src_port == r.dst_port && t.probe.txid == txid)
+        } else {
+            index.get(&(r.dst_port, txid)).copied()
+        };
+        let Some(probe_idx) = found else {
+            unmatched += 1;
+            continue;
+        };
+        let t = &mut transactions[probe_idx];
+        if r.received_at - t.probe.sent_at > timeout {
+            late += 1;
+            continue;
         }
-        ScanOutcome {
-            transactions,
-            unmatched_responses: unmatched,
-            late_responses: late,
-            late_answers_discarded: superseded,
-            retry: RetryStats::default(),
+        if t.response.is_some() {
+            // A second answer for an already-answered tuple: a wire
+            // duplicate, or the answer to a superseded retransmission
+            // attempt. Deduplicated — the first response stands.
+            superseded += 1;
+            continue;
         }
+        t.response = Some(r);
+    }
+    ScanOutcome {
+        transactions,
+        unmatched_responses: unmatched,
+        late_responses: late,
+        late_answers_discarded: superseded,
+        retry: RetryStats::default(),
     }
 }
 
@@ -481,9 +442,9 @@ pub fn run_scan(sim: &mut Simulator, node: NodeId, config: ScanConfig) -> ScanOu
 }
 
 /// Run the scan like [`run_scan`] but return the *raw* probe/response
-/// streams (plus retransmission counters) instead of correlating — the
-/// per-shard collection step of a sharded census, whose correlation
-/// happens once over the merged streams.
+/// streams (plus retransmission counters) instead of correlating — for
+/// callers that time or inspect the streams before handing them to
+/// [`correlate_owned`].
 pub fn run_scan_raw(
     sim: &mut Simulator,
     node: NodeId,
@@ -832,7 +793,8 @@ mod tests {
         let (topo, nodes) = playground(&all);
         let mut sim = Simulator::new(topo, SimConfig::default());
         sim.tap(nodes[0]);
-        let cfg = ScanConfig::new(ips).with_query_encoding();
+        let mut cfg = ScanConfig::new(ips);
+        cfg.naming = ProbeNaming::EncodeTarget;
         let _ = run_scan(&mut sim, nodes[0], cfg);
         let pcap = sim.take_capture(nodes[0]).unwrap();
         let recs = netsim::pcap::read_pcap(&pcap).unwrap();

@@ -7,17 +7,15 @@
 //! * the classifier is total over answered transactions and never panics;
 //! * the classifier, which reads study-shaped responses through
 //!   `dnswire::view_answer_a`, is indistinguishable from one that decodes
-//!   every response — verdict and discard reason, strict and relaxed;
-//! * merging shuffled per-shard record streams never drops or duplicates
-//!   a transaction, and never mixes shards up.
+//!   every response — verdict and discard reason, strict and relaxed.
 
 use dnswire::{DnsName, MessageBuilder, Record, RrType};
-use netsim::{SimDuration, SimTime};
+use netsim::SimTime;
 use proptest::prelude::*;
 use scanner::records::{ProbeRecord, ResponseRecord};
 use scanner::{
-    classify, merge_shard_records, ClassifierConfig, Discard, OdnsClass, ScanConfig, ShardRecords,
-    Transaction, TransactionalScanner, Verdict,
+    classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, Transaction, TransactionalScanner,
+    Verdict,
 };
 use std::net::Ipv4Addr;
 
@@ -198,61 +196,6 @@ proptest! {
         let mut seen = std::collections::HashSet::with_capacity(len);
         for i in start..start + len {
             prop_assert!(seen.insert(cfg.probe_tuple(i)), "collision at {i}");
-        }
-    }
-
-    #[test]
-    fn shard_merge_never_drops_or_duplicates(
-        shard_sizes in proptest::collection::vec(1usize..40, 1..6),
-        answered_bits in proptest::collection::vec(any::<u64>(), 1..6),
-        shard_order_seed in any::<u64>(),
-        response_seeds in proptest::collection::vec(any::<u64>(), 1..6),
-    ) {
-        // Build one ShardRecords per shard from a fully simulated scanner
-        // state, shuffle each shard's responses and the shard list itself,
-        // and verify the merge reconstructs every transaction exactly once.
-        let mut shards = Vec::new();
-        let mut expected_answered = 0usize;
-        let mut expected_probes = 0usize;
-        let mut expected_targets: Vec<(u32, Ipv4Addr, bool)> = Vec::new();
-        for (s, &n) in shard_sizes.iter().enumerate() {
-            let bits = answered_bits[s % answered_bits.len()];
-            let answered: Vec<usize> = (0..n).filter(|i| bits >> (i % 64) & 1 == 1).collect();
-            let seed = response_seeds[s % response_seeds.len()];
-            let state = scanner_with(n, &answered, seed);
-            expected_answered += answered.len();
-            expected_probes += n;
-            for (i, p) in state.probes.iter().enumerate() {
-                expected_targets.push((s as u32, p.target, answered.contains(&i)));
-            }
-            shards.push(ShardRecords::new(s as u32, state.probes.clone(), state.responses.clone()));
-        }
-        // Shuffle the shard list deterministically.
-        let mut state = shard_order_seed | 1;
-        for i in (1..shards.len()).rev() {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-            let j = (state >> 33) as usize % (i + 1);
-            shards.swap(i, j);
-        }
-
-        let merged = merge_shard_records(shards, SimDuration::from_secs(20));
-
-        // Nothing dropped, nothing duplicated: one transaction per probe,
-        // global indices gap-free, answered set preserved per shard+target.
-        prop_assert_eq!(merged.transactions.len(), expected_probes);
-        prop_assert_eq!(merged.answered_count(), expected_answered);
-        prop_assert_eq!(merged.unmatched_responses, 0);
-        prop_assert_eq!(merged.late_responses, 0);
-        for (global, t) in merged.transactions.iter().enumerate() {
-            prop_assert_eq!(t.probe.index, global, "indices must be gap-free after rebase");
-        }
-        // Shards concatenate in ascending shard order, so the expected
-        // (shard, target, answered) triples line up positionally.
-        for (t, (shard, target, was_answered)) in
-            merged.transactions.iter().zip(&expected_targets)
-        {
-            prop_assert_eq!(t.probe.target, *target, "shard {} misplaced", shard);
-            prop_assert_eq!(t.response.is_some(), *was_answered);
         }
     }
 }

@@ -76,22 +76,15 @@ pub struct CensusSummary {
 /// population; larger = smaller world), run the transactional census, and
 /// summarize. Deterministic for a fixed scale.
 pub fn quick_census(scale: u32) -> CensusSummary {
-    let config = inetgen::GenConfig {
-        scale,
-        ..inetgen::GenConfig::default()
-    };
-    let mut internet = inetgen::generate(&config);
-    summarize(&analysis::run_census(
-        &mut internet,
-        &ClassifierConfig::default(),
-    ))
+    quick_census_sharded(scale, 1)
 }
 
 /// The sharded census: partition the world into `shards` disjoint prefix
-/// shards, generate and scan every shard on a worker-thread pool, and
-/// correlate the merged record streams offline. Produces identical
-/// classification counts to [`quick_census`] at any shard count for the
-/// same scale — sharding changes wall-clock time, never results.
+/// shards; generate, scan, correlate and classify every shard on a
+/// worker-thread pool; concatenate the classified rows in shard order.
+/// Produces identical classification counts to [`quick_census`] at any
+/// shard count for the same scale — sharding changes wall-clock time,
+/// never results.
 pub fn quick_census_sharded(scale: u32, shards: u32) -> CensusSummary {
     let config = inetgen::GenConfig {
         scale,

@@ -59,10 +59,10 @@ proptest! {
 
     #[test]
     fn capture_reconstruction_is_lossless(seed in any::<u64>()) {
-        // Lever (b)'s guarantee, for any seed and shard count: each
-        // shard's pcap capture alone reconstructs that shard's record
-        // streams and correlated outcome exactly, and the merged
-        // capture-derived census equals the live one row for row.
+        // For any seed and shard count: each shard's pcap capture alone
+        // reconstructs that shard's record streams, correlated outcome
+        // and census part exactly, and the merged capture-derived census
+        // equals the production sharded census row for row.
         let config = tiny_config(seed);
         let k = [1u32, 2, 4][(seed % 3) as usize];
         let run = inetgen::run_sharded(&config, k, |spec, world| {
@@ -77,16 +77,16 @@ proptest! {
             (spec.index, probes, responses, capture)
         });
 
-        let mut live_streams = Vec::new();
+        let classifier = ClassifierConfig::default();
         let mut captures = Vec::new();
         for (shard, probes, responses, capture) in run.outputs {
             let (rebuilt_probes, rebuilt_responses) =
                 analysis::streams_from_pcap(&capture).expect("capture parses");
             prop_assert_eq!(&rebuilt_probes, &probes, "shard {} probes", shard);
             prop_assert_eq!(&rebuilt_responses, &responses, "shard {} responses", shard);
-            let live = scanner::correlate(
-                &probes,
-                &responses,
+            let live = scanner::correlate_owned(
+                probes,
+                responses,
                 scanner::ScanConfig::DEFAULT_TIMEOUT,
             );
             let rebuilt = analysis::outcome_from_pcap(
@@ -94,22 +94,15 @@ proptest! {
                 scanner::ScanConfig::DEFAULT_TIMEOUT,
             ).expect("capture parses");
             prop_assert_eq!(&rebuilt, &live, "shard {} correlation", shard);
-            live_streams.push(scanner::ShardRecords::new(shard, probes, responses));
+            let live_part = analysis::Census::from_outcome(&live, &run.geo, &classifier);
+            let capture_part =
+                analysis::census_from_captures(&[(shard, &capture)], &run.geo, &classifier)
+                    .expect("capture parses");
+            prop_assert_eq!(&capture_part, &live_part, "shard {} census part", shard);
             captures.push((shard, capture));
         }
 
-        let classifier = ClassifierConfig::default();
-        let merged = scanner::merge_shard_records(
-            live_streams,
-            scanner::ScanConfig::DEFAULT_TIMEOUT,
-        );
-        let mut live_census = analysis::Census::from_transactions(
-            &merged.transactions,
-            &run.geo,
-            &classifier,
-        );
-        live_census.unmatched_responses = merged.unmatched_responses;
-        live_census.late_responses = merged.late_responses;
+        let live_census = analysis::run_census_sharded(&config, k, &classifier);
         let capture_census = analysis::census_from_captures(&captures, &run.geo, &classifier)
             .expect("captures parse");
         prop_assert_eq!(&capture_census, &live_census, "K={} census", k);

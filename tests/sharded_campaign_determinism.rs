@@ -58,11 +58,8 @@ fn k1_bit_identical_to_unsharded_campaign_sensor_path() {
         ScanConfig::new(internet.targets.clone()),
     );
     let scan_capture = internet.sim.take_capture(scanner_node).unwrap();
-    let outcome = scanner::correlate(&probes, &responses, ScanConfig::DEFAULT_TIMEOUT);
-    let mut census =
-        analysis::Census::from_transactions(&outcome.transactions, &internet.geo, &classifier);
-    census.unmatched_responses = outcome.unmatched_responses;
-    census.late_responses = outcome.late_responses;
+    let outcome = scanner::correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT);
+    let census = analysis::Census::from_outcome(&outcome, &internet.geo, &classifier);
 
     let mut targets = internet.targets.clone();
     targets.extend(sensor_targets(ShardSpec::solo(), addrs));
@@ -161,26 +158,28 @@ fn table3_and_table5_invariant_across_shard_counts() {
 fn capture_driven_pipeline_reproduces_live_results() {
     let config = test_config();
     let classifier = ClassifierConfig::default();
-    let sweep = analysis::run_campaign_sharded(&config, 2, &classifier);
+    for k in [1u32, 2, 4] {
+        let sweep = analysis::run_campaign_sharded(&config, k, &classifier);
 
-    // The merged per-shard scan captures alone rebuild the census, row
-    // for row — counters included.
-    let census = sweep.capture_census(&classifier).expect("captures parse");
-    assert_eq!(census, sweep.census);
-    assert!(census.odns_total() > 0);
+        // The per-shard scan captures alone rebuild the census, row for
+        // row — counters included.
+        let census = sweep.capture_census(&classifier).expect("captures parse");
+        assert_eq!(census, sweep.census, "K={k}");
+        assert!(census.odns_total() > 0);
 
-    // Replaying every campaign capture through the campaign's own
-    // processing rules rebuilds the published reports.
-    let reports = sweep.capture_reports().expect("captures parse");
-    assert_eq!(reports, sweep.reports);
+        // Replaying every campaign capture through the campaign's own
+        // processing rules rebuilds the published reports.
+        let reports = sweep.capture_reports().expect("captures parse");
+        assert_eq!(reports, sweep.reports, "K={k}");
 
-    // The joined capture is one valid, openable pcap stream.
-    let merged = sweep.merged_capture().expect("captures merge");
-    let records = netsim::pcap::read_pcap(&merged).unwrap();
-    assert!(
-        records.len() > sweep.census.rows.len(),
-        "probes + responses"
-    );
+        // The joined capture is one valid, openable pcap stream.
+        let merged = sweep.merged_capture().expect("captures merge");
+        let records = netsim::pcap::read_pcap(&merged).unwrap();
+        assert!(
+            records.len() > sweep.census.rows.len(),
+            "probes + responses"
+        );
+    }
 }
 
 #[test]
