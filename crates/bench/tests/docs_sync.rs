@@ -1,9 +1,36 @@
 //! README ↔ `BENCH_simcore.json` sync: the census throughputs README's
 //! *Measuring it* quotes are the committed full run's rows, rounded as
 //! printed. Re-recording the artifact without touching README fails here.
+//! Also ROADMAP's doc rules as a ratchet: README does not grow, and a
+//! PR's history is one CHANGES.md entry of about 1.5 kB.
 
 const README: &str = include_str!("../../../README.md");
+const CHANGES: &str = include_str!("../../../CHANGES.md");
 const ARTIFACT: &str = include_str!("../../../BENCH_simcore.json");
+
+#[test]
+fn readme_and_the_newest_changes_entry_stay_inside_their_budgets() {
+    // README's size when the ratchet was set, rounded up to the next kB.
+    // Lower it when README shrinks; never raise it.
+    const README_MAX_BYTES: usize = 38_000;
+    const ENTRY_MAX_BYTES: usize = 1_600;
+    assert!(
+        README.len() <= README_MAX_BYTES,
+        "README.md is {} bytes, over its {README_MAX_BYTES}-byte ceiling: say what is, \
+         move history to CHANGES.md",
+        README.len()
+    );
+    let newest = CHANGES
+        .lines()
+        .rev()
+        .find(|line| !line.trim().is_empty())
+        .expect("CHANGES.md has an entry");
+    assert!(
+        newest.len() <= ENTRY_MAX_BYTES,
+        "the newest CHANGES.md entry is {} bytes, over {ENTRY_MAX_BYTES}",
+        newest.len()
+    );
+}
 
 #[test]
 fn readme_census_throughputs_match_the_committed_full_run() {
