@@ -212,33 +212,11 @@ mod tests {
     const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
     const UPSTREAM: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
 
-    /// The four observable addresses of Table 3, all in `203.0.113.0/24`.
-    struct SensorAddresses {
-        ip1: Ipv4Addr,
-        ip2: Ipv4Addr,
-        ip3: Ipv4Addr,
-        ip4: Ipv4Addr,
-    }
-
-    impl SensorAddresses {
-        fn lab_default() -> Self {
-            SensorAddresses {
-                ip1: Ipv4Addr::new(203, 0, 113, 11),
-                ip2: Ipv4Addr::new(203, 0, 113, 22),
-                ip3: Ipv4Addr::new(203, 0, 113, 23),
-                ip4: Ipv4Addr::new(203, 0, 113, 44),
-            }
-        }
-    }
-
-    /// The paper's sensor self-test: did a response come back from
-    /// `expected_src`?
-    fn sensor_reply_matches(
-        responses: &[(netsim::SimTime, Datagram)],
-        expected_src: Ipv4Addr,
-    ) -> bool {
-        responses.iter().any(|(_, d)| d.src == expected_src)
-    }
+    // The four observable addresses of Table 3.
+    const IP1: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 11);
+    const IP2: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 22);
+    const IP3: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 23);
+    const IP4: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 44);
 
     struct Canned;
     impl Host for Canned {
@@ -262,32 +240,22 @@ mod tests {
 
     #[test]
     fn sensor1_answers_from_probed_address() {
-        let addrs = SensorAddresses::lab_default();
-        let (topo, nodes) = playground(&[SCANNER, addrs.ip1, UPSTREAM]);
+        let (topo, nodes) = playground(&[SCANNER, IP1, UPSTREAM]);
         let mut sim = Simulator::new(topo, SimConfig::default());
         sim.install(
             nodes[1],
             HoneypotSensor::new(SensorKind::RecursiveResolver, UPSTREAM),
         );
         sim.install(nodes[2], Canned);
-        install_script(
-            &mut sim,
-            nodes[0],
-            vec![(SimDuration::ZERO, query(1, addrs.ip1))],
-        );
+        install_script(&mut sim, nodes[0], vec![(SimDuration::ZERO, query(1, IP1))]);
         sim.run();
         let sc: &ScriptedClient = sim.host_as(nodes[0]).unwrap();
         assert_eq!(sc.datagrams.len(), 1);
-        assert_eq!(
-            sc.datagrams[0].1.src, addrs.ip1,
-            "Sensor 1 answers from IP1"
-        );
-        assert!(sensor_reply_matches(&sc.datagrams, addrs.ip1));
+        assert_eq!(sc.datagrams[0].1.src, IP1, "Sensor 1 answers from IP1");
     }
 
     #[test]
     fn sensor2_answers_from_second_address() {
-        let addrs = SensorAddresses::lab_default();
         // IP2 and IP3 belong to the same host (extra_ips).
         let mut b = netsim::TopologyBuilder::new();
         let a = b.add_as(netsim::AsSpec {
@@ -301,8 +269,8 @@ mod tests {
         let sensor = b.add_host(
             a,
             netsim::HostSpec {
-                ip: addrs.ip2,
-                extra_ips: vec![addrs.ip3],
+                ip: IP2,
+                extra_ips: vec![IP3],
                 access_routers: vec![],
                 link_latency: SimDuration::from_millis(1),
             },
@@ -311,26 +279,14 @@ mod tests {
         let mut sim = Simulator::new(b.build().unwrap(), SimConfig::default());
         sim.install(
             sensor,
-            HoneypotSensor::new(
-                SensorKind::InteriorForwarder {
-                    reply_from: addrs.ip3,
-                },
-                UPSTREAM,
-            ),
+            HoneypotSensor::new(SensorKind::InteriorForwarder { reply_from: IP3 }, UPSTREAM),
         );
         sim.install(upstream, Canned);
-        install_script(
-            &mut sim,
-            scanner,
-            vec![(SimDuration::ZERO, query(2, addrs.ip2))],
-        );
+        install_script(&mut sim, scanner, vec![(SimDuration::ZERO, query(2, IP2))]);
         sim.run();
         let sc: &ScriptedClient = sim.host_as(scanner).unwrap();
         assert_eq!(sc.datagrams.len(), 1);
-        assert_eq!(
-            sc.datagrams[0].1.src, addrs.ip3,
-            "Sensor 2 replies from IP3"
-        );
+        assert_eq!(sc.datagrams[0].1.src, IP3, "Sensor 2 replies from IP3");
         assert_eq!(
             sim.stats().spoofed_sent,
             0,
@@ -340,19 +296,14 @@ mod tests {
 
     #[test]
     fn sensor3_relays_spoofed_and_stays_silent() {
-        let addrs = SensorAddresses::lab_default();
-        let (topo, nodes) = playground(&[SCANNER, addrs.ip4, UPSTREAM]);
+        let (topo, nodes) = playground(&[SCANNER, IP4, UPSTREAM]);
         let mut sim = Simulator::new(topo, SimConfig::default());
         sim.install(
             nodes[1],
             HoneypotSensor::new(SensorKind::ExteriorForwarder, UPSTREAM),
         );
         sim.install(nodes[2], Canned);
-        install_script(
-            &mut sim,
-            nodes[0],
-            vec![(SimDuration::ZERO, query(3, addrs.ip4))],
-        );
+        install_script(&mut sim, nodes[0], vec![(SimDuration::ZERO, query(3, IP4))]);
         sim.run();
         let sc: &ScriptedClient = sim.host_as(nodes[0]).unwrap();
         assert_eq!(sc.datagrams.len(), 1);
@@ -367,8 +318,7 @@ mod tests {
 
     #[test]
     fn rate_limiter_allows_one_per_5min_per_prefix() {
-        let addrs = SensorAddresses::lab_default();
-        let (topo, nodes) = playground(&[SCANNER, addrs.ip1, UPSTREAM]);
+        let (topo, nodes) = playground(&[SCANNER, IP1, UPSTREAM]);
         let mut sim = Simulator::new(topo, SimConfig::default());
         sim.install(
             nodes[1],
@@ -379,9 +329,9 @@ mod tests {
             &mut sim,
             nodes[0],
             vec![
-                (SimDuration::ZERO, query(1, addrs.ip1)),
-                (SimDuration::from_secs(10), query(2, addrs.ip1)), // shed
-                (SimDuration::from_secs(301), query(3, addrs.ip1)), // served
+                (SimDuration::ZERO, query(1, IP1)),
+                (SimDuration::from_secs(10), query(2, IP1)), // shed
+                (SimDuration::from_secs(301), query(3, IP1)), // served
             ],
         );
         sim.run();
