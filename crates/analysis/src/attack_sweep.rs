@@ -5,15 +5,16 @@
 //! Built on [`inetgen::run_sharded`] like the census and campaign sweeps.
 //! Per shard world:
 //!
-//! 1. sensors 1 and 2 are installed on their fixture nodes and a
-//!    [`VictimMeter`] on the victim fixture; the attacker rides the sensor
-//!    network's third node — the one SAV-free fixture replicated
-//!    identically into every shard world, so the attack plan structure is
-//!    partition-invariant. (The exterior-forwarder sensor therefore sits
-//!    out of this experiment: its node *is* the attacker box.)
+//! 1. the sensors are deployed ([`install_sensors`]) and a
+//!    [`VictimMeter`] is installed on the victim fixture; the attacker
+//!    then replaces sensor 3 on the sensor network's third node — the one
+//!    SAV-free fixture replicated identically into every shard world, so
+//!    the attack plan structure is partition-invariant. (The
+//!    exterior-forwarder sensor therefore sits out of this experiment: its
+//!    node *is* the attacker box.)
 //! 2. nine reflection passes — each [`AttackVector`] through each planted
 //!    [`OdnsClass`] partition of the shard — fire spoofed-source queries
-//!    with the victim's address, one pass per [`ATTACK_EPOCH`] of
+//!    with the victim's address, one pass per [`CAMPAIGN_EPOCH`] of
 //!    simulated time. Every pass owns a distinct reply port, so the bytes
 //!    converging on the victim attribute themselves per pass.
 //! 3. the designated [`SENSOR_SHARD`] additionally floods the sensor
@@ -28,27 +29,21 @@
 //!
 //! [`PrefixRateLimiter`]: odns::PrefixRateLimiter
 
-use crate::campaign_sweep::SENSOR_SHARD;
+use crate::campaign_sweep::{install_sensors, CAMPAIGN_EPOCH, SENSOR_SHARD};
 use crate::table::TextTable;
 use inetgen::{Internet, PlantedClass, ShardSpec, ShardedRun, Worlds};
-use netsim::SimDuration;
 use scanner::attacks::{run_reflections, AttackVector, ReflectionPlan, VictimMeter, VictimTally};
-use scanner::{HoneypotSensor, OdnsClass, SensorKind};
+use scanner::{HoneypotSensor, OdnsClass};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
-
-/// Simulated-time spacing between attack passes over the same world, same
-/// rationale (and value) as the campaign sweep's epoch: state from one
-/// pass never bleeds into the next one's attribution window.
-pub const ATTACK_EPOCH: SimDuration = SimDuration::from_secs(400);
 
 /// Base reply port: reflection pass `p` spoofs source port
 /// `REFLECTION_BASE_PORT + p`, so the victim's per-port ledger separates
 /// the passes.
-pub const REFLECTION_BASE_PORT: u16 = 40_000;
+const REFLECTION_BASE_PORT: u16 = 40_000;
 
 /// Reply port of the sensor-flood pass.
-pub const FLOOD_PORT: u16 = 40_100;
+const FLOOD_PORT: u16 = 40_100;
 
 /// How many times the flood cycles the sensor address list. All cycles
 /// land inside one 5-minute limiter window, so each sensor instance
@@ -57,7 +52,7 @@ pub const FLOOD_REPEATS: u32 = 25;
 
 /// The matrix row/column grid: every vector through every component
 /// class, in pass order (pass index = position in this list).
-pub fn matrix_grid() -> Vec<(AttackVector, OdnsClass)> {
+fn matrix_grid() -> Vec<(AttackVector, OdnsClass)> {
     let mut grid = Vec::with_capacity(9);
     for vector in AttackVector::all() {
         for class in OdnsClass::all() {
@@ -70,7 +65,7 @@ pub fn matrix_grid() -> Vec<(AttackVector, OdnsClass)> {
 /// Which matrix column a planted host feeds, if any. Manipulated
 /// forwarders are excluded: the strict census discards them, so the
 /// matrix reports the three classes of Table 2.
-pub fn matrix_class(class: PlantedClass) -> Option<OdnsClass> {
+fn matrix_class(class: PlantedClass) -> Option<OdnsClass> {
     match class {
         PlantedClass::TransparentForwarder => Some(OdnsClass::TransparentForwarder),
         PlantedClass::RecursiveForwarder => Some(OdnsClass::RecursiveForwarder),
@@ -233,23 +228,10 @@ struct ShardAttackOutput {
 fn shard_attack_pass(spec: ShardSpec, world: &mut Internet) -> ShardAttackOutput {
     let addrs = world.fixtures.sensor_addrs;
     let victim_ip = world.fixtures.victim_ip;
-    let upstream = odns::ResolverProject::Google.service_ip();
 
-    // Sensors 1 and 2 on their fixture nodes; the third sensor node hosts
-    // the attacker instead (see the module docs).
-    world.sim.install(
-        world.fixtures.sensor1,
-        HoneypotSensor::new(SensorKind::RecursiveResolver, upstream),
-    );
-    world.sim.install(
-        world.fixtures.sensor2,
-        HoneypotSensor::new(
-            SensorKind::InteriorForwarder {
-                reply_from: addrs.ip3,
-            },
-            upstream,
-        ),
-    );
+    // The attacker replaces sensor 3 when the passes run (see the module
+    // docs).
+    install_sensors(world);
     world.sim.install(world.fixtures.victim, VictimMeter::new());
 
     // Per-class diffuser lists from this shard's ground truth, in address
@@ -269,7 +251,7 @@ fn shard_attack_pass(spec: ShardSpec, world: &mut Internet) -> ShardAttackOutput
         .iter()
         .enumerate()
         .map(|(p, (vector, class))| ReflectionPlan {
-            start_after: ATTACK_EPOCH.saturating_mul(p as u64),
+            start_after: CAMPAIGN_EPOCH.saturating_mul(p as u64),
             ..ReflectionPlan::new(
                 *vector,
                 by_class.get(class).cloned().unwrap_or_default(),
@@ -286,7 +268,7 @@ fn shard_attack_pass(spec: ShardSpec, world: &mut Internet) -> ShardAttackOutput
     let flood = spec.index == SENSOR_SHARD;
     if flood {
         plans.push(ReflectionPlan {
-            start_after: ATTACK_EPOCH.saturating_mul(grid.len() as u64),
+            start_after: CAMPAIGN_EPOCH.saturating_mul(grid.len() as u64),
             ..ReflectionPlan::flood(
                 AttackVector::Any,
                 &[addrs.ip1, addrs.ip2, addrs.ip3],
@@ -325,7 +307,7 @@ fn shard_attack_pass(spec: ShardSpec, world: &mut Internet) -> ShardAttackOutput
                 .sim
                 .host_as::<HoneypotSensor>(node)
                 .expect("sensor installed")
-                .stats
+                .stats()
         };
         let s1 = stats(world.fixtures.sensor1);
         let s2 = stats(world.fixtures.sensor2);

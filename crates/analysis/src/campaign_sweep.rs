@@ -1,7 +1,9 @@
 //! The sharded campaign sweep: the §3 scanning-campaign emulations
 //! (Shadowserver, Censys, Shodan) driven over shard worlds in parallel,
 //! with the transactional census riding in the same warm simulators and
-//! every scanner tapped to an in-memory pcap.
+//! every scanner tapped to an in-memory pcap. It is also the §3.1
+//! controlled experiment: the campaigns probe the three honeypot sensors,
+//! and their reports give Table 3.
 //!
 //! Built on [`inetgen::run_sharded`], like the census and the DNSRoute++
 //! sweep. Per shard world:
@@ -37,7 +39,6 @@
 
 use crate::census::{campaign_country_counts, merge_census_parts, run_census, Census};
 use crate::pcap_ingest::{campaign_report_from_pcap, census_from_captures, IngestError};
-use crate::sensor_sweep::{merge_campaign_passes, CampaignCapture};
 use crate::table::TextTable;
 use inetgen::build::scanner_addrs::SensorAddrs;
 use inetgen::{Fixtures, GeoDb, Internet, ShardSpec, ShardedRun, Worlds};
@@ -49,10 +50,11 @@ use scanner::{
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-/// Simulated-time spacing between campaign passes over the same world.
-/// Longer than the sensors' 5-minute per-/24 budget (plus the correlation
-/// timeout), so one campaign's probes never eat the next one's answers —
-/// the paper achieved the same by running the campaigns weeks apart.
+/// Simulated-time spacing between campaign passes, and between attack
+/// passes, over the same world. Longer than the sensors' 5-minute per-/24
+/// budget (plus the correlation timeout), so one pass's probes never eat
+/// the next one's answers — the paper achieved the same by running the
+/// campaigns weeks apart.
 pub const CAMPAIGN_EPOCH: SimDuration = SimDuration::from_secs(400);
 
 /// The shard whose campaign passes probe the sensor addresses. The sensor
@@ -67,25 +69,14 @@ pub const SENSOR_SHARD: u32 = 0;
 /// Install the three §3.1 honeypot sensors on a world's fixture nodes,
 /// resolving through Google like the paper's deployment.
 pub fn install_sensors(world: &mut Internet) {
-    let addrs = world.fixtures.sensor_addrs;
     let upstream = odns::ResolverProject::Google.service_ip();
-    world.sim.install(
-        world.fixtures.sensor1,
-        HoneypotSensor::new(SensorKind::RecursiveResolver, upstream),
-    );
-    world.sim.install(
-        world.fixtures.sensor2,
-        HoneypotSensor::new(
-            SensorKind::InteriorForwarder {
-                reply_from: addrs.ip3,
-            },
-            upstream,
-        ),
-    );
-    world.sim.install(
-        world.fixtures.sensor3,
-        HoneypotSensor::new(SensorKind::ExteriorForwarder, upstream),
-    );
+    for (node, kind) in [
+        (world.fixtures.sensor1, SensorKind::RecursiveResolver),
+        (world.fixtures.sensor2, SensorKind::InteriorForwarder),
+        (world.fixtures.sensor3, SensorKind::ExteriorForwarder),
+    ] {
+        world.sim.install(node, HoneypotSensor::new(kind, upstream));
+    }
 }
 
 /// The four observable sensor addresses in Table 3 column order, for the
@@ -133,13 +124,18 @@ impl SensorTotals {
 
 /// Read the sensors' counters off a world after its campaign passes.
 pub fn collect_sensor_totals(sim: &Simulator, fixtures: &Fixtures) -> SensorTotals {
-    let sensor = |node| -> &HoneypotSensor { sim.host_as(node).expect("sensor installed") };
-    let s3 = sensor(fixtures.sensor3);
+    let stats = |node| {
+        sim.host_as::<HoneypotSensor>(node)
+            .expect("sensor installed")
+            .stats()
+    };
+    let sensor3 = stats(fixtures.sensor3);
     SensorTotals {
-        sensor1: sensor(fixtures.sensor1).stats,
-        sensor2: sensor(fixtures.sensor2).stats,
-        sensor3: s3.stats,
-        relayed: s3.relay_stats.relayed,
+        sensor1: stats(fixtures.sensor1),
+        sensor2: stats(fixtures.sensor2),
+        sensor3,
+        // Everything sensor 3 sends upstream is a spoofed relay.
+        relayed: sensor3.upstream,
     }
 }
 
@@ -218,7 +214,7 @@ pub struct ShardCaptures {
     /// The transactional scanner's capture (probes + responses).
     pub scan: Vec<u8>,
     /// One capture per campaign pass, in [`Campaign::all`] order.
-    pub campaigns: Vec<CampaignCapture>,
+    pub campaigns: Vec<(Campaign, Vec<u8>)>,
 }
 
 /// Everything the sharded campaign sweep produces.
@@ -290,15 +286,20 @@ impl CampaignSweep {
         census_from_captures(&captures, &self.geo, classifier)
     }
 
-    /// Replay every campaign capture offline and merge, rebuilding
-    /// [`CampaignSweep::reports`] from the taps alone.
+    /// Replay every campaign capture through its campaign's processing
+    /// rule and merge as the live sweep does, rebuilding
+    /// [`CampaignSweep::reports`] — and with them the detection matrix —
+    /// from the taps alone.
     pub fn capture_reports(&self) -> Result<Vec<(Campaign, CampaignReport)>, IngestError> {
-        replay_reports(
-            self.captures
-                .iter()
-                .flat_map(|shard| &shard.campaigns)
-                .map(|(campaign, pcap)| (*campaign, pcap.as_slice())),
-        )
+        let replayed = self
+            .captures
+            .iter()
+            .flat_map(|shard| &shard.campaigns)
+            .map(|(campaign, pcap)| {
+                campaign_report_from_pcap(*campaign, pcap).map(|r| (*campaign, r))
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(merge_reports(replayed))
     }
 
     /// All captures joined into one wireshark-openable pcap stream
@@ -316,25 +317,11 @@ impl CampaignSweep {
     }
 }
 
-/// Replay labelled campaign captures through their campaigns' processing
-/// rules and merge — the one implementation of capture-driven report
-/// reconstruction, shared by [`CampaignSweep::capture_reports`] and
-/// [`crate::sensor_sweep::SensorSweep::capture_matrix`].
-pub(crate) fn replay_reports<'a>(
-    items: impl IntoIterator<Item = (Campaign, &'a [u8])>,
-) -> Result<Vec<(Campaign, CampaignReport)>, IngestError> {
-    let replayed = items
-        .into_iter()
-        .map(|(campaign, pcap)| campaign_report_from_pcap(campaign, pcap).map(|r| (campaign, r)))
-        .collect::<Result<Vec<_>, _>>()?;
-    Ok(merge_reports(replayed))
-}
-
 /// Fold per-shard (or per-capture) campaign reports into one merged
 /// report per campaign, in [`Campaign::all`] order — the single place the
-/// sharded merge semantics live, shared by the live drivers and the
-/// capture-replay paths so the two can never silently diverge.
-pub(crate) fn merge_reports(
+/// sharded merge semantics live, shared by the live sweep and its capture
+/// replay so the two can never silently diverge.
+fn merge_reports(
     items: impl IntoIterator<Item = (Campaign, CampaignReport)>,
 ) -> Vec<(Campaign, CampaignReport)> {
     let mut merged: Vec<(Campaign, CampaignReport)> = Campaign::all()
@@ -351,54 +338,14 @@ pub(crate) fn merge_reports(
     merged
 }
 
-/// One shard's three tapped campaign passes, with what its sensors
-/// counted — the shard output of the sensor experiment and the campaign
-/// half of the campaign sweep's.
-pub(crate) struct CampaignPasses {
-    pub(crate) campaigns: Vec<(Campaign, CampaignReport, Vec<u8>)>,
-    pub(crate) sensors: SensorTotals,
-    pub(crate) addrs: SensorAddrs,
-}
-
-/// Run the three campaign passes over `targets` from the world's campaign
-/// fixture nodes, tapped, spaced [`CAMPAIGN_EPOCH`] apart, then read the
-/// sensors' counters. Shared by the campaign and sensor sweeps (and,
-/// inlined, by the unsharded reference path the determinism tests compare
-/// against).
-pub(crate) fn run_campaign_passes(world: &mut Internet, targets: &[Ipv4Addr]) -> CampaignPasses {
-    let campaigns = Campaign::all()
-        .into_iter()
-        .enumerate()
-        .map(|(i, campaign)| {
-            let node = world.fixtures.campaign_scanners[i];
-            world.sim.tap(node);
-            let delay = if i == 0 {
-                SimDuration::ZERO
-            } else {
-                CAMPAIGN_EPOCH
-            };
-            let report = run_campaign_delayed(
-                &mut world.sim,
-                node,
-                CampaignConfig::new(campaign, targets.to_vec()),
-                delay,
-            );
-            let capture = world.sim.take_capture(node).expect("campaign tapped");
-            (campaign, report, capture)
-        })
-        .collect();
-    CampaignPasses {
-        campaigns,
-        sensors: collect_sensor_totals(&world.sim, &world.fixtures),
-        addrs: world.fixtures.sensor_addrs,
-    }
-}
-
 /// One shard's contribution, before the deterministic merge.
 struct ShardOutput {
     census: Census,
     scan_capture: Vec<u8>,
-    passes: CampaignPasses,
+    /// Each campaign pass's report and capture, in [`Campaign::all`] order.
+    campaigns: Vec<(Campaign, CampaignReport, Vec<u8>)>,
+    sensors: SensorTotals,
+    sensor_addrs: SensorAddrs,
 }
 
 fn shard_campaign_pass(
@@ -419,14 +366,38 @@ fn shard_campaign_pass(
         .take_capture(scanner_node)
         .expect("scanner tapped");
 
-    // Campaign passes over the shard partition; the designated shard also
-    // probes the sensors.
+    // The three campaign passes over the shard partition, tapped and
+    // epoch-spaced; the designated shard also probes the sensors.
+    let sensor_addrs = world.fixtures.sensor_addrs;
     let mut targets = world.targets.clone();
-    targets.extend(sensor_targets(spec, world.fixtures.sensor_addrs));
+    targets.extend(sensor_targets(spec, sensor_addrs));
+    let campaigns = Campaign::all()
+        .into_iter()
+        .enumerate()
+        .map(|(i, campaign)| {
+            let node = world.fixtures.campaign_scanners[i];
+            world.sim.tap(node);
+            let delay = if i == 0 {
+                SimDuration::ZERO
+            } else {
+                CAMPAIGN_EPOCH
+            };
+            let report = run_campaign_delayed(
+                &mut world.sim,
+                node,
+                CampaignConfig::new(campaign, targets.clone()),
+                delay,
+            );
+            let capture = world.sim.take_capture(node).expect("campaign tapped");
+            (campaign, report, capture)
+        })
+        .collect();
     ShardOutput {
         census,
         scan_capture,
-        passes: run_campaign_passes(world, &targets),
+        campaigns,
+        sensors: collect_sensor_totals(&world.sim, &world.fixtures),
+        sensor_addrs,
     }
 }
 
@@ -451,36 +422,43 @@ pub fn run_campaign_sharded<'a>(
     }))
 }
 
-/// The deterministic merge: census parts concatenate, the campaign passes
-/// fold as the sensor experiment's do ([`merge_campaign_passes`]), scan
-/// captures join their shard's campaign captures.
+/// The deterministic merge, in ascending shard order: census parts
+/// concatenate, campaign reports fold per campaign ([`merge_reports`]),
+/// sensor counters sum, and each shard's scan capture joins its campaign
+/// captures.
 fn merge_campaign_outputs(run: ShardedRun<ShardOutput>) -> CampaignSweep {
+    let sensor_addrs = run
+        .outputs
+        .first()
+        .expect("at least one shard")
+        .sensor_addrs;
     let mut census_parts = Vec::with_capacity(run.outputs.len());
-    let mut scan_captures = Vec::with_capacity(run.outputs.len());
-    let mut passes = Vec::with_capacity(run.outputs.len());
-    for output in run.outputs {
+    let mut shard_reports = Vec::new();
+    let mut sensors = SensorTotals::default();
+    let mut captures = Vec::with_capacity(run.outputs.len());
+    for (shard, output) in (0u32..).zip(run.outputs) {
         census_parts.push(output.census);
-        scan_captures.push(output.scan_capture);
-        passes.push(output.passes);
-    }
-    let merged = merge_campaign_passes(passes);
-    let captures = scan_captures
-        .into_iter()
-        .zip(merged.captures)
-        .map(|(scan, (shard, campaigns))| ShardCaptures {
+        let mut campaigns = Vec::with_capacity(output.campaigns.len());
+        for (campaign, report, capture) in output.campaigns {
+            shard_reports.push((campaign, report));
+            campaigns.push((campaign, capture));
+        }
+        sensors.absorb(&output.sensors);
+        captures.push(ShardCaptures {
             shard,
-            scan,
+            scan: output.scan_capture,
             campaigns,
-        })
-        .collect();
+        });
+    }
+    let reports = merge_reports(shard_reports);
     CampaignSweep {
         census: merge_census_parts(census_parts),
-        reports: merged.reports,
-        matrix: merged.matrix,
-        sensors: merged.sensors,
+        matrix: DetectionMatrix::from_reports(&reports, sensor_addrs),
+        reports,
+        sensors,
         captures,
         geo: run.geo,
-        sensor_addrs: merged.sensor_addrs,
+        sensor_addrs,
     }
 }
 

@@ -9,6 +9,7 @@
 //! | Artifact | Module |
 //! |---|---|
 //! | Table 1 (composition) | [`report::table1`] |
+//! | Table 3 (sensor detection) | [`campaign_sweep`] |
 //! | Table 4 ("other" share) | [`consolidation`], [`report::table4`] |
 //! | Table 5 (country ranks) | [`ranking`], [`report::table5`] |
 //! | Figure 3 (country CDF) | [`aggregate`], [`report::figure3`] |
@@ -36,7 +37,6 @@ pub mod pcap_ingest;
 pub mod ranking;
 pub mod report;
 pub mod resilience;
-pub mod sensor_sweep;
 pub mod table;
 
 pub use aggregate::{by_country, figure3_cumulative, rank_by_transparent, CountryStats};
@@ -67,5 +67,4 @@ pub use ranking::{table5_ranking, RankingRow};
 pub use resilience::{
     run_resilience_sweep, sweep_fault_plan, sweep_retry_policy, ResilienceCell, ResilienceMatrix,
 };
-pub use sensor_sweep::{run_sensors_sharded, SensorSweep};
 pub use table::{pct, TextTable};

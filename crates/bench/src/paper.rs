@@ -19,7 +19,7 @@
 //! sites here — `Lab::dense`, which fills once (the
 //! [`GenConfig::density_scale`] world every census-derived row shares),
 //! and Table 2's three-country world — and Table 3 generates its
-//! one-country world inside [`analysis::run_sensors_sharded`].
+//! one-country world inside [`analysis::run_campaign_sharded`].
 
 use analysis::{report, Census, DetectionMatrix, ResolverSource, TextTable};
 use dnsroute::{run_dnsroute, sanitize, DnsRouteConfig};
@@ -394,7 +394,7 @@ fn table3(_: &mut Lab) -> Rendered {
         dud_fraction: 0.0,
         ..GenConfig::default()
     };
-    let matrix = analysis::run_sensors_sharded(&config, 1).matrix;
+    let matrix = analysis::run_campaign_sharded(&config, 1, &ClassifierConfig::default()).matrix;
     r.line(matrix.render().render());
     r.holds(
         "campaign x sensor detection matrix equals the paper's",

@@ -1,35 +1,44 @@
 //! README ↔ `BENCH_simcore.json` sync: the census throughputs README's
 //! *Measuring it* quotes are the committed full run's rows, rounded as
 //! printed. Re-recording the artifact without touching README fails here.
-//! Also ROADMAP's doc rules as a ratchet: README does not grow, and a
-//! PR's history is one CHANGES.md entry of about 1.5 kB.
+//! Also ROADMAP's doc rules as a ratchet: README and CHANGES.md do not
+//! grow past their ceilings, and from PR 14 on a PR's history is one
+//! CHANGES.md entry of about 1.5 kB.
 
 const README: &str = include_str!("../../../README.md");
 const CHANGES: &str = include_str!("../../../CHANGES.md");
 const ARTIFACT: &str = include_str!("../../../BENCH_simcore.json");
 
 #[test]
-fn readme_and_the_newest_changes_entry_stay_inside_their_budgets() {
-    // README's size when the ratchet was set, rounded up to the next kB.
-    // Lower it when README shrinks; never raise it.
-    const README_MAX_BYTES: usize = 38_000;
+fn readme_changes_and_each_recent_entry_stay_inside_their_budgets() {
+    // Each file's size when its ratchet was last set, rounded up to the
+    // next kB. Lower them when the files shrink; never raise them.
+    const README_MAX_BYTES: usize = 37_000;
+    const CHANGES_MAX_BYTES: usize = 49_000;
     const ENTRY_MAX_BYTES: usize = 1_600;
-    assert!(
-        README.len() <= README_MAX_BYTES,
-        "README.md is {} bytes, over its {README_MAX_BYTES}-byte ceiling: say what is, \
-         move history to CHANGES.md",
-        README.len()
-    );
-    let newest = CHANGES
-        .lines()
-        .rev()
-        .find(|line| !line.trim().is_empty())
-        .expect("CHANGES.md has an entry");
-    assert!(
-        newest.len() <= ENTRY_MAX_BYTES,
-        "the newest CHANGES.md entry is {} bytes, over {ENTRY_MAX_BYTES}",
-        newest.len()
-    );
+    const FIRST_BUDGETED_PR: u32 = 14;
+    for (file, len, max) in [
+        ("README.md", README.len(), README_MAX_BYTES),
+        ("CHANGES.md", CHANGES.len(), CHANGES_MAX_BYTES),
+    ] {
+        assert!(
+            len <= max,
+            "{file} is {len} bytes, over its {max}-byte ceiling: say what is, \
+             leave the detail to git"
+        );
+    }
+    for entry in CHANGES.lines().filter(|line| !line.trim().is_empty()) {
+        let pr: u32 = entry
+            .strip_prefix("- PR ")
+            .and_then(|rest| rest.split(':').next())
+            .and_then(|n| n.parse().ok())
+            .unwrap_or_else(|| panic!("a CHANGES.md entry starts `- PR <n>:`: {entry:.60}"));
+        assert!(
+            pr < FIRST_BUDGETED_PR || entry.len() <= ENTRY_MAX_BYTES,
+            "the CHANGES.md entry for PR {pr} is {} bytes, over {ENTRY_MAX_BYTES}",
+            entry.len()
+        );
+    }
 }
 
 #[test]

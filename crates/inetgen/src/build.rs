@@ -132,7 +132,8 @@ pub struct Fixtures {
     pub auth: NodeId,
     /// Sensor 1 node (`IP1`).
     pub sensor1: NodeId,
-    /// Sensor 2 node (owns `IP2` and `IP3`).
+    /// Sensor 2 node: primary address `IP3`, which it answers from, and
+    /// `IP2`, where it is probed.
     pub sensor2: NodeId,
     /// Sensor 3 node (`IP4`).
     pub sensor3: NodeId,
@@ -154,9 +155,9 @@ pub mod scanner_addrs {
     pub struct SensorAddrs {
         /// Sensor 1 (recursive-resolver sensor).
         pub ip1: Ipv4Addr,
-        /// Sensor 2 receive address.
+        /// Sensor 2 receive address (an extra address of its node).
         pub ip2: Ipv4Addr,
-        /// Sensor 2 reply address (same /24).
+        /// Sensor 2 reply address: its node's primary address, same /24.
         pub ip3: Ipv4Addr,
         /// Sensor 3 (exterior transparent forwarder).
         pub ip4: Ipv4Addr,
@@ -602,11 +603,13 @@ fn fixtures(d: &mut Draft, routers: &mut Blocks, bb: &Backbone) -> (Fixtures, St
         ip4: Ipv4Addr::new(203, 0, 113, 44),
     };
     let sensor1 = d.add_host(sensor_as, 64497, sensor_addrs.ip1);
+    // Sensor 2 is probed at IP2 and answers, like any host, from its
+    // primary address: IP3.
     let sensor2 = d.b.add_host(
         sensor_as,
         HostSpec {
-            extra_ips: vec![sensor_addrs.ip3],
-            ..HostSpec::simple(sensor_addrs.ip2)
+            extra_ips: vec![sensor_addrs.ip2],
+            ..HostSpec::simple(sensor_addrs.ip3)
         },
     );
     let sensor3 = d.add_host(sensor_as, 64497, sensor_addrs.ip4);

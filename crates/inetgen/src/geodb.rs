@@ -63,14 +63,6 @@ impl GeoDb {
         self.prefix_to_asn.insert(prefix24(block), asn);
     }
 
-    /// Register a whole /16-aligned run of /24s (router infrastructure).
-    pub fn add_prefix16(&mut self, block: Ipv4Addr, asn: u32) {
-        let base = u32::from(block) & 0xFFFF_0000;
-        for i in 0..256u32 {
-            self.prefix_to_asn.insert(base | (i << 8), asn);
-        }
-    }
-
     /// Register ASN registry data.
     pub fn add_asn(&mut self, asn: u32, country: &'static str, kind: AsKind) {
         self.asn_info.insert(asn, AsnInfo { country, kind });
@@ -181,15 +173,6 @@ mod tests {
         assert_eq!(db.asn_of(Ipv4Addr::new(203, 0, 114, 1)), None);
         assert_eq!(db.country_of(Ipv4Addr::new(203, 0, 113, 5)), Some("BRA"));
         assert_eq!(db.kind_of_asn(65001), Some(AsKind::EyeballIsp));
-    }
-
-    #[test]
-    fn prefix16_registers_run() {
-        let mut db = GeoDb::perfect();
-        db.add_prefix16(Ipv4Addr::new(10, 7, 0, 0), 64601);
-        assert_eq!(db.asn_of(Ipv4Addr::new(10, 7, 200, 9)), Some(64601));
-        assert_eq!(db.asn_of(Ipv4Addr::new(10, 8, 0, 1)), None);
-        assert_eq!(db.prefix_count(), 256);
     }
 
     #[test]

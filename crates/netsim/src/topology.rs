@@ -338,19 +338,11 @@ impl TopologyBuilder {
             anycast.insert(ip, AnycastGroup { ip, instances });
         }
 
-        let asn_to_id: IntMap<u32, AsId> = self
-            .ases
-            .iter()
-            .enumerate()
-            .map(|(i, a)| (a.spec.asn, AsId(i as u32)))
-            .collect();
-
         Ok(Topology {
             ases: self.ases,
             hosts: self.hosts,
             anycast,
             ip_index,
-            asn_to_id,
             pc_pairs,
         })
     }
@@ -363,7 +355,6 @@ pub struct Topology {
     pub(crate) hosts: Vec<HostData>,
     anycast: IntMap<Ipv4Addr, AnycastGroup>,
     ip_index: IntMap<Ipv4Addr, IpOwner>,
-    asn_to_id: IntMap<u32, AsId>,
     pc_pairs: Vec<(u32, u32)>,
 }
 
@@ -386,11 +377,6 @@ impl Topology {
     /// AS spec by id.
     pub fn as_spec(&self, id: AsId) -> &AsSpec {
         &self.ases[id.0 as usize].spec
-    }
-
-    /// Dense AS id for a public ASN.
-    pub fn as_by_asn(&self, asn: u32) -> Option<AsId> {
-        self.asn_to_id.get(&asn).copied()
     }
 
     /// Neighbors of an AS with relationships (sorted by AS id).
@@ -496,7 +482,6 @@ mod tests {
             Some(IpOwner::Router(AsId(1)))
         );
         assert_eq!(t.as_of_ip(ip(10, 0, 1, 2)), Some(AsId(0)));
-        assert_eq!(t.as_by_asn(65002), Some(AsId(1)));
         assert_eq!(t.owner_of_ip(ip(8, 8, 8, 8)), None);
     }
 

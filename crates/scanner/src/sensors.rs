@@ -1,24 +1,27 @@
 //! The three ODNS honeypot sensors of the §3.1 controlled experiment.
 //!
-//! * **Sensor 1** behaves like a public recursive resolver: it receives at
-//!   `IP1` and answers from `IP1` (baseline — every viable campaign finds
-//!   it).
-//! * **Sensor 2** — *interior* transparent forwarder: receives at `IP2`,
-//!   answers from `IP3` in the same /24. It mimics the key observable of a
-//!   transparent forwarder (answer source ≠ probed address) without
-//!   needing a SAV-free network, and guarantees the scanner actually
-//!   receives a reply.
-//! * **Sensor 3** — *exterior* transparent forwarder: relays the query to
-//!   a public resolver with the scanner's spoofed source; the sensor never
-//!   sees the answer.
+//! A sensor is the ODNS host it imitates behind the paper's
+//! anti-amplification gate: a [`PrefixRateLimiter`] that admits one query
+//! per 5 minutes per source /24, so no sensor is of use as an amplifier.
 //!
-//! All sensors resolve through a public resolver (the paper uses Google)
-//! and rate-limit to one answer per 5 minutes per source /24 to be useless
-//! as amplifiers.
+//! * **Sensor 1** behaves like a public recursive resolver: a cacheless
+//!   [`RecursiveForwarder`] at `IP1`, answering from `IP1` (baseline —
+//!   every viable campaign finds it).
+//! * **Sensor 2** — *interior* transparent forwarder: the same forwarder
+//!   on a node whose primary address is `IP3` and which also owns `IP2` in
+//!   the same /24. Probed at `IP2`, it answers from `IP3`. It mimics the
+//!   key observable of a transparent forwarder (answer source ≠ probed
+//!   address) without needing a SAV-free network, and guarantees the
+//!   scanner actually receives a reply.
+//! * **Sensor 3** — *exterior* transparent forwarder: a
+//!   [`TransparentForwarder`], relaying the query to a public resolver with
+//!   the scanner's spoofed source; the sensor never sees the answer.
+//!
+//! All sensors resolve through a public resolver (the paper uses Google).
 
 use dnswire::Message;
-use netsim::{Ctx, Datagram, Host, IntMap, UdpSend};
-use odns::{PrefixRateLimiter, TransparentForwarderStats};
+use netsim::{Ctx, Datagram, Host};
+use odns::{PrefixRateLimiter, RecursiveForwarder, TransparentForwarder};
 use std::net::Ipv4Addr;
 
 /// Which of the three §3.1 sensor behaviours to run.
@@ -26,12 +29,9 @@ use std::net::Ipv4Addr;
 pub enum SensorKind {
     /// Sensor 1: answers from the address it was probed at.
     RecursiveResolver,
-    /// Sensor 2: answers from `reply_from` (a second owned address in the
-    /// same /24).
-    InteriorForwarder {
-        /// The sending address `IP3`.
-        reply_from: Ipv4Addr,
-    },
+    /// Sensor 2: answers from its node's primary address, a second address
+    /// in the /24 it is probed at.
+    InteriorForwarder,
     /// Sensor 3: spoofed relay to the upstream resolver.
     ExteriorForwarder,
 }
@@ -65,139 +65,79 @@ impl SensorStats {
     }
 }
 
+/// The ODNS host behind a sensor's gate.
 #[derive(Debug)]
-struct PendingUpstream {
-    client: Ipv4Addr,
-    client_port: u16,
-    client_txid: u16,
-    probed_at: Ipv4Addr,
+enum Imitated {
+    Recursive(Box<RecursiveForwarder>),
+    Transparent(TransparentForwarder),
 }
 
-/// A honeypot sensor host.
+/// A honeypot sensor host: a rate-limit gate in front of the forwarder it
+/// imitates.
 #[derive(Debug)]
 pub struct HoneypotSensor {
-    kind: SensorKind,
-    upstream: Ipv4Addr,
-    limiter: PrefixRateLimiter,
-    pending: IntMap<(u16, u16), PendingUpstream>,
-    next_port: u16,
-    /// Counters.
-    pub stats: SensorStats,
-    /// Pass-through stats when acting as an exterior forwarder.
-    pub relay_stats: TransparentForwarderStats,
+    gate: PrefixRateLimiter,
+    host: Imitated,
 }
 
 impl HoneypotSensor {
     /// Build a sensor of `kind` resolving via `upstream` (e.g. 8.8.8.8).
     pub fn new(kind: SensorKind, upstream: Ipv4Addr) -> Self {
+        let host = match kind {
+            SensorKind::RecursiveResolver | SensorKind::InteriorForwarder => {
+                Imitated::Recursive(Box::new(RecursiveForwarder::new(upstream).without_cache()))
+            }
+            SensorKind::ExteriorForwarder => {
+                Imitated::Transparent(TransparentForwarder::new(upstream))
+            }
+        };
         HoneypotSensor {
-            kind,
-            upstream,
-            limiter: PrefixRateLimiter::sensor_default(),
-            pending: IntMap::default(),
-            next_port: 3000,
-            stats: SensorStats::default(),
-            relay_stats: TransparentForwarderStats::default(),
+            gate: PrefixRateLimiter::sensor_default(),
+            host,
         }
     }
 
-    fn alloc_port(&mut self) -> u16 {
-        let p = self.next_port;
-        self.next_port = if self.next_port >= 64000 {
-            3000
-        } else {
-            self.next_port + 1
+    /// What the gate admitted and shed, and what the forwarder behind it
+    /// sent upstream and answered.
+    pub fn stats(&self) -> SensorStats {
+        let (upstream, answered) = match &self.host {
+            Imitated::Recursive(f) => (f.stats.forwarded, f.stats.relayed),
+            Imitated::Transparent(f) => (f.stats.relayed, 0),
         };
-        p
+        SensorStats {
+            queries: self.gate.admitted + self.gate.rejected,
+            rate_limited: self.gate.rejected,
+            upstream,
+            answered,
+        }
+    }
+
+    fn host(&mut self) -> &mut dyn Host {
+        match &mut self.host {
+            Imitated::Recursive(f) => f.as_mut(),
+            Imitated::Transparent(f) => f,
+        }
     }
 }
 
 impl Host for HoneypotSensor {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
-        if dgram.dst_port != dnswire::DNS_PORT {
-            // Upstream response for sensors 1/2?
-            if let Ok(msg) = Message::decode(&dgram.payload) {
-                if msg.is_response() {
-                    if let Some(p) = self.pending.remove(&(dgram.dst_port, msg.header.id)) {
-                        let mut relayed = msg;
-                        relayed.header.id = p.client_txid;
-                        let reply_src = match self.kind {
-                            SensorKind::InteriorForwarder { reply_from } => reply_from,
-                            _ => p.probed_at,
-                        };
-                        self.stats.answered += 1;
-                        ctx.send_udp(UdpSend {
-                            src: Some(reply_src),
-                            src_port: dnswire::DNS_PORT,
-                            dst: p.client,
-                            dst_port: p.client_port,
-                            ttl: None,
-                            payload: relayed.encode().into(),
-                        });
-                        return;
-                    }
-                }
-            }
-            ctx.send_port_unreachable(&dgram);
-            return;
-        }
-
-        let Ok(query) = Message::decode(&dgram.payload) else {
-            return;
-        };
-        if query.is_response() || query.question().is_none() {
-            return;
-        }
-        self.stats.queries += 1;
-
-        // The paper's anti-amplification policy: 1 answer / 5 min / /24.
-        if !self.limiter.allow(dgram.src, ctx.now()) {
-            self.stats.rate_limited += 1;
-            return;
-        }
-
-        match self.kind {
-            SensorKind::ExteriorForwarder => {
-                // Spoofed relay, exactly like a real transparent forwarder.
-                if dgram.ttl <= 1 {
-                    self.relay_stats.ttl_exceeded += 1;
-                    ctx.send_time_exceeded(&dgram);
-                    return;
-                }
-                self.relay_stats.relayed += 1;
-                self.stats.upstream += 1;
-                ctx.send_udp(UdpSend {
-                    src: Some(dgram.src),
-                    src_port: dgram.src_port,
-                    dst: self.upstream,
-                    dst_port: dnswire::DNS_PORT,
-                    ttl: Some(dgram.ttl - 1),
-                    payload: dgram.payload.clone(),
-                });
-            }
-            SensorKind::RecursiveResolver | SensorKind::InteriorForwarder { .. } => {
-                // Resolve via upstream from our own address, then answer
-                // the client from IP1 (sensor 1) or IP3 (sensor 2).
-                let port = self.alloc_port();
-                let txid = query.header.id;
-                self.pending.insert(
-                    (port, txid),
-                    PendingUpstream {
-                        client: dgram.src,
-                        client_port: dgram.src_port,
-                        client_txid: query.header.id,
-                        probed_at: dgram.dst,
-                    },
-                );
-                self.stats.upstream += 1;
-                ctx.send_udp(UdpSend::new(
-                    port,
-                    self.upstream,
-                    dnswire::DNS_PORT,
-                    dgram.payload.clone(),
-                ));
+        // Only a query passes the gate, and only within the paper's
+        // anti-amplification budget: 1 answer / 5 min / /24. Whatever
+        // arrives on another port (an upstream answer, a stray probe) is
+        // the forwarder's business.
+        if dgram.dst_port == dnswire::DNS_PORT {
+            let query = Message::decode(&dgram.payload)
+                .is_ok_and(|q| !q.is_response() && q.question().is_some());
+            if !query || !self.gate.allow(dgram.src, ctx.now()) {
+                return;
             }
         }
+        self.host().on_datagram(ctx, dgram);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        self.host().on_timer(ctx, token);
     }
 }
 
@@ -206,7 +146,7 @@ mod tests {
     use super::*;
     use dnswire::{MessageBuilder, RrType};
     use netsim::testkit::{install_script, playground, ScriptedClient};
-    use netsim::{SimConfig, SimDuration, Simulator};
+    use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
     use odns::study;
 
     const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -256,7 +196,7 @@ mod tests {
 
     #[test]
     fn sensor2_answers_from_second_address() {
-        // IP2 and IP3 belong to the same host (extra_ips).
+        // IP3 and IP2 belong to the same host (extra_ips).
         let mut b = netsim::TopologyBuilder::new();
         let a = b.add_as(netsim::AsSpec {
             asn: 64512,
@@ -269,8 +209,8 @@ mod tests {
         let sensor = b.add_host(
             a,
             netsim::HostSpec {
-                ip: IP2,
-                extra_ips: vec![IP3],
+                ip: IP3,
+                extra_ips: vec![IP2],
                 access_routers: vec![],
                 link_latency: SimDuration::from_millis(1),
             },
@@ -279,7 +219,7 @@ mod tests {
         let mut sim = Simulator::new(b.build().unwrap(), SimConfig::default());
         sim.install(
             sensor,
-            HoneypotSensor::new(SensorKind::InteriorForwarder { reply_from: IP3 }, UPSTREAM),
+            HoneypotSensor::new(SensorKind::InteriorForwarder, UPSTREAM),
         );
         sim.install(upstream, Canned);
         install_script(&mut sim, scanner, vec![(SimDuration::ZERO, query(2, IP2))]);
@@ -313,7 +253,7 @@ mod tests {
         );
         assert_eq!(sim.stats().spoofed_sent, 1);
         let s: &HoneypotSensor = sim.host_as(nodes[1]).unwrap();
-        assert_eq!(s.relay_stats.relayed, 1);
+        assert_eq!(s.stats().upstream, 1);
     }
 
     #[test]
@@ -338,7 +278,43 @@ mod tests {
         let sc: &ScriptedClient = sim.host_as(nodes[0]).unwrap();
         assert_eq!(sc.datagrams.len(), 2);
         let s: &HoneypotSensor = sim.host_as(nodes[1]).unwrap();
-        assert_eq!(s.stats.rate_limited, 1);
-        assert_eq!(s.stats.queries, 3);
+        assert_eq!(s.stats().rate_limited, 1);
+        assert_eq!(s.stats().queries, 3);
+    }
+
+    #[test]
+    fn unanswered_upstream_query_times_out() {
+        // The forwarder behind the gate gives up on a query its upstream
+        // never answers, as any forwarder does, rather than holding it for
+        // the life of the world.
+        struct Silent;
+        impl Host for Silent {
+            fn on_datagram(&mut self, _: &mut Ctx<'_>, _: Datagram) {}
+        }
+        let (topo, nodes) = playground(&[SCANNER, IP1, UPSTREAM]);
+        let mut sim = Simulator::new(topo, SimConfig::default());
+        sim.install(
+            nodes[1],
+            HoneypotSensor::new(SensorKind::RecursiveResolver, UPSTREAM),
+        );
+        sim.install(nodes[2], Silent);
+        install_script(&mut sim, nodes[0], vec![(SimDuration::ZERO, query(1, IP1))]);
+        assert!(sim.run());
+        assert!(sim.stats().conserved());
+        let sc: &ScriptedClient = sim.host_as(nodes[0]).unwrap();
+        assert!(sc.datagrams.is_empty());
+        let s: &HoneypotSensor = sim.host_as(nodes[1]).unwrap();
+        let Imitated::Recursive(forwarder) = &s.host else {
+            panic!("sensor 1 imitates a recursive forwarder");
+        };
+        assert_eq!(forwarder.stats.timeouts, 1);
+        assert_eq!(
+            s.stats(),
+            SensorStats {
+                queries: 1,
+                upstream: 1,
+                ..SensorStats::default()
+            }
+        );
     }
 }

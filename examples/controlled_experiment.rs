@@ -6,13 +6,15 @@
 //! cargo run --release --example controlled_experiment
 //! ```
 
+use analysis::DetectionMatrix;
 use inetgen::{CountrySelection, GenConfig};
-use scanner::{run_campaign, Campaign, CampaignConfig, HoneypotSensor, SensorKind};
+use scanner::{run_campaign, Campaign, CampaignConfig};
 
 fn main() {
     println!("== Controlled experiment: do popular campaigns see our sensors? ==\n");
 
-    let mut matrix = analysis::TextTable::new(["Scanner", "IP1", "IP2", "IP3", "IP4"]);
+    let mut reports = Vec::new();
+    let mut addrs = None;
     for campaign in Campaign::all() {
         // Fresh world per campaign so sensor rate limiting doesn't couple
         // the campaigns (the paper runs them over separate weeks).
@@ -24,45 +26,32 @@ fn main() {
         };
         let mut internet = inetgen::generate(&config);
         let a = internet.fixtures.sensor_addrs;
-        let google = odns::ResolverProject::Google.service_ip();
-
-        internet.sim.install(
-            internet.fixtures.sensor1,
-            HoneypotSensor::new(SensorKind::RecursiveResolver, google),
-        );
-        internet.sim.install(
-            internet.fixtures.sensor2,
-            HoneypotSensor::new(SensorKind::InteriorForwarder { reply_from: a.ip3 }, google),
-        );
-        internet.sim.install(
-            internet.fixtures.sensor3,
-            HoneypotSensor::new(SensorKind::ExteriorForwarder, google),
-        );
+        analysis::install_sensors(&mut internet);
 
         let report = run_campaign(
             &mut internet.sim,
             internet.fixtures.campaign_scanners[0],
             CampaignConfig::new(campaign, vec![a.ip1, a.ip2, a.ip3, a.ip4]),
         );
-        let mark = |found: bool| if found { "  \u{2713}" } else { "  \u{2717}" };
-        matrix.row([
-            campaign.name().to_string(),
-            mark(report.odns.contains(&a.ip1)).to_string(),
-            mark(report.odns.contains(&a.ip2)).to_string(),
-            mark(report.odns.contains(&a.ip3)).to_string(),
-            mark(report.odns.contains(&a.ip4)).to_string(),
-        ]);
         println!(
             "{campaign}: probed 4 sensor addresses, reported {:?} (sanitized out: {})",
             report.odns, report.sanitized_out
         );
+        reports.push((campaign, report));
+        addrs = Some(a);
     }
+    let matrix = DetectionMatrix::from_reports(&reports, addrs.expect("three campaigns ran"));
 
     println!("\nTable 3 — Detection of our DNS sensors by popular scans:");
     println!("  Sensor 1 = recursive resolver (IP1)");
     println!("  Sensor 2 = interior transparent forwarder (receives IP2, replies IP3)");
     println!("  Sensor 3 = exterior transparent forwarder (IP4, answers come from Google)\n");
-    println!("{}", matrix.render());
+    println!("{}", matrix.render().render());
+    assert_eq!(
+        matrix,
+        DetectionMatrix::paper_expected(),
+        "the paper's matrix must reproduce"
+    );
     println!(
         "All three campaigns find the baseline resolver; none identifies a\n\
          forwarder's probed address. Shadowserver reports Sensor 2's *reply*\n\

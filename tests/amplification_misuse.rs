@@ -109,12 +109,7 @@ fn rate_limited_sensors_are_useless_as_amplifiers() {
         ..GenConfig::default()
     };
     let mut internet = generate(&config);
-    let sensor_node = internet.fixtures.sensor3;
-    let google = odns::ResolverProject::Google.service_ip();
-    internet.sim.install(
-        sensor_node,
-        scanner::HoneypotSensor::new(scanner::SensorKind::ExteriorForwarder, google),
-    );
+    analysis::install_sensors(&mut internet);
     let victim_node = internet.fixtures.victim;
     let victim_ip = internet.fixtures.victim_ip;
     internet.sim.install(victim_node, ScriptedClient::new());

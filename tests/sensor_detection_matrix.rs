@@ -11,7 +11,7 @@
 //! ```
 
 use inetgen::{generate, CountrySelection, GenConfig};
-use scanner::{run_campaign, Campaign, CampaignConfig, HoneypotSensor, SensorKind};
+use scanner::{run_campaign, Campaign, CampaignConfig};
 use std::net::Ipv4Addr;
 
 fn detection_row(campaign: Campaign) -> (bool, bool, bool, bool) {
@@ -24,20 +24,7 @@ fn detection_row(campaign: Campaign) -> (bool, bool, bool, bool) {
     };
     let mut internet = generate(&config);
     let a = internet.fixtures.sensor_addrs;
-    let google = odns::ResolverProject::Google.service_ip();
-
-    internet.sim.install(
-        internet.fixtures.sensor1,
-        HoneypotSensor::new(SensorKind::RecursiveResolver, google),
-    );
-    internet.sim.install(
-        internet.fixtures.sensor2,
-        HoneypotSensor::new(SensorKind::InteriorForwarder { reply_from: a.ip3 }, google),
-    );
-    internet.sim.install(
-        internet.fixtures.sensor3,
-        HoneypotSensor::new(SensorKind::ExteriorForwarder, google),
-    );
+    analysis::install_sensors(&mut internet);
 
     // The campaign probes all four sensor addresses (among everything else
     // it would scan; the rest is irrelevant for the matrix).
@@ -104,19 +91,7 @@ fn transactional_scan_finds_all_sensors() {
     };
     let mut internet = generate(&config);
     let a = internet.fixtures.sensor_addrs;
-    let google = odns::ResolverProject::Google.service_ip();
-    internet.sim.install(
-        internet.fixtures.sensor1,
-        HoneypotSensor::new(SensorKind::RecursiveResolver, google),
-    );
-    internet.sim.install(
-        internet.fixtures.sensor2,
-        HoneypotSensor::new(SensorKind::InteriorForwarder { reply_from: a.ip3 }, google),
-    );
-    internet.sim.install(
-        internet.fixtures.sensor3,
-        HoneypotSensor::new(SensorKind::ExteriorForwarder, google),
-    );
+    analysis::install_sensors(&mut internet);
 
     let outcome = scanner::run_scan(
         &mut internet.sim,

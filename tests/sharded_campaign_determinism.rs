@@ -190,7 +190,8 @@ fn sensor_experiment_invariant_and_capture_driven() {
         dud_fraction: 0.0,
         ..GenConfig::default()
     };
-    let baseline = analysis::run_sensors_sharded(&config, 1);
+    let classifier = ClassifierConfig::default();
+    let baseline = analysis::run_campaign_sharded(&config, 1, &classifier);
     assert_eq!(baseline.matrix, DetectionMatrix::paper_expected());
     let expected_sensors = analysis::SensorTotals {
         sensor1: SensorStats {
@@ -217,19 +218,20 @@ fn sensor_experiment_invariant_and_capture_driven() {
     };
     assert_eq!(baseline.sensors, expected_sensors);
 
-    for k in [2u32, 8] {
-        let sweep = analysis::run_sensors_sharded(&config, k);
+    for k in [1u32, 2, 8] {
+        let sweep = analysis::run_campaign_sharded(&config, k, &classifier);
         assert_eq!(sweep.matrix, baseline.matrix, "Table 3 diverged at K={k}");
         assert_eq!(
             sweep.sensors, expected_sensors,
             "merged sensor counters diverged at K={k}"
         );
+        assert_eq!(sweep.sensors.sensor2.rate_limited, 3);
         assert_eq!(sweep.reports, baseline.reports);
-        // Capture-driven: the matrix is reproducible from the campaign
-        // taps alone.
+        // Capture-driven: the reports, and with them the matrix, are
+        // reproducible from the campaign taps alone.
         assert_eq!(
-            sweep.capture_matrix().expect("captures parse"),
-            sweep.matrix
+            sweep.capture_reports().expect("captures parse"),
+            sweep.reports
         );
     }
 }

@@ -84,22 +84,3 @@ fn cached_campaign_sweep_is_bit_identical_to_fresh() {
         }
     }
 }
-
-#[test]
-fn cached_sensor_experiment_is_bit_identical_to_fresh() {
-    let config = test_config();
-    for k in [1u32, 2, 8] {
-        let fresh = analysis::run_sensors_sharded(&config, k);
-        let mut cache = ShardWorldCache::new(config.clone());
-        for warmth in ["cold", "warm"] {
-            let cached = analysis::run_sensors_sharded(&mut cache, k);
-            assert_eq!(cached.matrix, fresh.matrix, "{warmth} matrix at K={k}");
-            assert_eq!(cached.reports, fresh.reports, "{warmth} reports at K={k}");
-            assert_eq!(cached.sensors, fresh.sensors, "{warmth} sensors at K={k}");
-            assert_eq!(
-                cached.captures, fresh.captures,
-                "{warmth} captures at K={k}"
-            );
-        }
-    }
-}
