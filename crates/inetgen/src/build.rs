@@ -1033,9 +1033,10 @@ fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) ->
     let mut targets: Vec<Ipv4Addr> = planted.iter().map(|h| h.ip).collect();
     let dud_count = (targets.len() as f64 * config.dud_fraction) as usize;
     // 170/8 is never allocated by the generator: guaranteed silence. A dud
-    // drawn twice is drawn again — target-keyed probe tuples are unique
-    // only because targets are — so a world without collisions spends
-    // exactly the draws it always did.
+    // drawn twice, or one another shard owns (shard i of K keeps only
+    // addresses ≡ i mod K), is drawn again — target-keyed probe tuples are
+    // unique only because targets are. At K=1 every fresh draw is kept, so
+    // a solo world spends exactly the draws it always did.
     let mut duds: IntMap<Ipv4Addr, ()> =
         IntMap::with_capacity_and_hasher(dud_count, Default::default());
     while duds.len() < dud_count {
@@ -1045,7 +1046,7 @@ fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) ->
             rng.gen_range(0..=255),
             rng.gen_range(1..=254),
         );
-        if duds.insert(dud, ()).is_none() {
+        if u32::from(dud) % spec.count == spec.index && duds.insert(dud, ()).is_none() {
             targets.push(dud);
         }
     }

@@ -256,8 +256,8 @@ fn five_countries_in_two_shards() {
                 responses: 154,
                 truth_fnv: 3890566104652369182,
                 geo_fnv: 15885527849532824469,
-                targets_fnv: 9897730744837286030,
-                scan_fnv: 14272175006536614062,
+                targets_fnv: 12744336294612279213,
+                scan_fnv: 7288969217371761516,
                 stats_fnv: 11345242513336429488,
             },
             Golden {

@@ -86,6 +86,24 @@ fn shard_worlds_probe_disjoint_population_targets() {
         seen, solo_ips,
         "shard union must equal the unsharded population"
     );
+    // Nor is any scan target, duds included, probed by two shards. Every
+    // shard draws its duds from 170/8 with its own stream; this many duds
+    // made some shards draw the same address.
+    let dud_heavy = GenConfig {
+        dud_fraction: 20.0,
+        ..config
+    };
+    for k in [2, 8] {
+        let mut targets = std::collections::HashSet::new();
+        for world in inetgen::generate_partition(&dud_heavy, k) {
+            for target in &world.targets {
+                assert!(
+                    targets.insert(*target),
+                    "K={k}: target {target} probed by two shards"
+                );
+            }
+        }
+    }
 }
 
 #[test]
