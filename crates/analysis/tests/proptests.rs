@@ -33,11 +33,10 @@ fn target(shard: usize, i: usize) -> Ipv4Addr {
 /// the same tuples in every shard — then the answers, each from its own
 /// target, in shuffled order.
 fn shard_capture(shard: usize, n: usize, answered: &[usize], shuffle_seed: u64) -> Vec<u8> {
-    let tuples = ScanConfig::new(Vec::new());
     let query = |txid| MessageBuilder::query(txid, odns::study::study_qname(), RrType::A).build();
     let mut w = PcapWriter::new();
     for i in 0..n {
-        let (src_port, txid) = tuples.probe_tuple(i);
+        let (src_port, txid) = ScanConfig::probe_tuple(i);
         let probe = Datagram {
             src: SCANNER,
             dst: target(shard, i),
@@ -51,7 +50,7 @@ fn shard_capture(shard: usize, n: usize, answered: &[usize], shuffle_seed: u64) 
     let mut answered = answered.to_vec();
     shuffle(&mut answered, shuffle_seed);
     for i in answered {
-        let (dst_port, txid) = tuples.probe_tuple(i);
+        let (dst_port, txid) = ScanConfig::probe_tuple(i);
         let answer = MessageBuilder::response_to(&query(txid))
             .answer_a(odns::study::study_qname(), 300, Ipv4Addr::new(8, 8, 8, 8))
             .answer_a(odns::study::study_qname(), 300, odns::study::CONTROL_A)

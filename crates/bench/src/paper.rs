@@ -292,7 +292,7 @@ fn table1(lab: &mut Lab) -> Rendered {
     let evidence = scanner::run_fingerprint_scan(
         &mut world.sim,
         world.fixtures.campaign_scanners[1],
-        scanner::FingerprintConfig::new(targets.clone()),
+        targets.clone(),
     );
     let vendors = analysis::vendor_summary(&evidence, &targets);
     let mikrotik = vendors.share(odns::Vendor::MikroTik);

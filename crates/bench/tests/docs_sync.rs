@@ -2,8 +2,8 @@
 //! *Measuring it* quotes are the committed full run's rows, rounded as
 //! printed. Re-recording the artifact without touching README fails here.
 //! Also ROADMAP's doc rules as a ratchet: README and CHANGES.md do not
-//! grow past their ceilings, and from PR 14 on a PR's history is one
-//! CHANGES.md entry of about 1.5 kB.
+//! grow past their ceilings, and a PR's history is one CHANGES.md entry
+//! of at most 1.6 kB.
 
 const README: &str = include_str!("../../../README.md");
 const CHANGES: &str = include_str!("../../../CHANGES.md");
@@ -14,9 +14,8 @@ fn readme_changes_and_each_recent_entry_stay_inside_their_budgets() {
     // Each file's size when its ratchet was last set, rounded up to the
     // next kB. Lower them when the files shrink; never raise them.
     const README_MAX_BYTES: usize = 37_000;
-    const CHANGES_MAX_BYTES: usize = 49_000;
+    const CHANGES_MAX_BYTES: usize = 30_000;
     const ENTRY_MAX_BYTES: usize = 1_600;
-    const FIRST_BUDGETED_PR: u32 = 14;
     for (file, len, max) in [
         ("README.md", README.len(), README_MAX_BYTES),
         ("CHANGES.md", CHANGES.len(), CHANGES_MAX_BYTES),
@@ -34,7 +33,7 @@ fn readme_changes_and_each_recent_entry_stay_inside_their_budgets() {
             .and_then(|n| n.parse().ok())
             .unwrap_or_else(|| panic!("a CHANGES.md entry starts `- PR <n>:`: {entry:.60}"));
         assert!(
-            pr < FIRST_BUDGETED_PR || entry.len() <= ENTRY_MAX_BYTES,
+            entry.len() <= ENTRY_MAX_BYTES,
             "the CHANGES.md entry for PR {pr} is {} bytes, over {ENTRY_MAX_BYTES}",
             entry.len()
         );

@@ -11,12 +11,12 @@
 //!
 //! It also answers the *query-encoding* method's destination-encoded names
 //! (`a-b-c-d.scan.<zone>`), logging every query so Table 2's "detection at
-//! server" property can be exercised, and keeps a per-second token-bucket
-//! budget mirroring the paper's 20k pps server (§4.1).
+//! server" property can be exercised. Zone, names, control record and TTL
+//! are the [`crate::study`] constants.
 
-use crate::study::{self, ANSWER_TTL};
+use crate::study::{self, ANSWER_TTL, CONTROL_A};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, Record, RrType, SoaData};
-use netsim::{Ctx, Datagram, Host, SimTime, TokenBucket, UdpSend};
+use netsim::{Ctx, Datagram, Host, SimTime, UdpSend};
 use std::net::Ipv4Addr;
 
 /// One received query, as logged by the server.
@@ -38,50 +38,13 @@ pub struct AuthLogEntry {
     pub encoded_target: Option<Ipv4Addr>,
 }
 
-/// Configuration of the study's authoritative server.
-#[derive(Debug, Clone)]
-pub struct AuthConfig {
-    /// Zone of authority.
-    pub zone: DnsName,
-    /// The static name served with the two-record response.
-    pub static_qname: DnsName,
-    /// Value of the control record.
-    pub control_a: Ipv4Addr,
-    /// Answer TTL in seconds.
-    pub answer_ttl: u32,
-    /// Whether the control record is included. Disabling it is the
-    /// ablation matching Shadowserver's single-record check (§4.2).
-    pub include_control_record: bool,
-    /// Per-second query budget; `None` disables rate limiting. The paper's
-    /// server sustains 20k pps.
-    pub rate_limit_pps: Option<u64>,
-    /// Whether to keep the per-query log (disable for very large scans).
-    pub keep_log: bool,
-}
-
-impl Default for AuthConfig {
-    fn default() -> Self {
-        AuthConfig {
-            zone: study::study_zone(),
-            static_qname: study::study_qname(),
-            control_a: study::CONTROL_A,
-            answer_ttl: ANSWER_TTL,
-            include_control_record: true,
-            rate_limit_pps: Some(20_000),
-            keep_log: true,
-        }
-    }
-}
-
 /// Counters kept by the server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuthStats {
-    /// Queries received (before rate limiting).
+    /// Queries received.
     pub queries_received: u64,
     /// Responses sent.
     pub responses_sent: u64,
-    /// Queries shed by the rate limiter.
-    pub rate_limited: u64,
     /// Queries for names outside the zone (refused).
     pub out_of_zone: u64,
     /// NXDOMAIN answers for unknown in-zone names.
@@ -91,29 +54,26 @@ pub struct AuthStats {
 /// The authoritative server host.
 #[derive(Debug)]
 pub struct StudyAuthServer {
-    config: AuthConfig,
-    bucket: Option<TokenBucket>,
-    /// Query log (enabled via [`AuthConfig::keep_log`]).
+    zone: DnsName,
+    static_qname: DnsName,
+    keep_log: bool,
+    /// Query log (empty unless built with `keep_log`).
     pub log: Vec<AuthLogEntry>,
     /// Counters.
     pub stats: AuthStats,
 }
 
 impl StudyAuthServer {
-    /// Build from config.
-    pub fn new(config: AuthConfig) -> Self {
-        let bucket = config.rate_limit_pps.map(TokenBucket::per_second);
+    /// The study's server. `keep_log` keeps the per-query log; a large
+    /// scan leaves it off.
+    pub fn new(keep_log: bool) -> Self {
         StudyAuthServer {
-            config,
-            bucket,
+            zone: study::study_zone(),
+            static_qname: study::study_qname(),
+            keep_log,
             log: Vec::new(),
             stats: AuthStats::default(),
         }
-    }
-
-    /// Server with the default study configuration.
-    pub fn with_defaults() -> Self {
-        Self::new(AuthConfig::default())
     }
 
     /// The SOA record for the study zone (used in negative responses; its
@@ -121,9 +81,9 @@ impl StudyAuthServer {
     /// pollution mechanism).
     fn soa_record(&self) -> Record {
         Record {
-            name: self.config.zone.clone(),
+            name: self.zone.clone(),
             class: dnswire::Class::In,
-            ttl: self.config.answer_ttl,
+            ttl: ANSWER_TTL,
             rdata: dnswire::RData::Soa(SoaData {
                 mname: DnsName::parse("ns1.odns-study.example.").expect("static name"),
                 rname: DnsName::parse("hostmaster.odns-study.example.").expect("static name"),
@@ -131,7 +91,7 @@ impl StudyAuthServer {
                 refresh: 7200,
                 retry: 3600,
                 expire: 1_209_600,
-                minimum: self.config.answer_ttl,
+                minimum: ANSWER_TTL,
             }),
         }
     }
@@ -141,27 +101,21 @@ impl StudyAuthServer {
         let qname = &q.qname;
         let mut builder = MessageBuilder::response_to(query).authoritative(true);
 
-        let in_zone = qname.is_subdomain_of(&self.config.zone);
+        let in_zone = qname.is_subdomain_of(&self.zone);
         if !in_zone {
             return builder.rcode(Rcode::Refused).build();
         }
 
-        let is_static = *qname == self.config.static_qname;
+        let is_static = *qname == self.static_qname;
         let is_encoded = study::decode_target_name(qname).is_some();
         if is_static || is_encoded {
             match q.qtype {
                 RrType::A | RrType::Any => {
                     // Dynamic client-reflecting record first, control second
                     // (Figure 7's layout).
-                    builder =
-                        builder.answer(Record::a(qname.clone(), self.config.answer_ttl, client));
-                    if self.config.include_control_record {
-                        builder = builder.answer(Record::a(
-                            qname.clone(),
-                            self.config.answer_ttl,
-                            self.config.control_a,
-                        ));
-                    }
+                    builder = builder
+                        .answer(Record::a(qname.clone(), ANSWER_TTL, client))
+                        .answer(Record::a(qname.clone(), ANSWER_TTL, CONTROL_A));
                     if q.qtype == RrType::Any {
                         // ANY also returns the SOA — a little extra
                         // amplification, as real zones provide (§6).
@@ -173,7 +127,7 @@ impl StudyAuthServer {
                 RrType::Txt => builder
                     .answer(Record::txt(
                         qname.clone(),
-                        self.config.answer_ttl,
+                        ANSWER_TTL,
                         "transparent-forwarders-study see https://odns.secnow.net",
                     ))
                     .build(),
@@ -205,15 +159,8 @@ impl Host for StudyAuthServer {
         }
         self.stats.queries_received += 1;
 
-        if let Some(bucket) = &mut self.bucket {
-            if !bucket.try_take(ctx.now()) {
-                self.stats.rate_limited += 1;
-                return;
-            }
-        }
-
         let q = query.question().expect("checked");
-        if self.config.keep_log {
+        if self.keep_log {
             self.log.push(AuthLogEntry {
                 time: ctx.now(),
                 client: dgram.src,
@@ -265,7 +212,7 @@ mod tests {
     #[test]
     fn static_name_gets_dynamic_plus_control() {
         let (resp, ex) = ask(
-            StudyAuthServer::with_defaults(),
+            StudyAuthServer::new(true),
             study::STUDY_QNAME,
             RrType::A,
             777,
@@ -284,39 +231,15 @@ mod tests {
     fn encoded_name_is_logged_with_target() {
         let target = Ipv4Addr::new(203, 0, 113, 1);
         let name = study::encode_target_name(target);
-        let (resp, ex) = ask(
-            StudyAuthServer::with_defaults(),
-            &name.to_string(),
-            RrType::A,
-            1,
-        );
+        let (resp, ex) = ask(StudyAuthServer::new(true), &name.to_string(), RrType::A, 1);
         assert_eq!(resp.answer_a_addrs()[0], CLIENT_IP);
         let s: &StudyAuthServer = ex.subject();
         assert_eq!(s.log[0].encoded_target, Some(target));
     }
 
     #[test]
-    fn control_record_can_be_disabled() {
-        let server = StudyAuthServer::new(AuthConfig {
-            include_control_record: false,
-            ..AuthConfig::default()
-        });
-        let (resp, _ex) = ask(server, study::STUDY_QNAME, RrType::A, 2);
-        assert_eq!(
-            resp.answer_a_addrs(),
-            vec![CLIENT_IP],
-            "single record in ablation mode"
-        );
-    }
-
-    #[test]
     fn out_of_zone_refused() {
-        let (resp, ex) = ask(
-            StudyAuthServer::with_defaults(),
-            "google.com.",
-            RrType::A,
-            3,
-        );
+        let (resp, ex) = ask(StudyAuthServer::new(true), "google.com.", RrType::A, 3);
         assert_eq!(resp.header.flags.rcode, Rcode::Refused);
         let s: &StudyAuthServer = ex.subject();
         assert_eq!(s.stats.out_of_zone, 1);
@@ -325,7 +248,7 @@ mod tests {
     #[test]
     fn unknown_in_zone_name_nxdomain_with_soa() {
         let (resp, ex) = ask(
-            StudyAuthServer::with_defaults(),
+            StudyAuthServer::new(true),
             "nope.odns-study.example.",
             RrType::A,
             4,
@@ -338,14 +261,9 @@ mod tests {
 
     #[test]
     fn any_query_amplifies() {
-        let (a, _) = ask(
-            StudyAuthServer::with_defaults(),
-            study::STUDY_QNAME,
-            RrType::A,
-            5,
-        );
+        let (a, _) = ask(StudyAuthServer::new(true), study::STUDY_QNAME, RrType::A, 5);
         let (any, _) = ask(
-            StudyAuthServer::with_defaults(),
+            StudyAuthServer::new(true),
             study::STUDY_QNAME,
             RrType::Any,
             6,
@@ -361,7 +279,7 @@ mod tests {
     #[test]
     fn txt_answered_for_static_name() {
         let (resp, _) = ask(
-            StudyAuthServer::with_defaults(),
+            StudyAuthServer::new(true),
             study::STUDY_QNAME,
             RrType::Txt,
             7,
@@ -371,32 +289,8 @@ mod tests {
     }
 
     #[test]
-    fn rate_limiter_sheds_excess_queries() {
-        let server = StudyAuthServer::new(AuthConfig {
-            rate_limit_pps: Some(2),
-            ..AuthConfig::default()
-        });
-        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, server);
-        for i in 0..5u16 {
-            ex.send_at(
-                SimDuration::from_micros(u64::from(i)),
-                query_send(study::STUDY_QNAME, RrType::A, i),
-            );
-        }
-        ex.run();
-        assert_eq!(
-            ex.received().len(),
-            2,
-            "only the budget is served in one second"
-        );
-        let s: &StudyAuthServer = ex.subject();
-        assert_eq!(s.stats.rate_limited, 3);
-        assert_eq!(s.stats.queries_received, 5);
-    }
-
-    #[test]
     fn non_dns_port_gets_port_unreachable() {
-        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::with_defaults());
+        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::new(true));
         ex.send_at(
             SimDuration::ZERO,
             UdpSend::new(40000, AUTH_IP, 9999, vec![1, 2, 3]),
@@ -409,7 +303,7 @@ mod tests {
 
     #[test]
     fn responses_and_garbage_ignored() {
-        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::with_defaults());
+        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::new(true));
         // A response message (QR=1) must not be answered.
         let bogus =
             MessageBuilder::query(9, DnsName::parse(study::STUDY_QNAME).unwrap(), RrType::A)

@@ -39,7 +39,7 @@ pub mod stub;
 pub mod study;
 pub mod zone;
 
-pub use auth::{AuthConfig, AuthLogEntry, AuthStats, StudyAuthServer};
+pub use auth::{AuthLogEntry, AuthStats, StudyAuthServer};
 pub use cache::{CacheKey, CacheStats, CachedAnswer, CachedWire, DnsCache, ServeCache};
 pub use device::{DeviceProfile, Vendor};
 pub use forwarder::{
@@ -50,7 +50,7 @@ pub use memo::QueryMemo;
 pub use public::{
     deploy_public_resolver, install_resolver_instances, PublicDeployment, ResolverProject,
 };
-pub use ratelimit::{prefix24, prefix24_to_string, LimiterPolicy, PrefixRateLimiter};
+pub use ratelimit::{prefix24, prefix24_to_string, PrefixRateLimiter};
 pub use recursive::{in_prefix, AccessPolicy, RecursiveResolver, ResolverConfig, ResolverStats};
 pub use stub::{StubClient, StubResult};
 pub use study::{install_study_stack, StudyNodes};

@@ -5,7 +5,7 @@
 //! competing *query-based* method encodes the probed target's address into
 //! the query name; both are implemented so Table 2 can be reproduced.
 
-use crate::auth::{AuthConfig, StudyAuthServer};
+use crate::auth::StudyAuthServer;
 use crate::zone::{DelegatingServer, Delegation};
 use dnswire::DnsName;
 use netsim::{NodeId, Simulator};
@@ -99,10 +99,11 @@ pub struct StudyNodes {
 
 /// Install the study's full delegation chain at `nodes`: a root server
 /// delegating `example.` to the TLD, the TLD delegating the study zone to
-/// the authoritative, and the authoritative server itself configured with
-/// `auth_config`. Recursive resolution of the study name is genuinely
-/// iterative through this chain, in every simulator it is installed in.
-pub fn install_study_stack(sim: &mut Simulator, nodes: StudyNodes, auth_config: AuthConfig) {
+/// the authoritative, and the authoritative server itself, keeping its
+/// query log when `keep_log` is set. Recursive resolution of the study name
+/// is genuinely iterative through this chain, in every simulator it is
+/// installed in.
+pub fn install_study_stack(sim: &mut Simulator, nodes: StudyNodes, keep_log: bool) {
     let mut root = DelegatingServer::root();
     root.delegate(Delegation {
         zone: DnsName::parse("example.").expect("static zone parses"),
@@ -117,7 +118,7 @@ pub fn install_study_stack(sim: &mut Simulator, nodes: StudyNodes, auth_config: 
         ns_ip: nodes.auth_ip,
     });
     sim.install(nodes.tld, tld);
-    sim.install(nodes.auth, StudyAuthServer::new(auth_config));
+    sim.install(nodes.auth, StudyAuthServer::new(keep_log));
 }
 
 #[cfg(test)]

@@ -9,8 +9,8 @@ use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
-    AuthConfig, CacheStats, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig,
-    ResolverStats, StudyAuthServer,
+    CacheStats, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, ResolverStats,
+    StudyAuthServer,
 };
 use std::net::Ipv4Addr;
 
@@ -55,7 +55,7 @@ fn world(
         ns_ip: AUTH,
     });
     sim.install(nodes[2], tld);
-    sim.install(nodes[3], StudyAuthServer::new(AuthConfig::default()));
+    sim.install(nodes[3], StudyAuthServer::new(true));
     sim.install(
         nodes[0],
         RecursiveResolver::new(ResolverConfig::open(vec![ROOT])),

@@ -6,8 +6,7 @@ use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
-    AccessPolicy, AuthConfig, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig,
-    StudyAuthServer,
+    AccessPolicy, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, StudyAuthServer,
 };
 use std::net::Ipv4Addr;
 
@@ -39,7 +38,7 @@ fn hierarchy(resolver_config: ResolverConfig) -> (Simulator, Vec<netsim::NodeId>
     });
     sim.install(nodes[3], tld);
 
-    sim.install(nodes[4], StudyAuthServer::new(AuthConfig::default()));
+    sim.install(nodes[4], StudyAuthServer::new(true));
     sim.install(nodes[1], RecursiveResolver::new(resolver_config));
     (sim, nodes)
 }

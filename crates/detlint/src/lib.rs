@@ -7,8 +7,7 @@
 //! *after* they happen; detlint refuses them statically. It scans every
 //! `.rs` file in the workspace with its own lexer (no dependencies — the
 //! build container has no registry access) and reports determinism
-//! hazards with `file:line:col` diagnostics, a per-rule summary, and a
-//! machine-readable JSON mode.
+//! hazards with `file:line:col` diagnostics and a per-rule summary.
 //!
 //! Suppression is two-level and always justified:
 //! - inline: an allow comment (`detlint` + `::allow(<rule>)`) followed by
@@ -122,62 +121,6 @@ impl Outcome {
         }
         out
     }
-
-    /// Machine-readable summary (stable JSON, hand-rolled — no deps).
-    pub fn render_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": 1,\n");
-        out.push_str(&format!("  \"files_scanned\": {},\n", self.files_scanned));
-        out.push_str(&format!(
-            "  \"unsuppressed\": {},\n  \"suppressed\": {},\n",
-            self.unsuppressed_count(),
-            self.suppressed_count()
-        ));
-        out.push_str("  \"per_rule\": {");
-        let per_rule = self.per_rule();
-        for (i, (rule, (unsup, sup))) in per_rule.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    \"{rule}\": {{\"unsuppressed\": {unsup}, \"suppressed\": {sup}}}"
-            ));
-        }
-        out.push_str("\n  },\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"col\": {}, \"rule\": \"{}\", \"message\": \"{}\", \"suppressed\": {}}}",
-                json_escape(&f.file),
-                f.line,
-                f.col,
-                json_escape(&f.rule),
-                json_escape(&f.message),
-                match &f.suppressed {
-                    Some(s) => format!("\"{}\"", json_escape(s)),
-                    None => "null".to_string(),
-                }
-            ));
-        }
-        out.push_str("\n  ]\n}\n");
-        out
-    }
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Scan one file's source text under the given config.
@@ -385,20 +328,6 @@ mod tests {
         assert_eq!(unsup.len(), 2);
         assert!(unsup.iter().any(|f| f.rule == "wall-clock"));
         assert!(unsup.iter().any(|f| f.rule == "unused-suppression"));
-    }
-
-    #[test]
-    fn json_is_well_formed_enough() {
-        let src = "let t = Instant::now();\n";
-        let outcome = Outcome {
-            findings: scan_source("src/a.rs", src, &Config::default()),
-            files_scanned: 1,
-        };
-        let json = outcome.render_json();
-        assert!(json.contains("\"unsuppressed\": 1"));
-        assert!(json.contains("\"rule\": \"wall-clock\""));
-        assert!(json.contains("\"suppressed\": null"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
     }
 
     #[test]

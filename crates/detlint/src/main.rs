@@ -8,12 +8,11 @@ const USAGE: &str = "\
 detlint — workspace determinism lint
 
 USAGE:
-    detlint --workspace [--json] [--suppressed] [--root <dir>]
+    detlint --workspace [--suppressed] [--root <dir>]
     detlint [--root <dir>] <file.rs>…
 
     --workspace    scan every .rs file under the workspace root
-    --json         machine-readable output instead of diagnostics
-    --suppressed   also print suppressed findings (human mode)
+    --suppressed   also print suppressed findings
     --root <dir>   workspace root (default: nearest ancestor with a
                    detlint.toml, else the current directory)
 ";
@@ -24,7 +23,6 @@ fn main() {
 
 fn run() -> i32 {
     let mut workspace = false;
-    let mut json = false;
     let mut show_suppressed = false;
     let mut root: Option<PathBuf> = None;
     let mut files: Vec<PathBuf> = Vec::new();
@@ -33,7 +31,6 @@ fn run() -> i32 {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--workspace" => workspace = true,
-            "--json" => json = true,
             "--suppressed" => show_suppressed = true,
             "--root" => match args.next() {
                 Some(p) => root = Some(PathBuf::from(p)),
@@ -77,11 +74,7 @@ fn run() -> i32 {
         }
     };
 
-    if json {
-        print!("{}", outcome.render_json());
-    } else {
-        print!("{}", outcome.render_human(show_suppressed));
-    }
+    print!("{}", outcome.render_human(show_suppressed));
     if outcome.unsuppressed_count() == 0 {
         0
     } else {

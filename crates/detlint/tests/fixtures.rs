@@ -101,23 +101,6 @@ fn lexer_tricky_fixture_is_clean() {
 }
 
 #[test]
-fn json_mode_reports_fixture_findings() {
-    let root = fixtures_dir();
-    let out = Command::new(env!("CARGO_BIN_EXE_detlint"))
-        .arg("--root")
-        .arg(&root)
-        .arg("--json")
-        .arg(root.join("wall_clock.rs"))
-        .output()
-        .expect("detlint binary runs");
-    assert_eq!(out.status.code(), Some(1));
-    let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"schema\": 1"), "{json}");
-    assert!(json.contains("\"rule\": \"wall-clock\""), "{json}");
-    assert!(json.contains("\"file\": \"wall_clock.rs\""), "{json}");
-}
-
-#[test]
 fn usage_errors_exit_2() {
     let out = Command::new(env!("CARGO_BIN_EXE_detlint"))
         .output()

@@ -25,6 +25,9 @@ use netsim::{
 use odns::study;
 use std::net::Ipv4Addr;
 
+/// Stagger between starting consecutive targets.
+const START_GAP: SimDuration = SimDuration::from_micros(200);
+
 /// DNSRoute++ configuration.
 #[derive(Debug, Clone)]
 pub struct DnsRouteConfig {
@@ -35,8 +38,6 @@ pub struct DnsRouteConfig {
     pub max_ttl: u8,
     /// Wait per TTL step before moving on (an anonymous hop is recorded).
     pub per_hop_timeout: SimDuration,
-    /// Stagger between starting consecutive targets.
-    pub start_gap: SimDuration,
     /// First source port; each target owns `base_port + index`.
     pub base_port: u16,
     /// The defining DNSRoute++ behaviour: keep incrementing TTL after the
@@ -48,8 +49,8 @@ pub struct DnsRouteConfig {
     /// is re-sent (same TTL, same `(port, txid)`) up to
     /// `retry.max_attempts` times before the hop is recorded anonymous
     /// and the sweep advances. [`DnsRouteConfig::per_hop_timeout`] plays
-    /// the role of the initial RTO; the policy contributes the attempt
-    /// count, backoff multiplier, and jitter.
+    /// the role of the initial RTO, doubled per retry; the policy
+    /// contributes the attempt count and jitter.
     pub retry: RetryPolicy,
 }
 
@@ -65,7 +66,6 @@ impl DnsRouteConfig {
             targets,
             max_ttl: 30,
             per_hop_timeout: SimDuration::from_secs(2),
-            start_gap: SimDuration::from_micros(200),
             base_port: 40_000,
             continue_past_target: true,
             retry: RetryPolicy::none(),
@@ -88,8 +88,8 @@ impl DnsRouteConfig {
     }
 
     /// The silent-hop wait after transmission `attempt` (0 = the TTL's
-    /// first probe): `per_hop_timeout` backed off by the retry policy's
-    /// multiplier, plus its deterministic jitter keyed by the probe's
+    /// first probe): `per_hop_timeout` doubled per retry, plus the retry
+    /// policy's deterministic jitter keyed by the probe's
     /// `(target, ttl)` identity.
     fn hop_wait(&self, idx: usize, ttl: u8, attempt: u8) -> SimDuration {
         let policy = RetryPolicy {
@@ -437,12 +437,11 @@ impl Host for DnsRoutePlusPlus {
 /// Install DNSRoute++ at `node`, run the sweep, and return all traces.
 pub fn run_dnsroute(sim: &mut Simulator, node: NodeId, config: DnsRouteConfig) -> Vec<TraceResult> {
     let n = config.targets.len();
-    let gap = config.start_gap;
     sim.install(node, DnsRoutePlusPlus::new(config));
     if n > 0 {
         // One batched timer starts every trace: the k-th fires at k·gap with
         // token START_BASE + k, byte-identical to the old per-target loop.
-        sim.schedule_timer_batch(node, SimDuration::ZERO, gap, n as u32, START_BASE, 1);
+        sim.schedule_timer_batch(node, SimDuration::ZERO, START_GAP, n as u32, START_BASE, 1);
     }
     sim.run();
     sim.host_as::<DnsRoutePlusPlus>(node)

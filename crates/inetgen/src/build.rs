@@ -29,7 +29,7 @@ use netsim::{
     SimDuration, Simulator, TopologyBuilder,
 };
 use odns::{
-    AuthConfig, DeviceProfile, Manipulation, RecursiveForwarder, RecursiveResolver, ResolverConfig,
+    DeviceProfile, Manipulation, RecursiveForwarder, RecursiveResolver, ResolverConfig,
     ResolverProject, StudyNodes, TransparentForwarder, Vendor,
 };
 use rand::rngs::SmallRng;
@@ -318,15 +318,7 @@ struct WorldBlueprint {
 /// rebuilt by the exact code path that built it — from the same
 /// [`PlantedHost`] records the analysis reads as ground truth.
 fn install_hosts(sim: &mut Simulator, bp: &WorldBlueprint, planted: &[PlantedHost]) {
-    odns::install_study_stack(
-        sim,
-        bp.study,
-        AuthConfig {
-            keep_log: false,
-            rate_limit_pps: None,
-            ..AuthConfig::default()
-        },
-    );
+    odns::install_study_stack(sim, bp.study, false);
     let resolver = |cache_capacity| {
         RecursiveResolver::new(ResolverConfig {
             cache_capacity,

@@ -1,4 +1,4 @@
-//! Fault injection and rate limiting.
+//! Fault injection.
 //!
 //! Adverse network conditions are first-class: packet drop, corruption,
 //! duplication, and latency jitter are configured through a [`FaultPlan`]
@@ -8,12 +8,8 @@
 //! shard count, any event order, and any warm-cache rerun: the fate of a
 //! probe depends only on its flow identity, not on how many packets the
 //! simulator happened to process before it.
-//!
-//! The token bucket implements the paper's sensor rate limiting ("one
-//! request every 5 minutes per source /24", §3.1) and the authoritative
-//! server's 20k pps budget (§4.1).
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 use crate::topology::{AsKind, CountryCode};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -323,92 +319,6 @@ impl From<FaultConfig> for FaultPlan {
     }
 }
 
-/// A deterministic token bucket driven by simulated time.
-///
-/// `capacity` tokens maximum; `refill_per_period` tokens added every
-/// `period`. Each admitted request takes one token.
-#[derive(Debug, Clone)]
-pub struct TokenBucket {
-    capacity: u64,
-    tokens: u64,
-    refill_per_period: u64,
-    period: SimDuration,
-    last_refill: SimTime,
-}
-
-impl TokenBucket {
-    /// New bucket, starting full, with refills anchored at simulated time
-    /// zero. Prefer [`TokenBucket::new_at`] for buckets created lazily at
-    /// first use: a zero anchor makes refills land on *absolute* period
-    /// boundaries, so two requests seconds apart can both be admitted
-    /// whenever they straddle one.
-    pub fn new(capacity: u64, refill_per_period: u64, period: SimDuration) -> Self {
-        Self::new_at(capacity, refill_per_period, period, SimTime::ZERO)
-    }
-
-    /// New bucket, starting full, with refills anchored at `origin` — the
-    /// moment the bucket comes into existence. Periods are then measured
-    /// from the bucket's own first sighting, which makes admit/shed
-    /// decisions a function of request *inter-arrival times* only, never
-    /// of where the requests happen to fall on the absolute clock.
-    pub fn new_at(
-        capacity: u64,
-        refill_per_period: u64,
-        period: SimDuration,
-        origin: SimTime,
-    ) -> Self {
-        assert!(period.as_micros() > 0, "refill period must be positive");
-        TokenBucket {
-            capacity,
-            tokens: capacity,
-            refill_per_period,
-            period,
-            last_refill: origin,
-        }
-    }
-
-    /// The paper's sensor policy: one answer per 5 minutes (per bucket; the
-    /// caller keys buckets by source /24).
-    pub fn one_per_5min() -> Self {
-        TokenBucket::new(1, 1, SimDuration::from_secs(300))
-    }
-
-    /// A packets-per-second budget, e.g. the authoritative server's 20k pps.
-    pub fn per_second(pps: u64) -> Self {
-        TokenBucket::new(pps, pps, SimDuration::from_secs(1))
-    }
-
-    fn refill(&mut self, now: SimTime) {
-        if now <= self.last_refill {
-            return;
-        }
-        let elapsed = now - self.last_refill;
-        let periods = elapsed.as_micros() / self.period.as_micros();
-        if periods > 0 {
-            let added = periods.saturating_mul(self.refill_per_period);
-            self.tokens = (self.tokens.saturating_add(added)).min(self.capacity);
-            self.last_refill += SimDuration(periods * self.period.as_micros());
-        }
-    }
-
-    /// Try to admit one request at time `now`.
-    pub fn try_take(&mut self, now: SimTime) -> bool {
-        self.refill(now);
-        if self.tokens > 0 {
-            self.tokens -= 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Tokens currently available (after refilling to `now`).
-    pub fn available(&mut self, now: SimTime) -> u64 {
-        self.refill(now);
-        self.tokens
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -557,85 +467,5 @@ mod tests {
         let plan: FaultPlan = FaultConfig::lossy(0.2).into();
         assert_eq!(plan.base, FaultConfig::lossy(0.2));
         assert!(plan.by_country.is_empty() && plan.by_kind.is_empty());
-    }
-
-    #[test]
-    fn bucket_serves_capacity_then_blocks() {
-        let mut b = TokenBucket::new(3, 3, SimDuration::from_secs(1));
-        let t0 = SimTime::ZERO;
-        assert!(b.try_take(t0));
-        assert!(b.try_take(t0));
-        assert!(b.try_take(t0));
-        assert!(
-            !b.try_take(t0),
-            "fourth request in the same instant must be rejected"
-        );
-    }
-
-    #[test]
-    fn bucket_refills_after_period() {
-        let mut b = TokenBucket::new(1, 1, SimDuration::from_secs(300));
-        assert!(b.try_take(SimTime::ZERO));
-        assert!(!b.try_take(SimTime::ZERO + SimDuration::from_secs(299)));
-        assert!(b.try_take(SimTime::ZERO + SimDuration::from_secs(300)));
-        assert!(!b.try_take(SimTime::ZERO + SimDuration::from_secs(300)));
-    }
-
-    #[test]
-    fn bucket_never_exceeds_capacity() {
-        let mut b = TokenBucket::new(2, 2, SimDuration::from_secs(1));
-        // Long idle: refill many periods, but cap at capacity.
-        assert_eq!(b.available(SimTime::ZERO + SimDuration::from_secs(100)), 2);
-        assert!(b.try_take(SimTime::ZERO + SimDuration::from_secs(100)));
-        assert!(b.try_take(SimTime::ZERO + SimDuration::from_secs(100)));
-        assert!(!b.try_take(SimTime::ZERO + SimDuration::from_secs(100)));
-    }
-
-    #[test]
-    fn five_minute_policy_matches_paper() {
-        let mut b = TokenBucket::one_per_5min();
-        assert!(b.try_take(SimTime::ZERO));
-        // A scan retry 20 seconds later is ignored.
-        assert!(!b.try_take(SimTime::ZERO + SimDuration::from_secs(20)));
-        // The next periodic campaign pass (hours later) is served.
-        assert!(b.try_take(SimTime::ZERO + SimDuration::from_secs(3600)));
-    }
-
-    #[test]
-    fn per_second_budget() {
-        let mut b = TokenBucket::per_second(2);
-        let t = SimTime::ZERO;
-        assert!(b.try_take(t));
-        assert!(b.try_take(t));
-        assert!(!b.try_take(t));
-        assert!(b.try_take(t + SimDuration::from_secs(1)));
-    }
-
-    #[test]
-    fn zero_anchored_bucket_leaks_across_absolute_boundaries() {
-        // The hazard new_at exists for: a zero-anchored 5-minute bucket
-        // admits two requests 2 s apart when they straddle an absolute
-        // 300 s boundary.
-        let mut b = TokenBucket::one_per_5min();
-        assert!(b.try_take(SimTime::ZERO + SimDuration::from_secs(299)));
-        assert!(b.try_take(SimTime::ZERO + SimDuration::from_secs(301)));
-    }
-
-    #[test]
-    fn origin_anchored_bucket_depends_on_inter_arrival_only() {
-        for start_secs in [0u64, 17, 299, 600, 3601] {
-            let t0 = SimTime::ZERO + SimDuration::from_secs(start_secs);
-            let mut b = TokenBucket::new_at(1, 1, SimDuration::from_secs(300), t0);
-            assert!(b.try_take(t0), "first request admitted at t0+{start_secs}s");
-            assert!(
-                !b.try_take(t0 + SimDuration::from_secs(2)),
-                "2 s later is shed whatever the absolute clock says"
-            );
-            assert!(
-                !b.try_take(t0 + SimDuration::from_secs(299)),
-                "still inside the period"
-            );
-            assert!(b.try_take(t0 + SimDuration::from_secs(300)));
-        }
     }
 }

@@ -21,7 +21,7 @@
 //! ```
 //! use netsim::{
 //!     AsKind, AsSpec, CountryCode, HostSpec, Relationship, SimConfig, Simulator,
-//!     TopologyBuilder, UdpSend, OneShotSender, SimDuration,
+//!     TopologyBuilder, UdpSend, SimDuration,
 //! };
 //! use std::net::Ipv4Addr;
 //!
@@ -36,10 +36,10 @@
 //! let scanner = b.add_host(a0, HostSpec::simple(Ipv4Addr::new(192, 0, 2, 1)));
 //! let sink = b.add_host(a0, HostSpec::simple(Ipv4Addr::new(192, 0, 2, 2)));
 //! let mut sim = Simulator::new(b.build().unwrap(), SimConfig::default());
-//! sim.install(scanner, OneShotSender::new(UdpSend::new(
-//!     40000, Ipv4Addr::new(192, 0, 2, 2), 53, b"hello".to_vec(),
-//! )));
-//! sim.schedule_timer(scanner, SimDuration::ZERO, 0);
+//! netsim::testkit::install_script(&mut sim, scanner, vec![(
+//!     SimDuration::ZERO,
+//!     UdpSend::new(40000, Ipv4Addr::new(192, 0, 2, 2), 53, b"hello".to_vec()),
+//! )]);
 //! sim.run();
 //! assert_eq!(sim.stats().udp_delivered, 1);
 //! let _ = sink;
@@ -65,13 +65,13 @@ pub mod testkit;
 pub mod wheel;
 pub mod wire;
 
-pub use fault::{mix64, FaultConfig, FaultPlan, FlowKey, FlowVerdict, TokenBucket};
+pub use fault::{mix64, FaultConfig, FaultPlan, FlowKey, FlowVerdict};
 pub use host::{Ctx, Host, UdpSend};
 pub use intmap::{IntHasher, IntMap};
 pub use packet::{Datagram, IcmpKind, IcmpMessage, Payload, QuotedDatagram, DEFAULT_TTL};
 pub use retry::RetryPolicy;
 pub use routing::{Hop, Path, RouteError, RouteResolver};
-pub use sim::{OneShotSender, SimConfig, Simulator};
+pub use sim::{SimConfig, Simulator};
 pub use stats::{DropReason, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{

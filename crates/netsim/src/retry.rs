@@ -3,8 +3,8 @@
 //! The paper's census sends one probe per target and waits; on a lossy
 //! network that conflates "no ODNS component" with "probe or answer
 //! lost". [`RetryPolicy`] describes how a prober retransmits: how many
-//! attempts, the initial retransmission timeout, an integer backoff
-//! multiplier, and an optional deterministic per-probe jitter. All retry
+//! attempts, the initial retransmission timeout (doubled per retry), and
+//! an optional deterministic per-probe jitter. All retry
 //! scheduling is a pure function of `(policy, probe index, attempt)` —
 //! no RNG — so lossy scans stay bit-identical across shard counts and
 //! warm reruns.
@@ -12,17 +12,19 @@
 use crate::fault::mix64;
 use crate::time::SimDuration;
 
+/// Multiplier applied to the RTO per retry round: classic exponential
+/// backoff.
+const BACKOFF: u64 = 2;
+
 /// How a prober retransmits unanswered probes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total transmissions per probe, including the original. `1` means
     /// no retries (the pre-retry behavior, and the default).
     pub max_attempts: u8,
-    /// Retransmission timeout before the first retry.
+    /// Retransmission timeout before the first retry; each later retry
+    /// waits twice as long as the one before.
     pub initial_rto: SimDuration,
-    /// Integer multiplier applied to the RTO per retry round: `1` keeps
-    /// it constant, `2` doubles it (classic exponential backoff).
-    pub backoff: u32,
     /// Maximum deterministic extra delay added per retransmission,
     /// hash-keyed by `(probe index, attempt)` to decorrelate retry
     /// bursts. Zero (the default) disables it.
@@ -41,7 +43,6 @@ impl RetryPolicy {
         RetryPolicy {
             max_attempts: 1,
             initial_rto: SimDuration::from_secs(2),
-            backoff: 2,
             jitter: SimDuration::ZERO,
         }
     }
@@ -53,18 +54,6 @@ impl RetryPolicy {
             max_attempts: retries.saturating_add(1),
             ..Self::none()
         }
-    }
-
-    /// Builder: set the initial RTO.
-    pub fn with_rto(mut self, rto: SimDuration) -> Self {
-        self.initial_rto = rto;
-        self
-    }
-
-    /// Builder: set the backoff multiplier.
-    pub fn with_backoff(mut self, backoff: u32) -> Self {
-        self.backoff = backoff;
-        self
     }
 
     /// Builder: set the per-retransmission jitter bound.
@@ -83,9 +72,6 @@ impl RetryPolicy {
         if self.max_attempts == 0 {
             return Err("max_attempts must be >= 1 (1 = no retries)".into());
         }
-        if self.backoff == 0 {
-            return Err("backoff multiplier must be >= 1".into());
-        }
         if self.enabled() && self.initial_rto == SimDuration::ZERO {
             return Err("initial_rto must be positive when retries are enabled".into());
         }
@@ -100,11 +86,11 @@ impl RetryPolicy {
     }
 
     /// The timeout armed after transmission `attempt` (0 = original):
-    /// `initial_rto * backoff^attempt`, saturating.
+    /// `initial_rto * 2^attempt`, saturating.
     pub fn rto_after(&self, attempt: u8) -> SimDuration {
         let mut rto = self.initial_rto.as_micros();
         for _ in 0..attempt {
-            rto = rto.saturating_mul(u64::from(self.backoff));
+            rto = rto.saturating_mul(BACKOFF);
         }
         SimDuration(rto)
     }
@@ -143,21 +129,21 @@ mod tests {
 
     #[test]
     fn rto_backs_off_exponentially() {
-        let p = RetryPolicy::retries(3)
-            .with_rto(SimDuration::from_secs(1))
-            .with_backoff(2);
+        let p = RetryPolicy {
+            initial_rto: SimDuration::from_secs(1),
+            ..RetryPolicy::retries(3)
+        };
         assert_eq!(p.rto_after(0), SimDuration::from_secs(1));
         assert_eq!(p.rto_after(1), SimDuration::from_secs(2));
         assert_eq!(p.rto_after(2), SimDuration::from_secs(4));
-        let constant = p.with_backoff(1);
-        assert_eq!(constant.rto_after(5), SimDuration::from_secs(1));
     }
 
     #[test]
     fn rto_saturates_instead_of_overflowing() {
-        let p = RetryPolicy::retries(200)
-            .with_rto(SimDuration(u64::MAX / 2))
-            .with_backoff(u32::MAX);
+        let p = RetryPolicy {
+            initial_rto: SimDuration(u64::MAX / 2),
+            ..RetryPolicy::retries(200)
+        };
         assert_eq!(p.rto_after(100), SimDuration(u64::MAX));
     }
 
@@ -168,19 +154,27 @@ mod tests {
             ..RetryPolicy::none()
         };
         assert!(zero_attempts.validate().is_err());
-        let zero_backoff = RetryPolicy::retries(1).with_backoff(0);
-        assert!(zero_backoff.validate().is_err());
-        let zero_rto = RetryPolicy::retries(1).with_rto(SimDuration::ZERO);
+        let zero_rto = RetryPolicy {
+            initial_rto: SimDuration::ZERO,
+            ..RetryPolicy::retries(1)
+        };
         assert!(zero_rto.validate().is_err());
         // Single-shot with zero RTO is fine — the RTO is never armed.
-        let single = RetryPolicy::none().with_rto(SimDuration::ZERO);
+        let single = RetryPolicy {
+            initial_rto: SimDuration::ZERO,
+            ..RetryPolicy::none()
+        };
         assert!(single.validate().is_ok());
     }
 
     #[test]
     #[should_panic(expected = "invalid RetryPolicy")]
     fn assert_valid_panics() {
-        RetryPolicy::retries(1).with_backoff(0).assert_valid();
+        RetryPolicy {
+            max_attempts: 0,
+            ..RetryPolicy::none()
+        }
+        .assert_valid();
     }
 
     #[test]

@@ -582,33 +582,10 @@ impl Simulator {
     }
 }
 
-/// Convenience: send a single UDP datagram from `node` as soon as the
-/// simulation starts (token-0 timer + one-shot host wrapper are overkill
-/// for tests and examples).
-pub struct OneShotSender {
-    send: Option<UdpSend>,
-}
-
-impl OneShotSender {
-    /// Wrap a send to be issued on the first timer tick.
-    pub fn new(send: UdpSend) -> Self {
-        OneShotSender { send: Some(send) }
-    }
-}
-
-impl Host for OneShotSender {
-    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: Datagram) {}
-
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        if let Some(send) = self.send.take() {
-            ctx.send_udp(send);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testkit::install_script;
     use crate::time::SimDuration;
     use crate::topology::{AsKind, AsSpec, CountryCode, HostSpec, Relationship, TopologyBuilder};
     use std::net::Ipv4Addr;
@@ -848,11 +825,14 @@ mod tests {
     fn unknown_destination_counted() {
         let (topo, scanner, _server, _a, _b) = two_as();
         let mut sim = Simulator::new(topo, SimConfig::default());
-        sim.install(
+        install_script(
+            &mut sim,
             scanner,
-            OneShotSender::new(UdpSend::new(1, ip(100, 64, 0, 1), 53, vec![])),
+            vec![(
+                SimDuration::ZERO,
+                UdpSend::new(1, ip(100, 64, 0, 1), 53, vec![]),
+            )],
         );
-        sim.schedule_timer(scanner, SimDuration::ZERO, 0);
         sim.run();
         assert_eq!(sim.stats().dropped_no_such_host, 1);
     }
@@ -986,11 +966,14 @@ mod tests {
         sim.install(server, Sink::default());
         let n = 64u64;
         for i in 0..n {
-            sim.install(
+            install_script(
+                &mut sim,
                 scanner,
-                OneShotSender::new(UdpSend::new(1000 + i as u16, server_ip, 53, vec![i as u8])),
+                vec![(
+                    SimDuration::from_millis(i),
+                    UdpSend::new(1000 + i as u16, server_ip, 53, vec![i as u8]),
+                )],
             );
-            sim.schedule_timer(scanner, SimDuration::from_millis(i), 0);
             sim.run();
         }
         let stats = sim.stats();

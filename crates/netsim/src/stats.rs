@@ -117,25 +117,6 @@ impl SimStats {
             && self.events_wheel_scheduled + self.events_heap_scheduled
                 == self.events_processed + self.timers_cancelled
     }
-
-    /// Total drops across all reasons.
-    pub fn total_dropped(&self) -> u64 {
-        self.dropped_sav
-            + self.dropped_no_route
-            + self.dropped_no_such_host
-            + self.dropped_ttl
-            + self.dropped_fault
-            + self.dropped_corrupt
-    }
-
-    /// Delivery ratio over UDP (delivered / sent), 1.0 when nothing sent.
-    pub fn delivery_ratio(&self) -> f64 {
-        if self.udp_sent == 0 {
-            1.0
-        } else {
-            self.udp_delivered as f64 / self.udp_sent as f64
-        }
-    }
 }
 
 impl fmt::Display for SimStats {
@@ -192,7 +173,6 @@ mod tests {
         s.record_drop(DropReason::TtlExpired);
         assert_eq!(s.dropped_sav, 1);
         assert_eq!(s.dropped_ttl, 2);
-        assert_eq!(s.total_dropped(), 3);
     }
 
     #[test]
@@ -203,22 +183,9 @@ mod tests {
         s.record_drop(DropReason::Corrupt);
         assert_eq!(s.dropped_fault, 1);
         assert_eq!(s.dropped_corrupt, 2);
-        assert_eq!(s.total_dropped(), 3);
         let text = s.to_string();
         assert!(text.contains("fault=1"));
         assert!(text.contains("corrupt=2"));
-    }
-
-    #[test]
-    fn delivery_ratio_handles_zero() {
-        let s = SimStats::default();
-        assert_eq!(s.delivery_ratio(), 1.0);
-        let s = SimStats {
-            udp_sent: 4,
-            udp_delivered: 3,
-            ..SimStats::default()
-        };
-        assert!((s.delivery_ratio() - 0.75).abs() < 1e-9);
     }
 
     #[test]

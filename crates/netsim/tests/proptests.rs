@@ -8,14 +8,13 @@
 //!   (valley-free), and TTL expiry is consistent with hop counts;
 //! * the composed [`netsim::Path`] view equals a materialised reference
 //!   hop list, and routing state is bounded by touched AS pairs;
-//! * packet conservation under random fault plans;
-//! * token buckets never exceed capacity.
+//! * packet conservation under random fault plans.
 
 use netsim::wire::{decode, encode_udp, DecodedPacket};
 use netsim::{
     AsId, AsKind, AsSpec, CountryCode, Ctx, Datagram, FaultConfig, FaultPlan, Hop, Host, HostSpec,
-    NodeId, Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, TokenBucket,
-    Topology, TopologyBuilder, UdpSend,
+    NodeId, Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, Topology,
+    TopologyBuilder, UdpSend,
 };
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
@@ -546,35 +545,6 @@ proptest! {
         prop_assert_eq!(p1.router_hops(), p2.router_hops());
         for (a, b) in p1.hops().zip(p2.hops()) {
             prop_assert_eq!(a.ip, b.ip);
-        }
-    }
-
-    #[test]
-    fn token_bucket_never_exceeds_capacity(
-        capacity in 1u64..20,
-        refill in 1u64..20,
-        period_ms in 1u64..1000,
-        probes in proptest::collection::vec((0u64..100_000, any::<bool>()), 1..50),
-    ) {
-        let mut bucket = TokenBucket::new(capacity, refill, SimDuration::from_millis(period_ms));
-        let mut times: Vec<u64> = probes.iter().map(|(t, _)| *t).collect();
-        times.sort_unstable();
-        let mut granted_in_window = 0u64;
-        let mut window_start = 0u64;
-        for t in times {
-            let now = SimTime(t * 1000);
-            if bucket.try_take(now) {
-                // Coarse upper bound: within any single period at most
-                // capacity + refill grants can happen.
-                if t - window_start < period_ms {
-                    granted_in_window += 1;
-                    prop_assert!(granted_in_window <= capacity + refill,
-                        "too many grants in one period");
-                } else {
-                    window_start = t;
-                    granted_in_window = 1;
-                }
-            }
         }
     }
 }

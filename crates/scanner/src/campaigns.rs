@@ -25,6 +25,13 @@ use odns::study;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
 
+/// Gap between consecutive campaign probes.
+const INTER_PROBE_GAP: SimDuration = SimDuration::from_micros(50);
+
+/// Campaign probe `i` leaves from port `BASE_PORT + (i >> 16)` with txid
+/// `i & 0xFFFF`.
+const BASE_PORT: u16 = 41_000;
+
 /// The three campaigns of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Campaign {
@@ -74,10 +81,6 @@ pub struct CampaignConfig {
     pub campaign: Campaign,
     /// Targets to probe.
     pub targets: Vec<Ipv4Addr>,
-    /// Probe pacing.
-    pub inter_probe_gap: SimDuration,
-    /// Base source port.
-    pub base_port: u16,
     /// Retransmission policy (default: single-shot, matching the real
     /// campaigns' observable behavior).
     pub retry: RetryPolicy,
@@ -89,8 +92,6 @@ impl CampaignConfig {
         CampaignConfig {
             campaign,
             targets,
-            inter_probe_gap: SimDuration::from_micros(50),
-            base_port: 41_000,
             retry: RetryPolicy::none(),
         }
     }
@@ -207,6 +208,14 @@ pub fn replay_campaign(
     pipeline.report
 }
 
+/// The `(src_port, txid)` tuple of campaign probe `index`.
+fn probe_tuple(index: usize) -> (u16, u16) {
+    (
+        (BASE_PORT as usize + (index >> 16)) as u16,
+        (index & 0xFFFF) as u16,
+    )
+}
+
 /// A campaign scanner host, paced and retransmitted by a `pacer::Pacer`.
 #[derive(Debug)]
 pub struct CampaignScanner {
@@ -220,7 +229,7 @@ impl CampaignScanner {
     pub fn new(config: CampaignConfig) -> Self {
         let pacer = Pacer::new(
             config.targets.len(),
-            config.inter_probe_gap,
+            INTER_PROBE_GAP,
             PACE_TOKEN,
             config.retry,
         );
@@ -229,13 +238,6 @@ impl CampaignScanner {
             config,
             pacer,
         }
-    }
-
-    fn probe_tuple(&self, index: usize) -> (u16, u16) {
-        (
-            (self.config.base_port as usize + (index >> 16)) as u16,
-            (index & 0xFFFF) as u16,
-        )
     }
 
     /// The campaign's wire query for a probe with `txid`.
@@ -247,16 +249,15 @@ impl CampaignScanner {
             .into()
     }
 
-    /// Inverse of [`CampaignScanner::probe_tuple`]: mark the probe a
+    /// Inverse of `probe_tuple`: mark the probe a
     /// response maps to as answered, halting its retransmissions (a
     /// response stops them however the campaign's pipeline judges it).
     fn note_answer(&mut self, ctx: &mut Ctx<'_>, dst_port: u16, payload: &netsim::Payload) {
         let Some(txid) = dnswire::peek_id(payload) else {
             return;
         };
-        let index =
-            (usize::from(dst_port.wrapping_sub(self.config.base_port)) << 16) | usize::from(txid);
-        if self.probe_tuple(index) == (dst_port, txid) {
+        let index = (usize::from(dst_port.wrapping_sub(BASE_PORT)) << 16) | usize::from(txid);
+        if probe_tuple(index) == (dst_port, txid) {
             self.pacer.answered(ctx, index);
         }
     }
@@ -279,7 +280,7 @@ impl Host for CampaignScanner {
         // across attempts.
         let Due { index, attempt } = due;
         let target = self.config.targets[index];
-        let (port, txid) = self.probe_tuple(index);
+        let (port, txid) = probe_tuple(index);
         self.pipeline.probe(port, txid, target);
         ctx.send_udp_attempt(
             UdpSend::new(port, target, dnswire::DNS_PORT, Self::probe_query(txid)),

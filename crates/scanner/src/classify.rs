@@ -102,31 +102,24 @@ impl Verdict {
 /// Classifier configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct ClassifierConfig {
-    /// The static control record's expected value.
-    pub control_a: Ipv4Addr,
-    /// Strict mode requires both A records with the control intact (the
-    /// paper's default). Non-strict accepts any answer with ≥1 A record —
-    /// the Shadowserver-compatible ablation that "leads to similar numbers
+    /// Strict mode requires both A records with the static control record
+    /// ([`odns::study::CONTROL_A`]) intact (the paper's default).
+    /// Non-strict accepts any answer with ≥1 A record — the
+    /// Shadowserver-compatible ablation that "leads to similar numbers
     /// than Shadowserver" (§4.2).
     pub strict: bool,
 }
 
 impl Default for ClassifierConfig {
     fn default() -> Self {
-        ClassifierConfig {
-            control_a: odns::study::CONTROL_A,
-            strict: true,
-        }
+        ClassifierConfig { strict: true }
     }
 }
 
 impl ClassifierConfig {
     /// The Shadowserver-compatible relaxed configuration.
     pub fn relaxed() -> Self {
-        ClassifierConfig {
-            strict: false,
-            ..Self::default()
-        }
+        ClassifierConfig { strict: false }
     }
 }
 
@@ -188,7 +181,8 @@ fn read_answer(
     // Dynamic record first, control second (the study zone's layout);
     // accept either order but the control value must appear exactly
     // once and unaltered.
-    match (first == config.control_a, second == config.control_a) {
+    let control = odns::study::CONTROL_A;
+    match (first == control, second == control) {
         (false, true) => Ok(first),
         (true, false) => Ok(second),
         _ => Err(Discard::ControlRecordViolated),

@@ -14,34 +14,18 @@ use netsim::{
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-/// Fingerprint scan configuration.
-#[derive(Debug, Clone)]
-pub struct FingerprintConfig {
-    /// Hosts to probe.
-    pub targets: Vec<Ipv4Addr>,
-    /// UDP ports to try on each host (e.g. the MikroTik MNDP/btest ports).
-    pub ports: Vec<u16>,
-    /// Probe pacing.
-    pub gap: SimDuration,
-    /// Scanner-side base source port.
-    pub base_port: u16,
-}
+/// The UDP ports tried on each host: the device-profile ports.
+const PORTS: [u16; 3] = [
+    odns::device::MIKROTIK_MNDP_PORT,
+    odns::device::MIKROTIK_BTEST_PORT,
+    odns::device::CPE_MGMT_PORT,
+];
 
-impl FingerprintConfig {
-    /// Defaults probing the device-profile ports.
-    pub fn new(targets: Vec<Ipv4Addr>) -> Self {
-        FingerprintConfig {
-            targets,
-            ports: vec![
-                odns::device::MIKROTIK_MNDP_PORT,
-                odns::device::MIKROTIK_BTEST_PORT,
-                odns::device::CPE_MGMT_PORT,
-            ],
-            gap: SimDuration::from_micros(50),
-            base_port: 50_000,
-        }
-    }
-}
+/// Gap between consecutive probes.
+const GAP: SimDuration = SimDuration::from_micros(50);
+
+/// Probe `i` leaves from port `BASE_PORT + (i & 0x3FFF)`.
+const BASE_PORT: u16 = 50_000;
 
 /// Evidence gathered about one host.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -56,7 +40,7 @@ pub struct HostEvidence {
 /// port)` pair, paced by a `pacer::Pacer`.
 #[derive(Debug)]
 pub struct FingerprintScanner {
-    config: FingerprintConfig,
+    targets: Vec<Ipv4Addr>,
     pacer: Pacer,
     /// The one-byte wake-up payload every probe sends, shared like the
     /// census probe template: each send is a refcount bump, not a fresh
@@ -68,16 +52,17 @@ pub struct FingerprintScanner {
 }
 
 impl FingerprintScanner {
-    /// Build from config.
-    pub fn new(config: FingerprintConfig) -> Self {
+    /// A scanner probing every port of [`odns::device`]'s profiles on each
+    /// of `targets`.
+    pub fn new(targets: Vec<Ipv4Addr>) -> Self {
         let pacer = Pacer::new(
-            config.targets.len() * config.ports.len(),
-            config.gap,
+            targets.len() * PORTS.len(),
+            GAP,
             PACE_TOKEN,
             RetryPolicy::none(),
         );
         FingerprintScanner {
-            config,
+            targets,
             pacer,
             probe_payload: vec![0x00].into(),
             evidence: BTreeMap::new(),
@@ -113,9 +98,9 @@ impl Host for FingerprintScanner {
             return;
         };
         let i = due.index;
-        let target = self.config.targets[i / self.config.ports.len()];
-        let port = self.config.ports[i % self.config.ports.len()];
-        let src_port = self.config.base_port.wrapping_add((i & 0x3FFF) as u16);
+        let target = self.targets[i / PORTS.len()];
+        let port = PORTS[i % PORTS.len()];
+        let src_port = BASE_PORT.wrapping_add((i & 0x3FFF) as u16);
         ctx.send_udp(UdpSend::new(
             src_port,
             target,
@@ -126,13 +111,13 @@ impl Host for FingerprintScanner {
     }
 }
 
-/// Run a fingerprint pass and return the evidence map.
+/// Run a fingerprint pass over `targets` and return the evidence map.
 pub fn run_fingerprint_scan(
     sim: &mut Simulator,
     node: NodeId,
-    config: FingerprintConfig,
+    targets: Vec<Ipv4Addr>,
 ) -> BTreeMap<Ipv4Addr, HostEvidence> {
-    sim.install(node, FingerprintScanner::new(config));
+    sim.install(node, FingerprintScanner::new(targets));
     sim.schedule_timer(node, SimDuration::ZERO, PACE_TOKEN);
     sim.run();
     sim.host_as::<FingerprintScanner>(node)
@@ -179,11 +164,7 @@ mod tests {
             nodes[2],
             TransparentForwarder::new(RESOLVER).with_device(DeviceProfile::generic()),
         );
-        let evidence = run_fingerprint_scan(
-            &mut sim,
-            nodes[0],
-            FingerprintConfig::new(vec![MIKROTIK_DEV, QUIET_DEV]),
-        );
+        let evidence = run_fingerprint_scan(&mut sim, nodes[0], vec![MIKROTIK_DEV, QUIET_DEV]);
 
         let mk = &evidence[&MIKROTIK_DEV];
         assert_eq!(mk.banners.len(), 2, "MNDP + btest answer");

@@ -40,9 +40,7 @@ pub use campaigns::{
     CampaignScanner,
 };
 pub use classify::{classify, ClassifierConfig, Discard, OdnsClass, Verdict};
-pub use fingerprint::{
-    attribute_vendor, run_fingerprint_scan, FingerprintConfig, FingerprintScanner, HostEvidence,
-};
+pub use fingerprint::{attribute_vendor, run_fingerprint_scan, FingerprintScanner, HostEvidence};
 pub use records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 pub use sensors::{HoneypotSensor, SensorKind, SensorStats};
 pub use transactional::{

@@ -238,13 +238,11 @@ mod tests {
 
     #[test]
     fn retry_checks_follow_the_backoff_schedule_and_stop_on_an_answer() {
-        let rto = SimDuration::from_millis(100);
-        for policy in [
-            RetryPolicy::retries(2).with_rto(rto),
-            RetryPolicy::retries(2)
-                .with_rto(rto)
-                .with_jitter(SimDuration::from_millis(3)),
-        ] {
+        let plain = RetryPolicy {
+            initial_rto: SimDuration::from_millis(100),
+            ..RetryPolicy::retries(2)
+        };
+        for policy in [plain, plain.with_jitter(SimDuration::from_millis(3))] {
             let total = 19;
             let (log, stats) = run(total, policy, &[]);
             let mut expected = Vec::new();

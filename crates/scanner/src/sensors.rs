@@ -92,7 +92,7 @@ impl HoneypotSensor {
             }
         };
         HoneypotSensor {
-            gate: PrefixRateLimiter::sensor_default(),
+            gate: PrefixRateLimiter::new(),
             host,
         }
     }

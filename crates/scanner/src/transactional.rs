@@ -16,6 +16,11 @@ use odns::study;
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
+/// First source port: probes walk `BASE_PORT + (index & 0xFFFF)` with the
+/// txid advancing once per 65 k block, so the `(port, txid)` tuple is
+/// unique for every in-flight probe.
+const BASE_PORT: u16 = 33_000;
+
 /// The static-naming probe query is one fixed byte string (the txid is
 /// patched per block); encode it once per process instead of once per
 /// scanner — warm sweeps build thousands of scanners.
@@ -77,12 +82,6 @@ pub struct ScanConfig {
     /// Gap between consecutive probes (sets the scan rate; the paper scans
     /// the full IPv4 space in 18 hours — "moderate").
     pub inter_probe_gap: SimDuration,
-    /// Correlation timeout (paper: a conservative 20 s).
-    pub timeout: SimDuration,
-    /// First source port; probes walk `base_port + (index & 0xFFFF)` with
-    /// the txid advancing once per 65 k block, so the `(port, txid)` tuple
-    /// is unique for every in-flight probe.
-    pub base_port: u16,
     /// Retransmission policy. The default ([`RetryPolicy::none`]) keeps
     /// the paper's single-shot behavior: no retry state is allocated and
     /// no retry timers are armed.
@@ -90,9 +89,8 @@ pub struct ScanConfig {
 }
 
 impl ScanConfig {
-    /// The paper's conservative 20 s correlation window. Merging code
-    /// that correlates recorded streams without a `ScanConfig` at hand
-    /// uses this same constant, keeping scan and merge windows aligned.
+    /// The paper's conservative 20 s correlation window, the one every
+    /// scan and every merge of recorded streams correlates with.
     pub const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
     /// Defaults matching the paper: static naming, 20 s timeout.
@@ -102,8 +100,6 @@ impl ScanConfig {
             naming: ProbeNaming::Static,
             tuples: TupleScheme::PortWalk,
             inter_probe_gap: SimDuration::from_micros(50),
-            timeout: Self::DEFAULT_TIMEOUT,
-            base_port: 33_000,
             retry: RetryPolicy::none(),
         }
     }
@@ -132,8 +128,8 @@ impl ScanConfig {
     /// (the txid is the only byte pair that differs between static-naming
     /// probes), letting the scanner send a block from a single shared
     /// buffer instead of patching a fresh copy per probe.
-    pub fn probe_tuple(&self, index: usize) -> (u16, u16) {
-        let port = self.base_port.wrapping_add((index & 0xFFFF) as u16);
+    pub fn probe_tuple(index: usize) -> (u16, u16) {
+        let port = BASE_PORT.wrapping_add((index & 0xFFFF) as u16);
         let txid = (index >> 16) as u16;
         (port, txid)
     }
@@ -144,10 +140,10 @@ impl ScanConfig {
     /// alone.
     pub fn tuple_for(&self, index: usize, target: Ipv4Addr) -> (u16, u16) {
         match self.tuples {
-            TupleScheme::PortWalk => self.probe_tuple(index),
+            TupleScheme::PortWalk => Self::probe_tuple(index),
             TupleScheme::TargetKeyed => {
                 let ip = u32::from(target);
-                let port = self.base_port.wrapping_add((ip & 0xFFFF) as u16);
+                let port = BASE_PORT.wrapping_add((ip & 0xFFFF) as u16);
                 let txid = (ip >> 16) as u16;
                 (port, txid)
             }
@@ -238,21 +234,6 @@ impl TransactionalScanner {
         payload
     }
 
-    /// Correlate responses to probes by `(port, txid)` within the timeout.
-    ///
-    /// This mirrors the paper's post-processing: it never influences the
-    /// scan itself. The first matching response within the window wins;
-    /// later matches count as duplicates/late.
-    pub fn outcome(&self) -> ScanOutcome {
-        let mut outcome = correlate_owned(
-            self.probes.clone(),
-            self.responses.clone(),
-            self.config.timeout,
-        );
-        outcome.retry = self.retry_stats;
-        outcome
-    }
-
     /// The wire payload of probe `index` — shared block buffer under
     /// static naming, a fresh encode under query encoding. Used by both
     /// the original send and every retransmission, so a retransmitted
@@ -305,8 +286,7 @@ impl TransactionalScanner {
         };
         let index = match self.config.tuples {
             TupleScheme::PortWalk => {
-                (usize::from(txid) << 16)
-                    | usize::from(dst_port.wrapping_sub(self.config.base_port))
+                (usize::from(txid) << 16) | usize::from(dst_port.wrapping_sub(BASE_PORT))
             }
             TupleScheme::TargetKeyed => {
                 let Some(&i) = self.tuple_index.get(&(dst_port, txid)) else {
@@ -434,9 +414,8 @@ pub fn correlate_owned(
 /// return the correlated outcome. Convenience wrapper used by benches,
 /// examples, and the census pipeline.
 pub fn run_scan(sim: &mut Simulator, node: NodeId, config: ScanConfig) -> ScanOutcome {
-    let timeout = config.timeout;
     let (probes, responses, retry) = run_scan_raw(sim, node, config);
-    let mut outcome = correlate_owned(probes, responses, timeout);
+    let mut outcome = correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT);
     outcome.retry = retry;
     outcome
 }
@@ -473,10 +452,12 @@ mod tests {
 
     #[test]
     fn probe_tuples_are_unique() {
-        let cfg = ScanConfig::new(Vec::new());
         let mut seen = std::collections::HashSet::new();
         for i in 0..200_000usize {
-            assert!(seen.insert(cfg.probe_tuple(i)), "tuple collision at {i}");
+            assert!(
+                seen.insert(ScanConfig::probe_tuple(i)),
+                "tuple collision at {i}"
+            );
         }
     }
 
@@ -504,36 +485,36 @@ mod tests {
         }
     }
 
+    /// The probe record of the `index`-th probe, sent at time zero.
+    fn probe(index: usize, target: Ipv4Addr) -> ProbeRecord {
+        let (src_port, txid) = ScanConfig::probe_tuple(index);
+        ProbeRecord {
+            index,
+            target,
+            sent_at: SimTime(0),
+            src_port,
+            txid,
+        }
+    }
+
     #[test]
     fn correlation_matches_by_port_and_txid() {
-        // Handcraft a scanner state with two probes and a response for the
-        // second only.
-        let cfg = ScanConfig::new(vec![
-            Ipv4Addr::new(203, 0, 113, 1),
-            Ipv4Addr::new(203, 0, 113, 2),
-        ]);
-        let mut s = TransactionalScanner::new(cfg);
-        for (i, target) in s.config.targets.clone().iter().enumerate() {
-            let (port, txid) = s.config.probe_tuple(i);
-            s.probes.push(ProbeRecord {
-                index: i,
-                target: *target,
-                sent_at: SimTime(0),
-                src_port: port,
-                txid,
-            });
-        }
-        let (port1, txid1) = s.config.probe_tuple(1);
+        // Two probes and a response for the second only.
+        let probes = vec![
+            probe(0, Ipv4Addr::new(203, 0, 113, 1)),
+            probe(1, Ipv4Addr::new(203, 0, 113, 2)),
+        ];
+        let (port1, txid1) = ScanConfig::probe_tuple(1);
         let resp = MessageBuilder::query(txid1, study::study_qname(), RrType::A)
             .build()
             .response_skeleton();
-        s.responses.push(ResponseRecord {
+        let responses = vec![ResponseRecord {
             received_at: SimTime(1_000_000),
             src: Ipv4Addr::new(8, 8, 8, 8),
             dst_port: port1,
             payload: resp.encode().into(),
-        });
-        let o = s.outcome();
+        }];
+        let o = correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT);
         assert!(o.transactions[0].response.is_none());
         assert_eq!(
             o.transactions[1].response_src(),
@@ -544,62 +525,53 @@ mod tests {
 
     #[test]
     fn late_responses_counted_not_matched() {
-        let cfg = ScanConfig::new(vec![Ipv4Addr::new(203, 0, 113, 1)]);
-        let timeout = cfg.timeout;
-        let mut s = TransactionalScanner::new(cfg);
-        let (port, txid) = s.config.probe_tuple(0);
-        s.probes.push(ProbeRecord {
-            index: 0,
-            target: Ipv4Addr::new(203, 0, 113, 1),
-            sent_at: SimTime(0),
-            src_port: port,
-            txid,
-        });
+        let timeout = ScanConfig::DEFAULT_TIMEOUT;
+        let (port, txid) = ScanConfig::probe_tuple(0);
         let resp = MessageBuilder::query(txid, study::study_qname(), RrType::A)
             .build()
             .response_skeleton();
-        s.responses.push(ResponseRecord {
+        let response = ResponseRecord {
             received_at: SimTime::ZERO + timeout + SimDuration::from_micros(1),
             src: Ipv4Addr::new(8, 8, 8, 8),
             dst_port: port,
             payload: resp.encode().into(),
-        });
-        let o = s.outcome();
+        };
+        let o = correlate_owned(
+            vec![probe(0, Ipv4Addr::new(203, 0, 113, 1))],
+            vec![response],
+            timeout,
+        );
         assert!(o.transactions[0].response.is_none());
         assert_eq!(o.late_responses, 1);
     }
 
     #[test]
     fn duplicates_and_garbage_counted_unmatched() {
-        let cfg = ScanConfig::new(vec![Ipv4Addr::new(203, 0, 113, 1)]);
-        let mut s = TransactionalScanner::new(cfg);
-        let (port, txid) = s.config.probe_tuple(0);
-        s.probes.push(ProbeRecord {
-            index: 0,
-            target: Ipv4Addr::new(203, 0, 113, 1),
-            sent_at: SimTime(0),
-            src_port: port,
-            txid,
-        });
+        let (port, txid) = ScanConfig::probe_tuple(0);
         let resp = MessageBuilder::query(txid, study::study_qname(), RrType::A)
             .build()
             .response_skeleton()
             .encode();
+        let mut responses = Vec::new();
         for _ in 0..2 {
-            s.responses.push(ResponseRecord {
+            responses.push(ResponseRecord {
                 received_at: SimTime(1),
                 src: Ipv4Addr::new(8, 8, 8, 8),
                 dst_port: port,
                 payload: resp.clone().into(),
             });
         }
-        s.responses.push(ResponseRecord {
+        responses.push(ResponseRecord {
             received_at: SimTime(2),
             src: Ipv4Addr::new(9, 9, 9, 9),
             dst_port: port,
             payload: vec![0x01].into(), // too short for a txid
         });
-        let o = s.outcome();
+        let o = correlate_owned(
+            vec![probe(0, Ipv4Addr::new(203, 0, 113, 1))],
+            responses,
+            ScanConfig::DEFAULT_TIMEOUT,
+        );
         assert!(o.transactions[0].response.is_some());
         assert_eq!(o.unmatched_responses, 1, "garbage");
         assert_eq!(o.late_answers_discarded, 1, "duplicate deduplicated");

@@ -14,8 +14,8 @@ use netsim::SimTime;
 use proptest::prelude::*;
 use scanner::records::{ProbeRecord, ResponseRecord};
 use scanner::{
-    classify, ClassifierConfig, Discard, OdnsClass, ScanConfig, Transaction, TransactionalScanner,
-    Verdict,
+    classify, correlate_owned, ClassifierConfig, Discard, OdnsClass, ScanConfig, ScanOutcome,
+    Transaction, Verdict,
 };
 use std::net::Ipv4Addr;
 
@@ -36,7 +36,8 @@ fn classify_by_decoding(t: &Transaction, config: &ClassifierConfig) -> Verdict {
         if addrs.len() != 2 {
             return Verdict::Discarded(Discard::WrongRecordCount);
         }
-        match (addrs[0] == config.control_a, addrs[1] == config.control_a) {
+        let control = odns::study::CONTROL_A;
+        match (addrs[0] == control, addrs[1] == control) {
             (false, true) => addrs[0],
             (true, false) => addrs[1],
             _ => return Verdict::Discarded(Discard::ControlRecordViolated),
@@ -70,30 +71,31 @@ fn response_payload(txid: u16, addrs: &[Ipv4Addr]) -> Vec<u8> {
     m.encode()
 }
 
-/// Build a scanner state with `n` probes and responses for a subset, then
-/// shuffle responses by the given permutation seed.
-fn scanner_with(n: usize, answered: &[usize], shuffle_seed: u64) -> TransactionalScanner {
-    let targets: Vec<Ipv4Addr> = (0..n)
-        .map(|i| Ipv4Addr::new(203, 0, (i >> 8) as u8, (i & 0xFF) as u8))
+/// Record streams of `n` probes and responses for a subset, the responses
+/// shuffled by the given permutation seed.
+fn streams_with(
+    n: usize,
+    answered: &[usize],
+    shuffle_seed: u64,
+) -> (Vec<ProbeRecord>, Vec<ResponseRecord>) {
+    let probes = (0..n)
+        .map(|i| {
+            let (port, txid) = ScanConfig::probe_tuple(i);
+            ProbeRecord {
+                index: i,
+                target: Ipv4Addr::new(203, 0, (i >> 8) as u8, (i & 0xFF) as u8),
+                sent_at: SimTime(i as u64),
+                src_port: port,
+                txid,
+            }
+        })
         .collect();
-    let cfg = ScanConfig::new(targets.clone());
-    let mut s = TransactionalScanner::new(cfg);
-    for (i, t) in targets.iter().enumerate() {
-        let (port, txid) = probe_tuple(i);
-        s.probes.push(ProbeRecord {
-            index: i,
-            target: *t,
-            sent_at: SimTime(i as u64),
-            src_port: port,
-            txid,
-        });
-    }
     let mut responses = Vec::new();
     for &i in answered {
         if i >= n {
             continue;
         }
-        let (port, txid) = probe_tuple(i);
+        let (port, txid) = ScanConfig::probe_tuple(i);
         responses.push(ResponseRecord {
             received_at: SimTime(1000 + i as u64),
             src: Ipv4Addr::new(8, 8, 8, 8),
@@ -111,13 +113,11 @@ fn scanner_with(n: usize, answered: &[usize], shuffle_seed: u64) -> Transactiona
         let j = (state >> 33) as usize % (i + 1);
         responses.swap(i, j);
     }
-    s.responses = responses;
-    s
+    (probes, responses)
 }
 
-/// `probe_tuple` is a pure function of the default config.
-fn probe_tuple(i: usize) -> (u16, u16) {
-    ScanConfig::new(vec![]).probe_tuple(i)
+fn correlate((probes, responses): (Vec<ProbeRecord>, Vec<ResponseRecord>)) -> ScanOutcome {
+    correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT)
 }
 
 proptest! {
@@ -131,8 +131,8 @@ proptest! {
         seed_b in any::<u64>(),
     ) {
         let answered: Vec<usize> = answered.into_iter().filter(|i| *i < n).collect();
-        let a = scanner_with(n, &answered, seed_a).outcome();
-        let b = scanner_with(n, &answered, seed_b).outcome();
+        let a = correlate(streams_with(n, &answered, seed_a));
+        let b = correlate(streams_with(n, &answered, seed_b));
         prop_assert_eq!(a.answered_count(), answered.len());
         prop_assert_eq!(b.answered_count(), answered.len());
         for (ta, tb) in a.transactions.iter().zip(&b.transactions) {
@@ -147,13 +147,13 @@ proptest! {
         copies in 2usize..5,
     ) {
         let idx = dup_of % n;
-        let mut s = scanner_with(n, &[idx], 1);
+        let (probes, mut responses) = streams_with(n, &[idx], 1);
         // Add extra copies of the same response.
-        let original = s.responses[0].clone();
+        let original = responses[0].clone();
         for _ in 1..copies {
-            s.responses.push(original.clone());
+            responses.push(original.clone());
         }
-        let o = s.outcome();
+        let o = correlate((probes, responses));
         prop_assert_eq!(o.answered_count(), 1);
         prop_assert_eq!(o.unmatched_responses, 0);
         prop_assert_eq!(o.late_answers_discarded, copies - 1);
@@ -169,7 +169,7 @@ proptest! {
         let target = Ipv4Addr::from(target);
         let src = Ipv4Addr::from(src);
         let addr_list: Vec<Ipv4Addr> = addrs.into_iter().map(Ipv4Addr::from).collect();
-        let (port, txid) = ScanConfig::new(vec![]).probe_tuple(0);
+        let (port, txid) = ScanConfig::probe_tuple(0);
         let t = scanner::Transaction {
             probe: ProbeRecord { index: 0, target, sent_at: SimTime(0), src_port: port, txid },
             response: Some(ResponseRecord {
@@ -179,7 +179,7 @@ proptest! {
                 payload: response_payload(txid, &addr_list).into(),
             }),
         };
-        let cfg = ClassifierConfig { strict, ..ClassifierConfig::default() };
+        let cfg = ClassifierConfig { strict };
         let v = classify(&t, &cfg); // must not panic
         if let Some(class) = v.class() {
             // Classified ⇒ the class is consistent with the rules.
@@ -192,10 +192,9 @@ proptest! {
 
     #[test]
     fn probe_tuple_uniqueness_over_ranges(start in 0usize..500_000, len in 1usize..5_000) {
-        let cfg = ScanConfig::new(vec![]);
         let mut seen = std::collections::HashSet::with_capacity(len);
         for i in start..start + len {
-            prop_assert!(seen.insert(cfg.probe_tuple(i)), "collision at {i}");
+            prop_assert!(seen.insert(ScanConfig::probe_tuple(i)), "collision at {i}");
         }
     }
 }
@@ -215,7 +214,7 @@ proptest! {
         let target = Ipv4Addr::new(203, 0, 113, 1);
         let other = Ipv4Addr::new(198, 51, 100, 50);
         let pick = |a: &u8| [target, odns::study::CONTROL_A, other][usize::from(*a)];
-        let (port, txid) = probe_tuple(0);
+        let (port, txid) = ScanConfig::probe_tuple(0);
         let mut payload = response_payload(txid, &addrs.iter().map(pick).collect::<Vec<_>>());
         // Most cases keep NOERROR, so the address rules are reached.
         payload[3] = (payload[3] & 0xF0) | rcode.saturating_sub(4);

@@ -8,7 +8,7 @@ use dnswire::Message;
 use inetgen::{generate, CountrySelection, GenConfig};
 use netsim::SimDuration;
 use odns::TransparentForwarder;
-use scanner::{ScanConfig, TransactionalScanner};
+use scanner::{run_scan, ScanConfig};
 use std::net::Ipv4Addr;
 
 #[test]
@@ -48,19 +48,7 @@ fn same_resolver_two_forwarders_disambiguated() {
     // visibly decayed cache TTL (Figure 7: 300 vs 50).
     let mut cfg = ScanConfig::new(targets.clone());
     cfg.inter_probe_gap = SimDuration::from_secs(250);
-    let scanner_node = internet.fixtures.scanner;
-    internet
-        .sim
-        .install(scanner_node, TransactionalScanner::new(cfg));
-    internet
-        .sim
-        .schedule_timer(scanner_node, SimDuration::ZERO, u64::MAX);
-    internet.sim.run();
-    let outcome = internet
-        .sim
-        .host_as::<TransactionalScanner>(scanner_node)
-        .unwrap()
-        .outcome();
+    let outcome = run_scan(&mut internet.sim, internet.fixtures.scanner, cfg);
 
     assert_eq!(outcome.transactions.len(), 2);
     let t1 = &outcome.transactions[0];

@@ -20,12 +20,12 @@
 use netsim::testkit::playground;
 use netsim::{FaultPlan, NodeId, SimConfig, SimDuration, SimStats, Simulator};
 use odns::{
-    AuthConfig, DeviceProfile, RecursiveForwarder, RecursiveResolver, ResolverConfig, StudyNodes,
+    DeviceProfile, RecursiveForwarder, RecursiveResolver, ResolverConfig, StudyNodes,
     TransparentForwarder, Vendor,
 };
 use scanner::{
     run_campaign, run_fingerprint_scan, run_reflections, run_scan, AttackVector, Campaign,
-    CampaignConfig, FingerprintConfig, ReflectionPlan, ScanConfig, VictimMeter,
+    CampaignConfig, ReflectionPlan, ScanConfig, VictimMeter,
 };
 use std::net::Ipv4Addr;
 
@@ -70,7 +70,7 @@ fn world(seed: u64, faults: FaultPlan) -> World {
             auth: nodes[4],
             auth_ip: AUTH,
         },
-        AuthConfig::default(),
+        true,
     );
     sim.install(
         nodes[5],
@@ -245,7 +245,7 @@ fn campaign_lossy_with_jittered_retry() {
 #[test]
 fn fingerprint_scan() {
     let mut w = world(9, FaultPlan::none());
-    let evidence = run_fingerprint_scan(&mut w.sim, w.scanner, FingerprintConfig::new(targets()));
+    let evidence = run_fingerprint_scan(&mut w.sim, w.scanner, targets());
     assert_eq!(digest(&evidence), 0x4046_1561_e187_c16b);
     assert_eq!(
         *w.sim.stats(),

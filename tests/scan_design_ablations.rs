@@ -134,7 +134,7 @@ fn query_encoding_pollutes_resolver_caches() {
 fn query_encoding_evicts_legitimate_entries() {
     use netsim::testkit::{install_script, playground};
     use netsim::{SimConfig, Simulator};
-    use odns::{AuthConfig, DelegatingServer, Delegation, StudyAuthServer};
+    use odns::{DelegatingServer, Delegation, StudyAuthServer};
 
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
     const ROOT: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
@@ -158,7 +158,7 @@ fn query_encoding_evicts_legitimate_entries() {
         ns_ip: AUTH,
     });
     sim.install(nodes[2], tld);
-    sim.install(nodes[3], StudyAuthServer::new(AuthConfig::default()));
+    sim.install(nodes[3], StudyAuthServer::new(true));
     sim.install(
         nodes[0],
         RecursiveResolver::new(ResolverConfig {
