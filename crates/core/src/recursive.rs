@@ -146,6 +146,10 @@ struct Client {
 struct Task {
     leader: Client,
     qtype: RrType,
+    /// The upstream query for `(leader.qname, qtype)` in the leader's
+    /// casing, encoded once with ID 0: root, TLD, auth and every retry
+    /// send it under their own txid.
+    upstream_query: Vec<u8>,
     /// Clients that asked the same `(qname, qtype)` while this resolution
     /// was in flight, in arrival order. They are answered with it.
     waiters: Vec<Client>,
@@ -297,16 +301,14 @@ impl RecursiveResolver {
     fn send_upstream(&mut self, ctx: &mut Ctx<'_>, id: u64) {
         let (port, txid) = self.alloc_ids();
         let task = &self.tasks[&id];
-        let query = MessageBuilder::query(txid, task.leader.qname.clone(), task.qtype).build();
-        let ns = task.current_ns;
         self.stats.upstream_queries += 1;
         ctx.send_udp(UdpSend {
             src: None, // egress uses the node's unicast address, even on anycast PoPs
             src_port: port,
-            dst: ns,
+            dst: task.current_ns,
             dst_port: dnswire::DNS_PORT,
             ttl: None,
-            payload: query.encode().into(),
+            payload: Payload::with_dns_id(&task.upstream_query, txid),
         });
         let timeout = ctx.set_timer(UPSTREAM_TIMEOUT, encode_timer(port, txid));
         self.pending.insert((port, txid), (id, timeout));
@@ -361,6 +363,9 @@ impl RecursiveResolver {
         }
         self.inflight.insert(key, id);
         let task = Task {
+            upstream_query: MessageBuilder::query(0, q.qname.clone(), q.qtype)
+                .build()
+                .encode(),
             leader: client,
             qtype: q.qtype,
             waiters: Vec::new(),

@@ -3,7 +3,7 @@
 
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
-use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
+use netsim::{Ctx, Datagram, Host, SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
     AccessPolicy, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, StudyAuthServer,
@@ -231,4 +231,61 @@ fn open_resolver_answers_anyone_acl_check() {
     let acl = AccessPolicy::RestrictedTo(vec![(Ipv4Addr::new(192, 0, 2, 0), 24)]);
     assert!(acl.allows(CLIENT));
     assert!(!acl.allows(RESOLVER));
+}
+
+/// A host that ignores everything sent to it.
+struct Silent;
+impl Host for Silent {
+    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: Datagram) {}
+}
+
+/// Every upstream query the resolver sends — root, TLD, auth and each
+/// timeout retry — is the leader's question built afresh under that
+/// query's txid, in the leader's own 0x20 casing.
+#[test]
+fn upstream_queries_equal_a_fresh_encode_of_the_leaders_question() {
+    let leader = DnsName::parse("OdNs-StUdY.eXaMpLe.").unwrap();
+    for auth_answers in [true, false] {
+        let (mut sim, nodes) = hierarchy(ResolverConfig::open(vec![ROOT]));
+        if !auth_answers {
+            // Nobody home at the auth address: its query times out and is
+            // retried until the budget runs out.
+            sim.install(nodes[4], Silent);
+        }
+        sim.tap(nodes[1]);
+        let query = MessageBuilder::query(77, leader.clone(), RrType::A)
+            .recursion_desired(true)
+            .build()
+            .encode();
+        install_script(
+            &mut sim,
+            nodes[0],
+            vec![(SimDuration::ZERO, UdpSend::new(34000, RESOLVER, 53, query))],
+        );
+        assert!(sim.run());
+
+        let pcap = sim.take_capture(nodes[1]).unwrap();
+        let mut upstream = Vec::new();
+        for record in netsim::pcap::read_pcap(&pcap).unwrap() {
+            let netsim::wire::DecodedPacket::Udp(d) = netsim::wire::decode(&record.data).unwrap()
+            else {
+                continue;
+            };
+            if d.src != RESOLVER || d.dst == CLIENT {
+                continue;
+            }
+            let txid = dnswire::peek_id(&d.payload).unwrap();
+            let fresh = MessageBuilder::query(txid, leader.clone(), RrType::A)
+                .build()
+                .encode();
+            assert_eq!(d.payload, fresh, "to {} txid {txid}", d.dst);
+            upstream.push(d.dst);
+        }
+        let expected = if auth_answers {
+            vec![ROOT, TLD, AUTH]
+        } else {
+            vec![ROOT, TLD, AUTH, AUTH, AUTH, AUTH, AUTH]
+        };
+        assert_eq!(upstream, expected);
+    }
 }

@@ -19,8 +19,8 @@
 
 use dnswire::{MessageBuilder, RrType};
 use netsim::{
-    Ctx, Datagram, Host, IcmpMessage, IntMap, NodeId, RetryPolicy, SimDuration, SimTime, Simulator,
-    UdpSend,
+    Ctx, Datagram, Host, IcmpMessage, IntMap, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
+    Simulator, UdpSend,
 };
 use odns::study;
 use std::net::Ipv4Addr;
@@ -184,6 +184,10 @@ pub struct DnsRoutePlusPlus {
     config: DnsRouteConfig,
     states: Vec<TargetState>,
     port_to_target: IntMap<u16, usize>,
+    /// The study query's wire bytes with ID 0: every probe is this query
+    /// under its own transaction ID, so a send copies it and patches two
+    /// bytes instead of building and encoding a message.
+    probe_template: Vec<u8>,
     started: usize,
     /// Per-hop retransmissions sent across the whole sweep.
     pub retransmits_sent: u64,
@@ -236,10 +240,15 @@ impl DnsRoutePlusPlus {
             .map(|(i, s)| (s.port, i))
             .collect();
         config.retry.assert_valid();
+        let probe_template = MessageBuilder::query(0, study::study_qname(), RrType::A)
+            .recursion_desired(true)
+            .build()
+            .encode();
         DnsRoutePlusPlus {
             config,
             states,
             port_to_target,
+            probe_template,
             started: 0,
             retransmits_sent: 0,
         }
@@ -258,8 +267,9 @@ impl DnsRoutePlusPlus {
             .collect()
     }
 
-    /// The wire probe for target `idx` at `ttl` — rebuilt identically for
-    /// every retransmission attempt.
+    /// The wire probe for target `idx` at `ttl`: the probe template with
+    /// the txid patched in. The txid depends on `(idx, ttl)` alone, so a
+    /// retransmission is byte-identical to its original.
     fn probe_send(&self, idx: usize, ttl: u8) -> UdpSend {
         let s = &self.states[idx];
         // The answer's txid is the only way to recover which probe TTL
@@ -267,16 +277,13 @@ impl DnsRoutePlusPlus {
         // (no aliasing for any `max_ttl`); the high byte tags the target
         // index for debugging — correlation itself is by source port.
         let txid = (idx as u16) << 8 | u16::from(ttl);
-        let query = MessageBuilder::query(txid, study::study_qname(), RrType::A)
-            .recursion_desired(true)
-            .build();
         UdpSend {
             src: None,
             src_port: s.port,
             dst: s.target,
             dst_port: dnswire::DNS_PORT,
             ttl: Some(ttl),
-            payload: query.encode().into(),
+            payload: Payload::with_dns_id(&self.probe_template, txid),
         }
     }
 

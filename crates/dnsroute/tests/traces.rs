@@ -407,3 +407,57 @@ fn per_hop_retries_fill_hops_lost_to_faults() {
     assert_eq!(retried, again);
     assert_eq!(retx, retx_again);
 }
+
+/// Every probe on the wire, retransmissions included, is the study query
+/// built afresh under its `(idx, ttl)` txid, sent at that TTL.
+#[test]
+fn probes_on_the_wire_equal_a_fresh_encode_of_the_study_query() {
+    let mut w = build_world_cfg(
+        &[],
+        SimConfig {
+            seed: 9,
+            faults: netsim::FaultConfig {
+                drop_probability: 0.35,
+                ..netsim::FaultConfig::none()
+            }
+            .into(),
+            ..SimConfig::default()
+        },
+    );
+    w.sim.tap(w.scanner);
+    let targets = vec![FORWARDER, RECURSIVE_HOST, Ipv4Addr::new(198, 18, 0, 1)];
+    let mut cfg = DnsRouteConfig::new(targets.clone()).with_retry(netsim::RetryPolicy::retries(2));
+    cfg.max_ttl = 12;
+    cfg.per_hop_timeout = SimDuration::from_millis(100);
+    run_dnsroute(&mut w.sim, w.scanner, cfg);
+
+    let pcap = w.sim.take_capture(w.scanner).unwrap();
+    let mut sent = BTreeSet::new();
+    let mut probes = 0;
+    for record in netsim::pcap::read_pcap(&pcap).unwrap() {
+        let netsim::wire::DecodedPacket::Udp(d) = netsim::wire::decode(&record.data).unwrap()
+        else {
+            continue;
+        };
+        if d.src != SCANNER {
+            continue;
+        }
+        let txid = dnswire::peek_id(&d.payload).unwrap();
+        let (idx, ttl) = (usize::from(txid >> 8), txid as u8);
+        let fresh = MessageBuilder::query(txid, odns::study::study_qname(), RrType::A)
+            .recursion_desired(true)
+            .build()
+            .encode();
+        assert_eq!(d.payload, fresh, "probe idx {idx} ttl {ttl}");
+        assert_eq!((d.dst, d.ttl), (targets[idx], ttl), "txid {txid:#06x}");
+        assert!((1..=12).contains(&ttl));
+        sent.insert((idx, ttl));
+        probes += 1;
+    }
+    assert!(sent.len() > 20, "{sent:?}");
+    assert!(
+        probes > sent.len(),
+        "some hops retried: {probes} probes over {} (idx, ttl) pairs",
+        sent.len()
+    );
+}

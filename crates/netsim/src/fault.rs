@@ -125,15 +125,6 @@ fn unit(h: u64) -> f64 {
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
-/// Map a hash to a duration in `[0, max]`.
-fn bounded(h: u64, max: SimDuration) -> SimDuration {
-    if max == SimDuration::ZERO {
-        SimDuration::ZERO
-    } else {
-        SimDuration(h % (max.as_micros() + 1))
-    }
-}
-
 fn probability_ok(p: f64) -> bool {
     p.is_finite() && (0.0..=1.0).contains(&p)
 }
@@ -180,16 +171,36 @@ impl FaultConfig {
     }
 
     /// Decide this packet's complete fate from its flow key alone.
+    ///
+    /// Each field reads its own hash stream, and only the streams a
+    /// verdict needs are hashed: a dropped verdict leaves `corrupt`,
+    /// `duplicate`, `jitter` and `duplicate_jitter` zero, and a verdict
+    /// that is not a duplicate leaves `duplicate_jitter` zero. Every field
+    /// a delivery reads is the same as if all five were hashed.
     pub fn decide(&self, salt: u64, key: &FlowKey) -> FlowVerdict {
+        let hit = |p: f64, stream| p > 0.0 && unit(flow_hash(salt, key, stream)) < p;
+        // A duration in `[0, max_jitter]`.
+        let delay = |stream| match self.max_jitter.as_micros() {
+            0 => SimDuration::ZERO,
+            max => SimDuration(flow_hash(salt, key, stream) % (max + 1)),
+        };
+        if hit(self.drop_probability, STREAM_DROP) {
+            return FlowVerdict {
+                drop: true,
+                ..FlowVerdict::CLEAN
+            };
+        }
+        let duplicate = hit(self.duplicate_probability, STREAM_DUPLICATE);
         FlowVerdict {
-            drop: self.drop_probability > 0.0
-                && unit(flow_hash(salt, key, STREAM_DROP)) < self.drop_probability,
-            corrupt: self.corrupt_probability > 0.0
-                && unit(flow_hash(salt, key, STREAM_CORRUPT)) < self.corrupt_probability,
-            duplicate: self.duplicate_probability > 0.0
-                && unit(flow_hash(salt, key, STREAM_DUPLICATE)) < self.duplicate_probability,
-            jitter: bounded(flow_hash(salt, key, STREAM_JITTER), self.max_jitter),
-            duplicate_jitter: bounded(flow_hash(salt, key, STREAM_DUP_JITTER), self.max_jitter),
+            drop: false,
+            corrupt: hit(self.corrupt_probability, STREAM_CORRUPT),
+            duplicate,
+            jitter: delay(STREAM_JITTER),
+            duplicate_jitter: if duplicate {
+                delay(STREAM_DUP_JITTER)
+            } else {
+                SimDuration::ZERO
+            },
         }
     }
 }
@@ -340,6 +351,73 @@ mod tests {
             assert_eq!(f.decide(7, &key(i)), FlowVerdict::CLEAN);
         }
         assert!(FaultPlan::none().is_quiet());
+    }
+
+    /// The eager verdict: all five streams hashed for every packet.
+    fn eager_decide(f: &FaultConfig, salt: u64, key: &FlowKey) -> FlowVerdict {
+        let bounded = |h: u64, max: SimDuration| {
+            if max == SimDuration::ZERO {
+                SimDuration::ZERO
+            } else {
+                SimDuration(h % (max.as_micros() + 1))
+            }
+        };
+        FlowVerdict {
+            drop: f.drop_probability > 0.0
+                && unit(flow_hash(salt, key, STREAM_DROP)) < f.drop_probability,
+            corrupt: f.corrupt_probability > 0.0
+                && unit(flow_hash(salt, key, STREAM_CORRUPT)) < f.corrupt_probability,
+            duplicate: f.duplicate_probability > 0.0
+                && unit(flow_hash(salt, key, STREAM_DUPLICATE)) < f.duplicate_probability,
+            jitter: bounded(flow_hash(salt, key, STREAM_JITTER), f.max_jitter),
+            duplicate_jitter: bounded(flow_hash(salt, key, STREAM_DUP_JITTER), f.max_jitter),
+        }
+    }
+
+    #[test]
+    fn lazy_verdicts_agree_with_the_eager_reference_on_every_field_read() {
+        let lossy = FaultConfig::lossy(0.05);
+        let profiles = [
+            lossy,
+            FaultConfig {
+                max_jitter: SimDuration::ZERO,
+                ..lossy
+            },
+            FaultConfig {
+                duplicate_probability: 1.0,
+                ..lossy
+            },
+        ];
+        for f in profiles {
+            let mut seen = [0usize; 2]; // dropped, duplicated
+            for i in 0..10_000 {
+                let (lazy, eager) = (f.decide(7, &key(i)), eager_decide(&f, 7, &key(i)));
+                assert_eq!(lazy.drop, eager.drop, "{f:?} key {i}");
+                if lazy.drop {
+                    seen[0] += 1;
+                    assert_eq!(
+                        lazy,
+                        FlowVerdict {
+                            drop: true,
+                            ..FlowVerdict::CLEAN
+                        }
+                    );
+                    continue;
+                }
+                // A lone copy has no duplicate delay to read.
+                let expected = FlowVerdict {
+                    duplicate_jitter: if eager.duplicate {
+                        eager.duplicate_jitter
+                    } else {
+                        SimDuration::ZERO
+                    },
+                    ..eager
+                };
+                assert_eq!(lazy, expected, "{f:?} key {i}");
+                seen[1] += usize::from(lazy.duplicate);
+            }
+            assert!(seen[0] > 300 && seen[1] > 50, "{f:?}: {seen:?}");
+        }
     }
 
     #[test]

@@ -30,6 +30,20 @@ impl Payload {
         static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
         Payload(EMPTY.get_or_init(|| Arc::from(&[][..])).clone())
     }
+
+    /// The DNS message `template` under transaction ID `id`: its bytes
+    /// with the first two replaced, in one allocation. A sender that
+    /// repeats one query encodes it once and sends it through this.
+    ///
+    /// # Panics
+    ///
+    /// When `template` is shorter than the two ID bytes.
+    pub fn with_dns_id(template: &[u8], id: u16) -> Self {
+        let mut bytes: Arc<[u8]> = Arc::from(template);
+        let fresh = Arc::get_mut(&mut bytes).expect("a new Arc is unique");
+        fresh[..2].copy_from_slice(&id.to_be_bytes());
+        Payload(bytes)
+    }
 }
 
 impl Deref for Payload {

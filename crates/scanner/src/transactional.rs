@@ -227,9 +227,7 @@ impl TransactionalScanner {
             }
         }
         let template = self.probe_template.expect("static template");
-        let mut bytes = template.to_vec();
-        bytes[0..2].copy_from_slice(&txid.to_be_bytes());
-        let payload: netsim::Payload = bytes.into();
+        let payload = netsim::Payload::with_dns_id(template, txid);
         self.cached_block = Some((txid, payload.clone()));
         payload
     }
