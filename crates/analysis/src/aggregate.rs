@@ -42,14 +42,13 @@ impl CountryStats {
 /// (`HashMap` iteration order varies per instance within one process).
 pub fn by_country(census: &Census) -> BTreeMap<Option<&'static str>, CountryStats> {
     // Rows arrive in scan order, countries interleaved. Each is tallied in a
-    // flat table — one slot per country met, `keys[i]` naming `slots[i]`,
-    // kept apart so the per-row scan walks nothing but keys — and the
-    // ordered map is built once, from the slots.
-    let mut keys: Vec<Option<&'static str>> = Vec::new();
+    // flat table — one slot per country met, `keys[i]` naming `slots[i]` —
+    // and the ordered map is built once, from the slots.
+    let mut slot_at = SlotIndex::default();
     let mut slots: Vec<(CountryStats, Vec<u32>)> = Vec::new();
     for row in &census.rows {
         let Some(class) = row.class() else { continue };
-        let at = slot_of(&mut keys, row.country);
+        let at = slot_at.find_or_push(row.country);
         if at == slots.len() {
             slots.push(Default::default());
         }
@@ -69,22 +68,37 @@ pub fn by_country(census: &Census) -> BTreeMap<Option<&'static str>, CountryStat
         stats.transparent_asns = transparent_asns.len();
         stats
     });
-    keys.into_iter().zip(tallies).collect()
+    slot_at.keys.into_iter().zip(tallies).collect()
 }
 
-/// Where `country` sits in `keys`, appended if it is new. A census takes its
-/// codes from the geo database's one `'static` table, so the scan compares
-/// addresses; only a code not found by address is compared by content.
-fn slot_of(keys: &mut Vec<Option<&'static str>>, country: Option<&'static str>) -> usize {
-    let ident = |code: Option<&'static str>| code.map(|s| (s.as_ptr(), s.len()));
-    let wanted = ident(country);
-    keys.iter()
-        .position(|held| ident(*held) == wanted)
-        .or_else(|| keys.iter().position(|held| *held == country))
-        .unwrap_or_else(|| {
-            keys.push(country);
-            keys.len() - 1
-        })
+/// Which slot each country code names. A census takes its codes from the
+/// geo database's one `'static` table, so a code is looked up by its
+/// address and length; only a code not found that way is compared by
+/// content, and its address then joins the index.
+#[derive(Default)]
+struct SlotIndex {
+    keys: Vec<Option<&'static str>>,
+    // detlint::allow(unordered-iter): lookup only, never iterated — the output order is `keys`
+    by_ident: netsim::IntMap<Option<(usize, usize)>, usize>,
+}
+
+impl SlotIndex {
+    /// Where `country` sits in `keys`, appended if it is new.
+    fn find_or_push(&mut self, country: Option<&'static str>) -> usize {
+        let ident = country.map(|s| (s.as_ptr() as usize, s.len()));
+        if let Some(&at) = self.by_ident.get(&ident) {
+            return at;
+        }
+        let at = match self.keys.iter().position(|held| *held == country) {
+            Some(at) => at,
+            None => {
+                self.keys.push(country);
+                self.keys.len() - 1
+            }
+        };
+        self.by_ident.insert(ident, at);
+        at
+    }
 }
 
 /// Countries ranked by transparent-forwarder count, descending (the

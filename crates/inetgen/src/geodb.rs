@@ -8,8 +8,7 @@
 //! deterministic pseudo-random miss so analyses must tolerate unmapped
 //! addresses just like the real pipeline.
 
-use netsim::AsKind;
-use std::collections::HashMap;
+use netsim::{AsKind, IntMap};
 use std::net::Ipv4Addr;
 
 /// Per-ASN registry information.
@@ -26,13 +25,13 @@ pub struct AsnInfo {
 #[derive(Debug, Clone, Default)]
 pub struct GeoDb {
     /// /24-granular prefix table: `prefix24 → asn`.
-    prefix_to_asn: HashMap<u32, u32>,
+    prefix_to_asn: IntMap<u32, u32>,
     /// ASN registry.
-    asn_info: HashMap<u32, AsnInfo>,
+    asn_info: IntMap<u32, AsnInfo>,
     /// Anycast service addresses and their operating ASN (these are not
     /// announced like unicast space; the study attributes them by
     /// well-known address).
-    anycast: HashMap<Ipv4Addr, u32>,
+    anycast: IntMap<Ipv4Addr, u32>,
     /// 1-in-`miss_denominator` addresses are unmapped (0 disables).
     miss_denominator: u32,
 }
