@@ -471,6 +471,7 @@ mod tests {
                 classified(OdnsClass::TransparentForwarder, Some("BRA")),
                 classified(OdnsClass::RecursiveForwarder, Some("Korea, \"South\"\nKOR")),
                 classified(OdnsClass::RecursiveResolver, None),
+                classified(OdnsClass::TransparentForwarder, Some("carriage\rreturn")),
                 discarded(Discard::NoResponse),
                 discarded(Discard::Malformed),
                 discarded(Discard::NoAnswer),
@@ -482,6 +483,7 @@ mod tests {
         let csv = census.to_csv();
         assert_eq!(csv, reference(&census));
         assert!(csv.contains(",\"Korea, \"\"South\"\"\nKOR\"\n"), "{csv}");
+        assert!(csv.contains(",\"carriage\rreturn\"\n"), "{csv}");
         assert_eq!(Census::default().to_csv(), reference(&Census::default()));
     }
 }

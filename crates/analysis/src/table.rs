@@ -82,9 +82,12 @@ impl TextTable {
 }
 
 /// Append `cell` to a CSV line, quoted (RFC 4180 style) if it holds a
-/// comma, a quote or a newline.
+/// comma, a quote, a line feed or a carriage return.
 pub(crate) fn push_csv_cell(out: &mut String, cell: &str) {
-    if cell.contains([',', '"', '\n']) {
+    if cell
+        .bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+    {
         out.push('"');
         for c in cell.chars() {
             if c == '"' {
