@@ -10,7 +10,7 @@
 //! in-flight table — stays on std's randomly keyed SipHash: names are
 //! unbounded strings the adversary models of the attack suite choose, which
 //! is exactly what a keyed hash is for. So do maps that never see a packet
-//! (pcap taps, topology-build scratch), where the hasher buys nothing —
+//! (pcap taps, topology-build temporaries), where the hasher buys nothing —
 //! except the analysis side's per-row lookups: `inetgen::GeoDb`'s three
 //! tables (/24 prefix → ASN, ASN → registry entry, anycast address → ASN)
 //! are read three times per census row, and `analysis::by_country` finds
