@@ -3,9 +3,9 @@
 //! The paper's pipeline stores the complete scan traffic with `dumpcap`
 //! and correlates offline (§A.2). This module proves our pipeline is
 //! equally capture-driven: given only the scanner's pcap bytes, it
-//! reconstructs probes (outgoing port-53 queries), responses (everything
-//! else), and correlates them by `(port, TXID)` within the timeout —
-//! independently of the in-memory records the scanner kept.
+//! reconstructs probes (the scanner's outgoing queries), responses
+//! (everything it received), and correlates them by `(port, TXID)` within
+//! the timeout — independently of the in-memory records the scanner kept.
 //!
 //! The sharded drivers extend this to per-shard taps, and the replay runs
 //! the live code: every shard's scanner capture goes through the stages a
@@ -57,6 +57,12 @@ fn udp_datagrams(pcap: &[u8]) -> Result<impl Iterator<Item = (SimTime, Datagram)
 /// exactly what the live scanner's `run_scan_raw` returns, but computed
 /// from the tap's pcap alone.
 ///
+/// Direction goes by address, not port: a datagram is outgoing when it
+/// comes from the scanner, the source of the capture's first query to port
+/// 53 (nothing reaches a scanner before its first probe). The port walk
+/// sends one probe per 65 k block from port 53, and that probe's answer
+/// arrives on port 53 too.
+///
 /// A retransmission is not a new probe: the live scanner keeps one
 /// [`ProbeRecord`] per probe, timed at its first send, so a repeated
 /// outgoing `(src_port, txid, dst)` is skipped.
@@ -66,9 +72,12 @@ pub fn streams_from_pcap(
     let mut probes: Vec<ProbeRecord> = Vec::new();
     let mut responses: Vec<ResponseRecord> = Vec::new();
     let mut sent = BTreeSet::new();
+    let mut scanner_ip = None;
     for (ts, d) in udp_datagrams(pcap)? {
-        if d.dst_port == dnswire::DNS_PORT {
-            // Outgoing probe (the tap records the scanner's own sends).
+        if scanner_ip.is_none() && d.dst_port == dnswire::DNS_PORT {
+            scanner_ip = Some(d.src);
+        }
+        if scanner_ip == Some(d.src) {
             let Some(txid) = dnswire::peek_id(&d.payload) else {
                 continue;
             };
@@ -271,6 +280,37 @@ mod tests {
             campaign_report_from_pcap(Campaign::Censys, &[0u8; 10]),
             Err(IngestError::Pcap(_))
         ));
+    }
+
+    #[test]
+    fn a_probe_from_port_53_is_not_mistaken_for_its_answer() {
+        // The port walk sends probe 32 589 of every block from port 53.
+        let (port, txid) = ScanConfig::probe_tuple(32_589);
+        assert_eq!(port, dnswire::DNS_PORT);
+        let mut w = PcapWriter::new();
+        let probe = Datagram {
+            src: SCANNER,
+            dst: TARGET,
+            src_port: port,
+            dst_port: 53,
+            ttl: 64,
+            payload: query_bytes(txid).into(),
+        };
+        w.write(SimTime(0), &encode_udp(&probe, 1));
+        let resp = Datagram {
+            src: TARGET,
+            dst: SCANNER,
+            src_port: 53,
+            dst_port: port,
+            ttl: 60,
+            payload: response_bytes(txid).into(),
+        };
+        w.write(SimTime(40_000), &encode_udp(&resp, 2));
+        let outcome = outcome_from_pcap(&w.finish(), SimDuration::from_secs(20)).unwrap();
+        assert_eq!(outcome.transactions.len(), 1);
+        assert_eq!(outcome.transactions[0].probe.target, TARGET);
+        assert_eq!(outcome.transactions[0].response_src(), Some(TARGET));
+        assert_eq!(outcome.unmatched_responses, 0);
     }
 
     #[test]
