@@ -13,7 +13,7 @@ const ARTIFACT: &str = include_str!("../../../BENCH_simcore.json");
 fn readme_changes_and_each_recent_entry_stay_inside_their_budgets() {
     // Each file's size when its ratchet was last set, rounded up to the
     // next 500 B or kB. Lower them when the files shrink; never raise them.
-    const README_MAX_BYTES: usize = 36_500;
+    const README_MAX_BYTES: usize = 36_000;
     const CHANGES_MAX_BYTES: usize = 30_000;
     const ENTRY_MAX_BYTES: usize = 1_600;
     for (file, len, max) in [

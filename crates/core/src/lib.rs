@@ -17,8 +17,7 @@
 //! * [`ResolverProject`] and anycast deployment helpers for
 //!   Google/Cloudflare/Quad9/OpenDNS (Figures 5 and 6);
 //! * [`DeviceProfile`] — CPE fingerprinting surface (MikroTik et al., §6);
-//! * [`PrefixRateLimiter`] — the sensors' 1-per-5-min-per-/24 policy;
-//! * [`StubClient`] — an ordinary DNS consumer.
+//! * [`PrefixRateLimiter`] — the sensors' 1-per-5-min-per-/24 policy.
 //!
 //! All components speak real DNS wire format via [`dnswire`] and interact
 //! only through the simulator, so measurement tools in the `scanner` crate
@@ -35,7 +34,6 @@ pub mod memo;
 pub mod public;
 pub mod ratelimit;
 pub mod recursive;
-pub mod stub;
 pub mod study;
 pub mod zone;
 
@@ -52,6 +50,5 @@ pub use public::{
 };
 pub use ratelimit::{prefix24, prefix24_to_string, PrefixRateLimiter};
 pub use recursive::{in_prefix, AccessPolicy, RecursiveResolver, ResolverConfig, ResolverStats};
-pub use stub::{StubClient, StubResult};
 pub use study::{install_study_stack, StudyNodes};
 pub use zone::{extract_referral, DelegatingServer, Delegation, Referral};

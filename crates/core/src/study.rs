@@ -7,9 +7,10 @@
 
 use crate::auth::StudyAuthServer;
 use crate::zone::{DelegatingServer, Delegation};
-use dnswire::DnsName;
+use dnswire::{DnsName, MessageBuilder, RrType};
 use netsim::{NodeId, Simulator};
 use std::net::Ipv4Addr;
+use std::sync::OnceLock;
 
 /// The DNS zone the study controls (placeholder TLD per RFC 2606).
 pub const STUDY_ZONE: &str = "odns-study.example.";
@@ -41,6 +42,20 @@ pub fn study_zone() -> DnsName {
 /// The static query name as a parsed name.
 pub fn study_qname() -> DnsName {
     DnsName::parse(STUDY_QNAME).expect("constant qname parses")
+}
+
+/// The study probe's wire bytes under transaction ID 0: the RD=1 A query
+/// for [`STUDY_QNAME`]. Every response-based prober sends this one query
+/// under its own ID ([`netsim::Payload::with_dns_id`]), so it is encoded
+/// once per process.
+pub fn probe_template() -> &'static [u8] {
+    static TEMPLATE: OnceLock<Vec<u8>> = OnceLock::new();
+    TEMPLATE.get_or_init(|| {
+        MessageBuilder::query(0, study_qname(), RrType::A)
+            .recursion_desired(true)
+            .build()
+            .encode()
+    })
 }
 
 /// Build a query-based (destination-encoded) name for `target`:

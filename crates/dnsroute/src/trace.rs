@@ -17,7 +17,6 @@
 //! the UDP header, so the port is the only correlator available for
 //! Time Exceeded), plus a TTL-encoding transaction ID for DNS answers.
 
-use dnswire::{MessageBuilder, RrType};
 use netsim::{
     Ctx, Datagram, Host, IcmpMessage, IntMap, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
     Simulator, UdpSend,
@@ -184,10 +183,6 @@ pub struct DnsRoutePlusPlus {
     config: DnsRouteConfig,
     states: Vec<TargetState>,
     port_to_target: IntMap<u16, usize>,
-    /// The study query's wire bytes with ID 0: every probe is this query
-    /// under its own transaction ID, so a send copies it and patches two
-    /// bytes instead of building and encoding a message.
-    probe_template: Vec<u8>,
     started: usize,
     /// Per-hop retransmissions sent across the whole sweep.
     pub retransmits_sent: u64,
@@ -240,15 +235,10 @@ impl DnsRoutePlusPlus {
             .map(|(i, s)| (s.port, i))
             .collect();
         config.retry.assert_valid();
-        let probe_template = MessageBuilder::query(0, study::study_qname(), RrType::A)
-            .recursion_desired(true)
-            .build()
-            .encode();
         DnsRoutePlusPlus {
             config,
             states,
             port_to_target,
-            probe_template,
             started: 0,
             retransmits_sent: 0,
         }
@@ -267,8 +257,8 @@ impl DnsRoutePlusPlus {
             .collect()
     }
 
-    /// The wire probe for target `idx` at `ttl`: the probe template with
-    /// the txid patched in. The txid depends on `(idx, ttl)` alone, so a
+    /// The wire probe for target `idx` at `ttl`: the study probe template
+    /// with the txid patched in. The txid depends on `(idx, ttl)` alone, so a
     /// retransmission is byte-identical to its original.
     fn probe_send(&self, idx: usize, ttl: u8) -> UdpSend {
         let s = &self.states[idx];
@@ -283,7 +273,7 @@ impl DnsRoutePlusPlus {
             dst: s.target,
             dst_port: dnswire::DNS_PORT,
             ttl: Some(ttl),
-            payload: Payload::with_dns_id(&self.probe_template, txid),
+            payload: Payload::with_dns_id(study::probe_template(), txid),
         }
     }
 

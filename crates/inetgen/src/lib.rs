@@ -38,7 +38,7 @@ pub use countries::{
 };
 pub use geodb::{AsnInfo, GeoDb};
 pub use shard::{
-    generate_partition, run_sharded, run_sharded_degraded, shard_of_country, DegradedRun,
-    ShardFailure, ShardSpec, ShardWorldCache, ShardedRun, Worlds,
+    generate_partition, run_sharded, shard_of_country, ShardSpec, ShardWorldCache, ShardedRun,
+    Worlds,
 };
 pub use validate::{check_marginals, Deviation};

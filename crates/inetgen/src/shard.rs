@@ -20,7 +20,7 @@ use crate::build::{generate_shard, Internet};
 use crate::config::GenConfig;
 use crate::geodb::GeoDb;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Which shard of how many a generated world is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -133,12 +133,12 @@ impl<'a> From<&'a mut ShardWorldCache> for Worlds<'a> {
 /// geo database leave the worker; experiment-specific merging (census
 /// rows, trace concatenation) is the caller's job.
 ///
-/// Panic handling: a panicking shard job is retried exactly once on the
-/// same worker — a transient failure costs one extra world instead of the
-/// whole run. A shard that fails twice is deterministic-broken: every
-/// surviving worker stops picking up new shards at its next boundary (no
-/// burning minutes on worlds for a run that already failed), and the
-/// final panic names the failing shard.
+/// Panic handling: a shard whose experiment panics fails the whole run —
+/// a partial census is a wrong census. The job is never retried: in a
+/// seeded world a panic reproduces, so a retry could only double the time
+/// to failure or hide a nondeterminism bug. Every surviving worker stops
+/// picking up new shards at its next boundary, and once the pool joins the
+/// run panics with `shard {i} worker panicked: {message}`.
 pub fn run_sharded<'a, T, F>(
     worlds: impl Into<Worlds<'a>>,
     shards: u32,
@@ -148,96 +148,8 @@ where
     T: Send,
     F: Fn(ShardSpec, &mut Internet) -> T + Sync,
 {
-    let run = drive(worlds.into(), shards, FailureMode::FailFast, experiment);
-    ShardedRun {
-        outputs: run.outputs.into_iter().map(|(_, output)| output).collect(),
-        geo: run.geo,
-    }
-}
-
-/// The outcome of a gracefully-degraded sharded run: partial results plus
-/// a ledger of the shards that failed (twice — every job gets one retry).
-///
-/// Unlike [`ShardedRun`], outputs carry their shard index explicitly,
-/// because failed shards leave gaps; [`DegradedRun::coverage`] quantifies
-/// how much of the partition the surviving outputs represent.
-#[derive(Debug)]
-pub struct DegradedRun<T> {
-    /// `(shard, output)` for every shard that completed, in ascending
-    /// shard order.
-    pub outputs: Vec<(u32, T)>,
-    /// The union lookup database over the *surviving* shards only.
-    pub geo: GeoDb,
-    /// Shards whose job panicked twice, in ascending shard order, each
-    /// with the retried panic's message.
-    pub failures: Vec<ShardFailure>,
-    /// How many shards the partition had in total.
-    pub total_shards: u32,
-}
-
-impl<T> DegradedRun<T> {
-    /// Fraction of the partition that completed, in `[0, 1]`.
-    pub fn coverage(&self) -> f64 {
-        self.outputs.len() as f64 / f64::from(self.total_shards)
-    }
-
-    /// Whether every shard completed (no degradation happened).
-    pub fn is_complete(&self) -> bool {
-        self.failures.is_empty()
-    }
-}
-
-/// [`run_sharded`] with graceful degradation: a shard that fails twice is
-/// *recorded* rather than aborting the run — every surviving shard still
-/// completes, and the caller gets partial results plus the failure ledger.
-///
-/// Use this for long campaigns where losing 1 shard of 64 should cost
-/// 1/64th of the census, not the whole night's run. Callers must treat a
-/// [`DegradedRun`] with failures as a *lower bound*: absolute counts are
-/// missing the failed shards' populations (rates within surviving shards
-/// are unaffected, because shards are disjoint by construction).
-pub fn run_sharded_degraded<'a, T, F>(
-    worlds: impl Into<Worlds<'a>>,
-    shards: u32,
-    experiment: F,
-) -> DegradedRun<T>
-where
-    T: Send,
-    F: Fn(ShardSpec, &mut Internet) -> T + Sync,
-{
-    drive(worlds.into(), shards, FailureMode::Degrade, experiment)
-}
-
-/// A shard whose job failed — panicked twice, once on the original run
-/// and once on the automatic retry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardFailure {
-    /// The failing shard's index.
-    pub shard: u32,
-    /// The panic message of the *second* (retried) failure.
-    pub message: String,
-}
-
-/// What the driver does when a shard job fails even after retry.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum FailureMode {
-    /// Record the first failure, stop every worker at its next boundary,
-    /// and panic after the pool drains.
-    FailFast,
-    /// Record every failure and keep the surviving shards running; the
-    /// caller receives partial results plus the failure ledger.
-    Degrade,
-}
-
-/// The one sharded driver: world acquisition, the worker pool, the
-/// failure policy and the [`GeoDb`] fold, for both world sources.
-fn drive<T, F>(worlds: Worlds<'_>, shards: u32, mode: FailureMode, experiment: F) -> DegradedRun<T>
-where
-    T: Send,
-    F: Fn(ShardSpec, &mut Internet) -> T + Sync,
-{
     assert!(shards >= 1, "a sharded run needs at least one shard");
-    let (config, slots) = match worlds {
+    let (config, slots) = match worlds.into() {
         Worlds::Fresh(config) => (config, None),
         Worlds::Cached(cache) => {
             // Shard worlds are partition-specific: a new shard count
@@ -280,56 +192,17 @@ where
         };
         (output, geo)
     };
-    let (per_shard, failures) = run_pool(shards, mode, job);
-    if mode == FailureMode::FailFast {
-        if let Some(ShardFailure { shard, message }) = failures.first() {
-            panic!("shard {shard} worker panicked: {message}");
-        }
-    }
 
-    let mut geo: Option<GeoDb> = None;
-    let mut outputs = Vec::with_capacity(per_shard.len());
-    for (shard, (output, shard_geo)) in per_shard {
-        match &mut geo {
-            None => geo = Some(shard_geo),
-            Some(merged) => merged.merge(shard_geo),
-        }
-        outputs.push((shard, output));
-    }
-    DegradedRun {
-        outputs,
-        // An all-shards-failed run still reports the paper's 99.9 % geo
-        // coverage semantics, not the derived (full-miss) default.
-        geo: match geo {
-            Some(geo) => geo,
-            None => GeoDb::new(),
-        },
-        failures,
-        total_shards: shards,
-    }
-}
-
-/// The worker pool under [`drive`]: `job(index)` runs once per shard
-/// (worker `w` handles shards `w, w + workers, …`), and the collected
-/// `(shard, output)` pairs come back sorted by shard index, beside the
-/// shards that failed twice.
-fn run_pool<T, F>(shards: u32, mode: FailureMode, job: F) -> (Vec<(u32, T)>, Vec<ShardFailure>)
-where
-    T: Send,
-    F: Fn(u32) -> T + Sync,
-{
     let workers = std::thread::available_parallelism()
         .map(|n| n.get() as u32)
         .unwrap_or(1)
-        .min(shards)
-        .max(1);
-
-    // Failures in the order they were *recorded*; under FailFast only the
-    // first entry matters (workers stop once it exists).
-    let failures: Mutex<Vec<ShardFailure>> = Mutex::new(Vec::new());
-    let mut per_shard: Vec<(u32, T)> = std::thread::scope(|scope| {
+        .min(shards);
+    // The first failing shard and its panic message; workers stop once
+    // it is set.
+    let failure: OnceLock<(u32, String)> = OnceLock::new();
+    let mut per_shard: Vec<(u32, (T, GeoDb))> = std::thread::scope(|scope| {
         let job = &job;
-        let failures = &failures;
+        let failure = &failure;
         let handles: Vec<_> = (0..workers)
             .map(|w| {
                 // detlint::allow(ad-hoc-spawn): this IS the sanctioned
@@ -339,14 +212,10 @@ where
                     let mut collected = Vec::new();
                     let mut index = w;
                     while index < shards {
-                        if mode == FailureMode::FailFast && !failures.lock().unwrap().is_empty() {
+                        if failure.get().is_some() {
                             break;
                         }
-                        let attempt = || catch_unwind(AssertUnwindSafe(|| job(index)));
-                        // Retry a panicked job once before giving up on
-                        // the shard: transient blips recover, determinis-
-                        // tic failures reproduce and get recorded.
-                        match attempt().or_else(|_first| attempt()) {
+                        match catch_unwind(AssertUnwindSafe(|| job(index))) {
                             Ok(output) => collected.push((index, output)),
                             Err(payload) => {
                                 let message = payload
@@ -354,13 +223,10 @@ where
                                     .map(|s| (*s).to_string())
                                     .or_else(|| payload.downcast_ref::<String>().cloned())
                                     .unwrap_or_else(|| "non-string panic payload".to_string());
-                                failures.lock().unwrap().push(ShardFailure {
-                                    shard: index,
-                                    message,
-                                });
-                                if mode == FailureMode::FailFast {
-                                    break;
-                                }
+                                // A later failure on another worker loses
+                                // the race and is dropped.
+                                let _ = failure.set((index, message));
+                                break;
                             }
                         }
                         index += workers;
@@ -374,13 +240,25 @@ where
             .flat_map(|h| h.join().expect("shard worker died outside a job"))
             .collect()
     });
+    if let Some((shard, message)) = failure.into_inner() {
+        panic!("shard {shard} worker panicked: {message}");
+    }
+
     // Deterministic order regardless of worker scheduling.
     per_shard.sort_by_key(|(shard, _)| *shard);
-    let mut failed = failures.into_inner().unwrap();
-    if mode == FailureMode::Degrade {
-        failed.sort_by_key(|f| f.shard);
+    let mut outputs = Vec::with_capacity(per_shard.len());
+    let mut geo: Option<GeoDb> = None;
+    for (_, (output, shard_geo)) in per_shard {
+        match &mut geo {
+            None => geo = Some(shard_geo),
+            Some(merged) => merged.merge(shard_geo),
+        }
+        outputs.push(output);
     }
-    (per_shard, failed)
+    ShardedRun {
+        outputs,
+        geo: geo.expect("a run that did not fail has at least one shard"),
+    }
 }
 
 /// Generate-once, scan-many: a cache of warm per-shard worlds.
@@ -426,11 +304,6 @@ impl ShardWorldCache {
             .iter()
             .filter(|s| s.lock().unwrap().is_some())
             .count()
-    }
-
-    /// Drop every cached world (e.g. to bound memory between phases).
-    pub fn clear(&mut self) {
-        self.slots.clear();
     }
 }
 
@@ -496,75 +369,26 @@ mod tests {
     }
 
     #[test]
-    fn one_transient_panic_recovers_via_retry() {
-        use std::sync::atomic::{AtomicBool, Ordering};
+    fn a_panicking_shard_runs_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
         let config = GenConfig {
             countries: crate::CountrySelection::Codes(vec!["MUS", "FSM"]),
             scale: 5_000,
             dud_fraction: 0.0,
             ..GenConfig::default()
         };
-        let tripped = AtomicBool::new(false);
-        let run = run_sharded(&config, 2, |spec, world| {
-            if spec.index == 1 && !tripped.swap(true, Ordering::SeqCst) {
-                panic!("transient blip in shard {}", spec.index);
-            }
-            world.targets.len()
-        });
-        assert!(tripped.load(Ordering::SeqCst), "the flaky path ran");
-        assert_eq!(run.outputs.len(), 2, "retry recovered the flaky shard");
-        let clean = run_sharded(&config, 2, |_, world| world.targets.len());
-        assert_eq!(run.outputs, clean.outputs, "retried run matches clean run");
-    }
-
-    #[test]
-    fn degraded_run_reports_partial_results_and_failures() {
-        let config = GenConfig {
-            countries: crate::CountrySelection::Codes(vec!["MUS", "FSM", "AFG"]),
-            scale: 5_000,
-            dud_fraction: 0.0,
-            ..GenConfig::default()
-        };
-        let run = run_sharded_degraded(&config, 3, |spec, world| {
-            if spec.index == 1 {
-                panic!("deterministic failure in shard {}", spec.index);
-            }
-            world.targets.clone()
-        });
-        assert!(!run.is_complete());
-        assert_eq!(run.total_shards, 3);
-        assert_eq!(run.failures.len(), 1);
-        assert_eq!(run.failures[0].shard, 1);
-        assert!(run.failures[0].message.contains("deterministic failure"));
-        let shards: Vec<u32> = run.outputs.iter().map(|(s, _)| *s).collect();
-        assert_eq!(shards, vec![0, 2], "surviving shards, in order");
-        assert!((run.coverage() - 2.0 / 3.0).abs() < 1e-9);
-        // Surviving shards' outputs are bit-identical to a healthy run's.
-        let healthy = run_sharded(&config, 3, |_, world| world.targets.clone());
-        assert_eq!(run.outputs[0].1, healthy.outputs[0]);
-        assert_eq!(run.outputs[1].1, healthy.outputs[2]);
-        // The geo covers exactly the surviving populations.
-        for (_, targets) in &run.outputs {
-            for ip in targets {
-                assert_eq!(run.geo.asn_of(*ip), healthy.geo.asn_of(*ip));
-            }
-        }
-    }
-
-    #[test]
-    fn degraded_run_with_no_failures_matches_run_sharded() {
-        let config = GenConfig {
-            countries: crate::CountrySelection::Codes(vec!["MUS", "FSM"]),
-            scale: 5_000,
-            dud_fraction: 0.0,
-            ..GenConfig::default()
-        };
-        let degraded = run_sharded_degraded(&config, 2, |_, world| world.targets.clone());
-        assert!(degraded.is_complete());
-        assert_eq!(degraded.coverage(), 1.0);
-        let full = run_sharded(&config, 2, |_, world| world.targets.clone());
-        let outputs: Vec<_> = degraded.outputs.into_iter().map(|(_, t)| t).collect();
-        assert_eq!(outputs, full.outputs);
+        let calls = AtomicUsize::new(0);
+        let boom = std::panic::catch_unwind(AssertUnwindSafe(|| {
+            run_sharded(&config, 2, |spec, _world| {
+                if spec.index == 1 {
+                    calls.fetch_add(1, Ordering::SeqCst);
+                    panic!("deterministic failure in shard {}", spec.index);
+                }
+                0u32
+            })
+        }));
+        assert!(boom.is_err(), "a failing shard fails the run");
+        assert_eq!(calls.load(Ordering::SeqCst), 1, "no retry");
     }
 
     #[test]
@@ -618,44 +442,6 @@ mod tests {
         assert!(cache.warm_shards() < 2, "failed shard's slot is empty");
         let after = run_sharded(&mut cache, 2, |_, world| world.targets.clone());
         assert_eq!(baseline.outputs, after.outputs, "regenerated identically");
-    }
-
-    #[test]
-    fn degraded_run_over_a_cache_empties_the_failed_slot_only() {
-        let config = GenConfig {
-            countries: crate::CountrySelection::Codes(vec!["MUS", "FSM", "AFG"]),
-            scale: 5_000,
-            dud_fraction: 0.0,
-            ..GenConfig::default()
-        };
-        let healthy = run_sharded(&config, 3, |_, world| world.targets.clone());
-        let mut cache = ShardWorldCache::new(config);
-        let run = run_sharded_degraded(&mut cache, 3, |spec, world| {
-            if spec.index == 1 {
-                panic!("deterministic failure in shard {}", spec.index);
-            }
-            world.targets.clone()
-        });
-        assert_eq!(run.failures.len(), 1, "failed twice, recorded once");
-        assert_eq!(run.failures[0].shard, 1);
-        assert_eq!(cache.warm_shards(), 2, "only the failed slot is empty");
-        let shards: Vec<u32> = run.outputs.iter().map(|(s, _)| *s).collect();
-        assert_eq!(shards, vec![0, 2]);
-        assert_eq!(run.outputs[0].1, healthy.outputs[0]);
-        assert_eq!(run.outputs[1].1, healthy.outputs[2]);
-        let lost = healthy.outputs[1]
-            .iter()
-            .find(|ip| healthy.geo.asn_of(**ip).is_some())
-            .expect("shard 1 has mapped targets");
-        assert_eq!(run.geo.asn_of(*lost), None, "union covers survivors only");
-        // The next run regenerates the failed shard identically, and its
-        // union covers the whole partition again.
-        let after = run_sharded(&mut cache, 3, |_, world| world.targets.clone());
-        assert_eq!(cache.warm_shards(), 3);
-        assert_eq!(after.outputs, healthy.outputs);
-        for ip in healthy.outputs.iter().flatten() {
-            assert_eq!(after.geo.asn_of(*ip), healthy.geo.asn_of(*ip));
-        }
     }
 
     #[test]

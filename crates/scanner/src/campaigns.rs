@@ -19,7 +19,7 @@
 //! only the *processing* differs.
 
 use crate::pacer::{Due, Pacer, PACE_TOKEN};
-use dnswire::{Message, MessageBuilder, RrType};
+use dnswire::Message;
 use netsim::{Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
 use odns::study;
 use std::collections::BTreeSet;
@@ -240,15 +240,6 @@ impl CampaignScanner {
         }
     }
 
-    /// The campaign's wire query for a probe with `txid`.
-    fn probe_query(txid: u16) -> netsim::Payload {
-        MessageBuilder::query(txid, study::study_qname(), RrType::A)
-            .recursion_desired(true)
-            .build()
-            .encode()
-            .into()
-    }
-
     /// Inverse of `probe_tuple`: mark the probe a
     /// response maps to as answered, halting its retransmissions (a
     /// response stops them however the campaign's pipeline judges it).
@@ -276,14 +267,17 @@ impl Host for CampaignScanner {
         let Some(due) = self.pacer.due(token) else {
             return;
         };
-        // The wire query is rebuilt for every transmission, byte-identical
-        // across attempts.
         let Due { index, attempt } = due;
         let target = self.config.targets[index];
         let (port, txid) = probe_tuple(index);
         self.pipeline.probe(port, txid, target);
         ctx.send_udp_attempt(
-            UdpSend::new(port, target, dnswire::DNS_PORT, Self::probe_query(txid)),
+            UdpSend::new(
+                port,
+                target,
+                dnswire::DNS_PORT,
+                netsim::Payload::with_dns_id(study::probe_template(), txid),
+            ),
             attempt,
         );
         self.pacer.sent(ctx, due);
@@ -319,6 +313,7 @@ pub fn run_campaign_delayed(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dnswire::MessageBuilder;
     use netsim::testkit::playground;
     use netsim::SimConfig;
     use odns::{RecursiveForwarder, TransparentForwarder};

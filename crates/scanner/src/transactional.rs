@@ -14,25 +14,11 @@ use dnswire::{MessageBuilder, RrType};
 use netsim::{Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
 use odns::study;
 use std::net::Ipv4Addr;
-use std::sync::OnceLock;
 
 /// First source port: probes walk `BASE_PORT + (index & 0xFFFF)` with the
 /// txid advancing once per 65 k block, so the `(port, txid)` tuple is
 /// unique for every in-flight probe.
 const BASE_PORT: u16 = 33_000;
-
-/// The static-naming probe query is one fixed byte string (the txid is
-/// patched per block); encode it once per process instead of once per
-/// scanner — warm sweeps build thousands of scanners.
-fn static_probe_template() -> &'static [u8] {
-    static TEMPLATE: OnceLock<Vec<u8>> = OnceLock::new();
-    TEMPLATE.get_or_init(|| {
-        MessageBuilder::query(0, study::study_qname(), RrType::A)
-            .recursion_desired(true)
-            .build()
-            .encode()
-    })
-}
 
 /// How probe query names are chosen — the two methods of Table 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,7 +178,7 @@ impl TransactionalScanner {
         );
         let probes = Vec::with_capacity(config.targets.len());
         let probe_template = match config.naming {
-            ProbeNaming::Static => Some(static_probe_template()),
+            ProbeNaming::Static => Some(study::probe_template()),
             ProbeNaming::EncodeTarget => None,
         };
         let tuple_index = if config.retry.enabled() && config.tuples == TupleScheme::TargetKeyed {
