@@ -486,4 +486,44 @@ mod tests {
         assert!(csv.contains(",\"carriage\rreturn\"\n"), "{csv}");
         assert_eq!(Census::default().to_csv(), reference(&Census::default()));
     }
+
+    #[test]
+    fn an_unsalted_plan_set_in_every_shard_is_shard_count_invariant() {
+        // Every shard world installs the same plan, salt 0 included, so
+        // each flow meets the same verdict whichever shard probes it.
+        let config = inetgen::GenConfig {
+            seed: 23,
+            scale: 2_500,
+            dud_fraction: 0.0,
+            countries: inetgen::CountrySelection::Codes(vec!["BRA", "TUR", "MUS"]),
+            ..inetgen::GenConfig::default()
+        };
+        let classifier = ClassifierConfig::default();
+        let rows = |k| {
+            let run = inetgen::run_sharded(&config, k, |_, world| {
+                world.sim.set_faults(netsim::FaultPlan::lossy(0.10));
+                run_census(world, &classifier)
+            });
+            let mut rows = merge_census_parts(run.outputs).rows;
+            rows.sort_by_key(|r| r.target);
+            rows
+        };
+        let single = rows(1);
+        assert!(
+            single.iter().any(|r| r.class().is_some()),
+            "world must answer"
+        );
+        assert!(
+            single
+                .iter()
+                .any(|r| r.verdict == Verdict::Discarded(Discard::NoResponse)),
+            "losses must bite"
+        );
+        for k in [2, 8] {
+            let sharded = rows(k);
+            assert_eq!(sharded.len(), single.len(), "K={k}: one row per target");
+            let differ = sharded.iter().zip(&single).filter(|(a, b)| a != b).count();
+            assert_eq!(differ, 0, "K={k}: {differ} of {} rows differ", single.len());
+        }
+    }
 }

@@ -4,7 +4,7 @@
 //! The paper's §5 sweep "scans all transparent forwarders" found by the
 //! census — full coverage, not a sampled subset, which is also what
 //! attack-surface mapping of forwarder misuse needs. A single simulator
-//! bounds one sweep to the source-port space above `base_port` (one port
+//! bounds one sweep to the 25 536 source ports from 40 000 up (one port
 //! per target is the only Time-Exceeded correlator); sharding removes
 //! that wave limit, because every shard world owns its own port space
 //! *and* its own worker thread.

@@ -16,9 +16,8 @@
 //! overhead exist only in the renderer.
 //!
 //! Determinism: the fault plan is salted from the *generation* seed
-//! before it reaches any simulator, so per-flow fault verdicts are
-//! invariant under the shard count (a simulator-salted plan would key
-//! faults to per-shard sim seeds and break the K-invariance contract).
+//! before it reaches any simulator, and every shard world installs it as
+//! given, so per-flow fault verdicts are invariant under the shard count.
 
 use crate::census::{census_scan_config, Census};
 use crate::table::TextTable;

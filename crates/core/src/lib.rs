@@ -14,7 +14,7 @@
 //!   majority, 72 % in Table 1);
 //! * [`TransparentForwarder`] — the paper's subject: a stateless, spoofing
 //!   relay that decrement-forwards TTLs and never sees responses;
-//! * [`ResolverProject`] and anycast deployment helpers for
+//! * [`ResolverProject`] — service addresses and ASNs of
 //!   Google/Cloudflare/Quad9/OpenDNS (Figures 5 and 6);
 //! * [`DeviceProfile`] — CPE fingerprinting surface (MikroTik et al., §6);
 //! * [`PrefixRateLimiter`] — the sensors' 1-per-5-min-per-/24 policy.
@@ -45,10 +45,8 @@ pub use forwarder::{
     TransparentForwarderStats,
 };
 pub use memo::QueryMemo;
-pub use public::{
-    deploy_public_resolver, install_resolver_instances, PublicDeployment, ResolverProject,
-};
-pub use ratelimit::{prefix24, prefix24_to_string, PrefixRateLimiter};
+pub use public::ResolverProject;
+pub use ratelimit::{prefix24, PrefixRateLimiter};
 pub use recursive::{in_prefix, AccessPolicy, RecursiveResolver, ResolverConfig, ResolverStats};
 pub use study::{install_study_stack, StudyNodes};
 pub use zone::{extract_referral, DelegatingServer, Delegation, Referral};

@@ -3,11 +3,9 @@
 //! Figure 5 attributes the resolvers used by transparent forwarders to
 //! these four projects (plus "other"); Figure 6 compares path lengths to
 //! their anycast deployments. This module carries the well-known service
-//! addresses, project ASNs, and a helper to deploy an anycast PoP fleet
-//! into a topology.
+//! addresses and project ASNs; `inetgen` deploys each project into its
+//! generated topology.
 
-use crate::recursive::{RecursiveResolver, ResolverConfig};
-use netsim::{AsId, HostSpec, NodeId, SimDuration, Simulator, TopologyBuilder};
 use std::fmt;
 use std::net::Ipv4Addr;
 
@@ -86,60 +84,6 @@ impl fmt::Display for ResolverProject {
     }
 }
 
-/// A deployed public-resolver fleet: the instance nodes per PoP.
-#[derive(Debug, Clone)]
-pub struct PublicDeployment {
-    /// Which project this is.
-    pub project: ResolverProject,
-    /// Instance nodes, one per PoP AS.
-    pub instances: Vec<NodeId>,
-}
-
-/// Create one resolver instance (PoP) of `project` in each AS of
-/// `pop_ases`, registering all of them under the project's anycast service
-/// address. `unicast_base` supplies each instance's unique egress address
-/// (`unicast_base + index`), which is what the study's authoritative server
-/// sees as the immediate client.
-pub fn deploy_public_resolver(
-    b: &mut TopologyBuilder,
-    project: ResolverProject,
-    pop_ases: &[AsId],
-    unicast_base: Ipv4Addr,
-) -> PublicDeployment {
-    let service = project.service_ip();
-    let mut instances = Vec::with_capacity(pop_ases.len());
-    let base = u32::from(unicast_base);
-    for (i, &as_id) in pop_ases.iter().enumerate() {
-        let egress = Ipv4Addr::from(base + i as u32);
-        let node = b.add_host(
-            as_id,
-            HostSpec {
-                ip: egress,
-                extra_ips: vec![],
-                access_routers: vec![],
-                link_latency: SimDuration::from_micros(500),
-            },
-        );
-        b.add_anycast_instance(service, node);
-        instances.push(node);
-    }
-    PublicDeployment { project, instances }
-}
-
-/// Install open recursive resolvers on every instance of a deployment.
-pub fn install_resolver_instances(
-    sim: &mut Simulator,
-    deployment: &PublicDeployment,
-    roots: Vec<Ipv4Addr>,
-) {
-    for &node in &deployment.instances {
-        sim.install(
-            node,
-            RecursiveResolver::new(ResolverConfig::open(roots.clone())),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -181,39 +125,5 @@ mod tests {
     fn names_match_paper() {
         assert_eq!(ResolverProject::OpenDns.to_string(), "OpenDNS");
         assert_eq!(ResolverProject::Google.to_string(), "Google");
-    }
-
-    #[test]
-    fn deployment_registers_anycast_instances() {
-        use netsim::{AsKind, AsSpec, CountryCode};
-        let mut b = TopologyBuilder::new();
-        let a0 = b.add_as(AsSpec {
-            asn: 15169,
-            country: CountryCode::new("USA"),
-            kind: AsKind::Content,
-            sav_outbound: true,
-            transit_routers: vec![Ipv4Addr::new(10, 0, 0, 1)],
-        });
-        let a1 = b.add_as(AsSpec {
-            asn: 15170,
-            country: CountryCode::new("BRA"),
-            kind: AsKind::Content,
-            sav_outbound: true,
-            transit_routers: vec![Ipv4Addr::new(10, 1, 0, 1)],
-        });
-        b.connect(a0, a1, netsim::Relationship::Peer);
-        let d = deploy_public_resolver(
-            &mut b,
-            ResolverProject::Google,
-            &[a0, a1],
-            Ipv4Addr::new(8, 8, 4, 1),
-        );
-        assert_eq!(d.instances.len(), 2);
-        let topo = b.build().unwrap();
-        let group = topo.anycast_group(Ipv4Addr::new(8, 8, 8, 8)).unwrap();
-        assert_eq!(group.instances, d.instances);
-        // Each instance has a distinct unicast egress.
-        assert_eq!(topo.host_spec(d.instances[0]).ip, Ipv4Addr::new(8, 8, 4, 1));
-        assert_eq!(topo.host_spec(d.instances[1]).ip, Ipv4Addr::new(8, 8, 4, 2));
     }
 }

@@ -7,9 +7,9 @@
 //! * **restricted recursive resolver** — `AccessPolicy::RestrictedTo`, which
 //!   REFUSES off-net clients (and thereby *rejects* queries relayed by a
 //!   transparent forwarder, since those arrive with the scanner's address);
-//! * **public anycast resolver PoP** — an open instance registered under an
-//!   anycast service address (see `crate::public`), answering from that
-//!   address.
+//! * **public anycast resolver PoP** — an open instance registered under a
+//!   project's anycast service address (`inetgen` registers one per
+//!   [`crate::ResolverProject`]), answering from that address.
 //!
 //! Resolution is genuinely iterative: root referral → TLD referral →
 //! authoritative answer, all through the simulated network, with positive

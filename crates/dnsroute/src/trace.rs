@@ -18,7 +18,7 @@
 //! Time Exceeded), plus a TTL-encoding transaction ID for DNS answers.
 
 use netsim::{
-    Ctx, Datagram, Host, IcmpMessage, IntMap, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
+    Ctx, Datagram, Host, IcmpMessage, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
     Simulator, UdpSend,
 };
 use odns::study;
@@ -27,18 +27,22 @@ use std::net::Ipv4Addr;
 /// Stagger between starting consecutive targets.
 const START_GAP: SimDuration = SimDuration::from_micros(200);
 
+/// Highest TTL probed per target.
+const MAX_TTL: u8 = 30;
+
+/// Wait per TTL step before moving on (an anonymous hop is recorded); the
+/// initial RTO of the per-hop retry policy.
+const PER_HOP_TIMEOUT: SimDuration = SimDuration::from_secs(2);
+
+/// Target `idx` probes from source port `BASE_PORT + idx`.
+const BASE_PORT: u16 = 40_000;
+
 /// DNSRoute++ configuration.
 #[derive(Debug, Clone)]
 pub struct DnsRouteConfig {
     /// Targets to trace (normally the transparent forwarders found by a
     /// transactional scan — the tool "scans all transparent forwarders").
     pub targets: Vec<Ipv4Addr>,
-    /// Highest TTL probed per target.
-    pub max_ttl: u8,
-    /// Wait per TTL step before moving on (an anonymous hop is recorded).
-    pub per_hop_timeout: SimDuration,
-    /// First source port; each target owns `base_port + index`.
-    pub base_port: u16,
     /// The defining DNSRoute++ behaviour: keep incrementing TTL after the
     /// target answered Time Exceeded. Setting this to `false` degrades the
     /// tool to classic traceroute — the ablation showing why "common
@@ -47,25 +51,23 @@ pub struct DnsRouteConfig {
     /// Per-hop retransmission policy. On a silent hop timeout the probe
     /// is re-sent (same TTL, same `(port, txid)`) up to
     /// `retry.max_attempts` times before the hop is recorded anonymous
-    /// and the sweep advances. [`DnsRouteConfig::per_hop_timeout`] plays
-    /// the role of the initial RTO, doubled per retry; the policy
-    /// contributes the attempt count and jitter.
+    /// and the sweep advances. The 2 s per-hop timeout plays the role of
+    /// the initial RTO, doubled per retry; the policy contributes the
+    /// attempt count and jitter.
     pub retry: RetryPolicy,
 }
 
 impl DnsRouteConfig {
-    /// Defaults: TTL up to 30, 2 s per hop, continue past the target.
+    /// Trace `targets` at TTL 1 to 30, waiting 2 s per hop, continuing
+    /// past the target, single-shot.
     ///
-    /// One source port per target bounds a single sweep to the port space
-    /// above `base_port` (validated loudly when the prober is built);
-    /// larger target sets shard the sweep — each shard world owns its own
-    /// port space (see `analysis::run_dnsroute_sharded`).
+    /// One source port per target, from port 40 000 up, bounds a single
+    /// sweep to 25 536 targets (validated loudly when the prober is
+    /// built); larger target sets shard the sweep — each shard world owns
+    /// its own port space (see `analysis::run_dnsroute_sharded`).
     pub fn new(targets: Vec<Ipv4Addr>) -> Self {
         DnsRouteConfig {
             targets,
-            max_ttl: 30,
-            per_hop_timeout: SimDuration::from_secs(2),
-            base_port: 40_000,
             continue_past_target: true,
             retry: RetryPolicy::none(),
         }
@@ -87,12 +89,12 @@ impl DnsRouteConfig {
     }
 
     /// The silent-hop wait after transmission `attempt` (0 = the TTL's
-    /// first probe): `per_hop_timeout` doubled per retry, plus the retry
+    /// first probe): `PER_HOP_TIMEOUT` doubled per retry, plus the retry
     /// policy's deterministic jitter keyed by the probe's
     /// `(target, ttl)` identity.
     fn hop_wait(&self, idx: usize, ttl: u8, attempt: u8) -> SimDuration {
         let policy = RetryPolicy {
-            initial_rto: self.per_hop_timeout,
+            initial_rto: PER_HOP_TIMEOUT,
             ..self.retry
         };
         let key = ((idx as u64) << 8) | u64::from(ttl);
@@ -167,7 +169,6 @@ impl TraceResult {
 #[derive(Debug)]
 struct TargetState {
     target: Ipv4Addr,
-    port: u16,
     current_ttl: u8,
     /// Transmissions of the current TTL's probe (1 after the first send).
     attempts: u8,
@@ -182,8 +183,6 @@ struct TargetState {
 pub struct DnsRoutePlusPlus {
     config: DnsRouteConfig,
     states: Vec<TargetState>,
-    port_to_target: IntMap<u16, usize>,
-    started: usize,
     /// Per-hop retransmissions sent across the whole sweep.
     pub retransmits_sent: u64,
 }
@@ -197,28 +196,24 @@ impl DnsRoutePlusPlus {
     ///
     /// # Panics
     ///
-    /// When `base_port + targets.len() - 1` would exceed the 16-bit port
+    /// When `40 000 + targets.len() - 1` would exceed the 16-bit port
     /// space: the source port is the only Time-Exceeded correlator, so a
     /// wrapped port would silently alias two targets and orphan the
     /// earlier one's trace. Reject loudly instead of dropping traces.
     pub fn new(config: DnsRouteConfig) -> Self {
-        let capacity = usize::from(u16::MAX - config.base_port) + 1;
+        let capacity = usize::from(u16::MAX - BASE_PORT) + 1;
         assert!(
             config.targets.len() <= capacity,
-            "source-port space exhausted: {} targets from base port {} \
-             would wrap past 65535 and alias earlier targets; lower \
-             base_port or split the sweep into shards (each shard world \
-             owns its own port space)",
+            "source-port space exhausted: {} targets from base port {BASE_PORT} \
+             would wrap past 65535 and alias earlier targets; split the \
+             sweep into shards (each shard world owns its own port space)",
             config.targets.len(),
-            config.base_port,
         );
         let states = config
             .targets
             .iter()
-            .enumerate()
-            .map(|(i, &target)| TargetState {
+            .map(|&target| TargetState {
                 target,
-                port: config.base_port + i as u16,
                 current_ttl: 0,
                 attempts: 0,
                 hops: Vec::new(),
@@ -226,22 +221,21 @@ impl DnsRoutePlusPlus {
                 dns: None,
                 done: false,
             })
-            .collect::<Vec<_>>();
-        // Ports are `base_port + i` with no wrap (capacity asserted
-        // above), so every target's port is distinct by construction.
-        let port_to_target = states
-            .iter()
-            .enumerate()
-            .map(|(i, s)| (s.port, i))
             .collect();
         config.retry.assert_valid();
         DnsRoutePlusPlus {
             config,
             states,
-            port_to_target,
-            started: 0,
             retransmits_sent: 0,
         }
+    }
+
+    /// The target probing from source port `port`. Ports are `BASE_PORT +
+    /// idx` with no wrap (capacity asserted in `new`), so a port below
+    /// `BASE_PORT` wraps to an index past every target.
+    fn target_of(&self, port: u16) -> Option<usize> {
+        let idx = usize::from(port.wrapping_sub(BASE_PORT));
+        (idx < self.states.len()).then_some(idx)
     }
 
     /// Extract results (after the simulation drained).
@@ -261,16 +255,15 @@ impl DnsRoutePlusPlus {
     /// with the txid patched in. The txid depends on `(idx, ttl)` alone, so a
     /// retransmission is byte-identical to its original.
     fn probe_send(&self, idx: usize, ttl: u8) -> UdpSend {
-        let s = &self.states[idx];
         // The answer's txid is the only way to recover which probe TTL
-        // reached the resolver, so the low byte carries the full 8-bit TTL
-        // (no aliasing for any `max_ttl`); the high byte tags the target
-        // index for debugging — correlation itself is by source port.
+        // reached the resolver, so the low byte carries the full 8-bit TTL;
+        // the high byte tags the target index for debugging — correlation
+        // itself is by source port.
         let txid = (idx as u16) << 8 | u16::from(ttl);
         UdpSend {
             src: None,
-            src_port: s.port,
-            dst: s.target,
+            src_port: BASE_PORT + idx as u16,
+            dst: self.states[idx].target,
             dst_port: dnswire::DNS_PORT,
             ttl: Some(ttl),
             payload: Payload::with_dns_id(study::probe_template(), txid),
@@ -279,7 +272,7 @@ impl DnsRoutePlusPlus {
 
     fn send_probe(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let s = &mut self.states[idx];
-        if s.done || s.current_ttl >= self.config.max_ttl {
+        if s.done || s.current_ttl >= MAX_TTL {
             s.done = true;
             return;
         }
@@ -315,7 +308,7 @@ impl DnsRoutePlusPlus {
         if self.states[idx].done {
             return;
         }
-        if self.states[idx].current_ttl >= self.config.max_ttl {
+        if self.states[idx].current_ttl >= MAX_TTL {
             self.states[idx].done = true;
             return;
         }
@@ -333,7 +326,7 @@ impl Host for DnsRoutePlusPlus {
             return;
         }
         // Match by destination port (one per target).
-        let Some(&idx) = self.port_to_target.get(&dgram.dst_port) else {
+        let Some(idx) = self.target_of(dgram.dst_port) else {
             return;
         };
         let Some(txid) = dnswire::peek_id(&dgram.payload) else {
@@ -363,7 +356,7 @@ impl Host for DnsRoutePlusPlus {
         let Some(quote) = icmp.quote else {
             return;
         };
-        let Some(&idx) = self.port_to_target.get(&quote.src_port) else {
+        let Some(idx) = self.target_of(quote.src_port) else {
             return;
         };
         let s = &mut self.states[idx];
@@ -398,7 +391,6 @@ impl Host for DnsRoutePlusPlus {
         if token >= START_BASE {
             let idx = (token - START_BASE) as usize;
             if idx < self.states.len() {
-                self.started += 1;
                 self.send_probe(ctx, idx);
             }
             return;

@@ -62,8 +62,8 @@ fn as_spec(asn: u32, sav: bool, routers: Vec<Ipv4Addr>) -> AsSpec {
 
 /// The four-AS world plus a noise host in AS400. `scanner_access` routers
 /// sit between the scanner and its AS — each adds one IP hop in front of
-/// every probe, which is how the deep-topology tests push the forwarder
-/// past TTL 31 without touching the AS structure.
+/// every probe, which is how the deep-topology test pushes the resolver
+/// to the sweep's last TTL without touching the AS structure.
 struct World {
     sim: Simulator,
     scanner: NodeId,
@@ -205,13 +205,12 @@ fn sanitized_path_feeds_relationship_inference() {
 fn sweep_handles_unresponsive_target() {
     let (mut sim, scanner) = build_world();
     // 198.18.0.1 is not assigned: every TTL step times out.
-    let mut cfg = DnsRouteConfig::new(vec![Ipv4Addr::new(198, 18, 0, 1)]);
-    cfg.max_ttl = 6;
-    cfg.per_hop_timeout = SimDuration::from_millis(100);
+    let cfg = DnsRouteConfig::new(vec![Ipv4Addr::new(198, 18, 0, 1)]);
     let traces = run_dnsroute(&mut sim, scanner, cfg);
     let t = &traces[0];
     assert_eq!(t.target_seen_at, None);
     assert!(t.dns.is_none());
+    assert_eq!(t.hops.len(), 30, "every TTL up to 30 probed");
     assert!(
         t.hops.iter().all(|h| h.is_none()),
         "all hops anonymous: {:?}",
@@ -219,36 +218,43 @@ fn sweep_handles_unresponsive_target() {
     );
 }
 
-/// Regression: the probe txid used to encode the TTL in 5 bits
-/// (`ttl & 0x1F`), so any sweep past TTL 31 recorded the answer TTL
-/// mod 32 and broke `forwarder_to_resolver_hops`. Pushing the forwarder
-/// beyond 31 hops with a deep access-router chain must now recover the
-/// true answer TTL.
+/// The sweep stops at TTL 30. Access routers in front of the scanner
+/// push every probe's path deeper without touching the AS structure: each
+/// adds one hop before the 4 backbone/AS hops of the shallow world, where
+/// the forwarder's own Time Exceeded fires at TTL 5 and the DNS answer
+/// lands at TTL 10.
 #[test]
-fn deep_topology_recovers_answer_ttl_past_31() {
-    // 31 access routers in front of the scanner: every probe crosses
-    // them before the 4 backbone/AS hops of the shallow world, so the
-    // forwarder's own Time Exceeded fires at TTL 31 + 5 = 36 and the DNS
-    // answer lands at TTL 41 — both far past the old 5-bit limit.
-    let access: Vec<Ipv4Addr> = (1..=31)
-        .map(|i| Ipv4Addr::new(10, 99, 0, i as u8))
-        .collect();
-    let mut w = build_world_ext(&access);
-    let mut cfg = DnsRouteConfig::new(vec![FORWARDER]);
-    cfg.max_ttl = 48;
-    let traces = run_dnsroute(&mut w.sim, w.scanner, cfg);
-    let t = &traces[0];
+fn deep_topology_recovers_answer_at_max_ttl() {
+    let trace = |depth: u8| {
+        let access: Vec<Ipv4Addr> = (1..=depth).map(|i| Ipv4Addr::new(10, 99, 0, i)).collect();
+        let mut w = build_world_ext(&access);
+        run_dnsroute(&mut w.sim, w.scanner, DnsRouteConfig::new(vec![FORWARDER]))
+    };
 
-    assert_eq!(t.target_seen_at, Some(36), "hops: {:?}", t.hops);
+    // 20 access routers: the answer needs exactly the last TTL probed.
+    let traces = trace(20);
+    let t = &traces[0];
+    assert_eq!(t.target_seen_at, Some(25), "hops: {:?}", t.hops);
     let dns = t.dns.expect("resolver answered");
     assert_eq!(dns.src, RESOLVER);
-    assert_eq!(dns.ttl, 41, "true answer TTL, not {} (mod 32)", 41 % 32);
+    assert_eq!(dns.ttl, 30);
     // The Figure 6 metric matches the shallow world: approach depth must
     // not leak into the forwarder → resolver distance.
     assert_eq!(t.forwarder_to_resolver_hops(), Some(5));
     let (paths, stats) = sanitize(&traces);
     assert_eq!(stats.kept, 1);
     assert_eq!(paths[0].hop_count, 5);
+
+    // One more: the forwarder is still seen, the resolver is out of reach.
+    let t = &trace(21)[0];
+    assert_eq!(t.target_seen_at, Some(26), "hops: {:?}", t.hops);
+    assert!(t.dns.is_none());
+    assert_eq!(t.hops.len(), 30);
+}
+
+/// `n` distinct targets for the port-space tests.
+fn many_targets(n: u32) -> Vec<Ipv4Addr> {
+    (0..n).map(|i| Ipv4Addr::from(0xCB00_0000 + i)).collect()
 }
 
 /// A sweep whose target count would wrap the 16-bit source-port space
@@ -257,19 +263,14 @@ fn deep_topology_recovers_answer_ttl_past_31() {
 #[test]
 #[should_panic(expected = "source-port space exhausted")]
 fn colliding_base_port_rejected() {
-    let targets: Vec<Ipv4Addr> = (1..=10).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
-    let mut cfg = DnsRouteConfig::new(targets);
-    cfg.base_port = 65_530; // room for 6 ports, 10 targets
-    let _ = DnsRoutePlusPlus::new(cfg);
+    // Ports 40000..=65535 hold 25 536 targets; one more wraps.
+    let _ = DnsRoutePlusPlus::new(DnsRouteConfig::new(many_targets(25_537)));
 }
 
-/// The boundary case fits exactly: ports 65526..=65535 for 10 targets.
+/// The boundary case fits exactly: ports 40000..=65535 for 25 536 targets.
 #[test]
 fn base_port_at_capacity_accepted() {
-    let targets: Vec<Ipv4Addr> = (1..=10).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
-    let mut cfg = DnsRouteConfig::new(targets);
-    cfg.base_port = 65_526;
-    let _ = DnsRoutePlusPlus::new(cfg);
+    let _ = DnsRoutePlusPlus::new(DnsRouteConfig::new(many_targets(25_536)));
 }
 
 /// Mid-sweep noise aimed at a probe port: a non-DNS datagram, a runt,
@@ -320,15 +321,15 @@ impl Host for NoiseBurst {
 #[test]
 fn stray_datagrams_do_not_end_the_sweep() {
     let mut w = build_world_ext(&[]);
-    // Target index 0 owns base_port; fire the noise 1 ms in, long before
-    // the probe TTL can reach the resolver (the answer needs TTL 10).
+    // Target index 0 probes from port 40 000; fire the noise 1 ms in,
+    // long before the probe TTL can reach the resolver (the answer needs
+    // TTL 10).
     let cfg = DnsRouteConfig::new(vec![FORWARDER]);
-    let probe_port = cfg.base_port;
     w.sim.install(
         w.noise,
         NoiseBurst {
             dst: SCANNER,
-            dst_port: probe_port,
+            dst_port: 40_000,
         },
     );
     w.sim
@@ -371,12 +372,11 @@ fn per_hop_retries_fill_hops_lost_to_faults() {
         let mut w = build_world_cfg(
             &[],
             SimConfig {
-                seed: 9,
-                faults: netsim::FaultConfig {
+                faults: netsim::FaultPlan::uniform(netsim::FaultConfig {
                     drop_probability: 0.35,
                     ..netsim::FaultConfig::none()
-                }
-                .into(),
+                })
+                .salted(9),
                 ..SimConfig::default()
             },
         );
@@ -415,20 +415,17 @@ fn probes_on_the_wire_equal_a_fresh_encode_of_the_study_query() {
     let mut w = build_world_cfg(
         &[],
         SimConfig {
-            seed: 9,
-            faults: netsim::FaultConfig {
+            faults: netsim::FaultPlan::uniform(netsim::FaultConfig {
                 drop_probability: 0.35,
                 ..netsim::FaultConfig::none()
-            }
-            .into(),
+            })
+            .salted(9),
             ..SimConfig::default()
         },
     );
     w.sim.tap(w.scanner);
     let targets = vec![FORWARDER, RECURSIVE_HOST, Ipv4Addr::new(198, 18, 0, 1)];
-    let mut cfg = DnsRouteConfig::new(targets.clone()).with_retry(netsim::RetryPolicy::retries(2));
-    cfg.max_ttl = 12;
-    cfg.per_hop_timeout = SimDuration::from_millis(100);
+    let cfg = DnsRouteConfig::new(targets.clone()).with_retry(netsim::RetryPolicy::retries(2));
     run_dnsroute(&mut w.sim, w.scanner, cfg);
 
     let pcap = w.sim.take_capture(w.scanner).unwrap();
@@ -450,7 +447,7 @@ fn probes_on_the_wire_equal_a_fresh_encode_of_the_study_query() {
             .encode();
         assert_eq!(d.payload, fresh, "probe idx {idx} ttl {ttl}");
         assert_eq!((d.dst, d.ttl), (targets[idx], ttl), "txid {txid:#06x}");
-        assert!((1..=12).contains(&ttl));
+        assert!((1..=30).contains(&ttl));
         sent.insert((idx, ttl));
         probes += 1;
     }

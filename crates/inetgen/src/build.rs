@@ -184,12 +184,12 @@ pub struct Internet {
 
 impl Internet {
     /// Restore a scanned world to its pre-scan state: the simulator
-    /// rewinds (clock, queue, RNG, stats — see [`Simulator::reset`]) and
-    /// every host reinstalls from `truth.hosts`. The result
-    /// runs any experiment bit-identically to a freshly generated world,
-    /// while keeping the expensive topology, route caches, ground truth,
-    /// geo database, and target list. This is the generate-once/scan-many
-    /// hook [`crate::ShardWorldCache`] relies on.
+    /// rewinds (clock, queue, fault plan, stats — see
+    /// [`Simulator::reset`]) and every host reinstalls from `truth.hosts`.
+    /// The result runs any experiment bit-identically to a freshly
+    /// generated world, while keeping the expensive topology, route caches,
+    /// ground truth, geo database, and target list. This is the
+    /// generate-once/scan-many hook [`crate::ShardWorldCache`] relies on.
     pub fn reset(&mut self) {
         self.sim.reset(&self.blueprint.config);
         install_hosts(&mut self.sim, &self.blueprint, &self.truth.hosts);
@@ -301,7 +301,7 @@ const COUNTRY_STREAM: u64 = 0xC0_0000_0000;
 const TARGET_STREAM: u64 = 0x7A_0000_0000;
 
 /// What reinstalling a shard's hosts onto a reset simulator needs besides
-/// the ground truth itself: the sim config (for the RNG reseed), the
+/// the ground truth itself: the sim config (fault plan, event budget), the
 /// study-stack nodes and the public resolver nodes. Kept by [`Internet`] so
 /// [`Internet::reset`] can restore a scanned world to its pre-scan state
 /// without regenerating the topology.
@@ -405,9 +405,11 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
 
     // The fault plan is salted from the *generation* seed, which is shared
     // by every shard — per-flow fault verdicts are therefore invariant
-    // under the shard count even though per-shard sim seeds differ.
-    let mut sim_config = SimConfig::for_shard(config.seed, spec.index);
-    sim_config.faults = config.faults.clone().salted(config.seed);
+    // under the shard count.
+    let sim_config = SimConfig {
+        faults: config.faults.clone().salted(config.seed),
+        ..SimConfig::default()
+    };
     let topo = draft.b.build().expect("generated topology is valid");
     let mut sim = Simulator::new(topo, sim_config.clone());
 

@@ -31,9 +31,10 @@ pub struct GenConfig {
     pub dud_fraction: f64,
     /// Country subset.
     pub countries: CountrySelection,
-    /// Fault plane injected into every shard's simulator. The plan is
-    /// salted from the *generation* seed (not the per-shard sim seed), so
-    /// a given flow sees the same fault verdicts for any shard count.
+    /// Fault plane injected into every shard's simulator. A zero salt is
+    /// filled from the generation seed ([`FaultPlan::salted`]), which every
+    /// shard shares, so a given flow sees the same fault verdicts for any
+    /// shard count.
     pub faults: FaultPlan,
 }
 

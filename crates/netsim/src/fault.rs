@@ -90,8 +90,9 @@ impl FlowVerdict {
     };
 }
 
-/// SplitMix64 finalizer — the same mixing the shard-seed derivation uses.
-/// Public so the retry layer can key its per-probe jitter off it.
+/// SplitMix64 finalizer, which the shard-seed derivation
+/// ([`crate::shard::derive_seed`]) calls too. Public so the retry layer can
+/// key its per-probe jitter off it.
 pub fn mix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -106,8 +107,7 @@ const STREAM_CORRUPT: u64 = 0xC055;
 const STREAM_DUPLICATE: u64 = 0xD0B1;
 const STREAM_JITTER: u64 = 0x71AA;
 const STREAM_DUP_JITTER: u64 = 0x71BB;
-/// Stream for deriving a plan salt from a simulator seed (see
-/// [`FaultPlan::salted`]).
+/// Stream for deriving a plan salt from a seed (see [`FaultPlan::salted`]).
 const STREAM_SALT: u64 = 0x5A17;
 
 fn flow_hash(salt: u64, key: &FlowKey, stream: u64) -> u64 {
@@ -206,18 +206,16 @@ impl FaultConfig {
 }
 
 /// The world's fault geography: a base profile plus per-country and
-/// per-AS-kind overrides, all keyed decisions salted by one value shared
-/// across every shard world (which is what keeps a lossy census
-/// K-invariant — shard worlds have different simulator seeds, but the
-/// fault plane must not care).
+/// per-AS-kind overrides, all keyed decisions salted by one value. Every
+/// shard world of a run installs the same plan, salt included, which is
+/// what keeps a lossy census K-invariant.
 ///
 /// Precedence per packet (keyed by the **destination**'s AS): country
 /// override, else AS-kind override, else base.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Decision salt. `0` means "derive from the simulator seed at
-    /// installation" ([`FaultPlan::salted`]); sharded drivers set an
-    /// explicit salt so all shards agree.
+    /// Decision salt, used as given: `0` is a salt like any other.
+    /// [`FaultPlan::salted`] derives one from a seed.
     pub salt: u64,
     /// Profile applied where no override matches.
     pub base: FaultConfig,
@@ -246,12 +244,6 @@ impl FaultPlan {
         Self::uniform(FaultConfig::lossy(p))
     }
 
-    /// Builder: set an explicit decision salt.
-    pub fn with_salt(mut self, salt: u64) -> Self {
-        self.salt = salt;
-        self
-    }
-
     /// Builder: override the profile for one destination country.
     pub fn with_country(mut self, country: CountryCode, cfg: FaultConfig) -> Self {
         self.by_country.insert(country, cfg);
@@ -264,9 +256,9 @@ impl FaultPlan {
         self
     }
 
-    /// Fill a zero salt from `seed` (leaves explicit salts untouched).
-    /// The simulator calls this at installation so plain single-world
-    /// runs get seed-dependent fault patterns for free.
+    /// Fill a zero salt from `seed` (leaves explicit salts untouched): the
+    /// one way to give a plan a seed-dependent fault pattern. The simulator
+    /// never calls it; it installs a plan exactly as given.
     pub fn salted(mut self, seed: u64) -> Self {
         if self.salt == 0 {
             self.salt = mix64(seed ^ STREAM_SALT);
@@ -532,8 +524,11 @@ mod tests {
         let derived = FaultPlan::lossy(0.1).salted(7);
         assert_ne!(derived.salt, 0);
         assert_eq!(derived.clone().salted(8).salt, derived.salt);
-        let explicit = FaultPlan::lossy(0.1).with_salt(123).salted(7);
-        assert_eq!(explicit.salt, 123);
+        let explicit = FaultPlan {
+            salt: 123,
+            ..FaultPlan::lossy(0.1)
+        };
+        assert_eq!(explicit.salted(7).salt, 123);
         assert_ne!(
             FaultPlan::lossy(0.1).salted(7).salt,
             FaultPlan::lossy(0.1).salted(9).salt

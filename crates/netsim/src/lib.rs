@@ -14,7 +14,8 @@
 //!
 //! Design follows the event-driven, allocation-conscious style of smoltcp:
 //! hosts implement [`Host`] and interact only through [`Ctx`]; the
-//! simulator is single-threaded and fully deterministic from its seed.
+//! simulator is single-threaded, draws nothing at random, and is fully
+//! deterministic from its topology, hosts and fault plan.
 //!
 //! ## Quick tour
 //!

@@ -1,38 +1,24 @@
-//! Deterministic seed derivation for sharded simulation.
+//! Deterministic seed derivation for sharded experiments.
 //!
-//! A sharded experiment runs one [`crate::Simulator`] per disjoint
-//! partition of the modeled Internet. Every shard needs its own RNG
-//! stream, and the streams must be a pure function of `(base seed,
-//! stream id)` — never of the shard count or of scheduling order — so
-//! that re-partitioning the same world cannot change any per-shard
+//! A sharded experiment generates one world per disjoint partition of the
+//! modeled Internet. The simulator itself draws nothing at random, but
+//! world generation does: each country's population and each shard's dud
+//! targets come from their own RNG, seeded by a pure function of `(base
+//! seed, stream id)` — never of the shard count or of scheduling order —
+//! so that re-partitioning the same world cannot change any per-shard
 //! decision. [`derive_seed`] is that function; every crate that derives
 //! per-shard or per-country streams goes through it.
 
-use crate::sim::SimConfig;
+use crate::fault::mix64;
 
 /// Derive an independent seed from `base` for logical stream `stream`.
 ///
-/// SplitMix64 finalizer over the combined value: cheap, well-mixed, and
-/// stable across platforms. `derive_seed(base, a) == derive_seed(base, b)`
-/// iff `a == b`, and unrelated streams are statistically independent.
+/// The SplitMix64 finalizer ([`mix64`]) over the combined value: cheap,
+/// well-mixed, and stable across platforms. `derive_seed(base, a) ==
+/// derive_seed(base, b)` iff `a == b`, and unrelated streams are
+/// statistically independent.
 pub fn derive_seed(base: u64, stream: u64) -> u64 {
-    let mut z = base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
-impl SimConfig {
-    /// Simulator configuration for shard `shard` of a sharded run seeded
-    /// with `base_seed`. Identical inputs give identical event streams;
-    /// distinct shards get independent ones.
-    pub fn for_shard(base_seed: u64, shard: u32) -> Self {
-        SimConfig {
-            seed: derive_seed(base_seed, 0x5117_0000_0000_0000 | u64::from(shard)),
-            ..SimConfig::default()
-        }
-    }
+    mix64(base ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]
@@ -54,14 +40,5 @@ mod tests {
                 "collision at stream {stream}"
             );
         }
-    }
-
-    #[test]
-    fn shard_configs_differ_per_shard_only() {
-        let a = SimConfig::for_shard(1, 0);
-        let b = SimConfig::for_shard(1, 0);
-        let c = SimConfig::for_shard(1, 1);
-        assert_eq!(a.seed, b.seed);
-        assert_ne!(a.seed, c.seed);
     }
 }

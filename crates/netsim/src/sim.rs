@@ -2,11 +2,11 @@
 //!
 //! Events are processed in `(time, sequence)` order from a hierarchical
 //! timer wheel (see [`crate::wheel`]), so two runs with the same topology,
-//! hosts, and seed produce identical traces. Hosts interact only through
-//! their handler's [`Ctx`], whose calls the simulator turns at once into
-//! routed packet deliveries, ICMP errors, and timer callbacks — single,
-//! cancellable callbacks or paced batches that serve a whole probe burst
-//! from one queue event.
+//! hosts, and fault plan produce identical traces. Hosts interact only
+//! through their handler's [`Ctx`], whose calls the simulator turns at
+//! once into routed packet deliveries, ICMP errors, and timer callbacks —
+//! single, cancellable callbacks or paced batches that serve a whole probe
+//! burst from one queue event.
 
 use crate::fault::{FaultPlan, FlowKey, FlowVerdict};
 use crate::host::{Ctx, Host, UdpSend};
@@ -21,15 +21,12 @@ use crate::wire;
 use std::any::Any;
 use std::collections::HashMap;
 
-/// Simulator configuration.
+/// Simulator configuration. The simulator draws nothing at random: two
+/// runs with the same plan replay the same fault pattern bit for bit.
 #[derive(Debug, Clone)]
 pub struct SimConfig {
-    /// Seed for seed-derived decisions. The fault plane salts its
-    /// stateless per-flow hashes from it (unless the plan carries an
-    /// explicit salt), so two runs with the same seed and plan replay the
-    /// same fault pattern bit for bit.
-    pub seed: u64,
-    /// Fault injection plan (validated at installation).
+    /// Fault injection plan, used exactly as given (its salt included) and
+    /// validated at installation.
     pub faults: FaultPlan,
     /// Hard ceiling on processed events, to catch runaway feedback loops
     /// (e.g. two forwarders pointed at each other).
@@ -39,7 +36,6 @@ pub struct SimConfig {
 impl Default for SimConfig {
     fn default() -> Self {
         SimConfig {
-            seed: 0x0D15EA5E,
             faults: FaultPlan::none(),
             max_events: 200_000_000,
         }
@@ -86,7 +82,6 @@ pub struct Simulator {
     queue: TimerWheel<EventKind>,
     now: SimTime,
     seq: u64,
-    seed: u64,
     faults: FaultPlan,
     /// Cached `faults.is_quiet()` — the per-packet fast-path branch.
     faults_quiet: bool,
@@ -103,7 +98,7 @@ impl Simulator {
         let n = topo.host_count();
         let mut hosts = Vec::with_capacity(n);
         hosts.resize_with(n, || None);
-        let faults = config.faults.salted(config.seed);
+        let faults = config.faults;
         faults.assert_valid();
         let faults_quiet = faults.is_quiet();
         Simulator {
@@ -112,7 +107,6 @@ impl Simulator {
             queue: TimerWheel::new(),
             now: SimTime::ZERO,
             seq: 0,
-            seed: config.seed,
             faults,
             faults_quiet,
             max_events: config.max_events,
@@ -130,10 +124,11 @@ impl Simulator {
 
     /// Restore the simulator to its pre-run state over the same topology:
     /// pending events, hosts, and taps are discarded; the clock, sequence
-    /// counter, IP ident counter, and statistics rewind to zero; the RNG
-    /// reseeds from `config`. Reinstalling the same hosts and scheduling
-    /// the same bootstrap timers then reproduces a fresh run's event
-    /// stream bit for bit — the reuse contract warm shard worlds rely on.
+    /// counter, IP ident counter, and statistics rewind to zero; the fault
+    /// plan and event budget are taken from `config`. Reinstalling the
+    /// same hosts and scheduling the same bootstrap timers then reproduces
+    /// a fresh run's event stream bit for bit — the reuse contract warm
+    /// shard worlds rely on.
     ///
     /// The route resolver's caches survive (routes are a pure function of
     /// the immutable topology), so a reset world re-runs without
@@ -150,8 +145,7 @@ impl Simulator {
         self.now = SimTime::ZERO;
         self.seq = 0;
         self.ip_ident = 0;
-        self.seed = config.seed;
-        self.faults = config.faults.clone().salted(config.seed);
+        self.faults = config.faults.clone();
         self.faults.assert_valid();
         self.faults_quiet = self.faults.is_quiet();
         self.max_events = config.max_events;
@@ -177,10 +171,10 @@ impl Simulator {
     /// Replace the fault-injection plan (takes effect for all packets
     /// sent after the call — lets experiments degrade an initially clean
     /// network). Accepts a bare [`crate::FaultConfig`] for uniform
-    /// faults. A zero plan salt is filled from the simulator seed; the
-    /// plan is validated loudly here, never clamped per decision.
+    /// faults. The plan is used as given, salt included, and validated
+    /// loudly here, never clamped per decision.
     pub fn set_faults(&mut self, faults: impl Into<FaultPlan>) {
-        let plan = faults.into().salted(self.seed);
+        let plan = faults.into();
         plan.assert_valid();
         self.faults_quiet = plan.is_quiet();
         self.faults = plan;
@@ -865,8 +859,7 @@ mod tests {
             let mut sim = Simulator::new(
                 topo,
                 SimConfig {
-                    seed,
-                    faults: FaultPlan::lossy(0.3),
+                    faults: FaultPlan::lossy(0.3).salted(seed),
                     ..SimConfig::default()
                 },
             );
@@ -996,8 +989,7 @@ mod tests {
         // all three captures must be byte-identical, including timestamps
         // and IP idents — the warm-world reuse contract.
         let config = SimConfig {
-            seed: 41,
-            faults: FaultPlan::lossy(0.2),
+            faults: FaultPlan::lossy(0.2).salted(41),
             ..SimConfig::default()
         };
         let drive = |sim: &mut Simulator, scanner: NodeId, server: NodeId, server_ip: Ipv4Addr| {

@@ -2,7 +2,7 @@
 //!
 //! The simulator is a discrete-event system: time only advances when the
 //! event queue pops an event, which makes every run bit-for-bit reproducible
-//! from its seed — a property the paper's real-world measurements cannot
+//! from its inputs — a property the paper's real-world measurements cannot
 //! have, and the main reason this reproduction can assert exact expectations
 //! in tests.
 
@@ -35,11 +35,6 @@ impl SimTime {
     /// ordering decisions).
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1_000_000.0
-    }
-
-    /// Duration elapsed since `earlier`. Saturates at zero.
-    pub fn since(self, earlier: SimTime) -> SimDuration {
-        SimDuration(self.0.saturating_sub(earlier.0))
     }
 }
 
@@ -139,7 +134,7 @@ mod tests {
         let t2 = t + SimDuration::from_secs(1);
         assert_eq!(t2.as_millis(), 1_005);
         assert_eq!((t2 - t).as_millis(), 1_000);
-        assert_eq!(t.since(t2), SimDuration::ZERO, "since saturates");
+        assert_eq!(t - t2, SimDuration::ZERO, "subtraction saturates");
     }
 
     #[test]

@@ -518,7 +518,8 @@ proptest! {
                 ..UdpSend::new(4_000, targets[to % targets.len()], dst_port, txid.to_be_bytes().to_vec())
             });
         }
-        let mut sim = Simulator::new(topo, SimConfig { seed, faults, ..SimConfig::default() });
+        let config = SimConfig { faults: faults.salted(seed), ..SimConfig::default() };
+        let mut sim = Simulator::new(topo, config);
         for (&node, script) in nodes.iter().zip(scripts) {
             for token in 0..script.len() as u64 {
                 sim.schedule_timer(node, SimDuration::from_micros(100 * token), token);

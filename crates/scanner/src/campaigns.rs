@@ -18,7 +18,7 @@
 //! All three emulations probe with real DNS queries through the simulator;
 //! only the *processing* differs.
 
-use crate::pacer::{Due, Pacer, PACE_TOKEN};
+use crate::pacer::{Pacer, PACE_TOKEN};
 use dnswire::Message;
 use netsim::{Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
 use odns::study;
@@ -74,33 +74,20 @@ impl std::fmt::Display for Campaign {
     }
 }
 
-/// Campaign scan configuration.
+/// Campaign scan configuration. A pass is single-shot, matching the real
+/// campaigns' observable behaviour: every target is probed once.
 #[derive(Debug, Clone)]
 pub struct CampaignConfig {
     /// Which campaign's processing to apply.
     pub campaign: Campaign,
     /// Targets to probe.
     pub targets: Vec<Ipv4Addr>,
-    /// Retransmission policy (default: single-shot, matching the real
-    /// campaigns' observable behavior).
-    pub retry: RetryPolicy,
 }
 
 impl CampaignConfig {
-    /// Config with defaults.
+    /// Probe `targets` with `campaign`'s processing.
     pub fn new(campaign: Campaign, targets: Vec<Ipv4Addr>) -> Self {
-        CampaignConfig {
-            campaign,
-            targets,
-            retry: RetryPolicy::none(),
-        }
-    }
-
-    /// Enable retransmissions (validated loudly).
-    pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        retry.assert_valid();
-        self.retry = retry;
-        self
+        CampaignConfig { campaign, targets }
     }
 }
 
@@ -115,9 +102,6 @@ pub struct CampaignReport {
     pub sanitized_out: u64,
     /// Responses that did not parse or carried no A record.
     pub invalid: u64,
-    /// Retransmissions sent (zero unless the pass ran with a
-    /// [`RetryPolicy`]).
-    pub retransmits_sent: u64,
 }
 
 impl CampaignReport {
@@ -130,7 +114,6 @@ impl CampaignReport {
         self.odns.extend(other.odns.iter().copied());
         self.sanitized_out += other.sanitized_out;
         self.invalid += other.invalid;
-        self.retransmits_sent += other.retransmits_sent;
     }
 }
 
@@ -155,11 +138,9 @@ impl Pipeline {
         }
     }
 
-    /// A probe went out. A tuple seen before is a retransmission.
+    /// A probe went out.
     fn probe(&mut self, port: u16, txid: u16, target: Ipv4Addr) {
-        if self.sent.insert((port, txid), target).is_some() {
-            self.report.retransmits_sent += 1;
-        }
+        self.sent.insert((port, txid), target);
     }
 
     /// A datagram from `src` arrived on `dst_port`.
@@ -216,7 +197,7 @@ fn probe_tuple(index: usize) -> (u16, u16) {
     )
 }
 
-/// A campaign scanner host, paced and retransmitted by a `pacer::Pacer`.
+/// A campaign scanner host, paced by a `pacer::Pacer`.
 #[derive(Debug)]
 pub struct CampaignScanner {
     config: CampaignConfig,
@@ -231,7 +212,7 @@ impl CampaignScanner {
             config.targets.len(),
             INTER_PROBE_GAP,
             PACE_TOKEN,
-            config.retry,
+            RetryPolicy::none(),
         );
         CampaignScanner {
             pipeline: Pipeline::new(config.campaign),
@@ -239,26 +220,10 @@ impl CampaignScanner {
             pacer,
         }
     }
-
-    /// Inverse of `probe_tuple`: mark the probe a
-    /// response maps to as answered, halting its retransmissions (a
-    /// response stops them however the campaign's pipeline judges it).
-    fn note_answer(&mut self, ctx: &mut Ctx<'_>, dst_port: u16, payload: &netsim::Payload) {
-        let Some(txid) = dnswire::peek_id(payload) else {
-            return;
-        };
-        let index = (usize::from(dst_port.wrapping_sub(BASE_PORT)) << 16) | usize::from(txid);
-        if probe_tuple(index) == (dst_port, txid) {
-            self.pacer.answered(ctx, index);
-        }
-    }
 }
 
 impl Host for CampaignScanner {
-    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
-        if self.config.retry.enabled() {
-            self.note_answer(ctx, dgram.dst_port, &dgram.payload);
-        }
+    fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dgram: Datagram) {
         self.pipeline
             .response(dgram.src, dgram.dst_port, &dgram.payload);
     }
@@ -267,19 +232,15 @@ impl Host for CampaignScanner {
         let Some(due) = self.pacer.due(token) else {
             return;
         };
-        let Due { index, attempt } = due;
-        let target = self.config.targets[index];
-        let (port, txid) = probe_tuple(index);
+        let target = self.config.targets[due.index];
+        let (port, txid) = probe_tuple(due.index);
         self.pipeline.probe(port, txid, target);
-        ctx.send_udp_attempt(
-            UdpSend::new(
-                port,
-                target,
-                dnswire::DNS_PORT,
-                netsim::Payload::with_dns_id(study::probe_template(), txid),
-            ),
-            attempt,
-        );
+        ctx.send_udp(UdpSend::new(
+            port,
+            target,
+            dnswire::DNS_PORT,
+            netsim::Payload::with_dns_id(study::probe_template(), txid),
+        ));
         self.pacer.sent(ctx, due);
     }
 }
@@ -409,62 +370,21 @@ mod tests {
             odns: [RESOLVER, RECFWD].into_iter().collect(),
             sanitized_out: 2,
             invalid: 1,
-            retransmits_sent: 4,
         };
         let b = CampaignReport {
             odns: [RESOLVER, TRANSP].into_iter().collect(),
             sanitized_out: 3,
             invalid: 0,
-            retransmits_sent: 1,
         };
         let mut ab = a.clone();
         ab.absorb(&b);
         assert_eq!(ab.odns.len(), 3, "shared responder collapses to one");
         assert_eq!((ab.sanitized_out, ab.invalid), (5, 1));
-        assert_eq!(ab.retransmits_sent, 5);
         // Order independence.
         let mut ba = b.clone();
         ba.absorb(&a);
         a.absorb(&b);
         assert_eq!(ba, a);
-    }
-
-    #[test]
-    fn retries_recover_lossy_campaign_responders() {
-        let run = |retry: RetryPolicy, seed: u64| {
-            let mut ips = vec![SCANNER];
-            ips.extend((1..=30).map(|i| Ipv4Addr::new(198, 51, 100, i)));
-            let (topo, nodes) = playground(&ips);
-            let mut sim = Simulator::new(
-                topo,
-                SimConfig {
-                    seed,
-                    faults: netsim::FaultPlan::lossy(0.4),
-                    ..SimConfig::default()
-                },
-            );
-            for node in &nodes[1..] {
-                sim.install(*node, Canned);
-            }
-            run_campaign(
-                &mut sim,
-                nodes[0],
-                CampaignConfig::new(Campaign::Shadowserver, ips[1..].to_vec()).with_retry(retry),
-            )
-        };
-        let single = run(RetryPolicy::none(), 21);
-        let retried = run(RetryPolicy::retries(3), 21);
-        assert_eq!(single.retransmits_sent, 0);
-        assert!(single.odns.len() < 30, "losses must bite");
-        assert!(retried.retransmits_sent > 0);
-        assert!(
-            retried.odns.len() > single.odns.len(),
-            "retries recover responders: {} vs {}",
-            retried.odns.len(),
-            single.odns.len()
-        );
-        // Determinism: the retried pass replays bit-identically.
-        assert_eq!(retried, run(RetryPolicy::retries(3), 21));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //!
 //! The transactional scanner, the campaign emulations, the fingerprint
 //! pass and the reflection attacker are one machine: send probe `i` at
-//! `start + i·gap`, and (for the two that retransmit) re-send it with
-//! backoff until it is answered or its attempts run out. A [`Pacer`] owns
+//! `start + i·gap`, and (for the transactional scanner, the one that
+//! retransmits) re-send it with backoff until it is answered or its
+//! attempts run out. A [`Pacer`] owns
 //! that machine — the timer-token space, the cursor, the batched pacing
 //! timers and the per-probe retry ledger — and the host supplies only
 //! what differs: its tuple scheme, its payload, what it does with

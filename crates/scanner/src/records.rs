@@ -68,15 +68,6 @@ impl Transaction {
             .as_ref()
             .map(|r| r.received_at - self.probe.sent_at)
     }
-
-    /// Answer-section A record addresses, if answered and well-formed.
-    pub fn answer_addrs(&self) -> Vec<Ipv4Addr> {
-        self.response
-            .as_ref()
-            .and_then(|r| r.message())
-            .map(|m| m.answer_a_addrs())
-            .unwrap_or_default()
-    }
 }
 
 /// Retransmission accounting from a scan run under a
@@ -177,7 +168,12 @@ mod tests {
         };
         assert_eq!(t.response_src(), Some(Ipv4Addr::new(8, 8, 8, 8)));
         assert_eq!(t.rtt(), Some(SimDuration::from_micros(40_000)));
-        assert_eq!(t.answer_addrs(), vec![Ipv4Addr::new(8, 8, 8, 8)]);
+        let answer = t
+            .response
+            .as_ref()
+            .and_then(ResponseRecord::message)
+            .unwrap();
+        assert_eq!(answer.answer_a_addrs(), vec![Ipv4Addr::new(8, 8, 8, 8)]);
     }
 
     #[test]
@@ -188,7 +184,6 @@ mod tests {
         };
         assert_eq!(t.response_src(), None);
         assert_eq!(t.rtt(), None);
-        assert!(t.answer_addrs().is_empty());
     }
 
     #[test]
@@ -202,7 +197,6 @@ mod tests {
                 payload: vec![0xDE, 0xAD].into(),
             }),
         };
-        assert!(t.answer_addrs().is_empty());
         assert!(t.response.as_ref().unwrap().message().is_none());
     }
 

@@ -594,8 +594,7 @@ mod tests {
         let mut sim = Simulator::new(
             topo,
             SimConfig {
-                seed,
-                faults: netsim::FaultPlan::lossy(loss),
+                faults: netsim::FaultPlan::lossy(loss).salted(seed),
                 ..SimConfig::default()
             },
         );
@@ -671,8 +670,7 @@ mod tests {
         let mut sim = Simulator::new(
             topo,
             SimConfig {
-                seed: 3,
-                faults,
+                faults: faults.salted(3),
                 ..SimConfig::default()
             },
         );
@@ -717,8 +715,7 @@ mod tests {
         let mut sim = Simulator::new(
             topo,
             SimConfig {
-                seed: 19,
-                faults: netsim::FaultPlan::lossy(0.3),
+                faults: netsim::FaultPlan::lossy(0.3).salted(19),
                 ..SimConfig::default()
             },
         );

@@ -22,10 +22,8 @@ fn world(seed: u64) -> inetgen::Internet {
 #[test]
 fn lossy_network_degrades_coverage_not_correctness() {
     let mut internet = world(11);
-    // Rebuild the simulator's fault profile: 10 % loss, duplication, jitter.
-    // (Faults are a SimConfig property; regenerate with the same seed and
-    // patch the config by reconstructing the simulator is not exposed, so
-    // we inject faults via the public SimConfig on generation instead.)
+    // Degrade the generated world's clean network: 10 % loss, duplication,
+    // jitter. `set_faults` installs the plan as given, under salt 0.
     let truth: HashMap<std::net::Ipv4Addr, PlantedClass> = internet
         .truth
         .hosts
