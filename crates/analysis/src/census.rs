@@ -494,7 +494,7 @@ mod tests {
         let config = inetgen::GenConfig {
             seed: 23,
             scale: 2_500,
-            dud_fraction: 0.0,
+            dud_fraction: 0.05,
             countries: inetgen::CountrySelection::Codes(vec!["BRA", "TUR", "MUS"]),
             ..inetgen::GenConfig::default()
         };

@@ -138,15 +138,13 @@ pub const SCALING: [ScalingRow; 3] = [
         summary: &["targets", "odns_total", "transparent_forwarders"],
         run: |cache, shards| {
             let census = analysis::run_census_sharded(cache, shards, &ClassifierConfig::default());
-            // Target counts may differ by a handful of duds across K
-            // (per-shard flooring); classification counts may not.
             let targets = census.rows.len() as u64;
             let odns = census.odns_total() as u64;
             let transparent = census.count(OdnsClass::TransparentForwarder) as u64;
             Sweep {
                 units: targets,
                 summary: vec![targets, odns, transparent],
-                invariant: vec![odns, transparent],
+                invariant: vec![targets, odns, transparent],
             }
         },
     },

@@ -25,8 +25,8 @@ use crate::geodb::GeoDb;
 use crate::shard::{shard_of_country, ShardSpec};
 use netsim::shard::derive_seed;
 use netsim::{
-    AsId, AsKind, AsSpec, CountryCode, HostSpec, IntMap, NodeId, Relationship, SimConfig,
-    SimDuration, Simulator, TopologyBuilder,
+    AsId, AsKind, AsSpec, CountryCode, HostSpec, NodeId, Relationship, SimConfig, SimDuration,
+    Simulator, TopologyBuilder,
 };
 use odns::{
     DeviceProfile, Manipulation, RecursiveForwarder, RecursiveResolver, ResolverConfig,
@@ -177,8 +177,8 @@ pub struct Internet {
     pub truth: GroundTruth,
     /// Routeviews/MaxMind-style lookup data for the analysis stage.
     pub geo: GeoDb,
-    /// Scan target list: every planted address plus unresponsive duds,
-    /// deterministically shuffled.
+    /// Scan target list: every planted address plus its country's duds,
+    /// shuffled. A world's set is its shards' union; only order is per shard.
     pub targets: Vec<Ipv4Addr>,
 }
 
@@ -213,9 +213,8 @@ const POPULATION_BASE: u32 = 0x0B00_0000;
 /// its position in [`COUNTRIES`]. Fixed disjoint regions are what make a
 /// country's addresses independent of which other countries share its
 /// shard — the prefix partition a sharded census relies on. The span
-/// covers the worst case (Brazil's sparse transparent prefixes at
-/// `scale = 1` can burn one block per host: 0.26 · 250 000 ≈ 65 k
-/// blocks).
+/// bounds planted blocks (from the bottom; Brazil at `scale = 1` can burn
+/// one per sparse transparent host, ≈ 65 k) plus dud blocks (from the top).
 const COUNTRY_BLOCK_SPAN: u32 = 0x1_8000;
 
 // The 11/8..125/8 pool holds 0x73_0000 /24 blocks — room for 76 country
@@ -386,12 +385,14 @@ pub fn generate(config: &GenConfig) -> Internet {
 /// [`shard_of_country`]. Per-country RNG streams derive only from
 /// `(config.seed, country index)`, so the same country is planted
 /// byte-identically no matter the partition — `spec.count = 1` *is* the
-/// classic single-simulator world.
+/// classic single-simulator world. Countries bring their own duds, so
+/// only the target shuffle is per shard.
 pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
     let mut draft = Draft {
         b: TopologyBuilder::new(),
         geo: GeoDb::new(),
         truth: GroundTruth::default(),
+        duds: Vec::new(),
     };
 
     // Backbone and fixtures draw no randomness: byte-identical in every
@@ -422,7 +423,8 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
     };
     install_hosts(&mut sim, &blueprint, &draft.truth.hosts);
 
-    let targets = scan_targets(config, spec, &draft.truth.hosts);
+    let planted = draft.truth.hosts.iter().map(|h| h.ip);
+    let targets = scan_targets(config, spec, planted.chain(draft.duds).collect());
     Internet {
         sim,
         blueprint,
@@ -439,6 +441,8 @@ struct Draft {
     b: TopologyBuilder,
     geo: GeoDb,
     truth: GroundTruth,
+    /// Every planted country's dud targets, in planting order.
+    duds: Vec<Ipv4Addr>,
 }
 
 impl Draft {
@@ -760,6 +764,23 @@ impl Planter<'_> {
         }
         &self.d.truth.hosts[start..]
     }
+
+    /// Add `n` duds: `.1`–`.254` of /24s from the top of the region down.
+    /// The limit drops below them, so no host or geo prefix ever lands
+    /// there. Panics, before allocating, if they would meet planted blocks.
+    fn plant_duds(&mut self, n: u64) {
+        let blocks = n.div_ceil(254);
+        let free = u64::from(self.blocks.limit - self.blocks.next) / 0x100;
+        assert!(
+            blocks <= free,
+            "{}: {n} duds overflow its population region ({blocks} /24s wanted, {free} free)",
+            self.country
+        );
+        let top = self.blocks.limit;
+        self.blocks.limit -= blocks as u32 * 0x100;
+        let ips = (1..=blocks as u32).flat_map(|i| hosts_of(top - i * 0x100, 254));
+        self.d.duds.extend(ips.take(n as usize));
+    }
 }
 
 /// Create a country's ASes under its regional transit, with the peering
@@ -867,7 +888,8 @@ fn draw_cpe(rng: &mut SmallRng, middlebox: bool) -> Vendor {
 /// Plant one country: its ASes, then its resolvers, chain heads,
 /// transparent forwarders (Figure 8's density mixture), recursive
 /// forwarders and manipulated forwarders — in that order, which is the
-/// draw order of the country's RNG stream.
+/// draw order of the country's RNG stream — then `round(P · dud_fraction)`
+/// duds for its `P` planted addresses, which draw nothing.
 fn plant_country(
     d: &mut Draft,
     config: &GenConfig,
@@ -876,6 +898,7 @@ fn plant_country(
     profile: &'static CountryProfile,
 ) {
     d.truth.countries.push(profile.code);
+    let first_host = d.truth.hosts.len();
     let mut rng = SmallRng::seed_from_u64(derive_seed(
         config.seed,
         COUNTRY_STREAM | global_index as u64,
@@ -1012,38 +1035,20 @@ fn plant_country(
             ..Role::default()
         },
     );
+
+    let planted = (p.d.truth.hosts.len() - first_host) as f64;
+    p.plant_duds((planted * config.dud_fraction).round() as u64);
 }
 
-/// The shard's scan target list: every planted address plus
-/// `dud_fraction` times as many distinct unresponsive duds, shuffled. Duds and
-/// shuffle order draw from a per-shard stream: the shard's probe order is
-/// deterministic, and reordering never changes *which* hosts are probed —
-/// only the offline correlation sees the order.
-fn scan_targets(config: &GenConfig, spec: ShardSpec, planted: &[PlantedHost]) -> Vec<Ipv4Addr> {
+/// The shard's scan target list — its planted addresses, then its
+/// countries' duds — shuffled by a per-shard stream. The shard's probe
+/// order is deterministic, and reordering never changes *which* addresses
+/// are probed — only the offline correlation sees the order.
+fn scan_targets(config: &GenConfig, spec: ShardSpec, mut targets: Vec<Ipv4Addr>) -> Vec<Ipv4Addr> {
     let mut rng = SmallRng::seed_from_u64(derive_seed(
         config.seed,
         TARGET_STREAM | u64::from(spec.index),
     ));
-    let mut targets: Vec<Ipv4Addr> = planted.iter().map(|h| h.ip).collect();
-    let dud_count = (targets.len() as f64 * config.dud_fraction) as usize;
-    // 170/8 is never allocated by the generator: guaranteed silence. A dud
-    // drawn twice, or one another shard owns (shard i of K keeps only
-    // addresses ≡ i mod K), is drawn again — target-keyed probe tuples are
-    // unique only because targets are. At K=1 every fresh draw is kept, so
-    // a solo world spends exactly the draws it always did.
-    let mut duds: IntMap<Ipv4Addr, ()> =
-        IntMap::with_capacity_and_hasher(dud_count, Default::default());
-    while duds.len() < dud_count {
-        let dud = Ipv4Addr::new(
-            170,
-            rng.gen_range(0..=255),
-            rng.gen_range(0..=255),
-            rng.gen_range(1..=254),
-        );
-        if u32::from(dud) % spec.count == spec.index && duds.insert(dud, ()).is_none() {
-            targets.push(dud);
-        }
-    }
     // Fisher-Yates with the shard's target RNG: deterministic shuffle.
     for i in (1..targets.len()).rev() {
         let j = rng.gen_range(0..=i);
@@ -1067,8 +1072,8 @@ mod tests {
         let _ = generate(&config);
     }
 
-    /// At the parent of this test 170/8 was drawn without a uniqueness
-    /// check, and a world this size probed some duds twice.
+    /// Duds are distinct from each other and from every planted address,
+    /// and an integral `dud_fraction` adds exactly that many per host.
     #[test]
     fn scan_targets_are_unique() {
         let config = GenConfig {
@@ -1082,6 +1087,19 @@ mod tests {
         assert_eq!(world.targets.len(), planted + planted * 4);
         let distinct: HashSet<_> = world.targets.iter().collect();
         assert_eq!(distinct.len(), world.targets.len());
+    }
+
+    /// A country whose duds need more /24s than its region has left fails
+    /// loudly, before the dud list is allocated.
+    #[test]
+    #[should_panic(expected = "duds overflow its population region")]
+    fn duds_that_overflow_a_region_are_refused() {
+        let config = GenConfig {
+            countries: CountrySelection::Codes(vec!["FSM"]),
+            dud_fraction: 1e8,
+            ..GenConfig::test_small()
+        };
+        let _ = generate(&config);
     }
 
     #[test]

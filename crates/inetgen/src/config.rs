@@ -25,9 +25,10 @@ pub struct GenConfig {
     /// AS-count divisor. AS structure shrinks more gently than host
     /// counts so per-country AS diversity survives scaling.
     pub as_divisor: u32,
-    /// Fraction of extra, unresponsive probe targets mixed into the scan
-    /// target list (the real scan probes the whole IPv4 space; almost all
-    /// targets never answer).
+    /// Unresponsive probe targets mixed into the scan target list, per
+    /// planted address (the real scan probes the whole IPv4 space; almost
+    /// all targets never answer). A country with `P` planted addresses
+    /// gets `round(P · dud_fraction)` duds in its own address region.
     pub dud_fraction: f64,
     /// Country subset.
     pub countries: CountrySelection,

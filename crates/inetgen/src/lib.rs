@@ -37,8 +37,5 @@ pub use countries::{
     by_code, by_transparent_desc, CountryProfile, OtherProfile, Region, ResolverMix, COUNTRIES,
 };
 pub use geodb::{AsnInfo, GeoDb};
-pub use shard::{
-    generate_partition, run_sharded, shard_of_country, ShardSpec, ShardWorldCache, ShardedRun,
-    Worlds,
-};
+pub use shard::{run_sharded, shard_of_country, ShardSpec, ShardWorldCache, ShardedRun, Worlds};
 pub use validate::{check_marginals, Deviation};

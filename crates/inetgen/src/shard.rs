@@ -4,15 +4,15 @@
 //! shards and builds one self-contained [`crate::Internet`] (with its own
 //! [`netsim::Simulator`]) per shard. The partition key is the country:
 //! every country owns a fixed, disjoint region of probe-address space
-//! (see `build::Allocator`), so assigning countries to shards *is* a
-//! disjoint prefix partition.
+//! (see `build::Blocks`), its planted hosts and its dud targets alike, so
+//! assigning countries to shards *is* a disjoint prefix partition.
 //!
 //! Determinism contract: every per-country random decision is drawn from
 //! a stream derived only from `(config.seed, country index)` via
 //! [`netsim::shard::derive_seed`] — never from the shard count or from
 //! other countries. Re-partitioning the same seed therefore replants the
-//! byte-identical population in every country, which is what makes the
-//! sharded census produce identical classification counts for any `K`
+//! byte-identical population and the same duds in every country, which is
+//! what makes the sharded census produce identical rows for any `K`
 //! (`generate(config)` is exactly `generate_shard(config,
 //! ShardSpec::solo())`).
 
@@ -46,11 +46,6 @@ impl ShardSpec {
         );
         ShardSpec { index, count }
     }
-
-    /// All shards of a `count`-way partition.
-    pub fn partition(count: u32) -> Vec<ShardSpec> {
-        (0..count).map(|i| ShardSpec::new(i, count)).collect()
-    }
 }
 
 /// Which shard a country (by its index in [`crate::COUNTRIES`]) belongs
@@ -63,17 +58,6 @@ impl ShardSpec {
 pub fn shard_of_country(global_index: usize, shard_count: u32) -> u32 {
     assert!(shard_count >= 1, "a partition needs at least one shard");
     (global_index as u32) % shard_count
-}
-
-/// Generate every shard of a `count`-way partition, sequentially. Worker
-/// pools that want generation *and* scanning off-thread should instead
-/// call [`crate::generate_shard`] from their own threads — or use
-/// [`run_sharded`], which owns that worker pool.
-pub fn generate_partition(config: &GenConfig, count: u32) -> Vec<Internet> {
-    ShardSpec::partition(count)
-        .into_iter()
-        .map(|s| generate_shard(config, s))
-        .collect()
 }
 
 /// The merged result of driving one experiment over every shard of a

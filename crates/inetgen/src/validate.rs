@@ -144,15 +144,34 @@ mod tests {
         assert!(coverage < 1.0, "the 0.1 % Routeviews gap must exist");
     }
 
+    /// A dud is silent by layout: no node owns it and no prefix maps it.
     #[test]
     fn targets_include_duds() {
-        let internet = generate(&GenConfig::test_small());
-        let duds = internet
+        let config = GenConfig::test_small();
+        let internet = generate(&config);
+        let planted: std::collections::HashSet<_> =
+            internet.truth.hosts.iter().map(|h| h.ip).collect();
+        let duds: Vec<_> = internet
             .targets
             .iter()
-            .filter(|t| t.octets()[0] == 170)
-            .count();
-        assert!(duds > 0, "dud targets must be mixed in");
-        assert!(internet.targets.len() > internet.truth.hosts.len());
+            .filter(|t| !planted.contains(t))
+            .collect();
+        assert!(!duds.is_empty(), "dud targets must be mixed in");
+        for dud in &duds {
+            assert!(
+                internet.sim.topology().owner_of_ip(**dud).is_none(),
+                "{dud} has an owner"
+            );
+            assert_eq!(internet.geo.asn_of(**dud), None, "{dud} maps to an AS");
+        }
+        let hosts = &internet.truth.hosts;
+        let planted_in = |c| hosts.iter().filter(|h| h.country == c).count() as f64;
+        let expected: usize = internet
+            .truth
+            .countries
+            .iter()
+            .map(|c| (planted_in(*c) * config.dud_fraction).round() as usize)
+            .sum();
+        assert_eq!(duds.len(), expected, "round(P · dud_fraction) per country");
     }
 }

@@ -2,12 +2,12 @@
 //!
 //! A sharded experiment generates one world per disjoint partition of the
 //! modeled Internet. The simulator itself draws nothing at random, but
-//! world generation does: each country's population and each shard's dud
-//! targets come from their own RNG, seeded by a pure function of `(base
-//! seed, stream id)` — never of the shard count or of scheduling order —
-//! so that re-partitioning the same world cannot change any per-shard
-//! decision. [`derive_seed`] is that function; every crate that derives
-//! per-shard or per-country streams goes through it.
+//! world generation does: each country's population and each shard's
+//! target shuffle come from their own RNG, seeded by a pure function of
+//! `(base seed, stream id)` — never of the shard count or of scheduling
+//! order — so that re-partitioning the same world cannot change any
+//! per-country decision. [`derive_seed`] is that function; every crate
+//! that derives per-shard or per-country streams goes through it.
 
 use crate::fault::mix64;
 

@@ -236,8 +236,8 @@ fn two_countries_dense() {
     );
 }
 
-/// Both shards of a two-way partition: the per-shard target stream and
-/// simulator seed are part of the contract too.
+/// Both shards of a two-way partition: each shard's target shuffle is part
+/// of the contract too.
 #[test]
 fn five_countries_in_two_shards() {
     let config = GenConfig {

@@ -1,41 +1,48 @@
 //! Shard-count invariance of the census.
 //!
 //! The sharded engine's contract: partitioning the synthetic Internet
-//! into K shards changes wall-clock behavior only — the classification
-//! counts coming out of the merged offline correlation pass are identical
+//! into K shards changes wall-clock behavior only — the census coming out
+//! of the merged offline correlation pass, dud rows included, is identical
 //! for every K, and identical to the classic single-simulator path.
 
-use inetgen::{CountrySelection, GenConfig};
+use inetgen::{CountrySelection, GenConfig, ShardSpec};
 use scanner::{ClassifierConfig, OdnsClass};
 
-/// The classification counts that must be invariant under sharding. The
-/// raw probe count is *not* included: unresponsive dud targets are a
-/// per-shard `floor(hosts · dud_fraction)` and flooring per shard may
-/// yield one or two fewer duds than flooring once — duds never classify,
-/// so every count below is untouched.
-fn counts(census: &analysis::Census) -> (usize, usize, usize, usize) {
-    (
-        census.odns_total(),
-        census.count(OdnsClass::TransparentForwarder),
-        census.count(OdnsClass::RecursiveForwarder),
-        census.count(OdnsClass::RecursiveResolver),
-    )
+/// The census with its rows in target order: per-shard probe order is
+/// partition-specific, the rows themselves are not.
+fn sorted(mut census: analysis::Census) -> analysis::Census {
+    census.rows.sort_by_key(|r| r.target);
+    census
 }
 
 #[test]
 fn shard_counts_match_single_simulator_path() {
     let config = GenConfig::test_small();
     let mut internet = inetgen::generate(&config);
-    let single = analysis::run_census(&mut internet, &ClassifierConfig::default());
-    let baseline = counts(&single);
-    assert!(baseline.1 > 0, "world must contain transparent forwarders");
+    let single = sorted(analysis::run_census(
+        &mut internet,
+        &ClassifierConfig::default(),
+    ));
+    assert!(
+        single.count(OdnsClass::TransparentForwarder) > 0,
+        "world must contain transparent forwarders"
+    );
+    assert!(
+        single.rows.len() > internet.truth.hosts.len(),
+        "world must contain duds"
+    );
 
     for k in [1u32, 2, 8] {
-        let sharded = analysis::run_census_sharded(&config, k, &ClassifierConfig::default());
-        assert_eq!(
-            counts(&sharded),
-            baseline,
-            "classification counts diverged at K={k}"
+        let sharded = sorted(analysis::run_census_sharded(
+            &config,
+            k,
+            &ClassifierConfig::default(),
+        ));
+        assert!(
+            sharded == single,
+            "census diverged at K={k}: {} rows vs {} on the single path",
+            sharded.rows.len(),
+            single.rows.len()
         );
     }
 }
@@ -69,10 +76,12 @@ fn shard_worlds_probe_disjoint_population_targets() {
     // The partition really is disjoint: no planted address appears in two
     // shards, and the union covers the unsharded world exactly.
     let config = GenConfig::test_small();
-    let shards = inetgen::generate_partition(&config, 4);
     let mut seen = std::collections::HashSet::new();
-    for world in &shards {
-        for host in &world.truth.hosts {
+    for i in 0..4 {
+        for host in &inetgen::generate_shard(&config, ShardSpec::new(i, 4))
+            .truth
+            .hosts
+        {
             assert!(
                 seen.insert(host.ip),
                 "address {} planted in two shards",
@@ -86,22 +95,32 @@ fn shard_worlds_probe_disjoint_population_targets() {
         seen, solo_ips,
         "shard union must equal the unsharded population"
     );
-    // Nor is any scan target, duds included, probed by two shards. Every
-    // shard draws its duds from 170/8 with its own stream; this many duds
-    // made some shards draw the same address.
+    // Nor is any scan target, duds included, probed by two shards, and
+    // the shards together probe exactly what the solo world probes — in
+    // the test world and in a dud-heavy one shaped like the benchmark's.
     let dud_heavy = GenConfig {
-        dud_fraction: 20.0,
-        ..config
+        seed: 7,
+        scale: 1_000,
+        dud_fraction: 4.0,
+        ..GenConfig::default()
     };
-    for k in [2, 8] {
-        let mut targets = std::collections::HashSet::new();
-        for world in inetgen::generate_partition(&dud_heavy, k) {
-            for target in &world.targets {
-                assert!(
-                    targets.insert(*target),
-                    "K={k}: target {target} probed by two shards"
-                );
+    for config in [config, dud_heavy] {
+        let mut solo = inetgen::generate(&config).targets;
+        solo.sort();
+        for k in [2, 8] {
+            let mut union = Vec::new();
+            for i in 0..k {
+                union.extend(inetgen::generate_shard(&config, ShardSpec::new(i, k)).targets);
             }
+            union.sort();
+            assert!(
+                union.windows(2).all(|w| w[0] != w[1]),
+                "K={k}: a target is probed by two shards"
+            );
+            assert!(
+                union == solo,
+                "K={k}: shard targets differ from the solo world's"
+            );
         }
     }
 }
