@@ -182,13 +182,13 @@ fn benchmark_sized_world_all_countries() {
         golden(inetgen::generate(&config)),
         Golden {
             hosts: 2397,
-            targets: 2636,
+            targets: 2642,
             responses: 2397,
             truth_fnv: 6948239947955116278,
             geo_fnv: 13243105862311879249,
-            targets_fnv: 11122001791812093806,
-            scan_fnv: 151855684025018501,
-            stats_fnv: 4302781953783266877,
+            targets_fnv: 295871183925355440,
+            scan_fnv: 4258838641488775971,
+            stats_fnv: 16849320520628756707,
         }
     );
 }
@@ -199,13 +199,13 @@ fn test_small_world() {
         golden(inetgen::generate(&GenConfig::test_small())),
         Golden {
             hosts: 1260,
-            targets: 1323,
+            targets: 1316,
             responses: 1260,
             truth_fnv: 17224104210200535967,
             geo_fnv: 14808082315257843529,
-            targets_fnv: 5051115455406382401,
-            scan_fnv: 767832590329255594,
-            stats_fnv: 17879956387622430459,
+            targets_fnv: 9264613847914448636,
+            scan_fnv: 4295074742484470385,
+            stats_fnv: 10723317333765259490,
         }
     );
 }
@@ -229,8 +229,8 @@ fn two_countries_dense() {
             responses: 960,
             truth_fnv: 17896030775153268866,
             geo_fnv: 5302679172244165287,
-            targets_fnv: 13772938288506112926,
-            scan_fnv: 9674443731067380843,
+            targets_fnv: 5725153421075372632,
+            scan_fnv: 1157099840951440390,
             stats_fnv: 1299865496543027695,
         }
     );
@@ -252,13 +252,13 @@ fn five_countries_in_two_shards() {
         [
             Golden {
                 hosts: 154,
-                targets: 161,
+                targets: 162,
                 responses: 154,
                 truth_fnv: 3890566104652369182,
                 geo_fnv: 15885527849532824469,
-                targets_fnv: 12744336294612279213,
-                scan_fnv: 7288969217371761516,
-                stats_fnv: 11345242513336429488,
+                targets_fnv: 10379536556331359536,
+                scan_fnv: 451040382690965933,
+                stats_fnv: 10439398226012945955,
             },
             Golden {
                 hosts: 7,
