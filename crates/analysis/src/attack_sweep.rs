@@ -32,7 +32,7 @@
 use crate::campaign_sweep::{install_sensors, CAMPAIGN_EPOCH, SENSOR_SHARD};
 use crate::table::TextTable;
 use inetgen::{Internet, PlantedClass, ShardSpec, ShardedRun, Worlds};
-use scanner::attacks::{run_reflections, AttackVector, ReflectionPlan, VictimMeter, VictimTally};
+use scanner::{run_reflections, AttackVector, ReflectionPlan, VictimMeter, VictimTally};
 use scanner::{HoneypotSensor, OdnsClass};
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -48,7 +48,7 @@ const FLOOD_PORT: u16 = 40_100;
 /// How many times the flood cycles the sensor address list. All cycles
 /// land inside one 5-minute limiter window, so each sensor instance
 /// answers exactly once per source /24 and sheds the rest.
-pub const FLOOD_REPEATS: u32 = 25;
+const FLOOD_REPEATS: u32 = 25;
 
 /// The matrix row/column grid: every vector through every component
 /// class, in pass order (pass index = position in this list).
@@ -106,6 +106,7 @@ impl AmpCell {
 
     /// Bytes at victim per byte spent — §6's bandwidth amplification
     /// factor. Rendering only; never stored or compared.
+    // detlint::allow(needless-pub): tests/amplification_misuse.rs asserts §6's factor per cell through it
     pub fn amplification(&self) -> f64 {
         if self.bytes_sent == 0 {
             0.0

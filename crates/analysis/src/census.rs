@@ -307,7 +307,7 @@ mod tests {
     use scanner::records::{ProbeRecord, ResponseRecord};
 
     fn geo() -> GeoDb {
-        let mut g = GeoDb::perfect();
+        let mut g = GeoDb::default();
         g.add_prefix24(Ipv4Addr::new(203, 0, 113, 0), 65001);
         g.add_asn(65001, "BRA", netsim::AsKind::EyeballIsp);
         g

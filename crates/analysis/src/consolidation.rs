@@ -182,7 +182,7 @@ mod tests {
     }
 
     fn geo() -> GeoDb {
-        let mut g = GeoDb::perfect();
+        let mut g = GeoDb::default();
         g.add_prefix24(Ipv4Addr::new(8, 8, 4, 0), 15169);
         g.add_anycast(Ipv4Addr::new(8, 8, 8, 8), 15169);
         g.add_prefix24(Ipv4Addr::new(11, 0, 1, 0), 65001); // local resolver

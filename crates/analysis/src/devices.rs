@@ -54,7 +54,7 @@ pub fn vendor_summary(
 /// One row of the top-AS classification (Appendix E: "79 of the top-100
 /// ASes are Cable/DSL/ISP networks", "65 ASNs are 32-bit numbers").
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TopAsRow {
+pub(crate) struct TopAsRow {
     /// The ASN.
     pub asn: u32,
     /// Transparent forwarders hosted.
@@ -66,7 +66,7 @@ pub struct TopAsRow {
 }
 
 /// The top-`n` ASes by transparent-forwarder count.
-pub fn top_ases_by_transparent(census: &Census, geo: &GeoDb, n: usize) -> Vec<TopAsRow> {
+fn top_ases_by_transparent(census: &Census, geo: &GeoDb, n: usize) -> Vec<TopAsRow> {
     let mut per_asn: BTreeMap<u32, usize> = BTreeMap::new();
     for row in census.of_class(OdnsClass::TransparentForwarder) {
         if let Some(asn) = row.asn {
@@ -161,7 +161,7 @@ mod tests {
     #[test]
     fn top_as_ranking_and_32bit_detection() {
         let census = census_with_asns(&[(4_200_000_001, 10), (20_001, 5), (20_002, 1)]);
-        let mut geo = GeoDb::perfect();
+        let mut geo = GeoDb::default();
         geo.add_asn(4_200_000_001, "BRA", AsKind::EyeballIsp);
         geo.add_asn(20_001, "BRA", AsKind::Content);
         geo.add_asn(20_002, "BRA", AsKind::Unclassified);

@@ -44,12 +44,6 @@ impl ShardedSweep {
     pub fn sanitized(&self) -> (Vec<ForwarderPath>, SanitizeStats) {
         dnsroute::sanitize(&self.traces)
     }
-
-    /// Figure 6 input: sanitized paths grouped by resolver project.
-    pub fn figure6(&self) -> (Vec<crate::ProjectPaths>, Vec<ForwarderPath>) {
-        let (paths, _) = self.sanitized();
-        crate::figure6_by_project(&paths, &self.geo)
-    }
 }
 
 /// One shard's §5 experiment: the census pass ([`run_census`] — this

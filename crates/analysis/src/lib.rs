@@ -9,13 +9,13 @@
 //! | Artifact | Module |
 //! |---|---|
 //! | Table 1 (composition) | [`report::table1`] |
-//! | Table 3 (sensor detection) | [`campaign_sweep`] |
+//! | Table 3 (sensor detection) | [`run_campaign_sharded`] |
 //! | Table 4 ("other" share) | [`consolidation`], [`report::table4`] |
-//! | Table 5 (country ranks) | [`ranking`], [`report::table5`] |
+//! | Table 5 (country ranks) | [`table5_ranking`], [`report::table5`] |
 //! | Figure 3 (country CDF) | [`aggregate`], [`report::figure3`] |
 //! | Figure 4 (top-50 stacked) | [`aggregate`], [`report::figure4`] |
 //! | Figure 5 (project shares) | [`consolidation`], [`report::figure5`] |
-//! | Figure 6 (path lengths) | [`paths`], [`dnsroute_sweep`] |
+//! | Figure 6 (path lengths) | [`paths`], [`run_dnsroute_sharded`] |
 //! | Figure 8 (/24 density) | [`density`], [`report::figure8`] |
 //! | Appendix E (devices/ASes) | [`devices`] |
 
@@ -23,27 +23,27 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod attack_sweep;
-pub mod campaign_sweep;
+mod attack_sweep;
+mod campaign_sweep;
 pub mod cdf;
 pub mod census;
 pub mod chart;
 pub mod consolidation;
 pub mod density;
 pub mod devices;
-pub mod dnsroute_sweep;
+mod dnsroute_sweep;
 pub mod paths;
-pub mod pcap_ingest;
-pub mod ranking;
+mod pcap_ingest;
+mod ranking;
 pub mod report;
-pub mod resilience;
+mod resilience;
 pub mod table;
 
 pub use aggregate::{by_country, figure3_cumulative, rank_by_transparent, CountryStats};
 pub use attack_sweep::{run_attacks_sharded, AmpCell, AttackMatrix, SensorEfficacy};
 pub use campaign_sweep::{
-    install_sensors, run_campaign_sharded, CampaignSweep, DetectionMatrix, SensorTotals,
-    ShardCaptures, CAMPAIGN_EPOCH, SENSOR_SHARD,
+    collect_sensor_totals, install_sensors, run_campaign_sharded, sensor_targets, CampaignSweep,
+    DetectionMatrix, SensorTotals, ShardCaptures, CAMPAIGN_EPOCH, SENSOR_SHARD,
 };
 pub use cdf::Cdf;
 pub use census::{
@@ -54,9 +54,7 @@ pub use consolidation::{
     figure5_by_country, table4_other_share, CountryConsolidation, OtherShareRow, ResolverSource,
 };
 pub use density::PrefixDensity;
-pub use devices::{
-    top_as_summary, top_ases_by_transparent, vendor_summary, TopAsSummary, VendorSummary,
-};
+pub use devices::{top_as_summary, vendor_summary, TopAsSummary, VendorSummary};
 pub use dnsroute_sweep::{run_dnsroute_sharded, ShardedSweep};
 pub use paths::{as_relationship_report, figure6_by_project, ProjectPaths};
 pub use pcap_ingest::{

@@ -98,7 +98,7 @@ mod tests {
 
     #[test]
     fn grouping_by_project() {
-        let mut geo = GeoDb::perfect();
+        let mut geo = GeoDb::default();
         geo.add_prefix24(Ipv4Addr::new(11, 0, 0, 0), 65001);
         let google = ResolverProject::Google.service_ip();
         let cf = ResolverProject::Cloudflare.service_ip();
@@ -127,7 +127,7 @@ mod tests {
 
     #[test]
     fn relationship_report_with_baseline() {
-        let mut geo = GeoDb::perfect();
+        let mut geo = GeoDb::default();
         geo.add_prefix24(Ipv4Addr::new(11, 0, 0, 0), 65005); // forwarder AS
         geo.add_prefix24(Ipv4Addr::new(10, 0, 1, 0), 64611); // provider routers
         let p = ForwarderPath {

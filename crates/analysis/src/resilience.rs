@@ -71,7 +71,7 @@ impl ResilienceCell {
     }
 
     /// True detections per detection. Rendering only.
-    pub fn precision(&self) -> f64 {
+    fn precision(&self) -> f64 {
         let detections = self.detected_true + self.false_positives;
         if detections == 0 {
             1.0

@@ -25,11 +25,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    pub fn row_count(&self) -> usize {
-        self.rows.len()
-    }
-
     /// Render with aligned columns.
     pub fn render(&self) -> String {
         let cols = self.header.len();
@@ -167,7 +162,7 @@ mod tests {
     fn short_rows_padded() {
         let mut t = TextTable::new(["a", "b", "c"]);
         t.row(["1"]);
-        assert_eq!(t.row_count(), 1);
+        assert_eq!(t.rows.len(), 1);
         assert!(t.render().contains('1'));
     }
 

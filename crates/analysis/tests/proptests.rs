@@ -92,7 +92,7 @@ proptest! {
 
         let census = analysis::census_from_captures(
             &captures,
-            &inetgen::GeoDb::perfect(),
+            &inetgen::GeoDb::default(),
             &ClassifierConfig::default(),
         ).expect("captures parse");
 

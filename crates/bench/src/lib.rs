@@ -23,7 +23,7 @@ use std::time::Instant;
 
 /// The six headline countries with no dud targets; `scale` trades
 /// population for time.
-pub fn headline_config(scale: u32) -> GenConfig {
+fn headline_config(scale: u32) -> GenConfig {
     GenConfig {
         countries: CountrySelection::Codes(vec!["BRA", "IND", "USA", "TUR", "ARG", "IDN"]),
         scale,
@@ -390,6 +390,7 @@ fn section_body<'a>(artifact: &'a str, key: &str) -> Option<&'a str> {
 /// throughput)` pairs — throughput being each row's `*_per_second` field.
 /// Empty when the section or its sweeps are missing; rows missing either
 /// field are skipped.
+// detlint::allow(needless-pub): crates/bench/tests/docs_sync.rs ties README's census numbers to the committed artifact through it
 pub fn section_sweeps(artifact: &str, key: &str) -> Vec<(u32, f64)> {
     let sweeps = section_body(artifact, key).and_then(|section| {
         let rest = &section[section.find("\"sweeps\"")?..];

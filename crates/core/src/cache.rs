@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 /// Cache lookup key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub struct CacheKey {
+pub(crate) struct CacheKey {
     /// Query name.
     pub name: DnsName,
     /// Query type.
@@ -90,7 +90,6 @@ impl Stored {
 #[derive(Debug, Clone)]
 struct Entry {
     stored: Stored,
-    inserted: SimTime,
     expires: SimTime,
     /// Lazily built pre-encoded response for this entry — the hot serve
     /// path patches (txid, RD, TTL) instead of rebuilding and re-encoding
@@ -132,18 +131,6 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Entries that aged out.
     pub expirations: u64,
-}
-
-impl CacheStats {
-    /// Hit ratio in [0, 1]; 0 when never queried.
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
 }
 
 /// The entries of a [`DnsCache`], oldest insert first, and the only code
@@ -440,22 +427,11 @@ impl DnsCache {
         }
         let entry = Entry {
             stored,
-            inserted: now,
             expires: now + netsim::SimDuration::from_secs(u64::from(ttl_secs)),
             template: None,
         };
         self.table.insert(key, entry);
         self.stats.insertions += 1;
-    }
-
-    /// Age of the entry for `name`/`rtype` at `now`, if present and live.
-    pub fn age(&self, name: &DnsName, rtype: RrType, now: SimTime) -> Option<u64> {
-        let e = self.table.get(name, rtype)?;
-        if now >= e.expires {
-            None
-        } else {
-            Some((now - e.inserted).as_micros() / 1_000_000)
-        }
     }
 }
 
@@ -1301,21 +1277,6 @@ mod tests {
     }
 
     #[test]
-    fn age_tracks_insertion() {
-        let mut c = DnsCache::new(4);
-        c.insert(
-            name("x.example."),
-            RrType::A,
-            CachedAnswer::Positive(vec![a_record("x.example.", 300)]),
-            300,
-            SimTime::ZERO,
-        );
-        let now = SimTime::ZERO + SimDuration::from_secs(42);
-        assert_eq!(c.age(&name("x.example."), RrType::A, now), Some(42));
-        assert_eq!(c.age(&name("y.example."), RrType::A, now), None);
-    }
-
-    #[test]
     fn hit_ratio() {
         let mut c = DnsCache::new(4);
         let t = SimTime::ZERO;
@@ -1328,7 +1289,6 @@ mod tests {
         );
         let _ = c.get(&name("x.example."), RrType::A, t);
         let _ = c.get(&name("y.example."), RrType::A, t);
-        assert!((c.stats.hit_ratio() - 0.5).abs() < 1e-9);
-        assert_eq!(CacheStats::default().hit_ratio(), 0.0);
+        assert_eq!((c.stats.hits, c.stats.misses), (1, 1));
     }
 }

@@ -98,7 +98,7 @@ impl DeviceProfile {
     }
 
     /// Does this profile answer on `port`?
-    pub fn answers_on(&self, port: u16) -> bool {
+    fn answers_on(&self, port: u16) -> bool {
         self.open_ports.contains(&port)
     }
 }

@@ -31,14 +31,14 @@ pub mod cache;
 pub mod device;
 pub mod forwarder;
 pub mod memo;
-pub mod public;
-pub mod ratelimit;
-pub mod recursive;
+mod public;
+mod ratelimit;
+mod recursive;
 pub mod study;
 pub mod zone;
 
 pub use auth::{AuthLogEntry, AuthStats, StudyAuthServer};
-pub use cache::{CacheKey, CacheStats, CachedAnswer, CachedWire, DnsCache, ServeCache};
+pub use cache::{CacheStats, CachedAnswer, CachedWire, DnsCache, ServeCache};
 pub use device::{DeviceProfile, Vendor};
 pub use forwarder::{
     Manipulation, RecursiveForwarder, RecursiveForwarderStats, TransparentForwarder,
@@ -47,6 +47,6 @@ pub use forwarder::{
 pub use memo::QueryMemo;
 pub use public::ResolverProject;
 pub use ratelimit::{prefix24, PrefixRateLimiter};
-pub use recursive::{in_prefix, AccessPolicy, RecursiveResolver, ResolverConfig, ResolverStats};
+pub use recursive::{AccessPolicy, RecursiveResolver, ResolverConfig, ResolverStats};
 pub use study::{install_study_stack, StudyNodes};
 pub use zone::{extract_referral, DelegatingServer, Delegation, Referral};

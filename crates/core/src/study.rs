@@ -13,16 +13,16 @@ use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
 /// The DNS zone the study controls (placeholder TLD per RFC 2606).
-pub const STUDY_ZONE: &str = "odns-study.example.";
+const STUDY_ZONE: &str = "odns-study.example.";
 
 /// The static name every response-based probe queries. Static names let
 /// resolver caches absorb repeat queries, keeping authoritative load low
 /// (Table 2, "Utilization of caches: High / Load auth. name server: Low").
-pub const STUDY_QNAME: &str = "odns-study.example.";
+pub(crate) const STUDY_QNAME: &str = "odns-study.example.";
 
 /// Subdomain under which the query-based method encodes targets:
 /// `203-0-113-1.scan.odns-study.example.`.
-pub const SCAN_LABEL: &str = "scan";
+const SCAN_LABEL: &str = "scan";
 
 /// The static control record's address. The dynamic record reflects the
 /// immediate client; this one never changes. Requiring *both* records
@@ -45,7 +45,7 @@ pub fn study_qname() -> DnsName {
 }
 
 /// The study probe's wire bytes under transaction ID 0: the RD=1 A query
-/// for [`STUDY_QNAME`]. Every response-based prober sends this one query
+/// for [`study_qname`]. Every response-based prober sends this one query
 /// under its own ID ([`netsim::Payload::with_dns_id`]), so it is encoded
 /// once per process.
 pub fn probe_template() -> &'static [u8] {

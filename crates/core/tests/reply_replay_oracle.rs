@@ -102,7 +102,7 @@ fn query(txid: u16, name: &str, qtype: RrType, rd: bool) -> Vec<u8> {
 /// from every client under new IDs, between near misses that must each be
 /// decoded — some of them twice running, so they replay too.
 fn mixed_queries() -> Vec<Query> {
-    let study = study::STUDY_QNAME;
+    let study = &study::study_qname().to_string();
     let a = |txid, c| (c, query(txid, study, RrType::A, false));
     let edns = {
         let mut m = Message::decode(&query(20, study, RrType::A, true)).unwrap();
@@ -211,7 +211,7 @@ fn a_new_delegation_is_not_answered_from_the_old_reply() {
     let mut sim = Simulator::new(topo, SimConfig::default());
     sim.install(nodes[0], DelegatingServer::root());
     let ask = |secs| {
-        let bytes = query(1, study::STUDY_QNAME, RrType::A, false);
+        let bytes = query(1, &study::study_qname().to_string(), RrType::A, false);
         (
             SimDuration::from_secs(secs),
             UdpSend::new(5300, SERVER, 53, bytes),

@@ -125,10 +125,11 @@ fn restricted_resolver_refuses_external_scanner() {
     // This is the reason transparent forwarders must relay to *open*
     // resolvers (§2): a restricted resolver rejects the spoofed scanner
     // address.
-    let (mut sim, nodes) = hierarchy(ResolverConfig::restricted(
-        vec![ROOT],
-        vec![(Ipv4Addr::new(10, 0, 0, 0), 8)], // only RFC1918 space allowed
-    ));
+    let (mut sim, nodes) = hierarchy(ResolverConfig {
+        // Only RFC1918 space allowed.
+        acl: AccessPolicy::RestrictedTo(vec![(Ipv4Addr::new(10, 0, 0, 0), 8)]),
+        ..ResolverConfig::open(vec![ROOT])
+    });
     install_script(
         &mut sim,
         nodes[0],
@@ -223,14 +224,6 @@ fn unresolvable_name_gets_servfail_eventually() {
     assert_eq!(resp.header.flags.rcode, Rcode::ServFail);
     let resolver: &RecursiveResolver = sim.host_as(nodes[1]).unwrap();
     assert!(resolver.stats.timeouts >= 1);
-}
-
-#[test]
-fn open_resolver_answers_anyone_acl_check() {
-    assert!(AccessPolicy::Open.allows(CLIENT));
-    let acl = AccessPolicy::RestrictedTo(vec![(Ipv4Addr::new(192, 0, 2, 0), 24)]);
-    assert!(acl.allows(CLIENT));
-    assert!(!acl.allows(RESOLVER));
 }
 
 /// A host that ignores everything sent to it.

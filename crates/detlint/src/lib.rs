@@ -18,9 +18,10 @@
 //! (`bad-suppression`), and an allow that suppresses nothing rots loudly
 //! (`unused-suppression`).
 
-pub mod config;
-pub mod lexer;
-pub mod rules;
+mod config;
+mod lexer;
+mod rules;
+mod surface;
 
 pub use config::{Config, Policy};
 pub use rules::{Rule, RULES};
@@ -46,10 +47,12 @@ pub struct Finding {
 pub struct Outcome {
     pub findings: Vec<Finding>,
     pub files_scanned: usize,
+    /// `pub` definitions `needless-pub` indexed (workspace scans only).
+    pub pub_defs: Option<usize>,
 }
 
 impl Outcome {
-    pub fn unsuppressed(&self) -> impl Iterator<Item = &Finding> {
+    fn unsuppressed(&self) -> impl Iterator<Item = &Finding> {
         self.findings.iter().filter(|f| f.suppressed.is_none())
     }
 
@@ -57,12 +60,13 @@ impl Outcome {
         self.unsuppressed().count()
     }
 
-    pub fn suppressed_count(&self) -> usize {
+    fn suppressed_count(&self) -> usize {
         self.findings.len() - self.unsuppressed_count()
     }
 
     /// Per-rule `(unsuppressed, suppressed)` counts, every registered
     /// rule present (zeros included) so summaries line up across runs.
+    // detlint::allow(needless-pub): tests/selfcheck.rs pins the needless-pub ceiling with it
     pub fn per_rule(&self) -> BTreeMap<&'static str, (usize, usize)> {
         let mut map: BTreeMap<&'static str, (usize, usize)> =
             RULES.iter().map(|r| (r.id, (0, 0))).collect();
@@ -102,6 +106,9 @@ impl Outcome {
             "\ndetlint: scanned {} files\n",
             self.files_scanned
         ));
+        if let Some(n) = self.pub_defs {
+            out.push_str(&format!("detlint: indexed {n} `pub` definitions\n"));
+        }
         out.push_str("  rule                  unsuppressed  suppressed\n");
         for (rule, (unsup, sup)) in self.per_rule() {
             out.push_str(&format!("  {rule:<22} {unsup:>11} {sup:>11}\n"));
@@ -123,12 +130,23 @@ impl Outcome {
     }
 }
 
-/// Scan one file's source text under the given config.
-pub fn scan_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-    let lexed = lexer::lex(src);
-    let raw = rules::run_rules(&lexed, cfg.is_ordered(rel));
-    let dirs = rules::directives(&lexed);
-    let mut used = vec![false; dirs.len()];
+/// Per-file rules plus `extra` (cross-file) findings, then suppression. In
+/// file mode an allow naming `needless-pub`, a rule that did not run, is
+/// never unused.
+fn resolve(
+    rel: &str,
+    lexed: &lexer::Lexed,
+    extra: Vec<rules::RawFinding>,
+    cfg: &Config,
+    workspace: bool,
+) -> Vec<Finding> {
+    let mut raw = rules::run_rules(lexed, cfg.is_ordered(rel));
+    raw.extend(extra);
+    let dirs = rules::directives(lexed);
+    let mut used: Vec<bool> = dirs
+        .iter()
+        .map(|d| !workspace && d.rules.iter().any(|r| r == surface::ID))
+        .collect();
 
     let mut findings: Vec<Finding> = Vec::new();
     for f in raw {
@@ -233,17 +251,34 @@ fn rel_path(root: &Path, path: &Path) -> String {
 pub fn scan_workspace(root: &Path) -> Result<Outcome, String> {
     let cfg = Config::load(&root.join("detlint.toml"))?;
     let files = walk_rs(root, &cfg)?;
-    scan_paths(root, &cfg, &files)
+    scan(root, &cfg, &files, true)
 }
 
 /// Scan an explicit file list under a config rooted at `root`.
 pub fn scan_paths(root: &Path, cfg: &Config, files: &[PathBuf]) -> Result<Outcome, String> {
-    let mut outcome = Outcome::default();
+    scan(root, cfg, files, false)
+}
+
+/// Lex every file, run the cross-file pass when `workspace`, then the
+/// per-file rules and suppression.
+fn scan(root: &Path, cfg: &Config, files: &[PathBuf], workspace: bool) -> Result<Outcome, String> {
+    let mut lexed = Vec::with_capacity(files.len());
     for path in files {
-        let rel = rel_path(root, path);
         let src = std::fs::read_to_string(path).map_err(|e| format!("{}: {e}", path.display()))?;
-        outcome.findings.extend(scan_source(&rel, &src, cfg));
-        outcome.files_scanned += 1;
+        lexed.push((rel_path(root, path), lexer::lex(&src)));
+    }
+    let pass = workspace.then(|| surface::needless_pub(&lexed));
+    let pub_defs = pass.as_ref().map(|(_, n)| *n);
+    let extra = pass.map_or_else(|| vec![Vec::new(); lexed.len()], |(found, _)| found);
+    let mut outcome = Outcome {
+        files_scanned: lexed.len(),
+        pub_defs,
+        ..Outcome::default()
+    };
+    for ((rel, lexed), extra) in lexed.iter().zip(extra) {
+        outcome
+            .findings
+            .extend(resolve(rel, lexed, extra, cfg, workspace));
     }
     outcome
         .findings
@@ -254,6 +289,11 @@ pub fn scan_paths(root: &Path, cfg: &Config, files: &[PathBuf]) -> Result<Outcom
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// One file's source text in file mode: every rule but `needless-pub`.
+    fn scan_source(rel: &str, src: &str, cfg: &Config) -> Vec<Finding> {
+        resolve(rel, &lexer::lex(src), Vec::new(), cfg, false)
+    }
 
     fn cfg() -> Config {
         Config {
@@ -336,6 +376,7 @@ mod tests {
         let outcome = Outcome {
             findings: scan_source("src/a.rs", src, &Config::default()),
             files_scanned: 1,
+            pub_defs: None,
         };
         let text = outcome.render_human(false);
         assert!(text.contains("FAILED — 1 unsuppressed"));

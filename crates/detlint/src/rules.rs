@@ -48,6 +48,11 @@ pub const RULES: &[Rule] = &[
         summary: "gen_bool / gen_ratio — ad-hoc probability draw outside the netsim::fault plane",
     },
     Rule {
+        id: "needless-pub",
+        summary:
+            "bare `pub` item no non-test code names outside its own file (workspace scans only)",
+    },
+    Rule {
         id: "bad-suppression",
         summary: "detlint::allow without a justification, or naming an unknown rule",
     },
@@ -58,7 +63,7 @@ pub const RULES: &[Rule] = &[
 ];
 
 /// Is `id` a registered rule?
-pub fn is_rule(id: &str) -> bool {
+fn is_rule(id: &str) -> bool {
     RULES.iter().any(|r| r.id == id)
 }
 
@@ -209,7 +214,7 @@ pub fn run_rules(lexed: &Lexed, ordered: bool) -> Vec<RawFinding> {
 /// A parsed suppression directive: the allow marker plus a parenthesised
 /// rule list and a mandatory `: justification`.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Directive {
+pub(crate) struct Directive {
     pub line: u32,
     pub col: u32,
     /// Rule ids named in the parentheses.

@@ -100,6 +100,64 @@ fn lexer_tricky_fixture_is_clean() {
     );
 }
 
+/// `needless-pub` over the `needless_pub/` mini-workspace: each way of
+/// naming an item that does not count as a caller leaves it flagged, each
+/// that does (a public signature of its own file included) clears it, and
+/// `pub(crate)` is out of scope.
+#[test]
+fn needless_pub_fixture_workspace() {
+    let root = fixtures_dir().join("needless_pub");
+    let run = |args: &[&std::ffi::OsStr]| {
+        let out = Command::new(env!("CARGO_BIN_EXE_detlint"))
+            .arg("--root")
+            .arg(&root)
+            .args(args)
+            .output()
+            .expect("detlint binary runs");
+        let text = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code().expect("exit code"), text)
+    };
+    let (code, text) = run(&["--workspace".as_ref()]);
+    assert_eq!(code, 1, "{text}");
+    let unused = "is named by no non-test code: delete it, or move it to test support";
+    let own_file = "is named only in its own file: narrow it to `pub(crate)` or private";
+    for flagged in [
+        format!("`pub fn only_in_cfg_test` {unused}"),
+        format!("`pub fn only_under_tests` {unused}"),
+        format!("`pub fn only_in_own_file` {own_file}"),
+        format!("`pub struct OnlyInUseStringComment` {unused}"),
+        format!("`pub struct OnlyInABody` {own_file}"),
+    ] {
+        assert!(
+            text.contains(&format!(" needless-pub: {flagged}\n")),
+            "{flagged}:\n{text}"
+        );
+    }
+    for clean in [
+        "called_from_example",
+        "InASignature",
+        "CALLED_FROM_BENCH",
+        "called_from_benchmark",
+        "crate_visible",
+    ] {
+        assert!(
+            !text.contains(clean),
+            "{clean} must not be flagged:\n{text}"
+        );
+    }
+    assert_eq!(text.matches(" needless-pub: ").count(), 5, "{text}");
+    assert!(
+        text.contains("detlint: indexed 9 `pub` definitions"),
+        "{text}"
+    );
+
+    // A file list cannot see callers: the rule stays off in file mode.
+    let lib = root.join("crates/lib/src/lib.rs");
+    let (code, text) = run(&[lib.as_os_str()]);
+    assert_eq!(code, 0, "{text}");
+    assert!(!text.contains("indexed"), "{text}");
+}
+
 #[test]
 fn usage_errors_exit_2() {
     let out = Command::new(env!("CARGO_BIN_EXE_detlint"))

@@ -19,7 +19,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod asrel;
+mod asrel;
 pub mod sanitize;
 pub mod trace;
 

@@ -64,6 +64,7 @@ impl SanitizeStats {
 }
 
 /// Classify a single trace.
+// detlint::allow(needless-pub): crates/dnsroute/tests/traces.rs holds Figure 6's hop count and the rejections to it
 pub fn check_trace(t: &TraceResult) -> Result<ForwarderPath, TraceReject> {
     let Some(fwd_ttl) = t.target_seen_at else {
         return Err(TraceReject::NoForwarderSignature);

@@ -130,16 +130,6 @@ pub struct TraceResult {
 }
 
 impl TraceResult {
-    /// Path length forwarder → resolver in IP hops (Figure 6's metric):
-    /// the TTL distance between the forwarder's own Time Exceeded and the
-    /// DNS answer. `None` unless both were observed.
-    pub fn forwarder_to_resolver_hops(&self) -> Option<u8> {
-        match (self.target_seen_at, &self.dns) {
-            (Some(fwd), Some(dns)) if dns.ttl > fwd => Some(dns.ttl - fwd),
-            _ => None,
-        }
-    }
-
     /// Router hops observed strictly between the forwarder and the DNS
     /// endpoint (for AS-path work).
     pub fn hops_beyond_target(&self) -> Vec<Option<Ipv4Addr>> {
@@ -239,7 +229,7 @@ impl DnsRoutePlusPlus {
     }
 
     /// Extract results (after the simulation drained).
-    pub fn results(&self) -> Vec<TraceResult> {
+    fn results(&self) -> Vec<TraceResult> {
         self.states
             .iter()
             .map(|s| TraceResult {
@@ -442,6 +432,7 @@ pub fn run_dnsroute(sim: &mut Simulator, node: NodeId, config: DnsRouteConfig) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sanitize::{check_trace, TraceReject};
 
     #[test]
     fn forwarder_to_resolver_hop_math() {
@@ -460,7 +451,7 @@ mod tests {
                 at: SimTime(0),
             }),
         };
-        assert_eq!(t.forwarder_to_resolver_hops(), Some(3));
+        assert_eq!(check_trace(&t).map(|p| p.hop_count), Ok(3));
         assert_eq!(
             t.hops_beyond_target(),
             vec![
@@ -482,7 +473,7 @@ mod tests {
             target_seen_at: Some(1),
             dns: None,
         };
-        assert_eq!(no_dns.forwarder_to_resolver_hops(), None);
+        assert_eq!(check_trace(&no_dns), Err(TraceReject::NoResolverAnswer));
         let no_fwd = TraceResult {
             target: Ipv4Addr::new(203, 0, 113, 1),
             hops: vec![],
@@ -493,7 +484,7 @@ mod tests {
                 at: SimTime(0),
             }),
         };
-        assert_eq!(no_fwd.forwarder_to_resolver_hops(), None);
+        assert_eq!(check_trace(&no_fwd), Err(TraceReject::NoForwarderSignature));
         assert!(no_fwd.hops_beyond_target().is_empty());
     }
 

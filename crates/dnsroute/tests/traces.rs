@@ -12,7 +12,10 @@
 //! beyond the forwarder re-crosses AS200 — giving `AS_in == AS_out` for
 //! the relationship inference.
 
-use dnsroute::{infer_relationships, run_dnsroute, sanitize, DnsRouteConfig, DnsRoutePlusPlus};
+use dnsroute::{
+    check_trace, infer_relationships, run_dnsroute, sanitize, DnsRouteConfig, DnsRoutePlusPlus,
+    TraceReject,
+};
 use dnswire::{Message, MessageBuilder, RrType};
 use netsim::{
     AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, NodeId, Relationship, SimConfig,
@@ -145,7 +148,7 @@ fn transparent_forwarder_trace_reveals_hops_beyond() {
     );
 
     // Figure 6 metric: forwarder → resolver distance in IP hops.
-    assert_eq!(t.forwarder_to_resolver_hops(), Some(dns.ttl - 5));
+    assert_eq!(check_trace(t).map(|p| p.hop_count), Ok(dns.ttl - 5));
 }
 
 #[test]
@@ -240,7 +243,7 @@ fn deep_topology_recovers_answer_at_max_ttl() {
     assert_eq!(dns.ttl, 30);
     // The Figure 6 metric matches the shallow world: approach depth must
     // not leak into the forwarder → resolver distance.
-    assert_eq!(t.forwarder_to_resolver_hops(), Some(5));
+    assert_eq!(check_trace(t).map(|p| p.hop_count), Ok(5));
     let (paths, stats) = sanitize(&traces);
     assert_eq!(stats.kept, 1);
     assert_eq!(paths[0].hop_count, 5);
@@ -250,6 +253,7 @@ fn deep_topology_recovers_answer_at_max_ttl() {
     assert_eq!(t.target_seen_at, Some(26), "hops: {:?}", t.hops);
     assert!(t.dns.is_none());
     assert_eq!(t.hops.len(), 30);
+    assert_eq!(check_trace(t), Err(TraceReject::NoResolverAnswer));
 }
 
 /// `n` distinct targets for the port-space tests.
@@ -347,7 +351,7 @@ fn stray_datagrams_do_not_end_the_sweep() {
         "endpoint must be the resolver, not {NOISE}"
     );
     assert!(dns.ttl > 5);
-    assert_eq!(t.forwarder_to_resolver_hops(), Some(dns.ttl - 5));
+    assert_eq!(check_trace(t).map(|p| p.hop_count), Ok(dns.ttl - 5));
 }
 
 #[test]
@@ -372,10 +376,13 @@ fn per_hop_retries_fill_hops_lost_to_faults() {
         let mut w = build_world_cfg(
             &[],
             SimConfig {
-                faults: netsim::FaultPlan::uniform(netsim::FaultConfig {
-                    drop_probability: 0.35,
-                    ..netsim::FaultConfig::none()
-                })
+                faults: netsim::FaultPlan {
+                    base: netsim::FaultConfig {
+                        drop_probability: 0.35,
+                        ..netsim::FaultConfig::none()
+                    },
+                    ..netsim::FaultPlan::none()
+                }
                 .salted(9),
                 ..SimConfig::default()
             },
@@ -415,10 +422,13 @@ fn probes_on_the_wire_equal_a_fresh_encode_of_the_study_query() {
     let mut w = build_world_cfg(
         &[],
         SimConfig {
-            faults: netsim::FaultPlan::uniform(netsim::FaultConfig {
-                drop_probability: 0.35,
-                ..netsim::FaultConfig::none()
-            })
+            faults: netsim::FaultPlan {
+                base: netsim::FaultConfig {
+                    drop_probability: 0.35,
+                    ..netsim::FaultConfig::none()
+                },
+                ..netsim::FaultPlan::none()
+            }
             .salted(9),
             ..SimConfig::default()
         },

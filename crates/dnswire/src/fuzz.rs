@@ -186,6 +186,7 @@ fn study_name() -> DnsName {
 /// study's components exchange, plus one hand-built reproducer per
 /// historical parser bug (kept red-team-shaped so the mutators start from
 /// inputs that already sit on the interesting boundaries).
+// detlint::allow(needless-pub): crates/dnswire/tests/adversarial_corpus.rs counts the quick run's inputs with it
 pub fn seed_corpus() -> Vec<Vec<u8>> {
     let name = study_name();
     let mut corpus = Vec::new();

@@ -21,7 +21,7 @@ pub enum Opcode {
 
 impl Opcode {
     /// Wire value (4 bits).
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             Opcode::Query => 0,
             Opcode::IQuery => 1,
@@ -68,7 +68,7 @@ pub enum Rcode {
 
 impl Rcode {
     /// Wire value (4 bits).
-    pub fn to_u8(self) -> u8 {
+    fn to_u8(self) -> u8 {
         match self {
             Rcode::NoError => 0,
             Rcode::FormErr => 1,

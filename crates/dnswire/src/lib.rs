@@ -64,6 +64,7 @@ mod rdata;
 mod walk;
 
 pub mod builder;
+// detlint::allow(needless-pub): the wirefuzz binary reads its seed, iteration count and view floor from `fuzz::`
 pub mod fuzz;
 pub mod template;
 

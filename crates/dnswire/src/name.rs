@@ -8,7 +8,7 @@ use std::hash::{Hash, Hasher};
 use std::sync::{Arc, OnceLock};
 
 /// Maximum length of a single label on the wire (RFC 1035 §2.3.4).
-pub const MAX_LABEL_LEN: usize = 63;
+const MAX_LABEL_LEN: usize = 63;
 /// Maximum length of a whole name on the wire, including length octets and
 /// the root terminator (RFC 1035 §2.3.4).
 pub const MAX_NAME_LEN: usize = 255;
@@ -36,11 +36,10 @@ const MAX_POINTER_TARGET: usize = 0x3FFF;
 ///
 /// Cloning a name — which resolvers do on every cache lookup, pending-query
 /// record, and response build — is a refcount bump. Building one (parse,
-/// decode, [`prepend`], [`parent`]) assembles it on the stack and
+/// decode, [`parent`]) assembles it on the stack and
 /// allocates exactly once.
 ///
 /// [`is_subdomain_of`]: DnsName::is_subdomain_of
-/// [`prepend`]: DnsName::prepend
 /// [`parent`]: DnsName::parent
 #[derive(Clone)]
 pub struct DnsName {
@@ -135,6 +134,7 @@ impl DnsName {
     }
 
     /// Construct from raw labels. Rejects empty or oversized labels.
+    // detlint::allow(needless-pub): crates/dnswire/tests/{proptests,adversarial_corpus}.rs build names from arbitrary label bytes with it
     pub fn from_labels<I, L>(labels: I) -> Result<Self, WireError>
     where
         I: IntoIterator<Item = L>,
@@ -166,7 +166,7 @@ impl DnsName {
     }
 
     /// True for the root name.
-    pub fn is_root(&self) -> bool {
+    pub(crate) fn is_root(&self) -> bool {
         self.wire.len() == 1
     }
 
@@ -215,16 +215,6 @@ impl DnsName {
     fn label_at(&self, start: u8) -> &[u8] {
         let start = start as usize;
         &self.wire[start + 1..start + 1 + self.wire[start] as usize]
-    }
-
-    /// Prepend a label, producing `label.self`.
-    pub fn prepend(&self, label: &[u8]) -> Result<DnsName, WireError> {
-        let mut buf = NameBuf::new();
-        buf.push(label)?;
-        for l in self.labels() {
-            buf.push(l)?;
-        }
-        buf.finish()
     }
 
     /// Encode without compression, appending to `buf`.
@@ -638,13 +628,6 @@ mod tests {
         let p3 = p2.parent().unwrap();
         assert!(p3.is_root());
         assert!(p3.parent().is_none());
-    }
-
-    #[test]
-    fn prepend_builds_child() {
-        let base = DnsName::parse("example.").unwrap();
-        let child = base.prepend(b"203-0-113-7").unwrap();
-        assert_eq!(child.to_string(), "203-0-113-7.example.");
     }
 
     #[test]

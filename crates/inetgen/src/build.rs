@@ -93,6 +93,7 @@ impl GroundTruth {
     }
 
     /// Planted transparent-forwarder addresses.
+    // detlint::allow(needless-pub): tests/{amplification_misuse,figure7_disambiguation,scan_design_ablations}.rs pick their forwarders with it
     pub fn transparent_ips(&self) -> Vec<Ipv4Addr> {
         self.hosts
             .iter()
@@ -138,30 +139,25 @@ pub struct Fixtures {
     /// Sensor 3 node (`IP4`).
     pub sensor3: NodeId,
     /// Sensor addresses per Table 3.
-    pub sensor_addrs: scanner_addrs::SensorAddrs,
+    pub sensor_addrs: SensorAddrs,
     /// A victim host for the amplification study.
     pub victim: NodeId,
     /// Victim address.
     pub victim_ip: Ipv4Addr,
 }
 
-/// Local module to avoid a dependency on the `scanner` crate: the four
-/// observable sensor addresses of Table 3.
-pub mod scanner_addrs {
-    use std::net::Ipv4Addr;
-
-    /// `IP1..IP4` of the controlled experiment.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SensorAddrs {
-        /// Sensor 1 (recursive-resolver sensor).
-        pub ip1: Ipv4Addr,
-        /// Sensor 2 receive address (an extra address of its node).
-        pub ip2: Ipv4Addr,
-        /// Sensor 2 reply address: its node's primary address, same /24.
-        pub ip3: Ipv4Addr,
-        /// Sensor 3 (exterior transparent forwarder).
-        pub ip4: Ipv4Addr,
-    }
+/// `IP1..IP4` of the controlled experiment: the four observable sensor
+/// addresses of Table 3.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SensorAddrs {
+    /// Sensor 1 (recursive-resolver sensor).
+    pub ip1: Ipv4Addr,
+    /// Sensor 2 receive address (an extra address of its node).
+    pub ip2: Ipv4Addr,
+    /// Sensor 2 reply address: its node's primary address, same /24.
+    pub ip3: Ipv4Addr,
+    /// Sensor 3 (exterior transparent forwarder).
+    pub ip4: Ipv4Addr,
 }
 
 /// A generated Internet: simulator with population installed, ground
@@ -594,7 +590,7 @@ fn fixtures(d: &mut Draft, routers: &mut Blocks, bb: &Backbone) -> (Fixtures, St
     let sensor_as = d.add_as(routers, 64497, "DEU", AsKind::Education, false, 1);
     d.b.connect(europe, sensor_as, ProviderCustomer);
     d.b.connect(sensor_as, bb.google_as, Peer);
-    let sensor_addrs = scanner_addrs::SensorAddrs {
+    let sensor_addrs = SensorAddrs {
         ip1: Ipv4Addr::new(203, 0, 113, 11),
         ip2: Ipv4Addr::new(203, 0, 113, 22),
         ip3: Ipv4Addr::new(203, 0, 113, 23),

@@ -136,15 +136,6 @@ impl CountryProfile {
         self.shadow_total
             .saturating_sub(self.odns_total.saturating_sub(self.transparent))
     }
-
-    /// Share of the ODNS that is transparent forwarders, in percent.
-    pub fn transparent_share_pct(&self) -> f64 {
-        if self.odns_total == 0 {
-            0.0
-        } else {
-            self.transparent as f64 * 100.0 / self.odns_total as f64
-        }
-    }
 }
 
 const fn mix(google: u8, cloudflare: u8, quad9: u8, opendns: u8) -> ResolverMix {
@@ -269,17 +260,22 @@ pub fn by_code(code: &str) -> Option<&'static CountryProfile> {
     COUNTRIES.iter().find(|c| c.code == code)
 }
 
-/// Countries sorted by transparent-forwarder count, descending (Figure 4's
-/// x-axis order).
-pub fn by_transparent_desc() -> Vec<&'static CountryProfile> {
-    let mut v: Vec<_> = COUNTRIES.iter().collect();
-    v.sort_by(|a, b| b.transparent.cmp(&a.transparent).then(a.code.cmp(b.code)));
-    v
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Countries sorted by transparent-forwarder count, descending (Figure
+    /// 4's x-axis order).
+    fn by_transparent_desc() -> Vec<&'static CountryProfile> {
+        let mut v: Vec<_> = COUNTRIES.iter().collect();
+        v.sort_by(|a, b| b.transparent.cmp(&a.transparent).then(a.code.cmp(b.code)));
+        v
+    }
+
+    /// Share of a country's ODNS that is transparent forwarders, in percent.
+    fn transparent_share_pct(c: &CountryProfile) -> f64 {
+        c.transparent as f64 * 100.0 / c.odns_total as f64
+    }
 
     #[test]
     fn global_marginals_match_paper() {
@@ -318,15 +314,15 @@ mod tests {
 
     #[test]
     fn brazil_and_india_over_80_percent_transparent() {
-        assert!(by_code("BRA").unwrap().transparent_share_pct() > 80.0);
-        assert!(by_code("IND").unwrap().transparent_share_pct() > 80.0);
+        assert!(transparent_share_pct(by_code("BRA").unwrap()) > 80.0);
+        assert!(transparent_share_pct(by_code("IND").unwrap()) > 80.0);
     }
 
     #[test]
     fn five_countries_over_90_percent() {
         let over90: Vec<_> = COUNTRIES
             .iter()
-            .filter(|c| c.transparent_share_pct() > 90.0)
+            .filter(|c| transparent_share_pct(c) > 90.0)
             .map(|c| c.code)
             .collect();
         assert_eq!(over90.len(), 5, "got {over90:?}");

@@ -13,7 +13,7 @@ use std::net::Ipv4Addr;
 
 /// Per-ASN registry information.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AsnInfo {
+pub(crate) struct AsnInfo {
     /// ISO-alpha-3 country code.
     pub country: &'static str,
     /// Network type (PeeringDB-style; `Unclassified` for the share the
@@ -21,7 +21,8 @@ pub struct AsnInfo {
     pub kind: AsKind,
 }
 
-/// The lookup database handed to the analysis pipeline.
+/// The lookup database handed to the analysis pipeline. The default is
+/// empty with full coverage (no address left unmapped).
 #[derive(Debug, Clone, Default)]
 pub struct GeoDb {
     /// /24-granular prefix table: `prefix24 → asn`.
@@ -45,14 +46,6 @@ impl GeoDb {
     pub fn new() -> Self {
         GeoDb {
             miss_denominator: 1000,
-            ..GeoDb::default()
-        }
-    }
-
-    /// Full-coverage variant (for tests needing exactness).
-    pub fn perfect() -> Self {
-        GeoDb {
-            miss_denominator: 0,
             ..GeoDb::default()
         }
     }
@@ -165,7 +158,7 @@ mod tests {
 
     #[test]
     fn prefix_lookup() {
-        let mut db = GeoDb::perfect();
+        let mut db = GeoDb::default();
         db.add_prefix24(Ipv4Addr::new(203, 0, 113, 0), 65001);
         db.add_asn(65001, "BRA", AsKind::EyeballIsp);
         assert_eq!(db.asn_of(Ipv4Addr::new(203, 0, 113, 77)), Some(65001));

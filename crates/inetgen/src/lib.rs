@@ -25,17 +25,16 @@
 pub mod build;
 pub mod config;
 pub mod countries;
-pub mod geodb;
+mod geodb;
 pub mod shard;
-pub mod validate;
+#[cfg(test)]
+mod validate;
 
 pub use build::{
     generate, generate_shard, Fixtures, GroundTruth, Internet, PlantedClass, PlantedHost,
+    SensorAddrs,
 };
 pub use config::{CountrySelection, GenConfig};
-pub use countries::{
-    by_code, by_transparent_desc, CountryProfile, OtherProfile, Region, ResolverMix, COUNTRIES,
-};
-pub use geodb::{AsnInfo, GeoDb};
+pub use countries::{by_code, CountryProfile, OtherProfile, Region, ResolverMix, COUNTRIES};
+pub use geodb::GeoDb;
 pub use shard::{run_sharded, shard_of_country, ShardSpec, ShardWorldCache, ShardedRun, Worlds};
-pub use validate::{check_marginals, Deviation};

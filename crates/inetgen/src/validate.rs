@@ -1,5 +1,6 @@
 //! Consistency checks between a generated population and its calibration
-//! targets — the generator's own quality control.
+//! targets — the generator's own quality control, compiled for its tests
+//! only.
 
 use crate::build::{GroundTruth, PlantedClass};
 use crate::config::GenConfig;
@@ -7,19 +8,19 @@ use crate::countries::by_code;
 
 /// One validation finding.
 #[derive(Debug, Clone, PartialEq)]
-pub struct Deviation {
+struct Deviation {
     /// What was checked.
-    pub what: String,
+    what: String,
     /// Target value (scaled).
-    pub expected: f64,
+    expected: f64,
     /// Observed value.
-    pub observed: f64,
+    observed: f64,
 }
 
 /// Compare planted counts against scaled calibration targets. Tolerance is
 /// relative (e.g. `0.25` = ±25 %), floored at `min_abs` for small counts
 /// where probabilistic rounding dominates.
-pub fn check_marginals(
+fn check_marginals(
     truth: &GroundTruth,
     config: &GenConfig,
     tolerance: f64,

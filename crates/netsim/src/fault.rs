@@ -232,7 +232,7 @@ impl FaultPlan {
     }
 
     /// The same profile everywhere (no geography).
-    pub fn uniform(base: FaultConfig) -> Self {
+    fn uniform(base: FaultConfig) -> Self {
         FaultPlan {
             base,
             ..FaultPlan::default()
@@ -242,18 +242,6 @@ impl FaultPlan {
     /// Uniform lossy profile, as [`FaultConfig::lossy`].
     pub fn lossy(p: f64) -> Self {
         Self::uniform(FaultConfig::lossy(p))
-    }
-
-    /// Builder: override the profile for one destination country.
-    pub fn with_country(mut self, country: CountryCode, cfg: FaultConfig) -> Self {
-        self.by_country.insert(country, cfg);
-        self
-    }
-
-    /// Builder: override the profile for one destination AS kind.
-    pub fn with_kind(mut self, kind: AsKind, cfg: FaultConfig) -> Self {
-        self.by_kind.insert(kind, cfg);
-        self
     }
 
     /// Fill a zero salt from `seed` (leaves explicit salts untouched): the
@@ -295,7 +283,7 @@ impl FaultPlan {
     }
 
     /// The profile in effect for a destination with the given geography.
-    pub fn effective(&self, country: Option<CountryCode>, kind: Option<AsKind>) -> &FaultConfig {
+    fn effective(&self, country: Option<CountryCode>, kind: Option<AsKind>) -> &FaultConfig {
         if let Some(cfg) = country.and_then(|c| self.by_country.get(&c)) {
             return cfg;
         }
@@ -487,7 +475,8 @@ mod tests {
         };
         assert!(neg.validate().is_err());
         assert!(FaultConfig::lossy(0.3).validate().is_ok());
-        let plan = FaultPlan::none().with_kind(AsKind::Transit, big);
+        let mut plan = FaultPlan::none();
+        plan.by_kind.insert(AsKind::Transit, big);
         assert!(plan.validate().unwrap_err().contains("Transit"));
     }
 
@@ -503,9 +492,10 @@ mod tests {
             drop_probability: 1.0,
             ..FaultConfig::none()
         };
-        let plan = FaultPlan::uniform(FaultConfig::none())
-            .with_kind(AsKind::EyeballIsp, FaultConfig::lossy(0.5))
-            .with_country(CountryCode::new("BRA"), drop_all);
+        let mut plan = FaultPlan::uniform(FaultConfig::none());
+        plan.by_kind
+            .insert(AsKind::EyeballIsp, FaultConfig::lossy(0.5));
+        plan.by_country.insert(CountryCode::new("BRA"), drop_all);
         let bra = Some(CountryCode::new("BRA"));
         let deu = Some(CountryCode::new("DEU"));
         let isp = Some(AsKind::EyeballIsp);

@@ -62,6 +62,7 @@ mod topology;
 
 pub mod pcap;
 pub mod shard;
+// detlint::allow(needless-pub): test support for the other crates' unit and integration tests, which `#[cfg(test)]` cannot reach
 pub mod testkit;
 pub mod wheel;
 pub mod wire;

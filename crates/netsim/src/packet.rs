@@ -25,12 +25,6 @@ pub const DEFAULT_TTL: u8 = 64;
 pub struct Payload(Arc<[u8]>);
 
 impl Payload {
-    /// The shared empty payload (no allocation after first use).
-    pub fn empty() -> Self {
-        static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
-        Payload(EMPTY.get_or_init(|| Arc::from(&[][..])).clone())
-    }
-
     /// The DNS message `template` under transaction ID `id`: its bytes
     /// with the first two replaced, in one allocation. A sender that
     /// repeats one query encodes it once and sends it through this.
@@ -59,9 +53,11 @@ impl AsRef<[u8]> for Payload {
     }
 }
 
+/// The shared empty payload (no allocation after first use).
 impl Default for Payload {
     fn default() -> Self {
-        Payload::empty()
+        static EMPTY: OnceLock<Arc<[u8]>> = OnceLock::new();
+        Payload(EMPTY.get_or_init(|| Arc::from(&[][..])).clone())
     }
 }
 
@@ -161,11 +157,6 @@ impl Datagram {
     /// Total IPv4 wire size of this datagram: 20 (IP) + 8 (UDP) + payload.
     pub fn wire_len(&self) -> usize {
         20 + 8 + self.payload.len()
-    }
-
-    /// The flow tuple `(src, src_port, dst, dst_port)`.
-    pub fn flow(&self) -> (Ipv4Addr, u16, Ipv4Addr, u16) {
-        (self.src, self.src_port, self.dst, self.dst_port)
     }
 }
 

@@ -15,14 +15,15 @@ const LINKTYPE_RAW: u32 = 101;
 /// Snapshot length declared in the global header; records never include
 /// more than this many bytes (`incl_len <= SNAPLEN`), exactly like a real
 /// `dumpcap -s 65535` capture.
-pub const SNAPLEN: u32 = 65_535;
+const SNAPLEN: u32 = 65_535;
 
 /// A single captured packet.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CapturedPacket {
     /// Capture timestamp.
     pub ts: SimTime,
-    /// Raw IPv4 bytes (starting at the IP header), truncated to [`SNAPLEN`].
+    /// Raw IPv4 bytes (starting at the IP header), truncated to the
+    /// 65 535-byte snap length.
     pub data: Vec<u8>,
     /// Original on-the-wire length; exceeds `data.len()` only for packets
     /// the snapshot length truncated.
@@ -82,9 +83,9 @@ impl PcapWriter {
         PcapWriter { buf }
     }
 
-    /// Append one packet record. Packets beyond [`SNAPLEN`] are truncated
-    /// to the declared snapshot length with `orig_len` recording the full
-    /// size, as the global header promises readers.
+    /// Append one packet record. Packets beyond the 65 535-byte snap
+    /// length are truncated to it with `orig_len` recording the full size,
+    /// as the global header promises readers.
     pub fn write(&mut self, ts: SimTime, data: &[u8]) {
         self.write_record(ts, data, data.len() as u32);
     }

@@ -189,12 +189,6 @@ impl RouteResolver {
         Self::default()
     }
 
-    /// Number of cached AS routes. Bounded by the number of distinct
-    /// `(src AS, dst AS)` pairs ever resolved.
-    pub fn cache_len(&self) -> usize {
-        self.route_cache.len()
-    }
-
     /// Cumulative resolves whose AS route was already cached.
     pub fn cache_hits(&self) -> u64 {
         self.routed - self.misses
@@ -216,7 +210,7 @@ impl RouteResolver {
     /// BFS distances from `src` to every AS, cached. One BFS serves every
     /// anycast PoP-selection query from the same source AS — the hot path
     /// of an Internet-wide census.
-    pub fn distances_from(&mut self, topo: &Topology, src: AsId) -> &[Option<u32>] {
+    fn distances_from(&mut self, topo: &Topology, src: AsId) -> &[Option<u32>] {
         self.distance_cache.entry(src).or_insert_with(|| {
             self.bfs.run(topo, src, None);
             self.bfs.dist.clone()
@@ -225,7 +219,7 @@ impl RouteResolver {
 
     /// Select the anycast instance nearest to `src_as` (min AS distance,
     /// then lowest node id for determinism), memoized per pair.
-    pub fn select_anycast_instance(
+    fn select_anycast_instance(
         &mut self,
         topo: &Topology,
         src_as: AsId,
@@ -480,9 +474,13 @@ mod tests {
         let (t, src, _dst, dst_ip) = chain();
         let mut r = RouteResolver::new();
         let _ = r.resolve(&t, src, dst_ip).unwrap();
-        let before = r.cache_len();
+        let before = r.route_cache.len();
         let _ = r.resolve(&t, src, dst_ip).unwrap();
-        assert_eq!(r.cache_len(), before, "second resolve must hit the cache");
+        assert_eq!(
+            r.route_cache.len(),
+            before,
+            "second resolve must hit the cache"
+        );
     }
 
     #[test]
@@ -492,7 +490,11 @@ mod tests {
         for _ in 0..100 {
             let _ = r.resolve(&t, src, dst_ip).unwrap();
         }
-        assert_eq!(r.cache_len(), 1, "one (src AS, dst AS) pair, one entry");
+        assert_eq!(
+            r.route_cache.len(),
+            1,
+            "one (src AS, dst AS) pair, one entry"
+        );
         assert_eq!(r.cache_misses(), 1);
         assert_eq!(r.cache_hits(), 99);
         // The reverse direction is a second AS pair: exactly one more
@@ -502,7 +504,7 @@ mod tests {
         for _ in 0..10 {
             let _ = r.resolve(&t, _dst, ip(192, 0, 2, 1)).unwrap();
         }
-        assert_eq!(r.cache_len(), 2);
+        assert_eq!(r.route_cache.len(), 2);
     }
 
     /// Two host pairs of one AS pair share one segment: the second pair
@@ -534,7 +536,10 @@ mod tests {
         );
         assert_eq!(second.router_hops(), first_hops + 1);
         assert_eq!(second.hops().last().unwrap().ip, ip(10, 1, 9, 1));
-        assert_eq!((r.cache_len(), r.cache_misses(), r.cache_hits()), (1, 1, 1));
+        assert_eq!(
+            (r.route_cache.len(), r.cache_misses(), r.cache_hits()),
+            (1, 1, 1)
+        );
     }
 
     #[test]

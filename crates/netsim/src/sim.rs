@@ -279,6 +279,7 @@ impl Simulator {
     /// Run until `deadline` (events at exactly `deadline` are processed),
     /// the queue drains, or the budget is exhausted. Returns `true` if the
     /// queue drained or only events beyond the deadline remain.
+    // detlint::allow(needless-pub): odns's `recursive` unit tests and core's reply_replay_oracle.rs stop the clock mid-run
     pub fn run_until(&mut self, deadline: SimTime) -> bool {
         let drained = loop {
             if self.stats.events_processed >= self.max_events {

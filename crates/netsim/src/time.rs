@@ -26,11 +26,6 @@ impl SimTime {
         self.0
     }
 
-    /// Whole milliseconds since the epoch.
-    pub fn as_millis(self) -> u64 {
-        self.0 / 1_000
-    }
-
     /// Seconds since the epoch, as a float (for reports only — never for
     /// ordering decisions).
     pub fn as_secs_f64(self) -> f64 {
@@ -63,7 +58,7 @@ impl SimDuration {
     }
 
     /// Millisecond count (truncating).
-    pub fn as_millis(self) -> u64 {
+    fn as_millis(self) -> u64 {
         self.0 / 1_000
     }
 
@@ -132,7 +127,7 @@ mod tests {
         let t = SimTime::ZERO + SimDuration::from_millis(5);
         assert_eq!(t.as_micros(), 5_000);
         let t2 = t + SimDuration::from_secs(1);
-        assert_eq!(t2.as_millis(), 1_005);
+        assert_eq!(t2.as_micros(), 1_005_000);
         assert_eq!((t2 - t).as_millis(), 1_000);
         assert_eq!(t - t2, SimDuration::ZERO, "subtraction saturates");
     }

@@ -39,12 +39,12 @@ impl std::fmt::Display for PacketError {
 impl std::error::Error for PacketError {}
 
 /// IP protocol numbers used by the simulator.
-pub const PROTO_ICMP: u8 = 1;
+const PROTO_ICMP: u8 = 1;
 /// UDP protocol number.
-pub const PROTO_UDP: u8 = 17;
+const PROTO_UDP: u8 = 17;
 
 /// RFC 1071 Internet checksum over `data`.
-pub fn internet_checksum(data: &[u8]) -> u16 {
+fn internet_checksum(data: &[u8]) -> u16 {
     fold(sum_words(data))
 }
 
@@ -102,6 +102,7 @@ fn ipv4_header(
 }
 
 /// Encode a UDP datagram as a full IPv4 packet (20-byte header, no options).
+// detlint::allow(needless-pub): builds capture fixtures for analysis's pcap_ingest tests and crates/{analysis,netsim}/tests/proptests.rs
 pub fn encode_udp(d: &Datagram, ident: u16) -> Vec<u8> {
     let mut out = Vec::with_capacity(28 + d.payload.len());
     encode_udp_into(d, ident, &mut out);
@@ -128,7 +129,7 @@ pub fn encode_udp_into(d: &Datagram, ident: u16, out: &mut Vec<u8>) {
 
 /// UDP checksum with the IPv4 pseudo-header. Returns `0xFFFF` instead of 0,
 /// as RFC 768 requires (0 means "no checksum").
-pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, udp: &[u8]) -> u16 {
+fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, udp: &[u8]) -> u16 {
     // The pseudo-header is summed field-wise (it is never materialized);
     // every part before the final one is even-length, so partial sums
     // compose by plain addition.
@@ -141,18 +142,10 @@ pub fn udp_checksum(src: Ipv4Addr, dst: Ipv4Addr, udp: &[u8]) -> u16 {
     }
 }
 
-/// Encode an ICMP message as a full IPv4 packet. Errors quote the original
-/// IP header + 8 payload bytes per RFC 792, which is how DNSRoute++ recovers
-/// the probe's UDP source port from a Time Exceeded reply.
-pub fn encode_icmp(m: &IcmpMessage, ident: u16, ttl: u8) -> Vec<u8> {
-    let mut out = Vec::with_capacity(56);
-    encode_icmp_into(m, ident, ttl, &mut out);
-    out
-}
-
 /// Encode an ICMP message as a full IPv4 packet, appending the wire bytes
-/// to `out` (the zero-copy tap counterpart of [`encode_icmp`]; bytes are
-/// identical).
+/// to `out`. Errors quote the original IP header + 8 payload bytes per RFC
+/// 792, which is how DNSRoute++ recovers the probe's UDP source port from a
+/// Time Exceeded reply.
 pub fn encode_icmp_into(m: &IcmpMessage, ident: u16, ttl: u8, out: &mut Vec<u8>) {
     // 8-byte ICMP header, plus a 28-byte quote (inner IP header + UDP
     // ports/len/checksum) when the message carries one.
@@ -187,7 +180,7 @@ pub enum DecodedPacket {
     Icmp(IcmpMessage),
 }
 
-/// Decode a raw IPv4 packet (as produced by [`encode_udp`]/[`encode_icmp`]),
+/// Decode a raw IPv4 packet (as produced by [`encode_udp`]/[`encode_icmp_into`]),
 /// verifying the IP header checksum and, for UDP, the UDP checksum.
 pub fn decode(bytes: &[u8]) -> Result<DecodedPacket, PacketError> {
     if bytes.len() < 20 {
@@ -354,7 +347,8 @@ mod tests {
                 dst_port: 53,
             }),
         };
-        let bytes = encode_icmp(&m, 7, 63);
+        let mut bytes = Vec::new();
+        encode_icmp_into(&m, 7, 63, &mut bytes);
         match decode(&bytes).unwrap() {
             DecodedPacket::Icmp(back) => {
                 assert_eq!(back.kind, IcmpKind::TimeExceeded);
@@ -374,7 +368,8 @@ mod tests {
             kind: IcmpKind::EchoReply,
             quote: None,
         };
-        let bytes = encode_icmp(&m, 1, 64);
+        let mut bytes = Vec::new();
+        encode_icmp_into(&m, 1, 64, &mut bytes);
         match decode(&bytes).unwrap() {
             DecodedPacket::Icmp(back) => assert_eq!(back.quote, None),
             other => panic!("expected ICMP, got {other:?}"),

@@ -153,7 +153,7 @@ fn new_host_pair_of_a_known_as_pair_allocates_nothing() {
         route(&mut r, &t, clients[1], SERVERS[1]);
     });
     assert_eq!(n, 0, "three never-seen host pairs took {n} allocations");
-    assert_eq!((r.cache_len(), r.cache_misses(), r.cache_hits()), (1, 1, 3));
+    assert_eq!((r.cache_misses(), r.cache_hits()), (1, 3));
 }
 
 #[test]
@@ -164,7 +164,7 @@ fn new_as_pair_allocates_a_bounded_constant() {
     // The resolver's BFS scratch (distances, predecessors, queue), the AS
     // path, the exactly-sized segment and the map's first table: 6 today.
     assert!((1..=8).contains(&n), "new AS pair took {n} allocations");
-    assert_eq!((r.cache_len(), r.cache_misses()), (1, 1));
+    assert_eq!(r.cache_misses(), 1);
 }
 
 #[test]
@@ -176,7 +176,7 @@ fn second_new_as_pair_reuses_the_bfs_scratch() {
     // What the route keeps — its AS path and its segment — and nothing
     // for the search that found it: 2 today, plus room for the map to grow.
     assert!((1..=4).contains(&n), "second AS pair took {n} allocations");
-    assert_eq!((r.cache_len(), r.cache_misses()), (2, 2));
+    assert_eq!(r.cache_misses(), 2);
 }
 
 /// Sends a datagram back where it came from while it has replies `left`;
@@ -194,7 +194,7 @@ impl Host for Echo {
         }
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
-        ctx.send_udp(UdpSend::new(4000, self.peer, 53, Payload::empty()));
+        ctx.send_udp(UdpSend::new(4000, self.peer, 53, Payload::default()));
     }
 }
 

@@ -58,7 +58,7 @@ impl AttackVector {
     }
 
     /// Build this vector's query for the study zone.
-    pub fn build_query(self, txid: u16) -> Message {
+    fn build_query(self, txid: u16) -> Message {
         let builder = match self {
             AttackVector::Any | AttackVector::EdnsAny => {
                 MessageBuilder::query(txid, study::study_qname(), RrType::Any)
@@ -168,7 +168,7 @@ struct PlanState {
 /// The attacker box: paces every plan's spoofed queries from one node,
 /// each plan on its own `pacer::Pacer` and timer token.
 #[derive(Debug)]
-pub struct ReflectionAttacker {
+pub(crate) struct ReflectionAttacker {
     plans: Vec<PlanState>,
 }
 
@@ -294,7 +294,7 @@ impl Host for VictimMeter {
     }
 }
 
-/// Install a [`ReflectionAttacker`] on `node`, schedule every plan's
+/// Install a reflection attacker on `node`, schedule every plan's
 /// start timer, run the simulation to quiescence, and return the per-plan
 /// spends (in plan order).
 pub fn run_reflections(

@@ -60,7 +60,7 @@ impl Campaign {
 
     /// Whether this campaign sanitizes source-mismatched responses
     /// (connected-socket semantics).
-    pub fn sanitizes_source(self) -> bool {
+    fn sanitizes_source(self) -> bool {
         match self {
             Campaign::Shadowserver => false,
             Campaign::Censys | Campaign::Shodan => true,
@@ -199,7 +199,7 @@ fn probe_tuple(index: usize) -> (u16, u16) {
 
 /// A campaign scanner host, paced by a `pacer::Pacer`.
 #[derive(Debug)]
-pub struct CampaignScanner {
+pub(crate) struct CampaignScanner {
     config: CampaignConfig,
     pacer: Pacer,
     pipeline: Pipeline,

@@ -39,7 +39,7 @@ pub struct HostEvidence {
 /// The fingerprint scanner host: one single-shot probe per `(target,
 /// port)` pair, paced by a `pacer::Pacer`.
 #[derive(Debug)]
-pub struct FingerprintScanner {
+pub(crate) struct FingerprintScanner {
     targets: Vec<Ipv4Addr>,
     pacer: Pacer,
     /// The one-byte wake-up payload every probe sends, shared like the

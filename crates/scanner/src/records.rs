@@ -85,17 +85,12 @@ pub struct RetryStats {
 
 impl RetryStats {
     /// Histogram width: attempts 1..=8 tracked individually.
-    pub const MAX_TRACKED_ATTEMPTS: usize = 8;
+    const MAX_TRACKED_ATTEMPTS: usize = 8;
 
     /// Record a probe first answered after `attempts` transmissions.
     pub fn record_answered(&mut self, attempts: u8) {
         let slot = usize::from(attempts.max(1) - 1).min(Self::MAX_TRACKED_ATTEMPTS - 1);
         self.answered_on_attempt[slot] += 1;
-    }
-
-    /// Probes answered only thanks to a retransmission (attempt ≥ 2).
-    pub fn answered_by_retry(&self) -> u64 {
-        self.answered_on_attempt[1..].iter().sum()
     }
 }
 
@@ -232,6 +227,6 @@ mod tests {
             a.answered_on_attempt[RetryStats::MAX_TRACKED_ATTEMPTS - 1],
             1
         );
-        assert_eq!(a.answered_by_retry(), 3);
+        assert_eq!(a.answered_on_attempt[1..].iter().sum::<u64>(), 3);
     }
 }

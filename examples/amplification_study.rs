@@ -7,9 +7,9 @@
 //! cargo run --release --example amplification_study
 //! ```
 
-use analysis::attack_sweep::run_attacks_sharded;
+use analysis::run_attacks_sharded;
 use inetgen::{CountrySelection, GenConfig};
-use scanner::attacks::AttackVector;
+use scanner::AttackVector;
 use scanner::OdnsClass;
 
 fn main() {

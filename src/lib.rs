@@ -22,10 +22,10 @@
 //! ## Quickstart
 //!
 //! ```
-//! use transparent_forwarders::{quick_census, quick_census_sharded};
+//! use transparent_forwarders::quick_census_sharded;
 //!
 //! // A small but complete Internet-wide census (seeded, deterministic).
-//! let summary = quick_census(2_000);
+//! let summary = quick_census_sharded(2_000, 1);
 //! assert!(summary.transparent > 0);
 //! assert!(summary.transparent_share > 0.10);
 //!
@@ -36,9 +36,7 @@
 //! assert_eq!(sharded, summary);
 //! ```
 //!
-//! Sharding is how the reproduction scales: `quick_census(scale)` is
-//! `quick_census_sharded(scale, 1)` by construction, and larger censuses
-//! pick a shard count near the machine's core count (see the `scaling`
+//! Sharding is how the reproduction scales: larger censuses pick a shard count near the machine's core count (see the `scaling`
 //! bench). The same worker pool drives the §5 DNSRoute++
 //! sweep — [`analysis::run_dnsroute_sharded`] scans *and* traces every
 //! shard world in parallel, each shard owning its own source-port space,
@@ -74,17 +72,12 @@ pub struct CensusSummary {
 
 /// Generate a world at `scale` (1 = the paper's full 2.1 M-host
 /// population; larger = smaller world), run the transactional census, and
-/// summarize. Deterministic for a fixed scale.
-pub fn quick_census(scale: u32) -> CensusSummary {
-    quick_census_sharded(scale, 1)
-}
-
-/// The sharded census: partition the world into `shards` disjoint prefix
-/// shards; generate, scan, correlate and classify every shard on a
-/// worker-thread pool; concatenate the classified rows in shard order.
-/// Produces identical classification counts to [`quick_census`] at any
-/// shard count for the same scale — sharding changes wall-clock time,
-/// never results.
+/// summarize. The world is partitioned into `shards` disjoint prefix
+/// shards; every shard is generated, scanned, correlated and classified on
+/// a worker-thread pool, and the classified rows are concatenated in shard
+/// order. The counts are identical at any shard count for the same scale —
+/// sharding changes wall-clock time, never results.
+// detlint::allow(needless-pub): the facade's one-call census, shown in README and the crate doctest
 pub fn quick_census_sharded(scale: u32, shards: u32) -> CensusSummary {
     let config = inetgen::GenConfig {
         scale,

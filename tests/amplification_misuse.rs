@@ -8,7 +8,7 @@ use dnswire::{DnsName, MessageBuilder, RrType};
 use inetgen::{generate, CountrySelection, GenConfig};
 use netsim::testkit::ScriptedClient;
 use netsim::{SimDuration, UdpSend};
-use scanner::attacks::AttackVector;
+use scanner::AttackVector;
 use scanner::OdnsClass;
 
 #[test]

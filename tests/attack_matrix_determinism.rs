@@ -8,9 +8,9 @@
 //! limiter's shed totals — is identical for K ∈ {1, 2, 8}, and repeated
 //! runs over a warm [`ShardWorldCache`] reproduce it bit-identically.
 
-use analysis::attack_sweep::{run_attacks_sharded, FLOOD_REPEATS};
+use analysis::run_attacks_sharded;
 use inetgen::{CountrySelection, GenConfig, ShardWorldCache};
-use scanner::attacks::AttackVector;
+use scanner::AttackVector;
 use scanner::OdnsClass;
 
 fn test_config() -> GenConfig {
@@ -56,7 +56,7 @@ fn attack_matrix_invariant_across_shard_counts() {
     // addresses inside one 5-minute window — each sensor instance answers
     // exactly once for the victim /24 and sheds everything else.
     let s = &baseline.sensors;
-    assert_eq!(s.attack_queries, u64::from(FLOOD_REPEATS) * 3);
+    assert_eq!(s.attack_queries, 25 * 3);
     assert_eq!(s.queries, s.attack_queries, "every flood query arrived");
     assert_eq!(s.answered, 2, "one answer per sensor instance");
     assert_eq!(s.rate_limited, s.queries - 2);

@@ -125,7 +125,10 @@ proptest! {
         };
 
         let mut config = tiny_config(seed);
-        config.faults = netsim::FaultPlan::uniform(duplication);
+        config.faults = netsim::FaultPlan {
+ base: duplication,
+ ..netsim::FaultPlan::none()
+ };
         let mut internet = generate(&config);
         let planted_t = internet.truth.count(PlantedClass::TransparentForwarder);
         let planted_r = internet.truth.count(PlantedClass::RecursiveForwarder);
@@ -146,10 +149,13 @@ proptest! {
             faults,
             ..GenConfig::default()
         };
-        let clean = analysis::attack_sweep::run_attacks_sharded(
+        let clean = analysis::run_attacks_sharded(
             &attack_world(netsim::FaultPlan::none()), 2);
-        let dup = analysis::attack_sweep::run_attacks_sharded(
-            &attack_world(netsim::FaultPlan::uniform(duplication)), 2);
+        let dup = analysis::run_attacks_sharded(
+            &attack_world(netsim::FaultPlan {
+ base: duplication,
+ ..netsim::FaultPlan::none()
+ }), 2);
         prop_assert_eq!(
             clean.cells.keys().collect::<Vec<_>>(),
             dup.cells.keys().collect::<Vec<_>>()

@@ -11,7 +11,7 @@
 //! scan-then-campaigns composition — and everything is reproducible from
 //! the per-shard captures alone.
 
-use analysis::campaign_sweep::{
+use analysis::{
     collect_sensor_totals, install_sensors, sensor_targets, DetectionMatrix, CAMPAIGN_EPOCH,
 };
 use inetgen::{CountrySelection, GenConfig, ShardSpec};

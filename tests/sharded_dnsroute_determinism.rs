@@ -77,7 +77,7 @@ fn figure6_and_asrel_invariant_across_shard_counts() {
     let baseline = analysis::run_dnsroute_sharded(&config, 1, &ClassifierConfig::default());
     let (base_paths, base_stats) = baseline.sanitized();
     assert!(base_stats.kept > 0, "sweep must keep sanitized paths");
-    let (base_fig6, base_other) = baseline.figure6();
+    let (base_fig6, base_other) = analysis::figure6_by_project(&base_paths, &baseline.geo);
     assert!(!base_fig6.is_empty(), "projects must appear in Figure 6");
     let empty = BTreeSet::new();
     let (base_report, _, _) = analysis::as_relationship_report(&base_paths, &baseline.geo, &empty);
@@ -96,7 +96,7 @@ fn figure6_and_asrel_invariant_across_shard_counts() {
         );
         let (paths, stats) = sweep.sanitized();
         assert_eq!(stats, base_stats, "sanitization tally diverged at K={k}");
-        let (fig6, other) = sweep.figure6();
+        let (fig6, other) = analysis::figure6_by_project(&paths, &sweep.geo);
         // ProjectPaths holds *sorted* hop counts: bit-identical per
         // project means bit-identical Figure 6 distributions.
         assert_eq!(fig6, base_fig6, "Figure 6 distributions diverged at K={k}");
