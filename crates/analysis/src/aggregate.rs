@@ -174,8 +174,6 @@ mod tests {
             },
             asn: Some(asn),
             country,
-            response_src: Some(Ipv4Addr::new(8, 8, 8, 8)),
-            a_resolver: Some(Ipv4Addr::new(8, 8, 8, 8)),
         }
     }
 

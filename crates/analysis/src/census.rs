@@ -23,10 +23,6 @@ pub struct CensusRow {
     pub asn: Option<u32>,
     /// Target's country (via ASN → country).
     pub country: Option<&'static str>,
-    /// Who answered (for classified rows).
-    pub response_src: Option<Ipv4Addr>,
-    /// The dynamic `A_resolver` record (for classified rows).
-    pub a_resolver: Option<Ipv4Addr>,
 }
 
 impl CensusRow {
@@ -34,13 +30,26 @@ impl CensusRow {
     pub fn class(&self) -> Option<OdnsClass> {
         self.verdict.class()
     }
+
+    /// Who answered and the `A_resolver` record, if classified.
+    pub(crate) fn answer_addrs(&self) -> Option<(Ipv4Addr, Ipv4Addr)> {
+        match self.verdict {
+            Verdict::Classified {
+                a_resolver,
+                response_src,
+                ..
+            } => Some((response_src, a_resolver)),
+            Verdict::Discarded(_) => None,
+        }
+    }
 }
 
-/// The census dataset. `PartialEq` row for row — what the capture-driven
-/// verification asserts against the live census.
+/// The census dataset. `PartialEq` compares rows in order; [`diff`]
+/// compares two censuses by target.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Census {
-    /// One row per probe.
+    /// One row per probe, in probe order: each shard's shuffle, shards
+    /// ascending, so the order (and the CSV's bytes) depends on K.
     pub rows: Vec<CensusRow>,
     /// Responses that matched no probe.
     pub unmatched_responses: usize,
@@ -62,30 +71,18 @@ impl Census {
             .iter()
             .map(|t| {
                 let verdict = classify(t, config);
-                let (response_src, a_resolver) = match verdict {
-                    Verdict::Classified {
-                        response_src,
-                        a_resolver,
-                        ..
-                    } => (Some(response_src), Some(a_resolver)),
-                    Verdict::Discarded(_) => (None, None),
-                };
                 let asn = geo.asn_of(t.probe.target);
                 CensusRow {
                     target: t.probe.target,
                     verdict,
                     asn,
                     country: asn.and_then(|a| geo.country_of_asn(a)),
-                    response_src,
-                    a_resolver,
                 }
             })
             .collect();
         Census {
             rows,
-            unmatched_responses: 0,
-            late_responses: 0,
-            late_answers_discarded: 0,
+            ..Census::default()
         }
     }
 
@@ -165,7 +162,8 @@ impl Census {
                     let _ = write!(out, "{reason:?},");
                 }
             }
-            for ip in [row.response_src, row.a_resolver] {
+            let (response_src, a_resolver) = row.answer_addrs().unzip();
+            for ip in [response_src, a_resolver] {
                 out.push(',');
                 if let Some(ip) = ip {
                     push_ipv4(&mut out, ip);
@@ -219,9 +217,9 @@ pub(crate) fn census_scan_config(world: &Internet) -> ScanConfig {
 
 /// Concatenate per-shard census parts (ascending shard order, which is
 /// how the sharded runner returns its outputs) into the merged census —
-/// row for row what one scanner over the union target list would have
+/// by target, the rows one scanner over the union target list would have
 /// produced, since rows carry no probe index and classification is
-/// per-transaction.
+/// per-transaction; their order is each shard's probe shuffle.
 pub(crate) fn merge_census_parts(parts: Vec<Census>) -> Census {
     let mut merged = Census::default();
     merged
@@ -234,6 +232,94 @@ pub(crate) fn merge_census_parts(parts: Vec<Census>) -> Census {
         merged.late_answers_discarded += part.late_answers_discarded;
     }
     merged
+}
+
+/// What differs between two censuses, target by target: built by
+/// [`diff`]. It prints the counts, the differing rows by country, then
+/// the first 8 rows as `target: before → after`.
+#[derive(Debug)]
+pub struct CensusDelta {
+    /// `(before, after)` per differing row, in target order: a lost row
+    /// has no `after`, a gained row no `before`.
+    rows: Vec<(Option<CensusRow>, Option<CensusRow>)>,
+    /// Each side's unmatched, late and late-discarded counters.
+    counters: [[usize; 3]; 2],
+}
+
+impl CensusDelta {
+    /// True when the censuses agree by target and in their counters.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty() && self.counters[0] == self.counters[1]
+    }
+}
+
+/// Compare two censuses by target. Row order is each shard's probe
+/// shuffle, so it is never compared. A target with more rows on one side
+/// than the other shows the extra rows as lost or gained.
+pub fn diff(before: &Census, after: &Census) -> CensusDelta {
+    let mut sides: Vec<(bool, &CensusRow)> = before.rows.iter().map(|r| (false, r)).collect();
+    sides.extend(after.rows.iter().map(|r| (true, r)));
+    // Stable: within a target, `before`'s rows stay ahead of `after`'s.
+    sides.sort_by_key(|(_, r)| r.target);
+    let mut rows = Vec::new();
+    for group in sides.chunk_by(|x, y| x.1.target == y.1.target) {
+        // Rows equal on both sides cancel; the rest pair up in order as
+        // changed, and the longer side's tail is lost or gained.
+        let (b, a) = group.split_at(group.partition_point(|(is_after, _)| !is_after));
+        let mut gained: Vec<&CensusRow> = a.iter().map(|(_, r)| *r).collect();
+        let lost: Vec<&CensusRow> = (b.iter().map(|(_, r)| *r))
+            .filter(|r| (gained.iter().position(|g| g == r).map(|i| gained.remove(i))).is_none())
+            .collect();
+        for i in 0..lost.len().max(gained.len()) {
+            let side = |rows: &[&CensusRow]| rows.get(i).copied().cloned();
+            rows.push((side(&lost), side(&gained)));
+        }
+    }
+    let counters = [before, after].map(|c| {
+        [
+            c.unmatched_responses,
+            c.late_responses,
+            c.late_answers_discarded,
+        ]
+    });
+    CensusDelta { rows, counters }
+}
+
+impl std::fmt::Display for CensusDelta {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let lost = self.rows.iter().filter(|(_, a)| a.is_none()).count();
+        let gained = self.rows.iter().filter(|(b, _)| b.is_none()).count();
+        let changed = self.rows.len() - lost - gained;
+        write!(f, "{lost} lost, {gained} gained, {changed} changed")?;
+        let [before, after] = self.counters;
+        if before != after {
+            write!(f, "; unmatched, late, discarded {before:?} → {after:?}")?;
+        }
+        let mut by_country = std::collections::BTreeMap::new();
+        for (b, a) in &self.rows {
+            let country = b.as_ref().or(a.as_ref()).and_then(|r| r.country);
+            *by_country.entry(country.unwrap_or("?")).or_insert(0) += 1;
+        }
+        if !by_country.is_empty() {
+            write!(f, "\nby country: {by_country:?}")?;
+        }
+        let side = |row: &Option<CensusRow>| match row {
+            Some(r) => {
+                let asn = r.asn.map_or("?".to_string(), |a| a.to_string());
+                format!("{:?} {} AS{asn}", r.verdict, r.country.unwrap_or("?"))
+            }
+            None => "absent".to_string(),
+        };
+        for (b, a) in self.rows.iter().take(8) {
+            if let Some(row) = b.as_ref().or(a.as_ref()) {
+                write!(f, "\n  {}: {} → {}", row.target, side(b), side(a))?;
+            }
+        }
+        if self.rows.len() > 8 {
+            write!(f, "\n  +{} more", self.rows.len() - 8)?;
+        }
+        Ok(())
+    }
 }
 
 /// Run a `shards`-way sharded census: drive every shard world's
@@ -349,7 +435,7 @@ mod tests {
         assert_eq!(row.class(), Some(OdnsClass::TransparentForwarder));
         assert_eq!(row.country, Some("BRA"));
         assert_eq!(row.asn, Some(65001));
-        assert_eq!(row.a_resolver, Some(resolver));
+        assert_eq!(row.answer_addrs(), Some((resolver, resolver)));
         assert_eq!(census.transparent_targets(), vec![target]);
         assert_eq!(census.odns_total(), 1);
         assert!((census.share(OdnsClass::TransparentForwarder) - 1.0).abs() < 1e-9);
@@ -372,8 +458,6 @@ mod tests {
                 verdict: Verdict::Discarded(Discard::NoResponse),
                 asn: None,
                 country: None,
-                response_src: None,
-                a_resolver: None,
             }],
             unmatched_responses: unmatched,
             late_responses: late,
@@ -433,12 +517,13 @@ mod tests {
                     }
                     Verdict::Discarded(reason) => (format!("{reason:?}"), String::new()),
                 };
+                let (response_src, a_resolver) = row.answer_addrs().unzip();
                 t.row([
                     row.target.to_string(),
                     verdict,
                     class,
-                    row.response_src.map(|i| i.to_string()).unwrap_or_default(),
-                    row.a_resolver.map(|i| i.to_string()).unwrap_or_default(),
+                    response_src.map(|i| i.to_string()).unwrap_or_default(),
+                    a_resolver.map(|i| i.to_string()).unwrap_or_default(),
                     row.asn.map(|a| a.to_string()).unwrap_or_default(),
                     row.country.unwrap_or("").to_string(),
                 ]);
@@ -455,16 +540,12 @@ mod tests {
             },
             asn: Some(u32::MAX),
             country,
-            response_src: Some(ip(9)),
-            a_resolver: Some(ip(8)),
         };
         let discarded = |reason| CensusRow {
             target: Ipv4Addr::new(255, 255, 255, 255),
             verdict: Verdict::Discarded(reason),
             asn: None,
             country: None,
-            response_src: None,
-            a_resolver: None,
         };
         let census = Census {
             rows: vec![
@@ -499,31 +580,194 @@ mod tests {
             ..inetgen::GenConfig::default()
         };
         let classifier = ClassifierConfig::default();
-        let rows = |k| {
+        let census = |k| {
             let run = inetgen::run_sharded(&config, k, |_, world| {
                 world.sim.set_faults(netsim::FaultPlan::lossy(0.10));
                 run_census(world, &classifier)
             });
-            let mut rows = merge_census_parts(run.outputs).rows;
-            rows.sort_by_key(|r| r.target);
-            rows
+            merge_census_parts(run.outputs)
         };
-        let single = rows(1);
-        assert!(
-            single.iter().any(|r| r.class().is_some()),
-            "world must answer"
-        );
-        assert!(
-            single
-                .iter()
-                .any(|r| r.verdict == Verdict::Discarded(Discard::NoResponse)),
-            "losses must bite"
-        );
+        let single = census(1);
+        assert!(single.odns_total() > 0, "world must answer");
+        assert!(single.discarded(Discard::NoResponse) > 0, "losses bite");
         for k in [2, 8] {
-            let sharded = rows(k);
-            assert_eq!(sharded.len(), single.len(), "K={k}: one row per target");
-            let differ = sharded.iter().zip(&single).filter(|(a, b)| a != b).count();
-            assert_eq!(differ, 0, "K={k}: {differ} of {} rows differ", single.len());
+            let delta = diff(&single, &census(k));
+            assert!(delta.is_empty(), "K={k}: {delta}");
         }
+    }
+
+    fn row(last_octet: u8, verdict: Verdict, country: &'static str) -> CensusRow {
+        CensusRow {
+            target: Ipv4Addr::new(203, 0, 113, last_octet),
+            verdict,
+            asn: Some(65001),
+            country: Some(country),
+        }
+    }
+
+    fn transparent(via: u8) -> Verdict {
+        let resolver = Ipv4Addr::new(8, 8, 8, via);
+        Verdict::Classified {
+            class: OdnsClass::TransparentForwarder,
+            a_resolver: resolver,
+            response_src: resolver,
+        }
+    }
+
+    fn census_of(rows: Vec<CensusRow>) -> Census {
+        Census {
+            rows,
+            ..Census::default()
+        }
+    }
+
+    #[test]
+    fn a_census_and_its_reversal_diff_empty() {
+        let mut rows: Vec<CensusRow> = (1..=20).map(|i| row(i, transparent(i), "BRA")).collect();
+        rows.push(row(7, Verdict::Discarded(Discard::NoResponse), "BRA"));
+        let census = census_of(rows);
+        let mut reversed = census.clone();
+        reversed.rows.reverse();
+        assert_ne!(census, reversed, "row order differs");
+        let delta = diff(&census, &reversed);
+        assert!(delta.is_empty(), "{delta}");
+        assert_eq!(delta.to_string(), "0 lost, 0 gained, 0 changed");
+    }
+
+    #[test]
+    fn lost_gained_and_changed_rows_are_each_reported() {
+        let no_response = Verdict::Discarded(Discard::NoResponse);
+        let before = census_of(vec![
+            row(1, transparent(8), "BRA"),
+            row(2, no_response, "BRA"),
+            row(3, Verdict::Discarded(Discard::NoAnswer), "BRA"),
+            row(4, transparent(8), "BRA"),
+            row(5, transparent(8), "BRA"),
+        ]);
+        let after = census_of(vec![
+            row(5, transparent(8), "BRA"),
+            row(3, Verdict::Discarded(Discard::Malformed), "BRA"),
+            row(1, no_response, "BRA"),
+            row(4, transparent(8), "TUR"),
+            row(6, no_response, "MUS"),
+        ]);
+        let delta = diff(&before, &after);
+        let expected = vec![
+            // class → discard
+            (
+                Some(row(1, transparent(8), "BRA")),
+                Some(row(1, no_response, "BRA")),
+            ),
+            (Some(row(2, no_response, "BRA")), None),
+            // discard reason
+            (
+                Some(row(3, Verdict::Discarded(Discard::NoAnswer), "BRA")),
+                Some(row(3, Verdict::Discarded(Discard::Malformed), "BRA")),
+            ),
+            // country
+            (
+                Some(row(4, transparent(8), "BRA")),
+                Some(row(4, transparent(8), "TUR")),
+            ),
+            (None, Some(row(6, no_response, "MUS"))),
+        ];
+        assert_eq!(delta.rows, expected);
+        let text = delta.to_string();
+        assert!(
+            text.starts_with("1 lost, 1 gained, 3 changed\nby country: {\"BRA\": 4, \"MUS\": 1}\n"),
+            "{text}"
+        );
+        let lines = [
+            "  203.0.113.1: Classified { class: TransparentForwarder, a_resolver: 8.8.8.8, \
+             response_src: 8.8.8.8 } BRA AS65001 → Discarded(NoResponse) BRA AS65001",
+            "  203.0.113.2: Discarded(NoResponse) BRA AS65001 → absent",
+            "  203.0.113.3: Discarded(NoAnswer) BRA AS65001 → Discarded(Malformed) BRA AS65001",
+            "  203.0.113.4: Classified { class: TransparentForwarder, a_resolver: 8.8.8.8, \
+             response_src: 8.8.8.8 } BRA AS65001 → Classified { class: TransparentForwarder, \
+             a_resolver: 8.8.8.8, response_src: 8.8.8.8 } TUR AS65001",
+            "  203.0.113.6: absent → Discarded(NoResponse) MUS AS65001",
+        ];
+        assert_eq!(text.lines().skip(2).collect::<Vec<_>>(), lines);
+    }
+
+    #[test]
+    fn a_duplicated_target_shows_as_an_extra_row() {
+        let once = census_of(vec![
+            row(1, transparent(8), "BRA"),
+            row(2, transparent(8), "BRA"),
+        ]);
+        let mut twice = once.clone();
+        twice.rows.insert(0, row(2, transparent(8), "BRA"));
+        let delta = diff(&once, &twice);
+        assert_eq!(
+            delta.rows,
+            vec![(None, Some(row(2, transparent(8), "BRA")))]
+        );
+        assert!(diff(&twice, &once)
+            .to_string()
+            .starts_with("1 lost, 0 gained, 0 changed"));
+    }
+
+    #[test]
+    fn a_difference_only_in_the_counters_is_reported() {
+        let before = census_of(vec![row(1, transparent(8), "BRA")]);
+        let after = Census {
+            late_responses: 2,
+            late_answers_discarded: 1,
+            ..before.clone()
+        };
+        let delta = diff(&before, &after);
+        assert!(!delta.is_empty());
+        assert!(delta.rows.is_empty());
+        assert_eq!(
+            delta.to_string(),
+            "0 lost, 0 gained, 0 changed; unmatched, late, discarded [0, 0, 0] → [0, 2, 1]"
+        );
+    }
+
+    #[test]
+    fn display_shows_eight_rows_then_the_rest_as_a_count() {
+        let before = census_of(
+            (1..=11)
+                .map(|i| row(i, transparent(8), if i % 2 == 0 { "BRA" } else { "TUR" }))
+                .collect(),
+        );
+        let text = diff(&before, &Census::default()).to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[0], "11 lost, 0 gained, 0 changed", "{text}");
+        assert_eq!(lines[1], r#"by country: {"BRA": 5, "TUR": 6}"#, "{text}");
+        assert_eq!(lines.len(), 2 + 8 + 1, "{text}");
+        assert!(lines[2].starts_with("  203.0.113.1: "), "{text}");
+        assert!(lines[9].starts_with("  203.0.113.8: "), "{text}");
+        assert_eq!(lines[10], "  +3 more", "{text}");
+    }
+
+    #[test]
+    fn a_perturbed_sharded_census_names_exactly_the_perturbed_target() {
+        let config = inetgen::GenConfig {
+            scale: 2_500,
+            countries: inetgen::CountrySelection::Codes(vec!["BRA", "MUS"]),
+            ..inetgen::GenConfig::default()
+        };
+        let census = run_census_sharded(&config, 2, &ClassifierConfig::default());
+        let mut perturbed = census.clone();
+        let row = perturbed
+            .rows
+            .iter_mut()
+            .find(|r| r.class().is_some())
+            .expect("world must answer");
+        row.country = Some("XXX");
+        let target = row.target;
+        let delta = diff(&census, &perturbed);
+        let named: Vec<Ipv4Addr> = delta
+            .rows
+            .iter()
+            .map(|(b, a)| b.as_ref().or(a.as_ref()).unwrap().target)
+            .collect();
+        assert_eq!(named, vec![target], "{delta}");
+        assert!(
+            delta.to_string().contains(&format!("\n  {target}: ")),
+            "{delta}"
+        );
     }
 }

@@ -61,7 +61,7 @@ impl CountryConsolidation {
 pub fn figure5_by_country(census: &Census) -> BTreeMap<&'static str, CountryConsolidation> {
     let mut map: BTreeMap<&'static str, CountryConsolidation> = BTreeMap::new();
     for row in census.of_class(OdnsClass::TransparentForwarder) {
-        let (Some(country), Some(src)) = (row.country, row.response_src) else {
+        let (Some(country), Some((src, _))) = (row.country, row.answer_addrs()) else {
             continue;
         };
         let entry = map.entry(country).or_default();
@@ -99,7 +99,7 @@ pub fn table4_other_share(census: &Census, geo: &GeoDb, n: usize) -> Vec<OtherSh
     }
     let mut per_country: BTreeMap<&'static str, Acc> = BTreeMap::new();
     for row in census.of_class(OdnsClass::TransparentForwarder) {
-        let (Some(country), Some(src)) = (row.country, row.response_src) else {
+        let (Some(country), Some((src, a_resolver))) = (row.country, row.answer_addrs()) else {
             continue;
         };
         if ResolverSource::of(src) != ResolverSource::Other {
@@ -119,14 +119,12 @@ pub fn table4_other_share(census: &Census, geo: &GeoDb, n: usize) -> Vec<OtherSh
         // Indirect consolidation: the forwarding chain's *last* hop (the
         // auth's immediate client, reflected in A_resolver) belongs to a
         // big-4 project even though the response came from elsewhere.
-        if let Some(a_resolver) = row.a_resolver {
-            if geo
-                .asn_of(a_resolver)
-                .and_then(ResolverProject::from_asn)
-                .is_some()
-            {
-                acc.indirect += 1;
-            }
+        if geo
+            .asn_of(a_resolver)
+            .and_then(ResolverProject::from_asn)
+            .is_some()
+        {
+            acc.indirect += 1;
         }
     }
     let mut rows: Vec<OtherShareRow> = per_country
@@ -176,8 +174,6 @@ mod tests {
             },
             asn: Some(650),
             country: Some(country),
-            response_src: Some(response_src),
-            a_resolver: Some(a_resolver),
         }
     }
 

@@ -150,8 +150,6 @@ mod tests {
                     },
                     asn: Some(*asn),
                     country: Some("BRA"),
-                    response_src: Some(Ipv4Addr::new(8, 8, 8, 8)),
-                    a_resolver: Some(Ipv4Addr::new(8, 8, 8, 8)),
                 });
             }
         }

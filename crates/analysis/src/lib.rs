@@ -47,8 +47,8 @@ pub use campaign_sweep::{
 };
 pub use cdf::Cdf;
 pub use census::{
-    campaign_country_counts, run_census, run_census_cached, run_census_sharded,
-    run_shadowserver_census, Census, CensusRow,
+    campaign_country_counts, diff, run_census, run_census_cached, run_census_sharded,
+    run_shadowserver_census, Census, CensusDelta, CensusRow,
 };
 pub use consolidation::{
     figure5_by_country, table4_other_share, CountryConsolidation, OtherShareRow, ResolverSource,

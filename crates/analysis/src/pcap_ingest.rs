@@ -365,7 +365,7 @@ mod tests {
         let shard = |id: u8, n, answered: &[u8]| (u32::from(id), shard_capture(id, n, answered));
         let a = census_of(&[shard(0, 2, &[0]), shard(1, 4, &[2]), shard(2, 1, &[])]);
         let b = census_of(&[shard(2, 1, &[]), shard(0, 2, &[0]), shard(1, 4, &[2])]);
-        assert_eq!(a, b);
+        assert!(a == b, "{}", crate::diff(&a, &b));
         let targets: Vec<Ipv4Addr> = a.rows.iter().map(|r| r.target).collect();
         let expected: Vec<Ipv4Addr> = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (1, 3), (2, 0)]
             .map(|(shard, i)| Ipv4Addr::new(11, shard, 0, i))
@@ -381,12 +381,12 @@ mod tests {
             (0, shard_capture(0, 1, &[0])),
             (1, shard_capture(1, 1, &[0])),
         ]);
-        let answered_by: Vec<_> = census.rows.iter().map(|r| r.response_src).collect();
+        let answered_by: Vec<_> = census.rows.iter().map(|r| r.answer_addrs()).collect();
         assert_eq!(
             answered_by,
             vec![
-                Some(Ipv4Addr::new(11, 0, 0, 0)),
-                Some(Ipv4Addr::new(11, 1, 0, 0))
+                Some((Ipv4Addr::new(11, 0, 0, 0), RESOLVER)),
+                Some((Ipv4Addr::new(11, 1, 0, 0), RESOLVER))
             ]
         );
         assert_eq!(census.unmatched_responses, 0);

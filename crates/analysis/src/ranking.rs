@@ -98,8 +98,6 @@ mod tests {
                 },
                 asn: Some(1),
                 country: Some(country),
-                response_src: Some(Ipv4Addr::new(8, 8, 8, 8)),
-                a_resolver: Some(Ipv4Addr::new(8, 8, 8, 8)),
             })
             .collect()
     }

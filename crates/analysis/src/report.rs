@@ -275,8 +275,6 @@ mod tests {
             },
             asn: Some(650),
             country: Some(country),
-            response_src: Some(src),
-            a_resolver: Some(src),
         };
         for i in 0..6 {
             c.rows.push(mk(

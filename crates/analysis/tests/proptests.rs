@@ -9,7 +9,7 @@ use netsim::pcap::PcapWriter;
 use netsim::wire::encode_udp;
 use netsim::{Datagram, SimTime};
 use proptest::prelude::*;
-use scanner::{ClassifierConfig, ScanConfig};
+use scanner::{ClassifierConfig, OdnsClass, ScanConfig};
 use std::net::Ipv4Addr;
 
 const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -102,9 +102,9 @@ proptest! {
         prop_assert_eq!(census.late_answers_discarded, 0);
         for (row, (target, was_answered)) in census.rows.iter().zip(&expected) {
             prop_assert_eq!(row.target, *target, "rows follow shard id, then probe order");
-            // An answer matched to another shard's probe would show a
-            // foreign source here.
-            prop_assert_eq!(row.response_src, was_answered.then_some(*target));
+            // An answer matched to another shard's probe would come from
+            // a foreign source and classify as a transparent forwarder.
+            prop_assert_eq!(row.class(), was_answered.then_some(OdnsClass::RecursiveForwarder));
         }
     }
 }

@@ -12,8 +12,8 @@
 //! [`netsim::shard::derive_seed`] — never from the shard count or from
 //! other countries. Re-partitioning the same seed therefore replants the
 //! byte-identical population and the same duds in every country, which is
-//! what makes the sharded census produce identical rows for any `K`
-//! (`generate(config)` is exactly `generate_shard(config,
+//! what makes the sharded census produce identical rows, by target, for
+//! any `K` (`generate(config)` is exactly `generate_shard(config,
 //! ShardSpec::solo())`).
 
 use crate::build::{generate_shard, Internet};

@@ -52,7 +52,8 @@ fn main() {
 
     println!("phase 2 — capture-driven verification (offline, captures only)...");
     let capture_census = sweep.capture_census(&classifier).expect("captures parse");
-    assert_eq!(capture_census, sweep.census);
+    let delta = analysis::diff(&sweep.census, &capture_census);
+    assert!(capture_census == sweep.census, "capture != live: {delta}");
     println!("  census rebuilt from per-shard scan captures: identical, row for row");
     let capture_reports = sweep.capture_reports().expect("captures parse");
     assert_eq!(capture_reports, sweep.reports);

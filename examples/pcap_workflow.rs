@@ -55,14 +55,9 @@ fn main() {
         &internet.geo,
         &ClassifierConfig::default(),
     );
-    for class in scanner::OdnsClass::all() {
-        assert_eq!(
-            census.count(class),
-            live_census.count(class),
-            "pipelines must agree"
-        );
-    }
-    println!("offline == live for every component class \u{2713}");
+    let delta = analysis::diff(&live_census, &census);
+    assert!(census == live_census, "offline != live: {delta}");
+    println!("offline == live, row for row \u{2713}");
 
     // Persist the artifacts.
     let out_dir = std::env::temp_dir().join("transparent-forwarders");

@@ -40,14 +40,8 @@ fn census_from_capture_matches_in_memory_census() {
     let census_pcap =
         analysis::Census::from_transactions(&rebuilt.transactions, &internet.geo, &classifier);
 
-    for class in scanner::OdnsClass::all() {
-        assert_eq!(
-            census_mem.count(class),
-            census_pcap.count(class),
-            "pcap-derived census must agree for {class}"
-        );
-    }
-    assert_eq!(census_mem.odns_total(), census_pcap.odns_total());
+    let delta = analysis::diff(&census_mem, &census_pcap);
+    assert!(census_pcap == census_mem, "pcap census != live: {delta}");
 
     // And both recover the planted truth.
     let planted_transparent = internet.truth.count(PlantedClass::TransparentForwarder);

@@ -98,14 +98,16 @@ proptest! {
             let capture_part =
                 analysis::census_from_captures(&[(shard, &capture)], &run.geo, &classifier)
                     .expect("capture parses");
-            prop_assert_eq!(&capture_part, &live_part, "shard {} census part", shard);
+            let delta = analysis::diff(&live_part, &capture_part);
+            prop_assert!(capture_part == live_part, "shard {shard} census part: {delta}");
             captures.push((shard, capture));
         }
 
         let live_census = analysis::run_census_sharded(&config, k, &classifier);
         let capture_census = analysis::census_from_captures(&captures, &run.geo, &classifier)
             .expect("captures parse");
-        prop_assert_eq!(&capture_census, &live_census, "K={} census", k);
+        let delta = analysis::diff(&live_census, &capture_census);
+        prop_assert!(capture_census == live_census, "K={k} census: {delta}");
         prop_assert!(capture_census.odns_total() > 0, "world must answer");
     }
 

@@ -164,11 +164,11 @@ fn corruption_discards_but_never_misleads() {
 }
 
 /// The lossy-world determinism contract: a census over worlds generated
-/// with a `FaultPlan` in their `GenConfig` is bit-identical across shard
-/// counts and warm-cache reruns. The plan is salted from the generation
-/// seed and probe tuples switch to the target-keyed scheme on faulty
-/// worlds, so every flow's fault verdict is a pure function of the world
-/// — not of the partition or of event order.
+/// with a `FaultPlan` in their `GenConfig` is identical by target across
+/// shard counts and bit-identical across warm-cache reruns. The plan is
+/// salted from the generation seed and probe tuples switch to the
+/// target-keyed scheme on faulty worlds, so every flow's fault verdict is
+/// a pure function of the world — not of the partition or of event order.
 #[test]
 fn lossy_census_is_bit_identical_across_shard_counts_and_warm_reruns() {
     let config = GenConfig {
@@ -195,43 +195,29 @@ fn lossy_census_is_bit_identical_across_shard_counts_and_warm_reruns() {
         "10% loss must cost some coverage, or the plan never fired"
     );
 
-    // Whole-census equality, duds included: rows sorted by target since
-    // per-shard probe order is partition-specific.
-    let sorted = |mut census: analysis::Census| {
-        census.rows.sort_by_key(|r| r.target);
-        census
-    };
-    let baseline = sorted(baseline);
-    let same = |census: analysis::Census, what: &str| {
-        let census = sorted(census);
-        assert!(
-            census == baseline,
-            "{what}: {} rows vs {} in the solo census",
-            census.rows.len(),
-            baseline.rows.len()
-        );
-    };
+    // Whole-census equality by target, duds included: per-shard probe
+    // order is partition-specific. The DNSRoute++ and campaign sweeps
+    // embed the same census: their in-worker scans take the same
+    // fault-aware configuration.
     for k in [1u32, 2, 8] {
-        same(
+        let censuses = [
             analysis::run_census_sharded(&config, k, &classifier),
-            &format!("lossy census diverged at K={k}"),
-        );
-        // The DNSRoute++ and campaign sweeps embed the same census: their
-        // in-worker scans take the same fault-aware configuration.
-        same(
             analysis::run_dnsroute_sharded(&config, k, &classifier).census,
-            &format!("dnsroute sweep's census drifted at K={k}"),
-        );
-        same(
             analysis::run_campaign_sharded(&config, k, &classifier).census,
-            &format!("campaign sweep's census drifted at K={k}"),
-        );
+        ];
+        let whats = ["census", "dnsroute census", "campaign census"];
+        for (what, census) in whats.iter().zip(&censuses) {
+            let delta = analysis::diff(&baseline, census);
+            assert!(delta.is_empty(), "lossy {what} at K={k}: {delta}");
+        }
     }
 
     // Warm-cache rerun: bit-identical to the cold pass.
     let mut cache = ShardWorldCache::new(config);
     let cold = analysis::run_census_sharded(&mut cache, 2, &classifier);
     let warm = analysis::run_census_sharded(&mut cache, 2, &classifier);
-    assert_eq!(cold, warm, "warm lossy rerun must be bit-identical");
-    same(cold, "warm-cache census");
+    let delta = analysis::diff(&cold, &warm);
+    assert!(cold == warm, "warm lossy rerun: {delta}");
+    let delta = analysis::diff(&baseline, &cold);
+    assert!(delta.is_empty(), "warm-cache census: {delta}");
 }

@@ -3,26 +3,18 @@
 //! The sharded engine's contract: partitioning the synthetic Internet
 //! into K shards changes wall-clock behavior only — the census coming out
 //! of the merged offline correlation pass, dud rows included, is identical
-//! for every K, and identical to the classic single-simulator path.
+//! by target for every K, and identical to the classic single-simulator
+//! path. Row order is each shard's probe shuffle, so the suites compare
+//! with `analysis::diff`.
 
 use inetgen::{CountrySelection, GenConfig, ShardSpec};
 use scanner::{ClassifierConfig, OdnsClass};
-
-/// The census with its rows in target order: per-shard probe order is
-/// partition-specific, the rows themselves are not.
-fn sorted(mut census: analysis::Census) -> analysis::Census {
-    census.rows.sort_by_key(|r| r.target);
-    census
-}
 
 #[test]
 fn shard_counts_match_single_simulator_path() {
     let config = GenConfig::test_small();
     let mut internet = inetgen::generate(&config);
-    let single = sorted(analysis::run_census(
-        &mut internet,
-        &ClassifierConfig::default(),
-    ));
+    let single = analysis::run_census(&mut internet, &ClassifierConfig::default());
     assert!(
         single.count(OdnsClass::TransparentForwarder) > 0,
         "world must contain transparent forwarders"
@@ -33,24 +25,16 @@ fn shard_counts_match_single_simulator_path() {
     );
 
     for k in [1u32, 2, 8] {
-        let sharded = sorted(analysis::run_census_sharded(
-            &config,
-            k,
-            &ClassifierConfig::default(),
-        ));
-        assert!(
-            sharded == single,
-            "census diverged at K={k}: {} rows vs {} on the single path",
-            sharded.rows.len(),
-            single.rows.len()
-        );
+        let sharded = analysis::run_census_sharded(&config, k, &ClassifierConfig::default());
+        let delta = analysis::diff(&single, &sharded);
+        assert!(delta.is_empty(), "census diverged at K={k}: {delta}");
     }
 }
 
 #[test]
 fn sharding_preserves_per_country_attribution() {
-    // Beyond global counts: the merged geo database must attribute every
-    // classified row to the same country the single path does.
+    // The merged geo database must attribute every row to the same
+    // country and ASN the single path does.
     let config = GenConfig {
         countries: CountrySelection::Codes(vec!["BRA", "TUR", "MUS", "FSM", "AFG"]),
         scale: 2_500,
@@ -60,15 +44,8 @@ fn sharding_preserves_per_country_attribution() {
     let mut internet = inetgen::generate(&config);
     let single = analysis::run_census(&mut internet, &ClassifierConfig::default());
     let sharded = analysis::run_census_sharded(&config, 3, &ClassifierConfig::default());
-
-    let per_country = |census: &analysis::Census| -> std::collections::BTreeMap<&str, usize> {
-        let mut m = std::collections::BTreeMap::new();
-        for row in census.of_class(OdnsClass::TransparentForwarder) {
-            *m.entry(row.country.unwrap_or("?")).or_insert(0) += 1;
-        }
-        m
-    };
-    assert_eq!(per_country(&single), per_country(&sharded));
+    let delta = analysis::diff(&single, &sharded);
+    assert!(delta.is_empty(), "K=3: {delta}");
 }
 
 #[test]

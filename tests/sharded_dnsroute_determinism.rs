@@ -10,18 +10,9 @@
 
 use dnsroute::{run_dnsroute, DnsRouteConfig, TraceResult};
 use inetgen::GenConfig;
-use scanner::{ClassifierConfig, OdnsClass};
+use scanner::ClassifierConfig;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
-
-fn census_counts(census: &analysis::Census) -> (usize, usize, usize, usize) {
-    (
-        census.odns_total(),
-        census.count(OdnsClass::TransparentForwarder),
-        census.count(OdnsClass::RecursiveForwarder),
-        census.count(OdnsClass::RecursiveResolver),
-    )
-}
 
 /// A trace's timing-free content. Simulated clocks differ across shard
 /// compositions (stagger position, cache warm-up), so `DnsEndpoint.at`
@@ -65,9 +56,10 @@ fn k1_sweep_reproduces_unsharded_pipeline_bit_for_bit() {
     );
 
     let sweep = analysis::run_dnsroute_sharded(&config, 1, &ClassifierConfig::default());
-    assert_eq!(census_counts(&sweep.census), census_counts(&census));
-    // Full equality including timestamps: K = 1 is the same event
-    // sequence, not merely the same distributions.
+    // Full equality, row order and timestamps included: K = 1 is the same
+    // event sequence, not merely the same distributions.
+    let delta = analysis::diff(&census, &sweep.census);
+    assert!(sweep.census == census, "K=1 census: {delta}");
     assert_eq!(sweep.traces, traces);
 }
 
@@ -84,11 +76,8 @@ fn figure6_and_asrel_invariant_across_shard_counts() {
 
     for k in [2u32, 8] {
         let sweep = analysis::run_dnsroute_sharded(&config, k, &ClassifierConfig::default());
-        assert_eq!(
-            census_counts(&sweep.census),
-            census_counts(&baseline.census),
-            "census counts diverged at K={k}"
-        );
+        let delta = analysis::diff(&baseline.census, &sweep.census);
+        assert!(delta.is_empty(), "census diverged at K={k}: {delta}");
         assert_eq!(
             sorted_keys(&sweep.traces),
             sorted_keys(&baseline.traces),
