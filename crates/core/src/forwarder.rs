@@ -37,7 +37,7 @@
 use crate::cache::ServeCache;
 use crate::device::DeviceProfile;
 use dnswire::Message;
-use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, TimerId, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, TimerId, TimerOutcome, UdpSend};
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
@@ -340,13 +340,15 @@ impl Host for RecursiveForwarder {
         );
     }
 
-    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, _ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let key = ((token >> 16) as u16, token as u16);
-        if self.pending.remove(key).is_some() {
-            // Give up silently (stub clients retry on their own), matching
-            // typical CPE proxy behaviour.
-            self.stats.timeouts += 1;
+        if self.pending.remove(key).is_none() {
+            return TimerOutcome::Stale;
         }
+        // Give up silently (stub clients retry on their own), matching
+        // typical CPE proxy behaviour.
+        self.stats.timeouts += 1;
+        TimerOutcome::Acted
     }
 }
 
@@ -742,9 +744,10 @@ mod tests {
                 ctx.set_timer(SimDuration::from_secs(late), self.held.len() as u64);
                 self.held.push(dgram);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
                 let dgram = self.held[token as usize].clone();
                 self.canned.on_datagram(ctx, dgram);
+                TimerOutcome::Acted
             }
         }
         let (mut sim, client, fwd, resolver) = three_node_sim();

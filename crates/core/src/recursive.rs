@@ -24,7 +24,7 @@
 
 use crate::cache::{CachedAnswer, DnsCache, ServeCache};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType, HEADER_LEN};
-use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, TimerId, UdpSend};
+use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, TimerId, TimerOutcome, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
 
@@ -632,14 +632,15 @@ impl Host for RecursiveResolver {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let key = decode_timer(token);
         let Some((id, _)) = self.pending.remove(&key) else {
-            return; // answered, with a timeout too far out to cancel
+            // Answered, with a timeout too far out to cancel.
+            return TimerOutcome::Stale;
         };
         self.stats.timeouts += 1;
         let Some(task) = self.tasks.get_mut(&id) else {
-            return;
+            return TimerOutcome::Acted;
         };
         // Retry the current server with a fresh (port, txid) until the
         // budget runs out, then SERVFAIL everyone waiting.
@@ -650,6 +651,7 @@ impl Host for RecursiveResolver {
             self.stats.servfail += 1;
             self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
         }
+        TimerOutcome::Acted
     }
 }
 
@@ -735,7 +737,7 @@ mod tests {
                 ctx.set_timer(SimDuration::from_millis(late), self.seen.len() as u64);
                 self.seen.push(dgram);
             }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
                 let dgram = &self.seen[token as usize];
                 let query = Message::decode(&dgram.payload).unwrap();
                 let qname = query.questions[0].qname.clone();
@@ -743,6 +745,7 @@ mod tests {
                     .answer_a(qname, 300, Ipv4Addr::new(7, 7, 7, 7))
                     .build();
                 ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
+                TimerOutcome::Acted
             }
         }
 

@@ -19,7 +19,7 @@
 
 use netsim::{
     Ctx, Datagram, Host, IcmpMessage, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
-    Simulator, UdpSend,
+    Simulator, TimerOutcome, UdpSend,
 };
 use odns::study;
 use std::net::Ipv4Addr;
@@ -377,40 +377,43 @@ impl Host for DnsRoutePlusPlus {
         self.advance(ctx, idx);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         if token >= START_BASE {
             let idx = (token - START_BASE) as usize;
-            if idx < self.states.len() {
-                self.send_probe(ctx, idx);
+            if idx >= self.states.len() {
+                return TimerOutcome::Stale;
             }
-            return;
+            self.send_probe(ctx, idx);
+            return TimerOutcome::Acted;
         }
         let idx = (token >> 8) as usize;
         let ttl = (token & 0xFF) as u8;
         let Some(s) = self.states.get(idx) else {
-            return;
+            return TimerOutcome::Stale;
         };
         // Only a timeout for the *current* TTL advances the sweep; stale
         // timers from already-answered hops are ignored. TTL 0 is no hop:
         // it is the current TTL of a trace not yet started, and a timeout
         // for it would send a TTL-0 probe.
         if s.done || ttl == 0 || s.current_ttl != ttl {
-            return;
+            return TimerOutcome::Stale;
         }
         // Check whether this TTL got any reply; the hop slot tells us.
         let answered = s
             .hops
             .get(usize::from(ttl) - 1)
             .is_some_and(Option::is_some);
-        if !answered {
-            // Silent hop: retransmit while the policy allows, then record
-            // it anonymous and move on.
-            if s.attempts < self.config.retry.max_attempts {
-                self.retransmit_probe(ctx, idx, ttl);
-            } else {
-                self.advance(ctx, idx);
-            }
+        if answered {
+            return TimerOutcome::Stale;
         }
+        // Silent hop: retransmit while the policy allows, then record it
+        // anonymous and move on.
+        if s.attempts < self.config.retry.max_attempts {
+            self.retransmit_probe(ctx, idx, ttl);
+        } else {
+            self.advance(ctx, idx);
+        }
+        TimerOutcome::Acted
     }
 }
 

@@ -19,7 +19,7 @@ use dnsroute::{
 use dnswire::{Message, MessageBuilder, RrType};
 use netsim::{
     AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, NodeId, Relationship, SimConfig,
-    SimDuration, Simulator, TopologyBuilder, UdpSend,
+    SimDuration, Simulator, TimerOutcome, TopologyBuilder, UdpSend,
 };
 use odns::TransparentForwarder;
 use std::collections::BTreeSet;
@@ -288,7 +288,7 @@ struct NoiseBurst {
 impl Host for NoiseBurst {
     fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: Datagram) {}
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) -> TimerOutcome {
         // Wrong source port, payload long enough to carry fake flags.
         ctx.send_udp(UdpSend {
             src: None,
@@ -319,6 +319,7 @@ impl Host for NoiseBurst {
             ttl: None,
             payload: vec![0x01, 0x02, 0x03].into(),
         });
+        TimerOutcome::Acted
     }
 }
 

@@ -115,7 +115,7 @@ impl Ctx<'_> {
     /// now never fires. `false` when it has fired, was cancelled before, or
     /// lay beyond the queue's ≈ 19 h wheel horizon — such a timer still
     /// fires, so an [`Host::on_timer`] must tolerate a token whose work is
-    /// already done.
+    /// already done (and report it [`TimerOutcome::Stale`]).
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
         self.sim.cancel_timer(id)
     }
@@ -156,6 +156,19 @@ impl Ctx<'_> {
     }
 }
 
+/// What a [`Host::on_timer`] did with its token. The simulator counts
+/// the stale ones in [`crate::SimStats::timers_stale`]: each is a queue
+/// event a cancellation could have saved.
+#[must_use]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TimerOutcome {
+    /// The token named pending work and the handler did it.
+    Acted,
+    /// The token's entry was gone — answered, finished, never armed — and
+    /// the handler did nothing.
+    Stale,
+}
+
 /// Protocol logic attached to a node.
 ///
 /// Handlers receive a [`Ctx`] for sending, and for setting and cancelling
@@ -173,9 +186,11 @@ pub trait Host: Any + Send {
         let _ = (ctx, icmp);
     }
 
-    /// A timer set through [`Ctx::set_timer`] fired.
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    /// A timer set through [`Ctx::set_timer`] fired. A host without
+    /// timers finds nothing to do.
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let _ = (ctx, token);
+        TimerOutcome::Stale
     }
 }
 

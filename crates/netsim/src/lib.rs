@@ -68,7 +68,7 @@ pub mod wheel;
 pub mod wire;
 
 pub use fault::{mix64, FaultConfig, FaultPlan, FlowKey, FlowVerdict};
-pub use host::{Ctx, Host, UdpSend};
+pub use host::{Ctx, Host, TimerOutcome, UdpSend};
 pub use intmap::{IntHasher, IntMap};
 pub use packet::{Datagram, IcmpKind, IcmpMessage, Payload, QuotedDatagram, DEFAULT_TTL};
 pub use retry::RetryPolicy;

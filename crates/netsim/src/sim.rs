@@ -9,7 +9,7 @@
 //! burst from one queue event.
 
 use crate::fault::{FaultPlan, FlowKey, FlowVerdict};
-use crate::host::{Ctx, Host, UdpSend};
+use crate::host::{Ctx, Host, TimerOutcome, UdpSend};
 use crate::packet::{Datagram, IcmpKind, IcmpMessage, QuotedDatagram};
 use crate::pcap::PcapWriter;
 use crate::routing::{RouteError, RouteResolver};
@@ -314,7 +314,7 @@ impl Simulator {
             }
             EventKind::Timer { node, token } => {
                 self.stats.timers_fired += 1;
-                self.with_host(node, |host, ctx| host.on_timer(ctx, token));
+                self.fire_timer(node, token);
             }
             EventKind::TimerBatch {
                 node,
@@ -353,24 +353,32 @@ impl Simulator {
                         self.stats.timers_coalesced += 1;
                     }
                     self.now = at;
-                    let tok = token.wrapping_add(token_step.wrapping_mul(k));
-                    self.with_host(node, |host, ctx| host.on_timer(ctx, tok));
+                    self.fire_timer(node, token.wrapping_add(token_step.wrapping_mul(k)));
                 }
             }
         }
     }
 
+    /// Deliver one timer callback and count it if it found nothing to do.
+    /// A hostless node has no work for it either.
+    fn fire_timer(&mut self, node: NodeId, token: u64) {
+        let outcome = self
+            .with_host(node, |host, ctx| host.on_timer(ctx, token))
+            .unwrap_or(TimerOutcome::Stale);
+        self.stats.timers_stale += u64::from(outcome == TimerOutcome::Stale);
+    }
+
     /// Detach the host, run `f` on it with the rest of the simulator as its
-    /// [`Ctx`], and reattach it.
-    fn with_host<F>(&mut self, node: NodeId, f: F)
+    /// [`Ctx`], and reattach it. `None` for a hostless node.
+    fn with_host<F, R>(&mut self, node: NodeId, f: F) -> Option<R>
     where
-        F: FnOnce(&mut Box<dyn Host>, &mut Ctx<'_>),
+        F: FnOnce(&mut Box<dyn Host>, &mut Ctx<'_>) -> R,
     {
-        let Some(mut host) = self.hosts[node.0 as usize].take() else {
-            return; // hostless node: a traffic sink (e.g. the spoofed victim)
-        };
-        f(&mut host, &mut Ctx { sim: self, node });
+        // A hostless node is a traffic sink (e.g. the spoofed victim).
+        let mut host = self.hosts[node.0 as usize].take()?;
+        let out = f(&mut host, &mut Ctx { sim: self, node });
         self.hosts[node.0 as usize] = Some(host);
+        Some(out)
     }
 
     pub(crate) fn process_send(&mut self, from: NodeId, send: UdpSend, attempt: u8) {
@@ -638,8 +646,9 @@ mod tests {
         fn on_icmp(&mut self, _ctx: &mut Ctx<'_>, icmp: IcmpMessage) {
             self.icmp.push(icmp);
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) -> TimerOutcome {
             ctx.send_udp(self.send.clone());
+            TimerOutcome::Acted
         }
     }
 
@@ -843,13 +852,14 @@ mod tests {
         fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, dgram: Datagram) {
             self.replies.push(dgram);
         }
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
             ctx.send_udp(UdpSend::new(
                 30000 + token as u16,
                 self.dst,
                 53,
                 vec![token as u8, !token as u8],
             ));
+            TimerOutcome::Acted
         }
     }
 

@@ -69,6 +69,10 @@ pub struct SimStats {
     /// returned `true`): scheduled, never fired — the timeout of a query
     /// that was answered, the retry check of a probe that was.
     pub timers_cancelled: u64,
+    /// Timer callbacks whose host found the token's entry gone
+    /// ([`crate::TimerOutcome::Stale`]): fired, and did nothing — the
+    /// events a cancellation would have saved.
+    pub timers_stale: u64,
     /// Events scheduled into the timer wheel (O(1) near-future slots).
     pub events_wheel_scheduled: u64,
     /// Events scheduled into the far-future overflow heap (beyond the
@@ -102,10 +106,12 @@ impl SimStats {
     /// Conservation, of packets and of queue events. Every datagram that
     /// passed outbound SAV, and every injected duplicate, was either
     /// delivered or dropped for exactly one reason (SAV drops happen before
-    /// `udp_sent` and are not part of the balance); and every event
-    /// scheduled, on the wheel or the overflow heap, was either processed
-    /// or a timer cancelled before it fired. Holds whenever no event is
-    /// still queued, i.e. after a drained [`crate::Simulator::run`].
+    /// `udp_sent` and are not part of the balance); every event scheduled,
+    /// on the wheel or the overflow heap, was either processed or a timer
+    /// cancelled before it fired; and every event processed was one
+    /// delivery, one ICMP message or one timer event (a batch's coalesced
+    /// callbacks share their event). Holds whenever no event is still
+    /// queued, i.e. after a drained [`crate::Simulator::run`].
     pub fn conserved(&self) -> bool {
         self.udp_sent + self.duplicates_injected
             == self.udp_delivered
@@ -116,6 +122,8 @@ impl SimStats {
                 + self.dropped_corrupt
             && self.events_wheel_scheduled + self.events_heap_scheduled
                 == self.events_processed + self.timers_cancelled
+            && self.udp_delivered + self.icmp_delivered + self.timers_fired
+                == self.events_processed + self.timers_coalesced
     }
 }
 
@@ -138,7 +146,7 @@ impl fmt::Display for SimStats {
         )?;
         writeln!(
             f,
-            "icmp: delivered={} undeliverable={} | dup={} retx={} timers={} coalesced={} cancelled={} events={}",
+            "icmp: delivered={} undeliverable={} | dup={} retx={} timers={} coalesced={} cancelled={} stale={} events={}",
             self.icmp_delivered,
             self.icmp_undeliverable,
             self.duplicates_injected,
@@ -146,6 +154,7 @@ impl fmt::Display for SimStats {
             self.timers_fired,
             self.timers_coalesced,
             self.timers_cancelled,
+            self.timers_stale,
             self.events_processed
         )?;
         writeln!(

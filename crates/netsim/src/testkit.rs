@@ -6,7 +6,7 @@
 //! [`ScriptedClient`] that fires a prepared send sequence and records every
 //! datagram and ICMP message it receives.
 
-use crate::host::{Ctx, Host, UdpSend};
+use crate::host::{Ctx, Host, TimerOutcome, UdpSend};
 use crate::packet::{Datagram, IcmpMessage};
 use crate::sim::{SimConfig, Simulator};
 use crate::time::{SimDuration, SimTime};
@@ -70,10 +70,12 @@ impl Host for ScriptedClient {
         self.icmp.push((ctx.now(), icmp));
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if let Some(send) = self.script.get(token as usize) {
-            ctx.send_udp(send.clone());
-        }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
+        let Some(send) = self.script.get(token as usize) else {
+            return TimerOutcome::Stale;
+        };
+        ctx.send_udp(send.clone());
+        TimerOutcome::Acted
     }
 }
 

@@ -23,8 +23,8 @@
 use netsim::wheel::TimerWheel;
 use netsim::{
     AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, IntMap, NodeId, Payload,
-    Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, TimerId, Topology,
-    TopologyBuilder, UdpSend,
+    Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, TimerId, TimerOutcome,
+    Topology, TopologyBuilder, UdpSend,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -193,8 +193,9 @@ impl Host for Echo {
             ctx.send_udp(UdpSend::reply_to(&dgram, dgram.payload.clone()));
         }
     }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) -> TimerOutcome {
         ctx.send_udp(UdpSend::new(4000, self.peer, 53, Payload::default()));
+        TimerOutcome::Acted
     }
 }
 
@@ -245,7 +246,7 @@ struct Rearm {
 
 impl Host for Rearm {
     fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: Datagram) {}
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         assert_eq!(token, 0, "a cancelled timeout fired");
         if let Some(timeout) = self.armed.take() {
             assert!(ctx.cancel_timer(timeout));
@@ -255,6 +256,7 @@ impl Host for Rearm {
             self.armed = Some(ctx.set_timer(SimDuration::from_millis(20), 1));
             ctx.set_timer(SimDuration::from_millis(1), 0);
         }
+        TimerOutcome::Acted
     }
 }
 

@@ -13,8 +13,8 @@
 use netsim::wire::{decode, encode_udp, DecodedPacket};
 use netsim::{
     AsId, AsKind, AsSpec, CountryCode, Ctx, Datagram, FaultConfig, FaultPlan, Hop, Host, HostSpec,
-    NodeId, Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, Topology,
-    TopologyBuilder, UdpSend,
+    NodeId, Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, TimerOutcome,
+    Topology, TopologyBuilder, UdpSend,
 };
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
@@ -276,10 +276,12 @@ impl Host for EchoClient {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if let Some(send) = self.script.get(token as usize) {
-            ctx.send_udp(send.clone());
-        }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
+        let Some(send) = self.script.get(token as usize) else {
+            return TimerOutcome::Stale;
+        };
+        ctx.send_udp(send.clone());
+        TimerOutcome::Acted
     }
 }
 

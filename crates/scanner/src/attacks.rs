@@ -21,7 +21,10 @@
 
 use crate::pacer::Pacer;
 use dnswire::{DnsName, Message, MessageBuilder, RData, Record, RrType};
-use netsim::{Ctx, Datagram, Host, NodeId, Payload, RetryPolicy, SimDuration, Simulator, UdpSend};
+use netsim::{
+    Ctx, Datagram, Host, NodeId, Payload, RetryPolicy, SimDuration, Simulator, TimerOutcome,
+    UdpSend,
+};
 use odns::study;
 use std::collections::{BTreeMap, BTreeSet};
 use std::net::Ipv4Addr;
@@ -221,12 +224,12 @@ impl Host for ReflectionAttacker {
         // ever arrives at the attacker box.
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let Some(state) = self.plans.get_mut(token as usize) else {
-            return;
+            return TimerOutcome::Stale;
         };
         let Some(due) = state.pacer.due(token) else {
-            return;
+            return TimerOutcome::Stale;
         };
         let target = state.plan.targets[due.index];
         state.spend.queries += 1;
@@ -240,6 +243,7 @@ impl Host for ReflectionAttacker {
             payload: state.query.clone(),
         });
         state.pacer.sent(ctx, due);
+        TimerOutcome::Acted
     }
 }
 

@@ -20,7 +20,9 @@
 
 use crate::pacer::{Pacer, PACE_TOKEN};
 use dnswire::Message;
-use netsim::{Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
+use netsim::{
+    Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, TimerOutcome, UdpSend,
+};
 use odns::study;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -228,9 +230,9 @@ impl Host for CampaignScanner {
             .response(dgram.src, dgram.dst_port, &dgram.payload);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let Some(due) = self.pacer.due(token) else {
-            return;
+            return TimerOutcome::Stale;
         };
         let target = self.config.targets[due.index];
         let (port, txid) = probe_tuple(due.index);
@@ -242,6 +244,7 @@ impl Host for CampaignScanner {
             netsim::Payload::with_dns_id(study::probe_template(), txid),
         ));
         self.pacer.sent(ctx, due);
+        TimerOutcome::Acted
     }
 }
 

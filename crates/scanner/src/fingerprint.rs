@@ -9,7 +9,8 @@
 
 use crate::pacer::{Pacer, PACE_TOKEN};
 use netsim::{
-    Ctx, Datagram, Host, IcmpMessage, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend,
+    Ctx, Datagram, Host, IcmpMessage, NodeId, RetryPolicy, SimDuration, Simulator, TimerOutcome,
+    UdpSend,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -93,9 +94,9 @@ impl Host for FingerprintScanner {
         }
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let Some(due) = self.pacer.due(token) else {
-            return;
+            return TimerOutcome::Stale;
         };
         let i = due.index;
         let target = self.targets[i / PORTS.len()];
@@ -108,6 +109,7 @@ impl Host for FingerprintScanner {
             self.probe_payload.clone(),
         ));
         self.pacer.sent(ctx, due);
+        TimerOutcome::Acted
     }
 }
 

@@ -144,7 +144,7 @@ impl Pacer {
 mod tests {
     use super::*;
     use netsim::testkit::playground;
-    use netsim::{Datagram, Host, SimConfig, SimTime, Simulator, UdpSend};
+    use netsim::{Datagram, Host, SimConfig, SimTime, Simulator, TimerOutcome, UdpSend};
     use std::net::Ipv4Addr;
 
     const PROBER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -167,14 +167,15 @@ mod tests {
                 .answered(ctx, usize::from(dgram.dst_port - BASE_PORT));
         }
 
-        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
             let Some(due) = self.pacer.due(token) else {
-                return;
+                return TimerOutcome::Stale;
             };
             self.log.push((ctx.now(), due));
             let port = BASE_PORT + due.index as u16;
             ctx.send_udp_attempt(UdpSend::new(port, SINK, 9, vec![0]), due.attempt);
             self.pacer.sent(ctx, due);
+            TimerOutcome::Acted
         }
     }
 

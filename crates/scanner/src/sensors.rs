@@ -20,7 +20,7 @@
 //! All sensors resolve through a public resolver (the paper uses Google).
 
 use dnswire::Message;
-use netsim::{Ctx, Datagram, Host};
+use netsim::{Ctx, Datagram, Host, TimerOutcome};
 use odns::{PrefixRateLimiter, RecursiveForwarder, TransparentForwarder};
 use std::net::Ipv4Addr;
 
@@ -136,8 +136,8 @@ impl Host for HoneypotSensor {
         self.host().on_datagram(ctx, dgram);
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        self.host().on_timer(ctx, token);
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
+        self.host().on_timer(ctx, token)
     }
 }
 

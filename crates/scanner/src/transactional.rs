@@ -11,7 +11,9 @@
 use crate::pacer::{Due, Pacer, PACE_TOKEN};
 use crate::records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 use dnswire::{MessageBuilder, RrType};
-use netsim::{Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, UdpSend};
+use netsim::{
+    Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, TimerOutcome, UdpSend,
+};
 use odns::study;
 use std::net::Ipv4Addr;
 
@@ -303,12 +305,13 @@ impl Host for TransactionalScanner {
         });
     }
 
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let Some(due) = self.pacer.due(token) else {
-            return;
+            return TimerOutcome::Stale;
         };
         self.transmit(ctx, due);
         self.pacer.sent(ctx, due);
+        TimerOutcome::Acted
     }
 }
 

@@ -35,7 +35,9 @@
 use analysis::{report, Census};
 use dnswire::{DnsName, MessageBuilder, RrType};
 use inetgen::{CountrySelection, GenConfig};
-use netsim::{Ctx, Datagram, Host, NodeId, Payload, SimConfig, SimDuration, Simulator, UdpSend};
+use netsim::{
+    Ctx, Datagram, Host, NodeId, Payload, SimConfig, SimDuration, Simulator, TimerOutcome, UdpSend,
+};
 use odns::RecursiveForwarder;
 use scanner::{ClassifierConfig, ScanConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -134,10 +136,11 @@ impl Host for Asker {
     fn on_datagram(&mut self, _ctx: &mut Ctx<'_>, _dgram: Datagram) {
         self.answers += 1;
     }
-    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) {
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) -> TimerOutcome {
         for forwarder in &self.forwarders {
             ctx.send_udp(UdpSend::new(40_000, *forwarder, 53, self.query.clone()));
         }
+        TimerOutcome::Acted
     }
 }
 
