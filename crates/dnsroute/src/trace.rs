@@ -19,7 +19,7 @@
 
 use netsim::{
     Ctx, Datagram, Host, IcmpMessage, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
-    Simulator, TimerOutcome, UdpSend,
+    Simulator, TimerId, TimerOutcome, UdpSend,
 };
 use odns::study;
 use std::net::Ipv4Addr;
@@ -162,6 +162,10 @@ struct TargetState {
     current_ttl: u8,
     /// Transmissions of the current TTL's probe (1 after the first send).
     attempts: u8,
+    /// The current TTL's silent-hop timeout, cancelled when its Time
+    /// Exceeded fills the hop or the resolver's answer ends the trace, so
+    /// it fires only for a hop that stayed silent.
+    timeout: Option<TimerId>,
     hops: Vec<Option<Ipv4Addr>>,
     target_seen_at: Option<u8>,
     dns: Option<DnsEndpoint>,
@@ -206,6 +210,7 @@ impl DnsRoutePlusPlus {
                 target,
                 current_ttl: 0,
                 attempts: 0,
+                timeout: None,
                 hops: Vec::new(),
                 target_seen_at: None,
                 dns: None,
@@ -273,10 +278,7 @@ impl DnsRoutePlusPlus {
         debug_assert_eq!(s.hops.len(), ttl as usize);
         let send = self.probe_send(idx, ttl);
         ctx.send_udp(send);
-        ctx.set_timer(
-            self.config.hop_wait(idx, ttl, 0),
-            ((idx as u64) << 8) | u64::from(ttl),
-        );
+        self.arm_timeout(ctx, idx, ttl, 0);
     }
 
     /// Retransmit the current TTL's probe after a silent wait: same
@@ -288,10 +290,15 @@ impl DnsRoutePlusPlus {
         ctx.send_udp_attempt(send, attempt);
         self.states[idx].attempts += 1;
         self.retransmits_sent += 1;
-        ctx.set_timer(
-            self.config.hop_wait(idx, ttl, attempt),
-            ((idx as u64) << 8) | u64::from(ttl),
-        );
+        self.arm_timeout(ctx, idx, ttl, attempt);
+    }
+
+    /// Arm the silent-hop wait after transmission `attempt` of target
+    /// `idx`'s probe at `ttl`, as the trace's one pending timeout.
+    fn arm_timeout(&mut self, ctx: &mut Ctx<'_>, idx: usize, ttl: u8, attempt: u8) {
+        let wait = self.config.hop_wait(idx, ttl, attempt);
+        let token = ((idx as u64) << 8) | u64::from(ttl);
+        self.states[idx].timeout = Some(ctx.set_timer(wait, token));
     }
 
     fn advance(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
@@ -337,6 +344,9 @@ impl Host for DnsRoutePlusPlus {
         });
         // The sweep's purpose is fulfilled once the resolver answered.
         s.done = true;
+        if let Some(timeout) = s.timeout.take() {
+            ctx.cancel_timer(timeout);
+        }
     }
 
     fn on_icmp(&mut self, ctx: &mut Ctx<'_>, icmp: IcmpMessage) {
@@ -365,6 +375,10 @@ impl Host for DnsRoutePlusPlus {
             Some(h) if h.is_none() => *h = Some(icmp.from),
             _ => return,
         }
+        // The hop answered: its timeout has nothing left to do.
+        if let Some(timeout) = s.timeout.take() {
+            ctx.cancel_timer(timeout);
+        }
         if icmp.from == s.target && s.target_seen_at.is_none() {
             s.target_seen_at = Some(ttl);
             if !self.config.continue_past_target {
@@ -391,10 +405,11 @@ impl Host for DnsRoutePlusPlus {
         let Some(s) = self.states.get(idx) else {
             return TimerOutcome::Stale;
         };
-        // Only a timeout for the *current* TTL advances the sweep; stale
-        // timers from already-answered hops are ignored. TTL 0 is no hop:
-        // it is the current TTL of a trace not yet started, and a timeout
-        // for it would send a TTL-0 probe.
+        // Only a timeout for the *current* TTL advances the sweep. An
+        // answered hop cancels its own, so a stale one is a token from
+        // outside the sweep — ignored. TTL 0 is no hop: it is the current
+        // TTL of a trace not yet started, and a timeout for it would send
+        // a TTL-0 probe.
         if s.done || ttl == 0 || s.current_ttl != ttl {
             return TimerOutcome::Stale;
         }

@@ -416,6 +416,33 @@ fn per_hop_retries_fill_hops_lost_to_faults() {
     assert_eq!(retx, retx_again);
 }
 
+/// A sweep under the resilience grid's 5 % point (loss with proportionate
+/// duplication and corruption) and two per-hop retries. An answered hop
+/// cancels its own timeout, so every timeout that fires finds a silent hop
+/// to retransmit or record, and the simulator's books balance.
+#[test]
+fn lossy_sweep_fires_no_stale_hop_timeout() {
+    let mut w = build_world_cfg(
+        &[],
+        SimConfig {
+            faults: analysis::sweep_fault_plan(50, 7),
+            ..SimConfig::default()
+        },
+    );
+    let targets = vec![FORWARDER, RECURSIVE_HOST, Ipv4Addr::new(198, 18, 0, 1)];
+    let cfg = DnsRouteConfig::new(targets).with_retry(analysis::sweep_retry_policy(2));
+    let traces = run_dnsroute(&mut w.sim, w.scanner, cfg);
+    let stats = w.sim.stats();
+    assert!(stats.conserved(), "{stats}");
+    assert_eq!(stats.timers_stale, 0, "{stats}");
+    assert!(
+        stats.dropped_fault > 0 && stats.retransmits_sent > 0,
+        "{stats}"
+    );
+    assert!(stats.timers_cancelled > 0, "answered hops cancel: {stats}");
+    assert!(traces[0].dns.is_some() && traces[1].dns.is_some());
+}
+
 /// Every probe on the wire, retransmissions included, is the study query
 /// built afresh under its `(idx, ttl)` txid, sent at that TTL.
 #[test]
