@@ -741,7 +741,7 @@ mod tests {
         impl Host for SlowingResolver {
             fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
                 let late = if self.held.is_empty() { 0 } else { 2 };
-                ctx.set_timer(SimDuration::from_secs(late), self.held.len() as u64);
+                let _ = ctx.set_timer(SimDuration::from_secs(late), self.held.len() as u64);
                 self.held.push(dgram);
             }
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {

@@ -734,7 +734,7 @@ mod tests {
         impl Host for SlowingServer {
             fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
                 let late = if self.seen.is_empty() { 0 } else { 1_500 };
-                ctx.set_timer(SimDuration::from_millis(late), self.seen.len() as u64);
+                let _ = ctx.set_timer(SimDuration::from_millis(late), self.seen.len() as u64);
                 self.seen.push(dgram);
             }
             fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {

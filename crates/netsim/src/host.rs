@@ -107,6 +107,7 @@ impl Ctx<'_> {
     /// Set a timer that fires `delay` from now, delivering `token` to
     /// [`Host::on_timer`]. The returned handle cancels it; like the host
     /// that holds it, a handle does not outlive [`Simulator::reset`].
+    #[must_use = "a dropped handle can never be cancelled: the timer fires even after its work is done"]
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         self.sim.set_timer(self.node, delay, token)
     }

@@ -254,7 +254,7 @@ impl Host for Rearm {
         if self.left > 0 {
             self.left -= 1;
             self.armed = Some(ctx.set_timer(SimDuration::from_millis(20), 1));
-            ctx.set_timer(SimDuration::from_millis(1), 0);
+            let _ = ctx.set_timer(SimDuration::from_millis(1), 0);
         }
         TimerOutcome::Acted
     }
