@@ -48,9 +48,10 @@ pub enum TupleScheme {
     /// walk — invariant under probe order and partitioning: a probe's
     /// flow identity is the same whichever shard probes it, which is what
     /// lets the fault plane's flow-keyed verdicts commute with sharding.
-    /// Costs the per-block payload cache (txids no longer arrive in
-    /// blocks). Measured as the only scheme (repo benchmark, seed 7,
-    /// alternated pairs): `census_warm_dud` `ops_per_s` ×0.89 in the
+    /// Its txids arrive out of order rather than in blocks, so the scanner
+    /// keeps one payload per txid for the whole scan. Measured as the only
+    /// scheme, when the scanner cached one block's payload (repo
+    /// benchmark, seed 7, alternated pairs): `census_warm_dud` `ops_per_s` ×0.89 in the
     /// median, 7 of 8 pairs worse; `census_fresh` ×0.93, 6 of 6 worse;
     /// `peak_rss_mb` +3–5 %. So lossless scans keep the walk, and the
     /// census drivers switch to this scheme only when the simulator's
@@ -148,15 +149,14 @@ pub(crate) struct TransactionalScanner {
     pacer: Pacer,
     /// Pre-encoded probe query for static naming: every probe differs only
     /// in its transaction ID, so the hot send path shares one patched
-    /// buffer per txid block instead of building and encoding a fresh
-    /// message (name parse, builder, compression walk) per target. Points
-    /// at the process-wide template — scanners don't even pay the encode.
+    /// buffer per txid instead of building and encoding a fresh message
+    /// (name parse, builder, compression walk) per target. Points at the
+    /// process-wide template — scanners don't even pay the encode.
     probe_template: Option<&'static [u8]>,
-    /// The shared payload of the current txid block. With the port-fast
-    /// tuple scheme the txid changes once per 65 536 probes, so the send
-    /// path is one `Arc` bump per probe and one 2-byte patch per block —
-    /// zero per-probe payload allocation.
-    cached_block: Option<(u16, netsim::Payload)>,
+    /// The shared payload of every txid sent so far: the send path is one
+    /// `Arc` bump per transmission and one 2-byte patch per txid — zero
+    /// per-probe payload allocation, retransmissions included.
+    payloads: TxidPayloads,
     /// Outgoing probe records.
     pub probes: Vec<ProbeRecord>,
     /// Raw response records in arrival order.
@@ -197,7 +197,7 @@ impl TransactionalScanner {
             config,
             pacer,
             probe_template,
-            cached_block: None,
+            payloads: TxidPayloads::Inline(None),
             probes,
             responses: Vec::new(),
             tuple_index,
@@ -205,28 +205,13 @@ impl TransactionalScanner {
         }
     }
 
-    /// The shared wire payload for a static-naming probe with `txid`:
-    /// cached per 65 k block, patched from the template only when the
-    /// block changes.
-    fn block_payload(&mut self, txid: u16) -> netsim::Payload {
-        if let Some((id, payload)) = &self.cached_block {
-            if *id == txid {
-                return payload.clone();
-            }
-        }
-        let template = self.probe_template.expect("static template");
-        let payload = netsim::Payload::with_dns_id(template, txid);
-        self.cached_block = Some((txid, payload.clone()));
-        payload
-    }
-
-    /// The wire payload of probe `index` — shared block buffer under
+    /// The wire payload of probe `index` — the txid's shared buffer under
     /// static naming, a fresh encode under query encoding. Used by both
     /// the original send and every retransmission, so a retransmitted
     /// probe is byte-identical to its original.
     fn probe_payload(&mut self, target: Ipv4Addr, txid: u16) -> netsim::Payload {
-        if self.probe_template.is_some() {
-            self.block_payload(txid)
+        if let Some(template) = self.probe_template {
+            self.payloads.get(txid, template)
         } else {
             let qname = study::encode_target_name(target);
             MessageBuilder::query(txid, qname, RrType::A)
@@ -288,6 +273,38 @@ impl TransactionalScanner {
             if let Some(attempts) = self.pacer.answered(ctx, index) {
                 self.retry_stats.record_answered(attempts);
             }
+        }
+    }
+}
+
+/// One static-naming probe payload per txid, each patched from the
+/// template once and kept for the whole scan. Port-walk tuples change the
+/// txid once per 65 536 probes; target-keyed tuples use the target's /16,
+/// which a shuffled target list revisits out of order, and a
+/// retransmission comes back to its original's. Most scans send one txid:
+/// it sits inline, and the table is built when a second appears.
+#[derive(Debug)]
+enum TxidPayloads {
+    Inline(Option<(u16, netsim::Payload)>),
+    Spilled(IntMap<u16, netsim::Payload>),
+}
+
+impl TxidPayloads {
+    /// The payload for `txid`, patched from `template` on first use.
+    fn get(&mut self, txid: u16, template: &'static [u8]) -> netsim::Payload {
+        let patch = || netsim::Payload::with_dns_id(template, txid);
+        match self {
+            TxidPayloads::Inline(Some((held, payload))) if *held == txid => payload.clone(),
+            TxidPayloads::Inline(slot @ None) => slot.insert((txid, patch())).1.clone(),
+            TxidPayloads::Inline(slot) => {
+                let mut map = IntMap::default();
+                map.extend(slot.take());
+                let payload = patch();
+                map.insert(txid, payload.clone());
+                *self = TxidPayloads::Spilled(map);
+                payload
+            }
+            TxidPayloads::Spilled(map) => map.entry(txid).or_insert_with(patch).clone(),
         }
     }
 }
@@ -436,6 +453,24 @@ mod tests {
     use super::*;
     use netsim::testkit::playground;
     use netsim::{SimConfig, SimTime};
+
+    #[test]
+    fn each_txid_is_patched_once_and_shared() {
+        let template = study::probe_template();
+        let mut payloads = TxidPayloads::Inline(None);
+        let first = payloads.get(7, template);
+        assert!(matches!(payloads, TxidPayloads::Inline(Some(_))));
+        let second = payloads.get(9, template);
+        assert!(
+            matches!(payloads, TxidPayloads::Spilled(_)),
+            "two txids spill"
+        );
+        for (txid, held) in [(7, &first), (9, &second), (7, &first)] {
+            let again = payloads.get(txid, template);
+            assert_eq!(again.as_ptr(), held.as_ptr(), "txid {txid} re-patched");
+            assert_eq!(again, netsim::Payload::with_dns_id(template, txid));
+        }
+    }
 
     #[test]
     fn probe_tuples_are_unique() {
