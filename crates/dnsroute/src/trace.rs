@@ -211,7 +211,8 @@ impl DnsRoutePlusPlus {
                 current_ttl: 0,
                 attempts: 0,
                 timeout: None,
-                hops: Vec::new(),
+                // Sized once: a sweep records at most one hop per TTL.
+                hops: Vec::with_capacity(usize::from(MAX_TTL)),
                 target_seen_at: None,
                 dns: None,
                 done: false,
@@ -233,13 +234,14 @@ impl DnsRoutePlusPlus {
         (idx < self.states.len()).then_some(idx)
     }
 
-    /// Extract results (after the simulation drained).
-    fn results(&self) -> Vec<TraceResult> {
+    /// Move the results out (after the simulation drained), leaving the
+    /// prober's hop lists empty.
+    fn take_results(&mut self) -> Vec<TraceResult> {
         self.states
-            .iter()
+            .iter_mut()
             .map(|s| TraceResult {
                 target: s.target,
-                hops: s.hops.clone(),
+                hops: std::mem::take(&mut s.hops),
                 target_seen_at: s.target_seen_at,
                 dns: s.dns,
             })
@@ -442,9 +444,9 @@ pub fn run_dnsroute(sim: &mut Simulator, node: NodeId, config: DnsRouteConfig) -
         sim.schedule_timer_batch(node, SimDuration::ZERO, START_GAP, n as u32, START_BASE, 1);
     }
     sim.run();
-    sim.host_as::<DnsRoutePlusPlus>(node)
+    sim.host_as_mut::<DnsRoutePlusPlus>(node)
         .expect("prober installed")
-        .results()
+        .take_results()
 }
 
 #[cfg(test)]
@@ -521,9 +523,9 @@ mod tests {
         );
         sim.schedule_timer(nodes[0], SimDuration::ZERO, 0);
         assert!(sim.run());
-        let host: &DnsRoutePlusPlus = sim.host_as(nodes[0]).unwrap();
+        let host: &mut DnsRoutePlusPlus = sim.host_as_mut(nodes[0]).unwrap();
         assert_eq!(host.retransmits_sent, 0);
-        assert_eq!(host.results()[0].hops, Vec::new());
+        assert_eq!(host.take_results()[0].hops, Vec::new());
         assert_eq!(sim.stats().udp_sent, 0, "nothing was probed");
     }
 
