@@ -369,9 +369,12 @@ impl Host for DnsRoutePlusPlus {
         // ICMP quotes carry only the UDP header, so the probe TTL cannot be
         // recovered from the message; it is attributed to the current TTL.
         // The per-hop timeout (seconds) dwarfs RTTs (milliseconds), so a
-        // late straggler for an older TTL is the only hazard — and it would
-        // find the slot already filled or the sweep advanced, so duplicates
-        // are dropped here rather than double-advancing.
+        // late straggler for an older TTL is the only hazard. One that
+        // finds the slot filled is dropped here rather than
+        // double-advancing; one that arrives after the sweep advanced —
+        // the Time Exceeded of a duplicated probe — fills the next TTL's
+        // slot and shifts every later hop. Telling the two apart needs
+        // probe identity in the quote (its UDP checksum).
         let slot = s.hops.get_mut((ttl as usize).saturating_sub(1));
         match slot {
             Some(h) if h.is_none() => *h = Some(icmp.from),
