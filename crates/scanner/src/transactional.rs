@@ -51,11 +51,12 @@ pub enum TupleScheme {
     /// Its txids arrive out of order rather than in blocks, so the scanner
     /// keeps one payload per txid for the whole scan. Measured as the only
     /// scheme, when the scanner cached one block's payload (repo
-    /// benchmark, seed 7, alternated pairs): `census_warm_dud` `ops_per_s` ×0.89 in the
-    /// median, 7 of 8 pairs worse; `census_fresh` ×0.93, 6 of 6 worse;
-    /// `peak_rss_mb` +3–5 %. So lossless scans keep the walk, and the
-    /// census drivers switch to this scheme only when the simulator's
-    /// `faults_active()` says verdicts are being drawn.
+    /// benchmark, seed 7, alternated pairs): `census_warm_dud`
+    /// `ops_per_s` ×0.89 in the median, 7 of 8 pairs worse;
+    /// `census_fresh` ×0.93, 6 of 6 worse; `peak_rss_mb` +3–5 %. So
+    /// lossless scans keep the walk, and the census drivers switch to this
+    /// scheme only when the simulator's `faults_active()` says verdicts
+    /// are being drawn.
     TargetKeyed,
 }
 
