@@ -42,7 +42,7 @@ use crate::pcap_ingest::{campaign_report_from_pcap, census_from_captures, Ingest
 use crate::table::TextTable;
 use inetgen::SensorAddrs;
 use inetgen::{Fixtures, GeoDb, Internet, ShardSpec, ShardedRun, Worlds};
-use netsim::{SimDuration, Simulator};
+use netsim::{HostEntry, SimDuration, Simulator};
 use scanner::{
     run_campaign_delayed, Campaign, CampaignConfig, CampaignReport, ClassifierConfig,
     HoneypotSensor, SensorKind, SensorStats,
@@ -125,7 +125,10 @@ impl SensorTotals {
 
 /// Read the sensors' counters off a world after its campaign passes.
 // detlint::allow(needless-pub): tests/sharded_campaign_determinism.rs reads its unsharded baseline's sensors with it
-pub fn collect_sensor_totals(sim: &Simulator, fixtures: &Fixtures) -> SensorTotals {
+pub fn collect_sensor_totals<H: HostEntry>(
+    sim: &Simulator<H>,
+    fixtures: &Fixtures,
+) -> SensorTotals {
     let stats = |node| {
         sim.host_as::<HoneypotSensor>(node)
             .expect("sensor installed")

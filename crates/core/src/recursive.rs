@@ -27,6 +27,7 @@ use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType,
 use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, TimerId, TimerOutcome, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Who may use this resolver.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -65,8 +66,9 @@ fn in_prefix(ip: Ipv4Addr, net: Ipv4Addr, len: u8) -> bool {
 /// Resolver configuration.
 #[derive(Debug, Clone)]
 pub struct ResolverConfig {
-    /// Root server addresses (tried in order).
-    pub roots: Vec<Ipv4Addr>,
+    /// Root server addresses (tried in order), shared by every resolver
+    /// handed the same list.
+    pub roots: Arc<[Ipv4Addr]>,
     /// Client access policy.
     pub acl: AccessPolicy,
     /// Cache capacity in entries.
@@ -84,9 +86,9 @@ const MAX_RETRIES: u8 = 4;
 
 impl ResolverConfig {
     /// An open resolver with the given roots and sane defaults.
-    pub fn open(roots: Vec<Ipv4Addr>) -> Self {
+    pub fn open(roots: impl Into<Arc<[Ipv4Addr]>>) -> Self {
         ResolverConfig {
-            roots,
+            roots: roots.into(),
             acl: AccessPolicy::Open,
             cache_capacity: 512,
         }

@@ -8,7 +8,7 @@
 use crate::auth::StudyAuthServer;
 use crate::zone::{DelegatingServer, Delegation};
 use dnswire::{DnsName, MessageBuilder, RrType};
-use netsim::{NodeId, Simulator};
+use netsim::{HostEntry, NodeId, Simulator};
 use std::net::Ipv4Addr;
 use std::sync::OnceLock;
 
@@ -118,7 +118,11 @@ pub struct StudyNodes {
 /// query log when `keep_log` is set. Recursive resolution of the study name
 /// is genuinely iterative through this chain, in every simulator it is
 /// installed in.
-pub fn install_study_stack(sim: &mut Simulator, nodes: StudyNodes, keep_log: bool) {
+pub fn install_study_stack<H: HostEntry>(
+    sim: &mut Simulator<H>,
+    nodes: StudyNodes,
+    keep_log: bool,
+) {
     let mut root = DelegatingServer::root();
     root.delegate(Delegation {
         zone: DnsName::parse("example.").expect("static zone parses"),

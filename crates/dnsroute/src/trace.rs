@@ -18,8 +18,8 @@
 //! Time Exceeded), plus a TTL-encoding transaction ID for DNS answers.
 
 use netsim::{
-    Ctx, Datagram, Host, IcmpMessage, NodeId, Payload, RetryPolicy, SimDuration, SimTime,
-    Simulator, TimerId, TimerOutcome, UdpSend,
+    Ctx, Datagram, Host, HostEntry, IcmpMessage, NodeId, Payload, RetryPolicy, SimDuration,
+    SimTime, Simulator, TimerId, TimerOutcome, UdpSend,
 };
 use odns::study;
 use std::net::Ipv4Addr;
@@ -438,7 +438,11 @@ impl Host for DnsRoutePlusPlus {
 }
 
 /// Install DNSRoute++ at `node`, run the sweep, and return all traces.
-pub fn run_dnsroute(sim: &mut Simulator, node: NodeId, config: DnsRouteConfig) -> Vec<TraceResult> {
+pub fn run_dnsroute<H: HostEntry>(
+    sim: &mut Simulator<H>,
+    node: NodeId,
+    config: DnsRouteConfig,
+) -> Vec<TraceResult> {
     let n = config.targets.len();
     sim.install(node, DnsRoutePlusPlus::new(config));
     if n > 0 {

@@ -22,6 +22,7 @@
 use crate::config::{CountrySelection, GenConfig};
 use crate::countries::{by_code, CountryProfile, Region, COUNTRIES};
 use crate::geodb::GeoDb;
+use crate::host::WorldHost;
 use crate::shard::{shard_of_country, ShardSpec};
 use netsim::shard::derive_seed;
 use netsim::{
@@ -163,8 +164,8 @@ pub struct SensorAddrs {
 /// A generated Internet: simulator with population installed, ground
 /// truth, measurement databases, and a scan target list.
 pub struct Internet {
-    /// The simulator, ready to run.
-    pub sim: Simulator,
+    /// The simulator, ready to run, its hosts stored as [`WorldHost`].
+    pub sim: Simulator<WorldHost>,
     /// What [`Internet::reset`] needs besides `truth` to reinstall hosts.
     blueprint: WorldBlueprint,
     /// Standard experiment nodes.
@@ -181,13 +182,18 @@ pub struct Internet {
 impl Internet {
     /// Restore a scanned world to its pre-scan state: the simulator
     /// rewinds (clock, queue, fault plan, stats — see
-    /// [`Simulator::reset`]) and every host reinstalls from `truth.hosts`.
+    /// [`Simulator::reset`]) and every host reinstalls from `truth.hosts`,
+    /// overwriting the one its slot holds; whatever an experiment installed
+    /// elsewhere is discarded.
     /// The result runs any experiment bit-identically to a freshly
     /// generated world, while keeping the expensive topology, route caches,
     /// ground truth, geo database, and target list. This is the
     /// generate-once/scan-many hook [`crate::ShardWorldCache`] relies on.
     pub fn reset(&mut self) {
-        self.sim.reset(&self.blueprint.config);
+        let hosted = &self.blueprint.hosted;
+        let config = &self.blueprint.config;
+        self.sim
+            .reset_keeping(config, |node| hosted[node.0 as usize]);
         install_hosts(&mut self.sim, &self.blueprint, &self.truth.hosts);
     }
 }
@@ -305,6 +311,8 @@ struct WorldBlueprint {
     config: SimConfig,
     study: StudyNodes,
     project_resolvers: Vec<NodeId>,
+    /// Per node, whether [`install_hosts`] installs a host there.
+    hosted: Vec<bool>,
 }
 
 /// Install the study stack, public resolvers, and the planted population
@@ -312,12 +320,13 @@ struct WorldBlueprint {
 /// first generation and every [`Internet::reset`], so a reset world is
 /// rebuilt by the exact code path that built it — from the same
 /// [`PlantedHost`] records the analysis reads as ground truth.
-fn install_hosts(sim: &mut Simulator, bp: &WorldBlueprint, planted: &[PlantedHost]) {
+fn install_hosts(sim: &mut Simulator<WorldHost>, bp: &WorldBlueprint, planted: &[PlantedHost]) {
     odns::install_study_stack(sim, bp.study, false);
+    let roots: Arc<[Ipv4Addr]> = Arc::new([ROOT_IP]);
     let resolver = |cache_capacity| {
         RecursiveResolver::new(ResolverConfig {
             cache_capacity,
-            ..ResolverConfig::open(vec![ROOT_IP])
+            ..ResolverConfig::open(Arc::clone(&roots))
         })
     };
     for node in &bp.project_resolvers {
@@ -408,7 +417,17 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
         ..SimConfig::default()
     };
     let topo = draft.b.build().expect("generated topology is valid");
-    let mut sim = Simulator::new(topo, sim_config.clone());
+    let mut hosted = vec![false; topo.host_count()];
+    let study_nodes = [study.root, study.tld, study.auth];
+    let planted_nodes = draft.truth.hosts.iter().map(|p| p.node);
+    for node in study_nodes
+        .into_iter()
+        .chain(backbone.project_resolvers.iter().copied())
+        .chain(planted_nodes)
+    {
+        hosted[node.0 as usize] = true;
+    }
+    let mut sim = Simulator::with_host_table(topo, sim_config.clone());
 
     // Every shard deploys its own full root → TLD → authoritative stack,
     // so recursive resolution never crosses shards.
@@ -416,6 +435,7 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
         config: sim_config,
         study,
         project_resolvers: backbone.project_resolvers,
+        hosted,
     };
     install_hosts(&mut sim, &blueprint, &draft.truth.hosts);
 

@@ -26,6 +26,7 @@ pub mod build;
 pub mod config;
 pub mod countries;
 mod geodb;
+mod host;
 pub mod shard;
 #[cfg(test)]
 mod validate;
@@ -37,4 +38,5 @@ pub use build::{
 pub use config::{CountrySelection, GenConfig};
 pub use countries::{by_code, CountryProfile, OtherProfile, Region, ResolverMix, COUNTRIES};
 pub use geodb::GeoDb;
+pub use host::WorldHost;
 pub use shard::{run_sharded, shard_of_country, ShardSpec, ShardWorldCache, ShardedRun, Worlds};

@@ -2,7 +2,7 @@
 //! and the per-event [`Ctx`] handed to handlers.
 
 use crate::packet::{Datagram, IcmpKind, IcmpMessage, Payload, DEFAULT_TTL};
-use crate::sim::Simulator;
+use crate::sim::SimCore;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{NodeId, Topology};
 use crate::wheel::TimerId;
@@ -64,20 +64,21 @@ impl UdpSend {
 }
 
 /// Context passed to every host handler: the handler's view of the
-/// simulator while its host is detached from it. Every call acts at once
-/// and in call order — a send is routed and queued, a timer is in the
-/// queue — so [`Ctx::set_timer`] can hand back the handle that
-/// [`Ctx::cancel_timer`] takes. Nothing a handler queues fires before it
-/// returns: the event loop pops the next event only then.
+/// simulator, borrowed apart from the host table, so the host runs where
+/// the table stores it. Every call acts at once and in call order — a
+/// send is routed and queued, a timer is in the queue — so
+/// [`Ctx::set_timer`] can hand back the handle that [`Ctx::cancel_timer`]
+/// takes. Nothing a handler queues fires before it returns: the event
+/// loop pops the next event only then.
 pub struct Ctx<'a> {
-    pub(crate) sim: &'a mut Simulator,
+    pub(crate) core: &'a mut SimCore,
     pub(crate) node: NodeId,
 }
 
 impl Ctx<'_> {
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.core.now()
     }
 
     /// The node this handler runs on.
@@ -87,12 +88,12 @@ impl Ctx<'_> {
 
     /// Read access to the topology (for ACL checks, AS lookups, …).
     pub fn topology(&self) -> &Topology {
-        self.sim.topology()
+        self.core.topology()
     }
 
     /// Send a UDP datagram (an original transmission, attempt 0).
     pub fn send_udp(&mut self, send: UdpSend) {
-        self.sim.process_send(self.node, send, 0);
+        self.core.process_send(self.node, send, 0);
     }
 
     /// Send a UDP datagram tagged as retransmission attempt `attempt`
@@ -101,15 +102,15 @@ impl Ctx<'_> {
     /// are independent of the original's — and attempts > 0 are counted
     /// in [`crate::SimStats::retransmits_sent`].
     pub fn send_udp_attempt(&mut self, send: UdpSend, attempt: u8) {
-        self.sim.process_send(self.node, send, attempt);
+        self.core.process_send(self.node, send, attempt);
     }
 
     /// Set a timer that fires `delay` from now, delivering `token` to
     /// [`Host::on_timer`]. The returned handle cancels it; like the host
-    /// that holds it, a handle does not outlive [`Simulator::reset`].
+    /// that holds it, a handle does not outlive [`crate::Simulator::reset`].
     #[must_use = "a dropped handle can never be cancelled: the timer fires even after its work is done"]
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
-        self.sim.set_timer(self.node, delay, token)
+        self.core.set_timer(self.node, delay, token)
     }
 
     /// Cancel a timer this host set: `true` when it was still pending and
@@ -118,7 +119,7 @@ impl Ctx<'_> {
     /// fires, so an [`Host::on_timer`] must tolerate a token whose work is
     /// already done (and report it [`TimerOutcome::Stale`]).
     pub fn cancel_timer(&mut self, id: TimerId) -> bool {
-        self.sim.cancel_timer(id)
+        self.core.cancel_timer(id)
     }
 
     /// Set a *batch* of `count` timer callbacks sharing one queue event:
@@ -135,14 +136,14 @@ impl Ctx<'_> {
         token: u64,
         token_step: u64,
     ) {
-        self.sim
+        self.core
             .schedule_timer_batch(self.node, delay, stride, count, token, token_step);
     }
 
     /// Send an ICMP port-unreachable in response to `original` (what a
     /// host with no listener on the probed port does).
     pub fn send_port_unreachable(&mut self, original: &Datagram) {
-        self.sim
+        self.core
             .process_icmp_error(self.node, original, IcmpKind::PortUnreachable);
     }
 
@@ -152,7 +153,7 @@ impl Ctx<'_> {
     /// forwarder replies when the TTL is exceeded, which stops forwarding"
     /// (§5). This is what makes the forwarder itself visible to DNSRoute++.
     pub fn send_time_exceeded(&mut self, original: &Datagram) {
-        self.sim
+        self.core
             .process_icmp_error(self.node, original, IcmpKind::TimeExceeded);
     }
 }

@@ -73,7 +73,7 @@ pub use intmap::{IntHasher, IntMap};
 pub use packet::{Datagram, IcmpKind, IcmpMessage, Payload, QuotedDatagram, DEFAULT_TTL};
 pub use retry::RetryPolicy;
 pub use routing::{Hop, Path, RouteError, RouteResolver};
-pub use sim::{SimConfig, Simulator};
+pub use sim::{HostEntry, SimConfig, Simulator};
 pub use stats::{DropReason, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{

@@ -41,26 +41,62 @@ pub struct Hop {
 }
 
 /// The part of a route every host pair of one `(src AS, dst AS)` shares:
-/// the AS path and the transit routers crossed along it.
-#[derive(Debug)]
+/// the AS path and the transit routers crossed along it, as ranges into
+/// the resolver's two arenas.
+#[derive(Debug, Clone, Copy)]
 struct AsRoute {
-    /// AS-level path (src AS first, dst AS last).
-    as_path: Vec<AsId>,
-    /// Transit-router hops in traversal order; `latency` is cumulative
-    /// from the segment's entry (the last source access router).
-    hops: Vec<Hop>,
+    /// AS-level path (src AS first, dst AS last) in `RouteResolver::as_paths`.
+    as_path: ArenaRange,
+    /// Transit-router hops in traversal order, in `RouteResolver::hops`;
+    /// `latency` is cumulative from the segment's entry (the last source
+    /// access router).
+    hops: ArenaRange,
     /// One-way latency across the whole segment.
     latency: SimDuration,
 }
 
+/// `start..start + len` of an arena.
+#[derive(Debug, Clone, Copy)]
+struct ArenaRange {
+    start: u32,
+    len: u32,
+}
+
+impl ArenaRange {
+    /// The range from `start` to the arena's end.
+    fn since<T>(start: usize, arena: &[T]) -> Self {
+        let index = |i: usize| u32::try_from(i).expect("route arena under 2^32 entries");
+        ArenaRange {
+            start: index(start),
+            len: index(arena.len() - start),
+        }
+    }
+
+    fn of<T>(self, arena: &[T]) -> &[T] {
+        &arena[self.start as usize..][..self.len as usize]
+    }
+}
+
 impl AsRoute {
-    /// `None` when the AS graph has no valley-free path `src → dst`.
-    fn build(topo: &Topology, src: AsId, dst: AsId, bfs: &mut Bfs) -> Option<Self> {
-        let as_path = bfs.as_path(topo, src, dst)?;
+    /// Append the AS path and the segment of `src → dst` to the arenas;
+    /// `None`, and both arenas unchanged, when the AS graph has no
+    /// valley-free path.
+    fn build(
+        topo: &Topology,
+        src: AsId,
+        dst: AsId,
+        bfs: &mut Bfs,
+        as_paths: &mut Vec<AsId>,
+        hops: &mut Vec<Hop>,
+    ) -> Option<Self> {
+        let path_start = as_paths.len();
+        bfs.as_path(topo, src, dst, as_paths)?;
+        let as_path = ArenaRange::since(path_start, as_paths);
+        let hops_start = hops.len();
         let routers = |as_id: &AsId| topo.as_spec(*as_id).transit_routers.len();
-        let mut hops = Vec::with_capacity(as_path.iter().map(routers).sum());
+        hops.reserve(as_path.of(as_paths).iter().map(routers).sum());
         let mut latency = SimDuration::ZERO;
-        for (i, &as_id) in as_path.iter().enumerate() {
+        for (i, &as_id) in as_path.of(as_paths).iter().enumerate() {
             if i > 0 {
                 latency = latency + AS_CROSS_LATENCY;
             }
@@ -75,15 +111,16 @@ impl AsRoute {
         }
         Some(AsRoute {
             as_path,
-            hops,
+            hops: ArenaRange::since(hops_start, hops),
             latency,
         })
     }
 }
 
 /// A fully resolved unidirectional path: a borrowed view over the source
-/// host's access routers, the cached segment of its AS pair, and the
-/// destination host's access routers. Nothing is allocated per resolve.
+/// host's access routers, the cached segment of its AS pair (slices of
+/// the resolver's arenas), and the destination host's access routers.
+/// Nothing is allocated per resolve.
 #[derive(Debug, Clone, Copy)]
 pub struct Path<'a> {
     /// Destination node (for anycast: the selected instance).
@@ -95,7 +132,12 @@ pub struct Path<'a> {
     src_link: SimDuration,
     /// Destination access routers, traversed as stored.
     dst_access: &'a [Ipv4Addr],
-    route: &'a AsRoute,
+    /// The AS pair's AS path.
+    as_path: &'a [AsId],
+    /// The AS pair's transit hops, latencies relative to the segment.
+    segment: &'a [Hop],
+    /// One-way latency across the segment.
+    segment_latency: SimDuration,
 }
 
 impl<'a> Path<'a> {
@@ -104,12 +146,12 @@ impl<'a> Path<'a> {
     /// A packet sent with TTL `t` is delivered iff `t > router_hops()`,
     /// and the remaining TTL on arrival is `t - router_hops()`.
     pub fn router_hops(&self) -> usize {
-        self.src_access.len() + self.route.hops.len() + self.dst_access.len()
+        self.src_access.len() + self.segment.len() + self.dst_access.len()
     }
 
     /// AS-level path (src AS first, dst AS last).
     pub fn as_path(&self) -> &'a [AsId] {
-        &self.route.as_path
+        self.as_path
     }
 
     /// Router hops in order; does not include the destination host.
@@ -128,19 +170,19 @@ impl<'a> Path<'a> {
 
     /// The `i`-th router hop, `i < router_hops()`.
     fn hop(&self, i: usize) -> Hop {
-        let (src_n, seg_n) = (self.src_access.len(), self.route.hops.len());
-        let as_path = &self.route.as_path;
+        let (src_n, seg_n) = (self.src_access.len(), self.segment.len());
+        let as_path = self.as_path;
         let routers = |n: usize| HOP_LATENCY.saturating_mul(n as u64);
         // Segment latencies are relative to leaving the source's access.
         let entry = self.src_link + routers(src_n);
         let (ip, as_id, latency) = if i < src_n {
             let ip = self.src_access[src_n - 1 - i];
             (ip, as_path[0], self.src_link + routers(i + 1))
-        } else if let Some(hop) = self.route.hops.get(i - src_n) {
+        } else if let Some(hop) = self.segment.get(i - src_n) {
             (hop.ip, hop.as_id, entry + hop.latency)
         } else {
             let j = i - src_n - seg_n;
-            let latency = entry + self.route.latency + routers(j + 1);
+            let latency = entry + self.segment_latency + routers(j + 1);
             (self.dst_access[j], as_path[as_path.len() - 1], latency)
         };
         Hop { ip, as_id, latency }
@@ -169,13 +211,23 @@ pub enum RouteError {
 ///   PoP-proximity query from that AS;
 /// * **anycast selection** keyed `(src AS, service IP)`.
 ///
-/// Routing state is O(AS pairs touched), never O(host pairs). A *hit*
-/// found its segment, a *miss* built it; `hits + misses` counts the
-/// successfully routed resolves (failed ones are neither).
+/// Routing state is O(AS pairs touched), never O(host pairs). Every AS
+/// path lives in one arena, every transit hop in another and every
+/// source's distances in a third, so a new AS pair or source allocates
+/// only when an arena or a map grows. A *hit* found its segment, a *miss* built it; `hits + misses`
+/// counts the successfully routed resolves (failed ones are neither).
 #[derive(Debug, Default)]
 pub struct RouteResolver {
     route_cache: IntMap<(AsId, AsId), Option<AsRoute>>,
-    distance_cache: IntMap<AsId, Vec<Option<u32>>>,
+    /// Every cached route's AS path, back to back.
+    as_paths: Vec<AsId>,
+    /// Every cached route's transit hops, back to back.
+    hops: Vec<Hop>,
+    /// Where each searched source AS's distances start in `distances`.
+    distance_cache: IntMap<AsId, u32>,
+    /// Every searched source AS's distance to each AS, `as_count` apiece,
+    /// in AS hops (half the bytes of the search's own `u32`s).
+    distances: Vec<Option<u16>>,
     anycast_cache: IntMap<(AsId, Ipv4Addr), Option<NodeId>>,
     /// Working memory of the search behind every route and distance miss.
     bfs: Bfs,
@@ -210,11 +262,17 @@ impl RouteResolver {
     /// BFS distances from `src` to every AS, cached. One BFS serves every
     /// anycast PoP-selection query from the same source AS — the hot path
     /// of an Internet-wide census.
-    fn distances_from(&mut self, topo: &Topology, src: AsId) -> &[Option<u32>] {
-        self.distance_cache.entry(src).or_insert_with(|| {
-            self.bfs.run(topo, src, None);
-            self.bfs.dist.clone()
-        })
+    fn distances_from(&mut self, topo: &Topology, src: AsId) -> &[Option<u16>] {
+        let (bfs, distances) = (&mut self.bfs, &mut self.distances);
+        let start = *self.distance_cache.entry(src).or_insert_with(|| {
+            bfs.run(topo, src, None);
+            let start = u32::try_from(distances.len()).expect("route arena under 2^32 entries");
+            let hops =
+                |d: &Option<u32>| d.map(|d| u16::try_from(d).expect("AS distance under 2^16"));
+            distances.extend(bfs.dist.iter().map(hops));
+            start
+        });
+        &self.distances[start as usize..][..topo.as_count()]
     }
 
     /// Select the anycast instance nearest to `src_as` (min AS distance,
@@ -263,14 +321,14 @@ impl RouteResolver {
         let dst_as = topo.as_of_node(dst_node);
         // One map probe per resolve, hit or miss.
         let mut built = false;
+        let (as_paths, hops, bfs) = (&mut self.as_paths, &mut self.hops, &mut self.bfs);
         let route = self
             .route_cache
             .entry((src_as, dst_as))
             .or_insert_with(|| {
                 built = true;
-                AsRoute::build(topo, src_as, dst_as, &mut self.bfs)
+                AsRoute::build(topo, src_as, dst_as, bfs, as_paths, hops)
             })
-            .as_ref()
             .ok_or(RouteError::Unreachable)?;
         self.routed += 1;
         self.misses += u64::from(built);
@@ -286,7 +344,9 @@ impl RouteResolver {
             src_access: &src_spec.access_routers,
             src_link: src_spec.link_latency,
             dst_access: &dst_spec.access_routers,
-            route,
+            as_path: route.as_path.of(&self.as_paths),
+            segment: route.hops.of(&self.hops),
+            segment_latency: route.latency,
         })
     }
 }
@@ -350,22 +410,30 @@ impl Bfs {
         }
     }
 
-    /// Shortest AS path, inclusive of endpoints.
-    fn as_path(&mut self, topo: &Topology, src: AsId, dst: AsId) -> Option<Vec<AsId>> {
+    /// Append the shortest AS path, inclusive of endpoints, to `out`;
+    /// `None`, and `out` unchanged, when there is none.
+    fn as_path(
+        &mut self,
+        topo: &Topology,
+        src: AsId,
+        dst: AsId,
+        out: &mut Vec<AsId>,
+    ) -> Option<()> {
         if src == dst {
-            return Some(vec![src]);
+            out.push(src);
+            return Some(());
         }
         self.run(topo, src, Some(dst));
         // `None`: an AS outside the topology, or one the search never
         // reached.
-        let hops = self.dist.get(dst.0 as usize).copied().flatten()?;
-        let mut path = Vec::with_capacity(hops as usize + 1);
-        path.push(dst);
-        while let Some(p) = self.prev[path[path.len() - 1].0 as usize] {
-            path.push(p);
+        self.dist.get(dst.0 as usize).copied().flatten()?;
+        let start = out.len();
+        out.push(dst);
+        while let Some(p) = self.prev[out[out.len() - 1].0 as usize] {
+            out.push(p);
         }
-        path.reverse();
-        Some(path)
+        out[start..].reverse();
+        Some(())
     }
 }
 

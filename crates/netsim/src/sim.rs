@@ -6,7 +6,8 @@
 //! through their handler's [`Ctx`], whose calls the simulator turns at
 //! once into routed packet deliveries, ICMP errors, and timer callbacks —
 //! single, cancellable callbacks or paced batches that serve a whole probe
-//! burst from one queue event.
+//! burst from one queue event. A handler runs on its host where the host
+//! table stores it; its `Ctx` borrows the rest of the simulator.
 
 use crate::fault::{FaultPlan, FlowKey, FlowVerdict};
 use crate::host::{Ctx, Host, TimerOutcome, UdpSend};
@@ -75,10 +76,104 @@ enum EventKind {
 const _: () = assert!(std::mem::size_of::<EventKind>() == 40);
 const _: () = assert!(crate::wheel::node_bytes::<EventKind>() <= 64);
 
-/// The discrete-event network simulator.
-pub struct Simulator {
+/// What a [`Simulator`]'s host table stores per node: a [`Host`] the event
+/// loop calls in its slot, built from any host by [`Simulator::install`],
+/// and the concrete host behind it for [`Simulator::host_as`].
+/// `Box<dyn Host>`, the default, takes any host; an enum over the kinds a
+/// world plants (`inetgen::WorldHost`) stores those inline and boxes the
+/// rest.
+pub trait HostEntry: Host + Sized {
+    /// Store `host` in `slot`, reusing the storage the slot holds where
+    /// the entry can.
+    fn put<T: Host>(slot: &mut Option<Self>, host: T);
+
+    /// The concrete host, for a downcast.
+    fn concrete(&self) -> &dyn Any;
+
+    /// [`HostEntry::concrete`], mutably.
+    fn concrete_mut(&mut self) -> &mut dyn Any;
+}
+
+impl Host for Box<dyn Host> {
+    fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+        (**self).on_datagram(ctx, dgram);
+    }
+
+    fn on_icmp(&mut self, ctx: &mut Ctx<'_>, icmp: IcmpMessage) {
+        (**self).on_icmp(ctx, icmp);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
+        (**self).on_timer(ctx, token)
+    }
+}
+
+impl HostEntry for Box<dyn Host> {
+    fn put<T: Host>(slot: &mut Option<Self>, host: T) {
+        *slot = Some(Box::new(host));
+    }
+
+    fn concrete(&self) -> &dyn Any {
+        &**self
+    }
+
+    fn concrete_mut(&mut self) -> &mut dyn Any {
+        &mut **self
+    }
+}
+
+/// The discrete-event network simulator: the queue, clock, routes, fault
+/// plan and counters every handler's [`Ctx`] acts on, and the host table
+/// the event loop dispatches into, one `H` per node.
+pub struct Simulator<H = Box<dyn Host>> {
+    core: SimCore,
+    hosts: HostTable<H>,
+}
+
+/// One slot per node, in pages of [`HostTable::PAGE`] slots. A table of
+/// inline hosts is hundreds of bytes a node; a fresh world allocating it
+/// as one block fragments the heap, so that the next world's block does
+/// not fit where the last one was freed (`census_fresh`'s peak RSS read
+/// +10 % that way), while pages the size of a few hosts' state recycle.
+struct HostTable<H> {
+    pages: Vec<Box<[Option<H>]>>,
+}
+
+impl<H> HostTable<H> {
+    const PAGE: usize = 64;
+
+    /// `n` empty slots.
+    fn new(n: usize) -> Self {
+        let page = |start: usize| (start..n.min(start + Self::PAGE)).map(|_| None).collect();
+        let pages = (0..n).step_by(Self::PAGE).map(page).collect();
+        HostTable { pages }
+    }
+
+    fn slots_mut(&mut self) -> impl Iterator<Item = &mut Option<H>> {
+        self.pages.iter_mut().flat_map(|page| page.iter_mut())
+    }
+}
+
+impl<H> std::ops::Index<NodeId> for HostTable<H> {
+    type Output = Option<H>;
+
+    fn index(&self, node: NodeId) -> &Option<H> {
+        let i = node.0 as usize;
+        &self.pages[i / Self::PAGE][i % Self::PAGE]
+    }
+}
+
+impl<H> std::ops::IndexMut<NodeId> for HostTable<H> {
+    fn index_mut(&mut self, node: NodeId) -> &mut Option<H> {
+        let i = node.0 as usize;
+        &mut self.pages[i / Self::PAGE][i % Self::PAGE]
+    }
+}
+
+/// Everything of a simulator but its hosts: what a handler's [`Ctx`]
+/// borrows while its host stays in its slot.
+pub(crate) struct SimCore {
     topo: Topology,
-    hosts: Vec<Option<Box<dyn Host>>>,
     queue: TimerWheel<EventKind>,
     now: SimTime,
     seq: u64,
@@ -93,17 +188,22 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Create a simulator over a built topology.
+    /// Create a simulator over a built topology, whose host table boxes
+    /// every host.
     pub fn new(topo: Topology, config: SimConfig) -> Self {
-        let n = topo.host_count();
-        let mut hosts = Vec::with_capacity(n);
-        hosts.resize_with(n, || None);
+        Self::with_host_table(topo, config)
+    }
+}
+
+impl<H: HostEntry> Simulator<H> {
+    /// Create a simulator over a built topology, storing hosts as `H`.
+    pub fn with_host_table(topo: Topology, config: SimConfig) -> Self {
+        let hosts = HostTable::new(topo.host_count());
         let faults = config.faults;
         faults.assert_valid();
         let faults_quiet = faults.is_quiet();
-        Simulator {
+        let core = SimCore {
             topo,
-            hosts,
             queue: TimerWheel::new(),
             now: SimTime::ZERO,
             seq: 0,
@@ -114,12 +214,13 @@ impl Simulator {
             stats: SimStats::default(),
             taps: HashMap::new(),
             ip_ident: 0,
-        }
+        };
+        Simulator { core, hosts }
     }
 
     /// Attach protocol logic to a node. Replaces any previous host.
-    pub fn install<H: Host>(&mut self, node: NodeId, host: H) {
-        self.hosts[node.0 as usize] = Some(Box::new(host));
+    pub fn install<T: Host>(&mut self, node: NodeId, host: T) {
+        H::put(&mut self.hosts[node], host);
     }
 
     /// Restore the simulator to its pre-run state over the same topology:
@@ -137,10 +238,139 @@ impl Simulator {
     /// arena survives too, emptied but not freed, so the replay allocates
     /// nothing in the queue.
     pub fn reset(&mut self, config: &SimConfig) {
-        self.queue.clear();
-        for slot in &mut self.hosts {
-            *slot = None;
+        self.reset_keeping(config, |_| false);
+    }
+
+    /// [`Simulator::reset`], except that the hosts of the nodes `keep`
+    /// names stay in their slots, for the caller to overwrite in place with
+    /// [`Simulator::install`] before the next run — a world reinstalling
+    /// what it planted reuses the table's storage. A kept host that is not
+    /// overwritten runs on with its old state.
+    pub fn reset_keeping(&mut self, config: &SimConfig, keep: impl Fn(NodeId) -> bool) {
+        self.core.reset(config);
+        for (i, slot) in self.hosts.slots_mut().enumerate() {
+            if !keep(NodeId(i as u32)) {
+                *slot = None;
+            }
         }
+    }
+
+    /// Current simulated time.
+    pub fn now(&self) -> SimTime {
+        self.core.now
+    }
+
+    /// The topology under simulation.
+    pub fn topology(&self) -> &Topology {
+        &self.core.topo
+    }
+
+    /// Cumulative statistics.
+    pub fn stats(&self) -> &SimStats {
+        &self.core.stats
+    }
+
+    /// Replace the fault-injection plan (takes effect for all packets
+    /// sent after the call — lets experiments degrade an initially clean
+    /// network). Accepts a bare [`crate::FaultConfig`] for uniform
+    /// faults. The plan is used as given, salt included, and validated
+    /// loudly here, never clamped per decision.
+    pub fn set_faults(&mut self, faults: impl Into<FaultPlan>) {
+        let plan = faults.into();
+        plan.assert_valid();
+        self.core.faults_quiet = plan.is_quiet();
+        self.core.faults = plan;
+    }
+
+    /// Whether the installed fault plan can actually touch packets.
+    /// Experiments use this to pick fault-aware configurations (e.g.
+    /// partition-invariant probe tuples) only when faults are live.
+    pub fn faults_active(&self) -> bool {
+        !self.core.faults_quiet
+    }
+
+    /// Enable pcap capture at `node` (everything it sends and receives).
+    pub fn tap(&mut self, node: NodeId) {
+        self.core.taps.entry(node).or_default();
+    }
+
+    /// Remove and return the pcap bytes captured at `node`.
+    pub fn take_capture(&mut self, node: NodeId) -> Option<Vec<u8>> {
+        self.core.taps.remove(&node).map(PcapWriter::finish)
+    }
+
+    /// Borrow a host's concrete type (e.g. to read scan results after a
+    /// run).
+    pub fn host_as<T: Host>(&self, node: NodeId) -> Option<&T> {
+        self.hosts[node]
+            .as_ref()
+            .and_then(|h| h.concrete().downcast_ref())
+    }
+
+    /// Mutably borrow a host's concrete type.
+    pub fn host_as_mut<T: Host>(&mut self, node: NodeId) -> Option<&mut T> {
+        self.hosts[node]
+            .as_mut()
+            .and_then(|h| h.concrete_mut().downcast_mut())
+    }
+
+    /// Schedule a timer on `node` from outside (bootstrap).
+    pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
+        self.core.set_timer(node, delay, token);
+    }
+
+    /// Schedule a batch of `count` timer callbacks on `node` from outside
+    /// (bootstrap): the `k`-th fires at `now + delay + k·stride` with token
+    /// `token + k·token_step` (wrapping). Timing is identical to `count`
+    /// [`Simulator::schedule_timer`] calls; the queue holds one event.
+    pub fn schedule_timer_batch(
+        &mut self,
+        node: NodeId,
+        delay: SimDuration,
+        stride: SimDuration,
+        count: u32,
+        token: u64,
+        token_step: u64,
+    ) {
+        self.core
+            .schedule_timer_batch(node, delay, stride, count, token, token_step);
+    }
+
+    /// Run until the event queue drains or the event budget is exhausted.
+    /// Returns `true` if the queue drained.
+    pub fn run(&mut self) -> bool {
+        self.run_until(SimTime(u64::MAX))
+    }
+
+    /// Run until `deadline` (events at exactly `deadline` are processed),
+    /// the queue drains, or the budget is exhausted. Returns `true` if the
+    /// queue drained or only events beyond the deadline remain.
+    // detlint::allow(needless-pub): odns's `recursive` unit tests and core's reply_replay_oracle.rs stop the clock mid-run
+    pub fn run_until(&mut self, deadline: SimTime) -> bool {
+        let Simulator { core, hosts } = self;
+        let drained = loop {
+            if core.stats.events_processed >= core.max_events {
+                break false;
+            }
+            let Some((at, _seq, kind)) = core.queue.pop_at_or_before(deadline) else {
+                break true;
+            };
+            core.now = at;
+            core.stats.events_processed += 1;
+            core.dispatch(hosts, kind, deadline);
+        };
+        // Packets are only routed inside the loop above, so mirroring the
+        // resolver's counters here keeps `stats()` exact between runs.
+        core.stats.route_cache_hits = core.resolver.cache_hits();
+        core.stats.route_cache_misses = core.resolver.cache_misses();
+        drained
+    }
+}
+
+impl SimCore {
+    /// Rewind everything [`Simulator::reset`] rewinds but the hosts.
+    fn reset(&mut self, config: &SimConfig) {
+        self.queue.clear();
         self.taps.clear();
         self.now = SimTime::ZERO;
         self.seq = 0;
@@ -154,67 +384,13 @@ impl Simulator {
     }
 
     /// Current simulated time.
-    pub fn now(&self) -> SimTime {
+    pub(crate) fn now(&self) -> SimTime {
         self.now
     }
 
     /// The topology under simulation.
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         &self.topo
-    }
-
-    /// Cumulative statistics.
-    pub fn stats(&self) -> &SimStats {
-        &self.stats
-    }
-
-    /// Replace the fault-injection plan (takes effect for all packets
-    /// sent after the call — lets experiments degrade an initially clean
-    /// network). Accepts a bare [`crate::FaultConfig`] for uniform
-    /// faults. The plan is used as given, salt included, and validated
-    /// loudly here, never clamped per decision.
-    pub fn set_faults(&mut self, faults: impl Into<FaultPlan>) {
-        let plan = faults.into();
-        plan.assert_valid();
-        self.faults_quiet = plan.is_quiet();
-        self.faults = plan;
-    }
-
-    /// Whether the installed fault plan can actually touch packets.
-    /// Experiments use this to pick fault-aware configurations (e.g.
-    /// partition-invariant probe tuples) only when faults are live.
-    pub fn faults_active(&self) -> bool {
-        !self.faults_quiet
-    }
-
-    /// Enable pcap capture at `node` (everything it sends and receives).
-    pub fn tap(&mut self, node: NodeId) {
-        self.taps.entry(node).or_default();
-    }
-
-    /// Remove and return the pcap bytes captured at `node`.
-    pub fn take_capture(&mut self, node: NodeId) -> Option<Vec<u8>> {
-        self.taps.remove(&node).map(PcapWriter::finish)
-    }
-
-    /// Borrow a host's concrete type (e.g. to read scan results after a
-    /// run).
-    pub fn host_as<T: Host>(&self, node: NodeId) -> Option<&T> {
-        self.hosts[node.0 as usize]
-            .as_deref()
-            .and_then(|h| (h as &dyn Any).downcast_ref())
-    }
-
-    /// Mutably borrow a host's concrete type.
-    pub fn host_as_mut<T: Host>(&mut self, node: NodeId) -> Option<&mut T> {
-        self.hosts[node.0 as usize]
-            .as_deref_mut()
-            .and_then(|h| (h as &mut dyn Any).downcast_mut())
-    }
-
-    /// Schedule a timer on `node` from outside (bootstrap).
-    pub fn schedule_timer(&mut self, node: NodeId, delay: SimDuration, token: u64) {
-        self.set_timer(node, delay, token);
     }
 
     /// [`Ctx::set_timer`] for the handler running on `node`.
@@ -230,11 +406,9 @@ impl Simulator {
         cancelled
     }
 
-    /// Schedule a batch of `count` timer callbacks on `node` from outside
-    /// (bootstrap): the `k`-th fires at `now + delay + k·stride` with token
-    /// `token + k·token_step` (wrapping). Timing is identical to `count`
-    /// [`Simulator::schedule_timer`] calls; the queue holds one event.
-    pub fn schedule_timer_batch(
+    /// [`Simulator::schedule_timer_batch`], and [`Ctx::set_timer_batch`]
+    /// for the handler running on `node`.
+    pub(crate) fn schedule_timer_batch(
         &mut self,
         node: NodeId,
         delay: SimDuration,
@@ -270,51 +444,27 @@ impl Simulator {
         id
     }
 
-    /// Run until the event queue drains or the event budget is exhausted.
-    /// Returns `true` if the queue drained.
-    pub fn run(&mut self) -> bool {
-        self.run_until(SimTime(u64::MAX))
-    }
-
-    /// Run until `deadline` (events at exactly `deadline` are processed),
-    /// the queue drains, or the budget is exhausted. Returns `true` if the
-    /// queue drained or only events beyond the deadline remain.
-    // detlint::allow(needless-pub): odns's `recursive` unit tests and core's reply_replay_oracle.rs stop the clock mid-run
-    pub fn run_until(&mut self, deadline: SimTime) -> bool {
-        let drained = loop {
-            if self.stats.events_processed >= self.max_events {
-                break false;
-            }
-            let Some((at, _seq, kind)) = self.queue.pop_at_or_before(deadline) else {
-                break true;
-            };
-            self.now = at;
-            self.stats.events_processed += 1;
-            self.dispatch(kind, deadline);
-        };
-        // Packets are only routed inside the loop above, so mirroring the
-        // resolver's counters here keeps `stats()` exact between runs.
-        self.stats.route_cache_hits = self.resolver.cache_hits();
-        self.stats.route_cache_misses = self.resolver.cache_misses();
-        drained
-    }
-
-    fn dispatch(&mut self, kind: EventKind, deadline: SimTime) {
+    fn dispatch<H: Host>(&mut self, hosts: &mut HostTable<H>, kind: EventKind, deadline: SimTime) {
         match kind {
             EventKind::Udp { node, dgram } => {
                 self.stats.udp_delivered += 1;
                 self.stats.udp_bytes_delivered += dgram.payload.len() as u64;
                 self.capture_udp(node, &dgram);
-                self.with_host(node, |host, ctx| host.on_datagram(ctx, dgram));
+                // A hostless node is a traffic sink (e.g. the spoofed victim).
+                if let Some(host) = &mut hosts[node] {
+                    host.on_datagram(&mut Ctx { core: self, node }, dgram);
+                }
             }
             EventKind::Icmp { node, icmp } => {
                 self.stats.icmp_delivered += 1;
                 self.capture_icmp(node, &icmp);
-                self.with_host(node, |host, ctx| host.on_icmp(ctx, icmp));
+                if let Some(host) = &mut hosts[node] {
+                    host.on_icmp(&mut Ctx { core: self, node }, icmp);
+                }
             }
             EventKind::Timer { node, token } => {
                 self.stats.timers_fired += 1;
-                self.fire_timer(node, token);
+                self.fire_timer(hosts, node, token);
             }
             EventKind::TimerBatch {
                 node,
@@ -353,7 +503,8 @@ impl Simulator {
                         self.stats.timers_coalesced += 1;
                     }
                     self.now = at;
-                    self.fire_timer(node, token.wrapping_add(token_step.wrapping_mul(k)));
+                    let token = token.wrapping_add(token_step.wrapping_mul(k));
+                    self.fire_timer(hosts, node, token);
                 }
             }
         }
@@ -361,24 +512,12 @@ impl Simulator {
 
     /// Deliver one timer callback and count it if it found nothing to do.
     /// A hostless node has no work for it either.
-    fn fire_timer(&mut self, node: NodeId, token: u64) {
-        let outcome = self
-            .with_host(node, |host, ctx| host.on_timer(ctx, token))
-            .unwrap_or(TimerOutcome::Stale);
+    fn fire_timer<H: Host>(&mut self, hosts: &mut HostTable<H>, node: NodeId, token: u64) {
+        let outcome = match &mut hosts[node] {
+            Some(host) => host.on_timer(&mut Ctx { core: self, node }, token),
+            None => TimerOutcome::Stale,
+        };
         self.stats.timers_stale += u64::from(outcome == TimerOutcome::Stale);
-    }
-
-    /// Detach the host, run `f` on it with the rest of the simulator as its
-    /// [`Ctx`], and reattach it. `None` for a hostless node.
-    fn with_host<F, R>(&mut self, node: NodeId, f: F) -> Option<R>
-    where
-        F: FnOnce(&mut Box<dyn Host>, &mut Ctx<'_>) -> R,
-    {
-        // A hostless node is a traffic sink (e.g. the spoofed victim).
-        let mut host = self.hosts[node.0 as usize].take()?;
-        let out = f(&mut host, &mut Ctx { sim: self, node });
-        self.hosts[node.0 as usize] = Some(host);
-        Some(out)
     }
 
     pub(crate) fn process_send(&mut self, from: NodeId, send: UdpSend, attempt: u8) {
@@ -949,7 +1088,7 @@ mod tests {
         );
         sim.install(a, Echo { received: vec![] });
         sim.install(b, Echo { received: vec![] });
-        sim.process_send(a, UdpSend::new(1, ib, 2, vec![]), 0);
+        sim.core.process_send(a, UdpSend::new(1, ib, 2, vec![]), 0);
         assert!(!sim.run(), "the budget, not an empty queue, ends the run");
         assert_eq!(sim.stats().events_processed, 1000);
         let echoed = |node| sim.host_as::<Echo>(node).unwrap().received.len();

@@ -139,12 +139,6 @@ pub enum IpOwner {
 }
 
 #[derive(Debug)]
-pub(crate) struct AsData {
-    pub spec: AsSpec,
-    pub neighbors: Vec<(AsId, Relationship)>,
-}
-
-#[derive(Debug)]
 pub(crate) struct HostData {
     pub as_id: AsId,
     pub spec: HostSpec,
@@ -192,7 +186,7 @@ impl std::error::Error for TopologyError {}
 /// is immutable.
 #[derive(Debug, Default)]
 pub struct TopologyBuilder {
-    ases: Vec<AsData>,
+    ases: Vec<AsSpec>,
     hosts: Vec<HostData>,
     anycast: IntMap<Ipv4Addr, Vec<NodeId>>,
     links: Vec<(AsId, AsId, Relationship)>,
@@ -207,10 +201,7 @@ impl TopologyBuilder {
     /// Register an AS; returns its dense id.
     pub fn add_as(&mut self, spec: AsSpec) -> AsId {
         let id = AsId(self.ases.len() as u32);
-        self.ases.push(AsData {
-            spec,
-            neighbors: Vec::new(),
-        });
+        self.ases.push(spec);
         id
     }
 
@@ -243,7 +234,7 @@ impl TopologyBuilder {
     }
 
     /// Validate and freeze.
-    pub fn build(mut self) -> Result<Topology, TopologyError> {
+    pub fn build(self) -> Result<Topology, TopologyError> {
         // Validate indices and wire up adjacency. The original link list
         // carries provider→customer direction, which adjacency (symmetric)
         // cannot represent, so the directed pairs are captured here.
@@ -251,8 +242,10 @@ impl TopologyBuilder {
         let n_host = self.hosts.len() as u32;
         let mut seen_links: HashMap<(u32, u32), ()> = HashMap::new();
         let mut pc_pairs = Vec::new();
-        let links = std::mem::take(&mut self.links);
-        for (a, b, rel) in links {
+        // Every AS's neighbors in one arena, each AS's run in link order:
+        // count, then place.
+        let mut neighbor_starts = vec![0u32; n_as as usize + 1];
+        for &(a, b, rel) in &self.links {
             if a.0 >= n_as || b.0 >= n_as {
                 return Err(TopologyError::BadIndex(format!("link {a}-{b}")));
             }
@@ -261,32 +254,40 @@ impl TopologyBuilder {
                 return Err(TopologyError::DuplicateLink(a.0, b.0));
             }
             if rel == Relationship::ProviderCustomer {
-                pc_pairs.push((
-                    self.ases[a.0 as usize].spec.asn,
-                    self.ases[b.0 as usize].spec.asn,
-                ));
+                pc_pairs.push((self.ases[a.0 as usize].asn, self.ases[b.0 as usize].asn));
             }
-            self.ases[a.0 as usize].neighbors.push((b, rel));
-            self.ases[b.0 as usize].neighbors.push((a, rel));
+            neighbor_starts[a.0 as usize + 1] += 1;
+            neighbor_starts[b.0 as usize + 1] += 1;
+        }
+        for i in 1..neighbor_starts.len() {
+            neighbor_starts[i] += neighbor_starts[i - 1];
+        }
+        let mut neighbors = vec![(AsId(0), Relationship::Peer); 2 * self.links.len()];
+        let mut next: Vec<u32> = neighbor_starts[..n_as as usize].to_vec();
+        for &(a, b, rel) in &self.links {
+            for (from, to) in [(a, b), (b, a)] {
+                neighbors[next[from.0 as usize] as usize] = (to, rel);
+                next[from.0 as usize] += 1;
+            }
         }
         pc_pairs.sort_unstable();
         pc_pairs.dedup();
         // Deterministic neighbor order for reproducible BFS tie-breaking.
-        for a in &mut self.ases {
-            a.neighbors.sort_by_key(|(id, _)| *id);
+        for run in neighbor_starts.windows(2) {
+            neighbors[run[0] as usize..run[1] as usize].sort_by_key(|(id, _)| *id);
         }
 
         // ASN uniqueness.
         let mut asns = HashMap::new();
         for (i, a) in self.ases.iter().enumerate() {
-            if asns.insert(a.spec.asn, i).is_some() {
-                return Err(TopologyError::DuplicateAsn(a.spec.asn));
+            if asns.insert(a.asn, i).is_some() {
+                return Err(TopologyError::DuplicateAsn(a.asn));
             }
         }
 
         let mut ip_index: IntMap<Ipv4Addr, IpOwner> = IntMap::default();
         for (i, a) in self.ases.iter().enumerate() {
-            for r in &a.spec.transit_routers {
+            for r in &a.transit_routers {
                 if ip_index
                     .insert(*r, IpOwner::Router(AsId(i as u32)))
                     .is_some()
@@ -340,6 +341,8 @@ impl TopologyBuilder {
 
         Ok(Topology {
             ases: self.ases,
+            neighbors,
+            neighbor_starts,
             hosts: self.hosts,
             anycast,
             ip_index,
@@ -351,7 +354,11 @@ impl TopologyBuilder {
 /// A validated, immutable network topology.
 #[derive(Debug)]
 pub struct Topology {
-    pub(crate) ases: Vec<AsData>,
+    pub(crate) ases: Vec<AsSpec>,
+    /// Every AS's neighbors, AS `i`'s at
+    /// `neighbor_starts[i]..neighbor_starts[i + 1]`.
+    neighbors: Vec<(AsId, Relationship)>,
+    neighbor_starts: Vec<u32>,
     pub(crate) hosts: Vec<HostData>,
     anycast: IntMap<Ipv4Addr, AnycastGroup>,
     ip_index: IntMap<Ipv4Addr, IpOwner>,
@@ -376,12 +383,13 @@ impl Topology {
 
     /// AS spec by id.
     pub fn as_spec(&self, id: AsId) -> &AsSpec {
-        &self.ases[id.0 as usize].spec
+        &self.ases[id.0 as usize]
     }
 
     /// Neighbors of an AS with relationships (sorted by AS id).
     pub fn as_neighbors(&self, id: AsId) -> &[(AsId, Relationship)] {
-        &self.ases[id.0 as usize].neighbors
+        let i = id.0 as usize;
+        &self.neighbors[self.neighbor_starts[i] as usize..self.neighbor_starts[i + 1] as usize]
     }
 
     /// Host spec by node id.

@@ -4,10 +4,11 @@
 //! *Routes.* A census probes every host once, so almost every resolve is a
 //! never-seen *host* pair — but, forwarders being consolidated onto few
 //! resolvers, an already-seen *AS* pair. The resolver caches one transit
-//! segment per AS pair and composes the path view per packet; this file
-//! pins that a resolve allocates only when it meets a new AS pair, so a
-//! per-host-pair `Path` creeping back fails tier-1 rather than only
-//! drifting a benchmark.
+//! segment per AS pair, in two arenas (AS paths, transit hops), and
+//! composes the path view per packet; this file pins that a resolve
+//! allocates only when it meets a new AS pair, and a new AS pair only when
+//! an arena or the map grows, so a per-host-pair `Path` or a per-route
+//! vector creeping back fails tier-1 rather than only drifting a benchmark.
 //!
 //! *The event loop.* The wheel writes each event into a recycled arena
 //! node, payload events carry their packet inline and a handler's sends
@@ -161,9 +162,10 @@ fn new_as_pair_allocates_a_bounded_constant() {
     let (t, clients) = chain();
     let mut r = RouteResolver::new();
     let (n, _) = allocations(|| route(&mut r, &t, clients[0], SERVERS[0]));
-    // The resolver's BFS scratch (distances, predecessors, queue), the AS
-    // path, the exactly-sized segment and the map's first table: 6 today.
-    assert!((1..=8).contains(&n), "new AS pair took {n} allocations");
+    // The resolver's BFS scratch (distances, predecessors, queue), the
+    // first block of the AS-path arena and of the hop arena, and the map's
+    // first table: nothing per route.
+    assert!((1..=6).contains(&n), "new AS pair took {n} allocations");
     assert_eq!(r.cache_misses(), 1);
 }
 
@@ -172,11 +174,18 @@ fn second_new_as_pair_reuses_the_bfs_scratch() {
     let (t, clients) = chain();
     let mut r = RouteResolver::new();
     route(&mut r, &t, clients[0], SERVERS[0]);
+    // Its 3 ASes and 6 hops outgrow both arenas (4 ASes, 8 hops): one
+    // allocation each, none for the search, and the map has room.
     let (n, _) = allocations(|| route(&mut r, &t, clients[0], MIDWAY));
-    // What the route keeps — its AS path and its segment — and nothing
-    // for the search that found it: 2 today, plus room for the map to grow.
-    assert!((1..=4).contains(&n), "second AS pair took {n} allocations");
-    assert_eq!(r.cache_misses(), 2);
+    assert!(n <= 2, "second AS pair took {n} allocations");
+    // Intra-AS0 (1 AS, 2 hops) fits what the two doublings left: a route
+    // the arenas hold costs nothing.
+    let (n, _) = allocations(|| route(&mut r, &t, clients[0], ip(192, 0, 2, 2)));
+    assert_eq!(
+        n, 0,
+        "a third AS pair inside the arenas took {n} allocations"
+    );
+    assert_eq!(r.cache_misses(), 3);
 }
 
 /// Sends a datagram back where it came from while it has replies `left`;

@@ -22,8 +22,8 @@
 use crate::pacer::Pacer;
 use dnswire::{DnsName, Message, MessageBuilder, RData, Record, RrType};
 use netsim::{
-    Ctx, Datagram, Host, NodeId, Payload, RetryPolicy, SimDuration, Simulator, TimerOutcome,
-    UdpSend,
+    Ctx, Datagram, Host, HostEntry, NodeId, Payload, RetryPolicy, SimDuration, Simulator,
+    TimerOutcome, UdpSend,
 };
 use odns::study;
 use std::collections::{BTreeMap, BTreeSet};
@@ -301,8 +301,8 @@ impl Host for VictimMeter {
 /// Install a reflection attacker on `node`, schedule every plan's
 /// start timer, run the simulation to quiescence, and return the per-plan
 /// spends (in plan order).
-pub fn run_reflections(
-    sim: &mut Simulator,
+pub fn run_reflections<H: HostEntry>(
+    sim: &mut Simulator<H>,
     node: NodeId,
     plans: Vec<ReflectionPlan>,
 ) -> Vec<AttackSpend> {

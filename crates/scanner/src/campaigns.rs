@@ -21,7 +21,8 @@
 use crate::pacer::{Pacer, PACE_TOKEN};
 use dnswire::Message;
 use netsim::{
-    Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, TimerOutcome, UdpSend,
+    Ctx, Datagram, Host, HostEntry, IntMap, NodeId, RetryPolicy, SimDuration, Simulator,
+    TimerOutcome, UdpSend,
 };
 use odns::study;
 use std::collections::BTreeSet;
@@ -249,7 +250,11 @@ impl Host for CampaignScanner {
 }
 
 /// Install and run a campaign pass, returning its report.
-pub fn run_campaign(sim: &mut Simulator, node: NodeId, config: CampaignConfig) -> CampaignReport {
+pub fn run_campaign<H: HostEntry>(
+    sim: &mut Simulator<H>,
+    node: NodeId,
+    config: CampaignConfig,
+) -> CampaignReport {
     run_campaign_delayed(sim, node, config, SimDuration::ZERO)
 }
 
@@ -258,8 +263,8 @@ pub fn run_campaign(sim: &mut Simulator, node: NodeId, config: CampaignConfig) -
 /// over the same world (the paper runs them over separate weeks) use this
 /// to space the passes beyond the sensors' 5-minute rate-limit window, so
 /// one campaign's probes never eat the next one's answer budget.
-pub fn run_campaign_delayed(
-    sim: &mut Simulator,
+pub fn run_campaign_delayed<H: HostEntry>(
+    sim: &mut Simulator<H>,
     node: NodeId,
     config: CampaignConfig,
     start_after: SimDuration,

@@ -9,8 +9,8 @@
 
 use crate::pacer::{Pacer, PACE_TOKEN};
 use netsim::{
-    Ctx, Datagram, Host, IcmpMessage, NodeId, RetryPolicy, SimDuration, Simulator, TimerOutcome,
-    UdpSend,
+    Ctx, Datagram, Host, HostEntry, IcmpMessage, NodeId, RetryPolicy, SimDuration, Simulator,
+    TimerOutcome, UdpSend,
 };
 use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
@@ -114,8 +114,8 @@ impl Host for FingerprintScanner {
 }
 
 /// Run a fingerprint pass over `targets` and return the evidence map.
-pub fn run_fingerprint_scan(
-    sim: &mut Simulator,
+pub fn run_fingerprint_scan<H: HostEntry>(
+    sim: &mut Simulator<H>,
     node: NodeId,
     targets: Vec<Ipv4Addr>,
 ) -> BTreeMap<Ipv4Addr, HostEvidence> {

@@ -12,7 +12,8 @@ use crate::pacer::{Due, Pacer, PACE_TOKEN};
 use crate::records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 use dnswire::{MessageBuilder, RrType};
 use netsim::{
-    Ctx, Datagram, Host, IntMap, NodeId, RetryPolicy, SimDuration, Simulator, TimerOutcome, UdpSend,
+    Ctx, Datagram, Host, HostEntry, IntMap, NodeId, RetryPolicy, SimDuration, Simulator,
+    TimerOutcome, UdpSend,
 };
 use odns::study;
 use std::net::Ipv4Addr;
@@ -418,7 +419,11 @@ pub fn correlate_owned(
 /// Install a scanner at `node`, run the whole scan to quiescence, and
 /// return the correlated outcome. Convenience wrapper used by benches,
 /// examples, and the census pipeline.
-pub fn run_scan(sim: &mut Simulator, node: NodeId, config: ScanConfig) -> ScanOutcome {
+pub fn run_scan<H: HostEntry>(
+    sim: &mut Simulator<H>,
+    node: NodeId,
+    config: ScanConfig,
+) -> ScanOutcome {
     let (probes, responses, retry) = run_scan_raw(sim, node, config);
     let mut outcome = correlate_owned(probes, responses, ScanConfig::DEFAULT_TIMEOUT);
     outcome.retry = retry;
@@ -429,8 +434,8 @@ pub fn run_scan(sim: &mut Simulator, node: NodeId, config: ScanConfig) -> ScanOu
 /// streams (plus retransmission counters) instead of correlating — for
 /// callers that time or inspect the streams before handing them to
 /// [`correlate_owned`].
-pub fn run_scan_raw(
-    sim: &mut Simulator,
+pub fn run_scan_raw<H: HostEntry>(
+    sim: &mut Simulator<H>,
     node: NodeId,
     config: ScanConfig,
 ) -> (Vec<ProbeRecord>, Vec<ResponseRecord>, RetryStats) {

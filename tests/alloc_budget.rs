@@ -19,14 +19,19 @@
 //! per target) and was handed its own copy of its device profile (0.4), and
 //! 7.3 while the root, the TLD and the study server decoded, built and
 //! encoded an answer for every resolver walking down to the study name, and
-//! the resolver decoded its leaders and referrals (1.8 per target); it is
-//! ≈5.5 now. The ceiling fails tier-1 when a per-probe
+//! the resolver decoded its leaders and referrals (1.8 per target), and
+//! 5.5 while every planted host was boxed, every AS route miss built two
+//! vectors and every AS its own neighbor list (1.5 per target); it is
+//! ≈3.95 now. The ceiling fails tier-1 when a per-probe
 //! allocation creeps back into a host, the scanner, the event queue or a
 //! renderer, instead of only drifting a benchmark.
 //!
 //! The second pin is the rule behind that last step, at its source: a
 //! `RecursiveForwarder` that has relayed and cached the only query of its
-//! life has allocated the name it was asked for and nothing else.
+//! life has allocated the name it was asked for and nothing else. The
+//! third is its counterpart for a reused world: `Internet::reset`
+//! overwrites every planted host where its slot holds the last one, so it
+//! allocates no host storage at all.
 //!
 //! The library crates forbid `unsafe`; this test crate carries the one
 //! `unsafe impl` a counting allocator needs. The count is per thread, so
@@ -78,19 +83,23 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// Allocations (and reallocations) one probed target may cost.
-const CEILING_PER_TARGET: f64 = 7.0;
+const CEILING_PER_TARGET: f64 = 4.5;
 
-#[test]
-fn fresh_census_stays_within_the_per_target_allocation_ceiling() {
-    let config = GenConfig {
+/// The benchmark's `census_fresh` world.
+fn census_config() -> GenConfig {
+    GenConfig {
         seed: 7,
         scale: 1_000,
         dud_fraction: 0.1,
         countries: CountrySelection::All,
         ..GenConfig::default()
-    };
+    }
+}
+
+#[test]
+fn fresh_census_stays_within_the_per_target_allocation_ceiling() {
     let before = ALLOCATIONS.with(Cell::get);
-    let mut world = inetgen::generate(&config);
+    let mut world = inetgen::generate(&census_config());
     let scan = ScanConfig::new(world.targets.clone());
     let (probes, responses, _) =
         scanner::run_scan_raw(&mut world.sim, world.fixtures.scanner, scan);
@@ -122,6 +131,29 @@ fn fresh_census_stays_within_the_per_target_allocation_ceiling() {
         "{spent} allocations for {targets} targets: {per_target:.1} per target, \
          ceiling {CEILING_PER_TARGET}"
     );
+}
+
+#[test]
+fn resetting_a_scanned_world_allocates_no_host_storage() {
+    let mut world = inetgen::generate(&census_config());
+    let scan = |world: &mut inetgen::Internet| {
+        let config = ScanConfig::new(world.targets.clone());
+        scanner::run_scan_raw(&mut world.sim, world.fixtures.scanner, config).1
+    };
+    let first = scan(&mut world);
+    let before = ALLOCATIONS.with(Cell::get);
+    world.reset();
+    let spent = ALLOCATIONS.with(Cell::get) - before;
+    let hosts = world.sim.topology().host_count();
+    assert!(hosts > 2_000, "a scale-1000 world: {hosts} hosts");
+    // What a reset builds afresh is the hosts' own state that does not
+    // scale with the world: the study stack's names and delegations, the
+    // shared root hints and one profile per device vendor.
+    assert!(
+        spent <= 32,
+        "resetting {hosts} hosts took {spent} allocations"
+    );
+    assert_eq!(scan(&mut world), first, "the reset world answers as it did");
 }
 
 /// Asks every forwarder the same prebuilt question when its timer fires,
