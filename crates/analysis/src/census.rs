@@ -195,24 +195,9 @@ impl Census {
 /// every probed address (the `0.1 %` coverage gap is a pure per-prefix
 /// hash, independent of partitioning).
 pub fn run_census(internet: &mut Internet, config: &ClassifierConfig) -> Census {
-    let scan = census_scan_config(internet);
+    let scan = ScanConfig::new(internet.targets.clone());
     let outcome = scanner::run_scan(&mut internet.sim, internet.fixtures.scanner, scan);
     Census::from_outcome(&outcome, &internet.geo, config)
-}
-
-/// The scan configuration every in-worker scan of a world gets: the
-/// paper's defaults on a clean network; on a faulty one, target-keyed
-/// tuples — the fault plane's verdicts hash each probe's flow identity,
-/// and only the target-keyed identity is the same for every shard count,
-/// so lossy censuses stay partition-invariant (see
-/// [`scanner::TupleScheme`]).
-pub(crate) fn census_scan_config(world: &Internet) -> ScanConfig {
-    let scan = ScanConfig::new(world.targets.clone());
-    if world.sim.faults_active() {
-        scan.with_target_keyed_tuples()
-    } else {
-        scan
-    }
 }
 
 /// Concatenate per-shard census parts (ascending shard order, which is

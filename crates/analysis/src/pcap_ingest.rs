@@ -59,9 +59,10 @@ fn udp_datagrams(pcap: &[u8]) -> Result<impl Iterator<Item = (SimTime, Datagram)
 ///
 /// Direction goes by address, not port: a datagram is outgoing when it
 /// comes from the scanner, the source of the capture's first query to port
-/// 53 (nothing reaches a scanner before its first probe). The port walk
-/// sends one probe per 65 k block from port 53, and that probe's answer
-/// arrives on port 53 too.
+/// 53 (nothing reaches a scanner before its first probe). A probe's source
+/// port is 33 000 plus its target's low 16 bits, which wraps to 53 for every
+/// target whose low 16 bits are 32 589 (x.y.127.77): that probe leaves from
+/// port 53, and its answer arrives on port 53 too.
 ///
 /// A retransmission is not a new probe: the live scanner keeps one
 /// [`ProbeRecord`] per probe, timed at its first send, so a repeated
@@ -119,8 +120,10 @@ pub fn outcome_from_pcap(pcap: &[u8], timeout: SimDuration) -> Result<ScanOutcom
 /// [`crate::run_campaign_sharded`] (or any sharded scan with per-shard
 /// scanner taps), the result equals the in-memory census row for row.
 ///
-/// `(port, txid)` tuples restart in every shard, so captures are ingested
-/// one by one, never concatenated. Panics on a duplicate shard id: a
+/// Each capture correlates on its own, as its shard did, never
+/// concatenated: separate scans may reuse a `(port, txid)` tuple (two
+/// scans of one target do) and each starts its clock at zero. Panics on a
+/// duplicate shard id: a
 /// shard's capture split in two would correlate each half against its own
 /// probes only and quietly lose the answers that cross the cut.
 pub fn census_from_captures<S: AsRef<[u8]>>(
@@ -285,13 +288,14 @@ mod tests {
 
     #[test]
     fn a_probe_from_port_53_is_not_mistaken_for_its_answer() {
-        // The port walk sends probe 32 589 of every block from port 53.
-        let (port, txid) = ScanConfig::probe_tuple(32_589);
+        // A probe's source port wraps to 53 for every x.y.127.77 target.
+        let target = Ipv4Addr::new(203, 0, 127, 77);
+        let (port, txid) = ScanConfig::probe_tuple(target);
         assert_eq!(port, dnswire::DNS_PORT);
         let mut w = PcapWriter::new();
         let probe = Datagram {
             src: SCANNER,
-            dst: TARGET,
+            dst: target,
             src_port: port,
             dst_port: 53,
             ttl: 64,
@@ -299,7 +303,7 @@ mod tests {
         };
         w.write(SimTime(0), &encode_udp(&probe, 1));
         let resp = Datagram {
-            src: TARGET,
+            src: target,
             dst: SCANNER,
             src_port: 53,
             dst_port: port,
@@ -309,8 +313,8 @@ mod tests {
         w.write(SimTime(40_000), &encode_udp(&resp, 2));
         let outcome = outcome_from_pcap(&w.finish(), SimDuration::from_secs(20)).unwrap();
         assert_eq!(outcome.transactions.len(), 1);
-        assert_eq!(outcome.transactions[0].probe.target, TARGET);
-        assert_eq!(outcome.transactions[0].response_src(), Some(TARGET));
+        assert_eq!(outcome.transactions[0].probe.target, target);
+        assert_eq!(outcome.transactions[0].response_src(), Some(target));
         assert_eq!(outcome.unmatched_responses, 0);
     }
 
@@ -549,8 +553,8 @@ mod tests {
             let run = inetgen::run_sharded(&config, k, |spec, world| {
                 let node = world.fixtures.scanner;
                 world.sim.tap(node);
-                let scan = crate::census::census_scan_config(world)
-                    .with_retry(crate::sweep_retry_policy(2));
+                let scan =
+                    ScanConfig::new(world.targets.clone()).with_retry(crate::sweep_retry_policy(2));
                 let outcome = scanner::run_scan(&mut world.sim, node, scan);
                 assert!(outcome.retry.retransmits_sent > 0, "losses must bite");
                 let capture = world.sim.take_capture(node).expect("tapped");

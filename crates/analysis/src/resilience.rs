@@ -19,11 +19,11 @@
 //! before it reaches any simulator, and every shard world installs it as
 //! given, so per-flow fault verdicts are invariant under the shard count.
 
-use crate::census::{census_scan_config, Census};
+use crate::census::Census;
 use crate::table::TextTable;
 use inetgen::{PlantedClass, ShardWorldCache};
 use netsim::{FaultPlan, RetryPolicy, SimDuration};
-use scanner::{ClassifierConfig, OdnsClass};
+use scanner::{ClassifierConfig, OdnsClass, ScanConfig};
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 use std::net::Ipv4Addr;
@@ -179,7 +179,7 @@ pub fn run_resilience_sweep(
             let retry = sweep_retry_policy(retries);
             let run = inetgen::run_sharded(&mut *cache, shards, |_, world| {
                 world.sim.set_faults(plan.clone());
-                let scan = census_scan_config(world).with_retry(retry);
+                let scan = ScanConfig::new(world.targets.clone()).with_retry(retry);
                 let outcome = scanner::run_scan(&mut world.sim, world.fixtures.scanner, scan);
                 let answered = outcome.answered_count() as u64;
                 let probes_sent = outcome.transactions.len() as u64;

@@ -29,14 +29,14 @@ fn target(shard: usize, i: usize) -> Ipv4Addr {
     Ipv4Addr::new(203, shard as u8, (i >> 8) as u8, (i & 0xFF) as u8)
 }
 
-/// One shard's scanner capture: `n` probes on the default tuple walk —
-/// the same tuples in every shard — then the answers, each from its own
-/// target, in shuffled order.
+/// One shard's scanner capture: `n` probes carrying shard 0's target-keyed
+/// tuples — the same tuples in every shard — then the answers, each from
+/// its own target, in shuffled order.
 fn shard_capture(shard: usize, n: usize, answered: &[usize], shuffle_seed: u64) -> Vec<u8> {
     let query = |txid| MessageBuilder::query(txid, odns::study::study_qname(), RrType::A).build();
     let mut w = PcapWriter::new();
     for i in 0..n {
-        let (src_port, txid) = ScanConfig::probe_tuple(i);
+        let (src_port, txid) = ScanConfig::probe_tuple(target(0, i));
         let probe = Datagram {
             src: SCANNER,
             dst: target(shard, i),
@@ -50,7 +50,7 @@ fn shard_capture(shard: usize, n: usize, answered: &[usize], shuffle_seed: u64) 
     let mut answered = answered.to_vec();
     shuffle(&mut answered, shuffle_seed);
     for i in answered {
-        let (dst_port, txid) = ScanConfig::probe_tuple(i);
+        let (dst_port, txid) = ScanConfig::probe_tuple(target(0, i));
         let answer = MessageBuilder::response_to(&query(txid))
             .answer_a(odns::study::study_qname(), 300, Ipv4Addr::new(8, 8, 8, 8))
             .answer_a(odns::study::study_qname(), 300, odns::study::CONTROL_A)

@@ -12,8 +12,9 @@ const ARTIFACT: &str = include_str!("../../../BENCH_simcore.json");
 #[test]
 fn readme_changes_and_each_recent_entry_stay_inside_their_budgets() {
     // Each file's size when its ratchet was last set, rounded up to the
-    // next 500 B or kB. Lower them when the files shrink; never raise them.
-    const README_MAX_BYTES: usize = 34_500;
+    // next 100 B (README) or kB. Lower them when the files shrink; never
+    // raise them.
+    const README_MAX_BYTES: usize = 34_200;
     const CHANGES_MAX_BYTES: usize = 17_000;
     const ENTRY_MAX_BYTES: usize = 1_600;
     for (file, len, max) in [

@@ -141,8 +141,12 @@ mod tests {
 
     #[test]
     fn sequential_port_txid_pairs_spread() {
-        // Port-walk tuples: the port steps per probe, the txid per 2^16.
-        assert_spread("port walk", (0..8192u32).map(|i| (33_000 + i as u16, 0u16)));
+        // Target-keyed probe tuples: the port steps with the target's low
+        // 16 bits, the txid is one of a few /16s.
+        assert_spread(
+            "target-keyed",
+            (0..4u16).flat_map(|hi| (0..2048u16).map(move |lo| (33_000 + lo, 0x0B00 + hi))),
+        );
         assert_spread("txid walk", (0..8192u32).map(|i| (53u16, i as u16)));
         // A forwarder's pending table: few ports, txids as clients chose.
         assert_spread(

@@ -282,13 +282,6 @@ impl<H: HostEntry> Simulator<H> {
         self.core.faults = plan;
     }
 
-    /// Whether the installed fault plan can actually touch packets.
-    /// Experiments use this to pick fault-aware configurations (e.g.
-    /// partition-invariant probe tuples) only when faults are live.
-    pub fn faults_active(&self) -> bool {
-        !self.core.faults_quiet
-    }
-
     /// Enable pcap capture at `node` (everything it sends and receives).
     pub fn tap(&mut self, node: NodeId) {
         self.core.taps.entry(node).or_default();

@@ -41,6 +41,4 @@ pub use classify::{classify, ClassifierConfig, Discard, OdnsClass, Verdict};
 pub use fingerprint::{attribute_vendor, run_fingerprint_scan, HostEvidence};
 pub use records::{ProbeRecord, ResponseRecord, RetryStats, ScanOutcome, Transaction};
 pub use sensors::{HoneypotSensor, SensorKind, SensorStats};
-pub use transactional::{
-    correlate_owned, run_scan, run_scan_raw, ProbeNaming, ScanConfig, TupleScheme,
-};
+pub use transactional::{correlate_owned, run_scan, run_scan_raw, ProbeNaming, ScanConfig};

@@ -18,9 +18,10 @@ use netsim::{
 use odns::study;
 use std::net::Ipv4Addr;
 
-/// First source port: probes walk `BASE_PORT + (index & 0xFFFF)` with the
-/// txid advancing once per 65 k block, so the `(port, txid)` tuple is
-/// unique for every in-flight probe.
+/// First source port: a probe leaves from `BASE_PORT` plus its target's low
+/// 16 bits and carries the target's high 16 bits as its txid, so the
+/// `(port, txid)` tuple is unique per target and the same whichever shard,
+/// shuffle position or attempt sends it.
 const BASE_PORT: u16 = 33_000;
 
 /// How probe query names are chosen — the two methods of Table 2.
@@ -35,41 +36,15 @@ pub enum ProbeNaming {
     EncodeTarget,
 }
 
-/// How probe `(src_port, txid)` tuples are assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TupleScheme {
-    /// Port-walk (the default): the port varies per probe *index* and the
-    /// txid advances once per 65 k block, so a whole block shares one wire
-    /// payload (see [`ScanConfig::probe_tuple`]).
-    #[default]
-    PortWalk,
-    /// Target-keyed: the tuple is a pure function of the *target address*
-    /// (txid = the address's high 16 bits, port = base port + low 16
-    /// bits). Unique because targets are, and — unlike the index-based
-    /// walk — invariant under probe order and partitioning: a probe's
-    /// flow identity is the same whichever shard probes it, which is what
-    /// lets the fault plane's flow-keyed verdicts commute with sharding.
-    /// Its txids arrive out of order rather than in blocks, so the scanner
-    /// keeps one payload per txid for the whole scan. Measured as the only
-    /// scheme, when the scanner cached one block's payload (repo
-    /// benchmark, seed 7, alternated pairs): `census_warm_dud`
-    /// `ops_per_s` ×0.89 in the median, 7 of 8 pairs worse;
-    /// `census_fresh` ×0.93, 6 of 6 worse; `peak_rss_mb` +3–5 %. So
-    /// lossless scans keep the walk, and the census drivers switch to this
-    /// scheme only when the simulator's `faults_active()` says verdicts
-    /// are being drawn.
-    TargetKeyed,
-}
-
 /// Scanner configuration.
 #[derive(Debug, Clone)]
 pub struct ScanConfig {
-    /// Addresses to probe, in order.
+    /// Addresses to probe, in order. They must be distinct: a probe's
+    /// tuple is a function of its target ([`ScanConfig::probe_tuple`]), so
+    /// a repeated address would share its first probe's tuple.
     pub targets: Vec<Ipv4Addr>,
     /// Name construction method.
     pub naming: ProbeNaming,
-    /// `(src_port, txid)` assignment scheme.
-    pub tuples: TupleScheme,
     /// Gap between consecutive probes (sets the scan rate; the paper scans
     /// the full IPv4 space in 18 hours — "moderate").
     pub inter_probe_gap: SimDuration,
@@ -89,17 +64,16 @@ impl ScanConfig {
         ScanConfig {
             targets,
             naming: ProbeNaming::Static,
-            tuples: TupleScheme::PortWalk,
             inter_probe_gap: SimDuration::from_micros(50),
             retry: RetryPolicy::none(),
         }
     }
 
-    /// Switch to target-keyed tuples ([`TupleScheme::TargetKeyed`]) — the
-    /// scheme lossy-world experiments need for shard-count-invariant
-    /// fault verdicts.
-    pub fn with_target_keyed_tuples(mut self) -> Self {
-        self.tuples = TupleScheme::TargetKeyed;
+    /// Returns the config unchanged: every scan's tuples are target-keyed
+    /// ([`ScanConfig::probe_tuple`]). Kept only because the repo benchmark
+    /// (`benchmark/src/workloads.rs`) calls it; ROADMAP item 7's benchmark
+    /// revision deletes it.
+    pub fn with_target_keyed_tuples(self) -> Self {
         self
     }
 
@@ -112,33 +86,17 @@ impl ScanConfig {
         self
     }
 
-    /// The `(src_port, txid)` tuple for probe `index`.
-    ///
-    /// The *port* varies per probe and the *txid* per 65 k block — not the
-    /// other way round — so all probes of a block share one wire payload
-    /// (the txid is the only byte pair that differs between static-naming
-    /// probes), letting the scanner send a block from a single shared
-    /// buffer instead of patching a fresh copy per probe.
-    pub fn probe_tuple(index: usize) -> (u16, u16) {
-        let port = BASE_PORT.wrapping_add((index & 0xFFFF) as u16);
-        let txid = (index >> 16) as u16;
+    /// The `(src_port, txid)` tuple of the probe to `target`: port =
+    /// `BASE_PORT` + the address's low 16 bits, txid = its high 16 bits.
+    /// Unique because targets are, and a function of the address alone —
+    /// a probe's flow identity is the same at every shard count and probe
+    /// order, which is what lets the fault plane's flow-keyed verdicts
+    /// commute with sharding.
+    pub fn probe_tuple(target: Ipv4Addr) -> (u16, u16) {
+        let ip = u32::from(target);
+        let port = BASE_PORT.wrapping_add((ip & 0xFFFF) as u16);
+        let txid = (ip >> 16) as u16;
         (port, txid)
-    }
-
-    /// The `(src_port, txid)` tuple for the probe at `index` targeting
-    /// `target`, under the configured [`TupleScheme`]. `PortWalk` uses the
-    /// index ([`ScanConfig::probe_tuple`]); `TargetKeyed` uses the address
-    /// alone.
-    fn tuple_for(&self, index: usize, target: Ipv4Addr) -> (u16, u16) {
-        match self.tuples {
-            TupleScheme::PortWalk => Self::probe_tuple(index),
-            TupleScheme::TargetKeyed => {
-                let ip = u32::from(target);
-                let port = BASE_PORT.wrapping_add((ip & 0xFFFF) as u16);
-                let txid = (ip >> 16) as u16;
-                (port, txid)
-            }
-        }
     }
 }
 
@@ -163,9 +121,8 @@ pub(crate) struct TransactionalScanner {
     pub probes: Vec<ProbeRecord>,
     /// Raw response records in arrival order.
     pub responses: Vec<ResponseRecord>,
-    /// `(port, txid) → probe index`, the inverse the answer path needs
-    /// when tuples are target-keyed (the port-walk inverse is arithmetic).
-    /// Empty unless retries are enabled under [`TupleScheme::TargetKeyed`].
+    /// `(port, txid) → probe index`, the inverse the answer path needs to
+    /// stop a probe's retransmissions. Empty unless retries are enabled.
     tuple_index: IntMap<(u16, u16), usize>,
     /// Live retransmission counters, copied into the outcome.
     pub retry_stats: RetryStats,
@@ -185,12 +142,12 @@ impl TransactionalScanner {
             ProbeNaming::Static => Some(study::probe_template()),
             ProbeNaming::EncodeTarget => None,
         };
-        let tuple_index = if config.retry.enabled() && config.tuples == TupleScheme::TargetKeyed {
+        let tuple_index = if config.retry.enabled() {
             config
                 .targets
                 .iter()
                 .enumerate()
-                .map(|(i, t)| (config.tuple_for(i, *t), i))
+                .map(|(i, t)| (ScanConfig::probe_tuple(*t), i))
                 .collect()
         } else {
             IntMap::default()
@@ -199,7 +156,7 @@ impl TransactionalScanner {
             config,
             pacer,
             probe_template,
-            payloads: TxidPayloads::Inline(None),
+            payloads: TxidPayloads::default(),
             probes,
             responses: Vec::new(),
             tuple_index,
@@ -229,7 +186,7 @@ impl TransactionalScanner {
     /// wire bytes without one — correlation sees one transaction per probe.
     fn transmit(&mut self, ctx: &mut Ctx<'_>, Due { index, attempt }: Due) {
         let target = self.config.targets[index];
-        let (port, txid) = self.config.tuple_for(index, target);
+        let (port, txid) = ScanConfig::probe_tuple(target);
         let payload = self.probe_payload(target, txid);
         if attempt == 0 {
             self.probes.push(ProbeRecord {
@@ -248,66 +205,37 @@ impl TransactionalScanner {
         );
     }
 
-    /// Mark the probe a response maps to (the inverse of the configured
-    /// tuple scheme — arithmetic for the port walk, the prebuilt map for
-    /// target-keyed tuples) as answered, stopping further retransmissions
-    /// and recording the attempt histogram. Only the *first* response
-    /// counts; anything later is the correlator's business.
+    /// Mark the probe a response maps to (through the prebuilt tuple map)
+    /// as answered, stopping further retransmissions and recording the
+    /// attempt histogram. Only the *first* response counts; anything later
+    /// is the correlator's business.
     fn note_answer(&mut self, ctx: &mut Ctx<'_>, dst_port: u16, payload: &netsim::Payload) {
         let Some(txid) = dnswire::peek_id(payload) else {
             return;
         };
-        let index = match self.config.tuples {
-            TupleScheme::PortWalk => {
-                (usize::from(txid) << 16) | usize::from(dst_port.wrapping_sub(BASE_PORT))
-            }
-            TupleScheme::TargetKeyed => {
-                let Some(&i) = self.tuple_index.get(&(dst_port, txid)) else {
-                    return;
-                };
-                i
-            }
-        };
-        let Some(&target) = self.config.targets.get(index) else {
+        let Some(&index) = self.tuple_index.get(&(dst_port, txid)) else {
             return;
         };
-        if self.config.tuple_for(index, target) == (dst_port, txid) {
-            if let Some(attempts) = self.pacer.answered(ctx, index) {
-                self.retry_stats.record_answered(attempts);
-            }
+        if let Some(attempts) = self.pacer.answered(ctx, index) {
+            self.retry_stats.record_answered(attempts);
         }
     }
 }
 
 /// One static-naming probe payload per txid, each patched from the
-/// template once and kept for the whole scan. Port-walk tuples change the
-/// txid once per 65 536 probes; target-keyed tuples use the target's /16,
+/// template once and kept for the whole scan. A txid is its target's /16,
 /// which a shuffled target list revisits out of order, and a
-/// retransmission comes back to its original's. Most scans send one txid:
-/// it sits inline, and the table is built when a second appears.
-#[derive(Debug)]
-enum TxidPayloads {
-    Inline(Option<(u16, netsim::Payload)>),
-    Spilled(IntMap<u16, netsim::Payload>),
-}
+/// retransmission comes back to its original's.
+#[derive(Debug, Default)]
+struct TxidPayloads(IntMap<u16, netsim::Payload>);
 
 impl TxidPayloads {
     /// The payload for `txid`, patched from `template` on first use.
     fn get(&mut self, txid: u16, template: &'static [u8]) -> netsim::Payload {
-        let patch = || netsim::Payload::with_dns_id(template, txid);
-        match self {
-            TxidPayloads::Inline(Some((held, payload))) if *held == txid => payload.clone(),
-            TxidPayloads::Inline(slot @ None) => slot.insert((txid, patch())).1.clone(),
-            TxidPayloads::Inline(slot) => {
-                let mut map = IntMap::default();
-                map.extend(slot.take());
-                let payload = patch();
-                map.insert(txid, payload.clone());
-                *self = TxidPayloads::Spilled(map);
-                payload
-            }
-            TxidPayloads::Spilled(map) => map.entry(txid).or_insert_with(patch).clone(),
-        }
+        self.0
+            .entry(txid)
+            .or_insert_with(|| netsim::Payload::with_dns_id(template, txid))
+            .clone()
     }
 }
 
@@ -463,29 +391,13 @@ mod tests {
     #[test]
     fn each_txid_is_patched_once_and_shared() {
         let template = study::probe_template();
-        let mut payloads = TxidPayloads::Inline(None);
+        let mut payloads = TxidPayloads::default();
         let first = payloads.get(7, template);
-        assert!(matches!(payloads, TxidPayloads::Inline(Some(_))));
         let second = payloads.get(9, template);
-        assert!(
-            matches!(payloads, TxidPayloads::Spilled(_)),
-            "two txids spill"
-        );
         for (txid, held) in [(7, &first), (9, &second), (7, &first)] {
             let again = payloads.get(txid, template);
             assert_eq!(again.as_ptr(), held.as_ptr(), "txid {txid} re-patched");
             assert_eq!(again, netsim::Payload::with_dns_id(template, txid));
-        }
-    }
-
-    #[test]
-    fn probe_tuples_are_unique() {
-        let mut seen = std::collections::HashSet::new();
-        for i in 0..200_000usize {
-            assert!(
-                seen.insert(ScanConfig::probe_tuple(i)),
-                "tuple collision at {i}"
-            );
         }
     }
 
@@ -515,7 +427,7 @@ mod tests {
 
     /// The probe record of the `index`-th probe, sent at time zero.
     fn probe(index: usize, target: Ipv4Addr) -> ProbeRecord {
-        let (src_port, txid) = ScanConfig::probe_tuple(index);
+        let (src_port, txid) = ScanConfig::probe_tuple(target);
         ProbeRecord {
             index,
             target,
@@ -532,7 +444,7 @@ mod tests {
             probe(0, Ipv4Addr::new(203, 0, 113, 1)),
             probe(1, Ipv4Addr::new(203, 0, 113, 2)),
         ];
-        let (port1, txid1) = ScanConfig::probe_tuple(1);
+        let (port1, txid1) = ScanConfig::probe_tuple(Ipv4Addr::new(203, 0, 113, 2));
         let resp = MessageBuilder::query(txid1, study::study_qname(), RrType::A)
             .build()
             .response_skeleton();
@@ -554,7 +466,7 @@ mod tests {
     #[test]
     fn late_responses_counted_not_matched() {
         let timeout = ScanConfig::DEFAULT_TIMEOUT;
-        let (port, txid) = ScanConfig::probe_tuple(0);
+        let (port, txid) = ScanConfig::probe_tuple(Ipv4Addr::new(203, 0, 113, 1));
         let resp = MessageBuilder::query(txid, study::study_qname(), RrType::A)
             .build()
             .response_skeleton();
@@ -575,7 +487,7 @@ mod tests {
 
     #[test]
     fn duplicates_and_garbage_counted_unmatched() {
-        let (port, txid) = ScanConfig::probe_tuple(0);
+        let (port, txid) = ScanConfig::probe_tuple(Ipv4Addr::new(203, 0, 113, 1));
         let resp = MessageBuilder::query(txid, study::study_qname(), RrType::A)
             .build()
             .response_skeleton()
@@ -733,28 +645,32 @@ mod tests {
     #[test]
     fn target_keyed_tuples_are_order_invariant_and_unique() {
         let targets: Vec<Ipv4Addr> = (0..2000u32)
-            .map(|i| Ipv4Addr::from(0xCB00_0000 + i))
+            .map(|i| Ipv4Addr::from(0xCB00_0000 + i * 97))
             .collect();
-        let forward = ScanConfig::new(targets.clone()).with_target_keyed_tuples();
-        let mut reversed_targets = targets.clone();
-        reversed_targets.reverse();
-        let reversed = ScanConfig::new(reversed_targets).with_target_keyed_tuples();
-        let mut seen = std::collections::HashSet::new();
-        for (i, t) in targets.iter().enumerate() {
-            let tuple = forward.tuple_for(i, *t);
-            assert!(seen.insert(tuple), "tuple collision at {t}");
-            // The tuple depends only on the target: probing the same
-            // address at a different index (any order, any partition)
-            // yields the same flow identity.
-            assert_eq!(tuple, reversed.tuple_for(targets.len() - 1 - i, *t));
-        }
+        // Scan the same targets forward and reversed: each address must
+        // leave with the same tuple at either index (any order, any
+        // partition), and no two addresses may share one.
+        let tuples = |targets: Vec<Ipv4Addr>| {
+            let mut all = vec![Ipv4Addr::new(192, 0, 2, 1)];
+            all.extend(&targets);
+            let (topo, nodes) = playground(&all);
+            let mut sim = Simulator::new(topo, SimConfig::default());
+            let (probes, _, _) = run_scan_raw(&mut sim, nodes[0], ScanConfig::new(targets));
+            probes
+                .into_iter()
+                .map(|p| (p.target, (p.src_port, p.txid)))
+                .collect::<std::collections::BTreeMap<_, _>>()
+        };
+        let forward = tuples(targets.clone());
+        assert_eq!(forward, tuples(targets.iter().rev().copied().collect()));
+        let distinct: std::collections::BTreeSet<_> = forward.values().collect();
+        assert_eq!(distinct.len(), targets.len(), "tuple collision");
     }
 
     #[test]
     fn target_keyed_retries_answer_and_correlate() {
-        // End-to-end under the target-keyed scheme: lossy world, retries
-        // enabled — the answer path's map-based inverse must stop
-        // retransmissions just like the arithmetic one.
+        // End-to-end: lossy world, retries enabled — the answer path's
+        // map-based inverse must stop retransmissions.
         let ips: Vec<Ipv4Addr> = (1..=30).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
         let mut all = vec![Ipv4Addr::new(192, 0, 2, 1)];
         all.extend(&ips);
@@ -769,9 +685,7 @@ mod tests {
         for node in &nodes[1..] {
             sim.install(*node, Responder);
         }
-        let cfg = ScanConfig::new(ips.clone())
-            .with_target_keyed_tuples()
-            .with_retry(RetryPolicy::retries(3));
+        let cfg = ScanConfig::new(ips.clone()).with_retry(RetryPolicy::retries(3));
         let o = run_scan(&mut sim, nodes[0], cfg);
         assert!(o.answered_count() > 0);
         assert!(o.retry.retransmits_sent > 0);

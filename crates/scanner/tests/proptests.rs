@@ -78,12 +78,13 @@ fn streams_with(
     answered: &[usize],
     shuffle_seed: u64,
 ) -> (Vec<ProbeRecord>, Vec<ResponseRecord>) {
+    let target = |i: usize| Ipv4Addr::new(203, 0, (i >> 8) as u8, (i & 0xFF) as u8);
     let probes = (0..n)
         .map(|i| {
-            let (port, txid) = ScanConfig::probe_tuple(i);
+            let (port, txid) = ScanConfig::probe_tuple(target(i));
             ProbeRecord {
                 index: i,
-                target: Ipv4Addr::new(203, 0, (i >> 8) as u8, (i & 0xFF) as u8),
+                target: target(i),
                 sent_at: SimTime(i as u64),
                 src_port: port,
                 txid,
@@ -95,7 +96,7 @@ fn streams_with(
         if i >= n {
             continue;
         }
-        let (port, txid) = ScanConfig::probe_tuple(i);
+        let (port, txid) = ScanConfig::probe_tuple(target(i));
         responses.push(ResponseRecord {
             received_at: SimTime(1000 + i as u64),
             src: Ipv4Addr::new(8, 8, 8, 8),
@@ -169,7 +170,7 @@ proptest! {
         let target = Ipv4Addr::from(target);
         let src = Ipv4Addr::from(src);
         let addr_list: Vec<Ipv4Addr> = addrs.into_iter().map(Ipv4Addr::from).collect();
-        let (port, txid) = ScanConfig::probe_tuple(0);
+        let (port, txid) = ScanConfig::probe_tuple(target);
         let t = scanner::Transaction {
             probe: ProbeRecord { index: 0, target, sent_at: SimTime(0), src_port: port, txid },
             response: Some(ResponseRecord {
@@ -191,10 +192,16 @@ proptest! {
     }
 
     #[test]
-    fn probe_tuple_uniqueness_over_ranges(start in 0usize..500_000, len in 1usize..5_000) {
-        let mut seen = std::collections::HashSet::with_capacity(len);
-        for i in start..start + len {
-            prop_assert!(seen.insert(ScanConfig::probe_tuple(i)), "collision at {i}");
+    fn probe_tuple_uniqueness_over_ranges(
+        start in any::<u32>(),
+        len in 1u32..5_000,
+        stride in 1u32..70_000,
+    ) {
+        // Distinct addresses (len × stride < 2^32), possibly across /16s.
+        let mut seen = std::collections::HashSet::with_capacity(len as usize);
+        for i in 0..len {
+            let target = Ipv4Addr::from(start.wrapping_add(i * stride));
+            prop_assert!(seen.insert(ScanConfig::probe_tuple(target)), "collision at {target}");
         }
     }
 }
@@ -214,7 +221,7 @@ proptest! {
         let target = Ipv4Addr::new(203, 0, 113, 1);
         let other = Ipv4Addr::new(198, 51, 100, 50);
         let pick = |a: &u8| [target, odns::study::CONTROL_A, other][usize::from(*a)];
-        let (port, txid) = ScanConfig::probe_tuple(0);
+        let (port, txid) = ScanConfig::probe_tuple(target);
         let mut payload = response_payload(txid, &addrs.iter().map(pick).collect::<Vec<_>>());
         // Most cases keep NOERROR, so the address rules are reached.
         payload[3] = (payload[3] & 0xF0) | rcode.saturating_sub(4);

@@ -181,9 +181,7 @@ fn transactional_scan_lossy_with_sweep_retry_policy() {
 #[test]
 fn transactional_scan_lossy_target_keyed_with_retry() {
     let mut w = world(7, lossy());
-    let cfg = ScanConfig::new(targets())
-        .with_target_keyed_tuples()
-        .with_retry(analysis::sweep_retry_policy(2));
+    let cfg = ScanConfig::new(targets()).with_retry(analysis::sweep_retry_policy(2));
     let outcome = run_scan(&mut w.sim, w.scanner, cfg);
     assert_eq!(digest(&outcome), 0x5ad9_4c0a_8a4f_6991);
     assert_eq!(

@@ -182,7 +182,6 @@ fn lossy_census_is_bit_identical_across_shard_counts_and_warm_reruns() {
     let classifier = ClassifierConfig::default();
 
     let mut solo = generate(&config);
-    assert!(solo.sim.faults_active(), "GenConfig faults reach the sim");
     let baseline = analysis::run_census(&mut solo, &classifier);
     assert!(
         baseline.rows.iter().filter(|r| r.class().is_some()).count()

@@ -8,7 +8,8 @@
 //! with `analysis::diff`.
 
 use inetgen::{CountrySelection, GenConfig, ShardSpec};
-use scanner::{ClassifierConfig, OdnsClass};
+use scanner::{ClassifierConfig, OdnsClass, ScanConfig};
+use std::collections::BTreeMap;
 
 #[test]
 fn shard_counts_match_single_simulator_path() {
@@ -113,4 +114,37 @@ fn quick_census_sharded_matches_quick_census() {
             "K={k}"
         );
     }
+}
+
+#[test]
+fn clean_wire_identity_does_not_depend_on_k() {
+    // A probe's `(src_port, txid)` is its target's, not its shard's or its
+    // place in the shuffle: the clean world sends each target the same
+    // tuple at K=1 and at K=8.
+    let config = GenConfig::test_small();
+    let tuples = |k| {
+        let run = inetgen::run_sharded(&config, k, |_, world| {
+            let scan = ScanConfig::new(world.targets.clone());
+            let (probes, _, _) =
+                scanner::run_scan_raw(&mut world.sim, world.fixtures.scanner, scan);
+            probes
+        });
+        run.outputs
+            .into_iter()
+            .flatten()
+            .map(|p| (p.target, (p.src_port, p.txid)))
+            .collect::<BTreeMap<_, _>>()
+    };
+    let solo = tuples(1);
+    assert_eq!(solo.len(), inetgen::generate(&config).targets.len());
+    let sharded = tuples(8);
+    let moved = solo
+        .iter()
+        .filter(|(target, tuple)| sharded.get(target) != Some(tuple))
+        .count();
+    assert_eq!(
+        (sharded.len(), moved),
+        (solo.len(), 0),
+        "(targets, targets whose tuple moved) at K=8"
+    );
 }
