@@ -187,7 +187,7 @@ fn benchmark_sized_world_all_countries() {
             truth_fnv: 6948239947955116278,
             geo_fnv: 13243105862311879249,
             targets_fnv: 295871183925355440,
-            scan_fnv: 4258838641488775971,
+            scan_fnv: 3443075835707638551,
             stats_fnv: 13922085101629703747,
         }
     );
@@ -204,7 +204,7 @@ fn test_small_world() {
             truth_fnv: 17224104210200535967,
             geo_fnv: 14808082315257843529,
             targets_fnv: 9264613847914448636,
-            scan_fnv: 4295074742484470385,
+            scan_fnv: 16138147302335029180,
             stats_fnv: 17748000360607960766,
         }
     );
@@ -230,7 +230,7 @@ fn two_countries_dense() {
             truth_fnv: 17896030775153268866,
             geo_fnv: 5302679172244165287,
             targets_fnv: 5725153421075372632,
-            scan_fnv: 1157099840951440390,
+            scan_fnv: 17335768755579865853,
             stats_fnv: 15205345775272193701,
         }
     );
@@ -257,7 +257,7 @@ fn five_countries_in_two_shards() {
                 truth_fnv: 3890566104652369182,
                 geo_fnv: 15885527849532824469,
                 targets_fnv: 10379536556331359536,
-                scan_fnv: 451040382690965933,
+                scan_fnv: 4980170017444427464,
                 stats_fnv: 8829722513862968140,
             },
             Golden {
@@ -267,7 +267,7 @@ fn five_countries_in_two_shards() {
                 truth_fnv: 5825229426770700013,
                 geo_fnv: 10774498891780551230,
                 targets_fnv: 9688057561076922056,
-                scan_fnv: 7582264773582630173,
+                scan_fnv: 7834252501532562941,
                 stats_fnv: 11068424966334920195,
             },
         ]

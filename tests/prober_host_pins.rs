@@ -126,7 +126,7 @@ fn transactional_scan_clean() {
     let mut w = world(5, FaultPlan::none());
     let outcome = run_scan(&mut w.sim, w.scanner, ScanConfig::new(targets()));
     assert_eq!(outcome.answered_count(), 25);
-    assert_eq!(digest(&outcome), 0xd7ad_4379_d460_6d21);
+    assert_eq!(digest(&outcome), 0x4882_31b3_b2b0_b33a);
     assert_eq!(
         *w.sim.stats(),
         SimStats {
@@ -152,30 +152,30 @@ fn transactional_scan_lossy_with_sweep_retry_policy() {
     let mut w = world(6, lossy());
     let cfg = ScanConfig::new(targets()).with_retry(analysis::sweep_retry_policy(2));
     let outcome = run_scan(&mut w.sim, w.scanner, cfg);
-    assert_eq!(digest(&outcome), 0xdb98_a5a9_f243_e7c7);
+    assert_eq!(digest(&outcome), 0x3874_1ebe_ef3a_1d98);
     assert_eq!(
         *w.sim.stats(),
         SimStats {
-            udp_sent: 194,
-            udp_delivered: 153,
-            spoofed_sent: 22,
-            dropped_fault: 51,
-            dropped_corrupt: 4,
-            icmp_delivered: 3,
-            duplicates_injected: 14,
-            retransmits_sent: 60,
-            udp_bytes_delivered: 6765,
-            timers_fired: 113,
+            udp_sent: 212,
+            udp_delivered: 175,
+            spoofed_sent: 28,
+            dropped_fault: 45,
+            dropped_corrupt: 2,
+            icmp_delivered: 1,
+            duplicates_injected: 10,
+            retransmits_sent: 58,
+            udp_bytes_delivered: 8037,
+            timers_fired: 108,
             timers_coalesced: 33,
-            timers_cancelled: 26,
-            events_wheel_scheduled: 262,
-            events_processed: 236,
-            route_cache_hits: 145,
+            timers_cancelled: 32,
+            events_wheel_scheduled: 283,
+            events_processed: 251,
+            route_cache_hits: 167,
             route_cache_misses: 1,
             ..SimStats::default()
         }
     );
-    assert_eq!(before_cancellation(w.sim.stats()), (139, 262));
+    assert_eq!(before_cancellation(w.sim.stats()), (140, 283));
 }
 
 #[test]
