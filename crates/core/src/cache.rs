@@ -442,8 +442,9 @@ impl DnsCache {
 /// It owns the cache and its two accelerators, and is the only code that
 /// touches them: a [`QueryMemo`] of the first plain `IN` query seen
 /// (census probes are byte-identical modulo txid, so later ones skip the
-/// decode) and a [`HotWire`] holding the last answer served through the
-/// memo (replayed as a refcount bump while its bytes stay exact). Every
+/// decode) and a [`HotWire`] holding the answers served through the memo
+/// in the current TTL window, one per txid (replayed as refcount bumps
+/// while their bytes stay exact). Every
 /// write goes through [`ServeCache::insert`] or
 /// [`ServeCache::insert_wire`], which drop the `HotWire` — a replay cannot
 /// outlive the entry it came from — and every client query performs
@@ -485,9 +486,9 @@ impl ServeCache {
     pub fn serve_undecoded(&mut self, payload: &[u8], now: SimTime) -> Option<Payload> {
         let memo = self.memo.as_ref()?;
         let txid = memo.txid_of_match(payload)?;
-        // Replay the previous answer while its bytes are still exact — the
-        // steady state of a census burst, one refcount bump per probe,
-        // counted as the `get_wire` hit it stands in for.
+        // Replay the answer this txid already got while its bytes are still
+        // exact — the steady state of a census burst, one refcount bump per
+        // probe, counted as the `get_wire` hit it stands in for.
         if let Some(replay) = self.hot.as_ref().and_then(|h| h.serve(txid, now)) {
             self.cache.stats.hits += 1;
             return Some(replay);
@@ -504,7 +505,10 @@ impl ServeCache {
             return None;
         };
         let answer: Payload = bytes.into();
-        self.hot = Some(HotWire::new(txid, valid_before, answer.clone()));
+        match &mut self.hot {
+            Some(hot) => hot.remember(txid, valid_before, answer.clone()),
+            None => self.hot = Some(HotWire::new(txid, valid_before, answer.clone())),
+        }
         Some(answer)
     }
 

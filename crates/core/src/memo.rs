@@ -94,38 +94,61 @@ impl QueryMemo {
     }
 }
 
-/// The last positive wire answer served through the memo fast path,
-/// replayable while its bytes stay exact: same transaction ID and an
-/// unchanged decayed TTL (TTLs decay per whole elapsed second). One
-/// entry suffices because a census's probes share a per-block txid, so
-/// the steady state serves every answer as a payload refcount bump —
-/// no name hash, no re-encode, no allocation.
+/// The positive wire answers served through the memo fast path in one
+/// TTL window, one per transaction ID, replayable while their bytes stay
+/// exact: the same txid and an unchanged decayed TTL (TTLs decay per whole
+/// elapsed second). A census probe's txid is its target's /16 and a
+/// resolver serves forwarders in a few /16s, so a handful of answers
+/// serves the window as payload refcount bumps — no name hash, no
+/// re-encode, no allocation.
 ///
 /// Only valid behind a [`QueryMemo`] byte match (which pins question and
 /// flags), and never across a change of the owning cache (insert or
 /// eviction). [`crate::ServeCache`] is the one holder and enforces both.
 #[derive(Debug, Clone)]
 pub struct HotWire {
-    txid: u16,
     valid_before: SimTime,
-    payload: Payload,
+    /// `(txid, answer)`, at most [`HotWire::MAX_ANSWERS`] of them.
+    answers: Vec<(u16, Payload)>,
 }
 
 impl HotWire {
+    /// Answers kept per window: a linear search over them stays cheaper
+    /// than the cache lookup it saves; a txid past them is served from the
+    /// cache.
+    const MAX_ANSWERS: usize = 64;
+
     /// Remember an answer just served for `txid`, byte-valid strictly
     /// before `valid_before` (the instant its embedded TTL next decays).
     pub fn new(txid: u16, valid_before: SimTime, payload: Payload) -> Self {
         HotWire {
-            txid,
             valid_before,
-            payload,
+            answers: vec![(txid, payload)],
+        }
+    }
+
+    /// Remember another answer, as [`HotWire::new`] does: one from a later
+    /// window replaces the answers held.
+    pub(crate) fn remember(&mut self, txid: u16, valid_before: SimTime, payload: Payload) {
+        if valid_before != self.valid_before {
+            self.valid_before = valid_before;
+            self.answers.clear();
+        }
+        if self.answers.len() < Self::MAX_ANSWERS {
+            self.answers.push((txid, payload));
         }
     }
 
     /// Replay the answer for a memo-matched query with `txid` at `now`,
-    /// if the bytes are still exact.
+    /// if one is held and its bytes are still exact.
     pub fn serve(&self, txid: u16, now: SimTime) -> Option<Payload> {
-        (txid == self.txid && now < self.valid_before).then(|| self.payload.clone())
+        if now >= self.valid_before {
+            return None;
+        }
+        self.answers
+            .iter()
+            .find(|(held, _)| *held == txid)
+            .map(|(_, payload)| payload.clone())
     }
 }
 
@@ -217,6 +240,28 @@ mod tests {
         let mut flipped = bytes.clone();
         flipped[2] ^= 0x80; // response bit
         assert_eq!(memo.txid_of_match(&flipped), None);
+    }
+
+    #[test]
+    fn hot_wire_holds_one_answer_per_txid_for_one_window() {
+        let answer = |txid: u16| Payload::with_dns_id(&[0, 0, 0x81, 0x80], txid);
+        let (window, next) = (SimTime(1_000_000), SimTime(2_000_000));
+        let mut hot = HotWire::new(7, window, answer(7));
+        hot.remember(9, window, answer(9));
+        let held = hot.serve(9, SimTime(0)).expect("second txid held");
+        assert_eq!(held, answer(9));
+        assert_eq!(hot.serve(9, SimTime(1)).unwrap().as_ptr(), held.as_ptr());
+        assert_eq!(hot.serve(7, SimTime(0)), Some(answer(7)));
+        assert_eq!(hot.serve(8, SimTime(0)), None, "never served");
+        assert_eq!(hot.serve(7, window), None, "TTL decayed");
+        // The next window's first answer drops the others.
+        hot.remember(8, next, answer(8));
+        assert_eq!(hot.serve(8, window), Some(answer(8)));
+        assert_eq!(hot.serve(7, window), None);
+        for txid in 100..200 {
+            hot.remember(txid, next, answer(txid));
+        }
+        assert_eq!(hot.answers.len(), HotWire::MAX_ANSWERS);
     }
 
     #[test]
