@@ -123,9 +123,9 @@ pub fn outcome_from_pcap(pcap: &[u8], timeout: SimDuration) -> Result<ScanOutcom
 /// Each capture correlates on its own, as its shard did, never
 /// concatenated: separate scans may reuse a `(port, txid)` tuple (two
 /// scans of one target do) and each starts its clock at zero. Panics on a
-/// duplicate shard id: a
-/// shard's capture split in two would correlate each half against its own
-/// probes only and quietly lose the answers that cross the cut.
+/// duplicate shard id: a shard's capture split in two would correlate each
+/// half against its own probes only and quietly lose the answers that
+/// cross the cut.
 pub fn census_from_captures<S: AsRef<[u8]>>(
     captures: &[(u32, S)],
     geo: &inetgen::GeoDb,

@@ -113,9 +113,10 @@ pub struct HotWire {
 }
 
 impl HotWire {
-    /// Answers kept per window: a linear search over them stays cheaper
-    /// than the cache lookup it saves; a txid past them is served from the
-    /// cache.
+    /// Answers kept per window, searched linearly; a txid past them is
+    /// served from the cache. No `census_warm_dud` resolver reaches 64 in a
+    /// window, while a cap of 16 cost that workload 133 more materialized
+    /// answers per rep.
     const MAX_ANSWERS: usize = 64;
 
     /// Remember an answer just served for `txid`, byte-valid strictly
