@@ -376,8 +376,8 @@ impl DnsCache {
                     }
                     Some(CachedWire::Positive(msg.encode().into()))
                 }
-                // Un-encodable entry (never built by this workspace): let
-                // the caller take the slow path.
+                // Un-encodable entry (never built by this workspace): the
+                // lookup is counted, and served as a miss.
                 None => None,
             };
         }
@@ -440,27 +440,92 @@ impl DnsCache {
 /// [`crate::RecursiveForwarder`].
 ///
 /// It owns the cache and its two accelerators, and is the only code that
-/// touches them: a [`QueryMemo`] of the first plain `IN` query seen
-/// (census probes are byte-identical modulo txid, so later ones skip the
-/// decode) and a [`HotWire`] holding the answers served through the memo
-/// in the current TTL window, one per txid (replayed as refcount bumps
-/// while their bytes stay exact). Every
-/// write goes through [`ServeCache::insert`] or
+/// touches them: a [`QueryMemo`] of the first client query
+/// [`dnswire::view_query`] read (census probes are byte-identical modulo
+/// txid, so later ones are read from no bytes) and a [`HotWire`] holding
+/// the answers served to the memo's question in the current TTL window,
+/// one per txid (replayed as refcount bumps while their bytes stay exact).
+/// Every write goes through [`ServeCache::insert`] or
 /// [`ServeCache::insert_wire`], which drop the `HotWire` — a replay cannot
-/// outlive the entry it came from — and every client query performs
-/// exactly one counted cache lookup, through one of three doors:
-/// [`ServeCache::serve_undecoded`] first, and when that declines
-/// [`ServeCache::serve_plain`] for a query the host could read without
-/// decoding or [`ServeCache::serve_decoded`] for one it had to decode.
+/// outlive the entry it came from — and every client query goes through
+/// one door, [`ServeCache::serve`], which reads it once and makes exactly
+/// one counted cache lookup.
 ///
 /// What stays with the host: who may be served at all (the resolver's
-/// ACL, checked *before* [`ServeCache::serve_undecoded`]), its own
-/// counters, and what to do on a miss.
+/// ACL, checked before [`ServeCache::serve`]), its own counters, and what
+/// to do on a miss.
 #[derive(Debug)]
 pub struct ServeCache {
     cache: DnsCache,
     memo: Option<QueryMemo>,
     hot: Option<HotWire>,
+}
+
+/// What [`ServeCache::serve`] made of a client query.
+#[derive(Debug)]
+pub enum Served {
+    /// The answer from cache, positive or negative, ready to send.
+    Answer(Payload),
+    /// A miss: the question to resolve or forward.
+    Miss(ClientQuery),
+}
+
+/// A client query's question, with the header bits its answer echoes.
+#[derive(Debug, Clone)]
+pub struct ClientQuery {
+    /// Transaction ID.
+    pub id: u16,
+    /// RD bit.
+    pub rd: bool,
+    /// The question name, in the casing it was asked in.
+    pub qname: DnsName,
+    /// The question type.
+    pub qtype: RrType,
+    /// How the datagram was read.
+    pub read: Reading,
+}
+
+/// How a client query was read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Reading {
+    /// It is the memoized query under its own txid: the question is the
+    /// memo's, read from no bytes.
+    Memo,
+    /// [`dnswire::view_query`] read it, and another query is the memo.
+    View,
+    /// Decoded: a shape the view declines (`CH`, EDNS, a compressed name,
+    /// another opcode).
+    Decoded,
+}
+
+impl ClientQuery {
+    /// Read the client query in `payload`: the plain shape through
+    /// [`dnswire::view_query`], anything else through [`Message::decode`].
+    /// The decoded message comes back too when the query is not a plain
+    /// `IN` query, whose answer is built from it. `None` for bytes that
+    /// are not a query with a question.
+    pub(crate) fn read(payload: &[u8]) -> Option<(ClientQuery, Option<Message>)> {
+        if let Some(view) = dnswire::view_query(payload) {
+            let query = ClientQuery {
+                id: view.id,
+                rd: view.rd,
+                qname: view.qname(),
+                qtype: view.qtype,
+                read: Reading::View,
+            };
+            return Some((query, None));
+        }
+        let message = Message::decode(payload).ok().filter(|m| !m.is_response())?;
+        let q = message.question()?;
+        let query = ClientQuery {
+            id: message.header.id,
+            rd: message.header.flags.recursion_desired,
+            qname: q.qname.clone(),
+            qtype: q.qtype,
+            read: Reading::Decoded,
+        };
+        Some((query, (!message.is_plain_in_query()).then_some(message)))
+    }
 }
 
 impl ServeCache {
@@ -478,113 +543,53 @@ impl ServeCache {
         &self.cache
     }
 
-    /// Answer `payload` without decoding it, if it is the memoized query
-    /// (modulo txid) and its answer is a live positive entry. Anything
-    /// else — foreign bytes, a miss, an expired or negative entry — is
-    /// `None` with the cache untouched and uncounted; the host decodes and
-    /// calls [`ServeCache::serve_decoded`], which owns those cases.
-    pub fn serve_undecoded(&mut self, payload: &[u8], now: SimTime) -> Option<Payload> {
-        let memo = self.memo.as_ref()?;
-        let txid = memo.txid_of_match(payload)?;
-        // Replay the answer this txid already got while its bytes are still
-        // exact — the steady state of a census burst, one refcount bump per
-        // probe, counted as the `get_wire` hit it stands in for.
-        if let Some(replay) = self.hot.as_ref().and_then(|h| h.serve(txid, now)) {
-            self.cache.stats.hits += 1;
-            return Some(replay);
-        }
-        // Peek before the counted lookup, so a query this path cannot
-        // answer is counted once (by the decode path), not twice.
-        let valid_before = self
-            .cache
-            .wire_valid_before(memo.qname(), memo.qtype(), now)?;
-        let Some(CachedWire::Positive(bytes)) =
-            self.cache
-                .get_wire(memo.qname(), memo.qtype(), now, txid, memo.rd())
-        else {
-            return None;
-        };
-        let answer: Payload = bytes.into();
-        match &mut self.hot {
-            Some(hot) => hot.remember(txid, valid_before, answer.clone()),
-            None => self.hot = Some(HotWire::new(txid, valid_before, answer.clone())),
-        }
-        Some(answer)
-    }
-
-    /// Answer the decoded client `query` (whose wire form is `payload`)
-    /// from cache, positive or negative; `None` on a miss. The first plain
-    /// `IN` query seen becomes the memo. Plain queries are served as by
-    /// [`ServeCache::serve_plain`]; exotic classes/opcodes take the
-    /// builder path.
-    pub fn serve_decoded(
-        &mut self,
-        payload: &[u8],
-        query: &Message,
-        now: SimTime,
-    ) -> Option<Payload> {
-        if self.memo.is_none() {
-            self.memo = QueryMemo::remember(payload, query);
-        }
-        let q = query.question()?;
-        if query.is_plain_in_query() {
-            let (id, rd) = (query.header.id, query.header.flags.recursion_desired);
-            return self.lookup_plain(id, rd, &q.qname, q.qtype, now);
-        }
-        let respond = MessageBuilder::response_to(query).recursion_available(true);
-        let response = match self.cache.get(&q.qname, q.qtype, now)? {
-            CachedAnswer::Positive(records) => {
-                records.into_iter().fold(respond, MessageBuilder::answer)
+    /// Serve the client query `payload` at `now` from cache: its answer,
+    /// or on a miss its question. `None`, with nothing counted, for bytes
+    /// that are not a query with a question.
+    ///
+    /// The memoized query under another txid is read from no bytes; any
+    /// other is read once, and the first that [`dnswire::view_query`] reads
+    /// becomes the memo, kept as the datagram that arrived. The memo's
+    /// question is answered from the `HotWire` while a replay is exact —
+    /// the steady state of a census burst, one refcount bump per probe,
+    /// counted as the lookup it stands in for.
+    pub fn serve(&mut self, payload: &Payload, now: SimTime) -> Option<Served> {
+        let txid = match self.memo.as_ref().and_then(|m| m.txid_of_match(payload)) {
+            Some(txid) => txid,
+            None => {
+                let (query, exotic) = ClientQuery::read(payload)?;
+                if query.read != Reading::View || self.memo.is_some() {
+                    return Some(lookup(&mut self.cache, query, exotic, now));
+                }
+                let (qname, qtype, rd) = (&query.qname, query.qtype, query.rd);
+                self.memo = Some(QueryMemo::of_plain(payload, qname, qtype, rd));
+                query.id
             }
-            CachedAnswer::Negative(rcode) => respond.rcode(rcode),
         };
-        Some(response.build().encode().into())
-    }
-
-    /// [`ServeCache::serve_decoded`] for a client query the host did not
-    /// have to decode: `payload` is known to be a plain `IN` query with
-    /// transaction ID `id` and RD flag `rd` for `qname`/`qtype` — read off
-    /// it by [`dnswire::view_query`], or byte-equal past the ID to a query
-    /// that decoded to that. Same memo rule, same one counted lookup, same
-    /// bytes; the memo keeps the arriving datagram instead of a copy.
-    pub fn serve_plain(
-        &mut self,
-        payload: &Payload,
-        id: u16,
-        rd: bool,
-        qname: &DnsName,
-        qtype: RrType,
-        now: SimTime,
-    ) -> Option<Payload> {
-        if self.memo.is_none() {
-            self.memo = Some(QueryMemo::of_plain(payload, qname, qtype, rd));
+        let ServeCache { cache, memo, hot } = self;
+        if let Some(replay) = hot.as_ref().and_then(|h| h.serve(txid, now)) {
+            cache.stats.hits += 1;
+            return Some(Served::Answer(replay));
         }
-        self.lookup_plain(id, rd, qname, qtype, now)
-    }
-
-    /// The counted lookup of a plain `IN` query: positive hits come from
-    /// the entry's pre-encoded template with `id`/`rd`/TTL patched in, a
-    /// negative one is built (the rare path).
-    fn lookup_plain(
-        &mut self,
-        id: u16,
-        rd: bool,
-        qname: &DnsName,
-        qtype: RrType,
-        now: SimTime,
-    ) -> Option<Payload> {
-        match self.cache.get_wire(qname, qtype, now, id, rd)? {
-            CachedWire::Positive(bytes) => Some(bytes.into()),
-            CachedWire::Negative(rcode) => {
-                let query = MessageBuilder::query(id, qname.clone(), qtype)
-                    .recursion_desired(rd)
-                    .build();
-                let response = MessageBuilder::response_to(&query)
-                    .recursion_available(true)
-                    .rcode(rcode);
-                Some(response.build().encode().into())
+        let memo = memo.as_ref().expect("matched or just made");
+        let query = ClientQuery {
+            id: txid,
+            rd: memo.rd(),
+            qname: memo.qname().clone(),
+            qtype: memo.qtype(),
+            read: Reading::Memo,
+        };
+        let served = lookup(cache, query, None, now);
+        if let Served::Answer(answer) = &served {
+            // Only a positive answer's bytes stay exact for a while.
+            if let Some(valid_before) = cache.wire_valid_before(memo.qname(), memo.qtype(), now) {
+                match hot {
+                    Some(hot) => hot.remember(txid, valid_before, answer.clone()),
+                    None => *hot = Some(HotWire::new(txid, valid_before, answer.clone())),
+                }
             }
         }
+        Some(served)
     }
 
     /// Insert an answer valid for `ttl_secs` starting at `now`. The cache
@@ -620,6 +625,43 @@ impl ServeCache {
         let key = CacheKey { name, rtype };
         self.cache.store(key, Stored::Wire(response), ttl_secs, now);
     }
+}
+
+/// The one counted lookup of `query`, and its answer: a plain `IN` query's
+/// positive one from the entry's pre-encoded template with txid, RD and
+/// TTL patched in, any other built — around `exotic`, the decoded query,
+/// when it is not a plain `IN` one.
+fn lookup(
+    cache: &mut DnsCache,
+    query: ClientQuery,
+    exotic: Option<Message>,
+    now: SimTime,
+) -> Served {
+    let (qname, qtype) = (&query.qname, query.qtype);
+    let answer = match exotic {
+        Some(_) => cache.get(qname, qtype, now),
+        None => match cache.get_wire(qname, qtype, now, query.id, query.rd) {
+            Some(CachedWire::Positive(bytes)) => return Served::Answer(bytes.into()),
+            Some(CachedWire::Negative(rcode)) => Some(CachedAnswer::Negative(rcode)),
+            None => None,
+        },
+    };
+    let Some(answer) = answer else {
+        return Served::Miss(query);
+    };
+    let asked = exotic.unwrap_or_else(|| {
+        MessageBuilder::query(query.id, qname.clone(), qtype)
+            .recursion_desired(query.rd)
+            .build()
+    });
+    let respond = MessageBuilder::response_to(&asked).recursion_available(true);
+    let response = match answer {
+        CachedAnswer::Positive(records) => {
+            records.into_iter().fold(respond, MessageBuilder::answer)
+        }
+        CachedAnswer::Negative(rcode) => respond.rcode(rcode),
+    };
+    Served::Answer(response.build().encode().into())
 }
 
 #[cfg(test)]
@@ -726,16 +768,17 @@ mod tests {
         assert_eq!(echoed.header.id, 2);
     }
 
-    /// One client query the way both hosts drive the serve path:
-    /// undecoded first, decode only when that declines.
+    /// One client query through the serve path's door: its answer, or
+    /// `None` on a miss.
     fn client_query(serve: &mut ServeCache, txid: u16, now: SimTime) -> Option<Payload> {
-        let query = MessageBuilder::query(txid, name("odns-study.example."), RrType::A)
+        let payload = MessageBuilder::query(txid, name("odns-study.example."), RrType::A)
             .recursion_desired(true)
-            .build();
-        let payload = query.encode();
-        serve
-            .serve_undecoded(&payload, now)
-            .or_else(|| serve.serve_decoded(&payload, &query, now))
+            .build()
+            .encode();
+        match serve.serve(&payload.into(), now).expect("a query") {
+            Served::Answer(answer) => Some(answer),
+            Served::Miss(_) => None,
+        }
     }
 
     #[test]
@@ -833,8 +876,8 @@ mod tests {
             300,
             t0,
         );
-        // Mid-second, so the served bytes stay exact for a while: decode
-        // path, template path, then the `HotWire` replay.
+        // Mid-second, so the served bytes stay exact for a while: the
+        // entry decoded, its template patched, then the `HotWire` replay.
         let now = t0 + SimDuration::from_millis(500);
         for txid in [1, 2, 2] {
             assert_eq!(ttl_of(client_query(&mut serve, txid, now)), 299);

@@ -29,12 +29,14 @@
 //! bytes that fail there are a counted miss. Only
 //! [`Manipulation::ReplaceARecords`] decodes, because it rewrites.
 //!
-//! The client leg is the same: a plain `IN` query — every census probe —
-//! is admitted from what [`dnswire::view_query`] reads off it (txid, RD,
-//! question) and relayed as the datagram that arrived; only a query that
-//! view declines (`CH`, EDNS, a compressed name) is decoded.
+//! The client leg is the same: a query is read once, by
+//! [`ServeCache::serve`] — or, without a cache, by the reader it uses —
+//! and relayed as the datagram that arrived. A plain `IN` query, every
+//! census probe, is read without decoding; only a shape
+//! [`dnswire::view_query`] declines (`CH`, EDNS, a compressed name) is
+//! decoded.
 
-use crate::cache::ServeCache;
+use crate::cache::{ClientQuery, ServeCache, Served};
 use crate::device::DeviceProfile;
 use dnswire::Message;
 use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, TimerId, TimerOutcome, UdpSend};
@@ -274,46 +276,25 @@ impl Host for RecursiveForwarder {
             return;
         }
 
-        // Steady-state fast path: identical probes (modulo txid) skip
-        // the decode when the answer is a positive wire-cache hit.
-        let now = ctx.now();
-        if let Some(answer) = self
-            .cache
-            .as_mut()
-            .and_then(|c| c.serve_undecoded(&dgram.payload, now))
-        {
-            self.stats.client_queries += 1;
-            self.stats.cache_answers += 1;
-            ctx.send_udp(UdpSend::reply_to(&dgram, answer));
+        // The question, read once: by the serve path, which answers a hit,
+        // or by the same reader when there is no cache.
+        let served = match &mut self.cache {
+            Some(cache) => cache.serve(&dgram.payload, ctx.now()),
+            None => ClientQuery::read(&dgram.payload).map(|(query, _)| Served::Miss(query)),
+        };
+        let Some(served) = served else {
             return;
-        }
-        // The question, from the view when the datagram is the plain shape
-        // and from the decoder when it is anything else; the one counted
-        // cache lookup goes through the matching door.
-        let cache = self.cache.as_mut();
-        let (txid, qname, qtype, answer) = if let Some(view) = dnswire::view_query(&dgram.payload) {
-            let (txid, qname, qtype) = (view.id, view.qname(), view.qtype);
-            let answer = cache
-                .and_then(|c| c.serve_plain(&dgram.payload, txid, view.rd, &qname, qtype, now));
-            (txid, qname, qtype, answer)
-        } else {
-            // `CH TXT`, `ANY` with EDNS, …: class, opcode and the other
-            // sections decide how this is answered.
-            let Ok(query) = Message::decode(&dgram.payload) else {
-                return;
-            };
-            let Some(q) = query.question().filter(|_| !query.is_response()) else {
-                return;
-            };
-            let answer = cache.and_then(|c| c.serve_decoded(&dgram.payload, &query, now));
-            (query.header.id, q.qname.clone(), q.qtype, answer)
         };
         self.stats.client_queries += 1;
-        if let Some(answer) = answer {
-            self.stats.cache_answers += 1;
-            ctx.send_udp(UdpSend::reply_to(&dgram, answer));
-            return;
-        }
+        let query = match served {
+            Served::Answer(answer) => {
+                self.stats.cache_answers += 1;
+                ctx.send_udp(UdpSend::reply_to(&dgram, answer));
+                return;
+            }
+            Served::Miss(query) => query,
+        };
+        let txid = query.id;
 
         // Forward upstream from our own address (the defining rewrite),
         // keeping the ID: our port disambiguates.
@@ -333,8 +314,8 @@ impl Host for RecursiveForwarder {
             PendingQuery {
                 client: dgram.src,
                 client_port: dgram.src_port,
-                qname,
-                qtype,
+                qname: query.qname,
+                qtype: query.qtype,
                 timeout,
             },
         );

@@ -38,7 +38,9 @@ pub mod study;
 pub mod zone;
 
 pub use auth::{AuthLogEntry, AuthStats, StudyAuthServer};
-pub use cache::{CacheStats, CachedAnswer, CachedWire, DnsCache, ServeCache};
+pub use cache::{
+    CacheStats, CachedAnswer, CachedWire, ClientQuery, DnsCache, Reading, ServeCache, Served,
+};
 pub use device::{DeviceProfile, Vendor};
 pub use forwarder::{
     Manipulation, RecursiveForwarder, RecursiveForwarderStats, TransparentForwarder,

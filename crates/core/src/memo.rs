@@ -6,13 +6,15 @@
 //! `Vec` allocations in the name parser) is the dominant host-side
 //! allocation of a sweep. A [`QueryMemo`] remembers the bytes and the
 //! parsed question of one plain `IN` query; any later payload that memcmps
-//! equal past the transaction ID *is* that query modulo txid, so the host
-//! can skip the decode and serve a cached wire answer directly.
+//! equal past the transaction ID *is* that query modulo txid, so its
+//! question — for the cached answer, or on a miss for the host to resolve
+//! or forward — is read from the memo, not from the bytes.
 //!
-//! The memo is strictly an accelerator: a non-matching payload, an
-//! ACL-refused client, a negative cache entry, or a cache miss all fall
-//! back to the ordinary decode path, which owns those responses.
-//! [`QueryMemo`] and [`HotWire`] are held only by [`crate::ServeCache`].
+//! The memo is strictly an accelerator: [`crate::ServeCache`], its one
+//! holder along with the [`HotWire`], sets it only from a query
+//! [`dnswire::view_query`] read, so a match also has its question bytes
+//! right behind the header; any other payload is read as if there were no
+//! memo.
 //!
 //! The name servers above the resolvers see the same thing one layer up:
 //! every resolver walking down to the study name asks the root, the TLD and
@@ -55,10 +57,9 @@ impl QueryMemo {
         })
     }
 
-    /// Memoize `payload`, a datagram the caller already knows to be a
-    /// plain `IN` query for `qname`/`qtype` with RD flag `rd` (read off it
-    /// by [`dnswire::view_query`], or byte-equal past the transaction ID to
-    /// a query that decoded to that). The datagram is kept, not copied.
+    /// Memoize `payload`, a datagram [`dnswire::view_query`] read as a
+    /// plain `IN` query for `qname`/`qtype` with RD flag `rd`. The datagram
+    /// is kept, not copied.
     pub(crate) fn of_plain(payload: &Payload, qname: &DnsName, qtype: RrType, rd: bool) -> Self {
         QueryMemo {
             query: payload.clone(),
@@ -94,7 +95,7 @@ impl QueryMemo {
     }
 }
 
-/// The positive wire answers served through the memo fast path in one
+/// The positive wire answers served to the memo's question in one
 /// TTL window, one per transaction ID, replayable while their bytes stay
 /// exact: the same txid and an unchanged decayed TTL (TTLs decay per whole
 /// elapsed second). A census probe's txid is its target's /16 and a

@@ -16,13 +16,13 @@
 //! and negative caching.
 //!
 //! The one message a resolution decodes is the final answer, whose records
-//! it caches. A client query in the study's plain shape is admitted from
-//! what [`dnswire::view_query`] reads off it, its upstream query is spliced
-//! from the question bytes it arrived with, and a referral in this crate's
-//! shape is followed from what [`dnswire::view_referral`] reads; ACL
-//! refusals and every shape those views decline are decoded.
+//! it caches. A client query is read once, by [`ServeCache::serve`]; one
+//! in the study's plain shape has its upstream query spliced from the
+//! question bytes it arrived with, and a referral in this crate's shape is
+//! followed from what [`dnswire::view_referral`] reads. ACL refusals and
+//! every shape those readers decline are decoded.
 
-use crate::cache::{CachedAnswer, DnsCache, ServeCache};
+use crate::cache::{CachedAnswer, ClientQuery, DnsCache, Reading, ServeCache, Served};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType, HEADER_LEN};
 use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, TimerId, TimerOutcome, UdpSend};
 use std::collections::HashMap;
@@ -188,12 +188,10 @@ pub struct RecursiveResolver {
     pending: IntMap<(u16, u16), (u64, TimerId)>,
     /// Reverse lookup: `(qname, qtype)` → task id.
     inflight: HashMap<(DnsName, RrType), u64>,
-    /// The newest resolution in flight whose leader [`dnswire::view_query`]
-    /// read, with that datagram: a later one equal to it past the
-    /// transaction ID is the same question in the same casing with the
-    /// same flags, and joins as a waiter without being read. A burst of
-    /// census probes relayed to one resolver is exactly that.
-    newest_plain_leader: Option<(u64, Payload)>,
+    /// The resolution in flight for the serve path's memoized question, if
+    /// one is: a miss on that question joins it without a name lookup. A
+    /// burst of census probes relayed to one resolver is exactly that.
+    memo_task: Option<u64>,
     next_port: u16,
     next_txid: u16,
     /// Counters.
@@ -211,7 +209,7 @@ impl RecursiveResolver {
             next_task: 0,
             pending: IntMap::default(),
             inflight: HashMap::new(),
-            newest_plain_leader: None,
+            memo_task: None,
             next_port: 1024,
             next_txid: 1,
             stats: ResolverStats::default(),
@@ -268,8 +266,8 @@ impl RecursiveResolver {
         };
         let qtype = task.qtype;
         self.inflight.remove(&(task.leader.qname.clone(), qtype));
-        if self.newest_plain_leader.as_ref().is_some_and(|l| l.0 == id) {
-            self.newest_plain_leader = None;
+        if self.memo_task == Some(id) {
+            self.memo_task = None;
         }
         // A burst of identical probes coalesces into one resolution with
         // many recipients: records are encoded once, for the first
@@ -330,74 +328,29 @@ impl RecursiveResolver {
         self.pending.insert((port, txid), (id, timeout));
     }
 
-    /// Serve a client query [`dnswire::view_query`] read, from `client`
-    /// and for `qtype`: its one counted lookup goes through
-    /// [`ServeCache::serve_plain`], and a miss resolves it.
-    fn handle_client_query(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dgram: &Datagram,
-        client: Client,
-        qtype: RrType,
-    ) {
-        self.stats.client_queries += 1;
-        let (txid, rd, now) = (client.txid, client.rd, ctx.now());
-        let hit = self
-            .cache
-            .serve_plain(&dgram.payload, txid, rd, &client.qname, qtype, now);
-        if let Some(answer) = hit {
-            self.stats.cache_answers += 1;
-            ctx.send_udp(UdpSend::reply_to(dgram, answer));
+    /// REFUSE a client the ACL does not allow, if `dgram` is a query.
+    fn refuse(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
+        let Ok(query) = Message::decode(&dgram.payload) else {
+            return;
+        };
+        if query.is_response() || query.question().is_none() {
             return;
         }
-        self.resolve(ctx, dgram, client, qtype, true);
+        self.stats.client_queries += 1;
+        self.stats.refused += 1;
+        let resp = MessageBuilder::response_to(&query)
+            .rcode(Rcode::Refused)
+            .build();
+        ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
     }
 
-    /// Serve a client query that had to be decoded: one from a client the
-    /// ACL refuses, or one the view declines (`CH`, EDNS, a compressed
-    /// name, another opcode).
-    fn handle_decoded_query(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, query: Message) {
-        self.stats.client_queries += 1;
-
-        if !self.config.acl.allows(dgram.src) {
-            self.stats.refused += 1;
-            let resp = MessageBuilder::response_to(&query)
-                .rcode(Rcode::Refused)
-                .build();
-            ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
-            return;
-        }
-
-        if let Some(answer) = self.cache.serve_decoded(&dgram.payload, &query, ctx.now()) {
-            self.stats.cache_answers += 1;
-            ctx.send_udp(UdpSend::reply_to(dgram, answer));
-            return;
-        }
-
-        let q = query.question().expect("caller checked");
-        let (txid, rd) = (query.header.id, query.header.flags.recursion_desired);
-        self.resolve(
-            ctx,
-            dgram,
-            Client::of(dgram, txid, rd, q.qname.clone()),
-            q.qtype,
-            false,
-        );
-    }
-
-    /// Resolve `client`'s cache miss: coalesce it onto the resolution in
-    /// flight for its question, or start one at the first root. `viewed`
-    /// says [`dnswire::view_query`] read `dgram`; the upstream query is
-    /// then its question spliced behind a fresh header, and later
-    /// datagrams equal to it join without being read.
-    fn resolve(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dgram: &Datagram,
-        client: Client,
-        qtype: RrType,
-        viewed: bool,
-    ) {
+    /// Resolve the cache miss `query` that arrived in `dgram`: coalesce it
+    /// onto the resolution in flight for its question, or start one at the
+    /// first root. A query read from its bytes' plain shape (or the memo's)
+    /// has its upstream query spliced from its question as it arrived.
+    fn resolve(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, query: ClientQuery) {
+        let (qtype, read) = (query.qtype, query.read);
+        let client = Client::of(dgram, query.id, query.rd, query.qname);
         let Some(&root) = self.config.roots.first() else {
             self.stats.servfail += 1;
             let resp = Self::response_for(&client, qtype, |b| b.rcode(Rcode::ServFail));
@@ -405,83 +358,53 @@ impl RecursiveResolver {
             return;
         };
 
-        let id = self.next_task;
-        self.next_task += 1;
         // Coalesce onto an in-flight resolution for the same name (the
-        // entry exists exactly while its leader is unanswered).
-        let key = (client.qname.clone(), qtype);
-        if let Some(leader) = self.inflight.get(&key) {
-            self.stats.coalesced += 1;
-            let task = self.tasks.get_mut(leader).expect("in flight");
-            task.waiters.push(client);
-            return;
-        }
-        self.inflight.insert(key, id);
-        let upstream_query = if viewed {
-            // ID 0, no flags, one question, then the question as it
-            // arrived: the bytes the builder below would encode.
-            let mut query = Vec::with_capacity(dgram.payload.len());
-            query.extend_from_slice(&[0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
-            query.extend_from_slice(&dgram.payload[HEADER_LEN..]);
-            query
-        } else {
-            MessageBuilder::query(0, client.qname.clone(), qtype)
-                .build()
-                .encode()
+        // entry exists exactly while its leader is unanswered); the memo's
+        // is known by id.
+        let joined = match self.memo_task {
+            Some(id) if read == Reading::Memo => Some(id),
+            _ => self.inflight.get(&(client.qname.clone(), qtype)).copied(),
         };
-        let task = Task {
-            upstream_query,
-            leader: client,
-            qtype,
-            waiters: Vec::new(),
-            current_ns: root,
-            referrals: 0,
-            retries: 0,
+        let id = match joined {
+            Some(id) => {
+                self.stats.coalesced += 1;
+                let task = self.tasks.get_mut(&id).expect("in flight");
+                task.waiters.push(client);
+                id
+            }
+            None => {
+                let id = self.next_task;
+                self.next_task += 1;
+                self.inflight.insert((client.qname.clone(), qtype), id);
+                let upstream_query = if read == Reading::Decoded {
+                    MessageBuilder::query(0, client.qname.clone(), qtype)
+                        .build()
+                        .encode()
+                } else {
+                    // ID 0, no flags, one question, then the question as it
+                    // arrived: the bytes the builder above would encode.
+                    let mut query = Vec::with_capacity(dgram.payload.len());
+                    query.extend_from_slice(&[0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
+                    query.extend_from_slice(&dgram.payload[HEADER_LEN..]);
+                    query
+                };
+                let task = Task {
+                    upstream_query,
+                    leader: client,
+                    qtype,
+                    waiters: Vec::new(),
+                    current_ns: root,
+                    referrals: 0,
+                    retries: 0,
+                };
+                self.tasks.insert(id, task);
+                self.send_upstream(ctx, id);
+                id
+            }
         };
-        self.tasks.insert(id, task);
-        if viewed {
-            self.newest_plain_leader = Some((id, dgram.payload.clone()));
+        if read == Reading::Memo {
+            self.memo_task = Some(id);
         }
-        self.send_upstream(ctx, id);
-    }
-
-    /// Admit `dgram` as a waiter without decoding it, if it is the newest
-    /// plain leader's query again under another transaction ID: `true`
-    /// when the datagram has been dealt with. Everything
-    /// [`Self::handle_client_query`] would have done for it after the ACL
-    /// happens here — the counters, the memo rule and the one counted
-    /// cache lookup ([`ServeCache::serve_plain`]), the task id consumed —
-    /// with txid and RD read off the header and the name shared with the
-    /// leader.
-    fn admit_waiter_undecoded(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) -> bool {
-        let payload = &dgram.payload;
-        let Some((id, query)) = &self.newest_plain_leader else {
-            return false;
-        };
-        if query.len() != payload.len() || query[2..] != payload[2..] {
-            return false;
-        }
-        let task = self.tasks.get_mut(id).expect("cleared with its task");
-        let txid = u16::from_be_bytes([payload[0], payload[1]]);
-        let rd = payload[2] & 0x01 != 0;
-        let client = Client::of(dgram, txid, rd, task.leader.qname.clone());
-        self.stats.client_queries += 1;
-        if let Some(answer) = self.cache.serve_plain(
-            payload,
-            client.txid,
-            client.rd,
-            &client.qname,
-            task.qtype,
-            ctx.now(),
-        ) {
-            self.stats.cache_answers += 1;
-            ctx.send_udp(UdpSend::reply_to(dgram, answer));
-            return true;
-        }
-        self.next_task += 1;
-        self.stats.coalesced += 1;
-        task.waiters.push(client);
-        true
     }
 
     /// The task that upstream transaction `(port, txid)` belongs to, the
@@ -580,39 +503,23 @@ fn decode_timer(token: u64) -> (u16, u16) {
 impl Host for RecursiveResolver {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if dgram.dst_port == dnswire::DNS_PORT {
-            // Steady-state fast path: a probe byte-identical to the
-            // memoized query (modulo txid) skips the decode entirely
-            // when its answer is a positive wire-cache hit. The ACL comes
-            // first — refusals belong to the decode path.
-            if self.config.acl.allows(dgram.src) {
-                if let Some(answer) = self.cache.serve_undecoded(&dgram.payload, ctx.now()) {
-                    self.stats.client_queries += 1;
-                    self.stats.cache_answers += 1;
-                    ctx.send_udp(UdpSend::reply_to(&dgram, answer));
-                    return;
-                }
-                // Before the answer is cached, the burst's later probes
-                // wait for it: same bytes as the leader's, no decode.
-                if self.admit_waiter_undecoded(ctx, &dgram) {
-                    return;
-                }
-                // A leader, or the plain shape in another casing or with
-                // another RD bit: read, not decoded.
-                if let Some(view) = dnswire::view_query(&dgram.payload) {
-                    let client = Client::of(&dgram, view.id, view.rd, view.qname());
-                    self.handle_client_query(ctx, &dgram, client, view.qtype);
-                    return;
-                }
+            // A refusal is decoded; everyone else's query is read once, by
+            // the serve path, and answered from cache or resolved.
+            if !self.config.acl.allows(dgram.src) {
+                self.refuse(ctx, &dgram);
+                return;
             }
-            // An exotic class, opcode or section, a refusal: the whole
-            // question and header are needed.
-            let Ok(msg) = Message::decode(&dgram.payload) else {
+            let Some(served) = self.cache.serve(&dgram.payload, ctx.now()) else {
                 return;
             };
-            if msg.is_response() || msg.question().is_none() {
-                return;
+            self.stats.client_queries += 1;
+            match served {
+                Served::Answer(answer) => {
+                    self.stats.cache_answers += 1;
+                    ctx.send_udp(UdpSend::reply_to(&dgram, answer));
+                }
+                Served::Miss(query) => self.resolve(ctx, &dgram, query),
             }
-            self.handle_decoded_query(ctx, &dgram, msg);
         } else {
             // Traffic to our ephemeral ports: upstream responses. A
             // referral in the delegating servers' shape is read off the

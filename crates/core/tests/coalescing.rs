@@ -4,7 +4,7 @@
 //! authoritative server — the Table 2 cache-utilization property would be
 //! unmeasurable at scan rates).
 
-use dnswire::{DnsName, Message, MessageBuilder, QClass, RrType};
+use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Record, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
@@ -75,20 +75,19 @@ fn study_query(txid: u16) -> Vec<u8> {
     query(txid, study::study_qname())
 }
 
+/// Have `client` send `payload` to the resolver from `port`, `at` µs in.
+fn ask(sim: &mut Simulator, client: netsim::NodeId, at: u64, port: u16, payload: Vec<u8>) {
+    let send = UdpSend::new(port, RESOLVER, 53, payload);
+    install_script(sim, client, vec![(SimDuration::from_micros(at), send)]);
+}
+
 #[test]
 fn concurrent_identical_queries_share_one_resolution() {
     let n = 20;
     let (mut sim, clients, resolver, auth) = world(n);
     for (i, &c) in clients.iter().enumerate() {
-        install_script(
-            &mut sim,
-            c,
-            vec![(
-                // All queries within 1 ms — far below the resolution RTT.
-                SimDuration::from_micros(i as u64 * 50),
-                UdpSend::new(34000, RESOLVER, 53, study_query(i as u16)),
-            )],
-        );
+        // All queries within 1 ms — far below the resolution RTT.
+        ask(&mut sim, c, i as u64 * 50, 34000, study_query(i as u16));
     }
     sim.run();
 
@@ -115,19 +114,8 @@ fn concurrent_identical_queries_share_one_resolution() {
 fn coalesced_clients_get_correct_transaction_ids() {
     let (mut sim, clients, _resolver, _auth) = world(5);
     for (i, &c) in clients.iter().enumerate() {
-        install_script(
-            &mut sim,
-            c,
-            vec![(
-                SimDuration::from_micros(i as u64 * 10),
-                UdpSend::new(
-                    40_000 + i as u16,
-                    RESOLVER,
-                    53,
-                    study_query(1000 + i as u16),
-                ),
-            )],
-        );
+        let (port, txid) = (40_000 + i as u16, 1000 + i as u16);
+        ask(&mut sim, c, i as u64 * 10, port, study_query(txid));
     }
     sim.run();
     for (i, &c) in clients.iter().enumerate() {
@@ -145,28 +133,9 @@ fn coalesced_clients_get_correct_transaction_ids() {
 #[test]
 fn different_names_do_not_coalesce() {
     let (mut sim, clients, resolver, _auth) = world(2);
-    let q1 = MessageBuilder::query(1, study::study_qname(), RrType::A)
-        .recursion_desired(true)
-        .build()
-        .encode();
-    let q2 = MessageBuilder::query(
-        2,
-        DnsName::parse("nope.odns-study.example.").unwrap(),
-        RrType::A,
-    )
-    .recursion_desired(true)
-    .build()
-    .encode();
-    install_script(
-        &mut sim,
-        clients[0],
-        vec![(SimDuration::ZERO, UdpSend::new(34000, RESOLVER, 53, q1))],
-    );
-    install_script(
-        &mut sim,
-        clients[1],
-        vec![(SimDuration::ZERO, UdpSend::new(34001, RESOLVER, 53, q2))],
-    );
+    let nope = DnsName::parse("nope.odns-study.example.").unwrap();
+    ask(&mut sim, clients[0], 0, 34000, study_query(1));
+    ask(&mut sim, clients[1], 0, 34001, query(2, nope));
     sim.run();
     let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
     assert_eq!(r.stats.coalesced, 0);
@@ -176,22 +145,8 @@ fn different_names_do_not_coalesce() {
 #[test]
 fn sequential_queries_hit_cache_not_coalescing() {
     let (mut sim, clients, resolver, auth) = world(2);
-    install_script(
-        &mut sim,
-        clients[0],
-        vec![(
-            SimDuration::ZERO,
-            UdpSend::new(34000, RESOLVER, 53, study_query(1)),
-        )],
-    );
-    install_script(
-        &mut sim,
-        clients[1],
-        vec![(
-            SimDuration::from_secs(5),
-            UdpSend::new(34001, RESOLVER, 53, study_query(2)),
-        )],
-    );
+    ask(&mut sim, clients[0], 0, 34000, study_query(1));
+    ask(&mut sim, clients[1], 5_000_000, 34001, study_query(2));
     sim.run();
     let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
     assert_eq!(
@@ -226,14 +181,7 @@ fn task_table_drains_on_answer_timeout_and_coalescing() {
         (0, name("other.dead.")),
     ];
     for (i, (&c, (at, qname))) in clients.iter().zip(script).enumerate() {
-        install_script(
-            &mut sim,
-            c,
-            vec![(
-                SimDuration::from_micros(at),
-                UdpSend::new(34000, RESOLVER, 53, query(i as u16 + 1, qname)),
-            )],
-        );
+        ask(&mut sim, c, at, 34000, query(i as u16 + 1, qname));
     }
     sim.run();
 
@@ -279,14 +227,7 @@ fn rd_bit_is_echoed_on_miss_as_waiter_and_on_hit() {
         (5_000_000, rd0(4), false),
     ];
     for (&c, (at, payload, _)) in clients.iter().zip(script.clone()) {
-        install_script(
-            &mut sim,
-            c,
-            vec![(
-                SimDuration::from_micros(at),
-                UdpSend::new(34000, RESOLVER, 53, payload),
-            )],
-        );
+        ask(&mut sim, c, at, 34000, payload);
     }
     sim.run();
     for (i, (&c, (_, _, rd))) in clients.iter().zip(script).enumerate() {
@@ -301,13 +242,77 @@ fn rd_bit_is_echoed_on_miss_as_waiter_and_on_hit() {
     assert_eq!((r.stats.coalesced, r.stats.cache_answers), (2, 1));
 }
 
-/// A burst behind one leader that mixes what the resolver admits without
-/// decoding (the leader's bytes again, under another txid) with what it
-/// must decode (another 0x20 casing, a cleared RD bit, class `CH`): every
-/// client gets its own txid, casing and RD back, and the counters read
-/// what they read when every waiter was decoded.
+/// The memo's question after its resolution ended uncached (SERVFAIL once
+/// the dead server's retries run out): the same query again must start a
+/// resolution of its own, not join the finished one.
+#[test]
+fn memo_question_resolves_again_after_an_uncached_failure() {
+    let (mut sim, clients, resolver, _auth) = world(3);
+    let dead = DnsName::parse("host.dead.").unwrap();
+    for (i, (&c, at)) in clients.iter().zip([0, 50, 30_000_000]).enumerate() {
+        ask(&mut sim, c, at, 34000, query(i as u16 + 1, dead.clone()));
+    }
+    sim.run();
+    for &c in &clients {
+        let sc: &ScriptedClient = sim.host_as(c).unwrap();
+        let m = Message::decode(&sc.datagrams[0].1.payload).unwrap();
+        assert_eq!(
+            (sc.datagrams.len(), m.header.flags.rcode),
+            (1, Rcode::ServFail)
+        );
+    }
+    let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
+    assert_eq!(r.open_entries(), [0; 4]);
+    assert_eq!(
+        r.stats,
+        ResolverStats {
+            client_queries: 3,
+            coalesced: 1,
+            upstream_queries: 12,
+            servfail: 2,
+            timeouts: 10,
+            ..ResolverStats::default()
+        }
+    );
+}
+
+/// Send each `(µs, payload, casing and RD expected back)` of `burst` from a
+/// client of its own, the i-th under txid i + 1, and check that every one
+/// gets its own txid, casing and RD back with both A records and nothing
+/// else, from one resolution that leaves no table entry behind. Returns
+/// the resolver's counters and its cache's.
+fn answered_burst(burst: &[(u64, Vec<u8>, DnsName, bool)]) -> (ResolverStats, CacheStats) {
+    let (mut sim, clients, resolver, auth) = world(burst.len());
+    for (i, (&c, (at, payload, _, _))) in clients.iter().zip(burst).enumerate() {
+        ask(&mut sim, c, *at, 34000 + i as u16, payload.clone());
+    }
+    sim.run();
+
+    for (i, (&c, (_, _, qname, rd))) in clients.iter().zip(burst).enumerate() {
+        let sc: &ScriptedClient = sim.host_as(c).unwrap();
+        assert_eq!(sc.datagrams.len(), 1, "client {i} answered exactly once");
+        let m = Message::decode(&sc.datagrams[0].1.payload).unwrap();
+        assert_eq!(m.header.id, i as u16 + 1, "client {i}");
+        assert_eq!(m.header.flags.recursion_desired, *rd, "client {i}");
+        let asked = m.questions[0].qname.as_wire();
+        assert_eq!(asked, qname.as_wire(), "client {i}");
+        assert_eq!(m.answers.len(), 2, "client {i}");
+        assert!(m.additionals.is_empty(), "client {i}");
+    }
+    let auth_host: &StudyAuthServer = sim.host_as(auth).unwrap();
+    assert_eq!(auth_host.stats.queries_received, 1);
+    let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
+    assert_eq!(r.open_entries(), [0; 4]);
+    (r.stats, r.cache().stats)
+}
+
+/// A burst behind one leader that mixes the leader's bytes again under
+/// another txid (the memo's question, read from no bytes) with what the
+/// resolver must read (another 0x20 casing, a cleared RD bit, class `CH`):
+/// the counters read what they read when every waiter was decoded.
 #[test]
 fn mixed_burst_of_undecoded_and_decoded_waiters() {
+    let study = study::study_qname;
     let cased = || DnsName::parse("ODNS-Study.Example.").unwrap();
     let with = |txid, qname: DnsName, rd, class| {
         MessageBuilder::query_class(txid, qname, RrType::A, class)
@@ -315,70 +320,74 @@ fn mixed_burst_of_undecoded_and_decoded_waiters() {
             .build()
             .encode()
     };
-    // (payload, casing and RD expected back); txid i + 1, sent 50 µs apart.
     let burst = [
-        (study_query(1), study::study_qname(), true),
-        (study_query(2), study::study_qname(), true),
-        (with(3, cased(), true, QClass::In), cased(), true),
-        (
-            with(4, study::study_qname(), false, QClass::In),
-            study::study_qname(),
-            false,
-        ),
-        (
-            with(5, study::study_qname(), true, QClass::Ch),
-            study::study_qname(),
-            true,
-        ),
-        (study_query(6), study::study_qname(), true),
-        (with(7, cased(), true, QClass::In), cased(), true),
+        (0, study_query(1), study(), true),
+        (50, study_query(2), study(), true),
+        (100, with(3, cased(), true, QClass::In), cased(), true),
+        (150, with(4, study(), false, QClass::In), study(), false),
+        (200, with(5, study(), true, QClass::Ch), study(), true),
+        (250, study_query(6), study(), true),
+        (300, with(7, cased(), true, QClass::In), cased(), true),
     ];
-    let (mut sim, clients, resolver, auth) = world(burst.len());
-    for (i, (&c, (payload, _, _))) in clients.iter().zip(&burst).enumerate() {
-        install_script(
-            &mut sim,
-            c,
-            vec![(
-                SimDuration::from_micros(i as u64 * 50),
-                UdpSend::new(34000 + i as u16, RESOLVER, 53, payload.clone()),
-            )],
-        );
-    }
-    sim.run();
-
-    for (i, (&c, (_, qname, rd))) in clients.iter().zip(&burst).enumerate() {
-        let sc: &ScriptedClient = sim.host_as(c).unwrap();
-        assert_eq!(sc.datagrams.len(), 1, "client {i} answered exactly once");
-        let m = Message::decode(&sc.datagrams[0].1.payload).unwrap();
-        assert_eq!(m.header.id, i as u16 + 1, "client {i}");
-        assert_eq!(m.header.flags.recursion_desired, *rd, "client {i}");
-        assert_eq!(
-            m.questions[0].qname.as_wire(),
-            qname.as_wire(),
-            "client {i}"
-        );
-        assert_eq!(m.answers.len(), 2, "client {i}");
-    }
-    let auth_host: &StudyAuthServer = sim.host_as(auth).unwrap();
-    assert_eq!(auth_host.stats.queries_received, 1);
-    let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
-    assert_eq!(r.open_entries(), [0; 4]);
     // Pinned from the commit before waiters were admitted undecoded.
-    assert_eq!(
-        r.stats,
-        ResolverStats {
-            client_queries: 7,
-            coalesced: 6,
-            upstream_queries: 3,
-            ..ResolverStats::default()
-        }
-    );
-    assert_eq!(
-        r.cache().stats,
-        CacheStats {
-            misses: 7,
-            insertions: 1,
-            ..CacheStats::default()
-        }
-    );
+    let resolver = ResolverStats {
+        client_queries: 7,
+        coalesced: 6,
+        upstream_queries: 3,
+        ..ResolverStats::default()
+    };
+    let cache = CacheStats {
+        misses: 7,
+        insertions: 1,
+        ..CacheStats::default()
+    };
+    assert_eq!(answered_burst(&burst), (resolver, cache));
+}
+
+/// A burst whose leader carries an EDNS OPT record: a plain `IN` query,
+/// but not the shape `dnswire::view_query` reads, so it is decoded and
+/// never becomes the memo. The plain copies behind it join its resolution
+/// (the first of them becomes the memo, later ones match it), and two
+/// late copies, one of each shape, are served from the cache, none of the
+/// answers with an OPT record.
+#[test]
+fn burst_behind_an_edns_leader() {
+    let study = study::study_qname;
+    let edns = |txid| {
+        let opt = Record {
+            name: DnsName::root(),
+            class: Class::Other(4096),
+            ttl: 0,
+            rdata: RData::Opt(Vec::new()),
+        };
+        let query = MessageBuilder::query(txid, study(), RrType::A).recursion_desired(true);
+        query.additional(opt).build().encode()
+    };
+    let cased = || DnsName::parse("ODNS-Study.Example.").unwrap();
+    let burst = [
+        (0, edns(1), study(), true),
+        (50, study_query(2), study(), true),
+        (100, study_query(3), study(), true),
+        (150, edns(4), study(), true),
+        (200, query(5, cased()), cased(), true),
+        (250, study_query(6), study(), true),
+        (5_000_000, edns(7), study(), true),
+        (5_000_050, study_query(8), study(), true),
+    ];
+    // Pinned on the commit before every client query went through one
+    // `ServeCache` door.
+    let resolver = ResolverStats {
+        client_queries: 8,
+        cache_answers: 2,
+        coalesced: 5,
+        upstream_queries: 3,
+        ..ResolverStats::default()
+    };
+    let cache = CacheStats {
+        hits: 2,
+        misses: 6,
+        insertions: 1,
+        ..CacheStats::default()
+    };
+    assert_eq!(answered_burst(&burst), (resolver, cache));
 }

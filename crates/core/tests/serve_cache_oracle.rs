@@ -9,14 +9,15 @@
 //! send. In particular a `HotWire` replay can never outlive an insert, an
 //! eviction, a TTL-second boundary or a change of query casing — and an
 //! answer cached still encoded (`ServeCache::insert_wire`, the relaying
-//! forwarder's door) serves exactly like its decoded records would. A host
-//! that admits plain queries from `dnswire::view_query` instead of
-//! decoding them (`ServeCache::serve_plain`) is held to the same reference,
-//! bytes and `CacheStats` alike.
+//! forwarder's door) serves exactly like its decoded records would. On a
+//! miss, the question `ServeCache::serve` hands back is the one
+//! `Message::decode` reads off the same bytes, even when the memo supplied
+//! it without reading them; and only a query `dnswire::view_query` reads
+//! ever becomes the memo.
 
-use dnswire::{DnsName, Message, MessageBuilder, QClass, Rcode, Record, RrType};
+use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Record, RrType};
 use netsim::{Payload, SimDuration, SimTime};
-use odns::{CachedAnswer, DnsCache, ServeCache};
+use odns::{CachedAnswer, DnsCache, Reading, ServeCache, Served};
 use proptest::prelude::*;
 use std::net::Ipv4Addr;
 
@@ -26,13 +27,13 @@ const NAMES: [&str; 2] = ["odns-study.example.", "other.example."];
 #[derive(Debug, Clone)]
 enum Op {
     /// A client query for `NAMES[name]` with 0x20 casing drawn from
-    /// `casing` (one bit per letter); `exotic` asks in class `CH`.
+    /// `casing` (one bit per letter), in the given shape.
     Query {
         name: usize,
         txid: u16,
         rd: bool,
         casing: u32,
-        exotic: bool,
+        shape: Shape,
     },
     /// Advance the clock (milliseconds, so TTL-second boundaries are
     /// crossed at arbitrary offsets).
@@ -50,20 +51,35 @@ enum Op {
     Evict,
 }
 
+/// How a client query is put on the wire.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Shape {
+    /// Class `IN` and nothing but the question: what the view reads.
+    Plain,
+    /// Class `IN` with an EDNS OPT record: decoded, answered as plain.
+    Edns,
+    /// Class `CH`: decoded, answered around the decoded message.
+    Chaos,
+}
+
 fn op() -> impl Strategy<Value = Op> {
     // Biased toward one query shape (name 0, RD set, canonical casing,
     // class `IN`, few txids) so the memo matches and the `HotWire` replays
     // often enough for the writes and clock steps to land between replays.
     let query = || {
-        (0usize..4, 0u16..3, 0u8..4, 0u32..4, 0u8..8).prop_map(
-            |(name, txid, rd, casing, exotic)| Op::Query {
+        (0usize..4, 0u16..3, 0u8..4, 0u32..4, 0u8..8).prop_map(|(name, txid, rd, casing, shape)| {
+            Op::Query {
                 name: name / 3,
                 txid,
                 rd: rd != 0,
                 casing: if casing == 0 { 0x5A5A } else { 0 },
-                exotic: exotic == 0,
-            },
-        )
+                shape: match shape {
+                    0 => Shape::Chaos,
+                    1 => Shape::Edns,
+                    _ => Shape::Plain,
+                },
+            }
+        })
     };
     prop_oneof![
         query(),
@@ -113,31 +129,57 @@ fn reference(cache: &mut DnsCache, payload: &[u8], now: SimTime) -> Option<Vec<u
     Some(response.build().encode())
 }
 
-/// The real host's order of calls: undecoded first, decode on decline.
-fn served(serve: &mut ServeCache, payload: &[u8], now: SimTime) -> Option<Vec<u8>> {
-    serve
-        .serve_undecoded(payload, now)
-        .or_else(|| {
-            let query = Message::decode(payload).unwrap();
-            serve.serve_decoded(payload, &query, now)
-        })
-        .map(|p| p.to_vec())
+/// A client query's bytes.
+fn query_bytes(txid: u16, qname: DnsName, rd: bool, shape: Shape) -> Vec<u8> {
+    let class = if shape == Shape::Chaos {
+        QClass::Ch
+    } else {
+        QClass::In
+    };
+    let mut query =
+        MessageBuilder::query_class(txid, qname, RrType::A, class).recursion_desired(rd);
+    if shape == Shape::Edns {
+        query = query.additional(Record {
+            name: DnsName::root(),
+            class: Class::Other(4096),
+            ttl: 0,
+            rdata: RData::Opt(Vec::new()),
+        });
+    }
+    query.build().encode()
 }
 
-/// [`served`] by a host that decodes only what `dnswire::view_query`
-/// declines: the forwarder's order of calls.
-fn served_by_view(serve: &mut ServeCache, payload: &[u8], now: SimTime) -> Option<Vec<u8>> {
-    let arrived: Payload = payload.into();
-    serve
-        .serve_undecoded(&arrived, now)
-        .or_else(|| match dnswire::view_query(&arrived) {
-            Some(v) => serve.serve_plain(&arrived, v.id, v.rd, &v.qname(), v.qtype, now),
-            None => {
-                let query = Message::decode(&arrived).unwrap();
-                serve.serve_decoded(&arrived, &query, now)
-            }
-        })
-        .map(|p| p.to_vec())
+/// `payload` through the one door: the answer's bytes, or `None` on a miss
+/// after checking the question handed back against the decoder's reading
+/// of the same bytes, and how it was read against the memo rule: the
+/// first query the view reads (whose bytes `memo` keeps) is the memo.
+fn served(
+    serve: &mut ServeCache,
+    memo: &mut Option<Vec<u8>>,
+    payload: &[u8],
+    now: SimTime,
+) -> Option<Vec<u8>> {
+    let viewed = dnswire::view_query(payload).is_some();
+    if viewed && memo.is_none() {
+        *memo = Some(payload.to_vec());
+    }
+    let query = match serve.serve(&payload.into(), now).expect("a query") {
+        Served::Answer(answer) => return Some(answer.to_vec()),
+        Served::Miss(query) => query,
+    };
+    let decoded = Message::decode(payload).unwrap();
+    let q = decoded.question().unwrap();
+    assert_eq!(query.id, decoded.header.id);
+    assert_eq!(query.rd, decoded.header.flags.recursion_desired);
+    assert_eq!(query.qname.as_wire(), q.qname.as_wire());
+    assert_eq!(query.qtype, q.qtype);
+    let expected = match memo {
+        Some(memo) if memo[2..] == payload[2..] => Reading::Memo,
+        _ if viewed => Reading::View,
+        _ => Reading::Decoded,
+    };
+    assert_eq!(query.read, expected);
+    None
 }
 
 /// The one step that builds the cache's heap table — a second name joining
@@ -147,10 +189,10 @@ fn served_by_view(serve: &mut ServeCache, payload: &[u8], now: SimTime) -> Optio
 #[test]
 fn second_name_arrives_between_replays() {
     let mut serve = ServeCache::new(CAPACITY);
-    let mut viewing = ServeCache::new(CAPACITY);
     let mut plain = DnsCache::new(CAPACITY);
+    let mut memo = None;
     let mut now = SimTime::ZERO + SimDuration::from_millis(250);
-    let insert = |hosts: [&mut ServeCache; 2], plain: &mut DnsCache, name, octet, ttl, now| {
+    let insert = |serve: &mut ServeCache, plain: &mut DnsCache, name, octet, ttl, now| {
         let owner = DnsName::parse(NAMES[name]).unwrap();
         let records = vec![Record::a(
             owner.clone(),
@@ -163,48 +205,41 @@ fn second_name_arrives_between_replays() {
             .build()
             .encode()
             .into();
-        for host in hosts {
-            host.insert_wire(owner.clone(), RrType::A, response.clone(), ttl, now);
-        }
+        serve.insert_wire(owner.clone(), RrType::A, response, ttl, now);
         plain.insert(owner, RrType::A, CachedAnswer::Positive(records), ttl, now);
     };
     let mut queries = 0;
-    let mut ask = |hosts: [&mut ServeCache; 2], plain: &mut DnsCache, name, txid, now| {
-        let payload = MessageBuilder::query(txid, cased(NAMES[name], 0), RrType::A)
-            .recursion_desired(true)
-            .build()
-            .encode();
+    let mut ask = |serve: &mut ServeCache, plain: &mut DnsCache, name, txid, now| {
+        let payload = query_bytes(txid, cased(NAMES[name], 0), true, Shape::Plain);
         queries += 1;
         let expected = reference(plain, &payload, now);
-        let [serve, viewing] = hosts;
-        assert_eq!(served(serve, &payload, now), expected, "query {queries}");
-        assert_eq!(served_by_view(viewing, &payload, now), expected);
+        let got = served(serve, &mut memo, &payload, now);
+        assert_eq!(got, expected, "query {queries}");
         expected.is_some()
     };
 
     // One name, held inline: decode, template, then two replays.
-    insert([&mut serve, &mut viewing], &mut plain, 0, 1, 300, now);
+    insert(&mut serve, &mut plain, 0, 1, 300, now);
     for txid in [1, 2, 2, 2] {
-        assert!(ask([&mut serve, &mut viewing], &mut plain, 0, txid, now));
+        assert!(ask(&mut serve, &mut plain, 0, txid, now));
     }
     // The second name builds the table under a live replay.
-    insert([&mut serve, &mut viewing], &mut plain, 1, 2, 300, now);
+    insert(&mut serve, &mut plain, 1, 2, 300, now);
     assert_eq!(serve.cache().len(), 2);
     for (name, txid) in [(0, 2), (0, 2), (1, 2), (1, 3), (0, 2), (0, 2)] {
-        assert!(ask([&mut serve, &mut viewing], &mut plain, name, txid, now));
+        assert!(ask(&mut serve, &mut plain, name, txid, now));
     }
     // Spilled: an overwrite of the memoized name must not be outlived by
     // the replay either, nor a TTL-second boundary, nor its expiry.
-    insert([&mut serve, &mut viewing], &mut plain, 0, 3, 2, now);
+    insert(&mut serve, &mut plain, 0, 3, 2, now);
     for millis in [0, 0, 800, 0, 1_300] {
         now += SimDuration::from_millis(millis);
-        let live = ask([&mut serve, &mut viewing], &mut plain, 0, 2, now);
+        let live = ask(&mut serve, &mut plain, 0, 2, now);
         assert_eq!(live, millis != 1_300, "expired 2.1 s after the overwrite");
     }
     assert_eq!(serve.cache().len(), 1, "the expired entry was forgotten");
-    assert!(ask([&mut serve, &mut viewing], &mut plain, 1, 2, now));
+    assert!(ask(&mut serve, &mut plain, 1, 2, now));
     assert_eq!(serve.cache().stats, plain.stats);
-    assert_eq!(viewing.cache().stats, plain.stats);
     assert_eq!(plain.stats.hits + plain.stats.misses, queries);
 }
 
@@ -216,31 +251,21 @@ proptest! {
         ops in proptest::collection::vec(op(), 1..120),
     ) {
         let mut serve = ServeCache::new(CAPACITY);
-        let mut viewing = ServeCache::new(CAPACITY);
         let mut plain = DnsCache::new(CAPACITY);
+        let mut memo = None;
         let mut now = SimTime::ZERO;
         let mut queries = 0u64;
         let mut filler = 0u32;
         for op in ops {
             match op {
-                Op::Query { name, txid, rd, casing, exotic } => {
-                    let qname = cased(NAMES[name], casing);
-                    let class = if exotic { QClass::Ch } else { QClass::In };
-                    let payload = MessageBuilder::query_class(txid, qname, RrType::A, class)
-                        .recursion_desired(rd)
-                        .build()
-                        .encode();
+                Op::Query { name, txid, rd, casing, shape } => {
+                    let payload = query_bytes(txid, cased(NAMES[name], casing), rd, shape);
                     queries += 1;
                     let expected = reference(&mut plain, &payload, now);
                     prop_assert_eq!(
-                        served(&mut serve, &payload, now),
-                        expected.clone(),
-                        "query {} at {:?}", queries, now
-                    );
-                    prop_assert_eq!(
-                        served_by_view(&mut viewing, &payload, now),
+                        served(&mut serve, &mut memo, &payload, now),
                         expected,
-                        "query {} at {:?}, through the view", queries, now
+                        "query {} at {:?}", queries, now
                     );
                 }
                 Op::Advance(ms) => now += SimDuration::from_millis(ms),
@@ -265,14 +290,9 @@ proptest! {
                             .fold(MessageBuilder::response_to(&asked), MessageBuilder::answer)
                             .build()
                             .encode();
-                        let response: Payload = response.into();
-                        for host in [&mut serve, &mut viewing] {
-                            host.insert_wire(owner.clone(), RrType::A, response.clone(), ttl, now);
-                        }
+                        serve.insert_wire(owner.clone(), RrType::A, response.into(), ttl, now);
                     } else {
-                        for host in [&mut serve, &mut viewing] {
-                            host.insert(owner.clone(), RrType::A, answer.clone(), ttl, now);
-                        }
+                        serve.insert(owner.clone(), RrType::A, answer.clone(), ttl, now);
                     }
                     plain.insert(owner, RrType::A, answer, ttl, now);
                 }
@@ -285,18 +305,15 @@ proptest! {
                             60,
                             Ipv4Addr::new(10, 0, 0, 1),
                         )]);
-                        for host in [&mut serve, &mut viewing] {
-                            host.insert(owner.clone(), RrType::A, answer.clone(), 60, now);
-                        }
+                        serve.insert(owner.clone(), RrType::A, answer.clone(), 60, now);
                         plain.insert(owner, RrType::A, answer, 60, now);
                     }
                 }
             }
         }
-        // One counted lookup per client query, on every side.
+        // One counted lookup per client query, on both sides.
         let stats = serve.cache().stats;
         prop_assert_eq!(stats.hits + stats.misses, queries);
         prop_assert_eq!(stats, plain.stats);
-        prop_assert_eq!(viewing.cache().stats, plain.stats);
     }
 }

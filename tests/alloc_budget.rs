@@ -28,8 +28,9 @@
 //!
 //! The second pin is the rule behind that last step, at its source: a
 //! `RecursiveForwarder` that has relayed and cached the only query of its
-//! life has allocated the name it was asked for and nothing else. The
-//! third is its counterpart for a reused world: `Internet::reset`
+//! life has allocated the name it was asked for and nothing else; asked
+//! the same again under another txid, it reads no second name. The third
+//! is its counterpart for a reused world: `Internet::reset`
 //! overwrites every planted host where its slot holds the last one, so it
 //! allocates no host storage at all.
 //!
@@ -156,11 +157,11 @@ fn resetting_a_scanned_world_allocates_no_host_storage() {
     assert_eq!(scan(&mut world), first, "the reset world answers as it did");
 }
 
-/// Asks every forwarder the same prebuilt question when its timer fires,
+/// Asks every forwarder the same prebuilt queries when its timer fires,
 /// and counts the answers.
 struct Asker {
     forwarders: Vec<Ipv4Addr>,
-    query: Payload,
+    queries: Vec<Payload>,
     answers: usize,
 }
 
@@ -170,26 +171,41 @@ impl Host for Asker {
     }
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, _token: u64) -> TimerOutcome {
         for forwarder in &self.forwarders {
-            ctx.send_udp(UdpSend::new(40_000, *forwarder, 53, self.query.clone()));
+            for query in &self.queries {
+                ctx.send_udp(UdpSend::new(40_000, *forwarder, 53, query.clone()));
+            }
         }
         TimerOutcome::Acted
     }
 }
 
-/// Answers every datagram with the same prebuilt response.
+/// Answers every query with the prebuilt response carrying its txid.
 struct Upstream {
-    response: Payload,
+    responses: Vec<Payload>,
 }
 
 impl Host for Upstream {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
-        ctx.send_udp(UdpSend::reply_to(&dgram, self.response.clone()));
+        let txid = dnswire::peek_id(&dgram.payload);
+        let response = self.responses.iter().find(|r| dnswire::peek_id(r) == txid);
+        ctx.send_udp(UdpSend::reply_to(&dgram, response.unwrap().clone()));
     }
 }
 
-#[test]
-fn forwarders_first_and_only_query_allocates_its_name_and_nothing_else() {
-    const FORWARDERS: usize = 64;
+const FORWARDERS: usize = 64;
+
+/// What 64 fresh `RecursiveForwarder`s allocate when each is asked the
+/// study's question under each of `txids`, all before upstream answers,
+/// and relays and caches upstream's answer to each.
+///
+/// Installing boxes the hosts — the world's cost, counted by the census
+/// pin above. What is measured is the run: per query and forwarder, one
+/// query relayed upstream, one pending entry made, matched and dropped,
+/// one timeout armed and cancelled, one answer cached and relayed. The
+/// first of two passes also pays for the routes and the queue's arena,
+/// which `reset` keeps; the second, over new forwarders, pays for them
+/// alone, and is the one counted.
+fn forwarders_asked(txids: &[u16]) -> u64 {
     let upstream_ip = Ipv4Addr::new(198, 51, 100, 1);
     let forwarders: Vec<Ipv4Addr> = (0..FORWARDERS)
         .map(|i| Ipv4Addr::new(203, 0, 113, 1 + i as u8))
@@ -200,30 +216,29 @@ fn forwarders_first_and_only_query_allocates_its_name_and_nothing_else() {
     let (asker, upstream, forwarder_nodes) = (nodes[0], nodes[1], &nodes[2..]);
 
     let qname = DnsName::parse("odns-study.example.").unwrap();
-    let query = MessageBuilder::query(0x2861, qname.clone(), RrType::A)
-        .recursion_desired(true)
-        .build();
-    let response: Payload = MessageBuilder::response_to(&query)
-        .recursion_available(true)
-        .answer_a(qname, 300, Ipv4Addr::new(192, 0, 2, 200))
-        .build()
-        .encode()
-        .into();
-    let query: Payload = query.encode().into();
+    let (queries, responses): (Vec<Payload>, Vec<Payload>) = txids
+        .iter()
+        .map(|&txid| {
+            let query = MessageBuilder::query(txid, qname.clone(), RrType::A)
+                .recursion_desired(true)
+                .build();
+            let response = MessageBuilder::response_to(&query)
+                .recursion_available(true)
+                .answer_a(qname.clone(), 300, Ipv4Addr::new(192, 0, 2, 200))
+                .build();
+            (query.encode().into(), response.encode().into())
+        })
+        .unzip();
 
-    // Installing boxes the hosts — the world's cost, counted by the census
-    // pin above. What is measured is the run: one query relayed upstream,
-    // one pending entry made, matched and dropped, one timeout armed and
-    // cancelled, one answer cached and relayed, per forwarder.
-    let census_pass = |sim: &mut Simulator| {
+    let pass = |sim: &mut Simulator| {
         let ask = Asker {
             forwarders: forwarders.clone(),
-            query: query.clone(),
+            queries: queries.clone(),
             answers: 0,
         };
         sim.install(asker, ask);
-        let response = response.clone();
-        sim.install(upstream, Upstream { response });
+        let responses = responses.clone();
+        sim.install(upstream, Upstream { responses });
         for node in forwarder_nodes {
             sim.install(*node, RecursiveForwarder::new(upstream_ip));
         }
@@ -231,24 +246,41 @@ fn forwarders_first_and_only_query_allocates_its_name_and_nothing_else() {
         sim.schedule_timer(asker, SimDuration::ZERO, 0);
         assert!(sim.run());
         let spent = ALLOCATIONS.with(Cell::get) - before;
-        let relayed_its_one_answer = |node: &NodeId| {
+        let relayed_every_answer = |node: &NodeId| {
             let f: &RecursiveForwarder = sim.host_as(*node).unwrap();
-            (f.stats.relayed, f.stats.timeouts) == (1, 0)
+            (f.stats.relayed, f.stats.timeouts) == (txids.len() as u64, 0)
         };
-        assert!(forwarder_nodes.iter().all(relayed_its_one_answer));
-        assert_eq!(sim.host_as::<Asker>(asker).unwrap().answers, FORWARDERS);
+        assert!(forwarder_nodes.iter().all(relayed_every_answer));
+        let answers = sim.host_as::<Asker>(asker).unwrap().answers;
+        assert_eq!(answers, FORWARDERS * txids.len());
         spent
     };
 
-    // The first pass also pays for the routes and the queue's arena, which
-    // `reset` keeps; the second, over new forwarders, pays for them alone.
     let config = SimConfig::default();
     let mut sim = Simulator::new(topo, config.clone());
-    census_pass(&mut sim);
+    pass(&mut sim);
     sim.reset(&config);
-    let spent = census_pass(&mut sim);
+    pass(&mut sim)
+}
+
+#[test]
+fn forwarders_first_and_only_query_allocates_its_name_and_nothing_else() {
     assert_eq!(
-        spent, FORWARDERS as u64,
+        forwarders_asked(&[0x2861]),
+        FORWARDERS as u64,
         "{FORWARDERS} forwarders, each asked once: one allocation apiece (the question's name)"
+    );
+}
+
+/// The second query is the first one's bytes under another txid: its
+/// question is the serve path's memo, so its name costs nothing. What it
+/// does cost is the pending table, which a second query in flight spills
+/// to the heap (3 per forwarder while the name was read again).
+#[test]
+fn forwarder_asked_twice_reads_the_second_name_off_its_memo() {
+    assert_eq!(
+        forwarders_asked(&[0x2861, 0x2862]),
+        2 * FORWARDERS as u64,
+        "{FORWARDERS} forwarders, each asked twice: the name and the pending table apiece"
     );
 }
