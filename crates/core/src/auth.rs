@@ -18,7 +18,8 @@
 //! The server answers a query equal past the transaction ID to the last one
 //! it decoded by replaying that reply with the new ID and the new client's
 //! address in its dynamic record; anything else — another casing, RD bit,
-//! name or type — is decoded, answered from scratch and remembered.
+//! name or type — is decoded, answered from scratch and remembered. Any
+//! query but a plain `IN` one is refused: counted, not logged.
 
 use crate::memo::ReplyMemo;
 use crate::study::{self, ANSWER_TTL, CONTROL_A};
@@ -48,7 +49,7 @@ pub struct AuthLogEntry {
 /// Counters kept by the server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AuthStats {
-    /// Queries received.
+    /// Queries received, refused ones included.
     pub queries_received: u64,
     /// Responses sent.
     pub responses_sent: u64,
@@ -106,8 +107,9 @@ impl StudyAuthServer {
         }
     }
 
+    /// The answer to `query`, a plain `IN` query from `client`.
     fn answer(&self, query: &Message, client: Ipv4Addr) -> Message {
-        let q = query.question().expect("caller checked");
+        let q = &query.questions[0];
         let qname = &q.qname;
         let mut builder = MessageBuilder::response_to(query).authoritative(true);
 
@@ -213,13 +215,17 @@ impl Host for StudyAuthServer {
             ctx.send_udp(UdpSend::reply_to(&dgram, reply));
             return;
         }
-        let Ok(query) = Message::decode(&dgram.payload) else {
-            return; // malformed input is silently ignored, like real servers
+        let query = match crate::query::admit(&dgram.payload) {
+            None => return, // ignored, like real servers
+            Some(Ok(query)) => query,
+            Some(Err(refusal)) => {
+                self.stats.queries_received += 1;
+                self.stats.responses_sent += 1;
+                ctx.send_udp(UdpSend::reply_to(&dgram, refusal));
+                return;
+            }
         };
-        if query.is_response() || query.question().is_none() {
-            return;
-        }
-        let q = query.question().expect("checked");
+        let q = &query.questions[0];
         let response = self.answer(&query, dgram.src);
         let rcode = response.header.flags.rcode;
         self.count(

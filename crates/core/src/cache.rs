@@ -344,17 +344,12 @@ impl DnsCache {
                 CachedAnswer::Negative(rcode) => return Some(CachedWire::Negative(*rcode)),
                 CachedAnswer::Positive(records) => records,
             };
-            let build = |qname: DnsName| {
-                let mut b = MessageBuilder::query(0, qname, rtype)
-                    .recursion_desired(true)
-                    .build();
-                b.header.flags.response = true;
-                b.header.flags.recursion_available = true;
-                b.answers = records.to_vec();
-                b
+            let build = |txid, rd| Message {
+                answers: records.to_vec(),
+                ..plain_response(txid, name.clone(), rtype, rd)
             };
             if template.is_none() {
-                *template = ResponseTemplate::from_message(&build(name.clone()))
+                *template = ResponseTemplate::from_message(&build(0, true))
                     .map(|t| (name.clone(), Arc::new(t)));
             }
             return match template {
@@ -368,9 +363,7 @@ impl DnsCache {
                     // Casing differs from the template (0x20
                     // randomization): build this response the slow way
                     // rather than leak another client's casing.
-                    let mut msg = build(name.clone());
-                    msg.header.id = txid;
-                    msg.header.flags.recursion_desired = rd;
+                    let mut msg = build(txid, rd);
                     for r in &mut msg.answers {
                         r.ttl = remaining;
                     }
@@ -468,6 +461,8 @@ pub enum Served {
     Answer(Payload),
     /// A miss: the question to resolve or forward.
     Miss(ClientQuery),
+    /// Not a plain `IN` query: its REFUSED response, with no lookup made.
+    Refused(Payload),
 }
 
 /// A client query's question, with the header bits its answer echoes.
@@ -493,39 +488,56 @@ pub enum Reading {
     Memo,
     /// [`dnswire::view_query`] read it, and another query is the memo.
     View,
-    /// Decoded: a shape the view declines (`CH`, EDNS, a compressed name,
-    /// another opcode).
+    /// Decoded: a plain `IN` query in a shape the view declines (EDNS, a
+    /// compressed name).
     Decoded,
 }
 
 impl ClientQuery {
     /// Read the client query in `payload`: the plain shape through
-    /// [`dnswire::view_query`], anything else through [`Message::decode`].
-    /// The decoded message comes back too when the query is not a plain
-    /// `IN` query, whose answer is built from it. `None` for bytes that
-    /// are not a query with a question.
-    pub(crate) fn read(payload: &[u8]) -> Option<(ClientQuery, Option<Message>)> {
+    /// [`dnswire::view_query`], anything else through the rule every
+    /// answering host applies, which hands back the refusal of a query that
+    /// is not a plain `IN` one. `None` for bytes that are not a query.
+    pub(crate) fn read(payload: &[u8]) -> Option<Result<ClientQuery, Payload>> {
         if let Some(view) = dnswire::view_query(payload) {
-            let query = ClientQuery {
+            return Some(Ok(ClientQuery {
                 id: view.id,
                 rd: view.rd,
                 qname: view.qname(),
                 qtype: view.qtype,
                 read: Reading::View,
-            };
-            return Some((query, None));
+            }));
         }
-        let message = Message::decode(payload).ok().filter(|m| !m.is_response())?;
-        let q = message.question()?;
-        let query = ClientQuery {
-            id: message.header.id,
-            rd: message.header.flags.recursion_desired,
-            qname: q.qname.clone(),
-            qtype: q.qtype,
-            read: Reading::Decoded,
-        };
-        Some((query, (!message.is_plain_in_query()).then_some(message)))
+        Some(crate::query::admit(payload)?.map(|message| {
+            let q = &message.questions[0];
+            ClientQuery {
+                id: message.header.id,
+                rd: message.header.flags.recursion_desired,
+                qname: q.qname.clone(),
+                qtype: q.qtype,
+                read: Reading::Decoded,
+            }
+        }))
     }
+
+    /// The response this query is owed: `answers` under `rcode`.
+    pub(crate) fn response(&self, rcode: Rcode, answers: Vec<Record>) -> Message {
+        let mut response = plain_response(self.id, self.qname.clone(), self.qtype, self.rd);
+        response.header.flags.rcode = rcode;
+        response.answers = answers;
+        response
+    }
+}
+
+/// The response to the plain `IN` query for `qname`/`qtype` under `txid`
+/// and `rd`, before its records or RCODE: header and question echoed, RA set.
+fn plain_response(txid: u16, qname: DnsName, qtype: RrType, rd: bool) -> Message {
+    let mut response = MessageBuilder::query(txid, qname, qtype)
+        .recursion_desired(rd)
+        .recursion_available(true)
+        .build();
+    response.header.flags.response = true;
+    response
 }
 
 impl ServeCache {
@@ -543,9 +555,9 @@ impl ServeCache {
         &self.cache
     }
 
-    /// Serve the client query `payload` at `now` from cache: its answer,
-    /// or on a miss its question. `None`, with nothing counted, for bytes
-    /// that are not a query with a question.
+    /// Serve the client query `payload` at `now` from cache: its answer, or
+    /// on a miss its question. A query that is not plain `IN` is
+    /// [`Served::Refused`] and bytes that are not a query are `None`: no lookup.
     ///
     /// The memoized query under another txid is read from no bytes; any
     /// other is read once, and the first that [`dnswire::view_query`] reads
@@ -557,9 +569,12 @@ impl ServeCache {
         let txid = match self.memo.as_ref().and_then(|m| m.txid_of_match(payload)) {
             Some(txid) => txid,
             None => {
-                let (query, exotic) = ClientQuery::read(payload)?;
+                let query = match ClientQuery::read(payload)? {
+                    Ok(query) => query,
+                    Err(refusal) => return Some(Served::Refused(refusal)),
+                };
                 if query.read != Reading::View || self.memo.is_some() {
-                    return Some(lookup(&mut self.cache, query, exotic, now));
+                    return Some(lookup(&mut self.cache, query, now));
                 }
                 let (qname, qtype, rd) = (&query.qname, query.qtype, query.rd);
                 self.memo = Some(QueryMemo::of_plain(payload, qname, qtype, rd));
@@ -579,7 +594,7 @@ impl ServeCache {
             qtype: memo.qtype(),
             read: Reading::Memo,
         };
-        let served = lookup(cache, query, None, now);
+        let served = lookup(cache, query, now);
         if let Served::Answer(answer) = &served {
             // Only a positive answer's bytes stay exact for a while.
             if let Some(valid_before) = cache.wire_valid_before(memo.qname(), memo.qtype(), now) {
@@ -627,41 +642,16 @@ impl ServeCache {
     }
 }
 
-/// The one counted lookup of `query`, and its answer: a plain `IN` query's
-/// positive one from the entry's pre-encoded template with txid, RD and
-/// TTL patched in, any other built — around `exotic`, the decoded query,
-/// when it is not a plain `IN` one.
-fn lookup(
-    cache: &mut DnsCache,
-    query: ClientQuery,
-    exotic: Option<Message>,
-    now: SimTime,
-) -> Served {
-    let (qname, qtype) = (&query.qname, query.qtype);
-    let answer = match exotic {
-        Some(_) => cache.get(qname, qtype, now),
-        None => match cache.get_wire(qname, qtype, now, query.id, query.rd) {
-            Some(CachedWire::Positive(bytes)) => return Served::Answer(bytes.into()),
-            Some(CachedWire::Negative(rcode)) => Some(CachedAnswer::Negative(rcode)),
-            None => None,
-        },
+/// The one counted lookup of `query`, and its answer: a positive one from
+/// the entry's pre-encoded template with txid, RD and TTL patched in, a
+/// negative one built.
+fn lookup(cache: &mut DnsCache, query: ClientQuery, now: SimTime) -> Served {
+    let rcode = match cache.get_wire(&query.qname, query.qtype, now, query.id, query.rd) {
+        Some(CachedWire::Positive(bytes)) => return Served::Answer(bytes.into()),
+        Some(CachedWire::Negative(rcode)) => rcode,
+        None => return Served::Miss(query),
     };
-    let Some(answer) = answer else {
-        return Served::Miss(query);
-    };
-    let asked = exotic.unwrap_or_else(|| {
-        MessageBuilder::query(query.id, qname.clone(), qtype)
-            .recursion_desired(query.rd)
-            .build()
-    });
-    let respond = MessageBuilder::response_to(&asked).recursion_available(true);
-    let response = match answer {
-        CachedAnswer::Positive(records) => {
-            records.into_iter().fold(respond, MessageBuilder::answer)
-        }
-        CachedAnswer::Negative(rcode) => respond.rcode(rcode),
-    };
-    Served::Answer(response.build().encode().into())
+    Served::Answer(query.response(rcode, Vec::new()).encode().into())
 }
 
 #[cfg(test)]
@@ -778,6 +768,7 @@ mod tests {
         match serve.serve(&payload.into(), now).expect("a query") {
             Served::Answer(answer) => Some(answer),
             Served::Miss(_) => None,
+            Served::Refused(_) => panic!("a plain IN query is never refused"),
         }
     }
 

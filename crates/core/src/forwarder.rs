@@ -31,10 +31,10 @@
 //!
 //! The client leg is the same: a query is read once, by
 //! [`ServeCache::serve`] — or, without a cache, by the reader it uses —
-//! and relayed as the datagram that arrived. A plain `IN` query, every
-//! census probe, is read without decoding; only a shape
-//! [`dnswire::view_query`] declines (`CH`, EDNS, a compressed name) is
-//! decoded.
+//! and relayed as the datagram that arrived. A census probe is read
+//! without decoding; a plain `IN` query in a shape [`dnswire::view_query`]
+//! declines (EDNS, a compressed name) is decoded; any other query is
+//! refused, never forwarded, so the cache holds `IN` answers only.
 
 use crate::cache::{ClientQuery, ServeCache, Served};
 use crate::device::DeviceProfile;
@@ -46,7 +46,7 @@ use std::sync::Arc;
 /// Counters for a recursive forwarder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecursiveForwarderStats {
-    /// Queries accepted from clients.
+    /// Queries received from clients, refused ones included.
     pub client_queries: u64,
     /// Answers served from the local cache.
     pub cache_answers: u64,
@@ -280,7 +280,8 @@ impl Host for RecursiveForwarder {
         // or by the same reader when there is no cache.
         let served = match &mut self.cache {
             Some(cache) => cache.serve(&dgram.payload, ctx.now()),
-            None => ClientQuery::read(&dgram.payload).map(|(query, _)| Served::Miss(query)),
+            None => ClientQuery::read(&dgram.payload)
+                .map(|read| read.map_or_else(Served::Refused, Served::Miss)),
         };
         let Some(served) = served else {
             return;
@@ -290,6 +291,10 @@ impl Host for RecursiveForwarder {
             Served::Answer(answer) => {
                 self.stats.cache_answers += 1;
                 ctx.send_udp(UdpSend::reply_to(&dgram, answer));
+                return;
+            }
+            Served::Refused(refusal) => {
+                ctx.send_udp(UdpSend::reply_to(&dgram, refusal));
                 return;
             }
             Served::Miss(query) => query,
@@ -620,6 +625,65 @@ mod tests {
         assert_eq!(second.answers[0].ttl, 290, "cached TTL decayed by 10 s");
         let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
         assert_eq!(f.stats.cache_answers, 1);
+    }
+
+    #[test]
+    fn cached_forwarder_refuses_a_chaos_query_and_caches_only_in_answers() {
+        // The cache is keyed by `(qname, qtype)`: a forwarded `CH A` query
+        // would have its answer cached where the `IN` one is looked up.
+        let (mut sim, client, fwd, resolver) = three_node_sim();
+        sim.install(fwd, RecursiveForwarder::new(RESOLVER_IP));
+        sim.install(resolver, CannedResolver { seen: vec![] });
+        let study = DnsName::parse("odns-study.example.").unwrap();
+        let chaos = MessageBuilder::query_class(1, study, RrType::A, dnswire::QClass::Ch)
+            .recursion_desired(true)
+            .build();
+        netsim::testkit::install_script(
+            &mut sim,
+            client,
+            vec![
+                (
+                    SimDuration::ZERO,
+                    UdpSend::new(34000, FWD_IP, 53, chaos.encode()),
+                ),
+                (
+                    SimDuration::from_secs(10),
+                    UdpSend::new(34001, FWD_IP, 53, query_bytes(2)),
+                ),
+            ],
+        );
+        sim.run();
+
+        let client_host: &netsim::testkit::ScriptedClient = sim.host_as(client).unwrap();
+        let [(_, refused), (_, answered)] = &client_host.datagrams[..] else {
+            panic!("two answers: {:?}", client_host.datagrams);
+        };
+        let refused = Message::decode(&refused.payload).unwrap();
+        assert_eq!(refused.header.flags.rcode, dnswire::Rcode::Refused);
+        assert_eq!(refused.questions, chaos.questions, "the CH question echoed");
+        assert!(refused.answers.is_empty());
+        let answered = Message::decode(&answered.payload).unwrap();
+        assert_eq!(answered.answer_a_addrs(), vec![Ipv4Addr::new(7, 7, 7, 7)]);
+
+        let upstream: &CannedResolver = sim.host_as(resolver).unwrap();
+        let [asked] = &upstream.seen[..] else {
+            panic!("one query upstream: {:?}", upstream.seen);
+        };
+        let asked = Message::decode(&asked.payload).unwrap();
+        assert!(asked.is_plain_in_query(), "only the IN query went upstream");
+        let f: &RecursiveForwarder = sim.host_as(fwd).unwrap();
+        assert_eq!(
+            f.stats,
+            RecursiveForwarderStats {
+                client_queries: 2,
+                forwarded: 1,
+                relayed: 1,
+                ..RecursiveForwarderStats::default()
+            }
+        );
+        let cache = f.cache.as_ref().unwrap().cache();
+        assert_eq!(cache.len(), 1, "the IN resolution's entry");
+        assert_eq!((cache.stats.misses, cache.stats.insertions), (1, 1));
     }
 
     #[test]

@@ -32,6 +32,7 @@ pub mod device;
 pub mod forwarder;
 pub mod memo;
 mod public;
+mod query;
 mod ratelimit;
 mod recursive;
 pub mod study;

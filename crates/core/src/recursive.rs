@@ -19,10 +19,11 @@
 //! it caches. A client query is read once, by [`ServeCache::serve`]; one
 //! in the study's plain shape has its upstream query spliced from the
 //! question bytes it arrived with, and a referral in this crate's shape is
-//! followed from what [`dnswire::view_referral`] reads. ACL refusals and
-//! every shape those readers decline are decoded.
+//! followed from what [`dnswire::view_referral`] reads. Any query but a
+//! plain `IN` one is refused, as is any client the ACL turns away.
 
 use crate::cache::{CachedAnswer, ClientQuery, DnsCache, Reading, ServeCache, Served};
+use crate::query::{admit, refusal};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType, HEADER_LEN};
 use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, TimerId, TimerOutcome, UdpSend};
 use std::collections::HashMap;
@@ -107,7 +108,8 @@ pub struct ResolverStats {
     /// queries stampede the authoritative server before the first answer
     /// can populate the cache).
     pub coalesced: u64,
-    /// Client queries REFUSED by the ACL.
+    /// Client queries REFUSED: by the ACL, or for not being a plain `IN`
+    /// query.
     pub refused: u64,
     /// Upstream queries emitted (root + TLD + auth).
     pub upstream_queries: u64,
@@ -132,38 +134,20 @@ enum TaskOutcome {
 struct Client {
     addr: Ipv4Addr,
     port: u16,
-    txid: u16,
-    /// The client's RD bit, echoed in its answer.
-    rd: bool,
     /// The address the client queried (unicast or anycast service IP);
     /// responses are sourced from it.
     service_addr: Ipv4Addr,
-    /// The question name in this client's own casing.
-    qname: DnsName,
-}
-
-impl Client {
-    /// The sender of `dgram`, which asked for `qname` under `txid`, `rd`.
-    fn of(dgram: &Datagram, txid: u16, rd: bool, qname: DnsName) -> Self {
-        Client {
-            addr: dgram.src,
-            port: dgram.src_port,
-            txid,
-            rd,
-            service_addr: dgram.dst,
-            qname,
-        }
-    }
+    /// What the client asked, in its own casing, under its txid and RD bit.
+    query: ClientQuery,
 }
 
 /// One resolution in flight.
 #[derive(Debug)]
 struct Task {
     leader: Client,
-    qtype: RrType,
-    /// The upstream query for `(leader.qname, qtype)` in the leader's
-    /// casing, encoded once with ID 0: root, TLD, auth and every retry
-    /// send it under their own txid.
+    /// The upstream query for the leader's question in its casing, encoded
+    /// once with ID 0: root, TLD, auth and every retry send it under their
+    /// own txid.
     upstream_query: Vec<u8>,
     /// Clients that asked the same `(qname, qtype)` while this resolution
     /// was in flight, in arrival order. They are answered with it.
@@ -241,57 +225,39 @@ impl RecursiveResolver {
         (port, txid)
     }
 
-    /// The response `client` is owed, before `build` fills it in.
-    fn response_for(
-        client: &Client,
-        qtype: RrType,
-        build: impl FnOnce(MessageBuilder) -> MessageBuilder,
-    ) -> Message {
-        let skeleton = MessageBuilder::query(client.txid, client.qname.clone(), qtype)
-            .recursion_desired(client.rd)
-            .build();
-        build(MessageBuilder::response_to(&skeleton).recursion_available(true)).build()
-    }
-
     /// Deliver a final outcome to a task's leader and every coalesced
     /// waiter, removing the task.
     fn finish(&mut self, ctx: &mut Ctx<'_>, id: u64, outcome: TaskOutcome) {
         let Some(task) = self.tasks.remove(&id) else {
             return;
         };
-        let qtype = task.qtype;
-        self.inflight.remove(&(task.leader.qname.clone(), qtype));
+        let asked = &task.leader.query;
+        self.inflight.remove(&(asked.qname.clone(), asked.qtype));
         // A burst of identical probes coalesces into one resolution with
         // many recipients: records are encoded once, for the first
         // recipient, and every later one whose question has the same raw
         // casing gets those bytes with its own txid and RD patched in.
         let mut encoded: Option<(DnsName, ResponseTemplate)> = None;
         for client in std::iter::once(task.leader).chain(task.waiters) {
-            let built = |build: &dyn Fn(MessageBuilder) -> MessageBuilder| -> Payload {
-                Self::response_for(&client, qtype, build).encode().into()
-            };
+            let asked = &client.query;
             let payload = match &outcome {
                 TaskOutcome::Records(records) => {
-                    let with_records =
-                        |b: MessageBuilder| records.iter().cloned().fold(b, MessageBuilder::answer);
+                    let response = || asked.response(Rcode::NoError, records.clone());
                     if encoded.is_none() {
-                        let first = Self::response_for(&client, qtype, with_records);
-                        encoded = ResponseTemplate::from_message(&first)
-                            .map(|t| (client.qname.clone(), t));
+                        encoded = ResponseTemplate::from_message(&response())
+                            .map(|t| (asked.qname.clone(), t));
                     }
                     match &encoded {
-                        Some((qname, template)) if qname.as_wire() == client.qname.as_wire() => {
-                            template
-                                .materialize_ttls_kept(client.txid, client.rd)
-                                .into()
+                        Some((qname, template)) if qname.as_wire() == asked.qname.as_wire() => {
+                            template.materialize_ttls_kept(asked.id, asked.rd).into()
                         }
                         // Another 0x20 casing: this client's response is
                         // built on its own, echoing its own question.
-                        _ => built(&with_records),
+                        _ => response().encode().into(),
                     }
                 }
-                TaskOutcome::Rcode(rcode) => built(&|b| b.rcode(*rcode)),
-                TaskOutcome::NoData => built(&|b| b),
+                TaskOutcome::Rcode(rcode) => asked.response(*rcode, Vec::new()).encode().into(),
+                TaskOutcome::NoData => asked.response(Rcode::NoError, Vec::new()).encode().into(),
             };
             ctx.send_udp(UdpSend {
                 src: Some(client.service_addr),
@@ -320,39 +286,28 @@ impl RecursiveResolver {
         self.pending.insert((port, txid), (id, timeout));
     }
 
-    /// REFUSE a client the ACL does not allow, if `dgram` is a query.
-    fn refuse(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram) {
-        let Ok(query) = Message::decode(&dgram.payload) else {
-            return;
-        };
-        if query.is_response() || query.question().is_none() {
-            return;
-        }
-        self.stats.client_queries += 1;
-        self.stats.refused += 1;
-        let resp = MessageBuilder::response_to(&query)
-            .rcode(Rcode::Refused)
-            .build();
-        ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
-    }
-
     /// Resolve the cache miss `query` that arrived in `dgram`: coalesce it
     /// onto the resolution in flight for its question, or start one at the
     /// first root. A query read from its bytes' plain shape (or the memo's)
     /// has its upstream query spliced from its question as it arrived.
     fn resolve(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, query: ClientQuery) {
-        let (qtype, read) = (query.qtype, query.read);
-        let client = Client::of(dgram, query.id, query.rd, query.qname);
         let Some(&root) = self.config.roots.first() else {
             self.stats.servfail += 1;
-            let resp = Self::response_for(&client, qtype, |b| b.rcode(Rcode::ServFail));
-            ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
+            let servfail = query.response(Rcode::ServFail, Vec::new());
+            ctx.send_udp(UdpSend::reply_to(dgram, servfail.encode()));
             return;
+        };
+        let key = (query.qname.clone(), query.qtype);
+        let client = Client {
+            addr: dgram.src,
+            port: dgram.src_port,
+            service_addr: dgram.dst,
+            query,
         };
 
         // Coalesce onto an in-flight resolution for the same name (the
         // entry exists exactly while its leader is unanswered).
-        match self.inflight.get(&(client.qname.clone(), qtype)) {
+        match self.inflight.get(&key) {
             Some(id) => {
                 self.stats.coalesced += 1;
                 let task = self.tasks.get_mut(id).expect("in flight");
@@ -361,9 +316,8 @@ impl RecursiveResolver {
             None => {
                 let id = self.next_task;
                 self.next_task += 1;
-                self.inflight.insert((client.qname.clone(), qtype), id);
-                let upstream_query = if read == Reading::Decoded {
-                    MessageBuilder::query(0, client.qname.clone(), qtype)
+                let upstream_query = if client.query.read == Reading::Decoded {
+                    MessageBuilder::query(0, key.0.clone(), key.1)
                         .build()
                         .encode()
                 } else {
@@ -374,10 +328,10 @@ impl RecursiveResolver {
                     query.extend_from_slice(&dgram.payload[HEADER_LEN..]);
                     query
                 };
+                self.inflight.insert(key, id);
                 let task = Task {
                     upstream_query,
                     leader: client,
-                    qtype,
                     waiters: Vec::new(),
                     current_ns: root,
                     referrals: 0,
@@ -428,8 +382,8 @@ impl RecursiveResolver {
             let min_ttl = resp.answers.iter().map(|r| r.ttl).min().unwrap_or(0);
             let records = resp.answers;
             self.cache.insert(
-                task.leader.qname.clone(),
-                task.qtype,
+                task.leader.query.qname.clone(),
+                task.leader.query.qtype,
                 CachedAnswer::Positive(records.clone()),
                 min_ttl,
                 ctx.now(),
@@ -455,8 +409,8 @@ impl RecursiveResolver {
                     })
                     .unwrap_or(60);
                 self.cache.insert(
-                    task.leader.qname.clone(),
-                    task.qtype,
+                    task.leader.query.qname.clone(),
+                    task.leader.query.qtype,
                     CachedAnswer::Negative(Rcode::NxDomain),
                     ttl,
                     ctx.now(),
@@ -485,13 +439,18 @@ fn decode_timer(token: u64) -> (u16, u16) {
 impl Host for RecursiveResolver {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if dgram.dst_port == dnswire::DNS_PORT {
-            // A refusal is decoded; everyone else's query is read once, by
-            // the serve path, and answered from cache or resolved.
-            if !self.config.acl.allows(dgram.src) {
-                self.refuse(ctx, &dgram);
-                return;
-            }
-            let Some(served) = self.cache.serve(&dgram.payload, ctx.now()) else {
+            // A client the ACL turns away is refused whatever it asked;
+            // everyone else's query is read once, by the serve path, and
+            // answered from cache, resolved, or refused.
+            let served = if self.config.acl.allows(dgram.src) {
+                self.cache.serve(&dgram.payload, ctx.now())
+            } else {
+                admit(&dgram.payload).map(|admitted| match admitted {
+                    Ok(query) => Served::Refused(refusal(&query)),
+                    Err(refused) => Served::Refused(refused),
+                })
+            };
+            let Some(served) = served else {
                 return;
             };
             self.stats.client_queries += 1;
@@ -501,6 +460,10 @@ impl Host for RecursiveResolver {
                     ctx.send_udp(UdpSend::reply_to(&dgram, answer));
                 }
                 Served::Miss(query) => self.resolve(ctx, &dgram, query),
+                Served::Refused(refusal) => {
+                    self.stats.refused += 1;
+                    ctx.send_udp(UdpSend::reply_to(&dgram, refusal));
+                }
             }
         } else {
             // Traffic to our ephemeral ports: upstream responses. A

@@ -35,7 +35,7 @@ pub struct Delegation {
 ///   (authority NS + glue A in the additional section).
 /// * Queries for other names under `origin` get NXDOMAIN.
 /// * Queries outside `origin` get REFUSED (a root server's `origin` is the
-///   root, so nothing is outside it).
+///   root, so nothing is outside it), as does any but a plain `IN` query.
 #[derive(Debug)]
 pub struct DelegatingServer {
     origin: DnsName,
@@ -80,14 +80,13 @@ impl DelegatingServer {
             .max_by_key(|d| d.zone.label_count())
     }
 
-    fn respond(&self, query: &Message) -> Message {
-        let q = query.question().expect("caller checked");
+    /// The reply to `query`, a plain `IN` query.
+    fn respond(&self, query: &Message) -> Payload {
+        let q = &query.questions[0];
         if !q.qname.is_subdomain_of(&self.origin) {
-            return MessageBuilder::response_to(query)
-                .rcode(Rcode::Refused)
-                .build();
+            return crate::query::refusal(query);
         }
-        match self.find_delegation(&q.qname) {
+        let reply = match self.find_delegation(&q.qname) {
             Some(d) => MessageBuilder::response_to(query)
                 .authority(Record {
                     name: d.zone.clone(),
@@ -101,7 +100,8 @@ impl DelegatingServer {
                 .authoritative(true)
                 .rcode(Rcode::NxDomain)
                 .build(),
-        }
+        };
+        reply.encode().into()
     }
 }
 
@@ -120,15 +120,16 @@ impl Host for DelegatingServer {
             ctx.send_udp(UdpSend::reply_to(&dgram, reply));
             return;
         }
-        let Ok(query) = Message::decode(&dgram.payload) else {
-            return;
+        let reply = match crate::query::admit(&dgram.payload) {
+            None => return,
+            Some(Ok(query)) => {
+                let reply = self.respond(&query);
+                self.memo = ReplyMemo::remember(&dgram.payload, &query, &reply, None);
+                reply
+            }
+            Some(Err(refusal)) => refusal,
         };
-        if query.is_response() || query.question().is_none() {
-            return;
-        }
         self.queries_served += 1;
-        let reply: Payload = self.respond(&query).encode().into();
-        self.memo = ReplyMemo::remember(&dgram.payload, &query, &reply, None);
         ctx.send_udp(UdpSend::reply_to(&dgram, reply));
     }
 }

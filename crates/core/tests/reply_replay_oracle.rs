@@ -7,13 +7,15 @@
 //! another RD bit, EDNS, `CH`, `ANY`, other names and types) — to one server
 //! and, query by query, to a fresh server that has nothing to replay. The
 //! replies must be byte-identical, and the one server's counters and log
-//! must be the fresh servers' summed.
+//! must be the fresh servers' summed. Every query that is not a plain `IN`
+//! one — `CH`, even for the study name inside the zone — is REFUSED, with
+//! no record.
 //!
 //! A resolver reads those referrals with `dnswire::view_referral`; the last
 //! test holds it to `odns::extract_referral` on every reply a delegating
 //! server writes.
 
-use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Record, RrType};
+use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Record, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{Host, Payload, SimConfig, SimDuration, Simulator, UdpSend};
 use odns::study;
@@ -81,6 +83,14 @@ fn replay_against_fresh<H: Host, S>(
     let timed = timed(queries);
     let (warm, server) = replies(make(), &timed, &read);
     assert_eq!(warm.len(), queries.len(), "every query is answered");
+    for (i, ((_, query), reply)) in queries.iter().zip(&warm).enumerate() {
+        if !Message::decode(query).unwrap().is_plain_in_query() {
+            let m = Message::decode(reply).unwrap();
+            assert_eq!(m.header.flags.rcode, Rcode::Refused, "query {i}");
+            let records = m.answers.len() + m.authorities.len() + m.additionals.len();
+            assert_eq!(records, 0, "query {i}");
+        }
+    }
     let mut fresh = Vec::new();
     for (i, query) in timed.iter().enumerate() {
         let (cold, server) = replies(make(), std::slice::from_ref(query), &read);
@@ -122,6 +132,9 @@ fn mixed_queries() -> Vec<Query> {
     )
     .build()
     .encode();
+    let chaos_a = MessageBuilder::query_class(25, study::study_qname(), RrType::A, QClass::Ch)
+        .build()
+        .encode();
     let encoded = |target: [u8; 4]| {
         let name = study::encode_target_name(Ipv4Addr::from(target));
         query(22, &name.to_string(), RrType::A, false)
@@ -150,6 +163,8 @@ fn mixed_queries() -> Vec<Query> {
         (1, edns),
         (2, chaos.clone()),
         (0, chaos),
+        (1, chaos_a.clone()),
+        (2, chaos_a),
         (1, encoded([192, 0, 2, 7])),
         (2, encoded([192, 0, 2, 8])),
         a(23, 1),

@@ -13,9 +13,13 @@
 //! miss, the question `ServeCache::serve` hands back is the one
 //! `Message::decode` reads off the same bytes, even when the memo supplied
 //! it without reading them; and only a query `dnswire::view_query` reads
-//! ever becomes the memo.
+//! ever becomes the memo. A query that is not a plain `IN` query — class
+//! `CH`, another opcode, no question or two — is refused by both hosts and
+//! never looked up.
 
-use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Record, RrType};
+use dnswire::{
+    Class, DnsName, Message, MessageBuilder, Opcode, QClass, Question, RData, Rcode, Record, RrType,
+};
 use netsim::{Payload, SimDuration, SimTime};
 use odns::{CachedAnswer, DnsCache, Reading, ServeCache, Served};
 use proptest::prelude::*;
@@ -58,8 +62,14 @@ enum Shape {
     Plain,
     /// Class `IN` with an EDNS OPT record: decoded, answered as plain.
     Edns,
-    /// Class `CH`: decoded, answered around the decoded message.
+    /// Class `CH`: refused.
     Chaos,
+    /// Opcode STATUS: refused.
+    Status,
+    /// QDCOUNT 0: refused.
+    NoQuestion,
+    /// QDCOUNT 2: refused.
+    TwoQuestions,
 }
 
 fn op() -> impl Strategy<Value = Op> {
@@ -67,8 +77,8 @@ fn op() -> impl Strategy<Value = Op> {
     // class `IN`, few txids) so the memo matches and the `HotWire` replays
     // often enough for the writes and clock steps to land between replays.
     let query = || {
-        (0usize..4, 0u16..3, 0u8..4, 0u32..4, 0u8..8).prop_map(|(name, txid, rd, casing, shape)| {
-            Op::Query {
+        (0usize..4, 0u16..3, 0u8..4, 0u32..4, 0u8..16).prop_map(
+            |(name, txid, rd, casing, shape)| Op::Query {
                 name: name / 3,
                 txid,
                 rd: rd != 0,
@@ -76,10 +86,13 @@ fn op() -> impl Strategy<Value = Op> {
                 shape: match shape {
                     0 => Shape::Chaos,
                     1 => Shape::Edns,
+                    2 => Shape::Status,
+                    3 => Shape::NoQuestion,
+                    4 => Shape::TwoQuestions,
                     _ => Shape::Plain,
                 },
-            }
-        })
+            },
+        )
     };
     prop_oneof![
         query(),
@@ -115,10 +128,19 @@ fn cased(name: &str, casing: u32) -> DnsName {
     DnsName::parse(&s).unwrap()
 }
 
-/// The reference host: decode, `DnsCache::get`, build.
+/// The reference host: decode, refuse all but a plain `IN` query with no
+/// lookup, else `DnsCache::get`, build.
 fn reference(cache: &mut DnsCache, payload: &[u8], now: SimTime) -> Option<Vec<u8>> {
     let query = Message::decode(payload).unwrap();
-    let q = query.question()?;
+    let plain = !query.header.flags.response
+        && query.header.flags.opcode == Opcode::Query
+        && query.questions.len() == 1
+        && query.questions[0].qclass == QClass::In;
+    if !plain {
+        let refused = MessageBuilder::response_to(&query).rcode(Rcode::Refused);
+        return Some(refused.build().encode());
+    }
+    let q = &query.questions[0];
     let builder = MessageBuilder::response_to(&query).recursion_available(true);
     let response = match cache.get(&q.qname, q.qtype, now)? {
         CachedAnswer::Positive(records) => {
@@ -146,13 +168,25 @@ fn query_bytes(txid: u16, qname: DnsName, rd: bool, shape: Shape) -> Vec<u8> {
             rdata: RData::Opt(Vec::new()),
         });
     }
-    query.build().encode()
+    let mut query = query.build();
+    match shape {
+        Shape::Status => query.header.flags.opcode = Opcode::Status,
+        Shape::NoQuestion => query.questions.clear(),
+        Shape::TwoQuestions => {
+            let first = &query.questions[0];
+            let second = Question::new(first.qname.clone(), RrType::Txt);
+            query.questions.push(second);
+        }
+        Shape::Plain | Shape::Edns | Shape::Chaos => {}
+    }
+    query.encode()
 }
 
-/// `payload` through the one door: the answer's bytes, or `None` on a miss
-/// after checking the question handed back against the decoder's reading
-/// of the same bytes, and how it was read against the memo rule: the
-/// first query the view reads (whose bytes `memo` keeps) is the memo.
+/// `payload` through the one door: the answer's bytes — a refusal exactly
+/// when the query is not a plain `IN` one — or `None` on a miss after
+/// checking the question handed back against the decoder's reading of the
+/// same bytes, and how it was read against the memo rule: the first query
+/// the view reads (whose bytes `memo` keeps) is the memo.
 fn served(
     serve: &mut ServeCache,
     memo: &mut Option<Vec<u8>>,
@@ -163,12 +197,15 @@ fn served(
     if viewed && memo.is_none() {
         *memo = Some(payload.to_vec());
     }
-    let query = match serve.serve(&payload.into(), now).expect("a query") {
-        Served::Answer(answer) => return Some(answer.to_vec()),
-        Served::Miss(query) => query,
-    };
     let decoded = Message::decode(payload).unwrap();
-    let q = decoded.question().unwrap();
+    let plain = decoded.is_plain_in_query();
+    let query = match serve.serve(&payload.into(), now).expect("a query") {
+        Served::Answer(answer) if plain => return Some(answer.to_vec()),
+        Served::Refused(refusal) if !plain => return Some(refusal.to_vec()),
+        Served::Miss(query) if plain => query,
+        other => panic!("plain {plain}, served {other:?}"),
+    };
+    let q = &decoded.questions[0];
     assert_eq!(query.id, decoded.header.id);
     assert_eq!(query.rd, decoded.header.flags.recursion_desired);
     assert_eq!(query.qname.as_wire(), q.qname.as_wire());
@@ -255,12 +292,14 @@ proptest! {
         let mut memo = None;
         let mut now = SimTime::ZERO;
         let mut queries = 0u64;
+        let mut lookups = 0u64;
         let mut filler = 0u32;
         for op in ops {
             match op {
                 Op::Query { name, txid, rd, casing, shape } => {
                     let payload = query_bytes(txid, cased(NAMES[name], casing), rd, shape);
                     queries += 1;
+                    lookups += u64::from(matches!(shape, Shape::Plain | Shape::Edns));
                     let expected = reference(&mut plain, &payload, now);
                     prop_assert_eq!(
                         served(&mut serve, &mut memo, &payload, now),
@@ -311,9 +350,9 @@ proptest! {
                 }
             }
         }
-        // One counted lookup per client query, on both sides.
+        // One counted lookup per plain client query, on both sides.
         let stats = serve.cache().stats;
-        prop_assert_eq!(stats.hits + stats.misses, queries);
+        prop_assert_eq!(stats.hits + stats.misses, lookups);
         prop_assert_eq!(stats, plain.stats);
     }
 }
