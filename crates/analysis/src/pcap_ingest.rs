@@ -508,7 +508,7 @@ mod tests {
             let mut ips = vec![SCANNER];
             ips.extend(&targets);
             let (topo, nodes) = netsim::testkit::playground(&ips);
-            let mut sim = netsim::Simulator::new(topo, netsim::SimConfig::default());
+            let mut sim = netsim::Simulator::new(topo);
             for (node, reply) in nodes[1..].iter().zip(replies) {
                 sim.install(*node, reply);
             }

@@ -292,6 +292,11 @@ impl DnsCache {
     /// Look up `name`/`rtype` at time `now`. Positive answers come back
     /// with record TTLs rewritten to the *remaining* lifetime — exactly
     /// what a resolver serves from cache, and what Figure 7 observes.
+    ///
+    /// The serve path reads only through [`DnsCache::get_wire`]. This
+    /// record-cloning read is kept as the reference that
+    /// `tests/serve_cache_oracle.rs` holds `ServeCache::serve` to, so it
+    /// has no caller outside tests.
     pub fn get(&mut self, name: &DnsName, rtype: RrType, now: SimTime) -> Option<CachedAnswer> {
         let Some(e) = self.table.get_mut(name, rtype) else {
             self.stats.misses += 1;

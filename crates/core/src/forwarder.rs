@@ -43,6 +43,10 @@ use netsim::{Ctx, Datagram, Host, IntMap, SimDuration, TimerId, TimerOutcome, Ud
 use std::net::Ipv4Addr;
 use std::sync::Arc;
 
+/// How long a recursive forwarder waits for its resolver's answer before
+/// it forgets the query.
+const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
 /// Counters for a recursive forwarder.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RecursiveForwarderStats {
@@ -146,7 +150,6 @@ pub struct RecursiveForwarder {
     resolver: Ipv4Addr,
     cache: Option<ServeCache>,
     pending: Pending,
-    timeout: SimDuration,
     device: Option<Arc<DeviceProfile>>,
     manipulation: Manipulation,
     /// Counters.
@@ -160,7 +163,6 @@ impl RecursiveForwarder {
             resolver,
             cache: Some(ServeCache::new(64)),
             pending: Pending::Inline(None),
-            timeout: SimDuration::from_secs(5),
             device: None,
             manipulation: Manipulation::None,
             stats: RecursiveForwarderStats::default(),
@@ -313,7 +315,7 @@ impl Host for RecursiveForwarder {
             ttl: None,
             payload: dgram.payload.clone(),
         });
-        let timeout = ctx.set_timer(self.timeout, (u64::from(port) << 16) | u64::from(txid));
+        let timeout = ctx.set_timer(UPSTREAM_TIMEOUT, (u64::from(port) << 16) | u64::from(txid));
         self.pending.insert(
             (port, txid),
             PendingQuery {
@@ -423,7 +425,7 @@ mod tests {
     use super::*;
     use dnswire::{DnsName, MessageBuilder, RrType};
     use netsim::testkit::{playground, Exchange};
-    use netsim::{SimConfig, Simulator};
+    use netsim::Simulator;
 
     const FWD_IP: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 1);
     const CLIENT_IP: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -462,7 +464,7 @@ mod tests {
 
     fn three_node_sim() -> (Simulator, netsim::NodeId, netsim::NodeId, netsim::NodeId) {
         let (topo, nodes) = playground(&[CLIENT_IP, FWD_IP, RESOLVER_IP]);
-        let sim = Simulator::new(topo, SimConfig::default());
+        let sim = Simulator::new(topo);
         (sim, nodes[0], nodes[1], nodes[2])
     }
 
@@ -511,7 +513,7 @@ mod tests {
     fn transparent_forwarder_blocked_by_sav() {
         let (topo, nodes) =
             netsim::testkit::playground_with_sav(&[CLIENT_IP, FWD_IP, RESOLVER_IP], true);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(nodes[1], TransparentForwarder::new(RESOLVER_IP));
         sim.install(nodes[2], CannedResolver { seen: vec![] });
         netsim::testkit::install_script(
@@ -693,7 +695,7 @@ mod tests {
         // answers apart.
         let (topo, nodes) =
             playground(&[CLIENT_IP, Ipv4Addr::new(192, 0, 2, 2), FWD_IP, RESOLVER_IP]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[2],
             RecursiveForwarder::new(RESOLVER_IP).without_cache(),

@@ -573,7 +573,7 @@ mod tests {
         // reuses the key of the first, answered one, whose 2 s timeout
         // must not fire into it.
         use netsim::testkit::{install_script, playground, ScriptedClient};
-        use netsim::{SimConfig, SimTime, Simulator};
+        use netsim::{SimTime, Simulator};
 
         const CLIENT: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
         const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
@@ -604,7 +604,7 @@ mod tests {
         }
 
         let (topo, nodes) = playground(&[CLIENT, RESOLVER, UPSTREAM]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[1],
             RecursiveResolver::new(ResolverConfig::open(vec![UPSTREAM])),

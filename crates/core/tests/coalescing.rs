@@ -6,7 +6,7 @@
 
 use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Record, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
-use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
+use netsim::{SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
     CacheStats, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, ResolverStats,
@@ -34,7 +34,7 @@ fn world(
         ips.push(Ipv4Addr::new(192, 0, 2, (i + 1) as u8));
     }
     let (topo, nodes) = playground(&ips);
-    let mut sim = Simulator::new(topo, SimConfig::default());
+    let mut sim = Simulator::new(topo);
 
     let mut root = DelegatingServer::root();
     root.delegate(Delegation {

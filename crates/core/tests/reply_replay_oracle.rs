@@ -17,7 +17,7 @@
 
 use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Record, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
-use netsim::{Host, Payload, SimConfig, SimDuration, Simulator, UdpSend};
+use netsim::{Host, Payload, SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{extract_referral, AuthLogEntry, DelegatingServer, Delegation, StudyAuthServer};
 use std::net::Ipv4Addr;
@@ -39,7 +39,7 @@ type Timed = (SimDuration, usize, Vec<u8>);
 /// `read` reads off the server once the run has drained.
 fn replies<H: Host, S>(server: H, queries: &[Timed], read: impl Fn(&H) -> S) -> (Vec<Payload>, S) {
     let (topo, nodes) = playground(&[&[SERVER][..], &CLIENTS[..]].concat());
-    let mut sim = Simulator::new(topo, SimConfig::default());
+    let mut sim = Simulator::new(topo);
     sim.install(nodes[0], server);
     for (c, node) in nodes[1..].iter().enumerate() {
         let sends = queries
@@ -223,7 +223,7 @@ fn root_and_tld_replay_what_they_would_build() {
 #[test]
 fn a_new_delegation_is_not_answered_from_the_old_reply() {
     let (topo, nodes) = playground(&[SERVER, CLIENTS[0]]);
-    let mut sim = Simulator::new(topo, SimConfig::default());
+    let mut sim = Simulator::new(topo);
     sim.install(nodes[0], DelegatingServer::root());
     let ask = |secs| {
         let bytes = query(1, &study::study_qname().to_string(), RrType::A, false);

@@ -3,7 +3,7 @@
 
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, RrType};
 use netsim::testkit::{install_script, playground, ScriptedClient};
-use netsim::{Ctx, Datagram, Host, SimConfig, SimDuration, Simulator, UdpSend};
+use netsim::{Ctx, Datagram, Host, SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
     AccessPolicy, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, StudyAuthServer,
@@ -20,7 +20,7 @@ const AUTH: Ipv4Addr = Ipv4Addr::new(198, 41, 2, 4);
 /// plus node ids: [client, resolver, root, tld, auth].
 fn hierarchy(resolver_config: ResolverConfig) -> (Simulator, Vec<netsim::NodeId>) {
     let (topo, nodes) = playground(&[CLIENT, RESOLVER, ROOT, TLD, AUTH]);
-    let mut sim = Simulator::new(topo, SimConfig::default());
+    let mut sim = Simulator::new(topo);
 
     let mut root = DelegatingServer::root();
     root.delegate(Delegation {
@@ -197,7 +197,7 @@ fn unresolvable_name_gets_servfail_eventually() {
     // instead aim at a delegation pointing to a non-existent server to
     // exercise the timeout path.
     let (topo, nodes) = playground(&[CLIENT, RESOLVER, ROOT]);
-    let mut sim = Simulator::new(topo, SimConfig::default());
+    let mut sim = Simulator::new(topo);
     let mut root = DelegatingServer::root();
     root.delegate(Delegation {
         zone: DnsName::parse("example.").unwrap(),

@@ -523,7 +523,7 @@ mod tests {
         let prober = Ipv4Addr::new(192, 0, 2, 1);
         let target = Ipv4Addr::new(203, 0, 113, 1);
         let (topo, nodes) = netsim::testkit::playground(&[prober, target]);
-        let mut sim = Simulator::new(topo, netsim::SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[0],
             DnsRoutePlusPlus::new(DnsRouteConfig::new(vec![target])),

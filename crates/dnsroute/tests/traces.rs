@@ -18,8 +18,8 @@ use dnsroute::{
 };
 use dnswire::{Message, MessageBuilder, RrType};
 use netsim::{
-    AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, NodeId, Relationship, SimConfig,
-    SimDuration, Simulator, TimerOutcome, TopologyBuilder, UdpSend,
+    AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, NodeId, Relationship, SimDuration,
+    Simulator, TimerOutcome, TopologyBuilder, UdpSend,
 };
 use odns::TransparentForwarder;
 use std::collections::BTreeSet;
@@ -74,10 +74,6 @@ struct World {
 }
 
 fn build_world_ext(scanner_access: &[Ipv4Addr]) -> World {
-    build_world_cfg(scanner_access, SimConfig::default())
-}
-
-fn build_world_cfg(scanner_access: &[Ipv4Addr], config: SimConfig) -> World {
     let mut b = TopologyBuilder::new();
     let a100 = b.add_as(as_spec(100, true, vec![Ipv4Addr::new(10, 100, 0, 1)]));
     let a200 = b.add_as(as_spec(
@@ -105,7 +101,7 @@ fn build_world_cfg(scanner_access: &[Ipv4Addr], config: SimConfig) -> World {
     let resolver = b.add_host(a400, HostSpec::simple(RESOLVER));
     let noise = b.add_host(a400, HostSpec::simple(NOISE));
 
-    let mut sim = Simulator::new(b.build().unwrap(), config);
+    let mut sim = Simulator::new(b.build().unwrap());
     sim.install(forwarder, TransparentForwarder::new(RESOLVER));
     sim.install(recursive, odns::RecursiveForwarder::new(RESOLVER));
     sim.install(resolver, Canned);
@@ -374,19 +370,16 @@ fn multiple_targets_trace_concurrently() {
 #[test]
 fn per_hop_retries_fill_hops_lost_to_faults() {
     let faulty = |retry: netsim::RetryPolicy| {
-        let mut w = build_world_cfg(
-            &[],
-            SimConfig {
-                faults: netsim::FaultPlan {
-                    base: netsim::FaultConfig {
-                        drop_probability: 0.35,
-                        ..netsim::FaultConfig::none()
-                    },
-                    ..netsim::FaultPlan::none()
-                }
-                .salted(9),
-                ..SimConfig::default()
-            },
+        let mut w = build_world_ext(&[]);
+        w.sim.set_faults(
+            netsim::FaultPlan {
+                base: netsim::FaultConfig {
+                    drop_probability: 0.35,
+                    ..netsim::FaultConfig::none()
+                },
+                ..netsim::FaultPlan::none()
+            }
+            .salted(9),
         );
         let traces = run_dnsroute(
             &mut w.sim,
@@ -422,13 +415,8 @@ fn per_hop_retries_fill_hops_lost_to_faults() {
 /// to retransmit or record, and the simulator's books balance.
 #[test]
 fn lossy_sweep_fires_no_stale_hop_timeout() {
-    let mut w = build_world_cfg(
-        &[],
-        SimConfig {
-            faults: analysis::sweep_fault_plan(50, 7),
-            ..SimConfig::default()
-        },
-    );
+    let mut w = build_world_ext(&[]);
+    w.sim.set_faults(analysis::sweep_fault_plan(50, 7));
     let targets = vec![FORWARDER, RECURSIVE_HOST, Ipv4Addr::new(198, 18, 0, 1)];
     let cfg = DnsRouteConfig::new(targets).with_retry(analysis::sweep_retry_policy(2));
     let traces = run_dnsroute(&mut w.sim, w.scanner, cfg);
@@ -447,19 +435,16 @@ fn lossy_sweep_fires_no_stale_hop_timeout() {
 /// built afresh under its `(idx, ttl)` txid, sent at that TTL.
 #[test]
 fn probes_on_the_wire_equal_a_fresh_encode_of_the_study_query() {
-    let mut w = build_world_cfg(
-        &[],
-        SimConfig {
-            faults: netsim::FaultPlan {
-                base: netsim::FaultConfig {
-                    drop_probability: 0.35,
-                    ..netsim::FaultConfig::none()
-                },
-                ..netsim::FaultPlan::none()
-            }
-            .salted(9),
-            ..SimConfig::default()
-        },
+    let mut w = build_world_ext(&[]);
+    w.sim.set_faults(
+        netsim::FaultPlan {
+            base: netsim::FaultConfig {
+                drop_probability: 0.35,
+                ..netsim::FaultConfig::none()
+            },
+            ..netsim::FaultPlan::none()
+        }
+        .salted(9),
     );
     w.sim.tap(w.scanner);
     let targets = vec![FORWARDER, RECURSIVE_HOST, Ipv4Addr::new(198, 18, 0, 1)];

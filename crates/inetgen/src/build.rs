@@ -26,7 +26,7 @@ use crate::host::WorldHost;
 use crate::shard::{shard_of_country, ShardSpec};
 use netsim::shard::derive_seed;
 use netsim::{
-    AsId, AsKind, AsSpec, CountryCode, HostSpec, NodeId, Relationship, SimConfig, SimDuration,
+    AsId, AsKind, AsSpec, CountryCode, FaultPlan, HostSpec, NodeId, Relationship, SimDuration,
     Simulator, TopologyBuilder,
 };
 use odns::{
@@ -181,19 +181,18 @@ pub struct Internet {
 
 impl Internet {
     /// Restore a scanned world to its pre-scan state: the simulator
-    /// rewinds (clock, queue, fault plan, stats — see
-    /// [`Simulator::reset`]) and every host reinstalls from `truth.hosts`,
-    /// overwriting the one its slot holds; whatever an experiment installed
-    /// elsewhere is discarded.
+    /// rewinds (clock, queue, stats — see [`Simulator::reset`]), every host
+    /// reinstalls from `truth.hosts`, overwriting the one its slot holds,
+    /// and the world's own fault plan (`GenConfig::faults`, salted) is
+    /// installed again; whatever an experiment installed elsewhere, and any
+    /// plan it set with [`Simulator::set_faults`], is discarded.
     /// The result runs any experiment bit-identically to a freshly
     /// generated world, while keeping the expensive topology, route caches,
     /// ground truth, geo database, and target list. This is the
     /// generate-once/scan-many hook [`crate::ShardWorldCache`] relies on.
     pub fn reset(&mut self) {
         let hosted = &self.blueprint.hosted;
-        let config = &self.blueprint.config;
-        self.sim
-            .reset_keeping(config, |node| hosted[node.0 as usize]);
+        self.sim.reset_keeping(|node| hosted[node.0 as usize]);
         install_hosts(&mut self.sim, &self.blueprint, &self.truth.hosts);
     }
 }
@@ -302,25 +301,27 @@ const COUNTRY_STREAM: u64 = 0xC0_0000_0000;
 const TARGET_STREAM: u64 = 0x7A_0000_0000;
 
 /// What reinstalling a shard's hosts onto a reset simulator needs besides
-/// the ground truth itself: the sim config (fault plan, event budget), the
-/// study-stack nodes and the public resolver nodes. Kept by [`Internet`] so
+/// the ground truth itself: the world's salted fault plan, the study-stack
+/// nodes and the public resolver nodes. Kept by [`Internet`] so
 /// [`Internet::reset`] can restore a scanned world to its pre-scan state
 /// without regenerating the topology.
 #[derive(Debug, Clone)]
 struct WorldBlueprint {
-    config: SimConfig,
+    faults: FaultPlan,
     study: StudyNodes,
     project_resolvers: Vec<NodeId>,
     /// Per node, whether [`install_hosts`] installs a host there.
     hosted: Vec<bool>,
 }
 
-/// Install the study stack, public resolvers, and the planted population
-/// onto a simulator that has no hosts yet (fresh or just reset). Shared by
-/// first generation and every [`Internet::reset`], so a reset world is
-/// rebuilt by the exact code path that built it — from the same
-/// [`PlantedHost`] records the analysis reads as ground truth.
+/// Install the world's fault plan, the study stack, public resolvers, and
+/// the planted population onto a quiet simulator that has no hosts yet
+/// (fresh or just reset). Shared by first generation and every
+/// [`Internet::reset`], so a reset world is rebuilt by the exact code path
+/// that built it — from the same [`PlantedHost`] records the analysis
+/// reads as ground truth.
 fn install_hosts(sim: &mut Simulator<WorldHost>, bp: &WorldBlueprint, planted: &[PlantedHost]) {
+    sim.set_faults(bp.faults.clone());
     odns::install_study_stack(sim, bp.study, false);
     let roots: Arc<[Ipv4Addr]> = Arc::new([ROOT_IP]);
     let resolver = |cache_capacity| {
@@ -409,13 +410,6 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
         plant_country(&mut draft, config, &backbone, global_index, profile);
     }
 
-    // The fault plan is salted from the *generation* seed, which is shared
-    // by every shard — per-flow fault verdicts are therefore invariant
-    // under the shard count.
-    let sim_config = SimConfig {
-        faults: config.faults.clone().salted(config.seed),
-        ..SimConfig::default()
-    };
     let topo = draft.b.build().expect("generated topology is valid");
     let mut hosted = vec![false; topo.host_count()];
     let study_nodes = [study.root, study.tld, study.auth];
@@ -427,12 +421,15 @@ pub fn generate_shard(config: &GenConfig, spec: ShardSpec) -> Internet {
     {
         hosted[node.0 as usize] = true;
     }
-    let mut sim = Simulator::with_host_table(topo, sim_config.clone());
+    let mut sim = Simulator::with_host_table(topo);
 
     // Every shard deploys its own full root → TLD → authoritative stack,
     // so recursive resolution never crosses shards.
     let blueprint = WorldBlueprint {
-        config: sim_config,
+        // Salted from the *generation* seed, which is shared by every
+        // shard — per-flow fault verdicts are therefore invariant under the
+        // shard count.
+        faults: config.faults.clone().salted(config.seed),
         study,
         project_resolvers: backbone.project_resolvers,
         hosted,

@@ -31,7 +31,7 @@ pub enum WorldHost {
 
 // A slot is exactly as wide as a recursive forwarder, the kind most nodes
 // hold; a kind that outgrows it goes into a box, not into every slot.
-const _: () = assert!(std::mem::size_of::<WorldHost>() == 328);
+const _: () = assert!(std::mem::size_of::<WorldHost>() == 320);
 
 /// `host` as an `X`, taken out of its option, when that is its type.
 fn take<X: 'static, T: 'static>(host: &mut Option<T>) -> Option<X> {
@@ -119,7 +119,7 @@ impl HostEntry for WorldHost {
 mod tests {
     use super::*;
     use netsim::testkit::{playground, ScriptedClient};
-    use netsim::{SimConfig, Simulator};
+    use netsim::Simulator;
     use std::net::Ipv4Addr;
 
     #[test]
@@ -127,7 +127,7 @@ mod tests {
         let upstream = Ipv4Addr::new(198, 51, 100, 1);
         let ips: Vec<Ipv4Addr> = (1..=3).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
         let (topo, nodes) = playground(&ips);
-        let mut sim: Simulator<WorldHost> = Simulator::with_host_table(topo, SimConfig::default());
+        let mut sim: Simulator<WorldHost> = Simulator::with_host_table(topo);
         sim.install(nodes[0], RecursiveForwarder::new(upstream));
         sim.install(nodes[1], TransparentForwarder::new(upstream));
         sim.install(nodes[2], ScriptedClient::new());

@@ -10,7 +10,8 @@
 //!   forwarders only exist where SAV is absent);
 //! * anycast services with PoP-proximity selection (public resolvers);
 //! * pcap capture of real wire bytes (the zmap + dumpcap pipeline);
-//! * fault injection (loss, duplication, jitter) for robustness tests.
+//! * fault injection (loss, duplication, jitter) for robustness tests: a
+//!   simulator is quiet until [`Simulator::set_faults`] installs a plan.
 //!
 //! Design follows the event-driven, allocation-conscious style of smoltcp:
 //! hosts implement [`Host`] and interact only through [`Ctx`]; the
@@ -21,8 +22,8 @@
 //!
 //! ```
 //! use netsim::{
-//!     AsKind, AsSpec, CountryCode, HostSpec, Relationship, SimConfig, Simulator,
-//!     TopologyBuilder, UdpSend, SimDuration,
+//!     AsKind, AsSpec, CountryCode, HostSpec, Relationship, Simulator, TopologyBuilder,
+//!     UdpSend, SimDuration,
 //! };
 //! use std::net::Ipv4Addr;
 //!
@@ -36,7 +37,7 @@
 //! });
 //! let scanner = b.add_host(a0, HostSpec::simple(Ipv4Addr::new(192, 0, 2, 1)));
 //! let sink = b.add_host(a0, HostSpec::simple(Ipv4Addr::new(192, 0, 2, 2)));
-//! let mut sim = Simulator::new(b.build().unwrap(), SimConfig::default());
+//! let mut sim = Simulator::new(b.build().unwrap());
 //! netsim::testkit::install_script(&mut sim, scanner, vec![(
 //!     SimDuration::ZERO,
 //!     UdpSend::new(40000, Ipv4Addr::new(192, 0, 2, 2), 53, b"hello".to_vec()),
@@ -73,7 +74,7 @@ pub use intmap::{IntHasher, IntMap};
 pub use packet::{Datagram, IcmpKind, IcmpMessage, Payload, QuotedDatagram, DEFAULT_TTL};
 pub use retry::RetryPolicy;
 pub use routing::{Hop, Path, RouteError, RouteResolver};
-pub use sim::{HostEntry, SimConfig, Simulator};
+pub use sim::{HostEntry, Simulator};
 pub use stats::{DropReason, SimStats};
 pub use time::{SimDuration, SimTime};
 pub use topology::{

@@ -22,26 +22,9 @@ use crate::wire;
 use std::any::Any;
 use std::collections::HashMap;
 
-/// Simulator configuration. The simulator draws nothing at random: two
-/// runs with the same plan replay the same fault pattern bit for bit.
-#[derive(Debug, Clone)]
-pub struct SimConfig {
-    /// Fault injection plan, used exactly as given (its salt included) and
-    /// validated at installation.
-    pub faults: FaultPlan,
-    /// Hard ceiling on processed events, to catch runaway feedback loops
-    /// (e.g. two forwarders pointed at each other).
-    pub max_events: u64,
-}
-
-impl Default for SimConfig {
-    fn default() -> Self {
-        SimConfig {
-            faults: FaultPlan::none(),
-            max_events: 200_000_000,
-        }
-    }
-}
+/// Hard ceiling on processed events over a simulator's life, to catch
+/// runaway feedback loops (e.g. two forwarders pointed at each other).
+const MAX_EVENTS: u64 = 200_000_000;
 
 /// One queue event. The wheel writes an event once, into an arena node,
 /// and cascades re-link the node instead of moving it, so the payload
@@ -180,6 +163,7 @@ pub(crate) struct SimCore {
     faults: FaultPlan,
     /// Cached `faults.is_quiet()` — the per-packet fast-path branch.
     faults_quiet: bool,
+    /// [`MAX_EVENTS`]; a field so that a unit test can lower it.
     max_events: u64,
     resolver: RouteResolver,
     stats: SimStats,
@@ -188,28 +172,26 @@ pub(crate) struct SimCore {
 }
 
 impl Simulator {
-    /// Create a simulator over a built topology, whose host table boxes
-    /// every host.
-    pub fn new(topo: Topology, config: SimConfig) -> Self {
-        Self::with_host_table(topo, config)
+    /// Create a quiet simulator over a built topology, whose host table
+    /// boxes every host.
+    pub fn new(topo: Topology) -> Self {
+        Self::with_host_table(topo)
     }
 }
 
 impl<H: HostEntry> Simulator<H> {
-    /// Create a simulator over a built topology, storing hosts as `H`.
-    pub fn with_host_table(topo: Topology, config: SimConfig) -> Self {
+    /// Create a quiet simulator over a built topology, storing hosts as
+    /// `H`. [`Simulator::set_faults`] makes it lossy.
+    pub fn with_host_table(topo: Topology) -> Self {
         let hosts = HostTable::new(topo.host_count());
-        let faults = config.faults;
-        faults.assert_valid();
-        let faults_quiet = faults.is_quiet();
         let core = SimCore {
             topo,
             queue: TimerWheel::new(),
             now: SimTime::ZERO,
             seq: 0,
-            faults,
-            faults_quiet,
-            max_events: config.max_events,
+            faults: FaultPlan::none(),
+            faults_quiet: true,
+            max_events: MAX_EVENTS,
             resolver: RouteResolver::new(),
             stats: SimStats::default(),
             taps: HashMap::new(),
@@ -225,11 +207,13 @@ impl<H: HostEntry> Simulator<H> {
 
     /// Restore the simulator to its pre-run state over the same topology:
     /// pending events, hosts, and taps are discarded; the clock, sequence
-    /// counter, IP ident counter, and statistics rewind to zero; the fault
-    /// plan and event budget are taken from `config`. Reinstalling the
-    /// same hosts and scheduling the same bootstrap timers then reproduces
-    /// a fresh run's event stream bit for bit — the reuse contract warm
-    /// shard worlds rely on.
+    /// counter, IP ident counter, and statistics rewind to zero; and the
+    /// network is quiet again, as a new simulator's is: a plan installed
+    /// with [`Simulator::set_faults`] does not survive, so a lossy rerun
+    /// installs its plan again. Reinstalling the same hosts (and plan) and
+    /// scheduling the same bootstrap timers then reproduces a fresh run's
+    /// event stream bit for bit — the reuse contract warm shard worlds
+    /// rely on.
     ///
     /// The route resolver's caches survive (routes are a pure function of
     /// the immutable topology), so a reset world re-runs without
@@ -237,17 +221,18 @@ impl<H: HostEntry> Simulator<H> {
     /// from a cold run; event timing and content never do. The queue's
     /// arena survives too, emptied but not freed, so the replay allocates
     /// nothing in the queue.
-    pub fn reset(&mut self, config: &SimConfig) {
-        self.reset_keeping(config, |_| false);
+    pub fn reset(&mut self) {
+        self.reset_keeping(|_| false);
     }
 
     /// [`Simulator::reset`], except that the hosts of the nodes `keep`
     /// names stay in their slots, for the caller to overwrite in place with
     /// [`Simulator::install`] before the next run — a world reinstalling
     /// what it planted reuses the table's storage. A kept host that is not
-    /// overwritten runs on with its old state.
-    pub fn reset_keeping(&mut self, config: &SimConfig, keep: impl Fn(NodeId) -> bool) {
-        self.core.reset(config);
+    /// overwritten runs on with its old state; the fault plan does not, and
+    /// the network is quiet until the next [`Simulator::set_faults`].
+    pub fn reset_keeping(&mut self, keep: impl Fn(NodeId) -> bool) {
+        self.core.reset();
         for (i, slot) in self.hosts.slots_mut().enumerate() {
             if !keep(NodeId(i as u32)) {
                 *slot = None;
@@ -270,11 +255,13 @@ impl<H: HostEntry> Simulator<H> {
         &self.core.stats
     }
 
-    /// Replace the fault-injection plan (takes effect for all packets
-    /// sent after the call — lets experiments degrade an initially clean
-    /// network). Accepts a bare [`crate::FaultConfig`] for uniform
-    /// faults. The plan is used as given, salt included, and validated
-    /// loudly here, never clamped per decision.
+    /// Install the fault-injection plan, the only way a simulator becomes
+    /// lossy: it is born quiet and [`Simulator::reset`] quiets it again. The
+    /// plan takes effect for all packets sent after the call, so installing
+    /// it before the first event replays a run that was lossy from the
+    /// start. Accepts a bare [`crate::FaultConfig`] for uniform faults. The
+    /// plan is used as given, salt included, and validated loudly here,
+    /// never clamped per decision.
     pub fn set_faults(&mut self, faults: impl Into<FaultPlan>) {
         let plan = faults.into();
         plan.assert_valid();
@@ -362,16 +349,14 @@ impl<H: HostEntry> Simulator<H> {
 
 impl SimCore {
     /// Rewind everything [`Simulator::reset`] rewinds but the hosts.
-    fn reset(&mut self, config: &SimConfig) {
+    fn reset(&mut self) {
         self.queue.clear();
         self.taps.clear();
         self.now = SimTime::ZERO;
         self.seq = 0;
         self.ip_ident = 0;
-        self.faults = config.faults.clone();
-        self.faults.assert_valid();
-        self.faults_quiet = self.faults.is_quiet();
-        self.max_events = config.max_events;
+        self.faults = FaultPlan::none();
+        self.faults_quiet = true;
         self.resolver.reset_counters();
         self.stats = SimStats::default();
     }
@@ -812,7 +797,7 @@ mod tests {
     #[test]
     fn round_trip_udp() {
         let (topo, scanner, server, _scanner_ip, server_ip) = two_as();
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             scanner,
             Prober {
@@ -839,7 +824,7 @@ mod tests {
     #[test]
     fn sav_blocks_spoofing_and_open_as_allows_it() {
         let (topo, scanner, server, scanner_ip, server_ip) = two_as();
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         // The scanner's AS has SAV: spoofing from there must die.
         sim.install(
             scanner,
@@ -866,7 +851,7 @@ mod tests {
         // reply path goes to the spoofed address's owner.
         let (topo, scanner, server, scanner_ip2, _server_ip2) = two_as();
         assert_eq!(scanner_ip, scanner_ip2);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             server,
             Prober {
@@ -897,7 +882,7 @@ mod tests {
     #[test]
     fn ttl_expiry_generates_time_exceeded_with_quote() {
         let (topo, scanner, server, scanner_ip, server_ip) = two_as();
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             scanner,
             Prober {
@@ -939,7 +924,7 @@ mod tests {
                 ctx.send_port_unreachable(&dgram);
             }
         }
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             scanner,
             Prober {
@@ -960,7 +945,7 @@ mod tests {
     #[test]
     fn unknown_destination_counted() {
         let (topo, scanner, _server, _a, _b) = two_as();
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         install_script(
             &mut sim,
             scanner,
@@ -999,13 +984,8 @@ mod tests {
     fn deterministic_under_seed() {
         let run = |seed| {
             let (topo, scanner, server, _a, server_ip) = two_as();
-            let mut sim = Simulator::new(
-                topo,
-                SimConfig {
-                    faults: FaultPlan::lossy(0.3).salted(seed),
-                    ..SimConfig::default()
-                },
-            );
+            let mut sim = Simulator::new(topo);
+            sim.set_faults(FaultPlan::lossy(0.3).salted(seed));
             sim.install(server, Echo { received: vec![] });
             sim.install(
                 scanner,
@@ -1035,7 +1015,7 @@ mod tests {
     #[test]
     fn tap_captures_request_and_reply_as_valid_pcap() {
         let (topo, scanner, server, _a, server_ip) = two_as();
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.tap(scanner);
         sim.install(
             scanner,
@@ -1072,13 +1052,8 @@ mod tests {
         // Two echo hosts and one datagram between them: a ping-pong that
         // never ends on its own ("two forwarders pointed at each other").
         let (topo, a, b, _ia, ib) = two_as();
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                max_events: 1000,
-                ..SimConfig::default()
-            },
-        );
+        let mut sim = Simulator::new(topo);
+        sim.core.max_events = 1000;
         sim.install(a, Echo { received: vec![] });
         sim.install(b, Echo { received: vec![] });
         sim.core.process_send(a, UdpSend::new(1, ib, 2, vec![]), 0);
@@ -1098,7 +1073,7 @@ mod tests {
         // i.e. steady-state `process_send` performs no per-packet route
         // allocation, the property the zero-allocation hot path rests on.
         let (topo, scanner, server, _a, server_ip) = two_as();
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(server, Sink::default());
         let n = 64u64;
         for i in 0..n {
@@ -1130,11 +1105,10 @@ mod tests {
         // Run a lossy, jittered exchange twice over the same simulator
         // with a reset in between, and once more over a cold simulator:
         // all three captures must be byte-identical, including timestamps
-        // and IP idents — the warm-world reuse contract.
-        let config = SimConfig {
-            faults: FaultPlan::lossy(0.2).salted(41),
-            ..SimConfig::default()
-        };
+        // and IP idents — the warm-world reuse contract. A reset quiets the
+        // network, so the replay installs the plan again, and a run after
+        // a reset without it loses nothing, as a new simulator's does.
+        let plan = FaultPlan::lossy(0.2).salted(41);
         let drive = |sim: &mut Simulator, scanner: NodeId, server: NodeId, server_ip: Ipv4Addr| {
             sim.tap(scanner);
             sim.install(server, Echo { received: vec![] });
@@ -1154,25 +1128,40 @@ mod tests {
         };
 
         let (topo, scanner, server, _a, server_ip) = two_as();
-        let mut sim = Simulator::new(topo, config.clone());
+        let mut sim = Simulator::new(topo);
+        sim.set_faults(plan.clone());
         let (first, t1) = drive(&mut sim, scanner, server, server_ip);
-        sim.reset(&config);
+        assert!(sim.stats().dropped_fault > 0, "the plan drops packets");
+        sim.reset();
         assert_eq!(sim.now(), SimTime::ZERO);
         assert_eq!(sim.stats().udp_sent, 0);
+        sim.set_faults(plan.clone());
         let (second, t2) = drive(&mut sim, scanner, server, server_ip);
         assert_eq!(first, second, "reset run must replay the capture");
         assert_eq!(t1, t2);
 
         let (topo, scanner, server, _a, server_ip) = two_as();
-        let mut cold = Simulator::new(topo, config.clone());
+        let mut cold = Simulator::new(topo);
+        cold.set_faults(plan);
         let (third, _) = drive(&mut cold, scanner, server, server_ip);
         assert_eq!(first, third, "warm reset matches a cold simulator");
+
+        sim.reset();
+        let (quiet, _) = drive(&mut sim, scanner, server, server_ip);
+        assert_eq!(
+            sim.stats().dropped_fault,
+            0,
+            "the plan does not survive a reset"
+        );
+        let (topo, scanner, server, _a, server_ip) = two_as();
+        let (clean, _) = drive(&mut Simulator::new(topo), scanner, server, server_ip);
+        assert_eq!(quiet, clean, "a reset simulator is as quiet as a new one");
     }
 
     #[test]
     fn run_until_stops_at_deadline() {
         let (topo, scanner, server, _a, server_ip) = two_as();
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(server, Echo { received: vec![] });
         sim.install(
             scanner,

@@ -8,7 +8,7 @@
 
 use crate::host::{Ctx, Host, TimerOutcome, UdpSend};
 use crate::packet::{Datagram, IcmpMessage};
-use crate::sim::{SimConfig, Simulator};
+use crate::sim::Simulator;
 use crate::time::{SimDuration, SimTime};
 use crate::topology::{AsKind, AsSpec, CountryCode, HostSpec, NodeId, Topology, TopologyBuilder};
 use std::net::Ipv4Addr;
@@ -107,7 +107,7 @@ impl Exchange {
     /// `driver_ip`.
     pub fn new<H: Host>(subject_ip: Ipv4Addr, driver_ip: Ipv4Addr, subject: H) -> Self {
         let (topo, nodes) = playground(&[subject_ip, driver_ip]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(nodes[0], subject);
         sim.install(nodes[1], ScriptedClient::new());
         Exchange {

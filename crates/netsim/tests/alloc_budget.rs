@@ -24,8 +24,8 @@
 use netsim::wheel::TimerWheel;
 use netsim::{
     AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, IntMap, NodeId, Payload,
-    Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, TimerId, TimerOutcome,
-    Topology, TopologyBuilder, UdpSend,
+    Relationship, RouteResolver, SimDuration, SimTime, Simulator, TimerId, TimerOutcome, Topology,
+    TopologyBuilder, UdpSend,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -228,8 +228,7 @@ fn rally(sim: &mut Simulator, clients: [NodeId; 2], bounces: u32) -> u64 {
 #[test]
 fn warmed_simulator_bounces_datagrams_without_allocating() {
     let (t, clients) = chain();
-    let config = SimConfig::default();
-    let mut sim = Simulator::new(t, config.clone());
+    let mut sim = Simulator::new(t);
     // Warm-up: the route, the arena's one or two nodes and the shared
     // empty payload.
     rally(&mut sim, clients, 10);
@@ -240,7 +239,7 @@ fn warmed_simulator_bounces_datagrams_without_allocating() {
 
     // `reset` keeps the queue's arena (and the routes): the same run on
     // the reset world allocates nothing from its first event on.
-    sim.reset(&config);
+    sim.reset();
     let n = rally(&mut sim, clients, 1_000);
     assert_eq!(n, 0, "the replay after reset took {n} allocations");
     assert_eq!(sim.stats().udp_delivered, 1_001);
@@ -272,7 +271,7 @@ impl Host for Rearm {
 #[test]
 fn warmed_simulator_sets_and_cancels_timers_without_allocating() {
     let (t, clients) = chain();
-    let mut sim = Simulator::new(t, SimConfig::default());
+    let mut sim = Simulator::new(t);
     let mut cycles = |left: u32| {
         sim.install(clients[0], Rearm { left, armed: None });
         let (n, drained) = allocations(|| {

@@ -13,8 +13,8 @@
 use netsim::wire::{decode, encode_udp, DecodedPacket};
 use netsim::{
     AsId, AsKind, AsSpec, CountryCode, Ctx, Datagram, FaultConfig, FaultPlan, Hop, Host, HostSpec,
-    NodeId, Relationship, RouteResolver, SimConfig, SimDuration, SimTime, Simulator, TimerOutcome,
-    Topology, TopologyBuilder, UdpSend,
+    NodeId, Relationship, RouteResolver, SimDuration, SimTime, Simulator, TimerOutcome, Topology,
+    TopologyBuilder, UdpSend,
 };
 use proptest::prelude::*;
 use std::collections::{HashSet, VecDeque};
@@ -522,8 +522,8 @@ proptest! {
                 ..UdpSend::new(4_000, targets[to % targets.len()], dst_port, txid.to_be_bytes().to_vec())
             });
         }
-        let config = SimConfig { faults: faults.salted(seed), ..SimConfig::default() };
-        let mut sim = Simulator::new(topo, config);
+        let mut sim = Simulator::new(topo);
+        sim.set_faults(faults.salted(seed));
         for (&node, script) in nodes.iter().zip(scripts) {
             for token in 0..script.len() as u64 {
                 sim.schedule_timer(node, SimDuration::from_micros(100 * token), token);

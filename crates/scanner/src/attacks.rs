@@ -321,7 +321,6 @@ pub fn run_reflections<H: HostEntry>(
 mod tests {
     use super::*;
     use netsim::testkit::playground;
-    use netsim::SimConfig;
     use odns::{RecursiveForwarder, TransparentForwarder};
 
     const VICTIM: Ipv4Addr = Ipv4Addr::new(198, 51, 99, 1);
@@ -354,7 +353,7 @@ mod tests {
 
     fn world() -> (Simulator, Vec<NodeId>) {
         let (topo, nodes) = playground(&[VICTIM, ATTACKER, TRANSP, RECFWD, RESOLVER]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(nodes[0], VictimMeter::new());
         sim.install(nodes[2], TransparentForwarder::new(RESOLVER));
         sim.install(nodes[3], RecursiveForwarder::new(RESOLVER));

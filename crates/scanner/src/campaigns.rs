@@ -284,7 +284,6 @@ mod tests {
     use super::*;
     use dnswire::MessageBuilder;
     use netsim::testkit::playground;
-    use netsim::SimConfig;
     use odns::{RecursiveForwarder, TransparentForwarder};
 
     const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -315,7 +314,7 @@ mod tests {
 
     fn scenario(campaign: Campaign) -> CampaignReport {
         let (topo, nodes) = playground(&[SCANNER, TRANSP, RECFWD, RESOLVER]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(nodes[1], TransparentForwarder::new(RESOLVER));
         sim.install(nodes[2], RecursiveForwarder::new(RESOLVER));
         sim.install(nodes[3], Canned);
@@ -358,7 +357,7 @@ mod tests {
     #[test]
     fn delayed_campaign_same_report_later_clock() {
         let (topo, nodes) = playground(&[SCANNER, TRANSP, RECFWD, RESOLVER]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(nodes[1], TransparentForwarder::new(RESOLVER));
         sim.install(nodes[2], RecursiveForwarder::new(RESOLVER));
         sim.install(nodes[3], Canned);

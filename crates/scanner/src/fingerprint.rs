@@ -146,7 +146,6 @@ pub fn attribute_vendor(evidence: &HostEvidence) -> Option<odns::Vendor> {
 mod tests {
     use super::*;
     use netsim::testkit::playground;
-    use netsim::SimConfig;
     use odns::{DeviceProfile, TransparentForwarder};
 
     const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -157,7 +156,7 @@ mod tests {
     #[test]
     fn mikrotik_identified_quiet_cpe_not() {
         let (topo, nodes) = playground(&[SCANNER, MIKROTIK_DEV, QUIET_DEV, RESOLVER]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[1],
             TransparentForwarder::new(RESOLVER).with_device(DeviceProfile::mikrotik()),

@@ -144,7 +144,7 @@ impl Pacer {
 mod tests {
     use super::*;
     use netsim::testkit::playground;
-    use netsim::{Datagram, Host, SimConfig, SimTime, Simulator, TimerOutcome, UdpSend};
+    use netsim::{Datagram, Host, SimTime, Simulator, TimerOutcome, UdpSend};
     use std::net::Ipv4Addr;
 
     const PROBER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -198,7 +198,7 @@ mod tests {
         extra: &[(SimDuration, u64)],
     ) -> (Vec<(SimTime, Due)>, netsim::SimStats) {
         let (topo, nodes) = playground(&[PROBER, SINK]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[0],
             Prober {

@@ -146,7 +146,7 @@ mod tests {
     use super::*;
     use dnswire::{MessageBuilder, RrType};
     use netsim::testkit::{install_script, playground, ScriptedClient};
-    use netsim::{SimConfig, SimDuration, Simulator, UdpSend};
+    use netsim::{SimDuration, Simulator, UdpSend};
     use odns::study;
 
     const SCANNER: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn sensor1_answers_from_probed_address() {
         let (topo, nodes) = playground(&[SCANNER, IP1, UPSTREAM]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[1],
             HoneypotSensor::new(SensorKind::RecursiveResolver, UPSTREAM),
@@ -216,7 +216,7 @@ mod tests {
             },
         );
         let upstream = b.add_host(a, netsim::HostSpec::simple(UPSTREAM));
-        let mut sim = Simulator::new(b.build().unwrap(), SimConfig::default());
+        let mut sim = Simulator::new(b.build().unwrap());
         sim.install(
             sensor,
             HoneypotSensor::new(SensorKind::InteriorForwarder, UPSTREAM),
@@ -237,7 +237,7 @@ mod tests {
     #[test]
     fn sensor3_relays_spoofed_and_stays_silent() {
         let (topo, nodes) = playground(&[SCANNER, IP4, UPSTREAM]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[1],
             HoneypotSensor::new(SensorKind::ExteriorForwarder, UPSTREAM),
@@ -259,7 +259,7 @@ mod tests {
     #[test]
     fn rate_limiter_allows_one_per_5min_per_prefix() {
         let (topo, nodes) = playground(&[SCANNER, IP1, UPSTREAM]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[1],
             HoneypotSensor::new(SensorKind::RecursiveResolver, UPSTREAM),
@@ -292,7 +292,7 @@ mod tests {
             fn on_datagram(&mut self, _: &mut Ctx<'_>, _: Datagram) {}
         }
         let (topo, nodes) = playground(&[SCANNER, IP1, UPSTREAM]);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.install(
             nodes[1],
             HoneypotSensor::new(SensorKind::RecursiveResolver, UPSTREAM),

@@ -386,7 +386,7 @@ pub fn run_scan_raw<H: HostEntry>(
 mod tests {
     use super::*;
     use netsim::testkit::playground;
-    use netsim::{SimConfig, SimTime};
+    use netsim::SimTime;
 
     #[test]
     fn each_txid_is_patched_once_and_shared() {
@@ -407,7 +407,7 @@ mod tests {
         let mut all = vec![Ipv4Addr::new(192, 0, 2, 1)];
         all.extend(&ips);
         let (topo, nodes) = playground(&all);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         let mut cfg = ScanConfig::new(ips);
         cfg.inter_probe_gap = SimDuration::from_millis(10);
         let outcome = run_scan(&mut sim, nodes[0], cfg);
@@ -547,13 +547,8 @@ mod tests {
         let mut all = vec![Ipv4Addr::new(192, 0, 2, 1)];
         all.extend(&ips);
         let (topo, nodes) = playground(&all);
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                faults: netsim::FaultPlan::lossy(loss).salted(seed),
-                ..SimConfig::default()
-            },
-        );
+        let mut sim = Simulator::new(topo);
+        sim.set_faults(netsim::FaultPlan::lossy(loss).salted(seed));
         for node in &nodes[1..] {
             sim.install(*node, Responder);
         }
@@ -626,13 +621,8 @@ mod tests {
             },
             ..netsim::FaultPlan::none()
         };
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                faults: faults.salted(3),
-                ..SimConfig::default()
-            },
-        );
+        let mut sim = Simulator::new(topo);
+        sim.set_faults(faults.salted(3));
         for node in &nodes[1..] {
             sim.install(*node, Responder);
         }
@@ -654,7 +644,7 @@ mod tests {
             let mut all = vec![Ipv4Addr::new(192, 0, 2, 1)];
             all.extend(&targets);
             let (topo, nodes) = playground(&all);
-            let mut sim = Simulator::new(topo, SimConfig::default());
+            let mut sim = Simulator::new(topo);
             let (probes, _, _) = run_scan_raw(&mut sim, nodes[0], ScanConfig::new(targets));
             probes
                 .into_iter()
@@ -675,13 +665,8 @@ mod tests {
         let mut all = vec![Ipv4Addr::new(192, 0, 2, 1)];
         all.extend(&ips);
         let (topo, nodes) = playground(&all);
-        let mut sim = Simulator::new(
-            topo,
-            SimConfig {
-                faults: netsim::FaultPlan::lossy(0.3).salted(19),
-                ..SimConfig::default()
-            },
-        );
+        let mut sim = Simulator::new(topo);
+        sim.set_faults(netsim::FaultPlan::lossy(0.3).salted(19));
         for node in &nodes[1..] {
             sim.install(*node, Responder);
         }
@@ -705,7 +690,7 @@ mod tests {
         let mut all = vec![Ipv4Addr::new(192, 0, 2, 1)];
         all.extend(&ips);
         let (topo, nodes) = playground(&all);
-        let mut sim = Simulator::new(topo, SimConfig::default());
+        let mut sim = Simulator::new(topo);
         sim.tap(nodes[0]);
         let mut cfg = ScanConfig::new(ips);
         cfg.naming = ProbeNaming::EncodeTarget;

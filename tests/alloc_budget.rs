@@ -41,9 +41,7 @@
 use analysis::{report, Census};
 use dnswire::{DnsName, MessageBuilder, RrType};
 use inetgen::{CountrySelection, GenConfig};
-use netsim::{
-    Ctx, Datagram, Host, NodeId, Payload, SimConfig, SimDuration, Simulator, TimerOutcome, UdpSend,
-};
+use netsim::{Ctx, Datagram, Host, NodeId, Payload, SimDuration, Simulator, TimerOutcome, UdpSend};
 use odns::RecursiveForwarder;
 use scanner::{ClassifierConfig, ScanConfig};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -256,10 +254,9 @@ fn forwarders_asked(txids: &[u16]) -> u64 {
         spent
     };
 
-    let config = SimConfig::default();
-    let mut sim = Simulator::new(topo, config.clone());
+    let mut sim = Simulator::new(topo);
     pass(&mut sim);
-    sim.reset(&config);
+    sim.reset();
     pass(&mut sim)
 }
 

@@ -19,7 +19,7 @@
 //! to a leader and its coalesced waiters by a `RecursiveResolver`.
 
 use netsim::testkit::playground;
-use netsim::{FaultPlan, NodeId, SimConfig, SimDuration, SimStats, Simulator};
+use netsim::{FaultPlan, NodeId, SimDuration, SimStats, Simulator};
 use odns::{
     DeviceProfile, RecursiveForwarder, RecursiveResolver, ResolverConfig, StudyNodes,
     TransparentForwarder, Vendor,
@@ -54,13 +54,8 @@ fn world(seed: u64, faults: FaultPlan) -> World {
     let mut ips = vec![SCANNER, VICTIM, ROOT, TLD, AUTH, RESOLVER];
     ips.extend(targets());
     let (topo, nodes) = playground(&ips);
-    let mut sim = Simulator::new(
-        topo,
-        SimConfig {
-            faults: faults.salted(seed),
-            ..SimConfig::default()
-        },
-    );
+    let mut sim = Simulator::new(topo);
+    sim.set_faults(faults.salted(seed));
     odns::install_study_stack(
         &mut sim,
         StudyNodes {

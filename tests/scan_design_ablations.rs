@@ -133,7 +133,7 @@ fn query_encoding_pollutes_resolver_caches() {
 #[test]
 fn query_encoding_evicts_legitimate_entries() {
     use netsim::testkit::{install_script, playground};
-    use netsim::{SimConfig, Simulator};
+    use netsim::Simulator;
     use odns::{DelegatingServer, Delegation, StudyAuthServer};
 
     const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
@@ -143,7 +143,7 @@ fn query_encoding_evicts_legitimate_entries() {
     const CLIENT: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
 
     let (topo, nodes) = playground(&[RESOLVER, ROOT, TLD, AUTH, CLIENT]);
-    let mut sim = Simulator::new(topo, SimConfig::default());
+    let mut sim = Simulator::new(topo);
     let mut root = DelegatingServer::root();
     root.delegate(Delegation {
         zone: dnswire::DnsName::parse("example.").unwrap(),

@@ -43,6 +43,30 @@ fn cached_census_is_bit_identical_to_fresh_for_every_k() {
     }
 }
 
+/// A fault plan an experiment installs on a clean world does not outlive
+/// it: after `Internet::reset` the world censuses as a fresh one does. This
+/// keeps one resilience cell's plan out of a later census on a cached world.
+#[test]
+fn reset_discards_a_fault_plan_set_after_generation() {
+    let config = test_config();
+    let classifier = ClassifierConfig::default();
+    let fresh = analysis::run_census(&mut inetgen::generate(&config), &classifier);
+    let mut world = inetgen::generate(&config);
+    world
+        .sim
+        .set_faults(analysis::sweep_fault_plan(200, config.seed));
+    let lossy = analysis::run_census(&mut world, &classifier);
+    assert!(
+        world.sim.stats().dropped_fault > 0,
+        "the plan drops packets"
+    );
+    assert!(lossy != fresh, "the plan moves the census");
+    world.reset();
+    let after = analysis::run_census(&mut world, &classifier);
+    let delta = analysis::diff(&fresh, &after);
+    assert!(after == fresh, "census after reset: {delta}");
+}
+
 #[test]
 fn cached_dnsroute_sweep_is_bit_identical_to_fresh() {
     let config = test_config();
