@@ -30,10 +30,6 @@ const START_GAP: SimDuration = SimDuration::from_micros(200);
 /// Highest TTL probed per target.
 const MAX_TTL: u8 = 30;
 
-/// Wait per TTL step before moving on (an anonymous hop is recorded); the
-/// initial RTO of the per-hop retry policy.
-const PER_HOP_TIMEOUT: SimDuration = SimDuration::from_secs(2);
-
 /// Target `idx` probes from source port `BASE_PORT + idx`.
 const BASE_PORT: u16 = 40_000;
 
@@ -48,12 +44,11 @@ pub struct DnsRouteConfig {
     /// tool to classic traceroute — the ablation showing why "common
     /// traceroute" cannot see behind a transparent forwarder (§5).
     pub continue_past_target: bool,
-    /// Per-hop retransmission policy. On a silent hop timeout the probe
-    /// is re-sent (same TTL, same `(port, txid)`) up to
-    /// `retry.max_attempts` times before the hop is recorded anonymous
-    /// and the sweep advances. The 2 s per-hop timeout plays the role of
-    /// the initial RTO, doubled per retry; the policy contributes the
-    /// attempt count and jitter.
+    /// Per-hop retransmission policy. A TTL's probe is sent up to
+    /// `retry.max_attempts()` times (same TTL, same `(port, txid)`), each
+    /// followed by the policy's wait — [`RetryPolicy::rto_after`], 2 s
+    /// doubled per retry, plus its jitter — before the hop is recorded
+    /// anonymous and the sweep advances.
     pub retry: RetryPolicy,
 }
 
@@ -81,24 +76,18 @@ impl DnsRouteConfig {
         }
     }
 
-    /// Enable per-hop retransmissions (validated loudly).
+    /// Enable per-hop retransmissions.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        retry.assert_valid();
         self.retry = retry;
         self
     }
 
     /// The silent-hop wait after transmission `attempt` (0 = the TTL's
-    /// first probe): `PER_HOP_TIMEOUT` doubled per retry, plus the retry
-    /// policy's deterministic jitter keyed by the probe's
-    /// `(target, ttl)` identity.
+    /// first probe): the policy's RTO plus its deterministic jitter keyed
+    /// by the probe's `(target, ttl)` identity.
     fn hop_wait(&self, idx: usize, ttl: u8, attempt: u8) -> SimDuration {
-        let policy = RetryPolicy {
-            initial_rto: PER_HOP_TIMEOUT,
-            ..self.retry
-        };
         let key = ((idx as u64) << 8) | u64::from(ttl);
-        policy.rto_after(attempt) + policy.jitter_for(key, attempt)
+        self.retry.rto_after(attempt) + self.retry.jitter_for(key, attempt)
     }
 }
 
@@ -181,7 +170,7 @@ pub struct DnsRoutePlusPlus {
     pub retransmits_sent: u64,
 }
 
-/// Timer token space: `START_TOKEN + i` starts target `i`;
+/// Timer token space: `START_BASE + i` starts target `i`;
 /// `(i << 8) | ttl` is the per-hop timeout for target `i` at `ttl`.
 const START_BASE: u64 = 1 << 48;
 
@@ -218,7 +207,6 @@ impl DnsRoutePlusPlus {
                 done: false,
             })
             .collect();
-        config.retry.assert_valid();
         DnsRoutePlusPlus {
             config,
             states,
@@ -428,7 +416,7 @@ impl Host for DnsRoutePlusPlus {
         }
         // Silent hop: retransmit while the policy allows, then record it
         // anonymous and move on.
-        if s.attempts < self.config.retry.max_attempts {
+        if s.attempts < self.config.retry.max_attempts() {
             self.retransmit_probe(ctx, idx, ttl);
         } else {
             self.advance(ctx, idx);
@@ -447,7 +435,7 @@ pub fn run_dnsroute<H: HostEntry>(
     sim.install(node, DnsRoutePlusPlus::new(config));
     if n > 0 {
         // One batched timer starts every trace: the k-th fires at k·gap with
-        // token START_BASE + k, byte-identical to the old per-target loop.
+        // token START_BASE + k.
         sim.schedule_timer_batch(node, SimDuration::ZERO, START_GAP, n as u32, START_BASE, 1);
     }
     sim.run();

@@ -18,8 +18,8 @@ use dnsroute::{
 };
 use dnswire::{Message, MessageBuilder, RrType};
 use netsim::{
-    AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, NodeId, Relationship, SimDuration,
-    Simulator, TimerOutcome, TopologyBuilder, UdpSend,
+    AsKind, AsSpec, CountryCode, Ctx, Datagram, Host, HostSpec, IpOwner, NodeId, Relationship,
+    SimDuration, Simulator, TimerOutcome, TopologyBuilder, UdpSend,
 };
 use odns::TransparentForwarder;
 use std::collections::BTreeSet;
@@ -179,7 +179,14 @@ fn sanitized_path_feeds_relationship_inference() {
     // Map IPs to ASNs using the simulator's ground truth.
     let report = {
         let topo = sim.topology();
-        infer_relationships(&paths, |ip| topo.as_of_ip(ip).map(|a| topo.as_spec(a).asn))
+        infer_relationships(&paths, |ip| {
+            let as_id = match topo.owner_of_ip(ip)? {
+                IpOwner::Host(node) => topo.as_of_node(node),
+                IpOwner::Router(as_id) => as_id,
+                IpOwner::Anycast => return None,
+            };
+            Some(topo.as_spec(as_id).asn)
+        })
     };
     assert_eq!(report.usable_paths, 1);
     assert_eq!(report.matching_paths, 1, "AS200 is both AS_in and AS_out");
@@ -200,20 +207,33 @@ fn sanitized_path_feeds_relationship_inference() {
     assert!((report.matching_share() - 1.0).abs() < 1e-9);
 }
 
+/// A silent target costs every TTL its full wait: the retry policy's
+/// 2 s RTO, doubled per retransmission, is DNSRoute++'s per-hop clock.
 #[test]
 fn sweep_handles_unresponsive_target() {
-    let (mut sim, scanner) = build_world();
-    // 198.18.0.1 is not assigned: every TTL step times out.
-    let cfg = DnsRouteConfig::new(vec![Ipv4Addr::new(198, 18, 0, 1)]);
-    let traces = run_dnsroute(&mut sim, scanner, cfg);
-    let t = &traces[0];
-    assert_eq!(t.target_seen_at, None);
-    assert!(t.dns.is_none());
-    assert_eq!(t.hops.len(), 30, "every TTL up to 30 probed");
-    assert!(
-        t.hops.iter().all(|h| h.is_none()),
-        "all hops anonymous: {:?}",
-        t.hops
+    let sweep = |retry: netsim::RetryPolicy| {
+        let (mut sim, scanner) = build_world();
+        // 198.18.0.1 is not assigned: every TTL step times out.
+        let cfg = DnsRouteConfig::new(vec![Ipv4Addr::new(198, 18, 0, 1)]).with_retry(retry);
+        let traces = run_dnsroute(&mut sim, scanner, cfg);
+        let t = &traces[0];
+        assert_eq!(t.target_seen_at, None);
+        assert!(t.dns.is_none());
+        assert_eq!(t.hops.len(), 30, "every TTL up to 30 probed");
+        assert!(
+            t.hops.iter().all(|h| h.is_none()),
+            "all hops anonymous: {:?}",
+            t.hops
+        );
+        (sim.now(), sim.stats().retransmits_sent)
+    };
+    let secs = |s| netsim::SimTime::ZERO + SimDuration::from_secs(s);
+    // Single-shot: one 2 s wait per TTL.
+    assert_eq!(sweep(netsim::RetryPolicy::none()), (secs(30 * 2), 0));
+    // One retry: 2 s after the probe, 4 s after its retransmission.
+    assert_eq!(
+        sweep(netsim::RetryPolicy::retries(1)),
+        (secs(30 * (2 + 4)), 30)
     );
 }
 

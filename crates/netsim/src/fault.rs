@@ -11,12 +11,10 @@
 
 use crate::time::SimDuration;
 use crate::topology::{AsKind, CountryCode};
-use std::collections::BTreeMap;
 use std::net::Ipv4Addr;
 
-/// One fault profile: probabilities plus a jitter bound. Used standalone
-/// (uniform faults) or as a per-country / per-AS-kind override inside a
-/// [`FaultPlan`].
+/// One fault profile: probabilities plus a jitter bound, the whole of a
+/// [`FaultPlan`] but its salt.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultConfig {
     /// Probability a packet is silently dropped in transit.
@@ -154,10 +152,9 @@ impl FaultConfig {
             && self.max_jitter == SimDuration::ZERO
     }
 
-    /// Reject NaN and out-of-range probabilities loudly. Runs at
-    /// construction/installation time (plan builders, `Simulator::new`,
-    /// `set_faults`) — decision sites never clamp.
-    pub fn validate(&self) -> Result<(), String> {
+    /// Reject NaN and out-of-range probabilities. Runs only when a plan is
+    /// installed (`Simulator::set_faults`); decision sites never clamp.
+    fn validate(&self) -> Result<(), String> {
         for (name, p) in [
             ("drop_probability", self.drop_probability),
             ("duplicate_probability", self.duplicate_probability),
@@ -205,24 +202,17 @@ impl FaultConfig {
     }
 }
 
-/// The world's fault geography: a base profile plus per-country and
-/// per-AS-kind overrides, all keyed decisions salted by one value. Every
-/// shard world of a run installs the same plan, salt included, which is
-/// what keeps a lossy census K-invariant.
-///
-/// Precedence per packet (keyed by the **destination**'s AS): country
-/// override, else AS-kind override, else base.
+/// The world's fault plan: one profile for every packet, its keyed
+/// decisions salted by one value. Every shard world of a run installs the
+/// same plan, salt included, which is what keeps a lossy census
+/// K-invariant.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
     /// Decision salt, used as given: `0` is a salt like any other.
     /// [`FaultPlan::salted`] derives one from a seed.
     pub salt: u64,
-    /// Profile applied where no override matches.
+    /// The profile every packet is decided under.
     pub base: FaultConfig,
-    /// Overrides by destination country.
-    pub by_country: BTreeMap<CountryCode, FaultConfig>,
-    /// Overrides by destination AS kind.
-    pub by_kind: BTreeMap<AsKind, FaultConfig>,
 }
 
 impl FaultPlan {
@@ -254,53 +244,31 @@ impl FaultPlan {
         self
     }
 
-    /// True when no profile anywhere injects anything — the hot path's
-    /// one-branch fast exit.
+    /// True when the plan injects nothing — the hot path's one-branch
+    /// fast exit.
     pub fn is_quiet(&self) -> bool {
         self.base.is_none()
-            && self.by_country.values().all(FaultConfig::is_none)
-            && self.by_kind.values().all(FaultConfig::is_none)
     }
 
-    /// Validate every profile in the plan.
-    pub fn validate(&self) -> Result<(), String> {
-        self.base.validate().map_err(|e| format!("base: {e}"))?;
-        for (c, cfg) in &self.by_country {
-            cfg.validate()
-                .map_err(|e| format!("country {}: {e}", c.as_str()))?;
-        }
-        for (k, cfg) in &self.by_kind {
-            cfg.validate().map_err(|e| format!("kind {k:?}: {e}"))?;
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`FaultPlan::validate`], used at installation.
+    /// Reject a plan with a NaN or out-of-range probability, loudly.
+    /// `Simulator::set_faults` calls it on every plan it installs.
     pub fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
+        if let Err(e) = self.base.validate() {
             panic!("invalid FaultPlan: {e}");
         }
     }
 
-    /// The profile in effect for a destination with the given geography.
-    fn effective(&self, country: Option<CountryCode>, kind: Option<AsKind>) -> &FaultConfig {
-        if let Some(cfg) = country.and_then(|c| self.by_country.get(&c)) {
-            return cfg;
-        }
-        if let Some(cfg) = kind.and_then(|k| self.by_kind.get(&k)) {
-            return cfg;
-        }
-        &self.base
-    }
-
-    /// Decide a packet's fate under the effective profile.
+    /// Decide a packet's fate under the plan's profile. The destination's
+    /// country and AS kind are ignored: the plan has one profile for every
+    /// packet, and the two parameters stay only until the repo benchmark's
+    /// `fault_decide` kernel stops passing them.
     pub fn decide(
         &self,
         key: &FlowKey,
-        country: Option<CountryCode>,
-        kind: Option<AsKind>,
+        _country: Option<CountryCode>,
+        _kind: Option<AsKind>,
     ) -> FlowVerdict {
-        self.effective(country, kind).decide(self.salt, key)
+        self.base.decide(self.salt, key)
     }
 }
 
@@ -475,38 +443,12 @@ mod tests {
         };
         assert!(neg.validate().is_err());
         assert!(FaultConfig::lossy(0.3).validate().is_ok());
-        let mut plan = FaultPlan::none();
-        plan.by_kind.insert(AsKind::Transit, big);
-        assert!(plan.validate().unwrap_err().contains("Transit"));
     }
 
     #[test]
     #[should_panic(expected = "invalid FaultPlan")]
     fn assert_valid_panics_loudly() {
         FaultPlan::lossy(f64::INFINITY).assert_valid();
-    }
-
-    #[test]
-    fn plan_precedence_country_beats_kind_beats_base() {
-        let drop_all = FaultConfig {
-            drop_probability: 1.0,
-            ..FaultConfig::none()
-        };
-        let mut plan = FaultPlan::uniform(FaultConfig::none());
-        plan.by_kind
-            .insert(AsKind::EyeballIsp, FaultConfig::lossy(0.5));
-        plan.by_country.insert(CountryCode::new("BRA"), drop_all);
-        let bra = Some(CountryCode::new("BRA"));
-        let deu = Some(CountryCode::new("DEU"));
-        let isp = Some(AsKind::EyeballIsp);
-        assert_eq!(plan.effective(bra, isp), &drop_all);
-        assert_eq!(plan.effective(deu, isp), &FaultConfig::lossy(0.5));
-        assert_eq!(
-            plan.effective(deu, Some(AsKind::Transit)),
-            &FaultConfig::none()
-        );
-        assert_eq!(plan.effective(None, None), &FaultConfig::none());
-        assert!(!plan.is_quiet());
     }
 
     #[test]
@@ -528,7 +470,7 @@ mod tests {
     #[test]
     fn plan_from_config_is_uniform() {
         let plan: FaultPlan = FaultConfig::lossy(0.2).into();
-        assert_eq!(plan.base, FaultConfig::lossy(0.2));
-        assert!(plan.by_country.is_empty() && plan.by_kind.is_empty());
+        assert_eq!(plan, FaultPlan::lossy(0.2));
+        assert_eq!(plan.salt, 0);
     }
 }

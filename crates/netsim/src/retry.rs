@@ -3,8 +3,8 @@
 //! The paper's census sends one probe per target and waits; on a lossy
 //! network that conflates "no ODNS component" with "probe or answer
 //! lost". [`RetryPolicy`] describes how a prober retransmits: how many
-//! attempts, the initial retransmission timeout (doubled per retry), and
-//! an optional deterministic per-probe jitter. All retry
+//! attempts, a fixed 2 s initial retransmission timeout (doubled per
+//! retry), and an optional deterministic per-probe jitter. All retry
 //! scheduling is a pure function of `(policy, probe index, attempt)` —
 //! no RNG — so lossy scans stay bit-identical across shard counts and
 //! warm reruns.
@@ -12,23 +12,25 @@
 use crate::fault::mix64;
 use crate::time::SimDuration;
 
+/// Retransmission timeout armed after the original transmission; each
+/// later retry waits twice as long as the one before.
+const INITIAL_RTO: SimDuration = SimDuration::from_secs(2);
+
 /// Multiplier applied to the RTO per retry round: classic exponential
 /// backoff.
 const BACKOFF: u64 = 2;
 
-/// How a prober retransmits unanswered probes.
+/// How a prober retransmits unanswered probes. Built only by
+/// [`RetryPolicy::none`] and [`RetryPolicy::retries`], so every policy
+/// makes at least one attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Total transmissions per probe, including the original. `1` means
-    /// no retries (the pre-retry behavior, and the default).
-    pub max_attempts: u8,
-    /// Retransmission timeout before the first retry; each later retry
-    /// waits twice as long as the one before.
-    pub initial_rto: SimDuration,
+    /// Total transmissions per probe, including the original: at least 1.
+    max_attempts: u8,
     /// Maximum deterministic extra delay added per retransmission,
     /// hash-keyed by `(probe index, attempt)` to decorrelate retry
     /// bursts. Zero (the default) disables it.
-    pub jitter: SimDuration,
+    jitter: SimDuration,
 }
 
 impl Default for RetryPolicy {
@@ -42,7 +44,6 @@ impl RetryPolicy {
     pub fn none() -> Self {
         RetryPolicy {
             max_attempts: 1,
-            initial_rto: SimDuration::from_secs(2),
             jitter: SimDuration::ZERO,
         }
     }
@@ -56,10 +57,17 @@ impl RetryPolicy {
         }
     }
 
-    /// Builder: set the per-retransmission jitter bound.
+    /// Builder: set the per-retransmission jitter bound, hash-keyed by
+    /// `(probe index, attempt)` to decorrelate retry bursts.
     pub fn with_jitter(mut self, jitter: SimDuration) -> Self {
         self.jitter = jitter;
         self
+    }
+
+    /// Total transmissions per probe, including the original: `1` means
+    /// no retries, and no policy makes fewer.
+    pub fn max_attempts(&self) -> u8 {
+        self.max_attempts
     }
 
     /// True when the policy actually retransmits.
@@ -67,28 +75,10 @@ impl RetryPolicy {
         self.max_attempts > 1
     }
 
-    /// Reject nonsensical policies loudly at installation.
-    pub fn validate(&self) -> Result<(), String> {
-        if self.max_attempts == 0 {
-            return Err("max_attempts must be >= 1 (1 = no retries)".into());
-        }
-        if self.enabled() && self.initial_rto == SimDuration::ZERO {
-            return Err("initial_rto must be positive when retries are enabled".into());
-        }
-        Ok(())
-    }
-
-    /// Panicking form of [`RetryPolicy::validate`].
-    pub fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid RetryPolicy: {e}");
-        }
-    }
-
     /// The timeout armed after transmission `attempt` (0 = original):
-    /// `initial_rto * 2^attempt`, saturating.
+    /// 2 s × 2^attempt, saturating.
     pub fn rto_after(&self, attempt: u8) -> SimDuration {
-        let mut rto = self.initial_rto.as_micros();
+        let mut rto = INITIAL_RTO.as_micros();
         for _ in 0..attempt {
             rto = rto.saturating_mul(BACKOFF);
         }
@@ -114,8 +104,7 @@ mod tests {
     fn default_policy_is_single_shot() {
         let p = RetryPolicy::none();
         assert!(!p.enabled());
-        assert_eq!(p.max_attempts, 1);
-        assert!(p.validate().is_ok());
+        assert_eq!(p.max_attempts(), 1);
         assert_eq!(RetryPolicy::default(), p);
     }
 
@@ -123,58 +112,25 @@ mod tests {
     fn retries_counts_total_attempts() {
         let p = RetryPolicy::retries(2);
         assert!(p.enabled());
-        assert_eq!(p.max_attempts, 3);
-        assert_eq!(RetryPolicy::retries(255).max_attempts, 255, "saturates");
+        assert_eq!(p.max_attempts(), 3);
+        assert_eq!(RetryPolicy::retries(255).max_attempts(), 255, "saturates");
     }
 
     #[test]
     fn rto_backs_off_exponentially() {
-        let p = RetryPolicy {
-            initial_rto: SimDuration::from_secs(1),
-            ..RetryPolicy::retries(3)
-        };
-        assert_eq!(p.rto_after(0), SimDuration::from_secs(1));
-        assert_eq!(p.rto_after(1), SimDuration::from_secs(2));
-        assert_eq!(p.rto_after(2), SimDuration::from_secs(4));
+        let p = RetryPolicy::retries(3);
+        assert_eq!(p.rto_after(0), SimDuration::from_secs(2));
+        assert_eq!(p.rto_after(1), SimDuration::from_secs(4));
+        assert_eq!(p.rto_after(2), SimDuration::from_secs(8));
+        assert_eq!(RetryPolicy::none().rto_after(0), SimDuration::from_secs(2));
     }
 
     #[test]
     fn rto_saturates_instead_of_overflowing() {
-        let p = RetryPolicy {
-            initial_rto: SimDuration(u64::MAX / 2),
-            ..RetryPolicy::retries(200)
-        };
-        assert_eq!(p.rto_after(100), SimDuration(u64::MAX));
-    }
-
-    #[test]
-    fn validation_rejects_degenerate_policies() {
-        let zero_attempts = RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::none()
-        };
-        assert!(zero_attempts.validate().is_err());
-        let zero_rto = RetryPolicy {
-            initial_rto: SimDuration::ZERO,
-            ..RetryPolicy::retries(1)
-        };
-        assert!(zero_rto.validate().is_err());
-        // Single-shot with zero RTO is fine — the RTO is never armed.
-        let single = RetryPolicy {
-            initial_rto: SimDuration::ZERO,
-            ..RetryPolicy::none()
-        };
-        assert!(single.validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "invalid RetryPolicy")]
-    fn assert_valid_panics() {
-        RetryPolicy {
-            max_attempts: 0,
-            ..RetryPolicy::none()
-        }
-        .assert_valid();
+        let p = RetryPolicy::retries(200);
+        assert!(p.rto_after(43) < SimDuration(u64::MAX));
+        assert_eq!(p.rto_after(44), SimDuration(u64::MAX));
+        assert_eq!(p.rto_after(200), SimDuration(u64::MAX));
     }
 
     #[test]

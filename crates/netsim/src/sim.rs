@@ -528,9 +528,8 @@ impl SimCore {
         self.capture_udp(from, &dgram_at_send);
 
         // The packet's complete fate is a stateless hash of its flow key
-        // under the destination's effective fault profile — identical for
-        // any shard count, event order, or warm rerun. Quiet plans pay
-        // one boolean branch.
+        // under the plan's one profile — identical for any shard count,
+        // event order, or warm rerun. Quiet plans pay one boolean branch.
         let verdict = if self.faults_quiet {
             FlowVerdict::CLEAN
         } else {
@@ -540,13 +539,6 @@ impl SimCore {
             } else {
                 0
             };
-            let (country, kind) = match self.topo.as_of_ip(send.dst) {
-                Some(as_id) => {
-                    let spec = self.topo.as_spec(as_id);
-                    (Some(spec.country), Some(spec.kind))
-                }
-                None => (None, None),
-            };
             let key = FlowKey {
                 src,
                 dst: send.dst,
@@ -554,7 +546,7 @@ impl SimCore {
                 txid,
                 attempt,
             };
-            self.faults.decide(&key, country, kind)
+            self.faults.decide(&key, None, None)
         };
 
         if verdict.drop {

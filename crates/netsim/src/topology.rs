@@ -402,16 +402,6 @@ impl Topology {
         self.ip_index.get(&ip).copied()
     }
 
-    /// The AS owning an IP: a host's AS, a router's AS. Anycast addresses
-    /// have no single AS and return `None`.
-    pub fn as_of_ip(&self, ip: Ipv4Addr) -> Option<AsId> {
-        match self.owner_of_ip(ip)? {
-            IpOwner::Host(n) => Some(self.as_of_node(n)),
-            IpOwner::Router(a) => Some(a),
-            IpOwner::Anycast => None,
-        }
-    }
-
     /// Anycast group at `ip`, if any.
     pub fn anycast_group(&self, ip: Ipv4Addr) -> Option<&AnycastGroup> {
         self.anycast.get(&ip)
@@ -489,7 +479,10 @@ mod tests {
             t.owner_of_ip(ip(10, 0, 2, 1)),
             Some(IpOwner::Router(AsId(1)))
         );
-        assert_eq!(t.as_of_ip(ip(10, 0, 1, 2)), Some(AsId(0)));
+        assert_eq!(
+            t.owner_of_ip(ip(10, 0, 1, 2)),
+            Some(IpOwner::Router(AsId(0)))
+        );
         assert_eq!(t.owner_of_ip(ip(8, 8, 8, 8)), None);
     }
 

@@ -296,22 +296,12 @@ fn arb_fault_config() -> impl Strategy<Value = FaultConfig> {
     )
 }
 
-/// Quiet, uniform, or with a different profile toward eyeball ASes.
+/// Quiet or lossy.
 fn arb_fault_plan() -> impl Strategy<Value = FaultPlan> {
-    (
-        proptest::option::of(arb_fault_config()),
-        proptest::option::of(arb_fault_config()),
-    )
-        .prop_map(|(base, eyeball)| {
-            let mut plan = FaultPlan {
-                base: base.unwrap_or_default(),
-                ..FaultPlan::none()
-            };
-            if let Some(cfg) = eyeball {
-                plan.by_kind.insert(AsKind::EyeballIsp, cfg);
-            }
-            plan
-        })
+    proptest::option::of(arb_fault_config()).prop_map(|base| FaultPlan {
+        base: base.unwrap_or_default(),
+        ..FaultPlan::none()
+    })
 }
 
 /// Anycast service address registered by [`build`] when it has ≥2 hosts.

@@ -1,6 +1,6 @@
 //! # scanner — measurement tooling for the transparent-forwarders study
 //!
-//! Four instruments, mirroring the paper's artifact layout:
+//! Five instruments, mirroring the paper's artifact layout:
 //!
 //! * [`run_scan`] (`dns-scan-server` in the artifacts) — the
 //!   paper's method: unique `(port, TXID)` per probe, full transaction

@@ -64,9 +64,7 @@ pub(crate) struct Pacer {
 
 impl Pacer {
     /// A pacer for `total` probes `gap` apart, driven by `pace_token`.
-    /// Panics on a degenerate `retry` policy.
     pub(crate) fn new(total: usize, gap: SimDuration, pace_token: u64, retry: RetryPolicy) -> Self {
-        retry.assert_valid();
         let ledger = if retry.enabled() { total } else { 0 };
         Pacer {
             total,
@@ -97,7 +95,7 @@ impl Pacer {
         }
         let index = usize::try_from(token ^ RETRY_BASE).ok()?;
         let attempt = *self.attempts_sent.get(index)?;
-        (attempt > 0 && !self.answered[index] && attempt < self.retry.max_attempts)
+        (attempt > 0 && !self.answered[index] && attempt < self.retry.max_attempts())
             .then_some(Due { index, attempt })
     }
 
@@ -110,7 +108,7 @@ impl Pacer {
         if self.retry.enabled() {
             let transmissions = attempt + 1;
             self.attempts_sent[index] = transmissions;
-            if transmissions < self.retry.max_attempts {
+            if transmissions < self.retry.max_attempts() {
                 let check = self.retry.rto_after(transmissions - 1)
                     + self.retry.jitter_for(index as u64, transmissions);
                 self.checks[index] = Some(ctx.set_timer(check, RETRY_BASE | index as u64));
@@ -240,10 +238,7 @@ mod tests {
 
     #[test]
     fn retry_checks_follow_the_backoff_schedule_and_stop_on_an_answer() {
-        let plain = RetryPolicy {
-            initial_rto: SimDuration::from_millis(100),
-            ..RetryPolicy::retries(2)
-        };
+        let plain = RetryPolicy::retries(2);
         for policy in [plain, plain.with_jitter(SimDuration::from_millis(3))] {
             let total = 19;
             let (log, stats) = run(total, policy, &[]);
@@ -255,7 +250,7 @@ mod tests {
                 // each check `rto_after(n-1) + jitter_for(i, n)` after
                 // transmission `n`. Even ones are answered at once.
                 if index % 2 == 1 {
-                    for n in 1..policy.max_attempts {
+                    for n in 1..policy.max_attempts() {
                         at = at + policy.rto_after(n - 1) + policy.jitter_for(index as u64, n);
                         expected.push((at, Due { index, attempt: n }));
                     }

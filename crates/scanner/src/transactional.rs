@@ -59,7 +59,9 @@ impl ScanConfig {
     /// scan and every merge of recorded streams correlates with.
     pub const DEFAULT_TIMEOUT: SimDuration = SimDuration::from_secs(20);
 
-    /// Defaults matching the paper: static naming, 20 s timeout.
+    /// Defaults matching the paper: static naming, single-shot probes
+    /// 50 µs apart. Every scan correlates within
+    /// [`ScanConfig::DEFAULT_TIMEOUT`].
     pub fn new(targets: Vec<Ipv4Addr>) -> Self {
         ScanConfig {
             targets,
@@ -77,11 +79,8 @@ impl ScanConfig {
         self
     }
 
-    /// Enable retransmissions. Panics on a degenerate policy — a scan
-    /// that silently never retries is worse than one that refuses to
-    /// start.
+    /// Enable retransmissions.
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        retry.assert_valid();
         self.retry = retry;
         self
     }
