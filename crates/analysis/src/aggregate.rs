@@ -2,7 +2,8 @@
 
 use crate::cdf::Cdf;
 use crate::census::Census;
-use scanner::OdnsClass;
+use crate::consolidation::ResolverSource;
+use scanner::{OdnsClass, Verdict};
 use std::collections::BTreeMap;
 
 /// Per-country ODNS composition.
@@ -41,53 +42,114 @@ impl CountryStats {
 /// byte-identically on every run — merged sharded reports rely on this
 /// (`HashMap` iteration order varies per instance within one process).
 pub fn by_country(census: &Census) -> BTreeMap<Option<&'static str>, CountryStats> {
-    // Rows arrive in scan order, countries interleaved. Each is tallied in a
-    // flat table — one slot per country met, `keys[i]` naming `slots[i]` —
-    // and the ordered map is built once, from the slots.
-    let mut slot_at = SlotIndex::default();
-    let mut slots: Vec<(CountryStats, Vec<u32>)> = Vec::new();
-    for row in &census.rows {
-        let Some(class) = row.class() else { continue };
-        let at = slot_at.find_or_push(row.country);
-        if at == slots.len() {
-            slots.push(Default::default());
-        }
-        let (stats, transparent_asns) = &mut slots[at];
-        match class {
-            OdnsClass::RecursiveResolver => stats.resolvers += 1,
-            OdnsClass::RecursiveForwarder => stats.recursive_forwarders += 1,
-            OdnsClass::TransparentForwarder => {
-                stats.transparent_forwarders += 1;
-                transparent_asns.extend(row.asn);
+    let tally = Tally::of(census);
+    tally.slots.keys.into_iter().zip(tally.stats).collect()
+}
+
+/// A census's classified rows counted per country in one walk: a row
+/// finds its country's slot without a map probe ([`CountrySlots`]), and
+/// every count it adds to is a vector index. A discarded row is skipped
+/// once its verdict is read, so every report built on a tally reads only
+/// classified rows.
+pub(crate) struct Tally {
+    slots: CountrySlots,
+    /// Composition per slot.
+    stats: Vec<CountryStats>,
+    /// Figure 5's resolver-source counts per slot over the slot's
+    /// transparent forwarders, in [`ResolverSource::COLUMNS`] order.
+    sources: Vec<[usize; 5]>,
+}
+
+impl Tally {
+    pub(crate) fn of(census: &Census) -> Self {
+        let mut tally = Tally {
+            slots: CountrySlots::new(),
+            stats: Vec::new(),
+            sources: Vec::new(),
+        };
+        // `(slot, asn)` of every transparent forwarder, counted distinct
+        // once the walk is done.
+        let mut transparent_asns: Vec<(usize, u32)> = Vec::new();
+        for row in &census.rows {
+            let Verdict::Classified {
+                class,
+                response_src,
+                ..
+            } = row.verdict
+            else {
+                continue;
+            };
+            let at = tally.slots.find_or_push(row.country);
+            if at == tally.stats.len() {
+                tally.stats.push(CountryStats::default());
+                tally.sources.push([0; 5]);
+            }
+            let stats = &mut tally.stats[at];
+            match class {
+                OdnsClass::RecursiveResolver => stats.resolvers += 1,
+                OdnsClass::RecursiveForwarder => stats.recursive_forwarders += 1,
+                OdnsClass::TransparentForwarder => {
+                    stats.transparent_forwarders += 1;
+                    tally.sources[at][ResolverSource::column(response_src)] += 1;
+                    transparent_asns.extend(row.asn.map(|asn| (at, asn)));
+                }
             }
         }
-    }
-    let tallies = slots.into_iter().map(|(mut stats, mut transparent_asns)| {
         transparent_asns.sort_unstable();
         transparent_asns.dedup();
-        stats.transparent_asns = transparent_asns.len();
-        stats
-    });
-    slot_at.keys.into_iter().zip(tallies).collect()
+        for (at, _) in transparent_asns {
+            tally.stats[at].transparent_asns += 1;
+        }
+        tally
+    }
+
+    /// Mapped countries with their composition and Figure 5 source
+    /// counts, ranked by transparent-forwarder count, descending (ties by
+    /// code).
+    pub(crate) fn ranked(&self) -> Vec<(&'static str, CountryStats, [usize; 5])> {
+        let mut ranked: Vec<_> = (self.slots.keys.iter().zip(&self.stats).zip(&self.sources))
+            .filter_map(|((code, stats), sources)| code.map(|code| (code, *stats, *sources)))
+            .collect();
+        ranked.sort_by(|a, b| {
+            b.1.transparent_forwarders
+                .cmp(&a.1.transparent_forwarders)
+                .then(a.0.cmp(b.0))
+        });
+        ranked
+    }
 }
 
-/// Which slot each country code names. A census takes its codes from the
-/// geo database's one `'static` table, so a code is looked up by its
-/// address and length; only a code not found that way is compared by
-/// content, and its address then joins the index.
-#[derive(Default)]
-struct SlotIndex {
+/// Which tally slot each country code names. A code of three capital
+/// letters — every code the geo database hands out — and the geo gap's
+/// `None` index `by_code` directly; a census built by hand may spell a
+/// country any other way, and such a code is found by content in `keys`.
+struct CountrySlots {
+    /// Country of each slot, in first-seen order.
     keys: Vec<Option<&'static str>>,
-    // detlint::allow(unordered-iter): lookup only, never iterated — the output order is `keys`
-    by_ident: netsim::IntMap<Option<(usize, usize)>, usize>,
+    /// `slot + 1` per three-letter code, then one entry for `None`; 0 for
+    /// a code not met yet.
+    by_code: Vec<u16>,
 }
 
-impl SlotIndex {
+impl CountrySlots {
+    /// Entries of `by_code`: 26³ codes and `None`.
+    const CODES: usize = 26 * 26 * 26 + 1;
+
+    fn new() -> Self {
+        CountrySlots {
+            keys: Vec::new(),
+            by_code: vec![0; Self::CODES],
+        }
+    }
+
     /// Where `country` sits in `keys`, appended if it is new.
     fn find_or_push(&mut self, country: Option<&'static str>) -> usize {
-        let ident = country.map(|s| (s.as_ptr() as usize, s.len()));
-        if let Some(&at) = self.by_ident.get(&ident) {
-            return at;
+        let code = match country {
+            None => Some(Self::CODES - 1),
+            Some(code) => Self::code_index(code),
+        };
+        if let Some(held) = code.map(|i| self.by_code[i]).filter(|&held| held != 0) {
+            return usize::from(held) - 1;
         }
         let at = match self.keys.iter().position(|held| *held == country) {
             Some(at) => at,
@@ -96,24 +158,28 @@ impl SlotIndex {
                 self.keys.len() - 1
             }
         };
-        self.by_ident.insert(ident, at);
+        if let (Some(i), Ok(held)) = (code, u16::try_from(at + 1)) {
+            self.by_code[i] = held;
+        }
         at
+    }
+
+    /// `AAA` → 0 … `ZZZ` → 26³ − 1; `None` for any other spelling.
+    fn code_index(code: &str) -> Option<usize> {
+        let &[a, b, c] = code.as_bytes() else {
+            return None;
+        };
+        let letter = |l: u8| l.is_ascii_uppercase().then(|| usize::from(l - b'A'));
+        Some((letter(a)? * 26 + letter(b)?) * 26 + letter(c)?)
     }
 }
 
 /// Countries ranked by transparent-forwarder count, descending (the
 /// Figure 3/4 x-axis). Unmapped rows excluded.
 pub fn rank_by_transparent(census: &Census) -> Vec<(&'static str, CountryStats)> {
-    let mut v: Vec<(&'static str, CountryStats)> = by_country(census)
-        .into_iter()
-        .filter_map(|(c, s)| c.map(|code| (code, s)))
-        .collect();
-    v.sort_by(|a, b| {
-        b.1.transparent_forwarders
-            .cmp(&a.1.transparent_forwarders)
-            .then(a.0.cmp(b.0))
-    });
-    v
+    (Tally::of(census).ranked().into_iter())
+        .map(|(code, stats, _)| (code, stats))
+        .collect()
 }
 
 /// Figure 3: cumulative share of transparent forwarders over countries

@@ -2,6 +2,7 @@
 //! country) and Table 4 (the structure of the "other" share, including
 //! indirect consolidation through forwarding chains).
 
+use crate::aggregate::Tally;
 use crate::census::Census;
 use inetgen::GeoDb;
 use odns::ResolverProject;
@@ -18,6 +19,24 @@ pub enum ResolverSource {
 }
 
 impl ResolverSource {
+    /// Figure 5's columns, in order.
+    pub(crate) const COLUMNS: [ResolverSource; 5] = [
+        ResolverSource::Project(ResolverProject::Google),
+        ResolverSource::Project(ResolverProject::Cloudflare),
+        ResolverSource::Project(ResolverProject::Quad9),
+        ResolverSource::Project(ResolverProject::OpenDns),
+        ResolverSource::Other,
+    ];
+
+    /// Index in [`ResolverSource::COLUMNS`] of the source answering from
+    /// `ip`.
+    pub(crate) fn column(ip: std::net::Ipv4Addr) -> usize {
+        let source = ResolverSource::of(ip);
+        (ResolverSource::COLUMNS.iter())
+            .position(|column| *column == source)
+            .expect("COLUMNS lists every source")
+    }
+
     /// Attribute a response source address.
     pub fn of(ip: std::net::Ipv4Addr) -> Self {
         match ResolverProject::from_service_ip(ip) {
@@ -59,16 +78,16 @@ impl CountryConsolidation {
 /// Figure 5: per-country project shares behind transparent forwarders.
 /// Country-sorted (`BTreeMap`) so renderings are byte-stable across runs.
 pub fn figure5_by_country(census: &Census) -> BTreeMap<&'static str, CountryConsolidation> {
-    let mut map: BTreeMap<&'static str, CountryConsolidation> = BTreeMap::new();
-    for row in census.of_class(OdnsClass::TransparentForwarder) {
-        let (Some(country), Some((src, _))) = (row.country, row.answer_addrs()) else {
-            continue;
-        };
-        let entry = map.entry(country).or_default();
-        *entry.counts.entry(ResolverSource::of(src)).or_insert(0) += 1;
-        entry.total += 1;
-    }
-    map
+    (Tally::of(census).ranked().into_iter())
+        .filter(|(_, stats, _)| stats.transparent_forwarders > 0)
+        .map(|(country, stats, sources)| {
+            let counts = (ResolverSource::COLUMNS.into_iter().zip(sources))
+                .filter(|(_, n)| *n > 0)
+                .collect();
+            let total = stats.transparent_forwarders;
+            (country, CountryConsolidation { counts, total })
+        })
+        .collect()
 }
 
 /// One row of Table 4: the structure of a country's "other" share.

@@ -25,10 +25,15 @@ pub const FULL_MIN: usize = 254;
 impl PrefixDensity {
     /// Build from transparent-forwarder addresses.
     pub fn from_ips<I: IntoIterator<Item = Ipv4Addr>>(ips: I) -> Self {
-        let mut per_prefix = BTreeMap::new();
-        for ip in ips {
-            *per_prefix.entry(u32::from(ip) & 0xFFFF_FF00).or_insert(0) += 1;
-        }
+        // Sorted, a prefix's forwarders form one run, and a map built from
+        // sorted keys is built in one pass.
+        let mut prefixes: Vec<u32> = (ips.into_iter())
+            .map(|ip| u32::from(ip) & 0xFFFF_FF00)
+            .collect();
+        prefixes.sort_unstable();
+        let per_prefix = (prefixes.chunk_by(|a, b| a == b))
+            .map(|run| (run[0], run.len()))
+            .collect();
         PrefixDensity { per_prefix }
     }
 

@@ -10,11 +10,11 @@
 //! |---|---|
 //! | Table 1 (composition) | [`report::table1`] |
 //! | Table 3 (sensor detection) | [`run_campaign_sharded`] |
-//! | Table 4 ("other" share) | [`consolidation`], [`report::table4`] |
+//! | Table 4 ("other" share) | [`table4_other_share`], [`report::table4`] |
 //! | Table 5 (country ranks) | [`table5_ranking`], [`report::table5`] |
 //! | Figure 3 (country CDF) | [`aggregate`], [`report::figure3`] |
 //! | Figure 4 (top-50 stacked) | [`aggregate`], [`report::figure4`] |
-//! | Figure 5 (project shares) | [`consolidation`], [`report::figure5`] |
+//! | Figure 5 (project shares) | [`figure5_by_country`], [`report::figure5`] |
 //! | Figure 6 (path lengths) | [`paths`], [`run_dnsroute_sharded`] |
 //! | Figure 8 (/24 density) | [`density`], [`report::figure8`] |
 //! | Appendix E (devices/ASes) | [`devices`] |
@@ -28,7 +28,7 @@ mod campaign_sweep;
 pub mod cdf;
 pub mod census;
 pub mod chart;
-pub mod consolidation;
+mod consolidation;
 pub mod density;
 pub mod devices;
 mod dnsroute_sweep;

@@ -2,24 +2,28 @@
 //! the data and a printable text artifact. `bench::PAPER` and the examples
 //! call these to emit the same rows/series the paper reports.
 
-use crate::aggregate::{by_country, figure3_cumulative, rank_by_transparent};
-use crate::census::Census;
+use crate::aggregate::{figure3_cumulative, rank_by_transparent, Tally};
+use crate::census::{Census, CensusRow};
 use crate::chart::{render_stacked_bar, Segment};
-use crate::consolidation::{figure5_by_country, table4_other_share, ResolverSource};
+use crate::consolidation::table4_other_share;
 use crate::density::PrefixDensity;
 use crate::ranking::table5_ranking;
 use crate::table::{pct, TextTable};
 use inetgen::GeoDb;
-use odns::ResolverProject;
 use scanner::OdnsClass;
 use std::collections::BTreeMap;
 
 /// Table 1: the ODNS composition.
 pub fn table1(census: &Census) -> TextTable {
     let mut t = TextTable::new(["Component", "Count", "Share"]);
-    let total = census.odns_total();
+    // Indexed by `OdnsClass` discriminant.
+    let mut counts = [0usize; 3];
+    for class in census.rows.iter().filter_map(CensusRow::class) {
+        counts[class as usize] += 1;
+    }
+    let total: usize = counts.iter().sum();
     for class in OdnsClass::all() {
-        let n = census.count(class);
+        let n = counts[class as usize];
         t.row([
             class.name().to_string(),
             n.to_string(),
@@ -96,7 +100,6 @@ pub fn figure4(census: &Census, n: usize) -> TextTable {
 /// Figure 5: resolver-project popularity per country (top-`n` countries by
 /// transparent forwarders).
 pub fn figure5(census: &Census, n: usize) -> TextTable {
-    let consolidation = figure5_by_country(census);
     let mut t = TextTable::new([
         "Country",
         "Google",
@@ -106,17 +109,14 @@ pub fn figure5(census: &Census, n: usize) -> TextTable {
         "Other",
         "Bar",
     ]);
-    for (code, _) in rank_by_transparent(census).into_iter().take(n) {
-        let Some(c) = consolidation.get(code) else {
+    for (code, stats, sources) in Tally::of(census).ranked().into_iter().take(n) {
+        // A country without transparent forwarders has no Figure 5 row;
+        // the shares are `CountryConsolidation::share`'s.
+        let total = stats.transparent_forwarders;
+        if total == 0 {
             continue;
-        };
-        let shares = [
-            c.share(ResolverSource::Project(ResolverProject::Google)),
-            c.share(ResolverSource::Project(ResolverProject::Cloudflare)),
-            c.share(ResolverSource::Project(ResolverProject::Quad9)),
-            c.share(ResolverSource::Project(ResolverProject::OpenDns)),
-            c.share(ResolverSource::Other),
-        ];
+        }
+        let shares = sources.map(|count| count as f64 / total as f64);
         let bar = render_stacked_bar(
             &[
                 Segment {
@@ -207,7 +207,8 @@ pub fn table5(
 
 /// Figure 8: the /24 density profile of transparent forwarders.
 pub fn figure8(census: &Census) -> (TextTable, PrefixDensity) {
-    let density = PrefixDensity::from_ips(census.transparent_targets());
+    let transparent = census.of_class(OdnsClass::TransparentForwarder);
+    let density = PrefixDensity::from_ips(transparent.map(|r| r.target));
     let mut t = TextTable::new(["Metric", "Value"]);
     t.row([
         "Transparent forwarders".to_string(),
@@ -241,12 +242,9 @@ pub fn figure8(census: &Census) -> (TextTable, PrefixDensity) {
 /// Country-level sanity summary used by examples.
 pub fn country_summary(census: &Census) -> TextTable {
     let mut t = TextTable::new(["Country", "ODNS", "Transparent", "Share"]);
-    let mut rows: Vec<_> = by_country(census)
-        .into_iter()
-        .filter_map(|(c, s)| c.map(|code| (code, s)))
-        .collect();
-    rows.sort_by_key(|(_, s)| std::cmp::Reverse(s.total()));
-    for (code, stats) in rows {
+    let mut rows = Tally::of(census).ranked();
+    rows.sort_by(|a, b| b.1.total().cmp(&a.1.total()).then(a.0.cmp(b.0)));
+    for (code, stats, _) in rows {
         t.row([
             code.to_string(),
             stats.total().to_string(),
@@ -260,8 +258,7 @@ pub fn country_summary(census: &Census) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::census::CensusRow;
-    use scanner::Verdict;
+    use scanner::{Discard, Verdict};
     use std::net::Ipv4Addr;
 
     fn mini_census() -> Census {
@@ -333,6 +330,59 @@ mod tests {
         let rendered = t.render();
         assert!(rendered.contains("BRA"));
         assert!(rendered.contains("+6"), "count delta 10-4:\n{rendered}");
+    }
+
+    /// Every report but Table 5 (which compares against another view),
+    /// rendered.
+    fn render_reports(census: &Census, geo: &GeoDb) -> Vec<String> {
+        let (f3, top10, zero_share) = figure3(census);
+        vec![
+            table1(census).render(),
+            format!("{}{top10}/{zero_share}", f3.render()),
+            figure4(census, 50).render(),
+            figure5(census, 12).render(),
+            table4(census, geo, 10).render(),
+            figure8(census).0.render(),
+            country_summary(census).render(),
+        ]
+    }
+
+    fn without_discarded(census: &Census) -> Census {
+        let mut kept = census.clone();
+        kept.rows.retain(|r| r.class().is_some());
+        kept
+    }
+
+    #[test]
+    fn reports_read_classified_rows_only() {
+        // The seed-7 dud census: four duds per host, every one discarded.
+        let (census, geo) = crate::census::seed7_dud_census();
+        let kept = without_discarded(census);
+        assert!(kept.rows.len() * 4 < census.rows.len(), "mostly discarded");
+        assert_eq!(render_reports(census, geo), render_reports(&kept, geo));
+        // By hand: discarded rows of every reason, in a country no
+        // classified row has, in a known one, and in none.
+        let mut census = mini_census();
+        let reasons = [
+            Discard::NoResponse,
+            Discard::Malformed,
+            Discard::NoAnswer,
+            Discard::WrongRecordCount,
+            Discard::ControlRecordViolated,
+        ];
+        for (i, reason) in reasons.into_iter().enumerate() {
+            for (j, country) in [Some("XXX"), Some("BRA"), None].into_iter().enumerate() {
+                census.rows.push(CensusRow {
+                    target: Ipv4Addr::new(11, 0, 1, (i * 3 + j) as u8),
+                    verdict: Verdict::Discarded(reason),
+                    asn: Some(651 + j as u32),
+                    country,
+                });
+            }
+        }
+        let geo = inetgen::GeoDb::default();
+        let kept = without_discarded(&census);
+        assert_eq!(render_reports(&census, &geo), render_reports(&kept, &geo));
     }
 
     #[test]

@@ -34,28 +34,30 @@ impl TextTable {
                 widths[i] = widths[i].max(cell.len());
             }
         }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| -> String {
-            let mut line = String::new();
+        let total: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
+        let mut out = String::with_capacity((total + 1) * (self.rows.len() + 2));
+        let push_row = |out: &mut String, cells: &[String]| {
+            let start = out.len();
             for (i, cell) in cells.iter().enumerate() {
                 if i > 0 {
-                    line.push_str("  ");
+                    out.push_str("  ");
                 }
-                line.push_str(cell);
+                out.push_str(cell);
                 for _ in cell.len()..widths[i] {
-                    line.push(' ');
+                    out.push(' ');
                 }
             }
-            line.trim_end().to_string()
+            let kept = out[start..].trim_end().len();
+            out.truncate(start + kept);
+            out.push('\n');
         };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        let total: usize = widths.iter().sum::<usize>() + 2 * (cols.saturating_sub(1));
-        out.push_str(&"-".repeat(total));
+        push_row(&mut out, &self.header);
+        for _ in 0..total {
+            out.push('-');
+        }
         out.push('\n');
         for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
+            push_row(&mut out, row);
         }
         out
     }
@@ -79,10 +81,7 @@ impl TextTable {
 /// Append `cell` to a CSV line, quoted (RFC 4180 style) if it holds a
 /// comma, a quote, a line feed or a carriage return.
 pub(crate) fn push_csv_cell(out: &mut String, cell: &str) {
-    if cell
-        .bytes()
-        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
-    {
+    if needs_quotes(cell) {
         out.push('"');
         for c in cell.chars() {
             if c == '"' {
@@ -96,9 +95,17 @@ pub(crate) fn push_csv_cell(out: &mut String, cell: &str) {
     }
 }
 
+/// True when `cell` holds a comma, a quote, a line feed or a carriage
+/// return, so CSV must quote it.
+pub(crate) fn needs_quotes(cell: &str) -> bool {
+    cell.bytes()
+        .any(|b| matches!(b, b',' | b'"' | b'\n' | b'\r'))
+}
+
 /// Append `ip` as a dotted quad — what `write!(out, "{ip}")` appends, minus
-/// the trip through `fmt` once per octet (a census CSV holds up to three
-/// addresses per row).
+/// the trip through `fmt` once per octet. The census CSV oracle's
+/// reference writer uses it.
+#[cfg(test)]
 pub(crate) fn push_ipv4(out: &mut String, ip: std::net::Ipv4Addr) {
     for (i, octet) in ip.octets().into_iter().enumerate() {
         if i > 0 {

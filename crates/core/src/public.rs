@@ -34,6 +34,7 @@ impl ResolverProject {
     }
 
     /// The well-known anycast service address.
+    #[inline]
     pub fn service_ip(self) -> Ipv4Addr {
         match self {
             ResolverProject::Google => Ipv4Addr::new(8, 8, 8, 8),
@@ -56,6 +57,7 @@ impl ResolverProject {
     }
 
     /// Project owning a service address, if any.
+    #[inline]
     pub fn from_service_ip(ip: Ipv4Addr) -> Option<ResolverProject> {
         ResolverProject::all()
             .into_iter()

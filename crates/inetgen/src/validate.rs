@@ -136,7 +136,7 @@ mod tests {
         for h in &internet.truth.hosts {
             if let Some(asn) = internet.geo.asn_of(h.ip) {
                 assert_eq!(asn, h.asn, "geo must agree with ground truth for {}", h.ip);
-                assert_eq!(internet.geo.country_of_asn(asn), Some(h.country));
+                assert_eq!(internet.geo.country_of(h.ip), Some(h.country));
                 mapped += 1;
             }
         }

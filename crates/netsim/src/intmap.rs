@@ -11,10 +11,9 @@
 //! unbounded strings the adversary models of the attack suite choose, which
 //! is exactly what a keyed hash is for. So do maps that never see a packet
 //! (pcap taps, topology-build temporaries), where the hasher buys nothing —
-//! except the analysis side's per-row lookups: `inetgen::GeoDb`'s three
-//! tables (/24 prefix → ASN, ASN → registry entry, anycast address → ASN)
-//! are read three times per census row, and `analysis::by_country` finds
-//! each row's tally by the address of its country code.
+//! except the analysis side's per-row lookup: `inetgen::GeoDb` probes its
+//! /24 prefix table once per census row (and its ASN and anycast tables
+//! on the rarer paths that need them).
 //!
 //! A fixed seed makes an `IntMap`'s iteration order repeat from run to run
 //! where `RandomState`'s did not. Repeatable is not *ordered*: the order

@@ -41,6 +41,7 @@ impl OdnsClass {
     }
 
     /// Display label matching the paper.
+    #[inline]
     pub fn name(self) -> &'static str {
         match self {
             OdnsClass::TransparentForwarder => "Transparent Forwarder",
@@ -72,6 +73,20 @@ pub enum Discard {
     ControlRecordViolated,
 }
 
+impl Discard {
+    /// The reason's name, as the census CSV's verdict column writes it.
+    #[inline]
+    pub fn name(self) -> &'static str {
+        match self {
+            Discard::NoResponse => "NoResponse",
+            Discard::Malformed => "Malformed",
+            Discard::NoAnswer => "NoAnswer",
+            Discard::WrongRecordCount => "WrongRecordCount",
+            Discard::ControlRecordViolated => "ControlRecordViolated",
+        }
+    }
+}
+
 /// Result of classifying one transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verdict {
@@ -91,6 +106,7 @@ pub enum Verdict {
 
 impl Verdict {
     /// The class, if classified.
+    #[inline]
     pub fn class(&self) -> Option<OdnsClass> {
         match self {
             Verdict::Classified { class, .. } => Some(*class),
@@ -130,6 +146,7 @@ impl ClassifierConfig {
 /// decoded; any other (a CNAME chain, an OPT record, uncompressed owners,
 /// garbage) is decoded, so [`Discard::Malformed`] means exactly that
 /// [`dnswire::Message::decode`] failed.
+#[inline]
 pub fn classify(t: &Transaction, config: &ClassifierConfig) -> Verdict {
     let Some(response) = &t.response else {
         return Verdict::Discarded(Discard::NoResponse);
@@ -315,6 +332,22 @@ mod tests {
             classify(&t2, &cfg()),
             Verdict::Discarded(Discard::Malformed)
         );
+    }
+
+    #[test]
+    fn discard_names_are_pinned() {
+        // The census CSV writes these bytes: a renamed variant must not
+        // move them.
+        let names = [
+            (Discard::NoResponse, "NoResponse"),
+            (Discard::Malformed, "Malformed"),
+            (Discard::NoAnswer, "NoAnswer"),
+            (Discard::WrongRecordCount, "WrongRecordCount"),
+            (Discard::ControlRecordViolated, "ControlRecordViolated"),
+        ];
+        for (reason, name) in names {
+            assert_eq!(reason.name(), name);
+        }
     }
 
     #[test]

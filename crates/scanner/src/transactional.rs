@@ -266,11 +266,12 @@ impl Host for TransactionalScanner {
 /// shard's in-worker census pass and pcap ingestion all run this one
 /// implementation of the matching semantics.
 ///
-/// Matching is by `(dst_port, txid)`; the first response inside the
-/// timeout window wins, later matches count as duplicates, and responses
-/// past the window count as late. Takes ownership: probes and matched
-/// response payloads move into the resulting transactions with no copying
-/// — record streams are the bulk of a census's memory.
+/// Matching is by `(dst_port, txid)`, and a tuple two probes share
+/// resolves to the later probe; the first response inside the timeout
+/// window wins, later matches count as duplicates, and responses past the
+/// window count as late. Takes ownership: probes and matched response
+/// payloads move into the resulting transactions with no copying — record
+/// streams are the bulk of a census's memory.
 pub fn correlate_owned(
     probes: Vec<ProbeRecord>,
     responses: Vec<ResponseRecord>,
@@ -283,64 +284,145 @@ pub fn correlate_owned(
     /// the median, 8 of 8 pairs worse. The branch stays.
     const LINEAR_SCAN_MAX: usize = 32;
 
-    // Correlation's only side allocation: `(port, txid) → probe`.
-    let mut index: IntMap<(u16, u16), usize> = IntMap::default();
-    let linear = probes.len() <= LINEAR_SCAN_MAX;
-    if !linear {
-        index.reserve(probes.len());
-        for (i, p) in probes.iter().enumerate() {
-            index.insert((p.src_port, p.txid), i);
+    let received = responses.len();
+    let (transactions, settled) = if probes.len() <= LINEAR_SCAN_MAX {
+        settle_linear(probes, responses, timeout)
+    } else {
+        settle_indexed(probes, responses, timeout)
+    };
+    ScanOutcome {
+        transactions,
+        unmatched_responses: received - settled.late - settled.superseded - settled.matched,
+        late_responses: settled.late,
+        late_answers_discarded: settled.superseded,
+        retry: RetryStats::default(),
+    }
+}
+
+/// How the responses that found a probe were settled; every other
+/// response is unmatched.
+#[derive(Default)]
+struct Settled {
+    /// Past the timeout window.
+    late: usize,
+    /// A second in-window answer for an already-answered tuple: a wire
+    /// duplicate, or the answer to a superseded retransmission attempt.
+    /// Deduplicated — the first response stands.
+    superseded: usize,
+    /// Moved into their probe's transaction.
+    matched: usize,
+}
+
+impl Settled {
+    /// Settle `response`, matched to `t`, moving it in if it answers.
+    fn settle(
+        &mut self,
+        t: &mut Transaction,
+        response: &mut Option<ResponseRecord>,
+        timeout: SimDuration,
+    ) {
+        let Some(r) = response else { return };
+        if r.received_at - t.probe.sent_at > timeout {
+            self.late += 1;
+        } else if t.response.is_some() {
+            self.superseded += 1;
+        } else {
+            t.response = response.take();
+            self.matched += 1;
         }
     }
-    let mut transactions: Vec<Transaction> = probes
+}
+
+/// One transaction per probe, none answered yet.
+fn unanswered(probes: Vec<ProbeRecord>) -> Vec<Transaction> {
+    probes
         .into_iter()
         .map(|p| Transaction {
             probe: p,
             response: None,
         })
-        .collect();
-    let mut unmatched = 0usize;
-    let mut late = 0usize;
-    let mut superseded = 0usize;
+        .collect()
+}
+
+/// Match each response, in arrival order, by walking the probe list from
+/// its end.
+fn settle_linear(
+    probes: Vec<ProbeRecord>,
+    responses: Vec<ResponseRecord>,
+    timeout: SimDuration,
+) -> (Vec<Transaction>, Settled) {
+    let mut transactions = unanswered(probes);
+    let mut settled = Settled::default();
     for r in responses {
         let Some(txid) = dnswire::peek_id(&r.payload) else {
-            unmatched += 1;
             continue;
         };
-        // Like the index (whose inserts overwrite), a duplicate
-        // `(port, txid)` tuple resolves to the *last* matching probe.
-        let found = if linear {
-            transactions
-                .iter()
-                .rposition(|t| t.probe.src_port == r.dst_port && t.probe.txid == txid)
-        } else {
-            index.get(&(r.dst_port, txid)).copied()
-        };
-        let Some(probe_idx) = found else {
-            unmatched += 1;
+        let found = transactions
+            .iter_mut()
+            .rfind(|t| t.probe.src_port == r.dst_port && t.probe.txid == txid);
+        if let Some(t) = found {
+            settled.settle(t, &mut Some(r), timeout);
+        }
+    }
+    (transactions, settled)
+}
+
+/// Match by indexing the responses, not the probes: a census hears back
+/// from a fraction of its targets, so the index holds only the tuples that
+/// were answered, and a probe whose port no response arrived on skips it.
+fn settle_indexed(
+    probes: Vec<ProbeRecord>,
+    responses: Vec<ResponseRecord>,
+    timeout: SimDuration,
+) -> (Vec<Transaction>, Settled) {
+    const NONE: u32 = u32::MAX;
+    assert!(
+        responses.len() < NONE as usize,
+        "response indices fit a u32"
+    );
+    // One bit per port some response arrived on.
+    let mut heard = vec![0u64; 1 << 10];
+    // `(port, txid) → (first, last)` response; a tuple's responses are
+    // chained through `next` in arrival order. These tables are allocated
+    // before the transactions, which outlive them: allocated after, they
+    // left a census rep's heap trimmed and its big buffers re-faulted on
+    // every rep (`census_warm_dud`).
+    let mut chains: IntMap<(u16, u16), (u32, u32)> = IntMap::default();
+    chains.reserve(responses.len());
+    let mut next = vec![NONE; responses.len()];
+    for (i, r) in (0..).zip(&responses) {
+        let Some(txid) = dnswire::peek_id(&r.payload) else {
             continue;
         };
-        let t = &mut transactions[probe_idx];
-        if r.received_at - t.probe.sent_at > timeout {
-            late += 1;
+        heard[usize::from(r.dst_port >> 6)] |= 1 << (r.dst_port & 63);
+        chains
+            .entry((r.dst_port, txid))
+            .and_modify(|(_, last)| {
+                next[*last as usize] = i;
+                *last = i;
+            })
+            .or_insert((i, i));
+    }
+    let mut responses: Vec<Option<ResponseRecord>> = responses.into_iter().map(Some).collect();
+    let mut transactions = unanswered(probes);
+    let mut settled = Settled::default();
+    // Last probe first: the first to meet a tuple takes its whole chain,
+    // so a tuple two probes share resolves to the later one.
+    for t in transactions.iter_mut().rev() {
+        let port = t.probe.src_port;
+        if heard[usize::from(port >> 6)] & (1 << (port & 63)) == 0 {
             continue;
         }
-        if t.response.is_some() {
-            // A second answer for an already-answered tuple: a wire
-            // duplicate, or the answer to a superseded retransmission
-            // attempt. Deduplicated — the first response stands.
-            superseded += 1;
+        let Some((first, _)) = chains.get_mut(&(port, t.probe.txid)) else {
             continue;
+        };
+        let mut at = std::mem::replace(first, NONE);
+        while at != NONE {
+            settled.settle(t, &mut responses[at as usize], timeout);
+            at = next[at as usize];
         }
-        t.response = Some(r);
     }
-    ScanOutcome {
-        transactions,
-        unmatched_responses: unmatched,
-        late_responses: late,
-        late_answers_discarded: superseded,
-        retry: RetryStats::default(),
-    }
+    (transactions, settled)
 }
 
 /// Install a scanner at `node`, run the whole scan to quiescence, and
@@ -706,6 +788,151 @@ mod tests {
                 );
             }
             other => panic!("expected UDP, got {other:?}"),
+        }
+    }
+
+    /// `correlate_owned` as it was before it indexed responses: every probe
+    /// tuple indexed, responses matched in arrival order.
+    fn reference_correlate(
+        probes: Vec<ProbeRecord>,
+        responses: Vec<ResponseRecord>,
+        timeout: SimDuration,
+    ) -> ScanOutcome {
+        const LINEAR_SCAN_MAX: usize = 32;
+
+        let mut index: IntMap<(u16, u16), usize> = IntMap::default();
+        let linear = probes.len() <= LINEAR_SCAN_MAX;
+        if !linear {
+            index.reserve(probes.len());
+            for (i, p) in probes.iter().enumerate() {
+                index.insert((p.src_port, p.txid), i);
+            }
+        }
+        let mut transactions: Vec<Transaction> = probes
+            .into_iter()
+            .map(|p| Transaction {
+                probe: p,
+                response: None,
+            })
+            .collect();
+        let mut unmatched = 0usize;
+        let mut late = 0usize;
+        let mut superseded = 0usize;
+        for r in responses {
+            let Some(txid) = dnswire::peek_id(&r.payload) else {
+                unmatched += 1;
+                continue;
+            };
+            let found = if linear {
+                transactions
+                    .iter()
+                    .rposition(|t| t.probe.src_port == r.dst_port && t.probe.txid == txid)
+            } else {
+                index.get(&(r.dst_port, txid)).copied()
+            };
+            let Some(probe_idx) = found else {
+                unmatched += 1;
+                continue;
+            };
+            let t = &mut transactions[probe_idx];
+            if r.received_at - t.probe.sent_at > timeout {
+                late += 1;
+                continue;
+            }
+            if t.response.is_some() {
+                superseded += 1;
+                continue;
+            }
+            t.response = Some(r);
+        }
+        ScanOutcome {
+            transactions,
+            unmatched_responses: unmatched,
+            late_responses: late,
+            late_answers_discarded: superseded,
+            retry: RetryStats::default(),
+        }
+    }
+
+    /// Probe and response streams drawn from `seed`: `tuples` distinct
+    /// `(port, txid)` pairs shared by `n_probes` probes (so tuples repeat),
+    /// and `n_responses` responses that answer a probe (in time or late),
+    /// repeat an earlier response, name a tuple no probe holds, or carry
+    /// fewer than the two bytes of a DNS ID.
+    fn drawn_streams(
+        n_probes: usize,
+        n_responses: usize,
+        tuples: u16,
+        seed: u64,
+    ) -> (Vec<ProbeRecord>, Vec<ResponseRecord>) {
+        let mut state = seed;
+        let mut draw = |bound: u64| {
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        let tuple = |k: u64| (BASE_PORT + k as u16, (k as u16).wrapping_mul(7919));
+        let probes: Vec<ProbeRecord> = (0..n_probes)
+            .map(|i| {
+                let (src_port, txid) = tuple(draw(u64::from(tuples)));
+                ProbeRecord {
+                    index: i,
+                    target: Ipv4Addr::from(i as u32),
+                    sent_at: SimTime(draw(1_000)),
+                    src_port,
+                    txid,
+                }
+            })
+            .collect();
+        let mut responses: Vec<ResponseRecord> = Vec::new();
+        for i in 0..n_responses {
+            let (dst_port, txid) = match draw(8) {
+                0 if i > 0 => {
+                    let again = responses[draw(i as u64) as usize].clone();
+                    responses.push(again);
+                    continue;
+                }
+                1 => tuple(u64::from(tuples) + draw(4)),
+                _ if !probes.is_empty() => {
+                    let p = &probes[draw(probes.len() as u64) as usize];
+                    (p.src_port, p.txid)
+                }
+                _ => tuple(draw(u64::from(tuples))),
+            };
+            let mut payload = txid.to_be_bytes().to_vec();
+            payload.extend([0xAB; 10]);
+            payload.truncate(match draw(10) {
+                0 => 0,
+                1 => 1,
+                _ => payload.len(),
+            });
+            responses.push(ResponseRecord {
+                received_at: SimTime(draw(1_400)),
+                src: Ipv4Addr::new(198, 51, 100, i as u8),
+                dst_port,
+                payload: payload.into(),
+            });
+        }
+        (probes, responses)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn correlation_equals_the_probe_indexed_reference(
+            n_probes in 0usize..80,
+            n_responses in 0usize..120,
+            tuples in 1u16..48,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            let (probes, responses) = drawn_streams(n_probes, n_responses, tuples, seed);
+            let timeout = SimDuration(300);
+            let reference = reference_correlate(probes.clone(), responses.clone(), timeout);
+            let outcome = correlate_owned(probes, responses, timeout);
+            proptest::prop_assert_eq!(outcome, reference);
         }
     }
 }

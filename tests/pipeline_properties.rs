@@ -188,7 +188,7 @@ proptest! {
         for h in internet.truth.hosts.iter().take(500) {
             if let Some(asn) = internet.geo.asn_of(h.ip) {
                 prop_assert_eq!(asn, h.asn);
-                prop_assert_eq!(internet.geo.country_of_asn(asn), Some(h.country));
+                prop_assert_eq!(internet.geo.country_of(h.ip), Some(h.country));
             }
         }
     }
