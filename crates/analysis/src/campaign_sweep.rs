@@ -38,10 +38,11 @@
 //! dumpcap-based artifact (§A.2).
 
 use crate::census::{campaign_country_counts, merge_census_parts, run_census, Census};
-use crate::pcap_ingest::{campaign_report_from_pcap, census_from_captures, IngestError};
+use crate::pcap_ingest::{campaign_report_from_pcap, census_from_captures};
 use crate::table::TextTable;
 use inetgen::SensorAddrs;
 use inetgen::{Fixtures, GeoDb, Internet, ShardSpec, ShardedRun, Worlds};
+use netsim::pcap::PcapError;
 use netsim::{HostEntry, SimDuration, Simulator};
 use scanner::{
     run_campaign_delayed, Campaign, CampaignConfig, CampaignReport, ClassifierConfig,
@@ -283,7 +284,7 @@ impl CampaignSweep {
     /// Rebuild the census from the per-shard scan captures alone — the
     /// capture-driven verification path. Equals [`CampaignSweep::census`]
     /// row for row.
-    pub fn capture_census(&self, classifier: &ClassifierConfig) -> Result<Census, IngestError> {
+    pub fn capture_census(&self, classifier: &ClassifierConfig) -> Result<Census, PcapError> {
         let captures: Vec<(u32, &[u8])> = self
             .captures
             .iter()
@@ -296,7 +297,7 @@ impl CampaignSweep {
     /// rule and merge as the live sweep does, rebuilding
     /// [`CampaignSweep::reports`] — and with them the detection matrix —
     /// from the taps alone.
-    pub fn capture_reports(&self) -> Result<Vec<(Campaign, CampaignReport)>, IngestError> {
+    pub fn capture_reports(&self) -> Result<Vec<(Campaign, CampaignReport)>, PcapError> {
         let replayed = self
             .captures
             .iter()
@@ -311,7 +312,7 @@ impl CampaignSweep {
     /// All captures joined into one wireshark-openable pcap stream
     /// (inspection only — analysis must ingest per shard, see
     /// [`census_from_captures`]).
-    pub fn merged_capture(&self) -> Result<Vec<u8>, netsim::pcap::PcapError> {
+    pub fn merged_capture(&self) -> Result<Vec<u8>, PcapError> {
         let mut parts: Vec<&[u8]> = Vec::new();
         for c in &self.captures {
             parts.push(&c.scan);

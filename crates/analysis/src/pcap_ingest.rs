@@ -22,35 +22,31 @@ use netsim::{Datagram, SimDuration, SimTime};
 use scanner::records::{ProbeRecord, ResponseRecord, ScanOutcome};
 use scanner::{Campaign, CampaignReport, ClassifierConfig, ScanConfig};
 use std::collections::BTreeSet;
-
-/// Errors during capture ingestion.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum IngestError {
-    /// The pcap container was malformed.
-    Pcap(PcapError),
-}
-
-impl std::fmt::Display for IngestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            IngestError::Pcap(e) => write!(f, "pcap: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for IngestError {}
+use std::net::Ipv4Addr;
 
 /// The capture's UDP datagrams with their timestamps, in capture order.
 /// Packets that fail IP/UDP decoding are skipped (they would be ICMP or
 /// corruption — dumpcap keeps them too, the analyzer ignores them).
-fn udp_datagrams(pcap: &[u8]) -> Result<impl Iterator<Item = (SimTime, Datagram)>, IngestError> {
-    let records = read_pcap(pcap).map_err(IngestError::Pcap)?;
-    Ok(records
+fn udp_datagrams(pcap: &[u8]) -> Result<Vec<(SimTime, Datagram)>, PcapError> {
+    Ok(read_pcap(pcap)?
         .into_iter()
         .filter_map(|rec| match decode(&rec.data) {
             Ok(DecodedPacket::Udp(d)) => Some((rec.ts, d)),
             _ => None,
-        }))
+        })
+        .collect())
+}
+
+/// The address that sent a scanner capture's probes: the source of its
+/// first query to port 53 (nothing reaches a scanner before its first
+/// probe). The one direction rule of every replay — the census's
+/// ([`streams_from_pcap`]) and the campaigns' ([`campaign_report_from_pcap`]).
+/// `None` for a capture that holds no probe.
+fn scanner_addr(datagrams: &[(SimTime, Datagram)]) -> Option<Ipv4Addr> {
+    datagrams
+        .iter()
+        .find(|(_, d)| d.dst_port == dnswire::DNS_PORT)
+        .map(|(_, d)| d.src)
 }
 
 /// Reconstruct the raw probe/response record streams from capture bytes —
@@ -59,7 +55,7 @@ fn udp_datagrams(pcap: &[u8]) -> Result<impl Iterator<Item = (SimTime, Datagram)
 ///
 /// Direction goes by address, not port: a datagram is outgoing when it
 /// comes from the scanner, the source of the capture's first query to port
-/// 53 (nothing reaches a scanner before its first probe). A probe's source
+/// 53 — the rule [`campaign_report_from_pcap`] shares. A probe's source
 /// port is 33 000 plus its target's low 16 bits, which wraps to 53 for every
 /// target whose low 16 bits are 32 589 (x.y.127.77): that probe leaves from
 /// port 53, and its answer arrives on port 53 too.
@@ -70,16 +66,14 @@ fn udp_datagrams(pcap: &[u8]) -> Result<impl Iterator<Item = (SimTime, Datagram)
 // detlint::allow(needless-pub): tests/pipeline_properties.rs holds the rebuilt probe and answer streams equal to the live ones through it
 pub fn streams_from_pcap(
     pcap: &[u8],
-) -> Result<(Vec<ProbeRecord>, Vec<ResponseRecord>), IngestError> {
+) -> Result<(Vec<ProbeRecord>, Vec<ResponseRecord>), PcapError> {
     let mut probes: Vec<ProbeRecord> = Vec::new();
     let mut responses: Vec<ResponseRecord> = Vec::new();
     let mut sent = BTreeSet::new();
-    let mut scanner_ip = None;
-    for (ts, d) in udp_datagrams(pcap)? {
-        if scanner_ip.is_none() && d.dst_port == dnswire::DNS_PORT {
-            scanner_ip = Some(d.src);
-        }
-        if scanner_ip == Some(d.src) {
+    let datagrams = udp_datagrams(pcap)?;
+    let scanner = scanner_addr(&datagrams);
+    for (ts, d) in datagrams {
+        if scanner == Some(d.src) {
             let Some(txid) = dnswire::peek_id(&d.payload) else {
                 continue;
             };
@@ -107,7 +101,7 @@ pub fn streams_from_pcap(
 
 /// Reconstruct a [`ScanOutcome`] from raw capture bytes, through the same
 /// offline pass as the live scanner.
-pub fn outcome_from_pcap(pcap: &[u8], timeout: SimDuration) -> Result<ScanOutcome, IngestError> {
+pub fn outcome_from_pcap(pcap: &[u8], timeout: SimDuration) -> Result<ScanOutcome, PcapError> {
     let (probes, responses) = streams_from_pcap(pcap)?;
     Ok(scanner::correlate_owned(probes, responses, timeout))
 }
@@ -130,7 +124,7 @@ pub fn census_from_captures<S: AsRef<[u8]>>(
     captures: &[(u32, S)],
     geo: &inetgen::GeoDb,
     classifier: &ClassifierConfig,
-) -> Result<Census, IngestError> {
+) -> Result<Census, PcapError> {
     let mut ordered: Vec<&(u32, S)> = captures.iter().collect();
     ordered.sort_by_key(|(shard, _)| *shard);
     if let Some(pair) = ordered.windows(2).find(|w| w[0].0 == w[1].0) {
@@ -148,13 +142,18 @@ pub fn census_from_captures<S: AsRef<[u8]>>(
 /// live `CampaignScanner`'s own) over its capture, rebuilding the
 /// [`CampaignReport`] it published — the offline proof that a campaign's
 /// feed is a pure function of the traffic it saw plus its (stateless or
-/// connected-socket) pipeline. ICMP never reaches that pipeline.
+/// connected-socket) pipeline. ICMP never reaches that pipeline. Probes
+/// and answers part by address, as in [`streams_from_pcap`].
 pub fn campaign_report_from_pcap(
     campaign: Campaign,
     pcap: &[u8],
-) -> Result<CampaignReport, IngestError> {
-    let tapped = udp_datagrams(pcap)?.map(|(_, d)| d);
-    Ok(scanner::replay_campaign(campaign, tapped))
+) -> Result<CampaignReport, PcapError> {
+    let datagrams = udp_datagrams(pcap)?;
+    // A capture without a probe has no scanner: every datagram in it is
+    // an answer, and 0.0.0.0 sends none of them.
+    let scanner = scanner_addr(&datagrams).unwrap_or(Ipv4Addr::UNSPECIFIED);
+    let tapped = datagrams.into_iter().map(|(_, d)| d);
+    Ok(scanner::replay_campaign(campaign, scanner, tapped))
 }
 
 #[cfg(test)]
@@ -270,7 +269,7 @@ mod tests {
     fn bad_pcap_rejected() {
         assert!(matches!(
             outcome_from_pcap(&[0u8; 10], SimDuration::from_secs(20)),
-            Err(IngestError::Pcap(_))
+            Err(PcapError::TooShort)
         ));
         assert!(matches!(
             census_from_captures(
@@ -278,11 +277,11 @@ mod tests {
                 &inetgen::GeoDb::default(),
                 &ClassifierConfig::default()
             ),
-            Err(IngestError::Pcap(_))
+            Err(PcapError::TooShort)
         ));
         assert!(matches!(
             campaign_report_from_pcap(Campaign::Censys, &[0u8; 10]),
-            Err(IngestError::Pcap(_))
+            Err(PcapError::TooShort)
         ));
     }
 
@@ -503,7 +502,11 @@ mod tests {
             Reply::Undecodable,
             Reply::Answerless,
         ];
-        let targets: Vec<Ipv4Addr> = (1..=4).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
+        // The first target is probed from port 53 and answered on it
+        // ([`ScanConfig::probe_tuple`]): replay must part them by address.
+        let mut targets: Vec<Ipv4Addr> = (1..=4).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
+        targets[0] = Ipv4Addr::new(203, 0, 127, 77);
+        assert_eq!(ScanConfig::probe_tuple(targets[0]).0, dnswire::DNS_PORT);
         for campaign in Campaign::all() {
             let mut ips = vec![SCANNER];
             ips.extend(&targets);

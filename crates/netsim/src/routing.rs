@@ -200,21 +200,21 @@ pub enum RouteError {
     Unreachable,
 }
 
-/// Route resolver with three caches, none keyed by host:
+/// Route resolver with two caches, none keyed by host:
 ///
 /// * **AS routes** keyed `(src AS, dst AS)` — the AS path plus the
 ///   transit-router segment along it. A census probes every host once
 ///   but reuses the scanner-AS entry for every target in the same
 ///   destination AS, and forwarders consolidated onto few resolvers
 ///   share entries the same way;
-/// * **BFS distances** keyed by source AS — one BFS serves every
-///   PoP-proximity query from that AS;
-/// * **anycast selection** keyed `(src AS, service IP)`.
+/// * **anycast selection** keyed `(src AS, service IP)`. A source AS's
+///   first pick runs one BFS and fills its pick for every anycast group,
+///   so each source AS is searched once, whatever services it reaches.
 ///
 /// Routing state is O(AS pairs touched), never O(host pairs). Every AS
-/// path lives in one arena, every transit hop in another and every
-/// source's distances in a third, so a new AS pair or source allocates
-/// only when an arena or a map grows. A *hit* found its segment, a *miss* built it; `hits + misses`
+/// path lives in one arena and every transit hop in another, so a new AS
+/// pair or source allocates only when an arena or a map grows. A *hit*
+/// found its segment, a *miss* built it; `hits + misses`
 /// counts the successfully routed resolves (failed ones are neither).
 #[derive(Debug, Default)]
 pub struct RouteResolver {
@@ -223,13 +223,8 @@ pub struct RouteResolver {
     as_paths: Vec<AsId>,
     /// Every cached route's transit hops, back to back.
     hops: Vec<Hop>,
-    /// Where each searched source AS's distances start in `distances`.
-    distance_cache: IntMap<AsId, u32>,
-    /// Every searched source AS's distance to each AS, `as_count` apiece,
-    /// in AS hops (half the bytes of the search's own `u32`s).
-    distances: Vec<Option<u16>>,
     anycast_cache: IntMap<(AsId, Ipv4Addr), Option<NodeId>>,
-    /// Working memory of the search behind every route and distance miss.
+    /// Working memory of the search behind every route and anycast miss.
     bfs: Bfs,
     routed: u64,
     misses: u64,
@@ -259,24 +254,10 @@ impl RouteResolver {
         self.misses = 0;
     }
 
-    /// BFS distances from `src` to every AS, cached. One BFS serves every
-    /// anycast PoP-selection query from the same source AS — the hot path
-    /// of an Internet-wide census.
-    fn distances_from(&mut self, topo: &Topology, src: AsId) -> &[Option<u16>] {
-        let (bfs, distances) = (&mut self.bfs, &mut self.distances);
-        let start = *self.distance_cache.entry(src).or_insert_with(|| {
-            bfs.run(topo, src, None);
-            let start = u32::try_from(distances.len()).expect("route arena under 2^32 entries");
-            let hops =
-                |d: &Option<u32>| d.map(|d| u16::try_from(d).expect("AS distance under 2^16"));
-            distances.extend(bfs.dist.iter().map(hops));
-            start
-        });
-        &self.distances[start as usize..][..topo.as_count()]
-    }
-
     /// Select the anycast instance nearest to `src_as` (min AS distance,
-    /// then lowest node id for determinism), memoized per pair.
+    /// then lowest node id for determinism), memoized per pair. A miss
+    /// searches from `src_as` once and picks for every anycast group, so
+    /// a later service reached from the same AS is a hit.
     fn select_anycast_instance(
         &mut self,
         topo: &Topology,
@@ -286,13 +267,17 @@ impl RouteResolver {
         if let Some(&cached) = self.anycast_cache.get(&(src_as, service_ip)) {
             return cached;
         }
-        let group = topo.anycast_group(service_ip)?;
-        let distances = self.distances_from(topo, src_as);
-        let reachable = |&inst: &NodeId| Some((distances[topo.as_of_node(inst).0 as usize]?, inst));
-        let nearest = group.instances.iter().filter_map(reachable).min();
-        let selected = nearest.map(|(_, node)| node);
-        self.anycast_cache.insert((src_as, service_ip), selected);
-        selected
+        topo.anycast_group(service_ip)?;
+        self.bfs.run(topo, src_as, None);
+        let distances = &self.bfs.dist;
+        for group in topo.anycast_groups() {
+            let reachable =
+                |&inst: &NodeId| Some((distances[topo.as_of_node(inst).0 as usize]?, inst));
+            let nearest = group.instances.iter().filter_map(reachable).min();
+            self.anycast_cache
+                .insert((src_as, group.ip), nearest.map(|(_, node)| node));
+        }
+        self.anycast_cache[&(src_as, service_ip)]
     }
 
     /// Resolve the full router-level path from host `src_node` to IP `dst`.
@@ -681,9 +666,24 @@ mod tests {
 
     #[test]
     fn as_distance_zero_for_same_as() {
-        let (t, src, _, _) = chain();
+        // A PoP in the source's own AS (distance 0) beats one a hop away,
+        // and the search that picked it picked every other group too.
+        let mut b = TopologyBuilder::new();
+        let a0 = b.add_as(as_spec(100, vec![ip(10, 0, 0, 1)]));
+        let a1 = b.add_as(as_spec(101, vec![ip(10, 1, 0, 1)]));
+        b.connect(a0, a1, Relationship::Peer);
+        let src = b.add_host(a0, HostSpec::simple(ip(192, 0, 2, 1)));
+        let local = b.add_host(a0, HostSpec::simple(ip(192, 0, 2, 2)));
+        let remote = b.add_host(a1, HostSpec::simple(ip(198, 51, 100, 1)));
+        let (svc, other) = (ip(8, 8, 8, 8), ip(1, 1, 1, 1));
+        b.add_anycast_instance(svc, remote);
+        b.add_anycast_instance(svc, local);
+        b.add_anycast_instance(other, remote);
+        let t = b.build().unwrap();
         let mut r = RouteResolver::new();
-        let a = t.as_of_node(src);
-        assert_eq!(r.distances_from(&t, a)[a.0 as usize], Some(0));
+        assert_eq!(r.resolve(&t, src, svc).unwrap().dst_node, local);
+        assert_eq!(r.anycast_cache.len(), 2, "one pick per group");
+        assert_eq!(r.resolve(&t, src, other).unwrap().dst_node, remote);
+        assert_eq!(r.anycast_cache.len(), 2, "the second service was a hit");
     }
 }

@@ -407,6 +407,11 @@ impl Topology {
         self.anycast.get(&ip)
     }
 
+    /// Every anycast group, in no particular order.
+    pub(crate) fn anycast_groups(&self) -> impl Iterator<Item = &AnycastGroup> {
+        self.anycast.values()
+    }
+
     /// Whether `node` may legitimately source packets from `src` —
     /// its own unicast addresses or an anycast address it instantiates.
     /// Everything else is spoofing (and subject to the AS's SAV policy).

@@ -19,6 +19,7 @@
 //! only the *processing* differs.
 
 use crate::pacer::{Pacer, PACE_TOKEN};
+use crate::ScanConfig;
 use dnswire::Message;
 use netsim::{
     Ctx, Datagram, Host, HostEntry, IntMap, NodeId, RetryPolicy, SimDuration, Simulator,
@@ -30,10 +31,6 @@ use std::net::Ipv4Addr;
 
 /// Gap between consecutive campaign probes.
 const INTER_PROBE_GAP: SimDuration = SimDuration::from_micros(50);
-
-/// Campaign probe `i` leaves from port `BASE_PORT + (i >> 16)` with txid
-/// `i & 0xFFFF`.
-const BASE_PORT: u16 = 41_000;
 
 /// The three campaigns of Table 3.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -83,7 +80,8 @@ impl std::fmt::Display for Campaign {
 pub struct CampaignConfig {
     /// Which campaign's processing to apply.
     pub campaign: Campaign,
-    /// Targets to probe.
+    /// Targets to probe. They must be distinct: a probe carries the
+    /// scanner's identity for its target ([`ScanConfig::probe_tuple`]).
     pub targets: Vec<Ipv4Addr>,
 }
 
@@ -174,16 +172,19 @@ impl Pipeline {
 }
 
 /// Replay a campaign's processing rule over the datagrams its node's tap
-/// recorded, in capture order, rebuilding the report it published: a
-/// datagram to port 53 is one of the campaign's own probes, anything else
-/// is processed as a response.
+/// recorded, in capture order, rebuilding the report it published. A
+/// datagram from `scanner`, the campaign node's address, is one of its own
+/// probes; anything else is processed as a response. Direction goes by
+/// address, never by port: a probe's tuple is its target's, and the probe
+/// to every x.y.127.77 target leaves from port 53 and is answered on it.
 pub fn replay_campaign(
     campaign: Campaign,
+    scanner: Ipv4Addr,
     tapped: impl IntoIterator<Item = Datagram>,
 ) -> CampaignReport {
     let mut pipeline = Pipeline::new(campaign);
     for d in tapped {
-        if d.dst_port != dnswire::DNS_PORT {
+        if d.src != scanner {
             pipeline.response(d.src, d.dst_port, &d.payload);
         } else if let Some(txid) = dnswire::peek_id(&d.payload) {
             pipeline.probe(d.src_port, txid, d.dst);
@@ -192,15 +193,9 @@ pub fn replay_campaign(
     pipeline.report
 }
 
-/// The `(src_port, txid)` tuple of campaign probe `index`.
-fn probe_tuple(index: usize) -> (u16, u16) {
-    (
-        (BASE_PORT as usize + (index >> 16)) as u16,
-        (index & 0xFFFF) as u16,
-    )
-}
-
-/// A campaign scanner host, paced by a `pacer::Pacer`.
+/// A campaign scanner host, paced by a `pacer::Pacer`. It probes with the
+/// transactional scanner's identity, so a probe's flow — and with it every
+/// fault verdict it draws — is its target's at any shard count.
 #[derive(Debug)]
 pub(crate) struct CampaignScanner {
     config: CampaignConfig,
@@ -236,7 +231,7 @@ impl Host for CampaignScanner {
             return TimerOutcome::Stale;
         };
         let target = self.config.targets[due.index];
-        let (port, txid) = probe_tuple(due.index);
+        let (port, txid) = ScanConfig::probe_tuple(target);
         self.pipeline.probe(port, txid, target);
         ctx.send_udp(UdpSend::new(
             port,
