@@ -82,8 +82,7 @@ pub fn install_sensors(world: &mut Internet) {
 
 /// The four observable sensor addresses in Table 3 column order, for the
 /// shard that probes them (empty elsewhere — see [`SENSOR_SHARD`]).
-// detlint::allow(needless-pub): tests/sharded_campaign_determinism.rs builds its unsharded baseline's targets with it
-pub fn sensor_targets(spec: ShardSpec, addrs: SensorAddrs) -> Vec<Ipv4Addr> {
+fn sensor_targets(spec: ShardSpec, addrs: SensorAddrs) -> Vec<Ipv4Addr> {
     if spec.index == SENSOR_SHARD {
         vec![addrs.ip1, addrs.ip2, addrs.ip3, addrs.ip4]
     } else {
@@ -125,11 +124,7 @@ impl SensorTotals {
 }
 
 /// Read the sensors' counters off a world after its campaign passes.
-// detlint::allow(needless-pub): tests/sharded_campaign_determinism.rs reads its unsharded baseline's sensors with it
-pub fn collect_sensor_totals<H: HostEntry>(
-    sim: &Simulator<H>,
-    fixtures: &Fixtures,
-) -> SensorTotals {
+fn collect_sensor_totals<H: HostEntry>(sim: &Simulator<H>, fixtures: &Fixtures) -> SensorTotals {
     let stats = |node| {
         sim.host_as::<HoneypotSensor>(node)
             .expect("sensor installed")
@@ -260,8 +255,7 @@ impl CampaignSweep {
     }
 
     /// Per-country ODNS counts of one campaign's merged report.
-    // detlint::allow(needless-pub): tests/sharded_campaign_determinism.rs compares Table 5 per country with it
-    pub fn country_counts(&self, campaign: Campaign) -> BTreeMap<&'static str, usize> {
+    fn country_counts(&self, campaign: Campaign) -> BTreeMap<&'static str, usize> {
         let report = self
             .reports
             .iter()

@@ -42,8 +42,8 @@ pub mod table;
 pub use aggregate::{by_country, figure3_cumulative, rank_by_transparent, CountryStats};
 pub use attack_sweep::{run_attacks_sharded, AmpCell, AttackMatrix, SensorEfficacy};
 pub use campaign_sweep::{
-    collect_sensor_totals, install_sensors, run_campaign_sharded, sensor_targets, CampaignSweep,
-    DetectionMatrix, SensorTotals, ShardCaptures, CAMPAIGN_EPOCH, SENSOR_SHARD,
+    install_sensors, run_campaign_sharded, CampaignSweep, DetectionMatrix, SensorTotals,
+    ShardCaptures, CAMPAIGN_EPOCH, SENSOR_SHARD,
 };
 pub use cdf::Cdf;
 pub use census::{

@@ -503,7 +503,7 @@ mod tests {
             Reply::Answerless,
         ];
         // The first target is probed from port 53 and answered on it
-        // ([`ScanConfig::probe_tuple`]): replay must part them by address.
+        // (`ScanConfig::probe_tuple`): replay must part them by address.
         let mut targets: Vec<Ipv4Addr> = (1..=4).map(|i| Ipv4Addr::new(203, 0, 113, i)).collect();
         targets[0] = Ipv4Addr::new(203, 0, 127, 77);
         assert_eq!(ScanConfig::probe_tuple(targets[0]).0, dnswire::DNS_PORT);

@@ -155,8 +155,8 @@ pub struct Lab {
 impl Lab {
     /// The [`GenConfig::density_scale`] world and its strict census. The
     /// world is handed out reset, so every pass over it runs as on a
-    /// freshly generated one (the `warm_world_reuse` contract) whatever
-    /// ran before.
+    /// freshly generated one (the warm-reuse contract of
+    /// `tests/determinism_referee.rs`) whatever ran before.
     fn dense(&mut self) -> (&mut Internet, &Census) {
         if self.dense.is_none() {
             let mut world = inetgen::generate(&GenConfig::density_scale());

@@ -14,7 +14,7 @@ fn readme_changes_and_each_recent_entry_stay_inside_their_budgets() {
     // Each file's size when its ratchet was last set: README's exact,
     // CHANGES.md's rounded up to the next kB. Lower them when the files
     // shrink; never raise them.
-    const README_MAX_BYTES: usize = 34_173;
+    const README_MAX_BYTES: usize = 34_161;
     const CHANGES_MAX_BYTES: usize = 17_000;
     const ENTRY_MAX_BYTES: usize = 1_600;
     for (file, len, max) in [

@@ -255,7 +255,7 @@ where
 /// (the scaling bench, parameter studies, the million-target census) pay
 /// generation once instead of once per sweep, and the reset contract
 /// keeps every run bit-identical to a run over freshly generated worlds
-/// (property-tested in `tests/warm_world_reuse.rs`).
+/// (held by `tests/determinism_referee.rs` under every fault plan).
 ///
 /// Changing the shard count rebuilds the cache: shard worlds are
 /// partition-specific. A shard whose experiment panics leaves its slot
@@ -283,8 +283,8 @@ impl ShardWorldCache {
     }
 
     /// How many shard worlds are currently cached (warm slots).
-    // detlint::allow(needless-pub): tests/warm_world_reuse.rs checks that every shard stays cached
-    pub fn warm_shards(&self) -> usize {
+    #[cfg(test)]
+    fn warm_shards(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| s.lock().unwrap().is_some())

@@ -4,7 +4,7 @@
 //!
 //! Runs the *sharded* sweep driver: every shard world is scanned and
 //! traced on a worker-thread pool, and the shard count never changes the
-//! results (see `tests/sharded_dnsroute_determinism.rs`).
+//! results on a quiet network (see `tests/determinism_referee.rs`).
 //!
 //! ```sh
 //! cargo run --release --example dnsroute_explorer
