@@ -283,8 +283,8 @@ impl ShardWorldCache {
     }
 
     /// How many shard worlds are currently cached (warm slots).
-    #[cfg(test)]
-    fn warm_shards(&self) -> usize {
+    // detlint::allow(needless-pub): tests/warm_world_reuse.rs checks that every shard stays cached
+    pub fn warm_shards(&self) -> usize {
         self.slots
             .iter()
             .filter(|s| s.lock().unwrap().is_some())

@@ -11,14 +11,14 @@
 //! the unsharded scan-then-campaigns composition — and everything is
 //! reproducible from the per-shard captures alone.
 
-use analysis::{
-    collect_sensor_totals, install_sensors, sensor_targets, DetectionMatrix, CAMPAIGN_EPOCH,
-};
-use inetgen::{CountrySelection, GenConfig, ShardSpec};
+use analysis::{install_sensors, CampaignSweep, DetectionMatrix, SensorTotals, CAMPAIGN_EPOCH};
+use inetgen::{CountrySelection, GenConfig};
 use netsim::SimDuration;
 use scanner::{
-    run_campaign_delayed, Campaign, CampaignConfig, ClassifierConfig, ScanConfig, SensorStats,
+    run_campaign_delayed, Campaign, CampaignConfig, ClassifierConfig, HoneypotSensor, ScanConfig,
+    SensorStats,
 };
+use std::collections::BTreeMap;
 
 fn test_config() -> GenConfig {
     GenConfig {
@@ -27,6 +27,14 @@ fn test_config() -> GenConfig {
         dud_fraction: 0.05,
         ..GenConfig::default()
     }
+}
+
+/// Per-country ODNS counts of one campaign's merged report.
+fn country_counts(sweep: &CampaignSweep, campaign: Campaign) -> BTreeMap<&'static str, usize> {
+    let (_, report) = (sweep.reports.iter())
+        .find(|(c, _)| *c == campaign)
+        .expect("campaign present in sweep");
+    analysis::campaign_country_counts(report, &sweep.geo)
 }
 
 #[test]
@@ -52,7 +60,8 @@ fn k1_bit_identical_to_unsharded_campaign_sensor_path() {
     let census = analysis::Census::from_outcome(&outcome, &internet.geo, &classifier);
 
     let mut targets = internet.targets.clone();
-    targets.extend(sensor_targets(ShardSpec::solo(), addrs));
+    // The solo world is the sensor shard: it probes all four addresses.
+    targets.extend([addrs.ip1, addrs.ip2, addrs.ip3, addrs.ip4]);
     let mut reports = Vec::new();
     let mut campaign_captures = Vec::new();
     for (i, campaign) in Campaign::all().into_iter().enumerate() {
@@ -73,7 +82,19 @@ fn k1_bit_identical_to_unsharded_campaign_sensor_path() {
         reports.push((campaign, report));
         campaign_captures.push((campaign, capture));
     }
-    let sensors = collect_sensor_totals(&internet.sim, &internet.fixtures);
+    let stats = |node| {
+        let sensor = internet.sim.host_as::<HoneypotSensor>(node);
+        sensor.expect("sensor installed").stats()
+    };
+    let fixtures = &internet.fixtures;
+    let sensor3 = stats(fixtures.sensor3);
+    let sensors = SensorTotals {
+        sensor1: stats(fixtures.sensor1),
+        sensor2: stats(fixtures.sensor2),
+        sensor3,
+        // Everything sensor 3 sends upstream is a spoofed relay.
+        relayed: sensor3.upstream,
+    };
 
     // K = 1 must be the same event sequence, not merely the same
     // aggregates: census rows, reports, counters, and raw capture bytes
@@ -109,7 +130,7 @@ fn table3_and_table5_invariant_across_shard_counts() {
     // Shadowserver counts responders Censys/Shodan sanitize away, and the
     // strict census sees what no campaign does; the per-country join is
     // the Table 5 material.
-    let shadow_by_country = baseline.country_counts(Campaign::Shadowserver);
+    let shadow_by_country = country_counts(&baseline, Campaign::Shadowserver);
     assert!(!shadow_by_country.is_empty());
     assert!(!baseline.table5(10).render().is_empty());
 
@@ -125,8 +146,8 @@ fn table3_and_table5_invariant_across_shard_counts() {
         );
         for campaign in Campaign::all() {
             assert_eq!(
-                sweep.country_counts(campaign),
-                baseline.country_counts(campaign),
+                country_counts(&sweep, campaign),
+                country_counts(&baseline, campaign),
                 "{campaign}: per-country counts diverged at K={k}"
             );
         }

@@ -5,10 +5,10 @@
 //! K shard worlds changes wall-clock behavior only. Per-target traces,
 //! the sanitization tally, the Figure 6 per-project path-length
 //! distributions, and the AS-relationship inference are identical for
-//! every K — and K = 1 reproduces the classic unsharded census → trace
-//! pipeline exactly, timestamps included.
+//! every K. That K = 1 reproduces the unsharded census → trace pipeline
+//! bit for bit is held by `determinism_referee.rs`.
 
-use dnsroute::{run_dnsroute, DnsRouteConfig, TraceResult};
+use dnsroute::TraceResult;
 use inetgen::GenConfig;
 use scanner::ClassifierConfig;
 use std::collections::BTreeSet;
@@ -38,29 +38,6 @@ fn sorted_keys(traces: &[TraceResult]) -> Vec<TraceKey> {
     let mut keys: Vec<TraceKey> = traces.iter().map(trace_key).collect();
     keys.sort();
     keys
-}
-
-#[test]
-fn k1_sweep_reproduces_unsharded_pipeline_bit_for_bit() {
-    let config = GenConfig::test_small();
-
-    // The classic pipeline: generate → census → trace in the same sim.
-    let mut internet = inetgen::generate(&config);
-    let census = analysis::run_census(&mut internet, &ClassifierConfig::default());
-    let targets = census.transparent_targets();
-    assert!(!targets.is_empty(), "world must contain forwarders");
-    let traces = run_dnsroute(
-        &mut internet.sim,
-        internet.fixtures.scanner,
-        DnsRouteConfig::new(targets),
-    );
-
-    let sweep = analysis::run_dnsroute_sharded(&config, 1, &ClassifierConfig::default());
-    // Full equality, row order and timestamps included: K = 1 is the same
-    // event sequence, not merely the same distributions.
-    let delta = analysis::diff(&census, &sweep.census);
-    assert!(sweep.census == census, "K=1 census: {delta}");
-    assert_eq!(sweep.traces, traces);
 }
 
 #[test]
