@@ -54,7 +54,7 @@ impl Default for GenConfig {
 
 impl GenConfig {
     /// A small configuration for unit/integration tests (≈1k ODNS hosts).
-    // detlint::allow(needless-pub): the world of tests/{golden_worlds,sharded_census_determinism,census_recovers_ground_truth,sharded_dnsroute_determinism}.rs
+    // detlint::allow(needless-pub): the world of tests/{golden_worlds,census_recovers_ground_truth,determinism_referee}.rs
     pub fn test_small() -> Self {
         GenConfig {
             scale: 2_000,

@@ -73,7 +73,7 @@ impl ScanConfig {
 
     /// Returns the config unchanged: every scan's tuples are target-keyed
     /// ([`ScanConfig::probe_tuple`]). Kept only because the repo benchmark
-    /// (`benchmark/src/workloads.rs`) calls it; ROADMAP item 7's benchmark
+    /// (`benchmark/src/workloads.rs`) calls it; ROADMAP item 6's benchmark
     /// revision deletes it.
     pub fn with_target_keyed_tuples(self) -> Self {
         self
