@@ -7,10 +7,11 @@
 //! hand-picked worlds at their own Ks. Every case runs the census,
 //! DNSRoute++, campaign and attack sweeps fresh at K = 1, fresh at each K
 //! and three times per K over one [`ShardWorldCache`], then holds them to
-//! one table of oracles ([`referee`]). What a row may assert under faults
-//! follows from the plan's own fields. A failure names the case and the
-//! oracle; tier-1 runs the seeds of [`SEEDS`] and every fixed case. The
-//! structural checks and the paper's floors run once, on a fixed world.
+//! one table of oracles ([`referee`]): to every [`Row`] of it, unless it
+//! lists some. What a row may assert under faults follows from the plan's
+//! own fields. A failure names the case and the oracle; tier-1 runs the
+//! seeds of [`SEEDS`] and every fixed case. The structural checks and the
+//! paper's floors run once, on a fixed world.
 
 use analysis::{
     diff, AttackMatrix, CampaignSweep, Census, DetectionMatrix, SensorTotals, ShardCaptures,
@@ -60,14 +61,44 @@ fn drawn_plans() -> [FaultPlan; 4] {
     ]
 }
 
-/// A world, its fault plan (`config.faults`) and the shard counts it is
-/// checked at.
+/// The oracle table's rows beyond the ones every case holds: one row per
+/// target and one trace per transparent forwarder found, and the three
+/// censuses equal to the unsharded one at K = 1 and to K = 1's by target
+/// at each K. A `Warm*` row holds its sweep's three cached runs per K to
+/// the fresh run at K, in every bit.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Row {
+    /// Precision, coverage and the plan's floors; `conserved()` on every
+    /// shard after the census and after DNSRoute++.
+    Census,
+    WarmCensus,
+    /// K = 1 traces equal the unsharded pipeline's; on a quiet plan,
+    /// Figure 6 has material, and it and timing-free traces hold across K.
+    Traces,
+    WarmTraces,
+    /// The K = 1 campaign sweep equals the composition from primitives.
+    Composition,
+    /// Reports, country counts, Table 3 and sensor totals across K on a
+    /// plan that loses nothing; a quiet world reads the paper's.
+    Campaigns,
+    /// The captures alone rebuild the live campaign sweep.
+    Captures,
+    WarmCampaigns,
+    /// The attack matrix across K, on a plan that loses nothing.
+    Attacks,
+    WarmAttacks,
+}
+
+/// A world, its fault plan (`config.faults`), the shard counts it is
+/// checked at and the rows it is held to.
 struct Case {
     /// `referee seed N`, or the fixed case's name.
     name: String,
     config: GenConfig,
     /// Each K is checked against K = 1, in order, over one cache.
     ks: Vec<u32>,
+    /// `None` holds the case to every row.
+    rows: Option<&'static [Row]>,
     /// The share of its planted transparent forwarders the census must
     /// find. A world's own floor: under loss, every forwarder in a /16
     /// that relays to one resolver shares one coin (ROADMAP item 1), so
@@ -96,6 +127,7 @@ impl Case {
                 ..GenConfig::default()
             },
             ks: vec![1 + (draw(12) % 8) as u32],
+            rows: None,
             transparent_floor: None,
         }
     }
@@ -105,8 +137,13 @@ impl Case {
             name: name.to_string(),
             config,
             ks: ks.to_vec(),
+            rows: None,
             transparent_floor: None,
         }
+    }
+
+    fn holds(&self, row: Row) -> bool {
+        self.rows.is_none_or(|rows| rows.contains(&row))
     }
 }
 
@@ -169,22 +206,22 @@ impl Runs {
         }
     }
 
-    /// The first output that differs from `other`'s in any bit, captures
-    /// and timestamps included.
-    fn first_difference(&self, other: &Runs) -> Option<&'static str> {
+    /// Per warm row, the first of its sweep's outputs that differs from
+    /// `fresh`'s in any bit, captures and timestamps included.
+    fn warm_differences(&self, fresh: &Runs) -> [(Row, Option<&'static str>); 4] {
+        let differs = |what, same: bool| (!same).then_some(what);
+        let census = differs("census", self.census == fresh.census);
+        let (sweep, fresh_sweep) = (&self.dnsroute, &fresh.dnsroute);
+        let traces = differs("traces", sweep.traces == fresh_sweep.traces);
+        let traces = differs("census", sweep.census == fresh_sweep.census).or(traces);
+        let campaign = campaign_difference(&self.campaign, &fresh.campaign);
+        let attacks = differs("attack matrix", self.attacks == fresh.attacks);
         [
-            ("census", self.census == other.census),
-            (
-                "DNSRoute++ census",
-                self.dnsroute.census == other.dnsroute.census,
-            ),
-            ("traces", self.dnsroute.traces == other.dnsroute.traces),
-            ("attack matrix", self.attacks == other.attacks),
+            (Row::WarmCensus, census),
+            (Row::WarmTraces, traces),
+            (Row::WarmCampaigns, campaign),
+            (Row::WarmAttacks, attacks),
         ]
-        .into_iter()
-        .find(|(_, same)| !same)
-        .map(|(what, _)| what)
-        .or_else(|| campaign_difference(&self.campaign, &other.campaign))
     }
 }
 
@@ -403,47 +440,24 @@ fn referee(case: &Case) {
         diff(&census, &base.dnsroute.census),
         diff(&census, &base.campaign.census)
     );
-    oracle!(
-        case,
-        base.dnsroute.traces == traces,
-        "K=1 traces equal the unsharded pipeline's bit for bit"
-    );
-    let differs = campaign_difference(&base.campaign, &unsharded_campaign(config, &classifier));
-    oracle!(
-        case,
-        differs.is_none(),
-        "K=1 campaign sweep's {} equals the unsharded composition's bit for bit",
-        differs.unwrap_or_default()
-    );
+    if case.holds(Row::Traces) {
+        oracle!(
+            case,
+            base.dnsroute.traces == traces,
+            "K=1 traces equal the unsharded pipeline's bit for bit"
+        );
+    }
+    if case.holds(Row::Composition) {
+        let composed = unsharded_campaign(config, &classifier);
+        let differs = campaign_difference(&base.campaign, &composed);
+        oracle!(
+            case,
+            differs.is_none(),
+            "K=1 campaign sweep's {} equals the unsharded composition's bit for bit",
+            differs.unwrap_or_default()
+        );
+    }
 
-    // Precision 1.0: every classified row is a planted host of its class.
-    let truth: HashMap<Ipv4Addr, PlantedClass> =
-        solo.truth.hosts.iter().map(|h| (h.ip, h.class)).collect();
-    for row in &base.census.rows {
-        let Some(class) = row.class() else { continue };
-        let planted = truth.get(&row.target).copied();
-        oracle!(
-            case,
-            planted.and_then(expected_class) == Some(class),
-            "{} classified {class}, planted {planted:?}",
-            row.target
-        );
-    }
-    let planted = |only: Option<OdnsClass>| {
-        let classes = truth.values().filter_map(|c| expected_class(*c));
-        classes.filter(|c| only.is_none_or(|o| *c == o)).count()
-    };
-    let found = base.census.odns_total();
-    if loses_nothing {
-        oracle!(
-            case,
-            found == planted(None) && base.census.unmatched_responses == 0,
-            "a plan that loses nothing finds every planted host ({found} of {}) and matches \
-             every answer, duplicates included ({} unmatched)",
-            planted(None),
-            base.census.unmatched_responses
-        );
-    }
     let transparent = OdnsClass::TransparentForwarder;
     let transparent_found = base.census.count(transparent);
     oracle!(
@@ -456,45 +470,74 @@ fn referee(case: &Case) {
         solo.targets.len(),
         base.dnsroute.traces.len()
     );
+    if case.holds(Row::Census) {
+        // Precision 1.0: every classified row is a planted host of its class.
+        let truth: HashMap<Ipv4Addr, PlantedClass> =
+            solo.truth.hosts.iter().map(|h| (h.ip, h.class)).collect();
+        for row in &base.census.rows {
+            let Some(class) = row.class() else { continue };
+            let planted = truth.get(&row.target).copied();
+            oracle!(
+                case,
+                planted.and_then(expected_class) == Some(class),
+                "{} classified {class}, planted {planted:?}",
+                row.target
+            );
+        }
+        let planted = |only: Option<OdnsClass>| {
+            let classes = truth.values().filter_map(|c| expected_class(*c));
+            classes.filter(|c| only.is_none_or(|o| *c == o)).count()
+        };
+        let found = base.census.odns_total();
+        if loses_nothing {
+            oracle!(
+                case,
+                found == planted(None) && base.census.unmatched_responses == 0,
+                "a plan that loses nothing finds every planted host ({found} of {}) and matches \
+                 every answer, duplicates included ({} unmatched)",
+                planted(None),
+                base.census.unmatched_responses
+            );
+        }
+        if let Some(floor) = case.transparent_floor {
+            let coverage = transparent_found as f64 / planted(Some(transparent)) as f64;
+            oracle!(
+                case,
+                coverage > floor,
+                "the census keeps {coverage:.2} of transparent forwarders, over {floor}"
+            );
+        }
 
-    if let Some(floor) = case.transparent_floor {
-        let coverage = transparent_found as f64 / planted(Some(transparent)) as f64;
-        oracle!(
-            case,
-            coverage > floor,
-            "the census keeps {coverage:.2} of transparent forwarders, over {floor}"
-        );
-    }
-
-    // Floors: each fault the plan injects shows, on a world large enough
-    // that chance cannot decide it.
-    if planted(None) >= FLOOR_HOSTS {
-        if !loses_nothing {
-            oracle!(
-                case,
-                found < planted(None),
-                "loss costs coverage ({found} of {}), or the plan never fired",
-                planted(None)
-            );
-        }
-        if faults.corrupt_probability > 0.0 {
-            oracle!(
-                case,
-                solo.sim.stats().dropped_corrupt > 0,
-                "a corrupting plan discards packets as corrupt"
-            );
-        }
-        if faults.duplicate_probability > 0.0 && loses_nothing {
-            // Every host was counted once above, though its answer came
-            // twice.
-            oracle!(
-                case,
-                base.census.late_answers_discarded > 0,
-                "duplicates are discarded as late answers, never counted"
-            );
+        // Floors: each fault the plan injects shows, on a world large enough
+        // that chance cannot decide it.
+        if planted(None) >= FLOOR_HOSTS {
+            if !loses_nothing {
+                oracle!(
+                    case,
+                    found < planted(None),
+                    "loss costs coverage ({found} of {}), or the plan never fired",
+                    planted(None)
+                );
+            }
+            if faults.corrupt_probability > 0.0 {
+                oracle!(
+                    case,
+                    solo.sim.stats().dropped_corrupt > 0,
+                    "a corrupting plan discards packets as corrupt"
+                );
+            }
+            if faults.duplicate_probability > 0.0 && loses_nothing {
+                // Every host was counted once above, though its answer came
+                // twice.
+                oracle!(
+                    case,
+                    base.census.late_answers_discarded > 0,
+                    "duplicates are discarded as late answers, never counted"
+                );
+            }
         }
     }
-    let base_figure6 = quiet.then(|| figure6(&base.dnsroute));
+    let base_figure6 = (quiet && case.holds(Row::Traces)).then(|| figure6(&base.dnsroute));
     if let Some((stats, projects, _, _)) = &base_figure6 {
         oracle!(
             case,
@@ -503,6 +546,8 @@ fn referee(case: &Case) {
             stats.kept,
             projects.len()
         );
+    }
+    if quiet && case.holds(Row::Campaigns) {
         oracle!(
             case,
             base.campaign.matrix == DetectionMatrix::paper_expected()
@@ -536,7 +581,7 @@ fn referee(case: &Case) {
         // that loses nothing (see ROADMAP item 1), and the attack matrix
         // with them.
         let (campaign, base_campaign) = (&at_k.campaign, &base.campaign);
-        if loses_nothing {
+        if loses_nothing && case.holds(Row::Campaigns) {
             oracle!(
                 case,
                 campaign.reports == base_campaign.reports,
@@ -561,6 +606,8 @@ fn referee(case: &Case) {
                 campaign.sensors,
                 base_campaign.sensors
             );
+        }
+        if loses_nothing && case.holds(Row::Attacks) {
             oracle!(
                 case,
                 at_k.attacks == base.attacks,
@@ -568,30 +615,32 @@ fn referee(case: &Case) {
             );
         }
 
-        // The captures alone rebuild the live sweep, and join into one
-        // valid pcap stream.
-        let replayed = campaign
-            .capture_census(&classifier)
-            .expect("captures parse");
-        oracle!(
-            case,
-            replayed == campaign.census,
-            "K={k}: capture census equals the live one: {}",
-            diff(&campaign.census, &replayed)
-        );
-        oracle!(
-            case,
-            campaign.capture_reports().expect("captures parse") == campaign.reports,
-            "K={k}: capture reports equal the live ones"
-        );
-        let merged = campaign.merged_capture().expect("captures merge");
-        let records = netsim::pcap::read_pcap(&merged).expect("one valid pcap stream");
-        oracle!(
-            case,
-            records.len() > campaign.census.rows.len(),
-            "K={k}: the joined capture holds probes and responses ({} records)",
-            records.len()
-        );
+        if case.holds(Row::Captures) {
+            // The captures alone rebuild the live sweep, and join into one
+            // valid pcap stream.
+            let replayed = campaign
+                .capture_census(&classifier)
+                .expect("captures parse");
+            oracle!(
+                case,
+                replayed == campaign.census,
+                "K={k}: capture census equals the live one: {}",
+                diff(&campaign.census, &replayed)
+            );
+            oracle!(
+                case,
+                campaign.capture_reports().expect("captures parse") == campaign.reports,
+                "K={k}: capture reports equal the live ones"
+            );
+            let merged = campaign.merged_capture().expect("captures merge");
+            let records = netsim::pcap::read_pcap(&merged).expect("one valid pcap stream");
+            oracle!(
+                case,
+                records.len() > campaign.census.rows.len(),
+                "K={k}: the joined capture holds probes and responses ({} records)",
+                records.len()
+            );
+        }
 
         // Timing-free traces hold across K only on a quiet plan (see
         // ROADMAP item 2).
@@ -609,70 +658,64 @@ fn referee(case: &Case) {
         }
 
         // Warm reuse: every run over the cache equals the fresh run at K.
-        for run in 0..3 {
-            let differs = Runs::warm(&mut cache, k).first_difference(at_k);
-            oracle!(
-                case,
-                differs.is_none(),
-                "K={k}: cached run {run}'s {} equals the fresh run's",
-                differs.unwrap_or_default()
-            );
+        let warm = [
+            Row::WarmCensus,
+            Row::WarmTraces,
+            Row::WarmCampaigns,
+            Row::WarmAttacks,
+        ];
+        if warm.into_iter().any(|row| case.holds(row)) {
+            for run in 0..3 {
+                let runs = Runs::warm(&mut cache, k);
+                for (row, differs) in runs.warm_differences(at_k) {
+                    oracle!(
+                        case,
+                        !case.holds(row) || differs.is_none(),
+                        "{row:?}: K={k}: cached run {run}'s {} equals the fresh run's",
+                        differs.unwrap_or_default()
+                    );
+                }
+            }
         }
 
-        // Packets, events and deliveries balance on every shard's
-        // simulator, after the census and again after DNSRoute++ (TTL
-        // expiry, ICMP).
-        let run = inetgen::run_sharded(&mut cache, k, |_, world| {
-            let part = analysis::run_census(world, &classifier);
-            let scanned = world.sim.stats().conserved();
-            let targets = part.transparent_targets();
-            run_dnsroute(
-                &mut world.sim,
-                world.fixtures.scanner,
-                DnsRouteConfig::new(targets),
+        if case.holds(Row::Census) {
+            // Packets, events and deliveries balance on every shard's
+            // simulator, after the census and again after DNSRoute++ (TTL
+            // expiry, ICMP).
+            let run = inetgen::run_sharded(&mut cache, k, |_, world| {
+                let part = analysis::run_census(world, &classifier);
+                let scanned = world.sim.stats().conserved();
+                let targets = part.transparent_targets();
+                run_dnsroute(
+                    &mut world.sim,
+                    world.fixtures.scanner,
+                    DnsRouteConfig::new(targets),
+                );
+                (scanned, world.sim.stats().conserved())
+            });
+            oracle!(
+                case,
+                run.outputs
+                    .iter()
+                    .all(|&(scanned, traced)| scanned && traced),
+                "K={k}: conserved() on every shard after the census and after DNSRoute++: {:?}",
+                run.outputs
             );
-            (scanned, world.sim.stats().conserved())
-        });
-        oracle!(
-            case,
-            run.outputs
-                .iter()
-                .all(|&(scanned, traced)| scanned && traced),
-            "K={k}: conserved() on every shard after the census and after DNSRoute++: {:?}",
-            run.outputs
-        );
+        }
     }
 }
 
-#[test]
-fn seeded_case_1() {
-    referee(&Case::draw(SEEDS[0]));
+macro_rules! seeded_cases {
+    ($($test:ident: $seed:expr),+) => {$(
+        #[test]
+        fn $test() {
+            referee(&Case::draw($seed));
+        }
+    )+};
 }
 
-#[test]
-fn seeded_case_2() {
-    referee(&Case::draw(SEEDS[1]));
-}
-
-#[test]
-fn seeded_case_3() {
-    referee(&Case::draw(SEEDS[2]));
-}
-
-#[test]
-fn seeded_case_4() {
-    referee(&Case::draw(SEEDS[3]));
-}
-
-#[test]
-fn seeded_case_5() {
-    referee(&Case::draw(SEEDS[4]));
-}
-
-#[test]
-fn seeded_case_6() {
-    referee(&Case::draw(SEEDS[5]));
-}
+seeded_cases!(seeded_case_1: SEEDS[0], seeded_case_2: SEEDS[1], seeded_case_3: SEEDS[2],
+    seeded_case_4: SEEDS[3], seeded_case_5: SEEDS[4], seeded_case_6: SEEDS[5]);
 
 /// More drawn cases than tier-1 runs, ~20 s in the dev profile; CI's test
 /// job runs them (`cargo test --test determinism_referee -- --ignored`).
@@ -709,13 +752,31 @@ fn fixed_world() -> GenConfig {
     }
 }
 
-#[test]
-fn fixed_case_test_small() {
-    referee(&Case::fixed(
-        "test_small",
-        GenConfig::test_small(),
-        &[1, 2, 8],
-    ));
+/// Fixed cases that split a world's rows over several tests, which
+/// together hold it to every row. Each K after a case's first repartitions
+/// its one cache.
+macro_rules! fixed_cases {
+    ($($test:ident: $config:expr, $ks:expr, [$($row:ident),+];)+) => {$(
+        #[test]
+        fn $test() {
+            let case = Case::fixed(stringify!($test), $config, &$ks);
+            referee(&Case { rows: Some(&[$(Row::$row),+]), ..case });
+        }
+    )+};
+}
+
+fixed_cases! {
+    fixed_case_test_small: GenConfig::test_small(), [1, 2, 8],
+        [Census, WarmCensus, Composition, Campaigns, Captures, WarmCampaigns, Attacks, WarmAttacks];
+    fixed_case_test_small_traces: GenConfig::test_small(), [2, 8], [Traces, WarmTraces];
+    fixed_case_fixed_world_census: fixed_world(), [1, 2, 4, 8], [Census, WarmCensus];
+    fixed_case_fixed_world_traces: fixed_world(), [1, 2, 8], [Traces, WarmTraces];
+    fixed_case_fixed_world_composition: fixed_world(), [1], [Composition];
+    fixed_case_fixed_world_campaigns: fixed_world(), [2, 8], [Campaigns];
+    fixed_case_fixed_world_captures: fixed_world(), [1, 2, 4], [Captures];
+    fixed_case_fixed_world_warm_campaigns: fixed_world(), [1, 2, 8], [WarmCampaigns];
+    fixed_case_fixed_world_attacks: fixed_world(), [2, 8], [Attacks];
+    fixed_case_fixed_world_warm_attacks: fixed_world(), [2], [WarmAttacks];
 }
 
 /// Five countries: the merged geo database attributes every row to the
@@ -725,13 +786,6 @@ fn fixed_case_attribution_world() {
     let mut config = fixed_world();
     config.countries = CountrySelection::Codes(vec!["BRA", "TUR", "MUS", "FSM", "AFG"]);
     referee(&Case::fixed("attribution world", config, &[3]));
-}
-
-/// Its one cache runs every K in turn, so each K after the first
-/// regenerates the partition.
-#[test]
-fn fixed_case_fixed_world() {
-    referee(&Case::fixed("fixed world", fixed_world(), &[1, 2, 4, 8]));
 }
 
 /// Only FSM: the sensors' counters do not depend on what else the world
@@ -946,9 +1000,14 @@ fn the_paper_floors_hold() {
     assert!(counts.iter().all(|(_, n)| *n > 0), "{counts:?}");
     assert!(!country_counts(&sweep)[0].is_empty(), "Shadowserver");
     assert!(!sweep.table5(10).render().is_empty());
+}
 
-    // A plan set after generation does not outlive `Internet::reset`: it
-    // moves the census, and the reset world censuses as a fresh one.
+/// A plan set after generation does not outlive `Internet::reset`: it
+/// moves the census, and the reset world censuses as a fresh one.
+#[test]
+fn reset_discards_a_fault_plan_set_after_generation() {
+    let config = fixed_world();
+    let classifier = ClassifierConfig::default();
     let fresh = analysis::run_census(&mut inetgen::generate(&config), &classifier);
     let mut world = inetgen::generate(&config);
     world
