@@ -10,41 +10,22 @@
 //!    never changes, used to detect in-path manipulation.
 //!
 //! It also answers the *query-encoding* method's destination-encoded names
-//! (`a-b-c-d.scan.<zone>`), logging every query so Table 2's "detection at
-//! server" property can be exercised. Zone, names, control record and TTL
-//! are the [`crate::study`] constants.
+//! (`a-b-c-d.scan.<zone>`), whose target [`study::decode_target_name`]
+//! reads back: Table 2's "detection at server" property. Zone, names,
+//! control record and TTL are the [`crate::study`] constants.
 //!
 //! Every resolver of a census asks the static name once, in the same bytes.
 //! The server answers a query equal past the transaction ID to the last one
 //! it decoded by replaying that reply with the new ID and the new client's
 //! address in its dynamic record; anything else — another casing, RD bit,
 //! name or type — is decoded, answered from scratch and remembered. Any
-//! query but a plain `IN` one is refused: counted, not logged.
+//! query but a plain `IN` one is refused.
 
 use crate::memo::ReplyMemo;
 use crate::study::{self, ANSWER_TTL, CONTROL_A};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, Record, RrType, SoaData};
-use netsim::{Ctx, Datagram, Host, Payload, SimTime, UdpSend};
+use netsim::{Ctx, Datagram, Host, Payload, UdpSend};
 use std::net::Ipv4Addr;
-
-/// One received query, as logged by the server.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AuthLogEntry {
-    /// Arrival time.
-    pub time: SimTime,
-    /// Immediate client (for forwarded queries: the recursive resolver).
-    pub client: Ipv4Addr,
-    /// Client source port.
-    pub client_port: u16,
-    /// Transaction ID.
-    pub txid: u16,
-    /// Query name.
-    pub qname: DnsName,
-    /// Query type.
-    pub qtype: RrType,
-    /// Target encoded in the name, when the query-based method is in use.
-    pub encoded_target: Option<Ipv4Addr>,
-}
 
 /// Counters kept by the server.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -64,25 +45,25 @@ pub struct AuthStats {
 pub struct StudyAuthServer {
     zone: DnsName,
     static_qname: DnsName,
-    keep_log: bool,
     /// The last reply, for the next query equal to the one it answered.
     memo: Option<ReplyMemo>,
-    /// Query log (empty unless built with `keep_log`).
-    pub log: Vec<AuthLogEntry>,
     /// Counters.
     pub stats: AuthStats,
 }
 
+impl Default for StudyAuthServer {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl StudyAuthServer {
-    /// The study's server. `keep_log` keeps the per-query log; a large
-    /// scan leaves it off.
-    pub fn new(keep_log: bool) -> Self {
+    /// The study's server.
+    pub fn new() -> Self {
         StudyAuthServer {
             zone: study::study_zone(),
             static_qname: study::study_qname(),
-            keep_log,
             memo: None,
-            log: Vec::new(),
             stats: AuthStats::default(),
         }
     }
@@ -156,28 +137,9 @@ impl StudyAuthServer {
         }
     }
 
-    /// Account for one query answered with `rcode`: the counters, and the
-    /// log entry when the log is kept.
-    fn count(
-        &mut self,
-        now: SimTime,
-        dgram: &Datagram,
-        txid: u16,
-        (qname, qtype): (&DnsName, RrType),
-        rcode: Rcode,
-    ) {
+    /// Count one query answered with `rcode`.
+    fn count(&mut self, rcode: Rcode) {
         self.stats.queries_received += 1;
-        if self.keep_log {
-            self.log.push(AuthLogEntry {
-                time: now,
-                client: dgram.src,
-                client_port: dgram.src_port,
-                txid,
-                qname: qname.clone(),
-                qtype,
-                encoded_target: study::decode_target_name(qname),
-            });
-        }
         match rcode {
             Rcode::Refused => self.stats.out_of_zone += 1,
             Rcode::NxDomain => self.stats.nxdomain += 1,
@@ -205,13 +167,12 @@ impl Host for StudyAuthServer {
             ctx.send_port_unreachable(&dgram);
             return;
         }
-        let replayed = self.memo.as_ref().and_then(|m| {
-            let (txid, reply) = m.replay(&dgram.payload, dgram.src)?;
-            Some((txid, reply, m.query().qname().clone(), m.query().qtype()))
-        });
-        if let Some((txid, reply, qname, qtype)) = replayed {
-            let rcode = Rcode::from_u8(reply[3]);
-            self.count(ctx.now(), &dgram, txid, (&qname, qtype), rcode);
+        let replayed = self
+            .memo
+            .as_ref()
+            .and_then(|m| m.replay(&dgram.payload, dgram.src));
+        if let Some(reply) = replayed {
+            self.count(Rcode::from_u8(reply[3]));
             ctx.send_udp(UdpSend::reply_to(&dgram, reply));
             return;
         }
@@ -225,16 +186,8 @@ impl Host for StudyAuthServer {
                 return;
             }
         };
-        let q = &query.questions[0];
         let response = self.answer(&query, dgram.src);
-        let rcode = response.header.flags.rcode;
-        self.count(
-            ctx.now(),
-            &dgram,
-            query.header.id,
-            (&q.qname, q.qtype),
-            rcode,
-        );
+        self.count(response.header.flags.rcode);
         let reply: Payload = response.encode().into();
         // Only `A` and `ANY` get address records, the dynamic one first.
         let reflects = response
@@ -278,35 +231,28 @@ mod tests {
 
     #[test]
     fn static_name_gets_dynamic_plus_control() {
-        let (resp, ex) = ask(
-            StudyAuthServer::new(true),
-            study::STUDY_QNAME,
-            RrType::A,
-            777,
-        );
+        let (resp, ex) = ask(StudyAuthServer::new(), study::STUDY_QNAME, RrType::A, 777);
         assert_eq!(resp.header.id, 777);
         assert!(resp.header.flags.authoritative);
         assert_eq!(resp.answer_a_addrs(), vec![CLIENT_IP, study::CONTROL_A]);
         let s: &StudyAuthServer = ex.subject();
         assert_eq!(s.stats.responses_sent, 1);
-        assert_eq!(s.log.len(), 1);
-        assert_eq!(s.log[0].client, CLIENT_IP);
-        assert_eq!(s.log[0].encoded_target, None);
     }
 
     #[test]
     fn encoded_name_is_logged_with_target() {
         let target = Ipv4Addr::new(203, 0, 113, 1);
         let name = study::encode_target_name(target);
-        let (resp, ex) = ask(StudyAuthServer::new(true), &name.to_string(), RrType::A, 1);
-        assert_eq!(resp.answer_a_addrs()[0], CLIENT_IP);
-        let s: &StudyAuthServer = ex.subject();
-        assert_eq!(s.log[0].encoded_target, Some(target));
+        let (resp, _) = ask(StudyAuthServer::new(), &name.to_string(), RrType::A, 1);
+        assert_eq!(resp.answer_a_addrs(), [CLIENT_IP, study::CONTROL_A]);
+        // Detection at the server: the target reads back from the name.
+        let asked = &resp.questions[0].qname;
+        assert_eq!(study::decode_target_name(asked), Some(target));
     }
 
     #[test]
     fn out_of_zone_refused() {
-        let (resp, ex) = ask(StudyAuthServer::new(true), "google.com.", RrType::A, 3);
+        let (resp, ex) = ask(StudyAuthServer::new(), "google.com.", RrType::A, 3);
         assert_eq!(resp.header.flags.rcode, Rcode::Refused);
         let s: &StudyAuthServer = ex.subject();
         assert_eq!(s.stats.out_of_zone, 1);
@@ -315,7 +261,7 @@ mod tests {
     #[test]
     fn unknown_in_zone_name_nxdomain_with_soa() {
         let (resp, ex) = ask(
-            StudyAuthServer::new(true),
+            StudyAuthServer::new(),
             "nope.odns-study.example.",
             RrType::A,
             4,
@@ -328,13 +274,8 @@ mod tests {
 
     #[test]
     fn any_query_amplifies() {
-        let (a, _) = ask(StudyAuthServer::new(true), study::STUDY_QNAME, RrType::A, 5);
-        let (any, _) = ask(
-            StudyAuthServer::new(true),
-            study::STUDY_QNAME,
-            RrType::Any,
-            6,
-        );
+        let (a, _) = ask(StudyAuthServer::new(), study::STUDY_QNAME, RrType::A, 5);
+        let (any, _) = ask(StudyAuthServer::new(), study::STUDY_QNAME, RrType::Any, 6);
         let any_len = any.wire_len().expect("ANY response encodes");
         let a_len = a.wire_len().expect("A response encodes");
         assert!(
@@ -345,19 +286,14 @@ mod tests {
 
     #[test]
     fn txt_answered_for_static_name() {
-        let (resp, _) = ask(
-            StudyAuthServer::new(true),
-            study::STUDY_QNAME,
-            RrType::Txt,
-            7,
-        );
+        let (resp, _) = ask(StudyAuthServer::new(), study::STUDY_QNAME, RrType::Txt, 7);
         assert_eq!(resp.answers.len(), 1);
         assert_eq!(resp.answers[0].rtype(), RrType::Txt);
     }
 
     #[test]
     fn non_dns_port_gets_port_unreachable() {
-        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::new(true));
+        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::new());
         ex.send_at(
             SimDuration::ZERO,
             UdpSend::new(40000, AUTH_IP, 9999, vec![1, 2, 3]),
@@ -370,7 +306,7 @@ mod tests {
 
     #[test]
     fn responses_and_garbage_ignored() {
-        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::new(true));
+        let mut ex = Exchange::new(AUTH_IP, CLIENT_IP, StudyAuthServer::new());
         // A response message (QR=1) must not be answered.
         let bogus =
             MessageBuilder::query(9, DnsName::parse(study::STUDY_QNAME).unwrap(), RrType::A)

@@ -8,8 +8,8 @@
 //!   (the *source-specific response* detection method, §2/§4.1);
 //! * [`DelegatingServer`] — root/TLD layers so recursive resolution is
 //!   genuinely iterative;
-//! * [`RecursiveResolver`] — open, restricted, or anycast-PoP recursive
-//!   resolver with positive/negative caching;
+//! * [`RecursiveResolver`] — open or anycast-PoP recursive resolver with
+//!   positive/negative caching;
 //! * [`RecursiveForwarder`] — the address-rewriting forwarder (the ODNS
 //!   majority, 72 % in Table 1);
 //! * [`TransparentForwarder`] — the paper's subject: a stateless, spoofing
@@ -38,7 +38,7 @@ mod recursive;
 pub mod study;
 pub mod zone;
 
-pub use auth::{AuthLogEntry, AuthStats, StudyAuthServer};
+pub use auth::{AuthStats, StudyAuthServer};
 pub use cache::{
     CacheStats, CachedAnswer, CachedWire, ClientQuery, DnsCache, Reading, ServeCache, Served,
 };
@@ -50,6 +50,6 @@ pub use forwarder::{
 pub use memo::QueryMemo;
 pub use public::ResolverProject;
 pub use ratelimit::{prefix24, PrefixRateLimiter};
-pub use recursive::{AccessPolicy, RecursiveResolver, ResolverConfig, ResolverStats};
+pub use recursive::{RecursiveResolver, ResolverStats};
 pub use study::{install_study_stack, StudyNodes};
 pub use zone::{extract_referral, DelegatingServer, Delegation, Referral};

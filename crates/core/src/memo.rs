@@ -188,11 +188,10 @@ impl ReplyMemo {
         })
     }
 
-    /// The reply to `payload` from `client`, with the transaction ID it
-    /// carries, if `payload` is the memoized query under that ID: the
-    /// remembered bytes with ID and client address patched, in one
-    /// allocation.
-    pub(crate) fn replay(&self, payload: &[u8], client: Ipv4Addr) -> Option<(u16, Payload)> {
+    /// The reply to `payload` from `client`, if `payload` is the memoized
+    /// query under any transaction ID: the remembered bytes with ID and
+    /// client address patched, in one allocation.
+    pub(crate) fn replay(&self, payload: &[u8], client: Ipv4Addr) -> Option<Payload> {
         let txid = self.query.txid_of_match(payload)?;
         let mut bytes: Arc<[u8]> = Arc::from(&self.reply[..]);
         let fresh = Arc::get_mut(&mut bytes).expect("a new Arc is unique");
@@ -200,12 +199,7 @@ impl ReplyMemo {
         if let Some(at) = self.client_at {
             fresh[at..at + 4].copy_from_slice(&client.octets());
         }
-        Some((txid, bytes.into()))
-    }
-
-    /// The memoized query.
-    pub(crate) fn query(&self) -> &QueryMemo {
-        &self.query
+        Some(bytes.into())
     }
 }
 
@@ -289,13 +283,13 @@ mod tests {
         let at = reply.len() - 4;
         let memo = ReplyMemo::remember(&bytes, &msg, &reply, Some(at)).unwrap();
         let (again, _) = query(0xBEEF, "odns-study.example.");
-        let (txid, replayed) = memo.replay(&again, client(99)).unwrap();
-        assert_eq!((txid, &replayed[..]), (0xBEEF, &answer(0xBEEF, 99)[..]));
+        let replayed = memo.replay(&again, client(99)).unwrap();
+        assert_eq!(&replayed[..], &answer(0xBEEF, 99)[..]);
         let (other, _) = query(7, "other.example.");
         assert!(memo.replay(&other, client(1)).is_none());
         // Without a client offset the bytes are the reply's, bar the ID.
         let memo = ReplyMemo::remember(&bytes, &msg, &reply, None).unwrap();
-        let (_, replayed) = memo.replay(&again, client(99)).unwrap();
+        let replayed = memo.replay(&again, client(99)).unwrap();
         assert_eq!(&replayed[..], &answer(0xBEEF, 1)[..]);
     }
 }

@@ -1,12 +1,10 @@
-//! The recursive resolver: iterative resolution with caching and ACLs.
+//! The recursive resolver: iterative resolution with caching.
 //!
-//! This single implementation plays three roles in the study (Figure 1):
+//! This single implementation plays two roles in the study (Figure 1):
 //!
-//! * **open recursive resolver** — `AccessPolicy::Open`, the classic ODNS
-//!   component and the only resolver type a transparent forwarder can use;
-//! * **restricted recursive resolver** — `AccessPolicy::RestrictedTo`, which
-//!   REFUSES off-net clients (and thereby *rejects* queries relayed by a
-//!   transparent forwarder, since those arrive with the scanner's address);
+//! * **open recursive resolver** — the classic ODNS component and the only
+//!   resolver type a transparent forwarder can use: a relayed query carries
+//!   the scanner's address, which a restricted resolver would refuse (§2);
 //! * **public anycast resolver PoP** — an open instance registered under a
 //!   project's anycast service address (`inetgen` registers one per
 //!   [`crate::ResolverProject`]), answering from that address.
@@ -20,61 +18,13 @@
 //! in the study's plain shape has its upstream query spliced from the
 //! question bytes it arrived with, and a referral in this crate's shape is
 //! followed from what [`dnswire::view_referral`] reads. Any query but a
-//! plain `IN` one is refused, as is any client the ACL turns away.
+//! plain `IN` one is refused.
 
 use crate::cache::{CachedAnswer, ClientQuery, DnsCache, Reading, ServeCache, Served};
-use crate::query::{admit, refusal};
 use dnswire::{DnsName, Message, MessageBuilder, Rcode, ResponseTemplate, RrType, HEADER_LEN};
 use netsim::{Ctx, Datagram, Host, IntMap, Payload, SimDuration, TimerId, TimerOutcome, UdpSend};
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
-use std::sync::Arc;
-
-/// Who may use this resolver.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AccessPolicy {
-    /// Anyone — an ODNS component.
-    Open,
-    /// Only clients inside one of these `(network, prefix_len)` blocks;
-    /// everyone else gets REFUSED.
-    RestrictedTo(Vec<(Ipv4Addr, u8)>),
-}
-
-impl AccessPolicy {
-    /// Does `client` pass this policy?
-    fn allows(&self, client: Ipv4Addr) -> bool {
-        match self {
-            AccessPolicy::Open => true,
-            AccessPolicy::RestrictedTo(nets) => {
-                nets.iter().any(|(net, len)| in_prefix(client, *net, *len))
-            }
-        }
-    }
-}
-
-/// Is `ip` inside `net/len`?
-fn in_prefix(ip: Ipv4Addr, net: Ipv4Addr, len: u8) -> bool {
-    if len == 0 {
-        return true;
-    }
-    if len > 32 {
-        return false;
-    }
-    let mask = u32::MAX << (32 - u32::from(len));
-    (u32::from(ip) & mask) == (u32::from(net) & mask)
-}
-
-/// Resolver configuration.
-#[derive(Debug, Clone)]
-pub struct ResolverConfig {
-    /// Root server addresses (tried in order), shared by every resolver
-    /// handed the same list.
-    pub roots: Arc<[Ipv4Addr]>,
-    /// Client access policy.
-    pub acl: AccessPolicy,
-    /// Cache capacity in entries.
-    pub cache_capacity: usize,
-}
 
 /// Timeout per upstream query before retry/SERVFAIL.
 const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(2);
@@ -85,16 +35,9 @@ const MAX_REFERRALS: u8 = 8;
 /// coalesced client hostage to two unlucky packets.
 const MAX_RETRIES: u8 = 4;
 
-impl ResolverConfig {
-    /// An open resolver with the given roots and sane defaults.
-    pub fn open(roots: impl Into<Arc<[Ipv4Addr]>>) -> Self {
-        ResolverConfig {
-            roots: roots.into(),
-            acl: AccessPolicy::Open,
-            cache_capacity: 512,
-        }
-    }
-}
+/// What a resolution resolves: a question's name and type. Names compare
+/// without regard to case, so every 0x20 casing of one question shares it.
+type Question = (DnsName, RrType);
 
 /// Counters kept by the resolver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,8 +51,7 @@ pub struct ResolverStats {
     /// queries stampede the authoritative server before the first answer
     /// can populate the cache).
     pub coalesced: u64,
-    /// Client queries REFUSED: by the ACL, or for not being a plain `IN`
-    /// query.
+    /// Client queries REFUSED for not being a plain `IN` query.
     pub refused: u64,
     /// Upstream queries emitted (root + TLD + auth).
     pub upstream_queries: u64,
@@ -160,18 +102,19 @@ struct Task {
 /// The recursive resolver host.
 #[derive(Debug)]
 pub struct RecursiveResolver {
-    config: ResolverConfig,
+    /// The root server every resolution starts at.
+    root: Ipv4Addr,
     cache: ServeCache,
-    /// Resolutions in flight by task id; an entry lives from its leader's
+    /// Resolutions in flight by question; an entry lives from its leader's
     /// cache miss until [`Self::finish`] answers it and everyone coalesced
-    /// behind it, so the table drains.
-    tasks: IntMap<u64, Task>,
-    next_task: u64,
-    /// Pending upstream transactions: `(our_port, txid)` → task id and the
-    /// transaction's timeout, which its response cancels.
-    pending: IntMap<(u16, u16), (u64, TimerId)>,
-    /// Reverse lookup: `(qname, qtype)` → task id.
-    inflight: HashMap<(DnsName, RrType), u64>,
+    /// behind it, so the table drains. A task has at most one pending
+    /// transaction, and `finish` runs only after that transaction is
+    /// removed, so no stale transaction can reach a later resolution of the
+    /// same question.
+    tasks: HashMap<Question, Task>,
+    /// Pending upstream transactions: `(our_port, txid)` → the question it
+    /// resolves and the transaction's timeout, which its response cancels.
+    pending: IntMap<(u16, u16), (Question, TimerId)>,
     next_port: u16,
     next_txid: u16,
     /// Counters.
@@ -179,16 +122,14 @@ pub struct RecursiveResolver {
 }
 
 impl RecursiveResolver {
-    /// Build from config.
-    pub fn new(config: ResolverConfig) -> Self {
-        let cache = ServeCache::new(config.cache_capacity);
+    /// An open resolver that starts every resolution at `root` and caches
+    /// up to `cache_capacity` entries.
+    pub fn new(root: Ipv4Addr, cache_capacity: usize) -> Self {
         RecursiveResolver {
-            config,
-            cache,
-            tasks: IntMap::default(),
-            next_task: 0,
+            root,
+            cache: ServeCache::new(cache_capacity),
+            tasks: HashMap::new(),
             pending: IntMap::default(),
-            inflight: HashMap::new(),
             next_port: 1024,
             next_txid: 1,
             stats: ResolverStats::default(),
@@ -201,15 +142,14 @@ impl RecursiveResolver {
     }
 
     /// Bookkeeping entries held for unfinished work: open tasks, pending
-    /// upstream transactions, coalesced waiters, in-flight names. All zero
-    /// once every client query has been answered.
+    /// upstream transactions, coalesced waiters. All zero once every client
+    /// query has been answered.
     // detlint::allow(needless-pub): crates/core/tests/coalescing.rs asserts through it that every table drains
-    pub fn open_entries(&self) -> [usize; 4] {
+    pub fn open_entries(&self) -> [usize; 3] {
         [
             self.tasks.len(),
             self.pending.len(),
             self.tasks.values().map(|t| t.waiters.len()).sum(),
-            self.inflight.len(),
         ]
     }
 
@@ -227,12 +167,10 @@ impl RecursiveResolver {
 
     /// Deliver a final outcome to a task's leader and every coalesced
     /// waiter, removing the task.
-    fn finish(&mut self, ctx: &mut Ctx<'_>, id: u64, outcome: TaskOutcome) {
-        let Some(task) = self.tasks.remove(&id) else {
+    fn finish(&mut self, ctx: &mut Ctx<'_>, question: &Question, outcome: TaskOutcome) {
+        let Some(task) = self.tasks.remove(question) else {
             return;
         };
-        let asked = &task.leader.query;
-        self.inflight.remove(&(asked.qname.clone(), asked.qtype));
         // A burst of identical probes coalesces into one resolution with
         // many recipients: records are encoded once, for the first
         // recipient, and every later one whose question has the same raw
@@ -270,9 +208,9 @@ impl RecursiveResolver {
         }
     }
 
-    fn send_upstream(&mut self, ctx: &mut Ctx<'_>, id: u64) {
+    fn send_upstream(&mut self, ctx: &mut Ctx<'_>, question: Question) {
         let (port, txid) = self.alloc_ids();
-        let task = &self.tasks[&id];
+        let task = &self.tasks[&question];
         self.stats.upstream_queries += 1;
         ctx.send_udp(UdpSend {
             src: None, // egress uses the node's unicast address, even on anycast PoPs
@@ -283,98 +221,83 @@ impl RecursiveResolver {
             payload: Payload::with_dns_id(&task.upstream_query, txid),
         });
         let timeout = ctx.set_timer(UPSTREAM_TIMEOUT, encode_timer(port, txid));
-        self.pending.insert((port, txid), (id, timeout));
+        self.pending.insert((port, txid), (question, timeout));
     }
 
     /// Resolve the cache miss `query` that arrived in `dgram`: coalesce it
     /// onto the resolution in flight for its question, or start one at the
-    /// first root. A query read from its bytes' plain shape (or the memo's)
-    /// has its upstream query spliced from its question as it arrived.
+    /// root. A query read from its bytes' plain shape (or the memo's) has
+    /// its upstream query spliced from its question as it arrived.
     fn resolve(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, query: ClientQuery) {
-        let Some(&root) = self.config.roots.first() else {
-            self.stats.servfail += 1;
-            let servfail = query.response(Rcode::ServFail, Vec::new());
-            ctx.send_udp(UdpSend::reply_to(dgram, servfail.encode()));
-            return;
-        };
-        let key = (query.qname.clone(), query.qtype);
+        let question = (query.qname.clone(), query.qtype);
         let client = Client {
             addr: dgram.src,
             port: dgram.src_port,
             service_addr: dgram.dst,
             query,
         };
-
-        // Coalesce onto an in-flight resolution for the same name (the
+        // Coalesce onto an in-flight resolution for the same question (the
         // entry exists exactly while its leader is unanswered).
-        match self.inflight.get(&key) {
-            Some(id) => {
-                self.stats.coalesced += 1;
-                let task = self.tasks.get_mut(id).expect("in flight");
-                task.waiters.push(client);
-            }
-            None => {
-                let id = self.next_task;
-                self.next_task += 1;
-                let upstream_query = if client.query.read == Reading::Decoded {
-                    MessageBuilder::query(0, key.0.clone(), key.1)
-                        .build()
-                        .encode()
-                } else {
-                    // ID 0, no flags, one question, then the question as it
-                    // arrived: the bytes the builder above would encode.
-                    let mut query = Vec::with_capacity(dgram.payload.len());
-                    query.extend_from_slice(&[0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
-                    query.extend_from_slice(&dgram.payload[HEADER_LEN..]);
-                    query
-                };
-                self.inflight.insert(key, id);
-                let task = Task {
-                    upstream_query,
-                    leader: client,
-                    waiters: Vec::new(),
-                    current_ns: root,
-                    referrals: 0,
-                    retries: 0,
-                };
-                self.tasks.insert(id, task);
-                self.send_upstream(ctx, id);
-            }
+        if let Some(task) = self.tasks.get_mut(&question) {
+            self.stats.coalesced += 1;
+            task.waiters.push(client);
+            return;
         }
+        let upstream_query = if client.query.read == Reading::Decoded {
+            MessageBuilder::query(0, question.0.clone(), question.1)
+                .build()
+                .encode()
+        } else {
+            // ID 0, no flags, one question, then the question as it
+            // arrived: the bytes the builder above would encode.
+            let mut query = Vec::with_capacity(dgram.payload.len());
+            query.extend_from_slice(&[0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0]);
+            query.extend_from_slice(&dgram.payload[HEADER_LEN..]);
+            query
+        };
+        let task = Task {
+            upstream_query,
+            leader: client,
+            waiters: Vec::new(),
+            current_ns: self.root,
+            referrals: 0,
+            retries: 0,
+        };
+        self.tasks.insert(question.clone(), task);
+        self.send_upstream(ctx, question);
     }
 
-    /// The task that upstream transaction `(port, txid)` belongs to, the
+    /// The question that upstream transaction `(port, txid)` resolves, the
     /// transaction closed and its timeout cancelled; `None` when it is no
     /// longer pending (a late or unsolicited datagram).
-    fn answered(&mut self, ctx: &mut Ctx<'_>, port: u16, txid: u16) -> Option<u64> {
-        let (id, timeout) = self.pending.remove(&(port, txid))?;
+    fn answered(&mut self, ctx: &mut Ctx<'_>, port: u16, txid: u16) -> Option<Question> {
+        let (question, timeout) = self.pending.remove(&(port, txid))?;
         ctx.cancel_timer(timeout);
-        Some(id)
+        Some(question)
     }
 
-    /// Take task `id` one delegation down, to the name server at `ns_ip`
-    /// — or SERVFAIL everyone waiting on it past [`MAX_REFERRALS`].
-    fn follow_referral(&mut self, ctx: &mut Ctx<'_>, id: u64, ns_ip: Ipv4Addr) {
-        let Some(task) = self.tasks.get_mut(&id) else {
+    /// Take the resolution of `question` one delegation down, to the name
+    /// server at `ns_ip` — or SERVFAIL everyone waiting on it past
+    /// [`MAX_REFERRALS`].
+    fn follow_referral(&mut self, ctx: &mut Ctx<'_>, question: Question, ns_ip: Ipv4Addr) {
+        let Some(task) = self.tasks.get_mut(&question) else {
             return;
         };
         task.referrals += 1;
         if task.referrals > MAX_REFERRALS {
             self.stats.servfail += 1;
-            self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
+            self.finish(ctx, &question, TaskOutcome::Rcode(Rcode::ServFail));
             return;
         }
         task.current_ns = ns_ip;
-        self.send_upstream(ctx, id);
+        self.send_upstream(ctx, question);
     }
 
     fn handle_upstream_response(&mut self, ctx: &mut Ctx<'_>, dgram: &Datagram, resp: Message) {
-        let Some(id) = self.answered(ctx, dgram.dst_port, resp.header.id) else {
+        let Some(question) = self.answered(ctx, dgram.dst_port, resp.header.id) else {
             return; // late or unsolicited; drop
         };
-        let Some(task) = self.tasks.get_mut(&id) else {
-            return;
-        };
+        let (qname, qtype) = &question;
 
         if !resp.answers.is_empty() {
             // Final answer: cache and relay (to the leader and everyone
@@ -382,18 +305,18 @@ impl RecursiveResolver {
             let min_ttl = resp.answers.iter().map(|r| r.ttl).min().unwrap_or(0);
             let records = resp.answers;
             self.cache.insert(
-                task.leader.query.qname.clone(),
-                task.leader.query.qtype,
+                qname.clone(),
+                *qtype,
                 CachedAnswer::Positive(records.clone()),
                 min_ttl,
                 ctx.now(),
             );
-            self.finish(ctx, id, TaskOutcome::Records(records));
+            self.finish(ctx, &question, TaskOutcome::Records(records));
             return;
         }
 
         if let Some(referral) = crate::zone::extract_referral(&resp) {
-            self.follow_referral(ctx, id, referral.ns_ip);
+            self.follow_referral(ctx, question, referral.ns_ip);
             return;
         }
 
@@ -409,20 +332,20 @@ impl RecursiveResolver {
                     })
                     .unwrap_or(60);
                 self.cache.insert(
-                    task.leader.query.qname.clone(),
-                    task.leader.query.qtype,
+                    qname.clone(),
+                    *qtype,
                     CachedAnswer::Negative(Rcode::NxDomain),
                     ttl,
                     ctx.now(),
                 );
-                self.finish(ctx, id, TaskOutcome::Rcode(Rcode::NxDomain));
+                self.finish(ctx, &question, TaskOutcome::Rcode(Rcode::NxDomain));
             }
             Rcode::NoError => {
-                self.finish(ctx, id, TaskOutcome::NoData);
+                self.finish(ctx, &question, TaskOutcome::NoData);
             }
             _ => {
                 self.stats.servfail += 1;
-                self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
+                self.finish(ctx, &question, TaskOutcome::Rcode(Rcode::ServFail));
             }
         }
     }
@@ -439,18 +362,9 @@ fn decode_timer(token: u64) -> (u16, u16) {
 impl Host for RecursiveResolver {
     fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
         if dgram.dst_port == dnswire::DNS_PORT {
-            // A client the ACL turns away is refused whatever it asked;
-            // everyone else's query is read once, by the serve path, and
-            // answered from cache, resolved, or refused.
-            let served = if self.config.acl.allows(dgram.src) {
-                self.cache.serve(&dgram.payload, ctx.now())
-            } else {
-                admit(&dgram.payload).map(|admitted| match admitted {
-                    Ok(query) => Served::Refused(refusal(&query)),
-                    Err(refused) => Served::Refused(refused),
-                })
-            };
-            let Some(served) = served else {
+            // A client query is read once, by the serve path, and answered
+            // from cache, resolved, or refused.
+            let Some(served) = self.cache.serve(&dgram.payload, ctx.now()) else {
                 return;
             };
             self.stats.client_queries += 1;
@@ -471,8 +385,8 @@ impl Host for RecursiveResolver {
             // wire; anything else — the final answer to cache, an SOA to
             // follow — is decoded whole.
             if let Some(referral) = dnswire::view_referral(&dgram.payload) {
-                if let Some(id) = self.answered(ctx, dgram.dst_port, referral.id) {
-                    self.follow_referral(ctx, id, referral.ns_ip);
+                if let Some(question) = self.answered(ctx, dgram.dst_port, referral.id) {
+                    self.follow_referral(ctx, question, referral.ns_ip);
                 }
                 return;
             }
@@ -488,22 +402,22 @@ impl Host for RecursiveResolver {
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
         let key = decode_timer(token);
-        let Some((id, _)) = self.pending.remove(&key) else {
+        let Some((question, _)) = self.pending.remove(&key) else {
             // Answered, with a timeout too far out to cancel.
             return TimerOutcome::Stale;
         };
         self.stats.timeouts += 1;
-        let Some(task) = self.tasks.get_mut(&id) else {
+        let Some(task) = self.tasks.get_mut(&question) else {
             return TimerOutcome::Acted;
         };
         // Retry the current server with a fresh (port, txid) until the
         // budget runs out, then SERVFAIL everyone waiting.
         if task.retries < MAX_RETRIES {
             task.retries += 1;
-            self.send_upstream(ctx, id);
+            self.send_upstream(ctx, question);
         } else {
             self.stats.servfail += 1;
-            self.finish(ctx, id, TaskOutcome::Rcode(Rcode::ServFail));
+            self.finish(ctx, &question, TaskOutcome::Rcode(Rcode::ServFail));
         }
         TimerOutcome::Acted
     }
@@ -512,39 +426,70 @@ impl Host for RecursiveResolver {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use netsim::testkit::{install_script, playground, ScriptedClient};
+    use netsim::{NodeId, SimTime, Simulator};
 
-    #[test]
-    fn open_resolver_answers_anyone_acl_check() {
-        let (client, resolver) = (Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(198, 51, 100, 1));
-        assert!(AccessPolicy::Open.allows(client));
-        let acl = AccessPolicy::RestrictedTo(vec![(Ipv4Addr::new(192, 0, 2, 0), 24)]);
-        assert!(acl.allows(client));
-        assert!(!acl.allows(resolver));
+    const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
+    const UPSTREAM: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 2);
+    const CLIENTS: [Ipv4Addr; 2] = [Ipv4Addr::new(192, 0, 2, 1), Ipv4Addr::new(192, 0, 2, 2)];
+
+    /// Answers the `n`th query it sees (from 0) after `delay(n)`, with one
+    /// A record `10.0.0.n`, so a reply names the query it answers.
+    struct LateServer {
+        delay: fn(usize) -> SimDuration,
+        seen: Vec<Datagram>,
+    }
+    impl Host for LateServer {
+        fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
+            let n = self.seen.len();
+            let _ = ctx.set_timer((self.delay)(n), n as u64);
+            self.seen.push(dgram);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
+            let dgram = &self.seen[token as usize];
+            let query = Message::decode(&dgram.payload).unwrap();
+            let qname = query.questions[0].qname.clone();
+            let resp = MessageBuilder::response_to(&query)
+                .answer_a(qname, 300, Ipv4Addr::new(10, 0, 0, token as u8))
+                .build();
+            ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
+            TimerOutcome::Acted
+        }
     }
 
-    #[test]
-    fn prefix_matching() {
-        let net = Ipv4Addr::new(203, 0, 113, 0);
-        assert!(in_prefix(Ipv4Addr::new(203, 0, 113, 77), net, 24));
-        assert!(!in_prefix(Ipv4Addr::new(203, 0, 114, 1), net, 24));
-        assert!(in_prefix(Ipv4Addr::new(203, 0, 114, 1), net, 16));
-        assert!(
-            in_prefix(Ipv4Addr::new(9, 9, 9, 9), net, 0),
-            "len 0 matches all"
+    /// A resolver whose root is a [`LateServer`] answering after `delay`,
+    /// and two clients that send `asks[c]` — `(milliseconds, name)` — to it.
+    /// Nodes: resolver, server, the clients.
+    fn world(
+        delay: fn(usize) -> SimDuration,
+        asks: [&[(u64, &str)]; 2],
+    ) -> (Simulator, Vec<NodeId>) {
+        let (topo, nodes) = playground(&[&[RESOLVER, UPSTREAM][..], &CLIENTS[..]].concat());
+        let mut sim = Simulator::new(topo);
+        sim.install(nodes[0], RecursiveResolver::new(UPSTREAM, 512));
+        sim.install(
+            nodes[1],
+            LateServer {
+                delay,
+                seen: Vec::new(),
+            },
         );
-        assert!(
-            !in_prefix(Ipv4Addr::new(9, 9, 9, 9), net, 33),
-            "invalid length matches none"
-        );
-    }
-
-    #[test]
-    fn access_policy() {
-        let open = AccessPolicy::Open;
-        assert!(open.allows(Ipv4Addr::new(1, 2, 3, 4)));
-        let restricted = AccessPolicy::RestrictedTo(vec![(Ipv4Addr::new(10, 0, 0, 0), 8)]);
-        assert!(restricted.allows(Ipv4Addr::new(10, 200, 3, 4)));
-        assert!(!restricted.allows(Ipv4Addr::new(192, 0, 2, 1)));
+        for (node, asks) in nodes[2..].iter().zip(asks) {
+            let script = asks
+                .iter()
+                .map(|&(ms, name)| {
+                    let query = MessageBuilder::query(9, DnsName::parse(name).unwrap(), RrType::A)
+                        .recursion_desired(true)
+                        .build();
+                    (
+                        SimDuration::from_millis(ms),
+                        UdpSend::new(34000, RESOLVER, 53, query.encode()),
+                    )
+                })
+                .collect();
+            install_script(&mut sim, *node, script);
+        }
+        (sim, nodes)
     }
 
     #[test]
@@ -555,7 +500,7 @@ mod tests {
 
     #[test]
     fn port_allocation_wraps_in_ephemeral_range() {
-        let mut r = RecursiveResolver::new(ResolverConfig::open(vec![Ipv4Addr::new(1, 1, 1, 1)]));
+        let mut r = RecursiveResolver::new(Ipv4Addr::new(1, 1, 1, 1), 512);
         r.next_port = 64999;
         let (p1, _) = r.alloc_ids();
         let (p2, _) = r.alloc_ids();
@@ -571,77 +516,69 @@ mod tests {
         // ≈ 4.2 · 10⁹ upstream queries — no run gets there. The test
         // rewinds both counters by hand instead: the second transaction
         // reuses the key of the first, answered one, whose 2 s timeout
-        // must not fire into it.
-        use netsim::testkit::{install_script, playground, ScriptedClient};
-        use netsim::{SimTime, Simulator};
-
-        const CLIENT: Ipv4Addr = Ipv4Addr::new(192, 0, 2, 1);
-        const RESOLVER: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 1);
-        const UPSTREAM: Ipv4Addr = Ipv4Addr::new(198, 51, 100, 2);
-
-        /// Answers every query with one A record: the first at once, every
-        /// later one 1.5 s late.
-        #[derive(Default)]
-        struct SlowingServer {
-            seen: Vec<Datagram>,
-        }
-        impl Host for SlowingServer {
-            fn on_datagram(&mut self, ctx: &mut Ctx<'_>, dgram: Datagram) {
-                let late = if self.seen.is_empty() { 0 } else { 1_500 };
-                let _ = ctx.set_timer(SimDuration::from_millis(late), self.seen.len() as u64);
-                self.seen.push(dgram);
-            }
-            fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) -> TimerOutcome {
-                let dgram = &self.seen[token as usize];
-                let query = Message::decode(&dgram.payload).unwrap();
-                let qname = query.questions[0].qname.clone();
-                let resp = MessageBuilder::response_to(&query)
-                    .answer_a(qname, 300, Ipv4Addr::new(7, 7, 7, 7))
-                    .build();
-                ctx.send_udp(UdpSend::reply_to(dgram, resp.encode()));
-                TimerOutcome::Acted
-            }
-        }
-
-        let (topo, nodes) = playground(&[CLIENT, RESOLVER, UPSTREAM]);
-        let mut sim = Simulator::new(topo);
-        sim.install(
-            nodes[1],
-            RecursiveResolver::new(ResolverConfig::open(vec![UPSTREAM])),
-        );
-        sim.install(nodes[2], SlowingServer::default());
-        let script = [(0, "a.example."), (1, "b.example.")]
-            .map(|(secs, name)| {
-                let query = MessageBuilder::query(9, DnsName::parse(name).unwrap(), RrType::A)
-                    .recursion_desired(true)
-                    .build();
-                (
-                    SimDuration::from_secs(secs),
-                    UdpSend::new(34000, RESOLVER, 53, query.encode()),
-                )
-            })
-            .to_vec();
-        install_script(&mut sim, nodes[0], script);
+        // must not fire into it. The server answers the first query at
+        // once and the second 1.5 s late.
+        let delay = |n| SimDuration::from_millis(if n == 0 { 0 } else { 1_500 });
+        let (mut sim, nodes) = world(delay, [&[(0, "a.example."), (1_000, "b.example.")], &[]]);
 
         sim.run_until(SimTime::ZERO + SimDuration::from_millis(500));
-        let r: &mut RecursiveResolver = sim.host_as_mut(nodes[1]).unwrap();
+        let r: &mut RecursiveResolver = sim.host_as_mut(nodes[0]).unwrap();
         assert_eq!((r.stats.upstream_queries, r.pending.len()), (1, 0));
         (r.next_port, r.next_txid) = (1024, 1);
         assert!(sim.run());
 
-        let upstream: &SlowingServer = sim.host_as(nodes[2]).unwrap();
+        let upstream: &LateServer = sim.host_as(nodes[1]).unwrap();
         let keys: Vec<(u16, Option<u16>)> = upstream
             .seen
             .iter()
             .map(|d| (d.src_port, dnswire::peek_id(&d.payload)))
             .collect();
         assert_eq!(keys, [(1024, Some(1)); 2], "one query each, same key");
-        let r: &RecursiveResolver = sim.host_as(nodes[1]).unwrap();
+        let r: &RecursiveResolver = sim.host_as(nodes[0]).unwrap();
         assert_eq!((r.stats.timeouts, r.stats.servfail), (0, 0));
-        assert_eq!(r.open_entries(), [0; 4]);
-        let client: &ScriptedClient = sim.host_as(nodes[0]).unwrap();
+        assert_eq!(r.open_entries(), [0; 3]);
+        let client: &ScriptedClient = sim.host_as(nodes[2]).unwrap();
         assert_eq!(client.datagrams.len(), 2);
         assert_eq!(sim.stats().timers_cancelled, 2);
+    }
+
+    #[test]
+    fn a_late_answer_to_a_failed_resolution_does_not_finish_a_later_one_of_its_question() {
+        // Resolution A's five queries (the first and four retries) are
+        // each answered 2.5 s late, after their 2 s timeout: A SERVFAILs
+        // at 10 s. A second client asks the same question at 10.2 s and
+        // opens resolution B, whose query is answered in 1 s. The late
+        // answer to A's last query lands at 10.5 s, while B is open under
+        // the same question; it must be dropped, and B must finish at
+        // 11.2 s from its own transaction, the server's sixth query.
+        let delay = |n| SimDuration::from_millis(if n < 5 { 2_500 } else { 1_000 });
+        let (mut sim, nodes) = world(delay, [&[(0, "a.example.")], &[(10_200, "a.example.")]]);
+        assert!(sim.run());
+
+        let upstream: &LateServer = sim.host_as(nodes[1]).unwrap();
+        assert_eq!(upstream.seen.len(), 6);
+        let r: &RecursiveResolver = sim.host_as(nodes[0]).unwrap();
+        let s = r.stats;
+        assert_eq!((s.client_queries, s.coalesced, s.cache_answers), (2, 0, 0));
+        assert_eq!((s.upstream_queries, s.timeouts, s.servfail), (6, 5, 1));
+        assert_eq!(r.open_entries(), [0; 3]);
+
+        let reply = |c: usize| {
+            let client: &ScriptedClient = sim.host_as(nodes[2 + c]).unwrap();
+            assert_eq!(client.datagrams.len(), 1, "client {c} answered once");
+            let (at, dgram) = &client.datagrams[0];
+            (*at, Message::decode(&dgram.payload).unwrap())
+        };
+        let (at, a) = reply(0);
+        assert_eq!(a.header.flags.rcode, Rcode::ServFail);
+        assert!(at < SimTime::ZERO + SimDuration::from_millis(10_200));
+        let (at, b) = reply(1);
+        assert_eq!(b.header.flags.rcode, Rcode::NoError);
+        assert_eq!(b.answer_a_addrs(), [Ipv4Addr::new(10, 0, 0, 5)]);
+        assert!(at >= SimTime::ZERO + SimDuration::from_millis(11_200));
+        // A's five timeouts fired; B's answer cancelled its one.
+        assert_eq!(sim.stats().timers_cancelled, 1);
+        assert_eq!(sim.stats().timers_stale, 0);
     }
 
     // Full end-to-end resolution paths are covered by integration tests in

@@ -114,15 +114,10 @@ pub struct StudyNodes {
 
 /// Install the study's full delegation chain at `nodes`: a root server
 /// delegating `example.` to the TLD, the TLD delegating the study zone to
-/// the authoritative, and the authoritative server itself, keeping its
-/// query log when `keep_log` is set. Recursive resolution of the study name
-/// is genuinely iterative through this chain, in every simulator it is
-/// installed in.
-pub fn install_study_stack<H: HostEntry>(
-    sim: &mut Simulator<H>,
-    nodes: StudyNodes,
-    keep_log: bool,
-) {
+/// the authoritative, and the authoritative server itself. Recursive
+/// resolution of the study name is genuinely iterative through this chain,
+/// in every simulator it is installed in.
+pub fn install_study_stack<H: HostEntry>(sim: &mut Simulator<H>, nodes: StudyNodes) {
     let mut root = DelegatingServer::root();
     root.delegate(Delegation {
         zone: DnsName::parse("example.").expect("static zone parses"),
@@ -137,7 +132,7 @@ pub fn install_study_stack<H: HostEntry>(
         ns_ip: nodes.auth_ip,
     });
     sim.install(nodes.tld, tld);
-    sim.install(nodes.auth, StudyAuthServer::new(keep_log));
+    sim.install(nodes.auth, StudyAuthServer::new());
 }
 
 #[cfg(test)]

@@ -115,7 +115,7 @@ impl Host for DelegatingServer {
             .memo
             .as_ref()
             .and_then(|m| m.replay(&dgram.payload, dgram.src));
-        if let Some((_, reply)) = replayed {
+        if let Some(reply) = replayed {
             self.queries_served += 1;
             ctx.send_udp(UdpSend::reply_to(&dgram, reply));
             return;

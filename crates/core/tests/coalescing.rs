@@ -9,8 +9,7 @@ use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{SimDuration, Simulator, UdpSend};
 use odns::study;
 use odns::{
-    CacheStats, DelegatingServer, Delegation, RecursiveResolver, ResolverConfig, ResolverStats,
-    StudyAuthServer,
+    CacheStats, DelegatingServer, Delegation, RecursiveResolver, ResolverStats, StudyAuthServer,
 };
 use std::net::Ipv4Addr;
 
@@ -55,11 +54,8 @@ fn world(
         ns_ip: AUTH,
     });
     sim.install(nodes[2], tld);
-    sim.install(nodes[3], StudyAuthServer::new(true));
-    sim.install(
-        nodes[0],
-        RecursiveResolver::new(ResolverConfig::open(vec![ROOT])),
-    );
+    sim.install(nodes[3], StudyAuthServer::new());
+    sim.install(nodes[0], RecursiveResolver::new(ROOT, 512));
     let clients_nodes = nodes[5..].to_vec();
     (sim, clients_nodes, nodes[0], nodes[3])
 }
@@ -242,7 +238,7 @@ fn task_table_drains_on_answer_timeout_and_coalescing() {
         assert_eq!(sc.datagrams.len(), 1, "client {i} answered exactly once");
     }
     let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
-    assert_eq!(r.open_entries(), [0; 4], "tasks/pending/waiters/inflight");
+    assert_eq!(r.open_entries(), [0; 3], "tasks/pending/waiters");
     assert_eq!(
         r.stats,
         ResolverStats {
@@ -344,7 +340,7 @@ fn answered_burst(burst: &[(u64, Vec<u8>, DnsName, bool)]) -> (ResolverStats, Ca
     let auth_host: &StudyAuthServer = sim.host_as(auth).unwrap();
     assert_eq!(auth_host.stats.queries_received, 1);
     let r: &RecursiveResolver = sim.host_as(resolver).unwrap();
-    assert_eq!(r.open_entries(), [0; 4]);
+    assert_eq!(r.open_entries(), [0; 3]);
     (r.stats, r.cache().stats)
 }
 

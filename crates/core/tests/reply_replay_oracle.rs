@@ -6,8 +6,8 @@
 //! other clients, and every near miss that must not replay (0x20 casing,
 //! another RD bit, EDNS, `CH`, `ANY`, other names and types) — to one server
 //! and, query by query, to a fresh server that has nothing to replay. The
-//! replies must be byte-identical, and the one server's counters and log
-//! must be the fresh servers' summed. Every query that is not a plain `IN`
+//! replies must be byte-identical, and the one server's counters must be
+//! the fresh servers' summed. Every query that is not a plain `IN`
 //! one — `CH`, even for the study name inside the zone — is REFUSED, with
 //! no record.
 //!
@@ -19,7 +19,7 @@ use dnswire::{Class, DnsName, Message, MessageBuilder, QClass, RData, Rcode, Rec
 use netsim::testkit::{install_script, playground, ScriptedClient};
 use netsim::{Host, Payload, SimDuration, Simulator, UdpSend};
 use odns::study;
-use odns::{extract_referral, AuthLogEntry, DelegatingServer, Delegation, StudyAuthServer};
+use odns::{extract_referral, DelegatingServer, Delegation, StudyAuthServer};
 use std::net::Ipv4Addr;
 
 const SERVER: Ipv4Addr = Ipv4Addr::new(198, 41, 0, 4);
@@ -174,22 +174,16 @@ fn mixed_queries() -> Vec<Query> {
 
 #[test]
 fn the_study_server_replays_what_it_would_build() {
-    let read = |s: &StudyAuthServer| (s.stats, s.log.clone());
-    let ((stats, log), fresh) =
-        replay_against_fresh(|| StudyAuthServer::new(true), &mixed_queries(), read);
-    let summed = fresh
-        .iter()
-        .fold(odns::AuthStats::default(), |mut sum, (s, _)| {
-            sum.queries_received += s.queries_received;
-            sum.responses_sent += s.responses_sent;
-            sum.out_of_zone += s.out_of_zone;
-            sum.nxdomain += s.nxdomain;
-            sum
-        });
+    let read = |s: &StudyAuthServer| s.stats;
+    let (stats, fresh) = replay_against_fresh(StudyAuthServer::new, &mixed_queries(), read);
+    let summed = fresh.iter().fold(odns::AuthStats::default(), |mut sum, s| {
+        sum.queries_received += s.queries_received;
+        sum.responses_sent += s.responses_sent;
+        sum.out_of_zone += s.out_of_zone;
+        sum.nxdomain += s.nxdomain;
+        sum
+    });
     assert_eq!(stats, summed);
-    let logged: Vec<AuthLogEntry> = fresh.into_iter().flat_map(|(_, log)| log).collect();
-    assert_eq!(log, logged);
-    assert_eq!(log[1].client, CLIENTS[1]);
     assert_eq!(stats.queries_received, mixed_queries().len() as u64);
 }
 

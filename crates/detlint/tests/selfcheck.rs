@@ -55,7 +55,7 @@ fn workspace_suppressions_all_used() {
 /// The suppressed `needless-pub` findings — inline allows with a reason
 /// and the test-support policies — may only fall. Lower the ceiling when
 /// an allow goes; never raise it.
-const NEEDLESS_PUB_SUPPRESSED_CEILING: usize = 36;
+const NEEDLESS_PUB_SUPPRESSED_CEILING: usize = 35;
 
 #[test]
 fn needless_pub_suppressions_only_fall() {

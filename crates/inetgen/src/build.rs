@@ -30,8 +30,8 @@ use netsim::{
     Simulator, TopologyBuilder,
 };
 use odns::{
-    DeviceProfile, Manipulation, RecursiveForwarder, RecursiveResolver, ResolverConfig,
-    ResolverProject, StudyNodes, TransparentForwarder, Vendor,
+    DeviceProfile, Manipulation, RecursiveForwarder, RecursiveResolver, ResolverProject,
+    StudyNodes, TransparentForwarder, Vendor,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -322,16 +322,9 @@ struct WorldBlueprint {
 /// reads as ground truth.
 fn install_hosts(sim: &mut Simulator<WorldHost>, bp: &WorldBlueprint, planted: &[PlantedHost]) {
     sim.set_faults(bp.faults.clone());
-    odns::install_study_stack(sim, bp.study, false);
-    let roots: Arc<[Ipv4Addr]> = Arc::new([ROOT_IP]);
-    let resolver = |cache_capacity| {
-        RecursiveResolver::new(ResolverConfig {
-            cache_capacity,
-            ..ResolverConfig::open(Arc::clone(&roots))
-        })
-    };
+    odns::install_study_stack(sim, bp.study);
     for node in &bp.project_resolvers {
-        sim.install(*node, resolver(4096));
+        sim.install(*node, RecursiveResolver::new(ROOT_IP, 4096));
     }
     // One profile per vendor, shared by every host that carries it.
     let devices = Vendor::all().map(|vendor| {
@@ -353,7 +346,9 @@ fn install_hosts(sim: &mut Simulator<WorldHost>, bp: &WorldBlueprint, planted: &
             Arc::clone(shared.expect("one profile per vendor"))
         });
         match p.class {
-            PlantedClass::RecursiveResolver => sim.install(p.node, resolver(256)),
+            PlantedClass::RecursiveResolver => {
+                sim.install(p.node, RecursiveResolver::new(ROOT_IP, 256))
+            }
             PlantedClass::TransparentForwarder => {
                 let mut fwd = TransparentForwarder::new(upstream());
                 if let Some(d) = device {

@@ -143,7 +143,7 @@ mod tests {
         assert!(matches!(slot, Some(WorldHost::Other(_))));
 
         // A resolver overwrites the one a slot holds inside its box.
-        let resolver = || RecursiveResolver::new(odns::ResolverConfig::open(vec![upstream]));
+        let resolver = || RecursiveResolver::new(upstream, 512);
         let boxed = |slot: &Option<WorldHost>| match slot {
             Some(WorldHost::Resolver(b)) => &**b as *const RecursiveResolver,
             _ => panic!("a resolver has its own variant"),

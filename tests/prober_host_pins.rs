@@ -21,8 +21,7 @@
 use netsim::testkit::playground;
 use netsim::{FaultPlan, NodeId, SimDuration, SimStats, Simulator};
 use odns::{
-    DeviceProfile, RecursiveForwarder, RecursiveResolver, ResolverConfig, StudyNodes,
-    TransparentForwarder, Vendor,
+    DeviceProfile, RecursiveForwarder, RecursiveResolver, StudyNodes, TransparentForwarder, Vendor,
 };
 use scanner::{
     run_fingerprint_scan, run_reflections, run_scan, AttackVector, ReflectionPlan, ScanConfig,
@@ -65,12 +64,8 @@ fn world(seed: u64, faults: FaultPlan) -> World {
             auth: nodes[4],
             auth_ip: AUTH,
         },
-        true,
     );
-    sim.install(
-        nodes[5],
-        RecursiveResolver::new(ResolverConfig::open(vec![ROOT])),
-    );
+    sim.install(nodes[5], RecursiveResolver::new(ROOT, 512));
     for (i, node) in nodes[6..].iter().enumerate() {
         match i % 3 {
             0 => sim.install(

@@ -12,7 +12,7 @@ use dnswire::{MessageBuilder, RrType};
 use inetgen::{generate, CountrySelection, GenConfig};
 use netsim::testkit::ScriptedClient;
 use netsim::{SimDuration, UdpSend};
-use odns::{RecursiveResolver, ResolverConfig, ResolverProject, TransparentForwarder};
+use odns::{RecursiveResolver, ResolverProject, TransparentForwarder};
 use scanner::{ProbeNaming, ScanConfig};
 use std::net::Ipv4Addr;
 
@@ -158,14 +158,9 @@ fn query_encoding_evicts_legitimate_entries() {
         ns_ip: AUTH,
     });
     sim.install(nodes[2], tld);
-    sim.install(nodes[3], StudyAuthServer::new(true));
-    sim.install(
-        nodes[0],
-        RecursiveResolver::new(ResolverConfig {
-            cache_capacity: 32, // tiny cache: pollution bites fast
-            ..ResolverConfig::open(vec![ROOT])
-        }),
-    );
+    sim.install(nodes[3], StudyAuthServer::new());
+    // A tiny cache: pollution bites fast.
+    sim.install(nodes[0], RecursiveResolver::new(ROOT, 32));
 
     // A legitimate query first, then a flood of 64 unique encoded names.
     let mut sends = vec![(
